@@ -18,13 +18,14 @@
 //! summary is written to `--out` as a FigTable JSON document.
 //!
 //! `--trace PATH` traces the first faulted seed's run, cross-checks the
-//! trace-derived metrics against the legacy counters (the debug-build
-//! invariant, enforced here in release too), and writes the Chrome
-//! `trace_event` JSON to PATH.
+//! metrics replayed from the trace against the reported ones (the
+//! debug-build invariant, enforced here in release too), and writes the
+//! Chrome `trace_event` JSON to PATH.
 
 use std::collections::BTreeMap;
 
 use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::export_trace;
 use robustq_bench::table::{tables_json, FigTable};
 use robustq_engine::EngineError;
 use robustq::prelude::*;
@@ -227,33 +228,16 @@ fn main() {
             if trace_this {
                 let path = args.common.trace.as_deref().expect("trace path present");
                 let trace = report.trace.as_ref().expect("traced run records events");
-                // Re-deriving metrics from a truncated stream would compare
-                // garbage: a ring overflow is itself a violation.
-                if trace.dropped > 0 {
-                    println!(
-                        "seed {seed}: VIOLATION: trace ring overflowed ({} events \
-                         dropped)",
-                        trace.dropped
-                    );
-                    violations += 1;
-                }
-                // The §10 reconciliation invariant, enforced in release builds.
+                // The fold the event loop ran, replayed from the recorded
+                // stream, against the components' own end-of-run figures:
+                // the debug-build cross-check, enforced in release too.
+                // (Over a truncated stream it would compare garbage; the
+                // export below reports a ring overflow as a violation.)
                 if RunMetrics::from_events(&trace.events) != report.metrics {
                     println!("seed {seed}: VIOLATION: trace-derived metrics diverge");
                     violations += 1;
                 }
-                let chrome = report.chrome_trace().expect("traced run exports");
-                match std::fs::write(path, &chrome) {
-                    Ok(()) => println!(
-                        "seed {seed}: wrote {} events ({} dropped) to {path}",
-                        trace.events.len(),
-                        trace.dropped
-                    ),
-                    Err(e) => {
-                        println!("seed {seed}: cannot write {path}: {e}");
-                        violations += 1;
-                    }
-                }
+                violations += export_trace("chaos", path, trace);
             }
             runs[shape] += 1;
             injected[shape] += report.metrics.faults.injected;

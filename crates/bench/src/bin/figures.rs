@@ -14,7 +14,7 @@
 
 use robustq_bench::args::ArgStream;
 use robustq_bench::{
-    all_figures, figure_by_id, traced_reference_run, Effort, FigTable, FIGURE_IDS,
+    all_figures, export_trace, figure_by_id, traced_reference_run, Effort, FigTable, FIGURE_IDS,
 };
 use robustq_engine::EngineError;
 
@@ -75,16 +75,9 @@ fn main() {
     if let Some(path) = trace_path {
         let report = traced_reference_run(effort);
         let trace = report.trace.as_ref().expect("traced run records events");
-        let chrome = report.chrome_trace().expect("traced run exports");
-        if let Err(e) = std::fs::write(&path, &chrome) {
-            eprintln!("cannot write {path}: {e}");
+        if export_trace("figures", &path, trace) > 0 {
             std::process::exit(1);
         }
-        eprintln!(
-            "wrote {} events ({} dropped) to {path}",
-            trace.events.len(),
-            trace.dropped
-        );
     }
     if failed {
         std::process::exit(2);

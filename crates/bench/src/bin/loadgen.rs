@@ -28,6 +28,7 @@
 //! spans to complete events, which must stay lint-clean).
 
 use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::export_trace;
 use robustq_bench::table::{tables_json, FigTable};
 use robustq_engine::EngineError;
 use robustq::prelude::*;
@@ -90,7 +91,7 @@ fn push_row(table: &mut FigTable, k: usize, rate: f64, report: &ServingReport) {
         format!("{rate:.0}"),
         report.offered.to_string(),
         report.completed().to_string(),
-        report.shed.to_string(),
+        report.metrics.shed.to_string(),
         ms(report.p50()),
         ms(report.p95()),
         ms(report.p99()),
@@ -160,38 +161,22 @@ fn main() {
                     cfg = cfg.with_trace();
                 }
                 let report = runner.run(&mix, strategy, &cfg).expect("sweep run");
-                if report.offered != report.completed() + report.shed as usize {
+                if report.offered != report.completed() + report.metrics.shed as usize {
                     eprintln!(
                         "loadgen: FAIL: K={k} rate={rate} {}: offered {} != \
                          completed {} + shed {}",
                         report.strategy,
                         report.offered,
                         report.completed(),
-                        report.shed,
+                        report.metrics.shed,
                     );
                     failures += 1;
                 }
                 push_row(&mut table, k, rate, &report);
                 if trace_this {
                     let path = args.common.trace.as_deref().expect("trace path");
-                    let data = report.trace.as_ref().expect("traced run records");
-                    if data.dropped > 0 {
-                        eprintln!(
-                            "loadgen: FAIL: trace ring overflowed ({} dropped)",
-                            data.dropped
-                        );
-                        failures += 1;
-                    }
-                    let chrome = report.chrome_trace().expect("traced run exports");
-                    if let Err(e) = std::fs::write(path, &chrome) {
-                        eprintln!("loadgen: cannot write {path}: {e}");
-                        failures += 1;
-                    } else {
-                        println!(
-                            "trace: {path} (K={k}, rate={rate}, {} events)",
-                            data.events.len()
-                        );
-                    }
+                    let trace = report.trace.as_ref().expect("traced run records events");
+                    failures += export_trace("loadgen", path, trace);
                 }
             }
         }

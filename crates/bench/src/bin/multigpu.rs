@@ -43,6 +43,7 @@
 use std::collections::BTreeMap;
 
 use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::export_trace;
 use robustq_bench::table::{tables_json, FigTable};
 use robustq_engine::EngineError;
 use robustq::prelude::*;
@@ -151,32 +152,17 @@ impl Sweep {
 
     /// Write the traced run's Chrome export, asserting one kernel lane
     /// per device first.
-    fn export_trace(&mut self, path: &str, report: &RunReport, k: usize) {
-        let m = &report.metrics;
-        let data = report.trace.as_ref().expect("traced run records events");
-        // A truncated ring means the export (and anything re-derived from
-        // it) silently under-reports — fail loudly instead.
-        if data.dropped > 0 {
-            eprintln!(
-                "multigpu: FAIL: trace ring overflowed ({} events dropped)",
-                data.dropped
-            );
-            self.failures += 1;
-        }
+    fn export_trace(&mut self, path: &str, report: &RunReport) {
         let chrome = report.chrome_trace().expect("traced run exports");
-        for (d, _) in m.device_busy.iter() {
+        for (d, _) in report.metrics.device_busy.iter() {
             let lane = format!("{d} kernels");
             if !chrome.contains(&lane) {
                 eprintln!("multigpu: FAIL: trace has no lane {lane:?}");
                 self.failures += 1;
             }
         }
-        if let Err(e) = std::fs::write(path, &chrome) {
-            eprintln!("multigpu: cannot write {path}: {e}");
-            self.failures += 1;
-        } else {
-            println!("trace: {path} (K={k}, {} lanes expected)", m.device_busy.len());
-        }
+        let trace = report.trace.as_ref().expect("traced run records events");
+        self.failures += export_trace("multigpu", path, trace);
     }
 }
 
@@ -334,7 +320,7 @@ fn main() {
                 sweep.record(k, strategy.name(), &report);
                 if trace_this {
                     let path = args.common.trace.as_deref().expect("trace path");
-                    sweep.export_trace(path, &report, k);
+                    sweep.export_trace(path, &report);
                 }
             }
             if args.shard {
@@ -368,7 +354,7 @@ fn main() {
                     sweep.record(k, label, &report);
                     if trace_this {
                         let path = args.common.trace.as_deref().expect("trace path");
-                        sweep.export_trace(path, &report, k);
+                        sweep.export_trace(path, &report);
                     }
                 }
             }

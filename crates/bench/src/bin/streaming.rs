@@ -31,7 +31,9 @@
 
 use robustq::prelude::*;
 use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::export_trace;
 use robustq_bench::table::{tables_json, FigTable};
+use robustq_trace::MetricsRegistry;
 use robustq_workloads::{ssb, SsbQuery, SsbStreamGen};
 
 struct Args {
@@ -99,7 +101,7 @@ fn push_row(table: &mut FigTable, k: usize, window_us: u64, report: &StreamingRe
         report.offered_ticks.to_string(),
         report.window_outcomes.len().to_string(),
         report.offered_arrivals.to_string(),
-        report.shed.to_string(),
+        report.metrics.shed.to_string(),
         ms(report.tick_percentile(50.0)),
         ms(report.tick_p99()),
         ms(report.arrival_percentile(99.0)),
@@ -194,13 +196,13 @@ fn main() {
                     .run_streaming(&mix, feed.clone(), standing.clone(), strategy, &cfg)
                     .expect("sweep run");
                 let offered = report.offered_arrivals + report.offered_ticks;
-                if offered != report.completed() + report.shed as usize {
+                if offered != report.completed() + report.metrics.shed as usize {
                     eprintln!(
                         "streaming: FAIL: K={k} window={window_us}us {}: offered \
                          {offered} != completed {} + shed {}",
                         report.strategy,
                         report.completed(),
-                        report.shed,
+                        report.metrics.shed,
                     );
                     failures += 1;
                 }
@@ -215,16 +217,8 @@ fn main() {
                 push_row(&mut table, k, window_us, &report);
                 if trace_this {
                     let path = args.common.trace.as_deref().expect("trace path");
-                    let data = report.trace.as_ref().expect("traced run records");
-                    if data.dropped > 0 {
-                        eprintln!(
-                            "streaming: FAIL: trace ring overflowed ({} dropped)",
-                            data.dropped
-                        );
-                        failures += 1;
-                    }
-                    let registry =
-                        report.metrics_registry().expect("traced run has metrics");
+                    let trace = report.trace.as_ref().expect("traced run records events");
+                    let registry = MetricsRegistry::from_events(&trace.events);
                     if registry.counter("appends") == 0
                         || registry.counter("window_fires") == 0
                     {
@@ -234,16 +228,7 @@ fn main() {
                         );
                         failures += 1;
                     }
-                    let chrome = report.chrome_trace().expect("traced run exports");
-                    if let Err(e) = std::fs::write(path, &chrome) {
-                        eprintln!("streaming: cannot write {path}: {e}");
-                        failures += 1;
-                    } else {
-                        println!(
-                            "trace: {path} (K={k}, window={window_us}us, {} events)",
-                            data.events.len()
-                        );
-                    }
+                    failures += export_trace("streaming", path, trace);
                 }
             }
         }

@@ -41,6 +41,27 @@ pub fn traced_reference_run(effort: Effort) -> robustq_workloads::RunReport {
         .expect("traced reference run")
 }
 
+/// Write a traced run's Chrome `trace_event` export to `path`, reporting
+/// on stderr under `bin`'s name (stdout stays the bin's tables). A ring
+/// that dropped events — the export, and anything re-derived from it,
+/// would silently under-report — or a failed write counts as a failure;
+/// returns how many there were, for the caller's exit status.
+pub fn export_trace(bin: &str, path: &str, trace: &robustq_trace::TraceData) -> u64 {
+    let mut failures = 0;
+    if trace.dropped > 0 {
+        eprintln!("{bin}: FAIL: trace ring overflowed ({} events dropped)", trace.dropped);
+        failures += 1;
+    }
+    match std::fs::write(path, robustq_trace::chrome_trace_json(&trace.events)) {
+        Ok(()) => eprintln!("{bin}: wrote {} trace events to {path}", trace.events.len()),
+        Err(e) => {
+            eprintln!("{bin}: cannot write {path}: {e}");
+            failures += 1;
+        }
+    }
+    failures
+}
+
 /// Run every figure at the given effort, in paper order.
 pub fn all_figures(effort: Effort) -> Vec<FigTable> {
     vec![

@@ -6,8 +6,8 @@
 //! progress (DESIGN.md §13). Admission control (the reference mechanism
 //! of Section 6.2.2) bounds how many queries execute concurrently;
 //! queries waiting for admission accrue latency from their submission
-//! instant. Under overload the queue-depth cap and admission timeout
-//! shed submissions instead of queueing unboundedly. Admission is also
+//! instant. Under overload the queue-depth cap sheds submissions
+//! instead of queueing unboundedly. Admission is also
 //! where the placement policy speaks: a compile-time `plan_query` pass
 //! at admission, and `place_ready` for every task the pass left
 //! unannotated.
@@ -104,7 +104,7 @@ impl Sim<'_, '_> {
     /// shed, keeping closed-loop runs byte-identical to earlier releases.
     pub(crate) fn submit_query(&mut self, sub: Submission) {
         if self.admission_queue.len() >= self.opts.queue_cap {
-            self.shed(sub, ShedReason::QueueFull);
+            self.shed(sub);
         } else {
             self.admission_queue.push_back(sub);
         }
@@ -113,22 +113,26 @@ impl Sim<'_, '_> {
     /// Drop a submission: count it, trace it, and — closed loop only —
     /// let the issuing session offer its next query anyway, so a shed
     /// never deadlocks a session's remaining stream.
-    fn shed(&mut self, sub: Submission, reason: ShedReason) {
-        self.metrics.shed += 1;
-        self.tracer.emit(TraceEvent::QueryShed {
+    fn shed(&mut self, sub: Submission) {
+        self.emit(TraceEvent::QueryShed {
             session: sub.session as u32,
             seq: sub.seq as u32,
             submit: sub.submit,
-            reason,
+            reason: ShedReason::QueueFull,
             at: self.now,
         });
-        if let Some(plan) =
-            self.sessions.get_mut(sub.session).and_then(|s| s.pop_front())
-        {
-            let seq = self.session_seq[sub.session];
-            self.session_seq[sub.session] += 1;
+        self.submit_next(sub.session);
+    }
+
+    /// Closed loop: `session` submits the next query of its list, if it
+    /// has one. Arrival and standing-query sessions are labels with no
+    /// list, so for them this is a no-op.
+    pub(crate) fn submit_next(&mut self, session: usize) {
+        if let Some(plan) = self.sessions.get_mut(session).and_then(|s| s.pop_front()) {
+            let seq = self.session_seq[session];
+            self.session_seq[session] += 1;
             self.submit_query(Submission {
-                session: sub.session,
+                session,
                 seq,
                 plan,
                 submit: self.now,
@@ -152,15 +156,6 @@ impl Sim<'_, '_> {
             let Some(sub) = self.admission_queue.pop_front() else {
                 break;
             };
-            // Lazy admission timeout: a query that waited too long is
-            // shed the moment it reaches the head of the queue — its
-            // client would have given up on the response anyway.
-            if self.opts.admission_timeout > VirtualTime::ZERO
-                && self.now.saturating_sub(sub.submit) >= self.opts.admission_timeout
-            {
-                self.shed(sub, ShedReason::Timeout);
-                continue;
-            }
             self.admit_query(sub)?;
         }
         Ok(())
@@ -266,7 +261,7 @@ impl Sim<'_, '_> {
         });
         self.query_faults.push(FaultCounters::default());
         self.active_queries += 1;
-        self.tracer.emit(TraceEvent::QuerySubmit {
+        self.emit(TraceEvent::QuerySubmit {
             query: query as u32,
             session: session as u32,
             seq: seq as u32,
@@ -274,7 +269,7 @@ impl Sim<'_, '_> {
         });
         if let (Some(s), Some(w)) = (standing, window) {
             // Emitted at admission, once the execution has a query id.
-            self.tracer.emit(TraceEvent::WindowFire {
+            self.emit(TraceEvent::WindowFire {
                 standing: s,
                 tick: seq as u32,
                 query: query as u32,
@@ -284,7 +279,7 @@ impl Sim<'_, '_> {
             });
         }
         for (merge, shards) in shard_fanouts {
-            self.tracer.emit(TraceEvent::ShardFanout {
+            self.emit(TraceEvent::ShardFanout {
                 query: query as u32,
                 task: merge as u32,
                 shards,
@@ -300,7 +295,7 @@ impl Sim<'_, '_> {
         debug_assert_eq!(annotations.len(), infos.len());
         for (t, a) in (base..=root).zip(annotations) {
             if let Some(p) = a {
-                self.tracer.emit(TraceEvent::Placement {
+                self.emit(TraceEvent::Placement {
                     query: query as u32,
                     task: t as u32,
                     op: self.tasks[t].node.op.op_class(),
@@ -380,7 +375,7 @@ impl Sim<'_, '_> {
             let info = self.task_info(task, false);
             let ctx = policy_ctx!(self);
             let placed = self.policy.place_ready(&info, &ctx);
-            self.tracer.emit(TraceEvent::Placement {
+            self.emit(TraceEvent::Placement {
                 query: self.tasks[task].query as u32,
                 task: task as u32,
                 op: self.tasks[task].node.op.op_class(),
@@ -405,10 +400,9 @@ impl Sim<'_, '_> {
         let submit_time = q.submit_time;
         let admit_time = q.admit_time;
         let latency = self.now - submit_time;
-        self.metrics.makespan = self.metrics.makespan.max(self.now);
         let output =
             self.tasks[root].output.take().expect("root output present").materialize();
-        self.tracer.emit(TraceEvent::QueryDone {
+        self.emit(TraceEvent::QueryDone {
             query: query as u32,
             session: session as u32,
             seq: seq as u32,
@@ -461,7 +455,7 @@ impl Sim<'_, '_> {
                     None,
                     false,
                 );
-                self.tracer.emit(TraceEvent::CacheInsert {
+                self.emit(TraceEvent::CacheInsert {
                     device,
                     key,
                     bytes,
@@ -470,20 +464,7 @@ impl Sim<'_, '_> {
             }
         }
 
-        // Closed loop: the session submits its next query. Open-loop
-        // sessions are virtual (no queue) — `get_mut` is a no-op there.
-        if let Some(plan) = self.sessions.get_mut(session).and_then(|s| s.pop_front()) {
-            let seq = self.session_seq[session];
-            self.session_seq[session] += 1;
-            self.submit_query(Submission {
-                session,
-                seq,
-                plan,
-                submit: self.now,
-                window: None,
-                standing: None,
-            });
-        }
+        self.submit_next(session);
         self.process_admissions()?;
         Ok(())
     }

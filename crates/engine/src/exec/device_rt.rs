@@ -385,7 +385,7 @@ impl Sim<'_, '_> {
             // current occupancy — ordinary contention abort.
             return self.abort_task(task, injected);
         }
-        self.tracer.emit(TraceEvent::OpStaged {
+        self.emit(TraceEvent::OpStaged {
             query: query as u32,
             task: task as u32,
             device,

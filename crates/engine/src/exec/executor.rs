@@ -1,10 +1,11 @@
 //! The workload executor facade.
 //!
-//! Executes closed-loop multi-session workloads against the simulated
-//! machine — 1 host CPU plus K co-processors, each with its own column
-//! cache, operator heap and host link. Operators run for real on the
-//! host (results are correct); all timing, transfer, contention and
-//! memory behaviour is simulated:
+//! Executes a [`Schedule`] — closed-loop sessions, open-loop arrivals,
+//! feed commits and standing-query window ticks, in any mix — against
+//! the simulated machine: 1 host CPU plus K co-processors, each with its
+//! own column cache, operator heap and host link. Operators run for real
+//! on the host (results are correct); all timing, transfer, contention
+//! and memory behaviour is simulated:
 //!
 //! * per-device FIFO ready queues with worker slots (bounded only when
 //!   the policy chops — Section 5),
@@ -87,11 +88,6 @@ pub struct ExecOptions {
     /// waiters is shed immediately. `usize::MAX` (the default) never
     /// sheds.
     pub queue_cap: usize,
-    /// Admission timeout: a query that waited in the admission queue at
-    /// least this long is shed when it reaches the queue head instead of
-    /// executing. [`VirtualTime::ZERO`] (the default) disables the
-    /// timeout.
-    pub admission_timeout: VirtualTime,
     /// Which learned cost model the placement policy should estimate
     /// with ([`CostModelKind::Static`] by default — bit-identical to
     /// pre-trait behaviour). Forwarded to
@@ -119,7 +115,6 @@ impl Default for ExecOptions {
             shard_ways: 0,
             shard_min_bytes: 0.0,
             queue_cap: usize::MAX,
-            admission_timeout: VirtualTime::ZERO,
             cost_model: CostModelKind::Static,
             chunked_staging: false,
         }
@@ -195,8 +190,56 @@ pub struct FeedEvent {
 /// pre-run history.
 #[derive(Debug, Clone, Default)]
 pub struct FeedSchedule {
-    /// Scheduled commits, sorted by `at`.
+    /// Scheduled commits, sorted by `at`, each table's in epoch order
+    /// (checked when the run starts: [`EngineError::Config`] otherwise).
     pub events: Vec<FeedEvent>,
+}
+
+/// Everything one run executes: a time-ordered schedule of closed-loop
+/// sessions, open-loop arrivals, feed commits and standing-query window
+/// ticks, in any mix. A batch workload is `sessions` alone, a serving
+/// run `arrivals` alone (both convert with `into()`); a streaming run
+/// adds `feed` and `standing`.
+#[derive(Debug, Clone, Default)]
+pub struct Schedule {
+    /// Closed-loop sessions: session `i` submits `sessions[i][0]` at time
+    /// zero and its next query when the previous completed (or was
+    /// shed). Arrivals and standing queries carry a session id only as a
+    /// label, but a completion advances the closed session of its id, so
+    /// in a mixed schedule their labels must be `>= sessions.len()`.
+    pub sessions: Vec<Vec<PlanNode>>,
+    /// Open-loop arrivals: each submits at its own instant, however
+    /// earlier queries are progressing; same-instant arrivals submit in
+    /// list order.
+    pub arrivals: Vec<Arrival>,
+    /// Feed commits replayed in virtual time. The database must already
+    /// contain every scheduled append (build it, then replay it): a
+    /// commit only flips epochs and cache residency.
+    pub feed: FeedSchedule,
+    /// Standing queries, fired once per window tick (DESIGN.md §16).
+    pub standing: Vec<StandingQuery>,
+}
+
+impl Schedule {
+    /// Queries the schedule offers: every session query, arrival and
+    /// window tick. A run ends when each completed or was shed.
+    pub fn offered(&self) -> usize {
+        self.sessions.iter().map(Vec::len).sum::<usize>()
+            + self.arrivals.len()
+            + self.standing.iter().map(|s| s.ticks as usize).sum::<usize>()
+    }
+}
+
+impl From<Vec<Vec<PlanNode>>> for Schedule {
+    fn from(sessions: Vec<Vec<PlanNode>>) -> Self {
+        Schedule { sessions, ..Schedule::default() }
+    }
+}
+
+impl From<Vec<Arrival>> for Schedule {
+    fn from(arrivals: Vec<Arrival>) -> Self {
+        Schedule { arrivals, ..Schedule::default() }
+    }
 }
 
 /// Result of a workload run.
@@ -237,139 +280,39 @@ impl<'a> Executor<'a> {
         &self.config
     }
 
-    /// Execute `sessions` (each a queue of queries, run closed-loop) under
-    /// `policy`, starting from cold co-processor caches.
-    pub fn run(
-        &self,
-        sessions: Vec<Vec<PlanNode>>,
-        policy: &mut dyn PlacementPolicy,
-        opts: &ExecOptions,
-    ) -> Result<RunOutcome, EngineError> {
-        let mut caches =
-            CacheSet::for_topology(&self.config.topology, self.config.cache_policy);
-        self.run_with_cache(sessions, policy, opts, &mut caches)
-    }
-
-    /// Like [`Executor::run`] but continuing from (and updating) existing
-    /// caches — this is how warm-up runs leave the column caches warm for
-    /// the measured run, matching the paper's procedure of running each
-    /// workload twice before measuring (Section 6.1).
+    /// Execute `schedule` under `policy`, continuing from (and updating)
+    /// the caller's co-processor caches — this is how warm-up runs leave
+    /// the column caches warm for the measured run, matching the paper's
+    /// procedure of running each workload before measuring it
+    /// (Section 6.1). Pass a fresh [`CacheSet::for_topology`] for a cold
+    /// start.
+    ///
+    /// Overload is handled by [`ExecOptions::queue_cap`] shedding; the
+    /// run completes when every offered query either finished or was
+    /// shed. An [`EngineError::Config`] rejects a schedule that cannot
+    /// mean what it says: a feed that is not time-sorted, replays a
+    /// table's epochs out of order or names an epoch no append committed
+    /// under; a standing query over an unknown table; an arrival or
+    /// standing query labelled with a closed-loop session's index.
     pub fn run_with_cache(
         &self,
-        sessions: Vec<Vec<PlanNode>>,
+        schedule: impl Into<Schedule>,
         policy: &mut dyn PlacementPolicy,
         opts: &ExecOptions,
         caches: &mut CacheSet,
     ) -> Result<RunOutcome, EngineError> {
-        self.run_inner(
-            sessions,
-            Vec::new(),
-            FeedSchedule::default(),
-            Vec::new(),
-            policy,
-            opts,
-            caches,
-        )
-    }
-
-    /// Execute an open-loop arrival schedule (DESIGN.md §13): each
-    /// [`Arrival`] submits its plan at its virtual-time instant,
-    /// independent of how earlier queries are progressing. Overload is
-    /// handled by [`ExecOptions::queue_cap`] /
-    /// [`ExecOptions::admission_timeout`] shedding; the run completes
-    /// when every arrival either finished or was shed. Starts from cold
-    /// co-processor caches.
-    pub fn run_open_loop(
-        &self,
-        arrivals: Vec<Arrival>,
-        policy: &mut dyn PlacementPolicy,
-        opts: &ExecOptions,
-    ) -> Result<RunOutcome, EngineError> {
-        let mut caches =
-            CacheSet::for_topology(&self.config.topology, self.config.cache_policy);
-        self.run_open_loop_with_cache(arrivals, policy, opts, &mut caches)
-    }
-
-    /// Like [`Executor::run_open_loop`] but continuing from (and
-    /// updating) existing caches, so warm-up runs carry over — mirroring
-    /// [`Executor::run_with_cache`].
-    ///
-    /// Arrivals must be sorted by `at`; same-instant arrivals submit in
-    /// schedule order.
-    pub fn run_open_loop_with_cache(
-        &self,
-        arrivals: Vec<Arrival>,
-        policy: &mut dyn PlacementPolicy,
-        opts: &ExecOptions,
-        caches: &mut CacheSet,
-    ) -> Result<RunOutcome, EngineError> {
-        debug_assert!(
-            arrivals.windows(2).all(|w| w[0].at <= w[1].at),
-            "arrival schedule must be sorted by time"
-        );
-        self.run_inner(
-            Vec::new(),
-            arrivals,
-            FeedSchedule::default(),
-            Vec::new(),
-            policy,
-            opts,
-            caches,
-        )
-    }
-
-    /// Execute a streaming run: an open-loop arrival schedule interleaved
-    /// with a feed replay, plus standing queries fired per window tick
-    /// (DESIGN.md §16). The database must already contain every scheduled
-    /// append (build it, then replay it); `Ev`-level append events only
-    /// flip epochs and cache residency in virtual time. Starts from cold
-    /// co-processor caches.
-    pub fn run_streaming(
-        &self,
-        arrivals: Vec<Arrival>,
-        feed: FeedSchedule,
-        standing: Vec<StandingQuery>,
-        policy: &mut dyn PlacementPolicy,
-        opts: &ExecOptions,
-    ) -> Result<RunOutcome, EngineError> {
-        let mut caches =
-            CacheSet::for_topology(&self.config.topology, self.config.cache_policy);
-        self.run_streaming_with_cache(arrivals, feed, standing, policy, opts, &mut caches)
-    }
-
-    /// Like [`Executor::run_streaming`] but continuing from (and
-    /// updating) existing caches.
-    pub fn run_streaming_with_cache(
-        &self,
-        arrivals: Vec<Arrival>,
-        feed: FeedSchedule,
-        standing: Vec<StandingQuery>,
-        policy: &mut dyn PlacementPolicy,
-        opts: &ExecOptions,
-        caches: &mut CacheSet,
-    ) -> Result<RunOutcome, EngineError> {
-        debug_assert!(
-            arrivals.windows(2).all(|w| w[0].at <= w[1].at),
-            "arrival schedule must be sorted by time"
-        );
-        debug_assert!(
-            feed.events.windows(2).all(|w| w[0].at <= w[1].at),
-            "feed schedule must be sorted by time"
-        );
-        self.run_inner(Vec::new(), arrivals, feed, standing, policy, opts, caches)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &self,
-        sessions: Vec<Vec<PlanNode>>,
-        arrivals: Vec<Arrival>,
-        feed: FeedSchedule,
-        standing: Vec<StandingQuery>,
-        policy: &mut dyn PlacementPolicy,
-        opts: &ExecOptions,
-        caches: &mut CacheSet,
-    ) -> Result<RunOutcome, EngineError> {
+        let schedule = schedule.into();
+        let total_queries = schedule.offered();
+        let Schedule { sessions, arrivals, feed, standing } = schedule;
+        let mut labels =
+            arrivals.iter().map(|a| a.session).chain(standing.iter().map(|s| s.session));
+        if let Some(label) = labels.find(|&l| (l as usize) < sessions.len()) {
+            return Err(EngineError::config(format!(
+                "session id {label} labels an arrival or standing query but is also one of the \
+                 {} closed-loop sessions",
+                sessions.len()
+            )));
+        }
         let feed_rt = crate::exec::feed::build_feed(self.db, &feed, &standing)?;
         if !opts.preload.is_empty() {
             for (_, cache) in caches.iter_mut() {
@@ -391,9 +334,6 @@ impl<'a> Executor<'a> {
                 cache.set_pinned(&pins);
             }
         }
-        let total_queries: usize = sessions.iter().map(Vec::len).sum::<usize>()
-            + arrivals.len()
-            + standing.iter().map(|s| s.ticks as usize).sum::<usize>();
         let session_count = sessions.len();
         let device_count = self.config.topology.device_count();
         let mut sim = Sim {

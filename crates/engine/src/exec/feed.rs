@@ -83,8 +83,10 @@ pub(crate) struct FeedRt {
 /// events, every window tick's precomputed `[lo, hi)` feed-table bounds,
 /// and the initial per-column epochs.
 ///
-/// Returns the all-empty [`FeedRt`] when both inputs are empty, so batch
-/// entry points stay bit-identical to earlier releases.
+/// Returns the all-empty [`FeedRt`] when both inputs are empty (a batch
+/// run). The schedule and the registrations are caller input: anything
+/// inconsistent with the database or out of order is an
+/// [`EngineError::Config`].
 pub(crate) fn build_feed(
     db: &Database,
     feed: &FeedSchedule,
@@ -105,7 +107,7 @@ pub(crate) fn build_feed(
             .iter()
             .find(|r| r.epoch == ev.epoch.0)
             .ok_or_else(|| {
-                EngineError::Internal(format!(
+                EngineError::config(format!(
                     "feed schedules epoch {} but no append committed under it",
                     ev.epoch.0
                 ))
@@ -126,14 +128,17 @@ pub(crate) fn build_feed(
             *e = (rec.epoch, rec.base_rows as u64);
         }
     }
-    debug_assert!(
-        appends.windows(2).all(|w| w[0].at <= w[1].at),
-        "feed schedule must be sorted by commit instant"
-    );
-    debug_assert!(
-        table_feed.values().all(|v| v.windows(2).all(|w| w[0].1 <= w[1].1)),
-        "per-table appends must replay in epoch order"
-    );
+    // The schedule is caller input, and the window-bound lookup below
+    // reads it as sorted: out of order, every tick would silently scan
+    // the wrong `[lo, hi)`. Reject it, in release builds too.
+    if !appends.windows(2).all(|w| w[0].at <= w[1].at) {
+        return Err(EngineError::config("feed schedule is not sorted by commit instant"));
+    }
+    if !table_feed.values().all(|v| v.windows(2).all(|w| w[0].1 <= w[1].1)) {
+        return Err(EngineError::config(
+            "feed schedule replays a table's appends out of epoch order",
+        ));
+    }
 
     // A fed table's columns start at the last *pre-run* epoch (the
     // greatest committed epoch below the first scheduled one); unfed
@@ -173,7 +178,7 @@ pub(crate) fn build_feed(
     let mut fires = Vec::new();
     for (s, sq) in standing.iter().enumerate() {
         let table = db.table_position(&sq.table).ok_or_else(|| {
-            EngineError::Internal(format!("standing query over unknown table {}", sq.table))
+            EngineError::config(format!("standing query over unknown table {}", sq.table))
         })?;
         let period = sq.period.as_nanos().max(1);
         for tick in 0..sq.ticks {
@@ -231,7 +236,7 @@ impl Sim<'_, '_> {
                     .device_mut(device)
                     .invalidate_column(id.0, rec.epoch);
                 for (key, bytes) in evicted {
-                    self.tracer.emit(TraceEvent::CacheEvict {
+                    self.emit(TraceEvent::CacheEvict {
                         device,
                         key,
                         bytes,
@@ -240,7 +245,7 @@ impl Sim<'_, '_> {
                 }
             }
         }
-        self.tracer.emit(TraceEvent::Append {
+        self.emit(TraceEvent::Append {
             table: rec.table as u32,
             rows: rec.rows,
             bytes: rec.bytes,
@@ -251,7 +256,7 @@ impl Sim<'_, '_> {
         // under this epoch; the segment list records which.
         for (i, seg) in self.db.tables()[rec.table].segments().iter().enumerate() {
             if seg.is_sealed() && seg.epoch() == rec.epoch {
-                self.tracer.emit(TraceEvent::EpochSeal {
+                self.emit(TraceEvent::EpochSeal {
                     table: rec.table as u32,
                     segment: i as u32,
                     rows: seg.num_rows() as u64,

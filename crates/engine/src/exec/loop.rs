@@ -26,7 +26,7 @@ use robustq_sim::{
     Interconnect, SimConfig, VirtualTime,
 };
 use robustq_storage::{ColumnId, Database};
-use robustq_trace::Tracer;
+use robustq_trace::{TraceEvent, Tracer};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +195,6 @@ impl Sim<'_, '_> {
         // The caches may be warm from a previous run on the same handle;
         // metrics report this run's probes only (matching the trace).
         let (base_hits, base_misses) = self.cache_hit_miss();
-        let trace_mark = self.tracer.mark();
         // Pick the cost model before anything executes; policies keep
         // their learned state when the kind is unchanged (warm-up →
         // measured run continuity).
@@ -216,18 +215,7 @@ impl Sim<'_, '_> {
         // are pushed before window fires so a window closing at the very
         // instant of an append observes the post-append epoch.
         for s in 0..self.sessions.len() {
-            if let Some(plan) = self.sessions[s].pop_front() {
-                let seq = self.session_seq[s];
-                self.session_seq[s] += 1;
-                self.submit_query(Submission {
-                    session: s,
-                    seq,
-                    plan,
-                    submit: self.now,
-                    window: None,
-                    standing: None,
-                });
-            }
+            self.submit_next(s);
         }
         for i in 0..self.feed.appends.len() {
             self.events.push(self.feed.appends[i].at, Ev::Append { index: i });
@@ -264,39 +252,48 @@ impl Sim<'_, '_> {
                 total: total_queries,
             });
         }
-        self.metrics.queries = self.outcomes.len();
-        let (hits, misses) = self.cache_hit_miss();
-        self.metrics.cache_hits = hits - base_hits;
-        self.metrics.cache_misses = misses - base_misses;
-        self.metrics.gpu_heap_peak = self.heaps.peak_max();
-        self.metrics.gpu_heap_leaked = self.heaps.used_total();
-        self.metrics.fault_stats = *self.fault.stats();
-        self.metrics.link_h2d = self.link.total_stats(Direction::HostToDevice);
-        self.metrics.link_d2h = self.link.total_stats(Direction::DeviceToHost);
         debug_assert_eq!(
             self.heaps.used_total(),
             0,
             "device heaps must drain once every query completed"
         );
-        // Cross-check: the metrics re-derived from this run's event
-        // stream must match the incrementally maintained counters. Only
-        // possible with tracing enabled and no dropped events.
-        #[cfg(debug_assertions)]
-        if let Some(events) = self.tracer.events_since(trace_mark) {
-            debug_assert_eq!(
-                RunMetrics::from_events(&events),
-                self.metrics,
-                "trace-derived metrics diverge from legacy counters"
-            );
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = trace_mark;
+        // An independent cross-check, not double bookkeeping: the
+        // simulated components keep their own books, and the cache,
+        // heap, link and fault-plan figures reported are theirs. Debug
+        // builds assert that the event fold agrees, so neither a missed
+        // emit site nor a component's accounting can drift unnoticed;
+        // `chaos --trace` makes the same comparison in release builds by
+        // replaying the trace through `RunMetrics::from_events`.
+        let folded = std::mem::take(&mut self.metrics);
+        let (hits, misses) = self.cache_hit_miss();
+        let metrics = RunMetrics {
+            cache_hits: hits - base_hits,
+            cache_misses: misses - base_misses,
+            gpu_heap_peak: self.heaps.peak_max(),
+            gpu_heap_leaked: self.heaps.used_total(),
+            fault_stats: *self.fault.stats(),
+            link_h2d: self.link.total_stats(Direction::HostToDevice),
+            link_d2h: self.link.total_stats(Direction::DeviceToHost),
+            ..folded.clone()
+        };
+        debug_assert_eq!(
+            folded, metrics,
+            "the event fold diverges from the components' own statistics"
+        );
         Ok(RunOutcome {
-            metrics: self.metrics.clone(),
+            metrics,
             outcomes: std::mem::take(&mut self.outcomes),
             model_samples: std::mem::take(&mut self.model_samples),
             staging: self.staging,
         })
+    }
+
+    /// The one way an event takes effect: fold it into the run metrics,
+    /// then hand it to the tracer (a single branch when tracing is off).
+    #[inline]
+    pub(crate) fn emit(&mut self, event: TraceEvent) {
+        self.metrics.apply(&event);
+        self.tracer.emit(event);
     }
 
     /// Cache hits/misses summed over every co-processor cache.

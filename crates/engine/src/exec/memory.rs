@@ -79,7 +79,7 @@ impl Sim<'_, '_> {
         let heap = self.heaps.device_mut(device);
         let ok = heap.try_alloc(tag, bytes);
         let used = heap.used();
-        self.tracer.emit(TraceEvent::HeapAlloc { device, tag, bytes, used, ok, at: self.now });
+        self.emit(TraceEvent::HeapAlloc { device, tag, bytes, used, ok, at: self.now });
         ok
     }
 
@@ -89,7 +89,7 @@ impl Sim<'_, '_> {
         let bytes = heap.free_tag(tag);
         let used = heap.used();
         if bytes > 0 {
-            self.tracer.emit(TraceEvent::HeapFree { device, tag, bytes, used, at: self.now });
+            self.emit(TraceEvent::HeapFree { device, tag, bytes, used, at: self.now });
         }
     }
 
@@ -114,6 +114,26 @@ impl Sim<'_, '_> {
         self.heap_alloc(device, tag, bytes)
     }
 
+    /// Report one finished execution attempt of `task` on its device,
+    /// from worker-slot acquisition to now.
+    fn emit_op_span(&mut self, task: usize, outcome: OpOutcome) {
+        let t = &self.tasks[task];
+        let span = TraceEvent::OpSpan {
+            query: t.query as u32,
+            task: task as u32,
+            op: t.node.op.op_class(),
+            device: t.device.expect("a finished attempt ran somewhere"),
+            queued_at: t.queued_at,
+            start: t.start_time,
+            end: self.now,
+            bytes_in: t.bytes_in,
+            bytes_out: t.output_bytes,
+            rows_out: t.output_rows,
+            outcome,
+        };
+        self.emit(span);
+    }
+
     /// Abort a co-processor operator and restart it on the CPU. The
     /// caller removes the task from the device's compute set when it was
     /// already computing. `injected` marks aborts forced by the fault
@@ -122,42 +142,24 @@ impl Sim<'_, '_> {
     pub(crate) fn abort_task(&mut self, task: usize, injected: bool) -> Result<(), EngineError> {
         let device = self.tasks[task].device.expect("aborting a placed task");
         debug_assert!(device.is_coprocessor(), "only co-processor operators abort");
-        self.metrics.aborts += 1;
         let wasted = self.now - self.tasks[task].start_time;
-        self.metrics.wasted_time += wasted;
         let query = self.tasks[task].query;
-        self.metrics.faults.fallbacks += 1;
         self.query_faults[query].fallbacks += 1;
         if injected {
             self.note_injected_wasted(Some(query), wasted);
         }
-        {
-            let t = &self.tasks[task];
-            self.tracer.emit(TraceEvent::OpSpan {
-                query: query as u32,
-                task: task as u32,
-                op: t.node.op.op_class(),
-                device,
-                queued_at: t.queued_at,
-                start: t.start_time,
-                end: self.now,
-                bytes_in: t.bytes_in,
-                bytes_out: t.output_bytes,
-                rows_out: t.output_rows,
-                outcome: OpOutcome::Aborted { injected },
-            });
-            // The forced CPU restart is itself a placement decision.
-            self.tracer.emit(TraceEvent::Placement {
-                query: query as u32,
-                task: task as u32,
-                op: t.node.op.op_class(),
-                phase: PlacePhase::Fallback,
-                est: EstVec::EMPTY,
-                chosen: DeviceId::Cpu,
-                reason: PlaceReason::AbortFallback,
-                at: self.now,
-            });
-        }
+        self.emit_op_span(task, OpOutcome::Aborted { injected });
+        // The forced CPU restart is itself a placement decision.
+        self.emit(TraceEvent::Placement {
+            query: query as u32,
+            task: task as u32,
+            op: self.tasks[task].node.op.op_class(),
+            phase: PlacePhase::Fallback,
+            est: EstVec::EMPTY,
+            chosen: DeviceId::Cpu,
+            reason: PlaceReason::AbortFallback,
+            at: self.now,
+        });
         self.heap_free(device, Self::working_tag(task));
         self.devices.rt_mut(device).running -= 1;
         let t = &mut self.tasks[task];
@@ -204,35 +206,21 @@ impl Sim<'_, '_> {
         }
 
         let busy = self.now - self.tasks[task].start_time;
-        self.metrics.record_op(device, busy);
-        {
-            let t = &self.tasks[task];
-            self.tracer.emit(TraceEvent::OpSpan {
+        self.emit_op_span(task, OpOutcome::Completed);
+        let t = &self.tasks[task];
+        // A completed shard merge closes its fan-out's trace window
+        // (the lint pairs this with the admission-time ShardFanout).
+        if matches!(t.node.op, crate::exec::task::TaskOp::MergeShards { .. }) {
+            let merge = TraceEvent::ShardMerge {
                 query: t.query as u32,
                 task: task as u32,
-                op: t.node.op.op_class(),
-                device,
-                queued_at: t.queued_at,
+                shards: t.children.len() as u32,
+                rows: t.output_rows,
+                bytes: t.output_bytes,
                 start: t.start_time,
                 end: self.now,
-                bytes_in: t.bytes_in,
-                bytes_out: t.output_bytes,
-                rows_out: t.output_rows,
-                outcome: OpOutcome::Completed,
-            });
-            // A completed shard merge closes its fan-out's trace window
-            // (the lint pairs this with the admission-time ShardFanout).
-            if matches!(t.node.op, crate::exec::task::TaskOp::MergeShards { .. }) {
-                self.tracer.emit(TraceEvent::ShardMerge {
-                    query: t.query as u32,
-                    task: task as u32,
-                    shards: t.children.len() as u32,
-                    rows: t.output_rows,
-                    bytes: t.output_bytes,
-                    start: t.start_time,
-                    end: self.now,
-                });
-            }
+            };
+            self.emit(merge);
         }
         let t = &self.tasks[task];
         let query_id = t.query as u32;
@@ -249,7 +237,7 @@ impl Sim<'_, '_> {
             // error is auditable per run; static samples are collected on
             // the side only (default traced runs stay byte-identical).
             if update.refined {
-                self.tracer.emit(TraceEvent::ModelUpdate {
+                self.emit(TraceEvent::ModelUpdate {
                     query: query_id,
                     task: task_id,
                     op: update.class,

@@ -5,10 +5,11 @@
 //! bytes, aborted-operator counts and the *wasted time* metric of
 //! Figure 20 (total time from operator begin to abort).
 //!
-//! When tracing is enabled the same numbers are independently derivable
-//! from the event stream via [`RunMetrics::from_events`]; debug builds
-//! cross-check the two at the end of every run, so the legacy counters
-//! and the trace can never drift apart silently.
+//! The counters have one source: [`RunMetrics::apply`] folds a trace
+//! event into them. The event loop applies every event it emits, traced
+//! or not, and [`RunMetrics::from_events`] replays a recorded stream
+//! through the same function — so a run's metrics and its trace cannot
+//! drift apart.
 
 use robustq_sim::{DeviceId, Direction, FaultStats, LinkStats, PerDevice, VirtualTime};
 use robustq_trace::{FaultKind, OpOutcome, TraceEvent};
@@ -138,9 +139,9 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Record one completed operator. The per-device tables grow on
     /// demand so the same path serves the executor (topology-sized
-    /// tables) and event-stream re-derivation (tables learned from the
-    /// data); padded equality makes the two comparable.
-    pub(crate) fn record_op(&mut self, device: DeviceId, busy: VirtualTime) {
+    /// tables) and event-stream replay (tables learned from the data);
+    /// padded equality makes the two comparable.
+    fn record_op(&mut self, device: DeviceId, busy: VirtualTime) {
         *self.device_busy.get_mut_or_grow(device) += busy;
         *self.ops_completed.get_mut_or_grow(device) += 1;
     }
@@ -168,104 +169,115 @@ impl RunMetrics {
         VirtualTime::from_nanos(total / outcomes.len() as u64)
     }
 
-    /// Re-derive run metrics from one run's trace-event stream.
+    /// Fold one trace event into the counters — the only code that knows
+    /// how an event changes a counter. The event loop calls it at every
+    /// emit site, traced or not; [`RunMetrics::from_events`] is a loop
+    /// over it.
     ///
-    /// With tracing enabled the executor emits an event at every
-    /// accounting site, so this reconstruction matches the incrementally
-    /// maintained counters *exactly* — the invariant behind the
-    /// debug-build cross-check in `Executor::run` and the chaos
-    /// differential suite.
+    /// Always inlined: every emit site passes a variant known at compile
+    /// time, so the match folds to that variant's arm (to nothing, for
+    /// the events that carry no counter) and the untraced path stays
+    /// free of allocation, locking and dispatch.
+    #[inline(always)]
+    pub fn apply(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::QueryDone { end, .. } => {
+                self.queries += 1;
+                self.makespan = self.makespan.max(end);
+            }
+            TraceEvent::QueryShed { .. } => self.shed += 1,
+            TraceEvent::OpSpan { device, start, end, outcome, .. } => match outcome {
+                OpOutcome::Completed => self.record_op(device, end.saturating_sub(start)),
+                OpOutcome::Aborted { injected } => {
+                    let wasted = end.saturating_sub(start);
+                    self.aborts += 1;
+                    self.wasted_time += wasted;
+                    self.faults.fallbacks += 1;
+                    if injected {
+                        self.faults.injected_wasted += wasted;
+                    }
+                }
+            },
+            TraceEvent::Transfer { dir, bytes, service, waste, .. } => {
+                let (time, total, link) = match dir {
+                    Direction::HostToDevice => {
+                        (&mut self.h2d_time, &mut self.h2d_bytes, &mut self.link_h2d)
+                    }
+                    Direction::DeviceToHost => {
+                        (&mut self.d2h_time, &mut self.d2h_bytes, &mut self.link_d2h)
+                    }
+                };
+                *time += service;
+                *total += bytes;
+                link.bytes += bytes;
+                link.transfers += 1;
+                link.busy_time += service;
+                self.faults.injected_wasted += waste;
+            }
+            TraceEvent::CacheProbe { hit, .. } => {
+                if hit {
+                    self.cache_hits += 1;
+                } else {
+                    self.cache_misses += 1;
+                }
+            }
+            // `used` is the occupancy of the one heap that served the
+            // attempt, so the peak is the largest single-device
+            // occupancy seen; the leak figure is the fleet-wide balance
+            // of bytes allocated and freed.
+            TraceEvent::HeapAlloc { bytes, used, ok, .. } => {
+                if ok {
+                    self.gpu_heap_peak = self.gpu_heap_peak.max(used);
+                    self.gpu_heap_leaked += bytes;
+                }
+            }
+            TraceEvent::HeapFree { bytes, .. } => {
+                self.gpu_heap_leaked = self.gpu_heap_leaked.saturating_sub(bytes);
+            }
+            TraceEvent::Fault { kind, .. } => {
+                self.faults.injected += 1;
+                self.fault_stats.injected += 1;
+                match kind {
+                    FaultKind::AllocFail { .. } => self.fault_stats.alloc_failures += 1,
+                    FaultKind::TransferTransient => self.fault_stats.transfer_transient += 1,
+                    FaultKind::TransferPermanent => self.fault_stats.transfer_permanent += 1,
+                    FaultKind::TransferSpike => self.fault_stats.transfer_spikes += 1,
+                    FaultKind::KernelAbort => self.fault_stats.kernel_aborts += 1,
+                    FaultKind::Stall { wait } => {
+                        self.fault_stats.stall_time += wait;
+                        self.faults.injected_wasted += wait;
+                    }
+                }
+            }
+            TraceEvent::Retry { .. } => self.faults.retries += 1,
+            TraceEvent::QuerySubmit { .. }
+            | TraceEvent::CacheInsert { .. }
+            | TraceEvent::CacheEvict { .. }
+            | TraceEvent::Placement { .. }
+            | TraceEvent::ShardFanout { .. }
+            | TraceEvent::ShardMerge { .. }
+            // Model refinements, staging markers and feed activity are
+            // side data (`RunOutcome::{model_samples, staging}`, the
+            // feed report), not part of the counter set.
+            | TraceEvent::ModelUpdate { .. }
+            | TraceEvent::OpStaged { .. }
+            | TraceEvent::Append { .. }
+            | TraceEvent::EpochSeal { .. }
+            | TraceEvent::WindowFire { .. } => {}
+        }
+    }
+
+    /// The metrics of one run, replayed from its trace-event stream.
+    /// Equal to the run's reported metrics whenever the stream is
+    /// complete (nothing dropped from the ring): both are the same fold,
+    /// and the figures the simulated components report for themselves
+    /// (cache, heap, link and fault-plan statistics) are asserted equal
+    /// to it at the end of every debug-build run.
     pub fn from_events(events: &[TraceEvent]) -> RunMetrics {
         let mut m = RunMetrics::default();
-        // Last reported heap occupancy per co-processor: the leak figure
-        // sums them, the peak is the largest single-device occupancy seen
-        // (each device has its own heap).
-        let mut last_heap_used: PerDevice<u64> = PerDevice::empty();
         for ev in events {
-            match *ev {
-                TraceEvent::QueryDone { end, .. } => {
-                    m.queries += 1;
-                    m.makespan = m.makespan.max(end);
-                }
-                TraceEvent::QueryShed { .. } => m.shed += 1,
-                TraceEvent::OpSpan { device, start, end, outcome, .. } => match outcome {
-                    OpOutcome::Completed => m.record_op(device, end.saturating_sub(start)),
-                    OpOutcome::Aborted { injected } => {
-                        let wasted = end.saturating_sub(start);
-                        m.aborts += 1;
-                        m.wasted_time += wasted;
-                        m.faults.fallbacks += 1;
-                        if injected {
-                            m.faults.injected_wasted += wasted;
-                        }
-                    }
-                },
-                TraceEvent::Transfer { dir, bytes, service, waste, .. } => {
-                    let (time, total, link) = match dir {
-                        Direction::HostToDevice => {
-                            (&mut m.h2d_time, &mut m.h2d_bytes, &mut m.link_h2d)
-                        }
-                        Direction::DeviceToHost => {
-                            (&mut m.d2h_time, &mut m.d2h_bytes, &mut m.link_d2h)
-                        }
-                    };
-                    *time += service;
-                    *total += bytes;
-                    link.bytes += bytes;
-                    link.transfers += 1;
-                    link.busy_time += service;
-                    m.faults.injected_wasted += waste;
-                }
-                TraceEvent::CacheProbe { hit, .. } => {
-                    if hit {
-                        m.cache_hits += 1;
-                    } else {
-                        m.cache_misses += 1;
-                    }
-                }
-                TraceEvent::HeapAlloc { device, ok, used, .. } => {
-                    if ok {
-                        m.gpu_heap_peak = m.gpu_heap_peak.max(used);
-                        *last_heap_used.get_mut_or_grow(device) = used;
-                    }
-                }
-                TraceEvent::HeapFree { device, used, .. } => {
-                    *last_heap_used.get_mut_or_grow(device) = used;
-                }
-                TraceEvent::Fault { kind, .. } => {
-                    m.faults.injected += 1;
-                    m.fault_stats.injected += 1;
-                    match kind {
-                        FaultKind::AllocFail { .. } => m.fault_stats.alloc_failures += 1,
-                        FaultKind::TransferTransient => m.fault_stats.transfer_transient += 1,
-                        FaultKind::TransferPermanent => m.fault_stats.transfer_permanent += 1,
-                        FaultKind::TransferSpike => m.fault_stats.transfer_spikes += 1,
-                        FaultKind::KernelAbort => m.fault_stats.kernel_aborts += 1,
-                        FaultKind::Stall { wait } => {
-                            m.fault_stats.stall_time += wait;
-                            m.faults.injected_wasted += wait;
-                        }
-                    }
-                }
-                TraceEvent::Retry { .. } => m.faults.retries += 1,
-                TraceEvent::QuerySubmit { .. }
-                | TraceEvent::CacheInsert { .. }
-                | TraceEvent::CacheEvict { .. }
-                | TraceEvent::Placement { .. }
-                | TraceEvent::ShardFanout { .. }
-                | TraceEvent::ShardMerge { .. }
-                // Model refinements, staging markers and feed activity
-                // are side data (`RunOutcome::{model_samples, staging}`,
-                // the feed report), not part of the legacy counter set
-                // this reconstruction mirrors.
-                | TraceEvent::ModelUpdate { .. }
-                | TraceEvent::OpStaged { .. }
-                | TraceEvent::Append { .. }
-                | TraceEvent::EpochSeal { .. }
-                | TraceEvent::WindowFire { .. } => {}
-            }
+            m.apply(ev);
         }
-        m.gpu_heap_leaked = last_heap_used.values().sum();
         m
     }
 }
@@ -372,7 +384,7 @@ mod tests {
                 session: 1,
                 seq: 0,
                 submit: t(1),
-                reason: robustq_trace::ShedReason::Timeout,
+                reason: robustq_trace::ShedReason::QueueFull,
                 at: t(6),
             },
         ];

@@ -12,7 +12,7 @@
 use crate::error::EngineError;
 use crate::exec::event_loop::Sim;
 use robustq_sim::{
-    partition_bytes, CacheKey, DeviceId, Direction, TransferFault, VirtualTime,
+    partition_bytes, CacheKey, DeviceId, Direction, Transfer, TransferFault, VirtualTime,
 };
 use robustq_trace::{FaultKind, TraceEvent, TransferKind};
 
@@ -47,11 +47,10 @@ impl Sim<'_, '_> {
         kind: FaultKind,
         at: VirtualTime,
     ) {
-        self.metrics.faults.injected += 1;
         if let Some(q) = query {
             self.query_faults[q].injected += 1;
         }
-        self.tracer.emit(TraceEvent::Fault { kind, query: Self::qid(query), at });
+        self.emit(TraceEvent::Fault { kind, query: Self::qid(query), at });
     }
 
     /// Record one scheduled transfer retry.
@@ -61,33 +60,17 @@ impl Sim<'_, '_> {
         backoff: VirtualTime,
         at: VirtualTime,
     ) {
-        self.metrics.faults.retries += 1;
         if let Some(q) = query {
             self.query_faults[q].retries += 1;
         }
-        self.tracer.emit(TraceEvent::Retry { query: Self::qid(query), backoff, at });
+        self.emit(TraceEvent::Retry { query: Self::qid(query), backoff, at });
     }
 
-    /// Record virtual time lost to injections.
+    /// Attribute virtual time lost to injections to `query` (the run
+    /// total is folded from the event that reports the loss).
     pub(crate) fn note_injected_wasted(&mut self, query: Option<usize>, t: VirtualTime) {
-        self.metrics.faults.injected_wasted += t;
         if let Some(q) = query {
             self.query_faults[q].injected_wasted += t;
-        }
-    }
-
-    /// Charge one transfer attempt to the run metrics (aggregated over
-    /// links: the headline h2d/d2h figures stay fleet totals).
-    pub(crate) fn charge_transfer(&mut self, dir: Direction, service: VirtualTime, bytes: u64) {
-        match dir {
-            Direction::HostToDevice => {
-                self.metrics.h2d_time += service;
-                self.metrics.h2d_bytes += bytes;
-            }
-            Direction::DeviceToHost => {
-                self.metrics.d2h_time += service;
-                self.metrics.d2h_bytes += bytes;
-            }
         }
     }
 
@@ -115,6 +98,19 @@ impl Sim<'_, '_> {
         abortable: bool,
     ) -> Option<VirtualTime> {
         let qid = Self::qid(query);
+        // The event reporting one attempt that occupied the link.
+        let attempt = |tr: Transfer, faulted: bool, waste: VirtualTime| TraceEvent::Transfer {
+            device,
+            dir,
+            kind,
+            query: qid,
+            bytes,
+            start: tr.start,
+            end: tr.end,
+            service: tr.service,
+            faulted,
+            waste,
+        };
         let mut at = now;
         let mut failures: u32 = 0;
         loop {
@@ -141,40 +137,16 @@ impl Sim<'_, '_> {
             match decision {
                 None => {
                     let tr = self.link.transfer(at, device, dir, bytes);
-                    self.charge_transfer(dir, tr.service, bytes);
-                    self.tracer.emit(TraceEvent::Transfer {
-                        device,
-                        dir,
-                        kind,
-                        query: qid,
-                        bytes,
-                        start: tr.start,
-                        end: tr.end,
-                        service: tr.service,
-                        faulted: false,
-                        waste: VirtualTime::ZERO,
-                    });
+                    self.emit(attempt(tr, false, VirtualTime::ZERO));
                     return Some(tr.end);
                 }
                 Some(TransferFault::Spike(f)) => {
                     let tr = self.link.transfer_scaled(at, device, dir, bytes, f);
-                    self.charge_transfer(dir, tr.service, bytes);
                     let clean = self.link.params(device).service_time(bytes);
                     let waste = tr.service.saturating_sub(clean);
                     self.note_injected(query, FaultKind::TransferSpike, at);
                     self.note_injected_wasted(query, waste);
-                    self.tracer.emit(TraceEvent::Transfer {
-                        device,
-                        dir,
-                        kind,
-                        query: qid,
-                        bytes,
-                        start: tr.start,
-                        end: tr.end,
-                        service: tr.service,
-                        faulted: true,
-                        waste,
-                    });
+                    self.emit(attempt(tr, true, waste));
                     return Some(tr.end);
                 }
                 Some(TransferFault::Permanent) => {
@@ -185,42 +157,19 @@ impl Sim<'_, '_> {
                 Some(TransferFault::Transient) => {
                     // The failed attempt still occupied the bus.
                     let tr = self.link.transfer(at, device, dir, bytes);
-                    self.charge_transfer(dir, tr.service, bytes);
                     let fault_kind =
                         raw_kind.expect("a transient decision implies a fault draw");
                     self.note_injected(query, fault_kind, at);
                     failures += 1;
                     if abortable && failures > self.opts.retry.max_retries {
                         self.note_injected_wasted(query, tr.service);
-                        self.tracer.emit(TraceEvent::Transfer {
-                            device,
-                            dir,
-                            kind,
-                            query: qid,
-                            bytes,
-                            start: tr.start,
-                            end: tr.end,
-                            service: tr.service,
-                            faulted: true,
-                            waste: tr.service,
-                        });
+                        self.emit(attempt(tr, true, tr.service));
                         return None;
                     }
                     let backoff = self.opts.retry.backoff(failures);
                     self.note_retry(query, backoff, tr.end);
                     self.note_injected_wasted(query, tr.service + backoff);
-                    self.tracer.emit(TraceEvent::Transfer {
-                        device,
-                        dir,
-                        kind,
-                        query: qid,
-                        bytes,
-                        start: tr.start,
-                        end: tr.end,
-                        service: tr.service,
-                        faulted: true,
-                        waste: tr.service + backoff,
-                    });
+                    self.emit(attempt(tr, true, tr.service + backoff));
                     at = tr.end + backoff;
                 }
             }
@@ -270,7 +219,7 @@ impl Sim<'_, '_> {
                 None => (CacheKey::column_at(col.0, epoch), full),
             };
             let hit = self.caches.device_mut(device).probe(key);
-            self.tracer.emit(TraceEvent::CacheProbe { device, key, bytes, hit, at: now });
+            self.emit(TraceEvent::CacheProbe { device, key, bytes, hit, at: now });
             if !hit {
                 match self.xfer(
                     now,
@@ -290,7 +239,7 @@ impl Sim<'_, '_> {
                 if caches_on_miss {
                     let outcome = self.caches.device_mut(device).insert(key, bytes);
                     for &(k, b) in &outcome.evicted {
-                        self.tracer.emit(TraceEvent::CacheEvict {
+                        self.emit(TraceEvent::CacheEvict {
                             device,
                             key: k,
                             bytes: b,
@@ -298,7 +247,7 @@ impl Sim<'_, '_> {
                         });
                     }
                     if outcome.inserted {
-                        self.tracer.emit(TraceEvent::CacheInsert {
+                        self.emit(TraceEvent::CacheInsert {
                             device,
                             key,
                             bytes,

@@ -45,7 +45,8 @@ pub use error::EngineError;
 pub use parallel::{KernelClass, ParallelCtx};
 pub use exec::costmodel::{CostModel, CostModelKind, ModelUpdate};
 pub use exec::executor::{
-    Arrival, ExecOptions, Executor, FeedEvent, FeedSchedule, RunOutcome, StandingQuery, WindowKind,
+    Arrival, ExecOptions, Executor, FeedEvent, FeedSchedule, RunOutcome, Schedule, StandingQuery,
+    WindowKind,
 };
 pub use exec::metrics::{RunMetrics, StagingStats};
 pub use exec::pipeline::{execute_plan_fused, fusion_sites, FusedKind};

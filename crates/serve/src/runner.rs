@@ -1,20 +1,20 @@
 //! The open-loop serving runner.
 //!
-//! [`ServingRunner`] mirrors the closed-loop
-//! [`WorkloadRunner`](robustq_workloads::WorkloadRunner) procedure
-//! (Section 6.1: reset statistics → warm-up runs on persistent caches →
-//! measured run), but the measured run feeds the executor an *arrival
-//! schedule* instead of per-session query queues: an
+//! [`ServingRunner`] runs the same procedure as the closed-loop
+//! [`WorkloadRunner`] (Section 6.1: reset statistics → warm-up runs on
+//! persistent caches → measured run — literally the same function,
+//! [`WorkloadRunner::run_schedule`]), but the measured schedule is an
+//! *arrival schedule* instead of per-session query queues: an
 //! [`ArrivalProcess`] decides *when* queries arrive, a [`QueryMix`]
 //! decides *what* arrives, and a virtual session pool decides *who*
 //! submits it. Latency under open-loop load includes queueing delay, so
 //! tail percentiles (p99/p999) expose robustness differences that
 //! closed-loop makespans hide (DESIGN.md §13).
 //!
-//! [`ArrivalProcess::Closed`] is the degenerate case: the runner routes
-//! it through the closed-loop [`WorkloadRunner`](robustq_workloads::WorkloadRunner)
-//! itself, so a `Closed { users }` serving run is *bit-identical* to the
-//! classic runner (pinned by `tests/serving.rs`).
+//! [`ArrivalProcess::Closed`] is the degenerate case: its schedule is
+//! the mix's templates distributed over `users` closed-loop sessions, so
+//! a `Closed { users }` serving run is *bit-identical* to the classic
+//! runner (pinned by `tests/serving.rs`).
 
 use crate::arrival::ArrivalProcess;
 use crate::mix::QueryMix;
@@ -23,16 +23,17 @@ use rand::{Rng, SeedableRng};
 use robustq_core::Strategy;
 use robustq_engine::exec::metrics::QueryOutcome;
 use robustq_engine::{
-    Arrival, CostModelKind, EngineError, ExecOptions, Executor, FeedSchedule, ModelUpdate,
-    ParallelCtx, PlacementPolicy, RunMetrics, StagingStats, StandingQuery,
+    Arrival, EngineError, ExecOptions, FeedSchedule, ModelUpdate, ParallelCtx, PlacementPolicy,
+    RunMetrics, Schedule, StagingStats, StandingQuery,
 };
-use robustq_sim::{FaultPlan, RetryPolicy, SimConfig, VirtualTime};
+use robustq_sim::{SimConfig, VirtualTime};
 use robustq_storage::Database;
-use robustq_trace::{chrome_trace_json, MetricsRegistry, TraceData, Tracer};
-use robustq_workloads::{RunnerConfig, WorkloadRunner};
+use robustq_trace::TraceData;
+use robustq_workloads::runner::percentile;
+use robustq_workloads::{RunReport, RunnerConfig, WorkloadRunner};
 
-/// Serving-run options: the arrival process, the load window, and the
-/// admission/overload knobs.
+/// Serving-run options: the arrival process and the load window, plus
+/// the executor options (admission limit, queue cap, …) of the run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// When queries arrive.
@@ -49,34 +50,15 @@ pub struct ServeConfig {
     /// `(process, horizon, seed)` triple fully determines the schedule.
     pub seed: u64,
     /// Warm-up executions of the template list before measuring
-    /// (closed-loop, single session, fault-free, untraced).
+    /// (closed-loop, fault-free, untraced, never shedding).
     pub warmup_runs: usize,
-    /// Queries between data-placement background-job runs (0 = never).
-    pub placement_update_period: usize,
-    /// Admission control: maximum concurrently admitted queries.
-    pub max_concurrent_queries: usize,
-    /// Overload shedding: admission-queue depth cap — arrivals beyond it
-    /// are shed immediately (`usize::MAX` disables).
-    pub queue_cap: usize,
-    /// Overload shedding: queries that waited this long unadmitted are
-    /// shed instead of admitted (`ZERO` disables).
-    pub admission_timeout: VirtualTime,
-    /// Real-CPU parallelism for the hot kernels. Results and virtual-time
-    /// figures are bit-identical across settings; only wall-clock changes.
-    pub parallel: ParallelCtx,
     /// Record a structured trace of the measured run.
     pub trace: bool,
-    /// Intra-operator sharding ways (0 disables).
-    pub shard_ways: usize,
-    /// Minimum estimated scan bytes to qualify for sharding.
-    pub shard_min_bytes: f64,
-    /// Cost model driving run-time placement estimates (DESIGN.md §15).
-    pub cost_model: CostModelKind,
-    /// Chunked out-of-core staging for over-heap operators.
-    pub chunked_staging: bool,
-    /// Capture per-query result chunks in the outcomes (streaming
-    /// window-identity tests; costs memory, off by default).
-    pub capture_results: bool,
+    /// The executor options of the measured run — the same
+    /// [`ExecOptions`] the closed-loop [`RunnerConfig`] holds, with the
+    /// same defaults; warm-up runs get them as
+    /// [`RunnerConfig::exec_options`] strips them.
+    pub exec: ExecOptions,
 }
 
 impl ServeConfig {
@@ -89,17 +71,8 @@ impl ServeConfig {
             sessions: 1_000,
             seed: 0,
             warmup_runs: 1,
-            placement_update_period: 1,
-            max_concurrent_queries: usize::MAX,
-            queue_cap: usize::MAX,
-            admission_timeout: VirtualTime::ZERO,
-            parallel: ParallelCtx::serial(),
             trace: false,
-            shard_ways: 0,
-            shard_min_bytes: 0.0,
-            cost_model: CostModelKind::Static,
-            chunked_staging: false,
-            capture_results: false,
+            exec: ExecOptions::default(),
         }
     }
 
@@ -115,213 +88,57 @@ impl ServeConfig {
         self
     }
 
-    /// Set the number of warm-up runs (0 = cold start).
-    pub fn with_warmup(mut self, runs: usize) -> Self {
-        self.warmup_runs = runs;
-        self
-    }
-
-    /// Admit at most `n` queries concurrently.
-    pub fn with_admission_limit(mut self, n: usize) -> Self {
-        self.max_concurrent_queries = n.max(1);
-        self
-    }
-
-    /// Shed arrivals once the admission queue holds `cap` queries.
-    pub fn with_queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = cap;
-        self
-    }
-
-    /// Shed queries that wait longer than `timeout` unadmitted.
-    pub fn with_admission_timeout(mut self, timeout: VirtualTime) -> Self {
-        self.admission_timeout = timeout;
-        self
-    }
-
-    /// Run the hot kernels with the given parallelism context.
-    pub fn with_parallel(mut self, parallel: ParallelCtx) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Record a structured trace of the measured run.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self
     }
 
-    /// Shard qualifying leaf scans `ways` ways; only scans of at least
-    /// `min_bytes` estimated input qualify.
-    pub fn with_sharding(mut self, ways: usize, min_bytes: f64) -> Self {
-        self.shard_ways = ways;
-        self.shard_min_bytes = min_bytes;
+    /// Admit at most `n` queries concurrently.
+    pub fn with_admission_limit(mut self, n: usize) -> Self {
+        self.exec.max_concurrent_queries = n.max(1);
         self
     }
 
-    /// Drive run-time placement with `model` (static regressions by
-    /// default; [`CostModelKind::Adaptive`] for online EWMA refinement).
-    pub fn with_cost_model(mut self, model: CostModelKind) -> Self {
-        self.cost_model = model;
+    /// Overload shedding: arrivals that find `cap` queries already
+    /// waiting for admission are shed (`usize::MAX`, the default, never
+    /// sheds).
+    pub fn with_queue_cap(mut self, cap: usize) -> Self {
+        self.exec.queue_cap = cap;
         self
     }
 
-    /// Stage over-heap operators through the co-processor in chunks
-    /// instead of aborting them to the CPU.
-    pub fn with_chunked_staging(mut self) -> Self {
-        self.chunked_staging = true;
+    /// Run the hot kernels with the given parallelism context.
+    pub fn with_parallel(mut self, parallel: ParallelCtx) -> Self {
+        self.exec.parallel = parallel;
         self
     }
 
-    /// Keep every completed query's result chunk in its outcome.
-    pub fn with_captured_results(mut self) -> Self {
-        self.capture_results = true;
-        self
-    }
-
-    /// The executor options for the measured serving run.
-    fn exec_options(&self, measured: bool) -> ExecOptions {
-        ExecOptions {
-            capture_results: measured && self.capture_results,
-            placement_update_period: self.placement_update_period,
-            max_concurrent_queries: self.max_concurrent_queries,
-            preload: Vec::new(),
-            parallel: self.parallel,
-            fault: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
-            shard_ways: self.shard_ways,
-            shard_min_bytes: self.shard_min_bytes,
-            queue_cap: if measured { self.queue_cap } else { usize::MAX },
-            admission_timeout: if measured {
-                self.admission_timeout
-            } else {
-                VirtualTime::ZERO
-            },
-            cost_model: self.cost_model,
-            chunked_staging: self.chunked_staging,
-            tracer: if measured && self.trace { Tracer::new() } else { Tracer::disabled() },
-        }
-    }
-
-    /// The closed-loop [`RunnerConfig`] equivalent of this serving
-    /// configuration, used for the [`ArrivalProcess::Closed`] route.
-    /// Overload knobs don't apply — closed-loop sessions wait instead of
-    /// shedding.
-    fn closed_loop(&self, users: usize) -> RunnerConfig {
-        let mut cfg = RunnerConfig::default().with_users(users);
-        cfg.warmup_runs = self.warmup_runs;
-        cfg.placement_update_period = self.placement_update_period;
-        cfg.max_concurrent_queries = self.max_concurrent_queries;
-        cfg.parallel = self.parallel;
-        cfg.trace = self.trace;
-        cfg.shard_ways = self.shard_ways;
-        cfg.shard_min_bytes = self.shard_min_bytes;
-        cfg.cost_model = self.cost_model;
-        cfg.chunked_staging = self.chunked_staging;
-        cfg
-    }
-}
-
-/// Result of one measured serving run.
-#[derive(Debug, Clone)]
-pub struct ServingReport {
-    /// Display name of the strategy that ran.
-    pub strategy: &'static str,
-    /// Queries offered: scheduled arrivals (open loop) or the workload
-    /// length (closed loop).
-    pub offered: usize,
-    /// Queries shed by queue-cap or admission-timeout overload
-    /// protection. `offered == completed + shed` always holds.
-    pub shed: u64,
-    /// The configured arrival window (zero-relevance for closed loop).
-    pub horizon: VirtualTime,
-    /// Aggregated run metrics.
-    pub metrics: RunMetrics,
-    /// Per-query outcomes, in completion order. Latency spans
-    /// *submission* to completion, so it includes admission queueing
-    /// ([`QueryOutcome::admit_wait`] is the queueing share).
-    pub outcomes: Vec<QueryOutcome>,
-    /// The measured run's event stream, when [`ServeConfig::trace`] was
-    /// set (`None` otherwise).
-    pub trace: Option<TraceData>,
-    /// Every cost-model observation of the measured run, in completion
-    /// order (est-vs-actual audit).
-    pub model_samples: Vec<ModelUpdate>,
-    /// Chunked-staging counters of the measured run.
-    pub staging: StagingStats,
-}
-
-impl ServingReport {
-    /// Queries that completed.
-    pub fn completed(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// The Chrome `trace_event` JSON for the measured run. `None` when
-    /// the run was untraced.
-    pub fn chrome_trace(&self) -> Option<String> {
-        self.trace.as_ref().map(|t| chrome_trace_json(&t.events))
-    }
-
-    /// Counters and histograms derived from the measured run's event
-    /// stream. `None` when the run was untraced.
-    pub fn metrics_registry(&self) -> Option<MetricsRegistry> {
-        self.trace.as_ref().map(|t| MetricsRegistry::from_events(&t.events))
-    }
-
-    /// Mean query latency (completed queries only).
-    pub fn mean_latency(&self) -> VirtualTime {
-        RunMetrics::mean_latency(&self.outcomes)
-    }
-
-    /// The `p`-th latency percentile (nearest-rank), `0.0 < p <= 100.0`.
-    /// Returns zero for an empty outcome set.
-    pub fn latency_percentile(&self, p: f64) -> VirtualTime {
-        percentile(self.outcomes.iter().map(|o| o.latency), p)
-    }
-
-    /// The `p`-th admission-wait percentile (nearest-rank) — the
-    /// queueing share of latency.
-    pub fn admit_wait_percentile(&self, p: f64) -> VirtualTime {
-        percentile(self.outcomes.iter().map(|o| o.admit_wait), p)
-    }
-
-    /// Median latency.
-    pub fn p50(&self) -> VirtualTime {
-        self.latency_percentile(50.0)
-    }
-
-    /// 95th-percentile latency.
-    pub fn p95(&self) -> VirtualTime {
-        self.latency_percentile(95.0)
-    }
-
-    /// 99th-percentile latency — the serving-SLO headline number.
-    pub fn p99(&self) -> VirtualTime {
-        self.latency_percentile(99.0)
-    }
-
-    /// 99.9th-percentile latency.
-    pub fn p999(&self) -> VirtualTime {
-        self.latency_percentile(99.9)
-    }
-
-    /// Completed queries per virtual second (goodput), over the run's
-    /// makespan.
-    pub fn qps(&self) -> f64 {
-        let secs = self.metrics.makespan.as_nanos() as f64 / 1e9;
-        if secs > 0.0 {
-            self.outcomes.len() as f64 / secs
-        } else {
-            0.0
+    /// The run procedure's configuration for this serving run, its
+    /// warm-up passes distributed over `users` closed-loop sessions.
+    fn runner_config(&self, users: usize) -> RunnerConfig {
+        RunnerConfig {
+            users: users.max(1),
+            warmup_runs: self.warmup_runs,
+            preload_hot_columns: false,
+            trace: self.trace,
+            exec: self.exec.clone(),
         }
     }
 }
+
+/// Result of one measured serving run: the one [`RunReport`], under its
+/// serving name. `offered` counts the scheduled arrivals (open loop) or
+/// the workload length (closed loop).
+pub type ServingReport = RunReport;
 
 /// Result of one measured *streaming* serving run: ad-hoc open-loop
 /// arrivals interleaved with a feed replay and standing-query window
-/// ticks (DESIGN.md §16). Ticks flow through the same admission control
-/// as arrivals, so both populations share one shed budget.
+/// ticks (DESIGN.md §16) — a [`RunReport`] with its outcomes and its
+/// offered count split by population. Ticks flow through the same
+/// admission control as arrivals, so both populations share one shed
+/// budget: `offered_arrivals + offered_ticks == completed() +
+/// metrics.shed`.
 #[derive(Debug, Clone)]
 pub struct StreamingReport {
     /// Display name of the strategy that ran.
@@ -330,9 +147,6 @@ pub struct StreamingReport {
     pub offered_arrivals: usize,
     /// Standing-query window ticks scheduled over the horizon.
     pub offered_ticks: usize,
-    /// Queries shed (arrivals and ticks combined);
-    /// `offered_arrivals + offered_ticks == completed + shed`.
-    pub shed: u64,
     /// Aggregated run metrics over both populations.
     pub metrics: RunMetrics,
     /// Ad-hoc arrival outcomes, in completion order.
@@ -371,49 +185,23 @@ impl StreamingReport {
     pub fn arrival_percentile(&self, p: f64) -> VirtualTime {
         percentile(self.arrival_outcomes.iter().map(|o| o.latency), p)
     }
-
-    /// Chrome-trace JSON of the measured run (feed lane included), when
-    /// tracing was enabled.
-    pub fn chrome_trace(&self) -> Option<String> {
-        self.trace.as_ref().map(|t| chrome_trace_json(&t.events))
-    }
-
-    /// Counters and histograms derived from the measured run's event
-    /// stream (`appends`, `window_fires`, `cache_evictions`, …). `None`
-    /// when the run was untraced.
-    pub fn metrics_registry(&self) -> Option<MetricsRegistry> {
-        self.trace.as_ref().map(|t| MetricsRegistry::from_events(&t.events))
-    }
-}
-
-/// Nearest-rank percentile over an unsorted latency iterator.
-fn percentile(values: impl Iterator<Item = VirtualTime>, p: f64) -> VirtualTime {
-    let mut v: Vec<VirtualTime> = values.collect();
-    if v.is_empty() {
-        return VirtualTime::ZERO;
-    }
-    v.sort();
-    let p = p.clamp(f64::MIN_POSITIVE, 100.0);
-    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.saturating_sub(1)]
 }
 
 /// The serving runner: a database plus a simulated machine, driven by an
 /// arrival process.
 pub struct ServingRunner<'a> {
-    db: &'a Database,
-    config: SimConfig,
+    runner: WorkloadRunner<'a>,
 }
 
 impl<'a> ServingRunner<'a> {
     /// A runner over `db` and the given machine.
     pub fn new(db: &'a Database, config: SimConfig) -> Self {
-        ServingRunner { db, config }
+        ServingRunner { runner: WorkloadRunner::new(db, config) }
     }
 
     /// The simulated machine configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        self.runner.config()
     }
 
     /// Generate the full arrival list for `cfg` over `mix` — times from
@@ -460,63 +248,25 @@ impl<'a> ServingRunner<'a> {
         label: &'static str,
         cfg: &ServeConfig,
     ) -> Result<ServingReport, EngineError> {
-        if let ArrivalProcess::Closed { users } = cfg.process {
-            // Degenerate case: delegate to the closed-loop runner so the
-            // two paths can never drift apart.
-            let report = WorkloadRunner::new(self.db, self.config.clone()).run_with_policy(
-                mix.templates(),
-                policy,
-                label,
-                &cfg.closed_loop(users),
-            )?;
-            return Ok(ServingReport {
-                strategy: report.strategy,
-                offered: mix.len(),
-                shed: report.metrics.shed,
-                horizon: cfg.horizon,
-                metrics: report.metrics,
-                outcomes: report.outcomes,
-                trace: report.trace,
-                model_samples: report.model_samples,
-                staging: report.staging,
-            });
-        }
-
-        self.db.stats().reset();
-        let executor = Executor::new(self.db, self.config.clone());
-        // Caches persist from warm-up into the measured run, exactly as
-        // in the closed-loop procedure.
-        let mut cache = robustq_sim::CacheSet::for_topology(
-            &self.config.topology,
-            self.config.cache_policy,
-        );
-
-        let warm_opts = cfg.exec_options(false);
-        for _ in 0..cfg.warmup_runs {
-            executor.run_with_cache(
-                WorkloadRunner::sessions(mix.templates(), 1),
-                policy,
-                &warm_opts,
-                &mut cache,
-            )?;
-        }
-
-        let arrivals = Self::arrivals(mix, cfg);
-        let offered = arrivals.len();
-        let opts = cfg.exec_options(true);
-        let tracer = opts.tracer.clone();
-        let out = executor.run_open_loop_with_cache(arrivals, policy, &opts, &mut cache)?;
-        Ok(ServingReport {
-            strategy: label,
-            offered,
-            shed: out.metrics.shed,
-            horizon: cfg.horizon,
-            metrics: out.metrics,
-            outcomes: out.outcomes,
-            trace: tracer.is_enabled().then(|| tracer.take()),
-            model_samples: out.model_samples,
-            staging: out.staging,
-        })
+        // Warm-up is the template list once per run either way; an open
+        // loop warms up on a single session.
+        let users = match cfg.process {
+            ArrivalProcess::Closed { users } => users,
+            _ => 1,
+        };
+        let schedule = || match cfg.process {
+            ArrivalProcess::Closed { users } => {
+                WorkloadRunner::sessions(mix.templates(), users).into()
+            }
+            _ => Self::arrivals(mix, cfg).into(),
+        };
+        self.runner.run_schedule(
+            mix.templates(),
+            schedule,
+            policy,
+            label,
+            &cfg.runner_config(users),
+        )
     }
 
     /// Serve `mix` under `strategy` while replaying `feed` and firing
@@ -552,57 +302,40 @@ impl<'a> ServingRunner<'a> {
         label: &'static str,
         cfg: &ServeConfig,
     ) -> Result<StreamingReport, EngineError> {
-        let pool = cfg.sessions.max(1) as u32;
+        let pool = cfg.sessions.max(1);
         for (i, sq) in standing.iter_mut().enumerate() {
-            sq.session = pool + i as u32;
+            sq.session = (pool + i) as u32;
         }
-        let offered_ticks = standing.iter().map(|s| s.ticks as usize).sum();
-
-        self.db.stats().reset();
-        let executor = Executor::new(self.db, self.config.clone());
-        let mut cache = robustq_sim::CacheSet::for_topology(
-            &self.config.topology,
-            self.config.cache_policy,
-        );
-
         // Warm caches on the ad-hoc templates *and* the standing plans:
         // a standing query's first tick should find its columns resident
         // just like a repeated ad-hoc template would.
-        let mut warm_templates = mix.templates().to_vec();
-        warm_templates.extend(standing.iter().map(|s| s.plan.clone()));
-        let warm_opts = cfg.exec_options(false);
-        for _ in 0..cfg.warmup_runs {
-            executor.run_with_cache(
-                WorkloadRunner::sessions(&warm_templates, 1),
-                policy,
-                &warm_opts,
-                &mut cache,
-            )?;
-        }
+        let mut warmup = mix.templates().to_vec();
+        warmup.extend(standing.iter().map(|s| s.plan.clone()));
 
-        let arrivals = match cfg.process {
-            ArrivalProcess::Closed { .. } => Vec::new(),
-            _ => Self::arrivals(mix, cfg),
+        let mut offered_arrivals = 0;
+        let schedule = || {
+            let arrivals = match cfg.process {
+                ArrivalProcess::Closed { .. } => Vec::new(),
+                _ => Self::arrivals(mix, cfg),
+            };
+            offered_arrivals = arrivals.len();
+            Schedule { arrivals, feed, standing, ..Schedule::default() }
         };
-        let offered_arrivals = arrivals.len();
-        let opts = cfg.exec_options(true);
-        let tracer = opts.tracer.clone();
-        let out =
-            executor.run_streaming_with_cache(arrivals, feed, standing, policy, &opts, &mut cache)?;
+        let report =
+            self.runner.run_schedule(&warmup, schedule, policy, label, &cfg.runner_config(1))?;
         let (mut window_outcomes, arrival_outcomes): (Vec<_>, Vec<_>) =
-            out.outcomes.into_iter().partition(|o| o.session >= pool as usize);
+            report.outcomes.into_iter().partition(|o| o.session >= pool);
         window_outcomes.sort_by_key(|o| (o.session, o.seq));
         Ok(StreamingReport {
-            strategy: label,
+            strategy: report.strategy,
             offered_arrivals,
-            offered_ticks,
-            shed: out.metrics.shed,
-            metrics: out.metrics,
+            offered_ticks: report.offered - offered_arrivals,
+            metrics: report.metrics,
             arrival_outcomes,
             window_outcomes,
-            trace: tracer.is_enabled().then(|| tracer.take()),
-            model_samples: out.model_samples,
-            staging: out.staging,
+            trace: report.trace,
+            model_samples: report.model_samples,
+            staging: report.staging,
         })
     }
 }
@@ -633,7 +366,7 @@ mod tests {
         let report = runner.run(&mix(), Strategy::CpuOnly, &cfg).unwrap();
         assert_eq!(report.offered, 5);
         assert_eq!(report.completed(), 5);
-        assert_eq!(report.shed, 0);
+        assert_eq!(report.metrics.shed, 0);
         assert!(report.p99() >= report.p50());
         assert!(report.qps() > 0.0);
     }
@@ -651,8 +384,8 @@ mod tests {
         .with_queue_cap(2);
         let report = runner.run(&mix(), Strategy::CpuOnly, &cfg).unwrap();
         assert!(report.offered > 0);
-        assert_eq!(report.offered, report.completed() + report.shed as usize);
-        assert!(report.shed > 0, "expected overload shedding");
+        assert_eq!(report.offered, report.completed() + report.metrics.shed as usize);
+        assert!(report.metrics.shed > 0, "expected overload shedding");
     }
 
     #[test]
@@ -672,43 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn closed_process_routes_to_closed_loop() {
+    fn closed_process_runs_closed_loop_sessions() {
         let db = db();
         let runner = ServingRunner::new(&db, SimConfig::default());
         let cfg = ServeConfig::new(ArrivalProcess::Closed { users: 2 }, VirtualTime::ZERO);
         let report = runner.run(&mix(), Strategy::CpuOnly, &cfg).unwrap();
         assert_eq!(report.completed(), 4);
-        assert_eq!(report.shed, 0);
+        assert_eq!(report.metrics.shed, 0);
         assert_eq!(report.offered, 4);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let report = ServingReport {
-            strategy: "test",
-            offered: 100,
-            shed: 0,
-            horizon: VirtualTime::ZERO,
-            metrics: RunMetrics::default(),
-            outcomes: (1..=100)
-                .map(|ms| QueryOutcome {
-                    session: 0,
-                    seq: 0,
-                    latency: VirtualTime::from_millis(ms),
-                    admit_wait: VirtualTime::from_millis(ms / 2),
-                    rows: 0,
-                    checksum: 0,
-                    faults: Default::default(),
-                    result: None,
-                })
-                .collect(),
-            trace: None,
-            model_samples: vec![],
-            staging: StagingStats::default(),
-        };
-        assert_eq!(report.p50(), VirtualTime::from_millis(50));
-        assert_eq!(report.p99(), VirtualTime::from_millis(99));
-        assert_eq!(report.p999(), VirtualTime::from_millis(100));
-        assert_eq!(report.admit_wait_percentile(50.0), VirtualTime::from_millis(25));
     }
 }

@@ -142,9 +142,6 @@ pub enum ShedReason {
     /// The admission queue was at its configured depth cap when the
     /// query arrived.
     QueueFull,
-    /// The query waited in the admission queue longer than the
-    /// configured admission timeout.
-    Timeout,
 }
 
 /// When a placement decision was taken.

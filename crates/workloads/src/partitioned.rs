@@ -183,7 +183,8 @@ pub fn run_partitioned(
     let mut reports = Vec::with_capacity(parts.len());
     for db in parts {
         let runner = WorkloadRunner::new(db, sim.clone());
-        let capture = RunnerConfig { capture_results: true, ..cfg.clone() };
+        let mut capture = cfg.clone();
+        capture.exec.capture_results = true;
         reports.push(runner.run(queries, strategy, &capture)?);
     }
 

@@ -1,26 +1,33 @@
-//! Closed-loop multi-user workload execution (the paper's procedure).
+//! The paper's measured-run procedure, and the closed-loop multi-user
+//! workloads that run through it.
 //!
 //! Section 6.1: workloads are run twice to warm up (populating access
 //! statistics, learned cost models and the data placement), access
 //! structures are pre-loaded into the co-processor memory until the
 //! buffer is full, and then the measured run executes a *fixed total
 //! number of queries* distributed over `users` parallel sessions.
+//! [`WorkloadRunner::run_schedule`] is that procedure for any
+//! [`Schedule`]; the serving runner passes it arrival and streaming
+//! schedules, so every measured run in the repository goes through it.
 
 use robustq_core::Strategy;
 use robustq_engine::exec::metrics::QueryOutcome;
 use robustq_engine::plan::PlanNode;
 use robustq_engine::{
-    CostModelKind, EngineError, ExecOptions, Executor, ModelUpdate, ParallelCtx, RunMetrics,
-    StagingStats,
+    CostModelKind, EngineError, ExecOptions, Executor, ModelUpdate, ParallelCtx,
+    PlacementPolicy, RunMetrics, Schedule, StagingStats,
 };
-use robustq_sim::{FaultPlan, RetryPolicy, SimConfig, VirtualTime};
+use robustq_sim::{CacheSet, FaultPlan, SimConfig, VirtualTime};
 use robustq_storage::{ColumnId, Database};
 use robustq_trace::{chrome_trace_json, MetricsRegistry, TraceData, Tracer};
 
-/// Runner options.
+/// Runner options: what the Section 6.1 procedure itself decides, plus
+/// the executor options every run of the procedure shares.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Parallel user sessions sharing the workload.
+    /// Parallel closed-loop sessions: the warm-up passes distribute
+    /// their plans over this many, and so does a closed-loop measured
+    /// run.
     pub users: usize,
     /// Warm-up executions of the full workload before measuring.
     pub warmup_runs: usize,
@@ -29,46 +36,27 @@ pub struct RunnerConfig {
     /// cache warm (it persists across runs) — but useful for hot-cache
     /// scenarios without warm-up, like Figure 1's hot case.
     pub preload_hot_columns: bool,
-    /// Queries between data-placement background-job runs (0 = never).
-    pub placement_update_period: usize,
-    /// Admission control: maximum concurrently admitted queries.
-    pub max_concurrent_queries: usize,
-    /// Keep full results in the outcomes.
-    pub capture_results: bool,
-    /// Real-CPU parallelism for the hot kernels. Results and virtual-time
-    /// figures are bit-identical across settings; only wall-clock changes.
-    pub parallel: ParallelCtx,
-    /// Deterministic fault injection for the *measured* run (warm-up runs
-    /// are always fault-free so the trained state matches the clean run).
-    pub fault: FaultPlan,
-    /// Recovery policy for transient transfer faults.
-    pub retry: RetryPolicy,
     /// Record a structured trace of the *measured* run (warm-up runs are
     /// never traced). Read it back from [`RunReport::trace`].
     pub trace: bool,
-    /// Intra-operator sharding: split qualifying leaf scans into up to
-    /// this many device-shards (0 disables; clamped to the co-processor
-    /// count at admission, so `usize::MAX` means one shard per device).
-    pub shard_ways: usize,
-    /// Only scans whose estimated input is at least this many bytes are
-    /// sharded (tiny scans gain nothing from a merge barrier).
-    pub shard_min_bytes: f64,
-    /// Cost model driving run-time placement estimates (DESIGN.md §15).
-    /// Applies to warm-up *and* measured runs, so an adaptive model
-    /// enters the measured run already trained.
-    pub cost_model: CostModelKind,
-    /// Chunked out-of-core staging for operators whose device footprint
-    /// exceeds the co-processor heap (default off: abort to CPU).
-    pub chunked_staging: bool,
+    /// The executor options of the measured run, declared once in
+    /// [`ExecOptions`]. Warm-up runs get the same options minus what
+    /// would spoil the trained state or the report (see
+    /// [`RunnerConfig::exec_options`]); `tracer` is the procedure's to
+    /// set, from `trace`, and `preload` is replaced by the ranked hot
+    /// columns when `preload_hot_columns` is set.
+    pub exec: ExecOptions,
 }
 
 /// Which phase of the Section 6.1 run procedure an [`ExecOptions`] set
 /// is built for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunPhase {
-    /// Warm-up executions: fault-free, untraced, results dropped.
+    /// Warm-up executions: fault-free, untraced, never shedding, no
+    /// pre-load, results dropped.
     Warmup,
-    /// The measured run: faults, tracing and result capture apply.
+    /// The measured run: faults, tracing, shedding and result capture
+    /// apply.
     Measured,
 }
 
@@ -78,17 +66,8 @@ impl Default for RunnerConfig {
             users: 1,
             warmup_runs: 1,
             preload_hot_columns: false,
-            placement_update_period: 1,
-            max_concurrent_queries: usize::MAX,
-            capture_results: false,
-            parallel: ParallelCtx::serial(),
-            fault: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
             trace: false,
-            shard_ways: 0,
-            shard_min_bytes: 0.0,
-            cost_model: CostModelKind::Static,
-            chunked_staging: false,
+            exec: ExecOptions::default(),
         }
     }
 }
@@ -113,103 +92,114 @@ impl RunnerConfig {
         self
     }
 
-    /// Admit at most `n` queries concurrently (admission control).
-    pub fn with_admission_limit(mut self, n: usize) -> Self {
-        self.max_concurrent_queries = n.max(1);
-        self
-    }
-
-    /// Run the data-placement background job every `n` completed queries.
-    pub fn with_placement_period(mut self, n: usize) -> Self {
-        self.placement_update_period = n;
-        self
-    }
-
-    /// Run the hot kernels with the given parallelism context.
-    pub fn with_parallel(mut self, parallel: ParallelCtx) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Inject faults from `plan` during the measured run.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = plan;
-        self
-    }
-
-    /// Recover transient transfer faults under `retry`.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Record a structured trace of the measured run.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self
     }
 
+    /// Admit at most `n` queries concurrently (admission control).
+    pub fn with_admission_limit(mut self, n: usize) -> Self {
+        self.exec.max_concurrent_queries = n.max(1);
+        self
+    }
+
+    /// Run the data-placement background job every `n` completed queries.
+    pub fn with_placement_period(mut self, n: usize) -> Self {
+        self.exec.placement_update_period = n;
+        self
+    }
+
+    /// Run the hot kernels with the given parallelism context.
+    pub fn with_parallel(mut self, parallel: ParallelCtx) -> Self {
+        self.exec.parallel = parallel;
+        self
+    }
+
+    /// Inject faults from `plan` during the measured run (warm-up runs
+    /// are always fault-free so the trained state matches the clean run).
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.exec.fault = plan;
+        self
+    }
+
     /// Shard qualifying leaf scans `ways` ways across the co-processor
     /// fleet; only scans of at least `min_bytes` estimated input qualify.
     pub fn with_sharding(mut self, ways: usize, min_bytes: f64) -> Self {
-        self.shard_ways = ways;
-        self.shard_min_bytes = min_bytes;
+        self.exec.shard_ways = ways;
+        self.exec.shard_min_bytes = min_bytes;
         self
     }
 
     /// Drive run-time placement with `model` (static regressions by
     /// default; [`CostModelKind::Adaptive`] for online EWMA refinement).
+    /// Applies to warm-up *and* measured runs, so an adaptive model
+    /// enters the measured run already trained.
     pub fn with_cost_model(mut self, model: CostModelKind) -> Self {
-        self.cost_model = model;
+        self.exec.cost_model = model;
         self
     }
 
     /// Stage over-heap operators through the co-processor in chunks
     /// instead of aborting them to the CPU.
     pub fn with_chunked_staging(mut self) -> Self {
-        self.chunked_staging = true;
+        self.exec.chunked_staging = true;
         self
     }
 
     /// The executor options for one phase of the run procedure — the
-    /// single place runner configuration maps onto [`ExecOptions`].
-    /// `preload` stays empty here; the runner fills it for the measured
-    /// run once it has ranked the hot columns.
+    /// single place runner configuration maps onto [`ExecOptions`], and
+    /// the single place that knows what a warm-up run must not do:
+    /// inject faults, trace, shed, pre-load or keep results.
     pub fn exec_options(&self, phase: RunPhase) -> ExecOptions {
-        let measured = phase == RunPhase::Measured;
-        ExecOptions {
-            capture_results: measured && self.capture_results,
-            placement_update_period: self.placement_update_period,
-            max_concurrent_queries: self.max_concurrent_queries,
-            preload: Vec::new(),
-            parallel: self.parallel,
-            fault: if measured { self.fault.clone() } else { FaultPlan::disabled() },
-            retry: self.retry,
-            shard_ways: self.shard_ways,
-            shard_min_bytes: self.shard_min_bytes,
-            queue_cap: usize::MAX,
-            admission_timeout: VirtualTime::ZERO,
-            cost_model: self.cost_model,
-            chunked_staging: self.chunked_staging,
-            tracer: if measured && self.trace {
-                Tracer::new()
-            } else {
-                Tracer::disabled()
+        match phase {
+            RunPhase::Measured => ExecOptions {
+                tracer: if self.trace { Tracer::new() } else { Tracer::disabled() },
+                ..self.exec.clone()
+            },
+            RunPhase::Warmup => ExecOptions {
+                capture_results: false,
+                preload: Vec::new(),
+                fault: FaultPlan::disabled(),
+                tracer: Tracer::disabled(),
+                queue_cap: usize::MAX,
+                ..self.exec.clone()
             },
         }
     }
 }
 
-/// Result of one measured workload run.
+/// Nearest-rank `p`-th percentile (`0.0 < p <= 100.0`) over unsorted
+/// virtual-time samples; zero for an empty set.
+pub fn percentile(values: impl Iterator<Item = VirtualTime>, p: f64) -> VirtualTime {
+    let mut v: Vec<VirtualTime> = values.collect();
+    if v.is_empty() {
+        return VirtualTime::ZERO;
+    }
+    v.sort();
+    let p = p.clamp(f64::MIN_POSITIVE, 100.0);
+    let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
+    v[rank.saturating_sub(1)]
+}
+
+/// Result of one measured run, whatever its schedule: closed-loop batch
+/// workloads and open-loop serving runs report through this one type
+/// (`robustq_serve::ServingReport` is its serving name).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Display name of the strategy that ran.
     pub strategy: &'static str,
-    /// Number of parallel sessions.
+    /// Number of parallel closed-loop sessions ([`RunnerConfig::users`]).
     pub users: usize,
+    /// Queries the measured schedule offered: the workload length (closed
+    /// loop), the scheduled arrivals (open loop), window ticks included.
+    /// `offered == completed() + metrics.shed` always holds.
+    pub offered: usize,
     /// Aggregated run metrics.
     pub metrics: RunMetrics,
-    /// Per-query outcomes, in completion order.
+    /// Per-query outcomes, in completion order. Latency spans
+    /// *submission* to completion, so it includes admission queueing
+    /// ([`QueryOutcome::admit_wait`] is the queueing share).
     pub outcomes: Vec<QueryOutcome>,
     /// The measured run's event stream, when [`RunnerConfig::trace`] was
     /// set (`None` otherwise).
@@ -222,6 +212,11 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Queries that completed.
+    pub fn completed(&self) -> usize {
+        self.outcomes.len()
+    }
+
     /// The Chrome `trace_event` JSON for the measured run (load it in
     /// Perfetto or `chrome://tracing`). `None` when the run was untraced.
     pub fn chrome_trace(&self) -> Option<String> {
@@ -234,35 +229,52 @@ impl RunReport {
         self.trace.as_ref().map(|t| MetricsRegistry::from_events(&t.events))
     }
 
-    /// Mean query latency.
+    /// Mean query latency (completed queries only).
     pub fn mean_latency(&self) -> VirtualTime {
         RunMetrics::mean_latency(&self.outcomes)
     }
 
-    /// The `p`-th latency percentile (nearest-rank), `0.0 < p <= 100.0`.
-    ///
-    /// Returns zero for an empty outcome set.
+    /// The `p`-th latency percentile (see [`percentile`]).
     pub fn latency_percentile(&self, p: f64) -> VirtualTime {
-        if self.outcomes.is_empty() {
-            return VirtualTime::ZERO;
-        }
-        let mut lat: Vec<VirtualTime> =
-            self.outcomes.iter().map(|o| o.latency).collect();
-        lat.sort();
-        let p = p.clamp(f64::MIN_POSITIVE, 100.0);
-        let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-        lat[rank.saturating_sub(1)]
+        percentile(self.outcomes.iter().map(|o| o.latency), p)
     }
 
-    /// Median query latency.
-    pub fn median_latency(&self) -> VirtualTime {
+    /// The `p`-th admission-wait percentile — the queueing share of
+    /// latency.
+    pub fn admit_wait_percentile(&self, p: f64) -> VirtualTime {
+        percentile(self.outcomes.iter().map(|o| o.admit_wait), p)
+    }
+
+    /// Median latency.
+    pub fn p50(&self) -> VirtualTime {
         self.latency_percentile(50.0)
     }
 
     /// 95th-percentile latency — the tail the paper's worst-case-execution
     /// -time argument is about.
-    pub fn p95_latency(&self) -> VirtualTime {
+    pub fn p95(&self) -> VirtualTime {
         self.latency_percentile(95.0)
+    }
+
+    /// 99th-percentile latency — the serving-SLO headline number.
+    pub fn p99(&self) -> VirtualTime {
+        self.latency_percentile(99.0)
+    }
+
+    /// 99.9th-percentile latency.
+    pub fn p999(&self) -> VirtualTime {
+        self.latency_percentile(99.9)
+    }
+
+    /// Completed queries per virtual second (goodput), over the run's
+    /// makespan.
+    pub fn qps(&self) -> f64 {
+        let secs = self.metrics.makespan.as_nanos() as f64 / 1e9;
+        if secs > 0.0 {
+            self.outcomes.len() as f64 / secs
+        } else {
+            0.0
+        }
     }
 
     /// Latency of the `k`-th query of the original workload list (queries
@@ -344,11 +356,8 @@ impl<'a> WorkloadRunner<'a> {
         out
     }
 
-    /// Run `queries` (the fixed total workload) under `strategy`.
-    ///
-    /// Access statistics are reset first so strategies are compared
-    /// fairly; warm-up runs then repopulate them, learned cost models and
-    /// the data placement, before the measured run.
+    /// Run `queries` (the fixed total workload) closed-loop under
+    /// `strategy`, by [`WorkloadRunner::run_schedule`].
     pub fn run(
         &self,
         queries: &[PlanNode],
@@ -364,7 +373,33 @@ impl<'a> WorkloadRunner<'a> {
     pub fn run_with_policy(
         &self,
         queries: &[PlanNode],
-        policy: &mut dyn robustq_engine::PlacementPolicy,
+        policy: &mut dyn PlacementPolicy,
+        label: &'static str,
+        cfg: &RunnerConfig,
+    ) -> Result<RunReport, EngineError> {
+        let schedule = || Self::sessions(queries, cfg.users).into();
+        self.run_schedule(queries, schedule, policy, label, cfg)
+    }
+
+    /// The measured-run procedure of Section 6.1, for any schedule:
+    /// reset the access statistics (so strategies are compared fairly),
+    /// start from cold co-processor caches, execute the `warmup` plans
+    /// closed-loop [`RunnerConfig::warmup_runs`] times (repopulating the
+    /// statistics, the learned cost models and the data placement), then
+    /// run the schedule measured and report it. Closed-loop, open-loop
+    /// and streaming runs differ only in the schedule they pass.
+    ///
+    /// `schedule` is called once the warm-up passes are over. An arrival
+    /// list of thousands of plans built before them would be allocated
+    /// underneath their garbage; on the `ssb_serve_open` benchmark
+    /// workload that order put the peak RSS in the allocator's high mode
+    /// (+11 %) in 10 runs of 10, against 5–9 of 10 with the schedule
+    /// built last.
+    pub fn run_schedule(
+        &self,
+        warmup: &[PlanNode],
+        schedule: impl FnOnce() -> Schedule,
+        policy: &mut dyn PlacementPolicy,
         label: &'static str,
         cfg: &RunnerConfig,
     ) -> Result<RunReport, EngineError> {
@@ -372,15 +407,12 @@ impl<'a> WorkloadRunner<'a> {
         let executor = Executor::new(self.db, self.config.clone());
         // The caches persist across warm-up and measured runs, exactly
         // like device memory across the paper's warm-up executions.
-        let mut cache = robustq_sim::CacheSet::for_topology(
-            &self.config.topology,
-            self.config.cache_policy,
-        );
+        let mut cache = CacheSet::for_topology(&self.config.topology, self.config.cache_policy);
 
         let warm_opts = cfg.exec_options(RunPhase::Warmup);
         for _ in 0..cfg.warmup_runs {
             executor.run_with_cache(
-                Self::sessions(queries, cfg.users),
+                Self::sessions(warmup, cfg.users),
                 policy,
                 &warm_opts,
                 &mut cache,
@@ -391,19 +423,16 @@ impl<'a> WorkloadRunner<'a> {
         if cfg.preload_hot_columns {
             opts.preload = Self::hot_columns(self.db, self.config.gpu().cache_bytes);
         }
-        let tracer = opts.tracer.clone();
-        let out = executor.run_with_cache(
-            Self::sessions(queries, cfg.users),
-            policy,
-            &opts,
-            &mut cache,
-        )?;
+        let schedule = schedule();
+        let offered = schedule.offered();
+        let out = executor.run_with_cache(schedule, policy, &opts, &mut cache)?;
         Ok(RunReport {
             strategy: label,
             users: cfg.users,
+            offered,
             metrics: out.metrics,
             outcomes: out.outcomes,
-            trace: tracer.is_enabled().then(|| tracer.take()),
+            trace: opts.tracer.is_enabled().then(|| opts.tracer.take()),
             model_samples: out.model_samples,
             staging: out.staging,
         })
@@ -475,43 +504,39 @@ mod tests {
         );
     }
 
+    /// Every report percentile is the one nearest-rank [`percentile`].
     #[test]
-    fn latency_percentiles() {
-        use robustq_engine::exec::metrics::QueryOutcome;
-        let mk = |ms: u64| QueryOutcome {
-            session: 0,
-            seq: 0,
-            latency: VirtualTime::from_millis(ms),
-            admit_wait: VirtualTime::ZERO,
-            rows: 0,
-            checksum: 0,
-            faults: Default::default(),
-            result: None,
-        };
-        let report = RunReport {
+    fn percentiles_are_nearest_rank() {
+        let report = |n: u64| RunReport {
             strategy: "test",
             users: 1,
+            offered: n as usize,
             metrics: RunMetrics::default(),
-            outcomes: (1..=100).map(mk).collect(),
+            outcomes: (1..=n)
+                .map(|ms| QueryOutcome {
+                    session: 0,
+                    seq: 0,
+                    latency: VirtualTime::from_millis(ms),
+                    admit_wait: VirtualTime::from_millis(ms / 2),
+                    rows: 0,
+                    checksum: 0,
+                    faults: Default::default(),
+                    result: None,
+                })
+                .collect(),
             trace: None,
             model_samples: vec![],
             staging: StagingStats::default(),
         };
-        assert_eq!(report.median_latency(), VirtualTime::from_millis(50));
-        assert_eq!(report.p95_latency(), VirtualTime::from_millis(95));
-        assert_eq!(report.latency_percentile(100.0), VirtualTime::from_millis(100));
-        assert_eq!(report.latency_percentile(1.0), VirtualTime::from_millis(1));
-
-        let empty = RunReport {
-            strategy: "empty",
-            users: 1,
-            metrics: RunMetrics::default(),
-            outcomes: vec![],
-            trace: None,
-            model_samples: vec![],
-            staging: StagingStats::default(),
-        };
-        assert_eq!(empty.p95_latency(), VirtualTime::ZERO);
+        let full = report(100);
+        assert_eq!(full.latency_percentile(1.0), VirtualTime::from_millis(1));
+        assert_eq!(full.p50(), VirtualTime::from_millis(50));
+        assert_eq!(full.p95(), VirtualTime::from_millis(95));
+        assert_eq!(full.p99(), VirtualTime::from_millis(99));
+        assert_eq!(full.p999(), VirtualTime::from_millis(100));
+        assert_eq!(full.latency_percentile(100.0), VirtualTime::from_millis(100));
+        assert_eq!(full.admit_wait_percentile(50.0), VirtualTime::from_millis(25));
+        assert_eq!(report(0).p95(), VirtualTime::ZERO);
     }
 
     #[test]

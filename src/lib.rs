@@ -22,7 +22,7 @@ pub mod prelude {
     //! let cfg = RunnerConfig::default()
     //!     .with_users(2)
     //!     .with_cost_model(CostModelKind::Adaptive { seed: 42 });
-    //! assert!(!cfg.chunked_staging);
+    //! assert!(!cfg.exec.chunked_staging);
     //! ```
     pub use robustq_core::{
         Chopping, CriticalPath, DataDrivenChopping, DataPlacementManager, Strategy,
@@ -31,7 +31,7 @@ pub mod prelude {
     pub use robustq_engine::{
         CostModel, CostModelKind, EngineError, ExecOptions, Executor, FeedEvent,
         FeedSchedule, ModelUpdate, Placement, PlacementPolicy, RunMetrics, RunOutcome,
-        StagingStats, StandingQuery, WindowKind,
+        Schedule, StagingStats, StandingQuery, WindowKind,
     };
     pub use robustq_serve::{
         ArrivalProcess, QueryMix, ServeConfig, ServingReport, ServingRunner,

@@ -24,10 +24,7 @@ fn all_strategies_agree_on_every_ssb_query() {
     let sim = SimConfig::default().with_gpu_memory(512 * 1024).with_gpu_cache(256 * 1024);
     let runner = WorkloadRunner::new(&db, sim);
     for strategy in Strategy::ALL {
-        let cfg = RunnerConfig {
-            capture_results: false,
-            ..RunnerConfig::default()
-        };
+        let cfg = RunnerConfig::default();
         let report = runner.run(&queries, strategy, &cfg).expect("workload runs");
         assert_eq!(report.outcomes.len(), queries.len(), "{}", strategy.name());
         for outcome in &report.outcomes {

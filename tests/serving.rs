@@ -5,7 +5,9 @@
 //! * **Differential** — a closed-loop `N`-user run expressed as the
 //!   degenerate [`ArrivalProcess::Closed`] process must reproduce the
 //!   classic `WorkloadRunner` results *bit-identically*: same
-//!   `RunMetrics` (makespan included), same per-query outcomes.
+//!   `RunMetrics` (makespan included), same per-query outcomes. Both
+//!   runners build a schedule for the one run procedure, so this pins
+//!   that their schedules and warm-ups agree.
 //! * **Golden percentiles** — a fixed `(seed, workload, machine)`
 //!   triple pins p50/p95/p99 and the outcome stream against a fixture
 //!   (FNV-1a fingerprint, `ROBUSTQ_BLESS=1` to re-capture), and the
@@ -79,7 +81,7 @@ fn closed_arrival_process_is_bit_identical_to_workload_runner() {
                 "{} users={users}: outcomes must be bit-identical",
                 strategy.name()
             );
-            assert_eq!(serving.shed, 0);
+            assert_eq!(serving.metrics.shed, 0);
             assert_eq!(serving.offered, queries.len());
         }
     }
@@ -106,7 +108,7 @@ fn fingerprint() -> String {
             "offered: {} completed: {} shed: {}\n",
             report.offered,
             report.completed(),
-            report.shed
+            report.metrics.shed
         ));
         out.push_str(&format!(
             "p50: {:?} p95: {:?} p99: {:?} p999: {:?}\n",
@@ -158,7 +160,7 @@ fn percentiles_are_identical_across_worker_counts() {
             report.p50(),
             report.p95(),
             report.p99(),
-            report.shed,
+            report.metrics.shed,
             fnv64(format!("{:?}", report.outcomes).as_bytes()),
         )
     };
@@ -190,10 +192,10 @@ fn overload_sheds_gracefully_under_learned_placement() {
     let learned =
         runner.run(&mix, Strategy::DataDrivenChopping, &cfg).expect("learned run");
 
-    assert!(gpu.shed > 0, "GPU Only should shed past its capacity");
-    assert_eq!(gpu.offered, gpu.completed() + gpu.shed as usize);
+    assert!(gpu.metrics.shed > 0, "GPU Only should shed past its capacity");
+    assert_eq!(gpu.offered, gpu.completed() + gpu.metrics.shed as usize);
     assert_eq!(
-        learned.shed, 0,
+        learned.metrics.shed, 0,
         "Data-Driven Chopping should absorb the same offered load"
     );
     assert_eq!(learned.completed(), learned.offered);

@@ -14,16 +14,26 @@
 //!   residency (and its bytes) survives every batch;
 //! * ad-hoc open-loop arrivals interleave with window ticks through one
 //!   admission path, with conserved offered/completed/shed accounting
-//!   and `Append`/`WindowFire` visible in the trace registry.
+//!   and `Append`/`WindowFire` visible in the trace registry;
+//! * one schedule may mix closed-loop sessions, open-loop arrivals and
+//!   window ticks, and still conserves queries, heaps and results;
+//! * a feed schedule that cannot mean what it says is a configuration
+//!   error in every build profile, never a silently wrong window.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use robustq::core::Strategy;
 use robustq::engine::ops::execute_plan;
-use robustq::engine::{ExecOptions, Executor, ParallelCtx, StandingQuery, WindowKind};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use robustq::engine::{
+    Arrival, Chunk, EngineError, ExecOptions, Executor, FeedEvent, FeedSchedule, ParallelCtx,
+    Schedule, StandingQuery, WindowKind,
+};
 use robustq::serve::{ArrivalProcess, QueryMix, ServeConfig, ServingRunner};
 use robustq::sim::{CacheSet, FaultPlan, FaultSpec, SimConfig, VirtualTime};
 use robustq::storage::Value;
+use robustq::trace::MetricsRegistry;
 use robustq::workloads::ssb_stream::{SsbStreamData, SsbStreamGen};
 use robustq::workloads::SsbQuery;
 
@@ -47,6 +57,11 @@ fn sim_k(k: usize) -> SimConfig {
         .with_coprocessors(k)
 }
 
+fn cold_caches(k: usize) -> CacheSet {
+    let sim = sim_k(k);
+    CacheSet::for_topology(&sim.topology, sim.cache_policy)
+}
+
 /// The two standing queries of the matrix: a flight-1 aggregate
 /// (tumbling) and a multi-join group-by (sliding, two periods long).
 fn standing(data: &SsbStreamData) -> Vec<StandingQuery> {
@@ -66,6 +81,15 @@ fn standing(data: &SsbStreamData) -> Vec<StandingQuery> {
     vec![tumbling, sliding]
 }
 
+/// The feed replay plus both standing queries, no ad-hoc arrivals.
+fn windows_only(data: &SsbStreamData) -> Schedule {
+    Schedule {
+        feed: data.feed_schedule(PERIOD, PERIOD),
+        standing: standing(data),
+        ..Schedule::default()
+    }
+}
+
 /// Expected `[lo, hi)` lineorder rows of standing query `s`'s tick `k`
 /// under the batch-per-period feed: batch `j` commits exactly when tick
 /// `j` closes, so tick `k` sees batches `0..=k`.
@@ -79,13 +103,18 @@ fn expected_window(data: &SsbStreamData, s: usize, k: usize) -> (usize, usize) {
 }
 
 /// One-shot oracle: the standing query executed against a static
-/// database holding exactly the window's rows, as sorted row values.
-fn oracle(data: &SsbStreamData, s: usize, k: usize) -> Vec<Vec<Value>> {
+/// database holding exactly the window's rows.
+fn oracle_chunk(data: &SsbStreamData, s: usize, k: usize) -> Chunk {
     let q = [SsbQuery::Q1_1, SsbQuery::Q3_3][s];
     let (lo, hi) = expected_window(data, s, k);
     let snap = data.window_db(lo, hi);
     let plan = q.plan(&snap).expect("window plan");
-    execute_plan(&plan, &snap).expect("window oracle").sorted_rows()
+    execute_plan(&plan, &snap).expect("window oracle")
+}
+
+/// The oracle's result as sorted row values.
+fn oracle(data: &SsbStreamData, s: usize, k: usize) -> Vec<Vec<Value>> {
+    oracle_chunk(data, s, k).sorted_rows()
 }
 
 /// All `(standing, tick) -> sorted rows` of one streaming run.
@@ -105,14 +134,9 @@ fn run_windows(
         shard_ways: if k >= 2 { k } else { 0 },
         ..ExecOptions::default()
     };
+    let mut caches = cold_caches(k);
     let out = executor
-        .run_streaming(
-            Vec::new(),
-            data.feed_schedule(PERIOD, PERIOD),
-            standing(data),
-            policy.as_mut(),
-            &opts,
-        )
+        .run_with_cache(windows_only(data), policy.as_mut(), &opts, &mut caches)
         .expect("streaming run");
     let expected: usize = 2 * TICKS as usize;
     assert_eq!(out.outcomes.len(), expected, "{}: tick went missing", strategy.name());
@@ -205,17 +229,10 @@ fn appends_invalidate_only_feed_columns() {
     let final_epoch = data.epochs.last().expect("at least one batch").0;
     let executor = Executor::new(&data.db, sim_k(1));
     let mut policy = Strategy::DataDrivenChopping.build();
-    let mut caches = CacheSet::for_topology(&sim_k(1).topology, sim_k(1).cache_policy);
+    let mut caches = cold_caches(1);
     let opts = ExecOptions { capture_results: false, ..ExecOptions::default() };
     executor
-        .run_streaming_with_cache(
-            Vec::new(),
-            data.feed_schedule(PERIOD, PERIOD),
-            standing(&data),
-            policy.as_mut(),
-            &opts,
-            &mut caches,
-        )
+        .run_with_cache(windows_only(&data), policy.as_mut(), &opts, &mut caches)
         .expect("streaming run");
     let gpu = robustq::sim::DeviceId::Gpu;
     let cache = caches.device(gpu);
@@ -272,12 +289,13 @@ fn streaming_interleaves_arrivals_and_window_ticks() {
     assert_eq!(report.offered_ticks, 2 * TICKS as usize);
     assert_eq!(
         report.offered_arrivals + report.offered_ticks,
-        report.completed() + report.shed as usize,
+        report.completed() + report.metrics.shed as usize,
         "offered/completed/shed accounting drifted"
     );
     assert_eq!(report.window_outcomes.len(), 2 * TICKS as usize, "a tick was shed");
     assert!(report.tick_p99() > VirtualTime::ZERO);
-    let registry = report.metrics_registry().expect("traced run");
+    let trace = report.trace.as_ref().expect("traced run");
+    let registry = MetricsRegistry::from_events(&trace.events);
     assert_eq!(registry.counter("appends"), BATCHES as u64);
     assert_eq!(registry.counter("window_fires"), 2 * TICKS as u64);
     assert!(
@@ -287,7 +305,8 @@ fn streaming_interleaves_arrivals_and_window_ticks() {
 }
 
 /// A streaming run with an empty feed and no standing queries is the
-/// plain open-loop path — entry points must agree bit-for-bit.
+/// plain open-loop run — the two runner entry points must agree
+/// bit-for-bit.
 #[test]
 fn empty_feed_degenerates_to_open_loop() {
     let data = stream();
@@ -317,4 +336,182 @@ fn empty_feed_degenerates_to_open_loop() {
         "degenerate outcomes drifted"
     );
     assert!(streaming.window_outcomes.is_empty());
+}
+
+/// One run mixing every kind of schedule entry — closed-loop sessions,
+/// open-loop arrivals, a feed replay and standing-query ticks — which
+/// only the single executor entry can express. Over seeded schedules at
+/// K ∈ {1, 2}, under an admission limit and a queue cap tight enough to
+/// shed: every offered query completes or is shed, the device heaps
+/// drain, and every completed query returns what the reference kernels
+/// return for its plan (its window's static snapshot, for a tick).
+#[test]
+fn mixed_schedules_conserve_queries_heaps_and_results() {
+    let data = stream();
+    let templates: Vec<_> = [SsbQuery::Q1_2, SsbQuery::Q2_3, SsbQuery::Q3_1, SsbQuery::Q4_1]
+        .iter()
+        .map(|q| q.plan(&data.db).expect("plan"))
+        .collect();
+    let truth: Vec<u64> = templates
+        .iter()
+        .map(|p| execute_plan(p, &data.db).expect("reference execution").checksum())
+        .collect();
+    let (mut shed, mut ticks_done, mut closed_done, mut arrivals_done) = (0u64, 0, 0, 0);
+    for seed in [1u64, 2, 3, 4] {
+        for k in [1usize, 2] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // `(session, seq)` → the checksum that query must return.
+            let mut expected: HashMap<(usize, usize), u64> = HashMap::new();
+            let n_sessions = rng.gen_range(1..4usize);
+            let sessions: Vec<Vec<_>> = (0..n_sessions)
+                .map(|session| {
+                    (0..rng.gen_range(1..5usize))
+                        .map(|seq| {
+                            let t = rng.gen_range(0..templates.len());
+                            expected.insert((session, seq), truth[t]);
+                            templates[t].clone()
+                        })
+                        .collect()
+                })
+                .collect();
+            // Arrivals come in bursts at the instants batches commit and
+            // windows close, so they contend with the ticks for admission
+            // and overflow the queue. Their one session label sits above
+            // the closed sessions' indices.
+            let mut times: Vec<u64> = (0..rng.gen_range(8..40usize))
+                .map(|_| PERIOD.as_nanos() * rng.gen_range(0..=TICKS as u64))
+                .collect();
+            times.sort_unstable();
+            let arrivals: Vec<Arrival> = times
+                .into_iter()
+                .enumerate()
+                .map(|(seq, at)| {
+                    let t = rng.gen_range(0..templates.len());
+                    expected.insert((n_sessions, seq), truth[t]);
+                    Arrival {
+                        at: VirtualTime::from_nanos(at),
+                        session: n_sessions as u32,
+                        seq: seq as u32,
+                        plan: templates[t].clone(),
+                    }
+                })
+                .collect();
+            let schedule = Schedule {
+                sessions,
+                arrivals,
+                feed: data.feed_schedule(PERIOD, PERIOD),
+                standing: standing(&data),
+            };
+            let offered = schedule.offered();
+            let opts = ExecOptions {
+                max_concurrent_queries: 2,
+                queue_cap: 3,
+                shard_ways: if k >= 2 { k } else { 0 },
+                ..ExecOptions::default()
+            };
+            let mut caches = cold_caches(k);
+            let mut policy = Strategy::DataDrivenChopping.build();
+            let out = Executor::new(&data.db, sim_k(k))
+                .run_with_cache(schedule, policy.as_mut(), &opts, &mut caches)
+                .expect("mixed run");
+            assert_eq!(
+                offered,
+                out.outcomes.len() + out.metrics.shed as usize,
+                "seed {seed} K={k}: offered != completed + shed"
+            );
+            assert_eq!(out.metrics.gpu_heap_leaked, 0, "seed {seed} K={k}: heap leaked");
+            for o in &out.outcomes {
+                let want = if o.session >= 1_000 {
+                    ticks_done += 1;
+                    oracle_chunk(&data, o.session - 1_000, o.seq).checksum()
+                } else {
+                    if o.session < n_sessions {
+                        closed_done += 1;
+                    } else {
+                        arrivals_done += 1;
+                    }
+                    expected[&(o.session, o.seq)]
+                };
+                assert_eq!(
+                    o.checksum, want,
+                    "seed {seed} K={k}: query ({}, {}) returned a different result",
+                    o.session, o.seq
+                );
+            }
+            shed += out.metrics.shed;
+        }
+    }
+    assert!(shed > 0, "the queue cap never shed — the conservation check was vacuous");
+    assert!(
+        ticks_done > 0 && closed_done > 0 && arrivals_done > 0,
+        "a population never completed a query"
+    );
+}
+
+/// The schedule is caller input. What would make the window-bound lookup
+/// or the session bookkeeping silently wrong is rejected up front as a
+/// configuration error — by a real check, so `cargo test --release`
+/// passes this too — and never produces a result.
+#[test]
+fn inconsistent_schedules_are_config_errors() {
+    let data = stream();
+    let run = |schedule: Schedule| {
+        let mut caches = cold_caches(1);
+        let mut policy = Strategy::CpuOnly.build();
+        Executor::new(&data.db, sim_k(1))
+            .run_with_cache(schedule, policy.as_mut(), &ExecOptions::default(), &mut caches)
+            .map(|out| out.outcomes.len())
+    };
+    let is_config = |r: Result<usize, EngineError>| matches!(r, Err(EngineError::Config(_)));
+    let sorted = data.feed_schedule(PERIOD, PERIOD).events;
+
+    // Commit instants out of order.
+    let mut unsorted = sorted.clone();
+    unsorted.swap(0, 2);
+    assert!(is_config(run(Schedule {
+        feed: FeedSchedule { events: unsorted },
+        standing: standing(&data),
+        ..Schedule::default()
+    })));
+
+    // Time-sorted, but a table's epochs replayed out of order.
+    let mut swapped_epochs = sorted.clone();
+    let (e0, e1) = (swapped_epochs[0].epoch, swapped_epochs[1].epoch);
+    swapped_epochs[0].epoch = e1;
+    swapped_epochs[1].epoch = e0;
+    assert!(is_config(run(Schedule {
+        feed: FeedSchedule { events: swapped_epochs },
+        standing: standing(&data),
+        ..Schedule::default()
+    })));
+
+    // An epoch no append committed under.
+    let phantom = robustq::storage::DbEpoch(data.epochs.last().expect("batches").0 + 1);
+    assert!(is_config(run(Schedule {
+        feed: FeedSchedule { events: vec![FeedEvent { at: PERIOD, epoch: phantom }] },
+        ..Schedule::default()
+    })));
+
+    // A standing query over a table the database does not have.
+    let mut lost = standing(&data);
+    lost[0].table = "no_such_table".to_owned();
+    assert!(is_config(run(Schedule { standing: lost, ..Schedule::default() })));
+
+    // An arrival labelled with a closed-loop session's index.
+    let plan = SsbQuery::Q1_1.plan(&data.db).expect("plan");
+    assert!(is_config(run(Schedule {
+        sessions: vec![vec![plan.clone()]],
+        arrivals: vec![Arrival { at: PERIOD, session: 0, seq: 0, plan }],
+        ..Schedule::default()
+    })));
+
+    // The sorted schedule itself runs.
+    assert_eq!(
+        run(Schedule {
+            feed: FeedSchedule { events: sorted },
+            standing: standing(&data),
+            ..Schedule::default()
+        }),
+        Ok(2 * TICKS as usize)
+    );
 }
