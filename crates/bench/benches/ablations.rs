@@ -1,5 +1,5 @@
 //! `cargo bench --bench ablations` — ablation studies for the design
-//! choices DESIGN.md §5 calls out. Custom harness (deterministic virtual
+//! choices DESIGN.md §12 calls out. Custom harness (deterministic virtual
 //! time, like the figures bench).
 //!
 //! 1. chopping thread-pool size (the Section 5.2 concurrency bound),

@@ -19,7 +19,7 @@
 //!   *materializing* baseline (mask select + gather, then the downstream
 //!   kernel), so the fused speedup is algorithmic, not thread scaling;
 //! * `select_compressed_{rle,dict,bitpack}` — compressed-domain selection
-//!   (`ops::compressed`, DESIGN.md §14) against decompress-then-select on
+//!   (`ops::compressed`, DESIGN.md §5) against decompress-then-select on
 //!   the same predicate; positions must match exactly. The JSON also
 //!   records each compressed bench column's codec and byte ratio under
 //!   `"compression"`.

@@ -1,34 +1,34 @@
 //! Gate benchmark claims on the JSON the sweep bins write.
 //!
-//! Four modes, all deterministic (the sim has no noise, so the margins
+//! Five modes, all deterministic (the sim has no noise, so the margins
 //! guard against cost-model tweaks eroding a win, not against jitter):
 //!
 //! * **Default** — the multi-GPU scaling claim on `BENCH_multigpu.json`
-//!   (DESIGN.md §12): on the SSB sweep, at least one sharding-enabled
+//!   (DESIGN.md §6): on the SSB sweep, at least one sharding-enabled
 //!   strategy must bring the max-K makespan *below* its own K = 1
 //!   baseline within `--max-ratio` (default 0.95) — adding
 //!   co-processors has to pay.
 //! * **`--serving`** — the open-loop robustness claim on
-//!   `BENCH_serving.json` (DESIGN.md §13): at the *highest tested
+//!   `BENCH_serving.json` (DESIGN.md §10): at the *highest tested
 //!   arrival rate*, Data-Driven Chopping's p99 latency must not exceed
 //!   GPU Only's at any K (`--max-ratio` defaults to 1.0 here) — the
 //!   learned strategy has to hold the tail precisely when the system
 //!   is saturated.
 //! * **`--kernels`** — the CPU kernel claim on `BENCH_kernels.json`
-//!   (DESIGN.md §14): at 8 workers on the 10M-row inputs, `select` and
+//!   (DESIGN.md §5): at 8 workers on the 10M-row inputs, `select` and
 //!   `aggregate` must hold a ≥ 3× speedup over their scalar references
 //!   (margin below the ≥ 4× the committed JSON records, so a slow CI
 //!   host doesn't flake), and **no** kernel may dip below 0.95× at any
 //!   sweep point — optimizations must never regress a sibling kernel.
 //! * **`--streaming`** — the standing-query robustness claim on
-//!   `BENCH_streaming.json` (DESIGN.md §16): at the *tightest tested
+//!   `BENCH_streaming.json` (DESIGN.md §10): at the *tightest tested
 //!   window period*, Data-Driven Chopping must complete every scheduled
 //!   window tick and its tick p99 must not exceed GPU Only's
 //!   (`--max-ratio` defaults to 1.0) at any K — the learned strategy
 //!   has to keep standing results fresh precisely when the window
 //!   cadence is most demanding.
 //! * **`--adaptive`** — the adaptive-placement claim on the
-//!   `multigpu-adaptive` table (DESIGN.md §15, written by
+//!   `multigpu-adaptive` table (DESIGN.md §7, written by
 //!   `multigpu --adaptive`): every staged (adaptive) row must record
 //!   *zero* oversize fallbacks — chunked staging has to absorb the
 //!   over-heap operators the regime manufactures — and no more aborts
@@ -47,144 +47,155 @@
 //! cargo run -p robustq-bench --release --bin bench-diff -- --adaptive BENCH_multigpu.json
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use robustq_bench::args::ArgStream;
 use robustq_engine::EngineError;
 use robustq_trace::json::{parse, Json};
 
+/// Which claim to gate (`--serving` etc.; the default is sharded scaling).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Scaling,
+    Serving,
+    Kernels,
+    Adaptive,
+    Streaming,
+}
+
 struct Args {
     path: String,
     max_ratio: f64,
-    serving: bool,
-    kernels: bool,
-    adaptive: bool,
-    streaming: bool,
+    mode: Mode,
 }
 
 fn parse_args() -> Result<Args, EngineError> {
-    let mut args = Args {
-        path: String::new(),
-        max_ratio: f64::NAN,
-        serving: false,
-        kernels: false,
-        adaptive: false,
-        streaming: false,
-    };
+    let mut path = None;
+    let mut max_ratio = None;
+    let mut mode = None;
     let mut it = ArgStream::from_env();
-    let mut saw_path = false;
     while let Some(flag) = it.next_flag() {
-        match flag.as_str() {
-            "--serving" => args.serving = true,
-            "--kernels" => args.kernels = true,
-            "--adaptive" => args.adaptive = true,
-            "--streaming" => args.streaming = true,
+        let picked = match flag.as_str() {
+            "--serving" => Mode::Serving,
+            "--kernels" => Mode::Kernels,
+            "--adaptive" => Mode::Adaptive,
+            "--streaming" => Mode::Streaming,
             "--max-ratio" => {
-                args.max_ratio = it.parsed("--max-ratio")?;
-                if !(0.0..=1.0).contains(&args.max_ratio) {
+                let ratio: f64 = it.parsed("--max-ratio")?;
+                if !(0.0..=1.0).contains(&ratio) {
                     return Err(EngineError::config("--max-ratio must be in (0, 1]"));
                 }
+                max_ratio = Some(ratio);
+                continue;
             }
-            other if !other.starts_with('-') && !saw_path => {
-                args.path = other.to_string();
-                saw_path = true;
+            other if !other.starts_with('-') && path.is_none() => {
+                path = Some(other.to_string());
+                continue;
             }
             other => return Err(ArgStream::unknown_flag(other)),
+        };
+        if mode.is_some_and(|m| m != picked) {
+            return Err(EngineError::config(
+                "--serving, --kernels, --adaptive and --streaming are mutually exclusive",
+            ));
         }
+        mode = Some(picked);
     }
-    if args.serving as u8 + args.kernels as u8 + args.adaptive as u8 + args.streaming as u8
-        > 1
-    {
-        return Err(EngineError::config(
-            "--serving, --kernels, --adaptive and --streaming are mutually exclusive",
-        ));
-    }
-    if args.path.is_empty() {
-        args.path = if args.serving {
-            "BENCH_serving.json"
-        } else if args.kernels {
-            "BENCH_kernels.json"
-        } else if args.streaming {
-            "BENCH_streaming.json"
-        } else {
-            "BENCH_multigpu.json"
-        }
-        .to_string();
-    }
-    if args.max_ratio.is_nan() {
-        args.max_ratio = if args.serving || args.streaming { 1.0 } else { 0.95 };
-    }
-    Ok(args)
+    let mode = mode.unwrap_or(Mode::Scaling);
+    let (default_path, default_ratio) = match mode {
+        Mode::Serving => ("BENCH_serving.json", 1.0),
+        Mode::Streaming => ("BENCH_streaming.json", 1.0),
+        Mode::Kernels => ("BENCH_kernels.json", 0.95),
+        Mode::Scaling | Mode::Adaptive => ("BENCH_multigpu.json", 0.95),
+    };
+    Ok(Args {
+        path: path.unwrap_or_else(|| default_path.to_string()),
+        max_ratio: max_ratio.unwrap_or(default_ratio),
+        mode,
+    })
 }
 
-/// The FigTable named `id` inside the `{"tables": [...]}` document.
-fn find_table<'a>(doc: &'a Json, id: &str) -> Result<&'a Json, EngineError> {
-    doc.get("tables")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| EngineError::config("document has no 'tables' array"))?
+/// Member `name` of the JSON object `of` as `read` sees it, or a config
+/// error saying what is `missing`.
+fn member<'a, T>(
+    of: &'a Json,
+    name: &str,
+    read: fn(&'a Json) -> Option<T>,
+    missing: impl std::fmt::Display,
+) -> Result<T, EngineError> {
+    of.get(name).and_then(read).ok_or_else(|| EngineError::config(missing.to_string()))
+}
+
+/// One row of a FigTable, its cells addressed by column name.
+struct Row<'a> {
+    id: &'a str,
+    index: usize,
+    columns: &'a [Json],
+    cells: &'a [Json],
+}
+
+impl Row<'_> {
+    /// The cell under column `col`.
+    fn str(&self, col: &str) -> Result<&str, EngineError> {
+        let (id, i) = (self.id, self.index);
+        let c = self.columns.iter().position(|c| c.as_str() == Some(col)).ok_or_else(|| {
+            EngineError::config(format!("table {id:?} has no column {col:?}"))
+        })?;
+        self.cells.get(c).and_then(Json::as_str).ok_or_else(|| {
+            EngineError::config(format!("table {id:?} row {i} col {c} missing"))
+        })
+    }
+
+    /// The cell under column `col`, as a number.
+    fn num(&self, col: &str) -> Result<f64, EngineError> {
+        self.str(col)?.parse().map_err(|e| {
+            let (id, i) = (self.id, self.index);
+            EngineError::config(format!("table {id:?} row {i}: bad {col}: {e}"))
+        })
+    }
+
+    /// The `(K, strategy)` pair every gated table keys its rows by.
+    fn point(&self) -> Result<(u64, String), EngineError> {
+        Ok((self.num("K")? as u64, self.str("Strategy")?.to_string()))
+    }
+}
+
+/// The rows of the FigTable named `id` inside the `{"tables": [...]}`
+/// document.
+fn rows<'a>(doc: &'a Json, id: &'a str) -> Result<Vec<Row<'a>>, EngineError> {
+    let table = member(doc, "tables", Json::as_arr, "document has no 'tables' array")?
         .iter()
         .find(|t| t.get("id").and_then(Json::as_str) == Some(id))
-        .ok_or_else(|| EngineError::config(format!("no table with id {id:?}")))
-}
-
-/// Column name → index resolver for the FigTable `id`.
-fn columns(table: &Json, id: &str) -> Result<Vec<Json>, EngineError> {
-    table
-        .get("columns")
-        .and_then(Json::as_arr)
-        .map(<[Json]>::to_vec)
-        .ok_or_else(|| EngineError::config(format!("table {id:?} has no 'columns'")))
-}
-
-/// One table row we care about: `(strategy label, K) -> makespan ms`.
-type Makespans = BTreeMap<(String, u64), f64>;
-
-/// Extract strategy/K/makespan from the FigTable named `id`.
-fn makespans(doc: &Json, id: &str) -> Result<Makespans, EngineError> {
-    let table = find_table(doc, id)?;
-    let columns = columns(table, id)?;
-    let col = |name: &str| {
-        columns.iter().position(|c| c.as_str() == Some(name)).ok_or_else(|| {
-            EngineError::config(format!("table {id:?} has no column {name:?}"))
-        })
+        .ok_or_else(|| EngineError::config(format!("no table with id {id:?}")))?;
+    let field = |name: &str| {
+        member(table, name, Json::as_arr, format_args!("table {id:?} has no '{name}'"))
     };
-    let (k_col, strat_col, ms_col) =
-        (col("K")?, col("Strategy")?, col("Makespan [ms]")?);
-    let rows = table
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| EngineError::config(format!("table {id:?} has no 'rows'")))?;
-    let mut out = Makespans::new();
-    for (i, row) in rows.iter().enumerate() {
-        let row = row.as_arr().ok_or_else(|| {
-            EngineError::config(format!("table {id:?} row {i} is not an array"))
-        })?;
-        let cell = |c: usize| {
-            row.get(c).and_then(Json::as_str).ok_or_else(|| {
-                EngineError::config(format!("table {id:?} row {i} col {c} missing"))
-            })
-        };
-        let k: u64 = cell(k_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad K: {e}"))
-        })?;
-        let ms: f64 = cell(ms_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad makespan: {e}"))
-        })?;
-        out.insert((cell(strat_col)?.to_string(), k), ms);
-    }
-    Ok(out)
+    let columns = field("columns")?;
+    field("rows")?
+        .iter()
+        .enumerate()
+        .map(|(index, row)| {
+            let cells = row.as_arr().ok_or_else(|| {
+                EngineError::config(format!("table {id:?} row {index} is not an array"))
+            })?;
+            Ok(Row { id, index, columns, cells })
+        })
+        .collect()
 }
 
 /// Check one workload table; returns whether any sharded strategy
 /// scales to max K within `max_ratio`, printing every ratio.
 fn check_table(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineError> {
-    let spans = makespans(doc, id)?;
-    let min_k = spans
-        .keys()
-        .map(|(_, k)| *k)
-        .min()
-        .ok_or_else(|| EngineError::config("empty table"))?;
-    let max_k = spans.keys().map(|(_, k)| *k).max().unwrap_or(min_k);
+    // (strategy label, K) -> makespan ms.
+    let mut spans = BTreeMap::new();
+    for row in rows(doc, id)? {
+        let (k, label) = row.point()?;
+        spans.insert((label, k), row.num("Makespan [ms]")?);
+    }
+    let ks: BTreeSet<u64> = spans.keys().map(|(_, k)| *k).collect();
+    let (Some(&min_k), Some(&max_k)) = (ks.first(), ks.last()) else {
+        return Err(EngineError::config("empty table"));
+    };
     if max_k <= min_k {
         return Err(EngineError::config(format!(
             "table {id:?} has a single K={min_k} — nothing to diff (run the \
@@ -216,75 +227,52 @@ fn check_table(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineError
     Ok(any_scales)
 }
 
-/// `(K, strategy, rate qps) -> p99 ms` from the serving FigTable.
-type ServingP99s = BTreeMap<(u64, String), BTreeMap<u64, f64>>;
+/// `(K, strategy) -> sweep point -> measurement`: the shape the serving
+/// (point = arrival rate) and streaming (point = window period) tables
+/// are gated in.
+type Sweep<T> = BTreeMap<(u64, String), BTreeMap<u64, T>>;
 
-/// Extract K/strategy/rate/p99 from the FigTable named `id`.
-fn serving_p99s(doc: &Json, id: &str) -> Result<ServingP99s, EngineError> {
-    let table = find_table(doc, id)?;
-    let columns = columns(table, id)?;
-    let col = |name: &str| {
-        columns.iter().position(|c| c.as_str() == Some(name)).ok_or_else(|| {
-            EngineError::config(format!("table {id:?} has no column {name:?}"))
+/// Every sweep point some row of `sweep` was measured at.
+fn points<T>(sweep: &Sweep<T>) -> impl Iterator<Item = u64> + '_ {
+    sweep.values().flat_map(|by_point| by_point.keys().copied())
+}
+
+/// Every K of `sweep` with its `(Data-Driven Chopping, GPU Only)`
+/// measurements at sweep point `point` (`at` names the point in errors).
+fn contenders<T: Copy>(
+    sweep: &Sweep<T>,
+    point: u64,
+    at: &str,
+) -> Result<Vec<(u64, T, T)>, EngineError> {
+    let ks: BTreeSet<u64> = sweep.keys().map(|(k, _)| *k).collect();
+    ks.into_iter()
+        .map(|k| {
+            let get = |strategy: &str| {
+                sweep
+                    .get(&(k, strategy.to_string()))
+                    .and_then(|by_point| by_point.get(&point))
+                    .copied()
+                    .ok_or_else(|| {
+                        EngineError::config(format!("no {strategy:?} row at K={k} {at}"))
+                    })
+            };
+            Ok((k, get("Data-Driven Chopping")?, get("GPU Only")?))
         })
-    };
-    let (k_col, strat_col, rate_col, p99_col) =
-        (col("K")?, col("Strategy")?, col("Rate [qps]")?, col("p99 [ms]")?);
-    let rows = table
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| EngineError::config(format!("table {id:?} has no 'rows'")))?;
-    let mut out = ServingP99s::new();
-    for (i, row) in rows.iter().enumerate() {
-        let row = row.as_arr().ok_or_else(|| {
-            EngineError::config(format!("table {id:?} row {i} is not an array"))
-        })?;
-        let cell = |c: usize| {
-            row.get(c).and_then(Json::as_str).ok_or_else(|| {
-                EngineError::config(format!("table {id:?} row {i} col {c} missing"))
-            })
-        };
-        let k: u64 = cell(k_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad K: {e}"))
-        })?;
-        let rate: f64 = cell(rate_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad rate: {e}"))
-        })?;
-        let p99: f64 = cell(p99_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad p99: {e}"))
-        })?;
-        out.entry((k, cell(strat_col)?.to_string()))
-            .or_default()
-            .insert(rate as u64, p99);
-    }
-    Ok(out)
+        .collect()
 }
 
 /// The serving gate: at the highest tested rate, for every K,
 /// `p99(Data-Driven Chopping) <= max_ratio × p99(GPU Only)`.
 fn check_serving(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineError> {
-    let p99s = serving_p99s(doc, id)?;
-    let max_rate = p99s
-        .values()
-        .flat_map(|by_rate| by_rate.keys().copied())
-        .max()
-        .ok_or_else(|| EngineError::config("empty table"))?;
-    let ks: std::collections::BTreeSet<u64> =
-        p99s.keys().map(|(k, _)| *k).collect();
+    let mut p99s: Sweep<f64> = Sweep::new();
+    for row in rows(doc, id)? {
+        p99s.entry(row.point()?)
+            .or_default()
+            .insert(row.num("Rate [qps]")? as u64, row.num("p99 [ms]")?);
+    }
+    let max_rate = points(&p99s).max().ok_or_else(|| EngineError::config("empty table"))?;
     let mut ok = true;
-    for k in ks {
-        let at = |strategy: &str| {
-            p99s.get(&(k, strategy.to_string()))
-                .and_then(|by_rate| by_rate.get(&max_rate))
-                .copied()
-                .ok_or_else(|| {
-                    EngineError::config(format!(
-                        "no {strategy:?} row at K={k} rate={max_rate}"
-                    ))
-                })
-        };
-        let dd = at("Data-Driven Chopping")?;
-        let gpu = at("GPU Only")?;
+    for (k, dd, gpu) in contenders(&p99s, max_rate, &format!("rate={max_rate}"))? {
         let holds = dd <= max_ratio * gpu;
         ok &= holds;
         println!(
@@ -305,83 +293,25 @@ struct StreamingRow {
     tick_p99: f64,
 }
 
-/// `(K, strategy) -> window period ms -> row` from the streaming table.
-type StreamingRows = BTreeMap<(u64, String), BTreeMap<u64, StreamingRow>>;
-
-/// Extract K/strategy/window/ticks/p99 from the FigTable named `id`.
-/// Window periods are keyed in microseconds so they stay integral.
-fn streaming_rows(doc: &Json, id: &str) -> Result<StreamingRows, EngineError> {
-    let table = find_table(doc, id)?;
-    let columns = columns(table, id)?;
-    let col = |name: &str| {
-        columns.iter().position(|c| c.as_str() == Some(name)).ok_or_else(|| {
-            EngineError::config(format!("table {id:?} has no column {name:?}"))
-        })
-    };
-    let (k_col, strat_col, win_col, ticks_col, done_col, p99_col) = (
-        col("K")?,
-        col("Strategy")?,
-        col("Window [ms]")?,
-        col("Ticks")?,
-        col("Ticks done")?,
-        col("Tick p99 [ms]")?,
-    );
-    let rows = table
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| EngineError::config(format!("table {id:?} has no 'rows'")))?;
-    let mut out = StreamingRows::new();
-    for (i, row) in rows.iter().enumerate() {
-        let row = row.as_arr().ok_or_else(|| {
-            EngineError::config(format!("table {id:?} row {i} is not an array"))
-        })?;
-        let cell = |c: usize| {
-            row.get(c).and_then(Json::as_str).ok_or_else(|| {
-                EngineError::config(format!("table {id:?} row {i} col {c} missing"))
-            })
-        };
-        let num = |c: usize, what: &str| -> Result<f64, EngineError> {
-            cell(c)?.parse().map_err(|e| {
-                EngineError::config(format!("table {id:?} row {i}: bad {what}: {e}"))
-            })
-        };
-        let k = num(k_col, "K")? as u64;
-        let window_us = (num(win_col, "window")? * 1e3).round() as u64;
-        let row = StreamingRow {
-            ticks: num(ticks_col, "ticks")? as u64,
-            done: num(done_col, "ticks done")? as u64,
-            tick_p99: num(p99_col, "tick p99")?,
-        };
-        out.entry((k, cell(strat_col)?.to_string())).or_default().insert(window_us, row);
-    }
-    Ok(out)
-}
-
 /// The streaming gate: at the tightest window period, for every K,
 /// Data-Driven Chopping completes every scheduled tick and
 /// `tick-p99(Data-Driven Chopping) <= max_ratio × tick-p99(GPU Only)`.
 fn check_streaming(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineError> {
-    let rows = streaming_rows(doc, id)?;
-    let min_window = rows
-        .values()
-        .flat_map(|by_win| by_win.keys().copied())
-        .min()
-        .ok_or_else(|| EngineError::config("empty table"))?;
-    let ks: std::collections::BTreeSet<u64> = rows.keys().map(|(k, _)| *k).collect();
-    let mut ok = true;
-    for k in ks {
-        let at = |strategy: &str| {
-            rows.get(&(k, strategy.to_string()))
-                .and_then(|by_win| by_win.get(&min_window))
-                .copied()
-                .ok_or_else(|| {
-                    EngineError::config(format!(
-                        "no {strategy:?} row at K={k} window={min_window}us"
-                    ))
-                })
+    // Window periods are keyed in microseconds so they stay integral.
+    let mut by_window: Sweep<StreamingRow> = Sweep::new();
+    for row in rows(doc, id)? {
+        let window_us = (row.num("Window [ms]")? * 1e3).round() as u64;
+        let measured = StreamingRow {
+            ticks: row.num("Ticks")? as u64,
+            done: row.num("Ticks done")? as u64,
+            tick_p99: row.num("Tick p99 [ms]")?,
         };
-        let dd = at("Data-Driven Chopping")?;
-        let gpu = at("GPU Only")?;
+        by_window.entry(row.point()?).or_default().insert(window_us, measured);
+    }
+    let min_window =
+        points(&by_window).min().ok_or_else(|| EngineError::config("empty table"))?;
+    let mut ok = true;
+    for (k, dd, gpu) in contenders(&by_window, min_window, &format!("window={min_window}us"))? {
         let complete = dd.done == dd.ticks;
         let tail = dd.tick_p99 <= max_ratio * gpu.tick_p99;
         ok &= complete && tail;
@@ -401,66 +331,30 @@ fn check_streaming(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineE
 }
 
 /// One `multigpu-adaptive` row per cost model at a sweep point.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct AdaptiveRow {
     aborts: u64,
     oversize: u64,
     median_err: Option<f64>,
 }
 
-/// The adaptive gate (DESIGN.md §15) on the `multigpu-adaptive` table:
-/// staged rows absorb every over-heap operator (zero oversize
+/// The adaptive gate (DESIGN.md §7) on the `multigpu-adaptive`
+/// table: staged rows absorb every over-heap operator (zero oversize
 /// fallbacks), never abort more than their static siblings, and beat
 /// the static model's median est-vs-actual error wherever both report.
 fn check_adaptive(doc: &Json, id: &str) -> Result<bool, EngineError> {
-    let table = find_table(doc, id)?;
-    let columns = columns(table, id)?;
-    let col = |name: &str| {
-        columns.iter().position(|c| c.as_str() == Some(name)).ok_or_else(|| {
-            EngineError::config(format!("table {id:?} has no column {name:?}"))
-        })
-    };
-    let (k_col, strat_col, model_col, abort_col, over_col, err_col) = (
-        col("K")?,
-        col("Strategy")?,
-        col("Model")?,
-        col("Aborts")?,
-        col("Oversize")?,
-        col("MedianErr %")?,
-    );
-    let rows = table
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| EngineError::config(format!("table {id:?} has no 'rows'")))?;
     // (K, strategy) -> per-model rows.
-    let mut points: BTreeMap<(u64, String), BTreeMap<String, AdaptiveRow>> =
-        BTreeMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        let row = row.as_arr().ok_or_else(|| {
-            EngineError::config(format!("table {id:?} row {i} is not an array"))
-        })?;
-        let cell = |c: usize| {
-            row.get(c).and_then(Json::as_str).ok_or_else(|| {
-                EngineError::config(format!("table {id:?} row {i} col {c} missing"))
-            })
+    let mut points = BTreeMap::<(u64, String), BTreeMap<String, AdaptiveRow>>::new();
+    for row in rows(doc, id)? {
+        let measured = AdaptiveRow {
+            aborts: row.num("Aborts")? as u64,
+            oversize: row.num("Oversize")? as u64,
+            median_err: row.str("MedianErr %")?.parse().ok(), // "-" when no samples
         };
-        let k: u64 = cell(k_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad K: {e}"))
-        })?;
-        let aborts: u64 = cell(abort_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad aborts: {e}"))
-        })?;
-        let oversize: u64 = cell(over_col)?.parse().map_err(|e| {
-            EngineError::config(format!("table {id:?} row {i}: bad oversize: {e}"))
-        })?;
-        let median_err = cell(err_col)?.parse().ok(); // "-" when no samples
         points
-            .entry((k, cell(strat_col)?.to_string()))
+            .entry(row.point()?)
             .or_default()
-            .insert(
-                cell(model_col)?.to_string(),
-                AdaptiveRow { aborts, oversize, median_err },
-            );
+            .insert(row.str("Model")?.to_string(), measured);
     }
     if points.is_empty() {
         return Err(EngineError::config(format!("table {id:?} has no rows")));
@@ -470,7 +364,7 @@ fn check_adaptive(doc: &Json, id: &str) -> Result<bool, EngineError> {
     let mut err_pairs = 0usize;
     for ((k, strategy), models) in &points {
         let get = |m: &str| {
-            models.get(m).cloned().ok_or_else(|| {
+            models.get(m).copied().ok_or_else(|| {
                 EngineError::config(format!(
                     "table {id:?}: no {m:?} row at K={k} {strategy}"
                 ))
@@ -525,32 +419,20 @@ const KERNEL_HEADLINE_WORKERS: f64 = 8.0;
 /// above `KERNEL_FLOOR`, and `select` / `aggregate` at 8 workers on the
 /// 10M-row input must stay above `KERNEL_HEADLINE_MIN`.
 fn check_kernels(doc: &Json) -> Result<bool, EngineError> {
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| EngineError::config("document has no 'entries' array"))?;
+    let entries = member(doc, "entries", Json::as_arr, "document has no 'entries' array")?;
     let mut ok = true;
     let mut headline_seen = 0usize;
     for (i, entry) in entries.iter().enumerate() {
-        let workers = entry
-            .get("workers")
-            .and_then(Json::as_num)
-            .ok_or_else(|| EngineError::config(format!("entry {i} has no 'workers'")))?;
-        let results = entry
-            .get("results")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| EngineError::config(format!("entry {i} has no 'results'")))?;
+        let workers =
+            member(entry, "workers", Json::as_num, format_args!("entry {i} has no 'workers'"))?;
+        let results =
+            member(entry, "results", Json::as_arr, format_args!("entry {i} has no 'results'"))?;
         for (j, r) in results.iter().enumerate() {
+            let at = format!("entry {i} result {j}");
             let field = |name: &str| {
-                r.get(name).and_then(Json::as_num).ok_or_else(|| {
-                    EngineError::config(format!(
-                        "entry {i} result {j} has no numeric {name:?}"
-                    ))
-                })
+                member(r, name, Json::as_num, format_args!("{at} has no numeric {name:?}"))
             };
-            let kernel = r.get("kernel").and_then(Json::as_str).ok_or_else(|| {
-                EngineError::config(format!("entry {i} result {j} has no 'kernel'"))
-            })?;
+            let kernel = member(r, "kernel", Json::as_str, format_args!("{at} has no 'kernel'"))?;
             let rows = field("rows")?;
             let speedup = field("speedup")?;
             let headline = (kernel == "select" || kernel == "aggregate")
@@ -576,139 +458,84 @@ fn check_kernels(doc: &Json) -> Result<bool, EngineError> {
     Ok(ok)
 }
 
+/// Report `why` on stderr and exit with `code` (2: could not start,
+/// 1: the gate did not pass).
+fn die(code: i32, why: impl std::fmt::Display) -> ! {
+    eprintln!("bench-diff: {why}");
+    std::process::exit(code)
+}
+
+/// Report one gate's verdict: the claim that `holds` on stdout, or what
+/// `broke` it (or kept it from being checked) on stderr with exit code 1.
+fn gate(path: &str, verdict: Result<bool, EngineError>, holds: &str, broke: &str) {
+    match verdict {
+        Ok(true) => println!("bench-diff: ok — {holds}"),
+        Ok(false) => die(1, format_args!("FAIL: {broke}")),
+        Err(e) => die(1, format_args!("{path}: {e}")),
+    }
+}
+
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench-diff: {e}");
-            std::process::exit(2);
-        }
-    };
-    let src = match std::fs::read_to_string(&args.path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench-diff: {}: {e}", args.path);
-            std::process::exit(2);
-        }
-    };
-    let doc = match parse(&src) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bench-diff: {}: malformed JSON: {e}", args.path);
-            std::process::exit(1);
-        }
-    };
-    if args.kernels {
-        match check_kernels(&doc) {
-            Ok(true) => {
-                println!(
-                    "bench-diff: ok — kernel speedups hold ({KERNEL_HEADLINE_MIN}x \
-                     headline, {KERNEL_FLOOR}x floor)"
-                );
-                return;
+    let args = parse_args().unwrap_or_else(|e| die(2, e));
+    let (path, ratio) = (args.path.as_str(), args.max_ratio);
+    let src = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(2, format_args!("{path}: {e}")));
+    let doc = parse(&src).unwrap_or_else(|e| die(1, format_args!("{path}: malformed JSON: {e}")));
+    match args.mode {
+        Mode::Kernels => gate(
+            path,
+            check_kernels(&doc),
+            &format!(
+                "kernel speedups hold ({KERNEL_HEADLINE_MIN}x headline, {KERNEL_FLOOR}x floor)"
+            ),
+            &format!(
+                "a kernel speedup fell below its floor (headline \
+                 {KERNEL_HEADLINE_MIN}x, global {KERNEL_FLOOR}x)"
+            ),
+        ),
+        Mode::Serving => gate(
+            path,
+            check_serving(&doc, "serving-ssb", ratio),
+            "serving robustness criterion holds at the highest tested rate",
+            &format!(
+                "Data-Driven Chopping p99 exceeds {ratio} x GPU Only p99 at the \
+                 highest tested arrival rate"
+            ),
+        ),
+        Mode::Streaming => gate(
+            path,
+            check_streaming(&doc, "streaming-ssb", ratio),
+            "streaming robustness criterion holds at the tightest tested window period",
+            &format!(
+                "Data-Driven Chopping missed window ticks or its tick p99 exceeds \
+                 {ratio} x GPU Only's at the tightest tested window period"
+            ),
+        ),
+        Mode::Adaptive => gate(
+            path,
+            check_adaptive(&doc, "multigpu-adaptive"),
+            "adaptive placement criterion holds (staging absorbs over-heap \
+             operators, adaptive error undercuts static)",
+            "a staged row recorded an oversize fallback, aborted more than its \
+             static sibling, or did not beat the static median est-vs-actual error",
+        ),
+        Mode::Scaling => {
+            // SSB carries the success criterion; TPC-H is reported for context.
+            let ssb = check_table(&doc, "multigpu-ssb", ratio);
+            if matches!(ssb, Ok(true)) {
+                if let Err(e) = check_table(&doc, "multigpu-tpch", ratio) {
+                    eprintln!("bench-diff: note: tpch table skipped: {e}");
+                }
             }
-            Ok(false) => {
-                eprintln!(
-                    "bench-diff: FAIL: a kernel speedup fell below its floor \
-                     (headline {KERNEL_HEADLINE_MIN}x, global {KERNEL_FLOOR}x)"
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("bench-diff: {}: {e}", args.path);
-                std::process::exit(1);
-            }
-        }
-    }
-    if args.serving {
-        match check_serving(&doc, "serving-ssb", args.max_ratio) {
-            Ok(true) => {
-                println!(
-                    "bench-diff: ok — serving robustness criterion holds at the \
-                     highest tested rate"
-                );
-                return;
-            }
-            Ok(false) => {
-                eprintln!(
-                    "bench-diff: FAIL: Data-Driven Chopping p99 exceeds {} x GPU \
-                     Only p99 at the highest tested arrival rate",
-                    args.max_ratio
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("bench-diff: {}: {e}", args.path);
-                std::process::exit(1);
-            }
+            gate(
+                path,
+                ssb,
+                "sharded scaling criterion holds",
+                &format!(
+                    "no sharded strategy reaches max-K makespan <= {ratio} x its \
+                     K=1 baseline on SSB"
+                ),
+            )
         }
     }
-    if args.streaming {
-        match check_streaming(&doc, "streaming-ssb", args.max_ratio) {
-            Ok(true) => {
-                println!(
-                    "bench-diff: ok — streaming robustness criterion holds at the \
-                     tightest tested window period"
-                );
-                return;
-            }
-            Ok(false) => {
-                eprintln!(
-                    "bench-diff: FAIL: Data-Driven Chopping missed window ticks or \
-                     its tick p99 exceeds {} x GPU Only's at the tightest tested \
-                     window period",
-                    args.max_ratio
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("bench-diff: {}: {e}", args.path);
-                std::process::exit(1);
-            }
-        }
-    }
-    if args.adaptive {
-        match check_adaptive(&doc, "multigpu-adaptive") {
-            Ok(true) => {
-                println!(
-                    "bench-diff: ok — adaptive placement criterion holds \
-                     (staging absorbs over-heap operators, adaptive error \
-                     undercuts static)"
-                );
-                return;
-            }
-            Ok(false) => {
-                eprintln!(
-                    "bench-diff: FAIL: a staged row recorded an oversize \
-                     fallback, aborted more than its static sibling, or did \
-                     not beat the static median est-vs-actual error"
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("bench-diff: {}: {e}", args.path);
-                std::process::exit(1);
-            }
-        }
-    }
-    // SSB carries the success criterion; TPC-H is reported for context.
-    match check_table(&doc, "multigpu-ssb", args.max_ratio) {
-        Ok(true) => {}
-        Ok(false) => {
-            eprintln!(
-                "bench-diff: FAIL: no sharded strategy reaches max-K makespan \
-                 <= {} x its K=1 baseline on SSB",
-                args.max_ratio
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("bench-diff: {}: {e}", args.path);
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = check_table(&doc, "multigpu-tpch", args.max_ratio) {
-        eprintln!("bench-diff: note: tpch table skipped: {e}");
-    }
-    println!("bench-diff: ok — sharded scaling criterion holds");
 }

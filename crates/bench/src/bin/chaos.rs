@@ -1,4 +1,4 @@
-//! Chaos sweep over seeded fault plans (DESIGN.md §8).
+//! Chaos sweep over seeded fault plans (DESIGN.md §12).
 //!
 //! Runs a workload once fault-free, then once per seed under a seeded
 //! [`FaultPlan`], and checks the differential and accounting invariants

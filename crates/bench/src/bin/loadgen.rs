@@ -3,7 +3,7 @@
 //! The closed-loop sweeps (`figures`, `multigpu`) measure makespan on a
 //! fixed query count; this sweep measures what a *serving* deployment
 //! cares about — latency percentiles and goodput as the offered arrival
-//! rate approaches and passes capacity (DESIGN.md §13). Each sweep
+//! rate approaches and passes capacity (DESIGN.md §10). Each sweep
 //! point runs a Poisson arrival schedule over a Zipf-skewed SSB query
 //! mix through [`ServingRunner`], with admission control plus a finite
 //! admission-queue cap so overload sheds instead of queueing without

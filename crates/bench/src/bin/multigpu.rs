@@ -24,14 +24,14 @@
 //! strategy, asserts the Chrome export carries one kernel lane per
 //! device, and writes the JSON to PATH (CI feeds it to `trace-lint`).
 //!
-//! `--shard` adds intra-operator sharding rows (DESIGN.md §12): each K
+//! `--shard` adds intra-operator sharding rows (DESIGN.md §6): each K
 //! is additionally swept with `K`-way sharded leaf scans under the two
 //! shard-aware strategies, and `--replicate-max-bytes` bounds how large
 //! a table the data placement manager replicates into every cache
 //! instead of partitioning. Sharded rows must reproduce the unsharded
 //! K = 1 result fingerprints bit for bit.
 //!
-//! `--adaptive` adds the DESIGN.md §15 comparison table
+//! `--adaptive` adds the DESIGN.md §7 comparison table
 //! (`multigpu-adaptive`): the SSB workload on a deliberately small
 //! co-processor heap, once under the static cost model with chunked
 //! staging off (over-heap operators abort to the CPU) and once under the
@@ -179,7 +179,7 @@ fn median_err_pct(report: &RunReport) -> Option<f64> {
     Some(100.0 * errs[errs.len() / 2])
 }
 
-/// The DESIGN.md §15 comparison: static model + abort-to-CPU versus
+/// The DESIGN.md §7 comparison: static model + abort-to-CPU versus
 /// adaptive model + chunked staging, on a heap small enough that the SSB
 /// join footprints exceed it. Returns the `multigpu-adaptive` table and
 /// the number of failures (result fingerprints must stay identical to

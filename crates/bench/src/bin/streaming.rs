@@ -4,7 +4,7 @@
 //! The open-loop sweep (`loadgen`) measures ad-hoc tail latency under
 //! load; this sweep measures what a *streaming* deployment cares about —
 //! how stale a standing result gets. Each sweep point replays the
-//! SSB-stream feed (DESIGN.md §16) in virtual time, fires two standing
+//! SSB-stream feed (DESIGN.md §10) in virtual time, fires two standing
 //! SSB queries (Q1.1 tumbling, Q3.3 sliding over twice the period) per
 //! window tick, and interleaves a Poisson ad-hoc arrival stream so the
 //! ticks compete for admission like any other query. Results land in

@@ -1,4 +1,4 @@
-//! One module per regenerated figure (DESIGN.md §3 maps each to the
+//! One module per regenerated figure (DESIGN.md §12 maps each to the
 //! paper). Shared parameter sweeps live in [`sweeps`] and are memoized, so
 //! figures that plot different metrics of the same experiment (e.g.
 //! Figures 14 and 15) run it once.

@@ -1,6 +1,6 @@
 //! Figure/table regeneration harness.
 //!
-//! One module per figure of the paper (see DESIGN.md §3 for the index).
+//! One module per figure of the paper (see DESIGN.md §12 for the index).
 //! Each figure function returns a [`FigTable`] — the same rows/series the
 //! paper plots — which the `figures` binary and the `figures` bench
 //! target print.

@@ -4,10 +4,6 @@
 //!
 //! This crate is the paper's primary contribution, rebuilt as a library:
 //!
-//! * [`hype`] — a HyPE-style *learned* cost estimator: per
-//!   (operator class, device) online linear regressions fitted from
-//!   observed operator durations, never from the simulator's ground-truth
-//!   model (Sections 2.5, 5.2);
 //! * [`placement_mgr`] — the data placement manager: access-frequency
 //!   statistics drive Algorithm 1, pinning the hottest columns into the
 //!   co-processor cache (Section 3.2), with LFU and LRU variants
@@ -26,14 +22,15 @@
 //!     a per-device thread pool (Section 5),
 //!   - [`strategies::DataDrivenChopping`] — the combined, robust strategy
 //!     (Section 5.4).
+//!
+//! The HyPE-style *learned* cost model the strategies estimate with
+//! (Sections 2.5, 5.2) is `robustq_engine::LearnedModel`, next to the
+//! [`robustq_engine::PlacementPolicy`] trait: the executor trains it, a
+//! strategy only exposes it.
 
-pub mod costmodel;
-pub mod hype;
 pub mod placement_mgr;
 pub mod strategies;
 
-pub use costmodel::{build_cost_model, AdaptiveCostModel, StaticCostModel};
-pub use hype::HypeEstimator;
 pub use placement_mgr::{DataPlacementManager, PlacementPolicyKind};
 pub use strategies::{
     Chopping, CpuOnly, CriticalPath, DataDriven, DataDrivenChopping, GpuPreferred,

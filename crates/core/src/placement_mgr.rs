@@ -26,7 +26,7 @@ pub struct DataPlacementManager {
     kind: PlacementPolicyKind,
     /// Optional cap on cache bytes used (defaults to the full cache).
     budget: Option<u64>,
-    /// Intra-operator sharding (DESIGN.md §12): partition large tables'
+    /// Intra-operator sharding (DESIGN.md §7): partition large tables'
     /// columns across the fleet and replicate small tables everywhere.
     /// `0` disables sharding (the classic one-home-per-table layout).
     shard_ways: usize,

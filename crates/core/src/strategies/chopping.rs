@@ -10,10 +10,8 @@
 //! concurrency bound.
 
 use crate::strategies::runtime::RuntimePlacer;
-use robustq_engine::{
-    CostModelKind, ModelUpdate, Placement, PlacementPolicy, PolicyCtx, TaskInfo,
-};
-use robustq_sim::{DeviceId, OpClass, VirtualTime};
+use robustq_engine::{LearnedModel, Placement, PlacementPolicy, PolicyCtx, TaskInfo};
+use robustq_sim::DeviceId;
 
 /// Query chopping with operator-driven data placement.
 #[derive(Debug, Clone)]
@@ -41,11 +39,6 @@ impl Chopping {
         self.slot_override = Some(slots);
         self
     }
-
-    /// The underlying run-time placer (and its learned models).
-    pub fn placer(&self) -> &RuntimePlacer {
-        &self.placer
-    }
 }
 
 impl PlacementPolicy for Chopping {
@@ -61,20 +54,8 @@ impl PlacementPolicy for Chopping {
         self.slot_override.unwrap_or(spec_slots)
     }
 
-    fn set_cost_model(&mut self, kind: CostModelKind) {
-        self.placer.set_cost_model(kind);
-    }
-
-    fn observe(
-        &mut self,
-        op_class: OpClass,
-        device: DeviceId,
-        bytes_in: u64,
-        bytes_out: u64,
-        kernel: VirtualTime,
-        span: VirtualTime,
-    ) -> Option<ModelUpdate> {
-        Some(self.placer.observe(op_class, device, bytes_in, bytes_out, kernel, span))
+    fn learned_model(&mut self) -> Option<&mut LearnedModel> {
+        Some(self.placer.model_mut())
     }
 }
 
@@ -104,20 +85,6 @@ mod tests {
         // Placement happens per ready task.
         let d = p.place_ready(&task(1_000_000), &ctx);
         assert!(matches!(d.device, DeviceId::Cpu | DeviceId::Gpu));
-    }
-
-    #[test]
-    fn chopping_learns_from_observations() {
-        let mut p = Chopping::new();
-        p.observe(
-            OpClass::HashJoin,
-            DeviceId::Gpu,
-            10,
-            10,
-            VirtualTime::from_micros(5),
-            VirtualTime::from_micros(5),
-        );
-        assert_eq!(p.placer().model().total_observations(), 1);
     }
 
     #[test]

@@ -12,46 +12,24 @@
 //! HyPE cost models), and stops otherwise — quadratic in the number of
 //! leaves, with a fixed iteration cap for very wide plans.
 
-use crate::costmodel::build_cost_model;
-use robustq_engine::{
-    CostModel, CostModelKind, ModelUpdate, Placement, PlacementPolicy, PolicyCtx,
-    TaskInfo,
-};
-use robustq_sim::{CacheKey, DeviceId, OpClass, PerDevice, VirtualTime};
+use robustq_engine::{LearnedModel, Placement, PlacementPolicy, PolicyCtx, TaskInfo};
+use robustq_sim::{DeviceId, PerDevice, VirtualTime};
+
+/// Cap on refinement rounds (Appendix D: "a fixed number of iterations
+/// ... in case the plan contains too many leaf operators").
+const MAX_ITERATIONS: usize = 16;
 
 /// The Critical Path strategy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CriticalPath {
-    model: Box<dyn CostModel>,
-    /// Cap on refinement rounds (Appendix D: "a fixed number of
-    /// iterations ... in case the plan contains too many leaf operators").
-    max_iterations: usize,
-}
-
-impl Default for CriticalPath {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The learned cost model driving plan costing.
+    model: LearnedModel,
 }
 
 impl CriticalPath {
-    /// Critical Path with the default iteration cap.
+    /// Critical Path on an unfitted model (cold-start priors).
     pub fn new() -> Self {
-        CriticalPath {
-            model: build_cost_model(CostModelKind::Static),
-            max_iterations: 16,
-        }
-    }
-
-    /// Override the refinement-round cap.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n.max(1);
-        self
-    }
-
-    /// The learned cost models driving plan costing.
-    pub fn model(&self) -> &dyn CostModel {
-        &*self.model
+        Self::default()
     }
 
     /// Resolve placements from a set of co-processor leaves: leaves in the
@@ -100,16 +78,15 @@ impl CriticalPath {
                 .map(|&c| completion[c - base])
                 .max()
                 .unwrap_or(VirtualTime::ZERO);
-            // Transfers: base columns for co-processor scans, child
-            // results crossing a device boundary otherwise.
-            let mut move_bytes = 0u64;
-            if device.is_coprocessor() {
-                for &col in &t.base_columns {
-                    if !ctx.cache(device).contains(CacheKey(col.0 as u64)) {
-                        move_bytes += ctx.db.column_size(col);
-                    }
-                }
-            }
+            // Transfers: base columns not yet resident for co-processor
+            // scans (costed as whole columns — the search does not model
+            // shard slices), child results crossing a device boundary
+            // otherwise.
+            let mut move_bytes = if device.is_coprocessor() {
+                ctx.missing_bytes(device, &t.base_columns, None)
+            } else {
+                0
+            };
             for &c in &t.children_tasks {
                 if devices[c - base] != device {
                     move_bytes += tasks[c - base].bytes_out_estimate;
@@ -167,7 +144,7 @@ impl PlacementPolicy for CriticalPath {
         let mut best_devices = Self::closure(&chosen, tasks, base, target);
         let mut best_cost = self.response_time(&best_devices, tasks, base, ctx);
 
-        for _round in 0..self.max_iterations.min(leaves.len()) {
+        for _round in 0..MAX_ITERATIONS.min(leaves.len()) {
             let mut round_best: Option<(usize, VirtualTime, Vec<DeviceId>)> = None;
             for &leaf in &leaves {
                 if chosen[leaf] {
@@ -205,22 +182,8 @@ impl PlacementPolicy for CriticalPath {
             .collect()
     }
 
-    fn set_cost_model(&mut self, kind: CostModelKind) {
-        if self.model.kind() != kind {
-            self.model = build_cost_model(kind);
-        }
-    }
-
-    fn observe(
-        &mut self,
-        op_class: OpClass,
-        device: DeviceId,
-        bytes_in: u64,
-        bytes_out: u64,
-        kernel: VirtualTime,
-        span: VirtualTime,
-    ) -> Option<ModelUpdate> {
-        Some(self.model.observe(op_class, device, bytes_in, bytes_out, kernel, span))
+    fn learned_model(&mut self) -> Option<&mut LearnedModel> {
+        Some(&mut self.model)
     }
 }
 
@@ -228,6 +191,7 @@ impl PlacementPolicy for CriticalPath {
 mod tests {
     use super::*;
     use crate::strategies::runtime::test_support::{empty_db, fixture, fixture_k, task};
+    use robustq_sim::{CacheKey, OpClass};
     use robustq_storage::{ColumnData, DataType, Database, Field, Schema, Table};
 
     /// Build a tiny 4-task plan: two scans (ids 0,1) joined (2), then
@@ -279,22 +243,10 @@ mod tests {
         for class in robustq_sim::OpClass::ALL {
             for mb in [1u64, 8, 64] {
                 let b = mb * 1_000_000;
-                cp.observe(
-                    class,
-                    DeviceId::Cpu,
-                    b,
-                    0,
-                    VirtualTime::from_secs_f64(b as f64 / 8.0e9),
-                    VirtualTime::from_secs_f64(b as f64 / 8.0e9),
-                );
-                cp.observe(
-                    class,
-                    DeviceId::Gpu,
-                    b,
-                    0,
-                    VirtualTime::from_secs_f64(b as f64 / 24.0e9),
-                    VirtualTime::from_secs_f64(b as f64 / 24.0e9),
-                );
+                let cpu = VirtualTime::from_secs_f64(b as f64 / 8.0e9);
+                cp.model.observe(class, DeviceId::Cpu, b, 0, cpu, cpu);
+                let gpu = VirtualTime::from_secs_f64(b as f64 / 24.0e9);
+                cp.model.observe(class, DeviceId::Gpu, b, 0, gpu, gpu);
             }
         }
         cp
@@ -364,7 +316,7 @@ mod tests {
             let b = mb * 1_000_000;
             for class in robustq_sim::OpClass::ALL {
                 let d = VirtualTime::from_secs_f64(b as f64 / 24.0e9);
-                cp.observe(class, g2, b, 0, d, d);
+                cp.model.observe(class, g2, b, 0, d, d);
             }
         }
         let out = cp.plan_query(&plan_tasks(8_000_000), &ctx);
@@ -399,16 +351,34 @@ mod tests {
     }
 
     #[test]
-    fn iteration_cap_limits_rounds() {
-        let db = db_with_two_columns(10);
-        let mut fx = fixture(1 << 20);
-        fx.cache_mut(DeviceId::Gpu).set_pinned(&[(CacheKey(0), 80), (CacheKey(1), 80)]);
-        let ctx = fx.ctx(&db);
-        let mut cp = trained().with_max_iterations(1);
-        let out = cp.plan_query(&plan_tasks(80), &ctx);
-        // With tiny data the launch overheads decide; we only check the
-        // cap does not break the search.
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(Option::is_some));
+    fn residency_is_read_at_the_live_epoch() {
+        // After an append both columns live at epoch 3. Entries pinned at
+        // that epoch are resident: the chains move to the co-processor.
+        let db = db_with_two_columns(1_000_000);
+        let epochs = [3u64, 3];
+        let mut fx = fixture(1 << 30);
+        fx.cache_mut(DeviceId::Gpu).set_pinned(&[
+            (CacheKey::column_at(0, 3), 8_000_000),
+            (CacheKey::column_at(1, 3), 8_000_000),
+        ]);
+        let mut ctx = fx.ctx(&db);
+        ctx.col_epochs = &epochs;
+        let out = trained().plan_query(&plan_tasks(8_000_000), &ctx);
+        assert!(
+            out.iter().take(3).all(|p| p.as_ref().unwrap().device == DeviceId::Gpu),
+            "columns pinned at their live epoch are costed as resident"
+        );
+        // Entries left over from epoch 0 are stale: the plan is costed
+        // with both transfers and stays on the CPU.
+        let mut fx = fixture(1 << 30);
+        fx.cache_mut(DeviceId::Gpu)
+            .set_pinned(&[(CacheKey(0), 8_000_000), (CacheKey(1), 8_000_000)]);
+        let mut ctx = fx.ctx(&db);
+        ctx.col_epochs = &epochs;
+        let out = trained().plan_query(&plan_tasks(8_000_000), &ctx);
+        assert!(
+            out.iter().all(|p| p.as_ref().unwrap().device == DeviceId::Cpu),
+            "stale-epoch residency re-transfers"
+        );
     }
 }

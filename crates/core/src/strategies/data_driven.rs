@@ -12,12 +12,11 @@
 //! device and the chain follows whichever device holds the data.
 
 use crate::placement_mgr::{DataPlacementManager, PlacementPolicyKind};
-use crate::strategies::runtime::RuntimePlacer;
+use crate::strategies::RecurringMemo;
 use robustq_engine::{
-    CostModelKind, ModelUpdate, Placement, PlacementPolicy, PlaceReason, PolicyCtx,
-    TaskInfo,
+    LearnedModel, Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo,
 };
-use robustq_sim::{CacheKey, CacheSet, DeviceId, OpClass, VirtualTime};
+use robustq_sim::{CacheKey, CacheSet, DeviceId};
 use robustq_storage::Database;
 
 /// Where `task`'s base columns are resident. A shard follows its own
@@ -162,40 +161,28 @@ impl PlacementPolicy for DataDriven {
 #[derive(Debug, Clone)]
 pub struct DataDrivenChopping {
     manager: DataPlacementManager,
-    placer: RuntimePlacer,
-    slot_override: Option<usize>,
-    /// Memoized device per `(standing query, task slot)`: residency
-    /// rarely moves between window ticks, so the first tick's chain
-    /// decision is replayed ([`PlaceReason::Recurring`]) until an abort
-    /// invalidates it.
-    recurring: std::collections::BTreeMap<(u32, u32), DeviceId>,
+    /// Trained by the executor like every run-time strategy's model, but
+    /// never consulted: placement follows residency, not estimates. It
+    /// exists so a run reports est-vs-actual samples for this strategy.
+    model: LearnedModel,
+    /// Residency rarely moves between window ticks, so the first tick's
+    /// chain decision is replayed until an abort invalidates it.
+    recurring: RecurringMemo,
 }
 
 impl DataDrivenChopping {
     /// Data-driven chopping with the given ranking criterion.
     pub fn new(kind: PlacementPolicyKind) -> Self {
-        DataDrivenChopping {
-            manager: DataPlacementManager::new(kind),
-            placer: RuntimePlacer::new(),
-            slot_override: None,
-            recurring: std::collections::BTreeMap::new(),
-        }
+        Self::with_manager(DataPlacementManager::new(kind))
     }
 
     /// Override the manager (pin-budget sweeps).
     pub fn with_manager(manager: DataPlacementManager) -> Self {
         DataDrivenChopping {
             manager,
-            placer: RuntimePlacer::new(),
-            slot_override: None,
-            recurring: std::collections::BTreeMap::new(),
+            model: LearnedModel::default(),
+            recurring: RecurringMemo::default(),
         }
-    }
-
-    /// Fix the worker-slot bound on all devices (ablations).
-    pub fn with_slots(mut self, slots: usize) -> Self {
-        self.slot_override = Some(slots);
-        self
     }
 }
 
@@ -207,12 +194,8 @@ impl PlacementPolicy for DataDrivenChopping {
     fn place_ready(&mut self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
         // Standing-query ticks replay the previous tick's decision for
         // the same task slot; aborts drop the memo and re-derive.
-        if let Some(slot) = task.recurring {
-            if task.was_aborted {
-                self.recurring.remove(&slot);
-            } else if let Some(&device) = self.recurring.get(&slot) {
-                return Placement::fixed(device).because(PlaceReason::Recurring);
-            }
+        if let Some(replayed) = self.recurring.lookup(task, |_| true) {
+            return replayed;
         }
         let placed = if self.manager.shard_ways() >= 2 && task.shard.is_none() {
             query_home(task, ctx)
@@ -225,36 +208,19 @@ impl PlacementPolicy for DataDrivenChopping {
             Placement::fixed(data_driven_device(task, cached))
                 .because(PlaceReason::DataResidency)
         });
-        if let Some(slot) = task.recurring {
-            if !task.was_aborted {
-                self.recurring.insert(slot, placed.device);
-            }
-        }
-        placed
+        self.recurring.record(task, placed)
     }
 
     fn worker_slots(&self, _device: DeviceId, spec_slots: usize) -> usize {
-        self.slot_override.unwrap_or(spec_slots)
+        spec_slots
     }
 
     fn caches_on_miss(&self) -> bool {
         false
     }
 
-    fn set_cost_model(&mut self, kind: CostModelKind) {
-        self.placer.set_cost_model(kind);
-    }
-
-    fn observe(
-        &mut self,
-        op_class: OpClass,
-        device: DeviceId,
-        bytes_in: u64,
-        bytes_out: u64,
-        kernel: VirtualTime,
-        span: VirtualTime,
-    ) -> Option<ModelUpdate> {
-        Some(self.placer.observe(op_class, device, bytes_in, bytes_out, kernel, span))
+    fn learned_model(&mut self) -> Option<&mut LearnedModel> {
+        Some(&mut self.model)
     }
 
     fn update_data_placement(
@@ -433,8 +399,6 @@ mod tests {
     fn slot_bounds() {
         let p = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
         assert_eq!(p.worker_slots(DeviceId::Gpu, 4), 4);
-        let p = p.with_slots(1);
-        assert_eq!(p.worker_slots(DeviceId::Gpu, 4), 1);
         // Compile-time DataDriven does not chop.
         let p = DataDriven::new(PlacementPolicyKind::Lfu);
         assert_eq!(p.worker_slots(DeviceId::Gpu, 4), usize::MAX);

@@ -8,87 +8,61 @@
 //! topology is a candidate: the placer ranks the CPU and all K
 //! co-processors by estimated completion time.
 
-use crate::costmodel::build_cost_model;
+use crate::strategies::RecurringMemo;
 use robustq_engine::{
-    CostModel, CostModelKind, ModelUpdate, Placement, PlacementPolicy, PlaceReason,
-    PolicyCtx, TaskInfo,
+    LearnedModel, Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo,
 };
-use robustq_sim::{partition_bytes, DeviceId, OpClass, PerDevice, VirtualTime};
-use std::collections::BTreeMap;
+use robustq_sim::{DeviceId, PerDevice, VirtualTime};
+
+/// The run-time heap veto: whether `device` has room for `task` next to
+/// what it is already running (always true for the CPU's host memory).
+///
+/// One advantage of placing at run time (Section 4): current heap usage
+/// and co-processor occupancy are observable. The check is deliberately
+/// crude — it projects this task's input size onto the already-running
+/// operators (2× input each, below the real 3.25× selection footprint)
+/// — so heterogeneous workloads still cause aborts, just fewer than
+/// blind compile-time placement (Figure 13's middle curve).
+fn heap_admits(task: &TaskInfo, device: DeviceId, ctx: &PolicyCtx) -> bool {
+    let projected = (1 + ctx.running.get_padded(device) as u64)
+        .saturating_mul(task.bytes_in.saturating_mul(2));
+    !device.is_coprocessor() || ctx.heap_free.get_padded(device) >= projected
+}
 
 /// The shared run-time placement logic: estimated-completion-time
 /// minimization over all devices, using learned kernel models plus
 /// measured transfer bandwidth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuntimePlacer {
-    /// The learned kernel/transfer models behind the unified
-    /// [`CostModel`] surface ([`StaticCostModel`](crate::StaticCostModel)
-    /// by default).
-    model: Box<dyn CostModel>,
-    /// Memoized device per `(standing query, task slot)`: a standing
-    /// query re-submits the same plan every window tick, so the first
-    /// tick's ranked decision is reused for later ticks
-    /// ([`PlaceReason::Recurring`]) as long as the device stays viable.
-    recurring: BTreeMap<(u32, u32), DeviceId>,
-}
-
-impl Default for RuntimePlacer {
-    fn default() -> Self {
-        RuntimePlacer {
-            model: build_cost_model(CostModelKind::Static),
-            recurring: BTreeMap::new(),
-        }
-    }
+    /// The learned kernel/transfer model (regressions on cold-start
+    /// priors until the executor selects and trains it).
+    model: LearnedModel,
+    /// A standing query re-submits the same plan every window tick, so
+    /// the first tick's ranked decision is reused for later ticks as
+    /// long as the device stays viable.
+    recurring: RecurringMemo,
 }
 
 impl RuntimePlacer {
-    /// A placer with unfitted models (cold-start priors).
+    /// A placer with an unfitted model (cold-start priors).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The active cost model (tests and reports inspect learned state).
-    pub fn model(&self) -> &dyn CostModel {
-        &*self.model
-    }
-
-    /// Swap the cost model for the kind an executor run requests. The
-    /// learned state survives when the kind is already active — warm-up
-    /// runs train the model the measured run uses.
-    pub fn set_cost_model(&mut self, kind: CostModelKind) {
-        if self.model.kind() != kind {
-            self.model = build_cost_model(kind);
-        }
+    /// The cost model the placer estimates with; the executor selects
+    /// its kind and trains it through
+    /// [`PlacementPolicy::learned_model`].
+    pub fn model_mut(&mut self) -> &mut LearnedModel {
+        &mut self.model
     }
 
     /// Bytes that would have to cross `device`'s host link host→device
-    /// for `task` to run there. A child resident on *another*
-    /// co-processor has no direct link, so its output crosses twice
-    /// (device→host, then host→device).
+    /// for `task` to run there: base columns (or shard slices) not yet
+    /// resident, plus child outputs held elsewhere. A child resident on
+    /// *another* co-processor has no direct link, so its output crosses
+    /// twice (device→host, then host→device).
     fn h2d_bytes(&self, task: &TaskInfo, device: DeviceId, ctx: &PolicyCtx) -> u64 {
-        let mut bytes = 0;
-        for &col in &task.base_columns {
-            let full = ctx.db.column_size(col);
-            match task.shard {
-                // A shard stages only its slice, resident under either
-                // the matching partition key or the whole column (both at
-                // the column's current data epoch — stale residency from
-                // before an append re-transfers).
-                Some(s) => {
-                    let cache = ctx.cache(device);
-                    if !cache.contains(ctx.partition_key(col, s.index, s.of))
-                        && !cache.contains(ctx.column_key(col))
-                    {
-                        bytes += partition_bytes(full, s.index, s.of);
-                    }
-                }
-                None => {
-                    if !ctx.cache(device).contains(ctx.column_key(col)) {
-                        bytes += full;
-                    }
-                }
-            }
-        }
+        let mut bytes = ctx.missing_bytes(device, &task.base_columns, task.shard);
         for (&dev, &b) in task.children_devices.iter().zip(&task.children_bytes) {
             if dev == device {
                 continue;
@@ -135,28 +109,16 @@ impl RuntimePlacer {
     /// wins exact draws). The returned [`Placement`] carries all
     /// estimates so the decision is auditable from the trace.
     ///
-    /// One advantage of placing at run time (Section 4): current heap
-    /// usage and co-processor occupancy are observable. The admission
-    /// check is deliberately crude — it projects this task's input size
-    /// onto the already-running operators (2× input each, below the real
-    /// 3.25× selection footprint) — so heterogeneous workloads still
-    /// cause aborts, just fewer than blind compile-time placement
-    /// (Figure 13's middle curve). Each co-processor is vetoed
-    /// independently; when every co-processor is under heap pressure the
-    /// task falls back to the CPU with [`PlaceReason::HeapPressure`].
+    /// Each co-processor is vetoed independently by [`heap_admits`];
+    /// when every co-processor is under heap pressure the task falls
+    /// back to the CPU with [`PlaceReason::HeapPressure`].
     pub fn choose(&self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
         let est = PerDevice::from_fn(ctx.topology.device_count(), |d| {
             self.completion_estimate(task, d, ctx)
         });
         let coproc_count = ctx.topology.coprocessor_count();
-        let eligible: Vec<DeviceId> = ctx
-            .coprocessors()
-            .filter(|&d| {
-                let projected = (1 + ctx.running.get_padded(d) as u64)
-                    .saturating_mul(task.bytes_in.saturating_mul(2));
-                ctx.heap_free.get_padded(d) >= projected
-            })
-            .collect();
+        let eligible: Vec<DeviceId> =
+            ctx.coprocessors().filter(|&d| heap_admits(task, d, ctx)).collect();
         if coproc_count > 0 && eligible.is_empty() {
             return Placement::modeled(DeviceId::Cpu, est)
                 .because(PlaceReason::HeapPressure);
@@ -186,49 +148,17 @@ impl RuntimePlacer {
         Placement::modeled(device, est)
     }
 
-    /// [`RuntimePlacer::choose`] with standing-query memoization: the
-    /// first time a `(standing, slot)` pair is placed, the ranked choice
-    /// is recorded; later window ticks reuse that device with
-    /// [`PlaceReason::Recurring`] — skipping the ranking — as long as it
-    /// still passes the heap veto. An abort or a failed veto drops the
-    /// memo and re-ranks (the fleet may have changed shape). Tasks of
-    /// ordinary queries (`recurring == None`) always take the plain path.
+    /// [`RuntimePlacer::choose`] with standing-query memoization: later
+    /// window ticks replay the first tick's device — skipping the
+    /// ranking — as long as it still passes the heap veto; an abort or a
+    /// failed veto re-ranks (the fleet may have changed shape). Tasks of
+    /// ordinary queries always take the plain path.
     pub fn choose_recurring(&mut self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
-        let Some(slot) = task.recurring else {
-            return self.choose(task, ctx);
-        };
-        if task.was_aborted {
-            self.recurring.remove(&slot);
-            return self.choose(task, ctx);
-        }
-        if let Some(&device) = self.recurring.get(&slot) {
-            let viable = !device.is_coprocessor() || {
-                let projected = (1 + ctx.running.get_padded(device) as u64)
-                    .saturating_mul(task.bytes_in.saturating_mul(2));
-                ctx.heap_free.get_padded(device) >= projected
-            };
-            if viable {
-                return Placement::fixed(device).because(PlaceReason::Recurring);
-            }
-            self.recurring.remove(&slot);
+        if let Some(replayed) = self.recurring.lookup(task, |d| heap_admits(task, d, ctx)) {
+            return replayed;
         }
         let placed = self.choose(task, ctx);
-        self.recurring.insert(slot, placed.device);
-        placed
-    }
-
-    /// Feed one completed-operator observation to the models and report
-    /// the predicted-vs-actual sample.
-    pub fn observe(
-        &mut self,
-        op_class: OpClass,
-        device: DeviceId,
-        bytes_in: u64,
-        bytes_out: u64,
-        kernel: VirtualTime,
-        span: VirtualTime,
-    ) -> ModelUpdate {
-        self.model.observe(op_class, device, bytes_in, bytes_out, kernel, span)
+        self.recurring.record(task, placed)
     }
 }
 
@@ -244,11 +174,6 @@ impl RuntimePlacement {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The underlying placer (and its learned models).
-    pub fn placer(&self) -> &RuntimePlacer {
-        &self.placer
-    }
 }
 
 impl PlacementPolicy for RuntimePlacement {
@@ -260,27 +185,17 @@ impl PlacementPolicy for RuntimePlacement {
         self.placer.choose_recurring(task, ctx)
     }
 
-    fn set_cost_model(&mut self, kind: CostModelKind) {
-        self.placer.set_cost_model(kind);
-    }
-
-    fn observe(
-        &mut self,
-        op_class: OpClass,
-        device: DeviceId,
-        bytes_in: u64,
-        bytes_out: u64,
-        kernel: VirtualTime,
-        span: VirtualTime,
-    ) -> Option<ModelUpdate> {
-        Some(self.placer.observe(op_class, device, bytes_in, bytes_out, kernel, span))
+    fn learned_model(&mut self) -> Option<&mut LearnedModel> {
+        Some(self.placer.model_mut())
     }
 }
 
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
-    use robustq_sim::{CachePolicy, CacheSet, DataCache, DeviceSpec, LinkParams, Topology};
+    use robustq_sim::{
+        CachePolicy, CacheSet, DataCache, DeviceSpec, LinkParams, OpClass, Topology,
+    };
     use robustq_storage::Database;
 
     pub fn empty_db() -> Database {
@@ -358,6 +273,7 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::*;
     use super::*;
+    use robustq_sim::OpClass;
 
     /// Teach the estimator that a co-processor is much faster.
     fn trained_placer(devices: &[DeviceId]) -> RuntimePlacer {
@@ -366,14 +282,8 @@ mod tests {
             let b = mb * 1_000_000;
             for &d in devices {
                 let rate = if d.is_coprocessor() { 30.0e9 } else { 10.0e9 };
-                p.observe(
-                    OpClass::Selection,
-                    d,
-                    b,
-                    0,
-                    VirtualTime::from_secs_f64(b as f64 / rate),
-                    VirtualTime::from_secs_f64(b as f64 / rate),
-                );
+                let took = VirtualTime::from_secs_f64(b as f64 / rate);
+                p.model_mut().observe(OpClass::Selection, d, b, 0, took, took);
             }
         }
         p
@@ -518,50 +428,7 @@ mod tests {
         let placed = p.place_ready(&t, &ctx);
         assert_eq!(placed.device, DeviceId::Gpu);
         assert!(placed.est[DeviceId::Cpu] > placed.est[DeviceId::Gpu]);
-        let u = p
-            .observe(
-                OpClass::Selection,
-                placed.device,
-                1,
-                1,
-                VirtualTime::from_micros(1),
-                VirtualTime::from_micros(1),
-            )
-            .expect("runtime placement reports samples");
-        assert!(!u.refined, "default model is static");
-        assert_eq!(p.placer().model().total_observations(), 1);
-    }
-
-    #[test]
-    fn set_cost_model_swaps_only_on_kind_change() {
-        let mut p = RuntimePlacer::new();
-        p.observe(
-            OpClass::Selection,
-            DeviceId::Gpu,
-            8,
-            4,
-            VirtualTime::from_micros(1),
-            VirtualTime::from_micros(1),
-        );
-        // Same kind: learned state survives (warm-up → measured run).
-        p.set_cost_model(CostModelKind::Static);
-        assert_eq!(p.model().total_observations(), 1);
-        // Kind change: fresh model of the new kind.
-        p.set_cost_model(CostModelKind::Adaptive { seed: 11 });
-        assert_eq!(p.model().name(), "adaptive");
-        assert_eq!(p.model().total_observations(), 0);
-        let u = p
-            .observe(
-                OpClass::Selection,
-                DeviceId::Gpu,
-                8,
-                4,
-                VirtualTime::from_micros(1),
-                VirtualTime::from_micros(1),
-            );
-        assert!(u.refined, "adaptive samples refine");
-        // Same adaptive seed again: still no rebuild.
-        p.set_cost_model(CostModelKind::Adaptive { seed: 11 });
-        assert_eq!(p.model().total_observations(), 1);
+        let model = p.learned_model().expect("run-time placement estimates with a model");
+        assert_eq!(model.total_observations(), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! Sessions run closed-loop — each submits its next query when the
 //! previous one completes — or open-loop, where a pre-computed arrival
 //! schedule submits queries at fixed virtual-time instants regardless of
-//! progress (DESIGN.md §13). Admission control (the reference mechanism
+//! progress (DESIGN.md §10). Admission control (the reference mechanism
 //! of Section 6.2.2) bounds how many queries execute concurrently;
 //! queries waiting for admission accrue latency from their submission
 //! instant. Under overload the queue-depth cap sheds submissions
@@ -100,7 +100,7 @@ pub(crate) fn expand_shards(
 impl Sim<'_, '_> {
     /// Offer a submission to the admission queue, shedding it on the spot
     /// when the queue is at its depth cap (open-loop overload protection,
-    /// DESIGN.md §13). Default options (`queue_cap == usize::MAX`) never
+    /// DESIGN.md §10). Default options (`queue_cap == usize::MAX`) never
     /// shed, keeping closed-loop runs byte-identical to earlier releases.
     pub(crate) fn submit_query(&mut self, sub: Submission) {
         if self.admission_queue.len() >= self.opts.queue_cap {
@@ -187,7 +187,7 @@ impl Sim<'_, '_> {
                 }
             }
         }
-        // Intra-operator sharding (DESIGN.md §12): qualifying leaf scans
+        // Intra-operator sharding (DESIGN.md §6): qualifying leaf scans
         // fan out across the co-processor fleet. One shard per
         // co-processor at most — with fewer than two there is nothing to
         // spread, and the graph stays byte-identical to sharding off.

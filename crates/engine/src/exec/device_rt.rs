@@ -207,7 +207,7 @@ impl Sim<'_, '_> {
                 + bytes_out;
             // Larger-than-heap operators: with chunked staging enabled
             // they partition and stream instead of walking into a
-            // guaranteed mid-flight abort (DESIGN.md §15).
+            // guaranteed mid-flight abort (DESIGN.md §6).
             if self.opts.chunked_staging
                 && input_transfer_bytes + footprint > self.heaps.device(device).capacity()
             {
@@ -329,7 +329,7 @@ impl Sim<'_, '_> {
 
     /// Chunked out-of-core execution of a larger-than-heap operator:
     /// partition → transfer → execute → evict over the device's existing
-    /// link machinery (DESIGN.md §15).
+    /// link machinery (DESIGN.md §6).
     ///
     /// The operator takes one fixed working allocation sized for a single
     /// chunk, streams its input in chunk-sized slices over the host link

@@ -20,15 +20,15 @@
 //!
 //! This module is the thin public surface; the runtime itself is layered
 //! (see `event_loop`, `device_rt`, `transfer`, `memory`, `admission` and
-//! DESIGN.md §11 for the module map).
+//! DESIGN.md §6 for the module map).
 
 use crate::error::EngineError;
 use crate::estimate;
-use crate::exec::costmodel::{CostModelKind, ModelUpdate};
 use crate::exec::device_rt::DeviceSet;
 use crate::exec::event_loop::{Sim, Submission};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{QueryOutcome, RunMetrics, StagingStats};
+use crate::exec::model::{CostModelKind, ModelUpdate};
 use crate::exec::policy::PlacementPolicy;
 use crate::parallel::ParallelCtx;
 use crate::plan::PlanNode;
@@ -61,7 +61,7 @@ pub struct ExecOptions {
     /// bit-identical to serial, and *virtual* time comes from the cost
     /// model either way. Defaults to serial.
     pub parallel: ParallelCtx,
-    /// Deterministic fault injection (chaos testing, DESIGN.md §8). The
+    /// Deterministic fault injection (chaos testing, DESIGN.md §4). The
     /// executor clones the plan at run start; with the default
     /// [`FaultPlan::disabled`] the fault layer is provably zero-cost —
     /// no generator draws, bit-identical runs.
@@ -69,11 +69,11 @@ pub struct ExecOptions {
     /// Recovery policy for transient transfer faults: bounded
     /// retry-with-backoff in virtual time.
     pub retry: RetryPolicy,
-    /// Structured tracing (DESIGN.md §10). The default disabled tracer is
+    /// Structured tracing (DESIGN.md §11). The default disabled tracer is
     /// a single-branch no-op: no allocations, byte-identical runs. Enable
     /// with [`Tracer::new`] and keep a clone to read the events back.
     pub tracer: Tracer,
-    /// Intra-operator sharding (DESIGN.md §12): split qualifying leaf
+    /// Intra-operator sharding (DESIGN.md §6): split qualifying leaf
     /// scans into this many device-shards at admission, merged by a
     /// CPU-side barrier task. `0` disables sharding (the default — task
     /// graphs are byte-identical to earlier releases). Values are clamped
@@ -84,19 +84,18 @@ pub struct ExecOptions {
     /// smaller scans stay whole (fan-out overhead would dominate).
     pub shard_min_bytes: f64,
     /// Admission-queue depth cap (open-loop overload protection,
-    /// DESIGN.md §13): a query arriving while the queue holds this many
+    /// DESIGN.md §10): a query arriving while the queue holds this many
     /// waiters is shed immediately. `usize::MAX` (the default) never
     /// sheds.
     pub queue_cap: usize,
-    /// Which learned cost model the placement policy should estimate
-    /// with ([`CostModelKind::Static`] by default — bit-identical to
-    /// pre-trait behaviour). Forwarded to
-    /// [`PlacementPolicy::set_cost_model`] once per run.
+    /// Which kind of learned cost model the placement policy estimates
+    /// with ([`CostModelKind::Static`] by default). Applied to
+    /// [`PlacementPolicy::learned_model`] when a run starts.
     pub cost_model: CostModelKind,
     /// Chunked out-of-core staging: operators whose device footprint
     /// exceeds the heap are partitioned into chunks that transfer,
     /// execute and evict in sequence instead of aborting to the CPU
-    /// (DESIGN.md §15). Disabled by default — the staged-allocation
+    /// (DESIGN.md §6). Disabled by default — the staged-allocation
     /// abort path of Section 2.5.1 is part of the golden behaviour.
     pub chunked_staging: bool,
 }
@@ -152,7 +151,7 @@ pub enum WindowKind {
 }
 
 /// A query registered once and re-executed per window tick against the
-/// feed-table rows its window covers (DESIGN.md §16). Every tick goes
+/// feed-table rows its window covers (DESIGN.md §6). Every tick goes
 /// through ordinary admission control; its results are bit-identical to
 /// running the same plan one-shot against a static snapshot of the
 /// window's rows.
@@ -216,7 +215,7 @@ pub struct Schedule {
     /// contain every scheduled append (build it, then replay it): a
     /// commit only flips epochs and cache residency.
     pub feed: FeedSchedule,
-    /// Standing queries, fired once per window tick (DESIGN.md §16).
+    /// Standing queries, fired once per window tick (DESIGN.md §6).
     pub standing: Vec<StandingQuery>,
 }
 

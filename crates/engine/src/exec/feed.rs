@@ -1,4 +1,4 @@
-//! Feed replay and standing-query windows (DESIGN.md §16).
+//! Feed replay and standing-query windows (DESIGN.md §6).
 //!
 //! Streaming runs replay a pre-built append history in virtual time: the
 //! executor receives the database with every batch already appended

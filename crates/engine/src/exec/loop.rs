@@ -13,11 +13,11 @@
 
 use crate::batch::LazyChunk;
 use crate::error::EngineError;
-use crate::exec::costmodel::ModelUpdate;
 use crate::exec::device_rt::DeviceSet;
 use crate::exec::executor::{ExecOptions, RunOutcome};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{FaultCounters, QueryOutcome, RunMetrics, StagingStats};
+use crate::exec::model::ModelUpdate;
 use crate::exec::policy::{PlacementPolicy, TaskInfo};
 use crate::exec::task::TaskNode;
 use crate::plan::PlanNode;
@@ -133,7 +133,7 @@ pub(crate) enum Ev {
     DeviceTick { device: DeviceId, version: u64 },
     QueryDone { query: usize },
     /// An open-loop arrival fires: the indexed entry of `Sim::arrivals`
-    /// is submitted for admission (DESIGN.md §13).
+    /// is submitted for admission (DESIGN.md §10).
     Arrive { arrival: usize },
     /// A feed append batch commits: the indexed entry of
     /// `Sim::feed.appends` bumps column epochs and invalidates stale
@@ -195,10 +195,12 @@ impl Sim<'_, '_> {
         // The caches may be warm from a previous run on the same handle;
         // metrics report this run's probes only (matching the trace).
         let (base_hits, base_misses) = self.cache_hit_miss();
-        // Pick the cost model before anything executes; policies keep
-        // their learned state when the kind is unchanged (warm-up →
+        // Pick the cost model before anything executes; a model keeps
+        // its learned state when the kind is unchanged (warm-up →
         // measured run continuity).
-        self.policy.set_cost_model(self.opts.cost_model);
+        if let Some(model) = self.policy.learned_model() {
+            model.select(self.opts.cost_model);
+        }
         // Initial data placement from whatever statistics already exist
         // (the paper pre-loads access structures before each benchmark,
         // Section 6.1) — free of charge, like `ExecOptions::preload`.

@@ -225,14 +225,15 @@ impl Sim<'_, '_> {
         let t = &self.tasks[task];
         let query_id = t.query as u32;
         let task_id = task as u32;
-        if let Some(update) = self.policy.observe(
-            t.node.op.op_class(),
-            device,
-            t.bytes_in,
-            t.output_bytes,
-            t.kernel_duration,
-            busy,
-        ) {
+        if let Some(model) = self.policy.learned_model() {
+            let update = model.observe(
+                t.node.op.op_class(),
+                device,
+                t.bytes_in,
+                t.output_bytes,
+                t.kernel_duration,
+                busy,
+            );
             // Adaptive refinements enter the trace stream so est-vs-actual
             // error is auditable per run; static samples are collected on
             // the side only (default traced runs stay byte-identical).

@@ -45,7 +45,7 @@ impl FaultCounters {
     }
 }
 
-/// Chunked out-of-core staging counters (DESIGN.md §15).
+/// Chunked out-of-core staging counters (DESIGN.md §6).
 ///
 /// Carried on `RunOutcome` beside [`RunMetrics`] — deliberately *not*
 /// inside it, so the Debug fingerprint of default (non-staging) runs is
@@ -115,7 +115,7 @@ pub struct RunMetrics {
     /// Number of queries executed.
     pub queries: usize,
     /// Queries shed by admission control instead of executed (open-loop
-    /// overload protection, DESIGN.md §13). Always zero in closed-loop
+    /// overload protection, DESIGN.md §10). Always zero in closed-loop
     /// runs with default options.
     pub shed: u64,
     /// Aggregated fault-recovery counters (sum of per-query counters

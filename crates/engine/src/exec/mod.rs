@@ -3,8 +3,9 @@
 //! * [`task`] — flattened task graphs built from physical plans,
 //! * [`policy`] — the [`policy::PlacementPolicy`] trait the placement
 //!   strategies implement,
-//! * [`costmodel`] — the unified [`costmodel::CostModel`] estimation
-//!   surface (static vs online-adaptive, selected per run),
+//! * [`model`] — the learned cost model ([`model::LearnedModel`]:
+//!   regression or EWMA cells, selected per run) the executor trains and
+//!   the strategies estimate with,
 //! * [`metrics`] — run metrics (makespan, transfer times, aborts, wasted
 //!   time),
 //! * [`pipeline`] — the pipeline-fusion pass: filter→aggregate and
@@ -19,7 +20,6 @@
 //!   * [`admission`] — session lifecycle and query admission control.
 
 pub mod admission;
-pub mod costmodel;
 pub mod device_rt;
 pub mod feed;
 #[path = "loop.rs"]
@@ -27,6 +27,7 @@ pub mod event_loop;
 pub mod executor;
 pub mod memory;
 pub mod metrics;
+pub mod model;
 pub mod pipeline;
 pub mod policy;
 pub mod task;

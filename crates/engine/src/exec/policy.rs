@@ -9,8 +9,8 @@
 //! 2. **task readiness** — deferred tasks are placed by
 //!    [`PlacementPolicy::place_ready`] with *exact* input cardinalities
 //!    (run-time placement, Section 4);
-//! 3. **operator completion** — [`PlacementPolicy::observe`] feeds the
-//!    learned cost models, and periodically
+//! 3. **operator completion** — the executor feeds the sample to the
+//!    strategy's [`PlacementPolicy::learned_model`], and periodically
 //!    [`PlacementPolicy::update_data_placement`] lets a data-driven
 //!    strategy re-pin the co-processor caches (Section 3.2, Algorithm 1).
 //!
@@ -25,9 +25,11 @@
 //! Nothing in the interface assumes K = 1; strategies rank candidate
 //! devices by iterating [`PolicyCtx::devices`].
 
-use crate::exec::costmodel::{CostModelKind, ModelUpdate};
+use crate::exec::model::LearnedModel;
+use crate::exec::task::ShardSpec;
 use robustq_sim::{
-    CacheKey, CacheSet, DataCache, DeviceId, OpClass, PerDevice, Topology, VirtualTime,
+    partition_bytes, CacheKey, CacheSet, DataCache, DeviceId, OpClass, PerDevice, Topology,
+    VirtualTime,
 };
 use robustq_storage::{ColumnId, Database};
 pub use robustq_trace::PlaceReason;
@@ -97,8 +99,8 @@ pub struct TaskInfo {
     pub was_aborted: bool,
     /// For sharded scans: which piece of the partitioned operator this
     /// is. Shard-aware strategies spread shards across the fleet instead
-    /// of argmin-ing a single winner (DESIGN.md §12).
-    pub shard: Option<crate::exec::task::ShardSpec>,
+    /// of argmin-ing a single winner (DESIGN.md §7).
+    pub shard: Option<ShardSpec>,
     /// For tasks of a standing query: `(standing id, task slot)`. Every
     /// window tick re-submits the same plan, so the slot identifies "the
     /// same operator as last tick" — strategies may memoize its placement
@@ -193,13 +195,36 @@ impl PolicyCtx<'_> {
         &self,
         device: DeviceId,
         cols: &[ColumnId],
-        shard: crate::exec::task::ShardSpec,
+        shard: ShardSpec,
     ) -> bool {
         let cache = self.caches.device(device);
         cols.iter().all(|c| {
             cache.contains(self.partition_key(*c, shard.index, shard.of))
                 || cache.contains(self.column_key(*c))
         })
+    }
+
+    /// Bytes of `cols` a scan on co-processor `device` would still have
+    /// to stage: every column not resident there *at its current epoch* counts in
+    /// full — or, for one `shard` of a partitioned scan, with its slice,
+    /// unless the matching partition entry or the whole column is
+    /// resident. The one residency arithmetic behind every transfer
+    /// estimate; stale-epoch entries re-transfer.
+    pub fn missing_bytes(
+        &self,
+        device: DeviceId,
+        cols: &[ColumnId],
+        shard: Option<ShardSpec>,
+    ) -> u64 {
+        let cache = self.cache(device);
+        cols.iter()
+            .filter(|&&col| !cache.contains(self.column_key(col)))
+            .map(|&col| match shard {
+                Some(s) if cache.contains(self.partition_key(col, s.index, s.of)) => 0,
+                Some(s) => partition_bytes(self.db.column_size(col), s.index, s.of),
+                None => self.db.column_size(col),
+            })
+            .sum()
     }
 
     /// The co-processor holding all of `cols` for `shard`, or `None`.
@@ -213,7 +238,7 @@ impl PolicyCtx<'_> {
     pub fn shard_cached_device(
         &self,
         cols: &[ColumnId],
-        shard: crate::exec::task::ShardSpec,
+        shard: ShardSpec,
     ) -> Option<DeviceId> {
         if cols.is_empty() {
             return None;
@@ -275,30 +300,12 @@ pub trait PlacementPolicy {
         true
     }
 
-    /// Select the cost model backing this policy's estimates
-    /// ([`crate::exec::costmodel::CostModelKind`], threaded from
-    /// `ExecOptions`). Policies without a learned model ignore it; the
-    /// executor calls this once per run, before any query is admitted.
-    fn set_cost_model(&mut self, kind: CostModelKind) {
-        let _ = kind;
-    }
-
-    /// Observe one completed operator (kernel time only, no transfers) —
-    /// the learning signal for HyPE-style cost models.
-    ///
-    /// Policies backed by a [`crate::exec::costmodel::CostModel`] return
-    /// the predicted-vs-actual [`ModelUpdate`] so the executor can audit
-    /// estimation error per run; model-free policies return `None`.
-    fn observe(
-        &mut self,
-        op_class: OpClass,
-        device: DeviceId,
-        bytes_in: u64,
-        bytes_out: u64,
-        kernel: VirtualTime,
-        span: VirtualTime,
-    ) -> Option<ModelUpdate> {
-        let _ = (op_class, device, bytes_in, bytes_out, kernel, span);
+    /// The learned cost model behind this policy's estimates, if it has
+    /// one. The executor drives it: it selects the run's
+    /// [`CostModelKind`](crate::exec::model::CostModelKind) before any
+    /// query is admitted and feeds every completed operator to it.
+    /// Model-free policies keep the default `None`.
+    fn learned_model(&mut self) -> Option<&mut LearnedModel> {
         None
     }
 
@@ -316,20 +323,6 @@ pub trait PlacementPolicy {
     ) -> Vec<(DeviceId, CacheKey)> {
         let _ = (db, caches, epochs);
         Vec::new()
-    }
-}
-
-/// The trivial CPU-only baseline (also useful in tests).
-#[derive(Debug, Default, Clone)]
-pub struct CpuOnlyPolicy;
-
-impl PlacementPolicy for CpuOnlyPolicy {
-    fn name(&self) -> &'static str {
-        "cpu-only"
-    }
-
-    fn plan_query(&mut self, tasks: &[TaskInfo], _ctx: &PolicyCtx) -> Vec<Option<Placement>> {
-        vec![Some(Placement::fixed(DeviceId::Cpu)); tasks.len()]
     }
 }
 
@@ -396,17 +389,7 @@ mod tests {
         assert_eq!(placed.reason, PlaceReason::Static);
         assert_eq!(p.worker_slots(DeviceId::Gpu, 4), usize::MAX);
         assert!(p.caches_on_miss());
-        p.set_cost_model(CostModelKind::Adaptive { seed: 7 });
-        assert!(p
-            .observe(
-                OpClass::Selection,
-                DeviceId::Cpu,
-                8,
-                4,
-                VirtualTime::from_micros(1),
-                VirtualTime::from_micros(1),
-            )
-            .is_none());
+        assert!(p.learned_model().is_none(), "model-free by default");
         let mut caches2 = CacheSet::for_topology(&t, CachePolicy::Lru);
         assert!(p.update_data_placement(&db, &mut caches2, &[]).is_empty());
     }
@@ -449,6 +432,35 @@ mod tests {
     }
 
     #[test]
+    fn missing_bytes_reads_residency_at_the_live_epoch() {
+        use robustq_storage::{ColumnData, DataType, Field, Schema, Table};
+        let mut db = Database::new();
+        let fields = vec![Field::new("a", DataType::Int64), Field::new("b", DataType::Int64)];
+        let cols = vec![ColumnData::Int64(vec![0; 100]), ColumnData::Int64(vec![0; 100])];
+        db.add_table(Table::new("t", Schema::new(fields), cols).unwrap()).unwrap();
+        let (a, b) = (ColumnId(0), ColumnId(1));
+        let t = topology();
+        let mut caches = CacheSet::for_topology(&t, CachePolicy::Lru);
+        let gpu = caches.device_mut(DeviceId::Gpu);
+        gpu.insert(CacheKey::column_at(0, 2), 80);
+        gpu.insert(CacheKey::partition_at(1, 1, 4, 2), 20);
+        let shard = |index| Some(ShardSpec { index, of: 4 });
+
+        // Both columns live at epoch 2: `a` is resident whole, `b` only
+        // as partition 1 of 4.
+        let mut c = ctx(&db, &t, &caches);
+        c.col_epochs = &[2, 2];
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], None), 800);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], shard(1)), 0);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], shard(0)), 200, "b's other slice");
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[], None), 0);
+        // A batch run reads epoch 0, where neither entry counts.
+        c.col_epochs = &[];
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], None), 1_600);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], shard(1)), 400);
+    }
+
+    #[test]
     fn least_loaded_coprocessor_breaks_ties_low() {
         let db = Database::new();
         let t = topology().with_coprocessor(
@@ -460,20 +472,5 @@ mod tests {
         assert_eq!(c.least_loaded_coprocessor(), Some(DeviceId::Gpu));
         c.queued_work[DeviceId::Gpu] = VirtualTime::from_micros(10);
         assert_eq!(c.least_loaded_coprocessor(), Some(DeviceId::coprocessor(2)));
-    }
-
-    #[test]
-    fn cpu_only_pins_everything_to_cpu() {
-        let mut p = CpuOnlyPolicy;
-        let db = Database::new();
-        let t = topology();
-        let caches = CacheSet::for_topology(&t, CachePolicy::Lru);
-        let ctx = ctx(&db, &t, &caches);
-        let info = info();
-        assert_eq!(
-            p.plan_query(&[info.clone(), info], &ctx),
-            vec![Some(Placement::fixed(DeviceId::Cpu)); 2]
-        );
-        assert_eq!(p.name(), "cpu-only");
     }
 }

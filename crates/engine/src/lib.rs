@@ -43,12 +43,12 @@ pub mod vectorized;
 pub use batch::{Chunk, LazyChunk, SelVec};
 pub use error::EngineError;
 pub use parallel::{KernelClass, ParallelCtx};
-pub use exec::costmodel::{CostModel, CostModelKind, ModelUpdate};
 pub use exec::executor::{
     Arrival, ExecOptions, Executor, FeedEvent, FeedSchedule, RunOutcome, Schedule, StandingQuery,
     WindowKind,
 };
 pub use exec::metrics::{RunMetrics, StagingStats};
+pub use exec::model::{CostModelKind, LearnedModel, ModelUpdate};
 pub use exec::pipeline::{execute_plan_fused, fusion_sites, FusedKind};
 pub use exec::policy::{Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo};
 pub use exec::task::ShardSpec;

@@ -65,7 +65,7 @@ pub struct CompressedSel {
 
 /// The strategy [`select_compressed`] will use for `col` under `pred`
 /// when the predicate references column `name` (the fallback matrix of
-/// DESIGN.md §14).
+/// DESIGN.md §5).
 pub fn exec_path(col: &CompressedColumn, name: &str, pred: &Predicate) -> ExecPath {
     match col {
         CompressedColumn::Raw(_) => ExecPath::Decompress,

@@ -2,7 +2,7 @@
 //!
 //! An [`ArrivalProcess`] turns a seed and a horizon into a sorted list
 //! of submission instants — the open-loop traffic the serving layer
-//! feeds the executor (DESIGN.md §13). All sampling is integer-seeded
+//! feeds the executor (DESIGN.md §10). All sampling is integer-seeded
 //! xoshiro plus the deterministic `ln` of [`crate::detmath`], so a
 //! given `(process, horizon, seed)` triple produces a byte-identical
 //! schedule on every platform and worker count.

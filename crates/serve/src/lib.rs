@@ -1,4 +1,4 @@
-//! Open-loop serving layer (DESIGN.md §13).
+//! Open-loop serving layer (DESIGN.md §10).
 //!
 //! The closed-loop runner in `robustq-workloads` models a fixed set of
 //! users who each wait for their previous query before issuing the

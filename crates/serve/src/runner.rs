@@ -9,7 +9,7 @@
 //! decides *what* arrives, and a virtual session pool decides *who*
 //! submits it. Latency under open-loop load includes queueing delay, so
 //! tail percentiles (p99/p999) expose robustness differences that
-//! closed-loop makespans hide (DESIGN.md §13).
+//! closed-loop makespans hide (DESIGN.md §10).
 //!
 //! [`ArrivalProcess::Closed`] is the degenerate case: its schedule is
 //! the mix's templates distributed over `users` closed-loop sessions, so
@@ -134,7 +134,7 @@ pub type ServingReport = RunReport;
 
 /// Result of one measured *streaming* serving run: ad-hoc open-loop
 /// arrivals interleaved with a feed replay and standing-query window
-/// ticks (DESIGN.md §16) — a [`RunReport`] with its outcomes and its
+/// ticks (DESIGN.md §10) — a [`RunReport`] with its outcomes and its
 /// offered count split by population. Ticks flow through the same
 /// admission control as arrivals, so both populations share one shed
 /// budget: `offered_arrivals + offered_ticks == completed() +
@@ -270,7 +270,7 @@ impl<'a> ServingRunner<'a> {
     }
 
     /// Serve `mix` under `strategy` while replaying `feed` and firing
-    /// `standing` window ticks (DESIGN.md §16).
+    /// `standing` window ticks (DESIGN.md §10).
     ///
     /// The database must be pre-built with every scheduled append batch
     /// already committed; the feed schedule replays those epochs in

@@ -9,7 +9,7 @@
 //! Calibration: throughputs are set so that (a) co-processor kernels beat
 //! the CPU per byte once data is resident — by ~1.7–2× for the classes
 //! the block-evaluated SIMD CPU kernels cover (selection, hash join,
-//! aggregation; see DESIGN.md §14 and `BENCH_kernels.json`) and ~2.5×
+//! aggregation; see DESIGN.md §5 and `BENCH_kernels.json`) and ~2.5×
 //! for the rest — and (b) the effective link bandwidth is ~20× below the
 //! co-processor's selection throughput — the ratios behind Figure 1 and
 //! the 24× cache-thrashing degradation of Figure 2. EXPERIMENTS.md

@@ -24,7 +24,7 @@
 //! * [`fault::FaultPlan`] — seeded deterministic fault injection: heap
 //!   allocation failures, transfer errors and latency spikes, device
 //!   stall windows and kernel aborts, all triggered in virtual time
-//!   (DESIGN.md §8).
+//!   (DESIGN.md §4).
 //!
 //! Nothing in this crate knows about relational operators or plans; the
 //! engine crate drives the simulation.

@@ -12,7 +12,7 @@
 //! is FIFO per direction). Session lanes are strictly nested: queries of
 //! one session run closed-loop, so every `B` closes before the next
 //! opens — the balance property `trace-lint` checks. Open-loop serving
-//! (DESIGN.md §13) breaks that guarantee — one session may have several
+//! (DESIGN.md §10) breaks that guarantee — one session may have several
 //! queries in flight — so a query span that overlaps an earlier span on
 //! its session lane degrades to an `X` (complete) event, keeping `B`/`E`
 //! nesting balanced; shed queries appear as instants on their lane.
@@ -38,7 +38,7 @@ mod lane {
     pub const CACHE: u64 = 6;
     pub const FAULTS: u64 = 7;
     pub const PLACEMENT: u64 = 8;
-    /// Shard fan-out/merge spans (DESIGN.md §12). The label is emitted
+    /// Shard fan-out/merge spans (DESIGN.md §6). The label is emitted
     /// lazily on the first shard event, so unsharded exports stay
     /// byte-identical to earlier releases.
     pub const SHARDS: u64 = 9;

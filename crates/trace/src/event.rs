@@ -136,7 +136,7 @@ pub enum FaultKind {
 }
 
 /// Why an admission-control layer shed a submitted query instead of
-/// executing it (open-loop serving, DESIGN.md §13).
+/// executing it (open-loop serving, DESIGN.md §10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShedReason {
     /// The admission queue was at its configured depth cap when the
@@ -213,7 +213,7 @@ pub enum TraceEvent {
         rows: u64,
     },
     /// A submitted query was shed by admission control instead of
-    /// executing (open-loop overload protection, DESIGN.md §13). Shed
+    /// executing (open-loop overload protection, DESIGN.md §10). Shed
     /// queries produce no outcome and no operator activity.
     QueryShed {
         /// Issuing session.
@@ -362,7 +362,7 @@ pub enum TraceEvent {
         at: VirtualTime,
     },
     /// A sharded scan fanned out at admission: `shards` ScanShard tasks
-    /// were created under merge-barrier task `task` (DESIGN.md §12).
+    /// were created under merge-barrier task `task` (DESIGN.md §6).
     ShardFanout {
         /// Query the sharded operator belongs to.
         query: u32,
@@ -413,7 +413,7 @@ pub enum TraceEvent {
         at: VirtualTime,
     },
     /// An adaptive cost model refined a per-(operator-class, device)
-    /// estimate from an observed kernel duration (DESIGN.md §15). Static
+    /// estimate from an observed kernel duration (DESIGN.md §7). Static
     /// models never emit this — default traces stay byte-identical.
     ModelUpdate {
         /// Query whose operator produced the observation.
@@ -432,7 +432,7 @@ pub enum TraceEvent {
         at: VirtualTime,
     },
     /// A larger-than-heap operator entered the chunked out-of-core
-    /// staging pipeline instead of aborting to the CPU (DESIGN.md §15).
+    /// staging pipeline instead of aborting to the CPU (DESIGN.md §6).
     OpStaged {
         /// Query the operator belongs to.
         query: u32,
@@ -449,7 +449,7 @@ pub enum TraceEvent {
         at: VirtualTime,
     },
     /// A feed batch committed: rows appended to a base table mid-run,
-    /// bumping the database epoch (streaming feeds, DESIGN.md §16).
+    /// bumping the database epoch (streaming feeds, DESIGN.md §6).
     Append {
         /// Registration index of the table appended to.
         table: u32,

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Structured tracing and metrics keyed to virtual time (DESIGN.md §10).
+//! Structured tracing and metrics keyed to virtual time (DESIGN.md §11).
 //!
 //! The paper's whole argument is about *explaining* where virtual time
 //! goes — transfer stalls, aborted co-processor operators, placement

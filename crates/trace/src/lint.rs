@@ -9,7 +9,7 @@
 //! 3. timestamps are monotone non-decreasing per `(pid, tid)` lane,
 //! 4. `B`/`E` span nesting is balanced per lane (every `E` matches the
 //!    most recent open `B`, nothing left open at the end),
-//! 5. shard spans are well-formed (DESIGN.md §12): every `X` span named
+//! 5. shard spans are well-formed (DESIGN.md §6): every `X` span named
 //!    `shard q<q> t<t>` — one sharded operator's fan-out → merge window —
 //!    contains, on the same lane, a matching `merge q<q> t<t>` span, and
 //!    every merge span lies inside its fan-out span (no orphan merges).

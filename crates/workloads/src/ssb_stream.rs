@@ -1,5 +1,5 @@
 //! SSB-stream: the Star Schema Benchmark as an append feed
-//! (DESIGN.md §16).
+//! (DESIGN.md §10).
 //!
 //! The four dimension tables are static; the `lineorder` fact table
 //! starts at a configurable base fraction and the remainder arrives as

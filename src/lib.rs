@@ -12,7 +12,7 @@ pub mod prelude {
     //!
     //! Re-exports the types almost every harness, example and bench
     //! binary touches: the executor surface (`Executor`, `ExecOptions`,
-    //! `Placement`, the `CostModel` trait and its `CostModelKind`
+    //! `Placement`, the `LearnedModel` cost model and its `CostModelKind`
     //! selector), the runners (`WorkloadRunner`/`RunnerConfig`,
     //! `ServingRunner`/`ServeConfig`), the placement strategies, and the
     //! simulated-machine configuration (`SimConfig`, `Topology`).
@@ -29,8 +29,8 @@ pub mod prelude {
     };
     pub use robustq_engine::plan::PlanNode;
     pub use robustq_engine::{
-        CostModel, CostModelKind, EngineError, ExecOptions, Executor, FeedEvent,
-        FeedSchedule, ModelUpdate, Placement, PlacementPolicy, RunMetrics, RunOutcome,
+        CostModelKind, EngineError, ExecOptions, Executor, FeedEvent, FeedSchedule,
+        LearnedModel, ModelUpdate, Placement, PlacementPolicy, RunMetrics, RunOutcome,
         Schedule, StagingStats, StandingQuery, WindowKind,
     };
     pub use robustq_serve::{

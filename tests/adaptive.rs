@@ -1,4 +1,5 @@
-//! Adaptive cost model + chunked staging invariants (DESIGN.md §15).
+//! Adaptive cost model + chunked staging invariants (DESIGN.md §6, §7),
+//! and the executor-owned learning loop behind them.
 //!
 //! The small-heap regime these tests run in is the `multigpu --adaptive`
 //! sweep's: a co-processor heap of 128 KiB (memory minus cache), small
@@ -19,7 +20,12 @@
 //!  4. **Staging conserves resources under faults** — seeded fault
 //!     plans interrupting partial chunk sequences still drain every
 //!     heap byte, keep the executor's transfer accounting in agreement
-//!     with the interconnect's, and never change answers.
+//!     with the interconnect's, and never change answers;
+//!  5. **The executor drives the model** — a strategy only exposes its
+//!     `LearnedModel`: model-free strategies report no samples, every
+//!     model-backed one reports exactly one per completed operator, and
+//!     a reused policy keeps what it learned exactly as long as the
+//!     run's `CostModelKind` stays the same.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +34,7 @@ use robustq::core::Strategy;
 use robustq::engine::parallel::ParallelCtx;
 use robustq::prelude::*;
 use robustq::sim::{FaultSpec, OpClass};
+use robustq::trace::{OpOutcome, TraceEvent};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::workloads::ssb;
 
@@ -256,4 +263,87 @@ fn adaptive_median_error_beats_static() {
         ae < se,
         "adaptive must beat static on median error: adaptive {ae:.4} vs static {se:.4}"
     );
+}
+
+/// Invariant 5a: the sample stream is the executor's, one sample per
+/// completed operator, for exactly the strategies that carry a model.
+#[test]
+fn one_sample_per_completed_operator_of_model_backed_strategies() {
+    let db = db();
+    let queries = ssb::workload(&db).expect("SSB plans");
+    let runner = WorkloadRunner::new(&db, small_heap_sim());
+    let cfg = RunnerConfig::default().with_users(2).with_trace();
+    for strategy in Strategy::ALL {
+        let report = runner.run(&queries, strategy, &cfg).expect("traced run");
+        let model_free = matches!(
+            strategy,
+            Strategy::CpuOnly | Strategy::GpuPreferred | Strategy::DataDriven
+        );
+        assert_eq!(
+            strategy.build().learned_model().is_none(),
+            model_free,
+            "{}: which strategies carry a model",
+            strategy.name()
+        );
+        if model_free {
+            assert!(report.model_samples.is_empty(), "{}: no model", strategy.name());
+            continue;
+        }
+        let trace = report.trace.as_ref().expect("traced");
+        assert_eq!(trace.dropped, 0, "the ring kept every event");
+        let completed = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::OpSpan { outcome: OpOutcome::Completed, .. }))
+            .count();
+        assert!(completed > 0);
+        assert_eq!(
+            report.model_samples.len(),
+            completed,
+            "{}: one sample per completed operator",
+            strategy.name()
+        );
+    }
+}
+
+/// Invariant 5b: a policy carries its model from run to run, and the
+/// executor rebuilds it only when the requested kind changes.
+#[test]
+fn reused_policy_keeps_observations_while_the_kind_is_unchanged() {
+    let db = db();
+    let queries = ssb::workload(&db).expect("SSB plans");
+    let runner = WorkloadRunner::new(&db, small_heap_sim());
+    let cfg = |kind: CostModelKind| {
+        RunnerConfig::default().cold_cache().with_users(2).with_cost_model(kind)
+    };
+    let seen = |policy: &mut dyn PlacementPolicy| {
+        policy.learned_model().expect("chopping carries a model").total_observations()
+    };
+    let mut policy = Strategy::Chopping.build();
+    let run = |policy: &mut dyn PlacementPolicy, cfg: &RunnerConfig| {
+        runner.run_with_policy(&queries, policy, "Chopping", cfg).expect("run").model_samples
+    };
+
+    // Same kind twice: the second run starts from what the first learned.
+    let first = run(policy.as_mut(), &cfg(CostModelKind::Static));
+    assert_eq!(seen(policy.as_mut()), first.len() as u64);
+    let second = run(policy.as_mut(), &cfg(CostModelKind::Static));
+    assert_eq!(seen(policy.as_mut()), (first.len() + second.len()) as u64);
+    assert_ne!(first, second, "a trained model predicts differently");
+
+    // Warm-up is the same mechanism: the measured run inherits the
+    // warm-up pass's observations.
+    let warmed = RunnerConfig::default().with_users(2);
+    let mut fresh = Strategy::Chopping.build();
+    let measured = run(fresh.as_mut(), &warmed);
+    assert!(seen(fresh.as_mut()) > measured.len() as u64, "warm-up samples are kept");
+
+    // A changed kind — or just a changed adaptive seed — starts over: the
+    // reused policy reproduces a brand-new policy's sample stream.
+    for kind in [CostModelKind::Adaptive { seed: 1 }, CostModelKind::Adaptive { seed: 2 }] {
+        let reused = run(policy.as_mut(), &cfg(kind));
+        assert_eq!(seen(policy.as_mut()), reused.len() as u64, "{kind:?}: fresh model");
+        let brand_new = run(Strategy::Chopping.build().as_mut(), &cfg(kind));
+        assert_eq!(reused, brand_new, "{kind:?}: fresh priors");
+    }
 }

@@ -1,5 +1,5 @@
 //! Chaos/differential tests for the fault-injection subsystem
-//! (DESIGN.md §8): hundreds of seeded fault plans are thrown at full
+//! (DESIGN.md §12): hundreds of seeded fault plans are thrown at full
 //! workload runs, and after every run the harness asserts that
 //!
 //!  1. query results are bit-identical to the fault-free run — faults

@@ -1,7 +1,7 @@
 //! Property tests: compressed-domain selection is **byte-identical** to
 //! decompress-then-execute.
 //!
-//! The compressed kernels (DESIGN.md §14) evaluate predicates directly on
+//! The compressed kernels (DESIGN.md §5) evaluate predicates directly on
 //! RLE runs, dictionary codes and FOR+bit-packed payloads. These tests
 //! pin the equivalence across:
 //!

@@ -15,7 +15,7 @@
 //!     bit-identical results to that K's fault-free baseline;
 //!  5. **Tracing** — a traced K-device run exports one kernel lane per
 //!     device in the Chrome trace;
-//!  6. **Sharding** — intra-operator sharding (DESIGN.md §12) is purely
+//!  6. **Sharding** — intra-operator sharding (DESIGN.md §6) is purely
 //!     a placement concern: sharded runs reproduce the unsharded result
 //!     fingerprints byte for byte under every strategy and K, conserve
 //!     heap and link bytes across the shard transfers, and stay

@@ -1,7 +1,7 @@
 //! Property tests: selection-vector kernels and fused pipelines are
 //! **bit-identical** to the materializing paths.
 //!
-//! The selection-vector rework (DESIGN.md §9) replaced mask+gather
+//! The selection-vector rework (DESIGN.md §5) replaced mask+gather
 //! filtering with position lists threaded through the downstream kernels.
 //! These tests pin the equivalence on arbitrary chunks, predicates and
 //! join keys:

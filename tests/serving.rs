@@ -1,4 +1,4 @@
-//! Serving-layer integration pins (DESIGN.md §13).
+//! Serving-layer integration pins (DESIGN.md §10).
 //!
 //! Three suites:
 //!

@@ -1,4 +1,4 @@
-//! Property tests for the open-loop arrival generators (DESIGN.md §13).
+//! Property tests for the open-loop arrival generators (DESIGN.md §10).
 //!
 //! Three families of properties:
 //!

@@ -1,4 +1,4 @@
-//! Streaming acceptance pins (DESIGN.md §16).
+//! Streaming acceptance pins (DESIGN.md §10).
 //!
 //! The tentpole invariant: a standing query's per-window results are
 //! *value-identical* (sorted row sets) to a one-shot execution against a

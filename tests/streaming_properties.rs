@@ -1,4 +1,4 @@
-//! Property-based tests for epoch-versioned storage (DESIGN.md §16):
+//! Property-based tests for epoch-versioned storage (DESIGN.md §3):
 //! incrementally maintained segment statistics match a from-scratch
 //! recomputation after any append/seal history, and snapshots are
 //! isolated — data visible at an epoch never changes as later batches

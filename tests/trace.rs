@@ -1,5 +1,5 @@
 //! Integration tests for the virtual-time tracing subsystem
-//! (DESIGN.md §10): determinism of the event stream across worker
+//! (DESIGN.md §11): determinism of the event stream across worker
 //! counts and fault plans, the observer-effect-free contract, metric
 //! re-derivation from events on SSB and TPC-H, and Chrome-export
 //! validity under `trace-lint`'s rules.
@@ -144,7 +144,7 @@ fn registry_counters_match_run_metrics() {
     assert!(reg.counter("placement_decisions") > 0);
 }
 
-/// A sharded fleet run (DESIGN.md §12) exercises the shard-span lint
+/// A sharded fleet run (DESIGN.md §6) exercises the shard-span lint
 /// rule for real: the Chrome export must lint clean with a nonzero
 /// `shard_spans` count, the registry's fan-out/merge counters must be
 /// consistent, and metric re-derivation must survive the shard events.
