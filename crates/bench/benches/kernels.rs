@@ -3,42 +3,50 @@
 //!
 //! A custom harness (not Criterion — the build is offline): each kernel
 //! runs a warm-up pass plus `ITERS` timed passes and reports the best
-//! pass as rows/sec. Every variant is verified bit-identical to its
-//! serial baseline before timing. Results are printed as a table and
-//! written to `BENCH_kernels.json` at the repository root so the perf
-//! trajectory is tracked across commits.
+//! pass as rows/sec. Every variant is the one production function of its
+//! operator (`robustq_engine::ops`) and is verified bit-identical to its
+//! baseline from `robustq_engine::reference` before timing. Results are
+//! printed as a table and written to `BENCH_kernels.json` at the
+//! repository root so the perf trajectory is tracked across commits.
 //!
 //! Three kernel families are measured:
 //!
-//! * `select` / `join_probe` / `aggregate` — the morsel-parallel kernels
-//!   against their serial counterparts, one entry per worker count in
-//!   `ROBUSTQ_WORKERS ∈ {1, 2, 4, 8}` (or just the value of
+//! * `select` / `join_probe` / `aggregate` — the production kernels over a
+//!   dense input against their references, one entry per worker count in
+//!   `ROBUSTQ_WORKERS ∈ {1, 2, 4, 8}` (or 1 and the value of
 //!   `ROBUSTQ_WORKERS` when set);
-//! * `fused_select_aggregate` / `fused_select_probe` — the fused
-//!   selection-vector pipelines against the pre-selection-vector
-//!   *materializing* baseline (mask select + gather, then the downstream
-//!   kernel), so the fused speedup is algorithmic, not thread scaling;
+//! * `fused_select_aggregate` / `fused_select_probe` — the fused data
+//!   path (positions → selection-aware kernel) against the
+//!   pre-selection-vector *materializing* baseline (mask select + gather,
+//!   then the downstream reference kernel);
 //! * `select_compressed_{rle,dict,bitpack}` — compressed-domain selection
 //!   (`ops::compressed`, DESIGN.md §5) against decompress-then-select on
 //!   the same predicate; positions must match exactly. The JSON also
 //!   records each compressed bench column's codec and byte ratio under
 //!   `"compression"`.
 //!
+//! Two different ratios are reported and must not be confused. `speedup`
+//! is variant ÷ baseline — production against the plain reference, i.e.
+//! block evaluation and flat hash tables against a scalar loop and
+//! `HashMap`, at any worker count. **Thread scaling** is `scaling_vs_1w`:
+//! the variant's rows/s ÷ the same kernel and row count at `workers = 1`,
+//! next to `workers_effective`, the thread count the kernel really fanned
+//! out to after the row thresholds and the hardware cap (the `"host"`
+//! object records `nproc`). A sweep entry asking for more workers than
+//! the host has is marked `oversubscribed`; its rows run on at most
+//! `nproc` threads.
+//!
 //! `ROBUSTQ_BENCH_ROWS` overrides the row counts (CI smoke runs a small
-//! size; the JSON is only written at the default sizes). On a single-core
-//! host the parallel kernels fall back to their serial references
-//! (`ParallelCtx::fans_out`), so speedups hover around 1× and reflect
-//! timer noise only; the thread-scaling targets apply on multi-core
-//! hosts.
+//! size; the JSON is only written at the default sizes).
 
 use robustq_bench::table::json_str;
 use robustq_engine::expr::Expr;
-use robustq_engine::ops;
 use robustq_engine::ops::compressed::select_compressed;
-use robustq_engine::parallel;
+use robustq_engine::ops::{agg::aggregate, join::hash_join, select::select};
 use robustq_engine::plan::{AggSpec, JoinKind};
 use robustq_engine::predicate::Predicate;
-use robustq_engine::{Chunk, ParallelCtx};
+use robustq_engine::reference;
+use robustq_engine::{Chunk, KernelClass, ParallelCtx};
 use robustq_storage::{ColumnData, CompressedColumn, DataType, DictColumn, Field};
 use std::hint::black_box;
 use std::time::Instant;
@@ -164,7 +172,7 @@ fn compressed_fixtures(rows: usize) -> Vec<CompressedFixture> {
 }
 
 /// Decompress-then-select reference for a compressed fixture: qualifying
-/// positions through the scalar selection-vector path.
+/// positions through the scalar reference selection.
 fn decompress_select(col: &CompressedColumn, pred: &Predicate) -> Vec<u32> {
     let dec = col.decompress();
     let dt = match &dec {
@@ -174,7 +182,7 @@ fn decompress_select(col: &CompressedColumn, pred: &Predicate) -> Vec<u32> {
         ColumnData::Str(_) => DataType::Str,
     };
     let chunk = Chunk::new(vec![Field::new(CCOL, dt)], vec![dec]);
-    pred.evaluate_selvec(&chunk, None).unwrap().positions().to_vec()
+    reference::select_positions(&chunk, None, pred).unwrap().into_positions()
 }
 
 /// Best-of-`ITERS` wall-clock seconds for `f` (after one warm-up pass).
@@ -194,6 +202,9 @@ struct Measurement {
     rows: usize,
     baseline_rows_per_sec: f64,
     variant_rows_per_sec: f64,
+    /// Threads the variant really ran on (row thresholds and the hardware
+    /// cap applied; the widest stage of a fused pipeline).
+    workers_effective: usize,
 }
 
 impl Measurement {
@@ -202,7 +213,7 @@ impl Measurement {
     }
 }
 
-/// Serial baselines for one input size. Re-timed inside every worker
+/// Reference baselines for one input size. Re-timed inside every worker
 /// sweep entry, adjacent to the variants they are compared against: a
 /// baseline timed once up front sees a different allocator/page-cache
 /// state than variants timed minutes later, which showed up as a
@@ -215,9 +226,12 @@ struct Baselines {
     fused_probe: (Chunk, f64),
 }
 
+/// Worker counts to sweep. Always starts at 1: `scaling_vs_1w` divides
+/// by that entry.
 fn worker_sweep() -> Vec<usize> {
     match std::env::var("ROBUSTQ_WORKERS").ok().and_then(|v| v.parse().ok()) {
-        Some(w) => vec![w],
+        Some(1) => vec![1],
+        Some(w) => vec![1, w],
         None => vec![1, 2, 4, 8],
     }
 }
@@ -268,36 +282,40 @@ fn main() {
         let agg_chunk = aggregation_chunk(rows);
         let group_by = vec!["g".to_string()];
         let aggs = vec![AggSpec::sum(Expr::col("v"), "sum"), AggSpec::count("cnt")];
+        let selected =
+            |chunk: &Chunk| select(chunk, None, &v_pred, ParallelCtx::serial()).unwrap().len();
+        let (agg_selected, probe_selected) = (selected(&agg_chunk), selected(&probe));
 
         for (i, &workers) in sweep.iter().enumerate() {
             let base = Baselines {
                 select: time_best(|| {
-                    ops::select::select(&sel_chunk, &sel_pred).unwrap()
+                    let sel =
+                        reference::select_positions(&sel_chunk, None, &sel_pred).unwrap();
+                    sel_chunk.gather(sel.positions())
                 }),
                 join: time_best(|| {
-                    ops::join::hash_join(&build, &probe, "pk", "fk", JoinKind::Inner)
+                    reference::hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner)
                         .unwrap()
                 }),
                 agg: time_best(|| {
-                    ops::agg::aggregate(&agg_chunk, &group_by, &aggs).unwrap()
+                    reference::aggregate(&agg_chunk, None, &group_by, &aggs).unwrap()
                 }),
                 // The fused baselines are the pre-selection-vector pipelines:
                 // mask select + gather, then the downstream kernel on the
                 // materialized intermediate.
                 fused_agg: time_best(|| {
-                    let filtered =
-                        ops::select::select_via_mask(&agg_chunk, &v_pred).unwrap();
-                    ops::agg::aggregate(&filtered, &group_by, &aggs).unwrap()
+                    let filtered = reference::select(&agg_chunk, &v_pred).unwrap();
+                    reference::aggregate(&filtered, None, &group_by, &aggs).unwrap()
                 }),
                 fused_probe: time_best(|| {
-                    let filtered =
-                        ops::select::select_via_mask(&probe, &v_pred).unwrap();
-                    ops::join::hash_join(&build, &filtered, "pk", "fk", JoinKind::Inner)
+                    let filtered = reference::select(&probe, &v_pred).unwrap();
+                    reference::hash_join(&build, &filtered, None, "pk", "fk", JoinKind::Inner)
                         .unwrap()
                 }),
             };
             let ctx = ParallelCtx::serial().with_workers(workers);
             let mut push = |kernel: &'static str,
+                            workers_effective: usize,
                             baseline: &(Chunk, f64),
                             variant: (Chunk, f64)| {
                 assert_eq!(
@@ -312,53 +330,56 @@ fn main() {
                     rows,
                     baseline_rows_per_sec: rows as f64 / baseline.1,
                     variant_rows_per_sec: rows as f64 / variant.1,
+                    workers_effective,
                 });
+            };
+            // A fused pipeline filters `rows` rows, then its consumer reads
+            // the `selected` survivors: report the wider stage.
+            let fused_workers = |selected: usize, class| {
+                ctx.workers_for(rows, KernelClass::Selection)
+                    .max(ctx.workers_for(selected, class))
             };
 
             push(
                 "select",
+                ctx.workers_for(rows, KernelClass::Selection),
                 &base.select,
-                time_best(|| parallel::select(&sel_chunk, &sel_pred, ctx).unwrap()),
+                time_best(|| {
+                    let sel = select(&sel_chunk, None, &sel_pred, ctx).unwrap();
+                    sel_chunk.gather(sel.positions())
+                }),
             );
             push(
                 "join_probe",
+                ctx.workers_for(rows, KernelClass::Join),
                 &base.join,
                 time_best(|| {
-                    parallel::hash_join(&build, &probe, "pk", "fk", JoinKind::Inner, ctx)
-                        .unwrap()
+                    hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner, ctx).unwrap()
                 }),
             );
             push(
                 "aggregate",
+                ctx.workers_for(rows, KernelClass::Aggregation),
                 &base.agg,
-                time_best(|| {
-                    parallel::aggregate(&agg_chunk, &group_by, &aggs, ctx).unwrap()
-                }),
+                time_best(|| aggregate(&agg_chunk, None, &group_by, &aggs, ctx).unwrap()),
             );
             push(
                 "fused_select_aggregate",
+                fused_workers(agg_selected, KernelClass::Aggregation),
                 &base.fused_agg,
                 time_best(|| {
-                    parallel::fused_filter_aggregate(
-                        &agg_chunk, &v_pred, &group_by, &aggs, ctx,
-                    )
-                    .unwrap()
+                    let sel = select(&agg_chunk, None, &v_pred, ctx).unwrap();
+                    aggregate(&agg_chunk, Some(&sel), &group_by, &aggs, ctx).unwrap()
                 }),
             );
             push(
                 "fused_select_probe",
+                fused_workers(probe_selected, KernelClass::Join),
                 &base.fused_probe,
                 time_best(|| {
-                    parallel::fused_filter_probe(
-                        &build,
-                        &probe,
-                        &v_pred,
-                        "pk",
-                        "fk",
-                        JoinKind::Inner,
-                        ctx,
-                    )
-                    .unwrap()
+                    let sel = select(&probe, None, &v_pred, ctx).unwrap();
+                    hash_join(&build, &probe, Some(&sel), "pk", "fk", JoinKind::Inner, ctx)
+                        .unwrap()
                 }),
             );
 
@@ -381,48 +402,73 @@ fn main() {
                     rows,
                     baseline_rows_per_sec: rows as f64 / base.1,
                     variant_rows_per_sec: rows as f64 / variant.1,
+                    workers_effective: 1,
                 });
             }
         }
     }
 
+    // Thread scaling: the same kernel and row count at `workers = 1`
+    // (`sweep[0]`, measured in this run).
+    let scaling_vs_1w = |m: &Measurement| {
+        let one = results[0]
+            .iter()
+            .find(|o| o.kernel == m.kernel && o.rows == m.rows)
+            .expect("every kernel is measured at one worker");
+        m.variant_rows_per_sec / one.variant_rows_per_sec
+    };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+
+    println!("host: nproc {nproc}");
     println!(
-        "{:<24} {:>10} {:>8} {:>16} {:>16} {:>9}",
-        "kernel", "rows", "workers", "baseline rows/s", "variant rows/s", "speedup"
+        "{:<26} {:>10} {:>7} {:>9} {:>16} {:>16} {:>9} {:>10}",
+        "kernel", "rows", "workers", "effective", "baseline rows/s", "variant rows/s",
+        "speedup", "vs 1w"
     );
     for (i, &workers) in sweep.iter().enumerate() {
         for m in &results[i] {
             println!(
-                "{:<24} {:>10} {:>8} {:>16.0} {:>16.0} {:>8.2}x",
+                "{:<26} {:>10} {:>7} {:>9} {:>16.0} {:>16.0} {:>8.2}x {:>9.2}x",
                 m.kernel,
                 m.rows,
                 workers,
+                m.workers_effective,
                 m.baseline_rows_per_sec,
                 m.variant_rows_per_sec,
-                m.speedup()
+                m.speedup(),
+                scaling_vs_1w(m)
             );
         }
     }
 
-    let mut json = String::from("{\n  \"entries\": [");
+    let mut json = format!(
+        "{{\n  \"host\": {{\"nproc\": {nproc}, \"worker_cap\": {}}},\n  \"entries\": [",
+        ParallelCtx::auto().workers
+    );
     for (i, &workers) in sweep.iter().enumerate() {
         let ctx = ParallelCtx::serial().with_workers(workers);
         json.push_str(if i == 0 { "\n    " } else { ",\n    " });
         json.push_str(&format!(
-            "{{\"workers\": {}, \"morsel_rows\": {}, \"min_rows_per_worker\": {}, \
-             \"results\": [",
-            workers, ctx.morsel_rows, ctx.min_rows_per_worker
+            "{{\"workers\": {}, \"oversubscribed\": {}, \"morsel_rows\": {}, \
+             \"min_rows_per_worker\": {}, \"results\": [",
+            workers,
+            workers > nproc,
+            ctx.morsel_rows,
+            ctx.min_rows_per_worker
         ));
         for (j, m) in results[i].iter().enumerate() {
             json.push_str(if j == 0 { "\n      " } else { ",\n      " });
             json.push_str(&format!(
                 "{{\"kernel\": {}, \"rows\": {}, \"baseline_rows_per_sec\": {:.0}, \
-                 \"variant_rows_per_sec\": {:.0}, \"speedup\": {:.3}}}",
+                 \"variant_rows_per_sec\": {:.0}, \"speedup\": {:.3}, \
+                 \"workers_effective\": {}, \"scaling_vs_1w\": {:.3}}}",
                 json_str(m.kernel),
                 m.rows,
                 m.baseline_rows_per_sec,
                 m.variant_rows_per_sec,
-                m.speedup()
+                m.speedup(),
+                m.workers_effective,
+                scaling_vs_1w(m)
             ));
         }
         json.push_str("\n    ]}");

@@ -7,17 +7,18 @@
 //! * filter → `Aggregate` (optionally through a `Project`), and
 //! * filter → `HashJoin` where the selection feeds the **probe** side,
 //!
-//! — and runs each as *one fused morsel loop per worker*
-//! ([`parallel::fused_filter_aggregate`] /
-//! [`parallel::fused_filter_probe`], reusing [`ParallelCtx`]): the filter
-//! emits selection-vector positions that are grouped or probed
-//! immediately, so the filtered intermediate is never materialized. A
-//! "filter" here is either a standalone `Select` task or a
-//! predicate-bearing `Scan` (the planner pushes filters into scans, so
-//! that is the common case). Everything else executes through the
-//! materializing kernels, which makes materialization points explicit:
-//! join build sides, sort inputs, projection outputs and the final
-//! result.
+//! — and runs each as *positions → selection-aware kernel*: the filter
+//! emits a selection vector over its unfiltered input
+//! ([`ops::select::select`]) and the consumer
+//! ([`ops::agg::aggregate`] / [`ops::join::hash_join`]) reads the base
+//! columns through it, so the filtered intermediate is never materialized.
+//! Fusion is a property of the data path the operator reads, not a second
+//! copy of the operator. A "filter" here is either a standalone `Select`
+//! task or a predicate-bearing `Scan` (the planner pushes filters into
+//! scans, so that is the common case). Everything else executes through
+//! the materializing [`TaskOp::execute_ctx`], which makes materialization
+//! points explicit: join build sides, sort inputs, projection outputs and
+//! the final result.
 //!
 //! For filter → `Project` → `Aggregate`, the projection is folded away by
 //! *expression substitution*: aggregate inputs are rewritten through the
@@ -30,24 +31,24 @@
 //! positions keep row order, grouping follows first-occurrence order over
 //! the selection, and `f64` accumulation runs in selection order.
 
-use crate::batch::Chunk;
+use crate::batch::{Chunk, SelVec};
 use crate::exec::task::{flatten, TaskNode, TaskOp};
 use crate::expr::Expr;
-use crate::parallel::{self, ParallelCtx};
+use crate::ops;
+use crate::parallel::ParallelCtx;
 use crate::plan::{AggSpec, PlanNode};
-use crate::predicate::Predicate;
 use robustq_storage::{Database, Field};
 use std::collections::HashMap;
 
 /// The chain shape a fused site executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusedKind {
-    /// Filter → `Aggregate` as one filter+group morsel loop.
+    /// Filter → `Aggregate`, grouping through the filter's selection.
     FilterAggregate,
     /// Filter → `Project` → `Aggregate`, the projection folded into the
     /// aggregate by expression substitution.
     FilterProjectAggregate,
-    /// Filter → `HashJoin` (probe side) as one filter+probe morsel loop.
+    /// Filter → `HashJoin`, probing through the filter's selection.
     FilterProbe,
 }
 
@@ -167,8 +168,8 @@ fn subst(e: &Expr, map: &HashMap<&str, &Expr>) -> Option<Expr> {
 }
 
 /// Execute a flattened task list with pipeline fusion, returning the root
-/// output. Bit-identical to executing every task through the
-/// materializing kernels.
+/// output. Bit-identical to executing every task through
+/// [`TaskOp::execute_ctx`].
 pub fn execute_tasks_fused(
     tasks: &[TaskNode],
     db: &Database,
@@ -199,19 +200,14 @@ pub fn execute_tasks_fused(
         }
         let out = match sites.get(&i) {
             Some(FusedKind::FilterAggregate) => {
-                let (input, predicate) =
-                    filter_input(tasks, t.children[0], &mut outputs, db)?;
+                let (input, sel) = filtered(tasks, t.children[0], &mut outputs, db, ctx)?;
                 let (group_by, aggs) = aggregate_spec(&t.op);
-                parallel::fused_filter_aggregate(&input, predicate, group_by, aggs, ctx)?
+                ops::agg::aggregate(&input, Some(&sel), group_by, aggs, ctx)?
             }
             Some(FusedKind::FilterProjectAggregate) => {
                 let project = tasks[i].children[0];
-                let (input, predicate) = filter_input(
-                    tasks,
-                    tasks[project].children[0],
-                    &mut outputs,
-                    db,
-                )?;
+                let source = tasks[project].children[0];
+                let (input, sel) = filtered(tasks, source, &mut outputs, db, ctx)?;
                 let exprs = match &tasks[project].op {
                     TaskOp::Project { exprs } => exprs,
                     _ => unreachable!("fusion site shape checked"),
@@ -237,29 +233,21 @@ pub fn execute_tasks_fused(
                         Ok(AggSpec::new(a.func, input, a.output_name.clone()))
                     })
                     .collect::<Result<_, String>>()?;
-                let out = parallel::fused_filter_aggregate(
-                    &input,
-                    predicate,
-                    &base_group_by,
-                    &base_aggs,
-                    ctx,
-                )?;
+                let out =
+                    ops::agg::aggregate(&input, Some(&sel), &base_group_by, &base_aggs, ctx)?;
                 // Key columns carry base names; restore the projected ones.
                 rename_key_columns(out, group_by)
             }
             Some(FusedKind::FilterProbe) => {
                 let build = take_output(&mut outputs, t.children[0]);
-                let (probe, predicate) =
-                    filter_input(tasks, t.children[1], &mut outputs, db)?;
+                let (probe, sel) = filtered(tasks, t.children[1], &mut outputs, db, ctx)?;
                 let (build_key, probe_key, kind) = match &t.op {
                     TaskOp::HashJoin { build_key, probe_key, kind } => {
                         (build_key, probe_key, *kind)
                     }
                     _ => unreachable!("fusion site shape checked"),
                 };
-                parallel::fused_filter_probe(
-                    &build, &probe, predicate, build_key, probe_key, kind, ctx,
-                )?
+                ops::join::hash_join(&build, &probe, Some(&sel), build_key, probe_key, kind, ctx)?
             }
             None => {
                 let children: Vec<Chunk> = t
@@ -287,28 +275,25 @@ pub fn execute_plan_fused(
     execute_tasks_fused(&flatten(plan), db, ctx)
 }
 
-/// Resolve a fused chain's filter task to `(unfiltered input, predicate)`:
-/// a `Select` contributes its child's output, a predicate-bearing `Scan`
-/// loads its table columns directly (the predicate is *not* applied here —
-/// that is the fused loop's job).
-fn filter_input<'t>(
-    tasks: &'t [TaskNode],
+/// Run a fused chain's filter task as `(unfiltered input, selection)`: a
+/// `Select` filters its child's output, a predicate-bearing `Scan` the
+/// table columns it reads — positions only, nothing is gathered.
+fn filtered(
+    tasks: &[TaskNode],
     filt: usize,
     outputs: &mut [Option<Chunk>],
     db: &Database,
-) -> Result<(Chunk, &'t Predicate), String> {
-    match &tasks[filt].op {
+    ctx: ParallelCtx,
+) -> Result<(Chunk, SelVec), String> {
+    let (input, predicate) = match &tasks[filt].op {
         TaskOp::Select { predicate } => {
-            Ok((take_output(outputs, tasks[filt].children[0]), predicate))
+            (take_output(outputs, tasks[filt].children[0]), predicate)
         }
-        TaskOp::Scan { table, predicate: Some(p), .. } => {
-            let (_, read_cols) =
-                tasks[filt].op.scan_access().expect("scan op has access");
-            let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-            Ok((Chunk::from_table(t, &read_cols)?, p))
-        }
+        scan @ TaskOp::Scan { predicate: Some(p), .. } => (scan.scan_base(db, None)?, p),
         _ => unreachable!("fusion site shape checked"),
-    }
+    };
+    let sel = ops::select::select(&input, None, predicate, ctx)?;
+    Ok((input, sel))
 }
 
 fn take_output(outputs: &mut [Option<Chunk>], idx: usize) -> Chunk {
@@ -340,8 +325,8 @@ fn rename_key_columns(chunk: Chunk, names: &[String]) -> Chunk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
     use crate::plan::AggSpec;
+    use crate::predicate::Predicate;
     use robustq_storage::gen::ssb::SsbGenerator;
 
     fn test_ctx(workers: usize) -> ParallelCtx {

@@ -9,7 +9,7 @@
 use crate::batch::{Chunk, LazyChunk, SelVec};
 use crate::expr::Expr;
 use crate::ops;
-use crate::parallel::{self, ParallelCtx};
+use crate::parallel::ParallelCtx;
 use crate::plan::{AggSpec, JoinKind, PlanNode, SortKey};
 use crate::predicate::Predicate;
 use robustq_sim::OpClass;
@@ -155,16 +155,13 @@ impl TaskOp {
         }
     }
 
-    /// Execute the kernel given the children's outputs (build side first
-    /// for joins). Serial reference path.
-    pub fn execute(&self, children: &[Chunk], db: &Database) -> Result<Chunk, String> {
-        self.execute_ctx(children, db, ParallelCtx::serial())
-    }
-
-    /// [`TaskOp::execute`] with an explicit parallelism context: scans
-    /// with pushed-down predicates, selections, hash joins and
-    /// aggregations run through the morsel-parallel kernels
-    /// (`crate::parallel`), bit-identical to the serial path.
+    /// Execute the kernel given the children's fully materialized outputs
+    /// (build side first for joins), materializing the result. The
+    /// one-operator-at-a-time interpreter [`crate::ops::execute_plan`] is
+    /// this over a flattened plan; it shares the kernels with
+    /// [`TaskOp::execute_lazy`] but none of its selection-vector plumbing,
+    /// which is what makes it the oracle the lazy executor is tested
+    /// against.
     pub fn execute_ctx(
         &self,
         children: &[Chunk],
@@ -172,22 +169,17 @@ impl TaskOp {
         ctx: ParallelCtx,
     ) -> Result<Chunk, String> {
         match self {
-            TaskOp::Scan { table, columns, predicate } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table(t, &read_cols)?;
-                let filtered = match predicate {
-                    Some(p) => parallel::select(&chunk, p, ctx)?,
-                    None => chunk,
-                };
-                ops::project::keep_columns(&filtered, columns)
+            TaskOp::Scan { columns, predicate, .. } => {
+                self.scan(columns, predicate.as_ref(), db, ctx, None)
             }
             TaskOp::Select { predicate } => {
-                parallel::select(&children[0], predicate, ctx)
+                let sel = ops::select::select(&children[0], None, predicate, ctx)?;
+                Ok(children[0].gather(sel.positions()))
             }
-            TaskOp::HashJoin { build_key, probe_key, kind } => parallel::hash_join(
+            TaskOp::HashJoin { build_key, probe_key, kind } => ops::join::hash_join(
                 &children[0],
                 &children[1],
+                None,
                 build_key,
                 probe_key,
                 *kind,
@@ -195,14 +187,12 @@ impl TaskOp {
             ),
             TaskOp::Project { exprs } => ops::project::project(&children[0], exprs),
             TaskOp::Aggregate { group_by, aggs } => {
-                parallel::aggregate(&children[0], group_by, aggs, ctx)
+                ops::agg::aggregate(&children[0], None, group_by, aggs, ctx)
             }
             TaskOp::Sort { keys, limit } => ops::sort::sort(&children[0], keys, *limit),
-            TaskOp::ScanShard { table, columns, shard, .. } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table(t, &read_cols)?;
-                let sel = shard_positions(&chunk, self.shard_predicate(), *shard)?;
+            TaskOp::ScanShard { columns, predicate, shard, .. } => {
+                let chunk = self.scan_base(db, None)?;
+                let sel = shard_positions(&chunk, predicate.as_ref(), *shard, ctx)?;
                 ops::project::keep_columns(&chunk.gather(sel.positions()), columns)
             }
             TaskOp::MergeShards { columns } => {
@@ -213,7 +203,22 @@ impl TaskOp {
     }
 
     /// Execute the kernel over lazily-filtered inputs, producing a lazy
-    /// output — the executor's late-materialization path.
+    /// output — the executor's late-materialization path:
+    /// [`TaskOp::execute_windowed`] with no window.
+    pub fn execute_lazy(
+        &self,
+        children: &[LazyChunk],
+        db: &Database,
+        ctx: ParallelCtx,
+    ) -> Result<LazyChunk, String> {
+        self.execute_windowed(children, db, ctx, None)
+    }
+
+    /// The lazy interpreter, optionally restricted to a standing-query
+    /// window: when `window` names a scan's table, its base chunk is built
+    /// from the row range `[lo, hi)` instead of the full table (scans of
+    /// other tables, e.g. static dimension tables, read everything), so a
+    /// window covering the whole table is bit-identical to a plain run.
     ///
     /// A `Select` never materializes: it emits (or refines, for an already
     /// filtered input) a selection vector over the child's base chunk.
@@ -225,84 +230,53 @@ impl TaskOp {
     /// [`TaskOp::execute_ctx`] on materialized children, and reports the
     /// same logical `num_rows`/`byte_size`, so simulated timing and golden
     /// figures are unchanged.
-    pub fn execute_lazy(
+    pub fn execute_windowed(
         &self,
         children: &[LazyChunk],
         db: &Database,
         ctx: ParallelCtx,
+        window: Option<(&str, usize, usize)>,
     ) -> Result<LazyChunk, String> {
-        match self {
-            TaskOp::Scan { .. } => {
-                Ok(LazyChunk::Materialized(self.execute_ctx(&[], db, ctx)?))
+        let out = match self {
+            TaskOp::Scan { columns, predicate, .. } => {
+                self.scan(columns, predicate.as_ref(), db, ctx, window)?
             }
-            TaskOp::Select { predicate } => match children[0].clone() {
-                LazyChunk::Materialized(c) => {
-                    let sel = parallel::select_positions(&c, predicate, ctx)?;
-                    Ok(LazyChunk::Filtered { base: Arc::new(c), sel })
-                }
-                LazyChunk::Filtered { base, sel } => {
-                    // AND short-circuit: refine the incoming selection in
-                    // place instead of rescanning the base chunk.
-                    let sel = crate::simd::refine_selvec(predicate, &base, &sel)?;
-                    Ok(LazyChunk::Filtered { base, sel })
-                }
-            },
+            TaskOp::Select { predicate } => {
+                // An already filtered input is refined (AND short-circuit)
+                // instead of rescanning the base chunk.
+                let (base, sel) = match children[0].clone() {
+                    LazyChunk::Materialized(c) => (Arc::new(c), None),
+                    LazyChunk::Filtered { base, sel } => (base, Some(sel)),
+                };
+                let sel = ops::select::select(&base, sel.as_ref(), predicate, ctx)?;
+                return Ok(LazyChunk::Filtered { base, sel });
+            }
             TaskOp::HashJoin { build_key, probe_key, kind } => {
                 // The build side is a pipeline breaker: the hash table
                 // needs every build row, so materialize it.
                 let build = children[0].chunk();
-                let out = match children[1].parts() {
-                    (base, Some(sel)) => ops::join::hash_join_sel_fast(
-                        &build,
-                        base,
-                        build_key,
-                        probe_key,
-                        *kind,
-                        Some(sel),
-                    )?,
-                    (base, None) => parallel::hash_join(
-                        &build,
-                        base,
-                        build_key,
-                        probe_key,
-                        *kind,
-                        ctx,
-                    )?,
-                };
-                Ok(LazyChunk::Materialized(out))
+                let (probe, sel) = children[1].parts();
+                ops::join::hash_join(&build, probe, sel, build_key, probe_key, *kind, ctx)?
             }
-            TaskOp::Project { exprs } => {
-                let out = match children[0].parts() {
-                    (base, Some(sel)) => {
-                        ops::project::project_at(base, exprs, sel.positions())?
-                    }
-                    (base, None) => ops::project::project(base, exprs)?,
-                };
-                Ok(LazyChunk::Materialized(out))
-            }
+            TaskOp::Project { exprs } => match children[0].parts() {
+                (base, Some(sel)) => ops::project::project_at(base, exprs, sel.positions())?,
+                (base, None) => ops::project::project(base, exprs)?,
+            },
             TaskOp::Aggregate { group_by, aggs } => {
-                let out = match children[0].parts() {
-                    (base, Some(sel)) => {
-                        ops::agg::aggregate_sel_fast(base, Some(sel), group_by, aggs)?
-                    }
-                    (base, None) => parallel::aggregate(base, group_by, aggs, ctx)?,
-                };
-                Ok(LazyChunk::Materialized(out))
+                let (base, sel) = children[0].parts();
+                ops::agg::aggregate(base, sel, group_by, aggs, ctx)?
             }
             TaskOp::Sort { keys, limit } => {
                 // Sort is a pipeline breaker; materialize its input.
-                let out = ops::sort::sort(&children[0].chunk(), keys, *limit)?;
-                Ok(LazyChunk::Materialized(out))
+                ops::sort::sort(&children[0].chunk(), keys, *limit)?
             }
-            TaskOp::ScanShard { table, shard, .. } => {
+            TaskOp::ScanShard { predicate, shard, .. } => {
                 // Never materializes: the shard's qualifying positions ride
                 // as a selection vector over the full base chunk so the
                 // merge can gather once, exactly like the unsharded path.
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table(t, &read_cols)?;
-                let sel = shard_positions(&chunk, self.shard_predicate(), *shard)?;
-                Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel })
+                let chunk = self.scan_base(db, window)?;
+                let sel = shard_positions(&chunk, predicate.as_ref(), *shard, ctx)?;
+                return Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel });
             }
             TaskOp::MergeShards { columns } => {
                 // Children are ScanShard outputs in shard order: disjoint,
@@ -327,57 +301,47 @@ impl TaskOp {
                     }
                 }
                 let base = base.ok_or("merge of zero shards")?;
-                let merged = base.gather(&positions);
-                Ok(LazyChunk::Materialized(ops::project::keep_columns(
-                    &merged, columns,
-                )?))
+                ops::project::keep_columns(&base.gather(&positions), columns)?
             }
+        };
+        Ok(LazyChunk::Materialized(out))
+    }
+
+    /// The base chunk of a (sharded) scan: every column it reads, of the
+    /// whole table or of the rows `[lo, hi)` when `window` names the table.
+    pub(crate) fn scan_base(
+        &self,
+        db: &Database,
+        window: Option<(&str, usize, usize)>,
+    ) -> Result<Chunk, String> {
+        let (table, read_cols) = self.scan_access().expect("scan op");
+        let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
+        match window {
+            Some((w_table, lo, hi)) if w_table == table => {
+                Chunk::from_table_range(t, &read_cols, lo, hi)
+            }
+            _ => Chunk::from_table(t, &read_cols),
         }
     }
 
-    /// [`TaskOp::execute_lazy`] restricted to a standing-query window:
-    /// when `window` names this op's scan table, base chunks are built
-    /// from the row range `[lo, hi)` instead of the full table. Every
-    /// other operator (and scans of non-windowed tables, e.g. static
-    /// dimension tables) delegates to the unwindowed path, so a window
-    /// covering the whole table is bit-identical to a plain run.
-    pub fn execute_windowed(
+    /// Output of a `Scan`: the base chunk filtered by the pushed-down
+    /// predicate, predicate-only columns projected away.
+    fn scan(
         &self,
-        children: &[LazyChunk],
+        columns: &[String],
+        predicate: Option<&Predicate>,
         db: &Database,
         ctx: ParallelCtx,
         window: Option<(&str, usize, usize)>,
-    ) -> Result<LazyChunk, String> {
-        let bounds = match (self, window) {
-            (
-                TaskOp::Scan { table, .. } | TaskOp::ScanShard { table, .. },
-                Some((w_table, lo, hi)),
-            ) if table == w_table => (lo, hi),
-            _ => return self.execute_lazy(children, db, ctx),
+    ) -> Result<Chunk, String> {
+        let chunk = self.scan_base(db, window)?;
+        let filtered = match predicate {
+            Some(p) => {
+                chunk.gather(ops::select::select(&chunk, None, p, ctx)?.positions())
+            }
+            None => chunk,
         };
-        let (lo, hi) = bounds;
-        match self {
-            TaskOp::Scan { table, columns, predicate } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table_range(t, &read_cols, lo, hi)?;
-                let filtered = match predicate {
-                    Some(p) => parallel::select(&chunk, p, ctx)?,
-                    None => chunk,
-                };
-                Ok(LazyChunk::Materialized(ops::project::keep_columns(
-                    &filtered, columns,
-                )?))
-            }
-            TaskOp::ScanShard { table, shard, .. } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table_range(t, &read_cols, lo, hi)?;
-                let sel = shard_positions(&chunk, self.shard_predicate(), *shard)?;
-                Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel })
-            }
-            _ => unreachable!("bounds only match scan ops"),
-        }
+        ops::project::keep_columns(&filtered, columns)
     }
 
     /// Short label for diagnostics.
@@ -393,32 +357,20 @@ impl TaskOp {
             TaskOp::MergeShards { .. } => "merge",
         }
     }
-
-    /// The pushed-down predicate of a (sharded) scan, if any.
-    fn shard_predicate(&self) -> Option<&Predicate> {
-        match self {
-            TaskOp::Scan { predicate, .. }
-            | TaskOp::ScanShard { predicate, .. } => predicate.as_ref(),
-            _ => None,
-        }
-    }
 }
 
-/// Qualifying positions of `shard`'s row range of `chunk`: the range
-/// identity when there is no predicate, otherwise the predicate refined
-/// over exactly that range. Concatenating consecutive shards' outputs
-/// equals the unsharded full-chunk selection vector.
+/// Qualifying positions of `shard`'s row range of `chunk`: the one
+/// selection kernel over exactly that range (every row of it when the scan
+/// has no predicate). Concatenating consecutive shards' outputs equals the
+/// unsharded full-chunk selection vector.
 fn shard_positions(
     chunk: &Chunk,
     predicate: Option<&Predicate>,
     shard: ShardSpec,
+    ctx: ParallelCtx,
 ) -> Result<SelVec, String> {
-    let range = shard.row_range(chunk.num_rows());
-    let identity = SelVec::new(range.map(|i| i as u32).collect());
-    match predicate {
-        Some(p) => p.evaluate_selvec(chunk, Some(&identity)),
-        None => Ok(identity),
-    }
+    let rows = shard.row_range(chunk.num_rows());
+    ops::select::select_range(chunk, rows, predicate.unwrap_or(&Predicate::True), ctx)
 }
 
 /// One node of a flattened plan.
@@ -472,6 +424,25 @@ pub fn flatten(plan: &PlanNode) -> Vec<TaskNode> {
     let mut out = Vec::with_capacity(plan.num_operators());
     rec(plan, &mut out);
     out
+}
+
+/// Run `step` over a flattened plan in postorder, handing every task the
+/// outputs of its children (moved out: each node has exactly one parent),
+/// and return the root's output.
+pub fn run_postorder<T>(
+    tasks: &[TaskNode],
+    mut step: impl FnMut(&TaskNode, Vec<T>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut outputs: Vec<Option<T>> = tasks.iter().map(|_| None).collect();
+    for (i, task) in tasks.iter().enumerate() {
+        let children = task
+            .children
+            .iter()
+            .map(|&c| outputs[c].take().expect("postorder guarantees children done"))
+            .collect();
+        outputs[i] = Some(step(task, children)?);
+    }
+    Ok(outputs.pop().flatten().expect("root is last in postorder"))
 }
 
 #[cfg(test)]
@@ -530,25 +501,18 @@ mod tests {
     }
 
     #[test]
-    fn task_execution_matches_plan_execution() {
+    fn lazy_execution_matches_plan_execution() {
         use robustq_storage::gen::ssb::SsbGenerator;
         let db = SsbGenerator::new(1).with_rows_per_sf(500).generate();
         let p = plan();
         let direct = crate::ops::execute_plan(&p, &db).unwrap();
 
-        let tasks = flatten(&p);
-        let mut outputs: Vec<Option<Chunk>> = vec![None; tasks.len()];
-        for (i, t) in tasks.iter().enumerate() {
-            let children: Vec<Chunk> = t
-                .children
-                .iter()
-                .map(|&c| outputs[c].clone().expect("postorder guarantees children done"))
-                .collect();
-            outputs[i] = Some(t.op.execute(&children, &db).unwrap());
-        }
-        let via_tasks = outputs.last().unwrap().clone().unwrap();
-        assert_eq!(direct.checksum(), via_tasks.checksum());
-        assert_eq!(direct.num_rows(), via_tasks.num_rows());
+        let via_tasks = run_postorder(&flatten(&p), |t, children: Vec<LazyChunk>| {
+            t.op.execute_lazy(&children, &db, ParallelCtx::serial())
+        })
+        .unwrap()
+        .materialize();
+        assert_eq!(direct, via_tasks);
     }
 
     #[test]

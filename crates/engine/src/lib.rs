@@ -14,10 +14,15 @@
 //!
 //! * [`batch`] — materialized intermediate results ([`batch::Chunk`]),
 //! * [`expr`] / [`predicate`] — scalar expressions and filter predicates,
-//! * [`ops`] — the serial reference operator kernels (selection, hash
-//!   join, aggregation, projection, sort/top-k),
-//! * [`parallel`] — morsel-driven parallel variants of the hot kernels,
-//!   bit-identical to `ops` and selected by [`ParallelCtx`],
+//! * [`ops`] — the operator kernels (selection, hash join, aggregation,
+//!   projection, sort/top-k): one production function per operator over
+//!   `(chunk, Option<&SelVec>)` and a [`ParallelCtx`],
+//! * [`simd`] — the 64-row block form of predicates the selection runs,
+//! * [`parallel`] — [`ParallelCtx`] and the morsel worker pool the
+//!   kernels fan out on,
+//! * [`reference`] — the plain twin of every hot kernel that tests,
+//!   benches and oracles compare against (never called by production
+//!   code),
 //! * [`plan`] — physical plans,
 //! * [`estimate`] — the simple analytical cardinality estimator used by
 //!   compile-time placement heuristics,
@@ -37,6 +42,7 @@ pub mod ops;
 pub mod parallel;
 pub mod plan;
 pub mod predicate;
+pub mod reference;
 pub mod simd;
 pub mod vectorized;
 

@@ -1,202 +1,31 @@
 //! Group-by aggregation kernel.
 //!
-//! [`aggregate`] consumes a materialized chunk; [`aggregate_sel`] consumes
-//! `(chunk, selection vector)` so a filter→aggregate pipeline never
-//! materializes the filtered intermediate — aggregate inputs are evaluated
-//! at the selected positions only and group keys are read straight from
-//! the base columns.
+//! [`aggregate`] consumes the row stream `(chunk, Option<&SelVec>)`, so a
+//! filter→aggregate pipeline never materializes the filtered intermediate:
+//! aggregate inputs are evaluated at the selected positions only and group
+//! keys are read straight from the base columns. It runs in two phases:
+//!
+//! 1. **Grouping** (per morsel): a [`Grouper`] assigns every row of the
+//!    stream a dense `u32` group id in first-occurrence order. Morsels
+//!    number their groups locally; running the *same* grouper over the
+//!    morsels' representative rows, in morsel order, numbers the groups in
+//!    first-occurrence order over the whole stream and maps every local id
+//!    to its global one.
+//! 2. **Accumulation** (calling thread, row order): one tight loop per
+//!    aggregate over the dense gid stream ([`FastAcc`]). `f64` addition is
+//!    not associative, so folding in row order is the only split whose
+//!    sums do not depend on the worker count.
 
 use crate::batch::{Chunk, SelVec};
 use crate::expr::Expr;
 use crate::ops::hashtbl::FastMap;
+use crate::parallel::{KernelClass, ParallelCtx};
 use crate::plan::{AggFunc, AggSpec};
 use robustq_storage::{ColumnData, DataType, Field};
 use std::collections::HashMap;
 
-/// Running state of one aggregate within one group.
-///
-/// Shared with the parallel kernel (`crate::parallel`), whose phase 2
-/// updates states in the exact row order the serial kernel uses.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AggState {
-    sum: f64,
-    count: u64,
-    min: f64,
-    max: f64,
-}
-
-impl AggState {
-    pub(crate) fn new() -> Self {
-        AggState { sum: 0.0, count: 0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    pub(crate) fn update(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn finish(&self, func: AggFunc) -> f64 {
-        match func {
-            AggFunc::Sum => self.sum,
-            AggFunc::Count => self.count as f64,
-            AggFunc::Min => self.min,
-            AggFunc::Max => self.max,
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    0.0
-                } else {
-                    self.sum / self.count as f64
-                }
-            }
-        }
-    }
-}
-
-/// Group `chunk` by the named columns and compute the aggregates.
-///
-/// With an empty `group_by`, produces exactly one row (the global
-/// aggregate) even for empty input — matching SQL aggregate semantics for
-/// `COUNT`, with zero sums.
-pub fn aggregate(
-    chunk: &Chunk,
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> Result<Chunk, String> {
-    aggregate_sel(chunk, None, group_by, aggs)
-}
-
-/// [`aggregate`] over `(chunk, selection vector)`: only positions in `sel`
-/// (all rows when `None`) contribute.
-///
-/// Aggregate input expressions are evaluated at the selected positions
-/// only, group keys are read from the base columns at those positions, and
-/// group representatives are *global* row indices — so the output is
-/// bit-identical to `aggregate(&chunk.gather(sel), …)` (groups appear in
-/// first-occurrence order over the selection, accumulation runs in
-/// selection order) without ever materializing the filtered chunk.
-pub fn aggregate_sel(
-    chunk: &Chunk,
-    sel: Option<&SelVec>,
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> Result<Chunk, String> {
-    let key_cols: Vec<&ColumnData> = group_by
-        .iter()
-        .map(|name| chunk.require_column(name))
-        .collect::<Result<_, _>>()?;
-    let agg_inputs: Vec<Vec<f64>> = match sel {
-        None => aggs
-            .iter()
-            .map(|a| a.input.evaluate_f64(chunk))
-            .collect::<Result<_, _>>()?,
-        Some(s) => aggs
-            .iter()
-            .map(|a| a.input.evaluate_f64_at(chunk, s.positions()))
-            .collect::<Result<_, _>>()?,
-    };
-
-    let mut representative: Vec<u32> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    match sel {
-        None => group_rows(
-            &key_cols,
-            &agg_inputs,
-            aggs.len(),
-            (0..chunk.num_rows()).map(|r| r as u32),
-            &mut representative,
-            &mut states,
-        ),
-        Some(s) => group_rows(
-            &key_cols,
-            &agg_inputs,
-            aggs.len(),
-            s.positions().iter().copied(),
-            &mut representative,
-            &mut states,
-        ),
-    }
-
-    // Global aggregate over empty groups: one row of neutral values.
-    if group_by.is_empty() && states.is_empty() {
-        representative.push(0);
-        states.push(vec![AggState::new(); aggs.len()]);
-    }
-
-    Ok(finalize(group_by, &key_cols, aggs, &representative, &states))
-}
-
-/// Core grouping loop: consume rows (global indices, in accumulation
-/// order), assigning dense group ids in first-occurrence order.
-///
-/// `agg_inputs` are indexed by *dense* position in the iteration (`j`),
-/// not by global row — the caller aligned them with the row stream. The
-/// common one- and two-key cases avoid the per-row `Vec` allocation of the
-/// general composite key.
-fn group_rows(
-    key_cols: &[&ColumnData],
-    agg_inputs: &[Vec<f64>],
-    naggs: usize,
-    rows: impl Iterator<Item = u32>,
-    representative: &mut Vec<u32>,
-    states: &mut Vec<Vec<AggState>>,
-) {
-    let mut new_group = |row: u32, states: &mut Vec<Vec<AggState>>| {
-        representative.push(row);
-        states.push(vec![AggState::new(); naggs]);
-        states.len() - 1
-    };
-    match key_cols {
-        [] => {
-            for (j, row) in rows.enumerate() {
-                if states.is_empty() {
-                    new_group(row, states);
-                }
-                for (s, input) in states[0].iter_mut().zip(agg_inputs) {
-                    s.update(input[j]);
-                }
-            }
-        }
-        [k0] => {
-            let mut groups: HashMap<u64, usize> = HashMap::new();
-            for (j, row) in rows.enumerate() {
-                let gid = *groups
-                    .entry(k0.key_at(row as usize))
-                    .or_insert_with(|| new_group(row, states));
-                for (s, input) in states[gid].iter_mut().zip(agg_inputs) {
-                    s.update(input[j]);
-                }
-            }
-        }
-        [k0, k1] => {
-            let mut groups: HashMap<(u64, u64), usize> = HashMap::new();
-            for (j, row) in rows.enumerate() {
-                let gid = *groups
-                    .entry((k0.key_at(row as usize), k1.key_at(row as usize)))
-                    .or_insert_with(|| new_group(row, states));
-                for (s, input) in states[gid].iter_mut().zip(agg_inputs) {
-                    s.update(input[j]);
-                }
-            }
-        }
-        _ => {
-            let mut groups: HashMap<Vec<u64>, usize> = HashMap::new();
-            for (j, row) in rows.enumerate() {
-                let key: Vec<u64> =
-                    key_cols.iter().map(|c| c.key_at(row as usize)).collect();
-                let gid =
-                    *groups.entry(key).or_insert_with(|| new_group(row, states));
-                for (s, input) in states[gid].iter_mut().zip(agg_inputs) {
-                    s.update(input[j]);
-                }
-            }
-        }
-    }
-}
-
-/// An aggregate input the fast kernel can read per row without
-/// materializing a dense `f64` vector first.
+/// An aggregate input the kernel can read per row without materializing a
+/// dense `f64` vector first.
 ///
 /// Bare column references — the overwhelmingly common case — borrow the
 /// column and convert on the fly with exactly the [`ColumnData::get_f64`]
@@ -217,7 +46,7 @@ enum AggSrc<'a> {
 }
 
 /// Resolve one aggregate input, borrowing bare numeric columns. Error
-/// messages match `Expr::evaluate_f64` exactly.
+/// messages are `Expr::evaluate_f64`'s.
 fn agg_src<'a>(
     expr: &Expr,
     chunk: &'a Chunk,
@@ -243,15 +72,9 @@ fn agg_src<'a>(
     }))
 }
 
-/// Column-wise accumulator for one aggregate across all groups.
-///
-/// The reference kernel keeps a `Vec<AggState>` per group — a heap
-/// allocation per group and a four-field update per row regardless of the
-/// aggregate function. Storing one contiguous array per aggregate keeps
-/// the hot accumulators in cache and updates only the field the function
-/// actually reads; [`FastAcc::state`] rebuilds an [`AggState`] per group
-/// so [`finalize`] stays shared with the reference path (bit-identical by
-/// construction: same accumulation order, same `f64` operations).
+/// Column-wise accumulator for one aggregate across all groups: one
+/// contiguous array per aggregate keeps the hot accumulators in cache and
+/// updates only the field the function actually reads.
 enum FastAcc {
     Sum(Vec<f64>),
     Count(Vec<u64>),
@@ -261,34 +84,24 @@ enum FastAcc {
 }
 
 impl FastAcc {
-    fn new(func: AggFunc) -> FastAcc {
+    /// Accumulators for `ngroups` groups, initialized to the neutral
+    /// element.
+    fn new(func: AggFunc, ngroups: usize) -> FastAcc {
         match func {
-            AggFunc::Sum => FastAcc::Sum(Vec::new()),
-            AggFunc::Count => FastAcc::Count(Vec::new()),
-            AggFunc::Min => FastAcc::Min(Vec::new()),
-            AggFunc::Max => FastAcc::Max(Vec::new()),
-            AggFunc::Avg => FastAcc::Avg { sum: Vec::new(), count: Vec::new() },
-        }
-    }
-
-    /// Size for `ngroups` groups, initialized to the neutral element.
-    fn resize(&mut self, ngroups: usize) {
-        match self {
-            FastAcc::Sum(a) => a.resize(ngroups, 0.0),
-            FastAcc::Count(a) => a.resize(ngroups, 0),
-            FastAcc::Min(a) => a.resize(ngroups, f64::INFINITY),
-            FastAcc::Max(a) => a.resize(ngroups, f64::NEG_INFINITY),
-            FastAcc::Avg { sum, count } => {
-                sum.resize(ngroups, 0.0);
-                count.resize(ngroups, 0);
+            AggFunc::Sum => FastAcc::Sum(vec![0.0; ngroups]),
+            AggFunc::Count => FastAcc::Count(vec![0; ngroups]),
+            AggFunc::Min => FastAcc::Min(vec![f64::INFINITY; ngroups]),
+            AggFunc::Max => FastAcc::Max(vec![f64::NEG_INFINITY; ngroups]),
+            AggFunc::Avg => {
+                FastAcc::Avg { sum: vec![0.0; ngroups], count: vec![0; ngroups] }
             }
         }
     }
 
     /// Accumulate the whole row stream into this aggregate: `gids[j]` is
     /// the group of dense position `j`, `sel` maps `j` to a global row for
-    /// borrowed column sources. Per-group accumulation order equals the
-    /// reference's row order, so sums are bit-identical.
+    /// borrowed column sources. Every group folds its rows in stream
+    /// order.
     fn accumulate(&mut self, src: &AggSrc<'_>, gids: &[u32], sel: Option<&[u32]>) {
         match self {
             FastAcc::Sum(a) => fold_into(a, gids, src, sel, |acc, v| *acc += v),
@@ -312,21 +125,17 @@ impl FastAcc {
         }
     }
 
-    /// The [`AggState`] view of group `gid` (only the fields the
-    /// function's `finish` reads are meaningful).
-    fn state(&self, gid: usize) -> AggState {
-        let mut s = AggState::new();
+    /// The aggregate's value per group (an average over no rows is 0).
+    fn finish(self) -> Vec<f64> {
         match self {
-            FastAcc::Sum(a) => s.sum = a[gid],
-            FastAcc::Count(a) => s.count = a[gid],
-            FastAcc::Min(a) => s.min = a[gid],
-            FastAcc::Max(a) => s.max = a[gid],
-            FastAcc::Avg { sum, count } => {
-                s.sum = sum[gid];
-                s.count = count[gid];
-            }
+            FastAcc::Sum(a) | FastAcc::Min(a) | FastAcc::Max(a) => a,
+            FastAcc::Count(a) => a.into_iter().map(|c| c as f64).collect(),
+            FastAcc::Avg { sum, count } => sum
+                .into_iter()
+                .zip(count)
+                .map(|(s, c)| if c == 0 { 0.0 } else { s / c as f64 })
+                .collect(),
         }
-        s
     }
 }
 
@@ -389,35 +198,27 @@ fn fold_into(
 /// categorical ints) land far below this.
 const DENSE_MAX_RANGE: usize = 1 << 21;
 
-/// Direct-index `key -> group id` table for a single small-range integer
-/// or dictionary key: no hashing at all.
+/// A single small-range integer or dictionary key read as a direct table
+/// index: no hashing at all.
 enum DenseKeys<'a> {
     I32 { vals: &'a [i32], base: i32 },
     I64 { vals: &'a [i64], base: i64 },
     Codes(&'a [u32]),
 }
 
-struct DenseGrouper<'a> {
-    keys: DenseKeys<'a>,
-    /// `table[key - base] = gid`; `u32::MAX` = unseen.
-    table: Vec<u32>,
-}
-
-impl<'a> DenseGrouper<'a> {
-    /// Build for `col` if its value range is small enough to table; the
-    /// min/max scan is a cheap vectorizable pass over the column.
-    fn try_new(col: &'a ColumnData) -> Option<DenseGrouper<'a>> {
-        match col {
+impl<'a> DenseKeys<'a> {
+    /// The keys of `col` and their value range, if the range is small
+    /// enough to table; the min/max scan is a cheap vectorizable pass over
+    /// the column.
+    fn try_new(col: &'a ColumnData) -> Option<(DenseKeys<'a>, usize)> {
+        let (keys, range) = match col {
             ColumnData::Int32(v) => {
                 let (&first, rest) = v.split_first()?;
                 let (min, max) = rest.iter().fold((first, first), |(lo, hi), &x| {
                     (lo.min(x), hi.max(x))
                 });
-                let range = (max as i64 - min as i64) as usize + 1;
-                (range <= DENSE_MAX_RANGE).then(|| DenseGrouper {
-                    keys: DenseKeys::I32 { vals: v, base: min },
-                    table: vec![u32::MAX; range],
-                })
+                let range = (max as i64 - min as i64) as u128 + 1;
+                (DenseKeys::I32 { vals: v, base: min }, range)
             }
             ColumnData::Int64(v) => {
                 let (&first, rest) = v.split_first()?;
@@ -425,24 +226,17 @@ impl<'a> DenseGrouper<'a> {
                     (lo.min(x), hi.max(x))
                 });
                 let range = (max as i128 - min as i128) as u128 + 1;
-                (range <= DENSE_MAX_RANGE as u128).then(|| DenseGrouper {
-                    keys: DenseKeys::I64 { vals: v, base: min },
-                    table: vec![u32::MAX; range as usize],
-                })
+                (DenseKeys::I64 { vals: v, base: min }, range)
             }
-            ColumnData::Float64(_) => None,
-            ColumnData::Str(d) => {
-                (d.dict().len() <= DENSE_MAX_RANGE).then(|| DenseGrouper {
-                    keys: DenseKeys::Codes(d.codes()),
-                    table: vec![u32::MAX; d.dict().len()],
-                })
-            }
-        }
+            ColumnData::Float64(_) => return None,
+            ColumnData::Str(d) => (DenseKeys::Codes(d.codes()), d.dict().len() as u128),
+        };
+        (range <= DENSE_MAX_RANGE as u128).then_some((keys, range as usize))
     }
 
     #[inline]
-    fn slot(&mut self, row: u32) -> &mut u32 {
-        let idx = match &self.keys {
+    fn index(&self, row: u32) -> usize {
+        match self {
             DenseKeys::I32 { vals, base } => {
                 (vals[row as usize] as i64 - *base as i64) as usize
             }
@@ -450,92 +244,112 @@ impl<'a> DenseGrouper<'a> {
                 (vals[row as usize] as i128 - *base as i128) as usize
             }
             DenseKeys::Codes(codes) => codes[row as usize] as usize,
-        };
-        &mut self.table[idx]
+        }
     }
 }
 
-/// Fast-path [`group_rows`]: identical group numbering, representatives
-/// and accumulation order, with the per-row `HashMap`/SipHash cost
-/// replaced by a dense table (single small-range key), a multiply-shift
-/// open-addressing map (one/two keys), or the reference map (3+ keys).
-fn group_rows_fast(
-    key_cols: &[&ColumnData],
-    rows: impl Iterator<Item = u32>,
-    representative: &mut Vec<u32>,
-    gids: &mut Vec<u32>,
-) {
-    let mut new_group = |row: u32| {
-        representative.push(row);
-        (representative.len() - 1) as u32
-    };
-    match key_cols {
-        [] => {
-            let mut seen = false;
-            for row in rows {
-                if !seen {
-                    new_group(row);
-                    seen = true;
-                }
-                gids.push(0);
-            }
+/// The one grouping algorithm: how rows are keyed, decided once per
+/// aggregate from the key columns, then run per morsel and once more over
+/// the morsels' representatives.
+enum Grouper<'a> {
+    /// No keys: every row is group 0.
+    Global,
+    /// One small-range key: a direct `key - base -> group id` table.
+    Dense { keys: DenseKeys<'a>, range: usize },
+    /// One key: multiply-shift open-addressing map.
+    One(&'a ColumnData),
+    /// Two keys: the same map over key pairs.
+    Two(&'a ColumnData, &'a ColumnData),
+    /// Three or more keys: composite keys in a `HashMap`.
+    Many(&'a [&'a ColumnData]),
+}
+
+impl<'a> Grouper<'a> {
+    fn new(key_cols: &'a [&'a ColumnData]) -> Grouper<'a> {
+        match key_cols {
+            [] => Grouper::Global,
+            [k0] => match DenseKeys::try_new(k0) {
+                Some((keys, range)) => Grouper::Dense { keys, range },
+                None => Grouper::One(k0),
+            },
+            [k0, k1] => Grouper::Two(k0, k1),
+            cols => Grouper::Many(cols),
         }
-        [k0] => {
-            if let Some(mut dense) = DenseGrouper::try_new(k0) {
-                for row in rows {
-                    let slot = dense.slot(row);
-                    let mut gid = *slot;
-                    if gid == u32::MAX {
-                        gid = new_group(row);
-                        *slot = gid;
+    }
+
+    /// Consume `rows` (global row indices), assigning dense group ids in
+    /// first-occurrence order: each row's id is appended to `gids`, each
+    /// new group's first row to `representative` (which starts empty).
+    fn group(
+        &self,
+        rows: impl Iterator<Item = u32>,
+        representative: &mut Vec<u32>,
+        gids: &mut Vec<u32>,
+    ) {
+        let mut new_group = |row: u32| {
+            representative.push(row);
+            (representative.len() - 1) as u32
+        };
+        match self {
+            Grouper::Global => {
+                for (j, row) in rows.enumerate() {
+                    if j == 0 {
+                        new_group(row);
                     }
-                    gids.push(gid);
+                    gids.push(0);
                 }
-            } else {
+            }
+            Grouper::Dense { keys, range } => {
+                // `table[key - base] = gid`; `u32::MAX` = unseen.
+                let mut table = vec![u32::MAX; *range];
+                for row in rows {
+                    let slot = &mut table[keys.index(row)];
+                    if *slot == u32::MAX {
+                        *slot = new_group(row);
+                    }
+                    gids.push(*slot);
+                }
+            }
+            Grouper::One(k0) => {
                 let mut map: FastMap<u64> = FastMap::new();
                 for row in rows {
-                    let gid = map
-                        .get_or_insert(k0.key_at(row as usize), || new_group(row));
-                    gids.push(gid);
+                    let key = k0.key_at(row as usize);
+                    gids.push(map.get_or_insert(key, || new_group(row)));
                 }
             }
-        }
-        [k0, k1] => {
-            let mut map: FastMap<(u64, u64)> = FastMap::new();
-            for row in rows {
-                let key = (k0.key_at(row as usize), k1.key_at(row as usize));
-                gids.push(map.get_or_insert(key, || new_group(row)));
+            Grouper::Two(k0, k1) => {
+                let mut map: FastMap<(u64, u64)> = FastMap::new();
+                for row in rows {
+                    let key = (k0.key_at(row as usize), k1.key_at(row as usize));
+                    gids.push(map.get_or_insert(key, || new_group(row)));
+                }
             }
-        }
-        _ => {
-            let mut map: HashMap<Vec<u64>, u32> = HashMap::new();
-            for row in rows {
-                let key: Vec<u64> =
-                    key_cols.iter().map(|c| c.key_at(row as usize)).collect();
-                gids.push(*map.entry(key).or_insert_with(|| new_group(row)));
+            Grouper::Many(cols) => {
+                let mut map: HashMap<Vec<u64>, u32> = HashMap::new();
+                for row in rows {
+                    let key: Vec<u64> =
+                        cols.iter().map(|c| c.key_at(row as usize)).collect();
+                    gids.push(*map.entry(key).or_insert_with(|| new_group(row)));
+                }
             }
         }
     }
 }
 
-/// Production aggregation: bit-identical to [`aggregate`], with hashing
-/// and input materialization costs removed (see [`group_rows_fast`] and
-/// [`AggSrc`]).
-pub fn aggregate_fast(
-    chunk: &Chunk,
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> Result<Chunk, String> {
-    aggregate_sel_fast(chunk, None, group_by, aggs)
-}
-
-/// Production selection-vector aggregation: bit-identical to
-/// [`aggregate_sel`].
-pub fn aggregate_sel_fast(
+/// Group the row stream `(chunk, sel)` — all rows when `sel` is `None` —
+/// by the named columns and compute the aggregates, bit-identical to
+/// aggregating `chunk.gather(sel)`: groups appear in first-occurrence
+/// order over the stream and every aggregate folds in stream order.
+///
+/// With an empty `group_by`, produces exactly one row (the global
+/// aggregate) even for empty input — matching SQL aggregate semantics for
+/// `COUNT`, with zero sums.
+pub fn aggregate(
     chunk: &Chunk,
     sel: Option<&SelVec>,
     group_by: &[String],
     aggs: &[AggSpec],
+    ctx: ParallelCtx,
 ) -> Result<Chunk, String> {
     let key_cols: Vec<&ColumnData> = group_by
         .iter()
@@ -545,62 +359,66 @@ pub fn aggregate_sel_fast(
         .iter()
         .map(|a| agg_src(&a.input, chunk, sel))
         .collect::<Result<_, _>>()?;
+    let positions = sel.map(SelVec::positions);
+    let n = positions.map_or(chunk.num_rows(), <[u32]>::len);
 
-    // Phase 1: assign a group id to every (selected) row. Keeping this
-    // separate from accumulation lets phase 2 run one tight, dispatch-free
-    // loop per aggregate over the dense gid stream.
-    let n = sel.map_or(chunk.num_rows(), |s| s.len());
-    let mut representative: Vec<u32> = Vec::new();
-    let mut gids: Vec<u32> = Vec::with_capacity(n);
-    match sel {
-        None => group_rows_fast(
-            &key_cols,
-            (0..chunk.num_rows()).map(|r| r as u32),
-            &mut representative,
-            &mut gids,
-        ),
-        Some(s) => group_rows_fast(
-            &key_cols,
-            s.positions().iter().copied(),
-            &mut representative,
-            &mut gids,
-        ),
-    }
-
-    // Phase 2: column-wise accumulation. Per (group, aggregate) the fold
-    // order is still row order, so results are bit-identical to the
-    // row-at-a-time reference.
-    let mut accs: Vec<FastAcc> =
-        aggs.iter().map(|a| FastAcc::new(a.func)).collect();
-    let sel_rows = sel.map(|s| s.positions());
-    for (acc, src) in accs.iter_mut().zip(&srcs) {
-        acc.resize(representative.len());
-        acc.accumulate(src, &gids, sel_rows);
-    }
-
-    let mut states: Vec<Vec<AggState>> = (0..representative.len())
-        .map(|g| accs.iter().map(|a| a.state(g)).collect())
-        .collect();
-
-    // Global aggregate over empty groups: one row of neutral values.
-    if group_by.is_empty() && states.is_empty() {
+    // Phase 1: a group id for every row of the stream, per morsel.
+    let grouper = Grouper::new(&key_cols);
+    let mut morsels = ctx.run_morsels(n, KernelClass::Aggregation, |m| {
+        let mut reps = Vec::new();
+        let mut gids = Vec::with_capacity(m.len());
+        match positions {
+            Some(p) => grouper.group(p[m].iter().copied(), &mut reps, &mut gids),
+            None => grouper.group(m.start as u32..m.end as u32, &mut reps, &mut gids),
+        }
+        Ok((reps, gids))
+    })?;
+    let (mut representative, gids) = if morsels.len() <= 1 {
+        morsels.pop().unwrap_or_default()
+    } else {
+        // Local ids -> global ids: group the morsels' representatives.
+        let local_reps: Vec<u32> =
+            morsels.iter().flat_map(|(reps, _)| reps.iter().copied()).collect();
+        let mut representative = Vec::new();
+        let mut global = Vec::with_capacity(local_reps.len());
+        grouper.group(local_reps.iter().copied(), &mut representative, &mut global);
+        let mut gids = Vec::with_capacity(n);
+        let mut first = 0;
+        for (reps, local) in &morsels {
+            gids.extend(local.iter().map(|&l| global[first + l as usize]));
+            first += reps.len();
+        }
+        (representative, gids)
+    };
+    // Global aggregate over an empty stream: one row of neutral values.
+    if group_by.is_empty() && representative.is_empty() {
         representative.push(0);
-        states.push(vec![AggState::new(); aggs.len()]);
     }
 
-    Ok(finalize(group_by, &key_cols, aggs, &representative, &states))
+    // Phase 2: column-wise accumulation in stream order.
+    let values = aggs
+        .iter()
+        .zip(&srcs)
+        .map(|(a, src)| {
+            let mut acc = FastAcc::new(a.func, representative.len());
+            acc.accumulate(src, &gids, positions);
+            acc.finish()
+        })
+        .collect();
+    Ok(finalize(group_by, &key_cols, aggs, &representative, values))
 }
 
-/// Build the output chunk from finished group states: one row per group,
+/// Build the output chunk from finished aggregates: one row per group,
 /// group-key columns (gathered at each group's representative row) followed
-/// by one column per aggregate. Shared by the serial and parallel kernels
-/// so the materialization is identical by construction.
+/// by one column per aggregate (`values[i][g]` is aggregate `i` of group
+/// `g`). Shared with the reference kernel so the materialization is
+/// identical by construction.
 pub(crate) fn finalize(
     group_by: &[String],
     key_cols: &[&ColumnData],
     aggs: &[AggSpec],
     representative: &[u32],
-    states: &[Vec<AggState>],
+    values: Vec<Vec<f64>>,
 ) -> Chunk {
     let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
     let mut columns = Vec::with_capacity(group_by.len() + aggs.len());
@@ -608,8 +426,7 @@ pub(crate) fn finalize(
         fields.push(Field::new(name.clone(), col.data_type()));
         columns.push(col.gather(representative));
     }
-    for (i, a) in aggs.iter().enumerate() {
-        let vals: Vec<f64> = states.iter().map(|g| g[i].finish(a.func)).collect();
+    for (a, vals) in aggs.iter().zip(values) {
         match a.func {
             AggFunc::Count => {
                 fields.push(Field::new(a.output_name.clone(), DataType::Int64));
@@ -627,8 +444,14 @@ pub(crate) fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
+    use crate::reference;
     use robustq_storage::{DictColumn, Value};
+
+    /// The dense serial aggregate, as the materializing interpreter calls
+    /// it.
+    fn agg(chunk: &Chunk, group_by: &[String], aggs: &[AggSpec]) -> Result<Chunk, String> {
+        aggregate(chunk, None, group_by, aggs, ParallelCtx::serial())
+    }
 
     fn chunk() -> Chunk {
         Chunk::new(
@@ -645,7 +468,7 @@ mod tests {
 
     #[test]
     fn grouped_sum_count_avg() {
-        let out = aggregate(
+        let out = agg(
             &chunk(),
             &["g".into()],
             &[
@@ -669,7 +492,7 @@ mod tests {
 
     #[test]
     fn min_max() {
-        let out = aggregate(
+        let out = agg(
             &chunk(),
             &[],
             &[
@@ -685,7 +508,7 @@ mod tests {
     #[test]
     fn global_aggregate_over_empty_input() {
         let empty = chunk().gather(&[]);
-        let out = aggregate(&empty, &[], &[AggSpec::count("c")]).unwrap();
+        let out = agg(&empty, &[], &[AggSpec::count("c")]).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row(0), vec![Value::Int64(0)]);
     }
@@ -693,13 +516,13 @@ mod tests {
     #[test]
     fn grouped_aggregate_over_empty_input_is_empty() {
         let empty = chunk().gather(&[]);
-        let out = aggregate(&empty, &["g".into()], &[AggSpec::count("c")]).unwrap();
+        let out = agg(&empty, &["g".into()], &[AggSpec::count("c")]).unwrap();
         assert_eq!(out.num_rows(), 0);
     }
 
     #[test]
     fn aggregate_of_expression() {
-        let out = aggregate(
+        let out = agg(
             &chunk(),
             &[],
             &[AggSpec::sum(Expr::col("v") * Expr::lit(10.0), "s")],
@@ -723,13 +546,13 @@ mod tests {
             ],
         );
         let out =
-            aggregate(&c, &["a".into(), "b".into()], &[AggSpec::count("c")]).unwrap();
+            agg(&c, &["a".into(), "b".into()], &[AggSpec::count("c")]).unwrap();
         assert_eq!(out.num_rows(), 3);
     }
 
     #[test]
     fn missing_group_column_is_error() {
-        assert!(aggregate(&chunk(), &["zz".into()], &[AggSpec::count("c")]).is_err());
+        assert!(agg(&chunk(), &["zz".into()], &[AggSpec::count("c")]).is_err());
     }
 
     fn wide_chunk() -> Chunk {
@@ -759,71 +582,66 @@ mod tests {
         )
     }
 
+    /// Every `(sel, ctx)` form equals the reference on the same stream,
+    /// results and errors; multi-worker contexts run the representative
+    /// merge.
+    fn assert_matches_reference(c: &Chunk, keys: &[&str], aggs: &[AggSpec]) {
+        let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+        let stride = SelVec::new((0..c.num_rows() as u32).filter(|i| i % 3 == 1).collect());
+        let empty = SelVec::new(vec![]);
+        for sel in [None, Some(&stride), Some(&empty)] {
+            let want = reference::aggregate(c, sel, &keys, aggs);
+            for (workers, morsel) in [(1, 65_536), (4, 111), (8, 1)] {
+                let ctx = ParallelCtx { workers, morsel_rows: morsel, min_rows_per_worker: 0 };
+                let got = aggregate(c, sel, &keys, aggs, ctx);
+                assert_eq!(
+                    got,
+                    want,
+                    "keys {keys:?} sel={:?} workers={workers}",
+                    sel.map(SelVec::len)
+                );
+            }
+        }
+    }
+
     #[test]
-    fn fast_aggregate_matches_reference_across_key_shapes() {
+    fn matches_reference_across_key_shapes() {
         let c = wide_chunk();
         let aggs = [
             AggSpec::sum(Expr::col("v"), "sv"),
             AggSpec::count("c"),
             AggSpec::new(AggFunc::Min, Expr::col("i"), "mi"),
+            AggSpec::new(AggFunc::Max, Expr::col("v"), "mx"),
             AggSpec::new(AggFunc::Avg, Expr::col("v") * Expr::lit(2.0), "av"),
         ];
-        let shapes: [&[&str]; 6] = [
-            &[],
-            &["g"],
-            &["w"],
-            &["s"],
-            &["g", "w"],
-            &["g", "w", "s"],
-        ];
+        let shapes: [&[&str]; 6] =
+            [&[], &["g"], &["w"], &["s"], &["g", "w"], &["g", "w", "s"]];
         for keys in shapes {
-            let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
-            let want = aggregate(&c, &keys, &aggs).unwrap();
-            let got = aggregate_fast(&c, &keys, &aggs).unwrap();
-            assert_eq!(got.num_rows(), want.num_rows(), "keys {keys:?}");
-            for i in 0..want.num_rows() {
-                assert_eq!(got.row(i), want.row(i), "keys {keys:?} row {i}");
-            }
+            assert_matches_reference(&c, keys, &aggs);
         }
     }
 
     #[test]
-    fn fast_aggregate_sel_matches_reference() {
-        let c = wide_chunk();
-        let sel = crate::batch::SelVec::new(
-            (0..c.num_rows() as u32).filter(|i| i % 3 == 1).collect(),
-        );
-        let aggs = [AggSpec::sum(Expr::col("v"), "sv"), AggSpec::count("c")];
-        for keys in [vec![], vec!["g".to_string()], vec!["s".to_string()]] {
-            let want = aggregate_sel(&c, Some(&sel), &keys, &aggs).unwrap();
-            let got = aggregate_sel_fast(&c, Some(&sel), &keys, &aggs).unwrap();
-            assert_eq!(got.num_rows(), want.num_rows(), "keys {keys:?}");
-            for i in 0..want.num_rows() {
-                assert_eq!(got.row(i), want.row(i), "keys {keys:?} row {i}");
-            }
-        }
-        // Empty selection still yields the neutral global row / zero groups.
-        let empty = crate::batch::SelVec::new(vec![]);
-        for keys in [vec![], vec!["g".to_string()]] {
-            let want = aggregate_sel(&c, Some(&empty), &keys, &aggs).unwrap();
-            let got = aggregate_sel_fast(&c, Some(&empty), &keys, &aggs).unwrap();
-            assert_eq!(got.num_rows(), want.num_rows());
-            for i in 0..want.num_rows() {
-                assert_eq!(got.row(i), want.row(i));
-            }
-        }
+    fn empty_selection_of_a_global_aggregate_is_one_neutral_row() {
+        let out = aggregate(
+            &wide_chunk(),
+            Some(&SelVec::new(vec![])),
+            &[],
+            &[AggSpec::count("c")],
+            ParallelCtx { workers: 4, morsel_rows: 64, min_rows_per_worker: 0 },
+        )
+        .unwrap();
+        assert_eq!(out.num_rows(), 1);
+        assert_eq!(out.row(0)[0].as_i64(), Some(0));
     }
 
     #[test]
-    fn fast_aggregate_error_messages_match_reference() {
+    fn error_messages_match_reference() {
         let c = wide_chunk();
-        let aggs = [AggSpec::sum(Expr::col("s"), "x")];
-        let want = aggregate(&c, &[], &aggs).unwrap_err();
-        let got = aggregate_fast(&c, &[], &aggs).unwrap_err();
-        assert_eq!(format!("{got}"), format!("{want}"));
-        let aggs = [AggSpec::count("c")];
-        let want = aggregate(&c, &["zz".into()], &aggs).unwrap_err();
-        let got = aggregate_fast(&c, &["zz".into()], &aggs).unwrap_err();
-        assert_eq!(format!("{got}"), format!("{want}"));
+        // Non-numeric aggregate input, unknown group column, unknown input.
+        assert_matches_reference(&c, &[], &[AggSpec::sum(Expr::col("s"), "x")]);
+        assert_matches_reference(&c, &["zz"], &[AggSpec::count("c")]);
+        assert_matches_reference(&c, &["g"], &[AggSpec::sum(Expr::col("zz") + Expr::lit(1.0), "x")]);
+        assert!(agg(&c, &["zz".into()], &[AggSpec::count("c")]).is_err());
     }
 }

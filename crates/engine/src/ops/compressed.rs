@@ -28,8 +28,9 @@
 //! (`tests/compressed_properties.rs` checks this exhaustively).
 
 use crate::batch::Chunk;
+use crate::ops::select::select;
+use crate::parallel::ParallelCtx;
 use crate::predicate::{CmpOp, Predicate};
-use crate::simd::ProdPred;
 use robustq_storage::compress::{unzigzag, zigzag};
 use robustq_storage::{
     ColumnData, CompressedColumn, DataType, DictColumn, Field, Value, ValueKind,
@@ -167,7 +168,7 @@ pub fn select_compressed(
     }
 }
 
-/// Decompress fallback: reference behaviour (results *and* errors).
+/// Decompress fallback: the plain selection over the decompressed column.
 fn decompressed_select(
     col: ColumnData,
     name: &str,
@@ -179,11 +180,13 @@ fn decompressed_select(
         ColumnData::Float64(_) => DataType::Float64,
         ColumnData::Str(_) => DataType::Str,
     };
-    let rows = col.len();
-    let chunk = Chunk::new(vec![Field::new(name, dtype)], vec![col]);
-    let mut out = Vec::new();
-    ProdPred::compile(pred, &chunk)?.append_range(0..rows, &mut out)?;
-    Ok(out)
+    select_all(&Chunk::new(vec![Field::new(name, dtype)], vec![col]), pred)
+}
+
+/// Qualifying positions of a proxy chunk through the one selection kernel
+/// — reference results *and* errors by construction.
+fn select_all(chunk: &Chunk, pred: &Predicate) -> Result<Vec<u32>, String> {
+    Ok(select(chunk, None, pred, ParallelCtx::serial())?.into_positions())
 }
 
 /// Decode one numeric payload into the f64 domain the scalar predicate
@@ -264,9 +267,7 @@ fn select_rle(
     pred: &Predicate,
 ) -> Result<SpannedSel, String> {
     let (dtype, col) = payload_column(kind, runs.iter().map(|&(v, _)| v), dict);
-    let chunk = Chunk::new(vec![Field::new(name, dtype)], vec![col]);
-    let mut matched = Vec::new();
-    ProdPred::compile(pred, &chunk)?.append_range(0..runs.len(), &mut matched)?;
+    let matched = select_all(&Chunk::new(vec![Field::new(name, dtype)], vec![col]), pred)?;
 
     let mut starts = Vec::with_capacity(runs.len());
     let mut acc = 0u32;
@@ -301,10 +302,8 @@ fn dict_table(
         vec![Field::new(name, DataType::Str)],
         vec![ColumnData::Str(DictColumn::from_parts(Arc::clone(dict), codes))],
     );
-    let mut matched = Vec::new();
-    ProdPred::compile(pred, &chunk)?.append_range(0..dict.len(), &mut matched)?;
     let mut table = vec![false; dict.len()];
-    for m in matched {
+    for m in select_all(&chunk, pred)? {
         table[m as usize] = true;
     }
     Ok(table)
@@ -522,9 +521,10 @@ impl VTest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::select::select;
+    use crate::reference::select_positions;
 
-    fn reference(col: &CompressedColumn, name: &str, pred: &Predicate) -> Vec<u32> {
+    /// The decompressed column as a one-column chunk.
+    fn decompressed(col: &CompressedColumn, name: &str) -> Chunk {
         let decompressed = col.decompress();
         let dtype = match &decompressed {
             ColumnData::Int32(_) => DataType::Int32,
@@ -532,13 +532,11 @@ mod tests {
             ColumnData::Float64(_) => DataType::Float64,
             ColumnData::Str(_) => DataType::Str,
         };
-        let chunk = Chunk::new(vec![Field::new(name, dtype)], vec![decompressed]);
-        let out = select(&chunk, pred).unwrap();
-        // Recover positions by matching against the filtered chunk size:
-        // easier to just re-evaluate the reference selvec.
-        let sel = pred.evaluate_selvec(&chunk, None).unwrap();
-        assert_eq!(sel.len(), out.num_rows());
-        sel.positions().to_vec()
+        Chunk::new(vec![Field::new(name, dtype)], vec![decompressed])
+    }
+
+    fn reference(col: &CompressedColumn, name: &str, pred: &Predicate) -> Vec<u32> {
+        select_positions(&decompressed(col, name), None, pred).unwrap().into_positions()
     }
 
     fn check(col: CompressedColumn, pred: Predicate, want_path: ExecPath) {
@@ -625,11 +623,8 @@ mod tests {
         let pred = Predicate::eq("c", "x");
         assert_eq!(exec_path(&packed, "c", &pred), ExecPath::Decompress);
         let got = select_compressed(&packed, "c", &pred).unwrap_err();
-        let dec = packed.decompress();
-        let chunk =
-            Chunk::new(vec![Field::new("c", DataType::Int32)], vec![dec]);
-        let want = select(&chunk, &pred).unwrap_err();
-        assert_eq!(format!("{got}"), format!("{want}"));
+        let want = select_positions(&decompressed(&packed, "c"), None, &pred).unwrap_err();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,118 +1,55 @@
 //! Hash join kernel (inner, semi, anti).
 //!
-//! [`hash_join`] consumes materialized sides. [`hash_join_sel`] probes the
-//! base probe chunk *through* a selection vector: only selected rows have
-//! keys extracted (via the per-row [`ProbeKeys`] extractor) and position
-//! pairs are emitted directly, so a filtered probe side is never gathered
-//! before the join.
+//! [`hash_join`] probes the row stream `(probe chunk, Option<&SelVec>)`:
+//! only selected rows (all rows when `None`) have keys extracted (via the
+//! per-row [`ProbeKeys`] extractor) and position pairs are emitted
+//! directly, so a filtered probe side is never gathered before the join.
+//! The build side is hashed once into a flat-array
+//! [`JoinTable`](crate::ops::hashtbl::JoinTable) on the calling thread;
+//! the probe loop runs per morsel of the stream.
 
 use crate::batch::{Chunk, SelVec};
 use crate::ops::hashtbl::JoinTable;
+use crate::parallel::{KernelClass, ParallelCtx};
 use crate::plan::JoinKind;
 use robustq_storage::{ColumnData, DataType};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Run `f` with the thread's reusable join key buffers (cleared).
+/// Run `f` with the thread's reusable build-key buffer (cleared).
 ///
-/// Key extraction is row-width work, so the two `Vec<u64>`s dominate the
-/// join's allocation cost; keeping them thread-local means steady-state
+/// Build-key extraction is row-width work, so the `Vec<u64>` dominates
+/// the join's allocation cost; keeping it thread-local means steady-state
 /// joins allocate nothing for keys. `mem::take` (rather than holding the
-/// borrow) keeps a nested join safe — it would simply see fresh buffers.
-pub(crate) fn with_key_buffers<R>(
-    f: impl FnOnce(&mut Vec<u64>, &mut Vec<u64>) -> R,
-) -> R {
+/// borrow) keeps a nested join safe — it would simply see a fresh buffer.
+fn with_key_buffer<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
     thread_local! {
-        static KEY_BUFS: RefCell<(Vec<u64>, Vec<u64>)> =
-            const { RefCell::new((Vec::new(), Vec::new())) };
+        static KEY_BUF: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     }
-    KEY_BUFS.with(|bufs| {
-        let (mut bkeys, mut pkeys) = std::mem::take(&mut *bufs.borrow_mut());
+    KEY_BUF.with(|buf| {
+        let mut bkeys = std::mem::take(&mut *buf.borrow_mut());
         bkeys.clear();
-        pkeys.clear();
-        let result = f(&mut bkeys, &mut pkeys);
-        *bufs.borrow_mut() = (bkeys, pkeys);
+        let result = f(&mut bkeys);
+        *buf.borrow_mut() = bkeys;
         result
     })
 }
 
-/// Fill `bkeys`/`pkeys` with canonical 64-bit join keys for a key column
-/// pair (appending to whatever the buffers already hold — callers clear).
+/// Per-row probe key extraction into the canonical 64-bit key space of
+/// the build side.
 ///
-/// Integer pairs compare as integers and anything involving a float
-/// compares through `f64` bits. String pairs reuse the build side's
-/// dictionary codes directly as keys: when both columns share one
-/// dictionary `Arc` (common after gathers/filters of the same base
-/// column), probe codes are emitted as-is with no per-call map at all;
-/// otherwise only the two *dictionaries* are reconciled (O(|dicts|), not
-/// O(rows)) and probe codes are translated through that table. Probe-only
-/// strings map to a sentinel that never matches.
-pub(crate) fn join_keys_into(
-    build: &ColumnData,
-    probe: &ColumnData,
-    bkeys: &mut Vec<u64>,
-    pkeys: &mut Vec<u64>,
-) -> Result<(), String> {
-    use DataType::*;
-    let (bt, pt) = (build.data_type(), probe.data_type());
-    match (bt, pt) {
-        (Str, Str) => {
-            let (b, p) = match (build, probe) {
-                (ColumnData::Str(b), ColumnData::Str(p)) => (b, p),
-                _ => unreachable!("types checked"),
-            };
-            bkeys.extend(b.codes().iter().map(|&c| c as u64));
-            if Arc::ptr_eq(b.dict(), p.dict()) {
-                // Shared dictionary: codes are directly comparable.
-                pkeys.extend(p.codes().iter().map(|&c| c as u64));
-            } else {
-                let intern: HashMap<&str, u64> = b
-                    .dict()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.as_str(), i as u64))
-                    .collect();
-                let probe_map: Vec<u64> = p
-                    .dict()
-                    .iter()
-                    .map(|s| intern.get(s.as_str()).copied().unwrap_or(u64::MAX))
-                    .collect();
-                pkeys.extend(p.codes().iter().map(|&c| probe_map[c as usize]));
-            }
-            Ok(())
-        }
-        (Str, _) | (_, Str) => {
-            Err("cannot join a string column with a numeric column".into())
-        }
-        (Float64, _) | (_, Float64) => {
-            bkeys.extend((0..build.len()).map(|i| build.get_f64(i).to_bits()));
-            pkeys.extend((0..probe.len()).map(|i| probe.get_f64(i).to_bits()));
-            Ok(())
-        }
-        _ => {
-            let conv = |c: &ColumnData, out: &mut Vec<u64>| match c {
-                ColumnData::Int32(v) => out.extend(v.iter().map(|&x| x as i64 as u64)),
-                ColumnData::Int64(v) => out.extend(v.iter().map(|&x| x as u64)),
-                _ => unreachable!("integer types checked"),
-            };
-            conv(build, bkeys);
-            conv(probe, pkeys);
-            Ok(())
-        }
-    }
-}
-
-/// Per-row probe key extraction, mirroring [`join_keys_into`] exactly.
-///
-/// Where `join_keys_into` materializes a dense `Vec<u64>` of probe keys,
-/// this resolves the column once and computes each key on demand — the
-/// form selection-vector probing needs, since only selected rows ever get
-/// a key. Key values are bit-identical to the dense path: shared-dict
-/// codes pass through, reconciled dictionaries translate through the same
-/// table (with the same `u64::MAX` never-matches sentinel), floats compare
-/// by bit pattern and integers by value.
-pub(crate) enum ProbeKeys<'a> {
+/// The column is resolved once and each key computed on demand, so only
+/// rows the probe actually visits ever get a key. Integer pairs compare
+/// as integers and anything involving a float compares through `f64`
+/// bits. String pairs reuse the build side's dictionary codes directly as
+/// keys: when both columns share one dictionary `Arc` (common after
+/// gathers/filters of the same base column) probe codes pass through with
+/// no per-call map at all; otherwise only the two *dictionaries* are
+/// reconciled (O(|dicts|), not O(rows)) and probe codes translate through
+/// that table. Probe-only strings map to `u64::MAX`, which never matches.
+enum ProbeKeys<'a> {
     /// String column: dictionary codes, optionally translated into the
     /// build dictionary's code space.
     Codes {
@@ -125,46 +62,41 @@ pub(crate) enum ProbeKeys<'a> {
     /// Numeric column keyed by `f64` bit pattern.
     F64(&'a ColumnData),
     /// Integer column keyed by value.
-    Int(&'a ColumnData),
+    I32(&'a [i32]),
+    /// Integer column keyed by value.
+    I64(&'a [i64]),
 }
 
 impl ProbeKeys<'_> {
-    /// The join key of probe row `row`.
-    #[inline]
-    pub(crate) fn key(&self, row: usize) -> u64 {
+    /// The join key of probe row `row`. Forced inline: left as a call
+    /// per probed row (what the inliner chose) the dense probe measured
+    /// 15–20 % slower.
+    #[inline(always)]
+    fn key(&self, row: usize) -> u64 {
         match self {
             ProbeKeys::Codes { codes, map: None } => codes[row] as u64,
             ProbeKeys::Codes { codes, map: Some(m) } => m[codes[row] as usize],
             ProbeKeys::F64(c) => c.get_f64(row).to_bits(),
-            ProbeKeys::Int(c) => match c {
-                ColumnData::Int32(v) => v[row] as i64 as u64,
-                ColumnData::Int64(v) => v[row] as u64,
-                _ => unreachable!("integer types checked"),
-            },
+            ProbeKeys::I32(v) => v[row] as i64 as u64,
+            ProbeKeys::I64(v) => v[row] as u64,
         }
     }
 }
 
 /// Fill `bkeys` with dense build keys and return the probe-side per-row
-/// extractor. Type checking and error messages match [`join_keys_into`].
-pub(crate) fn probe_key_extractor<'a>(
+/// extractor, or the type error of an incomparable key pair.
+fn probe_key_extractor<'a>(
     build: &ColumnData,
     probe: &'a ColumnData,
     bkeys: &mut Vec<u64>,
 ) -> Result<ProbeKeys<'a>, String> {
-    use DataType::*;
-    let (bt, pt) = (build.data_type(), probe.data_type());
-    match (bt, pt) {
-        (Str, Str) => {
-            let (b, p) = match (build, probe) {
-                (ColumnData::Str(b), ColumnData::Str(p)) => (b, p),
-                _ => unreachable!("types checked"),
-            };
+    match (build, probe) {
+        (ColumnData::Str(b), ColumnData::Str(p)) => {
             bkeys.extend(b.codes().iter().map(|&c| c as u64));
             let map = if Arc::ptr_eq(b.dict(), p.dict()) {
                 None
             } else {
-                let intern: HashMap<&str, u64> = b
+                let intern: BTreeMap<&str, u64> = b
                     .dict()
                     .iter()
                     .enumerate()
@@ -179,10 +111,12 @@ pub(crate) fn probe_key_extractor<'a>(
             };
             Ok(ProbeKeys::Codes { codes: p.codes(), map })
         }
-        (Str, _) | (_, Str) => {
+        (ColumnData::Str(_), _) | (_, ColumnData::Str(_)) => {
             Err("cannot join a string column with a numeric column".into())
         }
-        (Float64, _) | (_, Float64) => {
+        _ if build.data_type() == DataType::Float64
+            || probe.data_type() == DataType::Float64 =>
+        {
             bkeys.extend((0..build.len()).map(|i| build.get_f64(i).to_bits()));
             Ok(ProbeKeys::F64(probe))
         }
@@ -192,7 +126,11 @@ pub(crate) fn probe_key_extractor<'a>(
                 ColumnData::Int64(v) => bkeys.extend(v.iter().map(|&x| x as u64)),
                 _ => unreachable!("integer types checked"),
             }
-            Ok(ProbeKeys::Int(probe))
+            Ok(match probe {
+                ColumnData::Int32(v) => ProbeKeys::I32(v),
+                ColumnData::Int64(v) => ProbeKeys::I64(v),
+                _ => unreachable!("integer types checked"),
+            })
         }
     }
 }
@@ -202,105 +140,10 @@ pub(crate) fn probe_key_extractor<'a>(
 ///
 /// `Inner` appends matching `(probe, build)` position pairs; `Semi`/`Anti`
 /// append surviving probe positions only (and never touch `build_pos`).
-/// Positions come out in input order, so per-morsel outputs concatenate
-/// into exactly the serial result.
-pub(crate) fn probe_into(
-    keys: &ProbeKeys<'_>,
-    table: &HashMap<u64, Vec<u32>>,
-    kind: JoinKind,
-    positions: impl Iterator<Item = u32>,
-    probe_pos: &mut Vec<u32>,
-    build_pos: &mut Vec<u32>,
-) {
-    match kind {
-        JoinKind::Inner => {
-            for p in positions {
-                let k = keys.key(p as usize);
-                if k == u64::MAX {
-                    continue; // probe-only string, cannot match
-                }
-                if let Some(matches) = table.get(&k) {
-                    for &b in matches {
-                        probe_pos.push(p);
-                        build_pos.push(b);
-                    }
-                }
-            }
-        }
-        JoinKind::Semi => {
-            for p in positions {
-                let k = keys.key(p as usize);
-                if k != u64::MAX && table.contains_key(&k) {
-                    probe_pos.push(p);
-                }
-            }
-        }
-        JoinKind::Anti => {
-            for p in positions {
-                let k = keys.key(p as usize);
-                if k == u64::MAX || !table.contains_key(&k) {
-                    probe_pos.push(p);
-                }
-            }
-        }
-    }
-}
-
-/// Hash join where the probe side is `(chunk, selection vector)`.
-///
-/// Only positions in `sel` (all rows when `None`) are probed; keys are
-/// extracted per selected row and matching position pairs gathered
-/// straight from the *base* probe chunk — the filtered probe side is
-/// never materialized. Output is bit-identical to
-/// [`hash_join`]`(build, &probe.gather(sel), …)`.
-pub fn hash_join_sel(
-    build: &Chunk,
-    probe: &Chunk,
-    build_key: &str,
-    probe_key: &str,
-    kind: JoinKind,
-    sel: Option<&SelVec>,
-) -> Result<Chunk, String> {
-    let bcol = build.require_column(build_key)?;
-    let pcol = probe.require_column(probe_key)?;
-    with_key_buffers(|bkeys, _| {
-        let keys = probe_key_extractor(bcol, pcol, bkeys)?;
-        let table = build_table(bkeys);
-        let mut probe_pos = Vec::new();
-        let mut build_pos = Vec::new();
-        match sel {
-            Some(s) => probe_into(
-                &keys,
-                &table,
-                kind,
-                s.positions().iter().copied(),
-                &mut probe_pos,
-                &mut build_pos,
-            ),
-            None => probe_into(
-                &keys,
-                &table,
-                kind,
-                0..probe.num_rows() as u32,
-                &mut probe_pos,
-                &mut build_pos,
-            ),
-        }
-        match kind {
-            JoinKind::Inner => {
-                Ok(probe.gather(&probe_pos).zip(build.gather(&build_pos)))
-            }
-            JoinKind::Semi | JoinKind::Anti => Ok(probe.gather(&probe_pos)),
-        }
-    })
-}
-
-/// [`probe_into`] against a [`JoinTable`]: the production probe loop.
-///
-/// Match order per probe row is increasing build row — the same order the
-/// `HashMap<u64, Vec<u32>>` reference emits — so outputs are bit-identical
-/// to [`probe_into`] for the same position stream.
-pub(crate) fn probe_table_into(
+/// Positions come out in input order and the matches of one probe row in
+/// increasing build row, so per-morsel outputs concatenate into exactly
+/// the row-at-a-time result.
+fn probe_table_into(
     keys: &ProbeKeys<'_>,
     table: &JoinTable,
     kind: JoinKind,
@@ -340,190 +183,97 @@ pub(crate) fn probe_table_into(
     }
 }
 
-/// Production hash join: bit-identical to [`hash_join`], built on the
-/// flat-array [`JoinTable`] (multiply-shift hashing, no per-key `Vec`s)
-/// with pre-sized probe output buffers.
-///
-/// The output reserve is `probe rows`: for Semi/Anti it is exact worst
-/// case, and for Inner it covers every probe workload whose average match
-/// count is ≤ 1 (foreign-key probes) without a counting pre-pass —
-/// higher-fanout joins fall back to amortized growth beyond that.
-pub fn hash_join_fast(
-    build: &Chunk,
-    probe: &Chunk,
-    build_key: &str,
-    probe_key: &str,
-    kind: JoinKind,
-) -> Result<Chunk, String> {
-    let bcol = build.require_column(build_key)?;
-    let pcol = probe.require_column(probe_key)?;
-    with_key_buffers(|bkeys, pkeys| {
-        join_keys_into(bcol, pcol, bkeys, pkeys)?;
-        let table = JoinTable::build(bkeys);
-        match kind {
-            JoinKind::Inner => {
-                let mut probe_pos: Vec<u32> = Vec::with_capacity(pkeys.len());
-                let mut build_pos: Vec<u32> = Vec::with_capacity(pkeys.len());
-                for (i, &k) in pkeys.iter().enumerate() {
-                    if k == u64::MAX {
-                        continue; // probe-only string, cannot match
-                    }
-                    table.for_each_match(k, |b| {
-                        probe_pos.push(i as u32);
-                        build_pos.push(b);
-                    });
-                }
-                Ok(probe.gather(&probe_pos).zip(build.gather(&build_pos)))
-            }
-            JoinKind::Semi => {
-                let mut pos: Vec<u32> = Vec::with_capacity(pkeys.len());
-                for (i, &k) in pkeys.iter().enumerate() {
-                    if k != u64::MAX && table.contains(k) {
-                        pos.push(i as u32);
-                    }
-                }
-                Ok(probe.gather(&pos))
-            }
-            JoinKind::Anti => {
-                let mut pos: Vec<u32> = Vec::with_capacity(pkeys.len());
-                for (i, &k) in pkeys.iter().enumerate() {
-                    if k == u64::MAX || !table.contains(k) {
-                        pos.push(i as u32);
-                    }
-                }
-                Ok(probe.gather(&pos))
-            }
-        }
-    })
-}
-
-/// Production selection-vector hash join: bit-identical to
-/// [`hash_join_sel`], on [`JoinTable`] with pre-sized outputs.
-pub fn hash_join_sel_fast(
-    build: &Chunk,
-    probe: &Chunk,
-    build_key: &str,
-    probe_key: &str,
-    kind: JoinKind,
-    sel: Option<&SelVec>,
-) -> Result<Chunk, String> {
-    let bcol = build.require_column(build_key)?;
-    let pcol = probe.require_column(probe_key)?;
-    with_key_buffers(|bkeys, _| {
-        let keys = probe_key_extractor(bcol, pcol, bkeys)?;
-        let table = JoinTable::build(bkeys);
-        let probed = sel.map_or(probe.num_rows(), |s| s.positions().len());
-        let mut probe_pos = Vec::with_capacity(probed);
-        let mut build_pos =
-            Vec::with_capacity(if kind == JoinKind::Inner { probed } else { 0 });
-        match sel {
-            Some(s) => probe_table_into(
-                &keys,
-                &table,
-                kind,
-                s.positions().iter().copied(),
-                &mut probe_pos,
-                &mut build_pos,
-            ),
-            None => probe_table_into(
-                &keys,
-                &table,
-                kind,
-                0..probe.num_rows() as u32,
-                &mut probe_pos,
-                &mut build_pos,
-            ),
-        }
-        match kind {
-            JoinKind::Inner => {
-                Ok(probe.gather(&probe_pos).zip(build.gather(&build_pos)))
-            }
-            JoinKind::Semi | JoinKind::Anti => Ok(probe.gather(&probe_pos)),
-        }
-    })
-}
-
-/// Hash the build keys into `key -> build row positions`.
-pub(crate) fn build_table(bkeys: &[u64]) -> HashMap<u64, Vec<u32>> {
-    let mut table: HashMap<u64, Vec<u32>> = HashMap::with_capacity(bkeys.len());
-    for (i, &k) in bkeys.iter().enumerate() {
-        table.entry(k).or_default().push(i as u32);
-    }
-    table
-}
-
-/// Hash join `probe ⋈ build` on `probe_key = build_key`.
+/// Hash join `probe ⋈ build` on `probe_key = build_key`, where the probe
+/// side is the row stream `(probe, probe_sel)`: only positions in
+/// `probe_sel` (all rows when `None`) are probed, and the output is
+/// gathered straight from the *base* probe chunk — bit-identical to
+/// joining `probe.gather(probe_sel)`.
 ///
 /// * `Inner`: output is probe columns then build columns (duplicate names
 ///   suffixed `_r`), one row per matching pair.
 /// * `Semi`: probe rows with at least one match, probe columns only.
 /// * `Anti`: probe rows with no match, probe columns only.
+///
+/// Each worker reserves one output slot per probed row of a morsel: exact
+/// worst case for Semi/Anti, and for Inner it covers every probe workload
+/// whose average match count is ≤ 1 (foreign-key probes) without a
+/// counting pre-pass — higher-fanout joins grow amortized beyond that.
 pub fn hash_join(
     build: &Chunk,
     probe: &Chunk,
+    probe_sel: Option<&SelVec>,
     build_key: &str,
     probe_key: &str,
     kind: JoinKind,
+    ctx: ParallelCtx,
 ) -> Result<Chunk, String> {
     let bcol = build.require_column(build_key)?;
     let pcol = probe.require_column(probe_key)?;
-    with_key_buffers(|bkeys, pkeys| {
-        join_keys_into(bcol, pcol, bkeys, pkeys)?;
-        let table = build_table(bkeys);
-        join_with_table(build, probe, pkeys, &table, kind)
-    })
-}
-
-/// Probe `pkeys` against a prebuilt `table` and materialize the result.
-fn join_with_table(
-    build: &Chunk,
-    probe: &Chunk,
-    pkeys: &[u64],
-    table: &HashMap<u64, Vec<u32>>,
-    kind: JoinKind,
-) -> Result<Chunk, String> {
-    match kind {
-        JoinKind::Inner => {
-            let mut probe_pos: Vec<u32> = Vec::new();
-            let mut build_pos: Vec<u32> = Vec::new();
-            for (i, &k) in pkeys.iter().enumerate() {
-                if k == u64::MAX {
-                    continue; // probe-only string, cannot match
+    with_key_buffer(|bkeys| {
+        let keys = probe_key_extractor(bcol, pcol, bkeys)?;
+        let table = JoinTable::build(bkeys);
+        let probed = probe_sel.map_or(probe.num_rows(), SelVec::len);
+        let probe_morsel = |m: Range<usize>, probe_pos: &mut Vec<u32>, build_pos: &mut Vec<u32>| {
+            probe_pos.reserve(m.len());
+            if kind == JoinKind::Inner {
+                build_pos.reserve(m.len());
+            }
+            match probe_sel {
+                Some(s) => {
+                    let rows = s.positions()[m].iter().copied();
+                    probe_table_into(&keys, &table, kind, rows, probe_pos, build_pos)
                 }
-                if let Some(matches) = table.get(&k) {
-                    for &b in matches {
-                        probe_pos.push(i as u32);
-                        build_pos.push(b);
-                    }
+                None => {
+                    let rows = m.start as u32..m.end as u32;
+                    probe_table_into(&keys, &table, kind, rows, probe_pos, build_pos)
                 }
             }
-            Ok(probe.gather(&probe_pos).zip(build.gather(&build_pos)))
+        };
+        match kind {
+            JoinKind::Inner => {
+                let (probe_pos, build_pos) = ctx.run_morsels_arena(
+                    probed,
+                    KernelClass::Join,
+                    |m, out: &mut (Vec<u32>, Vec<u32>)| {
+                        probe_morsel(m, &mut out.0, &mut out.1);
+                        Ok(())
+                    },
+                )?;
+                Ok(probe.gather(&probe_pos).zip(build.gather(&build_pos)))
+            }
+            // Semi/anti probes emit probe positions only, so the arena is
+            // a single stream and the build-side sink stays empty.
+            JoinKind::Semi | JoinKind::Anti => {
+                let probe_pos = ctx.run_morsels_arena(
+                    probed,
+                    KernelClass::Join,
+                    |m, out: &mut Vec<u32>| {
+                        probe_morsel(m, out, &mut Vec::new());
+                        Ok(())
+                    },
+                )?;
+                Ok(probe.gather(&probe_pos))
+            }
         }
-        JoinKind::Semi => {
-            let pos: Vec<u32> = pkeys
-                .iter()
-                .enumerate()
-                .filter(|&(_, k)| *k != u64::MAX && table.contains_key(k))
-                .map(|(i, _)| i as u32)
-                .collect();
-            Ok(probe.gather(&pos))
-        }
-        JoinKind::Anti => {
-            let pos: Vec<u32> = pkeys
-                .iter()
-                .enumerate()
-                .filter(|&(_, k)| *k == u64::MAX || !table.contains_key(k))
-                .map(|(i, _)| i as u32)
-                .collect();
-            Ok(probe.gather(&pos))
-        }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use robustq_storage::{DictColumn, Field, Value};
+
+    /// The dense serial join, as the materializing interpreter calls it.
+    fn join(
+        build: &Chunk,
+        probe: &Chunk,
+        build_key: &str,
+        probe_key: &str,
+        kind: JoinKind,
+    ) -> Result<Chunk, String> {
+        hash_join(build, probe, None, build_key, probe_key, kind, ParallelCtx::serial())
+    }
 
     fn build_side() -> Chunk {
         Chunk::new(
@@ -554,7 +304,7 @@ mod tests {
     #[test]
     fn inner_join_matches_and_duplicates() {
         let out =
-            hash_join(&build_side(), &probe_side(), "id", "fk", JoinKind::Inner).unwrap();
+            join(&build_side(), &probe_side(), "id", "fk", JoinKind::Inner).unwrap();
         // fk=2 matches two build rows, fk=3 none, fk=1 one.
         assert_eq!(out.num_rows(), 3);
         assert_eq!(out.num_columns(), 4);
@@ -570,7 +320,7 @@ mod tests {
     #[test]
     fn semi_join_keeps_probe_schema() {
         let out =
-            hash_join(&build_side(), &probe_side(), "id", "fk", JoinKind::Semi).unwrap();
+            join(&build_side(), &probe_side(), "id", "fk", JoinKind::Semi).unwrap();
         assert_eq!(out.num_columns(), 2);
         assert_eq!(out.num_rows(), 2); // fk=2 and fk=1 (no duplication)
     }
@@ -578,7 +328,7 @@ mod tests {
     #[test]
     fn anti_join_keeps_non_matching() {
         let out =
-            hash_join(&build_side(), &probe_side(), "id", "fk", JoinKind::Anti).unwrap();
+            join(&build_side(), &probe_side(), "id", "fk", JoinKind::Anti).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.row(0)[0], Value::Int32(3));
     }
@@ -595,9 +345,9 @@ mod tests {
                 "GERMANY", "RUSSIA", "FRANCE", "GERMANY",
             ]))],
         );
-        let out = hash_join(&build, &probe, "n", "n2", JoinKind::Inner).unwrap();
+        let out = join(&build, &probe, "n", "n2", JoinKind::Inner).unwrap();
         assert_eq!(out.num_rows(), 3);
-        let semi = hash_join(&build, &probe, "n", "n2", JoinKind::Anti).unwrap();
+        let semi = join(&build, &probe, "n", "n2", JoinKind::Anti).unwrap();
         assert_eq!(semi.num_rows(), 1);
         assert_eq!(semi.row(0)[0], Value::from("RUSSIA"));
     }
@@ -614,9 +364,9 @@ mod tests {
         );
         let build = base.gather(&[0, 1]);
         let probe = base.gather(&[1, 2, 0, 1]);
-        let out = hash_join(&build, &probe, "n", "n", JoinKind::Inner).unwrap();
+        let out = join(&build, &probe, "n", "n", JoinKind::Inner).unwrap();
         assert_eq!(out.num_rows(), 3);
-        let anti = hash_join(&build, &probe, "n", "n", JoinKind::Anti).unwrap();
+        let anti = join(&build, &probe, "n", "n", JoinKind::Anti).unwrap();
         assert_eq!(anti.num_rows(), 1);
         assert_eq!(anti.row(0)[0], Value::from("RUSSIA"));
     }
@@ -631,7 +381,7 @@ mod tests {
             vec![Field::new("k2", DataType::Int32)],
             vec![ColumnData::Int32(vec![2, 5])],
         );
-        let out = hash_join(&build, &probe, "k", "k2", JoinKind::Inner).unwrap();
+        let out = join(&build, &probe, "k", "k2", JoinKind::Inner).unwrap();
         assert_eq!(out.num_rows(), 1);
     }
 
@@ -642,7 +392,7 @@ mod tests {
             vec![ColumnData::Str(DictColumn::from_strings(["x"]))],
         );
         assert!(
-            hash_join(&build, &probe_side(), "s", "fk", JoinKind::Inner).is_err()
+            join(&build, &probe_side(), "s", "fk", JoinKind::Inner).is_err()
         );
     }
 
@@ -650,17 +400,40 @@ mod tests {
     fn empty_sides() {
         let empty_build = build_side().gather(&[]);
         let out =
-            hash_join(&empty_build, &probe_side(), "id", "fk", JoinKind::Inner).unwrap();
+            join(&empty_build, &probe_side(), "id", "fk", JoinKind::Inner).unwrap();
         assert_eq!(out.num_rows(), 0);
         let out =
-            hash_join(&empty_build, &probe_side(), "id", "fk", JoinKind::Anti).unwrap();
+            join(&empty_build, &probe_side(), "id", "fk", JoinKind::Anti).unwrap();
         assert_eq!(out.num_rows(), 3);
     }
 
+    /// Every `(probe_sel, ctx)` form equals the reference on the same
+    /// stream, for all kinds, results and errors.
+    fn assert_matches_reference(build: &Chunk, probe: &Chunk, bk: &str, pk: &str) {
+        let n = probe.num_rows() as u32;
+        let sel = SelVec::new((0..n).filter(|i| i % 3 != 0).collect());
+        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+            for probe_sel in [None, Some(&sel)] {
+                let want = reference::hash_join(build, probe, probe_sel, bk, pk, kind);
+                for (workers, morsel) in [(1, 65_536), (3, 13), (8, 1)] {
+                    let ctx =
+                        ParallelCtx { workers, morsel_rows: morsel, min_rows_per_worker: 0 };
+                    let got = hash_join(build, probe, probe_sel, bk, pk, kind, ctx);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{kind:?} sel={} workers={workers}",
+                        probe_sel.is_some()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    fn fast_join_matches_reference_all_kinds() {
+    fn matches_reference_all_kinds() {
         // Pseudo-random keys with duplicates and misses on both sides so the
-        // fast table exercises chained buckets and empty lookups.
+        // table exercises chained buckets and empty lookups.
         let n = 257usize;
         let bkeys: Vec<i64> = (0..n).map(|i| ((i * 37) % 83) as i64).collect();
         let pkeys: Vec<i64> = (0..n * 2).map(|i| ((i * 53) % 120) as i64).collect();
@@ -684,34 +457,32 @@ mod tests {
                 ColumnData::Int32((0..(n * 2) as i32).collect()),
             ],
         );
-        let sel = SelVec::new((0..(n * 2) as u32).filter(|i| i % 3 != 0).collect());
-        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-            let want = hash_join(&build, &probe, "k", "fk", kind).unwrap();
-            let got = hash_join_fast(&build, &probe, "k", "fk", kind).unwrap();
-            assert_eq!(got.num_rows(), want.num_rows(), "{kind:?}");
-            for i in 0..want.num_rows() {
-                assert_eq!(got.row(i), want.row(i), "{kind:?} row {i}");
-            }
-            let want =
-                hash_join_sel(&build, &probe, "k", "fk", kind, Some(&sel)).unwrap();
-            let got =
-                hash_join_sel_fast(&build, &probe, "k", "fk", kind, Some(&sel)).unwrap();
-            assert_eq!(got.num_rows(), want.num_rows(), "sel {kind:?}");
-            for i in 0..want.num_rows() {
-                assert_eq!(got.row(i), want.row(i), "sel {kind:?} row {i}");
-            }
-        }
+        assert_matches_reference(&build, &probe, "k", "fk");
     }
 
     #[test]
-    fn fast_join_empty_and_error_paths_match() {
-        let empty_build = build_side().gather(&[]);
-        let out = hash_join_fast(&empty_build, &probe_side(), "id", "fk", JoinKind::Anti)
-            .unwrap();
-        assert_eq!(out.num_rows(), 3);
-        assert!(
-            hash_join_fast(&build_side(), &probe_side(), "name", "fk", JoinKind::Inner)
-                .is_err()
-        );
+    fn string_keys_across_dictionaries_match_reference() {
+        // Distinct dictionaries exercise the probe-key translation table
+        // inside the morsel loop; probe-only strings never match.
+        let strs = |n: usize, m: usize| {
+            Chunk::new(
+                vec![Field::new("s", DataType::Str)],
+                vec![ColumnData::Str(DictColumn::from_strings(
+                    (0..n).map(|i| format!("k{}", (i * 13) % m)),
+                ))],
+            )
+        };
+        assert_matches_reference(&strs(40, 11), &strs(333, 17), "s", "s");
+    }
+
+    #[test]
+    fn empty_and_error_paths_match_reference() {
+        assert_matches_reference(&build_side().gather(&[]), &probe_side(), "id", "fk");
+        assert_matches_reference(&build_side(), &probe_side().gather(&[]), "id", "fk");
+        // String vs numeric keys, unknown build and probe columns.
+        assert_matches_reference(&build_side(), &probe_side(), "name", "fk");
+        assert_matches_reference(&build_side(), &probe_side(), "zz", "fk");
+        assert_matches_reference(&build_side(), &probe_side(), "id", "zz");
+        assert!(join(&build_side(), &probe_side(), "name", "fk", JoinKind::Inner).is_err());
     }
 }

@@ -1,10 +1,14 @@
 //! Operator kernels.
 //!
-//! Each kernel is a pure function from input chunk(s) to an output chunk.
-//! The same kernel code runs regardless of the *simulated* device — what
-//! differs between CPU and co-processor execution is the virtual time
-//! charged and the device memory accounted by the executor (`exec`), never
-//! the result.
+//! Each hot operator is **one production function** over the row stream
+//! it reads — `(chunk, Option<&SelVec>)` — and a [`ParallelCtx`], with the
+//! morsel loop inside it: [`select::select`], [`join::hash_join`],
+//! [`agg::aggregate`]. The same kernel code runs regardless of the
+//! *simulated* device — what differs between CPU and co-processor
+//! execution is the virtual time charged and the device memory accounted
+//! by the executor (`exec`), never the result — and regardless of the
+//! worker count. What each kernel must return is defined by its plain
+//! twin in [`crate::reference`].
 
 pub mod agg;
 pub mod compressed;
@@ -15,83 +19,26 @@ pub mod select;
 pub mod sort;
 
 use crate::batch::Chunk;
-use crate::parallel::{self, ParallelCtx};
+use crate::exec::task::{flatten, run_postorder};
+use crate::parallel::ParallelCtx;
 use crate::plan::PlanNode;
 use robustq_storage::Database;
 
-/// Execute one plan node given its children's outputs (build side first
-/// for joins), returning the materialized result. Serial reference path.
-pub fn execute_node(
-    node: &PlanNode,
-    children: &[Chunk],
-    db: &Database,
-) -> Result<Chunk, String> {
-    execute_node_ctx(node, children, db, ParallelCtx::serial())
-}
-
-/// [`execute_node`] with an explicit parallelism context.
-///
-/// Selection, hash join and aggregation run through the morsel-parallel
-/// kernels (`crate::parallel`), which fall back to the serial reference
-/// kernels when `ctx.is_serial()` and are bit-identical otherwise.
-pub fn execute_node_ctx(
-    node: &PlanNode,
-    children: &[Chunk],
-    db: &Database,
-    ctx: ParallelCtx,
-) -> Result<Chunk, String> {
-    match node {
-        PlanNode::Scan { table, columns, predicate } => {
-            let t = db
-                .table(table)
-                .ok_or_else(|| format!("no table {table}"))?;
-            let (_, read_cols) = node.scan_access().expect("scan node");
-            let chunk = Chunk::from_table(t, &read_cols)?;
-            let filtered = match predicate {
-                Some(p) => parallel::select(&chunk, p, ctx)?,
-                None => chunk,
-            };
-            // Project away predicate-only columns.
-            project::keep_columns(&filtered, columns)
-        }
-        PlanNode::Select { predicate, .. } => {
-            parallel::select(&children[0], predicate, ctx)
-        }
-        PlanNode::HashJoin { build_key, probe_key, kind, .. } => parallel::hash_join(
-            &children[0],
-            &children[1],
-            build_key,
-            probe_key,
-            *kind,
-            ctx,
-        ),
-        PlanNode::Project { exprs, .. } => project::project(&children[0], exprs),
-        PlanNode::Aggregate { group_by, aggs, .. } => {
-            parallel::aggregate(&children[0], group_by, aggs, ctx)
-        }
-        PlanNode::Sort { keys, limit, .. } => sort::sort(&children[0], keys, *limit),
-    }
-}
-
-/// Execute a whole plan tree recursively on the host, without any
-/// simulation. This is the reference path used by tests and by the
-/// vectorized comparator's correctness checks.
+/// Execute a whole plan tree on the host, one fully materialized operator
+/// at a time, without any simulation. This is the oracle tests hold every
+/// executor result against.
 pub fn execute_plan(node: &PlanNode, db: &Database) -> Result<Chunk, String> {
     execute_plan_ctx(node, db, ParallelCtx::serial())
 }
 
-/// [`execute_plan`] with an explicit parallelism context.
+/// [`execute_plan`] with an explicit parallelism context: the flattened
+/// plan in postorder through [`crate::exec::task::TaskOp::execute_ctx`].
 pub fn execute_plan_ctx(
     node: &PlanNode,
     db: &Database,
     ctx: ParallelCtx,
 ) -> Result<Chunk, String> {
-    let children: Vec<Chunk> = node
-        .children()
-        .iter()
-        .map(|c| execute_plan_ctx(c, db, ctx))
-        .collect::<Result<_, _>>()?;
-    execute_node_ctx(node, children.as_slice(), db, ctx)
+    run_postorder(&flatten(node), |task, children| task.op.execute_ctx(&children, db, ctx))
 }
 
 #[cfg(test)]

@@ -6,27 +6,19 @@
 //! `c_nationkey = s_nationkey`, Q4's `l_commitdate < l_receiptdate`) and
 //! boolean combinations.
 //!
-//! Two evaluation forms exist:
-//!
-//! * the original mask form ([`Predicate::evaluate`] /
-//!   [`Predicate::evaluate_range`]) producing one `bool` per row, and
-//! * the selection-vector form ([`Predicate::evaluate_selvec`] and the
-//!   range/refine variants), which compiles the predicate once per chunk
-//!   (`CompiledPred` — columns resolved, dictionary match tables built)
-//!   and then emits qualifying `u32` positions directly, with no
-//!   intermediate `Vec<bool>`. Conjunctions short-circuit per row, and an
-//!   incoming selection vector is refined **in place** rather than
-//!   re-deriving positions from scratch.
-//!
-//! Both forms select exactly the same rows. The only observable
-//! difference is which rows a *data-dependent* error (NaN in a numeric
-//! comparison, incomparable column pair) is raised for: the mask form
-//! evaluates every sub-predicate over every row, while the
-//! selection-vector form skips rows an earlier conjunct already rejected.
-//! Static errors (unknown column, type mismatch) are reported identically
-//! — they surface at compile time, before any row is touched.
+//! A [`Predicate`] is compiled once per chunk into a [`CompiledPred`]
+//! (columns resolved, literals converted, dictionary match tables built)
+//! that tests one row at a time and emits qualifying `u32` positions
+//! directly — no intermediate `Vec<bool>`. Conjunctions and disjunctions
+//! short-circuit per row, so a *data-dependent* error (NaN in a numeric
+//! comparison, incomparable column pair) is raised only for rows that
+//! reach it; static errors (unknown column, type mismatch) surface at
+//! compile time, before any row is touched. The production selection
+//! kernel (`ops::select`) runs the block form of the same predicate
+//! ([`crate::simd`]) and falls back to `CompiledPred` for the shapes the
+//! block compiler does not cover.
 
-use crate::batch::{Chunk, SelVec};
+use crate::batch::Chunk;
 use robustq_storage::{ColumnData, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -213,150 +205,6 @@ impl Predicate {
             Predicate::True => {}
         }
     }
-
-    /// Evaluate to one boolean per row.
-    pub fn evaluate(&self, chunk: &Chunk) -> Result<Vec<bool>, String> {
-        self.evaluate_range(chunk, 0..chunk.num_rows())
-    }
-
-    /// Evaluate over `rows` only: one boolean per row of the range, with
-    /// result index 0 corresponding to `rows.start`.
-    ///
-    /// [`Predicate::evaluate`] is this over the full chunk; the
-    /// morsel-parallel selection kernel calls it once per morsel, and the
-    /// result is positionally identical to the matching slice of a
-    /// whole-chunk evaluation.
-    pub fn evaluate_range(
-        &self,
-        chunk: &Chunk,
-        rows: Range<usize>,
-    ) -> Result<Vec<bool>, String> {
-        let n = rows.len();
-        match self {
-            Predicate::True => Ok(vec![true; n]),
-            Predicate::Cmp { column, op, value } => {
-                let col = chunk.require_column(column)?;
-                cmp_column_value(col, *op, value, rows)
-            }
-            Predicate::Between { column, lo, hi } => {
-                let col = chunk.require_column(column)?;
-                let ge = cmp_column_value(col, CmpOp::Ge, lo, rows.clone())?;
-                let le = cmp_column_value(col, CmpOp::Le, hi, rows)?;
-                Ok(ge.into_iter().zip(le).map(|(a, b)| a && b).collect())
-            }
-            Predicate::InList { column, values } => {
-                let col = chunk.require_column(column)?;
-                let mut mask = vec![false; n];
-                for v in values {
-                    for (m, ok) in mask
-                        .iter_mut()
-                        .zip(cmp_column_value(col, CmpOp::Eq, v, rows.clone())?)
-                    {
-                        *m |= ok;
-                    }
-                }
-                Ok(mask)
-            }
-            Predicate::StrPrefix { column, prefix } => {
-                str_match(chunk, column, |s| s.starts_with(prefix.as_str()), rows)
-            }
-            Predicate::StrSuffix { column, suffix } => {
-                str_match(chunk, column, |s| s.ends_with(suffix.as_str()), rows)
-            }
-            Predicate::ColCmp { left, op, right } => {
-                let l = chunk.require_column(left)?;
-                let r = chunk.require_column(right)?;
-                let mut mask = Vec::with_capacity(n);
-                for i in rows {
-                    let ord = l
-                        .get(i)
-                        .partial_cmp_value(&r.get(i))
-                        .ok_or_else(|| format!("incomparable columns {left}, {right}"))?;
-                    mask.push(op.matches(ord));
-                }
-                Ok(mask)
-            }
-            Predicate::And(ps) => {
-                let mut mask = vec![true; n];
-                for p in ps {
-                    for (m, ok) in
-                        mask.iter_mut().zip(p.evaluate_range(chunk, rows.clone())?)
-                    {
-                        *m &= ok;
-                    }
-                }
-                Ok(mask)
-            }
-            Predicate::Or(ps) => {
-                let mut mask = vec![false; n];
-                for p in ps {
-                    for (m, ok) in
-                        mask.iter_mut().zip(p.evaluate_range(chunk, rows.clone())?)
-                    {
-                        *m |= ok;
-                    }
-                }
-                Ok(mask)
-            }
-            Predicate::Not(p) => {
-                Ok(p.evaluate_range(chunk, rows)?.into_iter().map(|b| !b).collect())
-            }
-        }
-    }
-
-    /// Evaluate to a selection vector: the positions where the predicate
-    /// holds, restricted to `sel` when given.
-    ///
-    /// With `sel == None` this is the position-emitting equivalent of
-    /// [`Predicate::evaluate`]: qualifying row indices come out directly,
-    /// in increasing order, with no intermediate mask. With `sel == Some`
-    /// the incoming positions are refined — only surviving positions are
-    /// kept, in their original order — which is how stacked filters
-    /// compose without rescanning the base chunk.
-    pub fn evaluate_selvec(
-        &self,
-        chunk: &Chunk,
-        sel: Option<&SelVec>,
-    ) -> Result<SelVec, String> {
-        match sel {
-            None => {
-                let mut out = Vec::new();
-                self.evaluate_positions_range(chunk, 0..chunk.num_rows(), &mut out)?;
-                Ok(SelVec::new(out))
-            }
-            Some(s) => {
-                let mut out = Vec::with_capacity(s.len());
-                CompiledPred::compile(self, chunk)?
-                    .append_filtered(s.positions(), &mut out)?;
-                Ok(SelVec::new(out))
-            }
-        }
-    }
-
-    /// Append the qualifying positions of `rows` (global row indices) to
-    /// `out`. This is the morsel form of [`Predicate::evaluate_selvec`]:
-    /// each worker emits its morsel's positions into a local buffer and
-    /// the buffers concatenate in morsel order.
-    pub fn evaluate_positions_range(
-        &self,
-        chunk: &Chunk,
-        rows: Range<usize>,
-        out: &mut Vec<u32>,
-    ) -> Result<(), String> {
-        CompiledPred::compile(self, chunk)?.append_range(rows, out)
-    }
-
-    /// Refine a position list **in place**, retaining only positions where
-    /// the predicate holds (the AND short-circuit path: a conjunction
-    /// applied on top of an existing selection never rescans rejected
-    /// rows).
-    pub fn refine_positions(
-        &self,
-        chunk: &Chunk,
-        positions: &mut Vec<u32>,
-    ) -> Result<(), String> {
-        CompiledPred::compile(self, chunk)?.retain(positions)
-    }
 }
 
 /// `lo <= x <= hi` with the same incomparability semantics as
@@ -378,8 +226,7 @@ fn range_contains(x: f64, lo: f64, hi: f64) -> Result<bool, String> {
 /// A predicate compiled against one chunk: column references resolved,
 /// literals converted and dictionary match tables precomputed, leaving a
 /// cheap per-row test. Static errors (unknown column, type mismatch)
-/// surface here, before any row is touched, in the same order the mask
-/// evaluator reports them.
+/// surface here, before any row is touched.
 pub(crate) enum CompiledPred<'a> {
     /// Constant outcome (`TRUE`, and the neutral cases).
     Always(bool),
@@ -545,8 +392,7 @@ impl<'a> CompiledPred<'a> {
     }
 
     /// Does row `row` match? Data-dependent failures (NaN comparisons,
-    /// incomparable column pairs) are reported per row, like the mask
-    /// evaluator's.
+    /// incomparable column pairs) are reported per row.
     #[inline]
     pub(crate) fn test(&self, row: usize) -> Result<bool, String> {
         match self {
@@ -560,16 +406,7 @@ impl<'a> CompiledPred<'a> {
                 Ok(op.matches(ord))
             }
             CompiledPred::NumRange { col, lo, hi } => {
-                let v = col.get_f64(row);
-                let ge = v
-                    .partial_cmp(lo)
-                    .ok_or_else(|| "NaN in comparison".to_string())?
-                    != Ordering::Less;
-                let le = v
-                    .partial_cmp(hi)
-                    .ok_or_else(|| "NaN in comparison".to_string())?
-                    != Ordering::Greater;
-                Ok(ge && le)
+                range_contains(col.get_f64(row), *lo, *hi)
             }
             CompiledPred::NumIn { col, values } => {
                 let v = col.get_f64(row);
@@ -661,8 +498,7 @@ impl<'a> CompiledPred<'a> {
         }
     }
 
-    /// Append the entries of `positions` that match to `out` (sparse
-    /// morsel form).
+    /// Append the entries of `positions` that match to `out`, in order.
     pub(crate) fn append_filtered(
         &self,
         positions: &[u32],
@@ -674,27 +510,6 @@ impl<'a> CompiledPred<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Retain only matching entries of `positions`, in place.
-    pub(crate) fn retain(&self, positions: &mut Vec<u32>) -> Result<(), String> {
-        let mut err: Option<String> = None;
-        positions.retain(|&p| {
-            if err.is_some() {
-                return false;
-            }
-            match self.test(p as usize) {
-                Ok(keep) => keep,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 
@@ -708,62 +523,6 @@ fn compile_str_match<'a>(
             codes: d.codes(),
             table: d.dict().iter().map(|s| pred(s)).collect(),
         }),
-        _ => Err(format!("column {column} is not a string column")),
-    }
-}
-
-/// Compare the rows of `col` in `rows` against a literal.
-///
-/// Dictionary columns use a precomputed per-code match table so the string
-/// comparison happens once per distinct value, not once per row. (The
-/// table covers the whole dictionary even for a sub-range — dictionaries
-/// are small relative to row counts.)
-fn cmp_column_value(
-    col: &ColumnData,
-    op: CmpOp,
-    value: &Value,
-    rows: Range<usize>,
-) -> Result<Vec<bool>, String> {
-    match (col, value) {
-        (ColumnData::Str(d), Value::Str(s)) => {
-            let table: Vec<bool> = d
-                .dict()
-                .iter()
-                .map(|entry| op.matches(entry.as_str().cmp(s.as_str())))
-                .collect();
-            Ok(d.codes()[rows].iter().map(|&c| table[c as usize]).collect())
-        }
-        (ColumnData::Str(_), other) => {
-            Err(format!("cannot compare string column with {other:?}"))
-        }
-        (col, v) => {
-            let rhs = v
-                .as_f64()
-                .ok_or_else(|| format!("cannot compare numeric column with {v:?}"))?;
-            let mut mask = Vec::with_capacity(rows.len());
-            for i in rows {
-                let ord = col
-                    .get_f64(i)
-                    .partial_cmp(&rhs)
-                    .ok_or_else(|| "NaN in comparison".to_string())?;
-                mask.push(op.matches(ord));
-            }
-            Ok(mask)
-        }
-    }
-}
-
-fn str_match(
-    chunk: &Chunk,
-    column: &str,
-    pred: impl Fn(&str) -> bool,
-    rows: Range<usize>,
-) -> Result<Vec<bool>, String> {
-    match chunk.require_column(column)? {
-        ColumnData::Str(d) => {
-            let table: Vec<bool> = d.dict().iter().map(|s| pred(s)).collect();
-            Ok(d.codes()[rows].iter().map(|&c| table[c as usize]).collect())
-        }
         _ => Err(format!("column {column} is not a string column")),
     }
 }
@@ -825,7 +584,29 @@ impl fmt::Display for Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::select::{select, select_range};
+    use crate::parallel::ParallelCtx;
+    use crate::reference;
     use robustq_storage::{DataType, DictColumn, Field};
+
+    /// One `bool` per row through the production selection kernel, which
+    /// both reference evaluators must agree with.
+    trait Evaluate {
+        fn evaluate(&self, c: &Chunk) -> Result<Vec<bool>, String>;
+    }
+
+    impl Evaluate for Predicate {
+        fn evaluate(&self, c: &Chunk) -> Result<Vec<bool>, String> {
+            let sel = select(c, None, self, ParallelCtx::serial());
+            assert_eq!(sel, reference::select_positions(c, None, self), "{self}");
+            let mut mask = vec![false; c.num_rows()];
+            for &p in sel?.positions() {
+                mask[p as usize] = true;
+            }
+            assert_eq!(Ok(&mask), reference::mask(self, c).as_ref(), "{self}");
+            Ok(mask)
+        }
+    }
 
     fn chunk() -> Chunk {
         Chunk::new(
@@ -957,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn range_evaluation_matches_full_slice() {
+    fn range_selection_matches_full_slice() {
         let c = chunk();
         let preds = [
             Predicate::cmp("q", CmpOp::Lt, 30),
@@ -976,11 +757,11 @@ mod tests {
             let full = p.evaluate(&c).unwrap();
             for start in 0..4 {
                 for end in start..=4 {
-                    assert_eq!(
-                        p.evaluate_range(&c, start..end).unwrap(),
-                        full[start..end],
-                        "{p} over {start}..{end}"
-                    );
+                    let sel =
+                        select_range(&c, start..end, p, ParallelCtx::serial()).unwrap();
+                    let want: Vec<u32> =
+                        (start..end).filter(|&i| full[i]).map(|i| i as u32).collect();
+                    assert_eq!(sel.positions(), want, "{p} over {start}..{end}");
                 }
             }
         }

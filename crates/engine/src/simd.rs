@@ -11,8 +11,8 @@
 //!
 //! Bit-identity with the scalar reference is load-bearing:
 //!
-//! * **Selected rows** are exactly those of
-//!   [`crate::predicate::Predicate::evaluate_selvec`]. Integer lanes
+//! * **Selected rows** are exactly those of the scalar
+//!   [`select_positions`](crate::reference). Integer lanes
 //!   compare through `v as f64` like [`ColumnData::get_f64`]; dictionary
 //!   lanes go through the same per-code truth tables.
 //! * **Errors**: every data-dependent failure a supported shape can raise
@@ -48,56 +48,55 @@ fn low_mask(len: usize) -> u64 {
 
 const NAN_ERR: &str = "NaN in comparison";
 
-/// Pack `f` over a ≤ 64-lane slice into a bit mask. The closure is
-/// branch-free for every caller, so the loop reduces to compare + shift —
-/// the autovectorizable core of the module.
-#[inline]
-fn pack<T: Copy>(s: &[T], f: impl Fn(T) -> bool) -> u64 {
-    let mut m = 0u64;
-    for (l, &x) in s.iter().enumerate() {
-        m |= ((f(x)) as u64) << l;
-    }
-    m
+/// One block of ≤ 64 rows of the row stream a kernel reads: a dense run
+/// of the chunk's rows, or that many entries of a selection vector's
+/// position list. Lane `l` is row `start + l`, respectively `pos[l]`.
+#[derive(Clone, Copy)]
+enum Block<'p> {
+    Dense { start: usize, len: usize },
+    At(&'p [u32]),
 }
 
-/// Gathered form of [`pack`]: lanes are `v[pos[l]]`.
-#[inline]
-fn pack_at<T: Copy>(v: &[T], pos: &[u32], f: impl Fn(T) -> bool) -> u64 {
-    let mut m = 0u64;
-    for (l, &p) in pos.iter().enumerate() {
-        m |= ((f(v[p as usize])) as u64) << l;
+impl Block<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Block::Dense { len, .. } => *len,
+            Block::At(pos) => pos.len(),
+        }
     }
-    m
-}
 
-/// Dispatch a comparison operator into six specialized packed loops.
-#[inline]
-fn cmp_pack<T: Copy>(s: &[T], get: impl Fn(T) -> f64, op: CmpOp, rhs: f64) -> u64 {
-    match op {
-        CmpOp::Eq => pack(s, |x| get(x) == rhs),
-        CmpOp::Ne => pack(s, |x| get(x) != rhs),
-        CmpOp::Lt => pack(s, |x| get(x) < rhs),
-        CmpOp::Le => pack(s, |x| get(x) <= rhs),
-        CmpOp::Gt => pack(s, |x| get(x) > rhs),
-        CmpOp::Ge => pack(s, |x| get(x) >= rhs),
+    /// Pack `f` over the block's lanes of `v` into a bit mask. The closure
+    /// is branch-free for every caller, so the loops reduce to compare +
+    /// shift — the autovectorizable core of the module.
+    #[inline]
+    fn pack<T: Copy>(self, v: &[T], f: impl Fn(T) -> bool) -> u64 {
+        let mut m = 0u64;
+        match self {
+            Block::Dense { start, len } => {
+                for (l, &x) in v[start..start + len].iter().enumerate() {
+                    m |= (f(x) as u64) << l;
+                }
+            }
+            Block::At(pos) => {
+                for (l, &p) in pos.iter().enumerate() {
+                    m |= (f(v[p as usize]) as u64) << l;
+                }
+            }
+        }
+        m
     }
-}
 
-#[inline]
-fn cmp_pack_at<T: Copy>(
-    v: &[T],
-    pos: &[u32],
-    get: impl Fn(T) -> f64,
-    op: CmpOp,
-    rhs: f64,
-) -> u64 {
-    match op {
-        CmpOp::Eq => pack_at(v, pos, |x| get(x) == rhs),
-        CmpOp::Ne => pack_at(v, pos, |x| get(x) != rhs),
-        CmpOp::Lt => pack_at(v, pos, |x| get(x) < rhs),
-        CmpOp::Le => pack_at(v, pos, |x| get(x) <= rhs),
-        CmpOp::Gt => pack_at(v, pos, |x| get(x) > rhs),
-        CmpOp::Ge => pack_at(v, pos, |x| get(x) >= rhs),
+    /// Dispatch a comparison operator into six specialized packed loops.
+    #[inline]
+    fn cmp_pack<T: Copy>(self, v: &[T], get: impl Fn(T) -> f64, op: CmpOp, rhs: f64) -> u64 {
+        match op {
+            CmpOp::Eq => self.pack(v, |x| get(x) == rhs),
+            CmpOp::Ne => self.pack(v, |x| get(x) != rhs),
+            CmpOp::Lt => self.pack(v, |x| get(x) < rhs),
+            CmpOp::Le => self.pack(v, |x| get(x) <= rhs),
+            CmpOp::Gt => self.pack(v, |x| get(x) > rhs),
+            CmpOp::Ge => self.pack(v, |x| get(x) >= rhs),
+        }
     }
 }
 
@@ -119,148 +118,53 @@ impl<'a> NumLanes<'a> {
         }
     }
 
-    /// `(match, err)` masks for `lanes <op> rhs` over `rows`.
-    fn cmp(&self, rows: Range<usize>, op: CmpOp, rhs: f64) -> (u64, u64) {
-        let rhs_err = if rhs.is_nan() { low_mask(rows.len()) } else { 0 };
+    /// Error mask of the block: every lane when a literal operand is NaN,
+    /// plus the NaN lanes of a float column.
+    fn err(&self, b: Block<'_>, nan_literal: bool) -> u64 {
+        let lit = if nan_literal { low_mask(b.len()) } else { 0 };
         match self {
-            NumLanes::I32(v) => (cmp_pack(&v[rows], |x| x as f64, op, rhs), rhs_err),
-            NumLanes::I64(v) => (cmp_pack(&v[rows], |x| x as f64, op, rhs), rhs_err),
-            NumLanes::F64(v) => {
-                let s = &v[rows];
-                (cmp_pack(s, |x| x, op, rhs), rhs_err | pack(s, |x: f64| x.is_nan()))
-            }
+            NumLanes::F64(v) => lit | b.pack(v, |x: f64| x.is_nan()),
+            _ => lit,
         }
     }
 
-    /// `(match, err)` masks for `lo <= lanes <= hi` over `rows`.
-    fn range(&self, rows: Range<usize>, lo: f64, hi: f64) -> (u64, u64) {
-        let bound_err =
-            if lo.is_nan() || hi.is_nan() { low_mask(rows.len()) } else { 0 };
-        match self {
-            NumLanes::I32(v) => (
-                pack(&v[rows], |x| {
-                    let x = x as f64;
-                    (x >= lo) & (x <= hi)
-                }),
-                bound_err,
-            ),
-            NumLanes::I64(v) => (
-                pack(&v[rows], |x| {
-                    let x = x as f64;
-                    (x >= lo) & (x <= hi)
-                }),
-                bound_err,
-            ),
-            NumLanes::F64(v) => {
-                let s = &v[rows];
-                (
-                    pack(s, |x| (x >= lo) & (x <= hi)),
-                    bound_err | pack(s, |x: f64| x.is_nan()),
-                )
-            }
-        }
-    }
-
-    /// `(match, err)` masks for `lanes IN (values…)` over `rows`.
-    fn in_list(&self, rows: Range<usize>, values: &[f64]) -> (u64, u64) {
-        let value_err = if values.iter().any(|v| v.is_nan()) {
-            low_mask(rows.len())
-        } else {
-            0
+    /// `(match, err)` masks for `lanes <op> rhs` over the block.
+    fn cmp(&self, b: Block<'_>, op: CmpOp, rhs: f64) -> (u64, u64) {
+        let m = match self {
+            NumLanes::I32(v) => b.cmp_pack(v, |x| x as f64, op, rhs),
+            NumLanes::I64(v) => b.cmp_pack(v, |x| x as f64, op, rhs),
+            NumLanes::F64(v) => b.cmp_pack(v, |x| x, op, rhs),
         };
-        let mut m = 0u64;
-        match self {
-            NumLanes::I32(v) => {
-                let s = &v[rows];
-                for &rhs in values {
-                    m |= pack(s, |x| x as f64 == rhs);
-                }
-                (m, value_err)
-            }
-            NumLanes::I64(v) => {
-                let s = &v[rows];
-                for &rhs in values {
-                    m |= pack(s, |x| x as f64 == rhs);
-                }
-                (m, value_err)
-            }
-            NumLanes::F64(v) => {
-                let s = &v[rows];
-                for &rhs in values {
-                    m |= pack(s, |x| x == rhs);
-                }
-                (m, value_err | pack(s, |x: f64| x.is_nan()))
-            }
-        }
+        (m, self.err(b, rhs.is_nan()))
     }
 
-    /// Gathered variants of the three mask kernels: lanes are the column
-    /// values at `pos` (≤ 64 positions) instead of a dense range — the
-    /// selection-vector refinement form.
-    fn cmp_at(&self, pos: &[u32], op: CmpOp, rhs: f64) -> (u64, u64) {
-        let rhs_err = if rhs.is_nan() { low_mask(pos.len()) } else { 0 };
-        match self {
-            NumLanes::I32(v) => (cmp_pack_at(v, pos, |x| x as f64, op, rhs), rhs_err),
-            NumLanes::I64(v) => (cmp_pack_at(v, pos, |x| x as f64, op, rhs), rhs_err),
-            NumLanes::F64(v) => (
-                cmp_pack_at(v, pos, |x| x, op, rhs),
-                rhs_err | pack_at(v, pos, |x: f64| x.is_nan()),
-            ),
-        }
-    }
-
-    fn range_at(&self, pos: &[u32], lo: f64, hi: f64) -> (u64, u64) {
-        let bound_err =
-            if lo.is_nan() || hi.is_nan() { low_mask(pos.len()) } else { 0 };
-        match self {
-            NumLanes::I32(v) => (
-                pack_at(v, pos, |x| {
-                    let x = x as f64;
-                    (x >= lo) & (x <= hi)
-                }),
-                bound_err,
-            ),
-            NumLanes::I64(v) => (
-                pack_at(v, pos, |x| {
-                    let x = x as f64;
-                    (x >= lo) & (x <= hi)
-                }),
-                bound_err,
-            ),
-            NumLanes::F64(v) => (
-                pack_at(v, pos, |x| (x >= lo) & (x <= hi)),
-                bound_err | pack_at(v, pos, |x: f64| x.is_nan()),
-            ),
-        }
-    }
-
-    fn in_list_at(&self, pos: &[u32], values: &[f64]) -> (u64, u64) {
-        let value_err = if values.iter().any(|v| v.is_nan()) {
-            low_mask(pos.len())
-        } else {
-            0
+    /// `(match, err)` masks for `lo <= lanes <= hi` over the block.
+    fn range(&self, b: Block<'_>, lo: f64, hi: f64) -> (u64, u64) {
+        let m = match self {
+            NumLanes::I32(v) => b.pack(v, |x| {
+                let x = x as f64;
+                (x >= lo) & (x <= hi)
+            }),
+            NumLanes::I64(v) => b.pack(v, |x| {
+                let x = x as f64;
+                (x >= lo) & (x <= hi)
+            }),
+            NumLanes::F64(v) => b.pack(v, |x| (x >= lo) & (x <= hi)),
         };
+        (m, self.err(b, lo.is_nan() || hi.is_nan()))
+    }
+
+    /// `(match, err)` masks for `lanes IN (values…)` over the block.
+    fn in_list(&self, b: Block<'_>, values: &[f64]) -> (u64, u64) {
         let mut m = 0u64;
-        match self {
-            NumLanes::I32(v) => {
-                for &rhs in values {
-                    m |= pack_at(v, pos, |x| x as f64 == rhs);
-                }
-                (m, value_err)
-            }
-            NumLanes::I64(v) => {
-                for &rhs in values {
-                    m |= pack_at(v, pos, |x| x as f64 == rhs);
-                }
-                (m, value_err)
-            }
-            NumLanes::F64(v) => {
-                for &rhs in values {
-                    m |= pack_at(v, pos, |x| x == rhs);
-                }
-                (m, value_err | pack_at(v, pos, |x: f64| x.is_nan()))
-            }
+        for &rhs in values {
+            m |= match self {
+                NumLanes::I32(v) => b.pack(v, |x| x as f64 == rhs),
+                NumLanes::I64(v) => b.pack(v, |x| x as f64 == rhs),
+                NumLanes::F64(v) => b.pack(v, |x| x == rhs),
+            };
         }
+        (m, self.err(b, values.iter().any(|v| v.is_nan())))
     }
 }
 
@@ -296,24 +200,20 @@ fn finish((m, e): (u64, u64), active: u64) -> Result<u64, String> {
 }
 
 impl Node<'_> {
-    /// Match mask over the dense block `rows` (≤ 64 rows). Lanes outside
-    /// `active` carry arbitrary bits; errors are only raised for active
-    /// lanes, mirroring scalar short-circuit order.
-    fn eval(&self, rows: Range<usize>, active: u64) -> Result<u64, String> {
+    /// Match mask over one block. Lanes outside `active` carry arbitrary
+    /// bits; errors are only raised for active lanes, mirroring scalar
+    /// short-circuit order.
+    fn eval(&self, b: Block<'_>, active: u64) -> Result<u64, String> {
         match self {
-            Node::Const(b) => Ok(if *b { u64::MAX } else { 0 }),
-            Node::Cmp { lanes, op, rhs } => finish(lanes.cmp(rows, *op, *rhs), active),
-            Node::Range { lanes, lo, hi } => {
-                finish(lanes.range(rows, *lo, *hi), active)
-            }
-            Node::In { lanes, values } => finish(lanes.in_list(rows, values), active),
-            Node::Codes { codes, table } => {
-                Ok(pack(&codes[rows], |c| table[c as usize]))
-            }
+            Node::Const(c) => Ok(if *c { u64::MAX } else { 0 }),
+            Node::Cmp { lanes, op, rhs } => finish(lanes.cmp(b, *op, *rhs), active),
+            Node::Range { lanes, lo, hi } => finish(lanes.range(b, *lo, *hi), active),
+            Node::In { lanes, values } => finish(lanes.in_list(b, values), active),
+            Node::Codes { codes, table } => Ok(b.pack(codes, |c| table[c as usize])),
             Node::All(ps) => {
                 let mut act = active;
                 for p in ps {
-                    act &= p.eval(rows.clone(), act)?;
+                    act &= p.eval(b, act)?;
                     if act == 0 {
                         break;
                     }
@@ -324,7 +224,7 @@ impl Node<'_> {
                 let mut undecided = active;
                 let mut m = 0u64;
                 for p in ps {
-                    let pm = p.eval(rows.clone(), undecided)?;
+                    let pm = p.eval(b, undecided)?;
                     m |= pm & undecided;
                     undecided &= !pm;
                     if undecided == 0 {
@@ -333,50 +233,7 @@ impl Node<'_> {
                 }
                 Ok(m)
             }
-            Node::Not(p) => Ok(!p.eval(rows, active)?),
-        }
-    }
-
-    /// Match mask over the gathered block `pos` (≤ 64 positions).
-    fn eval_at(&self, pos: &[u32], active: u64) -> Result<u64, String> {
-        match self {
-            Node::Const(b) => Ok(if *b { u64::MAX } else { 0 }),
-            Node::Cmp { lanes, op, rhs } => {
-                finish(lanes.cmp_at(pos, *op, *rhs), active)
-            }
-            Node::Range { lanes, lo, hi } => {
-                finish(lanes.range_at(pos, *lo, *hi), active)
-            }
-            Node::In { lanes, values } => {
-                finish(lanes.in_list_at(pos, values), active)
-            }
-            Node::Codes { codes, table } => {
-                Ok(pack_at(codes, pos, |c| table[c as usize]))
-            }
-            Node::All(ps) => {
-                let mut act = active;
-                for p in ps {
-                    act &= p.eval_at(pos, act)?;
-                    if act == 0 {
-                        break;
-                    }
-                }
-                Ok(act)
-            }
-            Node::Any(ps) => {
-                let mut undecided = active;
-                let mut m = 0u64;
-                for p in ps {
-                    let pm = p.eval_at(pos, undecided)?;
-                    m |= pm & undecided;
-                    undecided &= !pm;
-                    if undecided == 0 {
-                        break;
-                    }
-                }
-                Ok(m)
-            }
-            Node::Not(p) => Ok(!p.eval_at(pos, active)?),
+            Node::Not(p) => Ok(!p.eval(b, active)?),
         }
     }
 }
@@ -403,43 +260,22 @@ impl<'a> BlockPred<'a> {
         rows: Range<usize>,
         out: &mut Vec<u32>,
     ) -> Result<(), String> {
-        let mut start = rows.start;
-        while start < rows.end {
+        for start in rows.clone().step_by(64) {
             let len = (rows.end - start).min(64);
             let full = low_mask(len);
-            let m = self.node.eval(start..start + len, full)? & full;
-            emit(m, start as u32, out);
-            start += len;
-        }
-        Ok(())
-    }
-
-    /// Retain only matching entries of `positions`, in place (the
-    /// selection-vector refinement kernel): gathered 64-lane blocks, same
-    /// survivors and errors as [`crate::predicate::CompiledPred::retain`].
-    pub fn refine(&self, positions: &mut Vec<u32>) -> Result<(), String> {
-        let mut w = 0usize;
-        let mut r = 0usize;
-        let mut block = [0u32; 64];
-        while r < positions.len() {
-            let len = (positions.len() - r).min(64);
-            block[..len].copy_from_slice(&positions[r..r + len]);
-            let full = low_mask(len);
-            let mut m = self.node.eval_at(&block[..len], full)? & full;
+            let mut m = self.node.eval(Block::Dense { start, len }, full)? & full;
             while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                positions[w] = block[lane];
-                w += 1;
+                out.push(start as u32 + m.trailing_zeros());
                 m &= m - 1;
             }
-            r += len;
         }
-        positions.truncate(w);
         Ok(())
     }
 
-    /// Append the entries of `positions` that match to `out` (the sparse
-    /// morsel form of [`BlockPred::refine`]).
+    /// Append the entries of `positions` that match to `out`, in order
+    /// (the selection-vector refinement kernel): gathered 64-lane blocks,
+    /// same survivors and errors as the scalar
+    /// [`crate::predicate::CompiledPred::append_filtered`].
     pub fn append_filtered(
         &self,
         positions: &[u32],
@@ -447,23 +283,13 @@ impl<'a> BlockPred<'a> {
     ) -> Result<(), String> {
         for block in positions.chunks(64) {
             let full = low_mask(block.len());
-            let mut m = self.node.eval_at(block, full)? & full;
+            let mut m = self.node.eval(Block::At(block), full)? & full;
             while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                out.push(block[lane]);
+                out.push(block[m.trailing_zeros() as usize]);
                 m &= m - 1;
             }
         }
         Ok(())
-    }
-}
-
-/// Pop set bits of `m` into positions `base + lane`.
-#[inline]
-fn emit(mut m: u64, base: u32, out: &mut Vec<u32>) {
-    while m != 0 {
-        out.push(base + m.trailing_zeros());
-        m &= m - 1;
     }
 }
 
@@ -598,43 +424,25 @@ impl<'a> ProdPred<'a> {
             ProdPred::Scalar(s) => s.append_range(rows, out),
         }
     }
-}
 
-/// Emit the qualifying positions of `rows` through the block evaluator
-/// when the predicate compiles, falling back to the scalar compiled form
-/// otherwise. This is the production selection path; the scalar
-/// [`crate::predicate::Predicate::evaluate_positions_range`] remains the
-/// reference baseline.
-pub fn eval_positions_range(
-    pred: &Predicate,
-    chunk: &Chunk,
-    rows: Range<usize>,
-    out: &mut Vec<u32>,
-) -> Result<(), String> {
-    ProdPred::compile(pred, chunk)?.append_range(rows, out)
-}
-
-/// Production selection-vector refinement: the block-evaluated equivalent
-/// of [`crate::predicate::Predicate::evaluate_selvec`]`(chunk, Some(sel))`
-/// — surviving positions in original order, gathered 64-lane blocks.
-pub fn refine_selvec(
-    pred: &Predicate,
-    chunk: &Chunk,
-    sel: &crate::batch::SelVec,
-) -> Result<crate::batch::SelVec, String> {
-    let mut out = Vec::with_capacity(sel.len());
-    match ProdPred::compile(pred, chunk)? {
-        ProdPred::Block(b) => b.append_filtered(sel.positions(), &mut out)?,
-        ProdPred::Scalar(s) => s.append_filtered(sel.positions(), &mut out)?,
+    /// Append the entries of `positions` that match, in order.
+    pub(crate) fn append_filtered(
+        &self,
+        positions: &[u32],
+        out: &mut Vec<u32>,
+    ) -> Result<(), String> {
+        match self {
+            ProdPred::Block(b) => b.append_filtered(positions, out),
+            ProdPred::Scalar(s) => s.append_filtered(positions, out),
+        }
     }
-    Ok(crate::batch::SelVec::new(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::SelVec;
-    use crate::predicate::CompiledPred;
+    use crate::reference::select_positions;
     use robustq_storage::{DataType, DictColumn, Field};
 
     fn chunk(rows: usize) -> Chunk {
@@ -704,7 +512,7 @@ mod tests {
                     .unwrap_or_else(|| panic!("{p} should compile"));
                 let mut got = Vec::new();
                 bp.append_range(0..rows, &mut got).unwrap();
-                let want = p.evaluate_selvec(&c, None).unwrap();
+                let want = select_positions(&c, None, &p).unwrap();
                 assert_eq!(got, want.positions(), "{p} over {rows} rows");
                 // Sub-ranges agree too (the morsel form).
                 if rows >= 65 {
@@ -723,47 +531,43 @@ mod tests {
     }
 
     #[test]
-    fn refine_matches_scalar_retain() {
+    fn append_filtered_matches_scalar_refinement() {
         let c = chunk(500);
         // A stride-3 starting selection.
-        let base: Vec<u32> = (0..500u32).filter(|x| x % 3 == 0).collect();
+        let base = SelVec::new((0..500u32).filter(|x| x % 3 == 0).collect());
         for p in preds() {
             let bp = BlockPred::try_compile(&p, &c).unwrap();
-            let mut got = base.clone();
-            bp.refine(&mut got).unwrap();
-            let mut want = base.clone();
-            CompiledPred::compile(&p, &c).unwrap().retain(&mut want).unwrap();
-            assert_eq!(got, want, "{p}");
-
-            let mut appended = Vec::new();
-            bp.append_filtered(&base, &mut appended).unwrap();
-            assert_eq!(appended, want, "{p} append_filtered");
+            let mut got = Vec::new();
+            bp.append_filtered(base.positions(), &mut got).unwrap();
+            let want = select_positions(&c, Some(&base), &p).unwrap();
+            assert_eq!(got, want.positions(), "{p}");
         }
     }
 
     #[test]
-    fn eval_positions_range_selects_block_path_and_falls_back() {
+    fn prod_pred_selects_block_path_and_falls_back() {
         let c = chunk(200);
+        let run = |p: &Predicate| -> Result<SelVec, String> {
+            let mut got = Vec::new();
+            ProdPred::compile(p, &c)?.append_range(0..200, &mut got)?;
+            Ok(SelVec::new(got))
+        };
         // Block-evaluable predicate.
         let p = Predicate::between("a", -5, 5);
-        let mut got = Vec::new();
-        eval_positions_range(&p, &c, 0..200, &mut got).unwrap();
-        assert_eq!(SelVec::new(got), p.evaluate_selvec(&c, None).unwrap());
+        assert!(matches!(ProdPred::compile(&p, &c), Ok(ProdPred::Block(_))));
+        assert_eq!(run(&p), select_positions(&c, None, &p));
         // ColCmp is unsupported: must fall back, not fail.
         let p = Predicate::ColCmp {
             left: "a".into(),
             op: CmpOp::Lt,
             right: "b".into(),
         };
-        assert!(BlockPred::try_compile(&p, &c).is_none());
-        let mut got = Vec::new();
-        eval_positions_range(&p, &c, 0..200, &mut got).unwrap();
-        assert_eq!(SelVec::new(got), p.evaluate_selvec(&c, None).unwrap());
+        assert!(matches!(ProdPred::compile(&p, &c), Ok(ProdPred::Scalar(_))));
+        assert_eq!(run(&p), select_positions(&c, None, &p));
         // Static errors surface with the scalar message.
         let p = Predicate::eq("zz", 1);
-        let mut out = Vec::new();
-        let err = eval_positions_range(&p, &c, 0..200, &mut out).unwrap_err();
-        assert_eq!(err, p.evaluate_selvec(&c, None).unwrap_err());
+        assert!(run(&p).is_err());
+        assert_eq!(run(&p), select_positions(&c, None, &p));
     }
 
     #[test]
@@ -784,7 +588,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(
             bp.append_range(0..4, &mut out).unwrap_err(),
-            p.evaluate_selvec(&c, None).unwrap_err()
+            select_positions(&c, None, &p).unwrap_err()
         );
         // AND short-circuit: the NaN row is rejected by the first conjunct,
         // so neither path errors.
@@ -795,7 +599,7 @@ mod tests {
         let bp = BlockPred::try_compile(&p, &c).unwrap();
         let mut out = Vec::new();
         bp.append_range(0..4, &mut out).unwrap();
-        assert_eq!(SelVec::new(out), p.evaluate_selvec(&c, None).unwrap());
+        assert_eq!(SelVec::new(out), select_positions(&c, None, &p).unwrap());
         // Flipped order: the NaN row is live when the comparison runs, so
         // both paths error identically.
         let p = Predicate::and([
@@ -806,7 +610,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(
             bp.append_range(0..4, &mut out).unwrap_err(),
-            p.evaluate_selvec(&c, None).unwrap_err()
+            select_positions(&c, None, &p).unwrap_err()
         );
         // OR short-circuit: a true first branch hides the NaN in the
         // second branch, in both paths.
@@ -817,14 +621,14 @@ mod tests {
         let bp = BlockPred::try_compile(&p, &c).unwrap();
         let mut out = Vec::new();
         bp.append_range(0..4, &mut out).unwrap();
-        assert_eq!(SelVec::new(out), p.evaluate_selvec(&c, None).unwrap());
+        assert_eq!(SelVec::new(out), select_positions(&c, None, &p).unwrap());
         // NaN literal: every active lane errors.
         let p = Predicate::cmp("x", CmpOp::Eq, f64::NAN);
         let bp = BlockPred::try_compile(&p, &c).unwrap();
         let mut out = Vec::new();
         assert_eq!(
             bp.append_range(0..4, &mut out).unwrap_err(),
-            p.evaluate_selvec(&c, None).unwrap_err()
+            select_positions(&c, None, &p).unwrap_err()
         );
     }
 
@@ -836,8 +640,7 @@ mod tests {
         let mut out = Vec::new();
         bp.append_range(0..0, &mut out).unwrap();
         assert!(out.is_empty());
-        let mut none: Vec<u32> = Vec::new();
-        bp.refine(&mut none).unwrap();
-        assert!(none.is_empty());
+        bp.append_filtered(&[], &mut out).unwrap();
+        assert!(out.is_empty());
     }
 }

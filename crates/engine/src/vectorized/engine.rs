@@ -12,7 +12,8 @@
 //!   so a query pays `max(transfer, compute)` rather than their sum.
 
 use crate::batch::Chunk;
-use crate::ops;
+use crate::exec::task::{flatten, run_postorder, TaskOp};
+use crate::parallel::ParallelCtx;
 use crate::plan::PlanNode;
 use robustq_sim::{CostModel, DeviceId, OpClass, SimConfig, VirtualTime};
 use robustq_storage::Database;
@@ -116,45 +117,44 @@ impl<'a> VectorizedEngine<'a> {
         Ok(VectorizedReport { time, transfer_time, result })
     }
 
-    /// Bottom-up real execution, recording per-node sizes.
+    /// Bottom-up real execution (the flattened plan in postorder through
+    /// [`TaskOp::execute_ctx`], like `ops::execute_plan`), recording
+    /// per-node sizes.
     pub(crate) fn collect(
         &self,
-        node: &PlanNode,
+        plan: &PlanNode,
         out: &mut Vec<NodeSizes>,
     ) -> Result<Chunk, String> {
-        let children: Vec<Chunk> = node
-            .children()
-            .iter()
-            .map(|c| self.collect(c, out))
-            .collect::<Result<_, _>>()?;
-        let result = ops::execute_node(node, &children, self.db)?;
-        let (bytes_in, base_bytes) = match node.scan_access() {
-            Some((table, cols)) => {
-                let t = self
-                    .db
-                    .table(table)
-                    .ok_or_else(|| format!("no table {table}"))?;
-                let b: u64 = cols
-                    .iter()
-                    .filter_map(|c| t.column(c))
-                    .map(|c| c.byte_size())
-                    .sum();
-                (b, b)
-            }
-            None => (children.iter().map(Chunk::byte_size).sum(), 0),
-        };
-        let is_breaker = matches!(
-            node,
-            PlanNode::HashJoin { .. } | PlanNode::Aggregate { .. } | PlanNode::Sort { .. }
-        );
-        out.push(NodeSizes {
-            class: node.op_class(),
-            bytes_in,
-            bytes_out: result.byte_size(),
-            is_breaker,
-            base_bytes,
-        });
-        Ok(result)
+        run_postorder(&flatten(plan), |task, children: Vec<Chunk>| {
+            let result = task.op.execute_ctx(&children, self.db, ParallelCtx::serial())?;
+            let (bytes_in, base_bytes) = match task.op.scan_access() {
+                Some((table, cols)) => {
+                    let t = self
+                        .db
+                        .table(table)
+                        .ok_or_else(|| format!("no table {table}"))?;
+                    let b: u64 = cols
+                        .iter()
+                        .filter_map(|c| t.column(c))
+                        .map(|c| c.byte_size())
+                        .sum();
+                    (b, b)
+                }
+                None => (children.iter().map(Chunk::byte_size).sum(), 0),
+            };
+            let is_breaker = matches!(
+                task.op,
+                TaskOp::HashJoin { .. } | TaskOp::Aggregate { .. } | TaskOp::Sort { .. }
+            );
+            out.push(NodeSizes {
+                class: task.op.op_class(),
+                bytes_in,
+                bytes_out: result.byte_size(),
+                is_breaker,
+                base_bytes,
+            });
+            Ok(result)
+        })
     }
 }
 
@@ -162,6 +162,7 @@ impl<'a> VectorizedEngine<'a> {
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::ops;
     use crate::plan::AggSpec;
     use crate::predicate::Predicate;
     use robustq_sim::DeviceKind;

@@ -23,7 +23,7 @@ use robustq_core::Strategy;
 use robustq_engine::expr::Expr;
 use robustq_engine::ops;
 use robustq_engine::plan::{AggFunc, AggSpec, PlanNode};
-use robustq_engine::{Chunk, RunMetrics};
+use robustq_engine::{Chunk, ParallelCtx, RunMetrics};
 use robustq_sim::{SimConfig, VirtualTime};
 use robustq_storage::{ColumnData, Database, Table};
 
@@ -127,7 +127,8 @@ pub fn merge_partials(plan: &PlanNode, partials: &[Chunk]) -> Result<Chunk, Stri
                     AggSpec::new(func, Expr::col(&a.output_name), a.output_name.clone())
                 })
                 .collect();
-            let merged = ops::agg::aggregate(&concat, group_by, &merge_aggs)?;
+            let merged =
+                ops::agg::aggregate(&concat, None, group_by, &merge_aggs, ParallelCtx::serial())?;
             let merged = restore_count_types(merged, aggs)?;
             // Back to the partials' (possibly projected) column order.
             let order: Vec<String> = partials[0]

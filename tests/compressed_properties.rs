@@ -19,8 +19,8 @@
 
 use proptest::prelude::*;
 use robustq::engine::ops::compressed::{exec_path, select_compressed, ExecPath};
-use robustq::engine::ops::select::select;
 use robustq::engine::predicate::{CmpOp, Predicate};
+use robustq::engine::reference;
 use robustq::engine::Chunk;
 use robustq::storage::{ColumnData, CompressedColumn, DataType, DictColumn, Field};
 
@@ -40,11 +40,7 @@ fn dtype_of(col: &ColumnData) -> DataType {
 fn reference(col: &CompressedColumn, pred: &Predicate) -> Result<Vec<u32>, String> {
     let dec = col.decompress();
     let chunk = Chunk::new(vec![Field::new(COL, dtype_of(&dec))], vec![dec]);
-    let sel = pred.evaluate_selvec(&chunk, None)?;
-    // Cross-check against the materializing kernel while we are here.
-    let filtered = select(&chunk, pred)?;
-    assert_eq!(filtered.num_rows(), sel.len());
-    Ok(sel.positions().to_vec())
+    Ok(reference::select_positions(&chunk, None, pred)?.into_positions())
 }
 
 /// The equivalence under test.

@@ -1,25 +1,29 @@
-//! Property tests: the morsel-parallel kernels are **bit-identical** to
-//! the serial reference kernels.
+//! Property tests: each production kernel is **bit-identical** to its
+//! reference, for every row stream and every parallelism context.
 //!
-//! Every test compares `robustq::engine::parallel::{select, hash_join,
-//! aggregate}` against the corresponding `ops` kernel via `Chunk`
-//! equality (fields, column data, dictionary codes — everything), across
-//! all column `DataType`s, morsel sizes {1, 7, 1024} and worker counts
-//! {1, 2, 8}, including empty and single-row chunks. Any divergence —
-//! group numbering, float association order, dictionary rebuilds — fails
-//! these tests.
+//! For each of select / hash join / aggregate, the one production function
+//! (`robustq::engine::ops::{select::select, join::hash_join,
+//! agg::aggregate}`) is run over `sel ∈ {None, Some}` × `ctx ∈ {serial,
+//! workers 2/8 × morsel 1/7/65 536 with the fan-out threshold off}` and
+//! compared against `robustq::engine::reference` on the gathered input via
+//! `Result<Chunk, String>` equality (fields, column data, dictionary codes
+//! **and** `Err` strings), across all column `DataType`s, including empty
+//! and single-row chunks. Any divergence — group numbering, float
+//! association order, dictionary rebuilds, a different error — fails these
+//! tests.
 
 use proptest::prelude::*;
+use robustq::engine::exec::task::{ShardSpec, TaskOp};
+use robustq::engine::expr::Expr;
 use robustq::engine::ops;
-use robustq::engine::parallel::{self, ParallelCtx};
 use robustq::engine::plan::{AggFunc, AggSpec, JoinKind};
 use robustq::engine::predicate::{CmpOp, Predicate};
-use robustq::engine::Chunk;
-use robustq::engine::expr::Expr;
-use robustq::storage::{ColumnData, DataType, DictColumn, Field};
+use robustq::engine::reference;
+use robustq::engine::{Chunk, LazyChunk, ParallelCtx, SelVec};
+use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field, Schema, Table};
 
-const WORKER_GRID: [usize; 3] = [1, 2, 8];
-const MORSEL_GRID: [usize; 3] = [1, 7, 1024];
+const WORKER_GRID: [usize; 2] = [2, 8];
+const MORSEL_GRID: [usize; 3] = [1, 7, 65_536];
 
 const STR_POOL: [&str; 7] =
     ["ASIA", "EUROPE", "AMERICA", "AFRICA", "MIDDLE EAST", "x", ""];
@@ -52,8 +56,14 @@ fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<Row>> {
     prop::collection::vec((-40i32..40, -9i64..9, -60i32..60, 0usize..7), 0..max)
 }
 
+/// Block-compilable shapes (0–5), scalar-fallback shapes (6–7) and shapes
+/// that fail: a data-dependent NaN error behind a short-circuit (8) and
+/// under a negation (9), an incomparable column pair (10), a type
+/// mismatch (11) and an unknown column (12).
+const NUM_PREDICATES: usize = 13;
+
 fn predicate_for(which: usize) -> Predicate {
-    match which % 6 {
+    match which % NUM_PREDICATES {
         0 => Predicate::cmp("i32", CmpOp::Lt, 5),
         1 => Predicate::between("f64", -5.0, 8.0),
         2 => Predicate::in_list("str", ["ASIA", "x"]),
@@ -62,35 +72,216 @@ fn predicate_for(which: usize) -> Predicate {
             Predicate::cmp("i64", CmpOp::Ge, -3),
             Predicate::Not(Box::new(Predicate::eq("str", "EUROPE"))),
         ]),
-        _ => Predicate::or([
+        5 => Predicate::or([
             Predicate::eq("i32", 0),
             Predicate::cmp("f64", CmpOp::Gt, 10.0),
         ]),
+        6 => Predicate::ColCmp { left: "i32".into(), op: CmpOp::Le, right: "f64".into() },
+        7 => Predicate::and([
+            Predicate::ColCmp { left: "i64".into(), op: CmpOp::Ne, right: "i32".into() },
+            Predicate::StrSuffix { column: "str".into(), suffix: "A".into() },
+        ]),
+        8 => Predicate::and([
+            Predicate::cmp("i32", CmpOp::Gt, 30),
+            Predicate::cmp("f64", CmpOp::Lt, f64::NAN),
+        ]),
+        9 => Predicate::Not(Box::new(Predicate::cmp("f64", CmpOp::Eq, f64::NAN))),
+        10 => Predicate::ColCmp { left: "str".into(), op: CmpOp::Eq, right: "i32".into() },
+        11 => Predicate::eq("str", 4),
+        _ => Predicate::eq("missing", 1),
     }
 }
 
+/// Key columns of every type, plus an unknown one.
 fn key_column(which: usize) -> &'static str {
-    ["i32", "i64", "f64", "str"][which % 4]
+    ["i32", "i64", "f64", "str", "missing"][which % 5]
 }
 
 fn join_kind(which: usize) -> JoinKind {
     [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti][which % 3]
 }
 
-/// Assert a parallel kernel equals its serial reference over the whole
-/// worker × morsel grid.
-fn assert_grid(serial: &Chunk, run: impl Fn(ParallelCtx) -> Chunk) {
+/// A strictly increasing selection over `n` rows drawn from `picks`.
+fn sel_of(n: usize, picks: &[bool]) -> SelVec {
+    SelVec::new((0..n as u32).filter(|&i| picks[i as usize % picks.len()]).collect())
+}
+
+fn picks_strategy() -> impl Strategy<Value = Vec<bool>> {
+    prop::collection::vec(prop::bool::ANY, 1..16)
+}
+
+/// Serial, then workers × morsels with the fan-out threshold off so even
+/// tiny streams run the pool and the morsel-order merges.
+fn ctx_grid() -> Vec<ParallelCtx> {
+    let mut grid = vec![ParallelCtx::serial()];
     for workers in WORKER_GRID {
         for morsel in MORSEL_GRID {
-            let ctx = ParallelCtx::serial()
-                .with_workers(workers)
-                .with_morsel_rows(morsel)
-                .with_min_rows_per_worker(0); // fan out even tiny chunks
-            assert_eq!(
-                &run(ctx),
-                serial,
-                "parallel result diverged at workers={workers} morsel={morsel}"
+            grid.push(
+                ParallelCtx::serial()
+                    .with_workers(workers)
+                    .with_morsel_rows(morsel)
+                    .with_min_rows_per_worker(0),
             );
+        }
+    }
+    grid
+}
+
+/// Assert `run(sel, ctx)` equals `reference(gathered input)` for the dense
+/// stream and for the stream through `sel`, over the whole context grid.
+fn assert_grid(
+    chunk: &Chunk,
+    sel: &SelVec,
+    reference: impl Fn(&Chunk) -> Result<Chunk, String>,
+    run: impl Fn(Option<&SelVec>, ParallelCtx) -> Result<Chunk, String>,
+) {
+    for sel in [None, Some(sel)] {
+        let want = match sel {
+            None => reference(chunk),
+            Some(s) => reference(&chunk.gather(s.positions())),
+        };
+        for ctx in ctx_grid() {
+            assert_eq!(
+                run(sel, ctx),
+                want,
+                "production diverged from reference at sel={:?} {ctx:?}",
+                sel.map(SelVec::len),
+            );
+        }
+    }
+}
+
+fn check_select(chunk: &Chunk, sel: &SelVec, pred: &Predicate) {
+    assert_grid(
+        chunk,
+        sel,
+        |input| {
+            let positions = reference::select_positions(input, None, pred)?;
+            Ok(input.gather(positions.positions()))
+        },
+        |sel, ctx| {
+            let positions = ops::select::select(chunk, sel, pred, ctx)?;
+            Ok(chunk.gather(positions.positions()))
+        },
+    );
+}
+
+fn check_join(
+    build: &Chunk,
+    probe: &Chunk,
+    sel: &SelVec,
+    (build_key, probe_key): (&str, &str),
+    kind: JoinKind,
+) {
+    assert_grid(
+        probe,
+        sel,
+        |input| reference::hash_join(build, input, None, build_key, probe_key, kind),
+        |sel, ctx| ops::join::hash_join(build, probe, sel, build_key, probe_key, kind, ctx),
+    );
+}
+
+fn check_aggregate(chunk: &Chunk, sel: &SelVec, group_by: &[String], aggs: &[AggSpec]) {
+    assert_grid(
+        chunk,
+        sel,
+        |input| reference::aggregate(input, None, group_by, aggs),
+        |sel, ctx| ops::agg::aggregate(chunk, sel, group_by, aggs, ctx),
+    );
+}
+
+/// 0–3 keys: global aggregate, the dense/open-addressing single-key paths,
+/// key pairs, and the generic composite-key path; 4 names an unknown
+/// column.
+fn group_by_for(num_keys: usize) -> Vec<String> {
+    if num_keys == 4 {
+        return vec!["missing".to_string()];
+    }
+    ["str", "i32", "i64"][..num_keys].iter().map(|s| s.to_string()).collect()
+}
+
+fn aggs_for(failing: bool) -> Vec<AggSpec> {
+    let mut aggs = vec![
+        AggSpec::sum(Expr::col("f64"), "sum"),
+        AggSpec::count("cnt"),
+        AggSpec::new(AggFunc::Min, Expr::col("f64"), "lo"),
+        AggSpec::new(AggFunc::Max, Expr::col("i32"), "hi"),
+        AggSpec::new(AggFunc::Avg, Expr::col("f64") * Expr::lit(2.0), "avg"),
+    ];
+    if failing {
+        aggs.push(AggSpec::sum(Expr::col("str"), "not_numeric"));
+    }
+    aggs
+}
+
+/// A database holding `chunk` as table `t`.
+fn db_of(chunk: &Chunk) -> Database {
+    let table =
+        Table::new("t", Schema::new(chunk.fields().to_vec()), chunk.columns().to_vec());
+    let mut db = Database::new();
+    db.add_table(table.expect("valid table")).expect("fresh database");
+    db
+}
+
+/// The production `ScanShard` tasks of a `of`-way sharded scan of `t`
+/// concatenate to the reference selection over the scanned rows — the
+/// positions, or the reference's error from the first shard that fails —
+/// and their `MergeShards` is byte-identical to the unsharded `Scan`.
+fn check_sharded_scan(
+    chunk: &Chunk,
+    predicate: Option<&Predicate>,
+    window: Option<(usize, usize)>,
+    of: u32,
+    ctx: ParallelCtx,
+) {
+    let db = db_of(chunk);
+    let columns = vec!["i64".to_string(), "str".to_string()];
+    let window = window.map(|(lo, hi)| ("t", lo, hi));
+    // What the scan reads: the table, or the window's rows of it.
+    let (lo, hi) = window.map_or((0, chunk.num_rows()), |(_, lo, hi)| (lo, hi));
+    let scanned = chunk.gather(&(lo as u32..hi as u32).collect::<Vec<u32>>());
+    let want =
+        reference::select_positions(&scanned, None, predicate.unwrap_or(&Predicate::True));
+
+    let shards: Vec<Result<LazyChunk, String>> = (0..of)
+        .map(|index| {
+            TaskOp::ScanShard {
+                table: "t".into(),
+                columns: columns.clone(),
+                predicate: predicate.cloned(),
+                shard: ShardSpec { index, of },
+            }
+            .execute_windowed(&[], &db, ctx, window)
+        })
+        .collect();
+    let whole = TaskOp::Scan {
+        table: "t".into(),
+        columns: columns.clone(),
+        predicate: predicate.cloned(),
+    }
+    .execute_windowed(&[], &db, ctx, window)
+    .map(LazyChunk::materialize);
+
+    let at = format!("of={of} window={window:?} predicate={predicate:?} {ctx:?}");
+    match want {
+        Err(e) => {
+            let first = shards.iter().find_map(|s| s.as_ref().err());
+            assert_eq!(first, Some(&e), "shard error, {at}");
+            assert_eq!(whole, Err(e), "scan error, {at}");
+        }
+        Ok(want) => {
+            let shards: Vec<LazyChunk> =
+                shards.into_iter().collect::<Result<_, _>>().expect(&at);
+            let positions: Vec<u32> = shards
+                .iter()
+                .flat_map(|s| s.parts().1.expect("shards are selections").positions().to_vec())
+                .collect();
+            assert_eq!(positions, want.positions(), "shard positions, {at}");
+            let merged = TaskOp::MergeShards { columns: columns.clone() }
+                .execute_lazy(&shards, &db, ctx)
+                .map(LazyChunk::materialize);
+            assert_eq!(merged, whole, "merge vs unsharded scan, {at}");
+            assert!(whole.is_ok(), "{at}");
         }
     }
 }
@@ -99,60 +290,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_select_is_bit_identical(
+    fn select_is_bit_identical_to_reference(
         rows in rows_strategy(200),
-        which in 0usize..6,
+        picks in picks_strategy(),
+        which in 0usize..NUM_PREDICATES,
     ) {
         let chunk = chunk_of(&rows);
-        let pred = predicate_for(which);
-        let serial = ops::select::select(&chunk, &pred).unwrap();
-        assert_grid(&serial, |ctx| parallel::select(&chunk, &pred, ctx).unwrap());
+        check_select(&chunk, &sel_of(rows.len(), &picks), &predicate_for(which));
     }
 
     #[test]
-    fn parallel_join_is_bit_identical(
+    fn join_is_bit_identical_to_reference(
         build_rows in rows_strategy(60),
         probe_rows in rows_strategy(200),
-        key in 0usize..4,
+        picks in picks_strategy(),
+        keys in (0usize..5, 0usize..5),
+        same_key in prop::bool::ANY,
         kind in 0usize..3,
     ) {
         let build = chunk_of(&build_rows);
         let probe = chunk_of(&probe_rows);
-        let (k, kind) = (key_column(key), join_kind(kind));
-        let serial = ops::join::hash_join(&build, &probe, k, k, kind).unwrap();
-        assert_grid(&serial, |ctx| {
-            parallel::hash_join(&build, &probe, k, k, kind, ctx).unwrap()
-        });
+        // Mostly equal key columns; otherwise mixed pairs (int × float
+        // join numerically, string × numeric is a type error).
+        let keys = (key_column(keys.0), key_column(if same_key { keys.0 } else { keys.1 }));
+        check_join(&build, &probe, &sel_of(probe_rows.len(), &picks), keys, join_kind(kind));
     }
 
     #[test]
-    fn parallel_aggregate_is_bit_identical(
+    fn aggregate_is_bit_identical_to_reference(
         rows in rows_strategy(200),
-        num_keys in 0usize..4,
+        picks in picks_strategy(),
+        num_keys in 0usize..5,
+        failing in prop::bool::ANY,
     ) {
         let chunk = chunk_of(&rows);
-        // 0 keys = global aggregate (serial delegate), 1/2 = specialized
-        // paths, 3 = the generic composite-key path.
-        let group_by: Vec<String> = ["str", "i32", "i64"][..num_keys]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let aggs = vec![
-            AggSpec::sum(Expr::col("f64"), "sum"),
-            AggSpec::count("cnt"),
-            AggSpec::new(AggFunc::Min, Expr::col("f64"), "lo"),
-            AggSpec::new(AggFunc::Max, Expr::col("i32"), "hi"),
-            AggSpec::new(AggFunc::Avg, Expr::col("f64"), "avg"),
-        ];
-        let serial = ops::agg::aggregate(&chunk, &group_by, &aggs).unwrap();
-        assert_grid(&serial, |ctx| {
-            parallel::aggregate(&chunk, &group_by, &aggs, ctx).unwrap()
-        });
+        let sel = sel_of(rows.len(), &picks);
+        check_aggregate(&chunk, &sel, &group_by_for(num_keys), &aggs_for(failing && num_keys % 2 == 0));
     }
 
     #[test]
-    fn parallel_join_with_shared_dictionary_is_bit_identical(
+    fn join_with_shared_dictionary_is_bit_identical_to_reference(
         base_rows in rows_strategy(120),
+        picks in picks_strategy(),
         kind in 0usize..3,
     ) {
         // Gathers of one chunk share the dictionary Arc: exercises the
@@ -161,12 +340,35 @@ proptest! {
         let n = base.num_rows();
         let build = base.gather(&(0..(n / 2) as u32).collect::<Vec<u32>>());
         let probe = base.gather(&((n / 4) as u32..n as u32).collect::<Vec<u32>>());
-        let kind = join_kind(kind);
-        let serial =
-            ops::join::hash_join(&build, &probe, "str", "str", kind).unwrap();
-        assert_grid(&serial, |ctx| {
-            parallel::hash_join(&build, &probe, "str", "str", kind, ctx).unwrap()
-        });
+        let sel = sel_of(probe.num_rows(), &picks);
+        check_join(&build, &probe, &sel, ("str", "str"), join_kind(kind));
+    }
+
+    #[test]
+    fn sharded_scan_is_the_one_selection_kernel_over_row_ranges(
+        rows in rows_strategy(150),
+        // Not the unknown column: a scan fails on that before any kernel
+        // runs, reading the table.
+        which in 0usize..NUM_PREDICATES - 1,
+        window in (0usize..150, 0usize..150),
+        parallel in prop::bool::ANY,
+    ) {
+        let chunk = chunk_of(&rows);
+        let pred = predicate_for(which);
+        let n = rows.len();
+        let (a, b) = (window.0.min(n), window.1.min(n));
+        let ctx = if parallel {
+            ParallelCtx::serial().with_workers(2).with_morsel_rows(7).with_min_rows_per_worker(0)
+        } else {
+            ParallelCtx::serial()
+        };
+        for predicate in [None, Some(&pred)] {
+            for window in [None, Some((a.min(b), a.max(b)))] {
+                for of in [1, 2, 3, 7, n as u32 + 1] {
+                    check_sharded_scan(&chunk, predicate, window, of, ctx);
+                }
+            }
+        }
     }
 }
 
@@ -175,36 +377,30 @@ proptest! {
 fn empty_and_single_row_chunks() {
     for rows in [vec![], vec![(3, -2, 10, 1)]] {
         let chunk = chunk_of(&rows);
-        let pred = predicate_for(0);
-        let serial_sel = ops::select::select(&chunk, &pred).unwrap();
-        assert_grid(&serial_sel, |ctx| {
-            parallel::select(&chunk, &pred, ctx).unwrap()
-        });
-
-        for key in 0..4 {
-            let k = key_column(key);
-            for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-                let serial =
-                    ops::join::hash_join(&chunk, &chunk, k, k, kind).unwrap();
-                assert_grid(&serial, |ctx| {
-                    parallel::hash_join(&chunk, &chunk, k, k, kind, ctx).unwrap()
-                });
+        for sel in [SelVec::empty(), SelVec::all(rows.len())] {
+            for which in 0..NUM_PREDICATES {
+                check_select(&chunk, &sel, &predicate_for(which));
             }
+            for key in 0..5 {
+                let k = key_column(key);
+                for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+                    check_join(&chunk, &chunk, &sel, (k, k), kind);
+                }
+            }
+            for num_keys in 0..5 {
+                check_aggregate(&chunk, &sel, &group_by_for(num_keys), &aggs_for(false));
+            }
+            check_aggregate(&chunk, &sel, &[], &aggs_for(true));
         }
-
-        for num_keys in 0..4 {
-            let group_by: Vec<String> = ["str", "i32", "i64"][..num_keys]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let aggs = vec![
-                AggSpec::sum(Expr::col("f64"), "sum"),
-                AggSpec::count("cnt"),
-            ];
-            let serial = ops::agg::aggregate(&chunk, &group_by, &aggs).unwrap();
-            assert_grid(&serial, |ctx| {
-                parallel::aggregate(&chunk, &group_by, &aggs, ctx).unwrap()
-            });
+        // Empty and single-row tables, sharded more ways than they have
+        // rows, whole and through an empty window.
+        for which in 0..NUM_PREDICATES - 1 {
+            let pred = predicate_for(which);
+            for window in [None, Some((0, 0)), Some((0, rows.len()))] {
+                for of in [1, 2, 3, 7] {
+                    check_sharded_scan(&chunk, Some(&pred), window, of, ParallelCtx::serial());
+                }
+            }
         }
     }
 }

@@ -5,7 +5,7 @@ use robustq::engine::ops;
 use robustq::engine::plan::{AggSpec, PlanNode, SortKey};
 use robustq::engine::predicate::Predicate;
 use robustq::engine::expr::Expr;
-use robustq::engine::Chunk;
+use robustq::engine::{Chunk, JoinKind, ParallelCtx};
 use robustq::sim::{CacheKey, CachePolicy, DataCache, HeapAllocator, VirtualTime};
 use robustq::storage::{ColumnData, DataType, Field};
 
@@ -28,7 +28,8 @@ proptest! {
         let (a, b): (Vec<i32>, Vec<i32>) = rows.iter().copied().unzip();
         let chunk = int_chunk(a.clone(), b);
         let pred = Predicate::between("a", lo, hi);
-        let out = ops::select::select(&chunk, &pred).unwrap();
+        let sel = ops::select::select(&chunk, None, &pred, ParallelCtx::serial()).unwrap();
+        let out = chunk.gather(sel.positions());
         let expected: Vec<i32> =
             a.iter().copied().filter(|&x| x >= lo && x <= hi).collect();
         let got: Vec<i64> =
@@ -45,9 +46,11 @@ proptest! {
     ) {
         let b = int_chunk(build.clone(), build.clone());
         let p = int_chunk(probe.clone(), probe.clone());
-        let inner = ops::join::hash_join(&b, &p, "a", "a", robustq::engine::JoinKind::Inner).unwrap();
-        let semi = ops::join::hash_join(&b, &p, "a", "a", robustq::engine::JoinKind::Semi).unwrap();
-        let anti = ops::join::hash_join(&b, &p, "a", "a", robustq::engine::JoinKind::Anti).unwrap();
+        let join = |kind| {
+            ops::join::hash_join(&b, &p, None, "a", "a", kind, ParallelCtx::serial()).unwrap()
+        };
+        let (inner, semi, anti) =
+            (join(JoinKind::Inner), join(JoinKind::Semi), join(JoinKind::Anti));
         let expected: usize = probe
             .iter()
             .map(|x| build.iter().filter(|y| *y == x).count())
@@ -65,8 +68,10 @@ proptest! {
         let chunk = int_chunk(keys, vals.clone());
         let grouped = ops::agg::aggregate(
             &chunk,
+            None,
             &["a".to_string()],
             &[AggSpec::sum(Expr::col("b"), "s")],
+            ParallelCtx::serial(),
         )
         .unwrap();
         let total: f64 = (0..grouped.num_rows())

@@ -1,28 +1,31 @@
-//! Property tests: selection-vector kernels and fused pipelines are
+//! Property tests: selection-vector execution and fused pipelines are
 //! **bit-identical** to the materializing paths.
 //!
-//! The selection-vector rework (DESIGN.md §5) replaced mask+gather
-//! filtering with position lists threaded through the downstream kernels.
-//! These tests pin the equivalence on arbitrary chunks, predicates and
-//! join keys:
+//! Selections are position lists threaded through the downstream kernels
+//! (DESIGN.md §5), never copied rows. These tests pin the equivalences
+//! that makes safe, on arbitrary chunks, predicates and join keys:
 //!
-//! * `Predicate::evaluate_selvec` against the original mask evaluator
-//!   (`select_via_mask`), including refinement of an incoming selection;
-//! * `hash_join_sel` / `aggregate_sel` consuming a selection vector
-//!   against filtering first and running the materializing kernel;
-//! * the fused morsel loops (`fused_filter_aggregate`,
-//!   `fused_filter_probe`) and the plan-level fusion pass
-//!   (`execute_plan_fused`) against the serial operator-at-a-time
-//!   pipeline, at worker counts 1 and 8.
+//! * the selection kernel against the mask-then-gather reference
+//!   (`reference::select`), and refinement of an incoming selection
+//!   against evaluating the conjunction from scratch;
+//! * `hash_join` / `aggregate` consuming `(chunk, Some(sel))` — the fused
+//!   filter→probe / filter→aggregate data path — against filtering first
+//!   and running the reference kernel on the materialized intermediate,
+//!   at worker counts 1 and 8;
+//! * the three ways to run a plan — the materializing oracle
+//!   (`ops::execute_plan`), the lazy executor path (postorder
+//!   `TaskOp::execute_lazy`) and the fusion pass (`execute_plan_fused`) —
+//!   against each other over the SSB and TPC-H plans.
 
 use proptest::prelude::*;
-use robustq::engine::ops;
-use robustq::engine::parallel::{self, ParallelCtx};
-use robustq::engine::plan::{AggFunc, AggSpec, JoinKind};
-use robustq::engine::predicate::{CmpOp, Predicate};
-use robustq::engine::{execute_plan_fused, Chunk};
+use robustq::engine::exec::task::{flatten, run_postorder};
 use robustq::engine::expr::Expr;
-use robustq::storage::{ColumnData, DataType, DictColumn, Field};
+use robustq::engine::ops;
+use robustq::engine::plan::{AggFunc, AggSpec, JoinKind, PlanNode};
+use robustq::engine::predicate::{CmpOp, Predicate};
+use robustq::engine::reference;
+use robustq::engine::{execute_plan_fused, Chunk, LazyChunk, ParallelCtx};
+use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field};
 
 const WORKER_GRID: [usize; 2] = [1, 8];
 
@@ -104,8 +107,8 @@ fn agg_spec() -> (Vec<String>, Vec<AggSpec>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The selection-vector evaluator and the original mask+gather
-    /// evaluator produce the same filtered chunk.
+    /// The selection kernel and the mask+gather reference produce the same
+    /// filtered chunk.
     #[test]
     fn selvec_select_matches_mask_select(
         rows in rows_strategy(200),
@@ -113,9 +116,11 @@ proptest! {
     ) {
         let chunk = chunk_of(&rows);
         let pred = predicate_for(which);
-        let via_mask = ops::select::select_via_mask(&chunk, &pred).unwrap();
-        let via_selvec = ops::select::select(&chunk, &pred).unwrap();
-        prop_assert_eq!(&via_selvec, &via_mask);
+        let via_mask = reference::select(&chunk, &pred).unwrap();
+        for workers in WORKER_GRID {
+            let sel = ops::select::select(&chunk, None, &pred, fused_ctx(workers)).unwrap();
+            prop_assert_eq!(&chunk.gather(sel.positions()), &via_mask, "workers={}", workers);
+        }
     }
 
     /// Refining an incoming selection vector equals evaluating the
@@ -128,14 +133,18 @@ proptest! {
     ) {
         let chunk = chunk_of(&rows);
         let (p1, p2) = (predicate_for(first), predicate_for(second));
-        let sel = p1.evaluate_selvec(&chunk, None).unwrap();
-        let refined = p2.evaluate_selvec(&chunk, Some(&sel)).unwrap();
-        let conj = Predicate::and([p1, p2]).evaluate_selvec(&chunk, None).unwrap();
-        prop_assert_eq!(refined, conj);
+        for workers in WORKER_GRID {
+            let ctx = fused_ctx(workers);
+            let sel = ops::select::select(&chunk, None, &p1, ctx).unwrap();
+            let refined = ops::select::select(&chunk, Some(&sel), &p2, ctx).unwrap();
+            let conj = Predicate::and([p1.clone(), p2.clone()]);
+            prop_assert_eq!(&refined, &ops::select::select(&chunk, None, &conj, ctx).unwrap());
+            prop_assert_eq!(&refined, &reference::select_positions(&chunk, None, &conj).unwrap());
+        }
     }
 
-    /// Probing through a selection vector equals materializing the
-    /// filtered probe side first.
+    /// Probing through a selection vector — the fused filter→probe data
+    /// path — equals materializing the filtered probe side first.
     #[test]
     fn selvec_join_matches_filter_then_join(
         build_rows in rows_strategy(60),
@@ -147,23 +156,19 @@ proptest! {
         let build = chunk_of(&build_rows);
         let probe = chunk_of(&probe_rows);
         let (k, kind, pred) = (key_column(key), join_kind(kind), predicate_for(which));
-        let filtered = ops::select::select_via_mask(&probe, &pred).unwrap();
-        let reference = ops::join::hash_join(&build, &filtered, k, k, kind).unwrap();
-        let sel = pred.evaluate_selvec(&probe, None).unwrap();
-        let lazy =
-            ops::join::hash_join_sel(&build, &probe, k, k, kind, Some(&sel)).unwrap();
-        prop_assert_eq!(&lazy, &reference);
+        let filtered = reference::select(&probe, &pred).unwrap();
+        let want = reference::hash_join(&build, &filtered, None, k, k, kind).unwrap();
         for workers in WORKER_GRID {
-            let fused = parallel::fused_filter_probe(
-                &build, &probe, &pred, k, k, kind, fused_ctx(workers),
-            ).unwrap();
-            prop_assert_eq!(&fused, &reference, "workers={}", workers);
+            let ctx = fused_ctx(workers);
+            let sel = ops::select::select(&probe, None, &pred, ctx).unwrap();
+            let fused =
+                ops::join::hash_join(&build, &probe, Some(&sel), k, k, kind, ctx).unwrap();
+            prop_assert_eq!(&fused, &want, "workers={}", workers);
         }
     }
 
-    /// Aggregating through a selection vector equals materializing the
-    /// filtered input first, and the fused filter→aggregate morsel loop
-    /// matches both.
+    /// Aggregating through a selection vector — the fused filter→aggregate
+    /// data path — equals materializing the filtered input first.
     #[test]
     fn selvec_aggregate_matches_filter_then_aggregate(
         rows in rows_strategy(200),
@@ -174,17 +179,14 @@ proptest! {
         let pred = predicate_for(which);
         let (all_keys, aggs) = agg_spec();
         let group_by = all_keys[..num_keys].to_vec();
-        let filtered = ops::select::select_via_mask(&chunk, &pred).unwrap();
-        let reference = ops::agg::aggregate(&filtered, &group_by, &aggs).unwrap();
-        let sel = pred.evaluate_selvec(&chunk, None).unwrap();
-        let lazy =
-            ops::agg::aggregate_sel(&chunk, Some(&sel), &group_by, &aggs).unwrap();
-        prop_assert_eq!(&lazy, &reference);
+        let filtered = reference::select(&chunk, &pred).unwrap();
+        let want = reference::aggregate(&filtered, None, &group_by, &aggs).unwrap();
         for workers in WORKER_GRID {
-            let fused = parallel::fused_filter_aggregate(
-                &chunk, &pred, &group_by, &aggs, fused_ctx(workers),
-            ).unwrap();
-            prop_assert_eq!(&fused, &reference, "workers={}", workers);
+            let ctx = fused_ctx(workers);
+            let sel = ops::select::select(&chunk, None, &pred, ctx).unwrap();
+            let fused =
+                ops::agg::aggregate(&chunk, Some(&sel), &group_by, &aggs, ctx).unwrap();
+            prop_assert_eq!(&fused, &want, "workers={}", workers);
         }
     }
 }
@@ -197,65 +199,70 @@ fn empty_and_single_row_chunks() {
         let chunk = chunk_of(&rows);
         for which in 0..6 {
             let pred = predicate_for(which);
-            let filtered = ops::select::select_via_mask(&chunk, &pred).unwrap();
-            assert_eq!(ops::select::select(&chunk, &pred).unwrap(), filtered);
+            let filtered = reference::select(&chunk, &pred).unwrap();
             for num_keys in 0..3 {
                 let group_by = all_keys[..num_keys].to_vec();
-                let reference =
-                    ops::agg::aggregate(&filtered, &group_by, &aggs).unwrap();
+                let want = reference::aggregate(&filtered, None, &group_by, &aggs).unwrap();
                 for workers in WORKER_GRID {
-                    let fused = parallel::fused_filter_aggregate(
-                        &chunk, &pred, &group_by, &aggs, fused_ctx(workers),
-                    )
-                    .unwrap();
-                    assert_eq!(fused, reference, "workers={workers}");
+                    let ctx = fused_ctx(workers);
+                    let sel = ops::select::select(&chunk, None, &pred, ctx).unwrap();
+                    assert_eq!(chunk.gather(sel.positions()), filtered);
+                    let fused =
+                        ops::agg::aggregate(&chunk, Some(&sel), &group_by, &aggs, ctx).unwrap();
+                    assert_eq!(fused, want, "workers={workers}");
                 }
             }
         }
     }
 }
 
-/// Whole plans through the fusion pass give identical results (rows and
-/// checksums) to the serial operator-at-a-time pipeline — the plan-level
-/// guarantee behind the golden figures.
+/// The executor's data path with no simulator around it: every task of the
+/// flattened plan through `TaskOp::execute_lazy`, late materialization
+/// included.
+fn execute_lazy_postorder(plan: &PlanNode, db: &Database, ctx: ParallelCtx) -> Chunk {
+    run_postorder(&flatten(plan), |task, children: Vec<LazyChunk>| {
+        task.op.execute_lazy(&children, db, ctx)
+    })
+    .expect("lazy tasks run")
+    .materialize()
+}
+
+/// The materializing oracle, the lazy executor path and the fusion pass
+/// give identical results (rows and checksums) — the plan-level guarantee
+/// behind the golden figures.
+fn assert_three_interpreters_agree(name: &str, plan: &PlanNode, db: &Database) {
+    let oracle = ops::execute_plan(plan, db).expect("oracle runs");
+    for workers in WORKER_GRID {
+        let ctx = ParallelCtx::serial()
+            .with_workers(workers)
+            .with_morsel_rows(128)
+            .with_min_rows_per_worker(0);
+        let lazy = execute_lazy_postorder(plan, db, ctx);
+        assert_eq!(oracle, lazy, "{name}: lazy diverged at {workers} workers");
+        let fused = execute_plan_fused(plan, db, ctx).expect("fused runs");
+        assert_eq!(oracle, fused, "{name}: fused diverged at {workers} workers");
+        assert_eq!(oracle.checksum(), fused.checksum());
+    }
+}
+
 #[test]
-fn full_ssb_plans_are_identical_fused_vs_serial() {
+fn full_ssb_plans_are_identical_across_interpreters() {
     use robustq::storage::gen::ssb::SsbGenerator;
     use robustq::workloads::SsbQuery;
 
     let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
     for q in SsbQuery::ALL {
-        let plan = q.plan(&db).expect("plans");
-        let serial = ops::execute_plan(&plan, &db).expect("serial runs");
-        for workers in WORKER_GRID {
-            let ctx = ParallelCtx::serial()
-                .with_workers(workers)
-                .with_morsel_rows(128)
-                .with_min_rows_per_worker(0);
-            let fused = execute_plan_fused(&plan, &db, ctx).expect("fused runs");
-            assert_eq!(serial, fused, "{} diverged at {workers} workers", q.name());
-            assert_eq!(serial.checksum(), fused.checksum());
-        }
+        assert_three_interpreters_agree(q.name(), &q.plan(&db).expect("plans"), &db);
     }
 }
 
-/// TPC-H subset through the fusion pass, same guarantee.
 #[test]
-fn full_tpch_plans_are_identical_fused_vs_serial() {
+fn full_tpch_plans_are_identical_across_interpreters() {
     use robustq::storage::gen::tpch::TpchGenerator;
     use robustq::workloads::TpchQuery;
 
     let db = TpchGenerator::new(1).with_rows_per_sf(1_000).generate();
     for q in TpchQuery::ALL {
-        let plan = q.plan();
-        let serial = ops::execute_plan(&plan, &db).expect("serial runs");
-        for workers in WORKER_GRID {
-            let ctx = ParallelCtx::serial()
-                .with_workers(workers)
-                .with_morsel_rows(128)
-                .with_min_rows_per_worker(0);
-            let fused = execute_plan_fused(&plan, &db, ctx).expect("fused runs");
-            assert_eq!(serial, fused, "{} diverged at {workers} workers", q.name());
-        }
+        assert_three_interpreters_agree(q.name(), &q.plan(), &db);
     }
 }
