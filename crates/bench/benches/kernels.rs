@@ -9,7 +9,7 @@
 //! printed as a table and written to `BENCH_kernels.json` at the
 //! repository root so the perf trajectory is tracked across commits.
 //!
-//! Three kernel families are measured:
+//! Four kernel families are measured:
 //!
 //! * `select` / `join_probe` / `aggregate` — the production kernels over a
 //!   dense input against their references, one entry per worker count in
@@ -19,6 +19,14 @@
 //!   path (positions → selection-aware kernel) against the
 //!   pre-selection-vector *materializing* baseline (mask select + gather,
 //!   then the downstream reference kernel);
+//! * `scan` / `scan_filtered` / `scan_sharded_k{2,4}` — the executor's scan
+//!   path, `TaskOp::execute_lazy` over an SSB `lineorder` (whole, with a
+//!   pushed-down predicate, and as K `ScanShard`s under a `MergeShards`),
+//!   against the copying scan it replaced: mask select + gather over every
+//!   read column, then the output columns. The lazy output is
+//!   materialized outside the timed region to be compared; sharded and
+//!   unsharded rows share one baseline, so they are identical to each
+//!   other too;
 //! * `select_compressed_{rle,dict,bitpack}` — compressed-domain selection
 //!   (`ops::compressed`, DESIGN.md §5) against decompress-then-select on
 //!   the same predicate; positions must match exactly. The JSON also
@@ -40,14 +48,19 @@
 //! size; the JSON is only written at the default sizes).
 
 use robustq_bench::table::json_str;
+use robustq_engine::exec::task::TaskOp;
 use robustq_engine::expr::Expr;
 use robustq_engine::ops::compressed::select_compressed;
+use robustq_engine::ops::project::keep_columns;
 use robustq_engine::ops::{agg::aggregate, join::hash_join, select::select};
 use robustq_engine::plan::{AggSpec, JoinKind};
 use robustq_engine::predicate::Predicate;
 use robustq_engine::reference;
-use robustq_engine::{Chunk, KernelClass, ParallelCtx};
-use robustq_storage::{ColumnData, CompressedColumn, DataType, DictColumn, Field};
+use robustq_engine::{Chunk, KernelClass, LazyChunk, ParallelCtx, ShardSpec};
+use robustq_storage::gen::ssb::SsbGenerator;
+use robustq_storage::{
+    ColumnData, CompressedColumn, DataType, Database, DictColumn, Field,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -121,6 +134,52 @@ fn aggregation_chunk(rows: usize) -> Chunk {
     )
 }
 
+/// The columns the scan benches output; the predicate column
+/// (`lo_discount`) is read but not output.
+const SCAN_COLUMNS: [&str; 4] =
+    ["lo_orderdate", "lo_quantity", "lo_extendedprice", "lo_revenue"];
+
+fn scan_columns() -> Vec<String> {
+    SCAN_COLUMNS.iter().map(|c| c.to_string()).collect()
+}
+
+/// The copying scan: every read column of `lineorder` filtered by mask
+/// select + gather, then the output columns kept.
+fn copying_scan(db: &Database, predicate: &Predicate) -> Chunk {
+    let mut read: Vec<&str> = SCAN_COLUMNS.to_vec();
+    read.push("lo_discount");
+    let base = Chunk::from_table(db.table("lineorder").unwrap(), &read).unwrap();
+    keep_columns(&reference::select(&base, predicate).unwrap(), &scan_columns()).unwrap()
+}
+
+/// The executor's scan of `lineorder`: one `Scan` task, or `shards`
+/// `ScanShard` tasks under a `MergeShards` when `shards > 0`.
+fn lazy_scan(
+    db: &Database,
+    predicate: Option<&Predicate>,
+    shards: u32,
+    ctx: ParallelCtx,
+) -> LazyChunk {
+    let table = "lineorder".to_string();
+    let columns = scan_columns();
+    let predicate = predicate.cloned();
+    if shards == 0 {
+        return TaskOp::Scan { table, columns, predicate }.execute_lazy(&[], db, ctx).unwrap();
+    }
+    let parts: Vec<LazyChunk> = (0..shards)
+        .map(|index| {
+            TaskOp::ScanShard {
+                table: table.clone(),
+                columns: columns.clone(),
+                predicate: predicate.clone(),
+                shard: ShardSpec { index, of: shards },
+            }
+            .execute_lazy(&[], db, ctx)
+            .unwrap()
+        })
+        .collect();
+    TaskOp::MergeShards { columns }.execute_lazy(&parts, db, ctx).unwrap()
+}
 
 /// One compressed-domain selection fixture: a column whose shape forces
 /// the codec under test, plus a moderately selective predicate.
@@ -224,6 +283,8 @@ struct Baselines {
     agg: (Chunk, f64),
     fused_agg: (Chunk, f64),
     fused_probe: (Chunk, f64),
+    scan: (Chunk, f64),
+    scan_filtered: (Chunk, f64),
 }
 
 /// Worker counts to sweep. Always starts at 1: `scaling_vs_1w` divides
@@ -285,6 +346,8 @@ fn main() {
         let selected =
             |chunk: &Chunk| select(chunk, None, &v_pred, ParallelCtx::serial()).unwrap().len();
         let (agg_selected, probe_selected) = (selected(&agg_chunk), selected(&probe));
+        let ssb = SsbGenerator::new(1).with_rows_per_sf(rows).generate();
+        let scan_pred = Predicate::between("lo_discount", 4, 6);
 
         for (i, &workers) in sweep.iter().enumerate() {
             let base = Baselines {
@@ -312,6 +375,8 @@ fn main() {
                     reference::hash_join(&build, &filtered, None, "pk", "fk", JoinKind::Inner)
                         .unwrap()
                 }),
+                scan: time_best(|| copying_scan(&ssb, &Predicate::True)),
+                scan_filtered: time_best(|| copying_scan(&ssb, &scan_pred)),
             };
             let ctx = ParallelCtx::serial().with_workers(workers);
             let mut push = |kernel: &'static str,
@@ -382,6 +447,26 @@ fn main() {
                         .unwrap()
                 }),
             );
+
+            // Only the lazy scan is timed; its output is materialized
+            // afterwards to be compared with the copying scan's.
+            let materialized = |(out, secs): (LazyChunk, f64)| (out.materialize(), secs);
+            push(
+                "scan",
+                1,
+                &base.scan,
+                materialized(time_best(|| lazy_scan(&ssb, None, 0, ctx))),
+            );
+            for (kernel, shards) in
+                [("scan_filtered", 0), ("scan_sharded_k2", 2), ("scan_sharded_k4", 4)]
+            {
+                push(
+                    kernel,
+                    ctx.workers_for(rows / shards.max(1) as usize, KernelClass::Selection),
+                    &base.scan_filtered,
+                    materialized(time_best(|| lazy_scan(&ssb, Some(&scan_pred), shards, ctx))),
+                );
+            }
 
             // Compressed-domain selection vs decompress-then-select. These
             // are worker-independent; re-timing them per sweep entry keeps

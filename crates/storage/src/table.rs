@@ -1,5 +1,10 @@
 //! Tables and schemas.
 //!
+//! A table is one contiguous, reference-counted buffer per column plus
+//! segment *metadata* over the row space. Readers (chunks, intermediates)
+//! share a column by cloning its [`Arc`]; nothing copies column data to
+//! read it.
+//!
 //! Tables are append-oriented: rows land in an *open* segment that is
 //! sealed once it reaches the seal threshold. Per-segment min/max stats
 //! are maintained incrementally while a segment is open and recomputed
@@ -12,6 +17,7 @@ use crate::column::ColumnData;
 use crate::error::StorageError;
 use crate::types::DataType;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Default open-segment size (rows) after which [`Table::append_batch`]
 /// seals the segment.
@@ -130,26 +136,44 @@ impl SegmentMeta {
     }
 }
 
-/// A fully materialized table: a schema plus one column per field.
+/// A fully materialized table: a schema plus one shared column per field.
 ///
 /// Invariant: all columns have the same number of rows and each column's
 /// type matches its schema field. Segment metadata partitions the row
 /// space: segments are contiguous, non-overlapping, and cover exactly
 /// `[0, num_rows)`; at most the last segment is open.
+///
+/// Sharing contract: a column is handed out as an [`Arc`] clone and never
+/// mutated while anyone else holds it. [`Table::append_batch`] writes in
+/// place when the table is the column's only owner and copies the column
+/// first otherwise, so a live reader never observes an append. Cloning a
+/// table shares its columns.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
     segments: Vec<SegmentMeta>,
 }
 
 impl Table {
-    /// Build a table, validating the schema/column invariants.
+    /// Build a table over freshly built columns, validating the
+    /// schema/column invariants.
     pub fn new(
         name: impl Into<String>,
         schema: Schema,
         columns: Vec<ColumnData>,
+    ) -> Result<Self, StorageError> {
+        Self::from_shared(name, schema, columns.into_iter().map(Arc::new).collect())
+    }
+
+    /// Build a table over already-shared columns (another table's, a
+    /// chunk's) without copying them, validating the schema/column
+    /// invariants.
+    pub fn from_shared(
+        name: impl Into<String>,
+        schema: Schema,
+        columns: Vec<Arc<ColumnData>>,
     ) -> Result<Self, StorageError> {
         let name = name.into();
         if schema.len() != columns.len() {
@@ -217,7 +241,7 @@ impl Table {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, ColumnData::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Number of columns.
@@ -225,14 +249,14 @@ impl Table {
         self.columns.len()
     }
 
-    /// The column data, in schema order.
-    pub fn columns(&self) -> &[ColumnData] {
+    /// The shared columns, in schema order.
+    pub fn columns(&self) -> &[Arc<ColumnData>] {
         &self.columns
     }
 
     /// Column by name.
     pub fn column(&self, name: &str) -> Option<&ColumnData> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
+        self.schema.index_of(name).map(|i| &*self.columns[i])
     }
 
     /// Column by positional index.
@@ -242,7 +266,7 @@ impl Table {
 
     /// Total payload bytes across all columns.
     pub fn byte_size(&self) -> u64 {
-        self.columns.iter().map(ColumnData::byte_size).sum()
+        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// The segment metadata, in row order.
@@ -267,6 +291,10 @@ impl Table {
     /// its stats recomputed exactly from the stored rows. `epoch` is the
     /// database epoch this append commits under. Returns the number of
     /// rows appended.
+    ///
+    /// Each column is written through [`Arc::make_mut`]: in place while
+    /// the table is its only owner, into a private copy while a reader
+    /// still shares it (who keeps the pre-append column).
     pub fn append_batch(
         &mut self,
         columns: Vec<ColumnData>,
@@ -318,7 +346,7 @@ impl Table {
         }
         let old_rows = self.num_rows();
         for (base, batch) in self.columns.iter_mut().zip(&columns) {
-            base.append(batch);
+            Arc::make_mut(base).append(batch);
         }
         let new_rows = old_rows + batch_rows;
         // Stats for the appended rows, read back from the consolidated
@@ -374,7 +402,7 @@ impl Table {
 
 /// Per-column min/max over rows `[lo, hi)` of `columns`.
 fn compute_stats(
-    columns: &[ColumnData],
+    columns: &[Arc<ColumnData>],
     lo: usize,
     hi: usize,
 ) -> Vec<Option<ColStats>> {

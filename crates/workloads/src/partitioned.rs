@@ -26,9 +26,10 @@ use robustq_engine::plan::{AggFunc, AggSpec, PlanNode};
 use robustq_engine::{Chunk, ParallelCtx, RunMetrics};
 use robustq_sim::{SimConfig, VirtualTime};
 use robustq_storage::{ColumnData, Database, Table};
+use std::sync::Arc;
 
 /// Split `db`'s `fact_table` row-wise into `n` partitions, replicating
-/// every other table.
+/// every other table (a replica shares the original's columns).
 pub fn partition(db: &Database, fact_table: &str, n: usize) -> Result<Vec<Database>, String> {
     let n = n.max(1);
     let fact = db
@@ -160,13 +161,13 @@ fn restore_count_types(chunk: Chunk, aggs: &[AggSpec]) -> Result<Chunk, String> 
     let mut columns = chunk.columns().to_vec();
     for (f, c) in fields.iter_mut().zip(columns.iter_mut()) {
         if needs_cast.contains(&f.name.as_str()) {
-            if let ColumnData::Float64(v) = c {
-                *c = ColumnData::Int64(v.iter().map(|&x| x as i64).collect());
+            if let ColumnData::Float64(v) = &**c {
+                *c = Arc::new(ColumnData::Int64(v.iter().map(|&x| x as i64).collect()));
                 f.data_type = robustq_storage::DataType::Int64;
             }
         }
     }
-    Ok(Chunk::new(fields, columns))
+    Ok(Chunk::from_shared(fields, columns))
 }
 
 /// Run `queries` on `parts` partitions in parallel (each on its own

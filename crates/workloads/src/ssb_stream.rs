@@ -20,6 +20,7 @@ use robustq_sim::VirtualTime;
 use robustq_sql::SqlError;
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::{Database, DbEpoch, StorageError, Table};
+use std::sync::Arc;
 
 /// Generator for the SSB-stream database: full SSB dimensions plus a
 /// `lineorder` fact table split into a static base and append batches.
@@ -89,12 +90,7 @@ impl SsbStreamGen {
             db.set_seal_rows(rows);
         }
         for table in full.tables() {
-            let columns = if table.name() == "lineorder" {
-                (0..table.num_columns()).map(|i| table.column_slice(i, 0, base)).collect()
-            } else {
-                table.columns().to_vec()
-            };
-            db.add_table(Table::new(table.name(), table.schema().clone(), columns)?)?;
+            db.add_table(cut_lineorder(table, 0, base)?)?;
         }
 
         // Deal the remaining rows into `batches` contiguous slices; the
@@ -119,6 +115,18 @@ impl SsbStreamGen {
         debug_assert_eq!(cursor, total, "batches must tile the fact table");
         Ok(SsbStreamData { db, epochs, base_rows: base })
     }
+}
+
+/// `table` for a database derived from the one holding it: rows
+/// `[lo, hi)` of `lineorder` copied out, a dimension table whole, sharing
+/// its columns with the original.
+fn cut_lineorder(table: &Table, lo: usize, hi: usize) -> Result<Table, StorageError> {
+    let columns = if table.name() == "lineorder" {
+        (0..table.num_columns()).map(|i| Arc::new(table.column_slice(i, lo, hi))).collect()
+    } else {
+        table.columns().to_vec()
+    };
+    Table::from_shared(table.name(), table.schema().clone(), columns)
 }
 
 /// A pre-built SSB-stream database plus its append history.
@@ -172,20 +180,14 @@ impl SsbStreamData {
     }
 
     /// A *static* database whose lineorder holds exactly rows
-    /// `[lo, hi)` of the feed, dimensions copied whole — the oracle a
+    /// `[lo, hi)` of the feed, dimensions shared whole — the oracle a
     /// window tick's live result is compared against. Row values (and
     /// dimension dictionaries) are identical to the stream database's,
     /// so a correct windowed execution matches value-for-value.
     pub fn window_db(&self, lo: usize, hi: usize) -> Database {
         let mut db = Database::new();
         for table in self.db.tables() {
-            let columns = if table.name() == "lineorder" {
-                (0..table.num_columns()).map(|i| table.column_slice(i, lo, hi)).collect()
-            } else {
-                table.columns().to_vec()
-            };
-            db.add_table(Table::new(table.name(), table.schema().clone(), columns).unwrap())
-                .unwrap();
+            db.add_table(cut_lineorder(table, lo, hi).unwrap()).unwrap();
         }
         db
     }

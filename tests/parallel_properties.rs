@@ -217,7 +217,7 @@ fn aggs_for(failing: bool) -> Vec<AggSpec> {
 /// A database holding `chunk` as table `t`.
 fn db_of(chunk: &Chunk) -> Database {
     let table =
-        Table::new("t", Schema::new(chunk.fields().to_vec()), chunk.columns().to_vec());
+        Table::from_shared("t", Schema::new(chunk.fields().to_vec()), chunk.columns().to_vec());
     let mut db = Database::new();
     db.add_table(table.expect("valid table")).expect("fresh database");
     db

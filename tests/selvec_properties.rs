@@ -15,17 +15,21 @@
 //! * the three ways to run a plan — the materializing oracle
 //!   (`ops::execute_plan`), the lazy executor path (postorder
 //!   `TaskOp::execute_lazy`) and the fusion pass (`execute_plan_fused`) —
-//!   against each other over the SSB and TPC-H plans.
+//!   against each other over the SSB and TPC-H plans;
+//! * accounting invariance: however a scan is sharded, filtered or
+//!   windowed, every lazy task reports the `(num_rows, byte_size)` of the
+//!   materialized oracle's output — the two numbers virtual time is
+//!   computed from — and holds bit-identical rows.
 
 use proptest::prelude::*;
-use robustq::engine::exec::task::{flatten, run_postorder};
+use robustq::engine::exec::task::{flatten, run_postorder, ShardSpec, TaskNode, TaskOp};
 use robustq::engine::expr::Expr;
 use robustq::engine::ops;
-use robustq::engine::plan::{AggFunc, AggSpec, JoinKind, PlanNode};
+use robustq::engine::plan::{AggFunc, AggSpec, JoinKind, PlanNode, SortKey};
 use robustq::engine::predicate::{CmpOp, Predicate};
 use robustq::engine::reference;
 use robustq::engine::{execute_plan_fused, Chunk, LazyChunk, ParallelCtx};
-use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field};
+use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field, Schema, Table};
 
 const WORKER_GRID: [usize; 2] = [1, 8];
 
@@ -187,6 +191,246 @@ proptest! {
             let fused =
                 ops::agg::aggregate(&chunk, Some(&sel), &group_by, &aggs, ctx).unwrap();
             prop_assert_eq!(&fused, &want, "workers={}", workers);
+        }
+    }
+}
+
+/// The pushed-down predicate of the fact scan: none, always true, always
+/// false, selective, string. The numeric ones read `i64`, which the
+/// narrower output column set leaves behind as a predicate-only column.
+fn scan_predicate(which: usize) -> Option<Predicate> {
+    match which {
+        0 => None,
+        1 => Some(Predicate::cmp("i64", CmpOp::Ge, -100)),
+        2 => Some(Predicate::cmp("i64", CmpOp::Gt, 100)),
+        3 => Some(Predicate::cmp("i64", CmpOp::Ge, 0)),
+        _ => Some(Predicate::in_list("str", ["ASIA", "x"])),
+    }
+}
+
+/// A plan over the fact table `t` (and the dimension `d`), by shape: the
+/// bare scan, a standalone `Select`, an aggregation, the scan as probe
+/// and as build side of a join, and a projection under a top-k sort.
+fn plan_over(scan: PlanNode, shape: usize, second: usize, kind: JoinKind) -> PlanNode {
+    let dim = || PlanNode::scan("d", ["i32", "f64"]);
+    let boxed = Box::new;
+    match shape % 6 {
+        0 => scan,
+        1 => PlanNode::Select { input: boxed(scan), predicate: predicate_for(second) },
+        2 => PlanNode::Aggregate {
+            input: boxed(scan),
+            group_by: vec!["str".into()],
+            aggs: vec![AggSpec::sum(Expr::col("f64"), "sum"), AggSpec::count("cnt")],
+        },
+        3 => PlanNode::Aggregate {
+            input: boxed(PlanNode::HashJoin {
+                build: boxed(dim()),
+                probe: boxed(scan),
+                build_key: "i32".into(),
+                probe_key: "i32".into(),
+                kind,
+            }),
+            group_by: vec!["str".into()],
+            aggs: vec![AggSpec::sum(Expr::col("f64"), "sum")],
+        },
+        4 => PlanNode::HashJoin {
+            build: boxed(scan),
+            probe: boxed(dim()),
+            build_key: "i32".into(),
+            probe_key: "i32".into(),
+            kind,
+        },
+        _ => PlanNode::Sort {
+            input: boxed(PlanNode::Project {
+                input: boxed(scan),
+                exprs: vec![
+                    ("a".into(), Expr::col("i32") + Expr::col("f64")),
+                    ("s".into(), Expr::col("str")),
+                ],
+            }),
+            keys: vec![SortKey::asc("a"), SortKey::desc("s")],
+            limit: Some(7),
+        },
+    }
+}
+
+/// What a task of the (sharded) graph is held against.
+enum Expect {
+    /// The output of this task of the unsharded plan.
+    Oracle(usize),
+    /// A shard of the fact scan: the oracle has no such task.
+    Shard(ShardSpec),
+}
+
+/// `tasks` with every scan of `t` split `ways` ways under a merge, the way
+/// admission's shard expansion rewrites the graph (`ways == 0`: as is).
+fn shard_fact_scans(tasks: &[TaskNode], ways: u32) -> (Vec<TaskNode>, Vec<Expect>) {
+    let mut out: Vec<TaskNode> = Vec::new();
+    let mut expect = Vec::new();
+    let mut moved = Vec::with_capacity(tasks.len());
+    for (i, t) in tasks.iter().enumerate() {
+        match &t.op {
+            TaskOp::Scan { table, columns, predicate } if table == "t" && ways > 0 => {
+                let first = out.len();
+                for index in 0..ways {
+                    let shard = ShardSpec { index, of: ways };
+                    out.push(TaskNode {
+                        op: TaskOp::ScanShard {
+                            table: table.clone(),
+                            columns: columns.clone(),
+                            predicate: predicate.clone(),
+                            shard,
+                        },
+                        children: Vec::new(),
+                        parent: None,
+                    });
+                    expect.push(Expect::Shard(shard));
+                }
+                out.push(TaskNode {
+                    op: TaskOp::MergeShards { columns: columns.clone() },
+                    children: (first..out.len()).collect(),
+                    parent: None,
+                });
+            }
+            op => out.push(TaskNode {
+                op: op.clone(),
+                children: t.children.iter().map(|&c| moved[c]).collect(),
+                parent: None,
+            }),
+        }
+        expect.push(Expect::Oracle(i));
+        moved.push(out.len() - 1);
+    }
+    (out, expect)
+}
+
+/// A database of the fact table `t` and the dimension `d`.
+fn fact_and_dim(t: &Chunk, d: &Chunk) -> Database {
+    let mut db = Database::new();
+    for (name, chunk) in [("t", t), ("d", d)] {
+        let schema = Schema::new(chunk.fields().to_vec());
+        db.add_table(Table::from_shared(name, schema, chunk.columns().to_vec()).expect("valid table"))
+            .expect("fresh database");
+    }
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Accounting invariance. For every sharding of the fact scan, every
+    /// scan predicate, the whole table and a window of it: each task of
+    /// the lazy graph reports the `(num_rows, byte_size)` of the
+    /// corresponding materialized task of the *unsharded* plan and
+    /// materializes to the same chunk, dictionaries included. A shard has
+    /// no materialized counterpart; it reports its slice of the reference
+    /// selection over every column the scan reads, predicate-only ones
+    /// included, as the executor has always charged it.
+    #[test]
+    fn lazy_tasks_report_the_materialized_rows_and_bytes(
+        rows in rows_strategy(120),
+        dim_rows in rows_strategy(30),
+        shape in 0usize..6,
+        second in 0usize..6,
+        kind in 0usize..3,
+        narrow in 0usize..2,
+        window in (0usize..1000, 0usize..1000),
+    ) {
+        let (fact, dim) = (chunk_of(&rows), chunk_of(&dim_rows));
+        let db = fact_and_dim(&fact, &dim);
+        let n = rows.len();
+        let lo = window.0 % (n + 1);
+        let hi = lo + window.1 % (n - lo + 1);
+        // The static database a window tick is equivalent to: exactly the
+        // window's rows, sharing the full table's dictionaries.
+        let windowed = Chunk::from_table_range(
+            db.table("t").expect("fact table"),
+            &["i32", "i64", "f64", "str"],
+            lo,
+            hi,
+        )
+        .expect("window cut");
+        let window_db = fact_and_dim(&windowed, &dim);
+        let columns: &[&str] =
+            if narrow == 0 { &["i32", "i64", "f64", "str"] } else { &["f64", "i32", "str"] };
+
+        for which in 0..5 {
+            let predicate = scan_predicate(which);
+            let scan = PlanNode::Scan {
+                table: "t".into(),
+                columns: columns.iter().map(|c| c.to_string()).collect(),
+                predicate: predicate.clone(),
+            };
+            let tasks = flatten(&plan_over(scan, shape, second, join_kind(kind)));
+            let read_width: u64 = columns
+                .iter()
+                .map(|c| fact.column_type(c).expect("fact column").byte_width() as u64)
+                .sum::<u64>()
+                + if narrow == 1 && (1..=3).contains(&which) { 8 } else { 0 };
+
+            for (oracle_db, base, window) in
+                [(&db, &fact, None), (&window_db, &windowed, Some(("t", lo, hi)))]
+            {
+                let mut oracle: Vec<Chunk> = Vec::with_capacity(tasks.len());
+                for t in &tasks {
+                    let children: Vec<Chunk> =
+                        t.children.iter().map(|&c| oracle[c].clone()).collect();
+                    oracle.push(
+                        t.op.execute_ctx(&children, oracle_db, ParallelCtx::serial())
+                            .expect("oracle runs"),
+                    );
+                }
+                let qualifying = reference::select_positions(
+                    base,
+                    None,
+                    predicate.as_ref().unwrap_or(&Predicate::True),
+                )
+                .expect("reference selection");
+
+                for ways in [0, 1, 2, 3, 5, n as u32 + 1] {
+                    let (graph, expect) = shard_fact_scans(&tasks, ways);
+                    for workers in WORKER_GRID {
+                        let mut lazy: Vec<LazyChunk> = Vec::with_capacity(graph.len());
+                        for (t, expect) in graph.iter().zip(&expect) {
+                            let children: Vec<LazyChunk> =
+                                t.children.iter().map(|&c| lazy[c].clone()).collect();
+                            let out = t
+                                .op
+                                .execute_windowed(&children, &db, fused_ctx(workers), window)
+                                .expect("lazy task runs");
+                            let label = format!(
+                                "{} shape={shape} predicate={which} ways={ways} \
+                                 window={window:?} workers={workers}",
+                                t.op.label()
+                            );
+                            match expect {
+                                Expect::Oracle(i) => {
+                                    prop_assert_eq!(
+                                        (out.num_rows(), out.byte_size()),
+                                        (oracle[*i].num_rows(), oracle[*i].byte_size()),
+                                        "{}", label
+                                    );
+                                    prop_assert_eq!(&out.chunk(), &oracle[*i], "{}", label);
+                                }
+                                Expect::Shard(shard) => {
+                                    let range = shard.row_range(base.num_rows());
+                                    let rows = qualifying
+                                        .positions()
+                                        .iter()
+                                        .filter(|&&p| range.contains(&(p as usize)))
+                                        .count();
+                                    prop_assert_eq!(
+                                        (out.num_rows(), out.byte_size()),
+                                        (rows, rows as u64 * read_width),
+                                        "{}", label
+                                    );
+                                }
+                            }
+                            lazy.push(out);
+                        }
+                    }
+                }
+            }
         }
     }
 }
