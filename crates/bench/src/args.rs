@@ -8,7 +8,7 @@
 //!   extraction ([`ArgStream::parsed`], [`ArgStream::parsed_list`]),
 //!   reporting failures as [`EngineError::Config`].
 //! * [`CommonArgs`] — the flags shared across bins (`--out`, `--trace`,
-//!   `--seeds`, `--ks`, `--rows`, `--users`), parsed *identically*
+//!   `--ks`, `--rows`, `--users`), parsed *identically*
 //!   everywhere: a bin constructs one with its defaults, offers every
 //!   flag to [`CommonArgs::accept`] first, and only matches on its own
 //!   bin-specific flags.
@@ -101,17 +101,15 @@ impl ArgStream {
 /// The flags shared by the sweep bins, with per-bin defaults.
 ///
 /// Semantics are identical everywhere: `--out PATH` (result JSON),
-/// `--trace PATH` (Chrome export), `--seeds N` (chaos seed count),
-/// `--ks A,B,..` (co-processor counts, each ≥ 1), `--rows N` (rows per
-/// scale factor), `--users N` (closed-loop sessions).
+/// `--trace PATH` (Chrome export), `--ks A,B,..` (co-processor counts,
+/// each ≥ 1), `--rows N` (rows per scale factor), `--users N`
+/// (closed-loop sessions).
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Output path for the result JSON document.
     pub out: String,
     /// Chrome trace export path (`--trace`), when requested.
     pub trace: Option<String>,
-    /// Number of chaos seeds to sweep.
-    pub seeds: u64,
     /// Co-processor counts to sweep.
     pub ks: Vec<usize>,
     /// Rows per scale factor for the generated database.
@@ -122,22 +120,15 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Shared flags with defaults: result JSON to `out`, no trace,
-    /// 100 seeds, K ∈ {1, 2, 4}, 8 000 rows, 4 users.
+    /// K ∈ {1, 2, 4}, 8 000 rows, 4 users.
     pub fn new(out: &str) -> Self {
         CommonArgs {
             out: out.to_string(),
             trace: None,
-            seeds: 100,
             ks: vec![1, 2, 4],
             rows: 8_000,
             users: 4,
         }
-    }
-
-    /// Override the default seed count.
-    pub fn with_seeds(mut self, seeds: u64) -> Self {
-        self.seeds = seeds;
-        self
     }
 
     /// Override the default K list.
@@ -164,7 +155,6 @@ impl CommonArgs {
         match flag {
             "--out" => self.out = it.value("--out")?,
             "--trace" => self.trace = Some(it.value("--trace")?),
-            "--seeds" => self.seeds = it.parsed("--seeds")?,
             "--ks" => {
                 self.ks = it.parsed_list("--ks")?;
                 if self.ks.contains(&0) {
@@ -193,15 +183,14 @@ mod tests {
     fn common_flags_parse_identically() {
         let mut common = CommonArgs::new("default.json");
         let mut it = stream(&[
-            "--out", "o.json", "--trace", "t.json", "--seeds", "7", "--ks", "1,2",
-            "--rows", "500", "--users", "3",
+            "--out", "o.json", "--trace", "t.json", "--ks", "1,2", "--rows", "500",
+            "--users", "3",
         ]);
         while let Some(flag) = it.next_flag() {
             assert!(common.accept(&flag, &mut it).unwrap(), "{flag} is shared");
         }
         assert_eq!(common.out, "o.json");
         assert_eq!(common.trace.as_deref(), Some("t.json"));
-        assert_eq!(common.seeds, 7);
         assert_eq!(common.ks, vec![1, 2]);
         assert_eq!(common.rows, 500);
         assert_eq!(common.users, 3);
@@ -210,9 +199,12 @@ mod tests {
     #[test]
     fn bin_specific_flags_fall_through() {
         let mut common = CommonArgs::new("x.json");
-        let mut it = stream(&["--shard"]);
-        let flag = it.next_flag().unwrap();
-        assert!(!common.accept(&flag, &mut it).unwrap());
+        // `--seeds` is the chaos bin's own flag, not a shared one.
+        for own in ["--shard", "--seeds"] {
+            let mut it = stream(&[own]);
+            let flag = it.next_flag().unwrap();
+            assert!(!common.accept(&flag, &mut it).unwrap(), "{own}");
+        }
     }
 
     #[test]

@@ -69,11 +69,10 @@ struct Args {
     mode: Mode,
 }
 
-fn parse_args() -> Result<Args, EngineError> {
+fn parse_args(mut it: ArgStream) -> Result<Args, EngineError> {
     let mut path = None;
     let mut max_ratio = None;
     let mut mode = None;
-    let mut it = ArgStream::from_env();
     while let Some(flag) = it.next_flag() {
         let picked = match flag.as_str() {
             "--serving" => Mode::Serving,
@@ -82,7 +81,8 @@ fn parse_args() -> Result<Args, EngineError> {
             "--streaming" => Mode::Streaming,
             "--max-ratio" => {
                 let ratio: f64 = it.parsed("--max-ratio")?;
-                if !(0.0..=1.0).contains(&ratio) {
+                // A zero ratio would fail every gate vacuously.
+                if !(ratio > 0.0 && ratio <= 1.0) {
                     return Err(EngineError::config("--max-ratio must be in (0, 1]"));
                 }
                 max_ratio = Some(ratio);
@@ -476,7 +476,7 @@ fn gate(path: &str, verdict: Result<bool, EngineError>, holds: &str, broke: &str
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| die(2, e));
+    let args = parse_args(ArgStream::from_env()).unwrap_or_else(|e| die(2, e));
     let (path, ratio) = (args.path.as_str(), args.max_ratio);
     let src = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(2, format_args!("{path}: {e}")));
@@ -537,5 +537,24 @@ fn main() {
                 ),
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, EngineError> {
+        parse_args(ArgStream::from_args(args.iter().map(|s| s.to_string())))
+    }
+
+    #[test]
+    fn max_ratio_is_half_open_at_zero() {
+        for bad in ["0", "-0.5", "1.5", "NaN"] {
+            let err = parse(&["--max-ratio", bad]).err().expect(bad);
+            assert!(err.to_string().contains("(0, 1]"), "{bad}: {err}");
+        }
+        assert_eq!(parse(&["--max-ratio", "1"]).unwrap().max_ratio, 1.0);
+        assert_eq!(parse(&["--max-ratio", "0.9"]).unwrap().max_ratio, 0.9);
     }
 }

@@ -11,30 +11,30 @@
 //! cargo run -p robustq-bench --release --bin chaos -- --trace chaos-trace.json
 //! ```
 //!
-//! Shared flags (`--out`, `--trace`, `--seeds`, `--ks`, `--rows`,
-//! `--users`) parse as everywhere else in the bench suite: `--ks`
-//! repeats the whole sweep per co-processor count (baselined per K),
-//! `--rows` sizes the generated database, and the per-shape fault
-//! summary is written to `--out` as a FigTable JSON document.
+//! Shared flags (`--out`, `--trace`, `--ks`, `--rows`, `--users`) parse
+//! as everywhere else in the bench suite: `--ks` repeats the whole sweep
+//! per co-processor count (baselined per K), `--rows` sizes the
+//! generated database, and the per-shape fault summary is written to
+//! `--out` as a FigTable JSON document. `--seeds N` sweeps the fault
+//! plans `--base-seed .. --base-seed + N`.
 //!
 //! `--trace PATH` traces the first faulted seed's run, cross-checks the
 //! metrics replayed from the trace against the reported ones (the
 //! debug-build invariant, enforced here in release too), and writes the
 //! Chrome `trace_event` JSON to PATH.
 
-use std::collections::BTreeMap;
-
 use robustq_bench::args::{ArgStream, CommonArgs};
-use robustq_bench::export_trace;
-use robustq_bench::table::{tables_json, FigTable};
+use robustq_bench::table::FigTable;
+use robustq_bench::{export_trace, write_tables};
 use robustq_engine::EngineError;
 use robustq::prelude::*;
-use robustq_sim::FaultSpec;
 use robustq_storage::gen::ssb::SsbGenerator;
+use robustq_workloads::chaos::{self, fault_shape, FAULT_SHAPES};
 use robustq_workloads::{micro, ssb};
 
 struct Args {
     common: CommonArgs,
+    seeds: u64,
     base_seed: u64,
     workload: String,
 }
@@ -45,6 +45,7 @@ fn parse_args() -> Result<Args, EngineError> {
             .with_ks(&[1])
             .with_rows(1_000)
             .with_users(2),
+        seeds: 100,
         base_seed: 0,
         workload: "ssb".to_string(),
     };
@@ -54,99 +55,13 @@ fn parse_args() -> Result<Args, EngineError> {
             continue;
         }
         match flag.as_str() {
+            "--seeds" => args.seeds = it.parsed("--seeds")?,
             "--base-seed" => args.base_seed = it.parsed("--base-seed")?,
             "--workload" => args.workload = it.value("--workload")?,
             other => return Err(ArgStream::unknown_flag(other)),
         }
     }
     Ok(args)
-}
-
-/// The same five fault-model shapes the `chaos` test suite cycles over.
-fn spec_for(seed: u64, horizon: VirtualTime) -> FaultSpec {
-    let mut spec = FaultSpec::default();
-    match seed % 5 {
-        0 => spec.alloc_fail_prob = 0.25,
-        1 => {
-            spec.transfer_transient_prob = 0.15;
-            spec.transfer_permanent_prob = 0.05;
-            spec.transfer_spike_prob = 0.10;
-            spec.transfer_spike_factor = 5.0;
-        }
-        2 => spec.kernel_abort_prob = 0.25,
-        3 => {
-            spec.random_stalls = 4;
-            spec.stall_horizon = horizon;
-            spec.stall_len = (
-                VirtualTime::from_nanos(1 + horizon.as_nanos() / 50),
-                VirtualTime::from_nanos(1 + horizon.as_nanos() / 10),
-            );
-        }
-        _ => {
-            spec.alloc_fail_prob = 0.05;
-            spec.alloc_fail_stages = vec![2];
-            spec.transfer_transient_prob = 0.05;
-            spec.transfer_spike_prob = 0.05;
-            spec.transfer_spike_factor = 3.0;
-            spec.kernel_abort_prob = 0.05;
-            spec.random_stalls = 1;
-            spec.stall_horizon = horizon;
-            spec.stall_len =
-                (VirtualTime::from_nanos(1 + horizon.as_nanos() / 20), VirtualTime::ZERO);
-        }
-    }
-    spec
-}
-
-const SHAPES: [&str; 5] = ["alloc", "transfer", "kernel", "stall", "mixed"];
-
-/// Check every chaos invariant; returns human-readable violations.
-fn check(
-    report: &RunReport,
-    baseline: &BTreeMap<(usize, usize), (usize, u64)>,
-) -> Vec<String> {
-    let m = &report.metrics;
-    let mut bad = Vec::new();
-    let mut push = |cond: bool, msg: String| {
-        if !cond {
-            bad.push(msg);
-        }
-    };
-
-    push(
-        report.outcomes.len() == baseline.len(),
-        format!("outcome count {} != {}", report.outcomes.len(), baseline.len()),
-    );
-    for o in &report.outcomes {
-        match baseline.get(&(o.session, o.seq)) {
-            Some(&(rows, checksum)) => {
-                push(
-                    o.rows == rows && o.checksum == checksum,
-                    format!("query ({}, {}) result drifted under faults", o.session, o.seq),
-                );
-            }
-            None => push(false, format!("unknown slot ({}, {})", o.session, o.seq)),
-        }
-    }
-    push(m.gpu_heap_leaked == 0, format!("heap leaked {} bytes", m.gpu_heap_leaked));
-    push(m.h2d_bytes == m.link_h2d.bytes, "H2D byte accounting split".into());
-    push(m.d2h_bytes == m.link_d2h.bytes, "D2H byte accounting split".into());
-    push(m.h2d_time == m.link_h2d.busy_time, "H2D time accounting split".into());
-    push(m.d2h_time == m.link_d2h.busy_time, "D2H time accounting split".into());
-    push(
-        m.faults.injected == m.fault_stats.injected,
-        format!(
-            "executor injected {} != plan injected {}",
-            m.faults.injected, m.fault_stats.injected
-        ),
-    );
-    push(
-        m.faults.retries <= m.fault_stats.transfer_transient,
-        "more retries than transient faults".into(),
-    );
-    push(m.aborts >= m.faults.fallbacks, "fallbacks without aborts".into());
-    push(m.wasted_time <= m.total_device_time(), "wasted time exceeds device time".into());
-    bad
 }
 
 fn main() {
@@ -174,7 +89,7 @@ fn main() {
         args.workload,
         args.common.users,
         args.base_seed,
-        args.base_seed + args.common.seeds,
+        args.base_seed + args.seeds,
         args.common.ks,
     );
 
@@ -194,17 +109,13 @@ fn main() {
         let baseline = runner
             .run(&queries, Strategy::GpuPreferred, &cfg)
             .expect("fault-free baseline run");
-        let map: BTreeMap<(usize, usize), (usize, u64)> = baseline
-            .outcomes
-            .iter()
-            .map(|o| ((o.session, o.seq), (o.rows, o.checksum)))
-            .collect();
+        let map = baseline.result_fingerprints();
         let horizon = baseline.metrics.makespan.max(VirtualTime::from_micros(1));
 
-        for i in 0..args.common.seeds {
+        for i in 0..args.seeds {
             let seed = args.base_seed + i;
             let shape = (seed % 5) as usize;
-            let plan = FaultPlan::new(seed, spec_for(seed, horizon));
+            let plan = FaultPlan::new(seed, fault_shape(seed, horizon));
             let mut cfg = RunnerConfig::default()
                 .with_users(args.common.users)
                 .with_fault_plan(plan);
@@ -221,7 +132,7 @@ fn main() {
                     continue;
                 }
             };
-            for msg in check(&report, &map) {
+            for msg in chaos::violations(&report, &map) {
                 println!("seed {seed}: VIOLATION: {msg}");
                 violations += 1;
             }
@@ -256,7 +167,7 @@ fn main() {
     )
     .with_columns(["Shape", "Runs", "Injected", "Retries", "Fallbacks"]);
     println!("shape      runs   injected   retries   fallbacks");
-    for (i, name) in SHAPES.iter().enumerate() {
+    for (i, name) in FAULT_SHAPES.iter().enumerate() {
         println!(
             "{name:<9} {:>5} {:>10} {:>9} {:>11}",
             runs[i], injected[i], retries[i], fallbacks[i]
@@ -269,14 +180,7 @@ fn main() {
             fallbacks[i].to_string(),
         ]);
     }
-    if let Err(e) =
-        std::fs::write(&args.common.out, tables_json(std::slice::from_ref(&table)))
-    {
-        eprintln!("chaos: cannot write {}: {e}", args.common.out);
-        violations += 1;
-    } else {
-        println!("wrote {}", args.common.out);
-    }
+    violations += write_tables("chaos", &args.common.out, &[table]);
     let total: u64 = injected.iter().sum();
     println!("total injected: {total}, violations: {violations}");
     if violations > 0 {

@@ -19,8 +19,8 @@
 //!
 //! Shared flags (`--out`, `--trace`, `--ks`, `--rows`, `--users`) parse
 //! as everywhere else in the bench suite; `--users` is the admission
-//! limit (concurrently executing queries). `--seeds` is accepted for
-//! uniformity but the sweep is single-seeded (`--seed` picks it).
+//! limit (concurrently executing queries). The sweep is single-seeded
+//! (`--seed` picks it).
 //!
 //! `--trace PATH` traces the highest-rate max-K Data-Driven Chopping
 //! run and writes its Chrome export to PATH (CI feeds it to
@@ -28,8 +28,9 @@
 //! spans to complete events, which must stay lint-clean).
 
 use robustq_bench::args::{ArgStream, CommonArgs};
-use robustq_bench::export_trace;
-use robustq_bench::table::{tables_json, FigTable};
+use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
+use robustq_bench::table::{ms, FigTable};
+use robustq_bench::{export_trace, finish_sweep};
 use robustq_engine::EngineError;
 use robustq::prelude::*;
 use robustq_storage::gen::ssb::SsbGenerator;
@@ -80,10 +81,6 @@ fn parse_args() -> Result<Args, EngineError> {
     Ok(args)
 }
 
-fn ms(t: VirtualTime) -> String {
-    format!("{:.3}", t.as_secs_f64() * 1e3)
-}
-
 fn push_row(table: &mut FigTable, k: usize, rate: f64, report: &ServingReport) {
     table.push_row([
         k.to_string(),
@@ -114,12 +111,6 @@ fn main() {
     let db: Database =
         SsbGenerator::new(1).with_rows_per_sf(args.common.rows).generate();
     let mix = QueryMix::zipf(ssb::workload(&db).expect("SSB plans"), args.theta);
-    // Same tight-cache regime as the multigpu sweep: the fact table
-    // stresses a single co-processor cache, so placement quality — not
-    // raw device count — decides how the tail behaves under load.
-    let base_sim =
-        SimConfig::default().with_gpu_memory(2 * 1024 * 1024).with_gpu_cache(256 * 1024);
-    let strategies = [Strategy::GpuPreferred, Strategy::Chopping, Strategy::DataDrivenChopping];
 
     let mut table = FigTable::new(
         "serving-ssb",
@@ -141,10 +132,9 @@ fn main() {
     let mut failures = 0u64;
 
     for &k in &args.common.ks {
-        let sim = base_sim.clone().with_coprocessors(k);
-        let runner = ServingRunner::new(&db, sim);
+        let runner = ServingRunner::new(&db, fleet_sim().with_coprocessors(k));
         for &rate in &args.rates {
-            for strategy in strategies {
+            for strategy in FLEET_STRATEGIES {
                 let trace_this = args.common.trace.is_some()
                     && k == max_k
                     && rate == max_rate
@@ -182,18 +172,5 @@ fn main() {
         }
     }
 
-    println!("{table}");
-    if let Err(e) =
-        std::fs::write(&args.common.out, tables_json(std::slice::from_ref(&table)))
-    {
-        eprintln!("loadgen: cannot write {}: {e}", args.common.out);
-        failures += 1;
-    } else {
-        println!("wrote {}", args.common.out);
-    }
-
-    if failures > 0 {
-        eprintln!("loadgen: {failures} failure(s)");
-        std::process::exit(1);
-    }
+    finish_sweep("loadgen", &args.common.out, &[table], failures);
 }

@@ -40,17 +40,16 @@
 //! zero oversize fallbacks, no more aborts than their static siblings,
 //! and a strictly lower median est-vs-actual error.
 
-use std::collections::BTreeMap;
-
 use robustq_bench::args::{ArgStream, CommonArgs};
-use robustq_bench::export_trace;
-use robustq_bench::table::{tables_json, FigTable};
+use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
+use robustq_bench::table::{ms, FigTable};
+use robustq_bench::{export_trace, finish_sweep};
 use robustq_engine::EngineError;
 use robustq::prelude::*;
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::gen::tpch::TpchGenerator;
 use robustq_storage::Database;
-use robustq_workloads::{ssb, tpch, RunReport, WorkloadRunner};
+use robustq_workloads::{ssb, tpch, ResultFingerprints, RunReport, WorkloadRunner};
 
 struct Args {
     common: CommonArgs,
@@ -83,10 +82,6 @@ fn parse_args() -> Result<Args, EngineError> {
     Ok(args)
 }
 
-fn ms(t: VirtualTime) -> String {
-    format!("{:.3}", t.as_secs_f64() * 1e3)
-}
-
 /// Per-device busy times as one readable cell: `CPU 1.2 | GPU 3.4 | …`.
 fn busy_cell(m: &RunMetrics) -> String {
     m.device_busy
@@ -96,30 +91,20 @@ fn busy_cell(m: &RunMetrics) -> String {
         .join(" | ")
 }
 
-/// `(session, seq) -> (rows, checksum)` — the result fingerprint a sweep
-/// point must reproduce regardless of K.
-fn result_map(report: &RunReport) -> BTreeMap<(usize, usize), (usize, u64)> {
-    report
-        .outcomes
-        .iter()
-        .map(|o| ((o.session, o.seq), (o.rows, o.checksum)))
-        .collect()
-}
-
 /// One workload's sweep state: the result table, the K = 1 baseline
 /// fingerprints every later point must reproduce, and failure count.
 struct Sweep {
     name: &'static str,
     base_k: usize,
     table: FigTable,
-    baseline: Option<BTreeMap<(usize, usize), (usize, u64)>>,
+    baseline: Option<ResultFingerprints>,
     failures: u64,
 }
 
 impl Sweep {
     /// Check the result fingerprints and append one table row.
     fn record(&mut self, k: usize, label: &str, report: &RunReport) {
-        let results = result_map(report);
+        let results = report.result_fingerprints();
         match &self.baseline {
             None => self.baseline = Some(results),
             Some(want) => {
@@ -211,7 +196,7 @@ fn adaptive_sweep(
     let sim_base =
         SimConfig::default().with_gpu_memory(384 * 1024).with_gpu_cache(256 * 1024);
     let mut failures = 0u64;
-    let mut baseline: Option<BTreeMap<(usize, usize), (usize, u64)>> = None;
+    let mut baseline: Option<ResultFingerprints> = None;
     for &k in ks {
         let runner = WorkloadRunner::new(db, sim_base.clone().with_coprocessors(k));
         for strategy in [Strategy::GpuPreferred, Strategy::Chopping] {
@@ -226,7 +211,7 @@ fn adaptive_sweep(
                 }
                 let report =
                     runner.run(queries, strategy, &cfg).expect("adaptive sweep run");
-                let results = result_map(&report);
+                let results = report.result_fingerprints();
                 match &baseline {
                     None => baseline = Some(results),
                     Some(want) => {
@@ -274,14 +259,6 @@ fn main() {
         ("ssb", &ssb_db, ssb::workload(&ssb_db).expect("SSB plans")),
         ("tpch", &tpch_db, tpch::workload()),
     ];
-    // Tight caches, roomy heaps: at the default row count one fact table
-    // overflows a single 256 KiB cache (so K = 1 degrades to the CPU or
-    // thrashes) while its K-way partitions fit across the fleet — the
-    // regime where intra-operator sharding pays. The 2 MiB heap keeps
-    // downstream joins from aborting once they follow the data out.
-    let base_sim =
-        SimConfig::default().with_gpu_memory(2 * 1024 * 1024).with_gpu_cache(256 * 1024);
-    let strategies = [Strategy::GpuPreferred, Strategy::Chopping, Strategy::DataDrivenChopping];
 
     let mut tables = Vec::new();
     let mut failures = 0u64;
@@ -302,9 +279,8 @@ fn main() {
         let mut sweep =
             Sweep { name, base_k: args.common.ks[0], table, baseline: None, failures: 0 };
         for &k in &args.common.ks {
-            let sim = base_sim.clone().with_coprocessors(k);
-            let runner = WorkloadRunner::new(db, sim);
-            for strategy in strategies {
+            let runner = WorkloadRunner::new(db, fleet_sim().with_coprocessors(k));
+            for strategy in FLEET_STRATEGIES {
                 // With --shard the traced run is the sharded one below,
                 // so the shard lanes reach trace-lint.
                 let trace_this = args.common.trace.is_some()
@@ -359,7 +335,6 @@ fn main() {
                 }
             }
         }
-        println!("{}", sweep.table);
         failures += sweep.failures;
         tables.push(sweep.table);
     }
@@ -368,20 +343,9 @@ fn main() {
         let ssb_queries = &workloads[0].2;
         let (table, fails) =
             adaptive_sweep(&ssb_db, ssb_queries, &args.common.ks, args.common.users);
-        println!("{table}");
         failures += fails;
         tables.push(table);
     }
 
-    if let Err(e) = std::fs::write(&args.common.out, tables_json(&tables)) {
-        eprintln!("multigpu: cannot write {}: {e}", args.common.out);
-        failures += 1;
-    } else {
-        println!("wrote {}", args.common.out);
-    }
-
-    if failures > 0 {
-        eprintln!("multigpu: {failures} failure(s)");
-        std::process::exit(1);
-    }
+    finish_sweep("multigpu", &args.common.out, &tables, failures);
 }

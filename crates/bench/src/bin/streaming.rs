@@ -31,8 +31,9 @@
 
 use robustq::prelude::*;
 use robustq_bench::args::{ArgStream, CommonArgs};
-use robustq_bench::export_trace;
-use robustq_bench::table::{tables_json, FigTable};
+use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
+use robustq_bench::table::{ms, FigTable};
+use robustq_bench::{export_trace, finish_sweep};
 use robustq_trace::MetricsRegistry;
 use robustq_workloads::{ssb, SsbQuery, SsbStreamGen};
 
@@ -89,10 +90,6 @@ fn parse_args() -> Result<Args, EngineError> {
     Ok(args)
 }
 
-fn ms(t: VirtualTime) -> String {
-    format!("{:.3}", t.as_secs_f64() * 1e3)
-}
-
 fn push_row(table: &mut FigTable, k: usize, window_us: u64, report: &StreamingReport) {
     table.push_row([
         k.to_string(),
@@ -127,13 +124,6 @@ fn main() {
         .expect("SSB-stream build");
     let mix =
         QueryMix::zipf(ssb::workload(&data.db).expect("SSB plans"), args.theta);
-    // Same tight-cache regime as the serving sweep, so appends actually
-    // evict staged columns and placement quality shows in the tick tail.
-    let base_sim = SimConfig::default()
-        .with_gpu_memory(2 * 1024 * 1024)
-        .with_gpu_cache(256 * 1024);
-    let strategies =
-        [Strategy::GpuPreferred, Strategy::Chopping, Strategy::DataDrivenChopping];
 
     let mut table = FigTable::new(
         "streaming-ssb",
@@ -154,8 +144,7 @@ fn main() {
     let mut failures = 0u64;
 
     for &k in &args.common.ks {
-        let sim = base_sim.clone().with_coprocessors(k);
-        let runner = ServingRunner::new(&data.db, sim);
+        let runner = ServingRunner::new(&data.db, fleet_sim().with_coprocessors(k));
         for &window_us in &args.windows_us {
             let period = VirtualTime::from_micros(window_us);
             let ticks = args.batches as u32;
@@ -177,7 +166,7 @@ fn main() {
                 )
                 .expect("Q3.3 plans"),
             ];
-            for strategy in strategies {
+            for strategy in FLEET_STRATEGIES {
                 let trace_this = args.common.trace.is_some()
                     && k == max_k
                     && window_us == min_window
@@ -234,18 +223,5 @@ fn main() {
         }
     }
 
-    println!("{table}");
-    if let Err(e) =
-        std::fs::write(&args.common.out, tables_json(std::slice::from_ref(&table)))
-    {
-        eprintln!("streaming: cannot write {}: {e}", args.common.out);
-        failures += 1;
-    } else {
-        println!("wrote {}", args.common.out);
-    }
-
-    if failures > 0 {
-        eprintln!("streaming: {failures} failure(s)");
-        std::process::exit(1);
-    }
+    finish_sweep("streaming", &args.common.out, &[table], failures);
 }

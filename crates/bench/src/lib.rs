@@ -62,6 +62,37 @@ pub fn export_trace(bin: &str, path: &str, trace: &robustq_trace::TraceData) -> 
     failures
 }
 
+/// Write a sweep's tables to `out` as the `{"tables": [...]}` document
+/// `bench-diff` reads, confirming with `wrote …` on stdout. A failed
+/// write is reported on stderr under `bin`'s name and returned as one
+/// failure, for the caller's exit status.
+pub fn write_tables(bin: &str, out: &str, tables: &[FigTable]) -> u64 {
+    match std::fs::write(out, table::tables_json(tables)) {
+        Ok(()) => {
+            println!("wrote {out}");
+            0
+        }
+        Err(e) => {
+            eprintln!("{bin}: cannot write {out}: {e}");
+            1
+        }
+    }
+}
+
+/// The tail of every table sweep: print the tables, write them to `out`
+/// ([`write_tables`]), and exit with status 1 if the sweep's self-checks
+/// or the write counted any failure.
+pub fn finish_sweep(bin: &str, out: &str, tables: &[FigTable], failures: u64) {
+    for table in tables {
+        println!("{table}");
+    }
+    let failures = failures + write_tables(bin, out, tables);
+    if failures > 0 {
+        eprintln!("{bin}: {failures} failure(s)");
+        std::process::exit(1);
+    }
+}
+
 /// Run every figure at the given effort, in paper order.
 pub fn all_figures(effort: Effort) -> Vec<FigTable> {
     vec![

@@ -12,6 +12,7 @@
 //!   working set at scale factor 15, where the paper's cache-thrashing
 //!   crossover sits (Figure 16).
 
+use robustq_core::Strategy;
 use robustq_engine::plan::PlanNode;
 use robustq_engine::ParallelCtx;
 use robustq_sim::SimConfig;
@@ -53,6 +54,22 @@ pub fn parallel_ctx() -> ParallelCtx {
         None => ParallelCtx::auto(),
     }
 }
+
+/// The fleet sweeps' machine (`multigpu`, `loadgen`, `streaming`), per
+/// co-processor: tight caches, roomy heaps. At the sweeps' default row
+/// count one fact table overflows a single 256 KiB cache (so K = 1
+/// degrades to the CPU or thrashes) while its K-way partitions fit across
+/// the fleet — the regime where placement quality, not raw device count,
+/// decides makespan and tail. The 2 MiB heap keeps downstream joins from
+/// aborting once they follow the data out.
+pub fn fleet_sim() -> SimConfig {
+    SimConfig::default().with_gpu_memory(2 * 1024 * 1024).with_gpu_cache(256 * 1024)
+}
+
+/// The strategies every fleet sweep compares: the static baseline, query
+/// chopping, and the learned data-driven placement.
+pub const FLEET_STRATEGIES: [Strategy; 3] =
+    [Strategy::GpuPreferred, Strategy::Chopping, Strategy::DataDrivenChopping];
 
 /// Which benchmark a sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

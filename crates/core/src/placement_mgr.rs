@@ -7,7 +7,7 @@
 //! the top of the ranking is pinned until the cache budget is exhausted —
 //! exactly Algorithm 1: evict `old \ new`, cache `new \ old`.
 
-use robustq_sim::{partition_bytes, CacheKey, CacheSet, DataCache, DeviceId};
+use robustq_sim::{partition_bytes, CacheKey, CacheSet, DeviceId};
 use robustq_storage::{ColumnId, Database};
 use std::collections::BTreeMap;
 
@@ -111,38 +111,21 @@ impl DataPlacementManager {
         ranked
     }
 
-    /// Algorithm 1: fill the cache with the highest-ranked columns that
-    /// fit, replacing the previous pinned set. Returns the keys newly
-    /// cached (whose transfer the caller charges). `epochs` gives each
-    /// column's current data epoch by [`ColumnId::index`] (empty = all
-    /// epoch 0, the batch case), so pins target the live version and a
-    /// re-run after an append re-pins only the touched columns.
-    pub fn update(&self, db: &Database, cache: &mut DataCache, epochs: &[u64]) -> Vec<CacheKey> {
-        let budget_cap = self.budget.unwrap_or(u64::MAX).min(cache.capacity());
-        let mut used = 0u64;
-        let mut pins: Vec<(CacheKey, u64)> = Vec::new();
-        for (id, _) in self.ranking(db) {
-            let bytes = db.column_size(id);
-            let epoch = epochs.get(id.index()).copied().unwrap_or(0);
-            if used + bytes <= budget_cap {
-                used += bytes;
-                pins.push((CacheKey::column_at(id.0, epoch), bytes));
-            }
-        }
-        let (newly_cached, _evicted) = cache.set_pinned(&pins);
-        newly_cached
-    }
-
-    /// Algorithm 1 over a fleet of co-processor caches. Each *table* is
-    /// homed on one device — tables ranked by summed column score and
-    /// dealt round-robin across the K caches — and every cache is then
-    /// filled in global ranking order from its home tables' columns.
-    /// Homing whole tables (rather than striping single columns) keeps a
-    /// scan's inputs co-resident, so the data-driven chain rule still
-    /// fires at K > 1; the pinned working set scales with the fleet one
-    /// table at a time. With K = 1 this degenerates to
-    /// [`DataPlacementManager::update`]. Returns `(device, key)` pairs
-    /// newly cached so the caller can charge each device's host link.
+    /// Algorithm 1 over a fleet of co-processor caches: fill each cache
+    /// with the highest-ranked columns that fit, replacing the previous
+    /// pinned set. Each *table* is homed on one device — tables ranked by
+    /// summed column score and dealt round-robin across the K caches — and
+    /// every cache is then filled in global ranking order from its home
+    /// tables' columns. Homing whole tables (rather than striping single
+    /// columns) keeps a scan's inputs co-resident, so the data-driven
+    /// chain rule still fires at K > 1; the pinned working set scales with
+    /// the fleet one table at a time. With K = 1 this is the paper's
+    /// single-cache Algorithm 1. Returns `(device, key)` pairs newly
+    /// cached so the caller can charge each device's host link. `epochs`
+    /// gives each column's current data epoch by [`ColumnId::index`]
+    /// (empty = all epoch 0, the batch case), so pins target the live
+    /// version and a re-run after an append re-pins only the touched
+    /// columns.
     ///
     /// Homes are *sticky*: a table keeps its cache across updates even
     /// when the ranking reshuffles, so background placement never evicts
@@ -232,8 +215,19 @@ impl DataPlacementManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robustq_sim::CachePolicy;
+    use robustq_sim::{CachePolicy, DeviceSpec, LinkParams, Topology};
     use robustq_storage::{ColumnData, DataType, Field, Schema, Table};
+
+    /// A K = 1 fleet whose one cache holds `cache_bytes` — the paper's
+    /// single-cache Algorithm 1.
+    fn one_cache(cache_bytes: u64) -> CacheSet {
+        let topo = Topology::cpu_gpu(
+            DeviceSpec::cpu(4),
+            DeviceSpec::coprocessor(4, cache_bytes, cache_bytes),
+            LinkParams::default(),
+        );
+        CacheSet::for_topology(&topo, CachePolicy::Lru)
+    }
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -270,12 +264,12 @@ mod tests {
         touch(&db, "a", 5);
         touch(&db, "b", 3);
         touch(&db, "c", 10);
-        let mut cache = DataCache::new(24, CachePolicy::Lru); // room for 2 columns
-        let mgr = DataPlacementManager::lfu();
-        let newly = mgr.update(&db, &mut cache, &[]);
+        let mut caches = one_cache(24); // room for 2 columns
+        let newly = DataPlacementManager::lfu().update_set(&db, &mut caches, &[]);
         assert_eq!(newly.len(), 2);
         let c = db.column_id("t", "c").unwrap();
         let a = db.column_id("t", "a").unwrap();
+        let cache = caches.device(DeviceId::Gpu);
         assert!(cache.contains(CacheKey(c.0 as u64)));
         assert!(cache.contains(CacheKey(a.0 as u64)));
         assert_eq!(cache.used(), 24);
@@ -285,10 +279,9 @@ mod tests {
     fn never_accessed_columns_are_not_pinned() {
         let db = db();
         touch(&db, "a", 1);
-        let mut cache = DataCache::new(1_000, CachePolicy::Lru);
-        let mgr = DataPlacementManager::lfu();
-        mgr.update(&db, &mut cache, &[]);
-        assert_eq!(cache.len(), 1);
+        let mut caches = one_cache(1_000);
+        DataPlacementManager::lfu().update_set(&db, &mut caches, &[]);
+        assert_eq!(caches.device(DeviceId::Gpu).len(), 1);
     }
 
     #[test]
@@ -296,23 +289,32 @@ mod tests {
         let db = db();
         touch(&db, "a", 5);
         touch(&db, "b", 4);
-        let mut cache = DataCache::new(24, CachePolicy::Lru);
-        let mgr = DataPlacementManager::lfu();
-        let first = mgr.update(&db, &mut cache, &[]);
+        let mut caches = one_cache(24);
+        let mut mgr = DataPlacementManager::lfu();
+        let first = mgr.update_set(&db, &mut caches, &[]);
         assert_eq!(first.len(), 2);
         // Shift the ranking: c becomes hottest; a survives, b is evicted.
         touch(&db, "c", 10);
         touch(&db, "a", 5);
-        let second = mgr.update(&db, &mut cache, &[]);
+        let second = mgr.update_set(&db, &mut caches, &[]);
         let c = db.column_id("t", "c").unwrap();
         let b = db.column_id("t", "b").unwrap();
-        assert_eq!(second, vec![CacheKey(c.0 as u64)], "only c is newly cached");
-        assert!(!cache.contains(CacheKey(b.0 as u64)));
+        assert_eq!(
+            second,
+            vec![(DeviceId::Gpu, CacheKey(c.0 as u64))],
+            "only c is newly cached"
+        );
+        assert!(!caches.device(DeviceId::Gpu).contains(CacheKey(b.0 as u64)));
+        // An append moved c to epoch 1: only c's live version is re-pinned.
+        let mut epochs = vec![0; db.all_column_ids().count()];
+        epochs[c.index()] = 1;
+        let third = mgr.update_set(&db, &mut caches, &epochs);
+        assert_eq!(third, vec![(DeviceId::Gpu, CacheKey::column_at(c.0, 1))]);
+        assert!(!caches.device(DeviceId::Gpu).contains(CacheKey(c.0 as u64)));
     }
 
     #[test]
     fn update_set_homes_whole_tables_across_the_fleet() {
-        use robustq_sim::{DeviceSpec, LinkParams, Topology};
         let mut db = db();
         db.add_table(
             Table::new(
@@ -352,34 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn update_set_with_one_device_matches_update() {
-        use robustq_sim::{DeviceSpec, LinkParams, Topology};
-        let db = db();
-        touch(&db, "a", 5);
-        touch(&db, "b", 3);
-        touch(&db, "c", 10);
-        let topo = Topology::cpu_gpu(
-            DeviceSpec::cpu(4),
-            DeviceSpec::coprocessor(4, 1_000, 24),
-            LinkParams::default(),
-        );
-        let mut caches = CacheSet::for_topology(&topo, CachePolicy::Lru);
-        let mut single = DataCache::new(24, CachePolicy::Lru);
-        let mut mgr = DataPlacementManager::lfu();
-        let newly_set = mgr.update_set(&db, &mut caches, &[]);
-        let newly_one = mgr.update(&db, &mut single, &[]);
-        assert_eq!(
-            newly_set.iter().map(|&(_, k)| k).collect::<Vec<_>>(),
-            newly_one
-        );
-        for key in newly_one {
-            assert!(caches.device(DeviceId::Gpu).contains(key));
-        }
-    }
-
-    #[test]
     fn sticky_homes_survive_ranking_reshuffles() {
-        use robustq_sim::{DeviceSpec, LinkParams, Topology};
         let mut db = db();
         db.add_table(
             Table::new(
@@ -418,7 +393,6 @@ mod tests {
 
     #[test]
     fn sharding_partitions_large_tables_and_replicates_small_ones() {
-        use robustq_sim::{DeviceSpec, LinkParams, Topology};
         let mut db = db();
         db.add_table(
             Table::new(
@@ -480,11 +454,10 @@ mod tests {
         touch(&db, "a", 3);
         touch(&db, "b", 2);
         touch(&db, "c", 1);
-        let mut cache = DataCache::new(1_000, CachePolicy::Lru);
-        let mgr = DataPlacementManager::lfu().with_budget(12);
-        mgr.update(&db, &mut cache, &[]);
-        assert_eq!(cache.used(), 12);
-        assert_eq!(cache.len(), 1);
+        let mut caches = one_cache(1_000);
+        DataPlacementManager::lfu().with_budget(12).update_set(&db, &mut caches, &[]);
+        assert_eq!(caches.device(DeviceId::Gpu).used(), 12);
+        assert_eq!(caches.device(DeviceId::Gpu).len(), 1);
     }
 
     #[test]
@@ -511,9 +484,9 @@ mod tests {
         db.stats().record_access(0);
         db.stats().record_access(0);
         db.stats().record_access(1);
-        let mut cache = DataCache::new(20, CachePolicy::Lru);
-        DataPlacementManager::lfu().update(&db, &mut cache, &[]);
+        let mut caches = one_cache(20);
+        DataPlacementManager::lfu().update_set(&db, &mut caches, &[]);
         // big (80 B) cannot fit; small (12 B) still gets pinned.
-        assert_eq!(cache.used(), 12);
+        assert_eq!(caches.device(DeviceId::Gpu).used(), 12);
     }
 }

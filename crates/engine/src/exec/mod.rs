@@ -8,9 +8,6 @@
 //!   the strategies estimate with,
 //! * [`metrics`] — run metrics (makespan, transfer times, aborts, wasted
 //!   time),
-//! * [`pipeline`] — the pipeline-fusion pass: filter→aggregate and
-//!   filter→probe chains in the flattened task list run as one fused
-//!   morsel loop, materializing only at pipeline breakers,
 //! * [`executor`] — the thin public facade ([`executor::Executor`],
 //!   [`executor::ExecOptions`]) over the layered runtime:
 //!   * [`event_loop`] — the discrete-event core driving virtual time,
@@ -28,7 +25,6 @@ pub mod executor;
 pub mod memory;
 pub mod metrics;
 pub mod model;
-pub mod pipeline;
 pub mod policy;
 pub mod task;
 pub mod transfer;

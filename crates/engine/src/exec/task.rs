@@ -10,7 +10,7 @@ use crate::batch::{Chunk, LazyChunk, SelVec};
 use crate::expr::Expr;
 use crate::ops;
 use crate::parallel::ParallelCtx;
-use crate::plan::{AggSpec, JoinKind, PlanNode, SortKey};
+use crate::plan::{scan_read_columns, AggSpec, JoinKind, PlanNode, SortKey};
 use crate::predicate::Predicate;
 use robustq_sim::OpClass;
 use robustq_storage::Database;
@@ -142,15 +142,7 @@ impl TaskOp {
         match self {
             TaskOp::Scan { table, columns, predicate }
             | TaskOp::ScanShard { table, columns, predicate, .. } => {
-                let mut cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                if let Some(p) = predicate {
-                    p.for_each_column(&mut |c| {
-                        if !cols.contains(&c) {
-                            cols.push(c);
-                        }
-                    });
-                }
-                Some((table.as_str(), cols))
+                Some((table.as_str(), scan_read_columns(columns, predicate.as_ref())))
             }
             _ => None,
         }
@@ -201,7 +193,7 @@ impl TaskOp {
                 *kind,
                 ctx,
             ),
-            TaskOp::Project { exprs } => ops::project::project(&children[0], exprs),
+            TaskOp::Project { exprs } => ops::project::project(&children[0], None, exprs),
             TaskOp::Aggregate { group_by, aggs } => {
                 ops::agg::aggregate(&children[0], None, group_by, aggs, ctx)
             }
@@ -283,10 +275,10 @@ impl TaskOp {
                 let (probe, sel) = children[1].parts();
                 ops::join::hash_join(&build, probe, sel, build_key, probe_key, *kind, ctx)?
             }
-            TaskOp::Project { exprs } => match children[0].parts() {
-                (base, Some(sel)) => ops::project::project_at(base, exprs, sel.positions())?,
-                (base, None) => ops::project::project(base, exprs)?,
-            },
+            TaskOp::Project { exprs } => {
+                let (base, sel) = children[0].parts();
+                ops::project::project(base, sel, exprs)?
+            }
             TaskOp::Aggregate { group_by, aggs } => {
                 let (base, sel) = children[0].parts();
                 ops::agg::aggregate(base, sel, group_by, aggs, ctx)?
@@ -335,7 +327,7 @@ impl TaskOp {
     /// The base chunk of a (sharded) scan: every column it reads — the
     /// table's own buffers, shared, or a copy of the rows `[lo, hi)` when
     /// `window` names the table.
-    pub(crate) fn scan_base(
+    fn scan_base(
         &self,
         db: &Database,
         window: Option<(&str, usize, usize)>,
@@ -531,11 +523,8 @@ mod tests {
         let p = plan();
         let direct = crate::ops::execute_plan(&p, &db).unwrap();
 
-        let via_tasks = run_postorder(&flatten(&p), |t, children: Vec<LazyChunk>| {
-            t.op.execute_lazy(&children, &db, ParallelCtx::serial())
-        })
-        .unwrap()
-        .materialize();
+        let via_tasks =
+            crate::ops::execute_plan_fused(&p, &db, ParallelCtx::serial()).unwrap();
         assert_eq!(direct, via_tasks);
     }
 

@@ -2,10 +2,11 @@
 //!
 //! Expressions cover what the SSB/TPC-H query subset needs: column
 //! references, numeric literals, the four arithmetic operators and integer
-//! division (`year(yyyymmdd) = col // 10000`). Evaluation is columnar:
-//! an expression over an `n`-row chunk produces an `n`-row column.
+//! division (`year(yyyymmdd) = col // 10000`). Evaluation is columnar over
+//! the row stream `(chunk, Option<&SelVec>)` the kernels read: an
+//! expression over an `n`-row stream produces an `n`-row column.
 
-use crate::batch::Chunk;
+use crate::batch::{Chunk, SelVec};
 use robustq_storage::{ColumnData, DataType};
 use std::fmt;
 
@@ -54,29 +55,6 @@ impl Expr {
         Expr::col(col).int_div(10_000.0)
     }
 
-    /// Names of all columns the expression reads.
-    pub fn referenced_columns(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Col(n) => {
-                if !out.contains(n) {
-                    out.push(n.clone());
-                }
-            }
-            Expr::Lit(_) => {}
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-            }
-            Expr::IntDiv(a, _) => a.collect_columns(out),
-        }
-    }
-
     /// The result type of the expression over `chunk`.
     ///
     /// A bare column reference keeps its type; any arithmetic yields
@@ -92,55 +70,42 @@ impl Expr {
         }
     }
 
-    /// Evaluate over every row of `chunk`.
-    pub fn evaluate(&self, chunk: &Chunk) -> Result<ColumnData, String> {
+    /// Evaluate over the row stream `(chunk, sel)` — every row of `chunk`
+    /// when `sel` is `None`, else the selected rows in position order —
+    /// producing one value per row of the stream.
+    ///
+    /// Expressions are row-wise pure, so this equals gathering the chunk
+    /// at `sel` and evaluating densely, without materializing the gathered
+    /// input columns: only the column leaves read through the selection.
+    pub fn evaluate(
+        &self,
+        chunk: &Chunk,
+        sel: Option<&SelVec>,
+    ) -> Result<ColumnData, String> {
         match self {
-            Expr::Col(n) => Ok(chunk.require_column(n)?.clone()),
-            Expr::Lit(v) => Ok(ColumnData::Float64(vec![*v; chunk.num_rows()])),
+            Expr::Col(n) => {
+                let col = chunk.require_column(n)?;
+                Ok(match sel {
+                    None => col.clone(),
+                    Some(s) => col.gather(s.positions()),
+                })
+            }
             Expr::IntDiv(a, d) => {
-                let vals = a.evaluate_f64(chunk)?;
+                let vals = a.evaluate_f64(chunk, sel)?;
                 Ok(ColumnData::Int64(
                     vals.into_iter().map(|v| (v / *d).trunc() as i64).collect(),
                 ))
             }
-            _ => Ok(ColumnData::Float64(self.evaluate_f64(chunk)?)),
+            _ => Ok(ColumnData::Float64(self.evaluate_f64(chunk, sel)?)),
         }
     }
 
-    /// Evaluate to a dense `f64` vector (numeric expressions only).
-    pub fn evaluate_f64(&self, chunk: &Chunk) -> Result<Vec<f64>, String> {
-        let n = chunk.num_rows();
-        match self {
-            Expr::Col(name) => {
-                let col = chunk.require_column(name)?;
-                if col.data_type() == DataType::Str {
-                    return Err(format!("column {name} is not numeric"));
-                }
-                Ok((0..n).map(|i| col.get_f64(i)).collect())
-            }
-            Expr::Lit(v) => Ok(vec![*v; n]),
-            Expr::Add(a, b) => binary(a, b, chunk, |x, y| x + y),
-            Expr::Sub(a, b) => binary(a, b, chunk, |x, y| x - y),
-            Expr::Mul(a, b) => binary(a, b, chunk, |x, y| x * y),
-            Expr::Div(a, b) => binary(a, b, chunk, |x, y| x / y),
-            Expr::IntDiv(a, d) => {
-                let vals = a.evaluate_f64(chunk)?;
-                Ok(vals.into_iter().map(|v| (v / *d).trunc()).collect())
-            }
-        }
-    }
-
-    /// Evaluate at the given row positions only, producing one value per
-    /// position (in position order).
-    ///
-    /// Expressions are row-wise pure, so this equals gathering the chunk
-    /// at `positions` and evaluating densely — without materializing the
-    /// gathered input columns. Selection-vector aggregation uses it to
-    /// compute inputs for qualifying rows only.
-    pub fn evaluate_f64_at(
+    /// [`Expr::evaluate`] to a dense `f64` vector (numeric expressions
+    /// only), one value per row of the stream `(chunk, sel)`.
+    pub fn evaluate_f64(
         &self,
         chunk: &Chunk,
-        positions: &[u32],
+        sel: Option<&SelVec>,
     ) -> Result<Vec<f64>, String> {
         match self {
             Expr::Col(name) => {
@@ -148,38 +113,22 @@ impl Expr {
                 if col.data_type() == DataType::Str {
                     return Err(format!("column {name} is not numeric"));
                 }
-                Ok(positions.iter().map(|&p| col.get_f64(p as usize)).collect())
+                Ok(match sel {
+                    None => (0..chunk.num_rows()).map(|i| col.get_f64(i)).collect(),
+                    Some(s) => {
+                        s.positions().iter().map(|&p| col.get_f64(p as usize)).collect()
+                    }
+                })
             }
-            Expr::Lit(v) => Ok(vec![*v; positions.len()]),
-            Expr::Add(a, b) => binary_at(a, b, chunk, positions, |x, y| x + y),
-            Expr::Sub(a, b) => binary_at(a, b, chunk, positions, |x, y| x - y),
-            Expr::Mul(a, b) => binary_at(a, b, chunk, positions, |x, y| x * y),
-            Expr::Div(a, b) => binary_at(a, b, chunk, positions, |x, y| x / y),
+            Expr::Lit(v) => Ok(vec![*v; sel.map_or(chunk.num_rows(), SelVec::len)]),
+            Expr::Add(a, b) => binary(a, b, chunk, sel, |x, y| x + y),
+            Expr::Sub(a, b) => binary(a, b, chunk, sel, |x, y| x - y),
+            Expr::Mul(a, b) => binary(a, b, chunk, sel, |x, y| x * y),
+            Expr::Div(a, b) => binary(a, b, chunk, sel, |x, y| x / y),
             Expr::IntDiv(a, d) => {
-                let vals = a.evaluate_f64_at(chunk, positions)?;
+                let vals = a.evaluate_f64(chunk, sel)?;
                 Ok(vals.into_iter().map(|v| (v / *d).trunc()).collect())
             }
-        }
-    }
-
-    /// Positional form of [`Expr::evaluate`]: the result column holds one
-    /// row per entry of `positions`, identical to evaluating over the
-    /// gathered chunk.
-    pub fn evaluate_at(
-        &self,
-        chunk: &Chunk,
-        positions: &[u32],
-    ) -> Result<ColumnData, String> {
-        match self {
-            Expr::Col(n) => Ok(chunk.require_column(n)?.gather(positions)),
-            Expr::Lit(v) => Ok(ColumnData::Float64(vec![*v; positions.len()])),
-            Expr::IntDiv(a, d) => {
-                let vals = a.evaluate_f64_at(chunk, positions)?;
-                Ok(ColumnData::Int64(
-                    vals.into_iter().map(|v| (v / *d).trunc() as i64).collect(),
-                ))
-            }
-            _ => Ok(ColumnData::Float64(self.evaluate_f64_at(chunk, positions)?)),
         }
     }
 }
@@ -216,25 +165,11 @@ fn binary(
     a: &Expr,
     b: &Expr,
     chunk: &Chunk,
+    sel: Option<&SelVec>,
     f: impl Fn(f64, f64) -> f64,
 ) -> Result<Vec<f64>, String> {
-    let mut x = a.evaluate_f64(chunk)?;
-    let y = b.evaluate_f64(chunk)?;
-    for (xi, yi) in x.iter_mut().zip(y) {
-        *xi = f(*xi, yi);
-    }
-    Ok(x)
-}
-
-fn binary_at(
-    a: &Expr,
-    b: &Expr,
-    chunk: &Chunk,
-    positions: &[u32],
-    f: impl Fn(f64, f64) -> f64,
-) -> Result<Vec<f64>, String> {
-    let mut x = a.evaluate_f64_at(chunk, positions)?;
-    let y = b.evaluate_f64_at(chunk, positions)?;
+    let mut x = a.evaluate_f64(chunk, sel)?;
+    let y = b.evaluate_f64(chunk, sel)?;
     for (xi, yi) in x.iter_mut().zip(y) {
         *xi = f(*xi, yi);
     }
@@ -280,14 +215,14 @@ mod tests {
         // l_extendedprice * (1 - l_discount/100)
         let e = Expr::col("price")
             * (Expr::lit(1.0) - Expr::col("disc") / Expr::lit(100.0));
-        let v = e.evaluate_f64(&chunk()).unwrap();
+        let v = e.evaluate_f64(&chunk(), None).unwrap();
         assert_eq!(v, vec![95.0, 180.0]);
     }
 
     #[test]
     fn year_extraction() {
         let e = Expr::year_of("date");
-        match e.evaluate(&chunk()).unwrap() {
+        match e.evaluate(&chunk(), None).unwrap() {
             ColumnData::Int64(v) => assert_eq!(v, vec![1994, 1997]),
             other => panic!("expected Int64, got {other:?}"),
         }
@@ -297,22 +232,16 @@ mod tests {
     fn bare_column_keeps_type() {
         let e = Expr::col("disc");
         assert_eq!(e.result_type(&chunk()).unwrap(), DataType::Int32);
-        match e.evaluate(&chunk()).unwrap() {
+        match e.evaluate(&chunk(), None).unwrap() {
             ColumnData::Int32(v) => assert_eq!(v, vec![5, 10]),
             other => panic!("expected Int32, got {other:?}"),
         }
     }
 
     #[test]
-    fn referenced_columns_dedup() {
-        let e = Expr::col("price") * Expr::col("price") + Expr::col("disc");
-        assert_eq!(e.referenced_columns(), vec!["price".to_string(), "disc".into()]);
-    }
-
-    #[test]
     fn missing_column_is_an_error() {
         let e = Expr::col("nope");
-        assert!(e.evaluate(&chunk()).is_err());
+        assert!(e.evaluate(&chunk(), None).is_err());
         assert!(e.result_type(&chunk()).is_err());
     }
 
@@ -323,7 +252,7 @@ mod tests {
             vec![Field::new("s", DataType::Str)],
             vec![ColumnData::Str(DictColumn::from_strings(["a"]))],
         );
-        assert!((Expr::col("s") + Expr::lit(1.0)).evaluate_f64(&c).is_err());
+        assert!((Expr::col("s") + Expr::lit(1.0)).evaluate_f64(&c, None).is_err());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use exec::executor::{
 };
 pub use exec::metrics::{RunMetrics, StagingStats};
 pub use exec::model::{CostModelKind, LearnedModel, ModelUpdate};
-pub use exec::pipeline::{execute_plan_fused, fusion_sites, FusedKind};
 pub use exec::policy::{Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo};
 pub use exec::task::ShardSpec;
+pub use ops::execute_plan_fused;
 pub use plan::{AggFunc, AggSpec, JoinKind, PlanNode, SortKey, SortOrder};

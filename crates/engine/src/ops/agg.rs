@@ -66,10 +66,7 @@ fn agg_src<'a>(
     if let Expr::Lit(v) = expr {
         return Ok(AggSrc::Const(*v));
     }
-    Ok(AggSrc::Owned(match sel {
-        None => expr.evaluate_f64(chunk)?,
-        Some(s) => expr.evaluate_f64_at(chunk, s.positions())?,
-    }))
+    Ok(AggSrc::Owned(expr.evaluate_f64(chunk, sel)?))
 }
 
 /// Column-wise accumulator for one aggregate across all groups: one

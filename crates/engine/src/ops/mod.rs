@@ -9,6 +9,10 @@
 //! by the executor (`exec`), never the result — and regardless of the
 //! worker count. What each kernel must return is defined by its plain
 //! twin in [`crate::reference`].
+//!
+//! A whole plan runs two ways, both here without a simulator:
+//! [`execute_plan`] is the materializing oracle, [`execute_plan_fused`]
+//! the production data path the executor schedules task by task.
 
 pub mod agg;
 pub mod compressed;
@@ -18,7 +22,7 @@ pub mod project;
 pub mod select;
 pub mod sort;
 
-use crate::batch::Chunk;
+use crate::batch::{Chunk, LazyChunk};
 use crate::exec::task::{flatten, run_postorder};
 use crate::parallel::ParallelCtx;
 use crate::plan::PlanNode;
@@ -41,12 +45,31 @@ pub fn execute_plan_ctx(
     run_postorder(&flatten(node), |task, children| task.op.execute_ctx(&children, db, ctx))
 }
 
+/// Execute a plan on the production data path with no simulator around
+/// it: the flattened plan in postorder through
+/// [`crate::exec::task::TaskOp::execute_lazy`] — what the executor runs
+/// per task — with one final materialization. A filter's output is a
+/// selection vector its consumer reads through, so filter → aggregate,
+/// filter → probe and filter → project chains never materialize the
+/// filtered intermediate. Bit-identical to [`execute_plan_ctx`].
+pub fn execute_plan_fused(
+    node: &PlanNode,
+    db: &Database,
+    ctx: ParallelCtx,
+) -> Result<Chunk, String> {
+    run_postorder(&flatten(node), |task, children: Vec<LazyChunk>| {
+        task.op.execute_lazy(&children, db, ctx)
+    })
+    .map(LazyChunk::materialize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::plan::AggSpec;
     use crate::predicate::Predicate;
+    use robustq_storage::gen::ssb::SsbGenerator;
     use robustq_storage::{ColumnData, DataType, Field, Schema, Table, Value};
 
     fn db() -> Database {
@@ -114,5 +137,103 @@ mod tests {
         let db = db();
         let plan = PlanNode::scan("nope", ["x"]);
         assert!(execute_plan(&plan, &db).is_err());
+    }
+
+    fn test_ctx(workers: usize) -> ParallelCtx {
+        ParallelCtx::serial()
+            .with_workers(workers)
+            .with_morsel_rows(64)
+            .with_min_rows_per_worker(0)
+    }
+
+    /// Scan-sourced filter → aggregate (the planner pushes the filter
+    /// into the scan).
+    fn agg_plan() -> PlanNode {
+        PlanNode::scan("lineorder", ["lo_orderdate", "lo_revenue", "lo_discount"])
+            .filter(Predicate::between("lo_discount", 1, 3))
+            .aggregate(
+                ["lo_orderdate"],
+                vec![AggSpec::sum(Expr::col("lo_revenue"), "revenue")],
+            )
+    }
+
+    /// Select-sourced filter → aggregate: the second filter cannot merge
+    /// into the scan, so it stays a standalone `Select` task.
+    fn select_agg_plan() -> PlanNode {
+        PlanNode::scan(
+            "lineorder",
+            ["lo_orderdate", "lo_revenue", "lo_discount", "lo_quantity"],
+        )
+        .filter(Predicate::between("lo_discount", 1, 3))
+        .filter(Predicate::between("lo_quantity", 1, 25))
+        .aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("lo_revenue"), "s")])
+    }
+
+    fn proj_agg_plan() -> PlanNode {
+        PlanNode::scan("lineorder", ["lo_orderdate", "lo_revenue", "lo_discount"])
+            .filter(Predicate::between("lo_discount", 1, 3))
+            .project(vec![
+                ("od".to_string(), Expr::col("lo_orderdate")),
+                (
+                    "scaled".to_string(),
+                    Expr::col("lo_revenue") * Expr::col("lo_discount"),
+                ),
+            ])
+            .aggregate(["od"], vec![AggSpec::sum(Expr::col("scaled"), "s")])
+    }
+
+    fn probe_plan() -> PlanNode {
+        PlanNode::scan("lineorder", ["lo_orderdate", "lo_revenue", "lo_discount"])
+            .filter(Predicate::between("lo_discount", 1, 3))
+            .join(
+                PlanNode::scan("date", ["d_datekey", "d_year"]),
+                "lo_orderdate",
+                "d_datekey",
+            )
+    }
+
+    #[test]
+    fn computed_group_keys_match_the_oracle() {
+        let plan = PlanNode::scan("lineorder", ["lo_orderdate", "lo_revenue"])
+            .filter(Predicate::between("lo_orderdate", 19_940_101, 19_941_231))
+            .project(vec![
+                ("year".to_string(), Expr::year_of("lo_orderdate")),
+                ("r".to_string(), Expr::col("lo_revenue")),
+            ])
+            .aggregate(["year"], vec![AggSpec::sum(Expr::col("r"), "s")]);
+        let db = SsbGenerator::new(1).with_rows_per_sf(400).generate();
+        let fused = execute_plan_fused(&plan, &db, test_ctx(4)).unwrap();
+        let serial = execute_plan(&plan, &db).unwrap();
+        assert_eq!(fused, serial);
+    }
+
+    #[test]
+    fn pruned_scan_column_errors_match_the_oracle() {
+        // The aggregate reads a column the scan prunes away: reading
+        // through the selection must not rescue the query — the "no
+        // column" error is part of the contract with the materializing
+        // path.
+        let plan = PlanNode::scan("lineorder", ["lo_revenue"])
+            .filter(Predicate::between("lo_discount", 1, 3))
+            .aggregate(
+                [] as [&str; 0],
+                vec![AggSpec::sum(Expr::col("lo_discount"), "s")],
+            );
+        let db = SsbGenerator::new(1).with_rows_per_sf(200).generate();
+        let serial = execute_plan(&plan, &db).unwrap_err();
+        let fused = execute_plan_fused(&plan, &db, test_ctx(4)).unwrap_err();
+        assert_eq!(fused, serial);
+    }
+
+    #[test]
+    fn fused_execution_is_bit_identical_to_serial() {
+        let db = SsbGenerator::new(1).with_rows_per_sf(600).generate();
+        for plan in [agg_plan(), select_agg_plan(), proj_agg_plan(), probe_plan()] {
+            let serial = execute_plan(&plan, &db).unwrap();
+            for workers in [1, 4, 8] {
+                let fused = execute_plan_fused(&plan, &db, test_ctx(workers)).unwrap();
+                assert_eq!(fused, serial, "workers={workers} plan={plan}");
+            }
+        }
     }
 }

@@ -1,37 +1,24 @@
 //! Projection kernel.
 
-use crate::batch::Chunk;
+use crate::batch::{Chunk, SelVec};
 use crate::expr::Expr;
 use robustq_storage::Field;
 use std::sync::Arc;
 
-/// Compute named expressions over `chunk`.
-pub fn project(chunk: &Chunk, exprs: &[(String, Expr)]) -> Result<Chunk, String> {
-    let mut fields = Vec::with_capacity(exprs.len());
-    let mut columns = Vec::with_capacity(exprs.len());
-    for (name, expr) in exprs {
-        let ty = expr.result_type(chunk)?;
-        let col = expr.evaluate(chunk)?;
-        fields.push(Field::new(name.clone(), ty));
-        columns.push(col);
-    }
-    Ok(Chunk::new(fields, columns))
-}
-
-/// Compute named expressions at the given row positions only — the
-/// selection-vector form of [`project`]. Output rows are the selected rows
-/// in position order, bit-identical to projecting the gathered chunk, but
-/// only the columns each expression reads are ever touched.
-pub fn project_at(
+/// Compute named expressions over the row stream `(chunk, sel)`: all rows
+/// of `chunk` when `sel` is `None`, else the selected rows in position
+/// order — bit-identical to projecting the gathered chunk, but only the
+/// columns each expression reads are ever touched.
+pub fn project(
     chunk: &Chunk,
+    sel: Option<&SelVec>,
     exprs: &[(String, Expr)],
-    positions: &[u32],
 ) -> Result<Chunk, String> {
     let mut fields = Vec::with_capacity(exprs.len());
     let mut columns = Vec::with_capacity(exprs.len());
     for (name, expr) in exprs {
         let ty = expr.result_type(chunk)?;
-        let col = expr.evaluate_at(chunk, positions)?;
+        let col = expr.evaluate(chunk, sel)?;
         fields.push(Field::new(name.clone(), ty));
         columns.push(col);
     }
@@ -75,6 +62,7 @@ mod tests {
     fn computes_expressions() {
         let out = project(
             &chunk(),
+            None,
             &[
                 ("double_b".into(), Expr::col("b") * Expr::lit(2.0)),
                 ("a".into(), Expr::col("a")),
@@ -95,6 +83,6 @@ mod tests {
 
     #[test]
     fn missing_column_is_error() {
-        assert!(project(&chunk(), &[("x".into(), Expr::col("zz"))]).is_err());
+        assert!(project(&chunk(), None, &[("x".into(), Expr::col("zz"))]).is_err());
     }
 }

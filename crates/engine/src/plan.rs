@@ -7,7 +7,6 @@
 
 use crate::expr::Expr;
 use crate::predicate::Predicate;
-use robustq_sim::OpClass;
 use std::fmt;
 
 /// Join variants used by the workload queries.
@@ -259,17 +258,6 @@ impl PlanNode {
         PlanNode::Sort { input: Box::new(self), keys, limit: Some(limit) }
     }
 
-    /// Cost-model class of this operator.
-    pub fn op_class(&self) -> OpClass {
-        match self {
-            PlanNode::Scan { .. } | PlanNode::Select { .. } => OpClass::Selection,
-            PlanNode::HashJoin { .. } => OpClass::HashJoin,
-            PlanNode::Project { .. } => OpClass::Projection,
-            PlanNode::Aggregate { .. } => OpClass::Aggregation,
-            PlanNode::Sort { .. } => OpClass::Sort,
-        }
-    }
-
     /// Child nodes, build side first for joins.
     pub fn children(&self) -> Vec<&PlanNode> {
         match self {
@@ -282,20 +270,13 @@ impl PlanNode {
         }
     }
 
-    /// For scans: the table and the full set of base columns *read*
-    /// (output columns plus predicate references).
-    pub fn scan_access(&self) -> Option<(&str, Vec<String>)> {
+    /// For scans: the table and the full set of base columns *read* —
+    /// the output columns, then the predicate's other references. Names
+    /// are borrowed from the plan.
+    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
         match self {
             PlanNode::Scan { table, columns, predicate } => {
-                let mut cols = columns.clone();
-                if let Some(p) = predicate {
-                    for c in p.referenced_columns() {
-                        if !cols.contains(&c) {
-                            cols.push(c);
-                        }
-                    }
-                }
-                Some((table.as_str(), cols))
+                Some((table.as_str(), scan_read_columns(columns, predicate.as_ref())))
             }
             _ => None,
         }
@@ -336,6 +317,23 @@ impl PlanNode {
     }
 }
 
+/// The base columns a scan reads: its output `columns`, then the
+/// predicate's other references, each once. Names are borrowed.
+pub(crate) fn scan_read_columns<'a>(
+    columns: &'a [String],
+    predicate: Option<&'a Predicate>,
+) -> Vec<&'a str> {
+    let mut cols: Vec<&str> = columns.iter().map(String::as_str).collect();
+    if let Some(p) = predicate {
+        p.for_each_column(&mut |c| {
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        });
+    }
+    cols
+}
+
 impl fmt::Display for PlanNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn rec(node: &PlanNode, depth: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -372,10 +370,10 @@ mod tests {
     fn builders_produce_expected_shape() {
         let p = sample_plan();
         assert_eq!(p.num_operators(), 4);
-        assert_eq!(p.op_class(), OpClass::Aggregation);
+        assert!(matches!(p, PlanNode::Aggregate { .. }));
         let agg_children = p.children();
         let join = agg_children[0];
-        assert_eq!(join.op_class(), OpClass::HashJoin);
+        assert!(matches!(join, PlanNode::HashJoin { .. }));
         assert_eq!(join.children().len(), 2);
     }
 
@@ -396,11 +394,11 @@ mod tests {
         let p = PlanNode::scan("t", ["a"]).filter(Predicate::eq("b", 1));
         let (table, cols) = p.scan_access().unwrap();
         assert_eq!(table, "t");
-        assert_eq!(cols, vec!["a".to_string(), "b".into()]);
+        assert_eq!(cols, vec!["a", "b"]);
         // No duplicates when predicate references an output column.
         let p = PlanNode::scan("t", ["a"]).filter(Predicate::eq("a", 1));
         let (_, cols) = p.scan_access().unwrap();
-        assert_eq!(cols, vec!["a".to_string()]);
+        assert_eq!(cols, vec!["a"]);
     }
 
     #[test]

@@ -354,10 +354,7 @@ pub fn aggregate(
         .collect::<Result<_, _>>()?;
     let agg_inputs: Vec<Vec<f64>> = aggs
         .iter()
-        .map(|a| match sel {
-            None => a.input.evaluate_f64(chunk),
-            Some(s) => a.input.evaluate_f64_at(chunk, s.positions()),
-        })
+        .map(|a| a.input.evaluate_f64(chunk, sel))
         .collect::<Result<_, _>>()?;
 
     let mut representative: Vec<u32> = Vec::new();

@@ -50,7 +50,7 @@ mod lane {
     /// Lanes per co-processor block: ops, h2d, d2h, heap, cache.
     pub const BLOCK: u64 = 5;
     /// Feed activity (appends, segment seals, window fires; DESIGN.md
-    /// §16). Named lazily on the first feed event, so batch exports stay
+    /// §6). Named lazily on the first feed event, so batch exports stay
     /// byte-identical to earlier releases.
     pub const FEED: u64 = 99;
     /// Session lanes start here: `tid = SESSIONS + session`.

@@ -167,12 +167,12 @@ pub enum PlaceReason {
     /// Device heap pressure vetoed the co-processor.
     HeapPressure,
     /// A shard of a partitioned operator, spread across the fleet by
-    /// shard index rather than argmin (intra-operator sharding, §12).
+    /// shard index rather than argmin (intra-operator sharding, §6).
     ShardSpread,
     /// The executor's abort recovery forced the CPU.
     AbortFallback,
     /// A standing query's memoized first-fire placement was replayed
-    /// instead of re-estimating (recurring-footprint memoization, §16).
+    /// instead of re-estimating (recurring-footprint memoization, §7).
     Recurring,
 }
 

@@ -14,8 +14,11 @@
 //!   (Section 6.1),
 //! * [`partitioned`] — multi-co-processor scale-up via horizontal
 //!   partitioning with exact partial-result merging (the Section 6.3
-//!   discussion).
+//!   discussion),
+//! * [`chaos`] — the seeded fault shapes and run invariants of the chaos
+//!   harness.
 
+pub mod chaos;
 pub mod micro;
 pub mod partitioned;
 pub mod runner;
@@ -23,7 +26,7 @@ pub mod ssb;
 pub mod ssb_stream;
 pub mod tpch;
 
-pub use runner::{RunPhase, RunReport, RunnerConfig, WorkloadRunner};
+pub use runner::{ResultFingerprints, RunPhase, RunReport, RunnerConfig, WorkloadRunner};
 pub use ssb::SsbQuery;
 pub use ssb_stream::{SsbStreamData, SsbStreamGen};
 pub use tpch::TpchQuery;

@@ -20,6 +20,7 @@ use robustq_engine::{
 use robustq_sim::{CacheSet, FaultPlan, SimConfig, VirtualTime};
 use robustq_storage::{ColumnId, Database};
 use robustq_trace::{chrome_trace_json, MetricsRegistry, TraceData, Tracer};
+use std::collections::BTreeMap;
 
 /// Runner options: what the Section 6.1 procedure itself decides, plus
 /// the executor options every run of the procedure shares.
@@ -211,10 +212,23 @@ pub struct RunReport {
     pub staging: StagingStats,
 }
 
+/// `(session, seq) -> (rows, checksum)`: what every query of a run
+/// returned, keyed by its slot in the schedule.
+pub type ResultFingerprints = BTreeMap<(usize, usize), (usize, u64)>;
+
 impl RunReport {
     /// Queries that completed.
     pub fn completed(&self) -> usize {
         self.outcomes.len()
+    }
+
+    /// The result fingerprint of the run — what a differential check
+    /// (faults, co-processor count, sharding, staging) must reproduce.
+    pub fn result_fingerprints(&self) -> ResultFingerprints {
+        self.outcomes
+            .iter()
+            .map(|o| ((o.session, o.seq), (o.rows, o.checksum)))
+            .collect()
     }
 
     /// The Chrome `trace_event` JSON for the measured run (load it in

@@ -27,8 +27,6 @@
 //!     a reused policy keeps what it learned exactly as long as the
 //!     run's `CostModelKind` stays the same.
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 use robustq::core::Strategy;
 use robustq::engine::parallel::ParallelCtx;
@@ -44,17 +42,9 @@ fn db() -> Database {
     SsbGenerator::new(1).with_rows_per_sf(8_000).generate()
 }
 
-/// The §15 regime: heap = memory − cache = 128 KiB.
+/// The DESIGN.md §7 regime: heap = memory − cache = 128 KiB.
 fn small_heap_sim() -> SimConfig {
     SimConfig::default().with_gpu_memory(384 * 1024).with_gpu_cache(256 * 1024)
-}
-
-fn fingerprints(report: &RunReport) -> BTreeMap<(usize, usize), (usize, u64)> {
-    report
-        .outcomes
-        .iter()
-        .map(|o| ((o.session, o.seq), (o.rows, o.checksum)))
-        .collect()
 }
 
 /// Median est-vs-actual relative error over a sample slice.
@@ -129,7 +119,7 @@ proptest! {
                 "sample diverged across worker counts: {a:?} vs {b:?}"
             );
         }
-        prop_assert_eq!(fingerprints(&report), fingerprints(&wide));
+        prop_assert_eq!(report.result_fingerprints(), wide.result_fingerprints());
     }
 }
 
@@ -172,8 +162,8 @@ fn staging_completes_oversized_operators_on_device() {
         unstaged.metrics.aborts
     );
     assert_eq!(
-        fingerprints(&staged),
-        fingerprints(&unstaged),
+        staged.result_fingerprints(),
+        unstaged.result_fingerprints(),
         "staging moved work, never changed answers"
     );
 }
@@ -190,7 +180,7 @@ fn staging_conserves_resources_under_faults() {
     let baseline =
         runner.run(&queries, Strategy::GpuPreferred, &cfg).expect("fault-free");
     assert!(baseline.staging.staged_ops > 0, "regime sanity: staging active");
-    let want = fingerprints(&baseline);
+    let want = baseline.result_fingerprints();
 
     for seed in 0..40u64 {
         // Transfer and allocation faults land inside chunk sequences
@@ -219,7 +209,7 @@ fn staging_conserves_resources_under_faults() {
             .expect("faulted staged run");
         let m = &report.metrics;
         assert_eq!(
-            fingerprints(&report),
+            report.result_fingerprints(),
             want,
             "seed {seed}: faults changed staged results"
         );

@@ -1,6 +1,7 @@
 //! Chaos/differential tests for the fault-injection subsystem
 //! (DESIGN.md §12): hundreds of seeded fault plans are thrown at full
-//! workload runs, and after every run the harness asserts that
+//! workload runs, and after every run the harness
+//! (`robustq::workloads::chaos::violations`) asserts that
 //!
 //!  1. query results are bit-identical to the fault-free run — faults
 //!     change timing and placement, never answers;
@@ -17,13 +18,12 @@
 //! the executor's debug-build audit hook, which these tests exercise
 //! across every seed.
 
-use std::collections::BTreeMap;
-
 use robustq::core::Strategy;
 use robustq::sim::{FaultPlan, FaultSpec, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::Database;
-use robustq::workloads::{micro, ssb, RunReport, RunnerConfig, WorkloadRunner};
+use robustq::workloads::chaos::{fault_shape, violations};
+use robustq::workloads::{micro, ssb, RunnerConfig, WorkloadRunner};
 
 /// Seeds per workload; two workloads give ≥ 200 fault plans total.
 const SEEDS_PER_WORKLOAD: u64 = 100;
@@ -36,117 +36,6 @@ fn db() -> Database {
 /// injected ones.
 fn tight_sim() -> SimConfig {
     SimConfig::default().with_gpu_memory(512 * 1024).with_gpu_cache(256 * 1024)
-}
-
-/// One of five fault-model shapes, cycled over the seed range so the
-/// sweep covers allocation faults, transfer faults, kernel aborts,
-/// stalls and a mixed plan.
-fn spec_for(seed: u64, horizon: VirtualTime) -> FaultSpec {
-    let mut spec = FaultSpec::default();
-    match seed % 5 {
-        0 => spec.alloc_fail_prob = 0.25,
-        1 => {
-            spec.transfer_transient_prob = 0.15;
-            spec.transfer_permanent_prob = 0.05;
-            spec.transfer_spike_prob = 0.10;
-            spec.transfer_spike_factor = 5.0;
-        }
-        2 => spec.kernel_abort_prob = 0.25,
-        3 => {
-            spec.random_stalls = 4;
-            spec.stall_horizon = horizon;
-            spec.stall_len = (
-                VirtualTime::from_nanos(1 + horizon.as_nanos() / 50),
-                VirtualTime::from_nanos(1 + horizon.as_nanos() / 10),
-            );
-        }
-        _ => {
-            spec.alloc_fail_prob = 0.05;
-            spec.alloc_fail_stages = vec![2];
-            spec.transfer_transient_prob = 0.05;
-            spec.transfer_spike_prob = 0.05;
-            spec.transfer_spike_factor = 3.0;
-            spec.kernel_abort_prob = 0.05;
-            spec.random_stalls = 1;
-            spec.stall_horizon = horizon;
-            spec.stall_len =
-                (VirtualTime::from_nanos(1 + horizon.as_nanos() / 20), VirtualTime::ZERO);
-        }
-    }
-    spec
-}
-
-type BaselineMap = BTreeMap<(usize, usize), (usize, u64)>;
-
-fn baseline_map(report: &RunReport) -> BaselineMap {
-    report
-        .outcomes
-        .iter()
-        .map(|o| ((o.session, o.seq), (o.rows, o.checksum)))
-        .collect()
-}
-
-/// Every invariant the chaos harness checks after a faulty run.
-fn assert_invariants(report: &RunReport, baseline: &BaselineMap, label: &str) {
-    let m = &report.metrics;
-
-    // (1) Differential: identical results per (session, seq).
-    assert_eq!(report.outcomes.len(), baseline.len(), "{label}: outcome count");
-    for o in &report.outcomes {
-        let &(rows, checksum) = baseline
-            .get(&(o.session, o.seq))
-            .unwrap_or_else(|| panic!("{label}: unknown slot ({}, {})", o.session, o.seq));
-        assert_eq!(o.rows, rows, "{label}: ({}, {}) row count drifted", o.session, o.seq);
-        assert_eq!(
-            o.checksum, checksum,
-            "{label}: ({}, {}) result drifted under faults",
-            o.session, o.seq
-        );
-    }
-
-    // (2) Conservation: the heap drained, and the executor's transfer
-    // accounting agrees byte-for-byte with the link's own statistics.
-    assert_eq!(m.gpu_heap_leaked, 0, "{label}: co-processor heap leaked bytes");
-    assert_eq!(m.h2d_bytes, m.link_h2d.bytes, "{label}: H2D byte accounting split");
-    assert_eq!(m.d2h_bytes, m.link_d2h.bytes, "{label}: D2H byte accounting split");
-    assert_eq!(m.h2d_time, m.link_h2d.busy_time, "{label}: H2D time accounting split");
-    assert_eq!(m.d2h_time, m.link_d2h.busy_time, "{label}: D2H time accounting split");
-
-    // (3) Fault-metric consistency.
-    assert_eq!(
-        m.faults.injected, m.fault_stats.injected,
-        "{label}: executor and plan disagree on injections"
-    );
-    assert!(
-        m.faults.retries <= m.fault_stats.transfer_transient,
-        "{label}: more retries than transient faults"
-    );
-    assert!(m.aborts >= m.faults.fallbacks, "{label}: fallbacks without aborts");
-    assert!(
-        m.wasted_time <= m.total_device_time(),
-        "{label}: wasted time exceeds total device time"
-    );
-    if m.faults.injected == 0 {
-        assert_eq!(
-            m.faults.injected_wasted,
-            VirtualTime::ZERO,
-            "{label}: injected waste without injections"
-        );
-    }
-
-    // Per-query counters can never exceed the run totals (placement
-    // transfers are counted at run level only).
-    let mut q = robustq::engine::exec::metrics::FaultCounters::default();
-    for o in &report.outcomes {
-        q.absorb(&o.faults);
-    }
-    assert!(q.injected <= m.faults.injected, "{label}: per-query injected overflow");
-    assert!(q.retries <= m.faults.retries, "{label}: per-query retries overflow");
-    assert!(q.fallbacks <= m.faults.fallbacks, "{label}: per-query fallbacks overflow");
-    assert!(
-        q.injected_wasted <= m.faults.injected_wasted,
-        "{label}: per-query waste overflow"
-    );
 }
 
 /// Sweep `SEEDS_PER_WORKLOAD` fault plans over one workload and return
@@ -162,18 +51,19 @@ fn chaos_sweep(
     let cfg = RunnerConfig::default().with_users(users);
     let baseline =
         runner.run(queries, Strategy::GpuPreferred, &cfg).expect("fault-free baseline");
-    let map = baseline_map(&baseline);
+    let map = baseline.result_fingerprints();
     let horizon = baseline.metrics.makespan.max(VirtualTime::from_micros(1));
 
     let mut injected_total = 0;
     for i in 0..SEEDS_PER_WORKLOAD {
         let seed = base_seed + i;
-        let plan = FaultPlan::new(seed, spec_for(seed, horizon));
+        let plan = FaultPlan::new(seed, fault_shape(seed, horizon));
         let cfg = RunnerConfig::default().with_users(users).with_fault_plan(plan);
         let report = runner
             .run(queries, Strategy::GpuPreferred, &cfg)
             .unwrap_or_else(|e| panic!("{label}: seed {seed} failed: {e}"));
-        assert_invariants(&report, &map, &format!("{label} seed {seed}"));
+        let bad = violations(&report, &map);
+        assert!(bad.is_empty(), "{label} seed {seed}: {bad:#?}");
         injected_total += report.metrics.faults.injected;
     }
     injected_total
@@ -207,7 +97,7 @@ fn chaos_recovery_paths_are_exercised() {
     let mut fallbacks = 0;
     let mut wasted = VirtualTime::ZERO;
     for seed in [1u64, 6, 11, 2, 7, 12, 4, 9, 14] {
-        let plan = FaultPlan::new(seed, spec_for(seed, VirtualTime::from_millis(10)));
+        let plan = FaultPlan::new(seed, fault_shape(seed, VirtualTime::from_millis(10)));
         let cfg = RunnerConfig::default().with_users(2).with_fault_plan(plan);
         let report = runner.run(&queries, Strategy::GpuPreferred, &cfg).expect("runs");
         retries += report.metrics.faults.retries;

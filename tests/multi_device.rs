@@ -24,14 +24,12 @@
 //! (Byte-identity of the K = 1 default against the pre-topology executor
 //! is pinned separately by `tests/topology_golden.rs`.)
 
-use std::collections::BTreeMap;
-
 use robustq::core::Strategy;
 use robustq::engine::parallel::ParallelCtx;
 use robustq::sim::{FaultPlan, FaultSpec, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::Database;
-use robustq::workloads::{ssb, RunReport, RunnerConfig, WorkloadRunner};
+use robustq::workloads::{ssb, ResultFingerprints, RunReport, RunnerConfig, WorkloadRunner};
 
 const KS: [usize; 3] = [1, 2, 4];
 
@@ -46,16 +44,6 @@ fn sim_k(k: usize) -> SimConfig {
         .with_gpu_memory(512 * 1024)
         .with_gpu_cache(256 * 1024)
         .with_coprocessors(k)
-}
-
-type ResultMap = BTreeMap<(usize, usize), (usize, u64)>;
-
-fn result_map(report: &RunReport) -> ResultMap {
-    report
-        .outcomes
-        .iter()
-        .map(|o| ((o.session, o.seq), (o.rows, o.checksum)))
-        .collect()
 }
 
 /// Heap/link conservation at any K: the fleet heap drained and the
@@ -81,17 +69,17 @@ fn results_are_invariant_in_the_coprocessor_count() {
     let queries = ssb::workload(&db).expect("SSB plans");
     let cfg = RunnerConfig::default().with_users(2);
     for strategy in Strategy::ALL {
-        let mut baseline: Option<ResultMap> = None;
+        let mut baseline: Option<ResultFingerprints> = None;
         for k in KS {
             let runner = WorkloadRunner::new(&db, sim_k(k));
             let report = runner.run(&queries, strategy, &cfg).expect("sweep run");
             let label = format!("{} K={k}", strategy.name());
             assert_conservation(&report, k, &label);
             match &baseline {
-                None => baseline = Some(result_map(&report)),
+                None => baseline = Some(report.result_fingerprints()),
                 Some(want) => assert_eq!(
                     want,
-                    &result_map(&report),
+                    &report.result_fingerprints(),
                     "{label}: results drifted from the K=1 baseline"
                 ),
             }
@@ -143,7 +131,7 @@ fn chaos_differential_holds_on_a_fleet() {
         let baseline = runner
             .run(&queries, Strategy::Chopping, &cfg)
             .expect("fault-free baseline");
-        let want = result_map(&baseline);
+        let want = baseline.result_fingerprints();
         let horizon = baseline.metrics.makespan.max(VirtualTime::from_micros(1));
         for seed in 0..10u64 {
             let spec = FaultSpec {
@@ -169,7 +157,7 @@ fn chaos_differential_holds_on_a_fleet() {
             assert_conservation(&report, k, &label);
             assert_eq!(
                 want,
-                result_map(&report),
+                report.result_fingerprints(),
                 "{label}: results drifted under faults"
             );
             injected_total += report.metrics.faults.injected;
@@ -186,11 +174,10 @@ fn sharded_results_are_byte_identical_to_unsharded() {
     let db = db();
     let queries = ssb::workload(&db).expect("SSB plans");
     for strategy in Strategy::ALL {
-        let want = result_map(
-            &WorkloadRunner::new(&db, sim_k(1))
-                .run(&queries, strategy, &RunnerConfig::default().with_users(2))
-                .expect("unsharded baseline"),
-        );
+        let want = WorkloadRunner::new(&db, sim_k(1))
+            .run(&queries, strategy, &RunnerConfig::default().with_users(2))
+            .expect("unsharded baseline")
+            .result_fingerprints();
         for k in KS {
             let runner = WorkloadRunner::new(&db, sim_k(k));
             let cfg = RunnerConfig::default().with_users(2).with_sharding(k, 0.0);
@@ -199,7 +186,7 @@ fn sharded_results_are_byte_identical_to_unsharded() {
             assert_conservation(&report, k, &label);
             assert_eq!(
                 want,
-                result_map(&report),
+                report.result_fingerprints(),
                 "{label}: drifted from the unsharded results"
             );
         }
@@ -215,11 +202,10 @@ fn sharded_placement_manager_matches_unsharded() {
     use robustq::core::{DataDrivenChopping, DataPlacementManager};
     let db = db();
     let queries = ssb::workload(&db).expect("SSB plans");
-    let want = result_map(
-        &WorkloadRunner::new(&db, sim_k(1))
-            .run(&queries, Strategy::DataDrivenChopping, &RunnerConfig::default().with_users(2))
-            .expect("unsharded baseline"),
-    );
+    let want = WorkloadRunner::new(&db, sim_k(1))
+        .run(&queries, Strategy::DataDrivenChopping, &RunnerConfig::default().with_users(2))
+        .expect("unsharded baseline")
+        .result_fingerprints();
     for k in KS {
         let runner = WorkloadRunner::new(&db, sim_k(k));
         let mut policy = DataDrivenChopping::with_manager(
@@ -234,7 +220,7 @@ fn sharded_placement_manager_matches_unsharded() {
             .expect("sharded managed run");
         let label = format!("managed K={k} sharded");
         assert_conservation(&report, k, &label);
-        assert_eq!(want, result_map(&report), "{label}: drifted from unsharded");
+        assert_eq!(want, report.result_fingerprints(), "{label}: drifted from unsharded");
         if k >= 2 {
             let chrome = report.chrome_trace().expect("traced run exports");
             assert!(
@@ -260,7 +246,7 @@ fn chaos_differential_holds_under_sharding() {
         let baseline = runner
             .run(&queries, Strategy::Chopping, &cfg)
             .expect("sharded fault-free baseline");
-        let want = result_map(&baseline);
+        let want = baseline.result_fingerprints();
         let horizon = baseline.metrics.makespan.max(VirtualTime::from_micros(1));
         for seed in 0..6u64 {
             let spec = FaultSpec {
@@ -288,7 +274,7 @@ fn chaos_differential_holds_under_sharding() {
             assert_conservation(&report, k, &label);
             assert_eq!(
                 want,
-                result_map(&report),
+                report.result_fingerprints(),
                 "{label}: faults corrupted the shard merge"
             );
             injected_total += report.metrics.faults.injected;

@@ -1,5 +1,5 @@
-//! Property tests: selection-vector execution and fused pipelines are
-//! **bit-identical** to the materializing paths.
+//! Property tests: selection-vector execution is **bit-identical** to the
+//! materializing paths.
 //!
 //! Selections are position lists threaded through the downstream kernels
 //! (DESIGN.md §5), never copied rows. These tests pin the equivalences
@@ -12,23 +12,25 @@
 //!   filter→probe / filter→aggregate data path — against filtering first
 //!   and running the reference kernel on the materialized intermediate,
 //!   at worker counts 1 and 8;
-//! * the three ways to run a plan — the materializing oracle
-//!   (`ops::execute_plan`), the lazy executor path (postorder
-//!   `TaskOp::execute_lazy`) and the fusion pass (`execute_plan_fused`) —
-//!   against each other over the SSB and TPC-H plans;
+//! * expressions and projection over the row stream `(chunk, sel)`
+//!   against the same call on the gathered chunk, `Err` strings included;
+//! * the two ways to run a plan — the materializing oracle
+//!   (`ops::execute_plan`) and the production data path
+//!   (`execute_plan_fused`: postorder `TaskOp::execute_lazy`) — against
+//!   each other over the SSB and TPC-H plans;
 //! * accounting invariance: however a scan is sharded, filtered or
 //!   windowed, every lazy task reports the `(num_rows, byte_size)` of the
 //!   materialized oracle's output — the two numbers virtual time is
 //!   computed from — and holds bit-identical rows.
 
 use proptest::prelude::*;
-use robustq::engine::exec::task::{flatten, run_postorder, ShardSpec, TaskNode, TaskOp};
+use robustq::engine::exec::task::{flatten, ShardSpec, TaskNode, TaskOp};
 use robustq::engine::expr::Expr;
 use robustq::engine::ops;
 use robustq::engine::plan::{AggFunc, AggSpec, JoinKind, PlanNode, SortKey};
 use robustq::engine::predicate::{CmpOp, Predicate};
 use robustq::engine::reference;
-use robustq::engine::{execute_plan_fused, Chunk, LazyChunk, ParallelCtx};
+use robustq::engine::{execute_plan_fused, Chunk, LazyChunk, ParallelCtx, SelVec};
 use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field, Schema, Table};
 
 const WORKER_GRID: [usize; 2] = [1, 8];
@@ -191,6 +193,105 @@ proptest! {
             let fused =
                 ops::agg::aggregate(&chunk, Some(&sel), &group_by, &aggs, ctx).unwrap();
             prop_assert_eq!(&fused, &want, "workers={}", workers);
+        }
+    }
+}
+
+/// A generated expression tree: `code` run as a postfix program over a
+/// stack of subtrees (leaves push, operators pop), whatever is left on the
+/// stack summed. Leaves are the int / float columns and literals; one in
+/// twelve is the string column or an unknown one, so `Err`s are generated
+/// too (a bare string column only fails `evaluate_f64`).
+fn expr_of(code: &[(usize, i32)]) -> Expr {
+    let mut stack: Vec<Expr> = Vec::new();
+    for &(op, v) in code {
+        let e = match (op % 12, stack.len()) {
+            (0, _) => Expr::col("i32"),
+            (1, _) => Expr::col("i64"),
+            (2, _) => Expr::lit(f64::from(v) / 4.0),
+            (3, n) if n >= 1 => {
+                let a = stack.pop().expect("one operand");
+                a.int_div(f64::from(v.abs() % 7 + 1))
+            }
+            (4..=9, n) if n >= 2 => {
+                let b = stack.pop().expect("two operands");
+                let a = stack.pop().expect("two operands");
+                match op % 4 {
+                    0 => a + b,
+                    1 => a - b,
+                    2 => a * b,
+                    _ => a / b,
+                }
+            }
+            (10, _) => Expr::col("str"),
+            (11, _) => Expr::col("nope"),
+            _ => Expr::col("f64"),
+        };
+        stack.push(e);
+    }
+    stack.into_iter().reduce(|a, b| a + b).unwrap_or(Expr::lit(1.0))
+}
+
+/// Column equality at the bit level: a generated `0 / 0` is a `NaN`, which
+/// must come out the same on both sides without comparing equal to itself.
+fn same_column(a: &ColumnData, b: &ColumnData) -> bool {
+    match (a, b) {
+        (ColumnData::Float64(x), ColumnData::Float64(y)) => {
+            x.iter().map(|v| v.to_bits()).eq(y.iter().map(|v| v.to_bits()))
+        }
+        _ => a == b,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Expressions and projection read the row stream `(chunk, sel)`:
+    /// every selection — all rows, none, a generated one — gives what the
+    /// dense call gives on the gathered chunk, value for value and error
+    /// for error.
+    #[test]
+    fn expressions_and_projection_read_the_row_stream(
+        rows in rows_strategy(120),
+        code in prop::collection::vec((0usize..12, -40i32..40), 1..12),
+        keep in prop::collection::vec(prop::bool::ANY, 120),
+    ) {
+        let chunk = chunk_of(&rows);
+        let expr = expr_of(&code);
+        let exprs = vec![
+            ("e".to_string(), expr.clone()),
+            ("s".to_string(), Expr::col("str")),
+            ("k".to_string(), Expr::col("i32")),
+        ];
+        let generated =
+            SelVec::new((0..rows.len() as u32).filter(|&i| keep[i as usize]).collect());
+        for sel in [SelVec::all(rows.len()), SelVec::empty(), generated] {
+            let gathered = chunk.gather(sel.positions());
+            let label = format!("{expr} over {} of {} rows", sel.len(), rows.len());
+
+            for (got, want) in [
+                (expr.evaluate(&chunk, Some(&sel)), expr.evaluate(&gathered, None)),
+                (
+                    expr.evaluate_f64(&chunk, Some(&sel)).map(ColumnData::Float64),
+                    expr.evaluate_f64(&gathered, None).map(ColumnData::Float64),
+                ),
+            ] {
+                match (got, want) {
+                    (Ok(got), Ok(want)) => prop_assert!(same_column(&got, &want), "{}", label),
+                    (got, want) => prop_assert_eq!(got.err(), want.err(), "{}", label),
+                }
+            }
+            let got = ops::project::project(&chunk, Some(&sel), &exprs);
+            let want = ops::project::project(&gathered, None, &exprs);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.fields(), want.fields(), "{}", label);
+                    for (g, w) in got.columns().iter().zip(want.columns()) {
+                        prop_assert!(same_column(g, w), "{}", label);
+                    }
+                }
+                (got, want) => prop_assert_eq!(got.err(), want.err(), "{}", label),
+            }
         }
     }
 }
@@ -460,29 +561,16 @@ fn empty_and_single_row_chunks() {
     }
 }
 
-/// The executor's data path with no simulator around it: every task of the
-/// flattened plan through `TaskOp::execute_lazy`, late materialization
-/// included.
-fn execute_lazy_postorder(plan: &PlanNode, db: &Database, ctx: ParallelCtx) -> Chunk {
-    run_postorder(&flatten(plan), |task, children: Vec<LazyChunk>| {
-        task.op.execute_lazy(&children, db, ctx)
-    })
-    .expect("lazy tasks run")
-    .materialize()
-}
-
-/// The materializing oracle, the lazy executor path and the fusion pass
-/// give identical results (rows and checksums) — the plan-level guarantee
-/// behind the golden figures.
-fn assert_three_interpreters_agree(name: &str, plan: &PlanNode, db: &Database) {
+/// The materializing oracle and the production data path give identical
+/// results (rows and checksums) — the plan-level guarantee behind the
+/// golden figures.
+fn assert_interpreters_agree(name: &str, plan: &PlanNode, db: &Database) {
     let oracle = ops::execute_plan(plan, db).expect("oracle runs");
     for workers in WORKER_GRID {
         let ctx = ParallelCtx::serial()
             .with_workers(workers)
             .with_morsel_rows(128)
             .with_min_rows_per_worker(0);
-        let lazy = execute_lazy_postorder(plan, db, ctx);
-        assert_eq!(oracle, lazy, "{name}: lazy diverged at {workers} workers");
         let fused = execute_plan_fused(plan, db, ctx).expect("fused runs");
         assert_eq!(oracle, fused, "{name}: fused diverged at {workers} workers");
         assert_eq!(oracle.checksum(), fused.checksum());
@@ -496,7 +584,7 @@ fn full_ssb_plans_are_identical_across_interpreters() {
 
     let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
     for q in SsbQuery::ALL {
-        assert_three_interpreters_agree(q.name(), &q.plan(&db).expect("plans"), &db);
+        assert_interpreters_agree(q.name(), &q.plan(&db).expect("plans"), &db);
     }
 }
 
@@ -507,6 +595,6 @@ fn full_tpch_plans_are_identical_across_interpreters() {
 
     let db = TpchGenerator::new(1).with_rows_per_sf(1_000).generate();
     for q in TpchQuery::ALL {
-        assert_three_interpreters_agree(q.name(), &q.plan(), &db);
+        assert_interpreters_agree(q.name(), &q.plan(), &db);
     }
 }
