@@ -20,8 +20,8 @@
 //!   pre-selection-vector *materializing* baseline (mask select + gather,
 //!   then the downstream reference kernel);
 //! * `scan` / `scan_filtered` / `scan_sharded_k{2,4}` — the executor's scan
-//!   path, `TaskOp::execute_lazy` over an SSB `lineorder` (whole, with a
-//!   pushed-down predicate, and as K `ScanShard`s under a `MergeShards`),
+//!   path, the lazy interpreter over an SSB `lineorder` scan (whole, with
+//!   a pushed-down predicate, and as K `Role::Shard`s under a `Role::Merge`),
 //!   against the copying scan it replaced: mask select + gather over every
 //!   read column, then the output columns. The lazy output is
 //!   materialized outside the timed region to be compared; sharded and
@@ -48,12 +48,12 @@
 //! size; the JSON is only written at the default sizes).
 
 use robustq_bench::table::json_str;
-use robustq_engine::exec::task::TaskOp;
+use robustq_engine::exec::task::Role;
 use robustq_engine::expr::Expr;
 use robustq_engine::ops::compressed::select_compressed;
 use robustq_engine::ops::project::keep_columns;
 use robustq_engine::ops::{agg::aggregate, join::hash_join, select::select};
-use robustq_engine::plan::{AggSpec, JoinKind};
+use robustq_engine::plan::{AggSpec, JoinKind, Op};
 use robustq_engine::predicate::Predicate;
 use robustq_engine::reference;
 use robustq_engine::{Chunk, KernelClass, LazyChunk, ParallelCtx, ShardSpec};
@@ -152,33 +152,29 @@ fn copying_scan(db: &Database, predicate: &Predicate) -> Chunk {
     keep_columns(&reference::select(&base, predicate).unwrap(), &scan_columns()).unwrap()
 }
 
-/// The executor's scan of `lineorder`: one `Scan` task, or `shards`
-/// `ScanShard` tasks under a `MergeShards` when `shards > 0`.
+/// The executor's scan of `lineorder`: one whole task, or `shards` shard
+/// tasks under a merge when `shards > 0`.
 fn lazy_scan(
     db: &Database,
     predicate: Option<&Predicate>,
     shards: u32,
     ctx: ParallelCtx,
 ) -> LazyChunk {
-    let table = "lineorder".to_string();
-    let columns = scan_columns();
-    let predicate = predicate.cloned();
+    let scan = Op::Scan {
+        table: "lineorder".to_string(),
+        columns: scan_columns(),
+        predicate: predicate.cloned(),
+    };
     if shards == 0 {
-        return TaskOp::Scan { table, columns, predicate }.execute_lazy(&[], db, ctx).unwrap();
+        return scan.execute_lazy(&[], db, ctx).unwrap();
     }
     let parts: Vec<LazyChunk> = (0..shards)
         .map(|index| {
-            TaskOp::ScanShard {
-                table: table.clone(),
-                columns: columns.clone(),
-                predicate: predicate.clone(),
-                shard: ShardSpec { index, of: shards },
-            }
-            .execute_lazy(&[], db, ctx)
-            .unwrap()
+            let shard = Role::Shard(ShardSpec { index, of: shards });
+            scan.execute_windowed(shard, &[], db, ctx, None).unwrap()
         })
         .collect();
-    TaskOp::MergeShards { columns }.execute_lazy(&parts, db, ctx).unwrap()
+    scan.execute_windowed(Role::Merge, &parts, db, ctx, None).unwrap()
 }
 
 /// One compressed-domain selection fixture: a column whose shape forces

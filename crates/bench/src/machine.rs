@@ -135,7 +135,7 @@ fn collect_footprint(
     seen: &mut std::collections::HashSet<robustq_storage::ColumnId>,
     total: &mut u64,
 ) {
-    if let Some((table, cols)) = node.scan_access() {
+    if let Some((table, cols)) = node.op().scan_access() {
         for c in &cols {
             if let Some(id) = db.column_id(table, c) {
                 if seen.insert(id) {

@@ -7,12 +7,18 @@
 //! (textbook selectivity constants), so the compile-time strategies carry a
 //! realistic amount of estimation error while run-time strategies use
 //! exact, observed cardinalities.
+//!
+//! There is one estimate function, [`node`], local to an operator and the
+//! estimates of its children; admission loops it once over the flattened
+//! plan ([`postorder`]), and the SQL planner's join-order search calls it
+//! on the estimates its entries carry.
 
-use crate::plan::{JoinKind, PlanNode};
+use crate::exec::task::{flatten, TaskNode};
+use crate::plan::{JoinKind, Op, PlanNode};
 use crate::predicate::{CmpOp, Predicate};
 use robustq_storage::Database;
 
-/// Estimated size of one operator's output.
+/// Estimated size of one operator's output and input.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Estimated output rows.
@@ -22,6 +28,9 @@ pub struct Estimate {
     /// Fraction of this subtree's base table that survives (used for
     /// foreign-key join estimation); 1.0 when unknown.
     pub fraction: f64,
+    /// Estimated input bytes: the base columns a scan reads, the sum of
+    /// the children's outputs for every other operator.
+    pub input_bytes: f64,
 }
 
 /// Default selectivity of a predicate.
@@ -43,36 +52,42 @@ pub fn selectivity(pred: &Predicate) -> f64 {
     }
 }
 
-/// Estimate the output of `node` bottom-up.
-pub fn estimate(node: &PlanNode, db: &Database) -> Estimate {
-    match node {
-        PlanNode::Scan { table, columns, predicate } => {
-            let (rows, width) = match db.table(table) {
+/// Estimate one operator from the estimates of its children (build side
+/// first for joins). Node-local: a whole plan is one call per operator in
+/// postorder ([`postorder`]), and a planner that carries its entries'
+/// estimates costs a candidate by one call per operator it adds.
+///
+/// # Panics
+/// On a child count the operator does not have — unreachable for tasks
+/// flattened from a [`PlanNode`], whose constructors fix the arity.
+pub fn node(op: &Op, children: &[Estimate], db: &Database) -> Estimate {
+    let (rows, bytes, fraction) = match (op, children) {
+        (Op::Scan { columns, predicate, .. }, []) => {
+            let (table, read) = op.scan_access().expect("scan op");
+            let (rows, width, input_bytes) = match db.table(table) {
                 Some(t) => {
                     let width: u64 = columns
                         .iter()
                         .filter_map(|c| t.column(c))
                         .map(|c| c.data_type().byte_width() as u64)
                         .sum();
-                    (t.num_rows() as f64, width.max(1) as f64)
+                    let read = read.iter().filter_map(|c| t.column(c));
+                    (
+                        t.num_rows() as f64,
+                        width.max(1) as f64,
+                        read.map(|c| c.byte_size() as f64).sum(),
+                    )
                 }
-                None => (0.0, 1.0),
+                None => (0.0, 1.0, 0.0),
             };
             let sel = predicate.as_ref().map_or(1.0, selectivity);
-            Estimate { rows: rows * sel, bytes: rows * sel * width, fraction: sel }
+            return Estimate { rows: rows * sel, bytes: rows * sel * width, fraction: sel, input_bytes };
         }
-        PlanNode::Select { input, predicate } => {
-            let e = estimate(input, db);
+        (Op::Select { predicate }, [e]) => {
             let sel = selectivity(predicate);
-            Estimate {
-                rows: e.rows * sel,
-                bytes: e.bytes * sel,
-                fraction: e.fraction * sel,
-            }
+            (e.rows * sel, e.bytes * sel, e.fraction * sel)
         }
-        PlanNode::HashJoin { build, probe, kind, .. } => {
-            let b = estimate(build, db);
-            let p = estimate(probe, db);
+        (Op::HashJoin { kind, .. }, [b, p]) => {
             // Foreign-key assumption, symmetric in the join direction:
             // the join keeps `frac_probe · frac_build` of the *larger*
             // side's base table (the fact side of a fact–dimension join).
@@ -91,59 +106,47 @@ pub fn estimate(node: &PlanNode, db: &Database) -> Estimate {
                 JoinKind::Inner => row_width + build_width,
                 _ => row_width,
             };
-            Estimate { rows, bytes: rows * width, fraction: p.fraction * b.fraction.min(1.0) }
+            (rows, rows * width, p.fraction * b.fraction.min(1.0))
         }
-        PlanNode::Project { input, exprs } => {
-            let e = estimate(input, db);
-            Estimate {
-                rows: e.rows,
-                bytes: e.rows * 8.0 * exprs.len() as f64,
-                fraction: e.fraction,
-            }
-        }
-        PlanNode::Aggregate { input, group_by, aggs } => {
-            let e = estimate(input, db);
+        (Op::Project { exprs }, [e]) => (e.rows, e.rows * 8.0 * exprs.len() as f64, e.fraction),
+        (Op::Aggregate { group_by, aggs }, [e]) => {
             let groups = if group_by.is_empty() {
                 1.0
             } else {
                 // Square-root rule of thumb for distinct groups.
                 e.rows.sqrt().max(1.0)
             };
-            Estimate {
-                rows: groups,
-                bytes: groups * 8.0 * (group_by.len() + aggs.len()) as f64,
-                fraction: 1.0,
-            }
+            (groups, groups * 8.0 * (group_by.len() + aggs.len()) as f64, 1.0)
         }
-        PlanNode::Sort { input, limit, .. } => {
-            let e = estimate(input, db);
+        (Op::Sort { limit, .. }, [e]) => {
             let rows = match limit {
                 Some(l) => e.rows.min(*l as f64),
                 None => e.rows,
             };
             let width = if e.rows > 0.5 { e.bytes / e.rows } else { 8.0 };
-            Estimate { rows, bytes: rows * width, fraction: e.fraction }
+            (rows, rows * width, e.fraction)
         }
-    }
+        _ => panic!("{} over {} children", op.label(), children.len()),
+    };
+    Estimate { rows, bytes, fraction, input_bytes: children.iter().map(|c| c.bytes).sum() }
 }
 
-/// Estimated *input* bytes of `node`: the sum of its children's outputs,
-/// or the base columns it reads for scans.
-pub fn estimate_input_bytes(node: &PlanNode, db: &Database) -> f64 {
-    match node {
-        PlanNode::Scan { .. } => {
-            let (table, cols) = node.scan_access().expect("scan node");
-            match db.table(table) {
-                Some(t) => cols
-                    .iter()
-                    .filter_map(|c| t.column(c))
-                    .map(|c| c.byte_size() as f64)
-                    .sum(),
-                None => 0.0,
-            }
-        }
-        _ => node.children().iter().map(|c| estimate(c, db).bytes).sum(),
+/// Estimates of a flattened plan, aligned with it: one [`node`] call per
+/// task over the estimates its children already have.
+pub fn postorder(tasks: &[TaskNode], db: &Database) -> Vec<Estimate> {
+    let mut out: Vec<Estimate> = Vec::with_capacity(tasks.len());
+    let mut children = Vec::new();
+    for task in tasks {
+        children.clear();
+        children.extend(task.children.iter().map(|&c| out[c]));
+        out.push(node(&task.op, &children, db));
     }
+    out
+}
+
+/// Estimate the output of the plan's root.
+pub fn estimate(plan: &PlanNode, db: &Database) -> Estimate {
+    *postorder(&flatten(plan), db).last().expect("a plan has a root")
 }
 
 #[cfg(test)]
@@ -219,7 +222,7 @@ mod tests {
         let with_pred = PlanNode::scan("lineorder", ["lo_revenue"])
             .filter(Predicate::between("lo_discount", 1, 3));
         assert!(
-            estimate_input_bytes(&with_pred, &db) > estimate_input_bytes(&plain, &db)
+            estimate(&with_pred, &db).input_bytes > estimate(&plain, &db).input_bytes
         );
     }
 }

@@ -13,23 +13,27 @@
 //! unannotated.
 
 use crate::error::EngineError;
+use crate::estimate;
 use crate::exec::event_loop::{
     policy_ctx, QueryState, QueryWindow, Sim, Status, Submission, TaskState,
 };
 use crate::exec::metrics::{FaultCounters, QueryOutcome};
 use crate::exec::policy::{PolicyCtx, TaskInfo};
-use crate::exec::task::{flatten, ShardSpec, TaskNode, TaskOp};
+use crate::exec::task::{flatten, Role, ShardSpec, TaskNode};
+use crate::plan::Op;
 use robustq_sim::{DeviceId, Direction, PerDevice, VirtualTime};
 use robustq_storage::ColumnId;
 use robustq_trace::{EstVec, PlacePhase, ShedReason, TraceEvent, TransferKind};
+use std::sync::Arc;
 
 /// Rewrite a flattened task graph for intra-operator sharding: every leaf
 /// scan whose estimated input is at least `min_bytes` becomes `ways`
-/// [`TaskOp::ScanShard`] tasks plus one [`TaskOp::MergeShards`] barrier
-/// that takes the scan's place in the graph. The rewrite preserves the
-/// postorder invariants (children before parents, root last) and leaves
-/// estimates aligned: shards get `1/ways` of the scan's input estimate,
-/// the merge consumes and reproduces the scan's output estimate.
+/// [`Role::Shard`] tasks plus one [`Role::Merge`] barrier that takes the
+/// scan's place in the graph — all of them the scan's own shared `Op`.
+/// The rewrite preserves the postorder invariants (children before
+/// parents, root last) and leaves the `(input, output)` byte estimates
+/// aligned: shards get `1/ways` of the scan's, the merge consumes and
+/// reproduces the scan's output estimate.
 pub(crate) fn expand_shards(
     nodes: Vec<TaskNode>,
     estimates: Vec<(f64, f64)>,
@@ -42,57 +46,35 @@ pub(crate) fn expand_shards(
     let mut out: Vec<TaskNode> = Vec::with_capacity(nodes.len());
     let mut est: Vec<(f64, f64)> = Vec::with_capacity(nodes.len());
     // New index of each old node (the merge barrier stands in for a
-    // sharded scan).
+    // sharded scan); edges are remapped in the pass below.
     let mut remap: Vec<usize> = Vec::with_capacity(nodes.len());
-    for (i, node) in nodes.iter().enumerate() {
-        let e = estimates[i];
-        let shardable = node.children.is_empty()
-            && matches!(node.op, TaskOp::Scan { .. })
-            && e.0 >= min_bytes;
-        if !shardable {
-            remap.push(out.len());
-            out.push(node.clone());
+    for (mut node, e) in nodes.into_iter().zip(estimates) {
+        if matches!(*node.op, Op::Scan { .. }) && e.0 >= min_bytes {
+            let merge = out.len() + ways;
+            for index in 0..ways {
+                out.push(TaskNode {
+                    op: Arc::clone(&node.op),
+                    role: Role::Shard(ShardSpec { index: index as u32, of: ways as u32 }),
+                    children: Vec::new(),
+                    parent: Some(merge),
+                });
+                est.push((e.0 / ways as f64, e.1 / ways as f64));
+            }
+            node.role = Role::Merge;
+            est.push((e.1, e.1));
+        } else {
             est.push(e);
-            continue;
         }
-        let TaskOp::Scan { table, columns, predicate } = node.op.clone() else {
-            unreachable!("shardable implies scan");
-        };
-        let first = out.len();
-        for index in 0..ways {
-            out.push(TaskNode {
-                op: TaskOp::ScanShard {
-                    table: table.clone(),
-                    columns: columns.clone(),
-                    predicate: predicate.clone(),
-                    shard: ShardSpec { index: index as u32, of: ways as u32 },
-                },
-                children: Vec::new(),
-                parent: None, // set just below
-            });
-            est.push((e.0 / ways as f64, e.1 / ways as f64));
-        }
-        let merge = out.len();
-        out.push(TaskNode {
-            op: TaskOp::MergeShards { columns },
-            children: (first..merge).collect(),
-            parent: node.parent, // remapped in the fix-up pass
-        });
-        for shard in &mut out[first..merge] {
-            shard.parent = Some(merge);
-        }
-        est.push((e.1, e.1));
-        remap.push(merge);
+        remap.push(out.len());
+        out.push(node);
     }
-    // Fix up edges that still point into the old graph. Shard nodes and
-    // merge children are already final; everything else goes through
-    // `remap`.
-    for (i, node) in nodes.iter().enumerate() {
-        let n = remap[i];
-        if !matches!(out[n].op, TaskOp::MergeShards { .. }) {
-            out[n].children = node.children.iter().map(|&c| remap[c]).collect();
+    for &n in &remap {
+        let node = &mut out[n];
+        node.parent = node.parent.map(|p| remap[p]);
+        match node.role {
+            Role::Merge => node.children = (n - ways..n).collect(),
+            _ => node.children.iter_mut().for_each(|c| *c = remap[*c]),
         }
-        out[n].parent = node.parent.map(|p| remap[p]);
     }
     (out, est)
 }
@@ -167,26 +149,18 @@ impl Sim<'_, '_> {
         let query = self.queries.len();
         let base = self.tasks.len();
         let nodes = flatten(&plan);
-        let mut estimates =
-            crate::exec::executor::postorder_estimates(&plan, self.db);
-        debug_assert_eq!(nodes.len(), estimates.len());
-        // Windowed ticks scan only the window's slice of the feed table:
-        // scale the leaf estimates so sharding and compile-time placement
-        // see the pruned input, not the whole (ever-growing) table.
-        if let Some(w) = window {
-            let frac = self.window_fraction(w);
-            for (node, est) in nodes.iter().zip(estimates.iter_mut()) {
-                let windowed_leaf = matches!(
-                    &node.op,
-                    TaskOp::Scan { table, .. }
-                        if self.db.table_position(table) == Some(w.table as usize)
-                );
-                if windowed_leaf {
-                    est.0 *= frac;
-                    est.1 *= frac;
-                }
-            }
-        }
+        // One estimate per operator, in one pass. Windowed ticks scan only
+        // the window's slice of the feed table: scale those leaves so
+        // sharding and compile-time placement see the pruned input, not
+        // the whole (ever-growing) table.
+        let estimates = estimate::postorder(&nodes, self.db)
+            .iter()
+            .zip(&nodes)
+            .map(|(e, node)| {
+                let frac = self.windowed_fraction(&node.op, window);
+                (e.input_bytes * frac, e.bytes * frac)
+            })
+            .collect();
         // Intra-operator sharding (DESIGN.md §6): qualifying leaf scans
         // fan out across the co-processor fleet. One shard per
         // co-processor at most — with fewer than two there is nothing to
@@ -197,15 +171,9 @@ impl Sim<'_, '_> {
             .min(self.config.topology.device_count().saturating_sub(1));
         let (nodes, estimates) =
             expand_shards(nodes, estimates, ways, self.opts.shard_min_bytes);
-        let shard_fanouts: Vec<(usize, u32)> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.op, TaskOp::MergeShards { .. }))
-            .map(|(i, n)| (base + i, n.children.len() as u32))
-            .collect();
 
         for (node, est) in nodes.into_iter().zip(estimates) {
-            let base_columns = match node.op.scan_access() {
+            let base_columns = match node.scan_access() {
                 Some((table, cols)) => cols
                     .iter()
                     .map(|c| {
@@ -216,11 +184,16 @@ impl Sim<'_, '_> {
                     .collect::<Result<Vec<_>, _>>()?,
                 None => Vec::new(),
             };
-            let children: Vec<usize> = node.children.iter().map(|&c| base + c).collect();
-            let parent = node.parent.map(|p| base + p);
+            let class = node.op_class();
+            // Edges become *global* task indices.
+            let TaskNode { op, role, mut children, parent } = node;
+            children.iter_mut().for_each(|c| *c += base);
+            let parent = parent.map(|p| base + p);
             let pending = children.len();
             self.tasks.push(TaskState {
-                node,
+                op,
+                role,
+                class,
                 query,
                 children,
                 parent,
@@ -278,13 +251,15 @@ impl Sim<'_, '_> {
                 at: submit_time,
             });
         }
-        for (merge, shards) in shard_fanouts {
-            self.emit(TraceEvent::ShardFanout {
-                query: query as u32,
-                task: merge as u32,
-                shards,
-                at: submit_time,
-            });
+        for merge in base..=root {
+            if self.tasks[merge].role == Role::Merge {
+                self.emit(TraceEvent::ShardFanout {
+                    query: query as u32,
+                    task: merge as u32,
+                    shards: self.tasks[merge].children.len() as u32,
+                    at: submit_time,
+                });
+            }
         }
 
         // Compile-time placement pass.
@@ -298,7 +273,7 @@ impl Sim<'_, '_> {
                 self.emit(TraceEvent::Placement {
                     query: query as u32,
                     task: t as u32,
-                    op: self.tasks[t].node.op.op_class(),
+                    op: self.tasks[t].class,
                     phase: PlacePhase::Compile,
                     est: EstVec::from_per_device(&p.est),
                     chosen: p.device,
@@ -338,25 +313,30 @@ impl Sim<'_, '_> {
         overlap as f64 / rows as f64
     }
 
+    /// The share of `op`'s input a query windowed by `window` reads: the
+    /// window's slice for a scan of the fed table, everything otherwise.
+    fn windowed_fraction(&self, op: &Op, window: Option<QueryWindow>) -> f64 {
+        match (op, window) {
+            (Op::Scan { table, .. }, Some(w))
+                if self.db.table_position(table) == Some(w.table as usize) =>
+            {
+                self.window_fraction(w)
+            }
+            _ => 1.0,
+        }
+    }
+
     pub(crate) fn exact_bytes_in(&self, task: usize) -> u64 {
         let t = &self.tasks[task];
         if t.children.is_empty() {
             // A windowed tick's feed-table scan reads only the window's
             // slice of each base column (segment pruning).
-            let win_frac = match (t.node.op.scan_table(), self.queries[t.query].window)
-            {
-                (Some(table), Some(w))
-                    if self.db.table_position(table) == Some(w.table as usize) =>
-                {
-                    self.window_fraction(w)
-                }
-                _ => 1.0,
-            };
+            let win_frac = self.windowed_fraction(&t.op, self.queries[t.query].window);
             let full: u64 =
                 t.base_columns.iter().map(|&c| self.db.column_size(c)).sum();
             let full = (full as f64 * win_frac) as u64;
             // A shard reads only its row-range slice of each base column.
-            match t.node.op.shard_spec() {
+            match t.role.shard() {
                 Some(s) => (full as f64 * s.fraction()) as u64,
                 None => full,
             }
@@ -378,7 +358,7 @@ impl Sim<'_, '_> {
             self.emit(TraceEvent::Placement {
                 query: self.tasks[task].query as u32,
                 task: task as u32,
-                op: self.tasks[task].node.op.op_class(),
+                op: self.tasks[task].class,
                 phase: PlacePhase::Ready,
                 est: EstVec::from_per_device(&placed.est),
                 chosen: placed.device,
@@ -467,5 +447,96 @@ impl Sim<'_, '_> {
         self.submit_next(session);
         self.process_admissions()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::Expr;
+    use crate::plan::{AggSpec, PlanNode};
+    use crate::predicate::Predicate;
+    use robustq_sim::OpClass;
+
+    /// Tasks: 0 date scan (build), 1 lineorder scan (probe), 2 join,
+    /// 3 aggregate.
+    fn plan() -> PlanNode {
+        PlanNode::scan("lineorder", ["lo_orderdate", "lo_revenue"])
+            .filter(Predicate::between("lo_discount", 1, 3))
+            .join(PlanNode::scan("date", ["d_datekey"]), "lo_orderdate", "d_datekey")
+            .aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")])
+    }
+
+    const ESTIMATES: [(f64, f64); 4] = [(80.0, 40.0), (900.0, 300.0), (340.0, 60.0), (60.0, 8.0)];
+
+    fn assert_postorder(nodes: &[TaskNode]) {
+        assert!(nodes.last().unwrap().parent.is_none(), "root last");
+        for (i, n) in nodes.iter().enumerate() {
+            for &c in &n.children {
+                assert!(c < i, "child {c} after its parent {i}");
+                assert_eq!(nodes[c].parent, Some(i));
+            }
+            assert!(n.parent.is_some() || i == nodes.len() - 1, "task {i} is orphaned");
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_ways_leaves_the_graph_alone() {
+        for ways in [0, 1] {
+            let (nodes, est) = expand_shards(flatten(&plan()), ESTIMATES.to_vec(), ways, 0.0);
+            assert_eq!(est, ESTIMATES);
+            assert!(nodes.iter().all(|n| n.role == Role::Whole));
+        }
+    }
+
+    #[test]
+    fn shards_and_their_merge_run_the_scans_own_op() {
+        let plan = plan();
+        let whole = flatten(&plan);
+        // Only the lineorder scan is big enough to shard.
+        let (nodes, est) = expand_shards(whole.clone(), ESTIMATES.to_vec(), 3, 100.0);
+        assert_postorder(&nodes);
+        let roles: Vec<Role> = nodes.iter().map(|n| n.role).collect();
+        let shard = |index| Role::Shard(ShardSpec { index, of: 3 });
+        assert_eq!(
+            roles,
+            [Role::Whole, shard(0), shard(1), shard(2), Role::Merge, Role::Whole, Role::Whole]
+        );
+        // No payload is copied: shards and merge share the scan's `Arc`,
+        // every other task keeps its own.
+        for n in &nodes[1..=4] {
+            assert!(Arc::ptr_eq(&n.op, &whole[1].op));
+        }
+        for (new, old) in [(0, 0), (5, 2), (6, 3)] {
+            assert!(Arc::ptr_eq(&nodes[new].op, &whole[old].op));
+        }
+        // The merge stands where the scan stood: probe side of the join.
+        assert_eq!(nodes[4].children, [1, 2, 3]);
+        assert_eq!(nodes[5].children, [0, 4]);
+        // Shards split the scan's estimates; the merge consumes and
+        // reproduces its output.
+        assert_eq!(est[1..=3], [(300.0, 100.0); 3]);
+        assert_eq!(est[4], (300.0, 300.0));
+        assert_eq!([est[0], est[5], est[6]], [ESTIMATES[0], ESTIMATES[2], ESTIMATES[3]]);
+    }
+
+    #[test]
+    fn a_merge_reads_no_base_column() {
+        let (nodes, _) = expand_shards(flatten(&plan()), ESTIMATES.to_vec(), 2, 0.0);
+        assert_postorder(&nodes);
+        // Both scans sharded: shard, shard, merge, twice over.
+        for scan in [&nodes[0..3], &nodes[3..6]] {
+            let read = scan[0].op.scan_access();
+            assert!(read.is_some());
+            for shard in &scan[..2] {
+                assert_eq!(shard.scan_access(), read, "a shard reads what its scan reads");
+                assert_eq!(shard.op_class(), OpClass::Selection);
+            }
+            // No access-statistics hit and nothing to stage for the merge:
+            // admission derives a task's base columns from `scan_access`.
+            assert_eq!(scan[2].role, Role::Merge);
+            assert_eq!(scan[2].scan_access(), None);
+            assert_eq!(scan[2].op_class(), OpClass::Projection);
+        }
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::error::EngineError;
 use crate::exec::event_loop::{Ev, Sim, Status};
+use crate::exec::task::Role;
 use robustq_sim::{
     partition_bytes, DeviceId, DeviceKind, Direction, PerDevice, VirtualTime,
 };
@@ -74,9 +75,8 @@ impl Sim<'_, '_> {
     /// keep reporting the logical payload for downstream accounting.
     pub(crate) fn merge_positional_bytes(&self, task: usize) -> Option<u64> {
         let t = &self.tasks[task];
-        matches!(t.node.op, crate::exec::task::TaskOp::MergeShards { .. }).then(|| {
-            t.children.iter().map(|&c| self.tasks[c].output_rows * 4).sum()
-        })
+        (t.role == Role::Merge)
+            .then(|| t.children.iter().map(|&c| self.tasks[c].output_rows * 4).sum())
     }
 
     pub(crate) fn enqueue(&mut self, task: usize, device: DeviceId) {
@@ -90,12 +90,7 @@ impl Sim<'_, '_> {
             Some(p) => (p.min(t.bytes_in), p.min(t.est_bytes_out)),
             None => (t.bytes_in, t.est_bytes_out),
         };
-        let est = self.cost.duration(
-            t.node.op.op_class(),
-            device.kind(),
-            cost_in,
-            cost_out,
-        );
+        let est = self.cost.duration(t.class, device.kind(), cost_in, cost_out);
         t.load_contribution = est;
         let rt = self.devices.rt_mut(device);
         rt.load += est;
@@ -149,19 +144,17 @@ impl Sim<'_, '_> {
                 let name = self.db.tables()[w.table as usize].name();
                 (name, w.lo as usize, w.hi as usize)
             });
-            let out = self
-                .tasks[task]
-                .node
-                .op
-                .execute_windowed(&children_chunks, self.db, self.opts.parallel, window)
-                .map_err(EngineError::Kernel)?;
+            let t = &self.tasks[task];
+            let out =
+                t.op.execute_windowed(t.role, &children_chunks, self.db, self.opts.parallel, window)
+                    .map_err(EngineError::Kernel)?;
             self.tasks[task].output_bytes = out.byte_size();
             self.tasks[task].output_rows = out.num_rows() as u64;
             self.tasks[task].output = Some(out);
         }
         let bytes_in = self.tasks[task].bytes_in;
         let bytes_out = self.tasks[task].output_bytes;
-        let class = self.tasks[task].node.op.op_class();
+        let class = self.tasks[task].class;
         // Kernel-cost volume: positional for shard merges, payload else.
         let (cost_in, cost_out) = match self.merge_positional_bytes(task) {
             Some(p) => (p.min(bytes_in), p.min(bytes_out)),
@@ -195,8 +188,7 @@ impl Sim<'_, '_> {
             let mut input_transfer_bytes = 0u64;
             // A merge consumes its shards' position lists, not payloads,
             // so its h2d input transfers are positional too.
-            let positional =
-                matches!(self.tasks[task].node.op, crate::exec::task::TaskOp::MergeShards { .. });
+            let positional = self.tasks[task].role == Role::Merge;
             for &c in &self.tasks[task].children {
                 if self.tasks[c].output_device == Some(DeviceId::Cpu) {
                     let b = self.tasks[c].output_bytes;
@@ -352,9 +344,9 @@ impl Sim<'_, '_> {
     ) -> Result<(), EngineError> {
         let now = self.now;
         let query = self.tasks[task].query;
-        let class = self.tasks[task].node.op.op_class();
+        let class = self.tasks[task].class;
         let bytes_out = self.tasks[task].output_bytes;
-        let shard = self.tasks[task].node.op.shard_spec();
+        let shard = self.tasks[task].role.shard();
         let base_bytes: u64 = self.tasks[task]
             .base_columns
             .iter()
@@ -451,7 +443,7 @@ impl Sim<'_, '_> {
         }
         let device = self.tasks[task].device.expect("computing task is placed");
         let query = self.tasks[task].query;
-        let class = self.tasks[task].node.op.op_class();
+        let class = self.tasks[task].class;
         if self.fault.abort_kernel(class, device) {
             // Injected kernel fault: surfaces as an ordinary abort.
             self.note_injected(Some(query), robustq_trace::FaultKind::KernelAbort, self.now);

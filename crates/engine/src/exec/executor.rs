@@ -23,7 +23,6 @@
 //! DESIGN.md §6 for the module map).
 
 use crate::error::EngineError;
-use crate::estimate;
 use crate::exec::device_rt::DeviceSet;
 use crate::exec::event_loop::{Sim, Submission};
 use crate::exec::memory::HeapSet;
@@ -384,19 +383,4 @@ impl<'a> Executor<'a> {
         };
         sim.run(total_queries)
     }
-}
-
-/// Postorder `(input_bytes, output_bytes)` estimates aligned with
-/// [`crate::exec::task::flatten`]'s task order.
-pub(crate) fn postorder_estimates(plan: &PlanNode, db: &Database) -> Vec<(f64, f64)> {
-    fn rec(node: &PlanNode, db: &Database, out: &mut Vec<(f64, f64)>) {
-        for c in node.children() {
-            rec(c, db, out);
-        }
-        let e = estimate::estimate(node, db);
-        out.push((estimate::estimate_input_bytes(node, db), e.bytes));
-    }
-    let mut out = Vec::new();
-    rec(plan, db, &mut out);
-    out
 }

@@ -19,15 +19,16 @@ use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{FaultCounters, QueryOutcome, RunMetrics, StagingStats};
 use crate::exec::model::ModelUpdate;
 use crate::exec::policy::{PlacementPolicy, TaskInfo};
-use crate::exec::task::TaskNode;
-use crate::plan::PlanNode;
+use crate::exec::task::Role;
+use crate::plan::{Op, PlanNode};
 use robustq_sim::{
     CacheSet, CostModel as SimCostModel, DeviceId, Direction, EventQueue, FaultPlan,
-    Interconnect, SimConfig, VirtualTime,
+    Interconnect, OpClass, SimConfig, VirtualTime,
 };
 use robustq_storage::{ColumnId, Database};
 use robustq_trace::{TraceEvent, Tracer};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Status {
@@ -38,7 +39,12 @@ pub(crate) enum Status {
 }
 
 pub(crate) struct TaskState {
-    pub(crate) node: TaskNode,
+    /// The operator, shared with the plan the query was admitted from.
+    pub(crate) op: Arc<Op>,
+    /// How much of `op` this task runs (whole, one shard, the merge).
+    pub(crate) role: Role,
+    /// Cost-model class of `op` run as `role`.
+    pub(crate) class: OpClass,
     pub(crate) query: usize,
     /// Children / parent as *global* task indices.
     pub(crate) children: Vec<usize>,
@@ -335,7 +341,7 @@ impl Sim<'_, '_> {
         TaskInfo {
             query: t.query,
             task,
-            op_class: t.node.op.op_class(),
+            op_class: t.class,
             base_columns: t.base_columns.clone(),
             bytes_in: if compile_time { t.est_bytes_in } else { t.bytes_in },
             bytes_out_estimate: t.est_bytes_out,
@@ -343,7 +349,7 @@ impl Sim<'_, '_> {
             children_bytes,
             children_tasks: t.children.clone(),
             was_aborted: t.forced_cpu,
-            shard: t.node.op.shard_spec(),
+            shard: t.role.shard(),
             recurring: q.standing.map(|s| (s, (task - q.first_task) as u32)),
         }
     }

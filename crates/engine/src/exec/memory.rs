@@ -9,6 +9,7 @@
 
 use crate::error::EngineError;
 use crate::exec::event_loop::{Sim, Status};
+use crate::exec::task::Role;
 use robustq_sim::{DeviceId, Direction, HeapAllocator, Topology};
 use robustq_trace::{
     EstVec, FaultKind, OpOutcome, PlacePhase, PlaceReason, TraceEvent, TransferKind,
@@ -121,7 +122,7 @@ impl Sim<'_, '_> {
         let span = TraceEvent::OpSpan {
             query: t.query as u32,
             task: task as u32,
-            op: t.node.op.op_class(),
+            op: t.class,
             device: t.device.expect("a finished attempt ran somewhere"),
             queued_at: t.queued_at,
             start: t.start_time,
@@ -153,7 +154,7 @@ impl Sim<'_, '_> {
         self.emit(TraceEvent::Placement {
             query: query as u32,
             task: task as u32,
-            op: self.tasks[task].node.op.op_class(),
+            op: self.tasks[task].class,
             phase: PlacePhase::Fallback,
             est: EstVec::EMPTY,
             chosen: DeviceId::Cpu,
@@ -207,7 +208,7 @@ impl Sim<'_, '_> {
         let t = &self.tasks[task];
         // A completed shard merge closes its fan-out's trace window
         // (the lint pairs this with the admission-time ShardFanout).
-        if matches!(t.node.op, crate::exec::task::TaskOp::MergeShards { .. }) {
+        if t.role == Role::Merge {
             let merge = TraceEvent::ShardMerge {
                 query: t.query as u32,
                 task: task as u32,
@@ -224,7 +225,7 @@ impl Sim<'_, '_> {
         let task_id = task as u32;
         if let Some(model) = self.policy.learned_model() {
             let update = model.observe(
-                t.node.op.op_class(),
+                t.class,
                 device,
                 t.bytes_in,
                 t.output_bytes,

@@ -7,10 +7,9 @@
 //! other task enters when its last child finishes.
 
 use crate::batch::{Chunk, LazyChunk, SelVec};
-use crate::expr::Expr;
 use crate::ops;
 use crate::parallel::ParallelCtx;
-use crate::plan::{scan_read_columns, AggSpec, JoinKind, PlanNode, SortKey};
+use crate::plan::{Op, PlanNode};
 use crate::predicate::Predicate;
 use robustq_sim::OpClass;
 use robustq_storage::Database;
@@ -43,124 +42,42 @@ impl ShardSpec {
     }
 }
 
-/// The operator payload of one task (a plan node without its children).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskOp {
-    /// Scan a base table with an optional pushed-down predicate.
-    Scan {
-        /// Table to read.
-        table: String,
-        /// Columns to output.
-        columns: Vec<String>,
-        /// Pushed-down filter, if any.
-        predicate: Option<Predicate>,
-    },
-    /// Filter an intermediate result.
-    Select {
-        /// The filter.
-        predicate: Predicate,
-    },
-    /// Hash equi-join (build side is the first child).
-    HashJoin {
-        /// Key column on the build side.
-        build_key: String,
-        /// Key column on the probe side.
-        probe_key: String,
-        /// Inner, semi or anti.
-        kind: JoinKind,
-    },
-    /// Compute named expressions.
-    Project {
-        /// `(output name, expression)` pairs.
-        exprs: Vec<(String, Expr)>,
-    },
-    /// Group-by aggregation.
-    Aggregate {
-        /// Grouping key columns.
-        group_by: Vec<String>,
-        /// Aggregates to compute.
-        aggs: Vec<AggSpec>,
-    },
-    /// Sort / top-k.
-    Sort {
-        /// Sort keys, most significant first.
-        keys: Vec<SortKey>,
-        /// Keep only the first `limit` rows, if set.
-        limit: Option<usize>,
-    },
-    /// One device-shard of a partitioned table scan: evaluates the pushed
+/// How much of its operator a task runs. Every task of a flattened plan
+/// is [`Role::Whole`]; shard expansion at admission — never planning —
+/// runs a scan's one shared payload in parts instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The whole operator.
+    Whole,
+    /// One device-shard of a partitioned scan: evaluates the pushed
     /// predicate over its [`ShardSpec::row_range`] only and emits the
     /// qualifying positions as a selection vector over the shared base
-    /// columns. Produced by shard expansion at admission, never by planning.
-    ScanShard {
-        /// Table to read.
-        table: String,
-        /// Columns the merged scan outputs.
-        columns: Vec<String>,
-        /// Pushed-down filter, if any.
-        predicate: Option<Predicate>,
-        /// Which row-range partition this shard covers.
-        shard: ShardSpec,
-    },
-    /// Merge barrier for a sharded scan: concatenates its children's
+    /// columns.
+    Shard(ShardSpec),
+    /// Merge barrier of a sharded scan: concatenates its children's
     /// (disjoint, ordered) shard selection vectors into one selection over
     /// the shared base columns, so the union is byte-identical to the
-    /// unsharded [`TaskOp::Scan`] output — same rows, same order, same
-    /// string dictionaries.
-    MergeShards {
-        /// Columns the merged scan outputs.
-        columns: Vec<String>,
-    },
+    /// whole scan's output — same rows, same order, same string
+    /// dictionaries. Reads no base column itself.
+    Merge,
 }
 
-impl TaskOp {
-    /// Cost-model class.
-    pub fn op_class(&self) -> OpClass {
-        match self {
-            TaskOp::Scan { .. } | TaskOp::Select { .. } | TaskOp::ScanShard { .. } => {
-                OpClass::Selection
-            }
-            TaskOp::HashJoin { .. } => OpClass::HashJoin,
-            TaskOp::Project { .. } | TaskOp::MergeShards { .. } => OpClass::Projection,
-            TaskOp::Aggregate { .. } => OpClass::Aggregation,
-            TaskOp::Sort { .. } => OpClass::Sort,
-        }
-    }
-
-    /// For scans (whole or sharded): the table read.
-    pub fn scan_table(&self) -> Option<&str> {
-        match self {
-            TaskOp::Scan { table, .. } | TaskOp::ScanShard { table, .. } => Some(table),
-            _ => None,
-        }
-    }
-
-    /// For scans (whole or sharded): table and the full set of base
-    /// columns read — the output columns, then the predicate's other
-    /// references. Names are borrowed from the operator.
-    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
-        match self {
-            TaskOp::Scan { table, columns, predicate }
-            | TaskOp::ScanShard { table, columns, predicate, .. } => {
-                Some((table.as_str(), scan_read_columns(columns, predicate.as_ref())))
-            }
-            _ => None,
-        }
-    }
-
+impl Role {
     /// For shard tasks: which partition of the operator this is.
-    pub fn shard_spec(&self) -> Option<ShardSpec> {
+    pub fn shard(self) -> Option<ShardSpec> {
         match self {
-            TaskOp::ScanShard { shard, .. } => Some(*shard),
+            Role::Shard(s) => Some(s),
             _ => None,
         }
     }
+}
 
+impl Op {
     /// Execute the kernel given the children's fully materialized outputs
     /// (build side first for joins), materializing the result. The
     /// one-operator-at-a-time interpreter [`crate::ops::execute_plan`] is
     /// this over a flattened plan; it shares the kernels with
-    /// [`TaskOp::execute_lazy`] but none of its selection-vector plumbing,
+    /// [`Op::execute_lazy`] but none of its selection-vector plumbing,
     /// which is what makes it the oracle the lazy executor is tested
     /// against.
     pub fn execute_ctx(
@@ -170,7 +87,7 @@ impl TaskOp {
         ctx: ParallelCtx,
     ) -> Result<Chunk, String> {
         match self {
-            TaskOp::Scan { columns, predicate, .. } => {
+            Op::Scan { columns, predicate, .. } => {
                 let chunk = self.scan_base(db, None)?;
                 let out = ops::project::keep_columns(&chunk, columns)?;
                 match predicate {
@@ -180,11 +97,11 @@ impl TaskOp {
                     None => Ok(out),
                 }
             }
-            TaskOp::Select { predicate } => {
+            Op::Select { predicate } => {
                 let sel = ops::select::select(&children[0], None, predicate, ctx)?;
                 Ok(children[0].gather(sel.positions()))
             }
-            TaskOp::HashJoin { build_key, probe_key, kind } => ops::join::hash_join(
+            Op::HashJoin { build_key, probe_key, kind } => ops::join::hash_join(
                 &children[0],
                 &children[1],
                 None,
@@ -193,40 +110,32 @@ impl TaskOp {
                 *kind,
                 ctx,
             ),
-            TaskOp::Project { exprs } => ops::project::project(&children[0], None, exprs),
-            TaskOp::Aggregate { group_by, aggs } => {
+            Op::Project { exprs } => ops::project::project(&children[0], None, exprs),
+            Op::Aggregate { group_by, aggs } => {
                 ops::agg::aggregate(&children[0], None, group_by, aggs, ctx)
             }
-            TaskOp::Sort { keys, limit } => ops::sort::sort(&children[0], keys, *limit),
-            TaskOp::ScanShard { columns, predicate, shard, .. } => {
-                let chunk = self.scan_base(db, None)?;
-                let sel = shard_positions(&chunk, predicate.as_ref(), *shard, ctx)?;
-                Ok(ops::project::keep_columns(&chunk, columns)?.gather(sel.positions()))
-            }
-            TaskOp::MergeShards { columns } => {
-                let merged = Chunk::concat(children)?;
-                ops::project::keep_columns(&merged, columns)
-            }
+            Op::Sort { keys, limit } => ops::sort::sort(&children[0], keys, *limit),
         }
     }
 
-    /// Execute the kernel over lazily-filtered inputs, producing a lazy
-    /// output — the executor's late-materialization path:
-    /// [`TaskOp::execute_windowed`] with no window.
+    /// Execute the whole operator over lazily-filtered inputs, producing a
+    /// lazy output — the executor's late-materialization path:
+    /// [`Op::execute_windowed`] as [`Role::Whole`] with no window.
     pub fn execute_lazy(
         &self,
         children: &[LazyChunk],
         db: &Database,
         ctx: ParallelCtx,
     ) -> Result<LazyChunk, String> {
-        self.execute_windowed(children, db, ctx, None)
+        self.execute_windowed(Role::Whole, children, db, ctx, None)
     }
 
-    /// The lazy interpreter, optionally restricted to a standing-query
-    /// window: when `window` names a scan's table, its base chunk is built
-    /// from the row range `[lo, hi)` instead of the full table (scans of
-    /// other tables, e.g. static dimension tables, read everything), so a
-    /// window covering the whole table is bit-identical to a plain run.
+    /// The lazy interpreter: this operator run as `role`, optionally
+    /// restricted to a standing-query window. When `window` names a scan's
+    /// table, its base chunk is built from the row range `[lo, hi)`
+    /// instead of the full table (scans of other tables, e.g. static
+    /// dimension tables, read everything), so a window covering the whole
+    /// table is bit-identical to a plain run.
     ///
     /// Scans, shards, merges and `Select`s never copy column data: a scan
     /// hands on the table's own (shared) columns, filtered ones behind a
@@ -237,28 +146,49 @@ impl TaskOp {
     /// projections evaluate at selected positions only — and materialize at
     /// pipeline breakers (join build sides, sort, projection output, final
     /// results). Every output is bit-identical to the materializing
-    /// [`TaskOp::execute_ctx`] on materialized children, and reports the
+    /// [`Op::execute_ctx`] on materialized children, and reports the
     /// same logical `num_rows`/`byte_size`, so simulated timing and golden
     /// figures are unchanged.
     pub fn execute_windowed(
         &self,
+        role: Role,
         children: &[LazyChunk],
         db: &Database,
         ctx: ParallelCtx,
         window: Option<(&str, usize, usize)>,
     ) -> Result<LazyChunk, String> {
         let out = match self {
-            TaskOp::Scan { columns, predicate, .. } => {
-                // The predicate reads the chunk of every read column; the
-                // output shares only the output columns with it.
-                let chunk = self.scan_base(db, window)?;
-                let sel = predicate
-                    .as_ref()
-                    .map(|p| ops::select::select(&chunk, None, p, ctx))
-                    .transpose()?;
-                return scan_output(&chunk, columns, sel);
+            Op::Scan { columns, predicate, .. } => {
+                return match role {
+                    Role::Merge => merge_shards(children, columns),
+                    // Never materializes: the shard's qualifying positions
+                    // ride as a selection vector over every read column
+                    // (what the shard's logical byte size has always
+                    // counted) — the one selection kernel over exactly its
+                    // row range, every row of it without a predicate.
+                    Role::Shard(shard) => {
+                        let chunk = self.scan_base(db, window)?;
+                        let rows = shard.row_range(chunk.num_rows());
+                        let predicate = predicate.as_ref().unwrap_or(&Predicate::True);
+                        let sel = ops::select::select_range(&chunk, rows, predicate, ctx)?;
+                        Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel })
+                    }
+                    // The predicate reads the chunk of every read column;
+                    // the output shares only the output columns with it.
+                    Role::Whole => {
+                        let chunk = self.scan_base(db, window)?;
+                        let sel = predicate
+                            .as_ref()
+                            .map(|p| ops::select::select(&chunk, None, p, ctx))
+                            .transpose()?;
+                        scan_output(&chunk, columns, sel)
+                    }
+                };
             }
-            TaskOp::Select { predicate } => {
+            _ if role != Role::Whole => {
+                return Err(format!("{} cannot run as {role:?}: only scans shard", self.label()))
+            }
+            Op::Select { predicate } => {
                 // An already filtered input is refined (AND short-circuit)
                 // instead of rescanning the base chunk.
                 let (base, sel) = match &children[0] {
@@ -268,57 +198,24 @@ impl TaskOp {
                 let sel = ops::select::select(&base, sel, predicate, ctx)?;
                 return Ok(LazyChunk::Filtered { base, sel });
             }
-            TaskOp::HashJoin { build_key, probe_key, kind } => {
+            Op::HashJoin { build_key, probe_key, kind } => {
                 // The build side is a pipeline breaker: the hash table
                 // needs every build row, so materialize it.
                 let build = children[0].chunk();
                 let (probe, sel) = children[1].parts();
                 ops::join::hash_join(&build, probe, sel, build_key, probe_key, *kind, ctx)?
             }
-            TaskOp::Project { exprs } => {
+            Op::Project { exprs } => {
                 let (base, sel) = children[0].parts();
                 ops::project::project(base, sel, exprs)?
             }
-            TaskOp::Aggregate { group_by, aggs } => {
+            Op::Aggregate { group_by, aggs } => {
                 let (base, sel) = children[0].parts();
                 ops::agg::aggregate(base, sel, group_by, aggs, ctx)?
             }
-            TaskOp::Sort { keys, limit } => {
+            Op::Sort { keys, limit } => {
                 // Sort is a pipeline breaker; materialize its input.
                 ops::sort::sort(&children[0].chunk(), keys, *limit)?
-            }
-            TaskOp::ScanShard { predicate, shard, .. } => {
-                // Never materializes: the shard's qualifying positions ride
-                // as a selection vector over every read column (what the
-                // shard's logical byte size has always counted).
-                let chunk = self.scan_base(db, window)?;
-                let sel = shard_positions(&chunk, predicate.as_ref(), *shard, ctx)?;
-                return Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel });
-            }
-            TaskOp::MergeShards { columns } => {
-                // Children are ScanShard outputs in shard order: disjoint,
-                // ordered selections over identical base chunks. Their
-                // concatenation is strictly increasing, so it selects from
-                // the first child's base exactly what the unsharded Scan
-                // outputs, bit for bit (shared dictionaries included).
-                let mut positions: Vec<u32> = Vec::with_capacity(
-                    children.iter().map(LazyChunk::num_rows).sum(),
-                );
-                let mut base: Option<&Chunk> = None;
-                for child in children {
-                    match child.parts() {
-                        (b, Some(sel)) => {
-                            debug_assert!(base.is_none_or(|f| f.num_rows() == b.num_rows()));
-                            base.get_or_insert(b);
-                            positions.extend_from_slice(sel.positions());
-                        }
-                        (_, None) => {
-                            return Err("merge expects shard selection vectors".into())
-                        }
-                    }
-                }
-                let base = base.ok_or("merge of zero shards")?;
-                return scan_output(base, columns, Some(SelVec::new(positions)));
             }
         };
         Ok(LazyChunk::Materialized(out))
@@ -341,34 +238,29 @@ impl TaskOp {
             _ => Chunk::from_table(t, &read_cols),
         }
     }
-
-    /// Short label for diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TaskOp::Scan { .. } => "scan",
-            TaskOp::Select { .. } => "select",
-            TaskOp::HashJoin { .. } => "join",
-            TaskOp::Project { .. } => "project",
-            TaskOp::Aggregate { .. } => "aggregate",
-            TaskOp::Sort { .. } => "sort",
-            TaskOp::ScanShard { .. } => "scan-shard",
-            TaskOp::MergeShards { .. } => "merge",
-        }
-    }
 }
 
-/// Qualifying positions of `shard`'s row range of `chunk`: the one
-/// selection kernel over exactly that range (every row of it when the scan
-/// has no predicate). Concatenating consecutive shards' outputs equals the
-/// unsharded full-chunk selection vector.
-fn shard_positions(
-    chunk: &Chunk,
-    predicate: Option<&Predicate>,
-    shard: ShardSpec,
-    ctx: ParallelCtx,
-) -> Result<SelVec, String> {
-    let rows = shard.row_range(chunk.num_rows());
-    ops::select::select_range(chunk, rows, predicate.unwrap_or(&Predicate::True), ctx)
+/// The merged output of a sharded scan. `shards` are its shard outputs in
+/// shard order: disjoint, ordered selections over identical base chunks.
+/// Their concatenation is strictly increasing, so it selects from the
+/// first shard's base exactly what the whole scan outputs, bit for bit
+/// (shared dictionaries included).
+fn merge_shards(shards: &[LazyChunk], columns: &[String]) -> Result<LazyChunk, String> {
+    let mut positions: Vec<u32> =
+        Vec::with_capacity(shards.iter().map(LazyChunk::num_rows).sum());
+    let mut base: Option<&Chunk> = None;
+    for shard in shards {
+        match shard.parts() {
+            (b, Some(sel)) => {
+                debug_assert!(base.is_none_or(|f| f.num_rows() == b.num_rows()));
+                base.get_or_insert(b);
+                positions.extend_from_slice(sel.positions());
+            }
+            (_, None) => return Err("merge expects shard selection vectors".into()),
+        }
+    }
+    let base = base.ok_or("merge of zero shards")?;
+    scan_output(base, columns, Some(SelVec::new(positions)))
 }
 
 /// The lazy output of a (merged) scan: the output `columns` of `base`
@@ -389,11 +281,14 @@ fn scan_output(
     })
 }
 
-/// One node of a flattened plan.
+/// One node of a flattened plan: the plan's own operator, the part of it
+/// this task runs, and its edges.
 #[derive(Debug, Clone)]
 pub struct TaskNode {
-    /// The operator payload.
-    pub op: TaskOp,
+    /// The operator payload, shared with the plan it was flattened from.
+    pub op: Arc<Op>,
+    /// How much of `op` this task runs.
+    pub role: Role,
     /// Indices (within the same flattened plan) of the children, build
     /// side first for joins.
     pub children: Vec<usize>,
@@ -401,40 +296,36 @@ pub struct TaskNode {
     pub parent: Option<usize>,
 }
 
-/// Flatten a plan tree into postorder task nodes; the root is the last
-/// entry.
+impl TaskNode {
+    /// Cost-model class: the operator's, except that a merge only moves
+    /// positions.
+    pub fn op_class(&self) -> OpClass {
+        match self.role {
+            Role::Merge => OpClass::Projection,
+            _ => self.op.op_class(),
+        }
+    }
+
+    /// For scans, whole or one shard: [`Op::scan_access`]. A merge reads
+    /// no base column.
+    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
+        match self.role {
+            Role::Merge => None,
+            _ => self.op.scan_access(),
+        }
+    }
+}
+
+/// Flatten a plan tree into postorder task nodes, each holding the plan's
+/// own `Arc<Op>`; the root is the last entry.
 pub fn flatten(plan: &PlanNode) -> Vec<TaskNode> {
     fn rec(node: &PlanNode, out: &mut Vec<TaskNode>) -> usize {
-        let children: Vec<usize> =
-            node.children().iter().map(|c| rec(c, out)).collect();
-        let op = match node {
-            PlanNode::Scan { table, columns, predicate } => TaskOp::Scan {
-                table: table.clone(),
-                columns: columns.clone(),
-                predicate: predicate.clone(),
-            },
-            PlanNode::Select { predicate, .. } => {
-                TaskOp::Select { predicate: predicate.clone() }
-            }
-            PlanNode::HashJoin { build_key, probe_key, kind, .. } => TaskOp::HashJoin {
-                build_key: build_key.clone(),
-                probe_key: probe_key.clone(),
-                kind: *kind,
-            },
-            PlanNode::Project { exprs, .. } => TaskOp::Project { exprs: exprs.clone() },
-            PlanNode::Aggregate { group_by, aggs, .. } => TaskOp::Aggregate {
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            PlanNode::Sort { keys, limit, .. } => {
-                TaskOp::Sort { keys: keys.clone(), limit: *limit }
-            }
-        };
+        let children: Vec<usize> = node.children().iter().map(|c| rec(c, out)).collect();
         let idx = out.len();
-        out.push(TaskNode { op, children: children.clone(), parent: None });
-        for c in children {
+        for &c in &children {
             out[c].parent = Some(idx);
         }
+        out.push(TaskNode { op: Arc::clone(node.op()), role: Role::Whole, children, parent: None });
         idx
     }
     let mut out = Vec::with_capacity(plan.num_operators());
@@ -464,6 +355,7 @@ pub fn run_postorder<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
     use crate::plan::AggSpec;
 
     fn plan() -> PlanNode {
@@ -482,7 +374,7 @@ mod tests {
         let tasks = flatten(&plan());
         assert_eq!(tasks.len(), 4);
         let root = tasks.last().unwrap();
-        assert!(matches!(root.op, TaskOp::Aggregate { .. }));
+        assert!(matches!(*root.op, Op::Aggregate { .. }));
         assert!(root.parent.is_none());
         // Every child index precedes its parent.
         for (i, t) in tasks.iter().enumerate() {
@@ -498,14 +390,11 @@ mod tests {
         let tasks = flatten(&plan());
         let join = tasks
             .iter()
-            .find(|t| matches!(t.op, TaskOp::HashJoin { .. }))
+            .find(|t| matches!(*t.op, Op::HashJoin { .. }))
             .unwrap();
         assert_eq!(join.children.len(), 2);
         let build = &tasks[join.children[0]];
-        match &build.op {
-            TaskOp::Scan { table, .. } => assert_eq!(table, "date"),
-            other => panic!("expected date scan on build side, got {other:?}"),
-        }
+        assert_eq!(build.scan_access().map(|(table, _)| table), Some("date"));
     }
 
     #[test]
@@ -513,7 +402,7 @@ mod tests {
         let tasks = flatten(&plan());
         let leaves: Vec<_> = tasks.iter().filter(|t| t.children.is_empty()).collect();
         assert_eq!(leaves.len(), 2);
-        assert!(leaves.iter().all(|t| matches!(t.op, TaskOp::Scan { .. })));
+        assert!(leaves.iter().all(|t| matches!(*t.op, Op::Scan { .. })));
     }
 
     #[test]
@@ -544,13 +433,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_access_merges_predicate_columns() {
-        let op = TaskOp::Scan {
-            table: "t".into(),
-            columns: vec!["a".into()],
-            predicate: Some(Predicate::eq("b", 1)),
-        };
-        let (_, cols) = op.scan_access().unwrap();
-        assert_eq!(cols, vec!["a", "b"]);
+    fn only_scans_run_in_parts() {
+        use robustq_storage::gen::ssb::SsbGenerator;
+        let db = SsbGenerator::new(1).with_rows_per_sf(100).generate();
+        let tasks = flatten(&plan());
+        let ctx = ParallelCtx::serial();
+        let shard = Role::Shard(ShardSpec { index: 0, of: 2 });
+        let half = tasks[1].op.execute_windowed(shard, &[], &db, ctx, None).unwrap();
+        assert!(half.num_rows() <= 50);
+        let err = tasks[3].op.execute_windowed(Role::Merge, &[half], &db, ctx, None);
+        assert!(err.unwrap_err().contains("only scans shard"));
     }
 }

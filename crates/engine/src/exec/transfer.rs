@@ -11,6 +11,8 @@
 
 use crate::error::EngineError;
 use crate::exec::event_loop::Sim;
+use crate::exec::task::Role;
+use crate::plan::Op;
 use robustq_sim::{
     partition_bytes, CacheKey, DeviceId, Direction, Transfer, TransferFault, VirtualTime,
 };
@@ -24,9 +26,8 @@ impl Sim<'_, '_> {
     /// operators materialize payloads that must move in full.
     pub(crate) fn d2h_consume_bytes(&self, task: usize) -> u64 {
         let t = &self.tasks[task];
-        match t.node.op {
-            crate::exec::task::TaskOp::Scan { .. }
-            | crate::exec::task::TaskOp::ScanShard { .. } => {
+        match (&*t.op, t.role) {
+            (Op::Scan { .. }, Role::Whole | Role::Shard(_)) => {
                 (t.output_rows * 4).min(t.output_bytes)
             }
             _ => t.output_bytes,
@@ -195,7 +196,7 @@ impl Sim<'_, '_> {
         now: VirtualTime,
     ) -> Result<Option<VirtualTime>, EngineError> {
         let query = self.tasks[task].query;
-        let shard = self.tasks[task].node.op.shard_spec();
+        let shard = self.tasks[task].role.shard();
         let caches_on_miss = self.policy.caches_on_miss();
         let mut ready_at = now;
         for i in 0..self.tasks[task].base_columns.len() {

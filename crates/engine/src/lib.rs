@@ -23,10 +23,13 @@
 //! * [`reference`] — the plain twin of every hot kernel that tests,
 //!   benches and oracles compare against (never called by production
 //!   code),
-//! * [`plan`] — physical plans,
+//! * [`plan`] — physical plans: [`plan::Op`], the one description of an
+//!   operator, and [`PlanNode`], an `Arc<Op>` over its input plans,
 //! * [`estimate`] — the simple analytical cardinality estimator used by
-//!   compile-time placement heuristics,
-//! * [`exec`] — the discrete-event executor: task graphs, device queues,
+//!   compile-time placement heuristics and the SQL planner: one
+//!   node-local function, looped once over a flattened plan,
+//! * [`exec`] — the discrete-event executor: task graphs (the plan's own
+//!   `Op`s plus a whole/shard/merge role), device queues,
 //!   transfers, staged heap allocation, operator aborts and the
 //!   [`exec::policy::PlacementPolicy`] hook that the placement strategies
 //!   in `robustq-core` implement,

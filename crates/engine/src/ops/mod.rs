@@ -36,7 +36,7 @@ pub fn execute_plan(node: &PlanNode, db: &Database) -> Result<Chunk, String> {
 }
 
 /// [`execute_plan`] with an explicit parallelism context: the flattened
-/// plan in postorder through [`crate::exec::task::TaskOp::execute_ctx`].
+/// plan in postorder through [`crate::plan::Op::execute_ctx`].
 pub fn execute_plan_ctx(
     node: &PlanNode,
     db: &Database,
@@ -47,7 +47,7 @@ pub fn execute_plan_ctx(
 
 /// Execute a plan on the production data path with no simulator around
 /// it: the flattened plan in postorder through
-/// [`crate::exec::task::TaskOp::execute_lazy`] — what the executor runs
+/// [`crate::plan::Op::execute_lazy`] — what the executor runs
 /// per task — with one final materialization. A filter's output is a
 /// selection vector its consumer reads through, so filter → aggregate,
 /// filter → probe and filter → project chains never materialize the

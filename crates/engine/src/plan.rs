@@ -7,7 +7,9 @@
 
 use crate::expr::Expr;
 use crate::predicate::Predicate;
+use robustq_sim::OpClass;
 use std::fmt;
+use std::sync::Arc;
 
 /// Join variants used by the workload queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,9 +108,13 @@ impl SortKey {
     }
 }
 
-/// A physical plan node.
+/// What one operator does, without its inputs: the single description
+/// the plan tree, the executor's flattened tasks and a sharded scan's
+/// parts all share behind an [`Arc`] (a shard and its merge are the scan's
+/// own payload run in parts — see `exec::task::Role` — not further
+/// variants).
 #[derive(Debug, Clone, PartialEq)]
-pub enum PlanNode {
+pub enum Op {
     /// Scan a base table, applying an optional pushed-down predicate, and
     /// output the named columns.
     ///
@@ -125,17 +131,11 @@ pub enum PlanNode {
     },
     /// Filter an intermediate result.
     Select {
-        /// The filtered child.
-        input: Box<PlanNode>,
         /// The filter.
         predicate: Predicate,
     },
-    /// Hash equi-join. The hash table is built over `build`.
+    /// Hash equi-join. The hash table is built over the first child.
     HashJoin {
-        /// The (hashed) build side.
-        build: Box<PlanNode>,
-        /// The probe side.
-        probe: Box<PlanNode>,
         /// Key column on the build side.
         build_key: String,
         /// Key column on the probe side.
@@ -145,15 +145,11 @@ pub enum PlanNode {
     },
     /// Compute named expressions.
     Project {
-        /// The projected child.
-        input: Box<PlanNode>,
         /// `(output name, expression)` pairs.
         exprs: Vec<(String, Expr)>,
     },
     /// Group-by aggregation. An empty `group_by` produces one total row.
     Aggregate {
-        /// The aggregated child.
-        input: Box<PlanNode>,
         /// Grouping key columns.
         group_by: Vec<String>,
         /// Aggregates to compute.
@@ -161,8 +157,6 @@ pub enum PlanNode {
     },
     /// Sort, optionally keeping only the first `limit` rows (top-k).
     Sort {
-        /// The sorted child.
-        input: Box<PlanNode>,
         /// Sort keys, most significant first.
         keys: Vec<SortKey>,
         /// Keep only the first `limit` rows, if set.
@@ -170,28 +164,107 @@ pub enum PlanNode {
     },
 }
 
+impl Op {
+    /// Cost-model class.
+    pub fn op_class(&self) -> OpClass {
+        match self {
+            Op::Scan { .. } | Op::Select { .. } => OpClass::Selection,
+            Op::HashJoin { .. } => OpClass::HashJoin,
+            Op::Project { .. } => OpClass::Projection,
+            Op::Aggregate { .. } => OpClass::Aggregation,
+            Op::Sort { .. } => OpClass::Sort,
+        }
+    }
+
+    /// For scans: the table and the full set of base columns *read* —
+    /// the output columns, then the predicate's other references, each
+    /// once. Names are borrowed from the operator.
+    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
+        let Op::Scan { table, columns, predicate } = self else {
+            return None;
+        };
+        let mut cols: Vec<&str> = columns.iter().map(String::as_str).collect();
+        if let Some(p) = predicate {
+            p.for_each_column(&mut |c| {
+                if !cols.contains(&c) {
+                    cols.push(c);
+                }
+            });
+        }
+        Some((table, cols))
+    }
+
+    /// Short operator label for plan display and diagnostics.
+    pub fn label(&self) -> String {
+        match self {
+            Op::Scan { table, predicate, .. } => match predicate {
+                Some(p) => format!("scan({table}, {p})"),
+                None => format!("scan({table})"),
+            },
+            Op::Select { predicate } => format!("select({predicate})"),
+            Op::HashJoin { build_key, probe_key, kind } => {
+                format!("join[{kind:?}]({probe_key} = {build_key})")
+            }
+            Op::Project { exprs } => {
+                format!(
+                    "project({})",
+                    exprs.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>().join(", ")
+                )
+            }
+            Op::Aggregate { group_by, aggs } => format!(
+                "aggregate(by: [{}], {} aggs)",
+                group_by.join(", "),
+                aggs.len()
+            ),
+            Op::Sort { keys, limit } => match limit {
+                Some(l) => format!("top{}({})", l, keys.len()),
+                None => format!("sort({} keys)", keys.len()),
+            },
+        }
+    }
+}
+
+/// A physical plan node: one shared operator description over its input
+/// plans. The fields are private and every constructor fixes its
+/// operator's arity (a scan has no child, a join has build then probe,
+/// everything else one input), so a malformed plan is unrepresentable;
+/// cloning a plan copies the tree's spine and shares every [`Op`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanNode {
+    op: Arc<Op>,
+    children: Vec<PlanNode>,
+}
+
 impl PlanNode {
+    fn new(op: Op, children: Vec<PlanNode>) -> PlanNode {
+        PlanNode { op: Arc::new(op), children }
+    }
+
     /// Leaf scan builder.
     pub fn scan<S: Into<String>>(
         table: impl Into<String>,
         columns: impl IntoIterator<Item = S>,
     ) -> PlanNode {
-        PlanNode::Scan {
-            table: table.into(),
-            columns: columns.into_iter().map(Into::into).collect(),
-            predicate: None,
-        }
+        let columns = columns.into_iter().map(Into::into).collect();
+        PlanNode::new(Op::Scan { table: table.into(), columns, predicate: None }, Vec::new())
     }
 
-    /// Attach / replace the predicate of a scan, or wrap any other node in
-    /// a `Select`.
-    pub fn filter(self, predicate: Predicate) -> PlanNode {
-        match self {
-            PlanNode::Scan { table, columns, predicate: None } => {
-                PlanNode::Scan { table, columns, predicate: Some(predicate) }
-            }
-            other => PlanNode::Select { input: Box::new(other), predicate },
+    /// Push `predicate` into a scan that has none yet; any other node — a
+    /// scan that already filters included — is wrapped in a `Select`.
+    pub fn filter(mut self, predicate: Predicate) -> PlanNode {
+        if !matches!(*self.op, Op::Scan { predicate: None, .. }) {
+            return self.select(predicate);
         }
+        if let Op::Scan { predicate: slot, .. } = Arc::make_mut(&mut self.op) {
+            *slot = Some(predicate);
+        }
+        self
+    }
+
+    /// Filter this node's output in a `Select` of its own (never merged
+    /// into a scan).
+    pub fn select(self, predicate: Predicate) -> PlanNode {
+        PlanNode::new(Op::Select { predicate }, vec![self])
     }
 
     /// Inner hash join with `self` as probe side.
@@ -201,16 +274,10 @@ impl PlanNode {
         probe_key: impl Into<String>,
         build_key: impl Into<String>,
     ) -> PlanNode {
-        PlanNode::HashJoin {
-            build: Box::new(build),
-            probe: Box::new(self),
-            build_key: build_key.into(),
-            probe_key: probe_key.into(),
-            kind: JoinKind::Inner,
-        }
+        self.join_kind(build, probe_key, build_key, JoinKind::Inner)
     }
 
-    /// Semi/anti join with `self` as probe side.
+    /// Inner, semi or anti join with `self` as probe side.
     pub fn join_kind(
         self,
         build: PlanNode,
@@ -218,21 +285,15 @@ impl PlanNode {
         build_key: impl Into<String>,
         kind: JoinKind,
     ) -> PlanNode {
-        PlanNode::HashJoin {
-            build: Box::new(build),
-            probe: Box::new(self),
-            build_key: build_key.into(),
-            probe_key: probe_key.into(),
-            kind,
-        }
+        let op =
+            Op::HashJoin { build_key: build_key.into(), probe_key: probe_key.into(), kind };
+        PlanNode::new(op, vec![build, self])
     }
 
     /// Projection builder.
     pub fn project(self, exprs: Vec<(impl Into<String>, Expr)>) -> PlanNode {
-        PlanNode::Project {
-            input: Box::new(self),
-            exprs: exprs.into_iter().map(|(n, e)| (n.into(), e)).collect(),
-        }
+        let exprs = exprs.into_iter().map(|(n, e)| (n.into(), e)).collect();
+        PlanNode::new(Op::Project { exprs }, vec![self])
     }
 
     /// Aggregation builder.
@@ -241,103 +302,41 @@ impl PlanNode {
         group_by: impl IntoIterator<Item = S>,
         aggs: Vec<AggSpec>,
     ) -> PlanNode {
-        PlanNode::Aggregate {
-            input: Box::new(self),
-            group_by: group_by.into_iter().map(Into::into).collect(),
-            aggs,
-        }
+        let group_by = group_by.into_iter().map(Into::into).collect();
+        PlanNode::new(Op::Aggregate { group_by, aggs }, vec![self])
     }
 
     /// Sort builder.
     pub fn sort(self, keys: Vec<SortKey>) -> PlanNode {
-        PlanNode::Sort { input: Box::new(self), keys, limit: None }
+        PlanNode::new(Op::Sort { keys, limit: None }, vec![self])
     }
 
     /// Top-k builder.
     pub fn top_k(self, keys: Vec<SortKey>, limit: usize) -> PlanNode {
-        PlanNode::Sort { input: Box::new(self), keys, limit: Some(limit) }
+        PlanNode::new(Op::Sort { keys, limit: Some(limit) }, vec![self])
+    }
+
+    /// This node's operator, shared with every clone of the plan and every
+    /// task flattened from it.
+    pub fn op(&self) -> &Arc<Op> {
+        &self.op
     }
 
     /// Child nodes, build side first for joins.
-    pub fn children(&self) -> Vec<&PlanNode> {
-        match self {
-            PlanNode::Scan { .. } => Vec::new(),
-            PlanNode::Select { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Aggregate { input, .. }
-            | PlanNode::Sort { input, .. } => vec![input],
-            PlanNode::HashJoin { build, probe, .. } => vec![build, probe],
-        }
-    }
-
-    /// For scans: the table and the full set of base columns *read* —
-    /// the output columns, then the predicate's other references. Names
-    /// are borrowed from the plan.
-    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
-        match self {
-            PlanNode::Scan { table, columns, predicate } => {
-                Some((table.as_str(), scan_read_columns(columns, predicate.as_ref())))
-            }
-            _ => None,
-        }
+    pub fn children(&self) -> &[PlanNode] {
+        &self.children
     }
 
     /// Number of operators in the plan.
     pub fn num_operators(&self) -> usize {
-        1 + self.children().iter().map(|c| c.num_operators()).sum::<usize>()
+        1 + self.children.iter().map(PlanNode::num_operators).sum::<usize>()
     }
-
-    /// Short operator label for plan display and metrics.
-    pub fn label(&self) -> String {
-        match self {
-            PlanNode::Scan { table, predicate, .. } => match predicate {
-                Some(p) => format!("scan({table}, {p})"),
-                None => format!("scan({table})"),
-            },
-            PlanNode::Select { predicate, .. } => format!("select({predicate})"),
-            PlanNode::HashJoin { build_key, probe_key, kind, .. } => {
-                format!("join[{kind:?}]({probe_key} = {build_key})")
-            }
-            PlanNode::Project { exprs, .. } => {
-                format!(
-                    "project({})",
-                    exprs.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>().join(", ")
-                )
-            }
-            PlanNode::Aggregate { group_by, aggs, .. } => format!(
-                "aggregate(by: [{}], {} aggs)",
-                group_by.join(", "),
-                aggs.len()
-            ),
-            PlanNode::Sort { keys, limit, .. } => match limit {
-                Some(l) => format!("top{}({})", l, keys.len()),
-                None => format!("sort({} keys)", keys.len()),
-            },
-        }
-    }
-}
-
-/// The base columns a scan reads: its output `columns`, then the
-/// predicate's other references, each once. Names are borrowed.
-pub(crate) fn scan_read_columns<'a>(
-    columns: &'a [String],
-    predicate: Option<&'a Predicate>,
-) -> Vec<&'a str> {
-    let mut cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-    if let Some(p) = predicate {
-        p.for_each_column(&mut |c| {
-            if !cols.contains(&c) {
-                cols.push(c);
-            }
-        });
-    }
-    cols
 }
 
 impl fmt::Display for PlanNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn rec(node: &PlanNode, depth: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            writeln!(f, "{}{}", "  ".repeat(depth), node.label())?;
+            writeln!(f, "{}{}", "  ".repeat(depth), node.op.label())?;
             for c in node.children() {
                 rec(c, depth + 1, f)?;
             }
@@ -370,40 +369,50 @@ mod tests {
     fn builders_produce_expected_shape() {
         let p = sample_plan();
         assert_eq!(p.num_operators(), 4);
-        assert!(matches!(p, PlanNode::Aggregate { .. }));
-        let agg_children = p.children();
-        let join = agg_children[0];
-        assert!(matches!(join, PlanNode::HashJoin { .. }));
-        assert_eq!(join.children().len(), 2);
+        assert!(matches!(**p.op(), Op::Aggregate { .. }));
+        let join = &p.children()[0];
+        assert!(matches!(**join.op(), Op::HashJoin { .. }));
+        // Build side first, then probe.
+        let tables: Vec<_> =
+            join.children().iter().map(|c| c.op().scan_access().unwrap().0).collect();
+        assert_eq!(tables, ["date", "lineorder"]);
     }
 
     #[test]
     fn filter_merges_into_scan() {
         let p = PlanNode::scan("t", ["a"]).filter(Predicate::eq("b", 1));
-        match &p {
-            PlanNode::Scan { predicate: Some(_), .. } => {}
-            other => panic!("expected scan with predicate, got {other:?}"),
-        }
-        // A second filter wraps in a Select.
+        assert!(matches!(**p.op(), Op::Scan { predicate: Some(_), .. }), "got {p:?}");
+        // A second filter wraps in a Select, and so does `select` at once.
         let p = p.filter(Predicate::eq("a", 2));
-        assert!(matches!(p, PlanNode::Select { .. }));
+        assert!(matches!(**p.op(), Op::Select { .. }));
+        let p = PlanNode::scan("t", ["a"]).select(Predicate::eq("a", 2));
+        assert!(matches!(**p.op(), Op::Select { .. }));
+        assert!(matches!(**p.children()[0].op(), Op::Scan { predicate: None, .. }));
+    }
+
+    #[test]
+    fn filtering_a_shared_scan_leaves_the_original_untouched() {
+        let scan = PlanNode::scan("t", ["a"]);
+        let filtered = scan.clone().filter(Predicate::eq("b", 1));
+        assert!(matches!(**scan.op(), Op::Scan { predicate: None, .. }));
+        assert!(matches!(**filtered.op(), Op::Scan { predicate: Some(_), .. }));
     }
 
     #[test]
     fn scan_access_includes_predicate_columns() {
         let p = PlanNode::scan("t", ["a"]).filter(Predicate::eq("b", 1));
-        let (table, cols) = p.scan_access().unwrap();
+        let (table, cols) = p.op().scan_access().unwrap();
         assert_eq!(table, "t");
         assert_eq!(cols, vec!["a", "b"]);
         // No duplicates when predicate references an output column.
         let p = PlanNode::scan("t", ["a"]).filter(Predicate::eq("a", 1));
-        let (_, cols) = p.scan_access().unwrap();
+        let (_, cols) = p.op().scan_access().unwrap();
         assert_eq!(cols, vec!["a"]);
     }
 
     #[test]
     fn non_scans_have_no_scan_access() {
-        assert!(sample_plan().scan_access().is_none());
+        assert!(sample_plan().op().scan_access().is_none());
     }
 
     #[test]
@@ -417,9 +426,6 @@ mod tests {
     #[test]
     fn top_k_has_limit() {
         let p = PlanNode::scan("t", ["a"]).top_k(vec![SortKey::desc("a")], 10);
-        match p {
-            PlanNode::Sort { limit: Some(10), .. } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(**p.op(), Op::Sort { limit: Some(10), .. }), "got {p:?}");
     }
 }

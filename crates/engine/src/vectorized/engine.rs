@@ -12,9 +12,9 @@
 //!   so a query pays `max(transfer, compute)` rather than their sum.
 
 use crate::batch::Chunk;
-use crate::exec::task::{flatten, run_postorder, TaskOp};
+use crate::exec::task::{flatten, run_postorder};
 use crate::parallel::ParallelCtx;
-use crate::plan::PlanNode;
+use crate::plan::{Op, PlanNode};
 use robustq_sim::{CostModel, DeviceId, OpClass, SimConfig, VirtualTime};
 use robustq_storage::Database;
 
@@ -118,7 +118,7 @@ impl<'a> VectorizedEngine<'a> {
     }
 
     /// Bottom-up real execution (the flattened plan in postorder through
-    /// [`TaskOp::execute_ctx`], like `ops::execute_plan`), recording
+    /// [`Op::execute_ctx`], like `ops::execute_plan`), recording
     /// per-node sizes.
     pub(crate) fn collect(
         &self,
@@ -143,8 +143,8 @@ impl<'a> VectorizedEngine<'a> {
                 None => (children.iter().map(Chunk::byte_size).sum(), 0),
             };
             let is_breaker = matches!(
-                task.op,
-                TaskOp::HashJoin { .. } | TaskOp::Aggregate { .. } | TaskOp::Sort { .. }
+                *task.op,
+                Op::HashJoin { .. } | Op::Aggregate { .. } | Op::Sort { .. }
             );
             out.push(NodeSizes {
                 class: task.op.op_class(),

@@ -91,13 +91,7 @@ mod tests {
     use robustq_engine::plan::PlanNode;
 
     fn templates(n: usize) -> Vec<PlanNode> {
-        (0..n)
-            .map(|_| PlanNode::Scan {
-                table: "t".into(),
-                columns: vec!["c".into()],
-                predicate: None,
-            })
-            .collect()
+        (0..n).map(|_| PlanNode::scan("t", ["c"])).collect()
     }
 
     #[test]

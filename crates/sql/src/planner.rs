@@ -21,7 +21,7 @@ use crate::error::SqlError;
 use robustq_engine::expr::Expr;
 use robustq_engine::plan::{AggFunc, AggSpec, PlanNode, SortKey};
 use robustq_engine::predicate::{CmpOp, Predicate};
-use robustq_engine::estimate;
+use robustq_engine::estimate::{self, Estimate};
 use robustq_storage::{Database, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -120,7 +120,7 @@ impl<'a> Planner<'a> {
         let needed = self.needed_output_columns()?;
         let mut plan = self.join_order(&needed)?;
         for p in std::mem::take(&mut self.residual) {
-            plan = PlanNode::Select { input: Box::new(plan), predicate: p };
+            plan = plan.select(p);
         }
         plan = self.apply_select(plan)?;
         plan = self.apply_order_limit(plan)?;
@@ -254,69 +254,60 @@ impl<'a> Planner<'a> {
             return Err(SqlError::Plan(format!("too many tables ({n}) for DP")));
         }
 
+        // An entry carries its root estimate, so a candidate is costed by
+        // one node-local estimate per operator it adds, never re-estimated
+        // from the leaves.
         #[derive(Clone)]
         struct Entry {
             plan: PlanNode,
+            est: Estimate,
             cost: f64,
         }
         let full: usize = (1 << n) - 1;
         let mut best: Vec<Option<Entry>> = vec![None; full + 1];
         for i in 0..n {
             let plan = self.scan_of(i, &needed[i]);
-            let rows = estimate::estimate(&plan, self.db).rows;
-            best[1 << i] = Some(Entry { plan, cost: rows });
+            let est = estimate::node(plan.op(), &[], self.db);
+            best[1 << i] = Some(Entry { plan, est, cost: est.rows });
         }
 
         for mask in 1..=full {
-            if best[mask].is_none() || mask.count_ones() < 1 {
+            let Some(base) = best[mask].clone() else {
                 continue;
-            }
-            let base = best[mask].as_ref().expect("checked").clone();
-            #[allow(clippy::needless_range_loop)]
+            };
             for t in 0..n {
                 if mask & (1 << t) != 0 {
                     continue;
                 }
-                // Edges connecting t to the current set.
-                let connecting: Vec<&JoinEdge> = self
-                    .edges
-                    .iter()
-                    .filter(|e| {
-                        (e.a == t && mask & (1 << e.b) != 0)
-                            || (e.b == t && mask & (1 << e.a) != 0)
-                    })
-                    .collect();
-                let Some(first) = connecting.first() else {
+                // Edges connecting t to the current set, t's column second.
+                let mut connecting = self.edges.iter().filter_map(|e| {
+                    if e.a == t && mask & (1 << e.b) != 0 {
+                        Some((e.b_col.clone(), e.a_col.clone()))
+                    } else if e.b == t && mask & (1 << e.a) != 0 {
+                        Some((e.a_col.clone(), e.b_col.clone()))
+                    } else {
+                        None
+                    }
+                });
+                let Some((probe_key, build_key)) = connecting.next() else {
                     continue;
                 };
-                let (probe_key, build_key) = if first.a == t {
-                    (first.b_col.clone(), first.a_col.clone())
-                } else {
-                    (first.a_col.clone(), first.b_col.clone())
-                };
-                let build = self.scan_of(t, &needed[t]);
-                let mut candidate = base.plan.clone().join(build, probe_key, build_key);
+                let build = best[1 << t].as_ref().expect("every table has a scan entry");
+                let mut candidate =
+                    base.plan.clone().join(build.plan.clone(), probe_key, build_key);
+                let mut est = estimate::node(candidate.op(), &[build.est, base.est], self.db);
                 // Extra connecting edges become post-join filters.
-                for e in connecting.iter().skip(1) {
-                    let (l, r) = if e.a == t {
-                        (e.b_col.clone(), e.a_col.clone())
-                    } else {
-                        (e.a_col.clone(), e.b_col.clone())
-                    };
-                    candidate = PlanNode::Select {
-                        input: Box::new(candidate),
-                        predicate: Predicate::ColCmp { left: l, op: CmpOp::Eq, right: r },
-                    };
+                for (left, right) in connecting {
+                    candidate = candidate.select(Predicate::ColCmp { left, op: CmpOp::Eq, right });
+                    est = estimate::node(candidate.op(), &[est], self.db);
                 }
-                let rows = estimate::estimate(&candidate, self.db).rows;
                 // Charge intermediates plus the hash-table build (builds
                 // are ~2x a scan pass), so the DP prefers small dimension
                 // tables on the build side.
-                let build_rows = estimate::estimate(&self.scan_of(t, &needed[t]), self.db).rows;
-                let cost = base.cost + rows + 2.0 * build_rows;
+                let cost = base.cost + est.rows + 2.0 * build.est.rows;
                 let next = mask | (1 << t);
                 if best[next].as_ref().is_none_or(|e| cost < e.cost) {
-                    best[next] = Some(Entry { plan: candidate, cost });
+                    best[next] = Some(Entry { plan: candidate, est, cost });
                 }
             }
         }
@@ -629,6 +620,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use robustq_engine::ops::execute_plan;
+    use robustq_engine::plan::Op;
     use robustq_storage::gen::ssb::SsbGenerator;
 
     fn db() -> Database {
@@ -730,18 +722,13 @@ mod tests {
         )
         .unwrap();
         // The scan must output only lo_revenue.
-        fn find_scan(n: &PlanNode) -> Option<&PlanNode> {
-            match n {
-                PlanNode::Scan { .. } => Some(n),
-                _ => n.children().into_iter().find_map(find_scan),
+        fn scan_columns(n: &PlanNode) -> Option<&[String]> {
+            match &**n.op() {
+                Op::Scan { columns, .. } => Some(columns),
+                _ => n.children().iter().find_map(scan_columns),
             }
         }
-        match find_scan(&p).unwrap() {
-            PlanNode::Scan { columns, .. } => {
-                assert_eq!(columns, &vec!["lo_revenue".to_string()]);
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(scan_columns(&p).unwrap(), ["lo_revenue"]);
     }
 
     #[test]

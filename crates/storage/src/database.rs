@@ -303,11 +303,6 @@ impl Database {
         }
     }
 
-    /// Raw (uncompressed) payload bytes of the column behind `id`.
-    pub fn raw_column_size(&self, id: ColumnId) -> u64 {
-        self.column_by_id(id).byte_size()
-    }
-
     /// Enable transparent lightweight compression: every base column's
     /// *effective* size becomes its size under the automatic codec choice
     /// of [`crate::compress`]. Query processing is unchanged — results
@@ -336,37 +331,6 @@ impl Database {
         } else {
             raw as f64 / eff as f64
         }
-    }
-
-    /// Per-table compression statistics under the automatic codec choice:
-    /// how many columns land on each codec and the compressed/raw byte
-    /// ratio. Computed from the raw columns, so it is valid whether or not
-    /// [`Database::apply_compression`] is active.
-    pub fn compression_report(&self) -> CompressionReport {
-        let mut tables = Vec::with_capacity(self.tables.len());
-        for t in &self.tables {
-            let mut entry = TableCompression {
-                table: t.name().to_string(),
-                raw_columns: 0,
-                rle_columns: 0,
-                bitpacked_columns: 0,
-                raw_bytes: 0,
-                compressed_bytes: 0,
-            };
-            for i in 0..t.num_columns() {
-                let col = t.column_at(i);
-                let c = crate::compress::CompressedColumn::compress(col);
-                match c.codec() {
-                    "rle" => entry.rle_columns += 1,
-                    "for-bitpack" => entry.bitpacked_columns += 1,
-                    _ => entry.raw_columns += 1,
-                }
-                entry.raw_bytes += col.byte_size();
-                entry.compressed_bytes += c.bytes();
-            }
-            tables.push(entry);
-        }
-        CompressionReport { tables }
     }
 
     /// Effective bytes of column `id` under per-segment compression:
@@ -400,11 +364,6 @@ impl Database {
         self.effective_sizes = None;
     }
 
-    /// Whether transparent compression is active.
-    pub fn is_compressed(&self) -> bool {
-        self.effective_sizes.is_some()
-    }
-
     /// Registration index of the table owning `id` (the data placement
     /// manager groups columns by table so a scan's inputs stay
     /// co-resident on one device).
@@ -433,55 +392,6 @@ impl Database {
     /// Total payload bytes over all tables.
     pub fn byte_size(&self) -> u64 {
         self.tables.iter().map(Table::byte_size).sum()
-    }
-}
-
-/// Compression statistics for one table: codec mix over its columns and
-/// the raw vs compressed byte totals.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableCompression {
-    /// Table name.
-    pub table: String,
-    /// Columns where neither codec beat the raw layout.
-    pub raw_columns: usize,
-    /// Columns stored as run-length runs.
-    pub rle_columns: usize,
-    /// Columns stored FOR + bit-packed.
-    pub bitpacked_columns: usize,
-    /// Raw bytes across all columns.
-    pub raw_bytes: u64,
-    /// Compressed bytes across all columns.
-    pub compressed_bytes: u64,
-}
-
-impl TableCompression {
-    /// Compressed/raw byte ratio (1.0 when the table is empty).
-    pub fn ratio(&self) -> f64 {
-        if self.raw_bytes == 0 {
-            1.0
-        } else {
-            self.compressed_bytes as f64 / self.raw_bytes as f64
-        }
-    }
-}
-
-/// Database-wide compression statistics, one entry per table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressionReport {
-    /// Per-table codec mix and byte totals.
-    pub tables: Vec<TableCompression>,
-}
-
-impl CompressionReport {
-    /// Overall compressed/raw byte ratio across every table.
-    pub fn total_ratio(&self) -> f64 {
-        let raw: u64 = self.tables.iter().map(|t| t.raw_bytes).sum();
-        let eff: u64 = self.tables.iter().map(|t| t.compressed_bytes).sum();
-        if raw == 0 {
-            1.0
-        } else {
-            eff as f64 / raw as f64
-        }
     }
 }
 
@@ -529,40 +439,6 @@ mod tests {
         assert_eq!(db.column_name(z), "b.z");
         assert_eq!(db.column_size(x), 8);
         assert_eq!(db.column_size(z), 24);
-    }
-
-    #[test]
-    fn compression_report_tallies_codecs_and_ratio() {
-        let mut db = Database::new();
-        db.add_table(
-            Table::new(
-                "t",
-                Schema::new(vec![
-                    Field::new("runs", DataType::Int32),
-                    Field::new("narrow", DataType::Int32),
-                ]),
-                vec![
-                    // Long runs -> RLE; small range noise -> FOR+bit-pack.
-                    ColumnData::Int32(vec![5; 4096]),
-                    ColumnData::Int32((0..4096).map(|i| (i * 37) % 16).collect()),
-                ],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let report = db.compression_report();
-        assert_eq!(report.tables.len(), 1);
-        let t = &report.tables[0];
-        assert_eq!(t.table, "t");
-        assert_eq!((t.rle_columns, t.bitpacked_columns, t.raw_columns), (1, 1, 0));
-        assert_eq!(t.raw_bytes, 2 * 4 * 4096);
-        assert!(t.compressed_bytes < t.raw_bytes);
-        assert!(t.ratio() < 0.2, "ratio {}", t.ratio());
-        assert!((report.total_ratio() - t.ratio()).abs() < 1e-12);
-        // The report reads raw columns, so enabling transparent
-        // compression must not change it.
-        db.apply_compression();
-        assert_eq!(db.compression_report().tables, report.tables);
     }
 
     #[test]

@@ -40,10 +40,7 @@ pub mod types;
 
 pub use column::{ColumnData, DictColumn};
 pub use compress::{compressed_size, CompressedColumn, ValueKind};
-pub use database::{
-    AppendRecord, ColumnId, CompressionReport, Database, DbEpoch, Snapshot,
-    TableCompression,
-};
+pub use database::{AppendRecord, ColumnId, Database, DbEpoch, Snapshot};
 pub use error::StorageError;
 pub use stats::AccessStats;
 pub use table::{ColStats, Field, Schema, SegmentMeta, Table, DEFAULT_SEAL_ROWS};

@@ -361,7 +361,7 @@ pub enum TraceEvent {
         /// Scheduling instant.
         at: VirtualTime,
     },
-    /// A sharded scan fanned out at admission: `shards` ScanShard tasks
+    /// A sharded scan fanned out at admission: `shards` shard tasks
     /// were created under merge-barrier task `task` (DESIGN.md §6).
     ShardFanout {
         /// Query the sharded operator belongs to.

@@ -22,7 +22,7 @@ use crate::runner::{RunnerConfig, WorkloadRunner};
 use robustq_core::Strategy;
 use robustq_engine::expr::Expr;
 use robustq_engine::ops;
-use robustq_engine::plan::{AggFunc, AggSpec, PlanNode};
+use robustq_engine::plan::{AggFunc, AggSpec, Op, PlanNode};
 use robustq_engine::{Chunk, ParallelCtx, RunMetrics};
 use robustq_sim::{SimConfig, VirtualTime};
 use robustq_storage::{ColumnData, Database, Table};
@@ -91,19 +91,17 @@ pub fn merge_partials(plan: &PlanNode, partials: &[Chunk]) -> Result<Chunk, Stri
     let mut sort: Option<(&[robustq_engine::plan::SortKey], Option<usize>)> = None;
     let mut node = plan;
     let agg = loop {
-        match node {
-            PlanNode::Sort { input, keys, limit } => {
+        match &**node.op() {
+            Op::Sort { keys, limit } => {
                 if sort.is_none() {
                     sort = Some((keys.as_slice(), *limit));
                 }
-                node = input;
             }
-            PlanNode::Project { input, .. } => node = input,
-            PlanNode::Aggregate { group_by, aggs, .. } => {
-                break Some((group_by, aggs))
-            }
+            Op::Project { .. } => {}
+            Op::Aggregate { group_by, aggs } => break Some((group_by, aggs)),
             _ => break None,
         }
+        node = &node.children()[0];
     };
 
     let merged = match agg {

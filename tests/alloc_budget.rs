@@ -6,13 +6,21 @@
 //! only, and cloning or projecting a chunk touches no row. Each budget
 //! below sits far under one copy of the columns the operation reads, so
 //! any reintroduced column copy trips it on every host alike.
+//!
+//! Operators are shared the same way (DESIGN.md §5): handing a plan on —
+//! `PlanNode::clone`, then `flatten` at admission — allocates the tree's
+//! spine and the task list, a fixed number of bytes per operator, and not
+//! one byte of a name, predicate or expression.
 
-use robustq::engine::exec::task::{ShardSpec, TaskOp};
+use robustq::engine::exec::task::{flatten, Role, ShardSpec};
 use robustq::engine::ops::project::keep_columns;
+use robustq::engine::expr::Expr;
+use robustq::engine::plan::{AggSpec, Op, PlanNode, SortKey};
 use robustq::engine::predicate::Predicate;
 use robustq::engine::{Chunk, LazyChunk, ParallelCtx};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::Database;
+use robustq::workloads::SsbQuery;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -91,7 +99,7 @@ fn one_copy(db: &Database) -> u64 {
 #[test]
 fn an_unfiltered_scan_allocates_no_row_data() {
     let db = lineorder();
-    let scan = TaskOp::Scan { table: "lineorder".into(), columns: columns(), predicate: None };
+    let scan = Op::Scan { table: "lineorder".into(), columns: columns(), predicate: None };
     let (out, bytes) = allocated(|| scan.execute_lazy(&[], &db, ParallelCtx::serial()).unwrap());
     assert_eq!(out.num_rows(), ROWS);
     assert!(bytes < FIXED, "an unfiltered scan of {ROWS} rows allocated {bytes} B");
@@ -102,8 +110,7 @@ fn a_filtered_scan_allocates_positions_only() {
     let db = lineorder();
     let budget = PER_ROW * ROWS as u64 + FIXED;
     assert!(budget < one_copy(&db), "the budget must stay below one copy of the read columns");
-    let scan =
-        TaskOp::Scan { table: "lineorder".into(), columns: columns(), predicate: predicate() };
+    let scan = Op::Scan { table: "lineorder".into(), columns: columns(), predicate: predicate() };
     let (out, bytes) = allocated(|| scan.execute_lazy(&[], &db, ParallelCtx::serial()).unwrap());
     assert!(out.num_rows() > ROWS / 4 && out.num_rows() < ROWS);
     assert!(bytes <= budget, "a filtered scan of {ROWS} rows allocated {bytes} B > {budget} B");
@@ -116,20 +123,16 @@ fn a_sharded_scan_and_its_merge_allocate_positions_only() {
     let ctx = ParallelCtx::serial();
     for predicate in [None, predicate()] {
         for of in [2u32, 4] {
+            let scan =
+                Op::Scan { table: "lineorder".into(), columns: columns(), predicate: predicate.clone() };
             let (merged, bytes) = allocated(|| {
                 let shards: Vec<LazyChunk> = (0..of)
                     .map(|index| {
-                        TaskOp::ScanShard {
-                            table: "lineorder".into(),
-                            columns: columns(),
-                            predicate: predicate.clone(),
-                            shard: ShardSpec { index, of },
-                        }
-                        .execute_lazy(&[], &db, ctx)
-                        .unwrap()
+                        let shard = Role::Shard(ShardSpec { index, of });
+                        scan.execute_windowed(shard, &[], &db, ctx, None).unwrap()
                     })
                     .collect();
-                TaskOp::MergeShards { columns: columns() }.execute_lazy(&shards, &db, ctx).unwrap()
+                scan.execute_windowed(Role::Merge, &shards, &db, ctx, None).unwrap()
             });
             assert!(merged.num_rows() > ROWS / 4);
             assert!(
@@ -150,4 +153,52 @@ fn cloning_and_projecting_a_chunk_touch_no_row() {
     let (kept, bytes) = allocated(|| keep_columns(&chunk, &columns()[1..3]).unwrap());
     assert_eq!((kept.num_rows(), kept.num_columns()), (ROWS, 2));
     assert!(bytes < FIXED, "keep_columns over {ROWS} rows allocated {bytes} B");
+}
+
+/// What `PlanNode::clone` + `flatten` may allocate per operator: its slot
+/// in the parent's child list (32 B), its `TaskNode` (64 B) and its index
+/// in the parent task's child list (8 B). The root has no parent, so a
+/// plan of `n` operators allocates exactly `104 n - 40` bytes.
+const PER_OPERATOR: u64 = 104;
+
+fn clone_and_flatten(plan: &PlanNode) -> u64 {
+    let ((clone, tasks), bytes) = allocated(|| {
+        let clone = plan.clone();
+        let tasks = flatten(&clone);
+        (clone, tasks)
+    });
+    assert_eq!(tasks.len(), clone.num_operators());
+    bytes
+}
+
+#[test]
+fn handing_a_plan_on_allocates_per_operator_not_per_payload_byte() {
+    let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
+    for q in SsbQuery::ALL {
+        let plan = q.plan(&db).expect("SSB plans");
+        let (n, bytes) = (plan.num_operators() as u64, clone_and_flatten(&plan));
+        assert_eq!(
+            bytes,
+            PER_OPERATOR * n - 40,
+            "{}: clone + flatten of {n} operators allocated {bytes} B",
+            q.name()
+        );
+    }
+
+    // One shape, payloads three orders of magnitude apart — names,
+    // predicate lists, expressions, aggregates and sort keys: same bytes.
+    let shaped = |len: usize| {
+        let name = |c: &str| c.repeat(len);
+        let sum = (0..len).fold(Expr::col(name("a")), |e, _| e + Expr::col(name("b")));
+        PlanNode::scan(name("t"), [name("a"), name("b")])
+            .filter(Predicate::in_list(name("a"), (0..len).map(|i| i.to_string())))
+            .join(PlanNode::scan(name("d"), [name("k")]), name("a"), name("k"))
+            .select(Predicate::and((0..len).map(|i| Predicate::eq(name("b"), i as i64))))
+            .project(vec![(name("s"), sum.clone())])
+            .aggregate([name("s")], (0..len).map(|_| AggSpec::sum(sum.clone(), name("x"))).collect())
+            .sort((0..len).map(|_| SortKey::asc(name("s"))).collect())
+    };
+    let (small, large) = (shaped(1), shaped(1_000));
+    assert_eq!(small.num_operators(), 7);
+    assert_eq!(clone_and_flatten(&small), clone_and_flatten(&large));
 }

@@ -231,6 +231,41 @@ fn sharded_placement_manager_matches_unsharded() {
     }
 }
 
+/// (6), accounting: a sharded scan is its own `Op` run in parts, and only
+/// the shards read base columns. Every read column counts one access and
+/// one cache probe per shard; the merge — the same `Op` as `Role::Merge` —
+/// adds neither.
+#[test]
+fn a_shard_merge_reads_no_base_column() {
+    use robustq::engine::plan::PlanNode;
+    use robustq::engine::predicate::Predicate;
+    use robustq::engine::{ExecOptions, Executor};
+    use robustq::sim::CacheSet;
+    use robustq::trace::{TraceEvent, Tracer};
+
+    let db = db();
+    let plan = PlanNode::scan("lineorder", ["lo_revenue"])
+        .filter(Predicate::between("lo_discount", 1, 3));
+    let read = ["lo_revenue", "lo_discount"].map(|c| db.column_id("lineorder", c).unwrap());
+    let sim = sim_k(2);
+    let mut caches = CacheSet::for_topology(&sim.topology, sim.cache_policy);
+    let tracer = Tracer::new();
+    let opts = ExecOptions { shard_ways: 2, tracer: tracer.clone(), ..ExecOptions::default() };
+    db.stats().reset();
+    Executor::new(&db, sim)
+        .run_with_cache(vec![vec![plan]], &mut *Strategy::GpuPreferred.build(), &opts, &mut caches)
+        .expect("sharded scan");
+
+    let events = tracer.take().events;
+    let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count();
+    assert_eq!(count(|e| matches!(e, TraceEvent::ShardMerge { shards: 2, .. })), 1);
+    assert_eq!(count(|e| matches!(e, TraceEvent::OpSpan { .. })), 3, "two shards and a merge");
+    assert_eq!(count(|e| matches!(e, TraceEvent::CacheProbe { .. })), 2 * read.len());
+    for col in read {
+        assert_eq!(db.stats().access_count(col.index()), 2, "one access per shard");
+    }
+}
+
 /// (6), chaos: seeded faults on a sharded fleet — allocation failures,
 /// transfer faults and kernel aborts landing on individual shards'
 /// devices — must recover without corrupting the merge: results stay

@@ -13,7 +13,8 @@
 //! tests.
 
 use proptest::prelude::*;
-use robustq::engine::exec::task::{ShardSpec, TaskOp};
+use robustq::engine::exec::task::{Role, ShardSpec};
+use robustq::engine::plan::Op;
 use robustq::engine::expr::Expr;
 use robustq::engine::ops;
 use robustq::engine::plan::{AggFunc, AggSpec, JoinKind};
@@ -223,10 +224,10 @@ fn db_of(chunk: &Chunk) -> Database {
     db
 }
 
-/// The production `ScanShard` tasks of a `of`-way sharded scan of `t`
+/// The production `Role::Shard` tasks of a `of`-way sharded scan of `t`
 /// concatenate to the reference selection over the scanned rows — the
 /// positions, or the reference's error from the first shard that fails —
-/// and their `MergeShards` is byte-identical to the unsharded `Scan`.
+/// and their `Role::Merge` is byte-identical to the whole scan.
 fn check_sharded_scan(
     chunk: &Chunk,
     predicate: Option<&Predicate>,
@@ -243,24 +244,15 @@ fn check_sharded_scan(
     let want =
         reference::select_positions(&scanned, None, predicate.unwrap_or(&Predicate::True));
 
+    let scan = Op::Scan { table: "t".into(), columns, predicate: predicate.cloned() };
     let shards: Vec<Result<LazyChunk, String>> = (0..of)
         .map(|index| {
-            TaskOp::ScanShard {
-                table: "t".into(),
-                columns: columns.clone(),
-                predicate: predicate.cloned(),
-                shard: ShardSpec { index, of },
-            }
-            .execute_windowed(&[], &db, ctx, window)
+            let shard = Role::Shard(ShardSpec { index, of });
+            scan.execute_windowed(shard, &[], &db, ctx, window)
         })
         .collect();
-    let whole = TaskOp::Scan {
-        table: "t".into(),
-        columns: columns.clone(),
-        predicate: predicate.cloned(),
-    }
-    .execute_windowed(&[], &db, ctx, window)
-    .map(LazyChunk::materialize);
+    let whole =
+        scan.execute_windowed(Role::Whole, &[], &db, ctx, window).map(LazyChunk::materialize);
 
     let at = format!("of={of} window={window:?} predicate={predicate:?} {ctx:?}");
     match want {
@@ -277,8 +269,8 @@ fn check_sharded_scan(
                 .flat_map(|s| s.parts().1.expect("shards are selections").positions().to_vec())
                 .collect();
             assert_eq!(positions, want.positions(), "shard positions, {at}");
-            let merged = TaskOp::MergeShards { columns: columns.clone() }
-                .execute_lazy(&shards, &db, ctx)
+            let merged = scan
+                .execute_windowed(Role::Merge, &shards, &db, ctx, None)
                 .map(LazyChunk::materialize);
             assert_eq!(merged, whole, "merge vs unsharded scan, {at}");
             assert!(whole.is_ok(), "{at}");

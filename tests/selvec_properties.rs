@@ -16,18 +16,22 @@
 //!   against the same call on the gathered chunk, `Err` strings included;
 //! * the two ways to run a plan — the materializing oracle
 //!   (`ops::execute_plan`) and the production data path
-//!   (`execute_plan_fused`: postorder `TaskOp::execute_lazy`) — against
+//!   (`execute_plan_fused`: postorder `Op::execute_lazy`) — against
 //!   each other over the SSB and TPC-H plans;
 //! * accounting invariance: however a scan is sharded, filtered or
 //!   windowed, every lazy task reports the `(num_rows, byte_size)` of the
 //!   materialized oracle's output — the two numbers virtual time is
-//!   computed from — and holds bit-identical rows.
+//!   computed from — and holds bit-identical rows;
+//! * one estimate: the single pass admission makes over a flattened plan
+//!   (`estimate::postorder`) against estimating every subtree on its own,
+//!   to the bit, over the SSB, TPC-H and generated plans.
 
 use proptest::prelude::*;
-use robustq::engine::exec::task::{flatten, ShardSpec, TaskNode, TaskOp};
+use robustq::engine::estimate::{self, Estimate};
+use robustq::engine::exec::task::{flatten, Role, ShardSpec, TaskNode};
 use robustq::engine::expr::Expr;
 use robustq::engine::ops;
-use robustq::engine::plan::{AggFunc, AggSpec, JoinKind, PlanNode, SortKey};
+use robustq::engine::plan::{AggFunc, AggSpec, JoinKind, Op, PlanNode, SortKey};
 use robustq::engine::predicate::{CmpOp, Predicate};
 use robustq::engine::reference;
 use robustq::engine::{execute_plan_fused, Chunk, LazyChunk, ParallelCtx, SelVec};
@@ -309,49 +313,34 @@ fn scan_predicate(which: usize) -> Option<Predicate> {
     }
 }
 
+/// The scan of the fact table `t` the generated plans grow from.
+fn fact_scan(columns: &[&str], predicate: Option<Predicate>) -> PlanNode {
+    let scan = PlanNode::scan("t", columns.iter().copied());
+    match predicate {
+        Some(p) => scan.filter(p),
+        None => scan,
+    }
+}
+
 /// A plan over the fact table `t` (and the dimension `d`), by shape: the
 /// bare scan, a standalone `Select`, an aggregation, the scan as probe
 /// and as build side of a join, and a projection under a top-k sort.
 fn plan_over(scan: PlanNode, shape: usize, second: usize, kind: JoinKind) -> PlanNode {
     let dim = || PlanNode::scan("d", ["i32", "f64"]);
-    let boxed = Box::new;
     match shape % 6 {
         0 => scan,
-        1 => PlanNode::Select { input: boxed(scan), predicate: predicate_for(second) },
-        2 => PlanNode::Aggregate {
-            input: boxed(scan),
-            group_by: vec!["str".into()],
-            aggs: vec![AggSpec::sum(Expr::col("f64"), "sum"), AggSpec::count("cnt")],
-        },
-        3 => PlanNode::Aggregate {
-            input: boxed(PlanNode::HashJoin {
-                build: boxed(dim()),
-                probe: boxed(scan),
-                build_key: "i32".into(),
-                probe_key: "i32".into(),
-                kind,
-            }),
-            group_by: vec!["str".into()],
-            aggs: vec![AggSpec::sum(Expr::col("f64"), "sum")],
-        },
-        4 => PlanNode::HashJoin {
-            build: boxed(scan),
-            probe: boxed(dim()),
-            build_key: "i32".into(),
-            probe_key: "i32".into(),
-            kind,
-        },
-        _ => PlanNode::Sort {
-            input: boxed(PlanNode::Project {
-                input: boxed(scan),
-                exprs: vec![
-                    ("a".into(), Expr::col("i32") + Expr::col("f64")),
-                    ("s".into(), Expr::col("str")),
-                ],
-            }),
-            keys: vec![SortKey::asc("a"), SortKey::desc("s")],
-            limit: Some(7),
-        },
+        1 => scan.select(predicate_for(second)),
+        2 => scan.aggregate(
+            ["str"],
+            vec![AggSpec::sum(Expr::col("f64"), "sum"), AggSpec::count("cnt")],
+        ),
+        3 => scan
+            .join_kind(dim(), "i32", "i32", kind)
+            .aggregate(["str"], vec![AggSpec::sum(Expr::col("f64"), "sum")]),
+        4 => dim().join_kind(scan, "i32", "i32", kind),
+        _ => scan
+            .project(vec![("a", Expr::col("i32") + Expr::col("f64")), ("s", Expr::col("str"))])
+            .top_k(vec![SortKey::asc("a"), SortKey::desc("s")], 7),
     }
 }
 
@@ -370,35 +359,22 @@ fn shard_fact_scans(tasks: &[TaskNode], ways: u32) -> (Vec<TaskNode>, Vec<Expect
     let mut expect = Vec::new();
     let mut moved = Vec::with_capacity(tasks.len());
     for (i, t) in tasks.iter().enumerate() {
-        match &t.op {
-            TaskOp::Scan { table, columns, predicate } if table == "t" && ways > 0 => {
-                let first = out.len();
-                for index in 0..ways {
-                    let shard = ShardSpec { index, of: ways };
-                    out.push(TaskNode {
-                        op: TaskOp::ScanShard {
-                            table: table.clone(),
-                            columns: columns.clone(),
-                            predicate: predicate.clone(),
-                            shard,
-                        },
-                        children: Vec::new(),
-                        parent: None,
-                    });
-                    expect.push(Expect::Shard(shard));
-                }
-                out.push(TaskNode {
-                    op: TaskOp::MergeShards { columns: columns.clone() },
-                    children: (first..out.len()).collect(),
-                    parent: None,
-                });
+        let mut node = TaskNode {
+            children: t.children.iter().map(|&c| moved[c]).collect(),
+            parent: None,
+            ..t.clone()
+        };
+        if matches!(&*t.op, Op::Scan { table, .. } if table == "t") && ways > 0 {
+            let first = out.len();
+            for index in 0..ways {
+                let shard = ShardSpec { index, of: ways };
+                out.push(TaskNode { role: Role::Shard(shard), ..node.clone() });
+                expect.push(Expect::Shard(shard));
             }
-            op => out.push(TaskNode {
-                op: op.clone(),
-                children: t.children.iter().map(|&c| moved[c]).collect(),
-                parent: None,
-            }),
+            node.role = Role::Merge;
+            node.children = (first..out.len()).collect();
         }
+        out.push(node);
         expect.push(Expect::Oracle(i));
         moved.push(out.len() - 1);
     }
@@ -457,11 +433,7 @@ proptest! {
 
         for which in 0..5 {
             let predicate = scan_predicate(which);
-            let scan = PlanNode::Scan {
-                table: "t".into(),
-                columns: columns.iter().map(|c| c.to_string()).collect(),
-                predicate: predicate.clone(),
-            };
+            let scan = fact_scan(columns, predicate.clone());
             let tasks = flatten(&plan_over(scan, shape, second, join_kind(kind)));
             let read_width: u64 = columns
                 .iter()
@@ -497,12 +469,13 @@ proptest! {
                                 t.children.iter().map(|&c| lazy[c].clone()).collect();
                             let out = t
                                 .op
-                                .execute_windowed(&children, &db, fused_ctx(workers), window)
+                                .execute_windowed(t.role, &children, &db, fused_ctx(workers), window)
                                 .expect("lazy task runs");
                             let label = format!(
-                                "{} shape={shape} predicate={which} ways={ways} \
+                                "{} as {:?} shape={shape} predicate={which} ways={ways} \
                                  window={window:?} workers={workers}",
-                                t.op.label()
+                                t.op.label(),
+                                t.role
                             );
                             match expect {
                                 Expect::Oracle(i) => {
@@ -596,5 +569,76 @@ fn full_tpch_plans_are_identical_across_interpreters() {
     let db = TpchGenerator::new(1).with_rows_per_sf(1_000).generate();
     for q in TpchQuery::ALL {
         assert_interpreters_agree(q.name(), &q.plan(), &db);
+    }
+}
+
+fn bits(e: &Estimate) -> [u64; 4] {
+    [e.rows, e.bytes, e.fraction, e.input_bytes].map(f64::to_bits)
+}
+
+/// The oracle: every subtree of `plan` estimated on its own, by recursion
+/// from the leaves, pushed in postorder. Checks on the way that a node's
+/// input bytes are the base columns a scan reads, the children's output
+/// bytes for every other operator.
+fn subtree_estimates(plan: &PlanNode, db: &Database, out: &mut Vec<Estimate>) -> Estimate {
+    let children: Vec<Estimate> =
+        plan.children().iter().map(|c| subtree_estimates(c, db, out)).collect();
+    let own = estimate::estimate(plan, db);
+    assert_eq!(bits(&own), bits(&estimate::node(plan.op(), &children, db)));
+    let input: f64 = match plan.op().scan_access() {
+        Some((table, columns)) => {
+            let table = db.table(table).expect("scanned table");
+            columns.iter().map(|c| table.column(c).expect("read column").byte_size() as f64).sum()
+        }
+        None => children.iter().map(|c| c.bytes).sum(),
+    };
+    assert_eq!(own.input_bytes.to_bits(), input.to_bits(), "input bytes of {}", plan.op().label());
+    out.push(own);
+    own
+}
+
+/// The one pass over the flattened plan is aligned with `flatten` and
+/// equals, to the bit, the per-subtree estimates.
+fn assert_one_pass_estimates(name: &str, plan: &PlanNode, db: &Database) {
+    let mut want = Vec::new();
+    subtree_estimates(plan, db, &mut want);
+    let tasks = flatten(plan);
+    let got = estimate::postorder(&tasks, db);
+    assert_eq!(got.len(), tasks.len());
+    assert_eq!(
+        got.iter().map(bits).collect::<Vec<_>>(),
+        want.iter().map(bits).collect::<Vec<_>>(),
+        "{name}:\n{plan}"
+    );
+}
+
+#[test]
+fn one_pass_estimates_equal_every_subtrees_own_estimate() {
+    use robustq::storage::gen::{ssb::SsbGenerator, tpch::TpchGenerator};
+    use robustq::workloads::{SsbQuery, TpchQuery};
+
+    let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
+    for q in SsbQuery::ALL {
+        assert_one_pass_estimates(q.name(), &q.plan(&db).expect("plans"), &db);
+    }
+    let db = TpchGenerator::new(1).with_rows_per_sf(1_000).generate();
+    for q in TpchQuery::ALL {
+        assert_one_pass_estimates(q.name(), &q.plan(), &db);
+    }
+
+    // Every generated plan shape of the accounting property above.
+    let rows = |n: i32| -> Vec<Row> {
+        (0..n).map(|i| (i % 40 - 20, i64::from(i) * 7 - 100, i * 3 - 60, i as usize)).collect()
+    };
+    let db = fact_and_dim(&chunk_of(&rows(97)), &chunk_of(&rows(23)));
+    for columns in [&["i32", "i64", "f64", "str"][..], &["f64", "i32", "str"]] {
+        for which in 0..5 {
+            for i in 0..6 * 6 * 3 {
+                let (shape, second, kind) = (i / 18, i / 3 % 6, i % 3);
+                let scan = fact_scan(columns, scan_predicate(which));
+                let plan = plan_over(scan, shape, second, join_kind(kind));
+                assert_one_pass_estimates("generated", &plan, &db);
+            }
+        }
     }
 }

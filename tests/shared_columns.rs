@@ -8,12 +8,18 @@
 //!   appends keep writing in place;
 //! * an append while a chunk is alive is copy-on-write: the chunk keeps
 //!   the pre-append column, the table grows.
+//!
+//! An operator is likewise one `Op` with one identity (DESIGN.md §5): a
+//! cloned plan, its flattened tasks and every shard of a sharded scan
+//! hold the template plan's own `Arc<Op>`, and a run hands them all back.
 
 use robustq::core::{DataDrivenChopping, DataPlacementManager};
-use robustq::engine::exec::task::TaskOp;
+use robustq::engine::exec::task::flatten;
+use robustq::engine::plan::{Op, PlanNode};
 use robustq::engine::predicate::Predicate;
-use robustq::engine::{Chunk, Executor, LazyChunk, ParallelCtx};
-use robustq::sim::{CacheSet, SimConfig};
+use robustq::engine::{Chunk, Executor, LazyChunk, ParallelCtx, Schedule};
+use robustq::serve::{ArrivalProcess, QueryMix, ServeConfig, ServingRunner};
+use robustq::sim::{CacheSet, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::{ColumnData, Database, DictColumn, Table};
 use robustq::workloads::{ssb, RunPhase, RunnerConfig, WorkloadRunner};
@@ -23,8 +29,8 @@ fn db() -> Database {
     SsbGenerator::new(1).with_rows_per_sf(2_000).generate()
 }
 
-fn scan(columns: &[&str], predicate: Option<Predicate>) -> TaskOp {
-    TaskOp::Scan {
+fn scan(columns: &[&str], predicate: Option<Predicate>) -> Op {
+    Op::Scan {
         table: "lineorder".into(),
         columns: columns.iter().map(|c| c.to_string()).collect(),
         predicate,
@@ -62,24 +68,36 @@ fn scans_hand_on_the_tables_own_buffers() {
     assert_is_table_buffer(&db, base, "lo_revenue");
 }
 
-#[test]
-fn a_run_leaves_every_table_column_uniquely_owned() {
-    let db = db();
-    let queries = ssb::workload(&db).expect("SSB plans");
+/// `schedule` run to completion on K = 2 co-processors with every scan
+/// sharded two ways (the run must really have fanned out).
+fn run_sharded(db: &Database, schedule: impl Into<Schedule>) {
+    let schedule = schedule.into();
+    let operators: usize = schedule
+        .sessions
+        .iter()
+        .flatten()
+        .chain(schedule.arrivals.iter().map(|a| &a.plan))
+        .map(PlanNode::num_operators)
+        .sum();
+    let offered = schedule.offered();
     let sim = SimConfig::default().with_coprocessors(2);
     let cfg = RunnerConfig::default().with_users(2).with_sharding(2, 0.0);
     let mut policy =
         DataDrivenChopping::with_manager(DataPlacementManager::lfu().with_sharding(2, 64 * 1024));
     let mut cache = CacheSet::for_topology(&sim.topology, sim.cache_policy);
-    let outcome = Executor::new(&db, sim)
-        .run_with_cache(
-            WorkloadRunner::sessions(&queries, 2),
-            &mut policy,
-            &cfg.exec_options(RunPhase::Measured),
-            &mut cache,
-        )
+    let outcome = Executor::new(db, sim)
+        .run_with_cache(schedule, &mut policy, &cfg.exec_options(RunPhase::Measured), &mut cache)
         .expect("sharded run");
-    assert_eq!(outcome.outcomes.len(), queries.len());
+    assert_eq!(outcome.outcomes.len(), offered);
+    let tasks: u64 = outcome.metrics.ops_completed.iter().map(|(_, &n)| n).sum();
+    assert!(tasks > operators as u64, "no scan was sharded");
+}
+
+#[test]
+fn a_run_leaves_every_table_column_uniquely_owned() {
+    let db = db();
+    let queries = ssb::workload(&db).expect("SSB plans");
+    run_sharded(&db, WorkloadRunner::sessions(&queries, 2));
     for table in db.tables() {
         for (field, column) in table.schema().fields().iter().zip(table.columns()) {
             assert_eq!(
@@ -91,6 +109,62 @@ fn a_run_leaves_every_table_column_uniquely_owned() {
             );
         }
     }
+}
+
+/// Every operator of `plan`, in `flatten`'s (post)order.
+fn ops_of(plan: &PlanNode) -> Vec<&Arc<Op>> {
+    let mut ops: Vec<_> = plan.children().iter().flat_map(ops_of).collect();
+    ops.push(plan.op());
+    ops
+}
+
+#[test]
+fn clones_and_flattened_tasks_hold_the_plans_own_ops() {
+    let db = db();
+    for plan in ssb::workload(&db).expect("SSB plans") {
+        let ops = ops_of(&plan);
+        assert_eq!(ops.len(), plan.num_operators());
+        let clone = plan.clone();
+        let tasks = flatten(&plan);
+        assert_eq!(tasks.len(), ops.len());
+        for ((op, cloned), task) in ops.iter().zip(ops_of(&clone)).zip(&tasks) {
+            assert!(Arc::ptr_eq(op, cloned), "{} was copied by clone", op.label());
+            assert!(Arc::ptr_eq(op, &task.op), "{} was copied by flatten", op.label());
+        }
+    }
+}
+
+#[test]
+fn a_run_hands_every_op_back_to_its_template() {
+    let db = db();
+    let queries = ssb::workload(&db).expect("SSB plans");
+    let counts = |queries: &[PlanNode]| -> Vec<usize> {
+        queries.iter().flat_map(ops_of).map(Arc::strong_count).collect()
+    };
+    let before = counts(&queries);
+    assert!(before.iter().all(|&c| c == 1), "a fresh template owns its ops");
+
+    // Closed loop: the sessions share the templates' ops while they wait.
+    let sessions = WorkloadRunner::sessions(&queries, 2);
+    assert!(counts(&queries).iter().all(|&c| c == 2));
+    run_sharded(&db, sessions);
+    assert_eq!(counts(&queries), before, "closed loop");
+
+    // Open loop: an arrival schedule drawn from a mix of the templates.
+    let mix = QueryMix::zipf(queries.clone(), 1.0);
+    let serve = ServeConfig::new(
+        ArrivalProcess::Poisson { rate_qps: 20_000.0 },
+        VirtualTime::from_millis(2),
+    );
+    let arrivals = ServingRunner::arrivals(&mix, &serve);
+    assert!(arrivals.len() > queries.len());
+    let held: usize = counts(&queries).iter().sum();
+    let expected: usize =
+        arrivals.iter().map(|a| a.plan.num_operators()).sum::<usize>() + 2 * before.len();
+    assert_eq!(held, expected, "one reference per arrival operator, none copied");
+    run_sharded(&db, arrivals);
+    drop(mix);
+    assert_eq!(counts(&queries), before, "open loop");
 }
 
 #[test]
