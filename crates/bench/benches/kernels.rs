@@ -9,7 +9,7 @@
 //! printed as a table and written to `BENCH_kernels.json` at the
 //! repository root so the perf trajectory is tracked across commits.
 //!
-//! Four kernel families are measured:
+//! Three kernel families are measured:
 //!
 //! * `select` / `join_probe` / `aggregate` — the production kernels over a
 //!   dense input against their references, one entry per worker count in
@@ -26,12 +26,7 @@
 //!   read column, then the output columns. The lazy output is
 //!   materialized outside the timed region to be compared; sharded and
 //!   unsharded rows share one baseline, so they are identical to each
-//!   other too;
-//! * `select_compressed_{rle,dict,bitpack}` — compressed-domain selection
-//!   (`ops::compressed`, DESIGN.md §5) against decompress-then-select on
-//!   the same predicate; positions must match exactly. The JSON also
-//!   records each compressed bench column's codec and byte ratio under
-//!   `"compression"`.
+//!   other too.
 //!
 //! Two different ratios are reported and must not be confused. `speedup`
 //! is variant ÷ baseline — production against the plain reference, i.e.
@@ -50,7 +45,6 @@
 use robustq_bench::table::json_str;
 use robustq_engine::exec::task::Role;
 use robustq_engine::expr::Expr;
-use robustq_engine::ops::compressed::select_compressed;
 use robustq_engine::ops::project::keep_columns;
 use robustq_engine::ops::{agg::aggregate, join::hash_join, select::select};
 use robustq_engine::plan::{AggSpec, JoinKind, Op};
@@ -58,9 +52,7 @@ use robustq_engine::predicate::Predicate;
 use robustq_engine::reference;
 use robustq_engine::{Chunk, KernelClass, LazyChunk, ParallelCtx, ShardSpec};
 use robustq_storage::gen::ssb::SsbGenerator;
-use robustq_storage::{
-    ColumnData, CompressedColumn, DataType, Database, DictColumn, Field,
-};
+use robustq_storage::{ColumnData, DataType, Database, Field};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -177,69 +169,6 @@ fn lazy_scan(
     scan.execute_windowed(Role::Merge, &parts, db, ctx, None).unwrap()
 }
 
-/// One compressed-domain selection fixture: a column whose shape forces
-/// the codec under test, plus a moderately selective predicate.
-struct CompressedFixture {
-    kernel: &'static str,
-    col: CompressedColumn,
-    pred: Predicate,
-}
-
-/// The column name compressed fixtures use.
-const CCOL: &str = "c";
-
-/// Fixtures for the three compressed-domain paths: RLE runs (sorted
-/// low-cardinality ints), dictionary truth table (16-string pool), and
-/// FOR+bit-packed literals (narrow-range noise, 12-bit payloads).
-fn compressed_fixtures(rows: usize) -> Vec<CompressedFixture> {
-    let mut rng = mix(4);
-    let run = (rows / 1000).max(1);
-    let rle = CompressedColumn::compress(&ColumnData::Int32(
-        (0..rows).map(|i| (i / run) as i32).collect(),
-    ));
-    assert_eq!(rle.codec(), "rle");
-    let pool: Vec<String> = (0..16).map(|i| format!("r{i:02}")).collect();
-    let dict = CompressedColumn::compress(&ColumnData::Str(DictColumn::from_strings(
-        (0..rows).map(|_| pool[(rng() % 16) as usize].clone()),
-    )));
-    assert_eq!(dict.codec(), "for-bitpack");
-    let bitpack = CompressedColumn::compress(&ColumnData::Int32(
-        (0..rows).map(|_| (rng() % 4096) as i32 - 2048).collect(),
-    ));
-    assert_eq!(bitpack.codec(), "for-bitpack");
-    vec![
-        CompressedFixture {
-            kernel: "select_compressed_rle",
-            col: rle,
-            pred: Predicate::between(CCOL, 100, 399),
-        },
-        CompressedFixture {
-            kernel: "select_compressed_dict",
-            col: dict,
-            pred: Predicate::in_list(CCOL, ["r01", "r07", "r12"]),
-        },
-        CompressedFixture {
-            kernel: "select_compressed_bitpack",
-            col: bitpack,
-            pred: Predicate::between(CCOL, -512, 511),
-        },
-    ]
-}
-
-/// Decompress-then-select reference for a compressed fixture: qualifying
-/// positions through the scalar reference selection.
-fn decompress_select(col: &CompressedColumn, pred: &Predicate) -> Vec<u32> {
-    let dec = col.decompress();
-    let dt = match &dec {
-        ColumnData::Int32(_) => DataType::Int32,
-        ColumnData::Int64(_) => DataType::Int64,
-        ColumnData::Float64(_) => DataType::Float64,
-        ColumnData::Str(_) => DataType::Str,
-    };
-    let chunk = Chunk::new(vec![Field::new(CCOL, dt)], vec![dec]);
-    reference::select_positions(&chunk, None, pred).unwrap().into_positions()
-}
-
 /// Best-of-`ITERS` wall-clock seconds for `f` (after one warm-up pass).
 fn time_best<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     let out = f();
@@ -310,25 +239,7 @@ fn main() {
     // results[i] collects the measurements for sweep[i].
     let mut results: Vec<Vec<Measurement>> = sweep.iter().map(|_| Vec::new()).collect();
 
-    // One JSON object per (size, compressed bench column): codec + ratio.
-    let mut comp_meta: Vec<String> = Vec::new();
-
     for &rows in &sizes {
-        let cfix = compressed_fixtures(rows);
-        for fx in &cfix {
-            let raw = fx.col.decompress().byte_size();
-            let comp = fx.col.bytes();
-            comp_meta.push(format!(
-                "{{\"rows\": {}, \"kernel\": {}, \"codec\": {}, \
-                 \"raw_bytes\": {}, \"compressed_bytes\": {}, \"ratio\": {:.4}}}",
-                rows,
-                json_str(fx.kernel),
-                json_str(fx.col.codec()),
-                raw,
-                comp,
-                comp as f64 / raw as f64
-            ));
-        }
         let sel_chunk = selection_chunk(rows);
         let sel_pred = Predicate::and([
             Predicate::between("discount", 4, 6),
@@ -463,29 +374,6 @@ fn main() {
                     materialized(time_best(|| lazy_scan(&ssb, Some(&scan_pred), shards, ctx))),
                 );
             }
-
-            // Compressed-domain selection vs decompress-then-select. These
-            // are worker-independent; re-timing them per sweep entry keeps
-            // the JSON shape uniform and feeds the same regression gate.
-            for fx in &cfix {
-                let base = time_best(|| decompress_select(&fx.col, &fx.pred));
-                let variant = time_best(|| {
-                    select_compressed(&fx.col, CCOL, &fx.pred).unwrap().positions
-                });
-                assert_eq!(
-                    base.0, variant.0,
-                    "{}/{rows}@{workers}w: compressed-domain positions diverge \
-                     from decompress-then-select",
-                    fx.kernel
-                );
-                results[i].push(Measurement {
-                    kernel: fx.kernel,
-                    rows,
-                    baseline_rows_per_sec: rows as f64 / base.1,
-                    variant_rows_per_sec: rows as f64 / variant.1,
-                    workers_effective: 1,
-                });
-            }
         }
     }
 
@@ -553,11 +441,6 @@ fn main() {
             ));
         }
         json.push_str("\n    ]}");
-    }
-    json.push_str("\n  ],\n  \"compression\": [");
-    for (i, m) in comp_meta.iter().enumerate() {
-        json.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        json.push_str(m);
     }
     json.push_str("\n  ]\n}\n");
 

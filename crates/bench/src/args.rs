@@ -1,17 +1,13 @@
 //! Shared CLI parsing for the bench binaries.
 //!
-//! Every sweep bin used to hand-roll the same `while let Some(flag)`
-//! loop with per-flag `parse().map_err(...)` plumbing and stringly
-//! errors. This module factors the mechanics into two pieces:
-//!
 //! * [`ArgStream`] — a cursor over `std::env::args()` with typed value
 //!   extraction ([`ArgStream::parsed`], [`ArgStream::parsed_list`]),
-//!   reporting failures as [`EngineError::Config`].
+//!   reporting failures as [`EngineError::Config`]; [`or_exit`] turns one
+//!   into the bin's exit status 2.
 //! * [`CommonArgs`] — the flags shared across bins (`--out`, `--trace`,
-//!   `--ks`, `--rows`, `--users`), parsed *identically*
-//!   everywhere: a bin constructs one with its defaults, offers every
-//!   flag to [`CommonArgs::accept`] first, and only matches on its own
-//!   bin-specific flags.
+//!   `--ks`, `--rows`, `--users`), parsed *identically* everywhere: a bin
+//!   constructs one with its defaults, offers every flag to
+//!   [`CommonArgs::accept`] first, and only matches on its own flags.
 //!
 //! ```no_run
 //! use robustq_bench::args::{ArgStream, CommonArgs};
@@ -96,6 +92,15 @@ impl ArgStream {
     pub fn unknown_flag(flag: &str) -> EngineError {
         EngineError::config(format!("unknown flag {flag:?}"))
     }
+}
+
+/// `parsed`, or — a usage error — its message on stderr under `bin`'s
+/// name and exit status 2.
+pub fn or_exit<T>(bin: &str, parsed: Result<T, EngineError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// The flags shared by the sweep bins, with per-bin defaults.

@@ -1,93 +1,67 @@
-//! Gate benchmark claims on the JSON the sweep bins write.
+//! Gate the committed benchmark files.
 //!
-//! Five modes, all deterministic (the sim has no noise, so the margins
-//! guard against cost-model tweaks eroding a win, not against jitter):
+//! Four modes read a sweep bin's `{"tables": [...]}` document and check
+//! the rows of `robustq_bench::claims::CLAIMS` made on its tables — one
+//! line per claim; a `Holds` row that does not hold, a `KnownViolation`
+//! row that does, or a claim with nothing to compare fails the gate
+//! (DESIGN.md §12):
 //!
-//! * **Default** — the multi-GPU scaling claim on `BENCH_multigpu.json`
-//!   (DESIGN.md §6): on the SSB sweep, at least one sharding-enabled
-//!   strategy must bring the max-K makespan *below* its own K = 1
-//!   baseline within `--max-ratio` (default 0.95) — adding
-//!   co-processors has to pay.
-//! * **`--serving`** — the open-loop robustness claim on
-//!   `BENCH_serving.json` (DESIGN.md §10): at the *highest tested
-//!   arrival rate*, Data-Driven Chopping's p99 latency must not exceed
-//!   GPU Only's at any K (`--max-ratio` defaults to 1.0 here) — the
-//!   learned strategy has to hold the tail precisely when the system
-//!   is saturated.
-//! * **`--kernels`** — the CPU kernel claim on `BENCH_kernels.json`
-//!   (DESIGN.md §5): at 8 workers on the 10M-row inputs, `select` and
-//!   `aggregate` must hold a ≥ 3× speedup over their scalar references
-//!   (margin below the ≥ 4× the committed JSON records, so a slow CI
-//!   host doesn't flake), and **no** kernel may dip below 0.95× at any
-//!   sweep point — optimizations must never regress a sibling kernel.
-//! * **`--streaming`** — the standing-query robustness claim on
-//!   `BENCH_streaming.json` (DESIGN.md §10): at the *tightest tested
-//!   window period*, Data-Driven Chopping must complete every scheduled
-//!   window tick and its tick p99 must not exceed GPU Only's
-//!   (`--max-ratio` defaults to 1.0) at any K — the learned strategy
-//!   has to keep standing results fresh precisely when the window
-//!   cadence is most demanding.
-//! * **`--adaptive`** — the adaptive-placement claim on the
-//!   `multigpu-adaptive` table (DESIGN.md §7, written by
-//!   `multigpu --adaptive`): every staged (adaptive) row must record
-//!   *zero* oversize fallbacks — chunked staging has to absorb the
-//!   over-heap operators the regime manufactures — and no more aborts
-//!   than its static sibling; and wherever both models record
-//!   est-vs-actual samples, the adaptive median relative error must be
-//!   *strictly below* the static one. Both comparisons must be
-//!   non-vacuous (some static row must abort, some pair must be
-//!   numeric).
+//! * **default** — `multigpu-ssb` and `multigpu-tpch` of
+//!   `BENCH_multigpu.json`: sharding pays with K (DESIGN.md §6), no
+//!   robust strategy falls behind the CPU;
+//! * **`--adaptive`** — `multigpu-adaptive` of the same file (DESIGN.md §7);
+//! * **`--serving`** — `serving-ssb` of `BENCH_serving.json`, the p99
+//!   under open-loop load (DESIGN.md §10);
+//! * **`--streaming`** — `streaming-ssb` of `BENCH_streaming.json`, every
+//!   window tick completing at a bounded tail (DESIGN.md §10).
+//!
+//! **`--kernels`** reads the differently shaped wall-clock
+//! `BENCH_kernels.json` (DESIGN.md §5): at 8 workers on the 10M-row
+//! inputs `select` and `aggregate` must hold a ≥ 3× speedup over their
+//! scalar references (margin below the ≥ 4× the committed JSON records,
+//! so a slow CI host doesn't flake), and **no** kernel may dip below
+//! 0.95× at any sweep point.
 //!
 //! ```text
 //! cargo run -p robustq-bench --release --bin bench-diff -- BENCH_multigpu.json
-//! cargo run -p robustq-bench --release --bin bench-diff -- --max-ratio 0.9 BENCH_multigpu.json
-//! cargo run -p robustq-bench --release --bin bench-diff -- --serving BENCH_serving.json
-//! cargo run -p robustq-bench --release --bin bench-diff -- --streaming BENCH_streaming.json
-//! cargo run -p robustq-bench --release --bin bench-diff -- --kernels BENCH_kernels.json
 //! cargo run -p robustq-bench --release --bin bench-diff -- --adaptive BENCH_multigpu.json
+//! cargo run -p robustq-bench --release --bin bench-diff -- --kernels BENCH_kernels.json
 //! ```
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! Exit codes: 0 the gate holds, 1 it does not (or the file is
+//! malformed), 2 the arguments or the file could not be read.
 
 use robustq_bench::args::ArgStream;
+use robustq_bench::claims::{report, CLAIMS};
+use robustq_bench::table::tables_from_json;
 use robustq_engine::EngineError;
 use robustq_trace::json::{parse, Json};
 
-/// Which claim to gate (`--serving` etc.; the default is sharded scaling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Scaling,
-    Serving,
-    Kernels,
-    Adaptive,
-    Streaming,
+/// What to gate: the default file and, for the claim modes, the tables
+/// whose claims are checked (none: the kernel gate).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Mode {
+    file: &'static str,
+    tables: &'static [&'static str],
 }
 
-struct Args {
-    path: String,
-    max_ratio: f64,
-    mode: Mode,
-}
+const SCALING: Mode =
+    Mode { file: "BENCH_multigpu.json", tables: &["multigpu-ssb", "multigpu-tpch"] };
+const ADAPTIVE: Mode = Mode { file: "BENCH_multigpu.json", tables: &["multigpu-adaptive"] };
+const SERVING: Mode = Mode { file: "BENCH_serving.json", tables: &["serving-ssb"] };
+const STREAMING: Mode = Mode { file: "BENCH_streaming.json", tables: &["streaming-ssb"] };
+const KERNELS: Mode = Mode { file: "BENCH_kernels.json", tables: &[] };
 
-fn parse_args(mut it: ArgStream) -> Result<Args, EngineError> {
+/// The mode and the file to read.
+fn parse_args(mut it: ArgStream) -> Result<(Mode, String), EngineError> {
     let mut path = None;
-    let mut max_ratio = None;
     let mut mode = None;
     while let Some(flag) = it.next_flag() {
         let picked = match flag.as_str() {
-            "--serving" => Mode::Serving,
-            "--kernels" => Mode::Kernels,
-            "--adaptive" => Mode::Adaptive,
-            "--streaming" => Mode::Streaming,
-            "--max-ratio" => {
-                let ratio: f64 = it.parsed("--max-ratio")?;
-                // A zero ratio would fail every gate vacuously.
-                if !(ratio > 0.0 && ratio <= 1.0) {
-                    return Err(EngineError::config("--max-ratio must be in (0, 1]"));
-                }
-                max_ratio = Some(ratio);
-                continue;
-            }
+            "--serving" => SERVING,
+            "--kernels" => KERNELS,
+            "--adaptive" => ADAPTIVE,
+            "--streaming" => STREAMING,
             other if !other.starts_with('-') && path.is_none() => {
                 path = Some(other.to_string());
                 continue;
@@ -101,18 +75,15 @@ fn parse_args(mut it: ArgStream) -> Result<Args, EngineError> {
         }
         mode = Some(picked);
     }
-    let mode = mode.unwrap_or(Mode::Scaling);
-    let (default_path, default_ratio) = match mode {
-        Mode::Serving => ("BENCH_serving.json", 1.0),
-        Mode::Streaming => ("BENCH_streaming.json", 1.0),
-        Mode::Kernels => ("BENCH_kernels.json", 0.95),
-        Mode::Scaling | Mode::Adaptive => ("BENCH_multigpu.json", 0.95),
-    };
-    Ok(Args {
-        path: path.unwrap_or_else(|| default_path.to_string()),
-        max_ratio: max_ratio.unwrap_or(default_ratio),
-        mode,
-    })
+    let mode = mode.unwrap_or(SCALING);
+    Ok((mode, path.unwrap_or_else(|| mode.file.to_string())))
+}
+
+/// Check every claim made on `mode`'s tables against the document `src`,
+/// one line each; whether all of them passed.
+fn check_claims(mode: Mode, src: &str) -> Result<bool, EngineError> {
+    let tables = tables_from_json(src)?;
+    Ok(report(CLAIMS.iter().filter(|c| mode.tables.contains(&c.table)), &tables))
 }
 
 /// Member `name` of the JSON object `of` as `read` sees it, or a config
@@ -124,289 +95,6 @@ fn member<'a, T>(
     missing: impl std::fmt::Display,
 ) -> Result<T, EngineError> {
     of.get(name).and_then(read).ok_or_else(|| EngineError::config(missing.to_string()))
-}
-
-/// One row of a FigTable, its cells addressed by column name.
-struct Row<'a> {
-    id: &'a str,
-    index: usize,
-    columns: &'a [Json],
-    cells: &'a [Json],
-}
-
-impl Row<'_> {
-    /// The cell under column `col`.
-    fn str(&self, col: &str) -> Result<&str, EngineError> {
-        let (id, i) = (self.id, self.index);
-        let c = self.columns.iter().position(|c| c.as_str() == Some(col)).ok_or_else(|| {
-            EngineError::config(format!("table {id:?} has no column {col:?}"))
-        })?;
-        self.cells.get(c).and_then(Json::as_str).ok_or_else(|| {
-            EngineError::config(format!("table {id:?} row {i} col {c} missing"))
-        })
-    }
-
-    /// The cell under column `col`, as a number.
-    fn num(&self, col: &str) -> Result<f64, EngineError> {
-        self.str(col)?.parse().map_err(|e| {
-            let (id, i) = (self.id, self.index);
-            EngineError::config(format!("table {id:?} row {i}: bad {col}: {e}"))
-        })
-    }
-
-    /// The `(K, strategy)` pair every gated table keys its rows by.
-    fn point(&self) -> Result<(u64, String), EngineError> {
-        Ok((self.num("K")? as u64, self.str("Strategy")?.to_string()))
-    }
-}
-
-/// The rows of the FigTable named `id` inside the `{"tables": [...]}`
-/// document.
-fn rows<'a>(doc: &'a Json, id: &'a str) -> Result<Vec<Row<'a>>, EngineError> {
-    let table = member(doc, "tables", Json::as_arr, "document has no 'tables' array")?
-        .iter()
-        .find(|t| t.get("id").and_then(Json::as_str) == Some(id))
-        .ok_or_else(|| EngineError::config(format!("no table with id {id:?}")))?;
-    let field = |name: &str| {
-        member(table, name, Json::as_arr, format_args!("table {id:?} has no '{name}'"))
-    };
-    let columns = field("columns")?;
-    field("rows")?
-        .iter()
-        .enumerate()
-        .map(|(index, row)| {
-            let cells = row.as_arr().ok_or_else(|| {
-                EngineError::config(format!("table {id:?} row {index} is not an array"))
-            })?;
-            Ok(Row { id, index, columns, cells })
-        })
-        .collect()
-}
-
-/// Check one workload table; returns whether any sharded strategy
-/// scales to max K within `max_ratio`, printing every ratio.
-fn check_table(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineError> {
-    // (strategy label, K) -> makespan ms.
-    let mut spans = BTreeMap::new();
-    for row in rows(doc, id)? {
-        let (k, label) = row.point()?;
-        spans.insert((label, k), row.num("Makespan [ms]")?);
-    }
-    let ks: BTreeSet<u64> = spans.keys().map(|(_, k)| *k).collect();
-    let (Some(&min_k), Some(&max_k)) = (ks.first(), ks.last()) else {
-        return Err(EngineError::config("empty table"));
-    };
-    if max_k <= min_k {
-        return Err(EngineError::config(format!(
-            "table {id:?} has a single K={min_k} — nothing to diff (run the \
-             sweep with --ks 1,2,4)"
-        )));
-    }
-    let mut any_scales = false;
-    let mut saw_sharded = false;
-    for ((label, _), base) in spans.iter().filter(|((_, k), _)| *k == min_k) {
-        let Some(at_max) = spans.get(&(label.clone(), max_k)) else {
-            continue;
-        };
-        let ratio = at_max / base;
-        let sharded = label.ends_with("+ Shard");
-        let scales = sharded && ratio <= max_ratio;
-        saw_sharded |= sharded;
-        any_scales |= scales;
-        println!(
-            "{id}: {label:<30} K={min_k} {base:.3}ms -> K={max_k} {at_max:.3}ms \
-             (ratio {ratio:.3}){}",
-            if scales { "  SCALES" } else { "" },
-        );
-    }
-    if !saw_sharded {
-        return Err(EngineError::config(format!(
-            "table {id:?} has no sharded rows — run the sweep with --shard"
-        )));
-    }
-    Ok(any_scales)
-}
-
-/// `(K, strategy) -> sweep point -> measurement`: the shape the serving
-/// (point = arrival rate) and streaming (point = window period) tables
-/// are gated in.
-type Sweep<T> = BTreeMap<(u64, String), BTreeMap<u64, T>>;
-
-/// Every sweep point some row of `sweep` was measured at.
-fn points<T>(sweep: &Sweep<T>) -> impl Iterator<Item = u64> + '_ {
-    sweep.values().flat_map(|by_point| by_point.keys().copied())
-}
-
-/// Every K of `sweep` with its `(Data-Driven Chopping, GPU Only)`
-/// measurements at sweep point `point` (`at` names the point in errors).
-fn contenders<T: Copy>(
-    sweep: &Sweep<T>,
-    point: u64,
-    at: &str,
-) -> Result<Vec<(u64, T, T)>, EngineError> {
-    let ks: BTreeSet<u64> = sweep.keys().map(|(k, _)| *k).collect();
-    ks.into_iter()
-        .map(|k| {
-            let get = |strategy: &str| {
-                sweep
-                    .get(&(k, strategy.to_string()))
-                    .and_then(|by_point| by_point.get(&point))
-                    .copied()
-                    .ok_or_else(|| {
-                        EngineError::config(format!("no {strategy:?} row at K={k} {at}"))
-                    })
-            };
-            Ok((k, get("Data-Driven Chopping")?, get("GPU Only")?))
-        })
-        .collect()
-}
-
-/// The serving gate: at the highest tested rate, for every K,
-/// `p99(Data-Driven Chopping) <= max_ratio × p99(GPU Only)`.
-fn check_serving(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineError> {
-    let mut p99s: Sweep<f64> = Sweep::new();
-    for row in rows(doc, id)? {
-        p99s.entry(row.point()?)
-            .or_default()
-            .insert(row.num("Rate [qps]")? as u64, row.num("p99 [ms]")?);
-    }
-    let max_rate = points(&p99s).max().ok_or_else(|| EngineError::config("empty table"))?;
-    let mut ok = true;
-    for (k, dd, gpu) in contenders(&p99s, max_rate, &format!("rate={max_rate}"))? {
-        let holds = dd <= max_ratio * gpu;
-        ok &= holds;
-        println!(
-            "{id}: K={k} rate={max_rate}: Data-Driven Chopping p99 {dd:.3}ms vs \
-             GPU Only p99 {gpu:.3}ms (ratio {:.3}){}",
-            dd / gpu,
-            if holds { "  HOLDS" } else { "  FAIL" },
-        );
-    }
-    Ok(ok)
-}
-
-/// One `streaming-ssb` row: scheduled/completed ticks and tick p99.
-#[derive(Debug, Clone, Copy)]
-struct StreamingRow {
-    ticks: u64,
-    done: u64,
-    tick_p99: f64,
-}
-
-/// The streaming gate: at the tightest window period, for every K,
-/// Data-Driven Chopping completes every scheduled tick and
-/// `tick-p99(Data-Driven Chopping) <= max_ratio × tick-p99(GPU Only)`.
-fn check_streaming(doc: &Json, id: &str, max_ratio: f64) -> Result<bool, EngineError> {
-    // Window periods are keyed in microseconds so they stay integral.
-    let mut by_window: Sweep<StreamingRow> = Sweep::new();
-    for row in rows(doc, id)? {
-        let window_us = (row.num("Window [ms]")? * 1e3).round() as u64;
-        let measured = StreamingRow {
-            ticks: row.num("Ticks")? as u64,
-            done: row.num("Ticks done")? as u64,
-            tick_p99: row.num("Tick p99 [ms]")?,
-        };
-        by_window.entry(row.point()?).or_default().insert(window_us, measured);
-    }
-    let min_window =
-        points(&by_window).min().ok_or_else(|| EngineError::config("empty table"))?;
-    let mut ok = true;
-    for (k, dd, gpu) in contenders(&by_window, min_window, &format!("window={min_window}us"))? {
-        let complete = dd.done == dd.ticks;
-        let tail = dd.tick_p99 <= max_ratio * gpu.tick_p99;
-        ok &= complete && tail;
-        println!(
-            "{id}: K={k} window={:.3}ms: Data-Driven Chopping ticks {}/{} p99 \
-             {:.3}ms vs GPU Only p99 {:.3}ms (ratio {:.3}){}",
-            min_window as f64 / 1e3,
-            dd.done,
-            dd.ticks,
-            dd.tick_p99,
-            gpu.tick_p99,
-            dd.tick_p99 / gpu.tick_p99,
-            if complete && tail { "  HOLDS" } else { "  FAIL" },
-        );
-    }
-    Ok(ok)
-}
-
-/// One `multigpu-adaptive` row per cost model at a sweep point.
-#[derive(Debug, Clone, Copy)]
-struct AdaptiveRow {
-    aborts: u64,
-    oversize: u64,
-    median_err: Option<f64>,
-}
-
-/// The adaptive gate (DESIGN.md §7) on the `multigpu-adaptive`
-/// table: staged rows absorb every over-heap operator (zero oversize
-/// fallbacks), never abort more than their static siblings, and beat
-/// the static model's median est-vs-actual error wherever both report.
-fn check_adaptive(doc: &Json, id: &str) -> Result<bool, EngineError> {
-    // (K, strategy) -> per-model rows.
-    let mut points = BTreeMap::<(u64, String), BTreeMap<String, AdaptiveRow>>::new();
-    for row in rows(doc, id)? {
-        let measured = AdaptiveRow {
-            aborts: row.num("Aborts")? as u64,
-            oversize: row.num("Oversize")? as u64,
-            median_err: row.str("MedianErr %")?.parse().ok(), // "-" when no samples
-        };
-        points
-            .entry(row.point()?)
-            .or_default()
-            .insert(row.str("Model")?.to_string(), measured);
-    }
-    if points.is_empty() {
-        return Err(EngineError::config(format!("table {id:?} has no rows")));
-    }
-    let mut ok = true;
-    let mut static_aborted = false;
-    let mut err_pairs = 0usize;
-    for ((k, strategy), models) in &points {
-        let get = |m: &str| {
-            models.get(m).copied().ok_or_else(|| {
-                EngineError::config(format!(
-                    "table {id:?}: no {m:?} row at K={k} {strategy}"
-                ))
-            })
-        };
-        let st = get("static")?;
-        let ad = get("adaptive")?;
-        static_aborted |= st.aborts > 0;
-        let staged_ok = ad.oversize == 0 && ad.aborts <= st.aborts;
-        ok &= staged_ok;
-        let err_ok = match (st.median_err, ad.median_err) {
-            (Some(se), Some(ae)) => {
-                err_pairs += 1;
-                ae < se
-            }
-            _ => true, // plan-time strategies record no samples
-        };
-        ok &= err_ok;
-        println!(
-            "{id}: K={k} {strategy:<10} aborts {} -> {} oversize {} \
-             median-err {} -> {}{}",
-            st.aborts,
-            ad.aborts,
-            ad.oversize,
-            st.median_err.map_or("-".into(), |e| format!("{e:.2}%")),
-            ad.median_err.map_or("-".into(), |e| format!("{e:.2}%")),
-            if staged_ok && err_ok { "  HOLDS" } else { "  FAIL" },
-        );
-    }
-    if !static_aborted {
-        return Err(EngineError::config(format!(
-            "table {id:?}: no static row aborts — the regime is vacuous \
-             (heap too large for the workload?)"
-        )));
-    }
-    if err_pairs == 0 {
-        return Err(EngineError::config(format!(
-            "table {id:?}: no sweep point reports est-vs-actual error for \
-             both models — nothing to compare"
-        )));
-    }
-    Ok(ok)
 }
 
 /// Speedup floors for the kernel gate (`--kernels`).
@@ -465,78 +153,21 @@ fn die(code: i32, why: impl std::fmt::Display) -> ! {
     std::process::exit(code)
 }
 
-/// Report one gate's verdict: the claim that `holds` on stdout, or what
-/// `broke` it (or kept it from being checked) on stderr with exit code 1.
-fn gate(path: &str, verdict: Result<bool, EngineError>, holds: &str, broke: &str) {
-    match verdict {
-        Ok(true) => println!("bench-diff: ok — {holds}"),
-        Ok(false) => die(1, format_args!("FAIL: {broke}")),
-        Err(e) => die(1, format_args!("{path}: {e}")),
-    }
-}
-
 fn main() {
-    let args = parse_args(ArgStream::from_env()).unwrap_or_else(|e| die(2, e));
-    let (path, ratio) = (args.path.as_str(), args.max_ratio);
-    let src = std::fs::read_to_string(path)
+    let (mode, path) = parse_args(ArgStream::from_env()).unwrap_or_else(|e| die(2, e));
+    let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| die(2, format_args!("{path}: {e}")));
-    let doc = parse(&src).unwrap_or_else(|e| die(1, format_args!("{path}: malformed JSON: {e}")));
-    match args.mode {
-        Mode::Kernels => gate(
-            path,
-            check_kernels(&doc),
-            &format!(
-                "kernel speedups hold ({KERNEL_HEADLINE_MIN}x headline, {KERNEL_FLOOR}x floor)"
-            ),
-            &format!(
-                "a kernel speedup fell below its floor (headline \
-                 {KERNEL_HEADLINE_MIN}x, global {KERNEL_FLOOR}x)"
-            ),
-        ),
-        Mode::Serving => gate(
-            path,
-            check_serving(&doc, "serving-ssb", ratio),
-            "serving robustness criterion holds at the highest tested rate",
-            &format!(
-                "Data-Driven Chopping p99 exceeds {ratio} x GPU Only p99 at the \
-                 highest tested arrival rate"
-            ),
-        ),
-        Mode::Streaming => gate(
-            path,
-            check_streaming(&doc, "streaming-ssb", ratio),
-            "streaming robustness criterion holds at the tightest tested window period",
-            &format!(
-                "Data-Driven Chopping missed window ticks or its tick p99 exceeds \
-                 {ratio} x GPU Only's at the tightest tested window period"
-            ),
-        ),
-        Mode::Adaptive => gate(
-            path,
-            check_adaptive(&doc, "multigpu-adaptive"),
-            "adaptive placement criterion holds (staging absorbs over-heap \
-             operators, adaptive error undercuts static)",
-            "a staged row recorded an oversize fallback, aborted more than its \
-             static sibling, or did not beat the static median est-vs-actual error",
-        ),
-        Mode::Scaling => {
-            // SSB carries the success criterion; TPC-H is reported for context.
-            let ssb = check_table(&doc, "multigpu-ssb", ratio);
-            if matches!(ssb, Ok(true)) {
-                if let Err(e) = check_table(&doc, "multigpu-tpch", ratio) {
-                    eprintln!("bench-diff: note: tpch table skipped: {e}");
-                }
-            }
-            gate(
-                path,
-                ssb,
-                "sharded scaling criterion holds",
-                &format!(
-                    "no sharded strategy reaches max-K makespan <= {ratio} x its \
-                     K=1 baseline on SSB"
-                ),
-            )
-        }
+    let verdict = if mode == KERNELS {
+        parse(&src)
+            .map_err(|e| EngineError::config(format!("malformed JSON: {e}")))
+            .and_then(|doc| check_kernels(&doc))
+    } else {
+        check_claims(mode, &src)
+    };
+    match verdict {
+        Ok(true) => println!("bench-diff: ok — {path} passes its gate"),
+        Ok(false) => die(1, format_args!("FAIL: {path} does not pass its gate (lines marked FAIL)")),
+        Err(e) => die(1, format_args!("{path}: {e}")),
     }
 }
 
@@ -544,17 +175,60 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Args, EngineError> {
+    fn parse(args: &[&str]) -> Result<(Mode, String), EngineError> {
         parse_args(ArgStream::from_args(args.iter().map(|s| s.to_string())))
     }
 
     #[test]
-    fn max_ratio_is_half_open_at_zero() {
-        for bad in ["0", "-0.5", "1.5", "NaN"] {
-            let err = parse(&["--max-ratio", bad]).err().expect(bad);
-            assert!(err.to_string().contains("(0, 1]"), "{bad}: {err}");
-        }
-        assert_eq!(parse(&["--max-ratio", "1"]).unwrap().max_ratio, 1.0);
-        assert_eq!(parse(&["--max-ratio", "0.9"]).unwrap().max_ratio, 0.9);
+    fn modes_pick_their_default_files_and_exclude_each_other() {
+        assert_eq!(parse(&[]).unwrap(), (SCALING, "BENCH_multigpu.json".to_string()));
+        assert_eq!(parse(&["--adaptive"]).unwrap().1, "BENCH_multigpu.json");
+        assert_eq!(parse(&["--serving"]).unwrap(), (SERVING, "BENCH_serving.json".to_string()));
+        assert_eq!(parse(&["--streaming", "x.json"]).unwrap(), (STREAMING, "x.json".to_string()));
+        assert_eq!(parse(&["--kernels"]).unwrap().0, KERNELS);
+        assert!(parse(&["--serving", "--kernels"]).is_err());
+        assert!(parse(&["--max-ratio", "0.9"]).is_err(), "a claim's margin is in its row");
+    }
+
+    /// The committed file passes its gate; one edited cell fails it.
+    fn gate_trips(mode: Mode, from: &str, to: &str) {
+        let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), mode.file);
+        let src = std::fs::read_to_string(path).unwrap();
+        assert_eq!(check_claims(mode, &src), Ok(true), "{}", mode.file);
+        assert_eq!(src.matches(from).count(), 1, "{from} names one row");
+        assert_eq!(check_claims(mode, &src.replace(from, to)), Ok(false), "{from}");
+    }
+
+    #[test]
+    fn each_gate_fails_on_one_edited_cell() {
+        // Sharding stops paying: K = 4 no faster than K = 1.
+        gate_trips(
+            SCALING,
+            r#""4", "Data-Driven Chopping + Shard", "0.227""#,
+            r#""4", "Data-Driven Chopping + Shard", "0.300""#,
+        );
+        // A known violation cured without editing the list fails too.
+        gate_trips(SCALING, r#""4", "GPU Only", "1.313""#, r#""4", "GPU Only", "1.000""#);
+        // One oversize fallback under staging.
+        gate_trips(
+            ADAPTIVE,
+            r#""4", "Chopping", "adaptive", "0.404", "0", "0""#,
+            r#""4", "Chopping", "adaptive", "0.404", "0", "1""#,
+        );
+        // The learned strategy's p99 above GPU Only's at the highest rate.
+        gate_trips(SERVING, r#""0.631", "0.846", "0.917""#, r#""0.631", "0.846", "9.170""#);
+        // One window tick missed.
+        gate_trips(
+            STREAMING,
+            r#""4", "Data-Driven Chopping", "0.500", "16", "16""#,
+            r#""4", "Data-Driven Chopping", "0.500", "16", "15""#,
+        );
+    }
+
+    #[test]
+    fn a_file_without_the_gated_table_fails() {
+        let empty = r#"{"tables": []}"#;
+        assert_eq!(check_claims(SERVING, empty), Ok(false));
+        assert!(check_claims(SERVING, "{").is_err());
     }
 }

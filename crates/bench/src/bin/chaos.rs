@@ -23,7 +23,7 @@
 //! debug-build invariant, enforced here in release too), and writes the
 //! Chrome `trace_event` JSON to PATH.
 
-use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::table::FigTable;
 use robustq_bench::{export_trace, write_tables};
 use robustq_engine::EngineError;
@@ -65,13 +65,7 @@ fn parse_args() -> Result<Args, EngineError> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = or_exit("chaos", parse_args());
 
     let db: Database =
         SsbGenerator::new(1).with_rows_per_sf(args.common.rows).generate();

@@ -5,16 +5,24 @@
 //! cargo run -p robustq-bench --release --bin figures -- fig14   # one figure
 //! cargo run -p robustq-bench --release --bin figures -- --json fig14
 //! cargo run -p robustq-bench --release --bin figures -- --trace out.json fig14
+//! cargo run -p robustq-bench --release --bin figures -- --verdicts > docs/verdicts-quick.txt
 //! ROBUSTQ_EFFORT=full cargo run -p robustq-bench --release --bin figures
 //! ```
+//!
+//! `--verdicts` prints, instead of the tables, one line per claim of
+//! `robustq_bench::claims::CLAIMS` — id, source, status, the measured
+//! witness — read off every figure and the three committed sweep files
+//! in the working directory; it exits 1 if any claim fails its status.
 //!
 //! `--trace PATH` additionally performs one traced SSB reference run and
 //! writes its Chrome `trace_event` JSON to PATH (load it in Perfetto, or
 //! validate it with the `trace-lint` binary).
 
-use robustq_bench::args::ArgStream;
+use robustq_bench::args::{or_exit, ArgStream};
+use robustq_bench::claims::{self, CLAIMS};
+use robustq_bench::table::read_tables;
 use robustq_bench::{
-    all_figures, export_trace, figure_by_id, traced_reference_run, Effort, FigTable, FIGURE_IDS,
+    all_figures, export_trace, figure_by_id, traced_reference_run, Effort, FigTable, FIGURES,
 };
 use robustq_engine::EngineError;
 
@@ -28,16 +36,18 @@ fn emit(table: &FigTable, json: bool) {
 
 struct Args {
     json: bool,
+    verdicts: bool,
     trace_path: Option<String>,
     ids: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, EngineError> {
-    let mut args = Args { json: false, trace_path: None, ids: Vec::new() };
+    let mut args = Args { json: false, verdicts: false, trace_path: None, ids: Vec::new() };
     let mut it = ArgStream::from_env();
     while let Some(arg) = it.next_flag() {
         match arg.as_str() {
             "--json" => args.json = true,
+            "--verdicts" => args.verdicts = true,
             "--trace" => args.trace_path = Some(it.value("--trace")?),
             _ => args.ids.push(arg),
         }
@@ -45,15 +55,22 @@ fn parse_args() -> Result<Args, EngineError> {
     Ok(args)
 }
 
+/// Check every claim against the figures and the committed sweep files;
+/// returns whether all of them have the status the list gives them.
+fn verdicts(effort: Effort) -> Result<bool, EngineError> {
+    let mut tables = all_figures(effort);
+    for file in claims::BENCH_FILES {
+        tables.extend(read_tables(file)?);
+    }
+    Ok(claims::report(CLAIMS, &tables))
+}
+
 fn main() {
     let effort = Effort::from_env();
-    let Args { json, trace_path, ids } = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("figures: {e}");
-            std::process::exit(2);
-        }
-    };
+    let Args { json, verdicts: only_verdicts, trace_path, ids } = or_exit("figures", parse_args());
+    if only_verdicts {
+        std::process::exit(!or_exit("figures", verdicts(effort)) as i32);
+    }
 
     let mut failed = false;
     if ids.is_empty() && trace_path.is_none() {
@@ -65,7 +82,8 @@ fn main() {
             match figure_by_id(id, effort) {
                 Some(table) => emit(&table, json),
                 None => {
-                    eprintln!("unknown figure {id:?}; known: {}", FIGURE_IDS.join(", "));
+                    let known: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+                    eprintln!("unknown figure {id:?}; known: {}", known.join(", "));
                     failed = true;
                 }
             }

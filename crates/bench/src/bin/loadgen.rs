@@ -8,8 +8,7 @@
 //! mix through [`ServingRunner`], with admission control plus a finite
 //! admission-queue cap so overload sheds instead of queueing without
 //! bound. Results land in `BENCH_serving.json`; `bench-diff --serving`
-//! then gates the robustness claim (Data-Driven Chopping's p99 must not
-//! exceed GPU Only's at the highest tested rate).
+//! then gates the `serving-*` claims of `robustq_bench::claims`.
 //!
 //! ```text
 //! cargo run -p robustq-bench --release --bin loadgen
@@ -19,15 +18,14 @@
 //!
 //! Shared flags (`--out`, `--trace`, `--ks`, `--rows`, `--users`) parse
 //! as everywhere else in the bench suite; `--users` is the admission
-//! limit (concurrently executing queries). The sweep is single-seeded
-//! (`--seed` picks it).
+//! limit (concurrently executing queries). The sweep is single-seeded.
 //!
 //! `--trace PATH` traces the highest-rate max-K Data-Driven Chopping
 //! run and writes its Chrome export to PATH (CI feeds it to
 //! `trace-lint` — the open-loop exporter degrades overlapping session
 //! spans to complete events, which must stay lint-clean).
 
-use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
 use robustq_bench::table::{ms, FigTable};
 use robustq_bench::{export_trace, finish_sweep};
@@ -36,25 +34,23 @@ use robustq::prelude::*;
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_workloads::ssb;
 
+/// The sweep's fixed shape: virtual horizon, session pool, seed,
+/// admission-queue cap, and the Zipf skew of the query mix.
+const HORIZON_MS: u64 = 50;
+const SESSIONS: usize = 100_000;
+const SEED: u64 = 42;
+const QUEUE_CAP: usize = 32;
+const THETA: f64 = 0.8;
+
 struct Args {
     common: CommonArgs,
     rates: Vec<f64>,
-    horizon_ms: u64,
-    sessions: usize,
-    seed: u64,
-    queue_cap: usize,
-    theta: f64,
 }
 
 fn parse_args() -> Result<Args, EngineError> {
     let mut args = Args {
         common: CommonArgs::new("BENCH_serving.json").with_ks(&[1, 2]),
         rates: vec![25_000.0, 100_000.0, 400_000.0],
-        horizon_ms: 50,
-        sessions: 100_000,
-        seed: 42,
-        queue_cap: 32,
-        theta: 0.8,
     };
     let mut it = ArgStream::from_env();
     while let Some(flag) = it.next_flag() {
@@ -70,11 +66,6 @@ fn parse_args() -> Result<Args, EngineError> {
                     ));
                 }
             }
-            "--horizon-ms" => args.horizon_ms = it.parsed("--horizon-ms")?,
-            "--sessions" => args.sessions = it.parsed("--sessions")?,
-            "--seed" => args.seed = it.parsed("--seed")?,
-            "--queue-cap" => args.queue_cap = it.parsed("--queue-cap")?,
-            "--theta" => args.theta = it.parsed("--theta")?,
             other => return Err(ArgStream::unknown_flag(other)),
         }
     }
@@ -98,19 +89,13 @@ fn push_row(table: &mut FigTable, k: usize, rate: f64, report: &ServingReport) {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = or_exit("loadgen", parse_args());
     let max_k = *args.common.ks.iter().max().expect("ks non-empty");
     let max_rate = args.rates.iter().cloned().fold(0.0f64, f64::max);
 
     let db: Database =
         SsbGenerator::new(1).with_rows_per_sf(args.common.rows).generate();
-    let mix = QueryMix::zipf(ssb::workload(&db).expect("SSB plans"), args.theta);
+    let mix = QueryMix::zipf(ssb::workload(&db).expect("SSB plans"), THETA);
 
     let mut table = FigTable::new(
         "serving-ssb",
@@ -141,12 +126,12 @@ fn main() {
                     && strategy == Strategy::DataDrivenChopping;
                 let mut cfg = ServeConfig::new(
                     ArrivalProcess::Poisson { rate_qps: rate },
-                    VirtualTime::from_millis(args.horizon_ms),
+                    VirtualTime::from_millis(HORIZON_MS),
                 )
-                .with_sessions(args.sessions)
-                .with_seed(args.seed)
+                .with_sessions(SESSIONS)
+                .with_seed(SEED)
                 .with_admission_limit(args.common.users)
-                .with_queue_cap(args.queue_cap);
+                .with_queue_cap(QUEUE_CAP);
                 if trace_this {
                     cfg = cfg.with_trace();
                 }

@@ -36,11 +36,10 @@
 //! co-processor heap, once under the static cost model with chunked
 //! staging off (over-heap operators abort to the CPU) and once under the
 //! adaptive model with chunked staging on (they complete on-device in
-//! chunks). `bench-diff --adaptive` gates that the staged rows record
-//! zero oversize fallbacks, no more aborts than their static siblings,
-//! and a strictly lower median est-vs-actual error.
+//! chunks). `bench-diff --adaptive` gates the table (the `adaptive-*`
+//! rows of `robustq_bench::claims::CLAIMS`).
 
-use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
 use robustq_bench::table::{ms, FigTable};
 use robustq_bench::{export_trace, finish_sweep};
@@ -91,11 +90,22 @@ fn busy_cell(m: &RunMetrics) -> String {
         .join(" | ")
 }
 
-/// One workload's sweep state: the result table, the K = 1 baseline
+/// One failure unless `report` returns what the sweep's first run (which
+/// sets `baseline`) did: placement may move work, never change answers.
+fn drift(baseline: &mut Option<ResultFingerprints>, report: &RunReport, run: &str) -> u64 {
+    let results = report.result_fingerprints();
+    let want = baseline.get_or_insert_with(|| results.clone());
+    if *want == results {
+        return 0;
+    }
+    eprintln!("multigpu: FAIL: {run} drifted from the baseline results");
+    1
+}
+
+/// One workload's sweep state: the result table, the first run's
 /// fingerprints every later point must reproduce, and failure count.
 struct Sweep {
     name: &'static str,
-    base_k: usize,
     table: FigTable,
     baseline: Option<ResultFingerprints>,
     failures: u64,
@@ -104,20 +114,8 @@ struct Sweep {
 impl Sweep {
     /// Check the result fingerprints and append one table row.
     fn record(&mut self, k: usize, label: &str, report: &RunReport) {
-        let results = report.result_fingerprints();
-        match &self.baseline {
-            None => self.baseline = Some(results),
-            Some(want) => {
-                if *want != results {
-                    eprintln!(
-                        "multigpu: FAIL: {} K={k} {label} drifted from the \
-                         K={} baseline results",
-                        self.name, self.base_k,
-                    );
-                    self.failures += 1;
-                }
-            }
-        }
+        let run = format!("{} K={k} {label}", self.name);
+        self.failures += drift(&mut self.baseline, report, &run);
         let m = &report.metrics;
         let probes = m.cache_hits + m.cache_misses;
         self.table.push_row([
@@ -167,8 +165,7 @@ fn median_err_pct(report: &RunReport) -> Option<f64> {
 /// The DESIGN.md §7 comparison: static model + abort-to-CPU versus
 /// adaptive model + chunked staging, on a heap small enough that the SSB
 /// join footprints exceed it. Returns the `multigpu-adaptive` table and
-/// the number of failures (result fingerprints must stay identical to
-/// the static baseline — staging may move work, never change answers).
+/// the number of runs whose results [`drift`]ed.
 fn adaptive_sweep(
     db: &Database,
     queries: &[PlanNode],
@@ -211,20 +208,8 @@ fn adaptive_sweep(
                 }
                 let report =
                     runner.run(queries, strategy, &cfg).expect("adaptive sweep run");
-                let results = report.result_fingerprints();
-                match &baseline {
-                    None => baseline = Some(results),
-                    Some(want) => {
-                        if *want != results {
-                            eprintln!(
-                                "multigpu: FAIL: adaptive K={k} {} {model} drifted \
-                                 from the baseline results",
-                                strategy.name(),
-                            );
-                            failures += 1;
-                        }
-                    }
-                }
+                let run = format!("adaptive K={k} {} {model}", strategy.name());
+                failures += drift(&mut baseline, &report, &run);
                 table.push_row([
                     k.to_string(),
                     strategy.name().to_string(),
@@ -244,13 +229,7 @@ fn adaptive_sweep(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("multigpu: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = or_exit("multigpu", parse_args());
     let max_k = *args.common.ks.iter().max().expect("ks non-empty");
 
     let ssb_db: Database = SsbGenerator::new(1).with_rows_per_sf(args.common.rows).generate();
@@ -276,8 +255,7 @@ fn main() {
             "Cache hit %",
             "Busy per device [ms]",
         ]);
-        let mut sweep =
-            Sweep { name, base_k: args.common.ks[0], table, baseline: None, failures: 0 };
+        let mut sweep = Sweep { name, table, baseline: None, failures: 0 };
         for &k in &args.common.ks {
             let runner = WorkloadRunner::new(db, fleet_sim().with_coprocessors(k));
             for strategy in FLEET_STRATEGIES {

@@ -9,8 +9,7 @@
 //! window tick, and interleaves a Poisson ad-hoc arrival stream so the
 //! ticks compete for admission like any other query. Results land in
 //! `BENCH_streaming.json`; `bench-diff --streaming` then gates the
-//! robustness claim (Data-Driven Chopping's tick p99 must not exceed
-//! GPU Only's at the tightest window period).
+//! `streaming-*` claims of `robustq_bench::claims`.
 //!
 //! ```text
 //! cargo run -p robustq-bench --release --bin streaming
@@ -21,43 +20,39 @@
 //! Shared flags (`--out`, `--trace`, `--ks`, `--rows`, `--users`) parse
 //! as everywhere else in the bench suite; `--users` is the admission
 //! limit. `--windows-us` lists the window periods to sweep
-//! (microseconds of virtual time), `--rate` the background Poisson
-//! arrival rate, `--batches` the number of feed append batches (one
-//! tumbling tick ingests exactly one batch).
+//! (microseconds of virtual time).
 //!
 //! `--trace PATH` traces the tightest-window max-K Data-Driven Chopping
 //! run and writes its Chrome export to PATH (the feed lane's `Append` /
 //! `WindowFire` instants ride along; CI feeds it to `trace-lint`).
 
 use robustq::prelude::*;
-use robustq_bench::args::{ArgStream, CommonArgs};
+use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
 use robustq_bench::table::{ms, FigTable};
 use robustq_bench::{export_trace, finish_sweep};
 use robustq_trace::MetricsRegistry;
 use robustq_workloads::{ssb, SsbQuery, SsbStreamGen};
 
+/// The sweep's fixed shape: background Poisson arrival rate, feed
+/// append batches (one tumbling tick ingests exactly one), rows per
+/// sealed segment, seed, admission-queue cap, and the mix's Zipf skew.
+const RATE_QPS: f64 = 50_000.0;
+const BATCHES: usize = 8;
+const SEAL_ROWS: usize = 512;
+const SEED: u64 = 42;
+const QUEUE_CAP: usize = 32;
+const THETA: f64 = 0.8;
+
 struct Args {
     common: CommonArgs,
     windows_us: Vec<u64>,
-    rate: f64,
-    batches: usize,
-    seal_rows: usize,
-    seed: u64,
-    queue_cap: usize,
-    theta: f64,
 }
 
 fn parse_args() -> Result<Args, EngineError> {
     let mut args = Args {
         common: CommonArgs::new("BENCH_streaming.json"),
         windows_us: vec![500, 1_000, 2_000],
-        rate: 50_000.0,
-        batches: 8,
-        seal_rows: 512,
-        seed: 42,
-        queue_cap: 32,
-        theta: 0.8,
     };
     let mut it = ArgStream::from_env();
     while let Some(flag) = it.next_flag() {
@@ -73,17 +68,6 @@ fn parse_args() -> Result<Args, EngineError> {
                     ));
                 }
             }
-            "--rate" => {
-                args.rate = it.parsed("--rate")?;
-                if args.rate < 0.0 {
-                    return Err(EngineError::config("--rate must be ≥ 0"));
-                }
-            }
-            "--batches" => args.batches = it.parsed("--batches")?,
-            "--seal-rows" => args.seal_rows = it.parsed("--seal-rows")?,
-            "--seed" => args.seed = it.parsed("--seed")?,
-            "--queue-cap" => args.queue_cap = it.parsed("--queue-cap")?,
-            "--theta" => args.theta = it.parsed("--theta")?,
             other => return Err(ArgStream::unknown_flag(other)),
         }
     }
@@ -106,24 +90,17 @@ fn push_row(table: &mut FigTable, k: usize, window_us: u64, report: &StreamingRe
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("streaming: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = or_exit("streaming", parse_args());
     let max_k = *args.common.ks.iter().max().expect("ks non-empty");
     let min_window = *args.windows_us.iter().min().expect("windows non-empty");
 
     let data = SsbStreamGen::new(1)
         .with_rows_per_sf(args.common.rows)
-        .with_batches(args.batches)
-        .with_seal_rows(args.seal_rows)
+        .with_batches(BATCHES)
+        .with_seal_rows(SEAL_ROWS)
         .build()
         .expect("SSB-stream build");
-    let mix =
-        QueryMix::zipf(ssb::workload(&data.db).expect("SSB plans"), args.theta);
+    let mix = QueryMix::zipf(ssb::workload(&data.db).expect("SSB plans"), THETA);
 
     let mut table = FigTable::new(
         "streaming-ssb",
@@ -147,7 +124,7 @@ fn main() {
         let runner = ServingRunner::new(&data.db, fleet_sim().with_coprocessors(k));
         for &window_us in &args.windows_us {
             let period = VirtualTime::from_micros(window_us);
-            let ticks = args.batches as u32;
+            let ticks = BATCHES as u32;
             // One batch per tumbling tick; horizon leaves the last tick
             // room to drain.
             let horizon =
@@ -172,12 +149,12 @@ fn main() {
                     && window_us == min_window
                     && strategy == Strategy::DataDrivenChopping;
                 let mut cfg = ServeConfig::new(
-                    ArrivalProcess::Poisson { rate_qps: args.rate },
+                    ArrivalProcess::Poisson { rate_qps: RATE_QPS },
                     horizon,
                 )
-                .with_seed(args.seed)
+                .with_seed(SEED)
                 .with_admission_limit(args.common.users)
-                .with_queue_cap(args.queue_cap);
+                .with_queue_cap(QUEUE_CAP);
                 if trace_this {
                     cfg = cfg.with_trace();
                 }

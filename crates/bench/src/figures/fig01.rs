@@ -45,23 +45,3 @@ pub fn run(effort: Effort) -> FigTable {
     ]);
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shape_matches_paper() {
-        let t = run(Effort::Quick);
-        let cpu = t.value(0, "exec time [ms]").unwrap();
-        let cold = t.value(1, "exec time [ms]").unwrap();
-        let hot = t.value(2, "exec time [ms]").unwrap();
-        assert!(hot < cpu, "hot GPU must beat the CPU (got {hot} vs {cpu})");
-        assert!(cold > cpu, "cold GPU must lose to the CPU (got {cold} vs {cpu})");
-        assert!(cold / cpu > 1.5, "cold slowdown should be substantial");
-        assert!(cpu / hot > 1.3, "hot speedup should be substantial");
-        // The cold run's problem is the transfer time.
-        let cold_tr = t.value(1, "CPU→GPU transfer [ms]").unwrap();
-        assert!(cold_tr > 0.5 * (cold - hot));
-    }
-}

@@ -24,23 +24,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thrashing_cliff_exists() {
-        let t = run(Effort::Quick);
-        let gpu = t.column_values("GPU op-driven [ms]");
-        let worst = gpu.first().copied().unwrap();
-        let best = gpu.last().copied().unwrap();
-        assert!(
-            worst / best > 5.0,
-            "cache thrashing must degrade heavily: worst {worst} best {best}"
-        );
-        // Once the working set fits, the GPU beats the CPU.
-        let cpu = t.column_values("CPU Only [ms]");
-        assert!(best < *cpu.last().unwrap());
-    }
-}

@@ -23,20 +23,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn contention_degrades_gpu_at_high_parallelism() {
-        let t = run(Effort::Quick);
-        let gpu = t.column_values("GPU Only [ms]");
-        let best = gpu.iter().cloned().fold(f64::INFINITY, f64::min);
-        let last = *gpu.last().unwrap();
-        assert!(
-            last / best > 1.5,
-            "heap contention must slow the GPU down: best {best}, 20 users {last}"
-        );
-    }
-}

@@ -31,29 +31,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn data_driven_never_worse_than_cpu() {
-        let t = run(Effort::Quick);
-        let cpu = t.column_values("CPU Only [ms]");
-        let dd = t.column_values("Data-Driven [ms]");
-        for (c, d) in cpu.iter().zip(&dd) {
-            assert!(d <= &(c * 1.15), "Data-Driven {d} must track CPU {c} or better");
-        }
-        // And it reaches the (fast) optimum once everything is cached.
-        let gpu = t.column_values("GPU op-driven [ms]");
-        assert!((dd.last().unwrap() - gpu.last().unwrap()).abs() < gpu.last().unwrap() * 0.5);
-    }
-
-    #[test]
-    fn data_driven_beats_thrashing_gpu_below_capacity() {
-        let t = run(Effort::Quick);
-        let gpu = t.column_values("GPU op-driven [ms]");
-        let dd = t.column_values("Data-Driven [ms]");
-        assert!(dd[0] < gpu[0] / 3.0, "thrashing avoided: {} vs {}", dd[0], gpu[0]);
-    }
-}

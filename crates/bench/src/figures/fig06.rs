@@ -28,19 +28,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn transfers_explain_the_degradation() {
-        let t = run(Effort::Quick);
-        let gpu = t.column_values("GPU op-driven [ms]");
-        let dd = t.column_values("Data-Driven [ms]");
-        // Thrashing regime: operator-driven transfers dwarf data-driven.
-        assert!(gpu[0] > 10.0 * (dd[0] + 0.001));
-        // Fitting regime: transfers vanish for both.
-        assert!(*gpu.last().unwrap() < gpu[0] / 5.0);
-    }
-}

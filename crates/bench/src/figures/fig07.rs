@@ -23,20 +23,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn data_driven_alone_degrades_like_gpu_only() {
-        let t = run(Effort::Quick);
-        let dd = t.column_values("Data-Driven [ms]");
-        let best = dd.iter().cloned().fold(f64::INFINITY, f64::min);
-        let last = *dd.last().unwrap();
-        assert!(
-            last / best > 1.4,
-            "Data-Driven must still degrade under parallelism: {best} -> {last}"
-        );
-    }
-}

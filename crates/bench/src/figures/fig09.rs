@@ -29,17 +29,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn runtime_placement_beats_gpu_only_under_contention() {
-        let t = run(Effort::Quick);
-        let gpu = t.column_values("GPU Only [ms]");
-        let rt = t.column_values("Run-Time Placement [ms]");
-        // At the highest user count the run-time strategy wins.
-        assert!(rt.last().unwrap() < gpu.last().unwrap());
-    }
-}

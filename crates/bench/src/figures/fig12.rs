@@ -32,21 +32,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chopping_is_flat_and_beats_gpu_only() {
-        let t = run(Effort::Quick);
-        let gpu = t.column_values("GPU Only [ms]");
-        let chop = t.column_values("Data-Driven Chopping [ms]");
-        assert!(chop.last().unwrap() < gpu.last().unwrap());
-        // Near-flat: the worst point stays within a modest factor of the
-        // best (the ideal system is perfectly flat).
-        let best = chop.iter().cloned().fold(f64::INFINITY, f64::min);
-        let worst = chop.iter().cloned().fold(0.0, f64::max);
-        assert!(worst / best < 2.5, "chopping curve too steep: {best}..{worst}");
-    }
-}

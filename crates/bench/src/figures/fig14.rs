@@ -36,29 +36,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn robustness_properties_hold() {
-        let t = run(Effort::Quick);
-        // At the largest SSB scale factor, GPU-only must fall behind the
-        // CPU, while Data-Driven Chopping stays at-or-better than CPU.
-        let ssb_last = t
-            .rows
-            .iter()
-            .rposition(|r| r[0] == "SSBM")
-            .expect("SSBM rows present");
-        let cpu = t.value(ssb_last, "CPU Only [ms]").unwrap();
-        let gpu = t.value(ssb_last, "GPU Only [ms]").unwrap();
-        let ddc = t.value(ssb_last, "Data-Driven Chopping [ms]").unwrap();
-        assert!(gpu > cpu, "cache thrashing must hurt GPU-only at SF30");
-        assert!(ddc <= cpu * 1.1, "DD-Chopping must never lose to CPU-only");
-        // At SF1 everything fits: GPU-only should win against CPU-only.
-        let cpu0 = t.value(0, "CPU Only [ms]").unwrap();
-        let gpu0 = t.value(0, "GPU Only [ms]").unwrap();
-        assert!(gpu0 < cpu0, "small scale: GPU should accelerate");
-    }
-}

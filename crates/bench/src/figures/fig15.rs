@@ -39,13 +39,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gpu_only_transfers_dominate_at_scale() {
+    fn cpu_only_never_touches_the_bus() {
         let t = run(Effort::Quick);
-        let last = t.rows.iter().rposition(|r| r[0] == "SSBM").unwrap();
-        let gpu = t.value(last, "GPU Only [ms]").unwrap();
-        let ddc = t.value(last, "Data-Driven Chopping [ms]").unwrap();
-        assert!(gpu > ddc, "DD-Chopping must save IO vs GPU-only");
-        let cpu = t.value(last, "CPU Only [ms]").unwrap();
-        assert_eq!(cpu, 0.0, "CPU-only never touches the bus");
+        assert!(t.column_values("CPU Only [ms]").iter().all(|&ms| ms == 0.0));
     }
 }

@@ -52,21 +52,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn gpu_only_slows_queries_down_at_sf30() {
-        let t = run(Effort::Quick);
-        let mut gpu_worse = 0;
-        for i in 0..t.rows.len() {
-            let cpu = t.value(i, "CPU Only [ms]").unwrap();
-            let gpu = t.value(i, "GPU Only [ms]").unwrap();
-            if gpu > cpu {
-                gpu_worse += 1;
-            }
-        }
-        assert!(
-            gpu_worse >= t.rows.len() / 2,
-            "GPU-only should slow down most queries at SF30 ({gpu_worse} did)"
-        );
-    }
 }

@@ -35,22 +35,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chopping_beats_gpu_only_at_high_parallelism() {
-        let t = run(Effort::Quick);
-        for bench in ["SSBM", "TPC-H"] {
-            let last = t.rows.iter().rposition(|r| r[0] == bench).unwrap();
-            let gpu = t.value(last, "GPU Only [ms]").unwrap();
-            let ddc = t.value(last, "Data-Driven Chopping [ms]").unwrap();
-            assert!(
-                ddc < gpu,
-                "{bench}: DD-Chopping ({ddc}) must beat GPU-only ({gpu}) at max users"
-            );
-        }
-    }
-}

@@ -34,20 +34,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn data_driven_chopping_saves_io() {
-        let t = run(Effort::Quick);
-        let last = t.rows.iter().rposition(|r| r[0] == "SSBM").unwrap();
-        let gpu = t.value(last, "GPU Only [ms]").unwrap();
-        let ddc = t.value(last, "Data-Driven Chopping [ms]").unwrap();
-        assert!(
-            ddc * 3.0 < gpu,
-            "DD-Chopping IO ({ddc}) must be far below GPU-only ({gpu})"
-        );
-    }
-}

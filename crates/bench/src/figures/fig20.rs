@@ -37,21 +37,3 @@ pub fn run(effort: Effort) -> FigTable {
     }
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wasted_time_grows_without_chopping() {
-        let t = run(Effort::Quick);
-        let gpu = t.column_values("GPU Only [ms]");
-        let chop = t.column_values("Chopping [ms]");
-        let gpu_last = *gpu.last().unwrap();
-        let chop_last = *chop.last().unwrap();
-        assert!(
-            chop_last <= gpu_last,
-            "chopping must not waste more than GPU-only ({chop_last} vs {gpu_last})"
-        );
-    }
-}

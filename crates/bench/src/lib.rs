@@ -16,6 +16,7 @@
 //! factors are comparable to the paper, absolute values are not.
 
 pub mod args;
+pub mod claims;
 pub mod figures;
 pub mod machine;
 pub mod table;
@@ -93,67 +94,43 @@ pub fn finish_sweep(bin: &str, out: &str, tables: &[FigTable], failures: u64) {
     }
 }
 
+/// A figure's id and generator.
+pub type Figure = (&'static str, fn(Effort) -> FigTable);
+
+/// Every figure, in paper order.
+pub const FIGURES: [Figure; 22] = [
+    ("fig01", figures::fig01::run),
+    ("fig02", figures::fig02::run),
+    ("fig03", figures::fig03::run),
+    ("fig05", figures::fig05::run),
+    ("fig06", figures::fig06::run),
+    ("fig07", figures::fig07::run),
+    ("fig08", figures::fig08::run),
+    ("fig09", figures::fig09::run),
+    ("fig12", figures::fig12::run),
+    ("fig13", figures::fig13::run),
+    ("fig14", figures::fig14::run),
+    ("fig15", figures::fig15::run),
+    ("fig16", figures::fig16::run),
+    ("fig17", figures::fig17::run),
+    ("fig18", figures::fig18::run),
+    ("fig19", figures::fig19::run),
+    ("fig20", figures::fig20::run),
+    ("fig21", figures::fig21::run),
+    ("fig22", figures::fig22::run),
+    ("fig23", figures::fig23::run),
+    ("fig24", figures::fig24::run),
+    ("fig25", figures::fig25::run),
+];
+
 /// Run every figure at the given effort, in paper order.
 pub fn all_figures(effort: Effort) -> Vec<FigTable> {
-    vec![
-        figures::fig01::run(effort),
-        figures::fig02::run(effort),
-        figures::fig03::run(effort),
-        figures::fig05::run(effort),
-        figures::fig06::run(effort),
-        figures::fig07::run(effort),
-        figures::fig08::run(effort),
-        figures::fig09::run(effort),
-        figures::fig12::run(effort),
-        figures::fig13::run(effort),
-        figures::fig14::run(effort),
-        figures::fig15::run(effort),
-        figures::fig16::run(effort),
-        figures::fig17::run(effort),
-        figures::fig18::run(effort),
-        figures::fig19::run(effort),
-        figures::fig20::run(effort),
-        figures::fig21::run(effort),
-        figures::fig22::run(effort),
-        figures::fig23::run(effort),
-        figures::fig24::run(effort),
-        figures::fig25::run(effort),
-    ]
+    FIGURES.iter().map(|(_, run)| run(effort)).collect()
 }
 
-/// Look up one figure by id (e.g. `"fig14"`).
+/// Look up one figure by id (`"fig14"`; `"fig9"` also names `"fig09"`).
 pub fn figure_by_id(id: &str, effort: Effort) -> Option<FigTable> {
-    let run = match id {
-        "fig01" | "fig1" => figures::fig01::run,
-        "fig02" | "fig2" => figures::fig02::run,
-        "fig03" | "fig3" => figures::fig03::run,
-        "fig05" | "fig5" => figures::fig05::run,
-        "fig06" | "fig6" => figures::fig06::run,
-        "fig07" | "fig7" => figures::fig07::run,
-        "fig08" | "fig8" => figures::fig08::run,
-        "fig09" | "fig9" => figures::fig09::run,
-        "fig12" => figures::fig12::run,
-        "fig13" => figures::fig13::run,
-        "fig14" => figures::fig14::run,
-        "fig15" => figures::fig15::run,
-        "fig16" => figures::fig16::run,
-        "fig17" => figures::fig17::run,
-        "fig18" => figures::fig18::run,
-        "fig19" => figures::fig19::run,
-        "fig20" => figures::fig20::run,
-        "fig21" => figures::fig21::run,
-        "fig22" => figures::fig22::run,
-        "fig23" => figures::fig23::run,
-        "fig24" => figures::fig24::run,
-        "fig25" => figures::fig25::run,
-        _ => return None,
-    };
+    let unpadded = |known: &str| known.replacen("fig0", "fig", 1);
+    let (_, run) = FIGURES.iter().find(|(known, _)| *known == id || unpadded(known) == id)?;
     Some(run(effort))
 }
-
-/// Ids of all figures, in paper order.
-pub const FIGURE_IDS: [&str; 22] = [
-    "fig01", "fig02", "fig03", "fig05", "fig06", "fig07", "fig08", "fig09", "fig12", "fig13",
-    "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
-    "fig23", "fig24", "fig25",
-];

@@ -66,10 +66,15 @@ pub fn fleet_sim() -> SimConfig {
     SimConfig::default().with_gpu_memory(2 * 1024 * 1024).with_gpu_cache(256 * 1024)
 }
 
-/// The strategies every fleet sweep compares: the static baseline, query
+/// The strategies every fleet sweep compares: the CPU-only floor the
+/// robustness claims are read against, the static baseline, query
 /// chopping, and the learned data-driven placement.
-pub const FLEET_STRATEGIES: [Strategy; 3] =
-    [Strategy::GpuPreferred, Strategy::Chopping, Strategy::DataDrivenChopping];
+pub const FLEET_STRATEGIES: [Strategy; 4] = [
+    Strategy::CpuOnly,
+    Strategy::GpuPreferred,
+    Strategy::Chopping,
+    Strategy::DataDrivenChopping,
+];
 
 /// Which benchmark a sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,28 +99,19 @@ fn db_cache() -> &'static DbCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Memoized SSB database.
-pub fn ssb_db(sf: u32, rows_per_sf: usize) -> Arc<Database> {
+/// Memoized database of `kind` at scale factor `sf`.
+pub fn cached_db(kind: WorkloadKind, sf: u32, rows_per_sf: usize) -> Arc<Database> {
     let mut cache = db_cache().lock().expect("db cache lock");
-    Arc::clone(
-        cache
-            .entry((WorkloadKind::Ssb, sf, rows_per_sf))
-            .or_insert_with(|| {
-                Arc::new(SsbGenerator::new(sf).with_rows_per_sf(rows_per_sf).generate())
-            }),
-    )
+    let generate = || match kind {
+        WorkloadKind::Ssb => SsbGenerator::new(sf).with_rows_per_sf(rows_per_sf).generate(),
+        WorkloadKind::Tpch => TpchGenerator::new(sf).with_rows_per_sf(rows_per_sf).generate(),
+    };
+    Arc::clone(cache.entry((kind, sf, rows_per_sf)).or_insert_with(|| Arc::new(generate())))
 }
 
-/// Memoized TPC-H database.
-pub fn tpch_db(sf: u32, rows_per_sf: usize) -> Arc<Database> {
-    let mut cache = db_cache().lock().expect("db cache lock");
-    Arc::clone(
-        cache
-            .entry((WorkloadKind::Tpch, sf, rows_per_sf))
-            .or_insert_with(|| {
-                Arc::new(TpchGenerator::new(sf).with_rows_per_sf(rows_per_sf).generate())
-            }),
-    )
+/// Memoized SSB database.
+pub fn ssb_db(sf: u32, rows_per_sf: usize) -> Arc<Database> {
+    cached_db(WorkloadKind::Ssb, sf, rows_per_sf)
 }
 
 /// Sum of distinct base-column bytes the workload's plans read — the
@@ -268,10 +264,7 @@ impl WorkloadSetup {
 
     /// Database at scale factor `sf`.
     pub fn db(&self, sf: u32) -> Arc<Database> {
-        match self.kind {
-            WorkloadKind::Ssb => ssb_db(sf, self.rows_per_sf),
-            WorkloadKind::Tpch => tpch_db(sf, self.rows_per_sf),
-        }
+        cached_db(self.kind, sf, self.rows_per_sf)
     }
 
     /// The workload's query plans against `db`.

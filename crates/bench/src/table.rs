@@ -1,5 +1,7 @@
 //! Result tables.
 
+use robustq_engine::EngineError;
+use robustq_trace::json::{self, Json};
 use std::fmt;
 
 /// One regenerated figure/table: a header plus aligned rows, in the same
@@ -34,14 +36,41 @@ impl FigTable {
 
     pub fn push_row<S: Into<String>>(&mut self, row: impl IntoIterator<Item = S>) {
         let row: Vec<String> = row.into_iter().map(Into::into).collect();
-        debug_assert_eq!(row.len(), self.columns.len(), "row width mismatch");
+        // A hard check: a ragged table would be misread by column name.
+        assert_eq!(row.len(), self.columns.len(), "{}: row width mismatch", self.id);
         self.rows.push(row);
     }
 
-    /// Cell value parsed as f64 (for assertions in tests).
-    pub fn value(&self, row: usize, col: &str) -> Option<f64> {
-        let c = self.columns.iter().position(|x| x == col)?;
-        self.rows.get(row)?.get(c)?.parse().ok()
+    /// Index of column `name`; an unknown column is a config error, never
+    /// an empty series.
+    pub fn column(&self, name: &str) -> Result<usize, EngineError> {
+        self.columns.iter().position(|c| c == name).ok_or_else(|| {
+            EngineError::config(format!("table {:?} has no column {name:?}", self.id))
+        })
+    }
+
+    /// Read back one table object of [`FigTable::to_json`]'s shape. Every
+    /// cell must be a string and every row as wide as the header.
+    pub fn from_json(table: &Json) -> Result<FigTable, EngineError> {
+        let bad = |what: &str| EngineError::config(format!("malformed table: {what}"));
+        let text = |j: &Json, what: &str| j.as_str().map(String::from).ok_or_else(|| bad(what));
+        let strings = |j: &Json, what: &str| -> Result<Vec<String>, EngineError> {
+            j.as_arr().ok_or_else(|| bad(what))?.iter().map(|c| text(c, what)).collect()
+        };
+        let field = |name: &str| table.get(name).ok_or_else(|| bad(name));
+        let id = text(field("id")?, "id")?;
+        let columns = strings(field("columns")?, "columns")?;
+        let rows = field("rows")?.as_arr().ok_or_else(|| bad("rows"))?;
+        let rows: Vec<Vec<String>> =
+            rows.iter().map(|r| strings(r, "rows")).collect::<Result<_, _>>()?;
+        if let Some(i) = rows.iter().position(|r| r.len() != columns.len()) {
+            return Err(EngineError::config(format!(
+                "table {id:?} row {i} has {} cells under {} columns",
+                rows[i].len(),
+                columns.len()
+            )));
+        }
+        Ok(FigTable { id, title: text(field("title")?, "title")?, columns, rows })
     }
 
     /// Serialize the table as pretty-printed JSON (for plotting scripts).
@@ -63,12 +92,11 @@ impl FigTable {
         out
     }
 
-    /// All values of one column parsed as f64.
+    /// The numeric cells of one column, top to bottom (for assertions in
+    /// tests; panics on an unknown column).
     pub fn column_values(&self, col: &str) -> Vec<f64> {
-        let Some(c) = self.columns.iter().position(|x| x == col) else {
-            return Vec::new();
-        };
-        self.rows.iter().filter_map(|r| r.get(c)?.parse().ok()).collect()
+        let c = self.column(col).expect("a column of this table");
+        self.rows.iter().filter_map(|r| r[c].parse().ok()).collect()
     }
 }
 
@@ -108,19 +136,7 @@ pub fn ms(t: robustq_sim::VirtualTime) -> String {
 /// Escape `s` as a JSON string literal (with surrounding quotes).
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    json::write_escaped(&mut out, s);
     out
 }
 
@@ -146,6 +162,21 @@ pub fn tables_json(tables: &[FigTable]) -> String {
     json
 }
 
+/// The tables of a [`tables_json`] document.
+pub fn tables_from_json(src: &str) -> Result<Vec<FigTable>, EngineError> {
+    let doc = json::parse(src).map_err(|e| EngineError::config(format!("malformed JSON: {e}")))?;
+    let tables = doc.get("tables").and_then(Json::as_arr);
+    let tables = tables.ok_or_else(|| EngineError::config("document has no 'tables' array"))?;
+    tables.iter().map(FigTable::from_json).collect()
+}
+
+/// The tables of the [`tables_json`] document a sweep bin wrote to `path`.
+pub fn read_tables(path: &str) -> Result<Vec<FigTable>, EngineError> {
+    let src = std::fs::read_to_string(path)
+        .map_err(|e| EngineError::config(format!("{path}: {e}")))?;
+    tables_from_json(&src).map_err(|e| EngineError::config(format!("{path}: {e}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,10 +187,8 @@ mod tests {
         let mut t = FigTable::new("figX", "demo").with_columns(["a", "b"]);
         t.push_row(["1.5", "x"]);
         t.push_row(["2.5", "y"]);
-        assert_eq!(t.value(0, "a"), Some(1.5));
-        assert_eq!(t.value(1, "b"), None, "non-numeric cell");
         assert_eq!(t.column_values("a"), vec![1.5, 2.5]);
-        assert!(t.column_values("zz").is_empty());
+        assert!(t.column_values("b").is_empty(), "non-numeric cells");
     }
 
     #[test]
@@ -201,6 +230,38 @@ mod tests {
         assert!(doc.starts_with("{\n  \"tables\": ["), "{doc}");
         assert!(doc.contains("\"id\": \"figX\""), "{doc}");
         assert!(doc.ends_with("]\n}\n"), "{doc}");
+    }
+
+    #[test]
+    fn json_round_trips_and_rejects_ragged_rows() {
+        let mut t = FigTable::new("figX", "de\"mo").with_columns(["a", "b"]);
+        t.push_row(["1", "-"]);
+        let back = tables_from_json(&tables_json(std::slice::from_ref(&t))).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!((&back[0].id, &back[0].title), (&t.id, &t.title));
+        assert_eq!((&back[0].columns, &back[0].rows), (&t.columns, &t.rows));
+
+        let ragged = tables_json(&[t]).replace("[\"1\", \"-\"]", "[\"1\"]");
+        let err = tables_from_json(&ragged).unwrap_err();
+        assert!(matches!(err, EngineError::Config(_)), "{err}");
+        assert!(err.to_string().contains("row 0 has 1 cells under 2 columns"), "{err}");
+        for bad in ["{", "{}", "{\"tables\": [{\"id\": \"x\"}]}"] {
+            assert!(matches!(tables_from_json(bad), Err(EngineError::Config(_))), "{bad}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn a_ragged_row_is_refused() {
+        FigTable::new("figX", "demo").with_columns(["a", "b"]).push_row(["1"]);
+    }
+
+    #[test]
+    fn unknown_columns_are_config_errors() {
+        let t = FigTable::new("figX", "demo").with_columns(["a"]);
+        assert_eq!(t.column("a").unwrap(), 0);
+        let err = t.column("zz").unwrap_err();
+        assert!(matches!(err, EngineError::Config(_)), "{err}");
     }
 
     #[test]

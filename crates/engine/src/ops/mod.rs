@@ -15,7 +15,6 @@
 //! the production data path the executor schedules task by task.
 
 pub mod agg;
-pub mod compressed;
 pub(crate) mod hashtbl;
 pub mod join;
 pub mod project;

@@ -69,14 +69,12 @@ pub enum ValueKind {
 }
 
 /// Zig-zag encode a signed value into an unsigned one so FOR works for
-/// negatives. Public so compressed-domain kernels can translate literals
-/// into the packed payload space.
+/// negatives.
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-/// Inverse of [`zigzag`]; public so compressed-domain kernels can decode
-/// packed payloads without materializing the whole column.
+/// Inverse of [`zigzag`].
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
