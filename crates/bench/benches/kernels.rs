@@ -9,24 +9,34 @@
 //! printed as a table and written to `BENCH_kernels.json` at the
 //! repository root so the perf trajectory is tracked across commits.
 //!
-//! Three kernel families are measured:
+//! Four kernel families are measured:
 //!
 //! * `select` / `join_probe` / `aggregate` — the production kernels over a
 //!   dense input against their references, one entry per worker count in
 //!   `ROBUSTQ_WORKERS ∈ {1, 2, 4, 8}` (or 1 and the value of
 //!   `ROBUSTQ_WORKERS` when set);
+//! * `join_build` / `join_probe_fk` / `join_output` — the join the
+//!   workloads run, split by what each call leaves to time: a filtered
+//!   dimension of `rows / 1000` dense `Int32` keys that a fifth of the
+//!   probe rows hit. `join_build` joins it with a zero-row probe (key
+//!   extraction and the table; its rows/s count *build* rows),
+//!   `join_probe_fk` joins key-only sides (the probe loop plus the
+//!   narrowest output there is, two key columns), and `join_output` is the
+//!   same join carrying four fact and two dimension payload columns — its
+//!   time beyond `join_probe_fk`'s is the output gather;
 //! * `fused_select_aggregate` / `fused_select_probe` — the fused data
 //!   path (positions → selection-aware kernel) against the
 //!   pre-selection-vector *materializing* baseline (mask select + gather,
 //!   then the downstream reference kernel);
-//! * `scan` / `scan_filtered` / `scan_sharded_k{2,4}` — the executor's scan
-//!   path, the lazy interpreter over an SSB `lineorder` scan (whole, with
-//!   a pushed-down predicate, and as K `Role::Shard`s under a `Role::Merge`),
-//!   against the copying scan it replaced: mask select + gather over every
-//!   read column, then the output columns. The lazy output is
-//!   materialized outside the timed region to be compared; sharded and
-//!   unsharded rows share one baseline, so they are identical to each
-//!   other too.
+//! * `scan` / `scan_filtered` / `scan_sharded_k{2,4}` /
+//!   `scan_sharded_k2_unfiltered` — the executor's scan path, the lazy
+//!   interpreter over an SSB `lineorder` scan (whole, with a pushed-down
+//!   predicate, and as K `Role::Shard`s under a `Role::Merge`, with the
+//!   predicate and without one), against the copying scan it replaced:
+//!   mask select + gather over every read column, then the output
+//!   columns. The lazy output is materialized outside the timed region to
+//!   be compared; sharded and unsharded rows share one baseline, so they
+//!   are identical to each other too.
 //!
 //! Two different ratios are reported and must not be confused. `speedup`
 //! is variant ÷ baseline — production against the plain reference, i.e.
@@ -52,7 +62,7 @@ use robustq_engine::predicate::Predicate;
 use robustq_engine::reference;
 use robustq_engine::{Chunk, KernelClass, LazyChunk, ParallelCtx, ShardSpec};
 use robustq_storage::gen::ssb::SsbGenerator;
-use robustq_storage::{ColumnData, DataType, Database, Field};
+use robustq_storage::{ColumnData, DataType, Database, DictColumn, Field};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -108,6 +118,40 @@ fn join_sides(rows: usize) -> (Chunk, Chunk) {
         ],
     );
     (build, probe)
+}
+
+/// The foreign-key shape: a dimension of `rows / 1000` dense keys with a
+/// number and a name, and a fact side whose keys hit it one time in five,
+/// with and without its four payload columns.
+fn fk_join_sides(rows: usize) -> (Chunk, Chunk, Chunk) {
+    let build_rows = (rows / 1000).max(1);
+    let mut rng = mix(4);
+    let dim = Chunk::new(
+        vec![
+            Field::new("pk", DataType::Int32),
+            Field::new("year", DataType::Int32),
+            Field::new("name", DataType::Str),
+        ],
+        vec![
+            ColumnData::Int32((0..build_rows as i32).collect()),
+            ColumnData::Int32((0..build_rows).map(|i| 1992 + (i % 7) as i32).collect()),
+            ColumnData::Str(DictColumn::from_strings(
+                (0..build_rows).map(|i| format!("NATION{}", i % 25)),
+            )),
+        ],
+    );
+    let mut fields = vec![Field::new("fk", DataType::Int32)];
+    let mut columns = vec![ColumnData::Int32(
+        (0..rows).map(|_| (rng() % (build_rows as u64 * 5)) as i32).collect(),
+    )];
+    let keys_only = Chunk::new(fields.clone(), columns.clone());
+    for name in ["quantity", "price", "revenue"] {
+        fields.push(Field::new(name, DataType::Int32));
+        columns.push(ColumnData::Int32((0..rows).map(|_| (rng() % 10_000) as i32).collect()));
+    }
+    fields.push(Field::new("v", DataType::Float64));
+    columns.push(ColumnData::Float64((0..rows).map(|_| (rng() % 1000) as f64).collect()));
+    (dim, keys_only, Chunk::new(fields, columns))
 }
 
 fn aggregation_chunk(rows: usize) -> Chunk {
@@ -183,6 +227,7 @@ fn time_best<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 
 struct Measurement {
     kernel: &'static str,
+    /// The input size this row belongs to (the probe or scan rows).
     rows: usize,
     baseline_rows_per_sec: f64,
     variant_rows_per_sec: f64,
@@ -205,6 +250,9 @@ impl Measurement {
 struct Baselines {
     select: (Chunk, f64),
     join: (Chunk, f64),
+    join_build: (Chunk, f64),
+    join_probe_fk: (Chunk, f64),
+    join_output: (Chunk, f64),
     agg: (Chunk, f64),
     fused_agg: (Chunk, f64),
     fused_probe: (Chunk, f64),
@@ -246,6 +294,13 @@ fn main() {
             Predicate::between("quantity", 26, 35),
         ]);
         let (build, probe) = join_sides(rows);
+        let (dim, fact_keys, fact) = fk_join_sides(rows);
+        let dim_keys = keep_columns(&dim, &["pk".to_string()]).unwrap();
+        let no_fact = fact_keys.gather(&[]);
+        let fk_join = |dim: &Chunk, fact: &Chunk, ctx: Option<ParallelCtx>| match ctx {
+            Some(ctx) => hash_join(dim, fact, None, "pk", "fk", JoinKind::Inner, ctx).unwrap(),
+            None => reference::hash_join(dim, fact, None, "pk", "fk", JoinKind::Inner).unwrap(),
+        };
         let v_pred = Predicate::between("v", 0, 499);
         let agg_chunk = aggregation_chunk(rows);
         let group_by = vec!["g".to_string()];
@@ -267,6 +322,9 @@ fn main() {
                     reference::hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner)
                         .unwrap()
                 }),
+                join_build: time_best(|| fk_join(&dim, &no_fact, None)),
+                join_probe_fk: time_best(|| fk_join(&dim_keys, &fact_keys, None)),
+                join_output: time_best(|| fk_join(&dim, &fact, None)),
                 agg: time_best(|| {
                     reference::aggregate(&agg_chunk, None, &group_by, &aggs).unwrap()
                 }),
@@ -286,7 +344,9 @@ fn main() {
                 scan_filtered: time_best(|| copying_scan(&ssb, &scan_pred)),
             };
             let ctx = ParallelCtx::serial().with_workers(workers);
-            let mut push = |kernel: &'static str,
+            // `work`: the rows the timed call reads, what its rows/s count.
+            let mut push = |work: usize,
+                            kernel: &'static str,
                             workers_effective: usize,
                             baseline: &(Chunk, f64),
                             variant: (Chunk, f64)| {
@@ -300,8 +360,8 @@ fn main() {
                 results[i].push(Measurement {
                     kernel,
                     rows,
-                    baseline_rows_per_sec: rows as f64 / baseline.1,
-                    variant_rows_per_sec: rows as f64 / variant.1,
+                    baseline_rows_per_sec: work as f64 / baseline.1,
+                    variant_rows_per_sec: work as f64 / variant.1,
                     workers_effective,
                 });
             };
@@ -313,6 +373,7 @@ fn main() {
             };
 
             push(
+                rows,
                 "select",
                 ctx.workers_for(rows, KernelClass::Selection),
                 &base.select,
@@ -322,6 +383,7 @@ fn main() {
                 }),
             );
             push(
+                rows,
                 "join_probe",
                 ctx.workers_for(rows, KernelClass::Join),
                 &base.join,
@@ -329,13 +391,37 @@ fn main() {
                     hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner, ctx).unwrap()
                 }),
             );
+            let join_workers = ctx.workers_for(rows, KernelClass::Join);
             push(
+                dim.num_rows(),
+                "join_build",
+                1,
+                &base.join_build,
+                time_best(|| fk_join(&dim, &no_fact, Some(ctx))),
+            );
+            push(
+                rows,
+                "join_probe_fk",
+                join_workers,
+                &base.join_probe_fk,
+                time_best(|| fk_join(&dim_keys, &fact_keys, Some(ctx))),
+            );
+            push(
+                rows,
+                "join_output",
+                join_workers,
+                &base.join_output,
+                time_best(|| fk_join(&dim, &fact, Some(ctx))),
+            );
+            push(
+                rows,
                 "aggregate",
                 ctx.workers_for(rows, KernelClass::Aggregation),
                 &base.agg,
                 time_best(|| aggregate(&agg_chunk, None, &group_by, &aggs, ctx).unwrap()),
             );
             push(
+                rows,
                 "fused_select_aggregate",
                 fused_workers(agg_selected, KernelClass::Aggregation),
                 &base.fused_agg,
@@ -345,6 +431,7 @@ fn main() {
                 }),
             );
             push(
+                rows,
                 "fused_select_probe",
                 fused_workers(probe_selected, KernelClass::Join),
                 &base.fused_probe,
@@ -359,6 +446,7 @@ fn main() {
             // afterwards to be compared with the copying scan's.
             let materialized = |(out, secs): (LazyChunk, f64)| (out.materialize(), secs);
             push(
+                rows,
                 "scan",
                 1,
                 &base.scan,
@@ -368,12 +456,20 @@ fn main() {
                 [("scan_filtered", 0), ("scan_sharded_k2", 2), ("scan_sharded_k4", 4)]
             {
                 push(
+                    rows,
                     kernel,
                     ctx.workers_for(rows / shards.max(1) as usize, KernelClass::Selection),
                     &base.scan_filtered,
                     materialized(time_best(|| lazy_scan(&ssb, Some(&scan_pred), shards, ctx))),
                 );
             }
+            push(
+                rows,
+                "scan_sharded_k2_unfiltered",
+                1,
+                &base.scan,
+                materialized(time_best(|| lazy_scan(&ssb, None, 2, ctx))),
+            );
         }
     }
 

@@ -12,7 +12,8 @@
 //! representation.
 
 use robustq_storage::{ColumnData, DataType, Field, Table, Value};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// A selection vector: qualifying row positions of a base [`Chunk`], as
 /// `u32`, strictly increasing.
@@ -21,8 +22,22 @@ use std::sync::Arc;
 /// late-materialization device: a filter produces a `SelVec`, downstream
 /// operators read the base columns *through* it, and row order (hence
 /// bit-identical results) is preserved because positions stay sorted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelVec(Vec<u32>);
+///
+/// A selection is either a position list or a dense **run** `lo..hi`
+/// ([`SelVec::run`]) that owns none — what a predicate-free shard of a
+/// scan emits and its merge recognises ([`SelVec::as_run`]). Every other
+/// method means the same for both forms; a run lists its positions the
+/// first time [`SelVec::positions`] is asked for them, so no kernel tells
+/// the two apart.
+#[derive(Debug, Clone)]
+pub struct SelVec(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    List(Vec<u32>),
+    /// The run and, once asked for, its positions listed.
+    Run(Range<u32>, OnceLock<Vec<u32>>),
+}
 
 impl SelVec {
     /// Wrap a position list. Positions must be strictly increasing (this
@@ -32,40 +47,73 @@ impl SelVec {
             positions.windows(2).all(|w| w[0] < w[1]),
             "selection vector positions must be strictly increasing"
         );
-        SelVec(positions)
+        SelVec(Repr::List(positions))
+    }
+
+    /// The dense run of positions `rows`, without listing them.
+    pub fn run(rows: Range<u32>) -> Self {
+        SelVec(Repr::Run(rows, OnceLock::new()))
     }
 
     /// The identity selection `0..n` (used when a dense input enters a
     /// position-based kernel).
     pub fn all(n: usize) -> Self {
-        SelVec((0..n as u32).collect())
+        SelVec::run(0..n as u32)
     }
 
     /// An empty selection.
     pub fn empty() -> Self {
-        SelVec(Vec::new())
+        SelVec::new(Vec::new())
     }
 
     /// Number of selected rows.
     pub fn len(&self) -> usize {
-        self.0.len()
+        match &self.0 {
+            Repr::List(positions) => positions.len(),
+            Repr::Run(rows, _) => rows.len(),
+        }
     }
 
     /// True if no rows are selected.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+
+    /// The run this selection was built as, if it was ([`SelVec::run`]; a
+    /// position list that happens to be dense is not one).
+    pub fn as_run(&self) -> Option<Range<u32>> {
+        match &self.0 {
+            Repr::List(_) => None,
+            Repr::Run(rows, _) => Some(rows.clone()),
+        }
     }
 
     /// The positions, in increasing order.
     pub fn positions(&self) -> &[u32] {
-        &self.0
+        match &self.0 {
+            Repr::List(positions) => positions,
+            Repr::Run(rows, listed) => listed.get_or_init(|| rows.clone().collect()),
+        }
     }
 
     /// The underlying position vector.
     pub fn into_positions(self) -> Vec<u32> {
-        self.0
+        match self.0 {
+            Repr::List(positions) => positions,
+            Repr::Run(rows, listed) => listed.into_inner().unwrap_or_else(|| rows.collect()),
+        }
     }
 }
+
+/// Selections are equal when they select the same positions, whatever
+/// their form.
+impl PartialEq for SelVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.positions() == other.positions()
+    }
+}
+
+impl Eq for SelVec {}
 
 impl From<Vec<u32>> for SelVec {
     fn from(positions: Vec<u32>) -> Self {

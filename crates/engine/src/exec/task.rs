@@ -10,7 +10,6 @@ use crate::batch::{Chunk, LazyChunk, SelVec};
 use crate::ops;
 use crate::parallel::ParallelCtx;
 use crate::plan::{Op, PlanNode};
-use crate::predicate::Predicate;
 use robustq_sim::OpClass;
 use robustq_storage::Database;
 use std::ops::Range;
@@ -165,12 +164,15 @@ impl Op {
                     // ride as a selection vector over every read column
                     // (what the shard's logical byte size has always
                     // counted) — the one selection kernel over exactly its
-                    // row range, every row of it without a predicate.
+                    // row range, or without a predicate that range itself,
+                    // as a run.
                     Role::Shard(shard) => {
                         let chunk = self.scan_base(db, window)?;
                         let rows = shard.row_range(chunk.num_rows());
-                        let predicate = predicate.as_ref().unwrap_or(&Predicate::True);
-                        let sel = ops::select::select_range(&chunk, rows, predicate, ctx)?;
+                        let sel = match predicate {
+                            Some(p) => ops::select::select_range(&chunk, rows, p, ctx)?,
+                            None => SelVec::run(rows.start as u32..rows.end as u32),
+                        };
                         Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel })
                     }
                     // The predicate reads the chunk of every read column;
@@ -244,23 +246,33 @@ impl Op {
 /// shard order: disjoint, ordered selections over identical base chunks.
 /// Their concatenation is strictly increasing, so it selects from the
 /// first shard's base exactly what the whole scan outputs, bit for bit
-/// (shared dictionaries included).
+/// (shared dictionaries included). Adjacent runs — the shards of a
+/// predicate-free scan — merge into their union without a position being
+/// written, which [`scan_output`] then finds to cover the base.
 fn merge_shards(shards: &[LazyChunk], columns: &[String]) -> Result<LazyChunk, String> {
-    let mut positions: Vec<u32> =
-        Vec::with_capacity(shards.iter().map(LazyChunk::num_rows).sum());
     let mut base: Option<&Chunk> = None;
+    let mut union: Option<Range<u32>> = Some(0..0);
     for shard in shards {
-        match shard.parts() {
-            (b, Some(sel)) => {
-                debug_assert!(base.is_none_or(|f| f.num_rows() == b.num_rows()));
-                base.get_or_insert(b);
-                positions.extend_from_slice(sel.positions());
-            }
-            (_, None) => return Err("merge expects shard selection vectors".into()),
-        }
+        let (b, Some(sel)) = shard.parts() else {
+            return Err("merge expects shard selection vectors".into());
+        };
+        debug_assert!(base.is_none_or(|f| f.num_rows() == b.num_rows()));
+        base.get_or_insert(b);
+        union = match (union, sel.as_run()) {
+            (Some(u), Some(run)) if u.is_empty() => Some(run),
+            (Some(u), Some(run)) if run.start == u.end => Some(u.start..run.end),
+            _ => None,
+        };
     }
     let base = base.ok_or("merge of zero shards")?;
-    scan_output(base, columns, Some(SelVec::new(positions)))
+    let sel = union.map(SelVec::run).unwrap_or_else(|| {
+        let mut positions = Vec::with_capacity(shards.iter().map(LazyChunk::num_rows).sum());
+        for sel in shards.iter().filter_map(|shard| shard.parts().1) {
+            positions.extend_from_slice(sel.positions());
+        }
+        SelVec::new(positions)
+    });
+    scan_output(base, columns, Some(sel))
 }
 
 /// The lazy output of a (merged) scan: the output `columns` of `base`
@@ -357,6 +369,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::plan::AggSpec;
+    use crate::predicate::Predicate;
 
     fn plan() -> PlanNode {
         PlanNode::scan("lineorder", ["lo_orderdate", "lo_revenue"])

@@ -5,19 +5,21 @@
 //! join build) one heap-allocated `Vec<u32>` per distinct key. The
 //! production kernels use these containers instead:
 //!
-//! * [`JoinTable`] — a chained hash table over canonical 64-bit join keys
-//!   with all entries in three flat arrays (multiply-shift hash, one
-//!   allocation per column, no per-key `Vec`s). Matches stream out in
-//!   build-row order, exactly the order `HashMap<u64, Vec<u32>>` produces,
-//!   so probes are bit-identical to the reference.
+//! * [`JoinTable`] — canonical 64-bit join keys to build rows in two flat
+//!   `u32` arrays over the caller's key buffer (no per-key `Vec`s, no key
+//!   copy): addressed directly by `key − min` when the key range is small
+//!   against the rows at hand, by multiply-shift hash and chains
+//!   otherwise. Matches stream out in build-row order, exactly the order
+//!   `HashMap<u64, Vec<u32>>` produces, so probes are bit-identical to the
+//!   reference.
 //! * [`FastMap`] — an open-addressing `key -> group id` map (linear
 //!   probing, power-of-two capacity) for grouping; full keys are stored
 //!   and compared, so hash mixing affects speed only, never results.
 //!
 //! Both hash with Fibonacci multiply-shift (`key * 2^64/φ`, top bits):
 //! one multiply per lookup, and the golden-ratio constant scatters the
-//! dense/low-entropy keys (dictionary codes, small integers, sequential
-//! primary keys) these tables actually see.
+//! low-entropy keys (float bit patterns, yyyymmdd dates, composite group
+//! keys) that direct addressing leaves to them.
 
 /// Fibonacci hashing constant: `floor(2^64 / φ)`, odd.
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -27,72 +29,121 @@ fn mix(k: u64) -> u64 {
     k.wrapping_mul(PHI)
 }
 
-/// A chained hash table mapping canonical join keys to build-row
-/// positions, laid out as flat arrays.
+/// Canonical join keys to build-row positions, as flat arrays over the
+/// caller's key buffer.
+///
+/// A key's slot is `(key − min) × mul >> shift`. When the keys' range (as
+/// signed values, so small negative integers sit next to zero) is below
+/// the build rows plus the rows about to be probed, slots are **addressed
+/// directly** — `mul = 1, shift = 0`, one slot per key value, so a lookup
+/// is one bounds-checked load — and the table costs O(build + probed) to
+/// set up whatever the keys are. Otherwise (float bit patterns, sparse
+/// keys such as yyyymmdd dates under a small probe) slots are the top bits
+/// of a multiply-shift hash over `2 × build` buckets and a lookup compares
+/// keys along the bucket's chain.
 ///
 /// Equal-key matches come out in **increasing build-row order** — the
-/// contract the join kernels rely on for bit-identity with the
-/// `HashMap<u64, Vec<u32>>` reference (which pushes rows in scan order).
-/// Chains are built by prepending while scanning the build side in
-/// *reverse*, so each bucket's list ends up in increasing entry order.
-pub(crate) struct JoinTable {
-    /// `64 - log2(buckets.len())`: top-bits bucket index.
+/// contract the join kernel relies on for bit-identity with the
+/// `HashMap<u64, Vec<u32>>` reference (which pushes rows in scan order):
+/// chains are built by prepending while scanning the build side in
+/// *reverse*.
+pub(crate) struct JoinTable<'a> {
+    /// Build key by build row.
+    keys: &'a [u64],
+    min: u64,
+    mul: u64,
     shift: u32,
-    /// Head entry index + 1 per bucket; 0 = empty.
-    buckets: Vec<u32>,
-    /// Entry key.
-    keys: Vec<u64>,
-    /// Entry build row.
-    rows: Vec<u32>,
-    /// Next entry index + 1 in the same bucket; 0 = chain end.
+    /// First build row + 1 per slot; 0 = empty.
+    heads: Vec<u32>,
+    /// Next build row + 1 in the same slot, by build row; 0 = chain end.
     next: Vec<u32>,
+    /// Directly addressed and no key repeats: a slot holds the one build
+    /// row of its key value, so [`JoinTable::only`] is the whole lookup.
+    exact: bool,
 }
 
-impl JoinTable {
-    /// Hash every build key. Capacity is the next power of two above
-    /// `2 × keys` (load factor ≤ 0.5).
-    pub(crate) fn build(bkeys: &[u64]) -> JoinTable {
-        let cap = (bkeys.len() * 2).next_power_of_two().max(16);
-        let mut t = JoinTable {
-            shift: 64 - cap.trailing_zeros(),
-            buckets: vec![0; cap],
-            keys: Vec::with_capacity(bkeys.len()),
-            rows: Vec::with_capacity(bkeys.len()),
-            next: Vec::with_capacity(bkeys.len()),
+impl<'a> JoinTable<'a> {
+    /// Index the build keys for a probe of `probed` rows.
+    pub(crate) fn build(keys: &'a [u64], probed: usize) -> JoinTable<'a> {
+        let (lo, hi) = keys
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k as i64), hi.max(k as i64)));
+        // `hi − lo` of two `i64`s always fits a `u64` (no keys: wraps to 1).
+        let span = hi.wrapping_sub(lo) as u64;
+        let direct = span < (keys.len() + probed) as u64;
+        let (min, mul, shift, slots) = if direct {
+            (lo as u64, 1, 0, span as usize + 1)
+        } else {
+            let buckets = (keys.len() * 2).next_power_of_two().max(16);
+            (0, PHI, 64 - buckets.trailing_zeros(), buckets)
         };
-        for (i, &k) in bkeys.iter().enumerate().rev() {
-            let b = (mix(k) >> t.shift) as usize;
-            t.keys.push(k);
-            t.rows.push(i as u32);
-            t.next.push(t.buckets[b]);
-            t.buckets[b] = t.keys.len() as u32;
+        let mut t = JoinTable {
+            keys,
+            min,
+            mul,
+            shift,
+            heads: vec![0; slots],
+            next: vec![0; keys.len()],
+            exact: direct,
+        };
+        for (row, &k) in keys.iter().enumerate().rev() {
+            let slot = t.slot(k);
+            t.exact &= t.heads[slot] == 0;
+            t.next[row] = t.heads[slot];
+            t.heads[slot] = row as u32 + 1;
         }
         t
+    }
+
+    #[inline(always)]
+    fn slot(&self, k: u64) -> usize {
+        (k.wrapping_sub(self.min).wrapping_mul(self.mul) >> self.shift) as usize
+    }
+
+    /// True if [`JoinTable::only`] answers a lookup by itself.
+    pub(crate) fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// Of an exact table: the one build row matching `k`, plus one; 0 if
+    /// there is none. (`slot` without the multiply and shift it spends on
+    /// serving both addressings — a fifth of the dense probe's time.)
+    #[inline(always)]
+    pub(crate) fn only(&self, k: u64) -> u32 {
+        debug_assert!(self.exact);
+        self.heads.get(k.wrapping_sub(self.min) as usize).copied().unwrap_or(0)
+    }
+
+    /// First build row + 1 in `k`'s slot; 0 if the slot is empty or `k`
+    /// lies outside the addressed range.
+    #[inline(always)]
+    fn head(&self, k: u64) -> u32 {
+        self.heads.get(self.slot(k)).copied().unwrap_or(0)
     }
 
     /// Visit the build rows matching `k`, in increasing build-row order.
     #[inline]
     pub(crate) fn for_each_match(&self, k: u64, mut f: impl FnMut(u32)) {
-        let mut e = self.buckets[(mix(k) >> self.shift) as usize];
+        let mut e = self.head(k);
         while e != 0 {
-            let i = (e - 1) as usize;
-            if self.keys[i] == k {
-                f(self.rows[i]);
+            let row = (e - 1) as usize;
+            if self.keys[row] == k {
+                f(row as u32);
             }
-            e = self.next[i];
+            e = self.next[row];
         }
     }
 
     /// True if any build row has key `k`.
     #[inline]
     pub(crate) fn contains(&self, k: u64) -> bool {
-        let mut e = self.buckets[(mix(k) >> self.shift) as usize];
+        let mut e = self.head(k);
         while e != 0 {
-            let i = (e - 1) as usize;
-            if self.keys[i] == k {
+            let row = (e - 1) as usize;
+            if self.keys[row] == k {
                 return true;
             }
-            e = self.next[i];
+            e = self.next[row];
         }
         false
     }
@@ -206,8 +257,18 @@ mod tests {
         for (i, &k) in bkeys.iter().enumerate() {
             reference.entry(k).or_default().push(i as u32);
         }
-        let table = JoinTable::build(&bkeys);
-        for probe in (0..40).map(|i| i * 1024).chain([u64::MAX - 1, u64::MAX]) {
+        // Hashed while the keys (−2 ..= 36 × 1024) span more than the rows
+        // at hand, directly addressed under a probe as long as the span.
+        for probed in [0, 40 * 1024] {
+            let table = JoinTable::build(&bkeys, probed);
+            assert!(!table.is_exact(), "keys repeat");
+            assert_eq!(table.heads.len() == 36 * 1024 + 3, probed > 0);
+            check(&table, &reference);
+        }
+    }
+
+    fn check(table: &JoinTable<'_>, reference: &HashMap<u64, Vec<u32>>) {
+        for probe in (0..40).map(|i| i * 1024).chain([u64::MAX - 1, u64::MAX, 5, 36 * 1024 + 1]) {
             let mut got = Vec::new();
             table.for_each_match(probe, |r| got.push(r));
             let want = reference.get(&probe).cloned().unwrap_or_default();
@@ -218,9 +279,36 @@ mod tests {
 
     #[test]
     fn join_table_empty() {
-        let table = JoinTable::build(&[]);
-        assert!(!table.contains(0));
-        table.for_each_match(0, |_| panic!("no matches in an empty table"));
+        for probed in [0, 100] {
+            let table = JoinTable::build(&[], probed);
+            assert!(!table.contains(0));
+            assert!(!table.contains(u64::MAX));
+            table.for_each_match(0, |_| panic!("no matches in an empty table"));
+        }
+    }
+
+    /// Direct addressing is decided by the signed key span against the
+    /// rows at hand, and is exact only while no key repeats.
+    #[test]
+    fn join_table_addresses_small_spans_directly() {
+        let keys: Vec<u64> = [-1i64, 0, 1, 7].iter().map(|&k| k as u64).collect();
+        // span 8: direct from build + probed = 9 rows on.
+        assert_eq!(JoinTable::build(&keys, 4).mul, PHI);
+        let table = JoinTable::build(&keys, 5);
+        assert!(table.is_exact());
+        assert_eq!((table.mul, table.heads.len()), (1, 9));
+        for (row, &k) in keys.iter().enumerate() {
+            assert_eq!(table.only(k), row as u32 + 1);
+        }
+        for miss in [-2i64, 2, 6, 8, i64::MIN, i64::MAX] {
+            assert_eq!(table.only(miss as u64), 0, "key {miss}");
+            assert!(!table.contains(miss as u64));
+        }
+        // The full signed range never is, and its lookups still work.
+        let ends = [i64::MIN as u64, i64::MAX as u64, u64::MAX];
+        let table = JoinTable::build(&ends, usize::MAX / 2);
+        assert!(!table.is_exact());
+        assert!(table.contains(u64::MAX) && !table.contains(0));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Hash join kernel (inner, semi, anti).
 //!
 //! [`hash_join`] probes the row stream `(probe chunk, Option<&SelVec>)`:
-//! only selected rows (all rows when `None`) have keys extracted (via the
-//! per-row [`ProbeKeys`] extractor) and position pairs are emitted
-//! directly, so a filtered probe side is never gathered before the join.
-//! The build side is hashed once into a flat-array
-//! [`JoinTable`](crate::ops::hashtbl::JoinTable) on the calling thread;
-//! the probe loop runs per morsel of the stream.
+//! only selected rows (all rows when `None`) have keys extracted and
+//! position pairs are emitted directly, so a filtered probe side is never
+//! gathered before the join. The build side is indexed once into a
+//! flat-array [`JoinTable`](crate::ops::hashtbl::JoinTable) on the calling
+//! thread; the probe loop — one per key type ([`ProbeKeys`]), resolved
+//! outside it — runs per morsel of the stream.
 
 use crate::batch::{Chunk, SelVec};
 use crate::ops::hashtbl::JoinTable;
@@ -37,18 +37,19 @@ fn with_key_buffer<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
     })
 }
 
-/// Per-row probe key extraction into the canonical 64-bit key space of
-/// the build side.
+/// The probe key column, read into the canonical 64-bit key space of the
+/// build side.
 ///
-/// The column is resolved once and each key computed on demand, so only
-/// rows the probe actually visits ever get a key. Integer pairs compare
-/// as integers and anything involving a float compares through `f64`
-/// bits. String pairs reuse the build side's dictionary codes directly as
-/// keys: when both columns share one dictionary `Arc` (common after
-/// gathers/filters of the same base column) probe codes pass through with
-/// no per-call map at all; otherwise only the two *dictionaries* are
-/// reconciled (O(|dicts|), not O(rows)) and probe codes translate through
-/// that table. Probe-only strings map to `u64::MAX`, which never matches.
+/// Each key is computed on demand, so only rows the probe actually visits
+/// ever get one. Integer pairs compare as integers and anything involving
+/// a float compares through `f64` bits. String pairs reuse the build
+/// side's dictionary codes directly as keys: when both columns share one
+/// dictionary `Arc` (common after gathers/filters of the same base column)
+/// probe codes pass through with no per-call map at all; otherwise only
+/// the two *dictionaries* are reconciled (O(|dicts|), not O(rows)) and
+/// probe codes translate through that table. Probe-only strings map to
+/// `u64::MAX`, which no build key of a string join — a `u32` code — equals;
+/// it is no sentinel anywhere else (an integer −1 is the same bits).
 enum ProbeKeys<'a> {
     /// String column: dictionary codes, optionally translated into the
     /// build dictionary's code space.
@@ -68,17 +69,27 @@ enum ProbeKeys<'a> {
 }
 
 impl ProbeKeys<'_> {
-    /// The join key of probe row `row`. Forced inline: left as a call
-    /// per probed row (what the inliner chose) the dense probe measured
-    /// 15–20 % slower.
-    #[inline(always)]
-    fn key(&self, row: usize) -> u64 {
+    /// [`probe_rows`] over this column: the key type is resolved here,
+    /// once per morsel instead of once per probed row, and every arm gets
+    /// a row loop of its own.
+    fn probe(
+        &self,
+        m: Range<usize>,
+        row: impl Fn(usize) -> u32,
+        table: &JoinTable<'_>,
+        kind: JoinKind,
+        out: Positions<'_>,
+    ) {
         match self {
-            ProbeKeys::Codes { codes, map: None } => codes[row] as u64,
-            ProbeKeys::Codes { codes, map: Some(m) } => m[codes[row] as usize],
-            ProbeKeys::F64(c) => c.get_f64(row).to_bits(),
-            ProbeKeys::I32(v) => v[row] as i64 as u64,
-            ProbeKeys::I64(v) => v[row] as u64,
+            ProbeKeys::Codes { codes, map: None } => {
+                probe_rows(|r| codes[r] as u64, m, row, table, kind, out)
+            }
+            ProbeKeys::Codes { codes, map: Some(map) } => {
+                probe_rows(|r| map[codes[r] as usize], m, row, table, kind, out)
+            }
+            ProbeKeys::F64(c) => probe_rows(|r| c.get_f64(r).to_bits(), m, row, table, kind, out),
+            ProbeKeys::I32(v) => probe_rows(|r| v[r] as i64 as u64, m, row, table, kind, out),
+            ProbeKeys::I64(v) => probe_rows(|r| v[r] as u64, m, row, table, kind, out),
         }
     }
 }
@@ -135,50 +146,63 @@ fn probe_key_extractor<'a>(
     }
 }
 
-/// Probe the given global probe positions against `table`, appending
-/// qualifying positions.
+/// Where a probe appends: probe positions, and build positions beside
+/// them for `Inner`.
+type Positions<'a> = (&'a mut Vec<u32>, &'a mut Vec<u32>);
+
+/// Probe rows handled per on-stack output block.
+const BLOCK: usize = 256;
+
+/// Probe the stream indices `m` — `row` maps one to its probe row: the
+/// identity for a dense probe, the position list's entry for a selected
+/// one — against `table`, appending qualifying positions.
 ///
 /// `Inner` appends matching `(probe, build)` position pairs; `Semi`/`Anti`
-/// append surviving probe positions only (and never touch `build_pos`).
-/// Positions come out in input order and the matches of one probe row in
-/// increasing build row, so per-morsel outputs concatenate into exactly
-/// the row-at-a-time result.
-fn probe_table_into(
-    keys: &ProbeKeys<'_>,
-    table: &JoinTable,
+/// append surviving probe positions only (and never touch the build
+/// positions). Positions come out in input order and the matches of one
+/// probe row in increasing build row, so per-morsel outputs concatenate
+/// into exactly the row-at-a-time result.
+///
+/// Against an exact table (no build key repeats — every foreign-key join)
+/// a probe row yields at most one position, so it is written
+/// unconditionally into a fixed block and kept by advancing the count:
+/// no data-dependent branch, no per-row `push`, and the output grows by
+/// what matched, not by what was probed.
+fn probe_rows(
+    key: impl Fn(usize) -> u64,
+    m: Range<usize>,
+    row: impl Fn(usize) -> u32,
+    table: &JoinTable<'_>,
     kind: JoinKind,
-    positions: impl Iterator<Item = u32>,
-    probe_pos: &mut Vec<u32>,
-    build_pos: &mut Vec<u32>,
+    (probe_pos, build_pos): Positions<'_>,
 ) {
-    match kind {
-        JoinKind::Inner => {
-            for p in positions {
-                let k = keys.key(p as usize);
-                if k == u64::MAX {
-                    continue; // probe-only string, cannot match
-                }
-                table.for_each_match(k, |b| {
+    let keep = kind != JoinKind::Anti;
+    if !table.is_exact() {
+        for p in m.map(row) {
+            let k = key(p as usize);
+            match kind {
+                JoinKind::Inner => table.for_each_match(k, |b| {
                     probe_pos.push(p);
                     build_pos.push(b);
-                });
+                }),
+                _ if table.contains(k) == keep => probe_pos.push(p),
+                _ => {}
             }
         }
-        JoinKind::Semi => {
-            for p in positions {
-                let k = keys.key(p as usize);
-                if k != u64::MAX && table.contains(k) {
-                    probe_pos.push(p);
-                }
-            }
+        return;
+    }
+    let (mut probes, mut builds) = ([0u32; BLOCK], [0u32; BLOCK]);
+    for lo in m.clone().step_by(BLOCK) {
+        let mut n = 0;
+        for p in (lo..m.end.min(lo + BLOCK)).map(&row) {
+            let hit = table.only(key(p as usize));
+            probes[n] = p;
+            builds[n] = hit.wrapping_sub(1);
+            n += usize::from((hit != 0) == keep);
         }
-        JoinKind::Anti => {
-            for p in positions {
-                let k = keys.key(p as usize);
-                if k == u64::MAX || !table.contains(k) {
-                    probe_pos.push(p);
-                }
-            }
+        probe_pos.extend_from_slice(&probes[..n]);
+        if kind == JoinKind::Inner {
+            build_pos.extend_from_slice(&builds[..n]);
         }
     }
 }
@@ -194,10 +218,10 @@ fn probe_table_into(
 /// * `Semi`: probe rows with at least one match, probe columns only.
 /// * `Anti`: probe rows with no match, probe columns only.
 ///
-/// Each worker reserves one output slot per probed row of a morsel: exact
-/// worst case for Semi/Anti, and for Inner it covers every probe workload
-/// whose average match count is ≤ 1 (foreign-key probes) without a
-/// counting pre-pass — higher-fanout joins grow amortized beyond that.
+/// The build keys are indexed for direct addressing when their range is
+/// small against both sides' rows and hashed otherwise (`JoinTable`);
+/// workers append what matched to their arenas, so the positions cost
+/// memory by the join's output, never by its input.
 pub fn hash_join(
     build: &Chunk,
     probe: &Chunk,
@@ -211,23 +235,14 @@ pub fn hash_join(
     let pcol = probe.require_column(probe_key)?;
     with_key_buffer(|bkeys| {
         let keys = probe_key_extractor(bcol, pcol, bkeys)?;
-        let table = JoinTable::build(bkeys);
         let probed = probe_sel.map_or(probe.num_rows(), SelVec::len);
-        let probe_morsel = |m: Range<usize>, probe_pos: &mut Vec<u32>, build_pos: &mut Vec<u32>| {
-            probe_pos.reserve(m.len());
-            if kind == JoinKind::Inner {
-                build_pos.reserve(m.len());
+        let table = JoinTable::build(bkeys, probed);
+        let probe_morsel = |m: Range<usize>, out: Positions<'_>| match probe_sel {
+            Some(s) => {
+                let positions = s.positions();
+                keys.probe(m, |i| positions[i], &table, kind, out)
             }
-            match probe_sel {
-                Some(s) => {
-                    let rows = s.positions()[m].iter().copied();
-                    probe_table_into(&keys, &table, kind, rows, probe_pos, build_pos)
-                }
-                None => {
-                    let rows = m.start as u32..m.end as u32;
-                    probe_table_into(&keys, &table, kind, rows, probe_pos, build_pos)
-                }
-            }
+            None => keys.probe(m, |i| i as u32, &table, kind, out),
         };
         match kind {
             JoinKind::Inner => {
@@ -235,7 +250,7 @@ pub fn hash_join(
                     probed,
                     KernelClass::Join,
                     |m, out: &mut (Vec<u32>, Vec<u32>)| {
-                        probe_morsel(m, &mut out.0, &mut out.1);
+                        probe_morsel(m, (&mut out.0, &mut out.1));
                         Ok(())
                     },
                 )?;
@@ -248,7 +263,7 @@ pub fn hash_join(
                     probed,
                     KernelClass::Join,
                     |m, out: &mut Vec<u32>| {
-                        probe_morsel(m, out, &mut Vec::new());
+                        probe_morsel(m, (out, &mut Vec::new()));
                         Ok(())
                     },
                 )?;

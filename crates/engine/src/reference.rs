@@ -181,7 +181,7 @@ fn str_match(
 /// dictionary codes as keys: probe codes pass through when both columns
 /// share one dictionary `Arc`, otherwise they are translated through the
 /// reconciled dictionaries; probe-only strings map to `u64::MAX`, which
-/// never matches.
+/// no build key of a string join (a `u32` code) equals.
 fn join_keys(build: &ColumnData, probe: &ColumnData) -> Result<(Vec<u64>, Vec<u64>), String> {
     use DataType::*;
     match (build.data_type(), probe.data_type()) {
@@ -278,8 +278,7 @@ fn probe_rows(
     probe_pos: &mut Vec<u32>,
     build_pos: &mut Vec<u32>,
 ) {
-    // `u64::MAX` is a probe-only string: it cannot match.
-    let matches = |p: u32| Some(pkeys[p as usize]).filter(|&k| k != u64::MAX).and_then(|k| table.get(&k));
+    let matches = |p: u32| table.get(&pkeys[p as usize]);
     match kind {
         JoinKind::Inner => {
             for p in rows {

@@ -3,9 +3,11 @@
 //!
 //! Columns are shared, never copied (DESIGN.md §3, §5): a scan hands on
 //! the table's buffers, a filtered or sharded scan adds position lists
-//! only, and cloning or projecting a chunk touches no row. Each budget
-//! below sits far under one copy of the columns the operation reads, so
-//! any reintroduced column copy trips it on every host alike.
+//! only — none at all without a predicate, where a shard is a row range —
+//! and cloning or projecting a chunk touches no row. Each budget below
+//! sits far under one copy of the columns the operation reads, so any
+//! reintroduced column copy trips it on every host alike. A join's probe
+//! allocates by what it matches, not by what it reads.
 //!
 //! Operators are shared the same way (DESIGN.md §5): handing a plan on —
 //! `PlanNode::clone`, then `flatten` at admission — allocates the tree's
@@ -13,13 +15,14 @@
 //! one byte of a name, predicate or expression.
 
 use robustq::engine::exec::task::{flatten, Role, ShardSpec};
-use robustq::engine::ops::project::keep_columns;
 use robustq::engine::expr::Expr;
-use robustq::engine::plan::{AggSpec, Op, PlanNode, SortKey};
+use robustq::engine::ops::join::hash_join;
+use robustq::engine::ops::project::keep_columns;
+use robustq::engine::plan::{AggSpec, JoinKind, Op, PlanNode, SortKey};
 use robustq::engine::predicate::Predicate;
 use robustq::engine::{Chunk, LazyChunk, ParallelCtx};
 use robustq::storage::gen::ssb::SsbGenerator;
-use robustq::storage::Database;
+use robustq::storage::{ColumnData, DataType, Database, Field};
 use robustq::workloads::SsbQuery;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,24 +119,29 @@ fn a_filtered_scan_allocates_positions_only() {
     assert!(bytes <= budget, "a filtered scan of {ROWS} rows allocated {bytes} B > {budget} B");
 }
 
+/// `of` shards of a `lineorder` scan and their merge, and the bytes the
+/// lot allocated.
+fn sharded_scan(db: &Database, predicate: Option<Predicate>, of: u32) -> (LazyChunk, u64) {
+    let ctx = ParallelCtx::serial();
+    let scan = Op::Scan { table: "lineorder".into(), columns: columns(), predicate };
+    allocated(|| {
+        let shards: Vec<LazyChunk> = (0..of)
+            .map(|index| {
+                let shard = Role::Shard(ShardSpec { index, of });
+                scan.execute_windowed(shard, &[], db, ctx, None).unwrap()
+            })
+            .collect();
+        scan.execute_windowed(Role::Merge, &shards, db, ctx, None).unwrap()
+    })
+}
+
 #[test]
 fn a_sharded_scan_and_its_merge_allocate_positions_only() {
     let db = lineorder();
     let budget = PER_ROW * ROWS as u64 + FIXED;
-    let ctx = ParallelCtx::serial();
     for predicate in [None, predicate()] {
         for of in [2u32, 4] {
-            let scan =
-                Op::Scan { table: "lineorder".into(), columns: columns(), predicate: predicate.clone() };
-            let (merged, bytes) = allocated(|| {
-                let shards: Vec<LazyChunk> = (0..of)
-                    .map(|index| {
-                        let shard = Role::Shard(ShardSpec { index, of });
-                        scan.execute_windowed(shard, &[], &db, ctx, None).unwrap()
-                    })
-                    .collect();
-                scan.execute_windowed(Role::Merge, &shards, &db, ctx, None).unwrap()
-            });
+            let (merged, bytes) = sharded_scan(&db, predicate.clone(), of);
             assert!(merged.num_rows() > ROWS / 4);
             assert!(
                 bytes <= budget,
@@ -141,6 +149,38 @@ fn a_sharded_scan_and_its_merge_allocate_positions_only() {
             );
         }
     }
+}
+
+/// Without a predicate a shard is its row range and the merge their union:
+/// not one position is written, let alone 8 B a row.
+#[test]
+fn a_predicate_free_sharded_scan_allocates_no_positions() {
+    let db = lineorder();
+    for of in [2u32, 4] {
+        let (merged, bytes) = sharded_scan(&db, None, of);
+        assert_eq!(merged.num_rows(), ROWS);
+        assert!(bytes < FIXED, "{of} unfiltered shards + merge over {ROWS} rows allocated {bytes} B");
+    }
+}
+
+/// A foreign-key probe allocates by its matches: beyond the gathered
+/// output, one row in a hundred matching leaves well under 2 B a probed
+/// row (a slot reserved per probed row was 8 B).
+#[test]
+fn a_foreign_key_probe_allocates_by_its_matches() {
+    let ints = |name: &str, values: Vec<i32>| {
+        Chunk::new(vec![Field::new(name, DataType::Int32)], vec![ColumnData::Int32(values)])
+    };
+    let build = ints("pk", (0..100).collect());
+    let probe = ints("fk", (0..ROWS as i32).map(|i| i.wrapping_mul(7919) % 10_000).collect());
+    let join = || {
+        hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner, ParallelCtx::serial()).unwrap()
+    };
+    join(); // the thread's build-key buffer is allocated once
+    let (out, bytes) = allocated(join);
+    assert!(out.num_rows() > ROWS / 200 && out.num_rows() < ROWS / 50);
+    let budget = out.byte_size() + 2 * ROWS as u64;
+    assert!(bytes < budget, "probing {ROWS} rows allocated {bytes} B, budget {budget} B");
 }
 
 #[test]

@@ -4,13 +4,15 @@
 //! For each of select / hash join / aggregate, the one production function
 //! (`robustq::engine::ops::{select::select, join::hash_join,
 //! agg::aggregate}`) is run over `sel ∈ {None, Some}` × `ctx ∈ {serial,
-//! workers 2/8 × morsel 1/7/65 536 with the fan-out threshold off}` and
+//! workers 2/8 × morsel 1/7/64/65 536 with the fan-out threshold off}` and
 //! compared against `robustq::engine::reference` on the gathered input via
 //! `Result<Chunk, String>` equality (fields, column data, dictionary codes
 //! **and** `Err` strings), across all column `DataType`s, including empty
 //! and single-row chunks. Any divergence — group numbering, float
 //! association order, dictionary rebuilds, a different error — fails these
-//! tests.
+//! tests. The join is additionally walked through every decision its
+//! table makes (`key_shape`): direct or hashed addressing, unique or
+//! repeated build keys, every key-type pairing, block boundaries.
 
 use proptest::prelude::*;
 use robustq::engine::exec::task::{Role, ShardSpec};
@@ -24,7 +26,7 @@ use robustq::engine::{Chunk, LazyChunk, ParallelCtx, SelVec};
 use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field, Schema, Table};
 
 const WORKER_GRID: [usize; 2] = [2, 8];
-const MORSEL_GRID: [usize; 3] = [1, 7, 65_536];
+const MORSEL_GRID: [usize; 4] = [1, 7, 64, 65_536];
 
 const STR_POOL: [&str; 7] =
     ["ASIA", "EUROPE", "AMERICA", "AFRICA", "MIDDLE EAST", "x", ""];
@@ -278,6 +280,129 @@ fn check_sharded_scan(
     }
 }
 
+/// Rows per output block of the exact probe (`ops/join.rs::BLOCK`).
+const PROBE_BLOCK: usize = 256;
+
+/// Key shapes that cross every decision the join's table makes.
+const NUM_KEY_SHAPES: usize = 12;
+
+/// Build and probe sides of `build_n` and `probe_n` rows, each a key
+/// column `k` and a row-number payload, by shape. `probed` is how many of
+/// the probe rows the join will read (fewer through a selection): the
+/// table addresses keys directly while their span is below `build_n +
+/// probed`, so shapes 2 and 3 sit on either side of that line. `base`
+/// shifts the integer keys.
+fn key_shape(shape: usize, build_n: usize, probe_n: usize, probed: usize, base: i64) -> (Chunk, Chunk) {
+    let ints = |keys: Vec<i64>| ColumnData::Int64(keys);
+    let narrow = |keys: Vec<i64>| ColumnData::Int32(keys.into_iter().map(|k| k as i32).collect());
+    let floats = |keys: Vec<i64>| ColumnData::Float64(keys.into_iter().map(|k| k as f64 / 2.0).collect());
+    let strs = |keys: Vec<i64>| {
+        ColumnData::Str(DictColumn::from_strings(keys.into_iter().map(|k| format!("s{}", k.rem_euclid(9)))))
+    };
+    let (b, p) = (build_n as i64, probe_n as i64);
+    // Probe keys wander two past either end of `lo..lo + width`.
+    let around = |lo: i64, width: i64| {
+        (0..p).map(|i| lo.wrapping_add((i * 5) % (width + 4) - 2)).collect::<Vec<_>>()
+    };
+    // Unique keys whose largest is `span` above the smallest.
+    let spanning = |span: i64| {
+        (0..b).map(|i| base.wrapping_add(if i + 1 == b { span } else { i })).collect::<Vec<_>>()
+    };
+    let extremes = [-1, i64::MIN, i64::MAX, 0, 1, -2, i64::MIN + 1];
+    let limit = b + probed as i64;
+    let (build, probe) = match shape % NUM_KEY_SHAPES {
+        // Dense and unique, in descending build order.
+        0 => (ints((0..b).rev().map(|i| base.wrapping_add(i)).collect()), ints(around(base, b))),
+        // Dense with repeats: matches must come out in build-row order.
+        1 => (
+            ints((0..b).map(|i| base.wrapping_add(i % (b / 3).max(1))).collect()),
+            ints(around(base, b / 3)),
+        ),
+        // The widest span still addressed directly, and the first hashed.
+        2 => (ints(spanning((limit - 1).max(b - 1))), ints(around(base, limit))),
+        3 => (ints(spanning(limit.max(b - 1))), ints(around(base, limit))),
+        // −1 (the old "cannot match" bit pattern) and both ends of `i64`.
+        4 => (
+            ints((0..b).map(|i| extremes[i as usize % 5]).collect()),
+            ints((0..p).map(|i| extremes[i as usize % 7]).collect()),
+        ),
+        // Mixed integer widths, both ways, around zero.
+        5 => (narrow((0..b).map(|i| i - b / 2).collect()), ints(around(-b / 2, b))),
+        6 => (ints((0..b).map(|i| i - b / 2).collect()), narrow(around(-b / 2, b))),
+        // Integer × float compares through `f64` bits, as does float × float.
+        7 => (
+            narrow((0..b).map(|i| base.wrapping_add(i)).collect()),
+            floats(around(base.wrapping_mul(2), 2 * b)),
+        ),
+        8 => (floats((0..b).map(|i| i - b / 2).collect()), floats(around(-b / 2, b))),
+        // Strings over distinct dictionaries (with probe-only strings)…
+        9 => (strs((0..b).map(|i| i % 5).collect()), strs(around(0, 9))),
+        // …over one shared dictionary…
+        10 => {
+            let all = strs((0..b + p).collect());
+            let half = |rows: std::ops::Range<i64>| all.gather(&rows.map(|i| i as u32).collect::<Vec<_>>());
+            (half(0..b), half(b..b + p))
+        }
+        // …and against a numeric column: a type error.
+        _ => (strs((0..b).collect()), ints(around(0, b))),
+    };
+    let side = |keys: ColumnData, n: usize| {
+        Chunk::new(
+            vec![Field::new("k", keys.data_type()), Field::new("row", DataType::Int32)],
+            vec![keys, ColumnData::Int32((0..n as i32).collect())],
+        )
+    };
+    (side(build, build_n), side(probe, probe_n))
+}
+
+/// Production ≡ reference on one key shape: dense probe and through `sel`
+/// (with the span limit placed for either), all three kinds, over the
+/// whole context grid.
+fn check_key_shape(shape: usize, build_n: usize, probe_n: usize, picks: &[bool], base: i64) {
+    let sel = sel_of(probe_n, picks);
+    for probed in [probe_n, sel.len()] {
+        let (build, probe) = key_shape(shape, build_n, probe_n, probed, base);
+        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+            check_join(&build, &probe, &sel, ("k", "k"), kind);
+        }
+    }
+}
+
+/// Every shape at the probe lengths around the exact probe's output block
+/// and against an empty build side.
+#[test]
+fn every_join_table_decision_matches_reference() {
+    for shape in 0..NUM_KEY_SHAPES {
+        for probe_n in [PROBE_BLOCK - 1, PROBE_BLOCK, PROBE_BLOCK + 1] {
+            check_key_shape(shape, 23, probe_n, &[true, true, false], -3);
+        }
+        check_key_shape(shape, 0, 5, &[true, false], 0);
+        check_key_shape(shape, 1, 0, &[true], 7);
+    }
+}
+
+/// An integer key of −1 is `u64::MAX` in the canonical key space — a key
+/// like any other, not the "cannot match" mark of a probe-only string.
+#[test]
+fn minus_one_is_a_join_key_like_any_other() {
+    for narrow in [false, true] {
+        let keys = |name: &str, values: &[i64]| {
+            let column = if narrow {
+                ColumnData::Int32(values.iter().map(|&v| v as i32).collect())
+            } else {
+                ColumnData::Int64(values.to_vec())
+            };
+            Chunk::new(vec![Field::new(name, column.data_type())], vec![column])
+        };
+        let (build, probe) = (keys("k", &[-1, 0, 1]), keys("f", &[-1, 5, 1, -1]));
+        for (kind, rows) in [(JoinKind::Inner, 3), (JoinKind::Semi, 3), (JoinKind::Anti, 1)] {
+            let got = ops::join::hash_join(&build, &probe, None, "k", "f", kind, ParallelCtx::serial());
+            assert_eq!(got, reference::hash_join(&build, &probe, None, "k", "f", kind), "{kind:?}");
+            assert_eq!(got.unwrap().num_rows(), rows, "{kind:?} narrow={narrow}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -306,6 +431,17 @@ proptest! {
         // join numerically, string × numeric is a type error).
         let keys = (key_column(keys.0), key_column(if same_key { keys.0 } else { keys.1 }));
         check_join(&build, &probe, &sel_of(probe_rows.len(), &picks), keys, join_kind(kind));
+    }
+
+    #[test]
+    fn join_table_decisions_are_bit_identical_to_reference(
+        shape in 0usize..NUM_KEY_SHAPES,
+        build_n in 0usize..40,
+        probe_n in 0usize..300,
+        picks in picks_strategy(),
+        base in prop_oneof![-50i64..50, Just(i64::MIN), Just(i64::MAX - 400), Just(i32::MAX as i64 - 20)],
+    ) {
+        check_key_shape(shape, build_n, probe_n, &picks, base);
     }
 
     #[test]
@@ -356,7 +492,7 @@ proptest! {
         };
         for predicate in [None, Some(&pred)] {
             for window in [None, Some((a.min(b), a.max(b)))] {
-                for of in [1, 2, 3, 7, n as u32 + 1] {
+                for of in [1, 2, 3, 4, 7, n as u32 + 1] {
                     check_sharded_scan(&chunk, predicate, window, of, ctx);
                 }
             }

@@ -18,10 +18,13 @@
 //!   (`ops::execute_plan`) and the production data path
 //!   (`execute_plan_fused`: postorder `Op::execute_lazy`) — against
 //!   each other over the SSB and TPC-H plans;
+//! * the run form of a selection (`SelVec::run`) against the same
+//!   positions listed, through every method and as a `LazyChunk`;
 //! * accounting invariance: however a scan is sharded, filtered or
 //!   windowed, every lazy task reports the `(num_rows, byte_size)` of the
 //!   materialized oracle's output — the two numbers virtual time is
-//!   computed from — and holds bit-identical rows;
+//!   computed from — and holds bit-identical rows; a predicate-free shard
+//!   is a run and its merge dense;
 //! * one estimate: the single pass admission makes over a flattened plan
 //!   (`estimate::postorder`) against estimating every subtree on its own,
 //!   to the bit, over the SSB, TPC-H and generated plans.
@@ -300,6 +303,58 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A run is its positions, listed: every method of `SelVec` and of a
+    /// `LazyChunk` over it answers as it does for the position list, and
+    /// the two compare equal either way round (and unequal to a neighbour).
+    #[test]
+    fn a_run_is_its_listed_positions(
+        rows in rows_strategy(80),
+        bounds in (0usize..1000, 0usize..1000),
+    ) {
+        let base = chunk_of(&rows);
+        let lo = bounds.0 % (rows.len() + 1);
+        let hi = lo + bounds.1 % (rows.len() - lo + 1);
+        let (lo, hi) = (lo as u32, hi as u32);
+        let listed = SelVec::new((lo..hi).collect());
+        let run = || SelVec::run(lo..hi);
+
+        prop_assert_eq!(run().as_run(), Some(lo..hi));
+        prop_assert_eq!(listed.as_run(), None);
+        prop_assert_eq!((run().len(), run().is_empty()), (listed.len(), listed.is_empty()));
+        // Equality first: comparing must not depend on the positions
+        // having been listed already.
+        prop_assert!(run() == listed && listed == run() && run() == run());
+        prop_assert_eq!(run() == SelVec::run(lo + 1..hi + 1), lo == hi);
+        prop_assert!(run() != SelVec::new((lo..hi + 1).collect()));
+        prop_assert_eq!(run().positions(), listed.positions());
+        prop_assert_eq!(run().into_positions(), listed.clone().into_positions());
+        let asked = run();
+        asked.positions();
+        prop_assert_eq!(asked.into_positions(), listed.clone().into_positions());
+        if lo == 0 {
+            prop_assert_eq!(SelVec::all(hi as usize), run());
+        }
+
+        let lazy = |sel: SelVec| LazyChunk::Filtered { base: base.clone().into(), sel };
+        let (a, b) = (lazy(run()), lazy(listed.clone()));
+        prop_assert_eq!((a.num_rows(), a.byte_size()), (b.num_rows(), b.byte_size()));
+        prop_assert_eq!(a.parts().1, b.parts().1);
+        prop_assert_eq!(a.chunk(), b.chunk());
+        prop_assert_eq!(a.materialize(), b.materialize());
+
+        // A kernel reads a run like any selection.
+        let pred = predicate_for(bounds.0);
+        let ctx = fused_ctx(8);
+        prop_assert_eq!(
+            ops::select::select(&base, Some(&run()), &pred, ctx),
+            ops::select::select(&base, Some(&listed), &pred, ctx)
+        );
+    }
+}
+
 /// The pushed-down predicate of the fact scan: none, always true, always
 /// false, selective, string. The numeric ones read `i64`, which the
 /// narrower output column set leaves behind as a predicate-only column.
@@ -460,7 +515,7 @@ proptest! {
                 )
                 .expect("reference selection");
 
-                for ways in [0, 1, 2, 3, 5, n as u32 + 1] {
+                for ways in [0, 1, 2, 3, 4, 7, n as u32 + 1] {
                     let (graph, expect) = shard_fact_scans(&tasks, ways);
                     for workers in WORKER_GRID {
                         let mut lazy: Vec<LazyChunk> = Vec::with_capacity(graph.len());
@@ -485,6 +540,10 @@ proptest! {
                                         "{}", label
                                     );
                                     prop_assert_eq!(&out.chunk(), &oracle[*i], "{}", label);
+                                    // Runs merge into a dense output.
+                                    if t.role == Role::Merge && which == 0 {
+                                        prop_assert!(out.parts().1.is_none(), "{}", label);
+                                    }
                                 }
                                 Expect::Shard(shard) => {
                                     let range = shard.row_range(base.num_rows());
@@ -498,6 +557,10 @@ proptest! {
                                         (rows, rows as u64 * read_width),
                                         "{}", label
                                     );
+                                    // Without a predicate: the row range itself.
+                                    let run = out.parts().1.and_then(SelVec::as_run);
+                                    let range = (which == 0).then_some(range.start as u32..range.end as u32);
+                                    prop_assert_eq!(run, range, "{}", label);
                                 }
                             }
                             lazy.push(out);
