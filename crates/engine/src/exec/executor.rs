@@ -24,7 +24,7 @@
 
 use crate::error::EngineError;
 use crate::exec::device_rt::DeviceSet;
-use crate::exec::event_loop::{Sim, Submission};
+use crate::exec::event_loop::{Paged, Sim, Submission};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{QueryOutcome, RunMetrics, StagingStats};
 use crate::exec::model::{CostModelKind, ModelUpdate};
@@ -344,10 +344,10 @@ impl<'a> Executor<'a> {
             heaps: HeapSet::for_topology(&self.config.topology),
             link: Interconnect::for_topology(&self.config.topology),
             fault: opts.fault.clone(),
-            query_faults: Vec::new(),
+            query_faults: Vec::with_capacity(total_queries),
             events: EventQueue::new(),
-            tasks: Vec::new(),
-            queries: Vec::new(),
+            tasks: Paged::new(),
+            queries: Vec::with_capacity(total_queries),
             devices: DeviceSet::new(device_count),
             sessions: sessions.into_iter().map(VecDeque::from).collect(),
             session_seq: vec![0; session_count],
@@ -375,7 +375,7 @@ impl<'a> Executor<'a> {
                 ops_completed: PerDevice::splat(0, device_count),
                 ..RunMetrics::default()
             },
-            outcomes: Vec::new(),
+            outcomes: Vec::with_capacity(total_queries),
             model_samples: Vec::new(),
             staging: StagingStats::default(),
             now: VirtualTime::ZERO,

@@ -28,6 +28,7 @@ use robustq_sim::{
 use robustq_storage::{ColumnId, Database};
 use robustq_trace::{TraceEvent, Tracer};
 use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +83,49 @@ pub(crate) struct TaskState {
     pub(crate) output_rows: u64,
     pub(crate) output_device: Option<DeviceId>,
     pub(crate) load_contribution: VirtualTime,
+}
+
+/// A push-only table kept in pages of [`Paged::PAGE`] items: growing it
+/// copies nothing and never needs one block the size of the table. (A
+/// doubling `Vec` of a streaming run's 40 k tasks held two copies of
+/// itself whenever the allocator could not grow it in place, and whether
+/// it could was up to the heap's layout — the peak resident set of two
+/// runs of one schedule differed by a fifth.)
+pub(crate) struct Paged<T> {
+    pages: Vec<Vec<T>>,
+}
+
+impl<T> Paged<T> {
+    const PAGE: usize = 256;
+
+    pub(crate) fn new() -> Self {
+        Paged { pages: Vec::new() }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.pages.last().map_or(0, |last| (self.pages.len() - 1) * Self::PAGE + last.len())
+    }
+
+    pub(crate) fn push(&mut self, item: T) {
+        if self.pages.last().is_none_or(|last| last.len() == Self::PAGE) {
+            self.pages.push(Vec::with_capacity(Self::PAGE));
+        }
+        self.pages.last_mut().expect("a page with room").push(item);
+    }
+}
+
+impl<T> Index<usize> for Paged<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.pages[i / Self::PAGE][i % Self::PAGE]
+    }
+}
+
+impl<T> IndexMut<usize> for Paged<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.pages[i / Self::PAGE][i % Self::PAGE]
+    }
 }
 
 /// The feed-table row range a windowed query execution scans:
@@ -166,7 +210,7 @@ pub(crate) struct Sim<'a, 'p> {
     /// Per-query fault counters, indexed by query id.
     pub(crate) query_faults: Vec<FaultCounters>,
     pub(crate) events: EventQueue<Ev>,
-    pub(crate) tasks: Vec<TaskState>,
+    pub(crate) tasks: Paged<TaskState>,
     pub(crate) queries: Vec<QueryState>,
     /// Per-device ready queues, worker slots and compute sets.
     pub(crate) devices: DeviceSet,
@@ -424,3 +468,24 @@ macro_rules! policy_ctx {
     };
 }
 pub(crate) use policy_ctx;
+
+#[cfg(test)]
+mod tests {
+    use super::Paged;
+
+    #[test]
+    fn a_paged_table_indexes_like_the_vector_it_replaces() {
+        const PAGE: usize = Paged::<usize>::PAGE;
+        let mut table = Paged::new();
+        assert_eq!(table.len(), 0);
+        for n in [1, PAGE - 1, PAGE, 3 * PAGE + 7] {
+            while table.len() < n {
+                table.push(table.len());
+            }
+            assert_eq!(table.len(), n);
+            assert!((0..n).all(|i| table[i] == i));
+        }
+        table[PAGE] = 0;
+        assert_eq!((table[PAGE - 1], table[PAGE]), (PAGE - 1, 0));
+    }
+}
