@@ -9,7 +9,7 @@
 //! printed as a table and written to `BENCH_kernels.json` at the
 //! repository root so the perf trajectory is tracked across commits.
 //!
-//! Four kernel families are measured:
+//! Five kernel families are measured:
 //!
 //! * `select` / `join_probe` / `aggregate` — the production kernels over a
 //!   dense input against their references, one entry per worker count in
@@ -21,9 +21,18 @@
 //!   probe rows hit. `join_build` joins it with a zero-row probe (key
 //!   extraction and the table; its rows/s count *build* rows),
 //!   `join_probe_fk` joins key-only sides (the probe loop plus the
-//!   narrowest output there is, two key columns), and `join_output` is the
-//!   same join carrying four fact and two dimension payload columns — its
-//!   time beyond `join_probe_fk`'s is the output gather;
+//!   positions it returns), and `join_output` is the same join over sides
+//!   carrying four fact and two dimension payload columns. A join returns
+//!   positions and copies no column, so `join_output` reads as
+//!   `join_probe_fk` does — any time beyond it would be an output gather.
+//!   (The timed call is the join alone; the rows behind its positions are
+//!   gathered afterwards, to be compared with the reference's);
+//! * `join_chain` — where those positions go: `lineorder` ⋈ three filtered
+//!   dimensions → `SUM` of one fact column grouped by one dimension
+//!   column, the production data path (`execute_plan_fused`: every join
+//!   hands on composed positions, the aggregate gathers the two columns it
+//!   names) against the materializing oracle (`execute_plan`: every join
+//!   gathers every column of its output);
 //! * `fused_select_aggregate` / `fused_select_probe` — the fused data
 //!   path (positions → selection-aware kernel) against the
 //!   pre-selection-vector *materializing* baseline (mask select + gather,
@@ -56,11 +65,13 @@ use robustq_bench::table::json_str;
 use robustq_engine::exec::task::Role;
 use robustq_engine::expr::Expr;
 use robustq_engine::ops::project::keep_columns;
-use robustq_engine::ops::{agg::aggregate, join::hash_join, select::select};
-use robustq_engine::plan::{AggSpec, JoinKind, Op};
+use robustq_engine::ops::{agg::aggregate, execute_plan, join::hash_join, select::select};
+use robustq_engine::plan::{AggSpec, JoinKind, Op, PlanNode};
 use robustq_engine::predicate::Predicate;
 use robustq_engine::reference;
-use robustq_engine::{Chunk, KernelClass, LazyChunk, ParallelCtx, ShardSpec};
+use robustq_engine::{
+    execute_plan_fused, Chunk, KernelClass, LazyChunk, ParallelCtx, SelVec, ShardSpec,
+};
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::{ColumnData, DataType, Database, DictColumn, Field};
 use std::hint::black_box;
@@ -213,6 +224,37 @@ fn lazy_scan(
     scan.execute_windowed(Role::Merge, &parts, db, ctx, None).unwrap()
 }
 
+/// `lineorder` joined with most of `date`, three fifths of `customer` and
+/// two fifths of `supplier`, its revenue summed by customer nation: six
+/// fact columns ride through three joins for one of them to be read.
+fn join_chain() -> PlanNode {
+    PlanNode::scan(
+        "lineorder",
+        ["lo_orderdate", "lo_custkey", "lo_suppkey", "lo_quantity", "lo_extendedprice", "lo_revenue"],
+    )
+    .join(
+        PlanNode::scan("date", ["d_datekey"]).filter(Predicate::between("d_year", 1993, 1998)),
+        "lo_orderdate",
+        "d_datekey",
+    )
+    .join(
+        PlanNode::scan("customer", ["c_custkey", "c_nation"])
+            .filter(Predicate::in_list("c_region", ["ASIA", "AMERICA", "EUROPE"])),
+        "lo_custkey",
+        "c_custkey",
+    )
+    .join(
+        PlanNode::scan("supplier", ["s_suppkey"])
+            .filter(Predicate::in_list("s_region", ["ASIA", "AMERICA"])),
+        "lo_suppkey",
+        "s_suppkey",
+    )
+    .aggregate(["c_nation"], vec![AggSpec::sum(Expr::col("lo_revenue"), "revenue")])
+}
+
+/// What a join returns: `(probe stream index, build row)` per match.
+type Pairs = (Vec<u32>, Vec<u32>);
+
 /// Best-of-`ITERS` wall-clock seconds for `f` (after one warm-up pass).
 fn time_best<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     let out = f();
@@ -253,6 +295,7 @@ struct Baselines {
     join_build: (Chunk, f64),
     join_probe_fk: (Chunk, f64),
     join_output: (Chunk, f64),
+    join_chain: (Chunk, f64),
     agg: (Chunk, f64),
     fused_agg: (Chunk, f64),
     fused_probe: (Chunk, f64),
@@ -297,9 +340,8 @@ fn main() {
         let (dim, fact_keys, fact) = fk_join_sides(rows);
         let dim_keys = keep_columns(&dim, &["pk".to_string()]).unwrap();
         let no_fact = fact_keys.gather(&[]);
-        let fk_join = |dim: &Chunk, fact: &Chunk, ctx: Option<ParallelCtx>| match ctx {
-            Some(ctx) => hash_join(dim, fact, None, "pk", "fk", JoinKind::Inner, ctx).unwrap(),
-            None => reference::hash_join(dim, fact, None, "pk", "fk", JoinKind::Inner).unwrap(),
+        let fk_reference = |dim: &Chunk, fact: &Chunk| {
+            reference::hash_join(dim, fact, None, "pk", "fk", JoinKind::Inner).unwrap()
         };
         let v_pred = Predicate::between("v", 0, 499);
         let agg_chunk = aggregation_chunk(rows);
@@ -310,6 +352,7 @@ fn main() {
         let (agg_selected, probe_selected) = (selected(&agg_chunk), selected(&probe));
         let ssb = SsbGenerator::new(1).with_rows_per_sf(rows).generate();
         let scan_pred = Predicate::between("lo_discount", 4, 6);
+        let chain = join_chain();
 
         for (i, &workers) in sweep.iter().enumerate() {
             let base = Baselines {
@@ -322,9 +365,10 @@ fn main() {
                     reference::hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner)
                         .unwrap()
                 }),
-                join_build: time_best(|| fk_join(&dim, &no_fact, None)),
-                join_probe_fk: time_best(|| fk_join(&dim_keys, &fact_keys, None)),
-                join_output: time_best(|| fk_join(&dim, &fact, None)),
+                join_build: time_best(|| fk_reference(&dim, &no_fact)),
+                join_probe_fk: time_best(|| fk_reference(&dim_keys, &fact_keys)),
+                join_output: time_best(|| fk_reference(&dim, &fact)),
+                join_chain: time_best(|| execute_plan(&chain, &ssb).unwrap()),
                 agg: time_best(|| {
                     reference::aggregate(&agg_chunk, None, &group_by, &aggs).unwrap()
                 }),
@@ -382,14 +426,20 @@ fn main() {
                     sel_chunk.gather(sel.positions())
                 }),
             );
+            // Only the join is timed: it returns positions, gathered
+            // afterwards to be compared with the reference's rows.
+            let join = |build: &Chunk, probe: &Chunk, sel: Option<&SelVec>| {
+                hash_join((build, None), (probe, sel), "pk", "fk", JoinKind::Inner, ctx).unwrap()
+            };
+            let gathered = |build: &Chunk, probe: &Chunk, (pairs, secs): (Pairs, f64)| {
+                (probe.gather(&pairs.0).zip(build.gather(&pairs.1)), secs)
+            };
             push(
                 rows,
                 "join_probe",
                 ctx.workers_for(rows, KernelClass::Join),
                 &base.join,
-                time_best(|| {
-                    hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner, ctx).unwrap()
-                }),
+                gathered(&build, &probe, time_best(|| join(&build, &probe, None))),
             );
             let join_workers = ctx.workers_for(rows, KernelClass::Join);
             push(
@@ -397,21 +447,28 @@ fn main() {
                 "join_build",
                 1,
                 &base.join_build,
-                time_best(|| fk_join(&dim, &no_fact, Some(ctx))),
+                gathered(&dim, &no_fact, time_best(|| join(&dim, &no_fact, None))),
             );
             push(
                 rows,
                 "join_probe_fk",
                 join_workers,
                 &base.join_probe_fk,
-                time_best(|| fk_join(&dim_keys, &fact_keys, Some(ctx))),
+                gathered(&dim_keys, &fact_keys, time_best(|| join(&dim_keys, &fact_keys, None))),
             );
             push(
                 rows,
                 "join_output",
                 join_workers,
                 &base.join_output,
-                time_best(|| fk_join(&dim, &fact, Some(ctx))),
+                gathered(&dim, &fact, time_best(|| join(&dim, &fact, None))),
+            );
+            push(
+                rows,
+                "join_chain",
+                join_workers,
+                &base.join_chain,
+                time_best(|| execute_plan_fused(&chain, &ssb, ctx).unwrap()),
             );
             push(
                 rows,
@@ -435,11 +492,14 @@ fn main() {
                 "fused_select_probe",
                 fused_workers(probe_selected, KernelClass::Join),
                 &base.fused_probe,
-                time_best(|| {
-                    let sel = select(&probe, None, &v_pred, ctx).unwrap();
-                    hash_join(&build, &probe, Some(&sel), "pk", "fk", JoinKind::Inner, ctx)
-                        .unwrap()
-                }),
+                gathered(
+                    &build,
+                    &reference::select(&probe, &v_pred).unwrap(),
+                    time_best(|| {
+                        let sel = select(&probe, None, &v_pred, ctx).unwrap();
+                        join(&build, &probe, Some(&sel))
+                    }),
+                ),
             );
 
             // Only the lazy scan is timed; its output is materialized

@@ -4,24 +4,26 @@
 //! equal-length columns, each a reference-counted buffer it may share with
 //! the base table and with other chunks — building, cloning or projecting
 //! a chunk copies no column data. The original operator-at-a-time engine
-//! materialized every intermediate; since the selection-vector rework the
-//! kernels can instead pass a `(Chunk, Option<&SelVec>)` pair — the base
-//! columns untouched plus a [`SelVec`] of qualifying row positions — and
-//! only pipeline breakers (join build sides, sort, final output)
-//! materialize. [`LazyChunk`] is the operator-output form carrying either
-//! representation.
+//! materialized every intermediate; now the kernels read a
+//! `(Chunk, Option<&SelVec>)` pair — the base columns untouched plus a
+//! [`SelVec`] of row positions — and an operator's output, a
+//! [`LazyChunk`], stays positions over shared base columns until the
+//! operator that reads a column gathers it.
 
 use robustq_storage::{ColumnData, DataType, Field, Table, Value};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-/// A selection vector: qualifying row positions of a base [`Chunk`], as
-/// `u32`, strictly increasing.
+/// A selection vector: the row of a base [`Chunk`] behind each row of a
+/// stream, as `u32`, in stream order.
 ///
 /// Passing positions instead of copied rows is the MonetDB/X100-style
-/// late-materialization device: a filter produces a `SelVec`, downstream
-/// operators read the base columns *through* it, and row order (hence
-/// bit-identical results) is preserved because positions stay sorted.
+/// late-materialization device: a filter produces a `SelVec` and
+/// downstream operators read the base columns *through* it. A selection's
+/// positions are strictly increasing ([`SelVec::new`] checks; shards
+/// concatenate by it); what a join composes ([`SelVec::compose`]) repeats
+/// where a build key does, in no order, so no kernel assumes one.
 ///
 /// A selection is either a position list or a dense **run** `lo..hi`
 /// ([`SelVec::run`]) that owns none — what a predicate-free shard of a
@@ -103,6 +105,15 @@ impl SelVec {
             Repr::Run(rows, listed) => listed.into_inner().unwrap_or_else(|| rows.collect()),
         }
     }
+
+    /// The positions at the stream indices `idx`, in `idx`'s order (only a
+    /// strictly increasing `idx` leaves a selection one).
+    pub fn compose(&self, idx: &[u32]) -> SelVec {
+        SelVec(Repr::List(match &self.0 {
+            Repr::List(positions) => idx.iter().map(|&i| positions[i as usize]).collect(),
+            Repr::Run(rows, _) => idx.iter().map(|&i| rows.start + i).collect(),
+        }))
+    }
 }
 
 /// Selections are equal when they select the same positions, whatever
@@ -123,31 +134,62 @@ impl From<Vec<u32>> for SelVec {
 
 /// An operator output that may still be unmaterialized.
 ///
-/// `Filtered` is a base chunk plus a selection vector: logically it *is*
-/// the gathered chunk (same rows, same order, same logical byte size), but
-/// no column data has been copied yet. Consumers that understand selection
-/// vectors (selection refinement, join probe, aggregation, projection)
-/// read through it; everything else calls [`LazyChunk::chunk`] /
-/// [`LazyChunk::materialize`] at a pipeline breaker.
+/// The lazy form is column [`Group`]s of equal length, side by side:
+/// logically it *is* the chunk of every group gathered and zipped (same
+/// rows, order, names and logical byte size), but no column data has been
+/// copied. A scan, shard, merge or selection emits one group, whose
+/// positions are a selection; a join composes the groups of both inputs
+/// with what matched. An operator reads the columns it names through
+/// [`LazyChunk::read`]; the root assembles rows ([`LazyChunk::materialize`]).
 #[derive(Debug, Clone)]
 pub enum LazyChunk {
     /// A fully materialized chunk.
     Materialized(Chunk),
-    /// A base chunk viewed through a selection vector.
-    Filtered {
-        /// The unfiltered base columns (shared, never copied).
-        base: Arc<Chunk>,
-        /// Qualifying positions into `base`.
-        sel: SelVec,
-    },
+    /// At least one column group; no name occurs in two.
+    Groups(Vec<Group>),
+}
+
+/// The columns of `base` (shared, never copied) at the rows `sel`.
+#[derive(Debug, Clone)]
+pub struct Group {
+    /// The base columns, under the names the output gives them.
+    pub base: Arc<Chunk>,
+    /// The row of `base` behind each row of the stream.
+    pub sel: SelVec,
+}
+
+impl Group {
+    /// `right` beside `left`, named as [`Chunk::zip`] names the gathered
+    /// sides (a renamed base shares its columns with the old one).
+    pub fn zip(mut left: Vec<Group>, right: Vec<Group>) -> Vec<Group> {
+        for Group { base, sel } in right {
+            let mut renamed = Chunk { fields: Vec::new(), columns: base.columns.clone() };
+            for f in &base.fields {
+                let taken = |n: &str| {
+                    renamed.index_of(n).or(left.iter().find_map(|g| g.base.index_of(n))).is_some()
+                };
+                renamed.fields.push(Field::new(unique_name(f.name.clone(), taken), f.data_type));
+            }
+            left.push(Group { base: Arc::new(renamed), sel });
+        }
+        left
+    }
 }
 
 impl LazyChunk {
-    /// Logical number of rows (selected rows for `Filtered`).
+    /// The groups of the lazy form; none when materialized.
+    pub fn groups(&self) -> &[Group] {
+        match self {
+            LazyChunk::Materialized(_) => &[],
+            LazyChunk::Groups(groups) => groups,
+        }
+    }
+
+    /// Logical number of rows.
     pub fn num_rows(&self) -> usize {
         match self {
             LazyChunk::Materialized(c) => c.num_rows(),
-            LazyChunk::Filtered { sel, .. } => sel.len(),
+            LazyChunk::Groups(groups) => groups[0].sel.len(),
         }
     }
 
@@ -157,40 +199,60 @@ impl LazyChunk {
     pub fn byte_size(&self) -> u64 {
         match self {
             LazyChunk::Materialized(c) => c.byte_size(),
-            LazyChunk::Filtered { base, sel } => {
-                let row_width: u64 = base
-                    .fields()
-                    .iter()
-                    .map(|f| f.data_type.byte_width() as u64)
-                    .sum();
-                sel.len() as u64 * row_width
+            LazyChunk::Groups(groups) => {
+                let fields = groups.iter().flat_map(|g| g.base.fields());
+                let row_width: u64 = fields.map(|f| f.data_type.byte_width() as u64).sum();
+                self.num_rows() as u64 * row_width
             }
         }
     }
 
-    /// The base chunk and optional selection vector, for kernels that
-    /// accept `(Chunk, Option<&SelVec>)`.
-    pub fn parts(&self) -> (&Chunk, Option<&SelVec>) {
-        match self {
-            LazyChunk::Materialized(c) => (c, None),
-            LazyChunk::Filtered { base, sel } => (base, Some(sel)),
+    /// The row stream an operator naming `columns` reads, as every kernel
+    /// takes it: the one group that holds them all, through its positions,
+    /// else [`LazyChunk::gather`]'s dense chunk.
+    pub fn read(&self, columns: &[&str]) -> (Cow<'_, Chunk>, Option<&SelVec>) {
+        let holds = |g: &&Group| columns.iter().all(|c| g.base.index_of(c).is_some());
+        match (self, self.groups().iter().find(holds)) {
+            (LazyChunk::Materialized(c), _) => (Cow::Borrowed(c), None),
+            (_, Some(g)) => (Cow::Borrowed(&*g.base), Some(&g.sel)),
+            (_, None) => (Cow::Owned(self.gather(columns)), None),
         }
     }
 
-    /// Materialize into an owned chunk (one gather for `Filtered`).
+    /// The named columns alone, gathered into a dense chunk. With no name,
+    /// or one no group holds, the whole row instead: the kernel then counts
+    /// the rows, or reports the column, as it does to the oracle.
+    pub fn gather(&self, columns: &[&str]) -> Chunk {
+        let column = |name: &&str| {
+            let (i, g) = self.groups().iter().find_map(|g| Some((g.base.index_of(name)?, g)))?;
+            let data = g.base.columns[i].gather(g.sel.positions());
+            Some((g.base.fields[i].clone(), Arc::new(data)))
+        };
+        match columns.iter().map(column).collect::<Option<(Vec<_>, Vec<_>)>>() {
+            Some((fields, columns)) if !fields.is_empty() => Chunk { fields, columns },
+            _ => self.clone().materialize(),
+        }
+    }
+
+    /// The groups at stream indices `idx` (of a materialized chunk: rows).
+    pub fn compose(&self, idx: Vec<u32>) -> Vec<Group> {
+        match self {
+            LazyChunk::Materialized(c) => {
+                vec![Group { base: Arc::new(c.clone()), sel: SelVec(Repr::List(idx)) }]
+            }
+            LazyChunk::Groups(groups) => groups
+                .iter()
+                .map(|g| Group { base: Arc::clone(&g.base), sel: g.sel.compose(&idx) })
+                .collect(),
+        }
+    }
+
+    /// Materialize into an owned chunk: one gather per group.
     pub fn materialize(self) -> Chunk {
+        let rows = |g: &Group| g.base.gather(g.sel.positions());
         match self {
             LazyChunk::Materialized(c) => c,
-            LazyChunk::Filtered { base, sel } => base.gather(sel.positions()),
-        }
-    }
-
-    /// Materialized view without consuming (`Materialized` shares its
-    /// columns with the clone; `Filtered` gathers).
-    pub fn chunk(&self) -> Chunk {
-        match self {
-            LazyChunk::Materialized(c) => c.clone(),
-            LazyChunk::Filtered { base, sel } => base.gather(sel.positions()),
+            LazyChunk::Groups(groups) => groups.iter().map(rows).reduce(Chunk::zip).expect("a group"),
         }
     }
 }
@@ -199,6 +261,15 @@ impl From<Chunk> for LazyChunk {
     fn from(c: Chunk) -> Self {
         LazyChunk::Materialized(c)
     }
+}
+
+/// `name`, suffixed with `_r` until `taken` no longer holds it: how a join
+/// keeps its right side's names apart from everything to their left.
+fn unique_name(mut name: String, taken: impl Fn(&str) -> bool) -> String {
+    while taken(&name) {
+        name.push_str("_r");
+    }
+    name
 }
 
 /// A fully materialized intermediate result. Columns are shared by
@@ -342,12 +413,10 @@ impl Chunk {
 
     /// Concatenate the columns of two chunks side by side (used by joins).
     ///
-    /// Duplicate names on the right side are suffixed with `_r`.
+    /// A right-side name is suffixed with `_r` until no column has it.
     pub fn zip(mut self, right: Chunk) -> Chunk {
         for (mut f, c) in right.fields.into_iter().zip(right.columns) {
-            if self.index_of(&f.name).is_some() {
-                f.name.push_str("_r");
-            }
+            f.name = unique_name(f.name, |n| self.index_of(n).is_some());
             self.fields.push(f);
             self.columns.push(c);
         }

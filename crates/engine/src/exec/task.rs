@@ -6,10 +6,10 @@
 //! have no dependencies and enter the operator stream immediately; every
 //! other task enters when its last child finishes.
 
-use crate::batch::{Chunk, LazyChunk, SelVec};
+use crate::batch::{Chunk, Group, LazyChunk, SelVec};
 use crate::ops;
 use crate::parallel::ParallelCtx;
-use crate::plan::{Op, PlanNode};
+use crate::plan::{JoinKind, Op, PlanNode};
 use robustq_sim::OpClass;
 use robustq_storage::Database;
 use std::ops::Range;
@@ -100,15 +100,19 @@ impl Op {
                 let sel = ops::select::select(&children[0], None, predicate, ctx)?;
                 Ok(children[0].gather(sel.positions()))
             }
-            Op::HashJoin { build_key, probe_key, kind } => ops::join::hash_join(
-                &children[0],
-                &children[1],
-                None,
-                build_key,
-                probe_key,
-                *kind,
-                ctx,
-            ),
+            Op::HashJoin { build_key, probe_key, kind } => {
+                let (build, probe) = (&children[0], &children[1]);
+                let (probe_idx, build_idx) = ops::join::hash_join(
+                    (build, None),
+                    (probe, None),
+                    build_key,
+                    probe_key,
+                    *kind,
+                    ctx,
+                )?;
+                let out = probe.gather(&probe_idx);
+                Ok(if *kind == JoinKind::Inner { out.zip(build.gather(&build_idx)) } else { out })
+            }
             Op::Project { exprs } => ops::project::project(&children[0], None, exprs),
             Op::Aggregate { group_by, aggs } => {
                 ops::agg::aggregate(&children[0], None, group_by, aggs, ctx)
@@ -136,18 +140,18 @@ impl Op {
     /// dimension tables, read everything), so a window covering the whole
     /// table is bit-identical to a plain run.
     ///
-    /// Scans, shards, merges and `Select`s never copy column data: a scan
-    /// hands on the table's own (shared) columns, filtered ones behind a
-    /// selection vector; a `Select` emits (or refines, for an already
-    /// filtered input) a selection vector over the child's base chunk.
-    /// Downstream operators consume `(base, selvec)` directly — joins probe
-    /// through the selection, aggregations accumulate at selected positions,
-    /// projections evaluate at selected positions only — and materialize at
-    /// pipeline breakers (join build sides, sort, projection output, final
-    /// results). Every output is bit-identical to the materializing
-    /// [`Op::execute_ctx`] on materialized children, and reports the
-    /// same logical `num_rows`/`byte_size`, so simulated timing and golden
-    /// figures are unchanged.
+    /// No operator copies a column it does not read. A scan hands on the
+    /// table's own (shared) columns, filtered ones behind a selection
+    /// vector that a `Select` refines in place; a join composes the
+    /// positions of every column group of both inputs with what matched, so
+    /// its output is those groups side by side, neither side gathered;
+    /// `Project`, `Aggregate` and `Sort` read the columns they name through
+    /// [`LazyChunk::read`]. Whole rows are assembled where they leave the
+    /// plan (and by a sort, of the rows it keeps). Every output is
+    /// bit-identical to the materializing [`Op::execute_ctx`] on
+    /// materialized children, names and error strings included, and
+    /// reports the same logical `num_rows`/`byte_size`, so simulated timing
+    /// and golden figures are unchanged.
     pub fn execute_windowed(
         &self,
         role: Role,
@@ -156,71 +160,94 @@ impl Op {
         ctx: ParallelCtx,
         window: Option<(&str, usize, usize)>,
     ) -> Result<LazyChunk, String> {
-        let out = match self {
-            Op::Scan { columns, predicate, .. } => {
-                return match role {
-                    Role::Merge => merge_shards(children, columns),
-                    // Never materializes: the shard's qualifying positions
-                    // ride as a selection vector over every read column
-                    // (what the shard's logical byte size has always
-                    // counted) — the one selection kernel over exactly its
-                    // row range, or without a predicate that range itself,
-                    // as a run.
-                    Role::Shard(shard) => {
-                        let chunk = self.scan_base(db, window)?;
-                        let rows = shard.row_range(chunk.num_rows());
-                        let sel = match predicate {
-                            Some(p) => ops::select::select_range(&chunk, rows, p, ctx)?,
-                            None => SelVec::run(rows.start as u32..rows.end as u32),
-                        };
-                        Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel })
-                    }
-                    // The predicate reads the chunk of every read column;
-                    // the output shares only the output columns with it.
-                    Role::Whole => {
-                        let chunk = self.scan_base(db, window)?;
-                        let sel = predicate
-                            .as_ref()
-                            .map(|p| ops::select::select(&chunk, None, p, ctx))
-                            .transpose()?;
-                        scan_output(&chunk, columns, sel)
-                    }
-                };
-            }
+        let mut names = Vec::new();
+        Ok(match self {
+            Op::Scan { columns, predicate, .. } => match role {
+                Role::Merge => merge_shards(children, columns)?,
+                // Never materializes: the shard's qualifying positions
+                // ride as a selection vector over every read column
+                // (what the shard's logical byte size has always
+                // counted) — the one selection kernel over exactly its
+                // row range, or without a predicate that range itself,
+                // as a run.
+                Role::Shard(shard) => {
+                    let chunk = self.scan_base(db, window)?;
+                    let rows = shard.row_range(chunk.num_rows());
+                    let sel = match predicate {
+                        Some(p) => ops::select::select_range(&chunk, rows, p, ctx)?,
+                        None => SelVec::run(rows.start as u32..rows.end as u32),
+                    };
+                    LazyChunk::Groups(vec![Group { base: Arc::new(chunk), sel }])
+                }
+                // The predicate reads the chunk of every read column;
+                // the output shares only the output columns with it.
+                Role::Whole => {
+                    let chunk = self.scan_base(db, window)?;
+                    let sel = predicate
+                        .as_ref()
+                        .map(|p| ops::select::select(&chunk, None, p, ctx))
+                        .transpose()?;
+                    scan_output(&chunk, columns, sel)?
+                }
+            },
             _ if role != Role::Whole => {
                 return Err(format!("{} cannot run as {role:?}: only scans shard", self.label()))
             }
-            Op::Select { predicate } => {
-                // An already filtered input is refined (AND short-circuit)
-                // instead of rescanning the base chunk.
-                let (base, sel) = match &children[0] {
-                    LazyChunk::Materialized(c) => (Arc::new(c.clone()), None),
-                    LazyChunk::Filtered { base, sel } => (Arc::clone(base), Some(sel)),
-                };
-                let sel = ops::select::select(&base, sel, predicate, ctx)?;
-                return Ok(LazyChunk::Filtered { base, sel });
-            }
+            Op::Select { predicate } => LazyChunk::Groups(match children[0].groups() {
+                // An already filtered input is refined (AND short-circuit),
+                // not rescanned: the positions that survive are the output's.
+                [Group { base, sel }] => {
+                    let sel = ops::select::select(base, Some(sel), predicate, ctx)?;
+                    vec![Group { base: Arc::clone(base), sel }]
+                }
+                // Else the predicate's columns, gathered, say which rows of
+                // the stream every group keeps.
+                _ => {
+                    predicate.for_each_column(&mut |n| names.push(n));
+                    let named = children[0].gather(&names);
+                    let keep = ops::select::select(&named, None, predicate, ctx)?;
+                    children[0].compose(keep.into_positions())
+                }
+            }),
             Op::HashJoin { build_key, probe_key, kind } => {
-                // The build side is a pipeline breaker: the hash table
-                // needs every build row, so materialize it.
-                let build = children[0].chunk();
-                let (probe, sel) = children[1].parts();
-                ops::join::hash_join(&build, probe, sel, build_key, probe_key, *kind, ctx)?
+                // Each key is read through the one group that holds it;
+                // what matched then picks rows of every group alike.
+                let (build, probe) = (&children[0], &children[1]);
+                let (b, build_sel) = build.read(&[build_key]);
+                let (p, probe_sel) = probe.read(&[probe_key]);
+                let (probe_idx, build_idx) = ops::join::hash_join(
+                    (&b, build_sel),
+                    (&p, probe_sel),
+                    build_key,
+                    probe_key,
+                    *kind,
+                    ctx,
+                )?;
+                let groups = probe.compose(probe_idx);
+                LazyChunk::Groups(match kind {
+                    JoinKind::Inner => Group::zip(groups, build.compose(build_idx)),
+                    JoinKind::Semi | JoinKind::Anti => groups,
+                })
             }
             Op::Project { exprs } => {
-                let (base, sel) = children[0].parts();
-                ops::project::project(base, sel, exprs)?
+                exprs.iter().for_each(|(_, e)| e.for_each_column(&mut |n| names.push(n)));
+                let (base, sel) = children[0].read(&names);
+                ops::project::project(&base, sel, exprs)?.into()
             }
             Op::Aggregate { group_by, aggs } => {
-                let (base, sel) = children[0].parts();
-                ops::agg::aggregate(base, sel, group_by, aggs, ctx)?
+                names.extend(group_by.iter().map(String::as_str));
+                aggs.iter().for_each(|a| a.input.for_each_column(&mut |n| names.push(n)));
+                let (base, sel) = children[0].read(&names);
+                ops::agg::aggregate(&base, sel, group_by, aggs, ctx)?.into()
             }
+            // The keys alone decide the order; only the rows kept are assembled.
             Op::Sort { keys, limit } => {
-                // Sort is a pipeline breaker; materialize its input.
-                ops::sort::sort(&children[0].chunk(), keys, *limit)?
+                names.extend(keys.iter().map(|k| k.column.as_str()));
+                let (base, sel) = children[0].read(&names);
+                let order = ops::sort::order(&base, sel, keys, *limit)?;
+                LazyChunk::Groups(children[0].compose(order)).materialize().into()
             }
-        };
-        Ok(LazyChunk::Materialized(out))
+        })
     }
 
     /// The base chunk of a (sharded) scan: every column it reads — the
@@ -253,7 +280,7 @@ fn merge_shards(shards: &[LazyChunk], columns: &[String]) -> Result<LazyChunk, S
     let mut base: Option<&Chunk> = None;
     let mut union: Option<Range<u32>> = Some(0..0);
     for shard in shards {
-        let (b, Some(sel)) = shard.parts() else {
+        let [Group { base: b, sel }] = shard.groups() else {
             return Err("merge expects shard selection vectors".into());
         };
         debug_assert!(base.is_none_or(|f| f.num_rows() == b.num_rows()));
@@ -267,8 +294,8 @@ fn merge_shards(shards: &[LazyChunk], columns: &[String]) -> Result<LazyChunk, S
     let base = base.ok_or("merge of zero shards")?;
     let sel = union.map(SelVec::run).unwrap_or_else(|| {
         let mut positions = Vec::with_capacity(shards.iter().map(LazyChunk::num_rows).sum());
-        for sel in shards.iter().filter_map(|shard| shard.parts().1) {
-            positions.extend_from_slice(sel.positions());
+        for group in shards.iter().flat_map(LazyChunk::groups) {
+            positions.extend_from_slice(group.sel.positions());
         }
         SelVec::new(positions)
     });
@@ -287,7 +314,7 @@ fn scan_output(
     let out = ops::project::keep_columns(base, columns)?;
     Ok(match sel {
         Some(sel) if sel.len() < out.num_rows() => {
-            LazyChunk::Filtered { base: Arc::new(out), sel }
+            LazyChunk::Groups(vec![Group { base: Arc::new(out), sel }])
         }
         _ => LazyChunk::Materialized(out),
     })

@@ -55,6 +55,20 @@ impl Expr {
         Expr::col(col).int_div(10_000.0)
     }
 
+    /// Visit every column reference in expression order, repeats included,
+    /// without allocating (what an operator reads of a lazy input).
+    pub fn for_each_column<'a, F: FnMut(&'a str)>(&'a self, f: &mut F) {
+        match self {
+            Expr::Col(n) => f(n),
+            Expr::Lit(_) => {}
+            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
+                a.for_each_column(f);
+                b.for_each_column(f);
+            }
+            Expr::IntDiv(a, _) => a.for_each_column(f),
+        }
+    }
+
     /// The result type of the expression over `chunk`.
     ///
     /// A bare column reference keeps its type; any arithmetic yields

@@ -1,12 +1,12 @@
 //! Hash join kernel (inner, semi, anti).
 //!
-//! [`hash_join`] probes the row stream `(probe chunk, Option<&SelVec>)`:
-//! only selected rows (all rows when `None`) have keys extracted and
-//! position pairs are emitted directly, so a filtered probe side is never
-//! gathered before the join. The build side is indexed once into a
-//! flat-array [`JoinTable`](crate::ops::hashtbl::JoinTable) on the calling
-//! thread; the probe loop — one per key type ([`ProbeKeys`]), resolved
-//! outside it — runs per morsel of the stream.
+//! [`hash_join`] reads both sides as row streams `(chunk, Option<&SelVec>)`
+//! — only selected rows (all rows when `None`) have keys extracted — and
+//! returns what matched as stream-index pairs: it copies no column, and
+//! neither side is gathered before or after it. The build side is indexed
+//! once into a flat-array [`JoinTable`](crate::ops::hashtbl::JoinTable) on
+//! the calling thread; the probe loop — one per key type ([`ProbeKeys`]),
+//! resolved outside it — runs per morsel of the stream.
 
 use crate::batch::{Chunk, SelVec};
 use crate::ops::hashtbl::JoinTable;
@@ -94,16 +94,24 @@ impl ProbeKeys<'_> {
     }
 }
 
-/// Fill `bkeys` with dense build keys and return the probe-side per-row
-/// extractor, or the type error of an incomparable key pair.
+/// Fill `bkeys` with the keys of the build stream `(build, build_sel)` and
+/// return the probe-side per-row extractor, or the type error of an
+/// incomparable key pair.
 fn probe_key_extractor<'a>(
     build: &ColumnData,
+    build_sel: Option<&SelVec>,
     probe: &'a ColumnData,
     bkeys: &mut Vec<u64>,
 ) -> Result<ProbeKeys<'a>, String> {
+    fn fill(bkeys: &mut Vec<u64>, sel: Option<&SelVec>, rows: usize, key: impl Fn(usize) -> u64) {
+        match sel {
+            Some(s) => bkeys.extend(s.positions().iter().map(|&p| key(p as usize))),
+            None => bkeys.extend((0..rows).map(key)),
+        }
+    }
     match (build, probe) {
         (ColumnData::Str(b), ColumnData::Str(p)) => {
-            bkeys.extend(b.codes().iter().map(|&c| c as u64));
+            fill(bkeys, build_sel, build.len(), |i| b.codes()[i] as u64);
             let map = if Arc::ptr_eq(b.dict(), p.dict()) {
                 None
             } else {
@@ -128,13 +136,13 @@ fn probe_key_extractor<'a>(
         _ if build.data_type() == DataType::Float64
             || probe.data_type() == DataType::Float64 =>
         {
-            bkeys.extend((0..build.len()).map(|i| build.get_f64(i).to_bits()));
+            fill(bkeys, build_sel, build.len(), |i| build.get_f64(i).to_bits());
             Ok(ProbeKeys::F64(probe))
         }
         _ => {
             match build {
-                ColumnData::Int32(v) => bkeys.extend(v.iter().map(|&x| x as i64 as u64)),
-                ColumnData::Int64(v) => bkeys.extend(v.iter().map(|&x| x as u64)),
+                ColumnData::Int32(v) => fill(bkeys, build_sel, build.len(), |i| v[i] as i64 as u64),
+                ColumnData::Int64(v) => fill(bkeys, build_sel, build.len(), |i| v[i] as u64),
                 _ => unreachable!("integer types checked"),
             }
             Ok(match probe {
@@ -146,22 +154,22 @@ fn probe_key_extractor<'a>(
     }
 }
 
-/// Where a probe appends: probe positions, and build positions beside
+/// Where a probe appends: probe stream indices, and build rows beside
 /// them for `Inner`.
 type Positions<'a> = (&'a mut Vec<u32>, &'a mut Vec<u32>);
 
 /// Probe rows handled per on-stack output block.
 const BLOCK: usize = 256;
 
-/// Probe the stream indices `m` — `row` maps one to its probe row: the
-/// identity for a dense probe, the position list's entry for a selected
-/// one — against `table`, appending qualifying positions.
+/// Probe the stream indices `m` — `row` maps one to the probe row its key
+/// is read at: the identity for a dense probe, the position list's entry
+/// for a selected one — against `table`, appending what qualifies.
 ///
-/// `Inner` appends matching `(probe, build)` position pairs; `Semi`/`Anti`
-/// append surviving probe positions only (and never touch the build
-/// positions). Positions come out in input order and the matches of one
-/// probe row in increasing build row, so per-morsel outputs concatenate
-/// into exactly the row-at-a-time result.
+/// `Inner` appends matching `(stream index, build row)` pairs; `Semi`/`Anti`
+/// append surviving stream indices only (and never touch the build rows).
+/// Indices come out in input order and the matches of one probe row in
+/// increasing build row, so per-morsel outputs concatenate into exactly
+/// the row-at-a-time result.
 ///
 /// Against an exact table (no build key repeats — every foreign-key join)
 /// a probe row yields at most one position, so it is written
@@ -178,14 +186,14 @@ fn probe_rows(
 ) {
     let keep = kind != JoinKind::Anti;
     if !table.is_exact() {
-        for p in m.map(row) {
-            let k = key(p as usize);
+        for i in m {
+            let k = key(row(i) as usize);
             match kind {
                 JoinKind::Inner => table.for_each_match(k, |b| {
-                    probe_pos.push(p);
+                    probe_pos.push(i as u32);
                     build_pos.push(b);
                 }),
-                _ if table.contains(k) == keep => probe_pos.push(p),
+                _ if table.contains(k) == keep => probe_pos.push(i as u32),
                 _ => {}
             }
         }
@@ -194,9 +202,9 @@ fn probe_rows(
     let (mut probes, mut builds) = ([0u32; BLOCK], [0u32; BLOCK]);
     for lo in m.clone().step_by(BLOCK) {
         let mut n = 0;
-        for p in (lo..m.end.min(lo + BLOCK)).map(&row) {
-            let hit = table.only(key(p as usize));
-            probes[n] = p;
+        for i in lo..m.end.min(lo + BLOCK) {
+            let hit = table.only(key(row(i) as usize));
+            probes[n] = i as u32;
             builds[n] = hit.wrapping_sub(1);
             n += usize::from((hit != 0) == keep);
         }
@@ -207,34 +215,32 @@ fn probe_rows(
     }
 }
 
-/// Hash join `probe ⋈ build` on `probe_key = build_key`, where the probe
-/// side is the row stream `(probe, probe_sel)`: only positions in
-/// `probe_sel` (all rows when `None`) are probed, and the output is
-/// gathered straight from the *base* probe chunk — bit-identical to
-/// joining `probe.gather(probe_sel)`.
+/// Hash join `probe ⋈ build` on `probe_key = build_key` over the row
+/// streams `(chunk, sel)` of both sides — every row when `sel` is `None` —
+/// as positions: indices into the probe stream, in stream order, and for
+/// `Inner` the build stream index each matched beside them. Whoever wants
+/// rows gathers the columns it reads at them; this function copies none.
 ///
-/// * `Inner`: output is probe columns then build columns (duplicate names
-///   suffixed `_r`), one row per matching pair.
-/// * `Semi`: probe rows with at least one match, probe columns only.
-/// * `Anti`: probe rows with no match, probe columns only.
+/// * `Inner`: one pair per match, a probe row's in increasing build index.
+/// * `Semi`: probe rows with at least one match (no build indices).
+/// * `Anti`: probe rows with no match (no build indices).
 ///
 /// The build keys are indexed for direct addressing when their range is
 /// small against both sides' rows and hashed otherwise (`JoinTable`);
 /// workers append what matched to their arenas, so the positions cost
 /// memory by the join's output, never by its input.
 pub fn hash_join(
-    build: &Chunk,
-    probe: &Chunk,
-    probe_sel: Option<&SelVec>,
+    (build, build_sel): (&Chunk, Option<&SelVec>),
+    (probe, probe_sel): (&Chunk, Option<&SelVec>),
     build_key: &str,
     probe_key: &str,
     kind: JoinKind,
     ctx: ParallelCtx,
-) -> Result<Chunk, String> {
+) -> Result<(Vec<u32>, Vec<u32>), String> {
     let bcol = build.require_column(build_key)?;
     let pcol = probe.require_column(probe_key)?;
     with_key_buffer(|bkeys| {
-        let keys = probe_key_extractor(bcol, pcol, bkeys)?;
+        let keys = probe_key_extractor(bcol, build_sel, pcol, bkeys)?;
         let probed = probe_sel.map_or(probe.num_rows(), SelVec::len);
         let table = JoinTable::build(bkeys, probed);
         let probe_morsel = |m: Range<usize>, out: Positions<'_>| match probe_sel {
@@ -245,21 +251,18 @@ pub fn hash_join(
             None => keys.probe(m, |i| i as u32, &table, kind, out),
         };
         match kind {
-            JoinKind::Inner => {
-                let (probe_pos, build_pos) = ctx.run_morsels_arena(
-                    probed,
-                    KernelClass::Join,
-                    |m, out: &mut (Vec<u32>, Vec<u32>)| {
-                        probe_morsel(m, (&mut out.0, &mut out.1));
-                        Ok(())
-                    },
-                )?;
-                Ok(probe.gather(&probe_pos).zip(build.gather(&build_pos)))
-            }
-            // Semi/anti probes emit probe positions only, so the arena is
+            JoinKind::Inner => ctx.run_morsels_arena(
+                probed,
+                KernelClass::Join,
+                |m, out: &mut (Vec<u32>, Vec<u32>)| {
+                    probe_morsel(m, (&mut out.0, &mut out.1));
+                    Ok(())
+                },
+            ),
+            // Semi/anti probes emit stream indices only, so the arena is
             // a single stream and the build-side sink stays empty.
             JoinKind::Semi | JoinKind::Anti => {
-                let probe_pos = ctx.run_morsels_arena(
+                let kept = ctx.run_morsels_arena(
                     probed,
                     KernelClass::Join,
                     |m, out: &mut Vec<u32>| {
@@ -267,7 +270,7 @@ pub fn hash_join(
                         Ok(())
                     },
                 )?;
-                Ok(probe.gather(&probe_pos))
+                Ok((kept, Vec::new()))
             }
         }
     })
@@ -279,7 +282,8 @@ mod tests {
     use crate::reference;
     use robustq_storage::{DictColumn, Field, Value};
 
-    /// The dense serial join, as the materializing interpreter calls it.
+    /// The dense serial join and the rows it matched, as the
+    /// materializing interpreter gathers them.
     fn join(
         build: &Chunk,
         probe: &Chunk,
@@ -287,7 +291,9 @@ mod tests {
         probe_key: &str,
         kind: JoinKind,
     ) -> Result<Chunk, String> {
-        hash_join(build, probe, None, build_key, probe_key, kind, ParallelCtx::serial())
+        let (build, probe) = ((build, None), (probe, None));
+        let pairs = hash_join(build, probe, build_key, probe_key, kind, ParallelCtx::serial())?;
+        Ok(reference::joined_rows(build, probe, &pairs, kind))
     }
 
     fn build_side() -> Chunk {
@@ -422,18 +428,25 @@ mod tests {
         assert_eq!(out.num_rows(), 3);
     }
 
-    /// Every `(probe_sel, ctx)` form equals the reference on the same
-    /// stream, for all kinds, results and errors.
+    /// Every `(build_sel, probe_sel, ctx)` form equals the reference on
+    /// the same streams, for all kinds, results and errors. The build
+    /// stream is read through positions a join could have composed:
+    /// unordered and repeating.
     fn assert_matches_reference(build: &Chunk, probe: &Chunk, bk: &str, pk: &str) {
         let n = probe.num_rows() as u32;
         let sel = SelVec::new((0..n).filter(|i| i % 3 != 0).collect());
+        let b = build.num_rows() as u32;
+        let composed = SelVec::all(b as usize).compose(&(0..b).rev().chain(0..b / 2).collect::<Vec<_>>());
         for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-            for probe_sel in [None, Some(&sel)] {
-                let want = reference::hash_join(build, probe, probe_sel, bk, pk, kind);
+            for (build_sel, probe_sel) in [(None, None), (None, Some(&sel)), (Some(&composed), Some(&sel))] {
+                let gathered = build_sel.map_or_else(|| build.clone(), |s| build.gather(s.positions()));
+                let want = reference::hash_join(&gathered, probe, probe_sel, bk, pk, kind);
                 for (workers, morsel) in [(1, 65_536), (3, 13), (8, 1)] {
                     let ctx =
                         ParallelCtx { workers, morsel_rows: morsel, min_rows_per_worker: 0 };
-                    let got = hash_join(build, probe, probe_sel, bk, pk, kind, ctx);
+                    let (build, probe) = ((build, build_sel), (probe, probe_sel));
+                    let got = hash_join(build, probe, bk, pk, kind, ctx)
+                        .map(|pairs| reference::joined_rows(build, probe, &pairs, kind));
                     assert_eq!(
                         got,
                         want,

@@ -1,40 +1,55 @@
 //! Sort / top-k kernel.
 //!
 //! Comparison keys are precomputed once per column — numeric columns as
-//! `f64`, string columns as lexicographic *ranks* of their dictionary
-//! codes — so the comparator never allocates and never re-reads values.
+//! `f64`, string columns as lexicographic *ranks* among the dictionary
+//! codes the sorted rows hold — so the comparator never allocates and
+//! never re-reads values.
 
-use crate::batch::Chunk;
+use crate::batch::{Chunk, SelVec};
 use crate::plan::{SortKey, SortOrder};
 use robustq_storage::ColumnData;
 use std::cmp::Ordering;
 
-/// Order-preserving numeric keys for one column: `f64` for numerics,
-/// dictionary rank for strings.
-fn order_keys(col: &ColumnData) -> Vec<f64> {
+/// Order-preserving numeric keys for the row stream `(col, sel)`: `f64`
+/// for numerics, rank for strings. Only the codes the stream holds are
+/// ranked: a few result rows carry a base table's whole dictionary (it is
+/// shared, not rebuilt), and sorting that would cost more than the sort.
+fn order_keys(col: &ColumnData, sel: Option<&SelVec>) -> Vec<f64> {
+    let positions = sel.map(SelVec::positions);
+    let rows = 0..positions.map_or(col.len(), <[u32]>::len);
+    let row = |i: usize| positions.map_or(i, |p| p[i] as usize);
     match col {
         ColumnData::Str(d) => {
-            // Rank of each dictionary entry in lexicographic order.
-            let mut order: Vec<u32> = (0..d.dict().len() as u32).collect();
-            order.sort_by(|&a, &b| d.dict()[a as usize].cmp(&d.dict()[b as usize]));
+            let codes: Vec<u32> = rows.map(|i| d.codes()[row(i)]).collect();
+            let mut held = codes.clone();
+            held.sort_unstable();
+            held.dedup();
+            held.sort_by(|&a, &b| d.dict()[a as usize].cmp(&d.dict()[b as usize]));
             let mut rank = vec![0u32; d.dict().len()];
-            for (r, &code) in order.iter().enumerate() {
+            for (r, &code) in held.iter().enumerate() {
                 rank[code as usize] = r as u32;
             }
-            d.codes().iter().map(|&c| rank[c as usize] as f64).collect()
+            codes.iter().map(|&c| rank[c as usize] as f64).collect()
         }
-        _ => (0..col.len()).map(|i| col.get_f64(i)).collect(),
+        _ => rows.map(|i| col.get_f64(row(i))).collect(),
     }
 }
 
-/// Sort `chunk` by `keys` (stable), optionally truncating to `limit` rows.
-pub fn sort(chunk: &Chunk, keys: &[SortKey], limit: Option<usize>) -> Result<Chunk, String> {
+/// The stable order of the row stream `(chunk, sel)` by `keys`, as indices
+/// into the stream, optionally truncated to the first `limit`.
+pub fn order(
+    chunk: &Chunk,
+    sel: Option<&SelVec>,
+    keys: &[SortKey],
+    limit: Option<usize>,
+) -> Result<Vec<u32>, String> {
     // Validate keys up front so errors mention the key, not a row.
     let cols: Vec<(Vec<f64>, SortOrder)> = keys
         .iter()
-        .map(|k| Ok((order_keys(chunk.require_column(&k.column)?), k.order)))
+        .map(|k| Ok((order_keys(chunk.require_column(&k.column)?, sel), k.order)))
         .collect::<Result<_, String>>()?;
-    let mut idx: Vec<u32> = (0..chunk.num_rows() as u32).collect();
+    let rows = sel.map_or(chunk.num_rows(), SelVec::len);
+    let mut idx: Vec<u32> = (0..rows as u32).collect();
     idx.sort_by(|&a, &b| {
         let (a, b) = (a as usize, b as usize);
         for (vals, order) in &cols {
@@ -52,7 +67,12 @@ pub fn sort(chunk: &Chunk, keys: &[SortKey], limit: Option<usize>) -> Result<Chu
     if let Some(l) = limit {
         idx.truncate(l);
     }
-    Ok(chunk.gather(&idx))
+    Ok(idx)
+}
+
+/// Sort `chunk` by `keys` (stable), optionally truncating to `limit` rows.
+pub fn sort(chunk: &Chunk, keys: &[SortKey], limit: Option<usize>) -> Result<Chunk, String> {
+    Ok(chunk.gather(&order(chunk, None, keys, limit)?))
 }
 
 #[cfg(test)]
@@ -98,6 +118,37 @@ mod tests {
         let out = sort(&chunk(), &[SortKey::asc("s")], None).unwrap();
         assert_eq!(out.row(0)[1], Value::from("a"));
         assert_eq!(out.row(3)[1], Value::from("c"));
+    }
+
+    #[test]
+    fn a_few_rows_of_a_large_shared_dictionary_sort_by_their_strings() {
+        // 100 rows gathered from a 1 000-entry dictionary (a gather shares
+        // it), every tenth string twice: ranks come from the codes at
+        // hand, the order is the strings', ties keep input order.
+        let name = |i: u32| format!("name-{:04}", i.wrapping_mul(7919) % 1000);
+        let base = Chunk::new(
+            vec![Field::new("s", DataType::Str), Field::new("row", DataType::Int32)],
+            vec![
+                ColumnData::Str(DictColumn::from_strings((0..1000).map(name))),
+                ColumnData::Int32((0..1000).collect()),
+            ],
+        );
+        let rows: Vec<u32> = (0..100).map(|i| (i - i % 10 / 9) * 9).collect();
+        let chunk = base.gather(&rows);
+        let mut want: Vec<(String, u32)> = rows.iter().map(|&r| (name(r), r)).collect();
+        for (keys, reverse) in [(SortKey::asc("s"), false), (SortKey::desc("s"), true)] {
+            want.sort_by(|a, b| if reverse { b.0.cmp(&a.0) } else { a.0.cmp(&b.0) });
+            let out = sort(&chunk, &[keys], None).unwrap();
+            let got: Vec<(String, u32)> = (0..out.num_rows())
+                .map(|i| (out.row(i)[0].to_string(), out.row(i)[1].as_i64().unwrap() as u32))
+                .collect();
+            assert_eq!(got, want);
+        }
+        // Through positions: the order of the stream, as stream indices.
+        let sel = SelVec::new((0..100).filter(|i| i % 3 == 0).collect());
+        let through = order(&chunk, Some(&sel), &[SortKey::asc("s")], Some(5)).unwrap();
+        let dense = order(&chunk.gather(sel.positions()), None, &[SortKey::asc("s")], Some(5));
+        assert_eq!(through, dense.unwrap());
     }
 
     #[test]

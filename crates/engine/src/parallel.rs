@@ -42,9 +42,9 @@ pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 /// Default minimum rows each worker must have before fan-out pays off.
 ///
 /// Below `2 ×` this, kernels run serially: thread spawn/join plus
-/// per-morsel bookkeeping cost more than the parallel speedup on
-/// memory-bound kernels (the PR-1 benchmarks measured a net *slowdown*,
-/// 0.97×, at 1M rows).
+/// per-morsel bookkeeping cost more than a second thread buys a
+/// memory-bound kernel (set to 40 000, `ssb_scan_heavy`'s 180 k-row probes
+/// fan out and a slice takes 58 ms instead of 42: EXPERIMENTS.md, PR 24).
 pub const DEFAULT_MIN_ROWS_PER_WORKER: usize = 524_288;
 
 /// Kernel classes with distinct parallel break-even points.

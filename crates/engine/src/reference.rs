@@ -267,6 +267,23 @@ pub fn hash_join(
     }
 }
 
+/// The rows behind the `(probe, build)` stream-index pairs the production
+/// join returns over the same streams: gathered and zipped, as
+/// [`hash_join`] returns them.
+pub fn joined_rows(
+    (build, build_sel): (&Chunk, Option<&SelVec>),
+    (probe, probe_sel): (&Chunk, Option<&SelVec>),
+    (probe_idx, build_idx): &(Vec<u32>, Vec<u32>),
+    kind: JoinKind,
+) -> Chunk {
+    let rows = |chunk: &Chunk, sel: Option<&SelVec>, idx: &[u32]| match sel {
+        Some(s) => chunk.gather(s.compose(idx).positions()),
+        None => chunk.gather(idx),
+    };
+    let out = rows(probe, probe_sel, probe_idx);
+    if kind == JoinKind::Inner { out.zip(rows(build, build_sel, build_idx)) } else { out }
+}
+
 /// Probe `rows` of the probe side against `table`: `Inner` appends
 /// matching `(probe, build)` position pairs, `Semi`/`Anti` surviving probe
 /// positions only.

@@ -174,13 +174,90 @@ fn a_foreign_key_probe_allocates_by_its_matches() {
     let build = ints("pk", (0..100).collect());
     let probe = ints("fk", (0..ROWS as i32).map(|i| i.wrapping_mul(7919) % 10_000).collect());
     let join = || {
-        hash_join(&build, &probe, None, "pk", "fk", JoinKind::Inner, ParallelCtx::serial()).unwrap()
+        let (build, probe) = ((&build, None), (&probe, None));
+        hash_join(build, probe, "pk", "fk", JoinKind::Inner, ParallelCtx::serial()).unwrap()
     };
     join(); // the thread's build-key buffer is allocated once
-    let (out, bytes) = allocated(join);
-    assert!(out.num_rows() > ROWS / 200 && out.num_rows() < ROWS / 50);
-    let budget = out.byte_size() + 2 * ROWS as u64;
+    let ((matched, _), bytes) = allocated(join);
+    assert!(matched.len() > ROWS / 200 && matched.len() < ROWS / 50);
+    // What the rows behind the pairs weigh: a key column from each side.
+    let budget = 8 * matched.len() as u64 + 2 * ROWS as u64;
     assert!(bytes < budget, "probing {ROWS} rows allocated {bytes} B, budget {budget} B");
+}
+
+/// An unfiltered scan of `table`, or a filtered one, run lazily.
+fn scanned(db: &Database, table: &str, columns: &[&str], predicate: Option<Predicate>) -> LazyChunk {
+    let columns = columns.iter().map(|c| c.to_string()).collect();
+    Op::Scan { table: table.into(), columns, predicate }
+        .execute_lazy(&[], db, ParallelCtx::serial())
+        .unwrap()
+}
+
+/// The inner join of `probe` with `build`, run lazily (the children are
+/// moved in, as the executor moves them: cloning one copies its positions).
+fn joined(db: &Database, build: LazyChunk, probe: LazyChunk, keys: (&str, &str)) -> LazyChunk {
+    let (build_key, probe_key) = (keys.0.to_string(), keys.1.to_string());
+    Op::HashJoin { build_key, probe_key, kind: JoinKind::Inner }
+        .execute_lazy(&[build, probe], db, ParallelCtx::serial())
+        .unwrap()
+}
+
+/// A join hands on positions: joining `lineorder` and its four payload
+/// columns with one year of a two-column `date` allocates the position
+/// pair — 8 B a joined row, growth slack within the probe gate's 2 B a
+/// probed row — and not one payload column, which would be 24 B a joined
+/// row on top.
+#[test]
+fn a_join_allocates_its_position_pair_not_its_payload() {
+    let db = lineorder();
+    let sides = || {
+        let year = Some(Predicate::eq("d_year", 1994));
+        let date = scanned(&db, "date", &["d_datekey", "d_year"], year);
+        (date, scanned(&db, "lineorder", &COLUMNS, None))
+    };
+    let join = |(date, fact)| joined(&db, date, fact, ("d_datekey", "lo_orderdate"));
+    join(sides()); // the thread's build-key buffer is allocated once
+    let sides = sides();
+    let (out, bytes) = allocated(|| join(sides));
+    let rows = out.num_rows() as u64;
+    assert!(rows > ROWS as u64 / 10 && rows < ROWS as u64 / 5, "{rows} rows joined");
+    assert_eq!(out.byte_size(), rows * 32, "four fact columns and two of the dimension");
+    let budget = 8 * rows + 2 * ROWS as u64 + FIXED;
+    assert!(bytes < budget, "joining {ROWS} rows to {rows} allocated {bytes} B, budget {budget} B");
+}
+
+/// Each column is gathered once, by the operator that reads it: three
+/// joins under an aggregate that names two columns allocate less than the
+/// first join's output weighs — which alone, gathered, a copying join
+/// allocates before the second join has begun.
+#[test]
+fn a_join_chain_under_an_aggregate_gathers_only_what_the_aggregate_names() {
+    let db = lineorder();
+    let fact_columns = ["lo_orderdate", "lo_custkey", "lo_suppkey", "lo_quantity", "lo_revenue"];
+    let asia = |column: &str| Some(Predicate::eq(column, "ASIA"));
+    let chain = || {
+        let fact = scanned(&db, "lineorder", &fact_columns, None);
+        let date = scanned(&db, "date", &["d_datekey", "d_year"], Some(Predicate::eq("d_year", 1994)));
+        let customer = scanned(&db, "customer", &["c_custkey", "c_nation"], asia("c_region"));
+        let supplier = scanned(&db, "supplier", &["s_suppkey", "s_nation"], asia("s_region"));
+        let first = joined(&db, date, fact, ("d_datekey", "lo_orderdate"));
+        let first_bytes = first.byte_size();
+        let second = joined(&db, customer, first, ("c_custkey", "lo_custkey"));
+        let third = joined(&db, supplier, second, ("s_suppkey", "lo_suppkey"));
+        let sum = Op::Aggregate {
+            group_by: vec!["c_nation".into()],
+            aggs: vec![AggSpec::sum(Expr::col("lo_revenue"), "revenue")],
+        };
+        let out = sum.execute_lazy(&[third], &db, ParallelCtx::serial()).unwrap();
+        (out.num_rows(), first_bytes)
+    };
+    chain(); // the key buffer, once
+    let ((groups, first_bytes), bytes) = allocated(chain);
+    assert!(groups > 1 && first_bytes > 32 * ROWS as u64 / 10);
+    assert!(
+        bytes < first_bytes,
+        "three joins and an aggregate allocated {bytes} B; the first join's output is {first_bytes} B"
+    );
 }
 
 #[test]

@@ -169,6 +169,21 @@ fn check_select(chunk: &Chunk, sel: &SelVec, pred: &Predicate) {
     );
 }
 
+/// The production join over the probe stream `(probe, sel)`, with the rows
+/// behind the positions it returns.
+fn joined(
+    build: &Chunk,
+    probe: &Chunk,
+    sel: Option<&SelVec>,
+    (build_key, probe_key): (&str, &str),
+    kind: JoinKind,
+    ctx: ParallelCtx,
+) -> Result<Chunk, String> {
+    let (build, probe) = ((build, None), (probe, sel));
+    let pairs = ops::join::hash_join(build, probe, build_key, probe_key, kind, ctx)?;
+    Ok(reference::joined_rows(build, probe, &pairs, kind))
+}
+
 fn check_join(
     build: &Chunk,
     probe: &Chunk,
@@ -180,7 +195,7 @@ fn check_join(
         probe,
         sel,
         |input| reference::hash_join(build, input, None, build_key, probe_key, kind),
-        |sel, ctx| ops::join::hash_join(build, probe, sel, build_key, probe_key, kind, ctx),
+        |sel, ctx| joined(build, probe, sel, (build_key, probe_key), kind, ctx),
     );
 }
 
@@ -268,7 +283,7 @@ fn check_sharded_scan(
                 shards.into_iter().collect::<Result<_, _>>().expect(&at);
             let positions: Vec<u32> = shards
                 .iter()
-                .flat_map(|s| s.parts().1.expect("shards are selections").positions().to_vec())
+                .flat_map(|s| s.groups()[0].sel.positions().to_vec())
                 .collect();
             assert_eq!(positions, want.positions(), "shard positions, {at}");
             let merged = scan
@@ -396,7 +411,7 @@ fn minus_one_is_a_join_key_like_any_other() {
         };
         let (build, probe) = (keys("k", &[-1, 0, 1]), keys("f", &[-1, 5, 1, -1]));
         for (kind, rows) in [(JoinKind::Inner, 3), (JoinKind::Semi, 3), (JoinKind::Anti, 1)] {
-            let got = ops::join::hash_join(&build, &probe, None, "k", "f", kind, ParallelCtx::serial());
+            let got = joined(&build, &probe, None, ("k", "f"), kind, ParallelCtx::serial());
             assert_eq!(got, reference::hash_join(&build, &probe, None, "k", "f", kind), "{kind:?}");
             assert_eq!(got.unwrap().num_rows(), rows, "{kind:?} narrow={narrow}");
         }

@@ -37,6 +37,7 @@ use robustq::engine::ops;
 use robustq::engine::plan::{AggFunc, AggSpec, JoinKind, Op, PlanNode, SortKey};
 use robustq::engine::predicate::{CmpOp, Predicate};
 use robustq::engine::reference;
+use robustq::engine::batch::Group;
 use robustq::engine::{execute_plan_fused, Chunk, LazyChunk, ParallelCtx, SelVec};
 use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field, Schema, Table};
 
@@ -174,8 +175,9 @@ proptest! {
         for workers in WORKER_GRID {
             let ctx = fused_ctx(workers);
             let sel = ops::select::select(&probe, None, &pred, ctx).unwrap();
-            let fused =
-                ops::join::hash_join(&build, &probe, Some(&sel), k, k, kind, ctx).unwrap();
+            let (build, probe) = ((&build, None), (&probe, Some(&sel)));
+            let pairs = ops::join::hash_join(build, probe, k, k, kind, ctx).unwrap();
+            let fused = reference::joined_rows(build, probe, &pairs, kind);
             prop_assert_eq!(&fused, &want, "workers={}", workers);
         }
     }
@@ -338,11 +340,10 @@ proptest! {
             prop_assert_eq!(SelVec::all(hi as usize), run());
         }
 
-        let lazy = |sel: SelVec| LazyChunk::Filtered { base: base.clone().into(), sel };
+        let lazy = |sel| LazyChunk::Groups(vec![Group { base: base.clone().into(), sel }]);
         let (a, b) = (lazy(run()), lazy(listed.clone()));
         prop_assert_eq!((a.num_rows(), a.byte_size()), (b.num_rows(), b.byte_size()));
-        prop_assert_eq!(a.parts().1, b.parts().1);
-        prop_assert_eq!(a.chunk(), b.chunk());
+        prop_assert_eq!(&a.groups()[0].sel, &b.groups()[0].sel);
         prop_assert_eq!(a.materialize(), b.materialize());
 
         // A kernel reads a run like any selection.
@@ -377,12 +378,17 @@ fn fact_scan(columns: &[&str], predicate: Option<Predicate>) -> PlanNode {
     }
 }
 
+/// How many shapes [`plan_over`] has: six of at most one join, then each
+/// of the three join-of-join bodies under each of five consumers.
+const SHAPES: usize = 6 + 3 * 5;
+
 /// A plan over the fact table `t` (and the dimension `d`), by shape: the
 /// bare scan, a standalone `Select`, an aggregation, the scan as probe
-/// and as build side of a join, and a projection under a top-k sort.
+/// and as build side of a join, a projection under a top-k sort, and
+/// [`joins_over`].
 fn plan_over(scan: PlanNode, shape: usize, second: usize, kind: JoinKind) -> PlanNode {
     let dim = || PlanNode::scan("d", ["i32", "f64"]);
-    match shape % 6 {
+    match shape % SHAPES {
         0 => scan,
         1 => scan.select(predicate_for(second)),
         2 => scan.aggregate(
@@ -393,9 +399,68 @@ fn plan_over(scan: PlanNode, shape: usize, second: usize, kind: JoinKind) -> Pla
             .join_kind(dim(), "i32", "i32", kind)
             .aggregate(["str"], vec![AggSpec::sum(Expr::col("f64"), "sum")]),
         4 => dim().join_kind(scan, "i32", "i32", kind),
-        _ => scan
+        5 => scan
             .project(vec![("a", Expr::col("i32") + Expr::col("f64")), ("s", Expr::col("str"))])
             .top_k(vec![SortKey::asc("a"), SortKey::desc("s")], 7),
+        shape => joins_over(scan, (shape - 6) / 5, (shape - 6) % 5, second, kind),
+    }
+}
+
+/// Joins of joins over the fact scan — what leaves them is more than one
+/// column group — under each consumer of one. Every side carries the same
+/// column names, so the output's run `i32`, `i32_r`, `i32_r_r`, …; the
+/// dimension's keys repeat, so a probe row matches several build rows, in
+/// no order of the probe side's; later joins read their key through an
+/// earlier join's build side; and `kind` lands on a one-group probe, on a
+/// three-group probe and on a build side. `second` varies the consumer.
+fn joins_over(
+    scan: PlanNode,
+    body: usize,
+    consumer: usize,
+    second: usize,
+    kind: JoinKind,
+) -> PlanNode {
+    let dim = || PlanNode::scan("d", ["i32", "f64", "str"]);
+    // A semi or anti join hands on no build column to key the next join on.
+    let first_key = if kind == JoinKind::Inner { "i32_r" } else { "i32" };
+    let joined = match body {
+        0 => scan.join_kind(dim(), "i32", "i32", kind).join(dim(), first_key, "i32"),
+        1 => scan
+            .join(dim(), "i32", "i32")
+            .join(dim().select(predicate_for(second % 4)), "i32_r", "i32")
+            .join_kind(dim(), "str_r", "str", kind),
+        _ => scan.join(dim().join_kind(dim(), "i32", "i32", kind), "i32", "i32"),
+    };
+    // Every body leaves `i32_r`, `f64_r` and `str_r` beside the fact's columns.
+    match consumer {
+        0 => joined,
+        1 => joined.select(Predicate::and([
+            predicate_for(second % 4),
+            Predicate::ColCmp { left: "f64".into(), op: CmpOp::Le, right: "f64_r".into() },
+        ])),
+        2 => joined
+            .project(vec![
+                ("a", Expr::col("i32") + Expr::col("f64_r")),
+                ("s", Expr::col("str_r")),
+                ("t", Expr::col("str")),
+            ])
+            .top_k(vec![SortKey::asc("a"), SortKey::desc("s")], 7),
+        3 => {
+            let group_by: &[&str] = if second % 2 == 1 { &[] } else { &["str_r", "i32"] };
+            let mut aggs = vec![AggSpec::count("cnt")];
+            if !second.is_multiple_of(3) {
+                aggs.push(AggSpec::sum(Expr::col("f64") * Expr::col("f64_r"), "sum"));
+                aggs.push(AggSpec::new(AggFunc::Max, Expr::col("i32_r"), "hi"));
+            }
+            joined.aggregate(group_by.iter().copied(), aggs)
+        }
+        _ => {
+            let mut keys = vec![SortKey::desc("f64_r"), SortKey::asc("str_r")];
+            if second % 2 == 1 {
+                keys.push(SortKey::asc("i32"));
+            }
+            joined.top_k(keys, 9)
+        }
     }
 }
 
@@ -447,129 +512,204 @@ fn fact_and_dim(t: &Chunk, d: &Chunk) -> Database {
     db
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Accounting invariance. For every sharding of the fact scan in
+/// `shardings`, every scan predicate, the whole table and a window of it:
+/// each task of the lazy graph reports the `(num_rows, byte_size)` of the
+/// corresponding materialized task of the *unsharded* plan and
+/// materializes to the same chunk, dictionaries included. A shard has no
+/// materialized counterpart; it reports its slice of the reference
+/// selection over every column the scan reads, predicate-only ones
+/// included, as the executor has always charged it.
+fn check_lazy_tasks(
+    rows: &[Row],
+    dim_rows: &[Row],
+    (shape, second, kind): (usize, usize, JoinKind),
+    narrow: usize,
+    window: (usize, usize),
+    shardings: &[u32],
+) {
+    let (fact, dim) = (chunk_of(rows), chunk_of(dim_rows));
+    let db = fact_and_dim(&fact, &dim);
+    let n = rows.len();
+    let lo = window.0 % (n + 1);
+    let hi = lo + window.1 % (n - lo + 1);
+    // The static database a window tick is equivalent to: exactly the
+    // window's rows, sharing the full table's dictionaries.
+    let windowed = Chunk::from_table_range(
+        db.table("t").expect("fact table"),
+        &["i32", "i64", "f64", "str"],
+        lo,
+        hi,
+    )
+    .expect("window cut");
+    let window_db = fact_and_dim(&windowed, &dim);
+    let columns: &[&str] =
+        if narrow == 0 { &["i32", "i64", "f64", "str"] } else { &["f64", "i32", "str"] };
 
-    /// Accounting invariance. For every sharding of the fact scan, every
-    /// scan predicate, the whole table and a window of it: each task of
-    /// the lazy graph reports the `(num_rows, byte_size)` of the
-    /// corresponding materialized task of the *unsharded* plan and
-    /// materializes to the same chunk, dictionaries included. A shard has
-    /// no materialized counterpart; it reports its slice of the reference
-    /// selection over every column the scan reads, predicate-only ones
-    /// included, as the executor has always charged it.
-    #[test]
-    fn lazy_tasks_report_the_materialized_rows_and_bytes(
-        rows in rows_strategy(120),
-        dim_rows in rows_strategy(30),
-        shape in 0usize..6,
-        second in 0usize..6,
-        kind in 0usize..3,
-        narrow in 0usize..2,
-        window in (0usize..1000, 0usize..1000),
-    ) {
-        let (fact, dim) = (chunk_of(&rows), chunk_of(&dim_rows));
-        let db = fact_and_dim(&fact, &dim);
-        let n = rows.len();
-        let lo = window.0 % (n + 1);
-        let hi = lo + window.1 % (n - lo + 1);
-        // The static database a window tick is equivalent to: exactly the
-        // window's rows, sharing the full table's dictionaries.
-        let windowed = Chunk::from_table_range(
-            db.table("t").expect("fact table"),
-            &["i32", "i64", "f64", "str"],
-            lo,
-            hi,
-        )
-        .expect("window cut");
-        let window_db = fact_and_dim(&windowed, &dim);
-        let columns: &[&str] =
-            if narrow == 0 { &["i32", "i64", "f64", "str"] } else { &["f64", "i32", "str"] };
+    for which in 0..5 {
+        let predicate = scan_predicate(which);
+        let scan = fact_scan(columns, predicate.clone());
+        let tasks = flatten(&plan_over(scan, shape, second, kind));
+        let read_width: u64 = columns
+            .iter()
+            .map(|c| fact.column_type(c).expect("fact column").byte_width() as u64)
+            .sum::<u64>()
+            + if narrow == 1 && (1..=3).contains(&which) { 8 } else { 0 };
 
-        for which in 0..5 {
-            let predicate = scan_predicate(which);
-            let scan = fact_scan(columns, predicate.clone());
-            let tasks = flatten(&plan_over(scan, shape, second, join_kind(kind)));
-            let read_width: u64 = columns
-                .iter()
-                .map(|c| fact.column_type(c).expect("fact column").byte_width() as u64)
-                .sum::<u64>()
-                + if narrow == 1 && (1..=3).contains(&which) { 8 } else { 0 };
+        for (oracle_db, base, window) in
+            [(&db, &fact, None), (&window_db, &windowed, Some(("t", lo, hi)))]
+        {
+            let mut oracle: Vec<Chunk> = Vec::with_capacity(tasks.len());
+            for t in &tasks {
+                let children: Vec<Chunk> =
+                    t.children.iter().map(|&c| oracle[c].clone()).collect();
+                oracle.push(
+                    t.op.execute_ctx(&children, oracle_db, ParallelCtx::serial())
+                        .expect("oracle runs"),
+                );
+            }
+            let qualifying = reference::select_positions(
+                base,
+                None,
+                predicate.as_ref().unwrap_or(&Predicate::True),
+            )
+            .expect("reference selection");
 
-            for (oracle_db, base, window) in
-                [(&db, &fact, None), (&window_db, &windowed, Some(("t", lo, hi)))]
-            {
-                let mut oracle: Vec<Chunk> = Vec::with_capacity(tasks.len());
-                for t in &tasks {
-                    let children: Vec<Chunk> =
-                        t.children.iter().map(|&c| oracle[c].clone()).collect();
-                    oracle.push(
-                        t.op.execute_ctx(&children, oracle_db, ParallelCtx::serial())
-                            .expect("oracle runs"),
-                    );
-                }
-                let qualifying = reference::select_positions(
-                    base,
-                    None,
-                    predicate.as_ref().unwrap_or(&Predicate::True),
-                )
-                .expect("reference selection");
-
-                for ways in [0, 1, 2, 3, 4, 7, n as u32 + 1] {
-                    let (graph, expect) = shard_fact_scans(&tasks, ways);
-                    for workers in WORKER_GRID {
-                        let mut lazy: Vec<LazyChunk> = Vec::with_capacity(graph.len());
-                        for (t, expect) in graph.iter().zip(&expect) {
-                            let children: Vec<LazyChunk> =
-                                t.children.iter().map(|&c| lazy[c].clone()).collect();
-                            let out = t
-                                .op
-                                .execute_windowed(t.role, &children, &db, fused_ctx(workers), window)
-                                .expect("lazy task runs");
-                            let label = format!(
-                                "{} as {:?} shape={shape} predicate={which} ways={ways} \
-                                 window={window:?} workers={workers}",
-                                t.op.label(),
-                                t.role
-                            );
-                            match expect {
-                                Expect::Oracle(i) => {
-                                    prop_assert_eq!(
-                                        (out.num_rows(), out.byte_size()),
-                                        (oracle[*i].num_rows(), oracle[*i].byte_size()),
-                                        "{}", label
-                                    );
-                                    prop_assert_eq!(&out.chunk(), &oracle[*i], "{}", label);
-                                    // Runs merge into a dense output.
-                                    if t.role == Role::Merge && which == 0 {
-                                        prop_assert!(out.parts().1.is_none(), "{}", label);
-                                    }
-                                }
-                                Expect::Shard(shard) => {
-                                    let range = shard.row_range(base.num_rows());
-                                    let rows = qualifying
-                                        .positions()
-                                        .iter()
-                                        .filter(|&&p| range.contains(&(p as usize)))
-                                        .count();
-                                    prop_assert_eq!(
-                                        (out.num_rows(), out.byte_size()),
-                                        (rows, rows as u64 * read_width),
-                                        "{}", label
-                                    );
-                                    // Without a predicate: the row range itself.
-                                    let run = out.parts().1.and_then(SelVec::as_run);
-                                    let range = (which == 0).then_some(range.start as u32..range.end as u32);
-                                    prop_assert_eq!(run, range, "{}", label);
+            for &ways in shardings {
+                let (graph, expect) = shard_fact_scans(&tasks, ways);
+                for workers in WORKER_GRID {
+                    let mut lazy: Vec<LazyChunk> = Vec::with_capacity(graph.len());
+                    for (t, expect) in graph.iter().zip(&expect) {
+                        let children: Vec<LazyChunk> =
+                            t.children.iter().map(|&c| lazy[c].clone()).collect();
+                        let out = t
+                            .op
+                            .execute_windowed(t.role, &children, &db, fused_ctx(workers), window)
+                            .expect("lazy task runs");
+                        let label = format!(
+                            "{} as {:?} shape={shape} predicate={which} ways={ways} \
+                             window={window:?} workers={workers}",
+                            t.op.label(),
+                            t.role
+                        );
+                        match expect {
+                            Expect::Oracle(i) => {
+                                prop_assert_eq!(
+                                    (out.num_rows(), out.byte_size()),
+                                    (oracle[*i].num_rows(), oracle[*i].byte_size()),
+                                    "{}", label
+                                );
+                                prop_assert_eq!(&out.clone().materialize(), &oracle[*i], "{}", label);
+                                // Runs merge into a dense output.
+                                if t.role == Role::Merge && which == 0 {
+                                    prop_assert!(out.groups().is_empty(), "{}", label);
                                 }
                             }
-                            lazy.push(out);
+                            Expect::Shard(shard) => {
+                                let range = shard.row_range(base.num_rows());
+                                let rows = qualifying
+                                    .positions()
+                                    .iter()
+                                    .filter(|&&p| range.contains(&(p as usize)))
+                                    .count();
+                                prop_assert_eq!(
+                                    (out.num_rows(), out.byte_size()),
+                                    (rows, rows as u64 * read_width),
+                                    "{}", label
+                                );
+                                // Without a predicate: the row range itself.
+                                let run = out.groups()[0].sel.as_run();
+                                let range = (which == 0).then_some(range.start as u32..range.end as u32);
+                                prop_assert_eq!(run, range, "{}", label);
+                            }
                         }
+                        lazy.push(out);
                     }
                 }
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lazy_tasks_report_the_materialized_rows_and_bytes(
+        rows in rows_strategy(120),
+        dim_rows in rows_strategy(30),
+        shape in 0usize..SHAPES,
+        second in 0usize..6,
+        kind in 0usize..3,
+        narrow in 0usize..2,
+        window in (0usize..1000, 0usize..1000),
+    ) {
+        let shardings = [0, 1, 2, 3, 4, 7, rows.len() as u32 + 1];
+        check_lazy_tasks(&rows, &dim_rows, (shape, second, join_kind(kind)), narrow, window, &shardings);
+    }
+}
+
+/// Rows with keys, floats and strings that repeat on both sides.
+fn fixed_rows(n: i32) -> Vec<Row> {
+    (0..n).map(|i| (i % 40 - 20, i64::from(i) * 7 - 100, i * 3 - 60, i as usize)).collect()
+}
+
+/// Every consumer of more than one column group, on every join-of-join
+/// body, for all three kinds — not left to which shapes a run of the
+/// property above happens to draw.
+#[test]
+fn every_consumer_of_a_join_of_joins_reports_the_materialized_rows_and_bytes() {
+    let (rows, dim_rows) = (fixed_rows(97), fixed_rows(23));
+    for shape in 6..SHAPES {
+        for kind in 0..3 {
+            for second in 0..6 {
+                let what = (shape, second, join_kind(kind));
+                check_lazy_tasks(&rows, &dim_rows, what, second % 2, (13, 61), &[0, 2, 3]);
+            }
+        }
+    }
+}
+
+/// A join names its right side's columns apart from everything to their
+/// left: the third `v` of a chain is `v_r_r`, not a second `v_r` nobody can
+/// reach — in the oracle, in the column groups' names and in the reference.
+#[test]
+fn the_third_same_named_side_of_a_join_chain_stays_reachable() {
+    let side = |hundreds: i32| {
+        Chunk::new(
+            vec![Field::new("x", DataType::Int32), Field::new("v", DataType::Int32)],
+            vec![
+                ColumnData::Int32(vec![1, 2, 3]),
+                ColumnData::Int32((1..4).map(|i| hundreds * 100 + i).collect()),
+            ],
+        )
+    };
+    let mut db = Database::new();
+    for (name, hundreds) in [("a", 1), ("b", 2), ("c", 3)] {
+        let chunk = side(hundreds);
+        let schema = Schema::new(chunk.fields().to_vec());
+        db.add_table(Table::from_shared(name, schema, chunk.columns().to_vec()).unwrap()).unwrap();
+    }
+    let scan = |table: &str| PlanNode::scan(table, ["x", "v"]);
+    let plan = scan("a").join(scan("b"), "x", "x").join(scan("c"), "x_r", "x");
+    let twice = |l: &Chunk, r: &Chunk, key: &str| {
+        reference::hash_join(r, l, None, "x", key, JoinKind::Inner).unwrap()
+    };
+    let by_reference = twice(&twice(&side(1), &side(2), "x"), &side(3), "x_r");
+    let outputs = [
+        ops::execute_plan(&plan, &db).unwrap(),
+        execute_plan_fused(&plan, &db, fused_ctx(1)).unwrap(),
+        by_reference,
+    ];
+    for out in &outputs {
+        let names: Vec<&str> = out.fields().iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["x", "v", "x_r", "v_r", "x_r_r", "v_r_r"]);
+        assert_eq!(out.column("v_r_r"), Some(&ColumnData::Int32(vec![301, 302, 303])));
+        assert_eq!(out, &outputs[0]);
+    }
+    // And an operator above the chain reads it by that name.
+    let sum = plan.aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("v_r_r"), "s")]);
+    assert_interpreters_agree("sum of the third side", &sum, &db);
 }
 
 /// Deterministic edge cases the random sizes may not hit in a given run.
@@ -690,13 +830,10 @@ fn one_pass_estimates_equal_every_subtrees_own_estimate() {
     }
 
     // Every generated plan shape of the accounting property above.
-    let rows = |n: i32| -> Vec<Row> {
-        (0..n).map(|i| (i % 40 - 20, i64::from(i) * 7 - 100, i * 3 - 60, i as usize)).collect()
-    };
-    let db = fact_and_dim(&chunk_of(&rows(97)), &chunk_of(&rows(23)));
+    let db = fact_and_dim(&chunk_of(&fixed_rows(97)), &chunk_of(&fixed_rows(23)));
     for columns in [&["i32", "i64", "f64", "str"][..], &["f64", "i32", "str"]] {
         for which in 0..5 {
-            for i in 0..6 * 6 * 3 {
+            for i in 0..SHAPES * 6 * 3 {
                 let (shape, second, kind) = (i / 18, i / 3 % 6, i % 3);
                 let scan = fact_scan(columns, scan_predicate(which));
                 let plan = plan_over(scan, shape, second, join_kind(kind));

@@ -15,8 +15,9 @@
 
 use robustq::core::{DataDrivenChopping, DataPlacementManager};
 use robustq::engine::exec::task::flatten;
-use robustq::engine::plan::{Op, PlanNode};
+use robustq::engine::plan::{JoinKind, Op, PlanNode};
 use robustq::engine::predicate::Predicate;
+use robustq::engine::batch::Group;
 use robustq::engine::{Chunk, Executor, LazyChunk, ParallelCtx, Schedule};
 use robustq::serve::{ArrivalProcess, QueryMix, ServeConfig, ServingRunner};
 use robustq::sim::{CacheSet, SimConfig, VirtualTime};
@@ -60,12 +61,39 @@ fn scans_hand_on_the_tables_own_buffers() {
     let filtered = scan(&["lo_revenue"], Some(Predicate::between("lo_discount", 1, 3)))
         .execute_lazy(&[], &db, ctx)
         .unwrap();
-    let LazyChunk::Filtered { base, sel } = &filtered else {
-        panic!("a selective scan stays positional");
+    let [Group { base, sel }] = filtered.groups() else {
+        panic!("a selective scan stays positional, one group");
     };
     assert!(!sel.is_empty() && sel.len() < base.num_rows());
     assert_eq!(base.num_columns(), 1, "predicate-only columns stay behind");
     assert_is_table_buffer(&db, base, "lo_revenue");
+
+    // A join hands on positions: its output is the groups of both sides,
+    // each still the table's own buffers (the build side's under the names
+    // the join gives them), and so is a join of that.
+    let dim = |table: &str, columns: &[&str]| {
+        let columns = columns.iter().map(|c| c.to_string()).collect();
+        Op::Scan { table: table.into(), columns, predicate: None }.execute_lazy(&[], &db, ctx).unwrap()
+    };
+    let join = |build: LazyChunk, probe: LazyChunk, build_key: &str, probe_key: &str| {
+        let (build_key, probe_key) = (build_key.to_string(), probe_key.to_string());
+        Op::HashJoin { build_key, probe_key, kind: JoinKind::Inner }
+            .execute_lazy(&[build, probe], &db, ctx)
+            .unwrap()
+    };
+    let fact = scan(&["lo_orderdate", "lo_custkey", "lo_revenue"], None).execute_lazy(&[], &db, ctx);
+    let dated = join(dim("date", &["d_datekey", "d_year"]), fact.unwrap(), "d_datekey", "lo_orderdate");
+    let joined = join(dim("customer", &["c_custkey", "c_region"]), dated, "c_custkey", "lo_custkey");
+    let tables = ["lineorder", "date", "customer"];
+    assert_eq!(joined.groups().len(), tables.len());
+    for (group, table) in joined.groups().iter().zip(tables) {
+        let table = db.table(table).unwrap();
+        for (field, held) in group.base.fields().iter().zip(group.base.columns()) {
+            let stored = &table.columns()[table.schema().index_of(&field.name).unwrap()];
+            assert!(Arc::ptr_eq(stored, held), "{} was copied", field.name);
+        }
+    }
+    assert_eq!(joined.num_rows(), db.table("lineorder").unwrap().num_rows());
 }
 
 /// `schedule` run to completion on K = 2 co-processors with every scan
