@@ -21,8 +21,9 @@
 //! ```
 //!
 //! `--trace PATH` traces the largest-K SSB run under the learned
-//! strategy, asserts the Chrome export carries one kernel lane per
-//! device, and writes the JSON to PATH (CI feeds it to `trace-lint`).
+//! strategy, writes its Chrome JSON to PATH (CI feeds it to
+//! `trace-lint`), and asserts the written file carries one kernel lane
+//! per device.
 //!
 //! `--shard` adds intra-operator sharding rows (DESIGN.md §6): each K
 //! is additionally swept with `K`-way sharded leaf scans under the two
@@ -133,10 +134,13 @@ impl Sweep {
         ]);
     }
 
-    /// Write the traced run's Chrome export, asserting one kernel lane
-    /// per device first.
+    /// Write the traced run's Chrome export, then assert the written
+    /// document carries one kernel lane per device (a failed write is
+    /// already counted).
     fn export_trace(&mut self, path: &str, report: &RunReport) {
-        let chrome = report.chrome_trace().expect("traced run exports");
+        let trace = report.trace.as_ref().expect("traced run records events");
+        self.failures += export_trace("multigpu", path, trace);
+        let Ok(chrome) = std::fs::read_to_string(path) else { return };
         for (d, _) in report.metrics.device_busy.iter() {
             let lane = format!("{d} kernels");
             if !chrome.contains(&lane) {
@@ -144,8 +148,6 @@ impl Sweep {
                 self.failures += 1;
             }
         }
-        let trace = report.trace.as_ref().expect("traced run records events");
-        self.failures += export_trace("multigpu", path, trace);
     }
 }
 

@@ -42,7 +42,7 @@ pub fn traced_reference_run(effort: Effort) -> robustq_workloads::RunReport {
         .expect("traced reference run")
 }
 
-/// Write a traced run's Chrome `trace_event` export to `path`, reporting
+/// Stream a traced run's Chrome `trace_event` export to `path`, reporting
 /// on stderr under `bin`'s name (stdout stays the bin's tables). A ring
 /// that dropped events — the export, and anything re-derived from it,
 /// would silently under-report — or a failed write counts as a failure;
@@ -53,7 +53,12 @@ pub fn export_trace(bin: &str, path: &str, trace: &robustq_trace::TraceData) -> 
         eprintln!("{bin}: FAIL: trace ring overflowed ({} events dropped)", trace.dropped);
         failures += 1;
     }
-    match std::fs::write(path, robustq_trace::chrome_trace_json(&trace.events)) {
+    let written = std::fs::File::create(path).and_then(|file| {
+        let mut w = std::io::BufWriter::new(file);
+        robustq_trace::write_chrome_trace(&trace.events, &mut w)?;
+        std::io::Write::flush(&mut w)
+    });
+    match written {
         Ok(()) => eprintln!("{bin}: wrote {} trace events to {path}", trace.events.len()),
         Err(e) => {
             eprintln!("{bin}: cannot write {path}: {e}");

@@ -16,11 +16,20 @@
 //! queries in flight — so a query span that overlaps an earlier span on
 //! its session lane degrades to an `X` (complete) event, keeping `B`/`E`
 //! nesting balanced; shed queries appear as instants on their lane.
+//!
+//! The exporter is three parts: one `match` maps each event to at most
+//! two `Record`s; the lane namer gives a lane its one `thread_name`
+//! record the first time the lane is used; the renderer writes each
+//! record once into one text buffer, keeping only its sort key and byte
+//! range, and finally writes the sorted ranges out.
 
 use crate::event::{OpOutcome, TraceEvent, TransferKind};
 use crate::json::write_escaped;
-use robustq_sim::DeviceId;
-use std::fmt::Write as _;
+use robustq_sim::{DeviceId, Direction, VirtualTime};
+use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Display, Write as _};
+use std::io;
+use std::ops::Range;
 
 /// Lane (`tid`) assignments within the single trace process.
 ///
@@ -31,681 +40,409 @@ use std::fmt::Write as _;
 /// session lanes keep their fixed slots.
 mod lane {
     pub const CPU_OPS: u64 = 1;
-    pub const GPU_OPS: u64 = 2;
-    pub const H2D: u64 = 3;
-    pub const D2H: u64 = 4;
-    pub const HEAP: u64 = 5;
-    pub const CACHE: u64 = 6;
+    /// The first co-processor's block.
+    pub const GPU: u64 = 2;
     pub const FAULTS: u64 = 7;
     pub const PLACEMENT: u64 = 8;
-    /// Shard fan-out/merge spans (DESIGN.md §6). The label is emitted
-    /// lazily on the first shard event, so unsharded exports stay
-    /// byte-identical to earlier releases.
+    /// Shard fan-out/merge spans (DESIGN.md §6), named on first use.
     pub const SHARDS: u64 = 9;
-    /// Lane blocks of co-processors 2.. start here, [`BLOCK`] lanes
-    /// each (co-processor ordinal `o ≥ 2` occupies
-    /// `EXTRA_DEVICES + (o-2)*BLOCK ..`, staying below [`SESSIONS`]
-    /// for any realistic fleet).
+    /// Blocks of co-processors 2.. start here, [`BLOCK`] lanes each
+    /// (ordinal `o ≥ 2` occupies `EXTRA_DEVICES + (o-2)*BLOCK ..`).
     pub const EXTRA_DEVICES: u64 = 10;
-    /// Lanes per co-processor block: ops, h2d, d2h, heap, cache.
     pub const BLOCK: u64 = 5;
-    /// Feed activity (appends, segment seals, window fires; DESIGN.md
-    /// §6). Named lazily on the first feed event, so batch exports stay
-    /// byte-identical to earlier releases.
+    /// Feed activity (appends, seals, window fires), named on first use.
     pub const FEED: u64 = 99;
     /// Session lanes start here: `tid = SESSIONS + session`.
     pub const SESSIONS: u64 = 100;
 }
 
-/// Per-device lane roles within a co-processor's block.
-#[derive(Clone, Copy)]
-enum Role {
-    Ops,
-    H2d,
-    D2h,
-    Heap,
-    Cache,
+/// Lane offsets within a co-processor's block.
+mod role {
+    pub const OPS: u64 = 0;
+    pub const H2D: u64 = 1;
+    pub const D2H: u64 = 2;
+    pub const HEAP: u64 = 3;
+    pub const CACHE: u64 = 4;
 }
 
-impl Role {
-    fn offset(self) -> u64 {
-        match self {
-            Role::Ops => 0,
-            Role::H2d => 1,
-            Role::D2h => 2,
-            Role::Heap => 3,
-            Role::Cache => 4,
-        }
-    }
+/// Lanes named up front — the first co-processor's block with the
+/// historical wording, keeping K = 1 exports byte-identical.
+const FIXED_LANES: [(u64, &str); 8] = [
+    (lane::CPU_OPS, "CPU kernels"),
+    (lane::GPU + role::OPS, "GPU kernels"),
+    (lane::GPU + role::H2D, "link host→device"),
+    (lane::GPU + role::D2H, "link device→host"),
+    (lane::GPU + role::HEAP, "GPU heap"),
+    (lane::GPU + role::CACHE, "GPU column cache"),
+    (lane::FAULTS, "fault injections"),
+    (lane::PLACEMENT, "placement decisions"),
+];
 
-    fn lane_name(self, device: DeviceId) -> String {
-        match self {
-            Role::Ops => format!("{device} kernels"),
-            Role::H2d => format!("link host→{device}"),
-            Role::D2h => format!("link {device}→host"),
-            Role::Heap => format!("{device} heap"),
-            Role::Cache => format!("{device} column cache"),
-        }
-    }
-}
+/// A further co-processor's block labels, as `prefix{device}suffix`.
+const BLOCK_LABELS: [(&str, &str); 5] = [
+    ("", " kernels"),
+    ("link host→", ""),
+    ("link ", "→host"),
+    ("", " heap"),
+    ("", " column cache"),
+];
 
-/// The lane of `role` for co-processor `device`.
-fn device_lane(device: DeviceId, role: Role) -> u64 {
-    debug_assert!(device.is_coprocessor());
-    let ordinal = device.index() as u64; // 1-based among co-processors
-    if ordinal == 1 {
-        match role {
-            Role::Ops => lane::GPU_OPS,
-            Role::H2d => lane::H2D,
-            Role::D2h => lane::D2H,
-            Role::Heap => lane::HEAP,
-            Role::Cache => lane::CACHE,
-        }
-    } else {
-        lane::EXTRA_DEVICES + (ordinal - 2) * lane::BLOCK + role.offset()
-    }
-}
+/// Text not yet rendered: a record's name or arguments.
+type Text<'a> = fmt::Arguments<'a>;
 
-/// Sort key preserving lane-local ordering requirements at equal
-/// timestamps: metadata first, then `E` before anything that may open or
-/// occupy the lane, `B` last.
-fn phase_rank(ph: char) -> u8 {
-    match ph {
-        'M' => 0,
-        'E' => 1,
-        'X' => 2,
-        'C' => 3,
-        'i' => 4,
-        'B' => 5,
-        _ => 6,
-    }
-}
-
-struct Emitted {
-    ts_ns: u64,
+/// One Chrome record before rendering.
+struct Record<'a> {
+    ts: u64,
     ph: char,
-    seq: usize,
-    json: String,
+    lane: u64,
+    name: Text<'a>,
+    /// Empty for metadata, which carries no category.
+    cat: &'static str,
+    dur: Option<u64>,
+    /// The members of the `args` object, without braces.
+    args: Text<'a>,
 }
 
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// An `X` (complete) record over `[start, end]`, in nanoseconds.
+fn span<'a>(
+    cat: &'static str,
+    lane: u64,
+    start: u64,
+    end: u64,
+    name: Text<'a>,
+    args: Text<'a>,
+) -> Record<'a> {
+    let dur = Some(end.saturating_sub(start));
+    Record { ts: start, ph: 'X', lane, name, cat, dur, args }
 }
 
-fn push(out: &mut Vec<Emitted>, ts_ns: u64, ph: char, json: String) {
-    let seq = out.len();
-    out.push(Emitted { ts_ns, ph, seq, json });
+/// An `i` (instant) record at `at`.
+fn instant<'a>(
+    cat: &'static str,
+    lane: u64,
+    at: VirtualTime,
+    name: Text<'a>,
+    args: Text<'a>,
+) -> Record<'a> {
+    Record { ts: at.as_nanos(), ph: 'i', lane, name, cat, dur: None, args }
 }
 
-fn complete_event(
-    name: &str,
-    cat: &str,
-    tid: u64,
-    start_ns: u64,
-    end_ns: u64,
-    args: &str,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\"name\":");
-    write_escaped(&mut s, name);
-    let _ = write!(
-        s,
-        ",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid},\"args\":{{{args}}}}}",
-        us(start_ns),
-        us(end_ns.saturating_sub(start_ns)),
-    );
-    s
+/// Virtual nanoseconds as microseconds with three decimals.
+fn us(ns: u64) -> impl Display {
+    fmt::from_fn(move |f| write!(f, "{}.{:03}", ns / 1_000, ns % 1_000))
 }
 
-fn instant_event(name: &str, cat: &str, tid: u64, ts_ns: u64, args: &str) -> String {
-    let mut s = String::new();
-    s.push_str("{\"name\":");
-    write_escaped(&mut s, name);
-    let _ = write!(
-        s,
-        ",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{{args}}}}}",
-        us(ts_ns),
-    );
-    s
+/// `v` when `cond`, nothing otherwise.
+fn when<T: Display>(cond: bool, v: T) -> impl Display {
+    fmt::from_fn(move |f| if cond { v.fmt(f) } else { Ok(()) })
 }
 
-fn thread_name(tid: u64, name: &str) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0.000,\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":"
-    );
-    write_escaped(&mut s, name);
-    s.push_str("}}");
-    s
+/// The `,"query":q` argument of events that may carry no query.
+fn query_arg(query: u32) -> impl Display {
+    when(query != TraceEvent::NO_QUERY, fmt::from_fn(move |f| write!(f, ",\"query\":{query}")))
 }
 
-/// Push the five lane labels of a ≥ 2nd co-processor on first sight
-/// (the first co-processor's labels are emitted upfront with the
-/// historical wording, keeping K = 1 exports byte-identical).
-fn ensure_device_lanes(out: &mut Vec<Emitted>, seen: &mut Vec<DeviceId>, device: DeviceId) {
-    if device.index() <= 1 || seen.contains(&device) {
-        return;
+/// Order at equal timestamps, the position of `ph` in `MEXCiB`:
+/// metadata first, then `E` before anything that may open or occupy the
+/// lane, `B` last.
+fn phase_rank(ph: char) -> u8 {
+    "MEXCiB".find(ph).unwrap_or(6) as u8
+}
+
+/// The exporter's state over one event stream.
+#[derive(Default)]
+struct Exporter {
+    /// Every rendered record, back to back.
+    text: String,
+    /// Per record: timestamp, phase rank and byte range. The range start
+    /// grows with emission order, so it is also the tie-breaking seq.
+    keys: Vec<(u64, u8, Range<usize>)>,
+    /// A record's name before it is escaped into `text`.
+    name: String,
+    /// Lanes that carry their `thread_name` record.
+    named: HashSet<u64>,
+    /// Per session, the latest span end rendered on its lane. A span
+    /// starting before it overlaps (open-loop concurrency within one
+    /// session) and renders as an `X`, so `B`/`E` nesting stays balanced.
+    busy: HashMap<u32, u64>,
+    /// Fan-out instants by (query, merge task): the merge renders the
+    /// whole shard span, fan-out → merge completion, as one `X`.
+    fanouts: HashMap<(u32, u32), u64>,
+}
+
+impl Exporter {
+    /// Render `r` into the buffer and keep its sort key.
+    fn emit(&mut self, r: Record<'_>) {
+        let start = self.text.len();
+        self.name.clear();
+        let _ = self.name.write_fmt(r.name);
+        let t = &mut self.text;
+        t.push_str("{\"name\":");
+        write_escaped(t, &self.name);
+        if !r.cat.is_empty() {
+            let _ = write!(t, ",\"cat\":\"{}\"", r.cat);
+        }
+        let scope = when(r.ph == 'i', "\"s\":\"t\",");
+        let _ = write!(t, ",\"ph\":\"{}\",{scope}\"ts\":{}", r.ph, us(r.ts));
+        if let Some(dur) = r.dur {
+            let _ = write!(t, ",\"dur\":{}", us(dur));
+        }
+        let _ = write!(t, ",\"pid\":1,\"tid\":{},\"args\":{{{}}}}}", r.lane, r.args);
+        self.keys.push((r.ts, phase_rank(r.ph), start..self.text.len()));
     }
-    seen.push(device);
-    for role in [Role::Ops, Role::H2d, Role::D2h, Role::Heap, Role::Cache] {
-        push(
-            out,
-            0,
-            'M',
-            thread_name(device_lane(device, role), &role.lane_name(device)),
-        );
+
+    /// `tid`, emitting its `thread_name` record on first use.
+    fn lane(&mut self, tid: u64, label: impl Display) -> u64 {
+        if self.named.insert(tid) {
+            let mut quoted = String::new();
+            write_escaped(&mut quoted, &label.to_string());
+            let (name, args) = (format_args!("thread_name"), format_args!("\"name\":{quoted}"));
+            self.emit(Record { ts: 0, ph: 'M', lane: tid, name, cat: "", dur: None, args });
+        }
+        tid
     }
-}
 
-/// Render `events` as a Chrome `trace_event` JSON document.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out: Vec<Emitted> = Vec::with_capacity(events.len() + 16);
+    fn session_lane(&mut self, session: u32) -> u64 {
+        self.lane(lane::SESSIONS + session as u64, format_args!("session {session}"))
+    }
 
-    // Lane labels.
-    push(&mut out, 0, 'M', thread_name(lane::CPU_OPS, "CPU kernels"));
-    push(&mut out, 0, 'M', thread_name(lane::GPU_OPS, "GPU kernels"));
-    push(&mut out, 0, 'M', thread_name(lane::H2D, "link host→device"));
-    push(&mut out, 0, 'M', thread_name(lane::D2H, "link device→host"));
-    push(&mut out, 0, 'M', thread_name(lane::HEAP, "GPU heap"));
-    push(&mut out, 0, 'M', thread_name(lane::CACHE, "GPU column cache"));
-    push(&mut out, 0, 'M', thread_name(lane::FAULTS, "fault injections"));
-    push(&mut out, 0, 'M', thread_name(lane::PLACEMENT, "placement decisions"));
-    // Per-session lane occupancy: the latest `end` rendered so far. A
-    // span starting before that overlaps (open-loop concurrency within
-    // one session) and must not open a `B` the balance check would trip
-    // on; it renders as an `X` instead.
-    let mut session_busy: Vec<(u32, u64)> = Vec::new();
-    let mut sessions_seen: Vec<u32> = Vec::new();
-    let mut devices_seen: Vec<DeviceId> = Vec::new();
-    let mut shard_lane_named = false;
-    let mut feed_lane_named = false;
-    // Fan-out instants by (query, merge task), so the merge can emit the
-    // full shard span (fan-out → merge completion) as one `X` event.
-    let mut fanouts: Vec<((u32, u32), u64)> = Vec::new();
-
-    for ev in events {
-        match *ev {
-            TraceEvent::QuerySubmit { .. } => {
-                // Latency is visible as the B/E span; submissions add an
-                // instant on the session lane only once the lane exists
-                // (QueryDone names it), so skip — spans carry `submit`.
+    /// The lane at `role` of co-processor `device`, naming the device's
+    /// whole block on its first use.
+    fn device_lane(&mut self, device: DeviceId, role: u64) -> u64 {
+        debug_assert!(device.is_coprocessor());
+        let block = match device.index() as u64 {
+            1 => lane::GPU,
+            o => lane::EXTRA_DEVICES + (o - 2) * lane::BLOCK,
+        };
+        if !self.named.contains(&block) {
+            for (offset, (pre, post)) in (0..).zip(BLOCK_LABELS) {
+                self.lane(block + offset, format_args!("{pre}{device}{post}"));
             }
+        }
+        block + role
+    }
+
+    /// Map one event to its records.
+    fn event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            // Latency is visible as the B/E span, which carries `submit`.
+            TraceEvent::QuerySubmit { .. } => {}
             TraceEvent::QueryDone { query, session, seq, submit, admit, end, rows } => {
-                if !sessions_seen.contains(&session) {
-                    sessions_seen.push(session);
-                    push(
-                        &mut out,
-                        0,
-                        'M',
-                        thread_name(
-                            lane::SESSIONS + session as u64,
-                            &format!("session {session}"),
-                        ),
-                    );
-                }
-                let tid = lane::SESSIONS + session as u64;
-                let name = format!("query {query} (seq {seq})");
-                let start_ns = submit.as_nanos();
-                let end_ns = end.as_nanos();
-                let busy = match session_busy.iter().position(|(s, _)| *s == session) {
-                    Some(i) => &mut session_busy[i],
-                    None => {
-                        session_busy.push((session, 0));
-                        session_busy.last_mut().expect("just pushed")
-                    }
-                };
-                if start_ns < busy.1 {
-                    // Overlaps an already-rendered span on this session
-                    // lane (open-loop concurrency): `X` keeps `B`/`E`
-                    // nesting balanced.
-                    let args = format!(
-                        "\"query\":{query},\"rows\":{rows},\"admit_wait_us\":{}",
-                        us(admit.as_nanos().saturating_sub(start_ns)),
-                    );
-                    push(
-                        &mut out,
-                        start_ns,
-                        'X',
-                        complete_event(&name, "query", tid, start_ns, end_ns, &args),
-                    );
+                let lane = self.session_lane(session);
+                let (start, end) = (submit.as_nanos(), end.as_nanos());
+                let busy = self.busy.entry(session).or_insert(0);
+                let overlaps = start < *busy;
+                *busy = (*busy).max(end);
+                let name = format_args!("query {query} (seq {seq})");
+                if overlaps {
+                    let wait = us(admit.as_nanos().saturating_sub(start));
+                    let args =
+                        format_args!("\"query\":{query},\"rows\":{rows},\"admit_wait_us\":{wait}");
+                    self.emit(span("query", lane, start, end, name, args));
                 } else {
-                    let mut b = String::new();
-                    b.push_str("{\"name\":");
-                    write_escaped(&mut b, &name);
-                    let _ = write!(
-                        b,
-                        ",\"cat\":\"query\",\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{\"query\":{query}}}}}",
-                        us(start_ns),
-                    );
-                    push(&mut out, start_ns, 'B', b);
-                    let mut e = String::new();
-                    e.push_str("{\"name\":");
-                    write_escaped(&mut e, &name);
-                    let _ = write!(
-                        e,
-                        ",\"cat\":\"query\",\"ph\":\"E\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{\"rows\":{rows}}}}}",
-                        us(end_ns),
-                    );
-                    push(&mut out, end_ns, 'E', e);
+                    let (cat, dur, args) = ("query", None, format_args!("\"query\":{query}"));
+                    self.emit(Record { ts: start, ph: 'B', lane, name, cat, dur, args });
+                    let args = format_args!("\"rows\":{rows}");
+                    self.emit(Record { ts: end, ph: 'E', lane, name, cat, dur, args });
                 }
-                busy.1 = busy.1.max(end_ns);
             }
             TraceEvent::QueryShed { session, seq, submit, reason, at } => {
-                if !sessions_seen.contains(&session) {
-                    sessions_seen.push(session);
-                    push(
-                        &mut out,
-                        0,
-                        'M',
-                        thread_name(
-                            lane::SESSIONS + session as u64,
-                            &format!("session {session}"),
-                        ),
-                    );
-                }
-                let args = format!(
-                    "\"seq\":{seq},\"reason\":\"{reason:?}\",\"submit_us\":{}",
-                    us(submit.as_nanos()),
-                );
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("shed ({reason:?})"),
-                        "query",
-                        lane::SESSIONS + session as u64,
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                let lane = self.session_lane(session);
+                let submit = us(submit.as_nanos());
+                let args =
+                    format_args!("\"seq\":{seq},\"reason\":\"{reason:?}\",\"submit_us\":{submit}");
+                self.emit(instant("query", lane, at, format_args!("shed ({reason:?})"), args));
             }
             TraceEvent::OpSpan {
-                query,
-                task,
-                op,
-                device,
-                start,
-                end,
-                bytes_in,
-                bytes_out,
-                rows_out,
-                outcome,
+                query, task, op, device, start, end, bytes_in, bytes_out, rows_out, outcome,
                 queued_at,
             } => {
-                let tid = if device == DeviceId::Cpu {
-                    lane::CPU_OPS
-                } else {
-                    ensure_device_lanes(&mut out, &mut devices_seen, device);
-                    device_lane(device, Role::Ops)
+                let lane = match device {
+                    DeviceId::Cpu => lane::CPU_OPS,
+                    _ => self.device_lane(device, role::OPS),
                 };
-                let (name, outcome_s) = match outcome {
-                    OpOutcome::Completed => (format!("{op:?}"), "completed"),
+                let (mark, outcome) = match outcome {
+                    OpOutcome::Completed => ("", "completed"),
                     OpOutcome::Aborted { injected: true } => {
-                        (format!("{op:?} ✗ (injected abort)"), "aborted-injected")
+                        (" ✗ (injected abort)", "aborted-injected")
                     }
-                    OpOutcome::Aborted { injected: false } => {
-                        (format!("{op:?} ✗ (abort)"), "aborted")
-                    }
+                    OpOutcome::Aborted { injected: false } => (" ✗ (abort)", "aborted"),
                 };
-                let args = format!(
-                    "\"query\":{query},\"task\":{task},\"bytes_in\":{bytes_in},\"bytes_out\":{bytes_out},\"rows_out\":{rows_out},\"queue_wait_us\":{},\"outcome\":\"{outcome_s}\"",
-                    us(start.as_nanos().saturating_sub(queued_at.as_nanos())),
+                let (start, end) = (start.as_nanos(), end.as_nanos());
+                let wait = us(start.saturating_sub(queued_at.as_nanos()));
+                let args = format_args!(
+                    "\"query\":{query},\"task\":{task},\"bytes_in\":{bytes_in},\"bytes_out\":{bytes_out},\"rows_out\":{rows_out},\"queue_wait_us\":{wait},\"outcome\":\"{outcome}\""
                 );
-                push(
-                    &mut out,
-                    start.as_nanos(),
-                    'X',
-                    complete_event(&name, "op", tid, start.as_nanos(), end.as_nanos(), &args),
-                );
+                self.emit(span("op", lane, start, end, format_args!("{op:?}{mark}"), args));
             }
             TraceEvent::Transfer {
                 device, dir, kind, query, bytes, start, end, service, faulted, ..
             } => {
-                ensure_device_lanes(&mut out, &mut devices_seen, device);
-                let tid = match dir {
-                    robustq_sim::Direction::HostToDevice => device_lane(device, Role::H2d),
-                    robustq_sim::Direction::DeviceToHost => device_lane(device, Role::D2h),
-                };
-                let kind_s = match kind {
+                let lane = self.device_lane(device, match dir {
+                    Direction::HostToDevice => role::H2D,
+                    Direction::DeviceToHost => role::D2H,
+                });
+                let kind = match kind {
                     TransferKind::Input => "input",
                     TransferKind::Result => "result",
                     TransferKind::Placement => "placement",
                 };
-                let name = if faulted {
-                    format!("{kind_s} ✗ ({bytes} B)")
-                } else {
-                    format!("{kind_s} ({bytes} B)")
-                };
-                let queued_ns = end.as_nanos().saturating_sub(service.as_nanos());
-                let mut args = format!(
-                    "\"bytes\":{bytes},\"kind\":\"{kind_s}\",\"faulted\":{faulted},\"requested_us\":{}",
-                    us(start.as_nanos()),
+                let name = format_args!("{kind}{} ({bytes} B)", when(faulted, " ✗"));
+                let (requested, query) = (us(start.as_nanos()), query_arg(query));
+                let args = format_args!(
+                    "\"bytes\":{bytes},\"kind\":\"{kind}\",\"faulted\":{faulted},\"requested_us\":{requested}{query}"
                 );
-                if query != TraceEvent::NO_QUERY {
-                    let _ = write!(args, ",\"query\":{query}");
-                }
                 // Render the slot actually occupying the FIFO (queueing
                 // behind earlier transfers excluded), so lane spans never
                 // overlap.
-                push(
-                    &mut out,
-                    queued_ns,
-                    'X',
-                    complete_event(&name, "xfer", tid, queued_ns, end.as_nanos(), &args),
-                );
+                let end = end.as_nanos();
+                let start = end.saturating_sub(service.as_nanos());
+                self.emit(span("xfer", lane, start, end, name, args));
             }
-            TraceEvent::CacheProbe { device, key, bytes, hit, at } => {
-                ensure_device_lanes(&mut out, &mut devices_seen, device);
-                let name = if hit { "hit" } else { "miss" };
-                let args = format!("\"key\":{},\"bytes\":{bytes}", key.0);
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        name,
-                        "cache",
-                        device_lane(device, Role::Cache),
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
-            }
-            TraceEvent::CacheInsert { device, key, bytes, at } => {
-                ensure_device_lanes(&mut out, &mut devices_seen, device);
-                let args = format!("\"key\":{},\"bytes\":{bytes}", key.0);
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        "insert",
-                        "cache",
-                        device_lane(device, Role::Cache),
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
-            }
-            TraceEvent::CacheEvict { device, key, bytes, at } => {
-                ensure_device_lanes(&mut out, &mut devices_seen, device);
-                let args = format!("\"key\":{},\"bytes\":{bytes}", key.0);
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        "evict",
-                        "cache",
-                        device_lane(device, Role::Cache),
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+            TraceEvent::CacheProbe { device, key, bytes, at, .. }
+            | TraceEvent::CacheInsert { device, key, bytes, at }
+            | TraceEvent::CacheEvict { device, key, bytes, at } => {
+                let name = match *ev {
+                    TraceEvent::CacheProbe { hit: true, .. } => "hit",
+                    TraceEvent::CacheProbe { .. } => "miss",
+                    TraceEvent::CacheInsert { .. } => "insert",
+                    _ => "evict",
+                };
+                let lane = self.device_lane(device, role::CACHE);
+                let args = format_args!("\"key\":{},\"bytes\":{bytes}", key.0);
+                self.emit(instant("cache", lane, at, format_args!("{name}"), args));
             }
             TraceEvent::HeapAlloc { device, used, at, .. }
             | TraceEvent::HeapFree { device, used, at, .. } => {
-                ensure_device_lanes(&mut out, &mut devices_seen, device);
+                let lane = self.device_lane(device, role::HEAP);
                 // The first co-processor keeps the historical counter
                 // name; further devices get their ordinal in the name.
-                let name = if device.index() == 1 {
-                    "gpu_heap_used".to_string()
-                } else {
-                    format!("gpu{}_heap_used", device.index())
-                };
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{name}\",\"cat\":\"heap\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{{\"bytes\":{used}}}}}",
-                    us(at.as_nanos()),
-                    device_lane(device, Role::Heap),
-                );
-                push(&mut out, at.as_nanos(), 'C', s);
+                let n = device.index();
+                let name = format_args!("gpu{}_heap_used", when(n > 1, n));
+                let (ts, cat, args) = (at.as_nanos(), "heap", format_args!("\"bytes\":{used}"));
+                self.emit(Record { ts, ph: 'C', lane, name, cat, dur: None, args });
             }
             TraceEvent::Fault { kind, query, at } => {
-                let mut args = format!("\"kind\":\"{kind:?}\"");
-                if query != TraceEvent::NO_QUERY {
-                    let _ = write!(args, ",\"query\":{query}");
-                }
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("{kind:?}"),
-                        "fault",
-                        lane::FAULTS,
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                let args = format_args!("\"kind\":\"{kind:?}\"{}", query_arg(query));
+                self.emit(instant("fault", lane::FAULTS, at, format_args!("{kind:?}"), args));
             }
             TraceEvent::Retry { query, backoff, at } => {
-                let mut args = format!("\"backoff_us\":{}", us(backoff.as_nanos()));
-                if query != TraceEvent::NO_QUERY {
-                    let _ = write!(args, ",\"query\":{query}");
-                }
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event("retry", "fault", lane::FAULTS, at.as_nanos(), &args),
-                );
+                let (backoff, query) = (us(backoff.as_nanos()), query_arg(query));
+                let args = format_args!("\"backoff_us\":{backoff}{query}");
+                self.emit(instant("fault", lane::FAULTS, at, format_args!("retry"), args));
             }
             TraceEvent::ShardFanout { query, task, shards, at } => {
-                if !shard_lane_named {
-                    shard_lane_named = true;
-                    push(&mut out, 0, 'M', thread_name(lane::SHARDS, "shard fan-out"));
-                }
-                fanouts.push(((query, task), at.as_nanos()));
-                let args = format!("\"query\":{query},\"task\":{task},\"shards\":{shards}");
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("fanout q{query} t{task}"),
-                        "shard",
-                        lane::SHARDS,
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                let lane = self.lane(lane::SHARDS, "shard fan-out");
+                self.fanouts.entry((query, task)).or_insert(at.as_nanos());
+                let name = format_args!("fanout q{query} t{task}");
+                let args = format_args!("\"query\":{query},\"task\":{task},\"shards\":{shards}");
+                self.emit(instant("shard", lane, at, name, args));
             }
             TraceEvent::ShardMerge { query, task, shards, rows, bytes, start, end } => {
-                if !shard_lane_named {
-                    shard_lane_named = true;
-                    push(&mut out, 0, 'M', thread_name(lane::SHARDS, "shard fan-out"));
-                }
+                let lane = self.lane(lane::SHARDS, "shard fan-out");
                 // The outer span runs from fan-out (falling back to the
                 // merge start for truncated streams) to merge completion;
                 // the nested span is the merge kernel itself.
-                let open = fanouts
-                    .iter()
-                    .find(|(k, _)| *k == (query, task))
-                    .map_or(start.as_nanos(), |&(_, ts)| ts);
-                let args = format!("\"query\":{query},\"task\":{task},\"shards\":{shards}");
-                push(
-                    &mut out,
-                    open,
-                    'X',
-                    complete_event(
-                        &format!("shard q{query} t{task}"),
-                        "shard",
-                        lane::SHARDS,
-                        open,
-                        end.as_nanos(),
-                        &args,
-                    ),
-                );
-                let margs = format!(
+                let (start, end) = (start.as_nanos(), end.as_nanos());
+                let open = self.fanouts.get(&(query, task)).copied().unwrap_or(start);
+                let name = format_args!("shard q{query} t{task}");
+                let args = format_args!("\"query\":{query},\"task\":{task},\"shards\":{shards}");
+                self.emit(span("shard", lane, open, end, name, args));
+                let name = format_args!("merge q{query} t{task}");
+                let args = format_args!(
                     "\"query\":{query},\"task\":{task},\"shards\":{shards},\"rows\":{rows},\"bytes\":{bytes}"
                 );
-                push(
-                    &mut out,
-                    start.as_nanos(),
-                    'X',
-                    complete_event(
-                        &format!("merge q{query} t{task}"),
-                        "shard",
-                        lane::SHARDS,
-                        start.as_nanos(),
-                        end.as_nanos(),
-                        &margs,
-                    ),
-                );
+                self.emit(span("shard", lane, start, end, name, args));
             }
             TraceEvent::Placement { query, task, op, phase, est, chosen, reason, at } => {
-                let mut args = format!(
-                    "\"query\":{query},\"task\":{task},\"phase\":\"{phase:?}\",\"est_cpu_us\":{},\"est_gpu_us\":{}",
-                    us(est.get(DeviceId::Cpu).as_nanos()),
-                    us(est.get(DeviceId::Gpu).as_nanos()),
-                );
+                let cpu = us(est.get(DeviceId::Cpu).as_nanos());
+                let gpu = us(est.get(DeviceId::Gpu).as_nanos());
                 // Devices past the classic pair only appear when the
                 // policy actually estimated them (K = 1 stays identical).
-                for (d, t) in est.iter().skip(2) {
-                    let _ = write!(args, ",\"est_gpu{}_us\":{}", d.index(), us(t.as_nanos()));
-                }
-                let _ = write!(args, ",\"chosen\":\"{chosen}\",\"reason\":\"{reason:?}\"");
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("{op:?} → {chosen}"),
-                        "placement",
-                        lane::PLACEMENT,
-                        at.as_nanos(),
-                        &args,
-                    ),
+                let further = fmt::from_fn(|f| {
+                    est.iter().skip(2).try_for_each(|(d, t)| {
+                        write!(f, ",\"est_gpu{}_us\":{}", d.index(), us(t.as_nanos()))
+                    })
+                });
+                let name = format_args!("{op:?} → {chosen}");
+                let args = format_args!(
+                    "\"query\":{query},\"task\":{task},\"phase\":\"{phase:?}\",\"est_cpu_us\":{cpu},\"est_gpu_us\":{gpu}{further},\"chosen\":\"{chosen}\",\"reason\":\"{reason:?}\""
                 );
+                self.emit(instant("placement", lane::PLACEMENT, at, name, args));
             }
+            // Refinements ride the placement lane: they are the cost
+            // model's side of the placement conversation.
             TraceEvent::ModelUpdate { query, task, op, device, predicted, actual, at } => {
-                // Refinements ride the placement lane: they are the cost
-                // model's side of the placement conversation.
-                let args = format!(
-                    "\"query\":{query},\"task\":{task},\"device\":\"{device}\",\"predicted_us\":{},\"actual_us\":{}",
-                    us(predicted.as_nanos()),
-                    us(actual.as_nanos()),
+                let (predicted, actual) = (us(predicted.as_nanos()), us(actual.as_nanos()));
+                let name = format_args!("{op:?} model update");
+                let args = format_args!(
+                    "\"query\":{query},\"task\":{task},\"device\":\"{device}\",\"predicted_us\":{predicted},\"actual_us\":{actual}"
                 );
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("{op:?} model update"),
-                        "model",
-                        lane::PLACEMENT,
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                self.emit(instant("model", lane::PLACEMENT, at, name, args));
             }
             TraceEvent::OpStaged { query, task, device, chunks, chunk_bytes, at } => {
-                ensure_device_lanes(&mut out, &mut devices_seen, device);
-                let args = format!(
+                let lane = self.device_lane(device, role::HEAP);
+                let args = format_args!(
                     "\"query\":{query},\"task\":{task},\"chunks\":{chunks},\"chunk_bytes\":{chunk_bytes}"
                 );
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("staged ×{chunks}"),
-                        "staging",
-                        device_lane(device, Role::Heap),
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                self.emit(instant("staging", lane, at, format_args!("staged ×{chunks}"), args));
             }
             TraceEvent::Append { table, rows, bytes, epoch, at } => {
-                if !feed_lane_named {
-                    feed_lane_named = true;
-                    push(&mut out, 0, 'M', thread_name(lane::FEED, "feed"));
-                }
-                let args = format!(
+                let lane = self.lane(lane::FEED, "feed");
+                let args = format_args!(
                     "\"table\":{table},\"rows\":{rows},\"bytes\":{bytes},\"epoch\":{epoch}"
                 );
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("append +{rows} e{epoch}"),
-                        "feed",
-                        lane::FEED,
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                self.emit(instant("feed", lane, at, format_args!("append +{rows} e{epoch}"), args));
             }
             TraceEvent::EpochSeal { table, segment, rows, epoch, at } => {
-                if !feed_lane_named {
-                    feed_lane_named = true;
-                    push(&mut out, 0, 'M', thread_name(lane::FEED, "feed"));
-                }
-                let args = format!(
+                let lane = self.lane(lane::FEED, "feed");
+                let name = format_args!("seal s{segment} e{epoch}");
+                let args = format_args!(
                     "\"table\":{table},\"segment\":{segment},\"rows\":{rows},\"epoch\":{epoch}"
                 );
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("seal s{segment} e{epoch}"),
-                        "feed",
-                        lane::FEED,
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                self.emit(instant("feed", lane, at, name, args));
             }
             TraceEvent::WindowFire { standing, tick, query, lo, hi, at } => {
-                if !feed_lane_named {
-                    feed_lane_named = true;
-                    push(&mut out, 0, 'M', thread_name(lane::FEED, "feed"));
-                }
-                let args = format!(
+                let lane = self.lane(lane::FEED, "feed");
+                let name = format_args!("fire s{standing} w{tick}");
+                let args = format_args!(
                     "\"standing\":{standing},\"tick\":{tick},\"query\":{query},\"lo\":{lo},\"hi\":{hi}"
                 );
-                push(
-                    &mut out,
-                    at.as_nanos(),
-                    'i',
-                    instant_event(
-                        &format!("fire s{standing} w{tick}"),
-                        "feed",
-                        lane::FEED,
-                        at.as_nanos(),
-                        &args,
-                    ),
-                );
+                self.emit(instant("feed", lane, at, name, args));
             }
         }
     }
+}
 
-    out.sort_by(|a, b| {
-        a.ts_ns
-            .cmp(&b.ts_ns)
-            .then(phase_rank(a.ph).cmp(&phase_rank(b.ph)))
-            .then(a.seq.cmp(&b.seq))
-    });
-
-    let mut doc = String::new();
-    doc.push_str("{\"traceEvents\":[\n");
-    for (i, e) in out.iter().enumerate() {
-        if i > 0 {
-            doc.push_str(",\n");
-        }
-        doc.push_str(&e.json);
+/// Write `events` to `w` as a Chrome `trace_event` JSON document. The
+/// writer sees one small write per record; hand it a buffered one.
+pub fn write_chrome_trace(events: &[TraceEvent], mut w: impl io::Write) -> io::Result<()> {
+    let mut ex = Exporter::default();
+    for (tid, label) in FIXED_LANES {
+        ex.lane(tid, label);
     }
-    doc.push_str(
-        "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"robustq-trace\",\"clock\":\"virtual\"}}",
-    );
-    doc
+    for ev in events {
+        ex.event(ev);
+    }
+    ex.keys.sort_unstable_by_key(|(ts, rank, bytes)| (*ts, *rank, bytes.start));
+    w.write_all(b"{\"traceEvents\":[\n")?;
+    for (i, (_, _, bytes)) in ex.keys.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b",\n")?;
+        }
+        w.write_all(ex.text[bytes.clone()].as_bytes())?;
+    }
+    w.write_all(
+        b"\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"robustq-trace\",\"clock\":\"virtual\"}}",
+    )
+}
+
+/// Render `events` as a Chrome `trace_event` JSON document: the `String`
+/// adapter over [`write_chrome_trace`].
+pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+    let mut doc = Vec::new();
+    write_chrome_trace(events, &mut doc).expect("writing to a Vec cannot fail");
+    String::from_utf8(doc).expect("the exporter writes UTF-8")
 }
 
 #[cfg(test)]

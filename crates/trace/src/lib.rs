@@ -13,13 +13,15 @@
 //!   threads through the simulation: a single-branch no-op when disabled
 //!   (no allocations, runs byte-identical to untraced builds), a bounded
 //!   ring buffer when enabled;
-//! * [`chrome`] — a Chrome `trace_event` JSON exporter (one lane per
-//!   device, per transfer direction and per session; loads in Perfetto);
+//! * [`chrome`] — a Chrome `trace_event` JSON exporter streaming to an
+//!   `io::Write` (a lane per device, transfer direction and session;
+//!   loads in Perfetto);
 //! * [`registry::MetricsRegistry`] — counters and power-of-two-bucket
 //!   histograms (latency, queue wait, transfer sizes) derived from the
 //!   event stream;
 //! * [`lint`] — the validation behind the `trace-lint` tool: well-formed
-//!   JSON, monotone timestamps per lane, balanced span nesting.
+//!   JSON, monotone timestamps per lane, balanced span nesting, one
+//!   `thread_name` per used lane.
 //!
 //! Because events carry only virtual-time stamps and scalar payloads,
 //! the stream for a given seed is byte-identical across kernel worker
@@ -32,7 +34,7 @@ pub mod lint;
 pub mod registry;
 pub mod tracer;
 
-pub use chrome::chrome_trace_json;
+pub use chrome::{chrome_trace_json, write_chrome_trace};
 pub use event::{
     EstVec, FaultKind, OpOutcome, PlacePhase, PlaceReason, ShedReason, TraceEvent, TransferKind,
 };

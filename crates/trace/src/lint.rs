@@ -12,7 +12,9 @@
 //! 5. shard spans are well-formed (DESIGN.md §6): every `X` span named
 //!    `shard q<q> t<t>` — one sharded operator's fan-out → merge window —
 //!    contains, on the same lane, a matching `merge q<q> t<t>` span, and
-//!    every merge span lies inside its fan-out span (no orphan merges).
+//!    every merge span lies inside its fan-out span (no orphan merges),
+//! 6. every lane that carries a non-metadata record is named by exactly
+//!    one `thread_name` record, and no lane is named twice.
 
 use crate::json::{parse, Json};
 use std::collections::BTreeMap;
@@ -65,6 +67,7 @@ pub fn lint_chrome_trace(src: &str) -> Result<LintReport, String> {
     let mut shard_x: Vec<((u64, u64), String, i64, i64)> = Vec::new();
     let mut merge_x: Vec<((u64, u64), String, i64, i64)> = Vec::new();
     let ns = |us: f64| (us * 1_000.0).round() as i64;
+    let mut thread_names: BTreeMap<(u64, u64), usize> = BTreeMap::new();
 
     for (i, e) in events.iter().enumerate() {
         let name = field_str(e, "name").map_err(|err| format!("event {i}: {err}"))?;
@@ -75,10 +78,13 @@ pub fn lint_chrome_trace(src: &str) -> Result<LintReport, String> {
         if !ts.is_finite() || ts < 0.0 {
             return Err(format!("event {i} ('{name}'): bad ts {ts}"));
         }
+        let lane = (pid, tid);
         if ph == "M" {
+            if name == "thread_name" {
+                *thread_names.entry(lane).or_default() += 1;
+            }
             continue; // metadata records are exempt from lane ordering
         }
-        let lane = (pid, tid);
         if let Some(&prev) = last_ts.get(&lane) {
             if ts < prev {
                 return Err(format!(
@@ -155,6 +161,16 @@ pub fn lint_chrome_trace(src: &str) -> Result<LintReport, String> {
                 lane.0, lane.1
             ));
         }
+    }
+
+    // Lane naming: one `thread_name` per used lane, none named twice.
+    if let Some((pid, tid)) = last_ts.keys().find(|lane| !thread_names.contains_key(lane)) {
+        return Err(format!(
+            "lane (pid {pid}, tid {tid}) carries records but has no thread_name"
+        ));
+    }
+    if let Some(((pid, tid), n)) = thread_names.iter().find(|(_, n)| **n > 1) {
+        return Err(format!("lane (pid {pid}, tid {tid}) has {n} thread_name records"));
     }
 
     Ok(LintReport {
@@ -279,6 +295,33 @@ mod tests {
         ]}"#;
         let err = lint_chrome_trace(orphan).unwrap_err();
         assert!(err.contains("no enclosing 'shard"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_used_lane_without_a_thread_name() {
+        let unnamed = r#"{"traceEvents":[
+            {"name":"thread_name","ph":"M","ts":0.000,"pid":1,"tid":1,"args":{"name":"a"}},
+            {"name":"x","ph":"i","s":"t","ts":1.0,"pid":1,"tid":1,"args":{}},
+            {"name":"y","ph":"i","s":"t","ts":1.0,"pid":1,"tid":2,"args":{}}
+        ]}"#;
+        let err = lint_chrome_trace(unnamed).unwrap_err();
+        assert!(err.contains("tid 2) carries records but has no thread_name"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_lane_named_twice() {
+        let twice = r#"{"traceEvents":[
+            {"name":"thread_name","ph":"M","ts":0.000,"pid":1,"tid":1,"args":{"name":"a"}},
+            {"name":"thread_name","ph":"M","ts":0.000,"pid":1,"tid":1,"args":{"name":"b"}},
+            {"name":"x","ph":"i","s":"t","ts":1.0,"pid":1,"tid":1,"args":{}}
+        ]}"#;
+        let err = lint_chrome_trace(twice).unwrap_err();
+        assert!(err.contains("tid 1) has 2 thread_name records"), "{err}");
+        // A name with no records beside it is harmless; only a second one fails.
+        let idle = r#"{"traceEvents":[
+            {"name":"thread_name","ph":"M","ts":0.000,"pid":1,"tid":3,"args":{"name":"c"}}
+        ]}"#;
+        assert!(lint_chrome_trace(idle).is_ok());
     }
 
     #[test]
