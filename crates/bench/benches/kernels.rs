@@ -27,6 +27,12 @@
 //!   `join_probe_fk` does — any time beyond it would be an output gather.
 //!   (The timed call is the join alone; the rows behind its positions are
 //!   gathered afterwards, to be compared with the reference's);
+//! * `join_probe_sparse_{0.5,40,90}pct` — `join_probe_fk`'s fact keys
+//!   against a few dimension keys spread over a window of 0.5 %, 40 % or
+//!   90 % of the key domain: that share of the probes falls inside the
+//!   span the table addresses, the rest outside it, and few hit;
+//! * `aggregate_three_keys` — Q3.1's grouping: two dictionary keys of 25
+//!   values and one integer of seven;
 //! * `join_chain` — where those positions go: `lineorder` ⋈ three filtered
 //!   dimensions → `SUM` of one fact column grouped by one dimension
 //!   column, the production data path (`execute_plan_fused`: every join
@@ -75,6 +81,7 @@ use robustq_engine::{
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::{ColumnData, DataType, Database, DictColumn, Field};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 const SIZES: [usize; 2] = [1_000_000, 10_000_000];
@@ -163,6 +170,57 @@ fn fk_join_sides(rows: usize) -> (Chunk, Chunk, Chunk) {
     fields.push(Field::new("v", DataType::Float64));
     columns.push(ColumnData::Float64((0..rows).map(|_| (rng() % 1000) as f64).collect()));
     (dim, keys_only, Chunk::new(fields, columns))
+}
+
+/// In-range shares of the sparse probe, by kernel name: about the shares
+/// of Q3.3's, Q2.3's and Q2.2's fact rows whose keys fall inside the
+/// span their filtered dimension's keys cover.
+const SPARSE_SHARES: [(&str, f64); 3] = [
+    ("join_probe_sparse_0.5pct", 0.005),
+    ("join_probe_sparse_40pct", 0.4),
+    ("join_probe_sparse_90pct", 0.9),
+];
+
+/// The dimension side of the sparse foreign-key shape: of the
+/// `fk_join_sides` key domain (`5 × rows / 1000` keys, which its fact keys
+/// cover uniformly) a few keys survive — one in a hundred of `rows / 1000`
+/// — spread over a centred window of `share` of the domain. A probe row
+/// then lands inside the directly addressed span with probability
+/// `share`, outside it on either side otherwise, and rarely hits.
+fn sparse_dim(rows: usize, share: f64) -> Chunk {
+    let domain = (rows / 1000).max(1) * 5;
+    let survivors = (rows / 100_000).max(2);
+    let width = ((domain as f64 * share) as usize).clamp(survivors, domain);
+    let lo = (domain - width) / 2;
+    let keys = (0..survivors).map(|i| (lo + i * (width - 1) / (survivors - 1)) as i32).collect();
+    Chunk::new(vec![Field::new("pk", DataType::Int32)], vec![ColumnData::Int32(keys)])
+}
+
+/// Q3.1's aggregate: two dictionary keys of 25 nations each and a year of
+/// seven, uniform, summing one fact column.
+fn three_key_chunk(rows: usize) -> Chunk {
+    let mut rng = mix(5);
+    let nations = Arc::new((0..25).map(|i| format!("NATION{i}")).collect::<Vec<_>>());
+    let mut nation = || {
+        let codes = (0..rows).map(|_| (rng() % 25) as u32).collect();
+        ColumnData::Str(DictColumn::from_parts(Arc::clone(&nations), codes))
+    };
+    let (c_nation, s_nation) = (nation(), nation());
+    let mut rng = mix(6);
+    Chunk::new(
+        vec![
+            Field::new("c_nation", DataType::Str),
+            Field::new("s_nation", DataType::Str),
+            Field::new("d_year", DataType::Int32),
+            Field::new("v", DataType::Float64),
+        ],
+        vec![
+            c_nation,
+            s_nation,
+            ColumnData::Int32((0..rows).map(|_| 1992 + (rng() % 7) as i32).collect()),
+            ColumnData::Float64((0..rows).map(|_| (rng() % 10_000) as f64 / 7.0).collect()),
+        ],
+    )
 }
 
 fn aggregation_chunk(rows: usize) -> Chunk {
@@ -295,8 +353,11 @@ struct Baselines {
     join_build: (Chunk, f64),
     join_probe_fk: (Chunk, f64),
     join_output: (Chunk, f64),
+    /// One per `SPARSE_SHARES` entry.
+    join_probe_sparse: Vec<(Chunk, f64)>,
     join_chain: (Chunk, f64),
     agg: (Chunk, f64),
+    agg_three_keys: (Chunk, f64),
     fused_agg: (Chunk, f64),
     fused_probe: (Chunk, f64),
     scan: (Chunk, f64),
@@ -344,9 +405,15 @@ fn main() {
             reference::hash_join(dim, fact, None, "pk", "fk", JoinKind::Inner).unwrap()
         };
         let v_pred = Predicate::between("v", 0, 499);
+        let sparse_dims: Vec<Chunk> =
+            SPARSE_SHARES.iter().map(|&(_, share)| sparse_dim(rows, share)).collect();
         let agg_chunk = aggregation_chunk(rows);
         let group_by = vec!["g".to_string()];
         let aggs = vec![AggSpec::sum(Expr::col("v"), "sum"), AggSpec::count("cnt")];
+        let three_keys = three_key_chunk(rows);
+        let three_group_by: Vec<String> =
+            ["c_nation", "s_nation", "d_year"].iter().map(|k| k.to_string()).collect();
+        let three_aggs = vec![AggSpec::sum(Expr::col("v"), "revenue")];
         let selected =
             |chunk: &Chunk| select(chunk, None, &v_pred, ParallelCtx::serial()).unwrap().len();
         let (agg_selected, probe_selected) = (selected(&agg_chunk), selected(&probe));
@@ -368,9 +435,16 @@ fn main() {
                 join_build: time_best(|| fk_reference(&dim, &no_fact)),
                 join_probe_fk: time_best(|| fk_reference(&dim_keys, &fact_keys)),
                 join_output: time_best(|| fk_reference(&dim, &fact)),
+                join_probe_sparse: sparse_dims
+                    .iter()
+                    .map(|dim| time_best(|| fk_reference(dim, &fact_keys)))
+                    .collect(),
                 join_chain: time_best(|| execute_plan(&chain, &ssb).unwrap()),
                 agg: time_best(|| {
                     reference::aggregate(&agg_chunk, None, &group_by, &aggs).unwrap()
+                }),
+                agg_three_keys: time_best(|| {
+                    reference::aggregate(&three_keys, None, &three_group_by, &three_aggs).unwrap()
                 }),
                 // The fused baselines are the pre-selection-vector pipelines:
                 // mask select + gather, then the downstream kernel on the
@@ -463,6 +537,17 @@ fn main() {
                 &base.join_output,
                 gathered(&dim, &fact, time_best(|| join(&dim, &fact, None))),
             );
+            for ((kernel, _), (dim, baseline)) in
+                SPARSE_SHARES.iter().zip(sparse_dims.iter().zip(&base.join_probe_sparse))
+            {
+                push(
+                    rows,
+                    kernel,
+                    join_workers,
+                    baseline,
+                    gathered(dim, &fact_keys, time_best(|| join(dim, &fact_keys, None))),
+                );
+            }
             push(
                 rows,
                 "join_chain",
@@ -476,6 +561,15 @@ fn main() {
                 ctx.workers_for(rows, KernelClass::Aggregation),
                 &base.agg,
                 time_best(|| aggregate(&agg_chunk, None, &group_by, &aggs, ctx).unwrap()),
+            );
+            push(
+                rows,
+                "aggregate_three_keys",
+                ctx.workers_for(rows, KernelClass::Aggregation),
+                &base.agg_three_keys,
+                time_best(|| {
+                    aggregate(&three_keys, None, &three_group_by, &three_aggs, ctx).unwrap()
+                }),
             );
             push(
                 rows,
