@@ -22,7 +22,6 @@ use crate::ops::hashtbl::FastMap;
 use crate::parallel::{KernelClass, ParallelCtx};
 use crate::plan::{AggFunc, AggSpec};
 use robustq_storage::{ColumnData, DataType, Field};
-use std::collections::HashMap;
 
 /// An aggregate input the kernel can read per row without materializing a
 /// dense `f64` vector first.
@@ -190,13 +189,13 @@ fn fold_into(
     }
 }
 
-/// Largest key range the dense single-key grouper will table (8 MB of
-/// `u32` group ids). SSB/TPC-H group keys (dates, dictionary codes, small
-/// categorical ints) land far below this.
+/// Largest group table the packed keys may index (8 MB of `u32` group
+/// ids). SSB/TPC-H group keys (dates, dictionary codes, small categorical
+/// ints) pack far below this.
 const DENSE_MAX_RANGE: usize = 1 << 21;
 
-/// A single small-range integer or dictionary key read as a direct table
-/// index: no hashing at all.
+/// An integer or dictionary key read as its offset into the range of
+/// values its column holds.
 enum DenseKeys<'a> {
     I32 { vals: &'a [i32], base: i32 },
     I64 { vals: &'a [i64], base: i64 },
@@ -204,74 +203,93 @@ enum DenseKeys<'a> {
 }
 
 impl<'a> DenseKeys<'a> {
-    /// The keys of `col` and their value range, if the range is small
-    /// enough to table; the min/max scan is a cheap vectorizable pass over
-    /// the column.
-    fn try_new(col: &'a ColumnData) -> Option<(DenseKeys<'a>, usize)> {
+    /// The keys of `col` and how many values they range over — the
+    /// dictionary's size, or `max − min + 1` of an integer column (one
+    /// fused min/max pass) — if that count fits a `u64`. Floats have none.
+    fn try_new(col: &'a ColumnData) -> Option<(DenseKeys<'a>, u64)> {
         let (keys, range) = match col {
             ColumnData::Int32(v) => {
                 let (&first, rest) = v.split_first()?;
                 let (min, max) = rest.iter().fold((first, first), |(lo, hi), &x| {
                     (lo.min(x), hi.max(x))
                 });
-                let range = (max as i64 - min as i64) as u128 + 1;
-                (DenseKeys::I32 { vals: v, base: min }, range)
+                (DenseKeys::I32 { vals: v, base: min }, max.abs_diff(min) as u128 + 1)
             }
             ColumnData::Int64(v) => {
                 let (&first, rest) = v.split_first()?;
                 let (min, max) = rest.iter().fold((first, first), |(lo, hi), &x| {
                     (lo.min(x), hi.max(x))
                 });
-                let range = (max as i128 - min as i128) as u128 + 1;
-                (DenseKeys::I64 { vals: v, base: min }, range)
+                (DenseKeys::I64 { vals: v, base: min }, max.abs_diff(min) as u128 + 1)
             }
             ColumnData::Float64(_) => return None,
             ColumnData::Str(d) => (DenseKeys::Codes(d.codes()), d.dict().len() as u128),
         };
-        (range <= DENSE_MAX_RANGE as u128).then_some((keys, range as usize))
+        Some((keys, u64::try_from(range).ok()?))
     }
 
+    /// The offset of row `row`'s key.
     #[inline]
-    fn index(&self, row: u32) -> usize {
-        match self {
-            DenseKeys::I32 { vals, base } => {
-                (vals[row as usize] as i64 - *base as i64) as usize
-            }
-            DenseKeys::I64 { vals, base } => {
-                (vals[row as usize] as i128 - *base as i128) as usize
-            }
-            DenseKeys::Codes(codes) => codes[row as usize] as usize,
+    fn index(&self, row: u32) -> u64 {
+        match *self {
+            DenseKeys::I32 { vals, base } => i32_offset(vals, base, row),
+            DenseKeys::I64 { vals, base } => i64_offset(vals, base, row),
+            DenseKeys::Codes(codes) => codes[row as usize] as u64,
         }
     }
 }
 
-/// The one grouping algorithm: how rows are keyed, decided once per
-/// aggregate from the key columns, then run per morsel and once more over
-/// the morsels' representatives.
-enum Grouper<'a> {
-    /// No keys: every row is group 0.
-    Global,
-    /// One small-range key: a direct `key - base -> group id` table.
-    Dense { keys: DenseKeys<'a>, range: usize },
-    /// One key: multiply-shift open-addressing map.
-    One(&'a ColumnData),
-    /// Two keys: the same map over key pairs.
-    Two(&'a ColumnData, &'a ColumnData),
-    /// Three or more keys: composite keys in a `HashMap`.
-    Many(&'a [&'a ColumnData]),
+/// An integer key's offset above its column's minimum, `base`.
+#[inline(always)]
+fn i32_offset(vals: &[i32], base: i32, row: u32) -> u64 {
+    (vals[row as usize] as i64 - base as i64) as u64
+}
+
+/// [`i32_offset`] of an `Int64` key.
+#[inline(always)]
+fn i64_offset(vals: &[i64], base: i64, row: u32) -> u64 {
+    vals[row as usize].wrapping_sub(base) as u64
+}
+
+/// The one grouping algorithm: how a row's keys become one flat-map key,
+/// decided once per aggregate from the key columns, then run per morsel
+/// and once more over the morsels' representatives.
+///
+/// Keys with a range are **packed**, in order and while the product of
+/// their ranges fits a `u64`, into one mixed-radix word: each key's offset
+/// times the product of the ranges before it. The word indexes a table of
+/// group ids directly while that product is at most the rows being grouped
+/// (and [`DENSE_MAX_RANGE`]) — the table then costs no more to set up than
+/// the rows cost to read, the rule the join's direct addressing follows —
+/// and is a [`FastMap`] key otherwise. Every other key (a float, an
+/// integer whose range does not pack) extends the word one at a time as a
+/// `(prefix, key)` pair through a map of its own, each map numbering the
+/// prefixes the next one pairs. No key count needs a fallback and no row
+/// allocates; with no keys the word is 0 and every row is group 0.
+struct Grouper<'a> {
+    /// Packed keys and their place values.
+    packed: Vec<(DenseKeys<'a>, u64)>,
+    /// Product of the packed keys' ranges: every word lies below it.
+    range: u64,
+    /// Keys paired onto the word, in order.
+    paired: Vec<&'a ColumnData>,
 }
 
 impl<'a> Grouper<'a> {
-    fn new(key_cols: &'a [&'a ColumnData]) -> Grouper<'a> {
-        match key_cols {
-            [] => Grouper::Global,
-            [k0] => match DenseKeys::try_new(k0) {
-                Some((keys, range)) => Grouper::Dense { keys, range },
-                None => Grouper::One(k0),
-            },
-            [k0, k1] => Grouper::Two(k0, k1),
-            cols => Grouper::Many(cols),
+    fn new(key_cols: &[&'a ColumnData]) -> Grouper<'a> {
+        let mut grouper = Grouper { packed: Vec::new(), range: 1, paired: Vec::new() };
+        for &col in key_cols {
+            let packs = DenseKeys::try_new(col)
+                .and_then(|(keys, range)| Some((keys, grouper.range.checked_mul(range)?)));
+            match packs {
+                Some((keys, range)) => {
+                    grouper.packed.push((keys, grouper.range));
+                    grouper.range = range;
+                }
+                None => grouper.paired.push(col),
+            }
         }
+        grouper
     }
 
     /// Consume `rows` (global row indices), assigning dense group ids in
@@ -279,56 +297,68 @@ impl<'a> Grouper<'a> {
     /// new group's first row to `representative` (which starts empty).
     fn group(
         &self,
-        rows: impl Iterator<Item = u32>,
+        rows: impl ExactSizeIterator<Item = u32>,
         representative: &mut Vec<u32>,
         gids: &mut Vec<u32>,
+    ) {
+        let out = (representative, gids);
+        // One key is its own offset, read by a loop of its own key type.
+        match *self.packed.as_slice() {
+            [(DenseKeys::I32 { vals, base }, _)] => {
+                self.number(rows, |row| i32_offset(vals, base, row), out)
+            }
+            [(DenseKeys::I64 { vals, base }, _)] => {
+                self.number(rows, |row| i64_offset(vals, base, row), out)
+            }
+            [(DenseKeys::Codes(codes), _)] => {
+                self.number(rows, |row| codes[row as usize] as u64, out)
+            }
+            ref packed => {
+                let word = |row| packed.iter().map(|(keys, place)| keys.index(row) * place).sum();
+                self.number(rows, word, out)
+            }
+        }
+    }
+
+    /// [`Grouper::group`], reading a row's packed word through `word`.
+    fn number(
+        &self,
+        rows: impl ExactSizeIterator<Item = u32>,
+        word: impl Fn(u32) -> u64,
+        (representative, gids): (&mut Vec<u32>, &mut Vec<u32>),
     ) {
         let mut new_group = |row: u32| {
             representative.push(row);
             (representative.len() - 1) as u32
         };
-        match self {
-            Grouper::Global => {
-                for (j, row) in rows.enumerate() {
-                    if j == 0 {
-                        new_group(row);
-                    }
-                    gids.push(0);
-                }
-            }
-            Grouper::Dense { keys, range } => {
-                // `table[key - base] = gid`; `u32::MAX` = unseen.
-                let mut table = vec![u32::MAX; *range];
+        let Some((last, inner)) = self.paired.split_last() else {
+            if self.range <= rows.len().min(DENSE_MAX_RANGE) as u64 {
+                // `table[word] = gid`; `u32::MAX` = unseen.
+                let mut table = vec![u32::MAX; self.range as usize];
                 for row in rows {
-                    let slot = &mut table[keys.index(row)];
+                    let slot = &mut table[word(row) as usize];
                     if *slot == u32::MAX {
                         *slot = new_group(row);
                     }
                     gids.push(*slot);
                 }
-            }
-            Grouper::One(k0) => {
+            } else {
                 let mut map: FastMap<u64> = FastMap::new();
                 for row in rows {
-                    let key = k0.key_at(row as usize);
-                    gids.push(map.get_or_insert(key, || new_group(row)));
+                    gids.push(map.get_or_insert(word(row), || new_group(row)));
                 }
             }
-            Grouper::Two(k0, k1) => {
-                let mut map: FastMap<(u64, u64)> = FastMap::new();
-                for row in rows {
-                    let key = (k0.key_at(row as usize), k1.key_at(row as usize));
-                    gids.push(map.get_or_insert(key, || new_group(row)));
-                }
-            }
-            Grouper::Many(cols) => {
-                let mut map: HashMap<Vec<u64>, u32> = HashMap::new();
-                for row in rows {
-                    let key: Vec<u64> =
-                        cols.iter().map(|c| c.key_at(row as usize)).collect();
-                    gids.push(*map.entry(key).or_insert_with(|| new_group(row)));
-                }
-            }
+            return;
+        };
+        let mut prefixes: Vec<FastMap<(u64, u64)>> = inner.iter().map(|_| FastMap::new()).collect();
+        let mut groups: FastMap<(u64, u64)> = FastMap::new();
+        for row in rows {
+            let prefix = prefixes.iter_mut().zip(inner).fold(word(row), |prefix, (map, col)| {
+                let next = map.len() as u32;
+                map.get_or_insert((prefix, col.key_at(row as usize)), || next) as u64
+            });
+            let key = (prefix, last.key_at(row as usize));
+            gids.push(groups.get_or_insert(key, || new_group(row)));
         }
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! Both hash with Fibonacci multiply-shift (`key * 2^64/φ`, top bits):
 //! one multiply per lookup, and the golden-ratio constant scatters the
-//! low-entropy keys (float bit patterns, yyyymmdd dates, composite group
+//! low-entropy keys (float bit patterns, yyyymmdd dates, packed group
 //! keys) that direct addressing leaves to them.
 
 /// Fibonacci hashing constant: `floor(2^64 / φ)`, odd.
@@ -35,12 +35,14 @@ fn mix(k: u64) -> u64 {
 /// A key's slot is `(key − min) × mul >> shift`. When the keys' range (as
 /// signed values, so small negative integers sit next to zero) is below
 /// the build rows plus the rows about to be probed, slots are **addressed
-/// directly** — `mul = 1, shift = 0`, one slot per key value, so a lookup
-/// is one bounds-checked load — and the table costs O(build + probed) to
-/// set up whatever the keys are. Otherwise (float bit patterns, sparse
-/// keys such as yyyymmdd dates under a small probe) slots are the top bits
-/// of a multiply-shift hash over `2 × build` buckets and a lookup compares
-/// keys along the bucket's chain.
+/// directly** — `mul = 1, shift = 0`, one slot per key value and one past
+/// the range that stays empty, into which every key outside the range is
+/// clamped, so a lookup is one load with no data-dependent branch — and
+/// the table costs O(build + probed) to set up whatever the keys are.
+/// Otherwise (float bit patterns, sparse keys such as yyyymmdd dates under
+/// a small probe) slots are the top bits of a multiply-shift hash over
+/// `2 × build` buckets and a lookup compares keys along the bucket's
+/// chain.
 ///
 /// Equal-key matches come out in **increasing build-row order** — the
 /// contract the join kernel relies on for bit-identity with the
@@ -53,12 +55,13 @@ pub(crate) struct JoinTable<'a> {
     min: u64,
     mul: u64,
     shift: u32,
-    /// First build row + 1 per slot; 0 = empty.
+    /// First build row + 1 per slot; 0 = empty. The last slot of a directly
+    /// addressed table lies past the key range and is never filled.
     heads: Vec<u32>,
     /// Next build row + 1 in the same slot, by build row; 0 = chain end.
     next: Vec<u32>,
     /// Directly addressed and no key repeats: a slot holds the one build
-    /// row of its key value, so [`JoinTable::only`] is the whole lookup.
+    /// row of its key value, so [`JoinTable::exact`] is the whole lookup.
     exact: bool,
 }
 
@@ -72,7 +75,7 @@ impl<'a> JoinTable<'a> {
         let span = hi.wrapping_sub(lo) as u64;
         let direct = span < (keys.len() + probed) as u64;
         let (min, mul, shift, slots) = if direct {
-            (lo as u64, 1, 0, span as usize + 1)
+            (lo as u64, 1, 0, span as usize + 2)
         } else {
             let buckets = (keys.len() * 2).next_power_of_two().max(16);
             (0, PHI, 64 - buckets.trailing_zeros(), buckets)
@@ -100,18 +103,22 @@ impl<'a> JoinTable<'a> {
         (k.wrapping_sub(self.min).wrapping_mul(self.mul) >> self.shift) as usize
     }
 
-    /// True if [`JoinTable::only`] answers a lookup by itself.
-    pub(crate) fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    /// Of an exact table: the one build row matching `k`, plus one; 0 if
-    /// there is none. (`slot` without the multiply and shift it spends on
-    /// serving both addressings — a fifth of the dense probe's time.)
-    #[inline(always)]
-    pub(crate) fn only(&self, k: u64) -> u32 {
-        debug_assert!(self.exact);
-        self.heads.get(k.wrapping_sub(self.min) as usize).copied().unwrap_or(0)
+    /// The lookup that answers a probe by itself, if this table is exact:
+    /// the one build row matching a key, plus one; 0 if there is none. A
+    /// key outside the range is clamped into the empty slot past it, so a
+    /// lookup is one load with no data-dependent branch. (An exact table
+    /// always has that slot; testing for it here is what lets the compiler
+    /// drop the load's bounds check. No multiply and shift either: `slot`
+    /// spends them on serving both addressings, a fifth of the dense
+    /// probe's time.)
+    #[inline]
+    pub(crate) fn exact(&self) -> Option<impl Fn(u64) -> u32 + '_> {
+        let (heads, min) = (self.heads.as_slice(), self.min);
+        if !self.exact || heads.is_empty() {
+            return None;
+        }
+        let last = heads.len() - 1;
+        Some(move |k: u64| heads[(k.wrapping_sub(min) as usize).min(last)])
     }
 
     /// First build row + 1 in `k`'s slot; 0 if the slot is empty or `k`
@@ -196,6 +203,11 @@ impl<K: FastKey> FastMap<K> {
         }
     }
 
+    /// Number of keys inserted so far.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
     /// Value for `key`, inserting `make()` on first sight.
     #[inline]
     pub(crate) fn get_or_insert(
@@ -258,11 +270,12 @@ mod tests {
             reference.entry(k).or_default().push(i as u32);
         }
         // Hashed while the keys (−2 ..= 36 × 1024) span more than the rows
-        // at hand, directly addressed under a probe as long as the span.
+        // at hand, directly addressed under a probe as long as the span:
+        // a slot per key value and the empty one past them.
         for probed in [0, 40 * 1024] {
             let table = JoinTable::build(&bkeys, probed);
-            assert!(!table.is_exact(), "keys repeat");
-            assert_eq!(table.heads.len() == 36 * 1024 + 3, probed > 0);
+            assert!(table.exact().is_none(), "keys repeat");
+            assert_eq!(table.heads.len() == 36 * 1024 + 4, probed > 0);
             check(&table, &reference);
         }
     }
@@ -295,20 +308,48 @@ mod tests {
         // span 8: direct from build + probed = 9 rows on.
         assert_eq!(JoinTable::build(&keys, 4).mul, PHI);
         let table = JoinTable::build(&keys, 5);
-        assert!(table.is_exact());
-        assert_eq!((table.mul, table.heads.len()), (1, 9));
+        let only = table.exact().expect("unique keys, addressed directly");
+        assert_eq!((table.mul, table.heads.len()), (1, 10));
         for (row, &k) in keys.iter().enumerate() {
-            assert_eq!(table.only(k), row as u32 + 1);
+            assert_eq!(only(k), row as u32 + 1);
         }
         for miss in [-2i64, 2, 6, 8, i64::MIN, i64::MAX] {
-            assert_eq!(table.only(miss as u64), 0, "key {miss}");
+            assert_eq!(only(miss as u64), 0, "key {miss}");
             assert!(!table.contains(miss as u64));
         }
         // The full signed range never is, and its lookups still work.
         let ends = [i64::MIN as u64, i64::MAX as u64, u64::MAX];
         let table = JoinTable::build(&ends, usize::MAX / 2);
-        assert!(!table.is_exact());
+        assert!(table.exact().is_none());
         assert!(table.contains(u64::MAX) && !table.contains(0));
+    }
+
+    /// Every key outside an exact table's range — next to either end, far
+    /// off, across the signed wrap — reads the empty slot past the range.
+    #[test]
+    fn exact_table_clamps_keys_outside_its_range_into_the_empty_slot() {
+        for base in [100i64, -5, i64::MIN, i64::MAX - 40] {
+            let keys: Vec<u64> =
+                [17i64, 0, 40, 3, 29].iter().map(|&k| base.wrapping_add(k) as u64).collect();
+            let table = JoinTable::build(&keys, 64);
+            let only = table.exact().expect("unique keys, addressed directly");
+            assert_eq!(table.heads.len(), 42);
+            assert_eq!(table.heads.last(), Some(&0));
+            for (row, &k) in keys.iter().enumerate() {
+                assert_eq!(only(k), row as u32 + 1, "base {base}");
+            }
+            let (min, max) = (base, base.wrapping_add(40));
+            let outside = [min.wrapping_sub(1), max.wrapping_add(1), max.wrapping_add(2)]
+                .map(|k| k as u64)
+                .into_iter()
+                .chain([0, u64::MAX, i64::MIN as u64, i64::MAX as u64]);
+            for miss in outside {
+                if !keys.contains(&miss) {
+                    assert_eq!(only(miss), 0, "base {base}, key {}", miss as i64);
+                    assert!(!table.contains(miss));
+                }
+            }
+        }
     }
 
     #[test]

@@ -185,7 +185,7 @@ fn probe_rows(
     (probe_pos, build_pos): Positions<'_>,
 ) {
     let keep = kind != JoinKind::Anti;
-    if !table.is_exact() {
+    let Some(only) = table.exact() else {
         for i in m {
             let k = key(row(i) as usize);
             match kind {
@@ -198,12 +198,12 @@ fn probe_rows(
             }
         }
         return;
-    }
+    };
     let (mut probes, mut builds) = ([0u32; BLOCK], [0u32; BLOCK]);
     for lo in m.clone().step_by(BLOCK) {
         let mut n = 0;
         for i in lo..m.end.min(lo + BLOCK) {
-            let hit = table.only(key(row(i) as usize));
+            let hit = only(key(row(i) as usize));
             probes[n] = i as u32;
             builds[n] = hit.wrapping_sub(1);
             n += usize::from((hit != 0) == keep);

@@ -42,9 +42,10 @@ pub const DEFAULT_MORSEL_ROWS: usize = 65_536;
 /// Default minimum rows each worker must have before fan-out pays off.
 ///
 /// Below `2 ×` this, kernels run serially: thread spawn/join plus
-/// per-morsel bookkeeping cost more than a second thread buys a
-/// memory-bound kernel (set to 40 000, `ssb_scan_heavy`'s 180 k-row probes
-/// fan out and a slice takes 58 ms instead of 42: EXPERIMENTS.md, PR 24).
+/// per-morsel bookkeeping cost more than a second thread buys a kernel of
+/// a few hundred thousand rows (set to 40 000, `ssb_scan_heavy`'s 180 k-row
+/// probes fan out and a slice takes 58 ms instead of 42: EXPERIMENTS.md,
+/// "Not the lever: fanning the probe out").
 pub const DEFAULT_MIN_ROWS_PER_WORKER: usize = 524_288;
 
 /// Kernel classes with distinct parallel break-even points.

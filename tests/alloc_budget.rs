@@ -7,7 +7,8 @@
 //! and cloning or projecting a chunk touches no row. Each budget below
 //! sits far under one copy of the columns the operation reads, so any
 //! reintroduced column copy trips it on every host alike. A join's probe
-//! allocates by what it matches, not by what it reads.
+//! allocates by what it matches, not by what it reads; a group-by, a group
+//! id per row and the rest by its groups.
 //!
 //! Operators are shared the same way (DESIGN.md §5): handing a plan on —
 //! `PlanNode::clone`, then `flatten` at admission — allocates the tree's
@@ -16,6 +17,7 @@
 
 use robustq::engine::exec::task::{flatten, Role, ShardSpec};
 use robustq::engine::expr::Expr;
+use robustq::engine::ops::agg::aggregate;
 use robustq::engine::ops::join::hash_join;
 use robustq::engine::ops::project::keep_columns;
 use robustq::engine::plan::{AggSpec, JoinKind, Op, PlanNode, SortKey};
@@ -258,6 +260,31 @@ fn a_join_chain_under_an_aggregate_gathers_only_what_the_aggregate_names() {
         bytes < first_bytes,
         "three joins and an aggregate allocated {bytes} B; the first join's output is {first_bytes} B"
     );
+}
+
+/// Grouping allocates a group id per row and nothing else per row: a
+/// three-key group-by of `lineorder` (customer region × year × discount,
+/// a few hundred groups) stays within 4 B a row plus 64 B a group — its
+/// output, accumulators and representatives. A heap key per row would be
+/// 24 B a row on its own.
+#[test]
+fn a_three_key_group_by_allocates_group_ids_not_keys() {
+    let db = lineorder();
+    let fact_columns = ["lo_orderdate", "lo_custkey", "lo_discount", "lo_revenue"];
+    let fact = scanned(&db, "lineorder", &fact_columns, None);
+    let date = scanned(&db, "date", &["d_datekey", "d_year"], None);
+    let customer = scanned(&db, "customer", &["c_custkey", "c_region"], None);
+    let dated = joined(&db, date, fact, ("d_datekey", "lo_orderdate"));
+    let chunk = joined(&db, customer, dated, ("c_custkey", "lo_custkey")).materialize();
+    assert_eq!(chunk.num_rows(), ROWS);
+    let keys = ["c_region", "d_year", "lo_discount"].map(String::from);
+    let aggs = [AggSpec::sum(Expr::col("lo_revenue"), "revenue"), AggSpec::count("n")];
+    let group = || aggregate(&chunk, None, &keys, &aggs, ParallelCtx::serial()).unwrap();
+    let (out, bytes) = allocated(group);
+    let groups = out.num_rows() as u64;
+    assert!(groups > 100 && groups < 1_000, "{groups} groups");
+    let budget = 4 * ROWS as u64 + 64 * groups + FIXED;
+    assert!(bytes < budget, "grouping {ROWS} rows into {groups} allocated {bytes} B > {budget} B");
 }
 
 #[test]

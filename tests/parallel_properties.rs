@@ -12,7 +12,10 @@
 //! association order, dictionary rebuilds, a different error — fails these
 //! tests. The join is additionally walked through every decision its
 //! table makes (`key_shape`): direct or hashed addressing, unique or
-//! repeated build keys, every key-type pairing, block boundaries.
+//! repeated build keys, keys outside the addressed span, every key-type
+//! pairing, block boundaries; the aggregate through every decision its
+//! grouper makes (`group_by_for`): packed into a table or a map word,
+//! float and unpackable keys paired onto it.
 
 use proptest::prelude::*;
 use robustq::engine::exec::task::{Role, ShardSpec};
@@ -34,8 +37,10 @@ const STR_POOL: [&str; 7] =
 /// One generated row: (i32, i64, float-source, string-pool index).
 type Row = (i32, i64, i32, usize);
 
-/// Build a chunk with one column of every `DataType` from generated rows.
-/// Each call interns its own dictionary, so two chunks never share one.
+/// Build a chunk with one column of every `DataType` from generated rows,
+/// plus two more group keys: `small`, of four values, and `wide`, whose
+/// `Int64` extremes span a range no word can pack. Each call interns its
+/// own dictionary, so two chunks never share one.
 fn chunk_of(rows: &[Row]) -> Chunk {
     Chunk::new(
         vec![
@@ -43,6 +48,8 @@ fn chunk_of(rows: &[Row]) -> Chunk {
             Field::new("i64", DataType::Int64),
             Field::new("f64", DataType::Float64),
             Field::new("str", DataType::Str),
+            Field::new("small", DataType::Int32),
+            Field::new("wide", DataType::Int64),
         ],
         vec![
             ColumnData::Int32(rows.iter().map(|r| r.0).collect()),
@@ -51,6 +58,8 @@ fn chunk_of(rows: &[Row]) -> Chunk {
             ColumnData::Str(DictColumn::from_strings(
                 rows.iter().map(|r| STR_POOL[r.3 % STR_POOL.len()].to_string()),
             )),
+            ColumnData::Int32(rows.iter().map(|r| r.0.rem_euclid(4)).collect()),
+            ColumnData::Int64(rows.iter().map(|r| [i64::MIN, r.1, i64::MAX][r.3 % 3]).collect()),
         ],
     )
 }
@@ -208,14 +217,25 @@ fn check_aggregate(chunk: &Chunk, sel: &SelVec, group_by: &[String], aggs: &[Agg
     );
 }
 
-/// 0–3 keys: global aggregate, the dense/open-addressing single-key paths,
-/// key pairs, and the generic composite-key path; 4 names an unknown
-/// column.
-fn group_by_for(num_keys: usize) -> Vec<String> {
-    if num_keys == 4 {
-        return vec!["missing".to_string()];
-    }
-    ["str", "i32", "i64"][..num_keys].iter().map(|s| s.to_string()).collect()
+/// Group-by lists that cross every decision the grouper makes: no key;
+/// one and two keys packed into one word; three (`str` × `i64` × `small`:
+/// at most 7 × 18 × 4 = 504 ids) that index a table directly from 504
+/// grouped rows on and go through a map below that; a `Float64` key paired
+/// onto a packed word; `Int64` extremes, whose range cannot pack, paired
+/// before and after the float; and (6) an unknown column.
+const NUM_GROUP_BYS: usize = 7;
+
+fn group_by_for(which: usize) -> Vec<String> {
+    let keys: &[&str] = match which % NUM_GROUP_BYS {
+        0 => &[],
+        1 => &["str"],
+        2 => &["str", "i32"],
+        3 => &["str", "i64", "small"],
+        4 => &["i32", "f64", "str", "wide"],
+        5 => &["wide", "small", "f64", "i64", "str"],
+        _ => &["missing"],
+    };
+    keys.iter().map(|s| s.to_string()).collect()
 }
 
 fn aggs_for(failing: bool) -> Vec<AggSpec> {
@@ -299,7 +319,7 @@ fn check_sharded_scan(
 const PROBE_BLOCK: usize = 256;
 
 /// Key shapes that cross every decision the join's table makes.
-const NUM_KEY_SHAPES: usize = 12;
+const NUM_KEY_SHAPES: usize = 13;
 
 /// Build and probe sides of `build_n` and `probe_n` rows, each a key
 /// column `k` and a row-number payload, by shape. `probed` is how many of
@@ -359,7 +379,20 @@ fn key_shape(shape: usize, build_n: usize, probe_n: usize, probed: usize, base: 
             (half(0..b), half(b..b + p))
         }
         // …and against a numeric column: a type error.
-        _ => (strs((0..b).collect()), ints(around(0, b))),
+        11 => (strs((0..b).collect()), ints(around(0, b))),
+        // Unique keys scattered over the widest span still addressed
+        // directly, probed from half a span below it to half above: each
+        // output block mixes hits, misses inside the span and misses on
+        // either side of it (across the signed wrap at the `i64` ends).
+        _ => {
+            let span = (limit - 1).max(b - 1);
+            let step = span / (b - 1).max(1);
+            let scattered = (0..b).rev().map(|i| {
+                let offset = if i + 1 == b { span } else { i * step + (i * i * 7) % step };
+                base.wrapping_add(offset)
+            });
+            (ints(scattered.collect()), ints(around(base.wrapping_sub(span / 2), 2 * span)))
+        }
     };
     let side = |keys: ColumnData, n: usize| {
         Chunk::new(
@@ -418,6 +451,22 @@ fn minus_one_is_a_join_key_like_any_other() {
     }
 }
 
+/// Every group-by list over a stream long enough for the three packed
+/// keys' table: 600 rows take every value of `str`, `i64` and `small`, so
+/// their 504 ids index a table for the dense stream and go through a map
+/// for the 400 rows of the selection and for the morsels of seven rows.
+#[test]
+fn every_grouping_decision_matches_reference() {
+    let rows: Vec<Row> = (0..600)
+        .map(|i| (i * 37 % 80 - 40, (i * 11 % 18 - 9) as i64, i * 13 % 120 - 60, i as usize * 5 % 7))
+        .collect();
+    let chunk = chunk_of(&rows);
+    let sel = sel_of(rows.len(), &[true, true, false]);
+    for group_by in 0..NUM_GROUP_BYS {
+        check_aggregate(&chunk, &sel, &group_by_for(group_by), &aggs_for(false));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -463,12 +512,12 @@ proptest! {
     fn aggregate_is_bit_identical_to_reference(
         rows in rows_strategy(200),
         picks in picks_strategy(),
-        num_keys in 0usize..5,
+        group_by in 0usize..NUM_GROUP_BYS,
         failing in prop::bool::ANY,
     ) {
         let chunk = chunk_of(&rows);
         let sel = sel_of(rows.len(), &picks);
-        check_aggregate(&chunk, &sel, &group_by_for(num_keys), &aggs_for(failing && num_keys % 2 == 0));
+        check_aggregate(&chunk, &sel, &group_by_for(group_by), &aggs_for(failing && group_by % 2 == 0));
     }
 
     #[test]
@@ -530,8 +579,8 @@ fn empty_and_single_row_chunks() {
                     check_join(&chunk, &chunk, &sel, (k, k), kind);
                 }
             }
-            for num_keys in 0..5 {
-                check_aggregate(&chunk, &sel, &group_by_for(num_keys), &aggs_for(false));
+            for group_by in 0..NUM_GROUP_BYS {
+                check_aggregate(&chunk, &sel, &group_by_for(group_by), &aggs_for(false));
             }
             check_aggregate(&chunk, &sel, &[], &aggs_for(true));
         }
