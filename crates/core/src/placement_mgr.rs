@@ -9,7 +9,6 @@
 
 use robustq_sim::{partition_bytes, CacheKey, CacheSet, DeviceId};
 use robustq_storage::{ColumnId, Database};
-use std::collections::BTreeMap;
 
 /// Ranking criterion for the pinned set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +33,32 @@ pub struct DataPlacementManager {
     /// replicated into *every* cache instead of partitioned (small build
     /// sides each device can hold outright).
     replicate_max_bytes: u64,
-    /// Sticky table→cache homes. Once a table is homed, later updates
-    /// keep it there even when the ranking reshuffles — re-homing a hot
-    /// table evicts and re-transfers its whole pinned set, which is how
-    /// K > 1 fleets lose cache hits without any change in the workload.
-    homes: BTreeMap<usize, usize>,
+    /// Sticky table→cache homes, by table registration index (`None`
+    /// until the table is first accessed). Once a table is homed, later
+    /// updates keep it there even when the ranking reshuffles — re-homing
+    /// a hot table evicts and re-transfers its whole pinned set, which is
+    /// how K > 1 fleets lose cache hits without any change in the
+    /// workload.
+    homes: Vec<Option<usize>>,
+    /// What one [`DataPlacementManager::update_set`] pass fills and the
+    /// next reuses, so a steady-state pass allocates nothing.
+    scratch: Scratch,
+}
+
+/// The working buffers of one placement pass.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Accessed columns, best first.
+    ranking: Vec<(ColumnId, u64)>,
+    /// Summed column score and accessed bytes, by table registration index.
+    tables: Vec<(u64, u64)>,
+    /// Accessed tables, hottest first.
+    hottest: Vec<usize>,
+    /// Byte budget and bytes pinned so far, by cache slot.
+    budgets: Vec<u64>,
+    used: Vec<u64>,
+    /// The pinned set, by cache slot.
+    pins: Vec<Vec<(CacheKey, u64)>>,
 }
 
 impl DataPlacementManager {
@@ -49,7 +69,8 @@ impl DataPlacementManager {
             budget: None,
             shard_ways: 0,
             replicate_max_bytes: 0,
-            homes: BTreeMap::new(),
+            homes: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -94,21 +115,29 @@ impl DataPlacementManager {
     /// Rank all base columns by the configured criterion, best first.
     /// Columns never accessed rank last and are never pinned.
     pub fn ranking(&self, db: &Database) -> Vec<(ColumnId, u64)> {
-        let stats = db.stats();
-        let mut ranked: Vec<(ColumnId, u64)> = db
-            .all_column_ids()
-            .map(|id| {
-                let score = match self.kind {
-                    PlacementPolicyKind::Lfu => stats.access_count(id.index()),
-                    PlacementPolicyKind::Lru => stats.last_access_tick(id.index()),
-                };
-                (id, score)
-            })
-            .filter(|&(_, score)| score > 0)
-            .collect();
-        // Descending score; ties broken by id for determinism.
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut ranked = Vec::new();
+        self.rank_into(db, &mut ranked);
         ranked
+    }
+
+    /// [`DataPlacementManager::ranking`] into a caller's buffer.
+    fn rank_into(&self, db: &Database, ranked: &mut Vec<(ColumnId, u64)>) {
+        let stats = db.stats();
+        ranked.clear();
+        ranked.extend(
+            db.all_column_ids()
+                .map(|id| {
+                    let score = match self.kind {
+                        PlacementPolicyKind::Lfu => stats.access_count(id.index()),
+                        PlacementPolicyKind::Lru => stats.last_access_tick(id.index()),
+                    };
+                    (id, score)
+                })
+                .filter(|&(_, score)| score > 0),
+        );
+        // Descending score; ties broken by id for determinism (ids are
+        // unique, so the unstable sort is deterministic too).
+        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 
     /// Algorithm 1 over a fleet of co-processor caches: fill each cache
@@ -134,6 +163,10 @@ impl DataPlacementManager {
     /// With [`DataPlacementManager::with_sharding`], large tables are
     /// instead pinned as per-device *partitions* (shard `p` homed on
     /// cache `(home + p) % K`) and small tables replicated everywhere.
+    ///
+    /// A pass that re-decides the pinned set already in place — the
+    /// steady state — allocates nothing: the ranking, table and pin
+    /// buffers are the previous pass's, and the caches keep their pins.
     pub fn update_set(
         &mut self,
         db: &Database,
@@ -144,42 +177,51 @@ impl DataPlacementManager {
         if k == 0 {
             return Vec::new();
         }
-        let ranking = self.ranking(db);
+        let mut s = std::mem::take(&mut self.scratch);
+        self.rank_into(db, &mut s.ranking);
         // Home each accessed table: hottest table first, ties broken by
         // registration index for determinism. Previously homed tables
         // keep their slot; only newcomers consume new round-robin slots.
-        let mut table_scores: BTreeMap<usize, u64> = Default::default();
-        let mut table_bytes: BTreeMap<usize, u64> = Default::default();
-        for &(id, score) in &ranking {
-            let table = db.table_of(id);
-            *table_scores.entry(table).or_default() += score;
-            *table_bytes.entry(table).or_default() += db.column_size(id);
+        s.tables.clear();
+        s.tables.resize(db.tables().len(), (0, 0));
+        for &(id, score) in &s.ranking {
+            let (table_score, table_bytes) = &mut s.tables[db.table_of(id)];
+            *table_score += score;
+            *table_bytes += db.column_size(id);
         }
-        let mut tables: Vec<(usize, u64)> = table_scores.into_iter().collect();
-        tables.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (rank, &(table, _)) in tables.iter().enumerate() {
-            self.homes.entry(table).or_insert(rank % k);
+        s.hottest.clear();
+        s.hottest.extend((0..s.tables.len()).filter(|&t| s.tables[t].0 > 0));
+        s.hottest.sort_unstable_by(|&a, &b| s.tables[b].0.cmp(&s.tables[a].0).then(a.cmp(&b)));
+        if self.homes.len() < s.tables.len() {
+            self.homes.resize(s.tables.len(), None);
         }
-        let budgets: Vec<u64> = caches
-            .iter()
-            .map(|(_, cache)| self.budget.unwrap_or(u64::MAX).min(cache.capacity()))
-            .collect();
-        let mut used = vec![0u64; k];
-        let mut pins: Vec<Vec<(CacheKey, u64)>> = vec![Vec::new(); k];
+        for (rank, &table) in s.hottest.iter().enumerate() {
+            self.homes[table].get_or_insert(rank % k);
+        }
+        s.budgets.clear();
+        s.budgets.extend(
+            caches
+                .iter()
+                .map(|(_, cache)| self.budget.unwrap_or(u64::MAX).min(cache.capacity())),
+        );
+        s.used.clear();
+        s.used.resize(k, 0);
+        s.pins.resize_with(k, Vec::new);
+        s.pins.iter_mut().for_each(Vec::clear);
         let ways = self.shard_ways.min(k);
-        for (id, _) in ranking {
+        for &(id, _) in &s.ranking {
             let table = db.table_of(id);
-            let home = self.homes[&table];
+            let home = self.homes[table].expect("every accessed table is homed");
             let bytes = db.column_size(id);
             let epoch = epochs.get(id.index()).copied().unwrap_or(0);
             if ways >= 2 && k >= 2 {
-                if table_bytes[&table] <= self.replicate_max_bytes {
+                if s.tables[table].1 <= self.replicate_max_bytes {
                     // Small build side: replicate into every cache that
                     // has room, so any shard's probe/join runs locally.
-                    for (slot, u) in used.iter_mut().enumerate() {
-                        if *u + bytes <= budgets[slot] {
+                    for (slot, u) in s.used.iter_mut().enumerate() {
+                        if *u + bytes <= s.budgets[slot] {
                             *u += bytes;
-                            pins[slot].push((CacheKey::column_at(id.0, epoch), bytes));
+                            s.pins[slot].push((CacheKey::column_at(id.0, epoch), bytes));
                         }
                     }
                 } else {
@@ -188,26 +230,27 @@ impl DataPlacementManager {
                     for p in 0..ways as u32 {
                         let slot = (home + p as usize) % k;
                         let part = partition_bytes(bytes, p, ways as u32);
-                        if used[slot] + part <= budgets[slot] {
-                            used[slot] += part;
-                            pins[slot].push((
+                        if s.used[slot] + part <= s.budgets[slot] {
+                            s.used[slot] += part;
+                            s.pins[slot].push((
                                 CacheKey::partition_at(id.0, p, ways as u32, epoch),
                                 part,
                             ));
                         }
                     }
                 }
-            } else if used[home] + bytes <= budgets[home] {
-                used[home] += bytes;
-                pins[home].push((CacheKey::column_at(id.0, epoch), bytes));
+            } else if s.used[home] + bytes <= s.budgets[home] {
+                s.used[home] += bytes;
+                s.pins[home].push((CacheKey::column_at(id.0, epoch), bytes));
             }
         }
         let mut newly = Vec::new();
-        for (slot, pin) in pins.iter().enumerate() {
+        for (slot, pin) in s.pins.iter().enumerate() {
             let device = DeviceId::from_index(slot + 1);
             let (newly_cached, _evicted) = caches.device_mut(device).set_pinned(pin);
             newly.extend(newly_cached.into_iter().map(|key| (device, key)));
         }
+        self.scratch = s;
         newly
     }
 }

@@ -83,11 +83,11 @@ impl CriticalPath {
             // shard slices), child results crossing a device boundary
             // otherwise.
             let mut move_bytes = if device.is_coprocessor() {
-                ctx.missing_bytes(device, &t.base_columns, None)
+                ctx.missing_bytes(device, t.base_columns, None)
             } else {
                 0
             };
-            for &c in &t.children_tasks {
+            for &c in t.children_tasks {
                 if devices[c - base] != device {
                     move_bytes += tasks[c - base].bytes_out_estimate;
                 }
@@ -196,24 +196,24 @@ mod tests {
 
     /// Build a tiny 4-task plan: two scans (ids 0,1) joined (2), then
     /// aggregated (3). `col_a`/`col_b` are the scans' base columns.
-    fn plan_tasks(bytes: u64) -> Vec<TaskInfo> {
+    fn plan_tasks(bytes: u64) -> Vec<TaskInfo<'static>> {
         let mut scan_a = task(bytes);
         scan_a.task = 0;
-        scan_a.base_columns = vec![robustq_storage::ColumnId(0)];
+        scan_a.base_columns = &[robustq_storage::ColumnId(0)];
         scan_a.bytes_out_estimate = bytes / 2;
         let mut scan_b = task(bytes);
         scan_b.task = 1;
-        scan_b.base_columns = vec![robustq_storage::ColumnId(1)];
+        scan_b.base_columns = &[robustq_storage::ColumnId(1)];
         scan_b.bytes_out_estimate = bytes / 2;
         let mut join = task(bytes);
         join.task = 2;
         join.op_class = OpClass::HashJoin;
-        join.children_tasks = vec![0, 1];
+        join.children_tasks = &[0, 1];
         join.bytes_out_estimate = bytes / 2;
         let mut agg = task(bytes / 2);
         agg.task = 3;
         agg.op_class = OpClass::Aggregation;
-        agg.children_tasks = vec![2];
+        agg.children_tasks = &[2];
         agg.bytes_out_estimate = 64;
         vec![scan_a, scan_b, join, agg]
     }
@@ -308,8 +308,8 @@ mod tests {
             fx.cache_mut(d)
                 .set_pinned(&[(CacheKey(0), 8_000_000), (CacheKey(1), 8_000_000)]);
         }
-        let mut ctx = fx.ctx(&db);
-        ctx.queued_work[DeviceId::Gpu] = VirtualTime::from_secs_f64(10.0);
+        fx.queued_work[DeviceId::Gpu] = VirtualTime::from_secs_f64(10.0);
+        let ctx = fx.ctx(&db);
         let mut cp = trained();
         // Teach the second device too, so its estimates are fitted.
         for mb in [1u64, 8, 64] {

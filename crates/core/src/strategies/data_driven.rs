@@ -26,8 +26,8 @@ use robustq_storage::Database;
 /// fan out after the data.
 fn resident_device(task: &TaskInfo, ctx: &PolicyCtx) -> Option<DeviceId> {
     match task.shard {
-        Some(s) => ctx.shard_cached_device(&task.base_columns, s),
-        None => ctx.cached_device(&task.base_columns),
+        Some(s) => ctx.shard_cached_device(task.base_columns, s),
+        None => ctx.cached_device(task.base_columns),
     }
 }
 
@@ -38,34 +38,30 @@ fn resident_device(task: &TaskInfo, ctx: &PolicyCtx) -> Option<DeviceId> {
 /// every merge with children on *different* co-processors — the classic
 /// chain rule would break there and drag the whole rest of the query
 /// onto the CPU, erasing the fan-out's win. Instead each query gets a
-/// home co-processor (`query % K`): merges (shard fan-ins) land on the
-/// home, and a leaf scan whose columns are resident on the home (the
-/// manager replicates small tables into every cache) starts the chain
-/// there too, so different queries' post-merge pipelines spread across
-/// the fleet instead of serialising on one device.
+/// home device, `query % (K + 1)` over all devices, the CPU included:
+/// merges (shard fan-ins) land on the home, and a leaf scan whose
+/// columns are resident on a co-processor home (the manager replicates
+/// small tables into every cache) starts the chain there too, so
+/// different queries' post-merge pipelines spread across the fleet
+/// instead of serialising on one device.
 fn query_home(task: &TaskInfo, ctx: &PolicyCtx) -> Option<DeviceId> {
-    let homes: Vec<DeviceId> = ctx.devices().collect();
-    if homes.is_empty() {
+    let devices = ctx.topology.device_count();
+    if devices == 0 {
         return None;
     }
-    let home = homes[task.query % homes.len()];
+    let home = DeviceId::from_index(task.query % devices);
     if task.children_tasks.is_empty() {
         // Leaf scan: the home only attracts it when its data is there
         // (the CPU reads host memory directly, so it never attracts one).
         (home.is_coprocessor()
             && !task.base_columns.is_empty()
-            && ctx.all_cached_on(home, &task.base_columns))
+            && ctx.all_cached_on(home, task.base_columns))
         .then_some(home)
     } else {
         // Shard fan-in: children spread over several co-processors.
-        let mut coprocs: Vec<DeviceId> = task
-            .children_devices
-            .iter()
-            .copied()
-            .filter(|d| d.is_coprocessor())
-            .collect();
-        coprocs.dedup();
-        (coprocs.len() >= 2).then_some(home)
+        let mut coprocs = task.children_devices.iter().filter(|d| d.is_coprocessor());
+        let first = coprocs.next();
+        first.is_some_and(|f| coprocs.any(|d| d != f)).then_some(home)
     }
 }
 
@@ -125,11 +121,12 @@ impl PlacementPolicy for DataDriven {
     fn plan_query(&mut self, tasks: &[TaskInfo], ctx: &PolicyCtx) -> Vec<Option<Placement>> {
         let base = tasks.first().map_or(0, |t| t.task);
         let mut devices: Vec<DeviceId> = Vec::with_capacity(tasks.len());
+        let mut children = Vec::new();
         for t in tasks {
             // Postorder: children already decided.
-            let children: Vec<DeviceId> =
-                t.children_tasks.iter().map(|&c| devices[c - base]).collect();
-            let resolved = TaskInfo { children_devices: children, ..t.clone() };
+            children.clear();
+            children.extend(t.children_tasks.iter().map(|&c| devices[c - base]));
+            let resolved = TaskInfo { children_devices: &children, ..*t };
             let cached = resident_device(&resolved, ctx);
             devices.push(data_driven_device(&resolved, cached));
         }
@@ -239,7 +236,7 @@ mod tests {
     use crate::strategies::runtime::test_support::{empty_db, fixture, fixture_k, task};
     use robustq_storage::ColumnId;
 
-    fn scan_task(cols: Vec<ColumnId>) -> TaskInfo {
+    fn scan_task(cols: &[ColumnId]) -> TaskInfo<'_> {
         TaskInfo { base_columns: cols, ..task(1_000) }
     }
 
@@ -252,10 +249,10 @@ mod tests {
         let ctx = fx.ctx(&db);
         let mut p = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
         // Both columns resident -> GPU.
-        let t = scan_task(vec![ColumnId(1), ColumnId(2)]);
+        let t = scan_task(&[ColumnId(1), ColumnId(2)]);
         assert_eq!(p.place_ready(&t, &ctx).device, DeviceId::Gpu);
         // One missing -> CPU.
-        let t = scan_task(vec![ColumnId(1), ColumnId(3)]);
+        let t = scan_task(&[ColumnId(1), ColumnId(3)]);
         assert_eq!(p.place_ready(&t, &ctx).device, DeviceId::Cpu);
     }
 
@@ -267,15 +264,16 @@ mod tests {
         fx.cache_mut(g2).set_pinned(&[(CacheKey(1), 10)]);
         let ctx = fx.ctx(&db);
         let mut p = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
-        let t = scan_task(vec![ColumnId(1)]);
+        let t = scan_task(&[ColumnId(1)]);
         assert_eq!(p.place_ready(&t, &ctx).device, g2, "data lives on GPU2");
         // A chain over GPU2 children stays on GPU2; mixed homes break it.
+        let (same, mixed) = ([g2, g2], [DeviceId::Gpu, g2]);
         let mut join = task(2_000);
-        join.children_tasks = vec![0, 1];
-        join.children_devices = vec![g2, g2];
-        join.children_bytes = vec![10, 10];
+        join.children_tasks = &[0, 1];
+        join.children_devices = &same;
+        join.children_bytes = &[10, 10];
         assert_eq!(p.place_ready(&join, &ctx).device, g2);
-        join.children_devices = vec![DeviceId::Gpu, g2];
+        join.children_devices = &mixed;
         assert_eq!(p.place_ready(&join, &ctx).device, DeviceId::Cpu);
     }
 
@@ -292,16 +290,13 @@ mod tests {
         // classic chain rule would send it to the CPU; with sharding on,
         // it lands on the query's home device instead, and consecutive
         // queries get different homes.
+        let spread = [DeviceId::Gpu, g2];
         let mut merge = task(2_000);
-        merge.children_tasks = vec![0, 1];
-        merge.children_devices = vec![DeviceId::Gpu, g2];
-        merge.children_bytes = vec![10, 10];
+        merge.children_tasks = &[0, 1];
+        merge.children_devices = &spread;
+        merge.children_bytes = &[10, 10];
         let homes: Vec<DeviceId> = (0..3)
-            .map(|q| {
-                let mut m = merge.clone();
-                m.query = q;
-                p.place_ready(&m, &ctx).device
-            })
+            .map(|q| p.place_ready(&TaskInfo { query: q, ..merge }, &ctx).device)
             .collect();
         assert_eq!(homes.len(), 3);
         assert_eq!(
@@ -311,8 +306,8 @@ mod tests {
         );
         // Shard tasks themselves are exempt (the placer deals them), and
         // so is the whole rule when sharding is off.
-        let mut shard = merge.clone();
-        shard.shard = Some(robustq_engine::ShardSpec { index: 0, of: 2 });
+        let spec = robustq_engine::ShardSpec { index: 0, of: 2 };
+        let shard = TaskInfo { shard: Some(spec), ..merge };
         assert_eq!(p.place_ready(&shard, &ctx).device, DeviceId::Cpu);
         let mut off = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
         assert_eq!(off.place_ready(&merge, &ctx).device, DeviceId::Cpu);
@@ -325,11 +320,11 @@ mod tests {
         let ctx = fx.ctx(&db);
         let mut p = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
         let mut t = task(1_000);
-        t.children_tasks = vec![0, 1];
-        t.children_devices = vec![DeviceId::Gpu, DeviceId::Gpu];
-        t.children_bytes = vec![10, 10];
+        t.children_tasks = &[0, 1];
+        t.children_devices = &[DeviceId::Gpu, DeviceId::Gpu];
+        t.children_bytes = &[10, 10];
         assert_eq!(p.place_ready(&t, &ctx).device, DeviceId::Gpu);
-        t.children_devices = vec![DeviceId::Gpu, DeviceId::Cpu];
+        t.children_devices = &[DeviceId::Gpu, DeviceId::Cpu];
         assert_eq!(p.place_ready(&t, &ctx).device, DeviceId::Cpu);
     }
 
@@ -342,14 +337,14 @@ mod tests {
         let mut p = DataDriven::new(PlacementPolicyKind::Lfu);
 
         // Tasks 0,1 are scans; 2 joins them (postorder, ids offset by 40).
-        let mut scan_hot = scan_task(vec![ColumnId(7)]);
+        let mut scan_hot = scan_task(&[ColumnId(7)]);
         scan_hot.task = 40;
-        let mut scan_cold = scan_task(vec![ColumnId(9)]);
+        let mut scan_cold = scan_task(&[ColumnId(9)]);
         scan_cold.task = 41;
         let mut join = task(2_000);
         join.task = 42;
-        join.children_tasks = vec![40, 41];
-        let out = p.plan_query(&[scan_hot.clone(), scan_cold, join.clone()], &ctx);
+        join.children_tasks = &[40, 41];
+        let out = p.plan_query(&[scan_hot, scan_cold, join], &ctx);
         let devices: Vec<DeviceId> =
             out.iter().map(|p| p.as_ref().unwrap().device).collect();
         assert_eq!(
@@ -362,7 +357,7 @@ mod tests {
             .all(|p| p.as_ref().unwrap().reason == PlaceReason::DataResidency));
 
         // If both scans are hot the whole chain goes to the co-processor.
-        let mut scan_hot2 = scan_task(vec![ColumnId(7)]);
+        let mut scan_hot2 = scan_task(&[ColumnId(7)]);
         scan_hot2.task = 41;
         let out = p.plan_query(&[scan_hot, scan_hot2, join], &ctx);
         assert!(out.iter().all(|p| p.as_ref().unwrap().device == DeviceId::Gpu));

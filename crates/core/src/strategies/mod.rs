@@ -163,8 +163,7 @@ mod tests {
         let replayed = memo.lookup(&tick, |d| d == DeviceId::Gpu).expect("memoized");
         assert_eq!(replayed, gpu().because(PlaceReason::Recurring));
         // ...per slot...
-        let mut other = tick.clone();
-        other.recurring = Some((0, 4));
+        let other = TaskInfo { recurring: Some((0, 4)), ..tick };
         assert_eq!(memo.lookup(&other, |_| true), None);
         // ...until the device stops being viable: the memo is dropped,
         // not just skipped.

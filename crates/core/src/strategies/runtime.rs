@@ -62,8 +62,8 @@ impl RuntimePlacer {
     /// *another* co-processor has no direct link, so its output crosses
     /// twice (device→host, then host→device).
     fn h2d_bytes(&self, task: &TaskInfo, device: DeviceId, ctx: &PolicyCtx) -> u64 {
-        let mut bytes = ctx.missing_bytes(device, &task.base_columns, task.shard);
-        for (&dev, &b) in task.children_devices.iter().zip(&task.children_bytes) {
+        let mut bytes = ctx.missing_bytes(device, task.base_columns, task.shard);
+        for (&dev, &b) in task.children_devices.iter().zip(task.children_bytes) {
             if dev == device {
                 continue;
             }
@@ -77,7 +77,7 @@ impl RuntimePlacer {
     fn d2h_bytes(&self, task: &TaskInfo) -> u64 {
         task.children_devices
             .iter()
-            .zip(&task.children_bytes)
+            .zip(task.children_bytes)
             .filter(|(dev, _)| dev.is_coprocessor())
             .map(|(_, b)| b)
             .sum()
@@ -202,10 +202,14 @@ pub(crate) mod test_support {
         Database::new()
     }
 
-    /// Owns the topology + caches a [`PolicyCtx`] borrows from.
+    /// Owns the topology, caches and per-device tables a [`PolicyCtx`]
+    /// borrows from. Every co-processor starts idle with unbounded heap.
     pub struct Fixture {
         pub topology: Topology,
         pub caches: CacheSet,
+        pub queued_work: PerDevice<VirtualTime>,
+        pub running: PerDevice<usize>,
+        pub heap_free: PerDevice<u64>,
     }
 
     /// A 1-CPU + `k`-co-processor fixture; every co-processor cache has
@@ -223,7 +227,14 @@ pub(crate) mod test_support {
             );
         }
         let caches = CacheSet::for_topology(&topology, CachePolicy::Lru);
-        Fixture { topology, caches }
+        let n = topology.device_count();
+        Fixture {
+            topology,
+            caches,
+            queued_work: PerDevice::splat(VirtualTime::ZERO, n),
+            running: PerDevice::splat(0, n),
+            heap_free: PerDevice::splat(u64::MAX, n),
+        }
     }
 
     /// The classic single-GPU fixture.
@@ -233,14 +244,13 @@ pub(crate) mod test_support {
 
     impl Fixture {
         pub fn ctx<'a>(&'a self, db: &'a Database) -> PolicyCtx<'a> {
-            let n = self.topology.device_count();
             PolicyCtx {
                 db,
                 topology: &self.topology,
                 caches: &self.caches,
-                queued_work: PerDevice::splat(VirtualTime::ZERO, n),
-                running: PerDevice::splat(0, n),
-                heap_free: PerDevice::splat(u64::MAX, n),
+                queued_work: &self.queued_work,
+                running: &self.running,
+                heap_free: &self.heap_free,
                 now: VirtualTime::ZERO,
                 col_epochs: &[],
             }
@@ -251,17 +261,17 @@ pub(crate) mod test_support {
         }
     }
 
-    pub fn task(bytes_in: u64) -> TaskInfo {
+    pub fn task(bytes_in: u64) -> TaskInfo<'static> {
         TaskInfo {
             query: 0,
             task: 0,
             op_class: OpClass::Selection,
-            base_columns: vec![],
+            base_columns: &[],
             bytes_in,
             bytes_out_estimate: bytes_in / 10,
-            children_devices: vec![],
-            children_bytes: vec![],
-            children_tasks: vec![],
+            children_devices: &[],
+            children_bytes: &[],
+            children_tasks: &[],
             was_aborted: false,
             shard: None,
             recurring: None,
@@ -298,8 +308,8 @@ mod tests {
         // No base columns, children on GPU: zero transfer either way in
         // h2d, but CPU placement would pull the child back.
         let mut t = task(8_000_000);
-        t.children_devices = vec![DeviceId::Gpu];
-        t.children_bytes = vec![8_000_000];
+        t.children_devices = &[DeviceId::Gpu];
+        t.children_bytes = &[8_000_000];
         assert_eq!(placer.choose(&t, &ctx).device, DeviceId::Gpu);
     }
 
@@ -312,39 +322,37 @@ mod tests {
         // Child output is on the CPU: the GPU pays a 1.2 GB/s copy that
         // dwarfs the kernel speedup.
         let mut t = task(8_000_000);
-        t.children_devices = vec![DeviceId::Cpu];
-        t.children_bytes = vec![8_000_000];
+        t.children_devices = &[DeviceId::Cpu];
+        t.children_bytes = &[8_000_000];
         assert_eq!(placer.choose(&t, &ctx).device, DeviceId::Cpu);
     }
 
     #[test]
     fn load_balancing_diverts_from_busy_device() {
         let db = empty_db();
-        let fx = fixture(0);
-        let mut ctx = fx.ctx(&db);
+        let mut fx = fixture(0);
         let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu]);
         let mut t = task(8_000_000);
-        t.children_devices = vec![DeviceId::Gpu];
-        t.children_bytes = vec![8_000_000];
-        assert_eq!(placer.choose(&t, &ctx).device, DeviceId::Gpu);
+        t.children_devices = &[DeviceId::Gpu];
+        t.children_bytes = &[8_000_000];
+        assert_eq!(placer.choose(&t, &fx.ctx(&db)).device, DeviceId::Gpu);
         // Pile an hour of queued work on the GPU: go CPU despite transfer.
-        ctx.queued_work[DeviceId::Gpu] = VirtualTime::from_secs_f64(3_600.0);
-        assert_eq!(placer.choose(&t, &ctx).device, DeviceId::Cpu);
+        fx.queued_work[DeviceId::Gpu] = VirtualTime::from_secs_f64(3_600.0);
+        assert_eq!(placer.choose(&t, &fx.ctx(&db)).device, DeviceId::Cpu);
     }
 
     #[test]
     fn spreads_across_coprocessors_by_load() {
         let db = empty_db();
-        let fx = fixture_k(2, 0);
-        let mut ctx = fx.ctx(&db);
+        let mut fx = fixture_k(2, 0);
         let g2 = DeviceId::coprocessor(2);
         let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu, g2]);
         let t = task(8_000_000);
         // Identical estimates: ties go to the lower index — GPU1.
-        assert_eq!(placer.choose(&t, &ctx).device, DeviceId::Gpu);
+        assert_eq!(placer.choose(&t, &fx.ctx(&db)).device, DeviceId::Gpu);
         // Load up GPU1: the second co-processor takes over.
-        ctx.queued_work[DeviceId::Gpu] = VirtualTime::from_secs_f64(3_600.0);
-        assert_eq!(placer.choose(&t, &ctx).device, g2);
+        fx.queued_work[DeviceId::Gpu] = VirtualTime::from_secs_f64(3_600.0);
+        assert_eq!(placer.choose(&t, &fx.ctx(&db)).device, g2);
     }
 
     #[test]
@@ -356,9 +364,10 @@ mod tests {
         let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu, g2]);
         // Child output lives on GPU2: running on GPU2 is free of
         // transfers, running on GPU1 pays two bus crossings.
+        let devices = [g2];
         let mut t = task(8_000_000);
-        t.children_devices = vec![g2];
-        t.children_bytes = vec![8_000_000];
+        t.children_devices = &devices;
+        t.children_bytes = &[8_000_000];
         let placed = placer.choose(&t, &ctx);
         assert_eq!(placed.device, g2);
         assert!(placed.est[DeviceId::Gpu] > placed.est[DeviceId::Cpu]);
@@ -367,19 +376,18 @@ mod tests {
     #[test]
     fn per_device_heap_veto_falls_back() {
         let db = empty_db();
-        let fx = fixture_k(2, 0);
-        let mut ctx = fx.ctx(&db);
+        let mut fx = fixture_k(2, 0);
         let g2 = DeviceId::coprocessor(2);
         let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu, g2]);
         let t = task(8_000_000);
         // GPU1 has no heap room: the fleet still absorbs the task on GPU2.
-        ctx.heap_free[DeviceId::Gpu] = 0;
-        let placed = placer.choose(&t, &ctx);
+        fx.heap_free[DeviceId::Gpu] = 0;
+        let placed = placer.choose(&t, &fx.ctx(&db));
         assert_eq!(placed.device, g2);
         assert_eq!(placed.reason, PlaceReason::CostModel);
         // All co-processors under pressure: CPU with an explicit reason.
-        ctx.heap_free[g2] = 0;
-        let placed = placer.choose(&t, &ctx);
+        fx.heap_free[g2] = 0;
+        let placed = placer.choose(&t, &fx.ctx(&db));
         assert_eq!(placed.device, DeviceId::Cpu);
         assert_eq!(placed.reason, PlaceReason::HeapPressure);
     }

@@ -74,19 +74,18 @@ mod tests {
     #[test]
     fn gpu_preferred_spreads_queries_across_the_fleet() {
         let db = empty_db();
-        let fx = fixture_k(2, 0);
-        let mut ctx = fx.ctx(&db);
+        let mut fx = fixture_k(2, 0);
         let mut p = GpuPreferred;
         let g2 = DeviceId::coprocessor(2);
         // Idle fleet: ties to the lowest index (GPU1).
         assert_eq!(
-            p.plan_query(&[task(100)], &ctx),
+            p.plan_query(&[task(100)], &fx.ctx(&db)),
             vec![Some(Placement::fixed(DeviceId::Gpu))]
         );
         // GPU1 busy: the next query lands whole on GPU2.
-        ctx.queued_work[DeviceId::Gpu] = VirtualTime::from_micros(50);
+        fx.queued_work[DeviceId::Gpu] = VirtualTime::from_micros(50);
         assert_eq!(
-            p.plan_query(&[task(100), task(100)], &ctx),
+            p.plan_query(&[task(100), task(100)], &fx.ctx(&db)),
             vec![Some(Placement::fixed(g2)); 2]
         );
     }

@@ -15,13 +15,13 @@
 use crate::error::EngineError;
 use crate::estimate;
 use crate::exec::event_loop::{
-    policy_ctx, QueryState, QueryWindow, Sim, Status, Submission, TaskState,
+    policy_ctx, Milestones, QueryState, QueryWindow, Sim, Status, Submission, TaskState,
 };
 use crate::exec::metrics::{FaultCounters, QueryOutcome};
 use crate::exec::policy::{PolicyCtx, TaskInfo};
 use crate::exec::task::{flatten, Role, ShardSpec, TaskNode};
 use crate::plan::Op;
-use robustq_sim::{DeviceId, Direction, PerDevice, VirtualTime};
+use robustq_sim::{DeviceId, Direction, VirtualTime};
 use robustq_storage::ColumnId;
 use robustq_trace::{EstVec, PlacePhase, ShedReason, TraceEvent, TransferKind};
 use std::sync::Arc;
@@ -210,7 +210,7 @@ impl Sim<'_, '_> {
                 est_bytes_in: est.0 as u64,
                 est_bytes_out: est.1 as u64,
                 remaining_ns: 0.0,
-                milestones: Vec::new(),
+                milestones: Milestones::default(),
                 stage_bytes: 0,
                 staged_chunks: 0,
                 base_columns,
@@ -262,9 +262,24 @@ impl Sim<'_, '_> {
             }
         }
 
-        // Compile-time placement pass.
-        let infos: Vec<TaskInfo> =
-            (base..=root).map(|t| self.task_info(t, true)).collect();
+        // Compile-time placement pass: every task sees its children's
+        // estimated output bytes, laid out back to back in one buffer.
+        let child_bytes = &mut self.scratch.child_bytes;
+        child_bytes.clear();
+        for t in base..=root {
+            let children = &self.tasks[t].children;
+            child_bytes.extend(children.iter().map(|&c| self.tasks[c].est_bytes_out));
+        }
+        let q = &self.queries[query];
+        let mut rest = &self.scratch.child_bytes[..];
+        let infos: Vec<TaskInfo> = (base..=root)
+            .map(|t| {
+                let task = &self.tasks[t];
+                let (bytes, tail) = rest.split_at(task.children.len());
+                rest = tail;
+                task.info(t, q, true, &[], bytes)
+            })
+            .collect();
         let ctx = policy_ctx!(self);
         let annotations = self.policy.plan_query(&infos, &ctx);
         debug_assert_eq!(annotations.len(), infos.len());
@@ -352,7 +367,16 @@ impl Sim<'_, '_> {
         } else if let Some(d) = self.tasks[task].annotation {
             d
         } else {
-            let info = self.task_info(task, false);
+            let (devices, bytes) =
+                (&mut self.scratch.child_devices, &mut self.scratch.child_bytes);
+            devices.clear();
+            bytes.clear();
+            let t = &self.tasks[task];
+            for &c in &t.children {
+                devices.extend(self.tasks[c].output_device);
+                bytes.push(self.tasks[c].output_bytes);
+            }
+            let info = t.info(task, &self.queries[t.query], false, devices, bytes);
             let ctx = policy_ctx!(self);
             let placed = self.policy.place_ready(&info, &ctx);
             self.emit(TraceEvent::Placement {

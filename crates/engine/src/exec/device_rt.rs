@@ -9,7 +9,7 @@
 //! kernel times without simulating schedulers.
 
 use crate::error::EngineError;
-use crate::exec::event_loop::{Ev, Sim, Status};
+use crate::exec::event_loop::{Ev, Milestones, Sim, Status};
 use crate::exec::task::Role;
 use robustq_sim::{
     partition_bytes, DeviceId, DeviceKind, Direction, PerDevice, VirtualTime,
@@ -22,10 +22,6 @@ use std::collections::VecDeque;
 pub(crate) struct DeviceRt {
     /// FIFO ready queue of task ids waiting for a worker slot.
     pub(crate) queue: VecDeque<usize>,
-    /// Operators holding a worker slot (transferring or computing).
-    pub(crate) running: usize,
-    /// Estimated outstanding work (the policy's load signal).
-    pub(crate) load: VirtualTime,
     /// Tasks currently *computing* (slot holders doing transfers are not
     /// in here yet); all of them share the device.
     pub(crate) compute: Vec<usize>,
@@ -35,15 +31,25 @@ pub(crate) struct DeviceRt {
     pub(crate) tick_version: u64,
 }
 
-/// The per-device runtime table, one entry per topology device.
+/// The per-device runtime table, one entry per topology device, plus
+/// the two load signals a placement consult borrows as they stand.
 #[derive(Debug)]
 pub(crate) struct DeviceSet {
     rts: Vec<DeviceRt>,
+    /// Estimated outstanding work queued per device.
+    pub(crate) load: PerDevice<VirtualTime>,
+    /// Operators holding a worker slot (transferring or computing) per
+    /// device.
+    pub(crate) running: PerDevice<usize>,
 }
 
 impl DeviceSet {
     pub(crate) fn new(devices: usize) -> Self {
-        DeviceSet { rts: (0..devices).map(|_| DeviceRt::default()).collect() }
+        DeviceSet {
+            rts: (0..devices).map(|_| DeviceRt::default()).collect(),
+            load: PerDevice::splat(VirtualTime::ZERO, devices),
+            running: PerDevice::splat(0, devices),
+        }
     }
 
     pub(crate) fn rt(&self, device: DeviceId) -> &DeviceRt {
@@ -52,16 +58,6 @@ impl DeviceSet {
 
     pub(crate) fn rt_mut(&mut self, device: DeviceId) -> &mut DeviceRt {
         &mut self.rts[device.index()]
-    }
-
-    /// Snapshot of per-device queued work for the policy context.
-    pub(crate) fn load_table(&self) -> PerDevice<VirtualTime> {
-        PerDevice::from_fn(self.rts.len(), |d| self.rts[d.index()].load)
-    }
-
-    /// Snapshot of per-device running operators for the policy context.
-    pub(crate) fn running_table(&self) -> PerDevice<usize> {
-        PerDevice::from_fn(self.rts.len(), |d| self.rts[d.index()].running)
     }
 }
 
@@ -92,9 +88,8 @@ impl Sim<'_, '_> {
         };
         let est = self.cost.duration(t.class, device.kind(), cost_in, cost_out);
         t.load_contribution = est;
-        let rt = self.devices.rt_mut(device);
-        rt.load += est;
-        rt.queue.push_back(task);
+        self.devices.load[device] += est;
+        self.devices.rt_mut(device).queue.push_back(task);
     }
 
     pub(crate) fn slots(&self, device: DeviceId) -> usize {
@@ -103,13 +98,12 @@ impl Sim<'_, '_> {
     }
 
     pub(crate) fn dispatch(&mut self, device: DeviceId) -> Result<(), EngineError> {
-        while self.devices.rt(device).running < self.slots(device) {
+        while self.devices.running[device] < self.slots(device) {
             let Some(task) = self.devices.rt_mut(device).queue.pop_front() else {
                 break;
             };
-            let contribution = self.tasks[task].load_contribution;
-            let rt = self.devices.rt_mut(device);
-            rt.load = rt.load.saturating_sub(contribution);
+            let load = &mut self.devices.load[device];
+            *load = load.saturating_sub(self.tasks[task].load_contribution);
             self.start_task(task, device)?;
         }
         Ok(())
@@ -117,7 +111,7 @@ impl Sim<'_, '_> {
 
     pub(crate) fn start_task(&mut self, task: usize, device: DeviceId) -> Result<(), EngineError> {
         let now = self.now;
-        self.devices.rt_mut(device).running += 1;
+        self.devices.running[device] += 1;
         {
             let t = &mut self.tasks[task];
             t.status = Status::Running;
@@ -130,7 +124,7 @@ impl Sim<'_, '_> {
         if self.tasks[task].output.is_none() {
             // Every task has one parent and computes once, so the
             // children's outputs are moved in, not cloned.
-            let mut children_chunks = Vec::with_capacity(self.tasks[task].children.len());
+            let mut children_chunks = std::mem::take(&mut self.scratch.child_chunks);
             for i in 0..self.tasks[task].children.len() {
                 let c = self.tasks[task].children[i];
                 children_chunks.push(self.tasks[c].output.take().ok_or_else(|| {
@@ -148,6 +142,8 @@ impl Sim<'_, '_> {
             let out =
                 t.op.execute_windowed(t.role, &children_chunks, self.db, self.opts.parallel, window)
                     .map_err(EngineError::Kernel)?;
+            children_chunks.clear();
+            self.scratch.child_chunks = children_chunks;
             self.tasks[task].output_bytes = out.byte_size();
             self.tasks[task].output_rows = out.num_rows() as u64;
             self.tasks[task].output = Some(out);
@@ -268,7 +264,7 @@ impl Sim<'_, '_> {
             t.remaining_ns = solo;
             // Remaining-time thresholds for the three later allocation
             // stages, ascending so the largest is popped first.
-            t.milestones = vec![0.25 * solo, 0.5 * solo, 0.75 * solo];
+            t.milestones = Milestones::stages(solo);
             t.stage_bytes = stage;
             let epoch = t.epoch;
             self.events.push(ready_at, Ev::ComputeStart { task, epoch });
@@ -288,7 +284,7 @@ impl Sim<'_, '_> {
             let t = &mut self.tasks[task];
             t.kernel_duration = duration;
             t.remaining_ns = duration.as_nanos() as f64;
-            t.milestones = Vec::new();
+            t.milestones = Milestones::default();
             t.stage_bytes = 0;
             let epoch = t.epoch;
             self.events.push(ready_at, Ev::ComputeStart { task, epoch });
@@ -429,7 +425,7 @@ impl Sim<'_, '_> {
         t.remaining_ns = duration.as_nanos() as f64;
         // One fixed chunk-sized allocation: no growth stages, no
         // mid-flight heap aborts.
-        t.milestones = Vec::new();
+        t.milestones = Milestones::default();
         t.stage_bytes = 0;
         t.staged_chunks = chunks;
         let epoch = t.epoch;
@@ -510,7 +506,7 @@ impl Sim<'_, '_> {
                     action = Some((t, true));
                     break;
                 }
-                if let Some(&thr) = self.tasks[t].milestones.last() {
+                if let Some(thr) = self.tasks[t].milestones.last() {
                     if rem <= thr + Self::EPS_NS {
                         action = Some((t, false));
                         break;
@@ -558,7 +554,7 @@ impl Sim<'_, '_> {
         let mut min_dt = f64::INFINITY;
         for &t in &rt.compute {
             let rem = self.tasks[t].remaining_ns;
-            let target = self.tasks[t].milestones.last().copied().unwrap_or(0.0);
+            let target = self.tasks[t].milestones.last().unwrap_or(0.0);
             min_dt = min_dt.min((rem - target).max(0.0));
         }
         let dt = (min_dt * n as f64).ceil().max(1.0) as u64;

@@ -24,7 +24,7 @@
 
 use crate::error::EngineError;
 use crate::exec::device_rt::DeviceSet;
-use crate::exec::event_loop::{Paged, Sim, Submission};
+use crate::exec::event_loop::{Paged, Scratch, Sim, Submission};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{QueryOutcome, RunMetrics, StagingStats};
 use crate::exec::model::{CostModelKind, ModelUpdate};
@@ -378,6 +378,7 @@ impl<'a> Executor<'a> {
             outcomes: Vec::with_capacity(total_queries),
             model_samples: Vec::new(),
             staging: StagingStats::default(),
+            scratch: Scratch::default(),
             now: VirtualTime::ZERO,
             tracer: opts.tracer.clone(),
         };

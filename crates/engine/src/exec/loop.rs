@@ -65,9 +65,8 @@ pub(crate) struct TaskState {
     pub(crate) est_bytes_out: u64,
     /// Remaining solo-execution nanoseconds (processor sharing).
     pub(crate) remaining_ns: f64,
-    /// Pending allocation-stage thresholds, ascending: a stage fires when
-    /// `remaining_ns` drops to the popped (largest) threshold.
-    pub(crate) milestones: Vec<f64>,
+    /// Pending allocation-stage thresholds.
+    pub(crate) milestones: Milestones,
     /// Bytes allocated per remaining stage.
     pub(crate) stage_bytes: u64,
     /// Non-zero while the operator runs as a chunked out-of-core staging
@@ -83,6 +82,82 @@ pub(crate) struct TaskState {
     pub(crate) output_rows: u64,
     pub(crate) output_device: Option<DeviceId>,
     pub(crate) load_contribution: VirtualTime,
+}
+
+impl TaskState {
+    /// The policy's view of this task, global id `task` of query `q`:
+    /// its lists borrowed from the task, its children's devices and bytes
+    /// from the caller. Only `bytes_in` differs between the compile-time
+    /// pass (the estimate) and a run-time consult (the exact input).
+    pub(crate) fn info<'a>(
+        &'a self,
+        task: usize,
+        q: &QueryState,
+        compile_time: bool,
+        children_devices: &'a [DeviceId],
+        children_bytes: &'a [u64],
+    ) -> TaskInfo<'a> {
+        TaskInfo {
+            query: self.query,
+            task,
+            op_class: self.class,
+            base_columns: &self.base_columns,
+            bytes_in: if compile_time { self.est_bytes_in } else { self.bytes_in },
+            bytes_out_estimate: self.est_bytes_out,
+            children_devices,
+            children_bytes,
+            children_tasks: &self.children,
+            was_aborted: self.forced_cpu,
+            shard: self.role.shard(),
+            recurring: q.standing.map(|s| (s, (task - q.first_task) as u32)),
+        }
+    }
+}
+
+/// The allocation-stage thresholds still pending for a computing task, in
+/// remaining solo nanoseconds: a stage fires when `remaining_ns` drops to
+/// the last one, which is then popped. A fixed array with a count, so
+/// starting a task allocates nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Milestones {
+    at: [f64; 3],
+    len: u8,
+}
+
+impl Milestones {
+    /// The three growth stages of a co-processor kernel running `solo`
+    /// nanoseconds alone: at a quarter, half and three quarters done.
+    pub(crate) fn stages(solo: f64) -> Self {
+        Milestones { at: [0.25 * solo, 0.5 * solo, 0.75 * solo], len: 3 }
+    }
+
+    /// The next threshold, if a stage is pending.
+    pub(crate) fn last(&self) -> Option<f64> {
+        self.at[..self.len as usize].last().copied()
+    }
+
+    /// Drop the next threshold (its stage fired).
+    pub(crate) fn pop(&mut self) {
+        self.len = self.len.saturating_sub(1);
+    }
+
+    /// Stages still pending.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+}
+
+/// Buffers the executor refills on every placement consult and task
+/// start instead of allocating them anew.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The devices holding a ready task's children's outputs.
+    pub(crate) child_devices: Vec<DeviceId>,
+    /// A ready task's children's output bytes; in the compile-time pass,
+    /// every task's children's estimates, back to back.
+    pub(crate) child_bytes: Vec<u64>,
+    /// A starting task's children's outputs, moved in for its kernel.
+    pub(crate) child_chunks: Vec<LazyChunk>,
 }
 
 /// A push-only table kept in pages of [`Paged::PAGE`] items: growing it
@@ -233,6 +308,8 @@ pub(crate) struct Sim<'a, 'p> {
     pub(crate) model_samples: Vec<ModelUpdate>,
     /// Chunked-staging counters (side data: not part of `RunMetrics`).
     pub(crate) staging: StagingStats,
+    /// Reused per-consult and per-start buffers.
+    pub(crate) scratch: Scratch,
     pub(crate) now: VirtualTime,
     pub(crate) tracer: Tracer,
 }
@@ -360,44 +437,6 @@ impl Sim<'_, '_> {
         (hits, misses)
     }
 
-    pub(crate) fn task_info(&self, task: usize, compile_time: bool) -> TaskInfo {
-        let t = &self.tasks[task];
-        let children_devices = if compile_time {
-            Vec::new()
-        } else {
-            t.children
-                .iter()
-                .filter_map(|&c| self.tasks[c].output_device)
-                .collect()
-        };
-        let children_bytes = t
-            .children
-            .iter()
-            .map(|&c| {
-                if compile_time {
-                    self.tasks[c].est_bytes_out
-                } else {
-                    self.tasks[c].output_bytes
-                }
-            })
-            .collect();
-        let q = &self.queries[t.query];
-        TaskInfo {
-            query: t.query,
-            task,
-            op_class: t.class,
-            base_columns: t.base_columns.clone(),
-            bytes_in: if compile_time { t.est_bytes_in } else { t.bytes_in },
-            bytes_out_estimate: t.est_bytes_out,
-            children_devices,
-            children_bytes,
-            children_tasks: t.children.clone(),
-            was_aborted: t.forced_cpu,
-            shard: t.role.shard(),
-            recurring: q.standing.map(|s| (s, (task - q.first_task) as u32)),
-        }
-    }
-
     /// Heap, cache and link accounting invariants, re-checked after
     /// every simulation event in debug builds (tests and chaos runs) —
     /// per co-processor, so a K-device fleet is audited device by device.
@@ -445,23 +484,18 @@ impl Sim<'_, '_> {
 ///
 /// A macro instead of a `&self` method so the borrows stay field-precise:
 /// the context borrows `caches`/`heaps`/`devices` while the caller holds
-/// `policy` mutably, which a whole-`Sim` borrow would forbid. Free heap
-/// bytes report `u64::MAX` for the CPU's unbounded host memory.
+/// `policy` mutably, which a whole-`Sim` borrow would forbid. The load,
+/// running and heap-free tables are the ones the device set and the heaps
+/// keep current, borrowed as they are.
 macro_rules! policy_ctx {
     ($sim:expr) => {
         PolicyCtx {
             db: $sim.db,
             topology: &$sim.config.topology,
             caches: &*$sim.caches,
-            queued_work: $sim.devices.load_table(),
-            running: $sim.devices.running_table(),
-            heap_free: PerDevice::from_fn($sim.config.topology.device_count(), |d| {
-                if d.is_coprocessor() {
-                    $sim.heaps.device(d).free_bytes()
-                } else {
-                    u64::MAX
-                }
-            }),
+            queued_work: &$sim.devices.load,
+            running: &$sim.devices.running,
+            heap_free: $sim.heaps.free(),
             now: $sim.now,
             col_epochs: &$sim.feed.col_epochs,
         }

@@ -10,7 +10,7 @@
 use crate::error::EngineError;
 use crate::exec::event_loop::{Sim, Status};
 use crate::exec::task::Role;
-use robustq_sim::{DeviceId, Direction, HeapAllocator, Topology};
+use robustq_sim::{DeviceId, Direction, HeapAllocator, PerDevice, Topology};
 use robustq_trace::{
     EstVec, FaultKind, OpOutcome, PlacePhase, PlaceReason, TraceEvent, TransferKind,
 };
@@ -20,16 +20,23 @@ use robustq_trace::{
 pub(crate) struct HeapSet {
     /// `heaps[k]` serves co-processor `k + 1`.
     heaps: Vec<HeapAllocator>,
+    /// Free bytes per device, `u64::MAX` for the CPU's unbounded host
+    /// memory: kept current by every allocation and release, so a
+    /// placement consult borrows it instead of rebuilding it.
+    free: PerDevice<u64>,
 }
 
 impl HeapSet {
     pub(crate) fn for_topology(topology: &Topology) -> Self {
-        HeapSet {
-            heaps: topology
-                .coprocessors()
-                .map(|d| HeapAllocator::new(topology.spec(d).heap_bytes()))
-                .collect(),
+        let heaps: Vec<HeapAllocator> = topology
+            .coprocessors()
+            .map(|d| HeapAllocator::new(topology.spec(d).heap_bytes()))
+            .collect();
+        let mut free = PerDevice::splat(u64::MAX, topology.device_count());
+        for (d, heap) in topology.coprocessors().zip(&heaps) {
+            free[d] = heap.free_bytes();
         }
+        HeapSet { heaps, free }
     }
 
     pub(crate) fn device(&self, device: DeviceId) -> &HeapAllocator {
@@ -37,9 +44,28 @@ impl HeapSet {
         &self.heaps[device.index() - 1]
     }
 
-    pub(crate) fn device_mut(&mut self, device: DeviceId) -> &mut HeapAllocator {
+    /// Free bytes per device (the CPU's read `u64::MAX`).
+    pub(crate) fn free(&self) -> &PerDevice<u64> {
+        &self.free
+    }
+
+    /// Try to allocate `bytes` under `tag` on `device`'s heap.
+    pub(crate) fn try_alloc(&mut self, device: DeviceId, tag: u64, bytes: u64) -> bool {
         assert!(device.is_coprocessor(), "the CPU has no device heap");
-        &mut self.heaps[device.index() - 1]
+        let heap = &mut self.heaps[device.index() - 1];
+        let ok = heap.try_alloc(tag, bytes);
+        self.free[device] = heap.free_bytes();
+        ok
+    }
+
+    /// Release every byte held under `tag` on `device`'s heap; returns
+    /// how many.
+    pub(crate) fn free_tag(&mut self, device: DeviceId, tag: u64) -> u64 {
+        assert!(device.is_coprocessor(), "the CPU has no device heap");
+        let heap = &mut self.heaps[device.index() - 1];
+        let bytes = heap.free_tag(tag);
+        self.free[device] = heap.free_bytes();
+        bytes
     }
 
     /// `(device, heap)` pairs in co-processor order (the debug-build
@@ -77,18 +103,16 @@ impl Sim<'_, '_> {
 
     /// A traced heap allocation attempt on `device`.
     pub(crate) fn heap_alloc(&mut self, device: DeviceId, tag: u64, bytes: u64) -> bool {
-        let heap = self.heaps.device_mut(device);
-        let ok = heap.try_alloc(tag, bytes);
-        let used = heap.used();
+        let ok = self.heaps.try_alloc(device, tag, bytes);
+        let used = self.heaps.device(device).used();
         self.emit(TraceEvent::HeapAlloc { device, tag, bytes, used, ok, at: self.now });
         ok
     }
 
     /// A traced heap release on `device` (no event for empty tags).
     pub(crate) fn heap_free(&mut self, device: DeviceId, tag: u64) {
-        let heap = self.heaps.device_mut(device);
-        let bytes = heap.free_tag(tag);
-        let used = heap.used();
+        let bytes = self.heaps.free_tag(device, tag);
+        let used = self.heaps.device(device).used();
         if bytes > 0 {
             self.emit(TraceEvent::HeapFree { device, tag, bytes, used, at: self.now });
         }
@@ -162,7 +186,7 @@ impl Sim<'_, '_> {
             at: self.now,
         });
         self.heap_free(device, Self::working_tag(task));
-        self.devices.rt_mut(device).running -= 1;
+        self.devices.running[device] -= 1;
         let t = &mut self.tasks[task];
         t.epoch += 1;
         t.forced_cpu = true;
@@ -180,7 +204,7 @@ impl Sim<'_, '_> {
     /// task's remaining work reached zero and it left the compute set).
     pub(crate) fn complete_task(&mut self, task: usize) -> Result<(), EngineError> {
         let device = self.tasks[task].device.expect("finishing a placed task");
-        self.devices.rt_mut(device).running -= 1;
+        self.devices.running[device] -= 1;
 
         let staged_chunks = self.tasks[task].staged_chunks;
         if device.is_coprocessor() {

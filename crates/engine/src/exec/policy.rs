@@ -70,8 +70,11 @@ impl Placement {
 }
 
 /// Everything a policy may inspect when placing one task.
-#[derive(Debug, Clone)]
-pub struct TaskInfo {
+///
+/// The lists are borrowed — from the executor's task table and from
+/// buffers it reuses — so building one allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskInfo<'a> {
     /// Query instance the task belongs to.
     pub query: usize,
     /// Task index within the executor.
@@ -79,22 +82,22 @@ pub struct TaskInfo {
     /// Cost-model class of the operator.
     pub op_class: OpClass,
     /// Base columns read directly (non-empty only for scans).
-    pub base_columns: Vec<ColumnId>,
+    pub base_columns: &'a [ColumnId],
     /// Input payload bytes: an estimate at compile time, exact at run time.
     pub bytes_in: u64,
     /// Output payload bytes: an estimate at compile time, exact only
     /// after execution (so still an estimate in `place_ready`).
     pub bytes_out_estimate: u64,
     /// Devices holding each child's output (empty at compile time).
-    pub children_devices: Vec<DeviceId>,
+    pub children_devices: &'a [DeviceId],
     /// Output bytes per child: exact at run time, the child's estimate at
     /// compile time. Aligned with `children_tasks`.
-    pub children_bytes: Vec<u64>,
+    pub children_bytes: &'a [u64],
     /// Global task ids of the children (build side first for joins). In
     /// `plan_query` these index into the same `tasks` slice after
     /// subtracting the first task's id, exposing the plan tree to
     /// compile-time strategies like Critical Path.
-    pub children_tasks: Vec<usize>,
+    pub children_tasks: &'a [usize],
     /// True if this task was already aborted on the co-processor once.
     pub was_aborted: bool,
     /// For sharded scans: which piece of the partitioned operator this
@@ -108,7 +111,9 @@ pub struct TaskInfo {
     pub recurring: Option<(u32, u32)>,
 }
 
-/// Read-only snapshot of execution state exposed to policies.
+/// Read-only view of execution state exposed to policies. Every table is
+/// borrowed from state the executor keeps current, so a consult copies
+/// nothing.
 pub struct PolicyCtx<'a> {
     /// The database being queried.
     pub db: &'a Database,
@@ -118,12 +123,12 @@ pub struct PolicyCtx<'a> {
     pub caches: &'a CacheSet,
     /// Estimated outstanding work queued per device — HyPE's load
     /// tracking signal (Section 5.2).
-    pub queued_work: PerDevice<VirtualTime>,
+    pub queued_work: &'a PerDevice<VirtualTime>,
     /// Operators currently running per device.
-    pub running: PerDevice<usize>,
+    pub running: &'a PerDevice<usize>,
     /// Free heap bytes per device (`u64::MAX` for the CPU's unbounded
     /// host memory).
-    pub heap_free: PerDevice<u64>,
+    pub heap_free: &'a PerDevice<u64>,
     /// Current virtual time.
     pub now: VirtualTime,
     /// Per-column data epoch (indexed by [`ColumnId::index`]): the epoch
@@ -251,14 +256,10 @@ impl PolicyCtx<'_> {
         if partition_home.is_some() {
             return partition_home;
         }
-        let replicas: Vec<DeviceId> = self
-            .coprocessors()
-            .filter(|&d| self.shard_cached_on(d, cols, shard))
-            .collect();
-        if replicas.is_empty() {
-            None
-        } else {
-            Some(replicas[shard.index as usize % replicas.len()])
+        let replicas = || self.coprocessors().filter(|&d| self.shard_cached_on(d, cols, shard));
+        match replicas().count() {
+            0 => None,
+            n => replicas().nth(shard.index as usize % n),
         }
     }
 }
@@ -339,30 +340,54 @@ mod tests {
         )
     }
 
-    fn ctx<'a>(db: &'a Database, topology: &'a Topology, caches: &'a CacheSet) -> PolicyCtx<'a> {
-        PolicyCtx {
-            db,
-            topology,
-            caches,
-            queued_work: PerDevice::splat(VirtualTime::ZERO, topology.device_count()),
-            running: PerDevice::splat(0, topology.device_count()),
-            heap_free: PerDevice::splat(0, topology.device_count()),
-            now: VirtualTime::ZERO,
-            col_epochs: &[],
+    /// Per-device tables for a context: queued work, running operators
+    /// and free heap bytes, all zero.
+    struct Tables {
+        queued_work: PerDevice<VirtualTime>,
+        running: PerDevice<usize>,
+        heap_free: PerDevice<u64>,
+    }
+
+    impl Tables {
+        fn zero(topology: &Topology) -> Self {
+            let n = topology.device_count();
+            Tables {
+                queued_work: PerDevice::splat(VirtualTime::ZERO, n),
+                running: PerDevice::splat(0, n),
+                heap_free: PerDevice::splat(0, n),
+            }
+        }
+
+        fn ctx<'a>(
+            &'a self,
+            db: &'a Database,
+            topology: &'a Topology,
+            caches: &'a CacheSet,
+        ) -> PolicyCtx<'a> {
+            PolicyCtx {
+                db,
+                topology,
+                caches,
+                queued_work: &self.queued_work,
+                running: &self.running,
+                heap_free: &self.heap_free,
+                now: VirtualTime::ZERO,
+                col_epochs: &[],
+            }
         }
     }
 
-    fn info() -> TaskInfo {
+    fn info() -> TaskInfo<'static> {
         TaskInfo {
             query: 0,
             task: 0,
             op_class: OpClass::Selection,
-            base_columns: vec![],
+            base_columns: &[],
             bytes_in: 0,
             bytes_out_estimate: 0,
-            children_devices: vec![],
-            children_bytes: vec![],
-            children_tasks: vec![],
+            children_devices: &[],
+            children_bytes: &[],
+            children_tasks: &[],
             was_aborted: false,
             shard: None,
             recurring: None,
@@ -381,7 +406,8 @@ mod tests {
         let db = Database::new();
         let t = topology();
         let caches = CacheSet::for_topology(&t, CachePolicy::Lru);
-        let ctx = ctx(&db, &t, &caches);
+        let tables = Tables::zero(&t);
+        let ctx = tables.ctx(&db, &t, &caches);
         let info = info();
         assert_eq!(p.plan_query(std::slice::from_ref(&info), &ctx), vec![None]);
         let placed = p.place_ready(&info, &ctx);
@@ -422,7 +448,8 @@ mod tests {
         let mut caches = CacheSet::for_topology(&t, CachePolicy::Lru);
         let g2 = DeviceId::coprocessor(2);
         caches.device_mut(g2).insert(CacheKey(1), 10);
-        let ctx = ctx(&db, &t, &caches);
+        let tables = Tables::zero(&t);
+        let ctx = tables.ctx(&db, &t, &caches);
         assert!(!ctx.all_cached_on(DeviceId::Gpu, &[ColumnId(1)]));
         assert!(ctx.all_cached_on(g2, &[ColumnId(1)]));
         assert_eq!(ctx.cached_device(&[ColumnId(1)]), Some(g2));
@@ -448,7 +475,8 @@ mod tests {
 
         // Both columns live at epoch 2: `a` is resident whole, `b` only
         // as partition 1 of 4.
-        let mut c = ctx(&db, &t, &caches);
+        let tables = Tables::zero(&t);
+        let mut c = tables.ctx(&db, &t, &caches);
         c.col_epochs = &[2, 2];
         assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], None), 800);
         assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], shard(1)), 0);
@@ -468,9 +496,11 @@ mod tests {
             LinkParams::default(),
         );
         let caches = CacheSet::for_topology(&t, CachePolicy::Lru);
-        let mut c = ctx(&db, &t, &caches);
+        let mut tables = Tables::zero(&t);
+        let c = tables.ctx(&db, &t, &caches);
         assert_eq!(c.least_loaded_coprocessor(), Some(DeviceId::Gpu));
-        c.queued_work[DeviceId::Gpu] = VirtualTime::from_micros(10);
+        tables.queued_work[DeviceId::Gpu] = VirtualTime::from_micros(10);
+        let c = tables.ctx(&db, &t, &caches);
         assert_eq!(c.least_loaded_coprocessor(), Some(DeviceId::coprocessor(2)));
     }
 }

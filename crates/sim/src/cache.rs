@@ -284,7 +284,10 @@ impl DataCache {
     /// Previously pinned entries not in `entries` are unpinned and
     /// removed. Unpinned (operator-driven) entries are evicted as needed
     /// to make room. Returns `(newly cached, evicted)` key lists; the
-    /// caller charges transfer time for the newly cached ones.
+    /// caller charges transfer time for the newly cached ones. A key may
+    /// appear in `entries` once. Re-pinning exactly the pinned set — what
+    /// a steady-state placement pass asks for — changes nothing and
+    /// allocates nothing.
     ///
     /// # Panics
     /// Panics if the pinned set itself exceeds the cache capacity — the
@@ -296,27 +299,29 @@ impl DataCache {
             "pinned set ({total}B) exceeds cache capacity ({}B)",
             self.capacity
         );
-        let new_keys: HashMap<CacheKey, u64> = entries.iter().copied().collect();
+        let repeated = |i: usize| entries[..i].iter().any(|(k, _)| *k == entries[i].0);
+        debug_assert!(!(0..entries.len()).any(repeated), "a key is pinned at most once");
+        if self.pins_exactly(entries) {
+            return (Vec::new(), Vec::new());
+        }
         let mut evicted = Vec::new();
         // Drop stale pinned entries.
-        let stale: Vec<CacheKey> = self
-            .entries
-            .iter()
-            .filter(|(k, e)| e.pinned && !new_keys.contains_key(k))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in stale {
-            let e = self.entries.remove(&k).expect("stale key is resident");
-            self.used -= e.bytes;
-            self.evictions.for_pin += 1;
-            evicted.push(k);
-        }
+        let (used, evictions) = (&mut self.used, &mut self.evictions);
+        self.entries.retain(|k, e| {
+            let stale = e.pinned && !entries.iter().any(|(new, _)| new == k);
+            if stale {
+                *used -= e.bytes;
+                evictions.for_pin += 1;
+                evicted.push(*k);
+            }
+            !stale
+        });
         // Pin already-resident entries in place. An entry resident at a
         // *different* size than declared is dropped and re-cached below
         // at the declared size — keeping it would let the pinned set
         // exceed its declared budget (and strand the eviction loop with
         // nothing left to evict).
-        for (&k, &bytes) in &new_keys {
+        for &(k, bytes) in entries {
             match self.entries.get_mut(&k) {
                 Some(e) if e.bytes == bytes => e.pinned = true,
                 Some(_) => {
@@ -330,7 +335,7 @@ impl DataCache {
         }
         // Insert the missing ones, evicting unpinned entries as needed.
         let mut newly_cached = Vec::new();
-        for (&k, &bytes) in &new_keys {
+        for &(k, bytes) in entries {
             if self.contains(k) {
                 continue;
             }
@@ -354,6 +359,16 @@ impl DataCache {
         newly_cached.sort();
         evicted.sort();
         (newly_cached, evicted)
+    }
+
+    /// Whether the pinned entries are exactly `entries`, each at its
+    /// declared size (`entries` holds each key once).
+    fn pins_exactly(&self, entries: &[(CacheKey, u64)]) -> bool {
+        let pinned = self.entries.values().filter(|e| e.pinned).count();
+        let pinned_at = |&(k, bytes): &(CacheKey, u64)| {
+            self.entries.get(&k).is_some_and(|e| e.pinned && e.bytes == bytes)
+        };
+        pinned == entries.len() && entries.iter().all(pinned_at)
     }
 
     /// Bytes held across all resident entries, recomputed from the entry
@@ -572,6 +587,25 @@ mod tests {
         assert_eq!(cached, vec![k(3)]);
         assert_eq!(evicted, vec![k(1)]);
         assert_eq!(c.used(), 80);
+    }
+
+    #[test]
+    fn repinning_the_pinned_set_changes_nothing() {
+        let mut c = DataCache::new(100, CachePolicy::Lru);
+        c.insert(k(9), 20);
+        c.set_pinned(&[(k(1), 30), (k(2), 30)]);
+        let state = |c: &DataCache| (c.eviction_reasons(), c.used(), c.tick, c.resident_keys());
+        let before = state(&c);
+        // In another order, too: the set is what counts.
+        for pins in [[(k(1), 30), (k(2), 30)], [(k(2), 30), (k(1), 30)]] {
+            assert_eq!(c.set_pinned(&pins), (vec![], vec![]));
+            assert_eq!(state(&c), before);
+        }
+        // A subset, a resize or a superset is a change.
+        assert_eq!(c.set_pinned(&[(k(1), 30)]), (vec![], vec![k(2)]));
+        assert_eq!(c.set_pinned(&[(k(1), 40)]), (vec![k(1)], vec![k(1)]));
+        assert_eq!(c.set_pinned(&[(k(1), 40), (k(3), 10)]), (vec![k(3)], vec![]));
+        assert_eq!(c.used(), c.accounted_bytes());
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //! `PlanNode::clone`, then `flatten` at admission — allocates the tree's
 //! spine and the task list, a fixed number of bytes per operator, and not
 //! one byte of a name, predicate or expression.
+//!
+//! The executor's per-event work is counted in allocation *calls*
+//! (DESIGN.md §4, §6, §7): a steady-state data-placement pass and a
+//! re-pin of the pinned set make none, and an open-loop run stays under a
+//! fixed number of calls per completed query.
 
+use robustq::core::{DataDrivenChopping, DataPlacementManager, PlacementPolicyKind};
 use robustq::engine::exec::task::{flatten, Role, ShardSpec};
 use robustq::engine::expr::Expr;
 use robustq::engine::ops::agg::aggregate;
@@ -22,24 +28,28 @@ use robustq::engine::ops::join::hash_join;
 use robustq::engine::ops::project::keep_columns;
 use robustq::engine::plan::{AggSpec, JoinKind, Op, PlanNode, SortKey};
 use robustq::engine::predicate::Predicate;
-use robustq::engine::{Chunk, LazyChunk, ParallelCtx};
+use robustq::engine::{Arrival, Chunk, ExecOptions, Executor, LazyChunk, ParallelCtx};
+use robustq::sim::{CacheKey, CachePolicy, CacheSet, DataCache, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::{ColumnData, DataType, Database, Field};
 use robustq::workloads::SsbQuery;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts the bytes each thread requests (frees and shrinks are not
-/// subtracted: the budget is on traffic, not on the high-water mark).
+/// Counts the bytes each thread requests and the calls that request them
+/// (frees and shrinks are not subtracted: the budget is on traffic, not on
+/// the high-water mark; a `realloc` is a call).
 struct Counting;
 
 thread_local! {
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
-    // The slot is gone while a thread tears down; those bytes are nobody's.
+    // The slots are gone while a thread tears down; those calls are nobody's.
     let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -69,6 +79,13 @@ fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATED.with(Cell::get);
     let out = f();
     (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// Allocation calls this thread made while running `f`.
+fn allocation_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
 }
 
 const ROWS: usize = 100_000;
@@ -345,4 +362,106 @@ fn handing_a_plan_on_allocates_per_operator_not_per_payload_byte() {
     let (small, large) = (shaped(1), shaped(1_000));
     assert_eq!(small.num_operators(), 7);
     assert_eq!(clone_and_flatten(&small), clone_and_flatten(&large));
+}
+
+/// A database of `rows` SSB rows whose columns carry access counts, as the
+/// query processor leaves them: a few hot, most cold, many never read.
+fn accessed_ssb(rows: usize) -> Database {
+    let db = SsbGenerator::new(1).with_rows_per_sf(rows).generate();
+    let ids: Vec<_> = db.all_column_ids().collect();
+    for (i, id) in ids.iter().enumerate().filter(|(i, _)| i % 3 != 0) {
+        for _ in 0..(i % 7) + 1 {
+            db.stats().record_access(id.index());
+        }
+    }
+    db
+}
+
+/// In steady state the background placement job re-decides the pinned set
+/// already in place, once per completed query: with an unchanged ranking
+/// that pass — rank, home, pack, re-pin — allocates nothing, on one cache
+/// or on a sharded fleet.
+#[test]
+fn a_steady_state_placement_pass_allocates_nothing() {
+    let db = accessed_ssb(1_000);
+    let cache_bytes = db.byte_size() / 2;
+    for (k, manager) in [
+        (1, DataPlacementManager::lfu()),
+        (2, DataPlacementManager::lfu().with_sharding(2, 4_096)),
+    ] {
+        let sim = SimConfig::default().with_gpu_cache(cache_bytes).with_coprocessors(k);
+        let mut caches = CacheSet::for_topology(&sim.topology, CachePolicy::Lru);
+        let mut manager = manager;
+        let first = manager.update_set(&db, &mut caches, &[]);
+        assert!(!first.is_empty(), "K = {k}: the first pass pins something");
+        for pass in 0..3 {
+            let (newly, calls) = allocation_calls(|| manager.update_set(&db, &mut caches, &[]));
+            assert!(newly.is_empty());
+            assert_eq!(calls, 0, "K = {k}: steady-state pass {pass} made {calls} allocation calls");
+        }
+    }
+}
+
+/// Re-pinning exactly the pinned set — in any order — allocates nothing.
+#[test]
+fn re_pinning_the_pinned_set_allocates_nothing() {
+    let mut cache = DataCache::new(1_000, CachePolicy::Lfu);
+    let pins: Vec<(CacheKey, u64)> = (0..16).map(|i| (CacheKey::column(i), 40)).collect();
+    cache.insert(CacheKey::column(99), 100);
+    cache.set_pinned(&pins);
+    let reversed: Vec<(CacheKey, u64)> = pins.iter().rev().copied().collect();
+    for p in [&pins, &reversed] {
+        let ((cached, evicted), calls) = allocation_calls(|| cache.set_pinned(p));
+        assert!(cached.is_empty() && evicted.is_empty());
+        assert_eq!(calls, 0, "an identical re-pin made {calls} allocation calls");
+    }
+}
+
+/// Allocation calls per completed query of an open-loop run of the 13 SSB
+/// templates on a 1 k-row database, K = 1, under Data-Driven Chopping.
+/// Placement consults, event-queue operations and the placement pass after
+/// every query allocate nothing, so what remains is admission (the task
+/// list, estimates, scan columns) and the kernels' own chunks: 175 calls a
+/// query in a debug build. Copying the task lists and the load tables into
+/// every consult and rebuilding the placement pass's maps, as the executor
+/// once did, makes it 260.
+const OPEN_LOOP_CALLS_PER_QUERY: u64 = 200;
+
+#[test]
+fn an_open_loop_run_stays_under_its_allocation_calls_per_query() {
+    let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
+    let templates: Vec<PlanNode> = SsbQuery::ALL.iter().map(|q| q.plan(&db).unwrap()).collect();
+    let bytes = db.byte_size() as f64;
+    let sim = SimConfig::default()
+        .with_gpu_memory((3.8 * bytes) as u64)
+        .with_gpu_cache((0.47 * bytes) as u64)
+        .with_coprocessors(1);
+    let executor = Executor::new(&db, sim.clone());
+    let opts = ExecOptions { max_concurrent_queries: 8, queue_cap: 32, ..ExecOptions::default() };
+    let mut policy = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
+    let mut caches = CacheSet::for_topology(&sim.topology, sim.cache_policy);
+    // Warm-up: the templates once, closed loop, so the caches are pinned.
+    let warm = vec![templates.clone()];
+    executor.run_with_cache(warm, &mut policy, &opts, &mut caches).unwrap();
+    // One arrival every 10 µs of virtual time: 100 k queries/s.
+    let arrivals: Vec<Arrival> = (0..40 * templates.len())
+        .map(|i| Arrival {
+            at: VirtualTime::from_micros(10 * i as u64),
+            session: i as u32,
+            seq: 0,
+            plan: templates[(i * 7) % templates.len()].clone(),
+        })
+        .collect();
+    let offered = arrivals.len() as u64;
+    let (out, calls) = allocation_calls(|| {
+        executor.run_with_cache(arrivals, &mut policy, &opts, &mut caches).unwrap()
+    });
+    let completed = out.outcomes.len() as u64;
+    assert!(completed > offered * 9 / 10, "{completed} of {offered} completed");
+    let per_query = calls / completed;
+    assert!(
+        per_query <= OPEN_LOOP_CALLS_PER_QUERY,
+        "{per_query} allocation calls per completed query ({calls} over {completed}), \
+         budget {OPEN_LOOP_CALLS_PER_QUERY}"
+    );
 }
