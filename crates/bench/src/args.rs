@@ -6,24 +6,17 @@
 //!   into the bin's exit status 2.
 //! * [`CommonArgs`] — the flags shared across bins (`--out`, `--trace`,
 //!   `--ks`, `--rows`, `--users`), parsed *identically* everywhere: a bin
-//!   constructs one with its defaults, offers every flag to
-//!   [`CommonArgs::accept`] first, and only matches on its own flags.
+//!   constructs one with its defaults and [`CommonArgs::parse`]s the
+//!   arguments, matching only on its own flags.
 //!
 //! ```no_run
 //! use robustq_bench::args::{ArgStream, CommonArgs};
 //! # fn main() -> Result<(), robustq_engine::EngineError> {
-//! let mut common = CommonArgs::new("BENCH_example.json");
 //! let mut shard = false;
-//! let mut it = ArgStream::from_env();
-//! while let Some(flag) = it.next_flag() {
-//!     if common.accept(&flag, &mut it)? {
-//!         continue;
-//!     }
-//!     match flag.as_str() {
-//!         "--shard" => shard = true,
-//!         other => return Err(ArgStream::unknown_flag(other)),
-//!     }
-//! }
+//! let common = CommonArgs::new("BENCH_example.json").parse(ArgStream::from_env(), |flag, _| {
+//!     shard |= flag == "--shard";
+//!     Ok(flag == "--shard")
+//! })?;
 //! # Ok(()) }
 //! ```
 
@@ -136,43 +129,33 @@ impl CommonArgs {
         }
     }
 
-    /// Override the default K list.
-    pub fn with_ks(mut self, ks: &[usize]) -> Self {
-        self.ks = ks.to_vec();
-        self
-    }
-
-    /// Override the default row count.
-    pub fn with_rows(mut self, rows: usize) -> Self {
-        self.rows = rows;
-        self
-    }
-
-    /// Override the default user count.
-    pub fn with_users(mut self, users: usize) -> Self {
-        self.users = users;
-        self
-    }
-
-    /// Consume `flag` if it is one of the shared flags, pulling its
-    /// value from `it`. Returns `Ok(false)` for bin-specific flags.
-    pub fn accept(&mut self, flag: &str, it: &mut ArgStream) -> Result<bool, EngineError> {
-        match flag {
-            "--out" => self.out = it.value("--out")?,
-            "--trace" => self.trace = Some(it.value("--trace")?),
-            "--ks" => {
-                self.ks = it.parsed_list("--ks")?;
-                if self.ks.contains(&0) {
-                    return Err(EngineError::config(
-                        "--ks needs a comma list of counts ≥ 1",
-                    ));
+    /// Parse `it` to the end: each shared flag into `self`, every other
+    /// flag through the bin's `own`, which pulls the flag's value from the
+    /// stream and returns `Ok(false)` for a flag it does not know either.
+    pub fn parse(
+        mut self,
+        mut it: ArgStream,
+        mut own: impl FnMut(&str, &mut ArgStream) -> Result<bool, EngineError>,
+    ) -> Result<Self, EngineError> {
+        while let Some(flag) = it.next_flag() {
+            match flag.as_str() {
+                "--out" => self.out = it.value("--out")?,
+                "--trace" => self.trace = Some(it.value("--trace")?),
+                "--ks" => {
+                    self.ks = it.parsed_list("--ks")?;
+                    if self.ks.contains(&0) {
+                        return Err(EngineError::config(
+                            "--ks needs a comma list of counts ≥ 1",
+                        ));
+                    }
                 }
+                "--rows" => self.rows = it.parsed("--rows")?,
+                "--users" => self.users = it.parsed("--users")?,
+                own_flag if own(own_flag, &mut it)? => {}
+                other => return Err(ArgStream::unknown_flag(other)),
             }
-            "--rows" => self.rows = it.parsed("--rows")?,
-            "--users" => self.users = it.parsed("--users")?,
-            _ => return Ok(false),
         }
-        Ok(true)
+        Ok(self)
     }
 }
 
@@ -184,16 +167,18 @@ mod tests {
         ArgStream::from_args(args.iter().map(|s| s.to_string()))
     }
 
+    /// Parse `args` with no bin flags of its own.
+    fn shared(args: &[&str]) -> Result<CommonArgs, EngineError> {
+        CommonArgs::new("x.json").parse(stream(args), |_, _| Ok(false))
+    }
+
     #[test]
     fn common_flags_parse_identically() {
-        let mut common = CommonArgs::new("default.json");
-        let mut it = stream(&[
+        let common = shared(&[
             "--out", "o.json", "--trace", "t.json", "--ks", "1,2", "--rows", "500",
             "--users", "3",
-        ]);
-        while let Some(flag) = it.next_flag() {
-            assert!(common.accept(&flag, &mut it).unwrap(), "{flag} is shared");
-        }
+        ])
+        .unwrap();
         assert_eq!(common.out, "o.json");
         assert_eq!(common.trace.as_deref(), Some("t.json"));
         assert_eq!(common.ks, vec![1, 2]);
@@ -203,29 +188,32 @@ mod tests {
 
     #[test]
     fn bin_specific_flags_fall_through() {
-        let mut common = CommonArgs::new("x.json");
         // `--seeds` is the chaos bin's own flag, not a shared one.
-        for own in ["--shard", "--seeds"] {
-            let mut it = stream(&[own]);
-            let flag = it.next_flag().unwrap();
-            assert!(!common.accept(&flag, &mut it).unwrap(), "{own}");
-        }
+        let mut own = Vec::new();
+        let args = stream(&["--shard", "--ks", "2", "--seeds", "7"]);
+        let common = CommonArgs::new("x.json")
+            .parse(args, |flag, it| {
+                match flag {
+                    "--shard" => own.push(flag.to_string()),
+                    "--seeds" => own.push(it.value("--seeds")?),
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })
+            .unwrap();
+        assert_eq!(own, ["--shard", "7"]);
+        assert_eq!(common.ks, vec![2]);
+        let err = shared(&["--shard"]).unwrap_err();
+        assert!(err.to_string().contains("unknown flag \"--shard\""), "{err}");
     }
 
     #[test]
     fn bad_values_are_config_errors() {
-        let mut common = CommonArgs::new("x.json");
-        let mut it = stream(&["--users", "many"]);
-        let flag = it.next_flag().unwrap();
-        let err = common.accept(&flag, &mut it).unwrap_err();
+        let err = shared(&["--users", "many"]).unwrap_err();
         assert!(matches!(err, EngineError::Config(_)), "{err}");
-
-        let mut it = stream(&["1,0"]);
-        let err = common.accept("--ks", &mut it).unwrap_err();
+        let err = shared(&["--ks", "1,0"]).unwrap_err();
         assert!(err.to_string().contains("≥ 1"), "{err}");
-
-        let mut it = stream(&[]);
-        let err = common.accept("--out", &mut it).unwrap_err();
+        let err = shared(&["--out"]).unwrap_err();
         assert!(err.to_string().contains("needs a value"), "{err}");
     }
 

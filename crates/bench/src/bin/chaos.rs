@@ -18,14 +18,15 @@
 //! `--out` as a FigTable JSON document. `--seeds N` sweeps the fault
 //! plans `--base-seed .. --base-seed + N`.
 //!
-//! `--trace PATH` traces the first faulted seed's run, cross-checks the
-//! metrics replayed from the trace against the reported ones (the
-//! debug-build invariant, enforced here in release too), and writes the
-//! Chrome `trace_event` JSON to PATH.
+//! Every run also passes the sweep driver's check list
+//! (`robustq_bench::sweep`). `--trace PATH` traces the first faulted
+//! seed's run: the list then also replays the metrics from the trace
+//! against the reported ones (the debug-build invariant, enforced here in
+//! release too) and writes the Chrome `trace_event` JSON to PATH.
 
 use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
+use robustq_bench::sweep::Driver;
 use robustq_bench::table::FigTable;
-use robustq_bench::{export_trace, write_tables};
 use robustq_engine::EngineError;
 use robustq::prelude::*;
 use robustq_storage::gen::ssb::SsbGenerator;
@@ -39,33 +40,29 @@ struct Args {
     workload: String,
 }
 
-fn parse_args() -> Result<Args, EngineError> {
-    let mut args = Args {
-        common: CommonArgs::new("BENCH_chaos.json")
-            .with_ks(&[1])
-            .with_rows(1_000)
-            .with_users(2),
-        seeds: 100,
-        base_seed: 0,
-        workload: "ssb".to_string(),
-    };
-    let mut it = ArgStream::from_env();
-    while let Some(flag) = it.next_flag() {
-        if args.common.accept(&flag, &mut it)? {
-            continue;
+fn parse_args(it: ArgStream) -> Result<Args, EngineError> {
+    let (mut seeds, mut base_seed, mut workload) = (100u64, 0u64, "ssb".to_string());
+    let defaults =
+        CommonArgs { ks: vec![1], rows: 1_000, users: 2, ..CommonArgs::new("BENCH_chaos.json") };
+    let common = defaults.parse(it, |flag, it| {
+        match flag {
+            "--seeds" => seeds = it.parsed("--seeds")?,
+            "--base-seed" => base_seed = it.parsed("--base-seed")?,
+            "--workload" => workload = it.value("--workload")?,
+            _ => return Ok(false),
         }
-        match flag.as_str() {
-            "--seeds" => args.seeds = it.parsed("--seeds")?,
-            "--base-seed" => args.base_seed = it.parsed("--base-seed")?,
-            "--workload" => args.workload = it.value("--workload")?,
-            other => return Err(ArgStream::unknown_flag(other)),
-        }
+        Ok(true)
+    })?;
+    // Past u64::MAX the seed range would wrap and re-run seeds.
+    if base_seed.checked_add(seeds).is_none() {
+        return Err(EngineError::config("--base-seed + --seeds overflows u64"));
     }
-    Ok(args)
+    Ok(Args { common, seeds, base_seed, workload })
 }
 
 fn main() {
-    let args = or_exit("chaos", parse_args());
+    let args = or_exit("chaos", parse_args(ArgStream::from_env()));
+    let driver = Driver::new("chaos", &args.common);
 
     let db: Database =
         SsbGenerator::new(1).with_rows_per_sf(args.common.rows).generate();
@@ -87,11 +84,9 @@ fn main() {
         args.common.ks,
     );
 
-    // Totals per fault-model shape, printed as a deterministic summary.
-    let mut injected = [0u64; 5];
-    let mut retries = [0u64; 5];
-    let mut fallbacks = [0u64; 5];
-    let mut runs = [0u64; 5];
+    // Per fault-model shape: runs, injected faults, retries and
+    // fallbacks, printed as a deterministic summary.
+    let mut totals = [[0u64; 4]; FAULT_SHAPES.len()];
     let mut violations = 0u64;
     for (ki, &k) in args.common.ks.iter().enumerate() {
         let sim = SimConfig::default()
@@ -108,16 +103,12 @@ fn main() {
 
         for i in 0..args.seeds {
             let seed = args.base_seed + i;
-            let shape = (seed % 5) as usize;
-            let plan = FaultPlan::new(seed, fault_shape(seed, horizon));
+            let (shape, spec) = fault_shape(seed, horizon);
             let mut cfg = RunnerConfig::default()
                 .with_users(args.common.users)
-                .with_fault_plan(plan);
+                .with_fault_plan(FaultPlan::new(seed, spec));
             // Trace the first faulted seed (at the first K) when asked.
-            let trace_this = args.common.trace.is_some() && ki == 0 && i == 0;
-            if trace_this {
-                cfg = cfg.with_trace();
-            }
+            cfg.trace = args.common.trace.is_some() && ki == 0 && i == 0;
             let report = match runner.run(&queries, Strategy::GpuPreferred, &cfg) {
                 Ok(r) => r,
                 Err(e) => {
@@ -126,28 +117,18 @@ fn main() {
                     continue;
                 }
             };
-            for msg in chaos::violations(&report, &map) {
+            // The fault invariants, then every sweep point's check list
+            // (which exports the traced seed).
+            let mut bad = chaos::violations(&report, &map);
+            bad.extend(driver.check(&report));
+            for msg in bad {
                 println!("seed {seed}: VIOLATION: {msg}");
                 violations += 1;
             }
-            if trace_this {
-                let path = args.common.trace.as_deref().expect("trace path present");
-                let trace = report.trace.as_ref().expect("traced run records events");
-                // The fold the event loop ran, replayed from the recorded
-                // stream, against the components' own end-of-run figures:
-                // the debug-build cross-check, enforced in release too.
-                // (Over a truncated stream it would compare garbage; the
-                // export below reports a ring overflow as a violation.)
-                if RunMetrics::from_events(&trace.events) != report.metrics {
-                    println!("seed {seed}: VIOLATION: trace-derived metrics diverge");
-                    violations += 1;
-                }
-                violations += export_trace("chaos", path, trace);
+            let f = &report.metrics.faults;
+            for (t, n) in totals[shape].iter_mut().zip([1, f.injected, f.retries, f.fallbacks]) {
+                *t += n;
             }
-            runs[shape] += 1;
-            injected[shape] += report.metrics.faults.injected;
-            retries[shape] += report.metrics.faults.retries;
-            fallbacks[shape] += report.metrics.faults.fallbacks;
         }
     }
 
@@ -161,21 +142,13 @@ fn main() {
     )
     .with_columns(["Shape", "Runs", "Injected", "Retries", "Fallbacks"]);
     println!("shape      runs   injected   retries   fallbacks");
-    for (i, name) in FAULT_SHAPES.iter().enumerate() {
-        println!(
-            "{name:<9} {:>5} {:>10} {:>9} {:>11}",
-            runs[i], injected[i], retries[i], fallbacks[i]
-        );
-        table.push_row([
-            name.to_string(),
-            runs[i].to_string(),
-            injected[i].to_string(),
-            retries[i].to_string(),
-            fallbacks[i].to_string(),
-        ]);
+    for (name, counts) in FAULT_SHAPES.iter().zip(totals) {
+        let [runs, injected, retries, fallbacks] = counts;
+        println!("{name:<9} {runs:>5} {injected:>10} {retries:>9} {fallbacks:>11}");
+        table.push_row([name.to_string()].into_iter().chain(counts.map(|n| n.to_string())));
     }
-    violations += write_tables("chaos", &args.common.out, &[table]);
-    let total: u64 = injected.iter().sum();
+    violations += driver.write(&[table]);
+    let total: u64 = totals.iter().map(|[_, injected, ..]| injected).sum();
     println!("total injected: {total}, violations: {violations}");
     if violations > 0 {
         std::process::exit(1);
@@ -183,5 +156,29 @@ fn main() {
     if total == 0 {
         eprintln!("chaos: sweep injected nothing — vacuous configuration");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, EngineError> {
+        parse_args(ArgStream::from_args(args.iter().map(|s| s.to_string())))
+    }
+
+    #[test]
+    fn a_seed_range_past_u64_max_is_a_config_error() {
+        let max = u64::MAX.to_string();
+        let wrapping: [&[&str]; 2] = [
+            &["--base-seed", &max, "--seeds", "1"],
+            &["--seeds", "2", "--base-seed", "18446744073709551614"],
+        ];
+        for bad in wrapping {
+            let err = parse(bad).err().expect("wrapping range");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+        let last = parse(&["--base-seed", "18446744073709551614", "--seeds", "1"]).unwrap();
+        assert_eq!((last.base_seed, last.seeds), (u64::MAX - 1, 1));
     }
 }

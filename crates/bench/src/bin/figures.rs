@@ -14,16 +14,16 @@
 //! witness — read off every figure and the three committed sweep files
 //! in the working directory; it exits 1 if any claim fails its status.
 //!
-//! `--trace PATH` additionally performs one traced SSB reference run and
-//! writes its Chrome `trace_event` JSON to PATH (load it in Perfetto, or
-//! validate it with the `trace-lint` binary).
+//! `--trace PATH` additionally performs one traced SSB reference run,
+//! passes it through the sweep driver's check list (`robustq_bench::sweep`)
+//! and writes its Chrome `trace_event` JSON to PATH (load it in Perfetto,
+//! or validate it with the `trace-lint` binary).
 
-use robustq_bench::args::{or_exit, ArgStream};
+use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::claims::{self, CLAIMS};
+use robustq_bench::sweep::Driver;
 use robustq_bench::table::read_tables;
-use robustq_bench::{
-    all_figures, export_trace, figure_by_id, traced_reference_run, Effort, FigTable, FIGURES,
-};
+use robustq_bench::{all_figures, figure_by_id, traced_reference_run, Effort, FigTable, FIGURES};
 use robustq_engine::EngineError;
 
 fn emit(table: &FigTable, json: bool) {
@@ -91,9 +91,13 @@ fn main() {
     }
 
     if let Some(path) = trace_path {
-        let report = traced_reference_run(effort);
-        let trace = report.trace.as_ref().expect("traced run records events");
-        if export_trace("figures", &path, trace) > 0 {
+        // The sweep driver's check list, which exports the trace.
+        let common = CommonArgs { trace: Some(path), ..CommonArgs::new("") };
+        let failed = Driver::new("figures", &common).check(&traced_reference_run(effort));
+        for msg in &failed {
+            eprintln!("figures: FAIL: {msg}");
+        }
+        if !failed.is_empty() {
             std::process::exit(1);
         }
     }

@@ -25,12 +25,11 @@
 //! `trace-lint` — the open-loop exporter degrades overlapping session
 //! spans to complete events, which must stay lint-clean).
 
+use robustq::prelude::*;
 use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
-use robustq_bench::table::{ms, FigTable};
-use robustq_bench::{export_trace, finish_sweep};
-use robustq_engine::EngineError;
-use robustq::prelude::*;
+use robustq_bench::sweep::{Column, Driver, Sweep};
+use robustq_bench::table::ms;
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_workloads::ssb;
 
@@ -47,115 +46,89 @@ struct Args {
     rates: Vec<f64>,
 }
 
-fn parse_args() -> Result<Args, EngineError> {
-    let mut args = Args {
-        common: CommonArgs::new("BENCH_serving.json").with_ks(&[1, 2]),
-        rates: vec![25_000.0, 100_000.0, 400_000.0],
-    };
-    let mut it = ArgStream::from_env();
-    while let Some(flag) = it.next_flag() {
-        if args.common.accept(&flag, &mut it)? {
-            continue;
+fn parse_args(it: ArgStream) -> Result<Args, EngineError> {
+    let mut rates: Vec<f64> = vec![25_000.0, 100_000.0, 400_000.0];
+    let defaults = CommonArgs { ks: vec![1, 2], ..CommonArgs::new("BENCH_serving.json") };
+    let common = defaults.parse(it, |flag, it| {
+        if flag != "--rates" {
+            return Ok(false);
         }
-        match flag.as_str() {
-            "--rates" => {
-                args.rates = it.parsed_list("--rates")?;
-                if args.rates.iter().any(|&r| r <= 0.0) {
-                    return Err(EngineError::config(
-                        "--rates needs a comma list of rates > 0",
-                    ));
-                }
-            }
-            other => return Err(ArgStream::unknown_flag(other)),
+        rates = it.parsed_list("--rates")?;
+        if rates.iter().any(|&r| r <= 0.0) {
+            return Err(EngineError::config("--rates needs a comma list of rates > 0"));
         }
-    }
-    Ok(args)
+        // NaN passes the test above; it and inf would never let the
+        // arrival generator reach the horizon.
+        if rates.iter().any(|r| !r.is_finite()) {
+            return Err(EngineError::config("--rates needs finite rates"));
+        }
+        Ok(true)
+    })?;
+    Ok(Args { common, rates })
 }
 
-fn push_row(table: &mut FigTable, k: usize, rate: f64, report: &ServingReport) {
-    table.push_row([
-        k.to_string(),
-        report.strategy.to_string(),
-        format!("{rate:.0}"),
-        report.offered.to_string(),
-        report.completed().to_string(),
-        report.metrics.shed.to_string(),
-        ms(report.p50()),
-        ms(report.p95()),
-        ms(report.p99()),
-        ms(report.p999()),
-        format!("{:.1}", report.qps()),
-    ]);
-}
+const COLUMNS: [Column<f64, Strategy, ServingReport>; 11] = [
+    ("K", |p, _| p.k.to_string()),
+    ("Strategy", |_, r| r.strategy.to_string()),
+    ("Rate [qps]", |p, _| format!("{:.0}", p.value)),
+    ("Offered", |_, r| r.offered.to_string()),
+    ("Completed", |_, r| r.completed().to_string()),
+    ("Shed", |_, r| r.metrics.shed.to_string()),
+    ("p50 [ms]", |_, r| ms(r.p50())),
+    ("p95 [ms]", |_, r| ms(r.p95())),
+    ("p99 [ms]", |_, r| ms(r.p99())),
+    ("p999 [ms]", |_, r| ms(r.p999())),
+    ("Goodput [qps]", |_, r| format!("{:.1}", r.qps())),
+];
 
 fn main() {
-    let args = or_exit("loadgen", parse_args());
-    let max_k = *args.common.ks.iter().max().expect("ks non-empty");
+    let args = or_exit("loadgen", parse_args(ArgStream::from_env()));
     let max_rate = args.rates.iter().cloned().fold(0.0f64, f64::max);
 
     let db: Database =
         SsbGenerator::new(1).with_rows_per_sf(args.common.rows).generate();
     let mix = QueryMix::zipf(ssb::workload(&db).expect("SSB plans"), THETA);
 
-    let mut table = FigTable::new(
-        "serving-ssb",
-        "Open-loop SSB serving: latency percentiles vs Poisson arrival rate",
-    )
-    .with_columns([
-        "K",
-        "Strategy",
-        "Rate [qps]",
-        "Offered",
-        "Completed",
-        "Shed",
-        "p50 [ms]",
-        "p95 [ms]",
-        "p99 [ms]",
-        "p999 [ms]",
-        "Goodput [qps]",
-    ]);
-    let mut failures = 0u64;
+    let mut driver = Driver::new("loadgen", &args.common);
+    let sweep = Sweep {
+        id: "serving-ssb".to_string(),
+        title: "Open-loop SSB serving: latency percentiles vs Poisson arrival rate".to_string(),
+        columns: &COLUMNS,
+        values: &args.rates,
+        contenders: &FLEET_STRATEGIES,
+        traced: Some((max_rate, Strategy::DataDrivenChopping)),
+        same_results: None,
+    };
+    driver.sweep(sweep, |p, trace| {
+        let mut cfg = ServeConfig::new(
+            ArrivalProcess::Poisson { rate_qps: p.value },
+            VirtualTime::from_millis(HORIZON_MS),
+        )
+        .with_sessions(SESSIONS)
+        .with_seed(SEED)
+        .with_admission_limit(args.common.users)
+        .with_queue_cap(QUEUE_CAP);
+        cfg.trace = trace;
+        let runner = ServingRunner::new(&db, fleet_sim().with_coprocessors(p.k));
+        runner.run(&mix, p.contender, &cfg).expect("sweep run")
+    });
+    driver.finish();
+}
 
-    for &k in &args.common.ks {
-        let runner = ServingRunner::new(&db, fleet_sim().with_coprocessors(k));
-        for &rate in &args.rates {
-            for strategy in FLEET_STRATEGIES {
-                let trace_this = args.common.trace.is_some()
-                    && k == max_k
-                    && rate == max_rate
-                    && strategy == Strategy::DataDrivenChopping;
-                let mut cfg = ServeConfig::new(
-                    ArrivalProcess::Poisson { rate_qps: rate },
-                    VirtualTime::from_millis(HORIZON_MS),
-                )
-                .with_sessions(SESSIONS)
-                .with_seed(SEED)
-                .with_admission_limit(args.common.users)
-                .with_queue_cap(QUEUE_CAP);
-                if trace_this {
-                    cfg = cfg.with_trace();
-                }
-                let report = runner.run(&mix, strategy, &cfg).expect("sweep run");
-                if report.offered != report.completed() + report.metrics.shed as usize {
-                    eprintln!(
-                        "loadgen: FAIL: K={k} rate={rate} {}: offered {} != \
-                         completed {} + shed {}",
-                        report.strategy,
-                        report.offered,
-                        report.completed(),
-                        report.metrics.shed,
-                    );
-                    failures += 1;
-                }
-                push_row(&mut table, k, rate, &report);
-                if trace_this {
-                    let path = args.common.trace.as_deref().expect("trace path");
-                    let trace = report.trace.as_ref().expect("traced run records events");
-                    failures += export_trace("loadgen", path, trace);
-                }
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, EngineError> {
+        parse_args(ArgStream::from_args(args.iter().map(|s| s.to_string())))
     }
 
-    finish_sweep("loadgen", &args.common.out, &[table], failures);
+    #[test]
+    fn rates_that_never_reach_the_horizon_are_config_errors() {
+        for bad in ["NaN", "inf", "100,-inf", "1e3,NaN"] {
+            let err = parse(&["--rates", bad]).err().expect(bad);
+            assert!(matches!(err, EngineError::Config(_)), "{bad}: {err}");
+        }
+        assert_eq!(parse(&["--rates", "1e3,2.5e4"]).unwrap().rates, [1e3, 2.5e4]);
+    }
 }

@@ -17,20 +17,20 @@
 //! cargo run -p robustq-bench --release --bin multigpu
 //! cargo run -p robustq-bench --release --bin multigpu -- --users 8 --ks 1,2,4
 //! cargo run -p robustq-bench --release --bin multigpu -- --ks 2 --trace multigpu-trace.json
-//! cargo run -p robustq-bench --release --bin multigpu -- --shard --replicate-max-bytes 65536
+//! cargo run -p robustq-bench --release --bin multigpu -- --shard --adaptive
 //! ```
 //!
 //! `--trace PATH` traces the largest-K SSB run under the learned
-//! strategy, writes its Chrome JSON to PATH (CI feeds it to
-//! `trace-lint`), and asserts the written file carries one kernel lane
-//! per device.
+//! strategy and writes its Chrome JSON to PATH (CI feeds it to
+//! `trace-lint`); the written file must carry a kernel lane per busy
+//! device.
 //!
 //! `--shard` adds intra-operator sharding rows (DESIGN.md §6): each K
 //! is additionally swept with `K`-way sharded leaf scans under the two
-//! shard-aware strategies, and `--replicate-max-bytes` bounds how large
-//! a table the data placement manager replicates into every cache
-//! instead of partitioning. Sharded rows must reproduce the unsharded
-//! K = 1 result fingerprints bit for bit.
+//! shard-aware strategies, the data placement manager replicating
+//! tables of at most [`REPLICATE_MAX_BYTES`] into every cache instead of
+//! partitioning them. Sharded rows must reproduce the unsharded K = 1
+//! result fingerprints bit for bit.
 //!
 //! `--adaptive` adds the DESIGN.md §7 comparison table
 //! (`multigpu-adaptive`): the SSB workload on a deliberately small
@@ -40,199 +40,89 @@
 //! chunks). `bench-diff --adaptive` gates the table (the `adaptive-*`
 //! rows of `robustq_bench::claims::CLAIMS`).
 
+use robustq::prelude::*;
 use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
-use robustq_bench::table::{ms, FigTable};
-use robustq_bench::{export_trace, finish_sweep};
-use robustq_engine::EngineError;
-use robustq::prelude::*;
+use robustq_bench::sweep::{Column, Driver, Sweep};
+use robustq_bench::table::ms;
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::gen::tpch::TpchGenerator;
-use robustq_storage::Database;
-use robustq_workloads::{ssb, tpch, ResultFingerprints, RunReport, WorkloadRunner};
+use robustq_workloads::{ssb, tpch};
+
+/// The largest table, in accessed bytes, the sharded rows' data
+/// placement manager replicates into every co-processor cache; larger
+/// ones are partitioned.
+const REPLICATE_MAX_BYTES: u64 = 64 * 1024;
 
 struct Args {
     common: CommonArgs,
     shard: bool,
     adaptive: bool,
-    replicate_max_bytes: u64,
 }
 
 fn parse_args() -> Result<Args, EngineError> {
-    let mut args = Args {
-        common: CommonArgs::new("BENCH_multigpu.json"),
-        shard: false,
-        adaptive: false,
-        replicate_max_bytes: 64 * 1024,
-    };
-    let mut it = ArgStream::from_env();
-    while let Some(flag) = it.next_flag() {
-        if args.common.accept(&flag, &mut it)? {
-            continue;
+    let (mut shard, mut adaptive) = (false, false);
+    let common = CommonArgs::new("BENCH_multigpu.json").parse(ArgStream::from_env(), |flag, _| {
+        match flag {
+            "--shard" => shard = true,
+            "--adaptive" => adaptive = true,
+            _ => return Ok(false),
         }
-        match flag.as_str() {
-            "--shard" => args.shard = true,
-            "--adaptive" => args.adaptive = true,
-            "--replicate-max-bytes" => {
-                args.replicate_max_bytes = it.parsed("--replicate-max-bytes")?
-            }
-            other => return Err(ArgStream::unknown_flag(other)),
+        Ok(true)
+    })?;
+    Ok(Args { common, shard, adaptive })
+}
+
+/// A fleet contender: a strategy, and whether its leaf scans shard K
+/// ways.
+type Contender = (Strategy, bool);
+
+const FLEET_COLUMNS: [Column<(), Contender, RunReport>; 7] = [
+    ("K", |p, _| p.k.to_string()),
+    ("Strategy", |_, r| r.strategy.to_string()),
+    ("Makespan [ms]", |_, r| ms(r.metrics.makespan)),
+    ("Mean latency [ms]", |_, r| ms(r.mean_latency())),
+    ("Aborts", |_, r| r.metrics.aborts.to_string()),
+    ("Cache hit %", |_, r| {
+        let probes = r.metrics.cache_hits + r.metrics.cache_misses;
+        if probes == 0 {
+            return "-".to_string();
         }
-    }
-    Ok(args)
-}
+        format!("{:.1}", 100.0 * r.metrics.cache_hits as f64 / probes as f64)
+    }),
+    ("Busy per device [ms]", |_, r| {
+        let busy = r.metrics.device_busy.iter().map(|(d, t)| format!("{d} {}", ms(*t)));
+        busy.collect::<Vec<_>>().join(" | ")
+    }),
+];
 
-/// Per-device busy times as one readable cell: `CPU 1.2 | GPU 3.4 | …`.
-fn busy_cell(m: &RunMetrics) -> String {
-    m.device_busy
-        .iter()
-        .map(|(d, t)| format!("{d} {}", ms(*t)))
-        .collect::<Vec<_>>()
-        .join(" | ")
-}
+/// The §7 comparison's contenders. Each row of the adaptive model also
+/// stages over-heap operators in chunks; the static rows abort them to
+/// the CPU.
+const MODELS: [CostModelKind; 2] = [CostModelKind::Static, CostModelKind::Adaptive { seed: 42 }];
 
-/// One failure unless `report` returns what the sweep's first run (which
-/// sets `baseline`) did: placement may move work, never change answers.
-fn drift(baseline: &mut Option<ResultFingerprints>, report: &RunReport, run: &str) -> u64 {
-    let results = report.result_fingerprints();
-    let want = baseline.get_or_insert_with(|| results.clone());
-    if *want == results {
-        return 0;
-    }
-    eprintln!("multigpu: FAIL: {run} drifted from the baseline results");
-    1
-}
-
-/// One workload's sweep state: the result table, the first run's
-/// fingerprints every later point must reproduce, and failure count.
-struct Sweep {
-    name: &'static str,
-    table: FigTable,
-    baseline: Option<ResultFingerprints>,
-    failures: u64,
-}
-
-impl Sweep {
-    /// Check the result fingerprints and append one table row.
-    fn record(&mut self, k: usize, label: &str, report: &RunReport) {
-        let run = format!("{} K={k} {label}", self.name);
-        self.failures += drift(&mut self.baseline, report, &run);
-        let m = &report.metrics;
-        let probes = m.cache_hits + m.cache_misses;
-        self.table.push_row([
-            k.to_string(),
-            label.to_string(),
-            ms(m.makespan),
-            ms(RunMetrics::mean_latency(&report.outcomes)),
-            m.aborts.to_string(),
-            if probes == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}", 100.0 * m.cache_hits as f64 / probes as f64)
-            },
-            busy_cell(m),
-        ]);
-    }
-
-    /// Write the traced run's Chrome export, then assert the written
-    /// document carries one kernel lane per device (a failed write is
-    /// already counted).
-    fn export_trace(&mut self, path: &str, report: &RunReport) {
-        let trace = report.trace.as_ref().expect("traced run records events");
-        self.failures += export_trace("multigpu", path, trace);
-        let Ok(chrome) = std::fs::read_to_string(path) else { return };
-        for (d, _) in report.metrics.device_busy.iter() {
-            let lane = format!("{d} kernels");
-            if !chrome.contains(&lane) {
-                eprintln!("multigpu: FAIL: trace has no lane {lane:?}");
-                self.failures += 1;
-            }
-        }
-    }
-}
-
-/// Median est-vs-actual relative error over a run's model samples, in
-/// percent; `None` when the policy records no samples (e.g. plan-time
-/// pinning strategies that never consult a cost model).
-fn median_err_pct(report: &RunReport) -> Option<f64> {
-    let mut errs: Vec<f64> =
-        report.model_samples.iter().map(ModelUpdate::relative_error).collect();
-    if errs.is_empty() {
-        return None;
-    }
-    errs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-    Some(100.0 * errs[errs.len() / 2])
-}
-
-/// The DESIGN.md §7 comparison: static model + abort-to-CPU versus
-/// adaptive model + chunked staging, on a heap small enough that the SSB
-/// join footprints exceed it. Returns the `multigpu-adaptive` table and
-/// the number of runs whose results [`drift`]ed.
-fn adaptive_sweep(
-    db: &Database,
-    queries: &[PlanNode],
-    ks: &[usize],
-    users: usize,
-) -> (FigTable, u64) {
-    let mut table = FigTable::new(
-        "multigpu-adaptive",
-        "SSB on a 128 KiB-heap fleet: static model + CPU fallback vs \
-         adaptive model + chunked staging",
-    )
-    .with_columns([
-        "K",
-        "Strategy",
-        "Model",
-        "Makespan [ms]",
-        "Aborts",
-        "Oversize",
-        "MedianErr %",
-    ]);
-    // A heap a fraction of the scaling sweep's (memory minus cache =
-    // 128 KiB): the fact-table joins' working footprints no longer fit,
-    // so placement either aborts them mid-flight (static rows) or stages
-    // them in chunks (adaptive rows).
-    let sim_base =
-        SimConfig::default().with_gpu_memory(384 * 1024).with_gpu_cache(256 * 1024);
-    let mut failures = 0u64;
-    let mut baseline: Option<ResultFingerprints> = None;
-    for &k in ks {
-        let runner = WorkloadRunner::new(db, sim_base.clone().with_coprocessors(k));
-        for strategy in [Strategy::GpuPreferred, Strategy::Chopping] {
-            for (model, kind, staged) in [
-                ("static", CostModelKind::Static, false),
-                ("adaptive", CostModelKind::Adaptive { seed: 42 }, true),
-            ] {
-                let mut cfg =
-                    RunnerConfig::default().with_users(users).with_cost_model(kind);
-                if staged {
-                    cfg = cfg.with_chunked_staging();
-                }
-                let report =
-                    runner.run(queries, strategy, &cfg).expect("adaptive sweep run");
-                let run = format!("adaptive K={k} {} {model}", strategy.name());
-                failures += drift(&mut baseline, &report, &run);
-                table.push_row([
-                    k.to_string(),
-                    strategy.name().to_string(),
-                    model.to_string(),
-                    ms(report.metrics.makespan),
-                    report.metrics.aborts.to_string(),
-                    report.staging.oversize_fallbacks.to_string(),
-                    match median_err_pct(&report) {
-                        Some(pct) => format!("{pct:.2}"),
-                        None => "-".to_string(),
-                    },
-                ]);
-            }
-        }
-    }
-    (table, failures)
-}
+const ADAPTIVE_COLUMNS: [Column<Strategy, CostModelKind, RunReport>; 7] = [
+    ("K", |p, _| p.k.to_string()),
+    ("Strategy", |p, _| p.value.name().to_string()),
+    ("Model", |p, _| {
+        let model = if p.contender == CostModelKind::Static { "static" } else { "adaptive" };
+        model.to_string()
+    }),
+    ("Makespan [ms]", |_, r| ms(r.metrics.makespan)),
+    ("Aborts", |_, r| r.metrics.aborts.to_string()),
+    ("Oversize", |_, r| r.staging.oversize_fallbacks.to_string()),
+    // Median est-vs-actual relative error over the run's model samples;
+    // `-` when the policy records none (plan-time pinning strategies
+    // never consult a cost model).
+    ("MedianErr %", |_, r| {
+        let mut errs: Vec<f64> = r.model_samples.iter().map(ModelUpdate::relative_error).collect();
+        errs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
+        errs.get(errs.len() / 2).map_or("-".to_string(), |e| format!("{:.2}", 100.0 * e))
+    }),
+];
 
 fn main() {
     let args = or_exit("multigpu", parse_args());
-    let max_k = *args.common.ks.iter().max().expect("ks non-empty");
 
     let ssb_db: Database = SsbGenerator::new(1).with_rows_per_sf(args.common.rows).generate();
     let tpch_db: Database = TpchGenerator::new(1).with_rows_per_sf(args.common.rows).generate();
@@ -241,91 +131,71 @@ fn main() {
         ("tpch", &tpch_db, tpch::workload()),
     ];
 
-    let mut tables = Vec::new();
-    let mut failures = 0u64;
+    let mut contenders: Vec<Contender> = FLEET_STRATEGIES.iter().map(|&s| (s, false)).collect();
+    if args.shard {
+        contenders.extend([(Strategy::Chopping, true), (Strategy::DataDrivenChopping, true)]);
+    }
+    let mut driver = Driver::new("multigpu", &args.common);
     for (name, db, queries) in &workloads {
-        let table = FigTable::new(
-            format!("multigpu-{name}"),
-            format!("{name} workload swept over K co-processors (shared-queue executor)"),
-        )
-        .with_columns([
-            "K",
-            "Strategy",
-            "Makespan [ms]",
-            "Mean latency [ms]",
-            "Aborts",
-            "Cache hit %",
-            "Busy per device [ms]",
-        ]);
-        let mut sweep = Sweep { name, table, baseline: None, failures: 0 };
-        for &k in &args.common.ks {
-            let runner = WorkloadRunner::new(db, fleet_sim().with_coprocessors(k));
-            for strategy in FLEET_STRATEGIES {
-                // With --shard the traced run is the sharded one below,
-                // so the shard lanes reach trace-lint.
-                let trace_this = args.common.trace.is_some()
-                    && !args.shard
-                    && *name == "ssb"
-                    && k == max_k
-                    && strategy == Strategy::DataDrivenChopping;
-                let mut cfg = RunnerConfig::default().with_users(args.common.users);
-                if trace_this {
-                    cfg = cfg.with_trace();
-                }
-                let report = runner.run(queries, strategy, &cfg).expect("sweep run");
-                sweep.record(k, strategy.name(), &report);
-                if trace_this {
-                    let path = args.common.trace.as_deref().expect("trace path");
-                    sweep.export_trace(path, &report);
-                }
+        let sweep = Sweep {
+            id: format!("multigpu-{name}"),
+            title: format!("{name} workload swept over K co-processors (shared-queue executor)"),
+            columns: &FLEET_COLUMNS,
+            values: &[()],
+            contenders: &contenders,
+            // With --shard the traced run is the sharded one, so the
+            // shard lanes reach trace-lint.
+            traced: (*name == "ssb").then_some(((), (Strategy::DataDrivenChopping, args.shard))),
+            same_results: Some(RunReport::result_fingerprints),
+        };
+        driver.sweep(sweep, |p, trace| {
+            let runner = WorkloadRunner::new(db, fleet_sim().with_coprocessors(p.k));
+            let mut cfg = RunnerConfig::default().with_users(args.common.users);
+            cfg.trace = trace;
+            let (strategy, shard) = p.contender;
+            if !shard {
+                return runner.run(queries, strategy, &cfg).expect("sweep run");
             }
-            if args.shard {
-                // K-way sharded leaf scans under the shard-aware
-                // strategies. The data-placement manager partitions large
-                // tables with the same `ways` so shards find their slice.
-                let sharded: [(&'static str, Box<dyn PlacementPolicy>); 2] = [
-                    ("Chopping + Shard", Box::new(Chopping::new())),
-                    (
-                        "Data-Driven Chopping + Shard",
-                        Box::new(DataDrivenChopping::with_manager(
-                            DataPlacementManager::lfu()
-                                .with_sharding(k, args.replicate_max_bytes),
-                        )),
-                    ),
-                ];
-                for (label, mut policy) in sharded {
-                    let trace_this = args.common.trace.is_some()
-                        && *name == "ssb"
-                        && k == max_k
-                        && label == "Data-Driven Chopping + Shard";
-                    let mut cfg = RunnerConfig::default()
-                        .with_users(args.common.users)
-                        .with_sharding(k, 0.0);
-                    if trace_this {
-                        cfg = cfg.with_trace();
-                    }
-                    let report = runner
-                        .run_with_policy(queries, policy.as_mut(), label, &cfg)
-                        .expect("sharded sweep run");
-                    sweep.record(k, label, &report);
-                    if trace_this {
-                        let path = args.common.trace.as_deref().expect("trace path");
-                        sweep.export_trace(path, &report);
-                    }
+            // K-way sharded leaf scans; the data placement manager
+            // partitions large tables the same `ways` so shards find
+            // their slice.
+            let manager = DataPlacementManager::lfu().with_sharding(p.k, REPLICATE_MAX_BYTES);
+            let (label, mut policy): (_, Box<dyn PlacementPolicy>) = match strategy {
+                Strategy::Chopping => ("Chopping + Shard", strategy.build()),
+                _ => {
+                    let policy = DataDrivenChopping::with_manager(manager);
+                    ("Data-Driven Chopping + Shard", Box::new(policy))
                 }
-            }
-        }
-        failures += sweep.failures;
-        tables.push(sweep.table);
+            };
+            let cfg = cfg.with_sharding(p.k, 0.0);
+            runner.run_with_policy(queries, &mut *policy, label, &cfg).expect("sharded sweep run")
+        });
     }
 
     if args.adaptive {
-        let ssb_queries = &workloads[0].2;
-        let (table, fails) =
-            adaptive_sweep(&ssb_db, ssb_queries, &args.common.ks, args.common.users);
-        failures += fails;
-        tables.push(table);
+        // A heap a fraction of the scaling sweep's (memory minus cache =
+        // 128 KiB): the fact-table joins' working footprints no longer
+        // fit, so placement either aborts them mid-flight (static rows)
+        // or stages them in chunks (adaptive rows).
+        let sim = SimConfig::default().with_gpu_memory(384 * 1024).with_gpu_cache(256 * 1024);
+        let sweep = Sweep {
+            id: "multigpu-adaptive".to_string(),
+            title: "SSB on a 128 KiB-heap fleet: static model + CPU fallback vs \
+                    adaptive model + chunked staging"
+                .to_string(),
+            columns: &ADAPTIVE_COLUMNS,
+            values: &[Strategy::GpuPreferred, Strategy::Chopping],
+            contenders: &MODELS,
+            traced: None,
+            same_results: Some(RunReport::result_fingerprints),
+        };
+        driver.sweep(sweep, |p, _| {
+            let mut cfg =
+                RunnerConfig::default().with_users(args.common.users).with_cost_model(p.contender);
+            cfg.exec.chunked_staging = p.contender != CostModelKind::Static;
+            let runner = WorkloadRunner::new(&ssb_db, sim.clone().with_coprocessors(p.k));
+            runner.run(&workloads[0].2, p.value, &cfg).expect("adaptive sweep run")
+        });
     }
-
-    finish_sweep("multigpu", &args.common.out, &tables, failures);
+    driver.finish();
 }

@@ -29,9 +29,8 @@
 use robustq::prelude::*;
 use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
-use robustq_bench::table::{ms, FigTable};
-use robustq_bench::{export_trace, finish_sweep};
-use robustq_trace::MetricsRegistry;
+use robustq_bench::sweep::{Column, Driver, Sweep};
+use robustq_bench::table::ms;
 use robustq_workloads::{ssb, SsbQuery, SsbStreamGen};
 
 /// The sweep's fixed shape: background Poisson arrival rate, feed
@@ -49,49 +48,48 @@ struct Args {
     windows_us: Vec<u64>,
 }
 
-fn parse_args() -> Result<Args, EngineError> {
-    let mut args = Args {
-        common: CommonArgs::new("BENCH_streaming.json"),
-        windows_us: vec![500, 1_000, 2_000],
-    };
-    let mut it = ArgStream::from_env();
-    while let Some(flag) = it.next_flag() {
-        if args.common.accept(&flag, &mut it)? {
-            continue;
+fn parse_args(it: ArgStream) -> Result<Args, EngineError> {
+    let mut windows_us = vec![500, 1_000, 2_000];
+    let common = CommonArgs::new("BENCH_streaming.json").parse(it, |flag, it| {
+        if flag != "--windows-us" {
+            return Ok(false);
         }
-        match flag.as_str() {
-            "--windows-us" => {
-                args.windows_us = it.parsed_list("--windows-us")?;
-                if args.windows_us.contains(&0) {
-                    return Err(EngineError::config(
-                        "--windows-us needs a comma list of periods ≥ 1",
-                    ));
-                }
-            }
-            other => return Err(ArgStream::unknown_flag(other)),
+        windows_us = it.parsed_list("--windows-us")?;
+        if windows_us.contains(&0) {
+            return Err(EngineError::config("--windows-us needs a comma list of periods ≥ 1"));
         }
-    }
-    Ok(args)
+        if windows_us.iter().any(|&us| horizon_ns(us).is_none()) {
+            return Err(EngineError::config(
+                "--windows-us: a period's horizon overflows u64 nanoseconds",
+            ));
+        }
+        Ok(true)
+    })?;
+    Ok(Args { common, windows_us })
 }
 
-fn push_row(table: &mut FigTable, k: usize, window_us: u64, report: &StreamingReport) {
-    table.push_row([
-        k.to_string(),
-        report.strategy.to_string(),
-        format!("{:.3}", window_us as f64 / 1e3),
-        report.offered_ticks.to_string(),
-        report.window_outcomes.len().to_string(),
-        report.offered_arrivals.to_string(),
-        report.metrics.shed.to_string(),
-        ms(report.tick_percentile(50.0)),
-        ms(report.tick_p99()),
-        ms(report.arrival_percentile(99.0)),
-    ]);
+/// The run's horizon for a `window_us` period, in nanoseconds: one batch
+/// per tumbling tick, and room for the last tick to drain. `None` where
+/// it overflows u64.
+fn horizon_ns(window_us: u64) -> Option<u64> {
+    window_us.checked_mul(1_000)?.checked_mul(BATCHES as u64 + 2)
 }
+
+const COLUMNS: [Column<u64, Strategy, StreamingReport>; 10] = [
+    ("K", |p, _| p.k.to_string()),
+    ("Strategy", |_, r| r.strategy.to_string()),
+    ("Window [ms]", |p, _| format!("{:.3}", p.value as f64 / 1e3)),
+    ("Ticks", |_, r| r.offered_ticks.to_string()),
+    ("Ticks done", |_, r| r.window_outcomes.len().to_string()),
+    ("Arrivals", |_, r| r.offered_arrivals.to_string()),
+    ("Shed", |_, r| r.metrics.shed.to_string()),
+    ("Tick p50 [ms]", |_, r| ms(r.tick_percentile(50.0))),
+    ("Tick p99 [ms]", |_, r| ms(r.tick_p99())),
+    ("Arrival p99 [ms]", |_, r| ms(r.arrival_percentile(99.0))),
+];
 
 fn main() {
-    let args = or_exit("streaming", parse_args());
-    let max_k = *args.common.ks.iter().max().expect("ks non-empty");
+    let args = or_exit("streaming", parse_args(ArgStream::from_env()));
     let min_window = *args.windows_us.iter().min().expect("windows non-empty");
 
     let data = SsbStreamGen::new(1)
@@ -102,103 +100,55 @@ fn main() {
         .expect("SSB-stream build");
     let mix = QueryMix::zipf(ssb::workload(&data.db).expect("SSB plans"), THETA);
 
-    let mut table = FigTable::new(
-        "streaming-ssb",
-        "SSB-stream standing queries: window-tick latency vs window period",
-    )
-    .with_columns([
-        "K",
-        "Strategy",
-        "Window [ms]",
-        "Ticks",
-        "Ticks done",
-        "Arrivals",
-        "Shed",
-        "Tick p50 [ms]",
-        "Tick p99 [ms]",
-        "Arrival p99 [ms]",
-    ]);
-    let mut failures = 0u64;
+    let mut driver = Driver::new("streaming", &args.common);
+    let sweep = Sweep {
+        id: "streaming-ssb".to_string(),
+        title: "SSB-stream standing queries: window-tick latency vs window period".to_string(),
+        columns: &COLUMNS,
+        values: &args.windows_us,
+        contenders: &FLEET_STRATEGIES,
+        traced: Some((min_window, Strategy::DataDrivenChopping)),
+        same_results: None,
+    };
+    driver.sweep(sweep, |p, trace| {
+        let period = VirtualTime::from_micros(p.value);
+        let ticks = BATCHES as u32;
+        let sliding = WindowKind::Sliding { length: VirtualTime::from_micros(2 * p.value) };
+        let standing = vec![
+            data.standing_query(SsbQuery::Q1_1, WindowKind::Tumbling, period, ticks)
+                .expect("Q1.1 plans"),
+            data.standing_query(SsbQuery::Q3_3, sliding, period, ticks).expect("Q3.3 plans"),
+        ];
+        let horizon = VirtualTime::from_nanos(horizon_ns(p.value).expect("checked when parsed"));
+        let mut cfg = ServeConfig::new(ArrivalProcess::Poisson { rate_qps: RATE_QPS }, horizon)
+            .with_seed(SEED)
+            .with_admission_limit(args.common.users)
+            .with_queue_cap(QUEUE_CAP);
+        cfg.trace = trace;
+        let runner = ServingRunner::new(&data.db, fleet_sim().with_coprocessors(p.k));
+        let feed = data.feed_schedule(period, period);
+        runner.run_streaming(&mix, feed, standing, p.contender, &cfg).expect("sweep run")
+    });
+    driver.finish();
+}
 
-    for &k in &args.common.ks {
-        let runner = ServingRunner::new(&data.db, fleet_sim().with_coprocessors(k));
-        for &window_us in &args.windows_us {
-            let period = VirtualTime::from_micros(window_us);
-            let ticks = BATCHES as u32;
-            // One batch per tumbling tick; horizon leaves the last tick
-            // room to drain.
-            let horizon =
-                VirtualTime::from_nanos(period.as_nanos() * (ticks as u64 + 2));
-            let feed = data.feed_schedule(period, period);
-            let standing = vec![
-                data.standing_query(SsbQuery::Q1_1, WindowKind::Tumbling, period, ticks)
-                    .expect("Q1.1 plans"),
-                data.standing_query(
-                    SsbQuery::Q3_3,
-                    WindowKind::Sliding {
-                        length: VirtualTime::from_nanos(2 * period.as_nanos()),
-                    },
-                    period,
-                    ticks,
-                )
-                .expect("Q3.3 plans"),
-            ];
-            for strategy in FLEET_STRATEGIES {
-                let trace_this = args.common.trace.is_some()
-                    && k == max_k
-                    && window_us == min_window
-                    && strategy == Strategy::DataDrivenChopping;
-                let mut cfg = ServeConfig::new(
-                    ArrivalProcess::Poisson { rate_qps: RATE_QPS },
-                    horizon,
-                )
-                .with_seed(SEED)
-                .with_admission_limit(args.common.users)
-                .with_queue_cap(QUEUE_CAP);
-                if trace_this {
-                    cfg = cfg.with_trace();
-                }
-                let report = runner
-                    .run_streaming(&mix, feed.clone(), standing.clone(), strategy, &cfg)
-                    .expect("sweep run");
-                let offered = report.offered_arrivals + report.offered_ticks;
-                if offered != report.completed() + report.metrics.shed as usize {
-                    eprintln!(
-                        "streaming: FAIL: K={k} window={window_us}us {}: offered \
-                         {offered} != completed {} + shed {}",
-                        report.strategy,
-                        report.completed(),
-                        report.metrics.shed,
-                    );
-                    failures += 1;
-                }
-                if report.window_outcomes.is_empty() {
-                    eprintln!(
-                        "streaming: FAIL: K={k} window={window_us}us {}: no window \
-                         tick completed",
-                        report.strategy,
-                    );
-                    failures += 1;
-                }
-                push_row(&mut table, k, window_us, &report);
-                if trace_this {
-                    let path = args.common.trace.as_deref().expect("trace path");
-                    let trace = report.trace.as_ref().expect("traced run records events");
-                    let registry = MetricsRegistry::from_events(&trace.events);
-                    if registry.counter("appends") == 0
-                        || registry.counter("window_fires") == 0
-                    {
-                        eprintln!(
-                            "streaming: FAIL: traced run recorded no appends or \
-                             window fires"
-                        );
-                        failures += 1;
-                    }
-                    failures += export_trace("streaming", path, trace);
-                }
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, EngineError> {
+        parse_args(ArgStream::from_args(args.iter().map(|s| s.to_string())))
     }
 
-    finish_sweep("streaming", &args.common.out, &[table], failures);
+    #[test]
+    fn periods_whose_horizon_wraps_are_config_errors() {
+        // Ten periods of the first are just past u64::MAX nanoseconds;
+        // the second wraps on its own.
+        for bad in ["1844674407370956", "500,18446744073709552"] {
+            let err = parse(&["--windows-us", bad]).err().expect(bad);
+            assert!(err.to_string().contains("overflows"), "{bad}: {err}");
+        }
+        let fits = (u64::MAX / 10_000).to_string();
+        assert_eq!(parse(&["--windows-us", &fits]).unwrap().windows_us, [u64::MAX / 10_000]);
+    }
 }

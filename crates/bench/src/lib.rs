@@ -19,6 +19,7 @@ pub mod args;
 pub mod claims;
 pub mod figures;
 pub mod machine;
+pub mod sweep;
 pub mod table;
 
 pub use machine::{Effort, MicroSetup, WorkloadKind, WorkloadSetup};
@@ -40,63 +41,6 @@ pub fn traced_reference_run(effort: Effort) -> robustq_workloads::RunReport {
     runner
         .run(&queries, robustq_core::Strategy::DataDrivenChopping, &cfg)
         .expect("traced reference run")
-}
-
-/// Stream a traced run's Chrome `trace_event` export to `path`, reporting
-/// on stderr under `bin`'s name (stdout stays the bin's tables). A ring
-/// that dropped events — the export, and anything re-derived from it,
-/// would silently under-report — or a failed write counts as a failure;
-/// returns how many there were, for the caller's exit status.
-pub fn export_trace(bin: &str, path: &str, trace: &robustq_trace::TraceData) -> u64 {
-    let mut failures = 0;
-    if trace.dropped > 0 {
-        eprintln!("{bin}: FAIL: trace ring overflowed ({} events dropped)", trace.dropped);
-        failures += 1;
-    }
-    let written = std::fs::File::create(path).and_then(|file| {
-        let mut w = std::io::BufWriter::new(file);
-        robustq_trace::write_chrome_trace(&trace.events, &mut w)?;
-        std::io::Write::flush(&mut w)
-    });
-    match written {
-        Ok(()) => eprintln!("{bin}: wrote {} trace events to {path}", trace.events.len()),
-        Err(e) => {
-            eprintln!("{bin}: cannot write {path}: {e}");
-            failures += 1;
-        }
-    }
-    failures
-}
-
-/// Write a sweep's tables to `out` as the `{"tables": [...]}` document
-/// `bench-diff` reads, confirming with `wrote …` on stdout. A failed
-/// write is reported on stderr under `bin`'s name and returned as one
-/// failure, for the caller's exit status.
-pub fn write_tables(bin: &str, out: &str, tables: &[FigTable]) -> u64 {
-    match std::fs::write(out, table::tables_json(tables)) {
-        Ok(()) => {
-            println!("wrote {out}");
-            0
-        }
-        Err(e) => {
-            eprintln!("{bin}: cannot write {out}: {e}");
-            1
-        }
-    }
-}
-
-/// The tail of every table sweep: print the tables, write them to `out`
-/// ([`write_tables`]), and exit with status 1 if the sweep's self-checks
-/// or the write counted any failure.
-pub fn finish_sweep(bin: &str, out: &str, tables: &[FigTable], failures: u64) {
-    for table in tables {
-        println!("{table}");
-    }
-    let failures = failures + write_tables(bin, out, tables);
-    if failures > 0 {
-        eprintln!("{bin}: {failures} failure(s)");
-        std::process::exit(1);
-    }
 }
 
 /// A figure's id and generator.

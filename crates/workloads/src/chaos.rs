@@ -1,9 +1,11 @@
 //! The chaos harness (DESIGN.md §12): the seeded fault shapes and the
 //! invariants every faulted run must keep, shared by `tests/chaos.rs` and
-//! the `chaos` sweep bin.
+//! the `chaos` sweep bin; the sweep driver applies [`conservation`] to
+//! every sweep point.
 
 use crate::runner::{ResultFingerprints, RunReport};
 use robustq_engine::exec::metrics::FaultCounters;
+use robustq_engine::RunMetrics;
 use robustq_sim::{FaultSpec, VirtualTime};
 
 /// Names of the fault-model shapes, indexed by `seed % 5`.
@@ -11,11 +13,12 @@ pub const FAULT_SHAPES: [&str; 5] = ["alloc", "transfer", "kernel", "stall", "mi
 
 /// One of the five [`FAULT_SHAPES`], cycled over the seed range so a
 /// sweep covers allocation faults, transfer faults, kernel aborts, stalls
-/// and a mixed plan. `horizon` (the fault-free makespan) scales the stall
-/// windows.
-pub fn fault_shape(seed: u64, horizon: VirtualTime) -> FaultSpec {
+/// and a mixed plan: the shape's index into [`FAULT_SHAPES`] and its
+/// spec. `horizon` (the fault-free makespan) scales the stall windows.
+pub fn fault_shape(seed: u64, horizon: VirtualTime) -> (usize, FaultSpec) {
+    let shape = (seed % FAULT_SHAPES.len() as u64) as usize;
     let mut spec = FaultSpec::default();
-    match seed % 5 {
+    match shape {
         0 => spec.alloc_fail_prob = 0.25,
         1 => {
             spec.transfer_transient_prob = 0.15;
@@ -45,18 +48,31 @@ pub fn fault_shape(seed: u64, horizon: VirtualTime) -> FaultSpec {
                 (VirtualTime::from_nanos(1 + horizon.as_nanos() / 20), VirtualTime::ZERO);
         }
     }
-    spec
+    (shape, spec)
 }
 
-/// Every invariant the chaos harness checks after a faulted run, against
-/// the fault-free `baseline` fingerprints; returns human-readable
-/// violations (empty = the run is clean).
+/// The conservation invariants every run keeps, faulted or not: the
+/// co-processor heap drained, and the executor's transfer accounting
+/// equals the interconnect's own statistics. Returns what failed; the
+/// sweep driver's check list applies it to every sweep point.
+pub fn conservation(m: &RunMetrics) -> Vec<String> {
+    let checks = [
+        (m.gpu_heap_leaked == 0, format!("heap leaked {} bytes", m.gpu_heap_leaked)),
+        (m.h2d_bytes == m.link_h2d.bytes, "H2D byte accounting split".to_string()),
+        (m.d2h_bytes == m.link_d2h.bytes, "D2H byte accounting split".to_string()),
+        (m.h2d_time == m.link_h2d.busy_time, "H2D time accounting split".to_string()),
+        (m.d2h_time == m.link_d2h.busy_time, "D2H time accounting split".to_string()),
+    ];
+    checks.into_iter().filter(|(ok, _)| !ok).map(|(_, msg)| msg).collect()
+}
+
+/// The invariants particular to a faulted run, against the fault-free
+/// `baseline` fingerprints; returns human-readable violations (empty =
+/// the run is clean). A faulted run keeps [`conservation`] too.
 ///
 ///  1. Differential: results are bit-identical per `(session, seq)` —
 ///     faults change timing and placement, never answers.
-///  2. Conservation: the co-processor heap drained, and the executor's
-///     transfer accounting agrees with the interconnect's own statistics.
-///  3. Fault-metric consistency: the executor's injection count matches
+///  2. Fault-metric consistency: the executor's injection count matches
 ///     the plan's, retries never exceed the transient faults that caused
 ///     them, aborts cover fallbacks, wasted time stays within total
 ///     device time, and the per-query counters never exceed the run
@@ -85,12 +101,6 @@ pub fn violations(report: &RunReport, baseline: &ResultFingerprints) -> Vec<Stri
             None => push(false, format!("unknown slot ({}, {})", o.session, o.seq)),
         }
     }
-
-    push(m.gpu_heap_leaked == 0, format!("heap leaked {} bytes", m.gpu_heap_leaked));
-    push(m.h2d_bytes == m.link_h2d.bytes, "H2D byte accounting split".into());
-    push(m.d2h_bytes == m.link_d2h.bytes, "D2H byte accounting split".into());
-    push(m.h2d_time == m.link_h2d.busy_time, "H2D time accounting split".into());
-    push(m.d2h_time == m.link_d2h.busy_time, "D2H time accounting split".into());
 
     push(
         m.faults.injected == m.fault_stats.injected,

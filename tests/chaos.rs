@@ -1,7 +1,7 @@
 //! Chaos/differential tests for the fault-injection subsystem
 //! (DESIGN.md §12): hundreds of seeded fault plans are thrown at full
 //! workload runs, and after every run the harness
-//! (`robustq::workloads::chaos::violations`) asserts that
+//! (`robustq::workloads::chaos::{violations, conservation}`) asserts that
 //!
 //!  1. query results are bit-identical to the fault-free run — faults
 //!     change timing and placement, never answers;
@@ -22,7 +22,7 @@ use robustq::core::Strategy;
 use robustq::sim::{FaultPlan, FaultSpec, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::Database;
-use robustq::workloads::chaos::{fault_shape, violations};
+use robustq::workloads::chaos::{conservation, fault_shape, violations, FAULT_SHAPES};
 use robustq::workloads::{micro, ssb, RunnerConfig, WorkloadRunner};
 
 /// Seeds per workload; two workloads give ≥ 200 fault plans total.
@@ -57,13 +57,17 @@ fn chaos_sweep(
     let mut injected_total = 0;
     for i in 0..SEEDS_PER_WORKLOAD {
         let seed = base_seed + i;
-        let plan = FaultPlan::new(seed, fault_shape(seed, horizon));
-        let cfg = RunnerConfig::default().with_users(users).with_fault_plan(plan);
+        let (shape, spec) = fault_shape(seed, horizon);
+        let shape = FAULT_SHAPES[shape];
+        let cfg = RunnerConfig::default()
+            .with_users(users)
+            .with_fault_plan(FaultPlan::new(seed, spec));
         let report = runner
             .run(queries, Strategy::GpuPreferred, &cfg)
-            .unwrap_or_else(|e| panic!("{label}: seed {seed} failed: {e}"));
-        let bad = violations(&report, &map);
-        assert!(bad.is_empty(), "{label} seed {seed}: {bad:#?}");
+            .unwrap_or_else(|e| panic!("{label}: seed {seed} ({shape}) failed: {e}"));
+        let mut bad = violations(&report, &map);
+        bad.extend(conservation(&report.metrics));
+        assert!(bad.is_empty(), "{label} seed {seed} ({shape}): {bad:#?}");
         injected_total += report.metrics.faults.injected;
     }
     injected_total
@@ -97,7 +101,7 @@ fn chaos_recovery_paths_are_exercised() {
     let mut fallbacks = 0;
     let mut wasted = VirtualTime::ZERO;
     for seed in [1u64, 6, 11, 2, 7, 12, 4, 9, 14] {
-        let plan = FaultPlan::new(seed, fault_shape(seed, VirtualTime::from_millis(10)));
+        let plan = FaultPlan::new(seed, fault_shape(seed, VirtualTime::from_millis(10)).1);
         let cfg = RunnerConfig::default().with_users(2).with_fault_plan(plan);
         let report = runner.run(&queries, Strategy::GpuPreferred, &cfg).expect("runs");
         retries += report.metrics.faults.retries;
