@@ -132,7 +132,7 @@ fn collect_footprint(
     total: &mut u64,
 ) {
     if let Some((table, cols)) = node.op().scan_access() {
-        for c in &cols {
+        for c in cols {
             if let Some(id) = db.column_id(table, c) {
                 if seen.insert(id) {
                     *total += db.column_size(id);

@@ -158,24 +158,6 @@ pub struct Group {
     pub sel: SelVec,
 }
 
-impl Group {
-    /// `right` beside `left`, named as [`Chunk::zip`] names the gathered
-    /// sides (a renamed base shares its columns with the old one).
-    pub fn zip(mut left: Vec<Group>, right: Vec<Group>) -> Vec<Group> {
-        for Group { base, sel } in right {
-            let mut renamed = Chunk { fields: Vec::new(), columns: base.columns.clone() };
-            for f in &base.fields {
-                let taken = |n: &str| {
-                    renamed.index_of(n).or(left.iter().find_map(|g| g.base.index_of(n))).is_some()
-                };
-                renamed.fields.push(Field::new(unique_name(f.name.clone(), taken), f.data_type));
-            }
-            left.push(Group { base: Arc::new(renamed), sel });
-        }
-        left
-    }
-}
-
 impl LazyChunk {
     /// The groups of the lazy form; none when materialized.
     pub fn groups(&self) -> &[Group] {
@@ -223,27 +205,78 @@ impl LazyChunk {
     /// or one no group holds, the whole row instead: the kernel then counts
     /// the rows, or reports the column, as it does to the oracle.
     pub fn gather(&self, columns: &[&str]) -> Chunk {
-        let column = |name: &&str| {
-            let (i, g) = self.groups().iter().find_map(|g| Some((g.base.index_of(name)?, g)))?;
-            let data = g.base.columns[i].gather(g.sel.positions());
-            Some((g.base.fields[i].clone(), Arc::new(data)))
-        };
-        match columns.iter().map(column).collect::<Option<(Vec<_>, Vec<_>)>>() {
-            Some((fields, columns)) if !fields.is_empty() => Chunk { fields, columns },
-            _ => self.clone().materialize(),
+        let mut fields = Vec::with_capacity(columns.len());
+        let mut data = Vec::with_capacity(columns.len());
+        for name in columns {
+            let Some((i, g)) = self.groups().iter().find_map(|g| Some((g.base.index_of(name)?, g)))
+            else {
+                return self.clone().materialize();
+            };
+            fields.push(g.base.fields[i].clone());
+            data.push(Arc::new(g.base.columns[i].gather(g.sel.positions())));
         }
+        if fields.is_empty() {
+            return self.clone().materialize();
+        }
+        Chunk { fields, columns: data }
     }
 
     /// The groups at stream indices `idx` (of a materialized chunk: rows).
     pub fn compose(&self, idx: Vec<u32>) -> Vec<Group> {
+        let mut groups = Vec::with_capacity(self.groups().len().max(1));
+        self.compose_into(idx, &mut groups);
+        groups
+    }
+
+    /// [`LazyChunk::compose`], appended to `out`.
+    fn compose_into(&self, idx: Vec<u32>, out: &mut Vec<Group>) {
         match self {
             LazyChunk::Materialized(c) => {
-                vec![Group { base: Arc::new(c.clone()), sel: SelVec(Repr::List(idx)) }]
+                out.push(Group { base: Arc::new(c.clone()), sel: SelVec(Repr::List(idx)) })
             }
-            LazyChunk::Groups(groups) => groups
-                .iter()
-                .map(|g| Group { base: Arc::clone(&g.base), sel: g.sel.compose(&idx) })
-                .collect(),
+            LazyChunk::Groups(groups) => out.extend(
+                groups.iter().map(|g| Group { base: Arc::clone(&g.base), sel: g.sel.compose(&idx) }),
+            ),
+        }
+    }
+
+    /// `left`'s rows at stream indices `left_idx` beside `right`'s at
+    /// `right_idx` — an inner join's output — in one list of groups, named
+    /// as [`Chunk::zip`] names the gathered sides. A right base no name of
+    /// which changes is handed on as it is; a renamed one shares its
+    /// columns with the old one.
+    pub fn zip(left: &LazyChunk, left_idx: Vec<u32>, right: &LazyChunk, right_idx: Vec<u32>) -> LazyChunk {
+        let width = |side: &LazyChunk| side.groups().len().max(1);
+        let mut groups = Vec::with_capacity(width(left) + width(right));
+        left.compose_into(left_idx, &mut groups);
+        let first_right = groups.len();
+        right.compose_into(right_idx, &mut groups);
+        for i in first_right..groups.len() {
+            let (before, rest) = groups.split_at_mut(i);
+            let taken = |n: &str| before.iter().any(|g| g.base.index_of(n).is_some());
+            let base = &rest[0].base;
+            let clashes = base.fields.iter().enumerate().any(|(j, f)| {
+                taken(&f.name) || base.fields[..j].iter().any(|g| g.name == f.name)
+            });
+            if clashes {
+                let mut renamed =
+                    Chunk { fields: Vec::with_capacity(base.fields.len()), columns: base.columns.clone() };
+                for f in &base.fields {
+                    let name = unique_name(&f.name, |n| renamed.index_of(n).is_some() || taken(n));
+                    renamed.fields.push(Field { name, data_type: f.data_type });
+                }
+                rest[0].base = Arc::new(renamed);
+            }
+        }
+        LazyChunk::Groups(groups)
+    }
+
+    /// The rows at stream indices `idx`, assembled: one gather per group.
+    pub fn rows_at(&self, idx: &[u32]) -> Chunk {
+        let rows = |g: &Group| g.base.gather(g.sel.compose(idx).positions());
+        match self {
+            LazyChunk::Materialized(c) => c.gather(idx),
+            LazyChunk::Groups(groups) => groups.iter().map(rows).reduce(Chunk::zip).expect("a group"),
         }
     }
 
@@ -264,12 +297,17 @@ impl From<Chunk> for LazyChunk {
 }
 
 /// `name`, suffixed with `_r` until `taken` no longer holds it: how a join
-/// keeps its right side's names apart from everything to their left.
-fn unique_name(mut name: String, taken: impl Fn(&str) -> bool) -> String {
-    while taken(&name) {
-        name.push_str("_r");
+/// keeps its right side's names apart from everything to their left. A
+/// name no suffix changes is shared, not copied.
+fn unique_name(name: &Arc<str>, taken: impl Fn(&str) -> bool) -> Arc<str> {
+    if !taken(name) {
+        return Arc::clone(name);
     }
-    name
+    let mut renamed = format!("{name}_r");
+    while taken(&renamed) {
+        renamed.push_str("_r");
+    }
+    renamed.into()
 }
 
 /// A fully materialized intermediate result. Columns are shared by
@@ -312,7 +350,7 @@ impl Chunk {
     /// leaves the chunk as it was (copy-on-write, see `Table`).
     ///
     /// Column order follows `columns`; unknown names are an error.
-    pub fn from_table(table: &Table, columns: &[&str]) -> Result<Self, String> {
+    pub fn from_table(table: &Table, columns: &[impl AsRef<str>]) -> Result<Self, String> {
         Self::table_columns(table, columns, |idx| Arc::clone(&table.columns()[idx]))
     }
 
@@ -323,7 +361,7 @@ impl Chunk {
     /// the full table.
     pub fn from_table_range(
         table: &Table,
-        columns: &[&str],
+        columns: &[impl AsRef<str>],
         lo: usize,
         hi: usize,
     ) -> Result<Self, String> {
@@ -332,12 +370,13 @@ impl Chunk {
 
     fn table_columns(
         table: &Table,
-        columns: &[&str],
+        columns: &[impl AsRef<str>],
         column: impl Fn(usize) -> Arc<ColumnData>,
     ) -> Result<Self, String> {
         let mut fields = Vec::with_capacity(columns.len());
         let mut data = Vec::with_capacity(columns.len());
         for name in columns {
+            let name = name.as_ref();
             let idx = table
                 .schema()
                 .index_of(name)
@@ -375,7 +414,7 @@ impl Chunk {
 
     /// Index of the column named `name`.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
+        self.fields.iter().position(|f| &*f.name == name)
     }
 
     /// Column by name.
@@ -390,7 +429,7 @@ impl Chunk {
                 "no column {name} in chunk (have: {})",
                 self.fields
                     .iter()
-                    .map(|f| f.name.as_str())
+                    .map(|f| &*f.name)
                     .collect::<Vec<_>>()
                     .join(", ")
             )
@@ -416,7 +455,7 @@ impl Chunk {
     /// A right-side name is suffixed with `_r` until no column has it.
     pub fn zip(mut self, right: Chunk) -> Chunk {
         for (mut f, c) in right.fields.into_iter().zip(right.columns) {
-            f.name = unique_name(f.name, |n| self.index_of(n).is_some());
+            f.name = unique_name(&f.name, |n| self.index_of(n).is_some());
             self.fields.push(f);
             self.columns.push(c);
         }

@@ -12,6 +12,7 @@ use crate::parallel::ParallelCtx;
 use crate::plan::{JoinKind, Op, PlanNode};
 use robustq_sim::OpClass;
 use robustq_storage::Database;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -109,6 +110,7 @@ impl Op {
                     probe_key,
                     *kind,
                     ctx,
+                    None,
                 )?;
                 let out = probe.gather(&probe_idx);
                 Ok(if *kind == JoinKind::Inner { out.zip(build.gather(&build_idx)) } else { out })
@@ -160,7 +162,6 @@ impl Op {
         ctx: ParallelCtx,
         window: Option<(&str, usize, usize)>,
     ) -> Result<LazyChunk, String> {
-        let mut names = Vec::new();
         Ok(match self {
             Op::Scan { columns, predicate, .. } => match role {
                 Role::Merge => merge_shards(children, columns)?,
@@ -187,7 +188,7 @@ impl Op {
                         .as_ref()
                         .map(|p| ops::select::select(&chunk, None, p, ctx))
                         .transpose()?;
-                    scan_output(&chunk, columns, sel)?
+                    scan_output(Cow::Owned(chunk), columns, sel)?
                 }
             },
             _ if role != Role::Whole => {
@@ -203,7 +204,7 @@ impl Op {
                 // Else the predicate's columns, gathered, say which rows of
                 // the stream every group keeps.
                 _ => {
-                    predicate.for_each_column(&mut |n| names.push(n));
+                    let names = names_of(|mut f| predicate.for_each_column(&mut f));
                     let named = children[0].gather(&names);
                     let keep = ops::select::select(&named, None, predicate, ctx)?;
                     children[0].compose(keep.into_positions())
@@ -222,30 +223,32 @@ impl Op {
                     probe_key,
                     *kind,
                     ctx,
+                    Some(db),
                 )?;
-                let groups = probe.compose(probe_idx);
-                LazyChunk::Groups(match kind {
-                    JoinKind::Inner => Group::zip(groups, build.compose(build_idx)),
-                    JoinKind::Semi | JoinKind::Anti => groups,
-                })
+                match kind {
+                    JoinKind::Inner => LazyChunk::zip(probe, probe_idx, build, build_idx),
+                    JoinKind::Semi | JoinKind::Anti => LazyChunk::Groups(probe.compose(probe_idx)),
+                }
             }
             Op::Project { exprs } => {
-                exprs.iter().for_each(|(_, e)| e.for_each_column(&mut |n| names.push(n)));
+                let names = names_of(|mut f| exprs.iter().for_each(|(_, e)| e.for_each_column(&mut f)));
                 let (base, sel) = children[0].read(&names);
                 ops::project::project(&base, sel, exprs)?.into()
             }
             Op::Aggregate { group_by, aggs } => {
-                names.extend(group_by.iter().map(String::as_str));
-                aggs.iter().for_each(|a| a.input.for_each_column(&mut |n| names.push(n)));
+                let names = names_of(|mut f| {
+                    group_by.iter().for_each(|g| f(g));
+                    aggs.iter().for_each(|a| a.input.for_each_column(&mut f));
+                });
                 let (base, sel) = children[0].read(&names);
                 ops::agg::aggregate(&base, sel, group_by, aggs, ctx)?.into()
             }
             // The keys alone decide the order; only the rows kept are assembled.
             Op::Sort { keys, limit } => {
-                names.extend(keys.iter().map(|k| k.column.as_str()));
+                let names = names_of(|f| keys.iter().for_each(|k| f(&k.column)));
                 let (base, sel) = children[0].read(&names);
                 let order = ops::sort::order(&base, sel, keys, *limit)?;
-                LazyChunk::Groups(children[0].compose(order)).materialize().into()
+                children[0].rows_at(&order).into()
             }
         })
     }
@@ -262,11 +265,21 @@ impl Op {
         let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
         match window {
             Some((w_table, lo, hi)) if w_table == table => {
-                Chunk::from_table_range(t, &read_cols, lo, hi)
+                Chunk::from_table_range(t, read_cols, lo, hi)
             }
-            _ => Chunk::from_table(t, &read_cols),
+            _ => Chunk::from_table(t, read_cols),
         }
     }
+}
+
+/// The names `visit` hands its callback, in one list of exactly their
+/// number (what an operator reads, in the order it names them).
+fn names_of<'a>(visit: impl Fn(&mut dyn FnMut(&'a str))) -> Vec<&'a str> {
+    let mut n = 0;
+    visit(&mut |_| n += 1);
+    let mut names = Vec::with_capacity(n);
+    visit(&mut |name| names.push(name));
+    names
 }
 
 /// The merged output of a sharded scan. `shards` are its shard outputs in
@@ -299,19 +312,24 @@ fn merge_shards(shards: &[LazyChunk], columns: &[String]) -> Result<LazyChunk, S
         }
         SelVec::new(positions)
     });
-    scan_output(base, columns, Some(sel))
+    scan_output(Cow::Borrowed(base), columns, Some(sel))
 }
 
 /// The lazy output of a (merged) scan: the output `columns` of `base`
 /// seen through `sel`, nothing gathered. Predicate-only columns stay
 /// behind in `base`, so the logical byte size counts the output columns
-/// only; a selection covering every row is returned dense.
+/// only; a base that reads nothing else (the read list starts with the
+/// outputs) is the output as it is. A selection covering every row is
+/// returned dense.
 fn scan_output(
-    base: &Chunk,
+    base: Cow<'_, Chunk>,
     columns: &[String],
     sel: Option<SelVec>,
 ) -> Result<LazyChunk, String> {
-    let out = ops::project::keep_columns(base, columns)?;
+    let out = match base {
+        base if base.num_columns() == columns.len() => base.into_owned(),
+        base => ops::project::keep_columns(&base, columns)?,
+    };
     Ok(match sel {
         Some(sel) if sel.len() < out.num_rows() => {
             LazyChunk::Groups(vec![Group { base: Arc::new(out), sel }])
@@ -347,7 +365,7 @@ impl TaskNode {
 
     /// For scans, whole or one shard: [`Op::scan_access`]. A merge reads
     /// no base column.
-    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
+    pub fn scan_access(&self) -> Option<(&str, &[String])> {
         match self.role {
             Role::Merge => None,
             _ => self.op.scan_access(),

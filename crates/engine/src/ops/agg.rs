@@ -22,6 +22,7 @@ use crate::ops::hashtbl::FastMap;
 use crate::parallel::{KernelClass, ParallelCtx};
 use crate::plan::{AggFunc, AggSpec};
 use robustq_storage::{ColumnData, DataType, Field};
+use std::sync::Arc;
 
 /// An aggregate input the kernel can read per row without materializing a
 /// dense `f64` vector first.
@@ -189,6 +190,12 @@ fn fold_into(
     }
 }
 
+/// Groups a grouping map and its representatives hold before they first
+/// grow, unless fewer are all there can be: a grouping sized by the rows
+/// it reads would zero a slot array per row for the few hundred groups a
+/// large input makes.
+const START_GROUPS: usize = 512;
+
 /// Largest group table the packed keys may index (8 MB of `u32` group
 /// ids). SSB/TPC-H group keys (dates, dictionary codes, small categorical
 /// ints) pack far below this.
@@ -277,7 +284,8 @@ struct Grouper<'a> {
 
 impl<'a> Grouper<'a> {
     fn new(key_cols: &[&'a ColumnData]) -> Grouper<'a> {
-        let mut grouper = Grouper { packed: Vec::new(), range: 1, paired: Vec::new() };
+        let packed = Vec::with_capacity(key_cols.len());
+        let mut grouper = Grouper { packed, range: 1, paired: Vec::new() };
         for &col in key_cols {
             let packs = DenseKeys::try_new(col)
                 .and_then(|(keys, range)| Some((keys, grouper.range.checked_mul(range)?)));
@@ -290,6 +298,18 @@ impl<'a> Grouper<'a> {
             }
         }
         grouper
+    }
+
+    /// How many groups the grouping structures reserve for `rows` rows:
+    /// as many as there can be — the rows, or fewer when the packed keys
+    /// range over fewer values and nothing is paired onto them — up to
+    /// [`START_GROUPS`], past which they grow.
+    fn start_groups(&self, rows: usize) -> usize {
+        let rows = rows.min(START_GROUPS);
+        match self.paired.is_empty() {
+            true => rows.min(usize::try_from(self.range).unwrap_or(usize::MAX)),
+            false => rows,
+        }
     }
 
     /// Consume `rows` (global row indices), assigning dense group ids in
@@ -327,6 +347,7 @@ impl<'a> Grouper<'a> {
         word: impl Fn(u32) -> u64,
         (representative, gids): (&mut Vec<u32>, &mut Vec<u32>),
     ) {
+        let groups = self.start_groups(rows.len());
         let mut new_group = |row: u32| {
             representative.push(row);
             (representative.len() - 1) as u32
@@ -343,15 +364,16 @@ impl<'a> Grouper<'a> {
                     gids.push(*slot);
                 }
             } else {
-                let mut map: FastMap<u64> = FastMap::new();
+                let mut map: FastMap<u64> = FastMap::with_capacity(groups);
                 for row in rows {
                     gids.push(map.get_or_insert(word(row), || new_group(row)));
                 }
             }
             return;
         };
-        let mut prefixes: Vec<FastMap<(u64, u64)>> = inner.iter().map(|_| FastMap::new()).collect();
-        let mut groups: FastMap<(u64, u64)> = FastMap::new();
+        let mut prefixes: Vec<FastMap<(u64, u64)>> =
+            inner.iter().map(|_| FastMap::with_capacity(groups)).collect();
+        let mut groups: FastMap<(u64, u64)> = FastMap::with_capacity(groups);
         for row in rows {
             let prefix = prefixes.iter_mut().zip(inner).fold(word(row), |prefix, (map, col)| {
                 let next = map.len() as u32;
@@ -392,7 +414,7 @@ pub fn aggregate(
     // Phase 1: a group id for every row of the stream, per morsel.
     let grouper = Grouper::new(&key_cols);
     let mut morsels = ctx.run_morsels(n, KernelClass::Aggregation, |m| {
-        let mut reps = Vec::new();
+        let mut reps = Vec::with_capacity(grouper.start_groups(m.len()));
         let mut gids = Vec::with_capacity(m.len());
         match positions {
             Some(p) => grouper.group(p[m].iter().copied(), &mut reps, &mut gids),
@@ -432,15 +454,17 @@ pub fn aggregate(
             acc.finish()
         })
         .collect();
-    Ok(finalize(group_by, &key_cols, aggs, &representative, values))
+    Ok(finalize(chunk, group_by, &key_cols, aggs, &representative, values))
 }
 
 /// Build the output chunk from finished aggregates: one row per group,
-/// group-key columns (gathered at each group's representative row) followed
-/// by one column per aggregate (`values[i][g]` is aggregate `i` of group
-/// `g`). Shared with the reference kernel so the materialization is
-/// identical by construction.
+/// group-key columns (gathered at each group's representative row, under
+/// the key column's own name in `chunk`) followed by one column per
+/// aggregate (`values[i][g]` is aggregate `i` of group `g`). Shared with
+/// the reference kernel so the materialization is identical by
+/// construction.
 pub(crate) fn finalize(
+    chunk: &Chunk,
     group_by: &[String],
     key_cols: &[&ColumnData],
     aggs: &[AggSpec],
@@ -450,22 +474,19 @@ pub(crate) fn finalize(
     let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
     let mut columns = Vec::with_capacity(group_by.len() + aggs.len());
     for (name, col) in group_by.iter().zip(key_cols) {
-        fields.push(Field::new(name.clone(), col.data_type()));
-        columns.push(col.gather(representative));
+        let key = chunk.index_of(name).map(|i| &chunk.fields()[i]).expect("key column resolved");
+        fields.push(key.clone());
+        columns.push(Arc::new(col.gather(representative)));
     }
     for (a, vals) in aggs.iter().zip(values) {
-        match a.func {
-            AggFunc::Count => {
-                fields.push(Field::new(a.output_name.clone(), DataType::Int64));
-                columns.push(ColumnData::Int64(vals.into_iter().map(|v| v as i64).collect()));
-            }
-            _ => {
-                fields.push(Field::new(a.output_name.clone(), DataType::Float64));
-                columns.push(ColumnData::Float64(vals));
-            }
-        }
+        let (data_type, column) = match a.func {
+            AggFunc::Count => (DataType::Int64, ColumnData::Int64(vals.into_iter().map(|v| v as i64).collect())),
+            _ => (DataType::Float64, ColumnData::Float64(vals)),
+        };
+        fields.push(Field::new(a.output_name.as_str(), data_type));
+        columns.push(Arc::new(column));
     }
-    Chunk::new(fields, columns)
+    Chunk::from_shared(fields, columns)
 }
 
 #[cfg(test)]

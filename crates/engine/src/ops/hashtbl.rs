@@ -112,7 +112,7 @@ impl<'a> JoinTable<'a> {
     /// spends them on serving both addressings, a fifth of the dense
     /// probe's time.)
     #[inline]
-    pub(crate) fn exact(&self) -> Option<impl Fn(u64) -> u32 + '_> {
+    pub(crate) fn exact(&self) -> Option<impl Fn(u64) -> u32 + Sync + '_> {
         let (heads, min) = (self.heads.as_slice(), self.min);
         if !self.exact || heads.is_empty() {
             return None;
@@ -193,13 +193,14 @@ pub(crate) struct FastMap<K: FastKey> {
 }
 
 impl<K: FastKey> FastMap<K> {
-    pub(crate) fn new() -> FastMap<K> {
-        let cap = 1024usize;
+    /// A map that holds `keys` keys before it grows.
+    pub(crate) fn with_capacity(keys: usize) -> FastMap<K> {
+        let cap = (2 * keys).next_power_of_two().max(16);
         FastMap {
             shift: 64 - cap.trailing_zeros(),
             slots: vec![0; cap],
-            keys: Vec::new(),
-            vals: Vec::new(),
+            keys: Vec::with_capacity(keys),
+            vals: Vec::with_capacity(keys),
         }
     }
 
@@ -224,7 +225,7 @@ impl<K: FastKey> FastMap<K> {
                 self.keys.push(key);
                 self.vals.push(v);
                 self.slots[i] = self.keys.len() as u32;
-                if self.keys.len() * 2 >= self.slots.len() {
+                if self.keys.len() * 2 > self.slots.len() {
                     self.grow();
                 }
                 return v;
@@ -354,7 +355,7 @@ mod tests {
 
     #[test]
     fn fast_map_assigns_first_occurrence_ids_across_growth() {
-        let mut map: FastMap<u64> = FastMap::new();
+        let mut map: FastMap<u64> = FastMap::with_capacity(0);
         let mut reference: HashMap<u64, u32> = HashMap::new();
         let mut next = 0u32;
         // Enough distinct keys to force several growths.
@@ -372,7 +373,7 @@ mod tests {
 
     #[test]
     fn fast_map_pair_keys_do_not_conflate() {
-        let mut map: FastMap<(u64, u64)> = FastMap::new();
+        let mut map: FastMap<(u64, u64)> = FastMap::with_capacity(0);
         assert_eq!(map.get_or_insert((1, 2), || 0), 0);
         assert_eq!(map.get_or_insert((2, 1), || 1), 1);
         assert_eq!(map.get_or_insert((1, 2), || 99), 0);

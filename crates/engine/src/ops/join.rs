@@ -3,38 +3,29 @@
 //! [`hash_join`] reads both sides as row streams `(chunk, Option<&SelVec>)`
 //! — only selected rows (all rows when `None`) have keys extracted — and
 //! returns what matched as stream-index pairs: it copies no column, and
-//! neither side is gathered before or after it. The build side is indexed
-//! once into a flat-array [`JoinTable`](crate::ops::hashtbl::JoinTable) on
-//! the calling thread; the probe loop — one per key type ([`ProbeKeys`]),
+//! neither side is gathered before or after it. The build side is looked
+//! up through its base column's [`KeyIndex`](robustq_storage::KeyIndex)
+//! when it has one and the stream reads enough of it, else indexed once
+//! into a flat-array [`JoinTable`](crate::ops::hashtbl::JoinTable) on the
+//! calling thread; the probe loop — one per key type ([`ProbeKeys`]),
 //! resolved outside it — runs per morsel of the stream.
 
 use crate::batch::{Chunk, SelVec};
 use crate::ops::hashtbl::JoinTable;
-use crate::parallel::{KernelClass, ParallelCtx};
+use crate::parallel::{with_scratch, KernelClass, ParallelCtx};
 use crate::plan::JoinKind;
-use robustq_storage::{ColumnData, DataType};
+use robustq_storage::{ColumnData, DataType, Database};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Run `f` with the thread's reusable build-key buffer (cleared).
-///
-/// Build-key extraction is row-width work, so the `Vec<u64>` dominates
-/// the join's allocation cost; keeping it thread-local means steady-state
-/// joins allocate nothing for keys. `mem::take` (rather than holding the
-/// borrow) keeps a nested join safe — it would simply see a fresh buffer.
-fn with_key_buffer<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
-    thread_local! {
-        static KEY_BUF: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    }
-    KEY_BUF.with(|buf| {
-        let mut bkeys = std::mem::take(&mut *buf.borrow_mut());
-        bkeys.clear();
-        let result = f(&mut bkeys);
-        *buf.borrow_mut() = bkeys;
-        result
-    })
+thread_local! {
+    /// Build keys of a per-query [`JoinTable`].
+    static KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Base row + 1 → build stream index + 1, for a key index read through
+    /// a selection.
+    static RANKS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The probe key column, read into the canonical 64-bit key space of the
@@ -69,27 +60,37 @@ enum ProbeKeys<'a> {
 }
 
 impl ProbeKeys<'_> {
-    /// [`probe_rows`] over this column: the key type is resolved here,
-    /// once per morsel instead of once per probed row, and every arm gets
-    /// a row loop of its own.
+    /// The keys of an integer column, in the key space of an integer build
+    /// side; `None` for any other column.
+    fn integers(col: &ColumnData) -> Option<ProbeKeys<'_>> {
+        match col {
+            ColumnData::Int32(v) => Some(ProbeKeys::I32(v)),
+            ColumnData::Int64(v) => Some(ProbeKeys::I64(v)),
+            ColumnData::Float64(_) | ColumnData::Str(_) => None,
+        }
+    }
+
+    /// Probe the stream indices `m` through `lookup` ([`Lookup::probe`]): the
+    /// key type is resolved here, once per morsel instead of once per
+    /// probed row, and every arm gets a row loop of its own.
     fn probe(
         &self,
         m: Range<usize>,
         row: impl Fn(usize) -> u32,
-        table: &JoinTable<'_>,
+        lookup: &impl Lookup,
         kind: JoinKind,
         out: Positions<'_>,
     ) {
         match self {
             ProbeKeys::Codes { codes, map: None } => {
-                probe_rows(|r| codes[r] as u64, m, row, table, kind, out)
+                lookup.probe(|r| codes[r] as u64, m, row, kind, out)
             }
             ProbeKeys::Codes { codes, map: Some(map) } => {
-                probe_rows(|r| map[codes[r] as usize], m, row, table, kind, out)
+                lookup.probe(|r| map[codes[r] as usize], m, row, kind, out)
             }
-            ProbeKeys::F64(c) => probe_rows(|r| c.get_f64(r).to_bits(), m, row, table, kind, out),
-            ProbeKeys::I32(v) => probe_rows(|r| v[r] as i64 as u64, m, row, table, kind, out),
-            ProbeKeys::I64(v) => probe_rows(|r| v[r] as u64, m, row, table, kind, out),
+            ProbeKeys::F64(c) => lookup.probe(|r| c.get_f64(r).to_bits(), m, row, kind, out),
+            ProbeKeys::I32(v) => lookup.probe(|r| v[r] as i64 as u64, m, row, kind, out),
+            ProbeKeys::I64(v) => lookup.probe(|r| v[r] as u64, m, row, kind, out),
         }
     }
 }
@@ -145,11 +146,7 @@ fn probe_key_extractor<'a>(
                 ColumnData::Int64(v) => fill(bkeys, build_sel, build.len(), |i| v[i] as u64),
                 _ => unreachable!("integer types checked"),
             }
-            Ok(match probe {
-                ColumnData::Int32(v) => ProbeKeys::I32(v),
-                ColumnData::Int64(v) => ProbeKeys::I64(v),
-                _ => unreachable!("integer types checked"),
-            })
+            Ok(ProbeKeys::integers(probe).expect("integer types checked"))
         }
     }
 }
@@ -161,56 +158,87 @@ type Positions<'a> = (&'a mut Vec<u32>, &'a mut Vec<u32>);
 /// Probe rows handled per on-stack output block.
 const BLOCK: usize = 256;
 
-/// Probe the stream indices `m` — `row` maps one to the probe row its key
-/// is read at: the identity for a dense probe, the position list's entry
-/// for a selected one — against `table`, appending what qualifies.
-///
-/// `Inner` appends matching `(stream index, build row)` pairs; `Semi`/`Anti`
-/// append surviving stream indices only (and never touch the build rows).
-/// Indices come out in input order and the matches of one probe row in
-/// increasing build row, so per-morsel outputs concatenate into exactly
-/// the row-at-a-time result.
-///
-/// Against an exact table (no build key repeats — every foreign-key join)
-/// a probe row yields at most one position, so it is written
-/// unconditionally into a fixed block and kept by advancing the count:
-/// no data-dependent branch, no per-row `push`, and the output grows by
-/// what matched, not by what was probed.
-fn probe_rows(
-    key: impl Fn(usize) -> u64,
-    m: Range<usize>,
-    row: impl Fn(usize) -> u32,
-    table: &JoinTable<'_>,
-    kind: JoinKind,
-    (probe_pos, build_pos): Positions<'_>,
-) {
-    let keep = kind != JoinKind::Anti;
-    let Some(only) = table.exact() else {
+/// How a probe finds the build stream indices of a key.
+trait Lookup: Sync {
+    /// Probe the stream indices `m` — `row` maps one to the probe row its
+    /// key is read at: the identity for a dense probe, the position list's
+    /// entry for a selected one — appending what qualifies.
+    ///
+    /// `Inner` appends matching `(stream index, build index)` pairs;
+    /// `Semi`/`Anti` append surviving stream indices only (and never touch
+    /// the build indices). Indices come out in input order and the matches
+    /// of one probe row in increasing build index, so per-morsel outputs
+    /// concatenate into exactly the row-at-a-time result.
+    fn probe(
+        &self,
+        key: impl Fn(usize) -> u64,
+        m: Range<usize>,
+        row: impl Fn(usize) -> u32,
+        kind: JoinKind,
+        out: Positions<'_>,
+    );
+}
+
+/// A per-query table: exact where it is, else along its chains.
+impl Lookup for JoinTable<'_> {
+    fn probe(
+        &self,
+        key: impl Fn(usize) -> u64,
+        m: Range<usize>,
+        row: impl Fn(usize) -> u32,
+        kind: JoinKind,
+        (probe_pos, build_pos): Positions<'_>,
+    ) {
+        if let Some(only) = self.exact() {
+            return Exact(only).probe(key, m, row, kind, (probe_pos, build_pos));
+        }
+        let keep = kind != JoinKind::Anti;
         for i in m {
             let k = key(row(i) as usize);
             match kind {
-                JoinKind::Inner => table.for_each_match(k, |b| {
+                JoinKind::Inner => self.for_each_match(k, |b| {
                     probe_pos.push(i as u32);
                     build_pos.push(b);
                 }),
-                _ if table.contains(k) == keep => probe_pos.push(i as u32),
+                _ if self.contains(k) == keep => probe_pos.push(i as u32),
                 _ => {}
             }
         }
-        return;
-    };
-    let (mut probes, mut builds) = ([0u32; BLOCK], [0u32; BLOCK]);
-    for lo in m.clone().step_by(BLOCK) {
-        let mut n = 0;
-        for i in lo..m.end.min(lo + BLOCK) {
-            let hit = only(key(row(i) as usize));
-            probes[n] = i as u32;
-            builds[n] = hit.wrapping_sub(1);
-            n += usize::from((hit != 0) == keep);
-        }
-        probe_pos.extend_from_slice(&probes[..n]);
-        if kind == JoinKind::Inner {
-            build_pos.extend_from_slice(&builds[..n]);
+    }
+}
+
+/// An exact lookup — no build key repeats (every foreign-key join): the
+/// one build stream index of a key plus one, 0 if there is none.
+///
+/// A probe row then yields at most one position, so it is written
+/// unconditionally into a fixed block and kept by advancing the count: no
+/// data-dependent branch, no per-row `push`, and the output grows by what
+/// matched, not by what was probed.
+struct Exact<F>(F);
+
+impl<F: Fn(u64) -> u32 + Sync> Lookup for Exact<F> {
+    fn probe(
+        &self,
+        key: impl Fn(usize) -> u64,
+        m: Range<usize>,
+        row: impl Fn(usize) -> u32,
+        kind: JoinKind,
+        (probe_pos, build_pos): Positions<'_>,
+    ) {
+        let keep = kind != JoinKind::Anti;
+        let (mut probes, mut builds) = ([0u32; BLOCK], [0u32; BLOCK]);
+        for lo in m.clone().step_by(BLOCK) {
+            let mut n = 0;
+            for i in lo..m.end.min(lo + BLOCK) {
+                let hit = (self.0)(key(row(i) as usize));
+                probes[n] = i as u32;
+                builds[n] = hit.wrapping_sub(1);
+                n += usize::from((hit != 0) == keep);
+            }
+            probe_pos.extend_from_slice(&probes[..n]);
+            if kind == JoinKind::Inner {
+                build_pos.extend_from_slice(&builds[..n]);
+            }
         }
     }
 }
@@ -225,10 +253,16 @@ fn probe_rows(
 /// * `Semi`: probe rows with at least one match (no build indices).
 /// * `Anti`: probe rows with no match (no build indices).
 ///
-/// The build keys are indexed for direct addressing when their range is
-/// small against both sides' rows and hashed otherwise (`JoinTable`);
-/// workers append what matched to their arenas, so the positions cost
-/// memory by the join's output, never by its input.
+/// When the build key is a base column of `db` whose integer keys are
+/// unique, and the build stream reads it whole or through a strictly
+/// increasing selection at least as long as the probe, an integer probe
+/// goes through the column's own [`KeyIndex`](robustq_storage::KeyIndex)
+/// (`Database::key_index`, built by the first such join) — a selection's
+/// positions ranked once per call — and no table is built. Any other join indexes its build
+/// keys into a per-query table: directly addressed when their range is
+/// small against both sides' rows, hashed otherwise (`JoinTable`). Workers
+/// append what matched to their arenas, so the positions cost memory by
+/// the join's output, never by its input.
 pub fn hash_join(
     (build, build_sel): (&Chunk, Option<&SelVec>),
     (probe, probe_sel): (&Chunk, Option<&SelVec>),
@@ -236,44 +270,99 @@ pub fn hash_join(
     probe_key: &str,
     kind: JoinKind,
     ctx: ParallelCtx,
+    db: Option<&Database>,
 ) -> Result<(Vec<u32>, Vec<u32>), String> {
     let bcol = build.require_column(build_key)?;
     let pcol = probe.require_column(probe_key)?;
-    with_key_buffer(|bkeys| {
-        let keys = probe_key_extractor(bcol, build_sel, pcol, bkeys)?;
-        let probed = probe_sel.map_or(probe.num_rows(), SelVec::len);
-        let table = JoinTable::build(bkeys, probed);
-        let probe_morsel = |m: Range<usize>, out: Positions<'_>| match probe_sel {
-            Some(s) => {
-                let positions = s.positions();
-                keys.probe(m, |i| positions[i], &table, kind, out)
-            }
-            None => keys.probe(m, |i| i as u32, &table, kind, out),
+    let probed = probe_sel.map_or(probe.num_rows(), SelVec::len);
+    let stream = (probe_sel, probed, kind, ctx);
+    // The build column's own index, for an integer probe of no more rows
+    // than the build stream reads.
+    let indexed = match (ProbeKeys::integers(pcol), db) {
+        (Some(keys), Some(db)) if build_sel.is_none_or(|s| s.len() >= probed) => {
+            db.key_index(bcol).map(|index| (keys, index))
+        }
+        _ => None,
+    };
+    if let Some((keys, index)) = indexed {
+        let lookup = index.lookup();
+        // Read whole (or not probed at all), the index answers by itself.
+        let Some(sel) = build_sel.filter(|_| probed > 0) else {
+            return probe_stream(&keys, &Exact(lookup), stream);
         };
-        match kind {
-            JoinKind::Inner => ctx.run_morsels_arena(
+        let ranked = with_scratch(&RANKS, |ranks| {
+            rank(sel, bcol.len(), ranks)
+                .then(|| probe_stream(&keys, &Exact(|k| ranks[lookup(k) as usize]), stream))
+        });
+        if let Some(pairs) = ranked {
+            return pairs;
+        }
+    }
+    with_scratch(&KEYS, |bkeys| {
+        bkeys.clear();
+        let keys = probe_key_extractor(bcol, build_sel, pcol, bkeys)?;
+        probe_stream(&keys, &JoinTable::build(bkeys, probed), stream)
+    })
+}
+
+/// Fill `ranks` so that `ranks[row + 1]` is the stream index of base row
+/// `row` in `sel` plus one, 0 where `sel` skips the row — and `ranks[0]`,
+/// where a key no row has looks, is 0. False if `sel` is not strictly
+/// increasing (a composed selection may repeat a row).
+fn rank(sel: &SelVec, rows: usize, ranks: &mut Vec<u32>) -> bool {
+    ranks.clear();
+    ranks.resize(rows + 1, 0);
+    let mut next = 0;
+    for (i, &p) in sel.positions().iter().enumerate() {
+        if p < next {
+            return false;
+        }
+        ranks[p as usize + 1] = i as u32 + 1;
+        next = p + 1;
+    }
+    true
+}
+
+/// The probe stream — its selection (`None`: dense), its length, the join
+/// kind and the parallelism it runs with.
+type Stream<'a> = (Option<&'a SelVec>, usize, JoinKind, ParallelCtx);
+
+/// Probe every row of the stream through `lookup`, morsel by morsel.
+fn probe_stream(
+    keys: &ProbeKeys<'_>,
+    lookup: &impl Lookup,
+    (probe_sel, probed, kind, ctx): Stream<'_>,
+) -> Result<(Vec<u32>, Vec<u32>), String> {
+    let probe_morsel = |m: Range<usize>, out: Positions<'_>| match probe_sel {
+        Some(s) => {
+            let positions = s.positions();
+            keys.probe(m, |i| positions[i], lookup, kind, out)
+        }
+        None => keys.probe(m, |i| i as u32, lookup, kind, out),
+    };
+    match kind {
+        JoinKind::Inner => ctx.run_morsels_arena(
+            probed,
+            KernelClass::Join,
+            |m, out: &mut (Vec<u32>, Vec<u32>)| {
+                probe_morsel(m, (&mut out.0, &mut out.1));
+                Ok(())
+            },
+        ),
+        // Semi/anti probes emit stream indices only, so the arena is
+        // a single stream and the build-side sink stays empty.
+        JoinKind::Semi | JoinKind::Anti => {
+            let kept = ctx.run_morsels_arena(
                 probed,
                 KernelClass::Join,
-                |m, out: &mut (Vec<u32>, Vec<u32>)| {
-                    probe_morsel(m, (&mut out.0, &mut out.1));
+                |m, out: &mut Vec<u32>| {
+                    probe_morsel(m, (out, &mut Vec::new()));
                     Ok(())
                 },
-            ),
-            // Semi/anti probes emit stream indices only, so the arena is
-            // a single stream and the build-side sink stays empty.
-            JoinKind::Semi | JoinKind::Anti => {
-                let kept = ctx.run_morsels_arena(
-                    probed,
-                    KernelClass::Join,
-                    |m, out: &mut Vec<u32>| {
-                        probe_morsel(m, (out, &mut Vec::new()));
-                        Ok(())
-                    },
-                )?;
-                Ok((kept, Vec::new()))
-            }
+            )?;
+            Ok((kept, Vec::new()))
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -292,7 +381,7 @@ mod tests {
         kind: JoinKind,
     ) -> Result<Chunk, String> {
         let (build, probe) = ((build, None), (probe, None));
-        let pairs = hash_join(build, probe, build_key, probe_key, kind, ParallelCtx::serial())?;
+        let pairs = hash_join(build, probe, build_key, probe_key, kind, ParallelCtx::serial(), None)?;
         Ok(reference::joined_rows(build, probe, &pairs, kind))
     }
 
@@ -445,7 +534,7 @@ mod tests {
                     let ctx =
                         ParallelCtx { workers, morsel_rows: morsel, min_rows_per_worker: 0 };
                     let (build, probe) = ((build, build_sel), (probe, probe_sel));
-                    let got = hash_join(build, probe, bk, pk, kind, ctx)
+                    let got = hash_join(build, probe, bk, pk, kind, ctx, None)
                         .map(|pairs| reference::joined_rows(build, probe, &pairs, kind));
                     assert_eq!(
                         got,

@@ -8,7 +8,8 @@ use std::sync::Arc;
 /// Compute named expressions over the row stream `(chunk, sel)`: all rows
 /// of `chunk` when `sel` is `None`, else the selected rows in position
 /// order — bit-identical to projecting the gathered chunk, but only the
-/// columns each expression reads are ever touched.
+/// columns each expression reads are ever touched, and a bare column of a
+/// dense stream is shared, not copied.
 pub fn project(
     chunk: &Chunk,
     sel: Option<&SelVec>,
@@ -18,19 +19,27 @@ pub fn project(
     let mut columns = Vec::with_capacity(exprs.len());
     for (name, expr) in exprs {
         let ty = expr.result_type(chunk)?;
-        let col = expr.evaluate(chunk, sel)?;
-        fields.push(Field::new(name.clone(), ty));
+        let shared = match (expr, sel) {
+            (Expr::Col(c), None) => chunk.index_of(c).map(|i| Arc::clone(&chunk.columns()[i])),
+            _ => None,
+        };
+        let col = match shared {
+            Some(col) => col,
+            None => Arc::new(expr.evaluate(chunk, sel)?),
+        };
+        fields.push(Field::new(name.as_str(), ty));
         columns.push(col);
     }
-    Ok(Chunk::new(fields, columns))
+    Ok(Chunk::from_shared(fields, columns))
 }
 
 /// Keep only the named columns, in the given order. The result shares
 /// the kept columns with `chunk`: O(columns), no row is copied.
-pub fn keep_columns(chunk: &Chunk, names: &[String]) -> Result<Chunk, String> {
+pub fn keep_columns(chunk: &Chunk, names: &[impl AsRef<str>]) -> Result<Chunk, String> {
     let mut fields = Vec::with_capacity(names.len());
     let mut columns = Vec::with_capacity(names.len());
     for name in names {
+        let name = name.as_ref();
         let idx = chunk
             .index_of(name)
             .ok_or_else(|| format!("no column {name} in chunk"))?;
@@ -75,10 +84,10 @@ mod tests {
 
     #[test]
     fn keep_columns_reorders() {
-        let out = keep_columns(&chunk(), &["b".into(), "a".into()]).unwrap();
-        assert_eq!(out.fields()[0].name, "b");
-        assert_eq!(out.fields()[1].name, "a");
-        assert!(keep_columns(&chunk(), &["zz".into()]).is_err());
+        let out = keep_columns(&chunk(), &["b", "a"]).unwrap();
+        assert_eq!(&*out.fields()[0].name, "b");
+        assert_eq!(&*out.fields()[1].name, "a");
+        assert!(keep_columns(&chunk(), &["zz"]).is_err());
     }
 
     #[test]

@@ -29,8 +29,10 @@
 //! (`robustq-sim`) is computed from the cost model and is unaffected, and
 //! because results are bit-identical, checksums and figures are too.
 
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::LocalKey;
 
 /// Default rows per morsel.
 ///
@@ -240,8 +242,11 @@ impl ParallelCtx {
     /// order, pre-sized from the per-worker counts — into one buffer, so
     /// the result is bit-identical to a serial left-to-right scan.
     ///
-    /// With one worker the arena `f` filled already *is* the result and is
-    /// returned without any copy at all.
+    /// With one worker a stream of at most one morsel fills the calling
+    /// thread's reused arena ([`MorselArena::scratch`]) and the result is
+    /// an exact-size copy of it: one allocation, never a doubling series,
+    /// and no capacity held beyond what qualified. A longer stream's arena
+    /// grows by what qualified and is the result itself.
     pub fn run_morsels_arena<A, F>(
         &self,
         rows: usize,
@@ -254,11 +259,18 @@ impl ParallelCtx {
     {
         let workers = self.workers_for(rows, class);
         if workers == 1 {
-            let mut arena = A::default();
-            if rows > 0 {
-                f(0..rows, &mut arena)?;
+            if rows == 0 {
+                return Ok(A::default());
             }
-            return Ok(arena);
+            if rows > self.morsel_rows {
+                let mut arena = A::default();
+                f(0..rows, &mut arena)?;
+                return Ok(arena);
+            }
+            return with_scratch(A::scratch(), |arena| {
+                arena.clear();
+                f(0..rows, arena).map(|()| arena.clone())
+            });
         }
 
         // Each worker returns its arena, the (morsel index, span) list of
@@ -315,6 +327,22 @@ impl ParallelCtx {
     }
 }
 
+/// Run `f` on the calling thread's reused buffer in `slot`: kernel
+/// buffers sized by their input (keys, positions) allocate once per thread
+/// instead of once per call. `mem::take` rather than holding the borrow,
+/// so a kernel nested in `f` would simply see a fresh buffer.
+pub(crate) fn with_scratch<T: Default, R>(
+    slot: &'static LocalKey<RefCell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    slot.with(|cell| {
+        let mut scratch = std::mem::take(&mut *cell.borrow_mut());
+        let result = f(&mut scratch);
+        *cell.borrow_mut() = scratch;
+        result
+    })
+}
+
 /// Work stealing: claim the next unclaimed morsel index, if any is left.
 fn claim(next: &AtomicUsize, num_morsels: usize) -> Option<usize> {
     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -335,8 +363,9 @@ fn pool<W: Send>(workers: usize, work: impl Fn() -> W + Sync) -> Vec<W> {
 
 /// A per-worker output buffer [`ParallelCtx::run_morsels_arena`] can
 /// append into and concatenate deterministically: a flat growable stream
-/// where a morsel's output is the contiguous span it appended.
-pub trait MorselArena: Default + Send {
+/// where a morsel's output is the contiguous span it appended. `clone`
+/// copies exactly the items held.
+pub trait MorselArena: Default + Clone + Send + 'static {
     /// Items currently in the buffer (span endpoints index into this).
     fn len(&self) -> usize;
 
@@ -345,16 +374,32 @@ pub trait MorselArena: Default + Send {
         self.len() == 0
     }
 
+    /// Drop every item, keeping the capacity.
+    fn clear(&mut self);
+
     /// Pre-size for exactly `n` more items.
     fn reserve(&mut self, n: usize);
 
     /// Append `src[range]` onto `self`.
     fn append_range(&mut self, src: &Self, range: Range<usize>);
+
+    /// The calling thread's reused arena of this type.
+    fn scratch() -> &'static LocalKey<RefCell<Self>>;
 }
 
-impl<T: Copy + Send> MorselArena for Vec<T> {
+thread_local! {
+    static POSITIONS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    static PAIRS: RefCell<(Vec<u32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// One stream of positions (a selection, a semi or anti join).
+impl MorselArena for Vec<u32> {
     fn len(&self) -> usize {
         self.as_slice().len()
+    }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
     }
 
     fn reserve(&mut self, n: usize) {
@@ -364,12 +409,21 @@ impl<T: Copy + Send> MorselArena for Vec<T> {
     fn append_range(&mut self, src: &Self, range: Range<usize>) {
         self.extend_from_slice(&src[range]);
     }
+
+    fn scratch() -> &'static LocalKey<RefCell<Self>> {
+        &POSITIONS
+    }
 }
 
-/// Two streams appended in lockstep (e.g. probe/build position pairs).
-impl<T: Copy + Send, U: Copy + Send> MorselArena for (Vec<T>, Vec<U>) {
+/// Two streams appended in lockstep (probe/build position pairs).
+impl MorselArena for (Vec<u32>, Vec<u32>) {
     fn len(&self) -> usize {
         self.0.len()
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+        self.1.clear();
     }
 
     fn reserve(&mut self, n: usize) {
@@ -380,6 +434,10 @@ impl<T: Copy + Send, U: Copy + Send> MorselArena for (Vec<T>, Vec<U>) {
     fn append_range(&mut self, src: &Self, range: Range<usize>) {
         self.0.extend_from_slice(&src.0[range.clone()]);
         self.1.extend_from_slice(&src.1[range]);
+    }
+
+    fn scratch() -> &'static LocalKey<RefCell<Self>> {
+        &PAIRS
     }
 }
 

@@ -116,7 +116,7 @@ impl SortKey {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Scan a base table, applying an optional pushed-down predicate, and
-    /// output the named columns.
+    /// output the named columns. Built by [`Op::scan`].
     ///
     /// Base columns *read* are the union of `columns` and the predicate's
     /// references — that union is what access statistics and co-processor
@@ -128,6 +128,8 @@ pub enum Op {
         columns: Vec<String>,
         /// Pushed-down filter, if any.
         predicate: Option<Predicate>,
+        /// Every base column read, derived from `columns` and `predicate`.
+        reads: ScanReads,
     },
     /// Filter an intermediate result.
     Select {
@@ -165,6 +167,12 @@ pub enum Op {
 }
 
 impl Op {
+    /// A scan of `table` outputting `columns`, filtered by `predicate`.
+    pub fn scan(table: impl Into<String>, columns: Vec<String>, predicate: Option<Predicate>) -> Op {
+        let reads = ScanReads::of(&columns, predicate.as_ref());
+        Op::Scan { table: table.into(), columns, predicate, reads }
+    }
+
     /// Cost-model class.
     pub fn op_class(&self) -> OpClass {
         match self {
@@ -178,20 +186,12 @@ impl Op {
 
     /// For scans: the table and the full set of base columns *read* —
     /// the output columns, then the predicate's other references, each
-    /// once. Names are borrowed from the operator.
-    pub fn scan_access(&self) -> Option<(&str, Vec<&str>)> {
-        let Op::Scan { table, columns, predicate } = self else {
-            return None;
-        };
-        let mut cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-        if let Some(p) = predicate {
-            p.for_each_column(&mut |c| {
-                if !cols.contains(&c) {
-                    cols.push(c);
-                }
-            });
+    /// once, as the operator was built with them.
+    pub fn scan_access(&self) -> Option<(&str, &[String])> {
+        match self {
+            Op::Scan { table, reads, .. } => Some((table, &reads.0)),
+            _ => None,
         }
-        Some((table, cols))
     }
 
     /// Short operator label for plan display and diagnostics.
@@ -224,6 +224,26 @@ impl Op {
     }
 }
 
+/// The base columns a scan reads: its outputs, then its predicate's other
+/// references, each once. Derived only where a scan is built or filtered,
+/// so it always matches them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanReads(Vec<String>);
+
+impl ScanReads {
+    fn of(columns: &[String], predicate: Option<&Predicate>) -> ScanReads {
+        let mut reads = columns.to_vec();
+        if let Some(p) = predicate {
+            p.for_each_column(&mut |c| {
+                if !reads.iter().any(|r| r == c) {
+                    reads.push(c.to_string());
+                }
+            });
+        }
+        ScanReads(reads)
+    }
+}
+
 /// A physical plan node: one shared operator description over its input
 /// plans. The fields are private and every constructor fixes its
 /// operator's arity (a scan has no child, a join has build then probe,
@@ -246,7 +266,7 @@ impl PlanNode {
         columns: impl IntoIterator<Item = S>,
     ) -> PlanNode {
         let columns = columns.into_iter().map(Into::into).collect();
-        PlanNode::new(Op::Scan { table: table.into(), columns, predicate: None }, Vec::new())
+        PlanNode::new(Op::scan(table, columns, None), Vec::new())
     }
 
     /// Push `predicate` into a scan that has none yet; any other node — a
@@ -255,7 +275,8 @@ impl PlanNode {
         if !matches!(*self.op, Op::Scan { predicate: None, .. }) {
             return self.select(predicate);
         }
-        if let Op::Scan { predicate: slot, .. } = Arc::make_mut(&mut self.op) {
+        if let Op::Scan { columns, predicate: slot, reads, .. } = Arc::make_mut(&mut self.op) {
+            *reads = ScanReads::of(columns, Some(&predicate));
             *slot = Some(predicate);
         }
         self

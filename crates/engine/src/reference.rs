@@ -396,7 +396,7 @@ pub fn aggregate(
         .enumerate()
         .map(|(i, a)| states.iter().map(|g| g[i].finish(a.func)).collect())
         .collect();
-    Ok(finalize(group_by, &key_cols, aggs, &representative, values))
+    Ok(finalize(chunk, group_by, &key_cols, aggs, &representative, values))
 }
 
 /// Core grouping loop: consume `rows` (global indices, in accumulation

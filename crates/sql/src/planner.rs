@@ -59,8 +59,8 @@ impl<'a> Planner<'a> {
                 .table(t)
                 .ok_or_else(|| SqlError::Plan(format!("unknown table {t}")))?;
             for f in table.schema().fields() {
-                if column_owner.insert(f.name.clone(), i).is_some() {
-                    seen_twice.insert(f.name.clone());
+                if column_owner.insert(f.name.to_string(), i).is_some() {
+                    seen_twice.insert(f.name.to_string());
                 }
             }
         }
@@ -177,7 +177,7 @@ impl<'a> Planner<'a> {
                     for (i, t) in self.tables.iter().enumerate() {
                         let table = self.db.table(t).expect("validated in new()");
                         for f in table.schema().fields() {
-                            needed[i].insert(f.name.clone());
+                            needed[i].insert(f.name.to_string());
                         }
                     }
                 }
@@ -223,7 +223,7 @@ impl<'a> Planner<'a> {
                         .iter()
                         .min_by_key(|f| f.data_type.byte_width())
                     {
-                        v.push(f.name.clone());
+                        v.push(f.name.to_string());
                     }
                 }
                 v

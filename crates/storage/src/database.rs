@@ -8,8 +8,9 @@
 use crate::column::ColumnData;
 use crate::error::StorageError;
 use crate::stats::AccessStats;
-use crate::table::{Table, DEFAULT_SEAL_ROWS};
+use crate::table::{KeyIndex, Table, DEFAULT_SEAL_ROWS};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense identifier of a base column (unique within one [`Database`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,7 +80,7 @@ pub struct Database {
     /// Per-table `column name -> ColumnId`, parallel to `tables` — makes
     /// [`Database::column_id`] two hash probes with zero allocations
     /// (it used to build a `(String, String)` key per lookup).
-    column_names: Vec<HashMap<String, ColumnId>>,
+    column_names: Vec<HashMap<Arc<str>, ColumnId>>,
     /// Rows each table had at registration (before any append).
     base_rows: Vec<usize>,
     /// Current epoch; bumped by every non-empty append.
@@ -132,7 +133,7 @@ impl Database {
             let id = ColumnId(self.column_locs.len() as u32);
             self.column_locs.push((t_idx, c_idx));
             self.column_epochs.push(0);
-            names.insert(field.name.clone(), id);
+            names.insert(Arc::clone(&field.name), id);
         }
         self.column_names.push(names);
         self.table_index.insert(table.name().to_owned(), t_idx);
@@ -254,6 +255,12 @@ impl Database {
     /// Look up a table by name.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.table_index.get(name).map(|&i| &self.tables[i])
+    }
+
+    /// The key index of `column`, if it is the current buffer of a base
+    /// column whose keys are unique integers ([`Table::key_index`]).
+    pub fn key_index(&self, column: &ColumnData) -> Option<&KeyIndex> {
+        self.tables.iter().find_map(|t| t.key_index(column))
     }
 
     /// Registration index of table `name` (the index into

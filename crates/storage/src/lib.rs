@@ -43,5 +43,5 @@ pub use compress::{compressed_size, CompressedColumn, ValueKind};
 pub use database::{AppendRecord, ColumnId, Database, DbEpoch, Snapshot};
 pub use error::StorageError;
 pub use stats::AccessStats;
-pub use table::{ColStats, Field, Schema, SegmentMeta, Table, DEFAULT_SEAL_ROWS};
+pub use table::{ColStats, Field, KeyIndex, Schema, SegmentMeta, Table, DEFAULT_SEAL_ROWS};
 pub use types::{DataType, Value};

@@ -17,24 +17,28 @@ use crate::column::ColumnData;
 use crate::error::StorageError;
 use crate::types::DataType;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default open-segment size (rows) after which [`Table::append_batch`]
 /// seals the segment.
 pub const DEFAULT_SEAL_ROWS: usize = 1 << 16;
 
 /// A named, typed column slot in a schema.
+///
+/// The name is shared: every schema, chunk and operator output that
+/// carries the column holds the same `Arc<str>`, so handing a field on
+/// copies a pointer, never the string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Column type.
     pub data_type: DataType,
 }
 
 impl Field {
     /// A field with the given name and type.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         Field { name: name.into(), data_type }
     }
 }
@@ -68,12 +72,78 @@ impl Schema {
 
     /// Index of the field named `name`.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
+        self.fields.iter().position(|f| &*f.name == name)
     }
 
     /// The field at position `i`.
     pub fn field(&self, i: usize) -> &Field {
         &self.fields[i]
+    }
+}
+
+/// Most slots a [`KeyIndex`] spends per row of its column: enough for any
+/// dense key and for the 2 555 yyyymmdd keys of SSB's `date` (24 a row),
+/// not for keys scattered over a wider range.
+const MAX_SLOTS_PER_ROW: u64 = 32;
+
+/// The row of every key of a base column whose integer keys are unique,
+/// addressed directly by `key − min`: a dimension's primary key.
+///
+/// Keys are the canonical 64-bit join keys of [`ColumnData::key_at`] (an
+/// integer's value as `i64`). A slot holds its key's row plus one, 0 where
+/// no row has the key; one slot past the key range stays 0, and a lookup
+/// clamps every key outside the range into it. Slots are `u16`: a column
+/// of more than 65 534 rows, a fact table rather than a dimension, has no
+/// index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyIndex {
+    min: u64,
+    slots: Vec<u16>,
+}
+
+impl KeyIndex {
+    /// The index of `column`'s keys, if they are integers, unique, at most
+    /// 65 534, and span at most [`MAX_SLOTS_PER_ROW`] slots a row.
+    fn build(column: &ColumnData) -> Option<KeyIndex> {
+        match column {
+            ColumnData::Int32(v) => Self::of(v.iter().map(|&k| i64::from(k))),
+            ColumnData::Int64(v) => Self::of(v.iter().copied()),
+            ColumnData::Float64(_) | ColumnData::Str(_) => None,
+        }
+    }
+
+    fn of(keys: impl ExactSizeIterator<Item = i64> + Clone) -> Option<KeyIndex> {
+        let rows = keys.len() as u64;
+        if rows == 0 || rows >= u64::from(u16::MAX) {
+            return None;
+        }
+        let (lo, hi) = keys.clone().fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+        // `hi − lo` of two `i64`s always fits a `u64`.
+        let span = hi.wrapping_sub(lo) as u64;
+        if span >= MAX_SLOTS_PER_ROW * rows {
+            return None;
+        }
+        let mut slots = vec![0u16; span as usize + 2];
+        for (row, k) in (1..).zip(keys) {
+            let slot = &mut slots[k.wrapping_sub(lo) as u64 as usize];
+            if *slot != 0 {
+                return None;
+            }
+            *slot = row;
+        }
+        Some(KeyIndex { min: lo as u64, slots })
+    }
+
+    /// The lookup: the row holding a key, plus one; 0 if no row does. One
+    /// load with no data-dependent branch.
+    #[inline]
+    pub fn lookup(&self) -> impl Fn(u64) -> u32 + Sync + '_ {
+        let (slots, min) = (self.slots.as_slice(), self.min);
+        // Never empty (a key range has the slot past it), which lets the
+        // compiler drop the load's bounds check.
+        assert!(!slots.is_empty());
+        let last = slots.len() - 1;
+        move |k: u64| u32::from(slots[(k.wrapping_sub(min) as usize).min(last)])
     }
 }
 
@@ -148,11 +218,16 @@ impl SegmentMeta {
 /// place when the table is the column's only owner and copies the column
 /// first otherwise, so a live reader never observes an append. Cloning a
 /// table shares its columns.
+///
+/// Each column may carry a [`KeyIndex`], built by the first
+/// [`Table::key_index`] that asks and dropped by the next append, as is a
+/// verdict that the column has none.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Arc<ColumnData>>,
+    key_indexes: Vec<OnceLock<Option<KeyIndex>>>,
     segments: Vec<SegmentMeta>,
 }
 
@@ -226,7 +301,8 @@ impl Table {
                 stats: compute_stats(&columns, 0, rows),
             });
         }
-        Ok(Table { name, schema, columns, segments })
+        let key_indexes = columns.iter().map(|_| OnceLock::new()).collect();
+        Ok(Table { name, schema, columns, key_indexes, segments })
     }
 
     /// The table's name.
@@ -262,6 +338,15 @@ impl Table {
     /// Column by positional index.
     pub fn column_at(&self, i: usize) -> &ColumnData {
         &self.columns[i]
+    }
+
+    /// The key index of `column`, if it is this table's own current
+    /// buffer (by address: a reader's pre-append copy is not) and its keys
+    /// are unique integers. Built by the first call and kept, as is the
+    /// verdict that there is none, until an append touches the column.
+    pub fn key_index(&self, column: &ColumnData) -> Option<&KeyIndex> {
+        let i = self.columns.iter().position(|c| std::ptr::eq(&**c, column))?;
+        self.key_indexes[i].get_or_init(|| KeyIndex::build(column)).as_ref()
     }
 
     /// Total payload bytes across all columns.
@@ -345,8 +430,9 @@ impl Table {
             return Ok(0);
         }
         let old_rows = self.num_rows();
-        for (base, batch) in self.columns.iter_mut().zip(&columns) {
+        for ((base, index), batch) in self.columns.iter_mut().zip(&mut self.key_indexes).zip(&columns) {
             Arc::make_mut(base).append(batch);
+            index.take();
         }
         let new_rows = old_rows + batch_rows;
         // Stats for the appended rows, read back from the consolidated
@@ -621,6 +707,38 @@ mod tests {
         assert_eq!(d.dict().len(), 3);
         assert_eq!(d.codes()[2], prefix_codes[1]);
         assert_eq!(d.codes()[4], prefix_codes[0]);
+    }
+
+    /// A unique integer key column keeps an index until an append touches
+    /// it, as does the verdict that repeating, floating-point or too sparse
+    /// keys have none; a buffer the table no longer holds has none.
+    #[test]
+    fn key_indexes_last_until_an_append() {
+        let mut t = two_col_table();
+        let reader = Arc::clone(&t.columns()[0]);
+        let index = t.key_index(&reader).expect("unique integers");
+        assert_eq!([0, 1, 3, 4, u64::MAX].map(index.lookup()), [0, 1, 3, 0, 0]);
+        assert!(t.key_index(&t.columns()[1]).is_none(), "floats");
+        // The reader keeps the pre-append buffer; the table's copy is
+        // indexed anew, the new row with it.
+        let row = |k: i32, v: f64| vec![ColumnData::Int32(vec![k]), ColumnData::Float64(vec![v])];
+        t.append_batch(row(9, 0.9), 1, 16).unwrap();
+        assert!(t.key_index(&reader).is_none());
+        assert_eq!(t.key_index(t.column_at(0)).map(|i| i.lookup()(9)), Some(4));
+        // Appended in place, the index is still rebuilt: first with the
+        // next key, then not at all once a key repeats.
+        drop(reader);
+        t.append_batch(row(10, 1.0), 2, 16).unwrap();
+        assert_eq!(t.key_index(t.column_at(0)).map(|i| i.lookup()(10)), Some(5));
+        t.append_batch(row(9, 1.1), 3, 16).unwrap();
+        assert!(t.key_index(t.column_at(0)).is_none(), "a repeated key");
+        let sparse = Table::new(
+            "s",
+            Schema::new(vec![Field::new("k", DataType::Int64)]),
+            vec![ColumnData::Int64(vec![0, 1_000_000])],
+        )
+        .unwrap();
+        assert!(sparse.key_index(sparse.column_at(0)).is_none(), "too sparse to address");
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn merge_partials(plan: &PlanNode, partials: &[Chunk]) -> Result<Chunk, Stri
                 ops::agg::aggregate(&concat, None, group_by, &merge_aggs, ParallelCtx::serial())?;
             let merged = restore_count_types(merged, aggs)?;
             // Back to the partials' (possibly projected) column order.
-            let order: Vec<String> = partials[0]
+            let order: Vec<Arc<str>> = partials[0]
                 .fields()
                 .iter()
                 .map(|f| f.name.clone())
@@ -158,7 +158,7 @@ fn restore_count_types(chunk: Chunk, aggs: &[AggSpec]) -> Result<Chunk, String> 
     let mut fields = chunk.fields().to_vec();
     let mut columns = chunk.columns().to_vec();
     for (f, c) in fields.iter_mut().zip(columns.iter_mut()) {
-        if needs_cast.contains(&f.name.as_str()) {
+        if needs_cast.contains(&&*f.name) {
             if let ColumnData::Float64(v) = &**c {
                 *c = Arc::new(ColumnData::Int64(v.iter().map(|&x| x as i64).collect()));
                 f.data_type = robustq_storage::DataType::Int64;

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("plan:\n{plan}");
         let result = ops::execute_plan(&plan, &db)?;
         let names: Vec<&str> =
-            result.fields().iter().map(|f| f.name.as_str()).collect();
+            result.fields().iter().map(|f| &*f.name).collect();
         println!("result ({} rows): {}", result.num_rows(), names.join(" | "));
         for i in 0..result.num_rows().min(10) {
             let row: Vec<String> =

@@ -178,7 +178,7 @@ impl Session {
         let result = outcome.result.as_ref().expect("captured");
 
         let mut text = String::new();
-        let names: Vec<&str> = result.fields().iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = result.fields().iter().map(|f| &*f.name).collect();
         text.push_str(&names.join(" | "));
         text.push('\n');
         let shown = result.num_rows().min(20);

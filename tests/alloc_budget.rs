@@ -7,8 +7,9 @@
 //! and cloning or projecting a chunk touches no row. Each budget below
 //! sits far under one copy of the columns the operation reads, so any
 //! reintroduced column copy trips it on every host alike. A join's probe
-//! allocates by what it matches, not by what it reads; a group-by, a group
-//! id per row and the rest by its groups.
+//! allocates by what it matches, not by what it reads — nor, against a
+//! dimension whose keys are indexed, by the dimension's rows; a group-by,
+//! a group id per row and the rest by its groups.
 //!
 //! Operators are shared the same way (DESIGN.md §5): handing a plan on —
 //! `PlanNode::clone`, then `flatten` at admission — allocates the tree's
@@ -121,7 +122,7 @@ fn one_copy(db: &Database) -> u64 {
 #[test]
 fn an_unfiltered_scan_allocates_no_row_data() {
     let db = lineorder();
-    let scan = Op::Scan { table: "lineorder".into(), columns: columns(), predicate: None };
+    let scan = Op::scan("lineorder", columns(), None);
     let (out, bytes) = allocated(|| scan.execute_lazy(&[], &db, ParallelCtx::serial()).unwrap());
     assert_eq!(out.num_rows(), ROWS);
     assert!(bytes < FIXED, "an unfiltered scan of {ROWS} rows allocated {bytes} B");
@@ -132,7 +133,7 @@ fn a_filtered_scan_allocates_positions_only() {
     let db = lineorder();
     let budget = PER_ROW * ROWS as u64 + FIXED;
     assert!(budget < one_copy(&db), "the budget must stay below one copy of the read columns");
-    let scan = Op::Scan { table: "lineorder".into(), columns: columns(), predicate: predicate() };
+    let scan = Op::scan("lineorder", columns(), predicate());
     let (out, bytes) = allocated(|| scan.execute_lazy(&[], &db, ParallelCtx::serial()).unwrap());
     assert!(out.num_rows() > ROWS / 4 && out.num_rows() < ROWS);
     assert!(bytes <= budget, "a filtered scan of {ROWS} rows allocated {bytes} B > {budget} B");
@@ -142,7 +143,7 @@ fn a_filtered_scan_allocates_positions_only() {
 /// lot allocated.
 fn sharded_scan(db: &Database, predicate: Option<Predicate>, of: u32) -> (LazyChunk, u64) {
     let ctx = ParallelCtx::serial();
-    let scan = Op::Scan { table: "lineorder".into(), columns: columns(), predicate };
+    let scan = Op::scan("lineorder", columns(), predicate);
     allocated(|| {
         let shards: Vec<LazyChunk> = (0..of)
             .map(|index| {
@@ -194,7 +195,7 @@ fn a_foreign_key_probe_allocates_by_its_matches() {
     let probe = ints("fk", (0..ROWS as i32).map(|i| i.wrapping_mul(7919) % 10_000).collect());
     let join = || {
         let (build, probe) = ((&build, None), (&probe, None));
-        hash_join(build, probe, "pk", "fk", JoinKind::Inner, ParallelCtx::serial()).unwrap()
+        hash_join(build, probe, "pk", "fk", JoinKind::Inner, ParallelCtx::serial(), None).unwrap()
     };
     join(); // the thread's build-key buffer is allocated once
     let ((matched, _), bytes) = allocated(join);
@@ -204,10 +205,31 @@ fn a_foreign_key_probe_allocates_by_its_matches() {
     assert!(bytes < budget, "probing {ROWS} rows allocated {bytes} B, budget {budget} B");
 }
 
+/// A dimension's keys are indexed once, not per query: a second 1 k-row
+/// join against the whole 2 555-row `date` allocates its position pair —
+/// 8 B a match — and a fixed amount, nothing by the dimension's rows (a
+/// table over its keys per query was 16 B a dimension row and more).
+#[test]
+fn a_second_join_against_a_dimension_allocates_its_matches_not_the_dimension() {
+    let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
+    let sides = || {
+        let date = scanned(&db, "date", &["d_datekey", "d_year"], None);
+        (date, scanned(&db, "lineorder", &["lo_orderdate", "lo_revenue"], None))
+    };
+    let join = |(date, fact)| joined(&db, date, fact, ("d_datekey", "lo_orderdate"));
+    join(sides()); // the first join indexes the key
+    let sides = sides();
+    let (out, bytes) = allocated(|| join(sides));
+    let matches = out.num_rows() as u64;
+    assert_eq!(matches, 1_000, "every order date is a date");
+    let budget = 8 * matches + FIXED;
+    assert!(bytes < budget, "joining {matches} rows to 2 555 dates allocated {bytes} B, budget {budget} B");
+}
+
 /// An unfiltered scan of `table`, or a filtered one, run lazily.
 fn scanned(db: &Database, table: &str, columns: &[&str], predicate: Option<Predicate>) -> LazyChunk {
     let columns = columns.iter().map(|c| c.to_string()).collect();
-    Op::Scan { table: table.into(), columns, predicate }
+    Op::scan(table, columns, predicate)
         .execute_lazy(&[], db, ParallelCtx::serial())
         .unwrap()
 }
@@ -420,12 +442,13 @@ fn re_pinning_the_pinned_set_allocates_nothing() {
 /// Allocation calls per completed query of an open-loop run of the 13 SSB
 /// templates on a 1 k-row database, K = 1, under Data-Driven Chopping.
 /// Placement consults, event-queue operations and the placement pass after
-/// every query allocate nothing, so what remains is admission (the task
-/// list, estimates, scan columns) and the kernels' own chunks: 175 calls a
-/// query in a debug build. Copying the task lists and the load tables into
-/// every consult and rebuilding the placement pass's maps, as the executor
-/// once did, makes it 260.
-const OPEN_LOOP_CALLS_PER_QUERY: u64 = 200;
+/// every query allocate nothing, and the kernels allocate per output, not
+/// per column or per call: what remains is admission (the task list,
+/// estimates, scan columns) and one buffer per output, 82 calls a query in
+/// a debug build. Cloning every column's name into each chunk, building a
+/// scan's read list per call, growing outputs by doubling and indexing the
+/// `date` dimension per join, as the kernels once did, makes it 175.
+const OPEN_LOOP_CALLS_PER_QUERY: u64 = 100;
 
 #[test]
 fn an_open_loop_run_stays_under_its_allocation_calls_per_query() {

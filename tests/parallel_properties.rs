@@ -13,7 +13,10 @@
 //! tests. The join is additionally walked through every decision its
 //! table makes (`key_shape`): direct or hashed addressing, unique or
 //! repeated build keys, keys outside the addressed span, every key-type
-//! pairing, block boundaries; the aggregate through every decision its
+//! pairing, block boundaries — and through a base column's key index
+//! (`star`): the whole column, selections above and below the probe's
+//! length, a composed one; unique, repeating, sparse, float, string and
+//! empty key columns. The aggregate goes through every decision its
 //! grouper makes (`group_by_for`): packed into a table or a map word,
 //! float and unpackable keys paired onto it.
 
@@ -189,7 +192,7 @@ fn joined(
     ctx: ParallelCtx,
 ) -> Result<Chunk, String> {
     let (build, probe) = ((build, None), (probe, sel));
-    let pairs = ops::join::hash_join(build, probe, build_key, probe_key, kind, ctx)?;
+    let pairs = ops::join::hash_join(build, probe, build_key, probe_key, kind, ctx, None)?;
     Ok(reference::joined_rows(build, probe, &pairs, kind))
 }
 
@@ -281,7 +284,7 @@ fn check_sharded_scan(
     let want =
         reference::select_positions(&scanned, None, predicate.unwrap_or(&Predicate::True));
 
-    let scan = Op::Scan { table: "t".into(), columns, predicate: predicate.cloned() };
+    let scan = Op::scan("t", columns, predicate.cloned());
     let shards: Vec<Result<LazyChunk, String>> = (0..of)
         .map(|index| {
             let shard = Role::Shard(ShardSpec { index, of });
@@ -451,6 +454,104 @@ fn minus_one_is_a_join_key_like_any_other() {
     }
 }
 
+/// A star of one dimension `d` — key `k` holding `keys`, a row-number
+/// payload `v` — and one fact table `f` whose `fk` holds `fks`: joins whose
+/// build side is a base column, as a scan hands it on.
+fn star(keys: ColumnData, fks: ColumnData) -> Database {
+    let table = |name: &str, (key, payload): (&str, &str), keys: ColumnData| {
+        let rows = keys.len() as i32;
+        let schema =
+            Schema::new(vec![Field::new(key, keys.data_type()), Field::new(payload, DataType::Int32)]);
+        Table::new(name, schema, vec![keys, ColumnData::Int32((0..rows).collect())]).expect("valid table")
+    };
+    let mut db = Database::new();
+    db.add_table(table("d", ("k", "v"), keys)).expect("fresh database");
+    db.add_table(table("f", ("fk", "w"), fks)).expect("fresh database");
+    db
+}
+
+/// The build streams the key index tells apart over a dimension of `n`
+/// rows: the whole column, a strictly increasing selection of 6 rows in
+/// 7, one of 1 row in 5, and a composed one — reversed, then repeating its
+/// first half — that must not go through the index.
+fn build_streams(n: usize) -> Vec<Option<SelVec>> {
+    let n = n as u32;
+    let composed = SelVec::all(n as usize).compose(&(0..n).rev().chain(0..n / 2).collect::<Vec<_>>());
+    vec![
+        None,
+        Some(SelVec::new((0..n).filter(|i| i % 7 != 3).collect())),
+        Some(SelVec::new((0..n).filter(|i| i % 5 == 0).collect())),
+        Some(composed),
+    ]
+}
+
+/// The join of `f` with `d` on `fk = k`, both read from `db` as a scan
+/// hands them on — so a unique integer key goes through the column's key
+/// index wherever the build stream reads at least as many rows as are
+/// probed — equals the reference on the gathered build stream: rows,
+/// order, names and errors, for every build stream, the dense and the
+/// selected probe, all three kinds and the whole context grid.
+fn check_key_index_joins(db: &Database, picks: &[bool]) {
+    let scan = |table: &str, columns: [&str; 2]| Chunk::from_table(db.table(table).unwrap(), &columns).unwrap();
+    let (dim, fact) = (scan("d", ["k", "v"]), scan("f", ["fk", "w"]));
+    let probe_sel = sel_of(fact.num_rows(), picks);
+    for probe_sel in [None, Some(&probe_sel)] {
+        for build_sel in build_streams(dim.num_rows()) {
+            let build_sel = build_sel.as_ref();
+            let gathered = build_sel.map_or_else(|| dim.clone(), |s| dim.gather(s.positions()));
+            for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+                let want = reference::hash_join(&gathered, &fact, probe_sel, "k", "fk", kind);
+                for ctx in ctx_grid() {
+                    let (build, probe) = ((&dim, build_sel), (&fact, probe_sel));
+                    let got = ops::join::hash_join(build, probe, "k", "fk", kind, ctx, Some(db))
+                        .map(|pairs| reference::joined_rows(build, probe, &pairs, kind));
+                    assert_eq!(
+                        got,
+                        want,
+                        "{kind:?} build={:?} probe={:?} {ctx:?}",
+                        build_sel.map(SelVec::len),
+                        probe_sel.map(SelVec::len)
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every kind of build column against its probe, and whether it keeps a
+/// key index: unique integers of either width do (around zero, shuffled,
+/// spread over a span, probed by the other width); repeating, too sparse,
+/// floating-point, string and empty key columns do not. Sixty dimension
+/// rows against forty fact rows (about twenty-seven selected) put the
+/// 6-in-7 selection above the probe and the 1-in-5 one below it.
+#[test]
+fn the_key_index_path_matches_reference() {
+    let dim = |key: fn(i64) -> i64| (0..60).map(key).collect::<Vec<_>>();
+    // Probe keys from three below `lo` to three above `lo + width`.
+    let around = |lo: i64, width: i64| (0..40).map(|i| lo + (i * 7) % (width + 7) - 3).collect::<Vec<_>>();
+    let i32s = |keys: Vec<i64>| ColumnData::Int32(keys.into_iter().map(|k| k as i32).collect());
+    let floats = |keys: Vec<i64>| ColumnData::Float64(keys.into_iter().map(|k| k as f64).collect());
+    let strs = |keys: Vec<i64>| ColumnData::Str(DictColumn::from_strings(keys.iter().map(|k| format!("s{k}"))));
+    let cases = [
+        ("unique Int32, shuffled", i32s(dim(|i| (i * 17) % 60 + 100)), i32s(around(100, 60)), true),
+        ("unique around zero", i32s(dim(|i| i - 30)), ColumnData::Int64(around(-30, 60)), true),
+        ("unique Int64 over a span", ColumnData::Int64(dim(|i| i * 9 - 500)), i32s(around(-500, 540)), true),
+        ("unique, integer build, float probe", i32s(dim(|i| i)), floats(around(0, 60)), true),
+        ("unique but too sparse", ColumnData::Int64(dim(|i| i * 1_000_000)), ColumnData::Int64(around(0, 60)), false),
+        ("repeating", i32s(dim(|i| i % 13)), i32s(around(0, 13)), false),
+        ("floats", floats(dim(|i| i)), floats(around(0, 60)), false),
+        ("strings", strs(dim(|i| i)), strs(around(0, 60)), false),
+        ("empty dimension", i32s(Vec::new()), i32s(around(0, 10)), false),
+        ("empty fact table", i32s(dim(|i| i)), i32s(Vec::new()), true),
+    ];
+    for (shape, keys, fks, indexed) in cases {
+        let db = star(keys, fks);
+        check_key_index_joins(&db, &[true, true, false]);
+        let key = db.table("d").unwrap().column("k").unwrap();
+        assert_eq!(db.key_index(key).is_some(), indexed, "{shape}");
+    }
+}
+
 /// Every group-by list over a stream long enough for the three packed
 /// keys' table: 600 rows take every value of `str`, `i64` and `small`, so
 /// their 504 ids index a table for the dense stream and go through a map
@@ -506,6 +607,27 @@ proptest! {
         base in prop_oneof![-50i64..50, Just(i64::MIN), Just(i64::MAX - 400), Just(i32::MAX as i64 - 20)],
     ) {
         check_key_shape(shape, build_n, probe_n, &picks, base);
+    }
+
+    #[test]
+    fn key_index_joins_are_bit_identical_to_reference(
+        n in 0usize..50,
+        base in prop_oneof![-60i64..60, Just(i32::MIN as i64), Just(i32::MAX as i64 - 200)],
+        stride in 1i64..5,
+        repeating in prop::bool::ANY,
+        probe_n in 0usize..80,
+        picks in picks_strategy(),
+    ) {
+        // Unique keys (a stride-spaced shuffle, unless 37 divides `n`) or
+        // seven repeating ones, probed by wider integers around them.
+        let keys = (0..n as i64).map(|i| {
+            let slot = if repeating { i % 7 } else { (i * 37) % n as i64 };
+            (base + slot * stride) as i32
+        });
+        let span = n as i64 * stride;
+        let fks = (0..probe_n as i64).map(|i| base + (i * 13) % (span + 6) - 3);
+        let db = star(ColumnData::Int32(keys.collect()), ColumnData::Int64(fks.collect()));
+        check_key_index_joins(&db, &picks);
     }
 
     #[test]

@@ -49,7 +49,7 @@ proptest! {
         // The number of matches: a join returns positions, not rows.
         let join = |kind| {
             let (b, p) = ((&b, None), (&p, None));
-            ops::join::hash_join(b, p, "a", "a", kind, ParallelCtx::serial()).unwrap().0.len()
+            ops::join::hash_join(b, p, "a", "a", kind, ParallelCtx::serial(), None).unwrap().0.len()
         };
         let (inner, semi, anti) =
             (join(JoinKind::Inner), join(JoinKind::Semi), join(JoinKind::Anti));

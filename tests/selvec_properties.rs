@@ -176,7 +176,7 @@ proptest! {
             let ctx = fused_ctx(workers);
             let sel = ops::select::select(&probe, None, &pred, ctx).unwrap();
             let (build, probe) = ((&build, None), (&probe, Some(&sel)));
-            let pairs = ops::join::hash_join(build, probe, k, k, kind, ctx).unwrap();
+            let pairs = ops::join::hash_join(build, probe, k, k, kind, ctx, None).unwrap();
             let fused = reference::joined_rows(build, probe, &pairs, kind);
             prop_assert_eq!(&fused, &want, "workers={}", workers);
         }
@@ -702,7 +702,7 @@ fn the_third_same_named_side_of_a_join_chain_stays_reachable() {
         by_reference,
     ];
     for out in &outputs {
-        let names: Vec<&str> = out.fields().iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = out.fields().iter().map(|f| &*f.name).collect();
         assert_eq!(names, ["x", "v", "x_r", "v_r", "x_r_r", "v_r_r"]);
         assert_eq!(out.column("v_r_r"), Some(&ColumnData::Int32(vec![301, 302, 303])));
         assert_eq!(out, &outputs[0]);

@@ -31,11 +31,7 @@ fn db() -> Database {
 }
 
 fn scan(columns: &[&str], predicate: Option<Predicate>) -> Op {
-    Op::Scan {
-        table: "lineorder".into(),
-        columns: columns.iter().map(|c| c.to_string()).collect(),
-        predicate,
-    }
+    Op::scan("lineorder", columns.iter().map(|c| c.to_string()).collect(), predicate)
 }
 
 /// Column `name` of `chunk` is the very buffer `lineorder` stores.
@@ -73,7 +69,7 @@ fn scans_hand_on_the_tables_own_buffers() {
     // the join gives them), and so is a join of that.
     let dim = |table: &str, columns: &[&str]| {
         let columns = columns.iter().map(|c| c.to_string()).collect();
-        Op::Scan { table: table.into(), columns, predicate: None }.execute_lazy(&[], &db, ctx).unwrap()
+        Op::scan(table, columns, None).execute_lazy(&[], &db, ctx).unwrap()
     };
     let join = |build: LazyChunk, probe: LazyChunk, build_key: &str, probe_key: &str| {
         let (build_key, probe_key) = (build_key.to_string(), probe_key.to_string());
@@ -205,7 +201,7 @@ fn appends_are_copy_on_write_under_a_live_chunk_and_in_place_otherwise() {
     let batch = |db: &Database, region: &str| -> Vec<ColumnData> {
         let t = customer(db);
         (0..t.num_columns())
-            .map(|i| match t.schema().field(i).name.as_str() {
+            .map(|i| match &*t.schema().field(i).name {
                 "c_region" => ColumnData::Str(DictColumn::from_strings([region, region])),
                 _ => t.column_slice(i, 0, 2),
             })

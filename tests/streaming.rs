@@ -32,7 +32,9 @@ use robustq::engine::{
 };
 use robustq::serve::{ArrivalProcess, QueryMix, ServeConfig, ServingRunner};
 use robustq::sim::{CacheSet, FaultPlan, FaultSpec, SimConfig, VirtualTime};
-use robustq::storage::Value;
+use robustq::engine::plan::{JoinKind, Op, PlanNode};
+use robustq::engine::LazyChunk;
+use robustq::storage::{ColumnData, DataType, Database, Field, Schema, Table, Value};
 use robustq::trace::MetricsRegistry;
 use robustq::workloads::ssb_stream::{SsbStreamData, SsbStreamGen};
 use robustq::workloads::SsbQuery;
@@ -258,6 +260,49 @@ fn appends_invalidate_only_feed_columns() {
         "append invalidation wiped dimension residency — it must only touch \
          the fed table's columns"
     );
+}
+
+/// A dimension's key index follows its appends: a row appended after a
+/// join built the index joins at once, and a reader still holding the
+/// pre-append scan keeps its answer — it reads its own buffer, which the
+/// table's index no longer describes. Every answer is the oracle's.
+#[test]
+fn a_dimension_append_reaches_the_key_index_and_spares_old_readers() {
+    let ints = |values: &[i32]| ColumnData::Int32(values.to_vec());
+    let table = |name: &str, columns: [&str; 2], keys: &[i32]| {
+        let schema = Schema::new(columns.map(|c| Field::new(c, DataType::Int32)).to_vec());
+        let payload: Vec<i32> = keys.iter().map(|k| 10 * k).collect();
+        Table::new(name, schema, vec![ints(keys), ints(&payload)]).expect("valid table")
+    };
+    let mut db = Database::new();
+    db.add_table(table("d", ["k", "v"], &[1, 2, 3, 4, 5])).expect("fresh database");
+    db.add_table(table("f", ["fk", "w"], &[6, 2, 6, 5, 1, 9])).expect("fresh database");
+    let ctx = ParallelCtx::serial();
+    let scan = |db: &Database, table: &str, columns: [&str; 2]| {
+        let columns = columns.map(String::from).to_vec();
+        Op::scan(table, columns, None).execute_lazy(&[], db, ctx).expect("scan")
+    };
+    let join = |db: &Database, dim: LazyChunk| {
+        let op = Op::HashJoin { build_key: "k".into(), probe_key: "fk".into(), kind: JoinKind::Inner };
+        op.execute_lazy(&[dim, scan(db, "f", ["fk", "w"])], db, ctx).expect("join").materialize()
+    };
+    let oracle = |db: &Database| {
+        let plan = PlanNode::scan("f", ["fk", "w"]).join(PlanNode::scan("d", ["k", "v"]), "fk", "k");
+        execute_plan(&plan, db).expect("oracle")
+    };
+    let indexed = |db: &Database| db.key_index(db.table("d").unwrap().column("k").unwrap()).is_some();
+    let before = join(&db, scan(&db, "d", ["k", "v"]));
+    assert_eq!(before, oracle(&db));
+    assert_eq!(before.num_rows(), 3);
+    assert!(indexed(&db), "the join indexed k");
+
+    let held = scan(&db, "d", ["k", "v"]);
+    db.append_batch("d", vec![ints(&[6]), ints(&[60])]).expect("append");
+    let after = join(&db, scan(&db, "d", ["k", "v"]));
+    assert_eq!(after, oracle(&db));
+    assert_eq!(after.num_rows(), 5, "both fact rows with key 6 join the appended row");
+    assert!(indexed(&db), "the appended column is indexed anew");
+    assert_eq!(join(&db, held), before, "the pre-append reader keeps its answer");
 }
 
 /// Ad-hoc arrivals and window ticks share one admission path: offered
