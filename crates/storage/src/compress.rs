@@ -351,6 +351,66 @@ mod tests {
         roundtrip(ColumnData::Int64(vals));
     }
 
+    /// The bytes the cache and the bus are charged, pinned per codec
+    /// choice: runs × 12, ⌈n·bits/64⌉ × 8 + 16, or raw.
+    #[test]
+    fn compressed_sizes_are_pinned() {
+        use crate::column::DictColumn;
+        let cases = [
+            ("constant i32", ColumnData::Int32(vec![7; 10_000]), 12),
+            ("0..=10 cycle", ColumnData::Int32((0..10_000).map(|i| i % 11).collect()), 6_272),
+            ("i32 extremes", ColumnData::Int32(vec![-5, 0, 5, i32::MIN, i32::MAX]), 20),
+            ("i64 extremes", ColumnData::Int64(vec![-1, i64::MIN, i64::MAX, 0]), 32),
+            ("sorted keys", ColumnData::Int32((0..60_000).map(|i| i / 4).collect()), 112_520),
+            ("13-bit values", ColumnData::Int64((0..977).map(|i| (i * 7919) % 8000).collect()), 1_728),
+            (
+                "alternating-sign f64",
+                ColumnData::Float64((0..1000).map(|i| (i as f64 - 500.0) * (i as f64).sqrt()).collect()),
+                8_000,
+            ),
+            ("constant f64", ColumnData::Float64(vec![3.25; 5_000]), 12),
+            (
+                "two-value dictionary",
+                ColumnData::Str(DictColumn::from_strings(
+                    (0..5_000).map(|i| if i % 2 == 0 { "ASIA" } else { "EUROPE" }),
+                )),
+                648,
+            ),
+            ("empty", ColumnData::Int32(vec![]), 0),
+        ];
+        for (what, col, bytes) in cases {
+            assert_eq!(compressed_size(&col), bytes, "{what}");
+        }
+    }
+
+    /// `apply_compression`'s ratio over generated SSB data, and over a
+    /// table whose first segment was cut by a sealed append and whose
+    /// last is open.
+    #[test]
+    fn compression_ratios_are_pinned() {
+        use crate::gen::ssb::SsbGenerator;
+        use crate::table::{Field, Schema, Table};
+        use crate::types::DataType;
+        use crate::Database;
+        let mut ssb = SsbGenerator::new(1).with_rows_per_sf(2_000).generate();
+        assert_eq!(ssb.apply_compression(), 2.4948380375071038);
+
+        let keys = |rows: std::ops::Range<i32>| ColumnData::Int32(rows.map(|i| i / 4).collect());
+        let values = |rows: std::ops::Range<i32>| {
+            ColumnData::Float64(rows.map(|i| f64::from(i % 7)).collect())
+        };
+        let mut db = Database::new();
+        db.set_seal_rows(1_000);
+        let schema = Schema::new(vec![Field::new("k", DataType::Int32), Field::new("v", DataType::Float64)]);
+        db.add_table(Table::new("t", schema, vec![keys(0..3_000), values(0..3_000)]).unwrap()).unwrap();
+        db.apply_compression();
+        db.append_batch("t", vec![keys(3_000..4_500), values(3_000..4_500)]).unwrap();
+        db.append_batch("t", vec![keys(4_500..4_510), values(4_500..4_510)]).unwrap();
+        let sizes: Vec<u64> = db.all_column_ids().map(|id| db.column_size(id)).collect();
+        assert_eq!(sizes, [6_080, 35_560]);
+        assert_eq!(db.apply_compression(), 1.2997118155619596);
+    }
+
     #[test]
     fn zigzag_roundtrip_extremes() {
         for v in [0i64, -1, 1, i64::MIN, i64::MAX, 12345, -98765] {
