@@ -109,7 +109,7 @@ impl RuntimePlacer {
     /// wins exact draws). The returned [`Placement`] carries all
     /// estimates so the decision is auditable from the trace.
     ///
-    /// Each co-processor is vetoed independently by [`heap_admits`];
+    /// Each co-processor is vetoed independently by `heap_admits`;
     /// when every co-processor is under heap pressure the task falls
     /// back to the CPU with [`PlaceReason::HeapPressure`].
     pub fn choose(&self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {

@@ -308,24 +308,14 @@ impl Sim<'_, '_> {
         Ok(())
     }
 
-    /// Fraction of the windowed table a tick actually reads, via segment
-    /// pruning: only segments overlapping `[lo, hi)` are touched, and of
-    /// those only the overlapping rows. (Segments partition the row
-    /// space, so this equals the row fraction — but walking the segment
-    /// list is what a real column store would do, and keeps the figure
-    /// honest if segment layout ever gains gaps.)
+    /// Fraction of the windowed table a tick actually reads: the rows of
+    /// `[lo, hi)` the table holds, over all of its rows.
     pub(crate) fn window_fraction(&self, w: QueryWindow) -> f64 {
-        let table = &self.db.tables()[w.table as usize];
-        let rows = table.num_rows();
+        let rows = self.db.tables()[w.table as usize].num_rows();
         if rows == 0 {
             return 1.0;
         }
-        let (lo, hi) = (w.lo as usize, w.hi as usize);
-        let overlap: usize = table
-            .segments_overlapping(lo, hi)
-            .map(|s| s.rows().end.min(hi).saturating_sub(s.rows().start.max(lo)))
-            .sum();
-        overlap as f64 / rows as f64
+        rows.min(w.hi as usize).saturating_sub(w.lo as usize) as f64 / rows as f64
     }
 
     /// The share of `op`'s input a query windowed by `window` reads: the
@@ -345,7 +335,7 @@ impl Sim<'_, '_> {
         let t = &self.tasks[task];
         if t.children.is_empty() {
             // A windowed tick's feed-table scan reads only the window's
-            // slice of each base column (segment pruning).
+            // slice of each base column.
             let win_frac = self.windowed_fraction(&t.op, self.queries[t.query].window);
             let full: u64 =
                 t.base_columns.iter().map(|&c| self.db.column_size(c)).sum();

@@ -1,7 +1,7 @@
 //! Per-device runtime state: ready queues, worker slots and the
 //! processor-sharing compute sets.
 //!
-//! Each device of the topology gets one [`DeviceRt`]; the executor's
+//! Each device of the topology gets one `DeviceRt`; the executor's
 //! dispatch/advance/settle/reschedule cycle below is what turns the
 //! discrete-event queue into per-device operator streams. `n` operators
 //! computing concurrently on one device each progress at rate `1/n`

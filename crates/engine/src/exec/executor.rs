@@ -33,7 +33,7 @@ use crate::parallel::ParallelCtx;
 use crate::plan::PlanNode;
 use robustq_sim::{
     CacheKey, CacheSet, CostModel as SimCostModel, EventQueue, FaultPlan, Interconnect,
-    PerDevice, RetryPolicy, SimConfig, VirtualTime,
+    PerDevice, SimConfig, VirtualTime,
 };
 use robustq_storage::{ColumnId, Database, DbEpoch};
 use robustq_trace::Tracer;
@@ -65,9 +65,6 @@ pub struct ExecOptions {
     /// [`FaultPlan::disabled`] the fault layer is provably zero-cost —
     /// no generator draws, bit-identical runs.
     pub fault: FaultPlan,
-    /// Recovery policy for transient transfer faults: bounded
-    /// retry-with-backoff in virtual time.
-    pub retry: RetryPolicy,
     /// Structured tracing (DESIGN.md §11). The default disabled tracer is
     /// a single-branch no-op: no allocations, byte-identical runs. Enable
     /// with [`Tracer::new`] and keep a clone to read the events back.
@@ -108,7 +105,6 @@ impl Default for ExecOptions {
             preload: Vec::new(),
             parallel: ParallelCtx::serial(),
             fault: FaultPlan::disabled(),
-            retry: RetryPolicy::default(),
             tracer: Tracer::disabled(),
             shard_ways: 0,
             shard_min_bytes: 0.0,

@@ -1,6 +1,6 @@
 //! The discrete-event core: simulation state and the event loop.
 //!
-//! [`Sim`] owns the whole per-run state — task graph, device runtimes,
+//! `Sim` owns the whole per-run state — task graph, device runtimes,
 //! heaps, caches, links, fault plan, metrics and tracer — and drains the
 //! event queue until the workload completes. The surrounding layers
 //! contribute focused `impl Sim` blocks:

@@ -2,19 +2,20 @@
 //! the cache consults that decide what actually crosses a host link.
 //!
 //! Every byte entering or leaving a co-processor goes through
-//! [`Sim::xfer`], which schedules the payload on *that device's* host
+//! `Sim::xfer`, which schedules the payload on *that device's* host
 //! link (links are independent FIFOs; traffic to one co-processor never
 //! queues behind another's) and lets the fault layer fail, retry or slow
 //! the attempt. Base-column inputs first consult the device's column
-//! cache ([`Sim::stage_base_columns`]); sibling- or co-processor-resident
-//! intermediates return to the host via [`Sim::pull_child_to_host`].
+//! cache (`Sim::stage_base_columns`); sibling- or co-processor-resident
+//! intermediates return to the host via `Sim::pull_child_to_host`.
 
 use crate::error::EngineError;
 use crate::exec::event_loop::Sim;
 use crate::exec::task::Role;
 use crate::plan::Op;
 use robustq_sim::{
-    partition_bytes, CacheKey, DeviceId, Direction, Transfer, TransferFault, VirtualTime,
+    partition_bytes, CacheKey, DeviceId, Direction, RetryPolicy, Transfer, TransferFault,
+    VirtualTime,
 };
 use robustq_trace::{FaultKind, TraceEvent, TransferKind};
 
@@ -76,9 +77,10 @@ impl Sim<'_, '_> {
     }
 
     /// One logical transfer over `device`'s host link, with fault
-    /// injection and bounded retry-with-backoff in *virtual* time (every
-    /// failed attempt occupies the FIFO for its full service window, then
-    /// the retry waits out an exponential backoff).
+    /// injection and bounded retry-with-backoff in *virtual* time under
+    /// [`RetryPolicy::default`] (every failed attempt occupies the FIFO for
+    /// its full service window, then the retry waits out an exponential
+    /// backoff).
     ///
     /// Returns `Some(end)` when the payload arrived. Returns `None` —
     /// only possible when `abortable` — for a permanent fault or for
@@ -99,6 +101,7 @@ impl Sim<'_, '_> {
         abortable: bool,
     ) -> Option<VirtualTime> {
         let qid = Self::qid(query);
+        let retry = RetryPolicy::default();
         // The event reporting one attempt that occupied the link.
         let attempt = |tr: Transfer, faulted: bool, waste: VirtualTime| TraceEvent::Transfer {
             device,
@@ -118,7 +121,7 @@ impl Sim<'_, '_> {
             // Capture the raw draw before the degradation below: the plan
             // already counted a permanent in its stats, and the trace
             // reports the same kind so the two always reconcile.
-            let (decision, raw_kind) = if failures > self.opts.retry.max_retries {
+            let (decision, raw_kind) = if failures > retry.max_retries {
                 (None, None) // budget spent: durable transfers complete clean
             } else {
                 let raw = self.fault.transfer_fault(dir);
@@ -162,12 +165,12 @@ impl Sim<'_, '_> {
                         raw_kind.expect("a transient decision implies a fault draw");
                     self.note_injected(query, fault_kind, at);
                     failures += 1;
-                    if abortable && failures > self.opts.retry.max_retries {
+                    if abortable && failures > retry.max_retries {
                         self.note_injected_wasted(query, tr.service);
                         self.emit(attempt(tr, true, tr.service));
                         return None;
                     }
-                    let backoff = self.opts.retry.backoff(failures);
+                    let backoff = retry.backoff(failures);
                     self.note_retry(query, backoff, tr.end);
                     self.note_injected_wasted(query, tr.service + backoff);
                     self.emit(attempt(tr, true, tr.service + backoff));

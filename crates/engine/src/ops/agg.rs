@@ -5,14 +5,14 @@
 //! aggregate inputs are evaluated at the selected positions only and group
 //! keys are read straight from the base columns. It runs in two phases:
 //!
-//! 1. **Grouping** (per morsel): a [`Grouper`] assigns every row of the
+//! 1. **Grouping** (per morsel): a `Grouper` assigns every row of the
 //!    stream a dense `u32` group id in first-occurrence order. Morsels
 //!    number their groups locally; running the *same* grouper over the
 //!    morsels' representative rows, in morsel order, numbers the groups in
 //!    first-occurrence order over the whole stream and maps every local id
 //!    to its global one.
 //! 2. **Accumulation** (calling thread, row order): one tight loop per
-//!    aggregate over the dense gid stream ([`FastAcc`]). `f64` addition is
+//!    aggregate over the dense gid stream (`FastAcc`). `f64` addition is
 //!    not associative, so folding in row order is the only split whose
 //!    sums do not depend on the worker count.
 

@@ -6,8 +6,8 @@
 //! neither side is gathered before or after it. The build side is looked
 //! up through its base column's [`KeyIndex`](robustq_storage::KeyIndex)
 //! when it has one and the stream reads enough of it, else indexed once
-//! into a flat-array [`JoinTable`](crate::ops::hashtbl::JoinTable) on the
-//! calling thread; the probe loop — one per key type ([`ProbeKeys`]),
+//! into a flat-array `JoinTable` on the
+//! calling thread; the probe loop — one per key type (`ProbeKeys`),
 //! resolved outside it — runs per morsel of the stream.
 
 use crate::batch::{Chunk, SelVec};

@@ -6,7 +6,7 @@
 //! `c_nationkey = s_nationkey`, Q4's `l_commitdate < l_receiptdate`) and
 //! boolean combinations.
 //!
-//! A [`Predicate`] is compiled once per chunk into a [`CompiledPred`]
+//! A [`Predicate`] is compiled once per chunk into a `CompiledPred`
 //! (columns resolved, literals converted, dictionary match tables built)
 //! that tests one row at a time and emits qualifying `u32` positions
 //! directly — no intermediate `Vec<bool>`. Conjunctions and disjunctions

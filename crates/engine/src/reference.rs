@@ -30,7 +30,7 @@ use std::sync::Arc;
 // ------------------------------------------------------------- selection
 
 /// Filter `chunk` by `predicate` the pre-selection-vector way: evaluate one
-/// `bool` per row ([`mask`]), convert to positions, gather.
+/// `bool` per row (`mask`), convert to positions, gather.
 ///
 /// Selects exactly the rows [`select_positions`] does. The only observable
 /// difference is which rows a *data-dependent* error (NaN in a numeric

@@ -1,6 +1,6 @@
 //! Branch-free, block-oriented predicate evaluation ("SIMD" path).
 //!
-//! [`crate::predicate::CompiledPred`] tests one row at a time through an
+//! `predicate::CompiledPred` tests one row at a time through an
 //! enum dispatch returning `Result<bool, String>` — correct, but the hot
 //! selection loops pay a branch (and an error check) per row. This module
 //! compiles the same predicate shapes into a [`BlockPred`] that evaluates
@@ -247,7 +247,7 @@ impl<'a> BlockPred<'a> {
     /// Compile `pred` against `chunk`, or `None` when any sub-shape is
     /// outside the block-evaluable subset (column-to-column comparison,
     /// type mismatches, unknown columns). Callers fall back to the scalar
-    /// [`crate::predicate::CompiledPred`] on `None`, which reproduces the
+    /// `predicate::CompiledPred` on `None`, which reproduces the
     /// static error messages exactly.
     pub fn try_compile(pred: &'a Predicate, chunk: &'a Chunk) -> Option<BlockPred<'a>> {
         Some(BlockPred { node: compile_node(pred, chunk)? })
@@ -275,7 +275,7 @@ impl<'a> BlockPred<'a> {
     /// Append the entries of `positions` that match to `out`, in order
     /// (the selection-vector refinement kernel): gathered 64-lane blocks,
     /// same survivors and errors as the scalar
-    /// [`crate::predicate::CompiledPred::append_filtered`].
+    /// `CompiledPred::append_filtered`.
     pub fn append_filtered(
         &self,
         positions: &[u32],

@@ -116,14 +116,6 @@ impl SimConfig {
         self
     }
 
-    /// Replace every host link's parameters.
-    pub fn with_link(mut self, params: LinkParams) -> Self {
-        for d in self.topology.coprocessors().collect::<Vec<_>>() {
-            *self.topology.link_mut(d) = params;
-        }
-        self
-    }
-
     /// Set the co-processor count to `k`, cloning the first
     /// co-processor's spec and link for the added devices (a uniform
     /// fleet). `k = 1` is the default machine.

@@ -96,7 +96,7 @@ impl DictColumn {
     /// Append `other`'s rows, remapping its codes into this column's
     /// dictionary (growing it for unseen strings). Existing codes are
     /// never rewritten — the row prefix stays byte-identical, which is
-    /// what epoch snapshots rely on.
+    /// what a reader bounded by an earlier row count relies on.
     pub fn append(&mut self, other: &DictColumn) {
         let lookup: HashMap<&str, u32> = self
             .dict

@@ -6,6 +6,7 @@
 //! are index operations rather than string hashing.
 
 use crate::column::ColumnData;
+use crate::compress::rows_compressed_size;
 use crate::error::StorageError;
 use crate::stats::AccessStats;
 use crate::table::{KeyIndex, Table, DEFAULT_SEAL_ROWS};
@@ -46,29 +47,6 @@ pub struct AppendRecord {
     pub bytes: u64,
 }
 
-/// An immutable view of the database as of one epoch: per-table visible
-/// row counts. Because appends only ever extend columns (string
-/// dictionaries grow by suffix, codes are never rewritten), a reader
-/// that bounds every scan by its snapshot's visible rows observes
-/// bit-identical data no matter how many appends commit after it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Snapshot {
-    epoch: DbEpoch,
-    visible: Vec<usize>,
-}
-
-impl Snapshot {
-    /// The epoch this snapshot was taken at.
-    pub fn epoch(&self) -> DbEpoch {
-        self.epoch
-    }
-
-    /// Rows of table `t` (registration index) visible in this snapshot.
-    pub fn visible_rows(&self, t: usize) -> usize {
-        self.visible.get(t).copied().unwrap_or(0)
-    }
-}
-
 /// An in-memory database: a set of tables plus the column catalog and
 /// access statistics.
 #[derive(Debug)]
@@ -81,8 +59,6 @@ pub struct Database {
     /// [`Database::column_id`] two hash probes with zero allocations
     /// (it used to build a `(String, String)` key per lookup).
     column_names: Vec<HashMap<Arc<str>, ColumnId>>,
-    /// Rows each table had at registration (before any append).
-    base_rows: Vec<usize>,
     /// Current epoch; bumped by every non-empty append.
     epoch: u64,
     /// Per-column epoch of the last append that touched it (0 = never).
@@ -112,7 +88,6 @@ impl Database {
             table_index: HashMap::new(),
             column_locs: Vec::new(),
             column_names: Vec::new(),
-            base_rows: Vec::new(),
             epoch: 0,
             column_epochs: Vec::new(),
             append_log: Vec::new(),
@@ -137,7 +112,6 @@ impl Database {
         }
         self.column_names.push(names);
         self.table_index.insert(table.name().to_owned(), t_idx);
-        self.base_rows.push(table.num_rows());
         self.tables.push(table);
         self.stats = AccessStats::new(self.column_locs.len());
         Ok(())
@@ -147,8 +121,9 @@ impl Database {
     ///
     /// The batch must match the table schema (one column per field, equal
     /// row counts). Appends are strictly additive: existing rows, string
-    /// dictionary prefixes and segment contents are never rewritten, so
-    /// snapshots taken earlier stay valid. Per-column effective sizes are
+    /// dictionary prefixes and segment contents are never rewritten, so a
+    /// reader bounded by an earlier row count keeps seeing the same data.
+    /// Per-column effective sizes are
     /// refreshed when transparent compression is active. Returns the new
     /// epoch; an empty batch is a no-op returning the current epoch.
     pub fn append_batch(
@@ -217,34 +192,9 @@ impl Database {
         &self.append_log
     }
 
-    /// Rows table `t` (registration index) had before any append.
-    pub fn base_rows(&self, t: usize) -> usize {
-        self.base_rows.get(t).copied().unwrap_or(0)
-    }
-
     /// Set the open-segment seal threshold used by subsequent appends.
     pub fn set_seal_rows(&mut self, rows: usize) {
         self.seal_rows = rows.max(1);
-    }
-
-    /// A snapshot of the database as of the current epoch.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            epoch: DbEpoch(self.epoch),
-            visible: self.tables.iter().map(Table::num_rows).collect(),
-        }
-    }
-
-    /// A snapshot as of `epoch`: visible rows are each table's base rows
-    /// plus every append committed at or before `epoch`.
-    pub fn snapshot_at(&self, epoch: DbEpoch) -> Snapshot {
-        let mut visible = self.base_rows.clone();
-        for r in &self.append_log {
-            if r.epoch <= epoch.0 {
-                visible[r.table] += r.rows;
-            }
-        }
-        Snapshot { epoch: DbEpoch(epoch.0.min(self.epoch)), visible }
     }
 
     /// All registered tables, in registration order.
@@ -264,8 +214,7 @@ impl Database {
     }
 
     /// Registration index of table `name` (the index into
-    /// [`Database::tables`], [`Snapshot::visible_rows`] and
-    /// [`AppendRecord::table`]).
+    /// [`Database::tables`] and [`AppendRecord::table`]).
     pub fn table_position(&self, name: &str) -> Option<usize> {
         self.table_index.get(name).copied()
     }
@@ -318,7 +267,7 @@ impl Database {
     /// cache-thrashing break-down point to larger scale factors
     /// (Section 6.3). Returns the overall compression ratio (raw/effective).
     ///
-    /// Compression is applied *per sealed segment* (open segments are
+    /// Compression is sized *per sealed segment* (open segments are
     /// charged raw): for a never-appended table the single sealed segment
     /// spans the whole column, so the effective sizes are identical to
     /// whole-column compression.
@@ -347,20 +296,14 @@ impl Database {
         let (t, c) = self.column_locs[id.index()];
         let table = &self.tables[t];
         let col = table.column_at(c);
-        let full = 0..table.num_rows();
         table
             .segments()
             .iter()
             .map(|s| {
-                if !s.is_sealed() {
-                    return (s.num_rows() as u64)
-                        * col.data_type().byte_width() as u64;
-                }
-                if s.rows() == full {
-                    crate::compress::compressed_size(col)
+                if s.is_sealed() {
+                    rows_compressed_size(col, s.rows())
                 } else {
-                    let slice = table.column_slice(c, s.rows().start, s.rows().end);
-                    crate::compress::compressed_size(&slice)
+                    s.num_rows() as u64 * col.data_type().byte_width() as u64
                 }
             })
             .sum()
@@ -512,31 +455,6 @@ mod tests {
             .unwrap();
         assert_eq!(same, DbEpoch(1));
         assert_eq!(db.append_log().len(), 1);
-    }
-
-    #[test]
-    fn snapshots_bound_visible_rows_per_epoch() {
-        let mut db = db_with_tables();
-        let s0 = db.snapshot();
-        db.append_batch(
-            "a",
-            vec![ColumnData::Int32(vec![9, 9]), ColumnData::Float64(vec![1.0, 2.0])],
-        )
-        .unwrap();
-        db.append_batch("b", vec![ColumnData::Int64(vec![6])]).unwrap();
-        let s2 = db.snapshot();
-        assert_eq!(s0.epoch(), DbEpoch(0));
-        assert_eq!((s0.visible_rows(0), s0.visible_rows(1)), (2, 3));
-        assert_eq!((s2.visible_rows(0), s2.visible_rows(1)), (4, 4));
-        // Reconstructed mid-history snapshot.
-        let s1 = db.snapshot_at(DbEpoch(1));
-        assert_eq!((s1.visible_rows(0), s1.visible_rows(1)), (4, 3));
-        assert_eq!(db.snapshot_at(DbEpoch(0)), s0);
-        assert_eq!(db.snapshot_at(DbEpoch(99)), s2);
-        // Data visible in the old snapshot is bit-identical after appends.
-        let a = db.table("a").unwrap();
-        assert_eq!(a.column_at(0).slice(0, s0.visible_rows(0)),
-                   ColumnData::Int32(vec![1, 2]));
     }
 
     #[test]

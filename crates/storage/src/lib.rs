@@ -39,9 +39,9 @@ pub mod table;
 pub mod types;
 
 pub use column::{ColumnData, DictColumn};
-pub use compress::{compressed_size, CompressedColumn, ValueKind};
-pub use database::{AppendRecord, ColumnId, Database, DbEpoch, Snapshot};
+pub use compress::compressed_size;
+pub use database::{AppendRecord, ColumnId, Database, DbEpoch};
 pub use error::StorageError;
 pub use stats::AccessStats;
-pub use table::{ColStats, Field, KeyIndex, Schema, SegmentMeta, Table, DEFAULT_SEAL_ROWS};
+pub use table::{Field, KeyIndex, Schema, SegmentMeta, Table, DEFAULT_SEAL_ROWS};
 pub use types::{DataType, Value};

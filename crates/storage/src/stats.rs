@@ -69,15 +69,6 @@ impl AccessStats {
         }
         self.clock.store(0, Ordering::Relaxed);
     }
-
-    /// Snapshot of `(column index, access count)` pairs.
-    pub fn counts_snapshot(&self) -> Vec<(usize, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.load(Ordering::Relaxed)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,14 +105,6 @@ mod tests {
         assert_eq!(s.access_count(0), 0);
         assert_eq!(s.last_access_tick(0), 0);
         assert_eq!(s.clock(), 0);
-    }
-
-    #[test]
-    fn snapshot_shape() {
-        let s = AccessStats::new(2);
-        s.record_access(1);
-        let snap = s.counts_snapshot();
-        assert_eq!(snap, vec![(0, 0), (1, 1)]);
     }
 
     #[test]

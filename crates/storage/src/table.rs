@@ -6,12 +6,10 @@
 //! read it.
 //!
 //! Tables are append-oriented: rows land in an *open* segment that is
-//! sealed once it reaches the seal threshold. Per-segment min/max stats
-//! are maintained incrementally while a segment is open and recomputed
-//! exactly when it seals, so sealed stats are never stale. A table built
-//! via [`Table::new`] starts with a single sealed segment covering all
-//! of its initial rows — a never-appended table is indistinguishable
-//! from the pre-segmentation layout.
+//! sealed once it reaches the seal threshold. A table built via
+//! [`Table::new`] starts with a single sealed segment covering all of its
+//! initial rows — a never-appended table is indistinguishable from the
+//! pre-segmentation layout.
 
 use crate::column::ColumnData;
 use crate::error::StorageError;
@@ -147,30 +145,20 @@ impl KeyIndex {
     }
 }
 
-/// Per-column min/max over one segment, in the numeric `get_f64` view
-/// (strings contribute their dictionary codes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColStats {
-    /// Smallest value in the segment.
-    pub min: f64,
-    /// Largest value in the segment.
-    pub max: f64,
-}
-
 /// Metadata for one row-range segment of a table.
 ///
 /// Segments are pure metadata over the consolidated column vectors: the
 /// physical layout stays one dense vector per column, so scans and
 /// chunk construction are unchanged. This mirrors row groups in
-/// column stores — the segment carries the row range, seal state, the
-/// epoch of the last append that touched it, and per-column stats.
-#[derive(Debug, Clone, PartialEq)]
+/// column stores — the segment carries the row range, seal state and
+/// the epoch of the last append that touched it. Compression is sized
+/// per sealed segment, and a seal is a trace event.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     start: usize,
     end: usize,
     sealed: bool,
     epoch: u64,
-    stats: Vec<Option<ColStats>>,
 }
 
 impl SegmentMeta {
@@ -184,7 +172,7 @@ impl SegmentMeta {
         self.end - self.start
     }
 
-    /// Whether the segment is sealed (immutable; stats are exact).
+    /// Whether the segment is sealed (it takes no more rows).
     pub fn is_sealed(&self) -> bool {
         self.sealed
     }
@@ -193,16 +181,6 @@ impl SegmentMeta {
     /// present at table construction).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Min/max stats for column `i`, if the segment is non-empty.
-    pub fn stats(&self, i: usize) -> Option<ColStats> {
-        self.stats.get(i).copied().flatten()
-    }
-
-    /// True if the segment's row range intersects `[lo, hi)`.
-    pub fn overlaps(&self, lo: usize, hi: usize) -> bool {
-        self.start < hi && lo < self.end
     }
 }
 
@@ -293,13 +271,7 @@ impl Table {
         let rows = rows.unwrap_or(0);
         let mut segments = Vec::new();
         if rows > 0 {
-            segments.push(SegmentMeta {
-                start: 0,
-                end: rows,
-                sealed: true,
-                epoch: 0,
-                stats: compute_stats(&columns, 0, rows),
-            });
+            segments.push(SegmentMeta { start: 0, end: rows, sealed: true, epoch: 0 });
         }
         let key_indexes = columns.iter().map(|_| OnceLock::new()).collect();
         Ok(Table { name, schema, columns, key_indexes, segments })
@@ -359,23 +331,11 @@ impl Table {
         &self.segments
     }
 
-    /// Segments whose row range intersects `[lo, hi)` — the pruning
-    /// primitive window-scoped scans use.
-    pub fn segments_overlapping(
-        &self,
-        lo: usize,
-        hi: usize,
-    ) -> impl Iterator<Item = &SegmentMeta> {
-        self.segments.iter().filter(move |s| s.overlaps(lo, hi))
-    }
-
     /// Append a batch of rows (one column per field, same shape rules as
     /// [`Table::new`]). Rows land in the open segment — created if the
-    /// last segment is sealed — whose stats are updated incrementally;
-    /// once the open segment reaches `seal_rows` rows it is sealed and
-    /// its stats recomputed exactly from the stored rows. `epoch` is the
-    /// database epoch this append commits under. Returns the number of
-    /// rows appended.
+    /// last segment is sealed — which is sealed once it reaches
+    /// `seal_rows` rows. `epoch` is the database epoch this append commits
+    /// under. Returns the number of rows appended.
     ///
     /// Each column is written through [`Arc::make_mut`]: in place while
     /// the table is its only owner, into a private copy while a reader
@@ -435,87 +395,22 @@ impl Table {
             index.take();
         }
         let new_rows = old_rows + batch_rows;
-        // Stats for the appended rows, read back from the consolidated
-        // columns so string codes reflect the (possibly grown) base dict.
-        let batch_stats = compute_stats(&self.columns, old_rows, new_rows);
         match self.segments.last_mut() {
             Some(open) if !open.sealed => {
                 open.end = new_rows;
                 open.epoch = epoch;
-                for (s, b) in open.stats.iter_mut().zip(&batch_stats) {
-                    *s = merge_stats(*s, *b);
-                }
             }
-            _ => self.segments.push(SegmentMeta {
-                start: old_rows,
-                end: new_rows,
-                sealed: false,
-                epoch,
-                stats: batch_stats,
-            }),
+            _ => self.segments.push(SegmentMeta { start: old_rows, end: new_rows, sealed: false, epoch }),
         }
-        let open = self.segments.last().expect("open segment exists");
-        if open.num_rows() >= seal_rows {
-            self.seal_open();
-        }
+        let open = self.segments.last_mut().expect("open segment exists");
+        open.sealed = open.num_rows() >= seal_rows;
         Ok(batch_rows)
-    }
-
-    /// Seal the open segment, if any, recomputing its stats exactly.
-    pub fn seal_open(&mut self) {
-        if let Some(open) = self.segments.last_mut() {
-            if !open.sealed {
-                open.stats = compute_stats(&self.columns, open.start, open.end);
-                open.sealed = true;
-            }
-        }
-    }
-
-    /// Recompute the stats of segment `i` from the stored rows — the
-    /// from-scratch reference the property tests compare incremental
-    /// maintenance against.
-    pub fn recompute_segment_stats(&self, i: usize) -> Vec<Option<ColStats>> {
-        let s = &self.segments[i];
-        compute_stats(&self.columns, s.start, s.end)
     }
 
     /// Rows `lo..hi` of column `i` as a new column (string slices share
     /// the base dictionary).
     pub fn column_slice(&self, i: usize, lo: usize, hi: usize) -> ColumnData {
         self.columns[i].slice(lo, hi)
-    }
-}
-
-/// Per-column min/max over rows `[lo, hi)` of `columns`.
-fn compute_stats(
-    columns: &[Arc<ColumnData>],
-    lo: usize,
-    hi: usize,
-) -> Vec<Option<ColStats>> {
-    columns
-        .iter()
-        .map(|c| {
-            if hi <= lo {
-                return None;
-            }
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for i in lo..hi {
-                let v = c.get_f64(i);
-                min = min.min(v);
-                max = max.max(v);
-            }
-            Some(ColStats { min, max })
-        })
-        .collect()
-}
-
-fn merge_stats(a: Option<ColStats>, b: Option<ColStats>) -> Option<ColStats> {
-    match (a, b) {
-        (Some(a), Some(b)) => {
-            Some(ColStats { min: a.min.min(b.min), max: a.max.max(b.max) })
-        }
-        (s, None) | (None, s) => s,
     }
 }
 
@@ -597,10 +492,6 @@ mod tests {
         assert_eq!(s.rows(), 0..3);
         assert!(s.is_sealed());
         assert_eq!(s.epoch(), 0);
-        let k = s.stats(0).unwrap();
-        assert_eq!((k.min, k.max), (1.0, 3.0));
-        let v = s.stats(1).unwrap();
-        assert_eq!((v.min, v.max), (0.1, 0.3));
     }
 
     #[test]
@@ -621,8 +512,6 @@ mod tests {
         assert_eq!(open.rows(), 3..5);
         assert!(!open.is_sealed());
         assert_eq!(open.epoch(), 1);
-        let k = open.stats(0).unwrap();
-        assert_eq!((k.min, k.max), (-4.0, 10.0));
         // Second append crosses the 4-row seal threshold.
         t.append_batch(
             vec![
@@ -638,7 +527,6 @@ mod tests {
         assert!(sealed.is_sealed());
         assert_eq!(sealed.rows(), 3..7);
         assert_eq!(sealed.epoch(), 2);
-        assert_eq!(sealed.stats.clone(), t.recompute_segment_stats(1));
         // Next append opens a fresh segment.
         t.append_batch(
             vec![ColumnData::Int32(vec![0]), ColumnData::Float64(vec![0.0])],
@@ -739,27 +627,5 @@ mod tests {
         )
         .unwrap();
         assert!(sparse.key_index(sparse.column_at(0)).is_none(), "too sparse to address");
-    }
-
-    #[test]
-    fn segment_pruning_by_row_range() {
-        let mut t = two_col_table();
-        t.append_batch(
-            vec![
-                ColumnData::Int32(vec![1, 2, 3]),
-                ColumnData::Float64(vec![1.0, 2.0, 3.0]),
-            ],
-            1,
-            3,
-        )
-        .unwrap();
-        assert_eq!(t.segments().len(), 2);
-        let hit: Vec<_> =
-            t.segments_overlapping(4, 6).map(|s| s.rows()).collect();
-        assert_eq!(hit, vec![3..6]);
-        let all: Vec<_> =
-            t.segments_overlapping(0, 6).map(|s| s.rows()).collect();
-        assert_eq!(all, vec![0..3, 3..6]);
-        assert!(t.segments_overlapping(6, 9).next().is_none());
     }
 }

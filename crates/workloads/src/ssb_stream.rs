@@ -2,7 +2,7 @@
 //! (DESIGN.md §10).
 //!
 //! The four dimension tables are static; the `lineorder` fact table
-//! starts at a configurable base fraction and the remainder arrives as
+//! starts with half of its rows and the remainder arrives as
 //! append batches — the pre-built history a streaming run replays in
 //! virtual time. Standing SSB queries then re-execute per window tick
 //! over the rows visible at each tick.
@@ -22,12 +22,14 @@ use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::{Database, DbEpoch, StorageError, Table};
 use std::sync::Arc;
 
+/// Share of `lineorder` rows present before the feed starts.
+const BASE_FRACTION: f64 = 0.5;
+
 /// Generator for the SSB-stream database: full SSB dimensions plus a
 /// `lineorder` fact table split into a static base and append batches.
 #[derive(Debug, Clone)]
 pub struct SsbStreamGen {
     gen: SsbGenerator,
-    base_fraction: f64,
     batches: usize,
     seal_rows: Option<usize>,
 }
@@ -38,7 +40,6 @@ impl SsbStreamGen {
     pub fn new(sf: u32) -> Self {
         SsbStreamGen {
             gen: SsbGenerator::new(sf),
-            base_fraction: 0.5,
             batches: 8,
             seal_rows: None,
         }
@@ -53,13 +54,6 @@ impl SsbStreamGen {
     /// Override the data-generation seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.gen = self.gen.with_seed(seed);
-        self
-    }
-
-    /// Fraction of lineorder rows present before the feed starts
-    /// (clamped to `[0, 1]`).
-    pub fn with_base_fraction(mut self, fraction: f64) -> Self {
-        self.base_fraction = fraction.clamp(0.0, 1.0);
         self
     }
 
@@ -83,7 +77,7 @@ impl SsbStreamGen {
         let full = self.gen.generate();
         let lo_full = full.table("lineorder").expect("generator emits lineorder");
         let total = lo_full.num_rows();
-        let base = ((total as f64 * self.base_fraction) as usize).min(total);
+        let base = (total as f64 * BASE_FRACTION) as usize;
 
         let mut db = Database::new();
         if let Some(rows) = self.seal_rows {

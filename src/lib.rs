@@ -37,9 +37,7 @@ pub mod prelude {
         ArrivalProcess, QueryMix, ServeConfig, ServingReport, ServingRunner,
         StreamingReport,
     };
-    pub use robustq_sim::{
-        DeviceId, FaultPlan, RetryPolicy, SimConfig, Topology, VirtualTime,
-    };
+    pub use robustq_sim::{DeviceId, FaultPlan, SimConfig, Topology, VirtualTime};
     pub use robustq_storage::Database;
     pub use robustq_workloads::{RunReport, RunnerConfig, WorkloadRunner};
 }
