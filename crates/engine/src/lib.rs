@@ -20,9 +20,9 @@
 //! * [`simd`] — the 64-row block form of predicates the selection runs,
 //! * [`parallel`] — [`ParallelCtx`] and the morsel worker pool the
 //!   kernels fan out on,
-//! * [`reference`](mod@reference) — the plain twin of every hot kernel that tests,
-//!   benches and oracles compare against (never called by production
-//!   code),
+//! * [`reference`](mod@reference) — the plain twin of every hot kernel
+//!   that tests, benches and oracles compare against (never called by
+//!   production code),
 //! * [`plan`] — physical plans: [`plan::Op`], the one description of an
 //!   operator, and [`PlanNode`], an `Arc<Op>` over its input plans,
 //! * [`estimate`] — the simple analytical cardinality estimator used by

@@ -6,9 +6,9 @@
 //! neither side is gathered before or after it. The build side is looked
 //! up through its base column's [`KeyIndex`](robustq_storage::KeyIndex)
 //! when it has one and the stream reads enough of it, else indexed once
-//! into a flat-array `JoinTable` on the
-//! calling thread; the probe loop — one per key type (`ProbeKeys`),
-//! resolved outside it — runs per morsel of the stream.
+//! into a flat-array `JoinTable` on the calling thread; the probe loop —
+//! one per key type (`ProbeKeys`), resolved outside it — runs per morsel
+//! of the stream.
 
 use crate::batch::{Chunk, SelVec};
 use crate::ops::hashtbl::JoinTable;

@@ -462,8 +462,7 @@ pub enum TraceEvent {
         /// Commit instant.
         at: VirtualTime,
     },
-    /// An append crossed the seal threshold: an open segment sealed and
-    /// its stats were recomputed exactly.
+    /// An append crossed the seal threshold: an open segment sealed.
     EpochSeal {
         /// Registration index of the table owning the segment.
         table: u32,
