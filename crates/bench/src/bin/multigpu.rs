@@ -26,11 +26,11 @@
 //! device.
 //!
 //! `--shard` adds intra-operator sharding rows (DESIGN.md §6): each K
-//! is additionally swept with `K`-way sharded leaf scans under the two
-//! shard-aware strategies, the data placement manager replicating
-//! tables of at most [`REPLICATE_MAX_BYTES`] into every cache instead of
-//! partitioning them. Sharded rows must reproduce the unsharded K = 1
-//! result fingerprints bit for bit.
+//! is additionally swept with `K`-way sharded leaf scans under
+//! Data-Driven Chopping, the one strategy that shards, its data placement
+//! manager replicating tables of at most [`REPLICATE_MAX_BYTES`] into
+//! every cache instead of partitioning them. Sharded rows must reproduce
+//! the unsharded K = 1 result fingerprints bit for bit.
 //!
 //! `--adaptive` adds the DESIGN.md §7 comparison table
 //! (`multigpu-adaptive`): the SSB workload on a deliberately small
@@ -133,7 +133,7 @@ fn main() {
 
     let mut contenders: Vec<Contender> = FLEET_STRATEGIES.iter().map(|&s| (s, false)).collect();
     if args.shard {
-        contenders.extend([(Strategy::Chopping, true), (Strategy::DataDrivenChopping, true)]);
+        contenders.push((Strategy::DataDrivenChopping, true));
     }
     let mut driver = Driver::new("multigpu", &args.common);
     for (name, db, queries) in &workloads {
@@ -160,15 +160,10 @@ fn main() {
             // partitions large tables the same `ways` so shards find
             // their slice.
             let manager = DataPlacementManager::lfu().with_sharding(p.k, REPLICATE_MAX_BYTES);
-            let (label, mut policy): (_, Box<dyn PlacementPolicy>) = match strategy {
-                Strategy::Chopping => ("Chopping + Shard", strategy.build()),
-                _ => {
-                    let policy = DataDrivenChopping::with_manager(manager);
-                    ("Data-Driven Chopping + Shard", Box::new(policy))
-                }
-            };
+            let mut policy = DataDrivenChopping::with_manager(manager);
             let cfg = cfg.with_sharding(p.k, 0.0);
-            runner.run_with_policy(queries, &mut *policy, label, &cfg).expect("sharded sweep run")
+            let label = "Data-Driven Chopping + Shard";
+            runner.run_with_policy(queries, &mut policy, label, &cfg).expect("sharded sweep run")
         });
     }
 

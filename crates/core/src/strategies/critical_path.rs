@@ -79,11 +79,9 @@ impl CriticalPath {
                 .max()
                 .unwrap_or(VirtualTime::ZERO);
             // Transfers: base columns not yet resident for co-processor
-            // scans (costed as whole columns — the search does not model
-            // shard slices), child results crossing a device boundary
-            // otherwise.
+            // scans, child results crossing a device boundary otherwise.
             let mut move_bytes = if device.is_coprocessor() {
-                ctx.missing_bytes(device, t.base_columns, None)
+                ctx.missing_bytes(device, t.base_columns)
             } else {
                 0
             };

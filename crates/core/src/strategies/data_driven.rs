@@ -304,8 +304,8 @@ mod tests {
             3,
             "three consecutive queries must get three distinct homes, got {homes:?}"
         );
-        // Shard tasks themselves are exempt (the placer deals them), and
-        // so is the whole rule when sharding is off.
+        // Shard tasks themselves are exempt (they follow their
+        // partition), and so is the whole rule when sharding is off.
         let spec = robustq_engine::ShardSpec { index: 0, of: 2 };
         let shard = TaskInfo { shard: Some(spec), ..merge };
         assert_eq!(p.place_ready(&shard, &ctx).device, DeviceId::Cpu);

@@ -57,12 +57,12 @@ impl RuntimePlacer {
     }
 
     /// Bytes that would have to cross `device`'s host link host→device
-    /// for `task` to run there: base columns (or shard slices) not yet
-    /// resident, plus child outputs held elsewhere. A child resident on
-    /// *another* co-processor has no direct link, so its output crosses
-    /// twice (device→host, then host→device).
+    /// for `task` to run there: base columns not yet resident, plus child
+    /// outputs held elsewhere. A child resident on *another* co-processor
+    /// has no direct link, so its output crosses twice (device→host, then
+    /// host→device).
     fn h2d_bytes(&self, task: &TaskInfo, device: DeviceId, ctx: &PolicyCtx) -> u64 {
-        let mut bytes = ctx.missing_bytes(device, task.base_columns, task.shard);
+        let mut bytes = ctx.missing_bytes(device, task.base_columns);
         for (&dev, &b) in task.children_devices.iter().zip(task.children_bytes) {
             if dev == device {
                 continue;
@@ -122,22 +122,6 @@ impl RuntimePlacer {
         if coproc_count > 0 && eligible.is_empty() {
             return Placement::modeled(DeviceId::Cpu, est)
                 .because(PlaceReason::HeapPressure);
-        }
-        // Intra-operator sharding: sibling shards all become ready at
-        // once with near-identical estimates, so argmin would pile every
-        // one onto the same winner. Rank the eligible co-processors by
-        // estimate and deal shard `i` to the `i`-th best (mod fleet),
-        // spreading the pieces so the operator's makespan scales with K.
-        if let Some(s) = task.shard {
-            if !eligible.is_empty() {
-                let mut ranked = eligible.clone();
-                ranked.sort_by(|&a, &b| {
-                    est[a].cmp(&est[b]).then(a.index().cmp(&b.index()))
-                });
-                let device = ranked[s.index as usize % ranked.len()];
-                return Placement::modeled(device, est)
-                    .because(PlaceReason::ShardSpread);
-            }
         }
         let mut device = DeviceId::Cpu;
         for &d in &eligible {
@@ -390,26 +374,6 @@ mod tests {
         let placed = placer.choose(&t, &fx.ctx(&db));
         assert_eq!(placed.device, DeviceId::Cpu);
         assert_eq!(placed.reason, PlaceReason::HeapPressure);
-    }
-
-    #[test]
-    fn shards_deal_across_the_fleet_instead_of_argmin() {
-        let db = empty_db();
-        let fx = fixture_k(2, 0);
-        let ctx = fx.ctx(&db);
-        let g2 = DeviceId::coprocessor(2);
-        let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu, g2]);
-        // Two sibling shards with identical estimates: argmin would put
-        // both on GPU1; the dealer hands shard 1 to GPU2.
-        let mut devices = Vec::new();
-        for index in 0..2u32 {
-            let mut t = task(8_000_000);
-            t.shard = Some(robustq_engine::ShardSpec { index, of: 2 });
-            let placed = placer.choose(&t, &ctx);
-            assert_eq!(placed.reason, PlaceReason::ShardSpread);
-            devices.push(placed.device);
-        }
-        assert_eq!(devices, vec![DeviceId::Gpu, g2]);
     }
 
     #[test]

@@ -15,6 +15,12 @@ impl PlacementPolicy for CpuOnly {
     fn plan_query(&mut self, tasks: &[TaskInfo], _ctx: &PolicyCtx) -> Vec<Option<Placement>> {
         vec![Some(Placement::fixed(DeviceId::Cpu)); tasks.len()]
     }
+
+    /// Nothing runs on a co-processor, so nothing is staged and no cache
+    /// is ever written.
+    fn caches_on_miss(&self) -> bool {
+        false
+    }
 }
 
 /// Execute everything on a co-processor, falling back to the CPU only
@@ -56,6 +62,7 @@ mod tests {
             p.plan_query(&[task(100), task(100)], &fx.ctx(&db)),
             vec![Some(Placement::fixed(DeviceId::Cpu)); 2]
         );
+        assert!(!p.caches_on_miss(), "CPU Only never writes a co-processor cache");
     }
 
     #[test]

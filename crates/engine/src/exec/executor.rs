@@ -74,7 +74,8 @@ pub struct ExecOptions {
     /// CPU-side barrier task. `0` disables sharding (the default — task
     /// graphs are byte-identical to earlier releases). Values are clamped
     /// to the co-processor count at admission, so `usize::MAX` means
-    /// "one shard per co-processor".
+    /// "one shard per co-processor". Two or more ways need a policy that
+    /// does not cache on a miss ([`Executor::run_with_cache`]).
     pub shard_ways: usize,
     /// Minimum estimated input bytes before a scan is worth sharding;
     /// smaller scans stay whole (fan-out overhead would dominate).
@@ -287,7 +288,9 @@ impl<'a> Executor<'a> {
     /// mean what it says: a feed that is not time-sorted, replays a
     /// table's epochs out of order or names an epoch no append committed
     /// under; a standing query over an unknown table; an arrival or
-    /// standing query labelled with a closed-loop session's index.
+    /// standing query labelled with a closed-loop session's index; a
+    /// sharded run on two or more co-processors under a policy that
+    /// caches on a miss (sharding is data-driven only, DESIGN.md §6).
     pub fn run_with_cache(
         &self,
         schedule: impl Into<Schedule>,
@@ -295,6 +298,14 @@ impl<'a> Executor<'a> {
         opts: &ExecOptions,
         caches: &mut CacheSet,
     ) -> Result<RunOutcome, EngineError> {
+        let ways = opts.shard_ways.min(self.config.topology.coprocessor_count());
+        if ways >= 2 && policy.caches_on_miss() {
+            return Err(EngineError::config(format!(
+                "{ways}-way sharding needs a policy that leaves the co-processor caches to the \
+                 placement manager, and {} caches on a miss",
+                policy.name()
+            )));
+        }
         let schedule = schedule.into();
         let total_queries = schedule.offered();
         let Schedule { sessions, arrivals, feed, standing } = schedule;

@@ -28,8 +28,7 @@
 use crate::exec::model::LearnedModel;
 use crate::exec::task::ShardSpec;
 use robustq_sim::{
-    partition_bytes, CacheKey, CacheSet, DataCache, DeviceId, OpClass, PerDevice, Topology,
-    VirtualTime,
+    CacheKey, CacheSet, DataCache, DeviceId, OpClass, PerDevice, Topology, VirtualTime,
 };
 use robustq_storage::{ColumnId, Database};
 pub use robustq_trace::PlaceReason;
@@ -101,8 +100,8 @@ pub struct TaskInfo<'a> {
     /// True if this task was already aborted on the co-processor once.
     pub was_aborted: bool,
     /// For sharded scans: which piece of the partitioned operator this
-    /// is. Shard-aware strategies spread shards across the fleet instead
-    /// of argmin-ing a single winner (DESIGN.md §7).
+    /// is. Data-driven strategies place a shard on its partition's home
+    /// (DESIGN.md §7).
     pub shard: Option<ShardSpec>,
     /// For tasks of a standing query: `(standing id, task slot)`. Every
     /// window tick re-submits the same plan, so the slot identifies "the
@@ -210,25 +209,14 @@ impl PolicyCtx<'_> {
     }
 
     /// Bytes of `cols` a scan on co-processor `device` would still have
-    /// to stage: every column not resident there *at its current epoch* counts in
-    /// full — or, for one `shard` of a partitioned scan, with its slice,
-    /// unless the matching partition entry or the whole column is
-    /// resident. The one residency arithmetic behind every transfer
+    /// to stage: every column not resident there *at its current epoch*
+    /// counts in full. The one residency arithmetic behind every transfer
     /// estimate; stale-epoch entries re-transfer.
-    pub fn missing_bytes(
-        &self,
-        device: DeviceId,
-        cols: &[ColumnId],
-        shard: Option<ShardSpec>,
-    ) -> u64 {
+    pub fn missing_bytes(&self, device: DeviceId, cols: &[ColumnId]) -> u64 {
         let cache = self.cache(device);
         cols.iter()
             .filter(|&&col| !cache.contains(self.column_key(col)))
-            .map(|&col| match shard {
-                Some(s) if cache.contains(self.partition_key(col, s.index, s.of)) => 0,
-                Some(s) => partition_bytes(self.db.column_size(col), s.index, s.of),
-                None => self.db.column_size(col),
-            })
+            .map(|&col| self.db.column_size(col))
             .sum()
     }
 
@@ -296,7 +284,10 @@ pub trait PlacementPolicy {
 
     /// Whether a co-processor scan inserts missing columns into the cache
     /// (operator-driven data placement). Data-driven strategies return
-    /// `false`: only the placement manager writes the caches.
+    /// `false`: only the placement manager writes the caches. This also
+    /// decides whether the policy may shard: the executor rejects a
+    /// sharded run on two or more co-processors under a policy that
+    /// answers `true`.
     fn caches_on_miss(&self) -> bool {
         true
     }
@@ -471,21 +462,18 @@ mod tests {
         let gpu = caches.device_mut(DeviceId::Gpu);
         gpu.insert(CacheKey::column_at(0, 2), 80);
         gpu.insert(CacheKey::partition_at(1, 1, 4, 2), 20);
-        let shard = |index| Some(ShardSpec { index, of: 4 });
 
         // Both columns live at epoch 2: `a` is resident whole, `b` only
-        // as partition 1 of 4.
+        // as partition 1 of 4, which stages nothing for a whole scan.
         let tables = Tables::zero(&t);
         let mut c = tables.ctx(&db, &t, &caches);
         c.col_epochs = &[2, 2];
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], None), 800);
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], shard(1)), 0);
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], shard(0)), 200, "b's other slice");
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[], None), 0);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b]), 800);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a]), 0);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[]), 0);
         // A batch run reads epoch 0, where neither entry counts.
         c.col_epochs = &[];
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], None), 1_600);
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b], shard(1)), 400);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b]), 1_600);
     }
 
     #[test]

@@ -187,7 +187,8 @@ impl Sim<'_, '_> {
     /// A sharded task only touches its row slice, so it probes the
     /// matching *partition* key first (a placement manager may have homed
     /// exactly that slice here), falls back to the whole-column key, and
-    /// on a full miss transfers and caches just the partition's bytes.
+    /// on a full miss transfers just the partition's bytes. Only policies
+    /// that never cache on a miss may shard, so no shard writes a cache.
     ///
     /// Returns `Ok(Some(ready_at))` once every column is resident,
     /// `Ok(None)` when a permanent transfer fault aborted the operator

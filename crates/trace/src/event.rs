@@ -166,8 +166,9 @@ pub enum PlaceReason {
     DataResidency,
     /// Device heap pressure vetoed the co-processor.
     HeapPressure,
-    /// A shard of a partitioned operator, spread across the fleet by
-    /// shard index rather than argmin (intra-operator sharding, §6).
+    /// Under sharding, placed on its query's home device by data-driven
+    /// chopping: a shard fan-in, or an unsharded scan whose columns the
+    /// home holds (intra-operator sharding, §7).
     ShardSpread,
     /// The executor's abort recovery forced the CPU.
     AbortFallback,

@@ -16,15 +16,16 @@
 //!  5. **Tracing** — a traced K-device run exports one kernel lane per
 //!     device in the Chrome trace;
 //!  6. **Sharding** — intra-operator sharding (DESIGN.md §6) is purely
-//!     a placement concern: sharded runs reproduce the unsharded result
-//!     fingerprints byte for byte under every strategy and K, conserve
-//!     heap and link bytes across the shard transfers, and stay
-//!     bit-identical under seeded faults on the shards' devices.
+//!     a placement concern, and data-driven only: a strategy that caches
+//!     on a miss is refused at K ≥ 2; under every other strategy and K
+//!     sharded runs reproduce the unsharded result fingerprints byte for
+//!     byte, conserve heap and link bytes across the shard transfers, and
+//!     stay bit-identical under seeded faults on the shards' devices.
 //!
 //! (Byte-identity of the K = 1 default against the pre-topology executor
 //! is pinned separately by `tests/topology_golden.rs`.)
 
-use robustq::core::Strategy;
+use robustq::core::{DataDrivenChopping, DataPlacementManager, Strategy};
 use robustq::engine::parallel::ParallelCtx;
 use robustq::sim::{FaultPlan, FaultSpec, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
@@ -32,6 +33,14 @@ use robustq::storage::Database;
 use robustq::workloads::{ssb, ResultFingerprints, RunReport, RunnerConfig, WorkloadRunner};
 
 const KS: [usize; 3] = [1, 2, 4];
+
+const DDC_SHARD: &str = "Data-Driven Chopping + Shard";
+
+/// The one sharded placement path: Data-Driven Chopping whose manager
+/// partitions large tables `k` ways and replicates small ones.
+fn sharded_ddc(k: usize) -> DataDrivenChopping {
+    DataDrivenChopping::with_manager(DataPlacementManager::lfu().with_sharding(k, 64 * 1024))
+}
 
 fn db() -> Database {
     SsbGenerator::new(1).with_rows_per_sf(1_000).generate()
@@ -166,23 +175,38 @@ fn chaos_differential_holds_on_a_fleet() {
     assert!(injected_total > 0, "the fleet chaos sweep never injected — vacuous");
 }
 
-/// (6), invariance: sharded runs return byte-identical results to the
-/// unsharded K = 1 reference, per query, for every strategy and every K
-/// — and conserve heap/link bytes across the extra shard transfers.
+/// (6), the rule and invariance: at K ≥ 2 a strategy that caches on a
+/// miss is refused with a configuration error naming sharding; every
+/// other strategy's sharded runs return byte-identical results to the
+/// unsharded K = 1 reference, per query, at every K — and conserve
+/// heap/link bytes across the extra shard transfers.
 #[test]
 fn sharded_results_are_byte_identical_to_unsharded() {
+    use robustq::engine::EngineError;
     let db = db();
     let queries = ssb::workload(&db).expect("SSB plans");
+    let mut refused = Vec::new();
     for strategy in Strategy::ALL {
         let want = WorkloadRunner::new(&db, sim_k(1))
             .run(&queries, strategy, &RunnerConfig::default().with_users(2))
             .expect("unsharded baseline")
             .result_fingerprints();
+        let caches_on_miss = strategy.build().caches_on_miss();
+        if caches_on_miss {
+            refused.push(strategy.name());
+        }
         for k in KS {
             let runner = WorkloadRunner::new(&db, sim_k(k));
             let cfg = RunnerConfig::default().with_users(2).with_sharding(k, 0.0);
-            let report = runner.run(&queries, strategy, &cfg).expect("sharded run");
             let label = format!("{} K={k} sharded", strategy.name());
+            let run = runner.run(&queries, strategy, &cfg);
+            if k >= 2 && caches_on_miss {
+                match run {
+                    Err(EngineError::Config(msg)) if msg.contains("sharding") => continue,
+                    other => panic!("{label}: not refused as a sharding error: {:?}", other.err()),
+                }
+            }
+            let report = run.expect("sharded run");
             assert_conservation(&report, k, &label);
             assert_eq!(
                 want,
@@ -191,6 +215,7 @@ fn sharded_results_are_byte_identical_to_unsharded() {
             );
         }
     }
+    assert_eq!(refused, ["GPU Only", "Critical Path", "Run-Time Placement", "Chopping"]);
 }
 
 /// (6), invariance under the learned shard-aware policy: the data
@@ -199,7 +224,6 @@ fn sharded_results_are_byte_identical_to_unsharded() {
 /// contain shard spans (vacuity guard: `with_sharding` did shard).
 #[test]
 fn sharded_placement_manager_matches_unsharded() {
-    use robustq::core::{DataDrivenChopping, DataPlacementManager};
     let db = db();
     let queries = ssb::workload(&db).expect("SSB plans");
     let want = WorkloadRunner::new(&db, sim_k(1))
@@ -208,15 +232,12 @@ fn sharded_placement_manager_matches_unsharded() {
         .result_fingerprints();
     for k in KS {
         let runner = WorkloadRunner::new(&db, sim_k(k));
-        let mut policy = DataDrivenChopping::with_manager(
-            DataPlacementManager::lfu().with_sharding(k, 64 * 1024),
-        );
         let cfg = RunnerConfig::default()
             .with_users(2)
             .with_sharding(k, 0.0)
             .with_trace();
         let report = runner
-            .run_with_policy(&queries, &mut policy, "Data-Driven Chopping + Shard", &cfg)
+            .run_with_policy(&queries, &mut sharded_ddc(k), DDC_SHARD, &cfg)
             .expect("sharded managed run");
         let label = format!("managed K={k} sharded");
         assert_conservation(&report, k, &label);
@@ -251,9 +272,13 @@ fn a_shard_merge_reads_no_base_column() {
     let mut caches = CacheSet::for_topology(&sim.topology, sim.cache_policy);
     let tracer = Tracer::new();
     let opts = ExecOptions { shard_ways: 2, tracer: tracer.clone(), ..ExecOptions::default() };
+    // Data-driven placement pins from the access statistics when the run
+    // starts: one earlier access each homes the read columns on a
+    // co-processor, and the shards follow them there.
     db.stats().reset();
+    read.iter().for_each(|col| db.stats().record_access(col.index()));
     Executor::new(&db, sim)
-        .run_with_cache(vec![vec![plan]], &mut *Strategy::GpuPreferred.build(), &opts, &mut caches)
+        .run_with_cache(vec![vec![plan]], &mut *Strategy::DataDriven.build(), &opts, &mut caches)
         .expect("sharded scan");
 
     let events = tracer.take().events;
@@ -261,8 +286,20 @@ fn a_shard_merge_reads_no_base_column() {
     assert_eq!(count(|e| matches!(e, TraceEvent::ShardMerge { shards: 2, .. })), 1);
     assert_eq!(count(|e| matches!(e, TraceEvent::OpSpan { .. })), 3, "two shards and a merge");
     assert_eq!(count(|e| matches!(e, TraceEvent::CacheProbe { .. })), 2 * read.len());
+    let merge = events.iter().find_map(|e| match e {
+        TraceEvent::ShardMerge { task, .. } => Some(*task),
+        _ => None,
+    });
+    let shards_on_coprocessors = events
+        .iter()
+        .filter(|e| {
+            matches!(e, TraceEvent::OpSpan { task, device, .. }
+                if Some(*task) != merge && device.is_coprocessor())
+        })
+        .count();
+    assert_eq!(shards_on_coprocessors, 2, "both shards run on a co-processor");
     for col in read {
-        assert_eq!(db.stats().access_count(col.index()), 2, "one access per shard");
+        assert_eq!(db.stats().access_count(col.index()), 1 + 2, "one access per shard");
     }
 }
 
@@ -279,7 +316,7 @@ fn chaos_differential_holds_under_sharding() {
         let runner = WorkloadRunner::new(&db, sim_k(k));
         let cfg = RunnerConfig::default().with_users(2).with_sharding(k, 0.0);
         let baseline = runner
-            .run(&queries, Strategy::Chopping, &cfg)
+            .run_with_policy(&queries, &mut sharded_ddc(k), DDC_SHARD, &cfg)
             .expect("sharded fault-free baseline");
         let want = baseline.result_fingerprints();
         let horizon = baseline.metrics.makespan.max(VirtualTime::from_micros(1));
@@ -303,7 +340,7 @@ fn chaos_differential_holds_under_sharding() {
                 .with_sharding(k, 0.0)
                 .with_fault_plan(FaultPlan::new(seed, spec));
             let report = runner
-                .run(&queries, Strategy::Chopping, &cfg)
+                .run_with_policy(&queries, &mut sharded_ddc(k), DDC_SHARD, &cfg)
                 .unwrap_or_else(|e| panic!("sharded K={k} seed {seed} failed: {e}"));
             let label = format!("sharded K={k} seed {seed}");
             assert_conservation(&report, k, &label);

@@ -129,11 +129,13 @@ fn run_windows(
 ) -> BTreeMap<(usize, usize), Vec<Vec<Value>>> {
     let executor = Executor::new(&data.db, sim_k(k));
     let mut policy = strategy.build();
+    // Sharding is data-driven only: a policy that caches on a miss runs
+    // its windows unsharded.
     let opts = ExecOptions {
         capture_results: true,
         parallel: ParallelCtx::serial().with_workers(workers),
         fault,
-        shard_ways: if k >= 2 { k } else { 0 },
+        shard_ways: if k >= 2 && !policy.caches_on_miss() { k } else { 0 },
         ..ExecOptions::default()
     };
     let mut caches = cold_caches(k);
@@ -448,14 +450,14 @@ fn mixed_schedules_conserve_queries_heaps_and_results() {
                 standing: standing(&data),
             };
             let offered = schedule.offered();
+            let mut policy = Strategy::DataDrivenChopping.build();
             let opts = ExecOptions {
                 max_concurrent_queries: 2,
                 queue_cap: 3,
-                shard_ways: if k >= 2 { k } else { 0 },
+                shard_ways: if k >= 2 && !policy.caches_on_miss() { k } else { 0 },
                 ..ExecOptions::default()
             };
             let mut caches = cold_caches(k);
-            let mut policy = Strategy::DataDrivenChopping.build();
             let out = Executor::new(&data.db, sim_k(k))
                 .run_with_cache(schedule, policy.as_mut(), &opts, &mut caches)
                 .expect("mixed run");

@@ -148,8 +148,11 @@ fn registry_counters_match_run_metrics() {
 /// rule for real: the Chrome export must lint clean with a nonzero
 /// `shard_spans` count, the registry's fan-out/merge counters must be
 /// consistent, and metric re-derivation must survive the shard events.
+/// Sharding is data-driven only, so the run is Data-Driven Chopping over
+/// a manager that partitions for the same `k`.
 #[test]
 fn sharded_chrome_export_passes_shard_span_lint() {
+    use robustq::core::{DataDrivenChopping, DataPlacementManager};
     let db = db();
     let queries = ssb::workload(&db).expect("SSB plans");
     let k = 4;
@@ -158,8 +161,11 @@ fn sharded_chrome_export_passes_shard_span_lint() {
         .with_users(2)
         .with_sharding(k, 0.0)
         .with_trace();
-    let report =
-        runner.run(&queries, Strategy::Chopping, &cfg).expect("sharded traced run");
+    let mut policy =
+        DataDrivenChopping::with_manager(DataPlacementManager::lfu().with_sharding(k, 64 * 1024));
+    let report = runner
+        .run_with_policy(&queries, &mut policy, "Data-Driven Chopping + Shard", &cfg)
+        .expect("sharded traced run");
     let trace = report.trace.as_ref().unwrap();
     assert_eq!(trace.dropped, 0);
     assert_eq!(RunMetrics::from_events(&trace.events), report.metrics);
