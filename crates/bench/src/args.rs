@@ -96,6 +96,23 @@ pub fn or_exit<T>(bin: &str, parsed: Result<T, EngineError>) -> T {
     })
 }
 
+/// The most arrivals one open-loop sweep point may expect. A run builds
+/// its whole arrival list up front, so a huge but finite rate or horizon
+/// would exhaust memory before the first query ran.
+pub const MAX_ARRIVALS: f64 = 1e7;
+
+/// A config error naming `flag` unless a Poisson stream of `rate_qps`
+/// over `horizon_ns` expects at most [`MAX_ARRIVALS`] arrivals.
+pub fn check_arrivals(flag: &str, rate_qps: f64, horizon_ns: u64) -> Result<(), EngineError> {
+    let expected = rate_qps * horizon_ns as f64 / 1e9;
+    if expected > MAX_ARRIVALS {
+        return Err(EngineError::config(format!(
+            "{flag}: a point expects {expected:.3e} arrivals, more than the {MAX_ARRIVALS:.0e} a run may build"
+        )));
+    }
+    Ok(())
+}
+
 /// The flags shared by the sweep bins, with per-bin defaults.
 ///
 /// Semantics are identical everywhere: `--out PATH` (result JSON),

@@ -23,7 +23,9 @@ use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
 use robustq_bench::claims::{self, CLAIMS};
 use robustq_bench::sweep::Driver;
 use robustq_bench::table::read_tables;
-use robustq_bench::{all_figures, figure_by_id, traced_reference_run, Effort, FigTable, FIGURES};
+use robustq_bench::{
+    all_figures, figure_by_id, traced_reference_run, Effort, FigTable, Figure, FIGURES,
+};
 use robustq_engine::EngineError;
 
 fn emit(table: &FigTable, json: bool) {
@@ -82,7 +84,7 @@ fn main() {
             match figure_by_id(id, effort) {
                 Some(table) => emit(&table, json),
                 None => {
-                    let known: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+                    let known: Vec<&str> = FIGURES.iter().map(Figure::id).collect();
                     eprintln!("unknown figure {id:?}; known: {}", known.join(", "));
                     failed = true;
                 }

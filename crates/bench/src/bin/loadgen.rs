@@ -26,7 +26,7 @@
 //! spans to complete events, which must stay lint-clean).
 
 use robustq::prelude::*;
-use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
+use robustq_bench::args::{check_arrivals, or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
 use robustq_bench::sweep::{Column, Driver, Sweep};
 use robustq_bench::table::ms;
@@ -62,6 +62,8 @@ fn parse_args(it: ArgStream) -> Result<Args, EngineError> {
         if rates.iter().any(|r| !r.is_finite()) {
             return Err(EngineError::config("--rates needs finite rates"));
         }
+        let horizon_ns = VirtualTime::from_millis(HORIZON_MS).as_nanos();
+        rates.iter().try_for_each(|&r| check_arrivals("--rates", r, horizon_ns))?;
         Ok(true)
     })?;
     Ok(Args { common, rates })
@@ -130,5 +132,17 @@ mod tests {
             assert!(matches!(err, EngineError::Config(_)), "{bad}: {err}");
         }
         assert_eq!(parse(&["--rates", "1e3,2.5e4"]).unwrap().rates, [1e3, 2.5e4]);
+    }
+
+    #[test]
+    fn rates_whose_arrivals_would_exhaust_memory_are_config_errors() {
+        // 1e12 qps over the 50 ms horizon is 5e10 arrivals.
+        for bad in ["1e12", "200,2.1e8"] {
+            let err = parse(&["--rates", bad]).err().expect(bad);
+            assert!(matches!(err, EngineError::Config(_)), "{bad}: {err}");
+            assert!(err.to_string().contains("arrivals"), "{bad}: {err}");
+        }
+        // 2e8 qps is exactly the ceiling.
+        assert_eq!(parse(&["--rates", "2e8"]).unwrap().rates, [2e8]);
     }
 }

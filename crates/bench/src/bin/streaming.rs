@@ -27,7 +27,7 @@
 //! `WindowFire` instants ride along; CI feeds it to `trace-lint`).
 
 use robustq::prelude::*;
-use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
+use robustq_bench::args::{check_arrivals, or_exit, ArgStream, CommonArgs};
 use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
 use robustq_bench::sweep::{Column, Driver, Sweep};
 use robustq_bench::table::ms;
@@ -58,10 +58,11 @@ fn parse_args(it: ArgStream) -> Result<Args, EngineError> {
         if windows_us.contains(&0) {
             return Err(EngineError::config("--windows-us needs a comma list of periods ≥ 1"));
         }
-        if windows_us.iter().any(|&us| horizon_ns(us).is_none()) {
-            return Err(EngineError::config(
-                "--windows-us: a period's horizon overflows u64 nanoseconds",
-            ));
+        for &us in &windows_us {
+            let ns = horizon_ns(us).ok_or_else(|| {
+                EngineError::config("--windows-us: a period's horizon overflows u64 nanoseconds")
+            })?;
+            check_arrivals("--windows-us", RATE_QPS, ns)?;
         }
         Ok(true)
     })?;
@@ -148,7 +149,22 @@ mod tests {
             let err = parse(&["--windows-us", bad]).err().expect(bad);
             assert!(err.to_string().contains("overflows"), "{bad}: {err}");
         }
-        let fits = (u64::MAX / 10_000).to_string();
-        assert_eq!(parse(&["--windows-us", &fits]).unwrap().windows_us, [u64::MAX / 10_000]);
+        // The longest period that does not wrap asks for far too many
+        // arrivals instead.
+        let wraps_not = (u64::MAX / 10_000).to_string();
+        let err = parse(&["--windows-us", &wraps_not]).err().expect("too many arrivals");
+        assert!(err.to_string().contains("arrivals"), "{err}");
+    }
+
+    #[test]
+    fn periods_whose_arrivals_would_exhaust_memory_are_config_errors() {
+        // Ten periods of 1e9 µs at 50 k qps is 5e8 arrivals.
+        for bad in ["1000000000", "500,20000001"] {
+            let err = parse(&["--windows-us", bad]).err().expect(bad);
+            assert!(matches!(err, EngineError::Config(_)), "{bad}: {err}");
+            assert!(err.to_string().contains("arrivals"), "{bad}: {err}");
+        }
+        // A 20 s period is exactly the ceiling: 200 s of 50 k qps.
+        assert_eq!(parse(&["--windows-us", "20000000"]).unwrap().windows_us, [20_000_000]);
     }
 }

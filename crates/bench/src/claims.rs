@@ -613,7 +613,7 @@ mod tests {
         assert_eq!(ids.len(), CLAIMS.len(), "claim ids are unique");
         for c in CLAIMS {
             if c.table.starts_with("fig") {
-                assert!(FIGURES.iter().any(|(id, _)| *id == c.table), "{}: {}", c.id, c.table);
+                assert!(FIGURES.iter().any(|f| f.id() == c.table), "{}: {}", c.id, c.table);
                 assert!(c.id.starts_with(c.table), "{} is read off {}", c.id, c.table);
             }
             let table = tables().iter().find(|t| t.id == c.table);

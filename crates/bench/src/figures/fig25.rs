@@ -16,7 +16,7 @@ pub fn run(effort: Effort) -> FigTable {
     );
     let mut cols = vec!["query".to_string(), "strategy".to_string()];
     for p in sweep.iter() {
-        cols.push(format!("{} users [ms]", p.users));
+        cols.push(format!("{} users [ms]", p.axis("users")));
     }
     t.columns = cols;
     for q in SsbQuery::ALL {
@@ -25,7 +25,7 @@ pub fn run(effort: Effort) -> FigTable {
             let mut row = vec![q.name().to_string(), label.to_string()];
             for p in sweep.iter() {
                 let report = &entry(&p.entries, label).report;
-                row.push(ms(report.mean_latency_of_slot(slot, p.workload_len)));
+                row.push(ms(report.mean_latency_of_slot(slot, SsbQuery::ALL.len())));
             }
             t.push_row(row);
         }

@@ -5,6 +5,7 @@
 
 use crate::machine::{Effort, MicroSetup, ParallelSetup, WorkloadKind, WorkloadSetup};
 use robustq_core::Strategy;
+use robustq_engine::PlanNode;
 use robustq_workloads::{micro, RunReport, RunnerConfig, WorkloadRunner};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -16,37 +17,27 @@ pub struct Entry {
     pub report: RunReport,
 }
 
-/// One point of the serial-selection cache sweep (Figures 2/5/6).
+/// One point of a sweep: the benchmark it ran, its axis cells, and one
+/// labelled run per strategy.
 #[derive(Debug, Clone)]
-pub struct SerialPoint {
-    pub frac: f64,
-    pub cache_bytes: u64,
+pub struct Point {
+    /// `SSBM` or `TPC-H`; empty for the selection micro-benchmarks.
+    pub benchmark: &'static str,
+    /// `(header, cell)` of each axis the figures print, e.g. `("SF", "30")`.
+    pub axes: Vec<(&'static str, String)>,
     pub entries: Vec<Entry>,
 }
 
-/// One point of the parallel-selection user sweep (Figures 3/7/9/12/13).
-#[derive(Debug, Clone)]
-pub struct ParallelPoint {
-    pub users: usize,
-    pub entries: Vec<Entry>,
+impl Point {
+    /// The cell of axis `header`.
+    pub fn axis(&self, header: &str) -> &str {
+        let cell = self.axes.iter().find(|(h, _)| *h == header);
+        &cell.unwrap_or_else(|| panic!("no axis {header:?}")).1
+    }
 }
 
-/// One point of the scale-factor sweep (Figures 14/15/16/17).
-#[derive(Debug, Clone)]
-pub struct SfPoint {
-    pub sf: u32,
-    pub footprint: u64,
-    pub cache_bytes: u64,
-    pub entries: Vec<Entry>,
-}
-
-/// One point of the multi-user full-workload sweep (Figures 18–21/25).
-#[derive(Debug, Clone)]
-pub struct UsersPoint {
-    pub users: usize,
-    /// Length of one repetition of the workload (for latency slots).
-    pub workload_len: usize,
-    pub entries: Vec<Entry>,
+fn kib(bytes: u64) -> String {
+    (bytes / 1024).to_string()
 }
 
 /// One static memo map per sweep family.
@@ -59,10 +50,10 @@ macro_rules! memo_map {
     };
 }
 
-memo_map!(serial_memo, Effort, Vec<SerialPoint>);
-memo_map!(parallel_memo, Effort, Vec<ParallelPoint>);
-memo_map!(sf_memo, (WorkloadKind, Effort), Vec<SfPoint>);
-memo_map!(users_memo, (WorkloadKind, Effort), Vec<UsersPoint>);
+memo_map!(serial_memo, Effort, Vec<Point>);
+memo_map!(parallel_memo, Effort, Vec<Point>);
+memo_map!(sf_memo, (WorkloadKind, Effort), Vec<Point>);
+memo_map!(users_memo, (WorkloadKind, Effort), Vec<Point>);
 
 fn memoized<K, V>(
     map: &'static Mutex<HashMap<K, Arc<V>>>,
@@ -80,9 +71,20 @@ where
     v
 }
 
+/// One entry per strategy: a run of `queries` under `cfg`.
+fn run_each(
+    runner: &WorkloadRunner,
+    queries: &[PlanNode],
+    strategies: &[Strategy],
+    cfg: &RunnerConfig,
+) -> Vec<Entry> {
+    let run = |s: Strategy| runner.run(queries, s, cfg).unwrap_or_else(|e| panic!("{s:?}: {e}"));
+    strategies.iter().map(|&s| Entry { label: s.name(), report: run(s) }).collect()
+}
+
 /// The serial-selection cache-size sweep (operator-driven thrashing vs
-/// data-driven placement).
-pub fn serial_sweep(effort: Effort) -> Arc<Vec<SerialPoint>> {
+/// data-driven placement): axes `cache/WS`, `cache [KiB]`.
+pub fn serial_sweep(effort: Effort) -> Arc<Vec<Point>> {
     memoized(serial_memo(), effort, || {
         let setup = MicroSetup::new(effort);
         let queries = micro::serial_selection_workload(setup.reps);
@@ -103,21 +105,17 @@ pub fn serial_sweep(effort: Effort) -> Arc<Vec<SerialPoint>> {
                 let cfg = RunnerConfig::default()
                     .with_placement_period(queries.len())
                     .with_parallel(crate::machine::parallel_ctx());
-                let entries = strategies
-                    .iter()
-                    .map(|&s| Entry {
-                        label: s.name(),
-                        report: runner.run(&queries, s, &cfg).expect("serial sweep run"),
-                    })
-                    .collect();
-                SerialPoint { frac, cache_bytes, entries }
+                let entries = run_each(&runner, &queries, &strategies, &cfg);
+                let axes =
+                    vec![("cache/WS", format!("{frac:.2}")), ("cache [KiB]", kib(cache_bytes))];
+                Point { benchmark: "", axes, entries }
             })
             .collect()
     })
 }
 
-/// The parallel-selection user sweep (heap contention).
-pub fn parallel_sweep(effort: Effort) -> Arc<Vec<ParallelPoint>> {
+/// The parallel-selection user sweep (heap contention): axis `users`.
+pub fn parallel_sweep(effort: Effort) -> Arc<Vec<Point>> {
     memoized(parallel_memo(), effort, || {
         let setup = ParallelSetup::new(effort);
         let queries = micro::parallel_selection_workload(setup.total_queries);
@@ -142,21 +140,16 @@ pub fn parallel_sweep(effort: Effort) -> Arc<Vec<ParallelPoint>> {
                     .with_placement_period(queries.len())
                     .with_preload()
                     .with_parallel(crate::machine::parallel_ctx());
-                let entries = strategies
-                    .iter()
-                    .map(|&s| Entry {
-                        label: s.name(),
-                        report: runner.run(&queries, s, &cfg).expect("parallel sweep run"),
-                    })
-                    .collect();
-                ParallelPoint { users, entries }
+                let entries = run_each(&runner, &queries, &strategies, &cfg);
+                Point { benchmark: "", axes: vec![("users", users.to_string())], entries }
             })
             .collect()
     })
 }
 
-/// The scale-factor sweep over a full workload, six strategies.
-pub fn workload_sweep(kind: WorkloadKind, effort: Effort) -> Arc<Vec<SfPoint>> {
+/// The scale-factor sweep over a full workload, six strategies: axes
+/// `SF`, `footprint [KiB]`, `GPU cache [KiB]`.
+pub fn workload_sweep(kind: WorkloadKind, effort: Effort) -> Arc<Vec<Point>> {
     memoized(sf_memo(), (kind, effort), || {
         let setup = WorkloadSetup::new(kind, effort);
         let sim = setup.sim();
@@ -172,29 +165,28 @@ pub fn workload_sweep(kind: WorkloadKind, effort: Effort) -> Arc<Vec<SfPoint>> {
                     .with_placement_period(queries.len())
                     .with_preload()
                     .with_parallel(crate::machine::parallel_ctx());
-                let entries = Strategy::PAPER_SIX
-                    .iter()
-                    .map(|&s| Entry {
-                        label: s.name(),
-                        report: runner.run(&queries, s, &cfg).expect("sf sweep run"),
-                    })
-                    .collect();
-                SfPoint { sf, footprint, cache_bytes: sim.gpu().cache_bytes, entries }
+                let entries = run_each(&runner, &queries, &Strategy::PAPER_SIX, &cfg);
+                let axes = vec![
+                    ("SF", sf.to_string()),
+                    ("footprint [KiB]", kib(footprint)),
+                    ("GPU cache [KiB]", kib(sim.gpu().cache_bytes)),
+                ];
+                Point { benchmark: kind.name(), axes, entries }
             })
             .collect()
     })
 }
 
 /// The multi-user sweep over a full workload at scale factor 10; includes
-/// the GPU-only + admission-control reference of Section 6.2.2.
-pub fn users_sweep(kind: WorkloadKind, effort: Effort) -> Arc<Vec<UsersPoint>> {
+/// the GPU-only + admission-control reference of Section 6.2.2. Axis
+/// `users`.
+pub fn users_sweep(kind: WorkloadKind, effort: Effort) -> Arc<Vec<Point>> {
     memoized(users_memo(), (kind, effort), || {
         let setup = WorkloadSetup::new(kind, effort);
         let sim = setup.sim();
         let db = setup.db(10);
         let base = setup.queries(&db);
-        let workload_len = base.len();
-        let mut queries = Vec::with_capacity(workload_len * setup.multiuser_reps);
+        let mut queries = Vec::with_capacity(base.len() * setup.multiuser_reps);
         for _ in 0..setup.multiuser_reps {
             queries.extend(base.iter().cloned());
         }
@@ -208,13 +200,7 @@ pub fn users_sweep(kind: WorkloadKind, effort: Effort) -> Arc<Vec<UsersPoint>> {
                     .with_placement_period(queries.len())
                     .with_preload()
                     .with_parallel(crate::machine::parallel_ctx());
-                let mut entries: Vec<Entry> = Strategy::PAPER_SIX
-                    .iter()
-                    .map(|&s| Entry {
-                        label: s.name(),
-                        report: runner.run(&queries, s, &cfg).expect("users sweep run"),
-                    })
-                    .collect();
+                let mut entries = run_each(&runner, &queries, &Strategy::PAPER_SIX, &cfg);
                 let admission_cfg = cfg.clone().with_admission_limit(1);
                 entries.push(Entry {
                     label: "GPU Only + Admission",
@@ -222,7 +208,7 @@ pub fn users_sweep(kind: WorkloadKind, effort: Effort) -> Arc<Vec<UsersPoint>> {
                         .run(&queries, Strategy::GpuPreferred, &admission_cfg)
                         .expect("admission run"),
                 });
-                UsersPoint { users, workload_len, entries }
+                Point { benchmark: kind.name(), axes: vec![("users", users.to_string())], entries }
             })
             .collect()
     })
