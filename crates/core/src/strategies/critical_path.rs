@@ -7,13 +7,16 @@
 //! operator runs on the co-processor only if both children do.
 //!
 //! Starting from an all-CPU plan, each round tries moving one more leaf
-//! chain to the co-processor, keeps the cheapest candidate if it improves
-//! the estimated response time (the critical path length under the learned
-//! HyPE cost models), and stops otherwise — quadratic in the number of
-//! leaves, with a fixed iteration cap for very wide plans.
+//! chain to the co-processor and keeps the cheapest candidate, where a
+//! candidate's cost is the one [`price()`] every strategy shares: the
+//! serial sum of the busiest queue the plan uses, its kernels and its
+//! link crossings — quadratic in the number of leaves, with a fixed
+//! iteration cap for very wide plans.
 
+use crate::strategies::price;
 use robustq_engine::{LearnedModel, Placement, PlacementPolicy, PolicyCtx, TaskInfo};
 use robustq_sim::{DeviceId, PerDevice, VirtualTime};
+use std::slice;
 
 /// Cap on refinement rounds (Appendix D: "a fixed number of iterations
 /// ... in case the plan contains too many leaf operators").
@@ -60,51 +63,6 @@ impl CriticalPath {
         }
         devices
     }
-
-    /// Estimated response time (critical-path length) of one assignment.
-    fn response_time(
-        &self,
-        devices: &[DeviceId],
-        tasks: &[TaskInfo],
-        base: usize,
-        ctx: &PolicyCtx,
-    ) -> VirtualTime {
-        let mut completion: Vec<VirtualTime> = Vec::with_capacity(tasks.len());
-        for (i, t) in tasks.iter().enumerate() {
-            let device = devices[i];
-            let children_done = t
-                .children_tasks
-                .iter()
-                .map(|&c| completion[c - base])
-                .max()
-                .unwrap_or(VirtualTime::ZERO);
-            // Transfers: base columns not yet resident for co-processor
-            // scans, child results crossing a device boundary otherwise.
-            let mut move_bytes = if device.is_coprocessor() {
-                ctx.missing_bytes(device, t.base_columns)
-            } else {
-                0
-            };
-            for &c in t.children_tasks {
-                if devices[c - base] != device {
-                    move_bytes += tasks[c - base].bytes_out_estimate;
-                }
-            }
-            let kernel =
-                self.model.estimate(t.op_class, device, t.bytes_in, t.bytes_out_estimate);
-            completion.push(
-                children_done + self.model.estimate_transfer(move_bytes) + kernel,
-            );
-        }
-        let root = *completion.last().expect("non-empty plan");
-        // The result must end on the host.
-        if devices.last().expect("non-empty plan").is_coprocessor() {
-            let out = tasks.last().expect("non-empty plan").bytes_out_estimate;
-            root + self.model.estimate_transfer(out)
-        } else {
-            root
-        }
-    }
 }
 
 impl PlacementPolicy for CriticalPath {
@@ -140,7 +98,7 @@ impl PlacementPolicy for CriticalPath {
         // both sides moved). The best assignment seen anywhere wins.
         let mut chosen = vec![false; tasks.len()];
         let mut best_devices = Self::closure(&chosen, tasks, base, target);
-        let mut best_cost = self.response_time(&best_devices, tasks, base, ctx);
+        let mut best_cost = price(&self.model, tasks, &best_devices, ctx);
 
         for _round in 0..MAX_ITERATIONS.min(leaves.len()) {
             let mut round_best: Option<(usize, VirtualTime, Vec<DeviceId>)> = None;
@@ -151,7 +109,7 @@ impl PlacementPolicy for CriticalPath {
                 let mut cand = chosen.clone();
                 cand[leaf] = true;
                 let devices = Self::closure(&cand, tasks, base, target);
-                let cost = self.response_time(&devices, tasks, base, ctx);
+                let cost = price(&self.model, tasks, &devices, ctx);
                 if round_best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
                     round_best = Some((leaf, cost, devices));
                 }
@@ -165,15 +123,16 @@ impl PlacementPolicy for CriticalPath {
                 best_devices = devices;
             }
         }
-        // Annotate each pick with its per-device kernel estimates so the
-        // trace records what the search believed about either side.
+        // Annotate each pick with the price of the task alone on each
+        // device so the trace records what the search believed about
+        // either side.
         let device_count = ctx.topology.device_count();
         best_devices
             .into_iter()
             .zip(tasks)
             .map(|(d, t)| {
                 let est = PerDevice::from_fn(device_count, |dev| {
-                    self.model.estimate(t.op_class, dev, t.bytes_in, t.bytes_out_estimate)
+                    price(&self.model, slice::from_ref(t), &[dev], ctx)
                 });
                 Some(Placement::modeled(d, est))
             })
@@ -192,26 +151,32 @@ mod tests {
     use robustq_sim::{CacheKey, OpClass};
     use robustq_storage::{ColumnData, DataType, Database, Field, Schema, Table};
 
-    /// Build a tiny 4-task plan: two scans (ids 0,1) joined (2), then
-    /// aggregated (3). `col_a`/`col_b` are the scans' base columns.
-    fn plan_tasks(bytes: u64) -> Vec<TaskInfo<'static>> {
-        let mut scan_a = task(bytes);
+    /// Bytes each scan reads: one 1 M-row `Int64` column.
+    const BYTES: u64 = 8_000_000;
+
+    /// A tiny 4-task plan: two scans (ids 0,1) joined (2), then
+    /// aggregated (3). `col_a`/`col_b` are the scans' base columns; every
+    /// operator but the aggregate returns half of what it reads.
+    fn plan_tasks() -> Vec<TaskInfo<'static>> {
+        let mut scan_a = task(BYTES);
         scan_a.task = 0;
         scan_a.base_columns = &[robustq_storage::ColumnId(0)];
-        scan_a.bytes_out_estimate = bytes / 2;
-        let mut scan_b = task(bytes);
+        scan_a.bytes_out_estimate = BYTES / 2;
+        let mut scan_b = task(BYTES);
         scan_b.task = 1;
         scan_b.base_columns = &[robustq_storage::ColumnId(1)];
-        scan_b.bytes_out_estimate = bytes / 2;
-        let mut join = task(bytes);
+        scan_b.bytes_out_estimate = BYTES / 2;
+        let mut join = task(BYTES);
         join.task = 2;
         join.op_class = OpClass::HashJoin;
         join.children_tasks = &[0, 1];
-        join.bytes_out_estimate = bytes / 2;
-        let mut agg = task(bytes / 2);
+        join.children_bytes = &[BYTES / 2, BYTES / 2];
+        join.bytes_out_estimate = BYTES / 2;
+        let mut agg = task(BYTES / 2);
         agg.task = 3;
         agg.op_class = OpClass::Aggregation;
         agg.children_tasks = &[2];
+        agg.children_bytes = &[BYTES / 2];
         agg.bytes_out_estimate = 64;
         vec![scan_a, scan_b, join, agg]
     }
@@ -252,12 +217,13 @@ mod tests {
 
     #[test]
     fn cold_cache_with_big_columns_stays_on_cpu() {
-        // 8 MB per column over a ~1.2 GB/s link dwarfs the kernel gain.
+        // 8 MB per column over the link (2 µs, then 1.5 and 2 GB/s in
+        // series: 9.3 ms) dwarfs the kernel gain.
         let db = db_with_two_columns(1_000_000);
         let fx = fixture(0);
         let ctx = fx.ctx(&db);
         let mut cp = trained();
-        let out = cp.plan_query(&plan_tasks(8_000_000), &ctx);
+        let out = cp.plan_query(&plan_tasks(), &ctx);
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|p| p.as_ref().unwrap().device == DeviceId::Cpu));
     }
@@ -270,7 +236,7 @@ mod tests {
             .set_pinned(&[(CacheKey(0), 8_000_000), (CacheKey(1), 8_000_000)]);
         let ctx = fx.ctx(&db);
         let mut cp = trained();
-        let out = cp.plan_query(&plan_tasks(8_000_000), &ctx);
+        let out = cp.plan_query(&plan_tasks(), &ctx);
         // Both scans cached: everything chains onto the co-processor.
         assert_eq!(out[0].as_ref().unwrap().device, DeviceId::Gpu);
         assert_eq!(out[1].as_ref().unwrap().device, DeviceId::Gpu);
@@ -290,7 +256,7 @@ mod tests {
         fx.cache_mut(DeviceId::Gpu).set_pinned(&[(CacheKey(0), 8_000_000)]);
         let ctx = fx.ctx(&db);
         let mut cp = trained();
-        let out = cp.plan_query(&plan_tasks(8_000_000), &ctx);
+        let out = cp.plan_query(&plan_tasks(), &ctx);
         // The cold side stays on the CPU, so the join cannot chain.
         assert_eq!(out[1].as_ref().unwrap().device, DeviceId::Cpu);
         assert_eq!(out[2].as_ref().unwrap().device, DeviceId::Cpu);
@@ -317,7 +283,7 @@ mod tests {
                 cp.model.observe(class, g2, b, 0, d, d);
             }
         }
-        let out = cp.plan_query(&plan_tasks(8_000_000), &ctx);
+        let out = cp.plan_query(&plan_tasks(), &ctx);
         assert!(
             out.iter()
                 .take(3)
@@ -328,7 +294,7 @@ mod tests {
 
     #[test]
     fn closure_respects_binary_rule() {
-        let tasks = plan_tasks(1_000);
+        let tasks = plan_tasks();
         let devices =
             CriticalPath::closure(&[true, false, false, false], &tasks, 0, DeviceId::Gpu);
         assert_eq!(devices[0], DeviceId::Gpu);
@@ -361,7 +327,7 @@ mod tests {
         ]);
         let mut ctx = fx.ctx(&db);
         ctx.col_epochs = &epochs;
-        let out = trained().plan_query(&plan_tasks(8_000_000), &ctx);
+        let out = trained().plan_query(&plan_tasks(), &ctx);
         assert!(
             out.iter().take(3).all(|p| p.as_ref().unwrap().device == DeviceId::Gpu),
             "columns pinned at their live epoch are costed as resident"
@@ -373,7 +339,7 @@ mod tests {
             .set_pinned(&[(CacheKey(0), 8_000_000), (CacheKey(1), 8_000_000)]);
         let mut ctx = fx.ctx(&db);
         ctx.col_epochs = &epochs;
-        let out = trained().plan_query(&plan_tasks(8_000_000), &ctx);
+        let out = trained().plan_query(&plan_tasks(), &ctx);
         assert!(
             out.iter().all(|p| p.as_ref().unwrap().device == DeviceId::Cpu),
             "stale-epoch residency re-transfers"

@@ -12,6 +12,7 @@
 //! device and the chain follows whichever device holds the data.
 
 use crate::placement_mgr::{DataPlacementManager, PlacementPolicyKind};
+use crate::strategies::price::{busiest_coprocessor, price};
 use crate::strategies::RecurringMemo;
 use robustq_engine::{
     LearnedModel, Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo,
@@ -98,6 +99,9 @@ struct Chain {
     devices: Vec<DeviceId>,
     /// The children's devices of the task being placed.
     children: Vec<DeviceId>,
+    /// The whole query on the CPU, the plan the veto prices the chain
+    /// against.
+    on_cpu: Vec<DeviceId>,
 }
 
 impl Chain {
@@ -176,50 +180,6 @@ struct Prices {
     cpu: VirtualTime,
 }
 
-/// Price `tasks` (one query, postorder) placed on `devices` against the
-/// whole query on the CPU: each side's queued work plus the model's
-/// kernel estimates, and on the chain's side the link's service time for
-/// every co-processor → CPU pull and its fixed latency for the result's
-/// return. The return is not priced on the result's estimated size, a
-/// plan's least certain number (Listing 1's selections, guessed to keep
-/// a third, keep almost nothing). `None` when the chain never leaves the
-/// CPU or a cell the price reads is still on its prior.
-fn price(
-    model: &LearnedModel,
-    tasks: &[TaskInfo],
-    devices: &[DeviceId],
-    ctx: &PolicyCtx,
-) -> Option<Prices> {
-    let base = tasks.first()?.task;
-    let coprocessor = devices
-        .iter()
-        .copied()
-        .filter(|d| d.is_coprocessor())
-        .max_by_key(|&d| ctx.queued_work.get_padded(d))?;
-    let mut chain = ctx.queued_work.get_padded(coprocessor);
-    let mut cpu = ctx.queued_work.get_padded(DeviceId::Cpu);
-    for (t, &device) in tasks.iter().zip(devices) {
-        if !(model.is_fitted(t.op_class, device) && model.is_fitted(t.op_class, DeviceId::Cpu)) {
-            return None;
-        }
-        chain += model.estimate(t.op_class, device, t.bytes_in, t.bytes_out_estimate);
-        cpu += model.estimate(t.op_class, DeviceId::Cpu, t.bytes_in, t.bytes_out_estimate);
-        if !device.is_coprocessor() {
-            for (&c, &bytes) in t.children_tasks.iter().zip(t.children_bytes) {
-                let from = devices[c - base];
-                if from.is_coprocessor() {
-                    chain += ctx.topology.link(from).service_time(bytes);
-                }
-            }
-        }
-    }
-    let root_device = *devices.last()?;
-    if root_device.is_coprocessor() {
-        chain += ctx.topology.link(root_device).latency;
-    }
-    Some(Prices { coprocessor, chain, cpu })
-}
-
 /// Data-driven query chopping (Section 5.4): the combined, robust
 /// strategy. Placement follows the pinned data like [`DataDriven`], but
 /// is decided at run time per ready operator (so aborts re-route the rest
@@ -258,6 +218,30 @@ impl DataDrivenChopping {
             chain: Chain::default(),
         }
     }
+
+    /// The [`price()`] of `tasks` (one query, postorder) on the chain
+    /// residency builds, against the whole query on the CPU. `None` when
+    /// the query has a shard, the chain never leaves the CPU, or a kernel
+    /// cell either price reads is still on its prior.
+    fn prices(&mut self, tasks: &[TaskInfo], ctx: &PolicyCtx) -> Option<Prices> {
+        if tasks.iter().any(|t| t.shard.is_some()) {
+            return None;
+        }
+        let devices = self.chain.build(tasks, ctx);
+        let coprocessor = busiest_coprocessor(devices, ctx)?;
+        let fitted = |(t, &d): (&TaskInfo, &DeviceId)| {
+            self.model.is_fitted(t.op_class, d) && self.model.is_fitted(t.op_class, DeviceId::Cpu)
+        };
+        if !tasks.iter().zip(devices).all(fitted) {
+            return None;
+        }
+        let chain = price(&self.model, tasks, devices, ctx);
+        let on_cpu = &mut self.chain.on_cpu;
+        on_cpu.clear();
+        on_cpu.resize(tasks.len(), DeviceId::Cpu);
+        let cpu = price(&self.model, tasks, on_cpu, ctx);
+        Some(Prices { coprocessor, chain, cpu })
+    }
 }
 
 impl PlacementPolicy for DataDrivenChopping {
@@ -266,12 +250,7 @@ impl PlacementPolicy for DataDrivenChopping {
     }
 
     fn plan_query(&mut self, tasks: &[TaskInfo], ctx: &PolicyCtx) -> Vec<Option<Placement>> {
-        let prices = if tasks.iter().any(|t| t.shard.is_some()) {
-            None
-        } else {
-            price(&self.model, tasks, self.chain.build(tasks, ctx), ctx)
-        };
-        let Some(p) = prices.filter(|p| p.cpu < p.chain) else {
+        let Some(p) = self.prices(tasks, ctx).filter(|p| p.cpu < p.chain) else {
             return vec![None; tasks.len()];
         };
         let est = PerDevice::from_fn(ctx.topology.device_count(), |d| match d {

@@ -13,12 +13,14 @@
 pub mod chopping;
 pub mod critical_path;
 pub mod data_driven;
+mod price;
 pub mod runtime;
 pub mod simple;
 
 pub use chopping::Chopping;
 pub use critical_path::CriticalPath;
 pub use data_driven::{DataDriven, DataDrivenChopping};
+pub use price::price;
 pub use runtime::{RuntimePlacement, RuntimePlacer};
 pub use simple::{CpuOnly, GpuPreferred};
 

@@ -8,11 +8,12 @@
 //! topology is a candidate: the placer ranks the CPU and all K
 //! co-processors by estimated completion time.
 
-use crate::strategies::RecurringMemo;
+use crate::strategies::{price, RecurringMemo};
 use robustq_engine::{
     LearnedModel, Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo,
 };
-use robustq_sim::{DeviceId, PerDevice, VirtualTime};
+use robustq_sim::{DeviceId, PerDevice};
+use std::slice;
 
 /// The run-time heap veto: whether `device` has room for `task` next to
 /// what it is already running (always true for the CPU's host memory).
@@ -30,12 +31,12 @@ fn heap_admits(task: &TaskInfo, device: DeviceId, ctx: &PolicyCtx) -> bool {
 }
 
 /// The shared run-time placement logic: estimated-completion-time
-/// minimization over all devices, using learned kernel models plus
-/// measured transfer bandwidth.
+/// minimization over all devices, each device's estimate the one
+/// [`price()`] of the ready task alone on it.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimePlacer {
-    /// The learned kernel/transfer model (regressions on cold-start
-    /// priors until the executor selects and trains it).
+    /// The learned kernel model (regressions on cold-start priors until
+    /// the executor selects and trains it).
     model: LearnedModel,
     /// A standing query re-submits the same plan every window tick, so
     /// the first tick's ranked decision is reused for later ticks as
@@ -56,65 +57,17 @@ impl RuntimePlacer {
         &mut self.model
     }
 
-    /// Bytes that would have to cross `device`'s host link host→device
-    /// for `task` to run there: base columns not yet resident, plus child
-    /// outputs held elsewhere. A child resident on *another* co-processor
-    /// has no direct link, so its output crosses twice (device→host, then
-    /// host→device).
-    fn h2d_bytes(&self, task: &TaskInfo, device: DeviceId, ctx: &PolicyCtx) -> u64 {
-        let mut bytes = ctx.missing_bytes(device, task.base_columns);
-        for (&dev, &b) in task.children_devices.iter().zip(task.children_bytes) {
-            if dev == device {
-                continue;
-            }
-            bytes += if dev.is_coprocessor() { 2 * b } else { b };
-        }
-        bytes
-    }
-
-    /// Bytes that would have to cross back device→host if the task ran
-    /// on the CPU (every child resident on a co-processor).
-    fn d2h_bytes(&self, task: &TaskInfo) -> u64 {
-        task.children_devices
-            .iter()
-            .zip(task.children_bytes)
-            .filter(|(dev, _)| dev.is_coprocessor())
-            .map(|(_, b)| b)
-            .sum()
-    }
-
-    /// Estimated completion time of `task` on `device`.
-    pub fn completion_estimate(
-        &self,
-        task: &TaskInfo,
-        device: DeviceId,
-        ctx: &PolicyCtx,
-    ) -> VirtualTime {
-        let kernel = self.model.estimate(
-            task.op_class,
-            device,
-            task.bytes_in,
-            task.bytes_out_estimate,
-        );
-        let transfer = if device.is_coprocessor() {
-            self.model.estimate_transfer(self.h2d_bytes(task, device, ctx))
-        } else {
-            self.model.estimate_transfer(self.d2h_bytes(task))
-        };
-        ctx.queued_work.get_padded(device) + transfer + kernel
-    }
-
-    /// Pick the device with the smallest estimated completion time (ties
-    /// go to the lower device index, so the CPU — the risk-free side —
-    /// wins exact draws). The returned [`Placement`] carries all
-    /// estimates so the decision is auditable from the trace.
+    /// Pick the device with the smallest [`price()`] (ties go to the lower
+    /// device index, so the CPU — the risk-free side — wins exact draws).
+    /// The returned [`Placement`] carries all estimates so the decision
+    /// is auditable from the trace.
     ///
     /// Each co-processor is vetoed independently by `heap_admits`;
     /// when every co-processor is under heap pressure the task falls
     /// back to the CPU with [`PlaceReason::HeapPressure`].
     pub fn choose(&self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
         let est = PerDevice::from_fn(ctx.topology.device_count(), |d| {
-            self.completion_estimate(task, d, ctx)
+            price(&self.model, slice::from_ref(task), &[d], ctx)
         });
         let coproc_count = ctx.topology.coprocessor_count();
         let eligible: Vec<DeviceId> =
@@ -179,6 +132,7 @@ pub(crate) mod test_support {
     use super::*;
     use robustq_sim::{
         CachePolicy, CacheSet, DataCache, DeviceSpec, LinkParams, OpClass, Topology,
+        VirtualTime,
     };
     use robustq_storage::Database;
 
@@ -245,6 +199,17 @@ pub(crate) mod test_support {
         }
     }
 
+    /// A ready task (id 1) over one 8 MB child (id 0) held on `held[0]`.
+    pub fn over_child(held: &[DeviceId]) -> TaskInfo<'_> {
+        TaskInfo {
+            task: 1,
+            children_tasks: &[0],
+            children_devices: held,
+            children_bytes: &[8_000_000],
+            ..task(8_000_000)
+        }
+    }
+
     pub fn task(bytes_in: u64) -> TaskInfo<'static> {
         TaskInfo {
             query: 0,
@@ -267,7 +232,7 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::*;
     use super::*;
-    use robustq_sim::OpClass;
+    use robustq_sim::{OpClass, VirtualTime};
 
     /// Teach the estimator that a co-processor is much faster.
     fn trained_placer(devices: &[DeviceId]) -> RuntimePlacer {
@@ -289,11 +254,9 @@ mod tests {
         let fx = fixture(0);
         let ctx = fx.ctx(&db);
         let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu]);
-        // No base columns, children on GPU: zero transfer either way in
-        // h2d, but CPU placement would pull the child back.
-        let mut t = task(8_000_000);
-        t.children_devices = &[DeviceId::Gpu];
-        t.children_bytes = &[8_000_000];
+        // No base columns, the child on the GPU: no transfer there, but
+        // CPU placement would pull the child back.
+        let t = over_child(&[DeviceId::Gpu]);
         assert_eq!(placer.choose(&t, &ctx).device, DeviceId::Gpu);
     }
 
@@ -303,11 +266,9 @@ mod tests {
         let fx = fixture(0);
         let ctx = fx.ctx(&db);
         let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu]);
-        // Child output is on the CPU: the GPU pays a 1.2 GB/s copy that
-        // dwarfs the kernel speedup.
-        let mut t = task(8_000_000);
-        t.children_devices = &[DeviceId::Cpu];
-        t.children_bytes = &[8_000_000];
+        // Child output is on the CPU: the GPU pays the link's copy (2 µs,
+        // then 1.5 and 2 GB/s in series) that dwarfs the kernel speedup.
+        let t = over_child(&[DeviceId::Cpu]);
         assert_eq!(placer.choose(&t, &ctx).device, DeviceId::Cpu);
     }
 
@@ -316,9 +277,7 @@ mod tests {
         let db = empty_db();
         let mut fx = fixture(0);
         let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu]);
-        let mut t = task(8_000_000);
-        t.children_devices = &[DeviceId::Gpu];
-        t.children_bytes = &[8_000_000];
+        let t = over_child(&[DeviceId::Gpu]);
         assert_eq!(placer.choose(&t, &fx.ctx(&db)).device, DeviceId::Gpu);
         // Pile an hour of queued work on the GPU: go CPU despite transfer.
         fx.queued_work[DeviceId::Gpu] = VirtualTime::from_secs_f64(3_600.0);
@@ -349,9 +308,7 @@ mod tests {
         // Child output lives on GPU2: running on GPU2 is free of
         // transfers, running on GPU1 pays two bus crossings.
         let devices = [g2];
-        let mut t = task(8_000_000);
-        t.children_devices = &devices;
-        t.children_bytes = &[8_000_000];
+        let t = over_child(&devices);
         let placed = placer.choose(&t, &ctx);
         assert_eq!(placed.device, g2);
         assert!(placed.est[DeviceId::Gpu] > placed.est[DeviceId::Cpu]);

@@ -134,9 +134,6 @@ impl LinearModel {
 /// roughly 3× faster than the host.
 const PRIOR_CPU: f64 = 5.0e9;
 const PRIOR_GPU: f64 = 15.0e9;
-/// Measured copy bandwidth (bytes/s) behind transfer estimates — HyPE
-/// measures this once at startup on real hardware.
-const COPY_BANDWIDTH: f64 = 1.2e9;
 /// EWMA smoothing factor: weight of the newest observation.
 const ALPHA: f64 = 0.25;
 /// Per-dispatch overhead priors (seconds): launching on a co-processor
@@ -223,8 +220,9 @@ enum Learner {
     Ewma { seed: u64, cells: Cells<Option<Throughput>> },
 }
 
-/// The learned cost model: estimates kernel durations and transfer
-/// times, and refines itself from observed executions (module docs).
+/// The learned cost model: estimates kernel durations and refines
+/// itself from observed executions (module docs). Transfers are priced
+/// on the link itself, never learned.
 #[derive(Debug, Clone)]
 pub struct LearnedModel {
     learner: Learner,
@@ -295,11 +293,6 @@ impl LearnedModel {
             }
             Learner::Ewma { cells, .. } => matches!(cell(cells, class, device), Some(Some(_))),
         }
-    }
-
-    /// Estimated one-way host-link transfer time for `bytes`.
-    pub fn estimate_transfer(&self, bytes: u64) -> VirtualTime {
-        VirtualTime::from_secs_f64(bytes as f64 / COPY_BANDWIDTH)
     }
 
     /// Ingest one completed operator and report the predicted-vs-actual
@@ -499,16 +492,6 @@ mod tests {
         let cpu = m.estimate(OpClass::Selection, DeviceId::Cpu, 5_000_000_000, 0);
         assert_eq!(cpu, secs(1.0), "CPU unaffected");
         assert_eq!(m.estimate(OpClass::Sort, g2, 15_000_000_000, 0), secs(1.0));
-    }
-
-    #[test]
-    fn transfer_estimate_scales_linearly() {
-        for m in [LearnedModel::default(), adaptive(9)] {
-            let t1 = m.estimate_transfer(1_200_000_000);
-            assert!((t1.as_secs_f64() - 1.0).abs() < 1e-9);
-            let t2 = m.estimate_transfer(2_400_000_000);
-            assert!((t2.as_secs_f64() - 2.0).abs() < 1e-9);
-        }
     }
 
     #[test]

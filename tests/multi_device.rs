@@ -36,6 +36,12 @@ const KS: [usize; 3] = [1, 2, 4];
 
 const DDC_SHARD: &str = "Data-Driven Chopping + Shard";
 
+/// The strategy the chaos and tracing fleet tests run. GPU Only places
+/// each admitted query on the least-loaded co-processor, so it reaches
+/// every device of the fleet on this 1 k-row fixture; Chopping, whose
+/// price charges each transfer on the link, keeps it on the CPU.
+const FLEET: Strategy = Strategy::GpuPreferred;
+
 /// The one sharded placement path: Data-Driven Chopping whose manager
 /// partitions large tables `k` ways and replicates small ones.
 fn sharded_ddc(k: usize) -> DataDrivenChopping {
@@ -138,7 +144,7 @@ fn chaos_differential_holds_on_a_fleet() {
         let runner = WorkloadRunner::new(&db, sim_k(k));
         let cfg = RunnerConfig::default().with_users(2);
         let baseline = runner
-            .run(&queries, Strategy::Chopping, &cfg)
+            .run(&queries, FLEET, &cfg)
             .expect("fault-free baseline");
         let want = baseline.result_fingerprints();
         let horizon = baseline.metrics.makespan.max(VirtualTime::from_micros(1));
@@ -160,7 +166,7 @@ fn chaos_differential_holds_on_a_fleet() {
             let plan = FaultPlan::new(seed, spec);
             let cfg = RunnerConfig::default().with_users(2).with_fault_plan(plan);
             let report = runner
-                .run(&queries, Strategy::Chopping, &cfg)
+                .run(&queries, FLEET, &cfg)
                 .unwrap_or_else(|e| panic!("K={k} seed {seed} failed: {e}"));
             let label = format!("K={k} seed {seed}");
             assert_conservation(&report, k, &label);
@@ -401,9 +407,11 @@ fn traced_fleet_run_has_one_lane_per_device() {
     let queries = ssb::workload(&db).expect("SSB plans");
     for k in [2usize, 4] {
         let runner = WorkloadRunner::new(&db, sim_k(k));
-        let cfg = RunnerConfig::default().with_users(2).with_trace();
+        // One session per co-processor: GPU Only admits each onto its
+        // own least-loaded device.
+        let cfg = RunnerConfig::default().with_users(k).with_trace();
         let report =
-            runner.run(&queries, Strategy::Chopping, &cfg).expect("traced run");
+            runner.run(&queries, FLEET, &cfg).expect("traced run");
         let chrome = report.chrome_trace().expect("traced run exports chrome JSON");
         assert_eq!(report.metrics.device_busy.len(), k + 1);
         for (d, _) in report.metrics.device_busy.iter() {
