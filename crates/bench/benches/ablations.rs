@@ -11,9 +11,12 @@
 //! 6. processing models (bulk / vectorized / compiled, Section 5.5):
 //!    cache thrashing is inherent to all three,
 //! 7. multi-co-processor scale-up via horizontal partitioning
-//!    (Section 6.3: more GPUs shift the break-down point further).
+//!    (Section 6.3: more GPUs shift the break-down point further): one
+//!    machine per fact-table partition, the makespan the slowest one's.
 
-use robustq_bench::machine::{Effort, MicroSetup, ParallelSetup, WorkloadKind, WorkloadSetup};
+use robustq_bench::machine::{
+    partitioned_makespan, Effort, MicroSetup, ParallelSetup, WorkloadKind, WorkloadSetup,
+};
 use robustq_bench::table::{ms, FigTable};
 use robustq_core::strategies::Chopping;
 use robustq_core::Strategy;
@@ -276,8 +279,6 @@ fn processing_models(effort: Effort) -> FigTable {
 }
 
 fn multi_gpu_partitioning(effort: Effort) -> FigTable {
-    use robustq_workloads::partitioned::{partition, run_partitioned};
-
     let setup = WorkloadSetup::new(WorkloadKind::Ssb, effort);
     let sim = setup.sim();
     let mut t = FigTable::new(
@@ -295,12 +296,11 @@ fn multi_gpu_partitioning(effort: Effort) -> FigTable {
             .run(&queries, Strategy::CpuOnly, &cfg)
             .expect("cpu run");
         let mut row = vec![format!("{sf}"), ms(cpu.metrics.makespan)];
-        for n in [1usize, 2, 4] {
-            let parts = partition(&db, "lineorder", n).expect("partitions");
-            let report =
-                run_partitioned(&parts, &sim, &queries, Strategy::GpuPreferred, &cfg)
-                    .expect("partitioned run");
-            row.push(ms(report.makespan));
+        for n in [1, 2, 4] {
+            let gpu = Strategy::GpuPreferred;
+            let makespan = partitioned_makespan(&db, "lineorder", n, &sim, &queries, gpu, &cfg)
+                .expect("partitioned run");
+            row.push(ms(makespan));
         }
         t.push_row(row);
     }

@@ -10,15 +10,18 @@
 //!   paper's `n = M / (3.25·|C|) ≈ 7` break-even (Section 3.4);
 //! * **full workloads** (Figs 14–21, 24, 25): cache sized to the SSB
 //!   working set at scale factor 15, where the paper's cache-thrashing
-//!   crossover sits (Figure 16).
+//!   crossover sits (Figure 16);
+//! * **partitioned scale-out** (the §6.3 ablation): the full-workload
+//!   machine once per fact-table partition ([`partitioned_makespan`]).
 
 use robustq_core::Strategy;
 use robustq_engine::plan::PlanNode;
-use robustq_engine::ParallelCtx;
-use robustq_sim::SimConfig;
+use robustq_engine::{EngineError, ParallelCtx, ShardSpec};
+use robustq_sim::{SimConfig, VirtualTime};
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::gen::tpch::TpchGenerator;
-use robustq_storage::Database;
+use robustq_storage::{Database, Table};
+use robustq_workloads::{RunnerConfig, WorkloadRunner};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -289,6 +292,45 @@ impl WorkloadSetup {
     }
 }
 
+/// Partition `shard` of `db`: its `fact` table cut to the shard's
+/// [`ShardSpec::row_range`], every other table shared whole.
+fn partition(db: &Database, fact: &str, shard: ShardSpec) -> Database {
+    let mut part = Database::new();
+    for t in db.tables() {
+        let table = if t.name() == fact {
+            let rows = shard.row_range(t.num_rows());
+            let columns = t.columns().iter().map(|c| c.slice(rows.start, rows.end)).collect();
+            Table::new(t.name(), t.schema().clone(), columns).expect("a row slice keeps the schema")
+        } else {
+            t.clone()
+        };
+        part.add_table(table).expect("table names stay distinct");
+    }
+    part
+}
+
+/// The §6.3 ablation's horizontal partitioning: `db`'s `fact` table split
+/// `n` ways, each partition run by `strategy` on its own `sim` machine,
+/// all in parallel, so the makespan is the slowest partition's. Nothing
+/// is merged: the ablation reads makespans only.
+pub fn partitioned_makespan(
+    db: &Database,
+    fact: &str,
+    n: u32,
+    sim: &SimConfig,
+    queries: &[PlanNode],
+    strategy: Strategy,
+    cfg: &RunnerConfig,
+) -> Result<VirtualTime, EngineError> {
+    let mut makespan = VirtualTime::ZERO;
+    for index in 0..n {
+        let part = partition(db, fact, ShardSpec { index, of: n });
+        let report = WorkloadRunner::new(&part, sim.clone()).run(queries, strategy, cfg)?;
+        makespan = makespan.max(report.metrics.makespan);
+    }
+    Ok(makespan)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +381,42 @@ mod tests {
         let ws20 = workload_footprint(&db20, &s.queries(&db20));
         assert!(ws10 <= sim.gpu().cache_bytes, "SF10 fits the cache");
         assert!(ws20 > sim.gpu().cache_bytes, "SF20 exceeds the cache");
+    }
+
+    #[test]
+    fn partitions_split_the_fact_and_replicate_dims() {
+        let db = ssb_db(2, 2_000);
+        let parts: Vec<Database> =
+            (0..3).map(|index| partition(&db, "lineorder", ShardSpec { index, of: 3 })).collect();
+        let total: usize =
+            parts.iter().map(|p| p.table("lineorder").unwrap().num_rows()).sum();
+        assert_eq!(total, db.table("lineorder").unwrap().num_rows());
+        for p in &parts {
+            assert_eq!(
+                p.table("customer").unwrap().num_rows(),
+                db.table("customer").unwrap().num_rows()
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_partitions_cut_makespan_under_scarcity() {
+        // A machine whose cache holds half the working set: one machine
+        // thrashes under GPU-only, two partitions fit.
+        let db = ssb_db(2, 2_000);
+        let queries = robustq_workloads::micro::serial_selection_workload(4);
+        let ws = workload_footprint(&db, &queries);
+        let sim = SimConfig::default().with_gpu_memory(ws * 4).with_gpu_cache(ws * 6 / 10);
+        let cfg = RunnerConfig::default().with_placement_period(queries.len());
+        let run = |n| {
+            partitioned_makespan(&db, "lineorder", n, &sim, &queries, Strategy::GpuPreferred, &cfg)
+                .unwrap()
+        };
+        let (single, two) = (run(1), run(2));
+        assert!(
+            two.as_nanos() * 2 < single.as_nanos(),
+            "two co-processors must break the thrashing: {two} vs {single}"
+        );
     }
 
     #[test]

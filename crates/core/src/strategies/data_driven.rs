@@ -20,18 +20,6 @@ use robustq_engine::{
 use robustq_sim::{CacheKey, CacheSet, DeviceId, PerDevice, VirtualTime};
 use robustq_storage::Database;
 
-/// Where `task`'s base columns are resident. A shard follows its own
-/// *partition*: the device holding either its row-slice partition keys or
-/// the whole columns counts, so the placement manager can home different
-/// partitions of one table on different co-processors and the shards
-/// fan out after the data.
-fn resident_device(task: &TaskInfo, ctx: &PolicyCtx) -> Option<DeviceId> {
-    match task.shard {
-        Some(s) => ctx.shard_cached_device(task.base_columns, s),
-        None => ctx.cached_device(task.base_columns),
-    }
-}
-
 /// Per-query home co-processor under shard-aware placement, or `None`
 /// when the classic chaining rule should decide.
 ///
@@ -56,7 +44,7 @@ fn query_home(task: &TaskInfo, ctx: &PolicyCtx) -> Option<DeviceId> {
         // (the CPU reads host memory directly, so it never attracts one).
         (home.is_coprocessor()
             && !task.base_columns.is_empty()
-            && ctx.all_cached_on(home, task.base_columns))
+            && ctx.resident_on(home, task))
         .then_some(home)
     } else {
         // Shard fan-in: children spread over several co-processors.
@@ -67,16 +55,14 @@ fn query_home(task: &TaskInfo, ctx: &PolicyCtx) -> Option<DeviceId> {
 }
 
 /// Shared chaining rule: a co-processor iff every input is resident on
-/// that one device. `cached_device` is the (first) co-processor whose
-/// cache holds all of the task's base columns, if any.
-fn data_driven_device(task: &TaskInfo, cached_device: Option<DeviceId>) -> DeviceId {
+/// that one device. A leaf scan follows its data
+/// ([`PolicyCtx::resident_device`]; a shard its partition, so the
+/// placement manager can home different partitions of one table on
+/// different co-processors and the shards fan out after the data).
+fn data_driven_device(task: &TaskInfo, ctx: &PolicyCtx) -> DeviceId {
     if task.children_devices.is_empty() && task.children_tasks.is_empty() {
-        // Leaf scan: follow the pinned data (no columns → no signal → CPU).
-        if !task.base_columns.is_empty() {
-            cached_device.unwrap_or(DeviceId::Cpu)
-        } else {
-            DeviceId::Cpu
-        }
+        // Leaf scan: no resident device (or no columns) → CPU.
+        ctx.resident_device(task).unwrap_or(DeviceId::Cpu)
     } else {
         // Chain: all children on the same co-processor → stay there.
         match task.children_devices.first() {
@@ -114,8 +100,7 @@ impl Chain {
             self.children.clear();
             self.children.extend(t.children_tasks.iter().map(|&c| self.devices[c - base]));
             let resolved = TaskInfo { children_devices: &self.children, ..*t };
-            let cached = resident_device(&resolved, ctx);
-            self.devices.push(data_driven_device(&resolved, cached));
+            self.devices.push(data_driven_device(&resolved, ctx));
         }
         &self.devices
     }
@@ -279,9 +264,7 @@ impl PlacementPolicy for DataDrivenChopping {
             None
         };
         let placed = placed.unwrap_or_else(|| {
-            let cached = resident_device(task, ctx);
-            Placement::fixed(data_driven_device(task, cached))
-                .because(PlaceReason::DataResidency)
+            Placement::fixed(data_driven_device(task, ctx)).because(PlaceReason::DataResidency)
         });
         self.recurring.record(task, placed)
     }

@@ -48,7 +48,7 @@ pub fn price(
     for (i, (t, &device)) in tasks.iter().zip(devices).enumerate() {
         total += model.estimate(t.op_class, device, t.bytes_in, t.bytes_out_estimate);
         if device.is_coprocessor() {
-            let missing = ctx.missing_bytes(device, t.base_columns);
+            let missing = ctx.missing_bytes(device, t);
             if missing > 0 {
                 total += ctx.topology.link(device).service_time(missing);
             }
@@ -162,6 +162,30 @@ mod tests {
         assert_eq!(
             price(&model, &[scan, agg], &[CPU, CPU], &ctx),
             kernel(&scan, CPU) + kernel(&agg, CPU),
+        );
+    }
+
+    #[test]
+    fn a_shard_is_charged_its_slice_not_the_column() {
+        use robustq_engine::ShardSpec;
+        use robustq_storage::{ColumnData, ColumnId, DataType, Database, Field, Schema, Table};
+        // One 4 000-byte column; its third shard of three is 1 334 bytes.
+        let mut db = Database::new();
+        let schema = Schema::new(vec![Field::new("a", DataType::Int32)]);
+        let table = Table::new("t", schema, vec![ColumnData::Int32(vec![0; 1_000])]);
+        db.add_table(table.unwrap()).unwrap();
+        let fx = fixture_k(1, 1 << 20);
+        let ctx = fx.ctx(&db);
+        let model = LearnedModel::default();
+        let cols = [ColumnId(0)];
+        let shard = ShardSpec { index: 2, of: 3 };
+        let scan = TaskInfo { base_columns: &cols, shard: Some(shard), ..task(1_334) };
+        let link = ctx.topology.link(GPU);
+        assert_eq!(
+            price(&model, slice::from_ref(&scan), &[GPU], &ctx),
+            model.estimate(scan.op_class, GPU, scan.bytes_in, scan.bytes_out_estimate)
+                + link.service_time(1_334)
+                + link.latency,
         );
     }
 

@@ -18,11 +18,10 @@ use crate::exec::event_loop::{
     policy_ctx, Milestones, QueryState, QueryWindow, Sim, Status, Submission, TaskState,
 };
 use crate::exec::metrics::{FaultCounters, QueryOutcome};
-use crate::exec::policy::{PolicyCtx, TaskInfo};
+use crate::exec::policy::{key_bytes, PolicyCtx, TaskInfo};
 use crate::exec::task::{flatten, Role, ShardSpec, TaskNode};
 use crate::plan::Op;
 use robustq_sim::{DeviceId, Direction, VirtualTime};
-use robustq_storage::ColumnId;
 use robustq_trace::{EstVec, PlacePhase, ShedReason, TraceEvent, TransferKind};
 use std::sync::Arc;
 
@@ -343,20 +342,21 @@ impl Sim<'_, '_> {
         }
     }
 
+    /// Bytes of `task`'s base columns it reads: each column whole, or a
+    /// shard's [`ShardSpec::slice_bytes`] of each.
+    pub(crate) fn base_bytes(&self, task: usize) -> u64 {
+        let t = &self.tasks[task];
+        let slice = |full| t.role.shard().map_or(full, |s| s.slice_bytes(full));
+        t.base_columns.iter().map(|&c| slice(self.db.column_size(c))).sum()
+    }
+
     pub(crate) fn exact_bytes_in(&self, task: usize) -> u64 {
         let t = &self.tasks[task];
         if t.children.is_empty() {
             // A windowed tick's feed-table scan reads only the window's
             // slice of each base column.
             let win_frac = self.windowed_fraction(&t.op, self.queries[t.query].window);
-            let full: u64 =
-                t.base_columns.iter().map(|&c| self.db.column_size(c)).sum();
-            let full = (full as f64 * win_frac) as u64;
-            // A shard reads only its row-range slice of each base column.
-            match t.role.shard() {
-                Some(s) => (full as f64 * s.fraction()) as u64,
-                None => full,
-            }
+            (self.base_bytes(task) as f64 * win_frac) as u64
         } else {
             t.children.iter().map(|&c| self.tasks[c].output_bytes).sum()
         }
@@ -443,13 +443,7 @@ impl Sim<'_, '_> {
                 &self.feed.col_epochs,
             );
             for (device, key) in new_keys {
-                // Partition keys home a byte-range slice of the column;
-                // whole-column keys move it in full.
-                let full = self.db.column_size(ColumnId(key.column_id()));
-                let bytes = match key.partition_of() {
-                    Some((index, of)) => robustq_sim::partition_bytes(full, index, of),
-                    None => full,
-                };
+                let bytes = key_bytes(self.db, key);
                 // Background placement transfers are durable and not
                 // attributed to any one query.
                 self.xfer(

@@ -351,19 +351,7 @@ impl Sim<'_, '_> {
         let query = self.tasks[task].query;
         let class = self.tasks[task].class;
         let bytes_out = self.tasks[task].output_bytes;
-        let shard = self.tasks[task].role.shard();
-        let base_bytes: u64 = self.tasks[task]
-            .base_columns
-            .iter()
-            .map(|&col| {
-                let full = self.db.column_size(col);
-                match shard {
-                    Some(s) => partition_bytes(full, s.index, s.of),
-                    None => full,
-                }
-            })
-            .sum();
-        let total_in = host_input_bytes + base_bytes;
+        let total_in = host_input_bytes + self.base_bytes(task);
         let cap = self.heaps.device(device).capacity();
         let chunks = (2..=Self::MAX_STAGE_CHUNKS).find(|&n| {
             self.staged_chunk_bytes(class, total_in, cost_in, cost_out, bytes_out, n) <= cap

@@ -160,33 +160,6 @@ impl PolicyCtx<'_> {
         self.col_epochs.get(col.index()).copied().unwrap_or(0)
     }
 
-    /// The epoch-tagged whole-column cache key for `col`.
-    pub fn column_key(&self, col: ColumnId) -> CacheKey {
-        CacheKey::column_at(col.0, self.epoch_of(col))
-    }
-
-    /// The epoch-tagged partition cache key for shard `index`/`of` of `col`.
-    pub fn partition_key(&self, col: ColumnId, index: u32, of: u32) -> CacheKey {
-        CacheKey::partition_at(col.0, index, of, self.epoch_of(col))
-    }
-
-    /// True if every base column in `cols` is resident in `device`'s
-    /// cache *at its current epoch* (vacuously true for an empty list).
-    /// Stale-epoch entries do not count — an append demotes residency.
-    pub fn all_cached_on(&self, device: DeviceId, cols: &[ColumnId]) -> bool {
-        cols.iter().all(|c| self.caches.device(device).contains(self.column_key(*c)))
-    }
-
-    /// The first co-processor whose cache holds *all* of `cols`, or
-    /// `None` when no device does (or `cols` is empty — an empty input
-    /// set carries no residency signal).
-    pub fn cached_device(&self, cols: &[ColumnId]) -> Option<DeviceId> {
-        if cols.is_empty() {
-            return None;
-        }
-        self.coprocessors().find(|&d| self.all_cached_on(d, cols))
-    }
-
     /// The co-processor with the least queued work (ties: lowest
     /// index), or `None` on a CPU-only topology.
     pub fn least_loaded_coprocessor(&self) -> Option<DeviceId> {
@@ -194,64 +167,91 @@ impl PolicyCtx<'_> {
             .min_by_key(|&d| (self.queued_work.get_padded(d), d))
     }
 
-    /// Like [`PolicyCtx::all_cached_on`] for one shard of a partitioned
-    /// scan: a column counts as resident when either its matching
-    /// partition entry or the whole column is cached on `device`.
-    pub fn shard_cached_on(
-        &self,
+    /// The key each of `task`'s base-column reads probes on `device`
+    /// ([`read_key`]), and whether it is resident there.
+    fn reads<'t>(
+        &'t self,
         device: DeviceId,
-        cols: &[ColumnId],
-        shard: ShardSpec,
-    ) -> bool {
-        let cache = self.caches.device(device);
-        cols.iter().all(|c| {
-            cache.contains(self.partition_key(*c, shard.index, shard.of))
-                || cache.contains(self.column_key(*c))
+        task: &'t TaskInfo<'t>,
+    ) -> impl Iterator<Item = (CacheKey, bool)> + 't {
+        let ctx: &'t PolicyCtx<'t> = self;
+        let cache = ctx.cache(device);
+        task.base_columns.iter().map(move |&c| {
+            let key = read_key(cache, c, ctx.epoch_of(c), task.shard);
+            (key, cache.contains(key))
         })
     }
 
-    /// Bytes of `cols` a scan on co-processor `device` would still have
-    /// to stage: every column not resident there *at its current epoch*
-    /// counts in full. The one residency arithmetic behind every transfer
-    /// estimate; stale-epoch entries re-transfer.
-    pub fn missing_bytes(&self, device: DeviceId, cols: &[ColumnId]) -> u64 {
-        let cache = self.cache(device);
-        cols.iter()
-            .filter(|&&col| !cache.contains(self.column_key(col)))
-            .map(|&col| self.db.column_size(col))
+    /// True if everything `task` reads is resident on `device` at its
+    /// live epoch: for a shard, its partition or the whole column
+    /// (vacuously true for a task that reads no base column).
+    pub fn resident_on(&self, device: DeviceId, task: &TaskInfo) -> bool {
+        self.reads(device, task).all(|(_, resident)| resident)
+    }
+
+    /// Bytes `task` would still stage on co-processor `device`: each read
+    /// not resident there at its live epoch, a shard's slice or a whole
+    /// column. The one residency arithmetic behind every transfer price;
+    /// staging reads the same keys.
+    pub fn missing_bytes(&self, device: DeviceId, task: &TaskInfo) -> u64 {
+        self.reads(device, task)
+            .filter(|&(_, resident)| !resident)
+            .map(|(key, _)| key_bytes(self.db, key))
             .sum()
     }
 
-    /// The co-processor holding all of `cols` for `shard`, or `None`.
+    /// The co-processor `task`'s base columns are resident on, or `None`
+    /// (also when it reads none: an empty input carries no signal).
     ///
-    /// A device caching the matching *partition* entries is the shard's
-    /// home and wins outright. When only whole-column replicas exist
-    /// (the placement manager replicated a small table into every
-    /// cache), the candidates are interchangeable — sibling shards deal
-    /// themselves round-robin by shard index so the fan-out actually
-    /// spreads instead of every shard picking the first replica.
-    pub fn shard_cached_device(
-        &self,
-        cols: &[ColumnId],
-        shard: ShardSpec,
-    ) -> Option<DeviceId> {
-        if cols.is_empty() {
+    /// An unsharded task takes the first such device. A shard's home is
+    /// the device caching its *partition* keys, and wins outright; when
+    /// only whole-column replicas exist (the placement manager replicates
+    /// small tables into every cache), sibling shards deal themselves
+    /// over the replicas round-robin by shard index, so the fan-out
+    /// spreads instead of every shard picking the first.
+    pub fn resident_device(&self, task: &TaskInfo) -> Option<DeviceId> {
+        if task.base_columns.is_empty() {
             return None;
         }
-        let partition_home = self.coprocessors().find(|&d| {
-            let cache = self.caches.device(d);
-            cols.iter()
-                .all(|c| cache.contains(self.partition_key(*c, shard.index, shard.of)))
+        let Some(s) = task.shard else {
+            return self.coprocessors().find(|&d| self.resident_on(d, task));
+        };
+        let home = self.coprocessors().find(|&d| {
+            self.reads(d, task).all(|(key, resident)| resident && key.partition_of().is_some())
         });
-        if partition_home.is_some() {
-            return partition_home;
+        if home.is_some() {
+            return home;
         }
-        let replicas = || self.coprocessors().filter(|&d| self.shard_cached_on(d, cols, shard));
+        let replicas = || self.coprocessors().filter(|&d| self.resident_on(d, task));
         match replicas().count() {
             0 => None,
-            n => replicas().nth(shard.index as usize % n),
+            n => replicas().nth(s.index as usize % n),
         }
     }
+}
+
+/// The cache key reading `col`, live at `epoch`, probes in `cache`: a
+/// shard's partition key, unless only the whole column is resident there;
+/// the whole column's otherwise. Staging probes this key, and the policies'
+/// residency questions ask of it.
+pub(crate) fn read_key(
+    cache: &DataCache,
+    col: ColumnId,
+    epoch: u64,
+    shard: Option<ShardSpec>,
+) -> CacheKey {
+    let whole = CacheKey::column_at(col.0, epoch);
+    match shard.map(|s| CacheKey::partition_at(col.0, s.index, s.of, epoch)) {
+        Some(part) if cache.contains(part) || !cache.contains(whole) => part,
+        _ => whole,
+    }
+}
+
+/// Bytes a cache key holds: a partition key its shard's
+/// [`ShardSpec::slice_bytes`] of the column, a column key all of it.
+pub(crate) fn key_bytes(db: &Database, key: CacheKey) -> u64 {
+    let full = db.column_size(ColumnId(key.column_id()));
+    key.partition_of().map_or(full, |(index, of)| ShardSpec { index, of }.slice_bytes(full))
 }
 
 /// A placement strategy.
@@ -431,6 +431,21 @@ mod tests {
         );
     }
 
+    /// A scan of `cols`, whole or one shard of a partitioned one.
+    fn scan(cols: &[ColumnId], shard: Option<ShardSpec>) -> TaskInfo<'_> {
+        TaskInfo { base_columns: cols, shard, ..info() }
+    }
+
+    /// One table `t` of two 100-row `Int64` columns, ids 0 and 1.
+    fn two_columns() -> Database {
+        use robustq_storage::{ColumnData, DataType, Field, Schema, Table};
+        let mut db = Database::new();
+        let fields = vec![Field::new("a", DataType::Int64), Field::new("b", DataType::Int64)];
+        let cols = vec![ColumnData::Int64(vec![0; 100]), ColumnData::Int64(vec![0; 100])];
+        db.add_table(Table::new("t", Schema::new(fields), cols).unwrap()).unwrap();
+        db
+    }
+
     #[test]
     fn residency_helpers_are_per_device() {
         let db = Database::new();
@@ -443,21 +458,17 @@ mod tests {
         caches.device_mut(g2).insert(CacheKey(1), 10);
         let tables = Tables::zero(&t);
         let ctx = tables.ctx(&db, &t, &caches);
-        assert!(!ctx.all_cached_on(DeviceId::Gpu, &[ColumnId(1)]));
-        assert!(ctx.all_cached_on(g2, &[ColumnId(1)]));
-        assert_eq!(ctx.cached_device(&[ColumnId(1)]), Some(g2));
-        assert_eq!(ctx.cached_device(&[ColumnId(1), ColumnId(2)]), None);
-        assert_eq!(ctx.cached_device(&[]), None, "empty set has no residency signal");
-        assert!(ctx.all_cached_on(DeviceId::Gpu, &[]));
+        assert!(!ctx.resident_on(DeviceId::Gpu, &scan(&[ColumnId(1)], None)));
+        assert!(ctx.resident_on(g2, &scan(&[ColumnId(1)], None)));
+        assert_eq!(ctx.resident_device(&scan(&[ColumnId(1)], None)), Some(g2));
+        assert_eq!(ctx.resident_device(&scan(&[ColumnId(1), ColumnId(2)], None)), None);
+        assert_eq!(ctx.resident_device(&scan(&[], None)), None, "no residency signal");
+        assert!(ctx.resident_on(DeviceId::Gpu, &scan(&[], None)));
     }
 
     #[test]
     fn missing_bytes_reads_residency_at_the_live_epoch() {
-        use robustq_storage::{ColumnData, DataType, Field, Schema, Table};
-        let mut db = Database::new();
-        let fields = vec![Field::new("a", DataType::Int64), Field::new("b", DataType::Int64)];
-        let cols = vec![ColumnData::Int64(vec![0; 100]), ColumnData::Int64(vec![0; 100])];
-        db.add_table(Table::new("t", Schema::new(fields), cols).unwrap()).unwrap();
+        let db = two_columns();
         let (a, b) = (ColumnId(0), ColumnId(1));
         let t = topology();
         let mut caches = CacheSet::for_topology(&t, CachePolicy::Lru);
@@ -470,12 +481,71 @@ mod tests {
         let tables = Tables::zero(&t);
         let mut c = tables.ctx(&db, &t, &caches);
         c.col_epochs = &[2, 2];
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b]), 800);
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a]), 0);
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[]), 0);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &scan(&[a, b], None)), 800);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &scan(&[a], None)), 0);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &scan(&[], None)), 0);
         // A batch run reads epoch 0, where neither entry counts.
         c.col_epochs = &[];
-        assert_eq!(c.missing_bytes(DeviceId::Gpu, &[a, b]), 1_600);
+        assert_eq!(c.missing_bytes(DeviceId::Gpu, &scan(&[a, b], None)), 1_600);
+    }
+
+    #[test]
+    fn a_shard_reads_its_partition_or_the_whole_column() {
+        let db = two_columns();
+        let (a, b) = (ColumnId(0), ColumnId(1));
+        let t = topology();
+        let mut caches = CacheSet::for_topology(&t, CachePolicy::Lru);
+        let gpu = caches.device_mut(DeviceId::Gpu);
+        gpu.insert(CacheKey::partition_at(0, 2, 3, 1), 27);
+        gpu.insert(CacheKey::column_at(1, 1), 80);
+        let tables = Tables::zero(&t);
+        let mut c = tables.ctx(&db, &t, &caches);
+        c.col_epochs = &[1, 1];
+        let (third, first) = (ShardSpec { index: 2, of: 3 }, ShardSpec { index: 0, of: 3 });
+        let on_gpu = |task: &TaskInfo, c: &PolicyCtx| {
+            (c.resident_on(DeviceId::Gpu, task), c.missing_bytes(DeviceId::Gpu, task))
+        };
+
+        // Its partition key is resident, or only the whole column is.
+        assert_eq!(on_gpu(&scan(&[a], Some(third)), &c), (true, 0));
+        assert_eq!(on_gpu(&scan(&[b], Some(first)), &c), (true, 0));
+        assert_eq!(on_gpu(&scan(&[a, b], Some(third)), &c), (true, 0));
+        // Neither is: the shard stages its slice, not the column. The
+        // slices of 800 bytes split three ways are 266, 267 and 267.
+        assert_eq!(first.slice_bytes(800), 266);
+        assert_eq!(on_gpu(&scan(&[a], Some(first)), &c), (false, 266));
+        assert_eq!(on_gpu(&scan(&[a, b], Some(first)), &c), (false, 266));
+        // Both keys at a stale epoch: nothing is resident.
+        c.col_epochs = &[2, 2];
+        assert_eq!(on_gpu(&scan(&[a], Some(third)), &c), (false, 267));
+        assert_eq!(on_gpu(&scan(&[b], Some(first)), &c), (false, 266));
+    }
+
+    #[test]
+    fn a_shard_finds_its_partition_home_before_dealing_replicas() {
+        let db = two_columns();
+        let (a, b) = (ColumnId(0), ColumnId(1));
+        let t = topology()
+            .with_coprocessor(DeviceSpec::coprocessor(4, 1_000, 500), LinkParams::default())
+            .with_coprocessor(DeviceSpec::coprocessor(4, 1_000, 500), LinkParams::default());
+        let (g2, g3) = (DeviceId::coprocessor(2), DeviceId::coprocessor(3));
+        let mut caches = CacheSet::for_topology(&t, CachePolicy::Lru);
+        // `b` is replicated whole on every co-processor; partition 1 of 2
+        // of `a` is homed on the third, where `b` is resident too.
+        for d in t.coprocessors() {
+            caches.device_mut(d).insert(CacheKey::column(1), 80);
+        }
+        caches.device_mut(g3).insert(CacheKey::partition(0, 1, 2), 40);
+        let tables = Tables::zero(&t);
+        let c = tables.ctx(&db, &t, &caches);
+        let shard = |index| Some(ShardSpec { index, of: 2 });
+        assert_eq!(c.resident_device(&scan(&[a, b], shard(1))), Some(g3));
+        // `b` alone has no partition home: shards deal the replicas.
+        assert_eq!(c.resident_device(&scan(&[b], shard(0))), Some(DeviceId::Gpu));
+        assert_eq!(c.resident_device(&scan(&[b], shard(1))), Some(g2));
+        // Partition 0 of `a` is nowhere; unsharded, `b` takes the first.
+        assert_eq!(c.resident_device(&scan(&[a, b], shard(0))), None);
+        assert_eq!(c.resident_device(&scan(&[b], None)), Some(DeviceId::Gpu));
     }
 
     #[test]

@@ -36,9 +36,12 @@ impl ShardSpec {
         lo..hi
     }
 
-    /// Fraction of the operator's rows this shard covers.
-    pub fn fraction(&self) -> f64 {
-        1.0 / f64::from(self.of.max(1))
+    /// Bytes of this shard's slice of a `full`-byte column: the floor
+    /// split of [`ShardSpec::row_range`], in bytes. A shard reads, stages
+    /// and is charged exactly this much of each column; the slices of all
+    /// `of` shards sum to `full`.
+    pub fn slice_bytes(&self, full: u64) -> u64 {
+        robustq_sim::partition_bytes(full, self.index, self.of)
     }
 }
 

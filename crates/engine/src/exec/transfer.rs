@@ -11,12 +11,10 @@
 
 use crate::error::EngineError;
 use crate::exec::event_loop::Sim;
+use crate::exec::policy::{key_bytes, read_key};
 use crate::exec::task::Role;
 use crate::plan::Op;
-use robustq_sim::{
-    partition_bytes, CacheKey, DeviceId, Direction, RetryPolicy, Transfer, TransferFault,
-    VirtualTime,
-};
+use robustq_sim::{DeviceId, Direction, RetryPolicy, Transfer, TransferFault, VirtualTime};
 use robustq_trace::{FaultKind, TraceEvent, TransferKind};
 
 impl Sim<'_, '_> {
@@ -184,11 +182,13 @@ impl Sim<'_, '_> {
     /// transferring misses over its host link (and caching them when the
     /// policy uses operator-driven placement).
     ///
-    /// A sharded task only touches its row slice, so it probes the
-    /// matching *partition* key first (a placement manager may have homed
-    /// exactly that slice here), falls back to the whole-column key, and
-    /// on a full miss transfers just the partition's bytes. Only policies
-    /// that never cache on a miss may shard, so no shard writes a cache.
+    /// Each column probes the key [`read_key`] picks, the one the
+    /// policies' residency questions read: a shard's partition unless only
+    /// the whole column is resident, so a full miss transfers just the
+    /// shard's slice. The key is peeked without touching statistics, so
+    /// the counted probe records one hit or miss per staged column. Only
+    /// policies that never cache on a miss may shard, so no shard writes a
+    /// cache.
     ///
     /// Returns `Ok(Some(ready_at))` once every column is resident,
     /// `Ok(None)` when a permanent transfer fault aborted the operator
@@ -205,25 +205,8 @@ impl Sim<'_, '_> {
         let mut ready_at = now;
         for i in 0..self.tasks[task].base_columns.len() {
             let col = self.tasks[task].base_columns[i];
-            let full = self.db.column_size(col);
-            let epoch = self.col_epoch(col);
-            let (key, bytes) = match shard {
-                Some(s) => {
-                    let pkey = CacheKey::partition_at(col.0, s.index, s.of, epoch);
-                    let ckey = CacheKey::column_at(col.0, epoch);
-                    // Prefer whichever key is resident (peeked without
-                    // touching stats) so the single counted probe below
-                    // records exactly one hit or miss per staged column.
-                    if !self.caches.device(device).contains(pkey)
-                        && self.caches.device(device).contains(ckey)
-                    {
-                        (ckey, full)
-                    } else {
-                        (pkey, partition_bytes(full, s.index, s.of))
-                    }
-                }
-                None => (CacheKey::column_at(col.0, epoch), full),
-            };
+            let key = read_key(self.caches.device(device), col, self.col_epoch(col), shard);
+            let bytes = key_bytes(self.db, key);
             let hit = self.caches.device_mut(device).probe(key);
             self.emit(TraceEvent::CacheProbe { device, key, bytes, hit, at: now });
             if !hit {

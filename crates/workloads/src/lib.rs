@@ -12,15 +12,11 @@
 //! * [`runner`] — closed-loop multi-user execution with warmup, pre-load
 //!   and metric collection, mirroring the paper's experimental procedure
 //!   (Section 6.1),
-//! * [`partitioned`] — multi-co-processor scale-up via horizontal
-//!   partitioning with exact partial-result merging (the Section 6.3
-//!   discussion),
 //! * [`chaos`] — the seeded fault shapes and run invariants of the chaos
 //!   harness.
 
 pub mod chaos;
 pub mod micro;
-pub mod partitioned;
 pub mod runner;
 pub mod ssb;
 pub mod ssb_stream;

@@ -309,6 +309,73 @@ fn a_shard_merge_reads_no_base_column() {
     }
 }
 
+/// (6), bytes: a shard reads the slice it stages. A 1 000-row
+/// `lineorder` does not split evenly three ways, so the slices of its two
+/// 4 000-byte columns are 2 666, 2 666 and 2 668 bytes a shard: each
+/// shard span's input must be the sum of `partition_bytes` over the
+/// columns it reads, and its cache probes must stage exactly that.
+#[test]
+fn a_shard_reads_the_slice_it_stages() {
+    use robustq::engine::plan::PlanNode;
+    use robustq::engine::predicate::Predicate;
+    use robustq::engine::{ExecOptions, Executor};
+    use robustq::sim::{partition_bytes, CacheSet};
+    use robustq::trace::{TraceEvent, Tracer};
+
+    let db = db();
+    assert_eq!(db.table("lineorder").unwrap().num_rows(), 1_000);
+    let plan = PlanNode::scan("lineorder", ["lo_quantity"])
+        .filter(Predicate::between("lo_discount", 1, 3));
+    let read = ["lo_quantity", "lo_discount"].map(|c| db.column_id("lineorder", c).unwrap());
+    let sim = sim_k(3);
+    let mut caches = CacheSet::for_topology(&sim.topology, sim.cache_policy);
+    let tracer = Tracer::new();
+    let opts = ExecOptions { shard_ways: 3, tracer: tracer.clone(), ..ExecOptions::default() };
+    // One earlier access each: the manager partitions the read columns
+    // three ways (nothing is small enough to replicate), one partition
+    // per co-processor, and each shard follows its partition.
+    db.stats().reset();
+    read.iter().for_each(|col| db.stats().record_access(col.index()));
+    let mut policy =
+        DataDrivenChopping::with_manager(DataPlacementManager::lfu().with_sharding(3, 0));
+    Executor::new(&db, sim)
+        .run_with_cache(vec![vec![plan]], &mut policy, &opts, &mut caches)
+        .expect("sharded scan");
+
+    let events = tracer.take().events;
+    let merge = events.iter().find_map(|e| match e {
+        TraceEvent::ShardFanout { task, shards: 3, .. } => Some(*task),
+        _ => None,
+    });
+    let merge = merge.expect("the scan fans out three ways");
+    let mut slices = Vec::new();
+    for index in 0..3u32 {
+        // Shard expansion puts a scan's shards right before its merge.
+        let shard = merge - 3 + index;
+        let want: u64 =
+            read.iter().map(|&c| partition_bytes(db.column_size(c), index, 3)).sum();
+        let span = events.iter().find_map(|e| match e {
+            TraceEvent::OpSpan { task, device, bytes_in, .. } if *task == shard => {
+                Some((*device, *bytes_in))
+            }
+            _ => None,
+        });
+        let (device, bytes_in) = span.expect("every shard runs");
+        assert!(device.is_coprocessor(), "shard {index} follows its partition");
+        assert_eq!(bytes_in, want, "shard {index}: its input is not its slice");
+        let staged: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::CacheProbe { device: d, bytes, .. } if *d == device => Some(*bytes),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(staged, want, "shard {index}: its probes stage another slice");
+        slices.push(want);
+    }
+    assert_eq!(slices, [2_666, 2_666, 2_668], "the split is uneven");
+}
+
 /// (6), chaos: seeded faults on a sharded fleet — allocation failures,
 /// transfer faults and kernel aborts landing on individual shards'
 /// devices — must recover without corrupting the merge: results stay
