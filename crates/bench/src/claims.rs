@@ -207,11 +207,14 @@ pub const CLAIMS: &[Claim] = &[
     // BENCH_multigpu.json: co-processors have to pay (DESIGN §6), and no
     // robust strategy may fall behind the CPU, or behind itself with fewer.
     claim("multigpu-ssb-sharding-scales", "DESIGN §6", "multigpu-ssb", FactorAtLeast(of(SPAN, DDC_SHARD).on("K", "1"), of(SPAN, DDC_SHARD).on("K", "4"), 1.053, Every), Holds),
+    claim("multigpu-ssb-sharding-pays-at-k2", "DESIGN §6", "multigpu-ssb", FactorAtLeast(of(SPAN, DDC_SHARD).on("K", "1"), of(SPAN, DDC_SHARD).on("K", "2"), 1.053, Every), Holds),
     claim("multigpu-ssb-ddc-shard-never-worse-than-cpu", "§5.4", "multigpu-ssb", NeverWorse(of(SPAN, DDC_SHARD), of(SPAN, "CPU Only"), EPS), Holds),
     claim("multigpu-ssb-ddc-never-worse-than-cpu", "§5.4", "multigpu-ssb", NeverWorse(of(SPAN, DDC_NAME), of(SPAN, "CPU Only"), EPS), Holds),
     claim("multigpu-ssb-ddc-improves-with-k", "§6", "multigpu-ssb", Monotone(of(SPAN, DDC_NAME), "K", Dir::Down, EPS),
         KnownViolation("0.266 -> 0.325 -> 0.353 ms over K = 1, 2, 4: more joins find their inputs apart")),
     claim("multigpu-ssb-gpu-only-uses-the-fleet", "§6", "multigpu-ssb", FactorAtLeast(of(SPAN, "GPU Only").on("K", "1"), of(SPAN, "GPU Only").on("K", "4"), 1.053, Every), Holds),
+    claim("multigpu-tpch-sharding-scales", "DESIGN §6", "multigpu-tpch", FactorAtLeast(of(SPAN, DDC_SHARD).on("K", "1"), of(SPAN, DDC_SHARD).on("K", "4"), 1.053, Every), Holds),
+    claim("multigpu-tpch-sharding-pays-at-k2", "DESIGN §6", "multigpu-tpch", FactorAtLeast(of(SPAN, DDC_SHARD).on("K", "1"), of(SPAN, DDC_SHARD).on("K", "2"), 1.053, Every), Holds),
     claim("multigpu-tpch-ddc-shard-never-worse-than-cpu", "§5.4", "multigpu-tpch", NeverWorse(of(SPAN, DDC_SHARD), of(SPAN, "CPU Only"), EPS), Holds),
     claim("multigpu-tpch-ddc-never-worse-than-cpu", "§5.4", "multigpu-tpch", NeverWorse(of(SPAN, DDC_NAME), of(SPAN, "CPU Only"), EPS), Holds),
     claim("multigpu-tpch-ddc-improves-with-k", "§6", "multigpu-tpch", Monotone(of(SPAN, DDC_NAME), "K", Dir::Down, EPS),

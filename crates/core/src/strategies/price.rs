@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn a_shard_is_charged_its_slice_not_the_column() {
-        use robustq_engine::ShardSpec;
+        use robustq_engine::{Role, ShardSpec};
         use robustq_storage::{ColumnData, ColumnId, DataType, Database, Field, Schema, Table};
         // One 4 000-byte column; its third shard of three is 1 334 bytes.
         let mut db = Database::new();
@@ -179,7 +179,7 @@ mod tests {
         let model = LearnedModel::default();
         let cols = [ColumnId(0)];
         let shard = ShardSpec { index: 2, of: 3 };
-        let scan = TaskInfo { base_columns: &cols, shard: Some(shard), ..task(1_334) };
+        let scan = TaskInfo { base_columns: &cols, role: Role::Shard(shard), ..task(1_334) };
         let link = ctx.topology.link(GPU);
         assert_eq!(
             price(&model, slice::from_ref(&scan), &[GPU], &ctx),

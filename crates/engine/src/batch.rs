@@ -29,8 +29,8 @@ use std::sync::{Arc, OnceLock};
 /// ([`SelVec::run`]) that owns none — what a predicate-free shard of a
 /// scan emits and its merge recognises ([`SelVec::as_run`]). Every other
 /// method means the same for both forms; a run lists its positions the
-/// first time [`SelVec::positions`] is asked for them, so no kernel tells
-/// the two apart.
+/// first time [`SelVec::positions`] is asked for them, so no kernel has to
+/// tell the two apart (a join's probe does, to read a run at an offset).
 #[derive(Debug, Clone)]
 pub struct SelVec(Repr);
 
@@ -137,9 +137,10 @@ impl From<Vec<u32>> for SelVec {
 /// The lazy form is column [`Group`]s of equal length, side by side:
 /// logically it *is* the chunk of every group gathered and zipped (same
 /// rows, order, names and logical byte size), but no column data has been
-/// copied. A scan, shard, merge or selection emits one group, whose
+/// copied. A scan, shard, scan merge or selection emits one group, whose
 /// positions are a selection; a join composes the groups of both inputs
-/// with what matched. An operator reads the columns it names through
+/// with what matched, and a spine's merge concatenates its pipelines'
+/// groups ([`LazyChunk::concat`]). An operator reads the columns it names through
 /// [`LazyChunk::read`]; the root assembles rows ([`LazyChunk::materialize`]).
 #[derive(Debug, Clone)]
 pub enum LazyChunk {
@@ -269,6 +270,31 @@ impl LazyChunk {
             }
         }
         LazyChunk::Groups(groups)
+    }
+
+    /// `parts` one after another, group by group: each part must have the
+    /// same column groups over the same bases (equal columns, not
+    /// necessarily one `Arc`), and the stream is then the first part's
+    /// bases at every part's positions in turn. Nothing is gathered; the
+    /// positions of each group are concatenated in part order.
+    pub fn concat(parts: &[LazyChunk]) -> Result<LazyChunk, String> {
+        let first = parts.first().ok_or("concatenation of no parts")?;
+        let width = first.groups().len();
+        if width == 0 || parts.iter().any(|p| p.groups().len() != width) {
+            return Err("concatenated parts must have the same column groups".into());
+        }
+        let rows = parts.iter().map(LazyChunk::num_rows).sum();
+        let groups = first.groups().iter().enumerate().map(|(g, group)| {
+            let mut positions = Vec::with_capacity(rows);
+            for part in parts {
+                let Group { base, sel } = &part.groups()[g];
+                debug_assert!(base.fields == group.base.fields);
+                debug_assert_eq!(base.num_rows(), group.base.num_rows());
+                positions.extend_from_slice(sel.positions());
+            }
+            Group { base: Arc::clone(&group.base), sel: SelVec(Repr::List(positions)) }
+        });
+        Ok(LazyChunk::Groups(groups.collect()))
     }
 
     /// The rows at stream indices `idx`, assembled: one gather per group.

@@ -11,6 +11,7 @@
 use crate::error::EngineError;
 use crate::exec::event_loop::{Ev, Milestones, Sim, Status};
 use crate::exec::task::Role;
+use crate::plan::Op;
 use robustq_sim::{
     partition_bytes, DeviceId, DeviceKind, Direction, PerDevice, VirtualTime,
 };
@@ -63,16 +64,18 @@ impl DeviceSet {
 }
 
 impl Sim<'_, '_> {
-    /// Positional byte volume of a shard merge, if `task` is one.
+    /// Positional byte volume of a scan's shard merge, if `task` is one.
     ///
     /// Shards hand the merge selection vectors (~4 B/row — the same rule
     /// `d2h_consume_bytes` applies to scan outputs), and the merge
     /// concatenates positions without touching payload bytes. Its kernel
-    /// cost is therefore charged on positions; `bytes_in`/`output_bytes`
-    /// keep reporting the logical payload for downstream accounting.
+    /// cost and its host-resident inputs are therefore charged on
+    /// positions; `bytes_in`/`output_bytes` keep reporting the logical
+    /// payload for downstream accounting. A spine's merge moves and is
+    /// charged its pipelines' output payload, as any operator is.
     pub(crate) fn merge_positional_bytes(&self, task: usize) -> Option<u64> {
         let t = &self.tasks[task];
-        (t.role == Role::Merge)
+        (t.role == Role::Merge && matches!(*t.op, Op::Scan { .. }))
             .then(|| t.children.iter().map(|&c| self.tasks[c].output_rows * 4).sum())
     }
 
@@ -160,8 +163,9 @@ impl Sim<'_, '_> {
         let bytes_in = self.tasks[task].bytes_in;
         let bytes_out = self.tasks[task].output_bytes;
         let class = self.tasks[task].class;
-        // Kernel-cost volume: positional for shard merges, payload else.
-        let (cost_in, cost_out) = match self.merge_positional_bytes(task) {
+        // Kernel-cost volume: positional for a scan's merge, payload else.
+        let positional = self.merge_positional_bytes(task);
+        let (cost_in, cost_out) = match positional {
             Some(p) => (p.min(bytes_in), p.min(bytes_out)),
             None => (bytes_in, bytes_out),
         };
@@ -191,14 +195,15 @@ impl Sim<'_, '_> {
             // Working memory: staged allocation of footprint + retained
             // result, plus any host-resident inputs copied in.
             let mut input_transfer_bytes = 0u64;
-            // A merge consumes its shards' position lists, not payloads,
-            // so its h2d input transfers are positional too.
-            let positional = self.tasks[task].role == Role::Merge;
+            // A scan's merge consumes its shards' position lists, not
+            // payloads, so its h2d input transfers are positional too.
             for &c in &self.tasks[task].children {
                 if self.tasks[c].output_device == Some(DeviceId::Cpu) {
                     let b = self.tasks[c].output_bytes;
-                    input_transfer_bytes +=
-                        if positional { (self.tasks[c].output_rows * 4).min(b) } else { b };
+                    input_transfer_bytes += match positional {
+                        Some(_) => (self.tasks[c].output_rows * 4).min(b),
+                        None => b,
+                    };
                 }
             }
             let footprint = self.cost.gpu_working_footprint(class, cost_in, cost_out)

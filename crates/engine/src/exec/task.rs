@@ -47,29 +47,54 @@ impl ShardSpec {
 
 /// How much of its operator a task runs. Every task of a flattened plan
 /// is [`Role::Whole`]; shard expansion at admission — never planning —
-/// runs a scan's one shared payload in parts instead.
+/// runs the one shared payload of a query's spine in parts instead
+/// (DESIGN.md §6): shard pipeline `i` of `of` is the spine with its leaf
+/// scan cut to partition `i`, beside its own copies of the build sides
+/// the spine's joins read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// The whole operator.
     Whole,
-    /// One device-shard of a partitioned scan: evaluates the pushed
-    /// predicate over its [`ShardSpec::row_range`] only and emits the
-    /// qualifying positions as a selection vector over the shared base
-    /// columns.
+    /// One device-shard of a partitioned scan that is its spine alone:
+    /// evaluates the pushed predicate over its [`ShardSpec::row_range`]
+    /// only and emits the qualifying positions as a selection vector over
+    /// every column the scan reads, for the scan's merge.
     Shard(ShardSpec),
-    /// Merge barrier of a sharded scan: concatenates its children's
-    /// (disjoint, ordered) shard selection vectors into one selection over
-    /// the shared base columns, so the union is byte-identical to the
-    /// whole scan's output — same rows, same order, same string
-    /// dictionaries. Reads no base column itself.
+    /// An operator on the spine of a shard pipeline. Its leaf scan reads
+    /// its partition's rows as [`Role::Shard`] does but hands on what the
+    /// whole scan would over them (the output columns through the
+    /// selection); every operator above runs whole over its pipeline's
+    /// inputs.
+    Spine(ShardSpec),
+    /// A copy, in one shard pipeline, of a task of a build side one of the
+    /// spine's joins reads: runs whole and reads whole columns. It only
+    /// *follows* its shard (to the shard's device); it reads no partition.
+    Replica(ShardSpec),
+    /// Merge barrier of a fan-out: concatenates its children's (disjoint,
+    /// ordered) outputs in shard order, so the union is byte-identical to
+    /// the unsharded output — same rows, same order, same string
+    /// dictionaries. A scan's merge joins its shards' selections into one
+    /// over the shared base columns; a spine's concatenates the
+    /// pipelines' outputs group by group. Reads no base column itself.
     Merge,
 }
 
 impl Role {
-    /// For shard tasks: which partition of the operator this is.
-    pub fn shard(self) -> Option<ShardSpec> {
+    /// The partition of its base columns a task reads: a shard's or a
+    /// spine task's (of those only the leaf scan reads any). Replicas and
+    /// whole tasks read whole columns.
+    pub fn partition(self) -> Option<ShardSpec> {
         match self {
-            Role::Shard(s) => Some(s),
+            Role::Shard(s) | Role::Spine(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The shard pipeline a task belongs to, and so follows: a shard's, a
+    /// spine task's or a replica's.
+    pub fn pipeline(self) -> Option<ShardSpec> {
+        match self {
+            Role::Shard(s) | Role::Spine(s) | Role::Replica(s) => Some(s),
             _ => None,
         }
     }
@@ -168,24 +193,29 @@ impl Op {
         Ok(match self {
             Op::Scan { columns, predicate, .. } => match role {
                 Role::Merge => merge_shards(children, columns)?,
-                // Never materializes: the shard's qualifying positions
-                // ride as a selection vector over every read column
-                // (what the shard's logical byte size has always
-                // counted) — the one selection kernel over exactly its
-                // row range, or without a predicate that range itself,
-                // as a run.
-                Role::Shard(shard) => {
+                // The one selection kernel over exactly its row range, or
+                // without a predicate that range itself, as a run. A
+                // shard's positions ride over every read column (what its
+                // logical byte size has always counted) to its scan's
+                // merge; a spine leaf hands on the whole scan's output
+                // columns through them, for the joins above it.
+                Role::Shard(shard) | Role::Spine(shard) => {
                     let chunk = self.scan_base(db, window)?;
                     let rows = shard.row_range(chunk.num_rows());
                     let sel = match predicate {
                         Some(p) => ops::select::select_range(&chunk, rows, p, ctx)?,
                         None => SelVec::run(rows.start as u32..rows.end as u32),
                     };
-                    LazyChunk::Groups(vec![Group { base: Arc::new(chunk), sel }])
+                    match role {
+                        Role::Shard(_) => {
+                            LazyChunk::Groups(vec![Group { base: Arc::new(chunk), sel }])
+                        }
+                        _ => scan_output(Cow::Owned(chunk), columns, Some(sel))?,
+                    }
                 }
                 // The predicate reads the chunk of every read column;
                 // the output shares only the output columns with it.
-                Role::Whole => {
+                Role::Whole | Role::Replica(_) => {
                     let chunk = self.scan_base(db, window)?;
                     let sel = predicate
                         .as_ref()
@@ -194,7 +224,10 @@ impl Op {
                     scan_output(Cow::Owned(chunk), columns, sel)?
                 }
             },
-            _ if role != Role::Whole => {
+            // The spine's pipelines, in shard order: ordered, disjoint probe
+            // ranges, so their concatenation is the whole spine's output.
+            _ if role == Role::Merge => LazyChunk::concat(children)?,
+            _ if matches!(role, Role::Shard(_)) => {
                 return Err(format!("{} cannot run as {role:?}: only scans shard", self.label()))
             }
             Op::Select { predicate } => LazyChunk::Groups(match children[0].groups() {
@@ -357,8 +390,8 @@ pub struct TaskNode {
 }
 
 impl TaskNode {
-    /// Cost-model class: the operator's, except that a merge only moves
-    /// positions.
+    /// Cost-model class: the operator's, except that a merge only
+    /// concatenates what its children computed.
     pub fn op_class(&self) -> OpClass {
         match self.role {
             Role::Merge => OpClass::Projection,
@@ -366,8 +399,8 @@ impl TaskNode {
         }
     }
 
-    /// For scans, whole or one shard: [`Op::scan_access`]. A merge reads
-    /// no base column.
+    /// For scans, in any role but the merge's: [`Op::scan_access`]. A
+    /// merge reads no base column.
     pub fn scan_access(&self) -> Option<(&str, &[String])> {
         match self.role {
             Role::Merge => None,
@@ -494,15 +527,39 @@ mod tests {
     }
 
     #[test]
-    fn only_scans_run_in_parts() {
+    fn a_spine_runs_in_parts_and_its_merge_is_the_whole_join() {
         use robustq_storage::gen::ssb::SsbGenerator;
-        let db = SsbGenerator::new(1).with_rows_per_sf(100).generate();
+        let db = SsbGenerator::new(1).with_rows_per_sf(101).generate();
+        // Tasks: 0 date scan (build), 1 lineorder scan (probe), 2 join,
+        // 3 aggregate.
         let tasks = flatten(&plan());
         let ctx = ParallelCtx::serial();
+        let run = |t: usize, role, children: &[LazyChunk]| {
+            tasks[t].op.execute_windowed(role, children, &db, ctx, None).unwrap()
+        };
+        let date = run(0, Role::Whole, &[]);
+        let whole = run(2, Role::Whole, &[date, run(1, Role::Whole, &[])]);
+        let parts: Vec<LazyChunk> = (0..3)
+            .map(|index| {
+                let spec = ShardSpec { index, of: 3 };
+                let leaf = run(1, Role::Spine(spec), &[]);
+                // A spine leaf hands on the scan's output columns only; a
+                // shard under a scan merge, every column the scan reads.
+                let names = |out: &LazyChunk| out.groups()[0].base.fields().len();
+                assert_eq!(names(&leaf), 2);
+                assert_eq!(names(&run(1, Role::Shard(spec), &[])), 3);
+                run(2, Role::Spine(spec), &[run(0, Role::Replica(spec), &[]), leaf])
+            })
+            .collect();
+        assert!(parts.iter().all(|p| p.num_rows() < whole.num_rows()));
+        let merged = run(2, Role::Merge, &parts);
+        assert_eq!((merged.num_rows(), merged.byte_size()), (whole.num_rows(), whole.byte_size()));
+        assert_eq!(merged.clone().materialize(), whole.clone().materialize());
+        let aggregate = |input| run(3, Role::Whole, &[input]).materialize();
+        assert_eq!(aggregate(merged), aggregate(whole));
+        // Only a scan runs as a shard of a scan merge.
         let shard = Role::Shard(ShardSpec { index: 0, of: 2 });
-        let half = tasks[1].op.execute_windowed(shard, &[], &db, ctx, None).unwrap();
-        assert!(half.num_rows() <= 50);
-        let err = tasks[3].op.execute_windowed(Role::Merge, &[half], &db, ctx, None);
+        let err = tasks[2].op.execute_windowed(shard, &parts, &db, ctx, None);
         assert!(err.unwrap_err().contains("only scans shard"));
     }
 }

@@ -19,16 +19,16 @@ use robustq_trace::{FaultKind, TraceEvent, TransferKind};
 
 impl Sim<'_, '_> {
     /// Bytes that cross the bus when the host consumes a device-resident
-    /// output. Scan outputs travel as *position lists* (4 bytes/row): the
-    /// host already holds every base column, so only the qualifying
-    /// positions matter — CoGaDB's positional processing model. All other
-    /// operators materialize payloads that must move in full.
+    /// output. Scan outputs — whole, a shard's or a pipeline's — travel as
+    /// *position lists* (4 bytes/row): the host already holds every base
+    /// column, so only the qualifying positions matter — CoGaDB's
+    /// positional processing model. All other operators, merges
+    /// included, materialize payloads that must move in full: what leaves
+    /// a spine's pipelines is their join output.
     pub(crate) fn d2h_consume_bytes(&self, task: usize) -> u64 {
         let t = &self.tasks[task];
-        match (&*t.op, t.role) {
-            (Op::Scan { .. }, Role::Whole | Role::Shard(_)) => {
-                (t.output_rows * 4).min(t.output_bytes)
-            }
+        match &*t.op {
+            Op::Scan { .. } if t.role != Role::Merge => (t.output_rows * 4).min(t.output_bytes),
             _ => t.output_bytes,
         }
     }
@@ -200,12 +200,12 @@ impl Sim<'_, '_> {
         now: VirtualTime,
     ) -> Result<Option<VirtualTime>, EngineError> {
         let query = self.tasks[task].query;
-        let shard = self.tasks[task].role.shard();
+        let partition = self.tasks[task].role.partition();
         let caches_on_miss = self.policy.caches_on_miss();
         let mut ready_at = now;
         for i in 0..self.tasks[task].base_columns.len() {
             let col = self.tasks[task].base_columns[i];
-            let key = read_key(self.caches.device(device), col, self.col_epoch(col), shard);
+            let key = read_key(self.caches.device(device), col, self.col_epoch(col), partition);
             let bytes = key_bytes(self.db, key);
             let hit = self.caches.device_mut(device).probe(key);
             self.emit(TraceEvent::CacheProbe { device, key, bytes, hit, at: now });

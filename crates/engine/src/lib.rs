@@ -59,6 +59,6 @@ pub use exec::executor::{
 pub use exec::metrics::{RunMetrics, StagingStats};
 pub use exec::model::{CostModelKind, LearnedModel, ModelUpdate};
 pub use exec::policy::{Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo};
-pub use exec::task::ShardSpec;
+pub use exec::task::{Role, ShardSpec};
 pub use ops::execute_plan_fused;
 pub use plan::{AggFunc, AggSpec, JoinKind, PlanNode, SortKey, SortOrder};

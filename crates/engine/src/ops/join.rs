@@ -333,11 +333,16 @@ fn probe_stream(
     lookup: &impl Lookup,
     (probe_sel, probed, kind, ctx): Stream<'_>,
 ) -> Result<(Vec<u32>, Vec<u32>), String> {
+    // A run (a predicate-free shard's rows) is probed as an offset: its
+    // positions are never listed.
     let probe_morsel = |m: Range<usize>, out: Positions<'_>| match probe_sel {
-        Some(s) => {
-            let positions = s.positions();
-            keys.probe(m, |i| positions[i], lookup, kind, out)
-        }
+        Some(s) => match s.as_run() {
+            Some(run) => keys.probe(m, |i| run.start + i as u32, lookup, kind, out),
+            None => {
+                let positions = s.positions();
+                keys.probe(m, |i| positions[i], lookup, kind, out)
+            }
+        },
         None => keys.probe(m, |i| i as u32, lookup, kind, out),
     };
     match kind {

@@ -356,6 +356,43 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A probe through a run — a predicate-free shard's rows — reads its
+    /// keys at an offset instead of listing the positions, and returns
+    /// what the probe through the same positions listed does, bit for
+    /// bit: every join kind and key type, through a per-query table or
+    /// the build column's key index, serial and parallel.
+    #[test]
+    fn a_probe_through_a_run_is_the_probe_through_its_listed_positions(
+        build_rows in rows_strategy(60),
+        probe_rows in rows_strategy(200),
+        bounds in (0usize..1000, 0usize..1000),
+        key in 0usize..4,
+        kind in 0usize..3,
+    ) {
+        let (build, probe) = (chunk_of(&build_rows), chunk_of(&probe_rows));
+        let lo = bounds.0 % (probe_rows.len() + 1);
+        let hi = lo + bounds.1 % (probe_rows.len() - lo + 1);
+        let rows = lo as u32..hi as u32;
+        let (run, listed) = (SelVec::run(rows.clone()), SelVec::new(rows.collect()));
+        // The build side is a table of its own, so a unique integer key
+        // is probed through the column's key index.
+        let db = fact_and_dim(&probe, &build);
+        let (k, kind) = (key_column(key), join_kind(kind));
+        for ctx in [ParallelCtx::serial(), fused_ctx(1), fused_ctx(8)] {
+            for db in [None, Some(&db)] {
+                let through = |sel| {
+                    ops::join::hash_join((&build, None), (&probe, Some(sel)), k, k, kind, ctx, db)
+                };
+                let at = format!("{ctx:?} key index: {}", db.is_some());
+                prop_assert_eq!(through(&run), through(&listed), "{}", at);
+            }
+        }
+    }
+}
+
 /// The pushed-down predicate of the fact scan: none, always true, always
 /// false, selective, string. The numeric ones read `i64`, which the
 /// narrower output column set leaves behind as a predicate-only column.
