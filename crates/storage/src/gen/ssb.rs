@@ -4,6 +4,15 @@
 //! `customer`, `supplier`, `part`, `date` — with the value distributions the
 //! 13 SSB queries select on (O'Neil et al., revision 3). Scale factor `s`
 //! yields `s × rows_per_sf` lineorder rows.
+//!
+//! A seed varies the fact table, not the dimensions. SSB's own `dbgen`
+//! takes no seed: a scale factor fixes every table. Here the dimensions
+//! are drawn from the default seed's stream whatever the seed, and a seed
+//! draws the fact table alone. The downscaled dimensions are too small
+//! for drawn shares to average out: 180 k fact rows have 60 suppliers, 12
+//! ± 3 of them in a region. A seed that re-drew them moved every join's
+//! output, and with it a query's cost, by up to ±25 %; the seed would
+//! measure the draw, not the engine.
 
 use super::{city_name, pick_nation, DAYS_IN_MONTH, MONTH_NAMES, NATIONS, REGIONS};
 use crate::column::{ColumnData, DictColumn};
@@ -12,6 +21,10 @@ use crate::table::{Field, Schema, Table};
 use crate::types::DataType;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The seed a generator starts with, and the one that draws every
+/// dimension table.
+const DEFAULT_SEED: u64 = 0x55B;
 
 /// Configurable, seeded SSB generator.
 #[derive(Debug, Clone)]
@@ -25,7 +38,7 @@ impl SsbGenerator {
     /// Generator for scale factor `sf` with default downscaling
     /// (60 000 lineorder rows per scale factor, i.e. 100× below spec).
     pub fn new(sf: u32) -> Self {
-        SsbGenerator { scale_factor: sf.max(1), rows_per_sf: 60_000, seed: 0x55B }
+        SsbGenerator { scale_factor: sf.max(1), rows_per_sf: 60_000, seed: DEFAULT_SEED }
     }
 
     /// Override the number of lineorder rows per scale factor.
@@ -34,7 +47,8 @@ impl SsbGenerator {
         self
     }
 
-    /// Override the RNG seed.
+    /// Override the seed that draws the fact table (the dimensions stay
+    /// the scale's; see the module docs).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -50,9 +64,12 @@ impl SsbGenerator {
         self.scale_factor as usize * self.rows_per_sf
     }
 
-    /// Generate the database.
+    /// Generate the database. The default seed draws the fact table from
+    /// the stream that drew the dimensions, continued, so its database is
+    /// the one a single stream always drew.
     pub fn generate(&self) -> Database {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ (self.scale_factor as u64));
+        let sf = self.scale_factor as u64;
+        let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ sf);
         let lo_rows = self.lineorder_rows();
         let cust_rows = (lo_rows / 200).max(50);
         let supp_rows = (lo_rows / 3_000).max(20);
@@ -68,6 +85,9 @@ impl SsbGenerator {
         db.add_table(gen_supplier(supp_rows, &mut rng)).unwrap();
         db.add_table(gen_part(part_rows, &mut rng)).unwrap();
         db.add_table(date).unwrap();
+        if self.seed != DEFAULT_SEED {
+            rng = StdRng::seed_from_u64(self.seed ^ sf);
+        }
         db.add_table(gen_lineorder(
             lo_rows, cust_rows, supp_rows, part_rows, &date_keys, &mut rng,
         ))
@@ -349,6 +369,20 @@ mod tests {
             a.table("lineorder").unwrap().column("lo_custkey").unwrap(),
             b.table("lineorder").unwrap().column("lo_custkey").unwrap()
         );
+    }
+
+    #[test]
+    fn seeds_draw_the_fact_table_not_the_dimensions() {
+        let a = SsbGenerator::new(1).with_rows_per_sf(6_000).with_seed(1).generate();
+        let b = SsbGenerator::new(1).with_rows_per_sf(6_000).with_seed(2).generate();
+        for table in ["customer", "supplier", "part", "date"] {
+            let (ta, tb) = (a.table(table).unwrap(), b.table(table).unwrap());
+            for f in ta.schema().fields() {
+                assert_eq!(ta.column(&f.name).unwrap(), tb.column(&f.name).unwrap(), "{table}");
+            }
+        }
+        let key = |db: &Database| db.table("lineorder").unwrap().column("lo_suppkey").unwrap().clone();
+        assert_ne!(key(&a), key(&b));
     }
 
     #[test]
