@@ -212,15 +212,15 @@ mod tests {
         // One oversize fallback under staging.
         gate_trips(
             ADAPTIVE,
-            r#""4", "Chopping", "adaptive", "0.401", "0", "0""#,
-            r#""4", "Chopping", "adaptive", "0.401", "0", "1""#,
+            r#""4", "Chopping", "adaptive", "0.378", "0", "0""#,
+            r#""4", "Chopping", "adaptive", "0.378", "0", "1""#,
         );
         // The learned strategy's p99 above GPU Only's at the highest rate.
-        gate_trips(SERVING, r#""0.695", "0.875", "0.991""#, r#""0.695", "0.875", "9.910""#);
+        gate_trips(SERVING, r#""0.637", "0.826", "0.901""#, r#""0.637", "0.826", "9.010""#);
         // More sheds than Chopping's 20 at K = 1 and 0.5 ms windows.
         gate_trips(
             STREAMING,
-            r#""1", "Data-Driven Chopping", "0.500", "16", "16", "259", "11""#,
+            r#""1", "Data-Driven Chopping", "0.500", "16", "16", "259", "10""#,
             r#""1", "Data-Driven Chopping", "0.500", "16", "16", "259", "21""#,
         );
         // One window tick missed.

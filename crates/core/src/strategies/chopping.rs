@@ -47,7 +47,7 @@ impl PlacementPolicy for Chopping {
     }
 
     fn place_ready(&mut self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
-        self.placer.choose_recurring(task, ctx)
+        self.placer.choose(task, ctx)
     }
 
     fn worker_slots(&self, _device: DeviceId, spec_slots: usize) -> usize {

@@ -13,7 +13,6 @@
 
 use crate::placement_mgr::{DataPlacementManager, PlacementPolicyKind};
 use crate::strategies::price::{busiest_coprocessor, price};
-use crate::strategies::RecurringMemo;
 use robustq_engine::{
     LearnedModel, Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo,
 };
@@ -186,9 +185,6 @@ pub struct DataDrivenChopping {
     manager: DataPlacementManager,
     /// Trained by the executor; consulted only by the admission veto.
     model: LearnedModel,
-    /// Residency rarely moves between window ticks, so the first tick's
-    /// chain decision is replayed until an abort invalidates it.
-    recurring: RecurringMemo,
     /// The chain the veto prices, in buffers reused across admissions.
     chain: Chain,
 }
@@ -204,7 +200,6 @@ impl DataDrivenChopping {
         DataDrivenChopping {
             manager,
             model: LearnedModel::default(),
-            recurring: RecurringMemo::default(),
             chain: Chain::default(),
         }
     }
@@ -257,21 +252,15 @@ impl PlacementPolicy for DataDrivenChopping {
     }
 
     fn place_ready(&mut self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
-        // Standing-query ticks replay the previous tick's decision for
-        // the same task slot; aborts drop the memo and re-derive.
-        if let Some(replayed) = self.recurring.lookup(task, |_| true) {
-            return replayed;
-        }
         let placed = if self.manager.shard_ways() >= 2 && task.role.pipeline().is_none() {
             query_home(task, ctx)
                 .map(|home| Placement::fixed(home).because(PlaceReason::ShardSpread))
         } else {
             None
         };
-        let placed = placed.unwrap_or_else(|| {
+        placed.unwrap_or_else(|| {
             Placement::fixed(data_driven_device(task, ctx)).because(PlaceReason::DataResidency)
-        });
-        self.recurring.record(task, placed)
+        })
     }
 
     fn worker_slots(&self, _device: DeviceId, spec_slots: usize) -> usize {

@@ -25,46 +25,7 @@ pub use runtime::{RuntimePlacement, RuntimePlacer};
 pub use simple::{CpuOnly, GpuPreferred};
 
 use crate::placement_mgr::PlacementPolicyKind;
-use robustq_engine::{Placement, PlacementPolicy, PlaceReason, TaskInfo};
-use robustq_sim::DeviceId;
-use std::collections::BTreeMap;
-
-/// The recurring-placement memo: the device chosen per `(standing query,
-/// task slot)`. A standing query re-submits the same plan every window
-/// tick, so the slot identifies "the same operator as last tick" and a
-/// run-time strategy replays its decision ([`PlaceReason::Recurring`])
-/// instead of re-deriving it each fire. Tasks of ordinary queries
-/// (`recurring == None`) pass straight through.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RecurringMemo(BTreeMap<(u32, u32), DeviceId>);
-
-impl RecurringMemo {
-    /// The memoized placement of `task`'s slot, if there is one and its
-    /// device is still `viable`. An aborted task or a failed viability
-    /// check drops the memo, so the caller decides afresh.
-    pub(crate) fn lookup(
-        &mut self,
-        task: &TaskInfo,
-        viable: impl FnOnce(DeviceId) -> bool,
-    ) -> Option<Placement> {
-        let slot = task.recurring?;
-        let device = *self.0.get(&slot)?;
-        if !task.was_aborted && viable(device) {
-            return Some(Placement::fixed(device).because(PlaceReason::Recurring));
-        }
-        self.0.remove(&slot);
-        None
-    }
-
-    /// Memoize a fresh decision for `task`'s slot (a retry after an
-    /// abort is not one — the next tick decides again) and hand it back.
-    pub(crate) fn record(&mut self, task: &TaskInfo, placed: Placement) -> Placement {
-        if let (Some(slot), false) = (task.recurring, task.was_aborted) {
-            self.0.insert(slot, placed.device);
-        }
-        placed
-    }
-}
+use robustq_engine::PlacementPolicy;
 
 /// Strategy selector used by workload runners and the figure harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,38 +107,6 @@ mod tests {
             let p = s.build();
             assert!(!p.name().is_empty());
         }
-    }
-
-    #[test]
-    fn recurring_memo_replays_until_abort_or_veto() {
-        use crate::strategies::runtime::test_support::task;
-        let gpu = || Placement::fixed(DeviceId::Gpu);
-        let mut memo = RecurringMemo::default();
-        // Ordinary queries pass straight through, unrecorded.
-        let plain = task(100);
-        assert_eq!(memo.record(&plain, gpu()), gpu());
-        assert_eq!(memo.lookup(&plain, |_| true), None);
-        // A standing-query slot replays its first decision...
-        let mut tick = task(100);
-        tick.recurring = Some((0, 3));
-        assert_eq!(memo.lookup(&tick, |_| true), None, "first tick decides");
-        memo.record(&tick, gpu());
-        let replayed = memo.lookup(&tick, |d| d == DeviceId::Gpu).expect("memoized");
-        assert_eq!(replayed, gpu().because(PlaceReason::Recurring));
-        // ...per slot...
-        let other = TaskInfo { recurring: Some((0, 4)), ..tick };
-        assert_eq!(memo.lookup(&other, |_| true), None);
-        // ...until the device stops being viable: the memo is dropped,
-        // not just skipped.
-        assert_eq!(memo.lookup(&tick, |_| false), None);
-        assert_eq!(memo.lookup(&tick, |_| true), None);
-        // An abort drops it too, and the CPU retry is not memoized.
-        memo.record(&tick, gpu());
-        tick.was_aborted = true;
-        assert_eq!(memo.lookup(&tick, |_| true), None);
-        memo.record(&tick, Placement::fixed(DeviceId::Cpu));
-        tick.was_aborted = false;
-        assert_eq!(memo.lookup(&tick, |_| true), None);
     }
 
     #[test]

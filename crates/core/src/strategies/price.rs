@@ -24,7 +24,10 @@ pub(crate) fn busiest_coprocessor(devices: &[DeviceId], ctx: &PolicyCtx) -> Opti
 /// a one-task slice) placed on `devices`, summed serially:
 /// - the queued work of the busiest co-processor the assignment uses, or
 ///   the CPU's queue if it uses none;
-/// - each task's kernel estimate from `model`;
+/// - each task's kernel estimate from `model`, stretched by `1 + n` for
+///   the `n` operators already running on its device: a device shares
+///   itself among its tasks at rate `1/n`, so work in flight is pending
+///   work too (HyPE, §5.2);
 /// - the link's service time for every crossing: a co-processor task's
 ///   base-column bytes not resident there, and each child output held on
 ///   another device — up its co-processor's link, then down the task's,
@@ -46,7 +49,8 @@ pub fn price(
     let mut total = ctx.queued_work.get_padded(queue);
     let base = tasks.first().map_or(0, |t| t.task);
     for (i, (t, &device)) in tasks.iter().zip(devices).enumerate() {
-        total += model.estimate(t.op_class, device, t.bytes_in, t.bytes_out_estimate);
+        let kernel = model.estimate(t.op_class, device, t.bytes_in, t.bytes_out_estimate);
+        total += kernel.scale((1 + ctx.running.get_padded(device)) as f64);
         if device.is_coprocessor() {
             let missing = ctx.missing_bytes(device, t);
             if missing > 0 {
@@ -163,6 +167,21 @@ mod tests {
             price(&model, &[scan, agg], &[CPU, CPU], &ctx),
             kernel(&scan, CPU) + kernel(&agg, CPU),
         );
+    }
+
+    #[test]
+    fn a_cpu_running_n_tasks_prices_a_ready_task_above_an_idle_one() {
+        let db = empty_db();
+        let mut fx = fixture_k(1, 0);
+        let model = LearnedModel::default();
+        let ready = task(1_000_000);
+        let idle = price(&model, slice::from_ref(&ready), &[CPU], &fx.ctx(&db));
+        fx.running[CPU] = 3;
+        let busy = price(&model, slice::from_ref(&ready), &[CPU], &fx.ctx(&db));
+        assert!(busy > idle);
+        // Nothing queued: shared four ways, the kernel takes four times
+        // as long.
+        assert_eq!(busy, idle.scale(4.0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! topology is a candidate: the placer ranks the CPU and all K
 //! co-processors by estimated completion time.
 
-use crate::strategies::{price, RecurringMemo};
+use crate::strategies::price;
 use robustq_engine::{
     LearnedModel, Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo,
 };
@@ -20,12 +20,13 @@ use std::slice;
 ///
 /// One advantage of placing at run time (Section 4): current heap usage
 /// and co-processor occupancy are observable. The check is deliberately
-/// crude — it projects this task's input size onto the already-running
-/// operators (2× input each, below the real 3.25× selection footprint)
-/// — so heterogeneous workloads still cause aborts, just fewer than
-/// blind compile-time placement (Figure 13's middle curve).
+/// crude. The task must fit whole: its own footprint is projected at 4×
+/// its input, above the real 3.25× of a selection. Each already-running
+/// operator is projected at 2× this task's input, however large it
+/// really is. So heterogeneous workloads still cause aborts, just fewer
+/// than blind compile-time placement (Figure 13's middle curve).
 fn heap_admits(task: &TaskInfo, device: DeviceId, ctx: &PolicyCtx) -> bool {
-    let projected = (1 + ctx.running.get_padded(device) as u64)
+    let projected = (2 + ctx.running.get_padded(device) as u64)
         .saturating_mul(task.bytes_in.saturating_mul(2));
     !device.is_coprocessor() || ctx.heap_free.get_padded(device) >= projected
 }
@@ -38,10 +39,6 @@ pub struct RuntimePlacer {
     /// The learned kernel model (regressions on cold-start priors until
     /// the executor selects and trains it).
     model: LearnedModel,
-    /// A standing query re-submits the same plan every window tick, so
-    /// the first tick's ranked decision is reused for later ticks as
-    /// long as the device stays viable.
-    recurring: RecurringMemo,
 }
 
 impl RuntimePlacer {
@@ -84,19 +81,6 @@ impl RuntimePlacer {
         }
         Placement::modeled(device, est)
     }
-
-    /// [`RuntimePlacer::choose`] with standing-query memoization: later
-    /// window ticks replay the first tick's device — skipping the
-    /// ranking — as long as it still passes the heap veto; an abort or a
-    /// failed veto re-ranks (the fleet may have changed shape). Tasks of
-    /// ordinary queries always take the plain path.
-    pub fn choose_recurring(&mut self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
-        if let Some(replayed) = self.recurring.lookup(task, |d| heap_admits(task, d, ctx)) {
-            return replayed;
-        }
-        let placed = self.choose(task, ctx);
-        self.recurring.record(task, placed)
-    }
 }
 
 /// Plain run-time placement: tactical decisions at execution time, no
@@ -119,7 +103,7 @@ impl PlacementPolicy for RuntimePlacement {
     }
 
     fn place_ready(&mut self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
-        self.placer.choose_recurring(task, ctx)
+        self.placer.choose(task, ctx)
     }
 
     fn learned_model(&mut self) -> Option<&mut LearnedModel> {
@@ -224,7 +208,6 @@ pub(crate) mod test_support {
             children_tasks: &[],
             was_aborted: false,
             role: Role::Whole,
-            recurring: None,
         }
     }
 }
@@ -332,6 +315,22 @@ mod tests {
         let placed = placer.choose(&t, &fx.ctx(&db));
         assert_eq!(placed.device, DeviceId::Cpu);
         assert_eq!(placed.reason, PlaceReason::HeapPressure);
+    }
+
+    #[test]
+    fn a_task_the_heap_cannot_hold_whole_is_vetoed() {
+        let db = empty_db();
+        let mut fx = fixture(0);
+        let placer = trained_placer(&[DeviceId::Cpu, DeviceId::Gpu]);
+        let t = task(8_000_000);
+        // Room for 3× the input, below the 4× the task itself is
+        // projected at, and nothing running beside it.
+        fx.heap_free[DeviceId::Gpu] = 24_000_000;
+        let placed = placer.choose(&t, &fx.ctx(&db));
+        assert_eq!(placed.device, DeviceId::Cpu);
+        assert_eq!(placed.reason, PlaceReason::HeapPressure);
+        fx.heap_free[DeviceId::Gpu] = 32_000_000;
+        assert_eq!(placer.choose(&t, &fx.ctx(&db)).device, DeviceId::Gpu);
     }
 
     #[test]

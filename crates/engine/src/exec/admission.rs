@@ -283,9 +283,7 @@ impl Sim<'_, '_> {
             seq,
             turn,
             root,
-            first_task: base,
             window,
-            standing,
             submit_time,
             admit_time: self.now,
         });

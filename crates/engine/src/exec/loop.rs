@@ -110,7 +110,6 @@ impl TaskState {
             children_tasks: &self.children,
             was_aborted: self.forced_cpu,
             role: self.role,
-            recurring: q.standing.map(|s| (s, (task - q.first_task) as u32)),
         }
     }
 }
@@ -223,14 +222,8 @@ pub(crate) struct QueryState {
     /// The query's turn in its schedule ([`TaskInfo::turn`]).
     pub(crate) turn: usize,
     pub(crate) root: usize,
-    /// First global task index of this query's graph (recurring-slot
-    /// arithmetic: `task - first_task` identifies "the same operator"
-    /// across window ticks of a standing query).
-    pub(crate) first_task: usize,
     /// The window this execution scans, for standing-query ticks.
     pub(crate) window: Option<QueryWindow>,
-    /// Standing-query registration index, if this execution is a tick.
-    pub(crate) standing: Option<u32>,
     /// When the session issued the query (queueing for admission counts
     /// toward latency — the paper's admission-control comparison measures
     /// response time from submission).

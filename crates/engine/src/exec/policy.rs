@@ -111,11 +111,6 @@ pub struct TaskInfo<'a> {
     /// ([`Role::pipeline`]). Data-driven strategies place a shard on its
     /// partition's home and a replica beside it (DESIGN.md §7).
     pub role: Role,
-    /// For tasks of a standing query: `(standing id, task slot)`. Every
-    /// window tick re-submits the same plan, so the slot identifies "the
-    /// same operator as last tick" — strategies may memoize its placement
-    /// ([`PlaceReason::Recurring`]) instead of re-ranking each fire.
-    pub recurring: Option<(u32, u32)>,
 }
 
 /// Read-only view of execution state exposed to policies. Every table is
@@ -396,7 +391,6 @@ mod tests {
             children_tasks: &[],
             was_aborted: false,
             role: Role::Whole,
-            recurring: None,
         }
     }
 

@@ -172,9 +172,6 @@ pub enum PlaceReason {
     ShardSpread,
     /// The executor's abort recovery forced the CPU.
     AbortFallback,
-    /// A standing query's memoized first-fire placement was replayed
-    /// instead of re-estimating (recurring-footprint memoization, §7).
-    Recurring,
 }
 
 /// One structured trace event, stamped in virtual time.
