@@ -46,8 +46,9 @@
 //! * `scan` / `scan_filtered` / `scan_sharded_k{2,4}` /
 //!   `scan_sharded_k2_unfiltered` — the executor's scan path, the lazy
 //!   interpreter over an SSB `lineorder` scan (whole, with a pushed-down
-//!   predicate, and as K `Role::Shard`s under a `Role::Merge`, with the
-//!   predicate and without one), against the copying scan it replaced:
+//!   predicate, and as K `Role::Spine` leaves under a `Role::Merge` —
+//!   `LazyChunk::concat`, the one merge kernel — with the predicate and
+//!   without one), against the copying scan it replaced:
 //!   mask select + gather over every read column, then the output
 //!   columns. The lazy output is materialized outside the timed region to
 //!   be compared; sharded and unsharded rows share one baseline, so they
@@ -263,8 +264,8 @@ fn copying_scan(db: &Database, predicate: &Predicate) -> Chunk {
     keep_columns(&reference::select(&base, predicate).unwrap(), &scan_columns()).unwrap()
 }
 
-/// The executor's scan of `lineorder`: one whole task, or `shards` shard
-/// tasks under a merge when `shards > 0`.
+/// The executor's scan of `lineorder`: one whole task, or `shards` spine
+/// leaves under a merge when `shards > 0`.
 fn lazy_scan(
     db: &Database,
     predicate: Option<&Predicate>,
@@ -277,7 +278,7 @@ fn lazy_scan(
     }
     let parts: Vec<LazyChunk> = (0..shards)
         .map(|index| {
-            let shard = Role::Shard(ShardSpec { index, of: shards });
+            let shard = Role::Spine(ShardSpec { index, of: shards });
             scan.execute_windowed(shard, &[], db, ctx, None).unwrap()
         })
         .collect();

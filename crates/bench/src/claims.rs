@@ -630,8 +630,9 @@ mod tests {
     }
 
     /// EXPERIMENTS.md and the list agree on what is broken: every known
-    /// violation is cited there by id, and every "does not hold" of its
-    /// tables cites one.
+    /// violation is cited by id on a line that says it does not hold, and
+    /// every "does not hold" of its tables cites one. Per id, so a cure
+    /// needs no count lowered.
     #[test]
     fn experiments_md_cites_every_known_violation_and_nothing_else() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
@@ -641,12 +642,11 @@ mod tests {
             .filter(|c| matches!(c.status, KnownViolation(_)))
             .map(|c| c.id)
             .collect();
-        assert!(known.len() >= 6, "{known:?}");
-        for id in &known {
-            assert!(doc.contains(&format!("`{id}`")), "EXPERIMENTS.md does not cite {id}");
-        }
         let verdicts: Vec<&str> = doc.lines().filter(|l| l.contains("does not hold")).collect();
-        assert!(verdicts.len() >= 5, "{verdicts:?}");
+        for id in &known {
+            let cited = verdicts.iter().any(|line| line.contains(&format!("`{id}`")));
+            assert!(cited, "no line of EXPERIMENTS.md says {id} does not hold");
+        }
         for line in verdicts {
             let cited = known.iter().any(|id| line.contains(&format!("`{id}`")));
             assert!(cited, "a 'does not hold' cites no known violation: {line}");

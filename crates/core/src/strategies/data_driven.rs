@@ -513,7 +513,7 @@ mod tests {
         let mut p = trained(true);
         let [scan, agg] = scan_then_aggregate(10_000, &[1_000]);
         let shard = robustq_engine::ShardSpec { index: 0, of: 2 };
-        let sharded = [TaskInfo { role: Role::Shard(shard), ..scan }, agg];
+        let sharded = [TaskInfo { role: Role::Spine(shard), ..scan }, agg];
         assert_eq!(p.plan_query(&sharded, &ctx), vec![None, None]);
     }
 

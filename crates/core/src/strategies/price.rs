@@ -198,7 +198,7 @@ mod tests {
         let model = LearnedModel::default();
         let cols = [ColumnId(0)];
         let shard = ShardSpec { index: 2, of: 3 };
-        let scan = TaskInfo { base_columns: &cols, role: Role::Shard(shard), ..task(1_334) };
+        let scan = TaskInfo { base_columns: &cols, role: Role::Spine(shard), ..task(1_334) };
         let link = ctx.topology.link(GPU);
         assert_eq!(
             price(&model, slice::from_ref(&scan), &[GPU], &ctx),

@@ -26,11 +26,12 @@ use std::sync::{Arc, OnceLock};
 /// where a build key does, in no order, so no kernel assumes one.
 ///
 /// A selection is either a position list or a dense **run** `lo..hi`
-/// ([`SelVec::run`]) that owns none — what a predicate-free shard of a
-/// scan emits and its merge recognises ([`SelVec::as_run`]). Every other
-/// method means the same for both forms; a run lists its positions the
-/// first time [`SelVec::positions`] is asked for them, so no kernel has to
-/// tell the two apart (a join's probe does, to read a run at an offset).
+/// ([`SelVec::run`]) that owns none — what a predicate-free spine leaf
+/// emits and the merge ([`LazyChunk::concat`]) recognises
+/// ([`SelVec::as_run`]). Every other method means the same for both
+/// forms; a run lists its positions the first time [`SelVec::positions`]
+/// is asked for them, so no kernel has to tell the two apart (a join's
+/// probe does, to read a run at an offset).
 #[derive(Debug, Clone)]
 pub struct SelVec(Repr);
 
@@ -137,11 +138,12 @@ impl From<Vec<u32>> for SelVec {
 /// The lazy form is column [`Group`]s of equal length, side by side:
 /// logically it *is* the chunk of every group gathered and zipped (same
 /// rows, order, names and logical byte size), but no column data has been
-/// copied. A scan, shard, scan merge or selection emits one group, whose
-/// positions are a selection; a join composes the groups of both inputs
-/// with what matched, and a spine's merge concatenates its pipelines'
-/// groups ([`LazyChunk::concat`]). An operator reads the columns it names through
-/// [`LazyChunk::read`]; the root assembles rows ([`LazyChunk::materialize`]).
+/// copied. A scan (whole or a spine leaf) or a selection emits one group,
+/// whose positions are a selection; a join composes the groups of both
+/// inputs with what matched, and a fan-out's merge concatenates its
+/// pipelines' groups ([`LazyChunk::concat`]). An operator reads the
+/// columns it names through [`LazyChunk::read`]; the root assembles rows
+/// ([`LazyChunk::materialize`]).
 #[derive(Debug, Clone)]
 pub enum LazyChunk {
     /// A fully materialized chunk.
@@ -274,27 +276,60 @@ impl LazyChunk {
 
     /// `parts` one after another, group by group: each part must have the
     /// same column groups over the same bases (equal columns, not
-    /// necessarily one `Arc`), and the stream is then the first part's
-    /// bases at every part's positions in turn. Nothing is gathered; the
-    /// positions of each group are concatenated in part order.
+    /// necessarily one `Arc`; a dense part is its whole base, one group
+    /// at the run of all its rows), and the stream is then the first
+    /// part's bases at every part's positions in turn. Nothing is
+    /// gathered: adjacent runs join into their union in O(parts) without
+    /// a position written, else the positions of each group are
+    /// concatenated in part order. One group that covers its base comes
+    /// back dense.
     pub fn concat(parts: &[LazyChunk]) -> Result<LazyChunk, String> {
-        let first = parts.first().ok_or("concatenation of no parts")?;
-        let width = first.groups().len();
-        if width == 0 || parts.iter().any(|p| p.groups().len() != width) {
+        let views: Vec<Cow<'_, [Group]>> = parts.iter().map(LazyChunk::as_groups).collect();
+        let first = views.first().ok_or("concatenation of no parts")?;
+        if views.iter().any(|v| v.len() != first.len()) {
             return Err("concatenated parts must have the same column groups".into());
         }
         let rows = parts.iter().map(LazyChunk::num_rows).sum();
-        let groups = first.groups().iter().enumerate().map(|(g, group)| {
-            let mut positions = Vec::with_capacity(rows);
-            for part in parts {
-                let Group { base, sel } = &part.groups()[g];
-                debug_assert!(base.fields == group.base.fields);
-                debug_assert_eq!(base.num_rows(), group.base.num_rows());
-                positions.extend_from_slice(sel.positions());
+        let groups: Vec<Group> = (0..first.len())
+            .map(|g| {
+                let base = &first[g].base;
+                let sels = || views.iter().map(move |v| &v[g].sel);
+                debug_assert!(views.iter().all(|v| {
+                    v[g].base.fields == base.fields && v[g].base.num_rows() == base.num_rows()
+                }));
+                let mut union = Some(0..0);
+                for run in sels().map(SelVec::as_run) {
+                    union = match (union, run) {
+                        (Some(u), Some(run)) if u.is_empty() => Some(run),
+                        (Some(u), Some(run)) if run.start == u.end => Some(u.start..run.end),
+                        _ => None,
+                    };
+                }
+                let sel = union.map(SelVec::run).unwrap_or_else(|| {
+                    let mut positions = Vec::with_capacity(rows);
+                    sels().for_each(|sel| positions.extend_from_slice(sel.positions()));
+                    SelVec(Repr::List(positions))
+                });
+                Group { base: Arc::clone(base), sel }
+            })
+            .collect();
+        Ok(match &groups[..] {
+            [Group { base, sel }] if sel.len() == base.num_rows() => {
+                LazyChunk::Materialized(Chunk::clone(base))
             }
-            Group { base: Arc::clone(&group.base), sel: SelVec(Repr::List(positions)) }
-        });
-        Ok(LazyChunk::Groups(groups.collect()))
+            _ => LazyChunk::Groups(groups),
+        })
+    }
+
+    /// The column groups of either form: a dense chunk is one group, its
+    /// whole self at the run of all its rows.
+    fn as_groups(&self) -> Cow<'_, [Group]> {
+        match self {
+            LazyChunk::Materialized(c) => {
+                Cow::Owned(vec![Group { base: Arc::new(c.clone()), sel: SelVec::all(c.num_rows()) }])
+            }
+            LazyChunk::Groups(groups) => Cow::Borrowed(groups),
+        }
     }
 
     /// The rows at stream indices `idx`, assembled: one gather per group.

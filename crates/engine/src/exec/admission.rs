@@ -38,9 +38,8 @@ use std::sync::Arc;
 /// beside [`Role::Replica`] copies of the build sides, reading whole
 /// columns. One [`Role::Merge`] barrier takes the spine top's place in
 /// the graph, just below the first operator that is not row-wise (an
-/// aggregate, a sort, a join the spine is the build side of). A spine
-/// that is its leaf alone fans out as [`Role::Shard`]s under the scan's
-/// merge. Every task runs the template's own shared `Op`.
+/// aggregate, a sort, a join the spine is the build side of); a spine may
+/// be its leaf alone. Every task runs the template's own shared `Op`.
 ///
 /// The rewrite preserves the postorder invariants (children before
 /// parents, root last) and leaves the `(input, output)` byte estimates
@@ -85,7 +84,6 @@ pub(crate) fn expand_shards(
     // merge's), and of old node `i` in pipeline `k`.
     let outside = |i: usize| if i < first { i } else { i + merge - top };
     let piped = |k: usize, i: usize| first + k * len + (i - first);
-    let leaf_only = len == 1;
     let moved = |node: &TaskNode, role, index: &dyn Fn(usize) -> usize, parent| TaskNode {
         op: Arc::clone(&node.op),
         role,
@@ -102,11 +100,7 @@ pub(crate) fn expand_shards(
     for k in 0..ways {
         let spec = ShardSpec { index: k as u32, of: ways as u32 };
         for j in first..=top {
-            let role = match (on_spine[j], leaf_only) {
-                (true, true) => Role::Shard(spec),
-                (true, false) => Role::Spine(spec),
-                (false, _) => Role::Replica(spec),
-            };
+            let role = if on_spine[j] { Role::Spine(spec) } else { Role::Replica(spec) };
             let parent = match nodes[j].parent {
                 Some(p) if j != top => piped(k, p),
                 _ => merge,
@@ -565,14 +559,13 @@ mod tests {
         }
     }
 
-    /// The roles of `nodes`, with `Spine`, `Replica` and `Shard` of
-    /// shard 0..of written as one letter each and the shard index.
+    /// The roles of `nodes`, with `Spine` and `Replica` of shard 0..of
+    /// written as one letter each and the shard index.
     fn roles(nodes: &[TaskNode]) -> Vec<String> {
         nodes
             .iter()
             .map(|n| match n.role {
                 Role::Whole => "W".to_string(),
-                Role::Shard(s) => format!("S{}", s.index),
                 Role::Spine(s) => format!("P{}", s.index),
                 Role::Replica(s) => format!("R{}", s.index),
                 Role::Merge => "M".to_string(),
@@ -675,7 +668,7 @@ mod tests {
         let estimates = [(900.0, 300.0), (200.0, 200.0), (500.0, 60.0)];
         let (nodes, est) = expand_shards(whole.clone(), estimates.to_vec(), 3, 100.0);
         assert_postorder(&nodes);
-        assert_eq!(roles(&nodes), ["S0", "S1", "S2", "M", "W", "W"]);
+        assert_eq!(roles(&nodes), ["P0", "P1", "P2", "M", "W", "W"]);
         for n in &nodes[..4] {
             assert!(Arc::ptr_eq(&n.op, &whole[0].op));
         }

@@ -64,15 +64,17 @@ impl DeviceSet {
 }
 
 impl Sim<'_, '_> {
-    /// Positional byte volume of a scan's shard merge, if `task` is one.
+    /// Positional byte volume of a merge whose spine is its leaf alone
+    /// (the merge runs the scan's `Op`), if `task` is one.
     ///
-    /// Shards hand the merge selection vectors (~4 B/row — the same rule
-    /// `d2h_consume_bytes` applies to scan outputs), and the merge
-    /// concatenates positions without touching payload bytes. Its kernel
-    /// cost and its host-resident inputs are therefore charged on
+    /// Spine leaves hand the merge selection vectors (~4 B/row — the
+    /// same rule `d2h_consume_bytes` applies to scan outputs), and the
+    /// merge concatenates positions without touching payload bytes. Its
+    /// kernel cost and its host-resident inputs are therefore charged on
     /// positions; `bytes_in`/`output_bytes` keep reporting the logical
-    /// payload for downstream accounting. A spine's merge moves and is
-    /// charged its pipelines' output payload, as any operator is.
+    /// payload for downstream accounting. The merge of a longer spine
+    /// moves and is charged its pipelines' output payload, as any
+    /// operator is.
     pub(crate) fn merge_positional_bytes(&self, task: usize) -> Option<u64> {
         let t = &self.tasks[task];
         (t.role == Role::Merge && matches!(*t.op, Op::Scan { .. }))
@@ -163,7 +165,8 @@ impl Sim<'_, '_> {
         let bytes_in = self.tasks[task].bytes_in;
         let bytes_out = self.tasks[task].output_bytes;
         let class = self.tasks[task].class;
-        // Kernel-cost volume: positional for a scan's merge, payload else.
+        // Kernel-cost volume: positional for a leaf-only spine's merge,
+        // payload else.
         let positional = self.merge_positional_bytes(task);
         let (cost_in, cost_out) = match positional {
             Some(p) => (p.min(bytes_in), p.min(bytes_out)),
@@ -195,8 +198,9 @@ impl Sim<'_, '_> {
             // Working memory: staged allocation of footprint + retained
             // result, plus any host-resident inputs copied in.
             let mut input_transfer_bytes = 0u64;
-            // A scan's merge consumes its shards' position lists, not
-            // payloads, so its h2d input transfers are positional too.
+            // A leaf-only spine's merge consumes its leaves' position
+            // lists, not payloads, so its h2d input transfers are
+            // positional too.
             for &c in &self.tasks[task].children {
                 if self.tasks[c].output_device == Some(DeviceId::Cpu) {
                     let b = self.tasks[c].output_bytes;

@@ -69,9 +69,11 @@ pub struct ExecOptions {
     /// a single-branch no-op: no allocations, byte-identical runs. Enable
     /// with [`Tracer::new`] and keep a clone to read the events back.
     pub tracer: Tracer,
-    /// Intra-operator sharding (DESIGN.md §6): split qualifying leaf
-    /// scans into this many device-shards at admission, merged by a
-    /// CPU-side barrier task. `0` disables sharding (the default — task
+    /// Intra-operator sharding (DESIGN.md §6): run each query's spine —
+    /// its largest qualifying leaf scan and the row-wise operators above
+    /// it — as this many shard pipelines at admission, concatenated by
+    /// one merge task (Data-Driven Chopping places it on the query's
+    /// home device). `0` disables sharding (the default — task
     /// graphs are byte-identical to earlier releases). Values are clamped
     /// to the co-processor count at admission, so `usize::MAX` means
     /// "one shard per co-processor". Two or more ways need a policy that

@@ -440,7 +440,7 @@ mod tests {
 
     /// A scan of `cols`, whole or one shard of a partitioned one.
     fn scan(cols: &[ColumnId], shard: Option<ShardSpec>) -> TaskInfo<'_> {
-        TaskInfo { base_columns: cols, role: shard.map_or(Role::Whole, Role::Shard), ..info() }
+        TaskInfo { base_columns: cols, role: shard.map_or(Role::Whole, Role::Spine), ..info() }
     }
 
     /// One table `t` of two 100-row `Int64` columns, ids 0 and 1.

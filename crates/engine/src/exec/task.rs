@@ -12,12 +12,11 @@ use crate::parallel::ParallelCtx;
 use crate::plan::{JoinKind, Op, PlanNode};
 use robustq_sim::OpClass;
 use robustq_storage::Database;
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Which piece of a sharded scan a task covers: shard `index` of `of`
-/// equal row-range partitions.
+/// Which shard pipeline of a fan-out a task belongs to: shard `index` of
+/// `of` equal row-range partitions of the spine's leaf scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Zero-based shard index.
@@ -50,51 +49,44 @@ impl ShardSpec {
 /// runs the one shared payload of a query's spine in parts instead
 /// (DESIGN.md §6): shard pipeline `i` of `of` is the spine with its leaf
 /// scan cut to partition `i`, beside its own copies of the build sides
-/// the spine's joins read.
+/// the spine's joins read. A spine may be its leaf alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// The whole operator.
     Whole,
-    /// One device-shard of a partitioned scan that is its spine alone:
+    /// An operator on the spine of a shard pipeline. Its leaf scan
     /// evaluates the pushed predicate over its [`ShardSpec::row_range`]
-    /// only and emits the qualifying positions as a selection vector over
-    /// every column the scan reads, for the scan's merge.
-    Shard(ShardSpec),
-    /// An operator on the spine of a shard pipeline. Its leaf scan reads
-    /// its partition's rows as [`Role::Shard`] does but hands on what the
-    /// whole scan would over them (the output columns through the
-    /// selection); every operator above runs whole over its pipeline's
-    /// inputs.
+    /// only and hands on what the whole scan would over those rows (the
+    /// output columns through the selection); every operator above runs
+    /// whole over its pipeline's inputs.
     Spine(ShardSpec),
     /// A copy, in one shard pipeline, of a task of a build side one of the
     /// spine's joins reads: runs whole and reads whole columns. It only
     /// *follows* its shard (to the shard's device); it reads no partition.
     Replica(ShardSpec),
-    /// Merge barrier of a fan-out: concatenates its children's (disjoint,
-    /// ordered) outputs in shard order, so the union is byte-identical to
-    /// the unsharded output — same rows, same order, same string
-    /// dictionaries. A scan's merge joins its shards' selections into one
-    /// over the shared base columns; a spine's concatenates the
-    /// pipelines' outputs group by group. Reads no base column itself.
+    /// Merge barrier of a fan-out: concatenates its pipelines' (disjoint,
+    /// ordered) outputs in shard order with [`LazyChunk::concat`], so the
+    /// union is byte-identical to the unsharded output — same rows, same
+    /// order, same string dictionaries. Reads no base column itself.
     Merge,
 }
 
 impl Role {
-    /// The partition of its base columns a task reads: a shard's or a
-    /// spine task's (of those only the leaf scan reads any). Replicas and
-    /// whole tasks read whole columns.
+    /// The partition of its base columns a task reads: a spine task's
+    /// (of those only the leaf scan reads any). Replicas and whole tasks
+    /// read whole columns.
     pub fn partition(self) -> Option<ShardSpec> {
         match self {
-            Role::Shard(s) | Role::Spine(s) => Some(s),
+            Role::Spine(s) => Some(s),
             _ => None,
         }
     }
 
-    /// The shard pipeline a task belongs to, and so follows: a shard's, a
-    /// spine task's or a replica's.
+    /// The shard pipeline a task belongs to, and so follows: a spine
+    /// task's or a replica's.
     pub fn pipeline(self) -> Option<ShardSpec> {
         match self {
-            Role::Shard(s) | Role::Spine(s) | Role::Replica(s) => Some(s),
+            Role::Spine(s) | Role::Replica(s) => Some(s),
             _ => None,
         }
     }
@@ -191,44 +183,24 @@ impl Op {
         window: Option<(&str, usize, usize)>,
     ) -> Result<LazyChunk, String> {
         Ok(match self {
-            Op::Scan { columns, predicate, .. } => match role {
-                Role::Merge => merge_shards(children, columns)?,
-                // The one selection kernel over exactly its row range, or
-                // without a predicate that range itself, as a run. A
-                // shard's positions ride over every read column (what its
-                // logical byte size has always counted) to its scan's
-                // merge; a spine leaf hands on the whole scan's output
-                // columns through them, for the joins above it.
-                Role::Shard(shard) | Role::Spine(shard) => {
-                    let chunk = self.scan_base(db, window)?;
-                    let rows = shard.row_range(chunk.num_rows());
-                    let sel = match predicate {
-                        Some(p) => ops::select::select_range(&chunk, rows, p, ctx)?,
-                        None => SelVec::run(rows.start as u32..rows.end as u32),
-                    };
-                    match role {
-                        Role::Shard(_) => {
-                            LazyChunk::Groups(vec![Group { base: Arc::new(chunk), sel }])
-                        }
-                        _ => scan_output(Cow::Owned(chunk), columns, Some(sel))?,
-                    }
-                }
-                // The predicate reads the chunk of every read column;
-                // the output shares only the output columns with it.
-                Role::Whole | Role::Replica(_) => {
-                    let chunk = self.scan_base(db, window)?;
-                    let sel = predicate
-                        .as_ref()
-                        .map(|p| ops::select::select(&chunk, None, p, ctx))
-                        .transpose()?;
-                    scan_output(Cow::Owned(chunk), columns, sel)?
-                }
-            },
             // The spine's pipelines, in shard order: ordered, disjoint probe
             // ranges, so their concatenation is the whole spine's output.
             _ if role == Role::Merge => LazyChunk::concat(children)?,
-            _ if matches!(role, Role::Shard(_)) => {
-                return Err(format!("{} cannot run as {role:?}: only scans shard", self.label()))
+            Op::Scan { columns, predicate, .. } => {
+                let chunk = self.scan_base(db, window)?;
+                // A spine leaf runs the one selection kernel over exactly
+                // its row range, or without a predicate that range itself,
+                // as a run; the whole scan the predicate over every row.
+                // The predicate reads the chunk of every read column; the
+                // output shares only the output columns with it.
+                let range = role.partition().map(|shard| shard.row_range(chunk.num_rows()));
+                let sel = match (range, predicate) {
+                    (Some(rows), Some(p)) => Some(ops::select::select_range(&chunk, rows, p, ctx)?),
+                    (Some(rows), None) => Some(SelVec::run(rows.start as u32..rows.end as u32)),
+                    (None, Some(p)) => Some(ops::select::select(&chunk, None, p, ctx)?),
+                    (None, None) => None,
+                };
+                scan_output(chunk, columns, sel)?
             }
             Op::Select { predicate } => LazyChunk::Groups(match children[0].groups() {
                 // An already filtered input is refined (AND short-circuit),
@@ -318,52 +290,15 @@ fn names_of<'a>(visit: impl Fn(&mut dyn FnMut(&'a str))) -> Vec<&'a str> {
     names
 }
 
-/// The merged output of a sharded scan. `shards` are its shard outputs in
-/// shard order: disjoint, ordered selections over identical base chunks.
-/// Their concatenation is strictly increasing, so it selects from the
-/// first shard's base exactly what the whole scan outputs, bit for bit
-/// (shared dictionaries included). Adjacent runs — the shards of a
-/// predicate-free scan — merge into their union without a position being
-/// written, which [`scan_output`] then finds to cover the base.
-fn merge_shards(shards: &[LazyChunk], columns: &[String]) -> Result<LazyChunk, String> {
-    let mut base: Option<&Chunk> = None;
-    let mut union: Option<Range<u32>> = Some(0..0);
-    for shard in shards {
-        let [Group { base: b, sel }] = shard.groups() else {
-            return Err("merge expects shard selection vectors".into());
-        };
-        debug_assert!(base.is_none_or(|f| f.num_rows() == b.num_rows()));
-        base.get_or_insert(b);
-        union = match (union, sel.as_run()) {
-            (Some(u), Some(run)) if u.is_empty() => Some(run),
-            (Some(u), Some(run)) if run.start == u.end => Some(u.start..run.end),
-            _ => None,
-        };
-    }
-    let base = base.ok_or("merge of zero shards")?;
-    let sel = union.map(SelVec::run).unwrap_or_else(|| {
-        let mut positions = Vec::with_capacity(shards.iter().map(LazyChunk::num_rows).sum());
-        for group in shards.iter().flat_map(LazyChunk::groups) {
-            positions.extend_from_slice(group.sel.positions());
-        }
-        SelVec::new(positions)
-    });
-    scan_output(Cow::Borrowed(base), columns, Some(sel))
-}
-
-/// The lazy output of a (merged) scan: the output `columns` of `base`
-/// seen through `sel`, nothing gathered. Predicate-only columns stay
-/// behind in `base`, so the logical byte size counts the output columns
-/// only; a base that reads nothing else (the read list starts with the
-/// outputs) is the output as it is. A selection covering every row is
-/// returned dense.
-fn scan_output(
-    base: Cow<'_, Chunk>,
-    columns: &[String],
-    sel: Option<SelVec>,
-) -> Result<LazyChunk, String> {
+/// The lazy output of a scan: the output `columns` of `base` seen
+/// through `sel`, nothing gathered. Predicate-only columns stay behind in
+/// `base`, so the logical byte size counts the output columns only; a
+/// base that reads nothing else (the read list starts with the outputs)
+/// is the output as it is. A selection covering every row is returned
+/// dense.
+fn scan_output(base: Chunk, columns: &[String], sel: Option<SelVec>) -> Result<LazyChunk, String> {
     let out = match base {
-        base if base.num_columns() == columns.len() => base.into_owned(),
+        base if base.num_columns() == columns.len() => base,
         base => ops::project::keep_columns(&base, columns)?,
     };
     Ok(match sel {
@@ -543,11 +478,8 @@ mod tests {
             .map(|index| {
                 let spec = ShardSpec { index, of: 3 };
                 let leaf = run(1, Role::Spine(spec), &[]);
-                // A spine leaf hands on the scan's output columns only; a
-                // shard under a scan merge, every column the scan reads.
-                let names = |out: &LazyChunk| out.groups()[0].base.fields().len();
-                assert_eq!(names(&leaf), 2);
-                assert_eq!(names(&run(1, Role::Shard(spec), &[])), 3);
+                // A spine leaf hands on the scan's output columns only.
+                assert_eq!(leaf.groups()[0].base.fields().len(), 2);
                 run(2, Role::Spine(spec), &[run(0, Role::Replica(spec), &[]), leaf])
             })
             .collect();
@@ -557,9 +489,5 @@ mod tests {
         assert_eq!(merged.clone().materialize(), whole.clone().materialize());
         let aggregate = |input| run(3, Role::Whole, &[input]).materialize();
         assert_eq!(aggregate(merged), aggregate(whole));
-        // Only a scan runs as a shard of a scan merge.
-        let shard = Role::Shard(ShardSpec { index: 0, of: 2 });
-        let err = tasks[2].op.execute_windowed(shard, &parts, &db, ctx, None);
-        assert!(err.unwrap_err().contains("only scans shard"));
     }
 }

@@ -19,12 +19,12 @@ use robustq_trace::{FaultKind, TraceEvent, TransferKind};
 
 impl Sim<'_, '_> {
     /// Bytes that cross the bus when the host consumes a device-resident
-    /// output. Scan outputs — whole, a shard's or a pipeline's — travel as
+    /// output. Scan outputs — whole or a spine leaf's — travel as
     /// *position lists* (4 bytes/row): the host already holds every base
     /// column, so only the qualifying positions matter — CoGaDB's
     /// positional processing model. All other operators, merges
     /// included, materialize payloads that must move in full: what leaves
-    /// a spine's pipelines is their join output.
+    /// a longer spine's pipelines is their join output.
     pub(crate) fn d2h_consume_bytes(&self, task: usize) -> u64 {
         let t = &self.tasks[task];
         match &*t.op {

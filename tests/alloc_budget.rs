@@ -147,7 +147,7 @@ fn sharded_scan(db: &Database, predicate: Option<Predicate>, of: u32) -> (LazyCh
     allocated(|| {
         let shards: Vec<LazyChunk> = (0..of)
             .map(|index| {
-                let shard = Role::Shard(ShardSpec { index, of });
+                let shard = Role::Spine(ShardSpec { index, of });
                 scan.execute_windowed(shard, &[], db, ctx, None).unwrap()
             })
             .collect();

@@ -428,6 +428,94 @@ fn chaos_differential_holds_under_sharding() {
     assert!(injected_total > 0, "the sharded chaos sweep never injected — vacuous");
 }
 
+/// A fact table of `rows` rows (0 or 1: fewer than any fan-out's ways)
+/// beside a one-row dimension.
+fn tiny_db(rows: usize) -> Database {
+    use robustq::storage::{ColumnData, DataType, Field, Schema, Table};
+    let table = |name: &str, fields: &[(&str, DataType)], columns: Vec<ColumnData>| {
+        let schema = Schema::new(fields.iter().map(|&(f, t)| Field::new(f, t)).collect());
+        Table::new(name, schema, columns).expect("valid table")
+    };
+    let n = rows as i64;
+    let mut db = Database::new();
+    let fact = table(
+        "t",
+        &[("k", DataType::Int64), ("v", DataType::Int64), ("f", DataType::Int32)],
+        vec![
+            ColumnData::Int64((0..n).collect()),
+            ColumnData::Int64((0..n).map(|i| 7 + i).collect()),
+            ColumnData::Int32((0..rows as i32).collect()),
+        ],
+    );
+    let dim = table(
+        "d",
+        &[("dk", DataType::Int64), ("dg", DataType::Int64)],
+        vec![ColumnData::Int64(vec![0]), ColumnData::Int64(vec![3])],
+    );
+    db.add_table(fact).expect("fresh database");
+    db.add_table(dim).expect("fresh database");
+    db
+}
+
+/// (6), fewer rows than ways: a spine leaf whose range covers its whole
+/// base hands on a dense part, and the merge concatenates dense parts
+/// with selections. K = 2 and K = 4 sharded runs over a fact table of 0
+/// and of 1 row — a leaf-only spine under an aggregate, under a join and
+/// as the root, and a spine through a join — return the unsharded run's
+/// results, fan every query out and keep the conservation invariants.
+#[test]
+fn a_fact_table_with_fewer_rows_than_ways_shards_like_the_unsharded_run() {
+    use robustq::engine::plan::{AggSpec, PlanNode};
+    use robustq::engine::expr::Expr;
+    use robustq::engine::predicate::Predicate;
+    use robustq::trace::TraceEvent;
+    use robustq::workloads::chaos;
+
+    let sum = || vec![AggSpec::sum(Expr::col("v"), "s")];
+    let queries = [
+        PlanNode::scan("t", ["v"])
+            .filter(Predicate::between("f", 0, 10))
+            .aggregate([] as [&str; 0], sum()),
+        PlanNode::scan("t", ["k", "v"])
+            .join(PlanNode::scan("d", ["dk", "dg"]), "k", "dk")
+            .aggregate(["dg"], sum()),
+        PlanNode::scan("d", ["dk"]).join(PlanNode::scan("t", ["k", "v"]), "dk", "k"),
+        PlanNode::scan("t", ["k", "v"]),
+    ];
+    for rows in [0, 1] {
+        let db = tiny_db(rows);
+        let cfg = RunnerConfig::default().with_users(2);
+        let strategies = [(Strategy::CpuOnly, "CPU Only"), (Strategy::DataDrivenChopping, DDC_SHARD)];
+        for (strategy, label) in strategies {
+            let want = WorkloadRunner::new(&db, sim_k(1))
+                .run(&queries, strategy, &cfg)
+                .expect("unsharded baseline")
+                .result_fingerprints();
+            for k in [2, 4] {
+                let mut policy: Box<dyn robustq::engine::PlacementPolicy> = match strategy {
+                    Strategy::CpuOnly => strategy.build(),
+                    _ => Box::new(DataDrivenChopping::with_manager(
+                        DataPlacementManager::lfu().with_sharding(k, 0),
+                    )),
+                };
+                let sharded = cfg.clone().with_sharding(k, 0.0).with_trace();
+                let report = WorkloadRunner::new(&db, sim_k(k))
+                    .run_with_policy(&queries, &mut *policy, label, &sharded)
+                    .unwrap_or_else(|e| panic!("{label} K={k} rows={rows}: {e}"));
+                let at = format!("{label} K={k} rows={rows}");
+                assert_eq!(want, report.result_fingerprints(), "{at}: drifted from unsharded");
+                assert_eq!(chaos::conservation(&report.metrics), Vec::<String>::new(), "{at}");
+                let events = report.trace.expect("traced run").events;
+                let fan_out = |e: &&TraceEvent| {
+                    matches!(e, TraceEvent::ShardMerge { shards, .. } if *shards == k as u32)
+                };
+                let merges = events.iter().filter(fan_out).count();
+                assert_eq!(merges, report.outcomes.len(), "{at}: every query fans out once");
+            }
+        }
+    }
+}
+
 /// Load counts from admission: a compile-time placement is charged to its
 /// device when its query is admitted, not when its leaves become ready. So
 /// of two queries GPU Only admits at one instant on an idle K = 2 fleet,

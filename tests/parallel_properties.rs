@@ -264,7 +264,7 @@ fn db_of(chunk: &Chunk) -> Database {
     db
 }
 
-/// The production `Role::Shard` tasks of a `of`-way sharded scan of `t`
+/// The production `Role::Spine` leaves of a `of`-way sharded scan of `t`
 /// concatenate to the reference selection over the scanned rows — the
 /// positions, or the reference's error from the first shard that fails —
 /// and their `Role::Merge` is byte-identical to the whole scan.
@@ -287,7 +287,7 @@ fn check_sharded_scan(
     let scan = Op::scan("t", columns, predicate.cloned());
     let shards: Vec<Result<LazyChunk, String>> = (0..of)
         .map(|index| {
-            let shard = Role::Shard(ShardSpec { index, of });
+            let shard = Role::Spine(ShardSpec { index, of });
             scan.execute_windowed(shard, &[], &db, ctx, window)
         })
         .collect();
@@ -304,9 +304,13 @@ fn check_sharded_scan(
         Ok(want) => {
             let shards: Vec<LazyChunk> =
                 shards.into_iter().collect::<Result<_, _>>().expect(&at);
+            // A shard whose range covers the scanned rows comes back dense.
             let positions: Vec<u32> = shards
                 .iter()
-                .flat_map(|s| s.groups()[0].sel.positions().to_vec())
+                .flat_map(|s| match s.groups() {
+                    [] => (0..s.num_rows() as u32).collect(),
+                    groups => groups[0].sel.positions().to_vec(),
+                })
                 .collect();
             assert_eq!(positions, want.positions(), "shard positions, {at}");
             let merged = scan

@@ -525,7 +525,7 @@ fn shard_fact_scans(tasks: &[TaskNode], ways: u32) -> (Vec<TaskNode>, Vec<Expect
             let first = out.len();
             for index in 0..ways {
                 let shard = ShardSpec { index, of: ways };
-                out.push(TaskNode { role: Role::Shard(shard), ..node.clone() });
+                out.push(TaskNode { role: Role::Spine(shard), ..node.clone() });
                 expect.push(Expect::Shard(shard));
             }
             node.role = Role::Merge;
@@ -555,8 +555,8 @@ fn fact_and_dim(t: &Chunk, d: &Chunk) -> Database {
 /// corresponding materialized task of the *unsharded* plan and
 /// materializes to the same chunk, dictionaries included. A shard has no
 /// materialized counterpart; it reports its slice of the reference
-/// selection over every column the scan reads, predicate-only ones
-/// included, as the executor has always charged it.
+/// selection over the scan's output columns, what its admission estimate
+/// counts, and comes back dense when its range covers the base.
 fn check_lazy_tasks(
     rows: &[Row],
     dim_rows: &[Row],
@@ -587,11 +587,10 @@ fn check_lazy_tasks(
         let predicate = scan_predicate(which);
         let scan = fact_scan(columns, predicate.clone());
         let tasks = flatten(&plan_over(scan, shape, second, kind));
-        let read_width: u64 = columns
+        let output_width: u64 = columns
             .iter()
             .map(|c| fact.column_type(c).expect("fact column").byte_width() as u64)
-            .sum::<u64>()
-            + if narrow == 1 && (1..=3).contains(&which) { 8 } else { 0 };
+            .sum();
 
         for (oracle_db, base, window) in
             [(&db, &fact, None), (&window_db, &windowed, Some(("t", lo, hi)))]
@@ -651,13 +650,16 @@ fn check_lazy_tasks(
                                     .count();
                                 prop_assert_eq!(
                                     (out.num_rows(), out.byte_size()),
-                                    (rows, rows as u64 * read_width),
+                                    (rows, rows as u64 * output_width),
                                     "{}", label
                                 );
-                                // Without a predicate: the row range itself.
-                                let run = out.groups()[0].sel.as_run();
+                                // Without a predicate: the row range itself,
+                                // dense where it covers the base.
                                 let range = (which == 0).then_some(range.start as u32..range.end as u32);
-                                prop_assert_eq!(run, range, "{}", label);
+                                match out.groups() {
+                                    [] => prop_assert_eq!(rows, base.num_rows(), "{}", label),
+                                    groups => prop_assert_eq!(groups[0].sel.as_run(), range, "{}", label),
+                                }
                             }
                         }
                         lazy.push(out);
