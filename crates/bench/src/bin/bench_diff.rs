@@ -204,7 +204,7 @@ mod tests {
         // Sharding stops paying: K = 4 no faster than K = 1.
         gate_trips(
             SCALING,
-            r#""4", "Data-Driven Chopping + Shard", "0.086""#,
+            r#""4", "Data-Driven Chopping + Shard", "0.083""#,
             r#""4", "Data-Driven Chopping + Shard", "0.300""#,
         );
         // GPU Only stops spreading over the fleet: K = 4 as slow as K = 1.

@@ -321,6 +321,59 @@ impl LazyChunk {
         })
     }
 
+    /// The stream with only the columns named in `live`, names unchanged
+    /// and nothing copied: a group none of whose columns is live is
+    /// dropped, one with some keeps their `Arc`s under a narrower base,
+    /// and every kept group's positions move over as they are. With no
+    /// live column the narrowest one stays (the first of equal width), so
+    /// the stream keeps its row count. What a fan-out's spine task hands
+    /// on (DESIGN.md §6).
+    pub fn keep_live(self, live: &[impl AsRef<str>]) -> LazyChunk {
+        let is_live = |f: &Field| live.iter().any(|n| n.as_ref() == &*f.name);
+        let dense = match &self {
+            LazyChunk::Materialized(c) => Some(c),
+            LazyChunk::Groups(_) => None,
+        };
+        // Every column as (group, column, field).
+        let fields = || {
+            let bases = self.groups().iter().map(|g| &*g.base).chain(dense);
+            bases.enumerate().flat_map(|(g, base)| {
+                base.fields.iter().enumerate().map(move |(c, f)| (g, c, f))
+            })
+        };
+        let narrowest = match fields().any(|(.., f)| is_live(f)) {
+            true => None,
+            false => {
+                let narrowest = fields().min_by_key(|(.., f)| f.data_type.byte_width());
+                narrowest.map(|(g, c, _)| (g, c))
+            }
+        };
+        // The columns of base `g` that stay, as a base of their own; `None`
+        // when it keeps all of them.
+        let keep = |g: usize, base: &Chunk| {
+            let kept = |&c: &usize| is_live(&base.fields[c]) || narrowest == Some((g, c));
+            let cols: Vec<usize> = (0..base.num_columns()).filter(kept).collect();
+            (cols.len() < base.num_columns()).then(|| Chunk {
+                fields: cols.iter().map(|&c| base.fields[c].clone()).collect(),
+                columns: cols.iter().map(|&c| Arc::clone(&base.columns[c])).collect(),
+            })
+        };
+        match self {
+            LazyChunk::Materialized(c) => LazyChunk::Materialized(keep(0, &c).unwrap_or(c)),
+            LazyChunk::Groups(groups) => LazyChunk::Groups(
+                groups
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(g, Group { base, sel })| match keep(g, &base) {
+                        Some(kept) if kept.num_columns() == 0 => None,
+                        Some(kept) => Some(Group { base: Arc::new(kept), sel }),
+                        None => Some(Group { base, sel }),
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
     /// The column groups of either form: a dense chunk is one group, its
     /// whole self at the run of all its rows.
     fn as_groups(&self) -> Cow<'_, [Group]> {
@@ -712,6 +765,46 @@ mod tests {
         );
         assert!(Chunk::concat(&[a, other]).is_err());
         assert!(Chunk::concat(&[]).is_err());
+    }
+
+    #[test]
+    fn keep_live_shares_columns_and_moves_positions() {
+        let side = |positions: Vec<u32>| {
+            LazyChunk::Groups(vec![Group { base: Arc::new(chunk()), sel: SelVec::new(positions) }])
+        };
+        // Groups `k, s` and `k_r, s_r`: the two sides of a self-join.
+        let (left, right) = (side(vec![0, 1, 2]), side(vec![1, 2]));
+        let zipped = LazyChunk::zip(&left, vec![0, 2], &right, vec![1, 0]);
+        let whole = zipped.clone().materialize();
+        let bases: Vec<Arc<Chunk>> = zipped.groups().iter().map(|g| Arc::clone(&g.base)).collect();
+        let positions: Vec<*const u32> =
+            zipped.groups().iter().map(|g| g.sel.positions().as_ptr()).collect();
+        let kept = zipped.keep_live(&["s", "k_r"]);
+        let [left, right] = kept.groups() else { panic!("both groups keep a column") };
+        assert_eq!([&*left.base.fields[0].name, &*right.base.fields[0].name], ["s", "k_r"]);
+        assert!(Arc::ptr_eq(&left.base.columns[0], &bases[0].columns[1]));
+        assert!(Arc::ptr_eq(&right.base.columns[0], &bases[1].columns[0]));
+        assert_eq!([left.sel.positions().as_ptr(), right.sel.positions().as_ptr()], positions[..]);
+        let want = Chunk::from_shared(
+            whole.fields[1..3].to_vec(),
+            whole.columns[1..3].to_vec(),
+        );
+        assert_eq!(kept.clone().materialize(), want);
+        assert_eq!(kept.byte_size(), 2 * 8);
+        // A group none of whose columns is live is dropped; with none
+        // live, the narrowest column stays (the first of equal width).
+        assert_eq!(kept.clone().keep_live(&["k_r"]).groups().len(), 1);
+        let none = kept.keep_live(&[] as &[&str]);
+        assert_eq!((none.num_rows(), none.groups().len()), (2, 1));
+        assert_eq!(&*none.groups()[0].base.fields[0].name, "s");
+        // A dense chunk keeps its live columns, shared.
+        let c = chunk();
+        let LazyChunk::Materialized(dense) = LazyChunk::Materialized(c.clone()).keep_live(&["s"])
+        else {
+            panic!("a dense chunk stays dense")
+        };
+        assert_eq!((dense.num_columns(), &*dense.fields[0].name), (1, "s"));
+        assert!(Arc::ptr_eq(&dense.columns[0], &c.columns[1]));
     }
 
     #[test]

@@ -20,10 +20,14 @@ use crate::exec::event_loop::{
 use crate::exec::metrics::{FaultCounters, QueryOutcome};
 use crate::exec::policy::{key_bytes, PolicyCtx, TaskInfo};
 use crate::exec::task::{flatten, Role, ShardSpec, TaskNode};
-use crate::plan::Op;
+use crate::plan::{JoinKind, Op};
 use robustq_sim::{DeviceId, Direction, VirtualTime};
+use robustq_storage::Database;
 use robustq_trace::{EstVec, PlacePhase, ShedReason, TraceEvent, TransferKind};
 use std::sync::Arc;
+
+/// The columns of its output a spine task hands on; `None`: every one.
+type Live = Option<Arc<[String]>>;
 
 /// Rewrite a flattened task graph for intra-operator sharding (DESIGN.md
 /// §6): one fan-out per query, of its **spine**.
@@ -40,22 +44,26 @@ use std::sync::Arc;
 /// the graph, just below the first operator that is not row-wise (an
 /// aggregate, a sort, a join the spine is the build side of); a spine may
 /// be its leaf alone. Every task runs the template's own shared `Op`.
+/// Each spine task hands on only its [`live_columns`], listed by new
+/// index in the third vector (`None`, or past its end: every column).
 ///
 /// The rewrite preserves the postorder invariants (children before
 /// parents, root last) and leaves the `(input, output)` byte estimates
-/// aligned: spine tasks get `1/ways` of theirs, replicas keep theirs
-/// whole, and the merge consumes and reproduces the spine top's output.
+/// aligned: spine tasks get `1/ways` of theirs, counting their live width
+/// only, replicas keep theirs whole, and the merge consumes and
+/// reproduces the spine top's live output.
 pub(crate) fn expand_shards(
     nodes: Vec<TaskNode>,
-    estimates: Vec<(f64, f64)>,
+    mut estimates: Vec<(f64, f64)>,
     ways: usize,
     min_bytes: f64,
-) -> (Vec<TaskNode>, Vec<(f64, f64)>) {
+    db: &Database,
+) -> (Vec<TaskNode>, Vec<(f64, f64)>, Vec<Live>) {
     let leaf = (0..nodes.len())
         .filter(|&i| matches!(*nodes[i].op, Op::Scan { .. }) && estimates[i].0 >= min_bytes)
         .max_by(|&a, &b| estimates[a].0.total_cmp(&estimates[b].0).then(b.cmp(&a)));
     let Some(leaf) = leaf.filter(|_| ways >= 2) else {
-        return (nodes, estimates);
+        return (nodes, estimates, Vec::new());
     };
     let mut on_spine = vec![false; nodes.len()];
     let mut top = leaf;
@@ -80,6 +88,19 @@ pub(crate) fn expand_shards(
     }
     let len = top + 1 - first;
     let merge = first + ways * len;
+    // A pruned spine task's estimate counts its live width: what it drops
+    // leaves its output, and its parent's input (the merge's parent's, for
+    // the top).
+    let live = live_columns(&nodes, top, db);
+    for (j, live) in live.iter().enumerate() {
+        let Some((_, share)) = live else { continue };
+        let kept = estimates[j].1 * share;
+        let dropped = estimates[j].1 - kept;
+        estimates[j].1 = kept;
+        if let Some(p) = nodes[j].parent {
+            estimates[p].0 -= dropped;
+        }
+    }
     // New index of an old node outside the pipelines (the top's is the
     // merge's), and of old node `i` in pipeline `k`.
     let outside = |i: usize| if i < first { i } else { i + merge - top };
@@ -93,6 +114,7 @@ pub(crate) fn expand_shards(
 
     let mut out = Vec::with_capacity(merge + nodes.len() - top);
     let mut est = Vec::with_capacity(out.capacity());
+    let mut pruned = vec![None; first];
     for i in 0..first {
         out.push(moved(&nodes[i], Role::Whole, &outside, nodes[i].parent.map(outside)));
         est.push(estimates[i]);
@@ -106,6 +128,7 @@ pub(crate) fn expand_shards(
                 _ => merge,
             };
             out.push(moved(&nodes[j], role, &|c| piped(k, c), Some(parent)));
+            pruned.push(live[j].as_ref().map(|(columns, _)| Arc::clone(columns)));
             let (input, output) = estimates[j];
             let split = if on_spine[j] { ways as f64 } else { 1.0 };
             est.push((input / split, output / split));
@@ -122,7 +145,120 @@ pub(crate) fn expand_shards(
         out.push(moved(&nodes[i], Role::Whole, &outside, nodes[i].parent.map(outside)));
         est.push(estimates[i]);
     }
-    (out, est)
+    (out, est, pruned)
+}
+
+/// The **live columns** of a fan-out's spine (DESIGN.md §6), by index of
+/// `nodes`: for each spine task, below `top`, the columns of its output
+/// an operator above it reads — a spine join's probe key, a `Select`'s
+/// predicate, and above the top a join's key or a sort's keys, up to and
+/// including the first aggregate or projection, whose keys and inputs
+/// they are — with the share of its estimated output width they make
+/// (the narrowest column's, when none is). `None` where every column is
+/// live, and everywhere when no aggregate or projection closes the
+/// query (its result is every column) or when a join of the query
+/// renames a column ([`crate::batch::LazyChunk::zip`] suffixes a build
+/// column its probe side already names): dropping one could change the
+/// name a later join gives another. Without a rename a name is the same
+/// column at every level.
+fn live_columns(
+    nodes: &[TaskNode],
+    top: usize,
+    db: &Database,
+) -> Vec<Option<(Arc<[String]>, f64)>> {
+    let mut live = vec![None; nodes.len()];
+    let mut read: Vec<&str> = Vec::new();
+    let (mut below, mut above) = (top, nodes[top].parent);
+    loop {
+        let Some(p) = above else { return live };
+        if !reads(&nodes[p], below, &mut read) {
+            break;
+        }
+        (below, above) = (p, nodes[p].parent);
+    }
+    let Some(columns) = columns(nodes, db) else { return live };
+    // Down the spine, from its top to its leaf.
+    let mut j = top;
+    loop {
+        let out = &columns[j];
+        let kept: Vec<&(&str, f64)> = out.iter().filter(|(name, _)| read.contains(name)).collect();
+        if kept.len() < out.len() {
+            let width: f64 = out.iter().map(|&(_, w)| w).sum();
+            let kept_width = match kept.is_empty() {
+                true => out.iter().map(|&(_, w)| w).fold(f64::INFINITY, f64::min),
+                false => kept.iter().map(|&&(_, w)| w).sum(),
+            };
+            let share = if width > 0.0 { kept_width / width } else { 1.0 };
+            live[j] = Some((kept.iter().map(|(name, _)| name.to_string()).collect(), share));
+        }
+        // A spine join's probe child, or a select's child, is on the spine.
+        let Some(&child) = nodes[j].children.last() else { break };
+        reads(&nodes[j], child, &mut read);
+        j = child;
+    }
+    live
+}
+
+/// Note in `read` what `node` reads of its child `child`; whether it
+/// hands that child's columns on (a semi or anti join hands on nothing of
+/// its build side; an aggregate or a projection makes columns of its own).
+fn reads<'a>(node: &'a TaskNode, child: usize, read: &mut Vec<&'a str>) -> bool {
+    let mut note = |c| read.push(c);
+    match &*node.op {
+        Op::Select { predicate } => predicate.for_each_column(&mut note),
+        Op::HashJoin { build_key, probe_key, kind } => {
+            let probe = node.children[1] == child;
+            note(if probe { probe_key } else { build_key });
+            return probe || *kind == JoinKind::Inner;
+        }
+        Op::Sort { keys, .. } => keys.iter().for_each(|k| note(&k.column)),
+        Op::Project { exprs } => {
+            exprs.iter().for_each(|(_, e)| e.for_each_column(&mut note));
+            return false;
+        }
+        Op::Aggregate { group_by, aggs } => {
+            group_by.iter().for_each(|g| note(g));
+            aggs.iter().for_each(|a| a.input.for_each_column(&mut note));
+            return false;
+        }
+        Op::Scan { .. } => unreachable!("a scan has no child"),
+    }
+    true
+}
+
+/// Every task's output columns as `(name, width)`, the width as
+/// `estimate::node` counts it; `None` when an inner join's build side
+/// names a column its probe side already has, which the join renames.
+fn columns<'a>(nodes: &'a [TaskNode], db: &Database) -> Option<Vec<Vec<(&'a str, f64)>>> {
+    let mut out: Vec<Vec<(&'a str, f64)>> = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        let child = |i: usize| out[node.children[i]].clone();
+        let eight = |name: &'a String| (name.as_str(), 8.0);
+        let cols = match &*node.op {
+            Op::Scan { table, columns, .. } => {
+                let table = db.table(table);
+                let width =
+                    |c| table.and_then(|t| t.column(c)).map_or(0, |c| c.data_type().byte_width());
+                columns.iter().map(|c| (c.as_str(), width(c) as f64)).collect()
+            }
+            Op::Select { .. } | Op::Sort { .. } => child(0),
+            Op::HashJoin { kind: JoinKind::Inner, .. } => {
+                let (mut cols, build) = (child(1), &out[node.children[0]]);
+                if build.iter().any(|(name, _)| cols.iter().any(|(n, _)| n == name)) {
+                    return None;
+                }
+                cols.extend(build);
+                cols
+            }
+            Op::HashJoin { .. } => child(1),
+            Op::Project { exprs } => exprs.iter().map(|(name, _)| eight(name)).collect(),
+            Op::Aggregate { group_by, aggs } => {
+                group_by.iter().chain(aggs.iter().map(|a| &a.output_name)).map(eight).collect()
+            }
+        };
+        out.push(cols);
+    }
+    Some(out)
 }
 
 impl Sim<'_, '_> {
@@ -215,10 +351,14 @@ impl Sim<'_, '_> {
             .opts
             .shard_ways
             .min(self.config.topology.device_count().saturating_sub(1));
-        let (nodes, estimates) =
-            expand_shards(nodes, estimates, ways, self.opts.shard_min_bytes);
+        let (nodes, estimates, live) =
+            expand_shards(nodes, estimates, ways, self.opts.shard_min_bytes, self.db);
 
+        let mut live = live.into_iter();
         for (node, est) in nodes.into_iter().zip(estimates) {
+            if let Some(columns) = live.next().flatten() {
+                self.live.insert(self.tasks.len(), columns);
+            }
             let base_columns = match node.scan_access() {
                 Some((table, cols)) => cols
                     .iter()
@@ -526,6 +666,7 @@ mod tests {
     use crate::expr::Expr;
     use crate::plan::{AggSpec, PlanNode};
     use crate::predicate::Predicate;
+    use crate::estimate;
     use robustq_sim::OpClass;
 
     /// Tasks: 0 date scan (build), 1 lineorder scan (probe), 2 join,
@@ -538,6 +679,18 @@ mod tests {
     }
 
     const ESTIMATES: [(f64, f64); 4] = [(80.0, 40.0), (900.0, 300.0), (340.0, 60.0), (60.0, 8.0)];
+
+    /// [`expand_shards`] over a database without tables: no column has a
+    /// width, so a pruned task keeps its (split) estimate.
+    fn expand(
+        nodes: Vec<TaskNode>,
+        estimates: Vec<(f64, f64)>,
+        ways: usize,
+        min_bytes: f64,
+    ) -> (Vec<TaskNode>, Vec<(f64, f64)>) {
+        let (nodes, est, _) = expand_shards(nodes, estimates, ways, min_bytes, &Database::new());
+        (nodes, est)
+    }
 
     fn assert_postorder(nodes: &[TaskNode]) {
         assert!(nodes.last().unwrap().parent.is_none(), "root last");
@@ -553,7 +706,7 @@ mod tests {
     #[test]
     fn fewer_than_two_ways_leaves_the_graph_alone() {
         for ways in [0, 1] {
-            let (nodes, est) = expand_shards(flatten(&plan()), ESTIMATES.to_vec(), ways, 0.0);
+            let (nodes, est) = expand(flatten(&plan()), ESTIMATES.to_vec(), ways, 0.0);
             assert_eq!(est, ESTIMATES);
             assert!(nodes.iter().all(|n| n.role == Role::Whole));
         }
@@ -577,7 +730,7 @@ mod tests {
     fn a_spine_climbs_the_probe_side_and_stops_at_an_aggregate() {
         let plan = plan();
         let whole = flatten(&plan);
-        let (nodes, est) = expand_shards(whole.clone(), ESTIMATES.to_vec(), 2, 100.0);
+        let (nodes, est) = expand(whole.clone(), ESTIMATES.to_vec(), 2, 100.0);
         assert_postorder(&nodes);
         // Two pipelines of (date replica, lineorder shard, join), then
         // the merge where the join stood, under the aggregate.
@@ -616,7 +769,7 @@ mod tests {
         let plan = PlanNode::scan("date", ["d_datekey"]).join(inner, "d_datekey", "lo_orderdate");
         let whole = flatten(&plan);
         let estimates = [(50.0, 50.0), (900.0, 900.0), (950.0, 700.0), (80.0, 80.0), (780.0, 90.0)];
-        let (nodes, est) = expand_shards(whole.clone(), estimates.to_vec(), 2, 0.0);
+        let (nodes, est) = expand(whole.clone(), estimates.to_vec(), 2, 0.0);
         assert_postorder(&nodes);
         assert_eq!(roles(&nodes), ["R0", "P0", "P0", "R1", "P1", "P1", "M", "W", "W"]);
         // The merge is the outer join's build side, `date` its probe.
@@ -641,7 +794,7 @@ mod tests {
             .select(Predicate::between("lo_revenue", 1, 100))
             .aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")]);
         let estimates = [(40.0, 40.0), (900.0, 900.0), (940.0, 300.0), (300.0, 30.0), (30.0, 8.0)];
-        let (nodes, est) = expand_shards(flatten(&plan), estimates.to_vec(), 3, 0.0);
+        let (nodes, est) = expand(flatten(&plan), estimates.to_vec(), 3, 0.0);
         assert_postorder(&nodes);
         let pipeline = |k: u32| ["R", "P", "P", "P"].map(|role| format!("{role}{k}"));
         let want: Vec<String> =
@@ -666,7 +819,7 @@ mod tests {
         );
         let whole = flatten(&plan);
         let estimates = [(900.0, 300.0), (200.0, 200.0), (500.0, 60.0)];
-        let (nodes, est) = expand_shards(whole.clone(), estimates.to_vec(), 3, 100.0);
+        let (nodes, est) = expand(whole.clone(), estimates.to_vec(), 3, 100.0);
         assert_postorder(&nodes);
         assert_eq!(roles(&nodes), ["P0", "P1", "P2", "M", "W", "W"]);
         for n in &nodes[..4] {
@@ -679,12 +832,57 @@ mod tests {
         assert_eq!([est[4], est[5]], [estimates[1], estimates[2]]);
     }
 
+    /// Each pruned spine task is estimated at its estimated rows × its
+    /// live width, and the merge and the aggregate above it at the top's.
+    #[test]
+    fn a_pruned_spine_task_is_estimated_at_its_live_width() {
+        use robustq_storage::gen::ssb::SsbGenerator;
+        let db = SsbGenerator::new(1).with_rows_per_sf(8_000).generate();
+        // Tasks: 0 date, 1 customer, 2 lineorder, 3 join, 4 join, 5 aggregate.
+        let plan = PlanNode::scan("lineorder", ["lo_custkey", "lo_orderdate", "lo_revenue"])
+            .join(PlanNode::scan("customer", ["c_custkey", "c_nation"]), "lo_custkey", "c_custkey")
+            .join(PlanNode::scan("date", ["d_datekey", "d_year"]), "lo_orderdate", "d_datekey")
+            .aggregate(["c_nation", "d_year"], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")]);
+        let whole = flatten(&plan);
+        let estimated = estimate::postorder(&whole, &db);
+        let estimates = estimated.iter().map(|e| (e.input_bytes, e.bytes)).collect();
+        let (nodes, est, live) = expand_shards(whole, estimates, 2, 0.0, &db);
+        let pipeline = |k: u32| ["R", "R", "P", "P", "P"].map(|role| format!("{role}{k}"));
+        let want: Vec<String> = (0..2).flat_map(pipeline).chain(["M".into(), "W".into()]).collect();
+        assert_eq!(roles(&nodes), want);
+        let width = |columns: &[String]| -> f64 {
+            let column = |c: &str| db.tables().iter().find_map(|t| t.column(c)).unwrap();
+            columns.iter().map(|c| column(c).data_type().byte_width() as f64).sum()
+        };
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        for pipeline in [0, 5] {
+            let listed = |t: usize| live.get(pipeline + t).cloned().flatten();
+            assert_eq!(listed(2), None, "the leaf's columns are all read above it");
+            let joins = [
+                (3, ["lo_orderdate", "lo_revenue", "c_nation"]),
+                (4, ["lo_revenue", "c_nation", "d_year"]),
+            ];
+            for (t, want) in joins {
+                let kept = listed(t).expect("a pruned join");
+                assert_eq!(&kept[..], want, "task {t}");
+                assert_eq!(width(&kept), 16.0);
+                let want = estimated[t].rows / 2.0 * width(&kept);
+                let got = est[pipeline + t].1;
+                assert!(close(got, want), "task {t}: {got} B, not {want} B");
+            }
+        }
+        let top = estimated[4].rows * 16.0;
+        assert!(close(est[10].0, top) && close(est[10].1, top), "the merge: {:?}", est[10]);
+        assert!(close(est[11].0, top), "the aggregate reads the merge");
+        assert!(live.get(10).cloned().flatten().is_none(), "the merge hands on what it merged");
+    }
+
     #[test]
     fn a_merge_reads_no_base_column() {
         for (plan, ways) in [(plan(), 2), (plan().select(Predicate::between("r", 1, 2)), 3)] {
             let whole = flatten(&plan);
             let estimates = ESTIMATES.iter().copied().cycle().take(whole.len()).collect();
-            let (nodes, _) = expand_shards(whole, estimates, ways, 0.0);
+            let (nodes, _) = expand(whole, estimates, ways, 0.0);
             assert_postorder(&nodes);
             for node in &nodes {
                 match node.role {

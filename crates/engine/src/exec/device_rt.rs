@@ -73,8 +73,8 @@ impl Sim<'_, '_> {
     /// kernel cost and its host-resident inputs are therefore charged on
     /// positions; `bytes_in`/`output_bytes` keep reporting the logical
     /// payload for downstream accounting. The merge of a longer spine
-    /// moves and is charged its pipelines' output payload, as any
-    /// operator is.
+    /// moves and is charged its pipelines' output payload (their live
+    /// columns), as any operator is.
     pub(crate) fn merge_positional_bytes(&self, task: usize) -> Option<u64> {
         let t = &self.tasks[task];
         (t.role == Role::Merge && matches!(*t.op, Op::Scan { .. }))
@@ -156,6 +156,11 @@ impl Sim<'_, '_> {
             let out =
                 t.op.execute_windowed(t.role, &children_chunks, self.db, self.opts.parallel, window)
                     .map_err(EngineError::Kernel)?;
+            // A spine task hands on only the columns read above it.
+            let out = match self.live.remove(&task) {
+                Some(live) => out.keep_live(&live),
+                None => out,
+            };
             children_chunks.clear();
             self.scratch.child_chunks = children_chunks;
             self.tasks[task].output_bytes = out.byte_size();

@@ -37,7 +37,7 @@ use robustq_sim::{
 };
 use robustq_storage::{ColumnId, Database, DbEpoch};
 use robustq_trace::Tracer;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Options controlling one workload run.
 #[derive(Debug, Clone)]
@@ -357,6 +357,7 @@ impl<'a> Executor<'a> {
             events: EventQueue::new(),
             tasks: Paged::new(),
             queries: Vec::with_capacity(total_queries),
+            live: BTreeMap::new(),
             devices: DeviceSet::new(device_count),
             sessions: sessions.into_iter().map(VecDeque::from).collect(),
             session_seq: vec![0; session_count],

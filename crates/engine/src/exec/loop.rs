@@ -27,7 +27,7 @@ use robustq_sim::{
 };
 use robustq_storage::{ColumnId, Database};
 use robustq_trace::{TraceEvent, Tracer};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
@@ -282,6 +282,10 @@ pub(crate) struct Sim<'a, 'p> {
     pub(crate) query_faults: Vec<FaultCounters>,
     pub(crate) events: EventQueue<Ev>,
     pub(crate) tasks: Paged<TaskState>,
+    /// The columns a fan-out's spine task hands on
+    /// ([`LazyChunk::keep_live`]; DESIGN.md §6), by task, until it runs:
+    /// a side table, so a task that is not pruned carries nothing.
+    pub(crate) live: BTreeMap<usize, Arc<[String]>>,
     pub(crate) queries: Vec<QueryState>,
     /// Per-device ready queues, worker slots and compute sets.
     pub(crate) devices: DeviceSet,

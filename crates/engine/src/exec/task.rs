@@ -56,9 +56,11 @@ pub enum Role {
     Whole,
     /// An operator on the spine of a shard pipeline. Its leaf scan
     /// evaluates the pushed predicate over its [`ShardSpec::row_range`]
-    /// only and hands on what the whole scan would over those rows (the
+    /// only and computes what the whole scan would over those rows (the
     /// output columns through the selection); every operator above runs
-    /// whole over its pipeline's inputs.
+    /// whole over its pipeline's inputs. The executor hands on only the
+    /// task's live columns, those read above it
+    /// ([`LazyChunk::keep_live`]; DESIGN.md §6).
     Spine(ShardSpec),
     /// A copy, in one shard pipeline, of a task of a build side one of the
     /// spine's joins reads: runs whole and reads whole columns. It only
@@ -66,8 +68,9 @@ pub enum Role {
     Replica(ShardSpec),
     /// Merge barrier of a fan-out: concatenates its pipelines' (disjoint,
     /// ordered) outputs in shard order with [`LazyChunk::concat`], so the
-    /// union is byte-identical to the unsharded output — same rows, same
-    /// order, same string dictionaries. Reads no base column itself.
+    /// union is byte-identical to the unsharded output's live columns —
+    /// same rows, same order, same string dictionaries. Reads no base
+    /// column itself.
     Merge,
 }
 

@@ -4,7 +4,8 @@
 //! Columns are shared, never copied (DESIGN.md §3, §5): a scan hands on
 //! the table's buffers, a filtered or sharded scan adds position lists
 //! only — none at all without a predicate, where a shard is a row range —
-//! and cloning or projecting a chunk touches no row. Each budget below
+//! and cloning or projecting a chunk, or pruning a shard pipeline's
+//! output to its live columns (§6), touches no row. Each budget below
 //! sits far under one copy of the columns the operation reads, so any
 //! reintroduced column copy trips it on every host alike. A join's probe
 //! allocates by what it matches, not by what it reads — nor, against a
@@ -181,6 +182,39 @@ fn a_predicate_free_sharded_scan_allocates_no_positions() {
         assert_eq!(merged.num_rows(), ROWS);
         assert!(bytes < FIXED, "{of} unfiltered shards + merge over {ROWS} rows allocated {bytes} B");
     }
+}
+
+/// A fan-out's spine hands on its live columns without copying a row:
+/// cutting each output of a 2-way pipeline — a `lineorder` shard's four
+/// payload columns joined to `date`'s two — to the two an aggregate above
+/// the merge reads allocates a narrower base per group and nothing by
+/// the rows (the positions move over as they are), and the merge takes
+/// the pruned parts.
+#[test]
+fn pruning_a_pipeline_output_allocates_no_row_data() {
+    let db = lineorder();
+    let ctx = ParallelCtx::serial();
+    let (build_key, probe_key) = ("d_datekey".to_string(), "lo_orderdate".to_string());
+    let join = Op::HashJoin { build_key, probe_key, kind: JoinKind::Inner };
+    let fact = Op::scan("lineorder", columns(), None);
+    let outputs: Vec<LazyChunk> = (0..2)
+        .map(|index| {
+            let spine = Role::Spine(ShardSpec { index, of: 2 });
+            let date = scanned(&db, "date", &["d_datekey", "d_year"], None);
+            let leaf = fact.execute_windowed(spine, &[], &db, ctx, None).unwrap();
+            join.execute_windowed(spine, &[date, leaf], &db, ctx, None).unwrap()
+        })
+        .collect();
+    let rows = outputs.iter().map(LazyChunk::num_rows).sum::<usize>() as u64;
+    assert_eq!(rows, ROWS as u64, "every order date is a date");
+    let live = ["d_year", "lo_revenue"];
+    let (parts, bytes) =
+        allocated(|| outputs.into_iter().map(|out| out.keep_live(&live)).collect::<Vec<_>>());
+    assert!(bytes < FIXED, "pruning 2 pipeline outputs of {rows} rows allocated {bytes} B");
+    let widths: u64 = parts.iter().map(LazyChunk::byte_size).sum();
+    assert_eq!(widths, rows * 12, "d_year (4 B) and lo_revenue (8 B) a row");
+    let merged = join.execute_windowed(Role::Merge, &parts, &db, ctx, None).unwrap();
+    assert_eq!((merged.num_rows() as u64, merged.byte_size()), (rows, rows * 12));
 }
 
 /// A foreign-key probe allocates by its matches: beyond the gathered

@@ -720,3 +720,171 @@ fn a_closed_loop_query_is_homed_by_its_turn_not_its_admission_order() {
     assert!(homed > 0, "no merge was homed");
     assert!(out_of_rotation > 0, "the sessions never left strict rotation");
 }
+
+/// (8), live columns: every SSB and TPC-H template, sharded 2 and 4 ways
+/// under Data-Driven Chopping, returns the unsharded K = 1 run's rows
+/// and checksums, and every query fans out once — each spine hands on
+/// only the columns read above it, and nothing an ancestor reads is lost.
+#[test]
+fn every_template_sharded_returns_the_unsharded_rows() {
+    use robustq::storage::gen::tpch::TpchGenerator;
+    use robustq::trace::TraceEvent;
+    use robustq::workloads::tpch;
+
+    let ssb_db = SsbGenerator::new(1).with_rows_per_sf(3_000).generate();
+    let tpch_db = TpchGenerator::new(1).with_rows_per_sf(3_000).generate();
+    let workloads = [
+        ("SSB", &ssb_db, ssb::workload(&ssb_db).expect("SSB plans")),
+        ("TPC-H", &tpch_db, tpch::workload()),
+    ];
+    for (name, db, queries) in workloads {
+        let cfg = RunnerConfig::default().with_users(2);
+        let want = WorkloadRunner::new(db, sim_k(1))
+            .run(&queries, Strategy::DataDrivenChopping, &cfg)
+            .expect("unsharded run")
+            .result_fingerprints();
+        for k in [2, 4] {
+            let sharded = cfg.clone().with_sharding(k, 0.0).with_trace();
+            let report = WorkloadRunner::new(db, sim_k(k))
+                .run_with_policy(&queries, &mut sharded_ddc(k), DDC_SHARD, &sharded)
+                .unwrap_or_else(|e| panic!("{name} K={k}: {e}"));
+            assert_eq!(want, report.result_fingerprints(), "{name} K={k}: drifted from unsharded");
+            assert_conservation(&report, k, name);
+            let events = report.trace.expect("traced run").events;
+            let merges =
+                events.iter().filter(|e| matches!(e, TraceEvent::ShardMerge { .. })).count();
+            assert_eq!(merges, queries.len(), "{name} K={k}: every query fans out once");
+        }
+    }
+}
+
+/// A fact table `t(k, k2, v: Int64, f: Int32)` of 1 000 rows and two
+/// dimensions whose payload columns share the name `g`: `d1(dk, g)`
+/// (50 keys, `g = 10·dk`) and `d2(dk2, g)` (20 keys, `g = 1 000 + dk2`).
+fn shared_name_db() -> Database {
+    use robustq::storage::{ColumnData, DataType, Field, Schema, Table};
+    let int64 = |name: &str, values: Vec<i64>| {
+        (Field::new(name, DataType::Int64), ColumnData::Int64(values))
+    };
+    let table = |name: &str, columns: Vec<(Field, ColumnData)>| {
+        let (fields, data) = columns.into_iter().unzip();
+        Table::new(name, Schema::new(fields), data).expect("valid table")
+    };
+    let n = 1_000i64;
+    let mut db = Database::new();
+    let fact = table(
+        "t",
+        vec![
+            int64("k", (0..n).map(|i| i % 50).collect()),
+            int64("k2", (0..n).map(|i| i % 20).collect()),
+            int64("v", (0..n).collect()),
+            (Field::new("f", DataType::Int32), ColumnData::Int32((0..n as i32).collect())),
+        ],
+    );
+    let d1 = vec![int64("dk", (0..50).collect()), int64("g", (0..50).map(|i| 10 * i).collect())];
+    let d2 =
+        vec![int64("dk2", (0..20).collect()), int64("g", (0..20).map(|i| 1_000 + i).collect())];
+    let (d1, d2) = (table("d1", d1), table("d2", d2));
+    for t in [fact, d1, d2] {
+        db.add_table(t).expect("fresh database");
+    }
+    db
+}
+
+/// Each query of `queries` run unsharded at K = 1 and 2-way sharded at
+/// K = 2 under Data-Driven Chopping: the sharded run's results must be
+/// the unsharded ones; returns each fan-out's merged `(rows, bytes)`.
+fn merged_rows_and_bytes(
+    db: &Database,
+    queries: &[robustq::engine::plan::PlanNode],
+) -> Vec<(u64, u64)> {
+    use robustq::trace::TraceEvent;
+    let cfg = RunnerConfig::default();
+    let want = WorkloadRunner::new(db, sim_k(1))
+        .run(queries, Strategy::DataDrivenChopping, &cfg)
+        .expect("unsharded run")
+        .result_fingerprints();
+    let sharded = cfg.with_sharding(2, 0.0).with_trace();
+    let report = WorkloadRunner::new(db, sim_k(2))
+        .run_with_policy(queries, &mut sharded_ddc(2), DDC_SHARD, &sharded)
+        .expect("sharded run");
+    assert_eq!(want, report.result_fingerprints(), "the sharded results drifted");
+    let events = report.trace.expect("traced run").events;
+    let merges: Vec<(u64, u64)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::ShardMerge { rows, bytes, .. } => Some((rows, bytes)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(merges.len(), queries.len(), "every query fans out once");
+    merges
+}
+
+/// (8), pruning renames nothing: two build sides share the column name
+/// `g`, so the join that reads the second names its `g` `g_r`. Without
+/// a dead column the join might name it `g`, and an aggregate that reads
+/// `g_r` would find nothing; a fan-out under a join that renames prunes
+/// nothing, whichever `g` is read. Down the chain `t ⋈ d1 ⋈ d2` the merge
+/// carries all 7 columns (56 B a row); with the merge the build side of
+/// `d1 ⋈ (t ⋈ d2)`, all 5 of `t ⋈ d2` (40 B), though the aggregate reads
+/// the `g` that the outer join renames. Every run returns the unsharded
+/// rows.
+#[test]
+fn pruning_never_changes_a_name_an_ancestor_reads() {
+    use robustq::engine::expr::Expr;
+    use robustq::engine::plan::{AggSpec, PlanNode};
+
+    let db = shared_name_db();
+    let chain = || {
+        PlanNode::scan("t", ["k", "k2", "v"])
+            .join(PlanNode::scan("d1", ["dk", "g"]), "k", "dk")
+            .join(PlanNode::scan("d2", ["dk2", "g"]), "k2", "dk2")
+    };
+    let sum = || vec![AggSpec::sum(Expr::col("v"), "s")];
+    let probe_t = ["g", "g_r"].map(|key| chain().aggregate([key], sum()));
+    let t_d2 = PlanNode::scan("t", ["k", "k2", "v"])
+        .join(PlanNode::scan("d2", ["dk2", "g"]), "k2", "dk2");
+    let build_t = PlanNode::scan("d1", ["dk", "g"]).join(t_d2, "dk", "k").aggregate(["g_r"], sum());
+    let queries = [probe_t[0].clone(), probe_t[1].clone(), build_t];
+    let merged = merged_rows_and_bytes(&db, &queries);
+    assert_eq!(merged, [(1_000, 56_000), (1_000, 56_000), (1_000, 40_000)]);
+}
+
+/// (8), a `count(*)` over a sharded join reads no column, so every one
+/// the spine top hands on is dead. Over the join alone the leaf hands on
+/// the key `k` (nothing reads `f`) and the join the narrowest of `k` and
+/// `dk` (8 B each: the first); over a select of `f` above the join, the
+/// join hands on `f` and the select keeps it, 4 B. Each count still
+/// counts every joined row.
+#[test]
+fn a_count_over_a_join_whose_every_column_is_dead_still_counts() {
+    use robustq::engine::plan::{AggSpec, PlanNode};
+    use robustq::engine::predicate::Predicate;
+
+    let db = shared_name_db();
+    let join = || PlanNode::scan("t", ["k", "f"]).join(PlanNode::scan("d1", ["dk"]), "k", "dk");
+    let count = |spine: PlanNode| spine.aggregate([] as [&str; 0], vec![AggSpec::count("n")]);
+    let queries =
+        [count(join()), count(join().select(Predicate::between("f", 0, 999)))];
+    let merged = merged_rows_and_bytes(&db, &queries);
+    assert_eq!(merged, [(1_000, 8_000), (1_000, 4_000)], "the narrowest column alone");
+}
+
+/// (8), the bytes a merge moves — a gate with no clock in it. Sharded 2
+/// ways, SSB Q3.1's spine hands the merge `c_nation`, `s_nation`,
+/// `d_year` (4 B each) and `lo_revenue` (8 B): 20 B a merged row, not the
+/// 44 B of every column its three joins carry. Q4.1's hands on `d_year`,
+/// `c_nation`, `lo_revenue` and `lo_supplycost`: 24 B, not 56.
+#[test]
+fn a_merge_moves_the_live_columns_alone() {
+    let db = SsbGenerator::new(1).with_rows_per_sf(8_000).generate();
+    for (query, width) in [(ssb::SsbQuery::Q3_1, 20), (ssb::SsbQuery::Q4_1, 24)] {
+        let plan = query.plan(&db).expect("SSB plan");
+        let [(rows, bytes)] = merged_rows_and_bytes(&db, &[plan])[..] else {
+            panic!("{}: one fan-out", query.name())
+        };
+        assert!(rows > 0, "{}: nothing merged", query.name());
+        assert_eq!(bytes, rows * width, "{}: {} B a merged row", query.name(), bytes / rows);
+    }
+}
