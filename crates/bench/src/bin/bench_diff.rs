@@ -9,7 +9,7 @@
 //! * **default** — `multigpu-ssb` and `multigpu-tpch` of
 //!   `BENCH_multigpu.json`: sharding pays with K (DESIGN.md §6), no
 //!   robust strategy falls behind the CPU;
-//! * **`--adaptive`** — `multigpu-adaptive` of the same file (DESIGN.md §7);
+//! * **`--staging`** — `multigpu-staging` of the same file (DESIGN.md §6);
 //! * **`--serving`** — `serving-ssb` of `BENCH_serving.json`, the p99
 //!   under open-loop load (DESIGN.md §10);
 //! * **`--streaming`** — `streaming-ssb` of `BENCH_streaming.json`, every
@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! cargo run -p robustq-bench --release --bin bench-diff -- BENCH_multigpu.json
-//! cargo run -p robustq-bench --release --bin bench-diff -- --adaptive BENCH_multigpu.json
+//! cargo run -p robustq-bench --release --bin bench-diff -- --staging BENCH_multigpu.json
 //! cargo run -p robustq-bench --release --bin bench-diff -- --kernels BENCH_kernels.json
 //! ```
 //!
@@ -47,7 +47,7 @@ struct Mode {
 
 const SCALING: Mode =
     Mode { file: "BENCH_multigpu.json", tables: &["multigpu-ssb", "multigpu-tpch"] };
-const ADAPTIVE: Mode = Mode { file: "BENCH_multigpu.json", tables: &["multigpu-adaptive"] };
+const STAGING: Mode = Mode { file: "BENCH_multigpu.json", tables: &["multigpu-staging"] };
 const SERVING: Mode = Mode { file: "BENCH_serving.json", tables: &["serving-ssb"] };
 const STREAMING: Mode = Mode { file: "BENCH_streaming.json", tables: &["streaming-ssb"] };
 const KERNELS: Mode = Mode { file: "BENCH_kernels.json", tables: &[] };
@@ -60,7 +60,7 @@ fn parse_args(mut it: ArgStream) -> Result<(Mode, String), EngineError> {
         let picked = match flag.as_str() {
             "--serving" => SERVING,
             "--kernels" => KERNELS,
-            "--adaptive" => ADAPTIVE,
+            "--staging" => STAGING,
             "--streaming" => STREAMING,
             other if !other.starts_with('-') && path.is_none() => {
                 path = Some(other.to_string());
@@ -70,7 +70,7 @@ fn parse_args(mut it: ArgStream) -> Result<(Mode, String), EngineError> {
         };
         if mode.is_some_and(|m| m != picked) {
             return Err(EngineError::config(
-                "--serving, --kernels, --adaptive and --streaming are mutually exclusive",
+                "--serving, --kernels, --staging and --streaming are mutually exclusive",
             ));
         }
         mode = Some(picked);
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn modes_pick_their_default_files_and_exclude_each_other() {
         assert_eq!(parse(&[]).unwrap(), (SCALING, "BENCH_multigpu.json".to_string()));
-        assert_eq!(parse(&["--adaptive"]).unwrap().1, "BENCH_multigpu.json");
+        assert_eq!(parse(&["--staging"]).unwrap().1, "BENCH_multigpu.json");
         assert_eq!(parse(&["--serving"]).unwrap(), (SERVING, "BENCH_serving.json".to_string()));
         assert_eq!(parse(&["--streaming", "x.json"]).unwrap(), (STREAMING, "x.json".to_string()));
         assert_eq!(parse(&["--kernels"]).unwrap().0, KERNELS);
@@ -211,9 +211,9 @@ mod tests {
         gate_trips(SCALING, r#""4", "GPU Only", "0.595""#, r#""4", "GPU Only", "1.313""#);
         // One oversize fallback under staging.
         gate_trips(
-            ADAPTIVE,
-            r#""4", "Chopping", "adaptive", "0.378", "0", "0""#,
-            r#""4", "Chopping", "adaptive", "0.378", "0", "1""#,
+            STAGING,
+            r#""4", "Chopping", "on", "0.387", "0", "0""#,
+            r#""4", "Chopping", "on", "0.387", "0", "1""#,
         );
         // The learned strategy's p99 above GPU Only's at the highest rate.
         gate_trips(SERVING, r#""0.637", "0.826", "0.901""#, r#""0.637", "0.826", "9.010""#);

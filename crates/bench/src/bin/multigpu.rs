@@ -17,7 +17,7 @@
 //! cargo run -p robustq-bench --release --bin multigpu
 //! cargo run -p robustq-bench --release --bin multigpu -- --users 8 --ks 1,2,4
 //! cargo run -p robustq-bench --release --bin multigpu -- --ks 2 --trace multigpu-trace.json
-//! cargo run -p robustq-bench --release --bin multigpu -- --shard --adaptive
+//! cargo run -p robustq-bench --release --bin multigpu -- --shard --staging
 //! ```
 //!
 //! `--trace PATH` traces the largest-K SSB run under the learned
@@ -32,13 +32,12 @@
 //! every cache instead of partitioning them. Sharded rows must reproduce
 //! the unsharded K = 1 result fingerprints bit for bit.
 //!
-//! `--adaptive` adds the DESIGN.md §7 comparison table
-//! (`multigpu-adaptive`): the SSB workload on a deliberately small
-//! co-processor heap, once under the static cost model with chunked
-//! staging off (over-heap operators abort to the CPU) and once under the
-//! adaptive model with chunked staging on (they complete on-device in
-//! chunks). `bench-diff --adaptive` gates the table (the `adaptive-*`
-//! rows of `robustq_bench::claims::CLAIMS`).
+//! `--staging` adds the DESIGN.md §6 chunked-staging table
+//! (`multigpu-staging`): the SSB workload on a deliberately small
+//! co-processor heap, once with chunked staging off (over-heap operators
+//! abort to the CPU) and once with it on (they complete on-device in
+//! chunks). `bench-diff --staging` gates the table (the `staging-*` rows
+//! of `robustq_bench::claims::CLAIMS`).
 
 use robustq::prelude::*;
 use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
@@ -57,20 +56,20 @@ const REPLICATE_MAX_BYTES: u64 = 64 * 1024;
 struct Args {
     common: CommonArgs,
     shard: bool,
-    adaptive: bool,
+    staging: bool,
 }
 
 fn parse_args() -> Result<Args, EngineError> {
-    let (mut shard, mut adaptive) = (false, false);
+    let (mut shard, mut staging) = (false, false);
     let common = CommonArgs::new("BENCH_multigpu.json").parse(ArgStream::from_env(), |flag, _| {
         match flag {
             "--shard" => shard = true,
-            "--adaptive" => adaptive = true,
+            "--staging" => staging = true,
             _ => return Ok(false),
         }
         Ok(true)
     })?;
-    Ok(Args { common, shard, adaptive })
+    Ok(Args { common, shard, staging })
 }
 
 /// A fleet contender: a strategy, and whether its leaf scans shard K
@@ -96,29 +95,17 @@ const FLEET_COLUMNS: [Column<(), Contender, RunReport>; 7] = [
     }),
 ];
 
-/// The §7 comparison's contenders. Each row of the adaptive model also
-/// stages over-heap operators in chunks; the static rows abort them to
-/// the CPU.
-const MODELS: [CostModelKind; 2] = [CostModelKind::Static, CostModelKind::Adaptive { seed: 42 }];
+/// The staging table's contenders: whether chunked staging is on. Off,
+/// over-heap operators abort to the CPU; on, they run in chunks.
+const STAGING: [bool; 2] = [false, true];
 
-const ADAPTIVE_COLUMNS: [Column<Strategy, CostModelKind, RunReport>; 7] = [
+const STAGING_COLUMNS: [Column<Strategy, bool, RunReport>; 6] = [
     ("K", |p, _| p.k.to_string()),
     ("Strategy", |p, _| p.value.name().to_string()),
-    ("Model", |p, _| {
-        let model = if p.contender == CostModelKind::Static { "static" } else { "adaptive" };
-        model.to_string()
-    }),
+    ("Staging", |p, _| if p.contender { "on" } else { "off" }.to_string()),
     ("Makespan [ms]", |_, r| ms(r.metrics.makespan)),
     ("Aborts", |_, r| r.metrics.aborts.to_string()),
     ("Oversize", |_, r| r.staging.oversize_fallbacks.to_string()),
-    // Median est-vs-actual relative error over the run's model samples;
-    // `-` when the policy records none (plan-time pinning strategies
-    // never consult a cost model).
-    ("MedianErr %", |_, r| {
-        let mut errs: Vec<f64> = r.model_samples.iter().map(ModelUpdate::relative_error).collect();
-        errs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-        errs.get(errs.len() / 2).map_or("-".to_string(), |e| format!("{:.2}", 100.0 * e))
-    }),
 ];
 
 fn main() {
@@ -167,29 +154,26 @@ fn main() {
         });
     }
 
-    if args.adaptive {
+    if args.staging {
         // A heap a fraction of the scaling sweep's (memory minus cache =
         // 128 KiB): the fact-table joins' working footprints no longer
-        // fit, so placement either aborts them mid-flight (static rows)
-        // or stages them in chunks (adaptive rows).
+        // fit, so placement either aborts them mid-flight (staging off)
+        // or stages them in chunks (staging on).
         let sim = SimConfig::default().with_gpu_memory(384 * 1024).with_gpu_cache(256 * 1024);
         let sweep = Sweep {
-            id: "multigpu-adaptive".to_string(),
-            title: "SSB on a 128 KiB-heap fleet: static model + CPU fallback vs \
-                    adaptive model + chunked staging"
-                .to_string(),
-            columns: &ADAPTIVE_COLUMNS,
+            id: "multigpu-staging".to_string(),
+            title: "SSB on a 128 KiB-heap fleet: CPU fallback vs chunked staging".to_string(),
+            columns: &STAGING_COLUMNS,
             values: &[Strategy::GpuPreferred, Strategy::Chopping],
-            contenders: &MODELS,
+            contenders: &STAGING,
             traced: None,
             same_results: Some(RunReport::result_fingerprints),
         };
         driver.sweep(sweep, |p, _| {
-            let mut cfg =
-                RunnerConfig::default().with_users(args.common.users).with_cost_model(p.contender);
-            cfg.exec.chunked_staging = p.contender != CostModelKind::Static;
+            let mut cfg = RunnerConfig::default().with_users(args.common.users);
+            cfg.exec.chunked_staging = p.contender;
             let runner = WorkloadRunner::new(&ssb_db, sim.clone().with_coprocessors(p.k));
-            runner.run(&workloads[0].2, p.value, &cfg).expect("adaptive sweep run")
+            runner.run(&workloads[0].2, p.value, &cfg).expect("staging sweep run")
         });
     }
     driver.finish();

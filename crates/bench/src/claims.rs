@@ -216,13 +216,12 @@ pub const CLAIMS: &[Claim] = &[
     claim("multigpu-tpch-ddc-never-worse-than-cpu", "§5.4", "multigpu-tpch", NeverWorse(of(SPAN, DDC_NAME), of(SPAN, "CPU Only"), EPS), Holds),
     claim("multigpu-tpch-ddc-improves-with-k", "§6", "multigpu-tpch", Monotone(of(SPAN, DDC_NAME), "K", Dir::Down, EPS),
         KnownViolation("0.106 -> 0.126 ms at K = 2")),
-    // multigpu-adaptive: staging absorbs the over-heap operators (a static
-    // row never stages, so its Oversize is 0) in a regime that does force
-    // aborts, and the adaptive model out-predicts the static one (DESIGN §7).
-    claim("adaptive-staging-never-falls-back", "DESIGN §7", "multigpu-adaptive", NeverWorse(col("Oversize").on("Model", "adaptive"), col("Oversize").on("Model", "static"), 0.0), Holds),
-    claim("adaptive-staging-aborts-no-more", "DESIGN §7", "multigpu-adaptive", NeverWorse(col("Aborts").on("Model", "adaptive"), col("Aborts").on("Model", "static"), 0.0), Holds),
-    claim("adaptive-regime-forces-aborts", "DESIGN §7", "multigpu-adaptive", Ordering(of("Aborts", "GPU Only").on("Model", "adaptive"), of("Aborts", "GPU Only").on("Model", "static"), Every), Holds),
-    claim("adaptive-model-predicts-better", "DESIGN §7", "multigpu-adaptive", Ordering(col("MedianErr %").on("Model", "adaptive"), col("MedianErr %").on("Model", "static"), Every), Holds),
+    // multigpu-staging: staging absorbs the over-heap operators (a row
+    // with staging off never stages, so its Oversize is 0) in a regime
+    // that does force aborts (DESIGN §6).
+    claim("staging-never-falls-back", "DESIGN §6", "multigpu-staging", NeverWorse(col("Oversize").on("Staging", "on"), col("Oversize").on("Staging", "off"), 0.0), Holds),
+    claim("staging-aborts-no-more", "DESIGN §6", "multigpu-staging", NeverWorse(col("Aborts").on("Staging", "on"), col("Aborts").on("Staging", "off"), 0.0), Holds),
+    claim("staging-regime-forces-aborts", "DESIGN §6", "multigpu-staging", Ordering(of("Aborts", "GPU Only").on("Staging", "on"), of("Aborts", "GPU Only").on("Staging", "off"), Every), Holds),
     // BENCH_serving.json: the tail under open-loop load (DESIGN §10).
     claim("serving-ddc-tail-never-worse-than-gpu", "DESIGN §10", "serving-ssb", NeverWorse(of("p99 [ms]", DDC_NAME), of("p99 [ms]", "GPU Only"), 0.0), Holds),
     claim("serving-ddc-tail-never-worse-than-cpu", "§5.4", "serving-ssb", NeverWorse(of("p99 [ms]", DDC_NAME), of("p99 [ms]", "CPU Only"), EPS), Holds),

@@ -49,9 +49,11 @@ type Live = Option<Arc<[String]>>;
 ///
 /// The rewrite preserves the postorder invariants (children before
 /// parents, root last) and leaves the `(input, output)` byte estimates
-/// aligned: spine tasks get `1/ways` of theirs, counting their live width
-/// only, replicas keep theirs whole, and the merge consumes and
-/// reproduces the spine top's live output.
+/// aligned: a spine task outputs `1/ways` of its estimate, counting its
+/// live width only, a replica keeps its estimate whole, a pipeline task
+/// with children reads the sum of their outputs (a spine join its whole
+/// replica build side and its split probe side), and the merge consumes
+/// and reproduces the spine top's live output.
 pub(crate) fn expand_shards(
     nodes: Vec<TaskNode>,
     mut estimates: Vec<(f64, f64)>,
@@ -89,15 +91,15 @@ pub(crate) fn expand_shards(
     let len = top + 1 - first;
     let merge = first + ways * len;
     // A pruned spine task's estimate counts its live width: what it drops
-    // leaves its output, and its parent's input (the merge's parent's, for
-    // the top).
+    // leaves its output, and what the top drops the merge's parent's input
+    // (a pipeline task's input is summed from its children below).
     let live = live_columns(&nodes, top, db);
     for (j, live) in live.iter().enumerate() {
         let Some((_, share)) = live else { continue };
         let kept = estimates[j].1 * share;
         let dropped = estimates[j].1 - kept;
         estimates[j].1 = kept;
-        if let Some(p) = nodes[j].parent {
+        if let Some(p) = nodes[j].parent.filter(|_| j == top) {
             estimates[p].0 -= dropped;
         }
     }
@@ -131,7 +133,11 @@ pub(crate) fn expand_shards(
             pruned.push(live[j].as_ref().map(|(columns, _)| Arc::clone(columns)));
             let (input, output) = estimates[j];
             let split = if on_spine[j] { ways as f64 } else { 1.0 };
-            est.push((input / split, output / split));
+            let input = match nodes[j].children.is_empty() {
+                true => input / split,
+                false => nodes[j].children.iter().map(|&c| est[piped(k, c)].1).sum(),
+            };
+            est.push((input, output / split));
         }
     }
     out.push(TaskNode {
@@ -752,23 +758,29 @@ mod tests {
         assert_eq!(est[0], date);
         assert_eq!(est[3], date);
         assert_eq!([est[1], est[4]], [(450.0, 150.0); 2]);
-        assert_eq!([est[2], est[5]], [(170.0, 30.0); 2]);
+        assert_eq!([est[2], est[5]], [(190.0, 30.0); 2], "a join reads its whole replica");
         assert_eq!(est[6], (join.1, join.1));
         assert_eq!(est[7], agg);
     }
 
-    #[test]
-    fn a_spine_stops_where_it_is_a_build_side() {
-        // (lineorder ⋈ supplier) is the build side of a join probed by
-        // `date`: tasks 0 supplier, 1 lineorder, 2 join, 3 date, 4 join.
+    /// (lineorder ⋈ supplier) is the build side of a join probed by
+    /// `date`: tasks 0 supplier, 1 lineorder, 2 join, 3 date, 4 join.
+    fn build_side_plan() -> PlanNode {
         let inner = PlanNode::scan("lineorder", ["lo_orderdate", "lo_suppkey"]).join(
             PlanNode::scan("supplier", ["s_suppkey"]),
             "lo_suppkey",
             "s_suppkey",
         );
-        let plan = PlanNode::scan("date", ["d_datekey"]).join(inner, "d_datekey", "lo_orderdate");
-        let whole = flatten(&plan);
-        let estimates = [(50.0, 50.0), (900.0, 900.0), (950.0, 700.0), (80.0, 80.0), (780.0, 90.0)];
+        PlanNode::scan("date", ["d_datekey"]).join(inner, "d_datekey", "lo_orderdate")
+    }
+
+    const BUILD_SIDE_ESTIMATES: [(f64, f64); 5] =
+        [(50.0, 50.0), (900.0, 900.0), (950.0, 700.0), (80.0, 80.0), (780.0, 90.0)];
+
+    #[test]
+    fn a_spine_stops_where_it_is_a_build_side() {
+        let whole = flatten(&build_side_plan());
+        let estimates = BUILD_SIDE_ESTIMATES;
         let (nodes, est) = expand(whole.clone(), estimates.to_vec(), 2, 0.0);
         assert_postorder(&nodes);
         assert_eq!(roles(&nodes), ["R0", "P0", "P0", "R1", "P1", "P1", "M", "W", "W"]);
@@ -780,11 +792,9 @@ mod tests {
         assert_eq!([est[7], est[8]], [estimates[3], estimates[4]]);
     }
 
-    #[test]
-    fn a_semi_join_and_a_select_ride_the_spine() {
-        use crate::plan::JoinKind;
-        // Tasks: 0 supplier, 1 lineorder, 2 semi join, 3 select, 4 aggregate.
-        let plan = PlanNode::scan("lineorder", ["lo_suppkey", "lo_revenue"])
+    /// Tasks: 0 supplier, 1 lineorder, 2 semi join, 3 select, 4 aggregate.
+    fn semi_select_plan() -> PlanNode {
+        PlanNode::scan("lineorder", ["lo_suppkey", "lo_revenue"])
             .join_kind(
                 PlanNode::scan("supplier", ["s_suppkey"]),
                 "lo_suppkey",
@@ -792,9 +802,16 @@ mod tests {
                 JoinKind::Semi,
             )
             .select(Predicate::between("lo_revenue", 1, 100))
-            .aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")]);
-        let estimates = [(40.0, 40.0), (900.0, 900.0), (940.0, 300.0), (300.0, 30.0), (30.0, 8.0)];
-        let (nodes, est) = expand(flatten(&plan), estimates.to_vec(), 3, 0.0);
+            .aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")])
+    }
+
+    const SEMI_SELECT_ESTIMATES: [(f64, f64); 5] =
+        [(40.0, 40.0), (900.0, 900.0), (940.0, 300.0), (300.0, 30.0), (30.0, 8.0)];
+
+    #[test]
+    fn a_semi_join_and_a_select_ride_the_spine() {
+        let estimates = SEMI_SELECT_ESTIMATES;
+        let (nodes, est) = expand(flatten(&semi_select_plan()), estimates.to_vec(), 3, 0.0);
         assert_postorder(&nodes);
         let pipeline = |k: u32| ["R", "P", "P", "P"].map(|role| format!("{role}{k}"));
         let want: Vec<String> =
@@ -802,23 +819,29 @@ mod tests {
         assert_eq!(roles(&nodes), want);
         assert_eq!(nodes[12].children, [3, 7, 11], "the merge takes each pipeline's select");
         assert_eq!(est[12], (30.0, 30.0));
+        assert_eq!(est[2], (340.0, 100.0), "a semi join reads its whole replica");
         assert_eq!(est[3], (100.0, 10.0));
         assert_eq!(est[8], estimates[0], "a replica keeps its estimate whole");
     }
 
-    #[test]
-    fn a_spine_that_is_its_leaf_alone_fans_out_under_the_scan_merge() {
-        // `lineorder`, the largest scan, is the build side of the only
-        // join, so its spine is the scan alone; `date` — large enough to
-        // shard too — is not sharded: one fan-out per query.
-        let plan = PlanNode::scan("date", ["d_datekey"]).join(
+    /// `lineorder`, the largest scan, is the build side of the only join,
+    /// so its spine is the scan alone; `date` — large enough to shard too
+    /// — is not sharded: one fan-out per query.
+    fn leaf_alone_plan() -> PlanNode {
+        PlanNode::scan("date", ["d_datekey"]).join(
             PlanNode::scan("lineorder", ["lo_orderdate"])
                 .filter(Predicate::between("lo_discount", 1, 3)),
             "d_datekey",
             "lo_orderdate",
-        );
-        let whole = flatten(&plan);
-        let estimates = [(900.0, 300.0), (200.0, 200.0), (500.0, 60.0)];
+        )
+    }
+
+    const LEAF_ALONE_ESTIMATES: [(f64, f64); 3] = [(900.0, 300.0), (200.0, 200.0), (500.0, 60.0)];
+
+    #[test]
+    fn a_spine_that_is_its_leaf_alone_fans_out_under_the_scan_merge() {
+        let whole = flatten(&leaf_alone_plan());
+        let estimates = LEAF_ALONE_ESTIMATES;
         let (nodes, est) = expand(whole.clone(), estimates.to_vec(), 3, 100.0);
         assert_postorder(&nodes);
         assert_eq!(roles(&nodes), ["P0", "P1", "P2", "M", "W", "W"]);
@@ -832,18 +855,52 @@ mod tests {
         assert_eq!([est[4], est[5]], [estimates[1], estimates[2]]);
     }
 
+    fn ssb_db() -> Database {
+        robustq_storage::gen::ssb::SsbGenerator::new(1).with_rows_per_sf(8_000).generate()
+    }
+
+    /// Tasks: 0 date, 1 customer, 2 lineorder, 3 join, 4 join, 5 aggregate.
+    fn pruned_plan() -> PlanNode {
+        PlanNode::scan("lineorder", ["lo_custkey", "lo_orderdate", "lo_revenue"])
+            .join(PlanNode::scan("customer", ["c_custkey", "c_nation"]), "lo_custkey", "c_custkey")
+            .join(PlanNode::scan("date", ["d_datekey", "d_year"]), "lo_orderdate", "d_datekey")
+            .aggregate(["c_nation", "d_year"], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")])
+    }
+
+    /// Every task with children reads what they hand on: its input
+    /// estimate is the sum of their output estimates, in every fixture.
+    /// A pipeline join reads its replica build side whole.
+    #[test]
+    fn every_task_reads_its_childrens_estimated_output() {
+        let aligned = |nodes: &[TaskNode], est: &[(f64, f64)], fixture: &str| {
+            for (i, node) in nodes.iter().enumerate().filter(|(_, n)| !n.children.is_empty()) {
+                let read: f64 = node.children.iter().map(|&c| est[c].1).sum();
+                let close = (est[i].0 - read).abs() <= 1e-9 * read.abs();
+                assert!(close, "{fixture}, task {i}: reads {} B of {read} B", est[i].0);
+            }
+        };
+        let check = |fixture, plan: PlanNode, estimates: &[(f64, f64)], ways, min_bytes| {
+            let (nodes, est) = expand(flatten(&plan), estimates.to_vec(), ways, min_bytes);
+            aligned(&nodes, &est, fixture);
+        };
+        check("aggregate", plan(), &ESTIMATES, 2, 100.0);
+        check("build side", build_side_plan(), &BUILD_SIDE_ESTIMATES, 2, 0.0);
+        check("semi join", semi_select_plan(), &SEMI_SELECT_ESTIMATES, 3, 0.0);
+        check("leaf alone", leaf_alone_plan(), &LEAF_ALONE_ESTIMATES, 3, 100.0);
+        let db = ssb_db();
+        let whole = flatten(&pruned_plan());
+        let estimates = estimate::postorder(&whole, &db);
+        let estimates = estimates.iter().map(|e| (e.input_bytes, e.bytes)).collect();
+        let (nodes, est, _) = expand_shards(whole, estimates, 2, 0.0, &db);
+        aligned(&nodes, &est, "pruned");
+    }
+
     /// Each pruned spine task is estimated at its estimated rows × its
     /// live width, and the merge and the aggregate above it at the top's.
     #[test]
     fn a_pruned_spine_task_is_estimated_at_its_live_width() {
-        use robustq_storage::gen::ssb::SsbGenerator;
-        let db = SsbGenerator::new(1).with_rows_per_sf(8_000).generate();
-        // Tasks: 0 date, 1 customer, 2 lineorder, 3 join, 4 join, 5 aggregate.
-        let plan = PlanNode::scan("lineorder", ["lo_custkey", "lo_orderdate", "lo_revenue"])
-            .join(PlanNode::scan("customer", ["c_custkey", "c_nation"]), "lo_custkey", "c_custkey")
-            .join(PlanNode::scan("date", ["d_datekey", "d_year"]), "lo_orderdate", "d_datekey")
-            .aggregate(["c_nation", "d_year"], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")]);
-        let whole = flatten(&plan);
+        let db = ssb_db();
+        let whole = flatten(&pruned_plan());
         let estimated = estimate::postorder(&whole, &db);
         let estimates = estimated.iter().map(|e| (e.input_bytes, e.bytes)).collect();
         let (nodes, est, live) = expand_shards(whole, estimates, 2, 0.0, &db);

@@ -421,8 +421,7 @@ impl Sim<'_, '_> {
                 }
             }
             // Execute phase is costed per chunk: each slice pays its own
-            // launch overhead, so the adaptive model sees the real
-            // (overhead-heavier) staged throughput.
+            // launch overhead.
             duration += self.cost.duration(
                 class,
                 DeviceKind::CoProcessor,

@@ -27,7 +27,7 @@ use crate::exec::device_rt::DeviceSet;
 use crate::exec::event_loop::{Paged, Scratch, Sim, Submission};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{QueryOutcome, RunMetrics, StagingStats};
-use crate::exec::model::{CostModelKind, ModelUpdate};
+use crate::exec::model::ModelUpdate;
 use crate::exec::policy::PlacementPolicy;
 use crate::parallel::ParallelCtx;
 use crate::plan::PlanNode;
@@ -87,10 +87,6 @@ pub struct ExecOptions {
     /// waiters is shed immediately. `usize::MAX` (the default) never
     /// sheds.
     pub queue_cap: usize,
-    /// Which kind of learned cost model the placement policy estimates
-    /// with ([`CostModelKind::Static`] by default). Applied to
-    /// [`PlacementPolicy::learned_model`] when a run starts.
-    pub cost_model: CostModelKind,
     /// Chunked out-of-core staging: operators whose device footprint
     /// exceeds the heap are partitioned into chunks that transfer,
     /// execute and evict in sequence instead of aborting to the CPU
@@ -112,7 +108,6 @@ impl Default for ExecOptions {
             shard_ways: 0,
             shard_min_bytes: 0.0,
             queue_cap: usize::MAX,
-            cost_model: CostModelKind::Static,
             chunked_staging: false,
         }
     }

@@ -322,12 +322,6 @@ impl Sim<'_, '_> {
         // The caches may be warm from a previous run on the same handle;
         // metrics report this run's probes only (matching the trace).
         let (base_hits, base_misses) = self.cache_hit_miss();
-        // Pick the cost model before anything executes; a model keeps
-        // its learned state when the kind is unchanged (warm-up →
-        // measured run continuity).
-        if let Some(model) = self.policy.learned_model() {
-            model.select(self.opts.cost_model);
-        }
         // Initial data placement from whatever statistics already exist
         // (the paper pre-loads access structures before each benchmark,
         // Section 6.1) — free of charge, like `ExecOptions::preload`.

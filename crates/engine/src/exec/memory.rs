@@ -245,8 +245,6 @@ impl Sim<'_, '_> {
             self.emit(merge);
         }
         let t = &self.tasks[task];
-        let query_id = t.query as u32;
-        let task_id = task as u32;
         if let Some(model) = self.policy.learned_model() {
             let update = model.observe(
                 t.class,
@@ -256,20 +254,6 @@ impl Sim<'_, '_> {
                 t.kernel_duration,
                 busy,
             );
-            // Adaptive refinements enter the trace stream so est-vs-actual
-            // error is auditable per run; static samples are collected on
-            // the side only (default traced runs stay byte-identical).
-            if update.refined {
-                self.emit(TraceEvent::ModelUpdate {
-                    query: query_id,
-                    task: task_id,
-                    op: update.class,
-                    device: update.device,
-                    predicted: update.predicted,
-                    actual: update.actual,
-                    at: self.now,
-                });
-            }
             self.model_samples.push(update);
         }
 

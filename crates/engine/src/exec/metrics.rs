@@ -256,10 +256,9 @@ impl RunMetrics {
             | TraceEvent::Placement { .. }
             | TraceEvent::ShardFanout { .. }
             | TraceEvent::ShardMerge { .. }
-            // Model refinements, staging markers and feed activity are
-            // side data (`RunOutcome::{model_samples, staging}`, the
-            // feed report), not part of the counter set.
-            | TraceEvent::ModelUpdate { .. }
+            // Staging markers and feed activity are side data
+            // (`RunOutcome::staging`, the feed report), not part of the
+            // counter set.
             | TraceEvent::OpStaged { .. }
             | TraceEvent::Append { .. }
             | TraceEvent::EpochSeal { .. }

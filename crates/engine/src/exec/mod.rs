@@ -3,8 +3,8 @@
 //! * [`task`] — flattened task graphs built from physical plans,
 //! * [`policy`] — the [`policy::PlacementPolicy`] trait the placement
 //!   strategies implement,
-//! * [`model`] — the learned cost model ([`model::LearnedModel`]:
-//!   regression or EWMA cells, selected per run) the executor trains and
+//! * [`model`] — the learned cost model ([`model::LearnedModel`]: one
+//!   regression per operator class and device) the executor trains and
 //!   the strategies estimate with,
 //! * [`metrics`] — run metrics (makespan, transfer times, aborts, wasted
 //!   time),

@@ -303,10 +303,9 @@ pub trait PlacementPolicy {
     }
 
     /// The learned cost model behind this policy's estimates, if it has
-    /// one. The executor drives it: it selects the run's
-    /// [`CostModelKind`](crate::exec::model::CostModelKind) before any
-    /// query is admitted and feeds every completed operator to it.
-    /// Model-free policies keep the default `None`.
+    /// one. The executor feeds every completed operator to it; the model
+    /// persists from run to run. Model-free policies keep the default
+    /// `None`.
     fn learned_model(&mut self) -> Option<&mut LearnedModel> {
         None
     }

@@ -57,7 +57,7 @@ pub use exec::executor::{
     WindowKind,
 };
 pub use exec::metrics::{RunMetrics, StagingStats};
-pub use exec::model::{CostModelKind, LearnedModel, ModelUpdate};
+pub use exec::model::{LearnedModel, ModelUpdate};
 pub use exec::policy::{Placement, PlacementPolicy, PlaceReason, PolicyCtx, TaskInfo};
 pub use exec::task::{Role, ShardSpec};
 pub use ops::execute_plan_fused;

@@ -370,16 +370,6 @@ impl Exporter {
                 );
                 self.emit(instant("placement", lane::PLACEMENT, at, name, args));
             }
-            // Refinements ride the placement lane: they are the cost
-            // model's side of the placement conversation.
-            TraceEvent::ModelUpdate { query, task, op, device, predicted, actual, at } => {
-                let (predicted, actual) = (us(predicted.as_nanos()), us(actual.as_nanos()));
-                let name = format_args!("{op:?} model update");
-                let args = format_args!(
-                    "\"query\":{query},\"task\":{task},\"device\":\"{device}\",\"predicted_us\":{predicted},\"actual_us\":{actual}"
-                );
-                self.emit(instant("model", lane::PLACEMENT, at, name, args));
-            }
             TraceEvent::OpStaged { query, task, device, chunks, chunk_bytes, at } => {
                 let lane = self.device_lane(device, role::HEAP);
                 let args = format_args!(

@@ -410,25 +410,6 @@ pub enum TraceEvent {
         /// Decision instant.
         at: VirtualTime,
     },
-    /// An adaptive cost model refined a per-(operator-class, device)
-    /// estimate from an observed kernel duration (DESIGN.md §7). Static
-    /// models never emit this — default traces stay byte-identical.
-    ModelUpdate {
-        /// Query whose operator produced the observation.
-        query: u32,
-        /// Executor-wide task id of the observed operator.
-        task: u32,
-        /// Cost-model class of the operator.
-        op: OpClass,
-        /// Device the observation came from.
-        device: DeviceId,
-        /// What the model predicted before seeing the observation.
-        predicted: VirtualTime,
-        /// The observed kernel duration.
-        actual: VirtualTime,
-        /// Observation instant (operator completion).
-        at: VirtualTime,
-    },
     /// A larger-than-heap operator entered the chunked out-of-core
     /// staging pipeline instead of aborting to the CPU (DESIGN.md §6).
     OpStaged {
@@ -510,7 +491,6 @@ impl TraceEvent {
             | TraceEvent::Placement { at, .. }
             | TraceEvent::ShardFanout { at, .. }
             | TraceEvent::QueryShed { at, .. }
-            | TraceEvent::ModelUpdate { at, .. }
             | TraceEvent::OpStaged { at, .. }
             | TraceEvent::Append { at, .. }
             | TraceEvent::EpochSeal { at, .. }

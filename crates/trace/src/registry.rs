@@ -163,15 +163,6 @@ impl MetricsRegistry {
                     reg.histogram("shard_merge_ns")
                         .record(end.saturating_sub(start).as_nanos());
                 }
-                TraceEvent::ModelUpdate { predicted, actual, .. } => {
-                    reg.bump("model_updates", 1);
-                    reg.histogram("model_abs_error_ns").record(
-                        predicted
-                            .saturating_sub(actual)
-                            .max(actual.saturating_sub(predicted))
-                            .as_nanos(),
-                    );
-                }
                 TraceEvent::OpStaged { chunks, .. } => {
                     reg.bump("staged_ops", 1);
                     reg.bump("staged_chunks", chunks as u64);

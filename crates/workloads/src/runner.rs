@@ -2,7 +2,9 @@
 //! workloads that run through it.
 //!
 //! Section 6.1: workloads are run twice to warm up (populating access
-//! statistics, learned cost models and the data placement), access
+//! statistics, the strategy's learned cost model — one regression per
+//! operator class and device, which the measured run keeps using — and
+//! the data placement), access
 //! structures are pre-loaded into the co-processor memory until the
 //! buffer is full, and then the measured run executes a *fixed total
 //! number of queries* distributed over `users` parallel sessions.
@@ -14,8 +16,8 @@ use robustq_core::Strategy;
 use robustq_engine::exec::metrics::QueryOutcome;
 use robustq_engine::plan::PlanNode;
 use robustq_engine::{
-    CostModelKind, EngineError, ExecOptions, Executor, ModelUpdate, ParallelCtx,
-    PlacementPolicy, RunMetrics, Schedule, StagingStats,
+    EngineError, ExecOptions, Executor, ModelUpdate, ParallelCtx, PlacementPolicy,
+    RunMetrics, Schedule, StagingStats,
 };
 use robustq_sim::{CacheSet, FaultPlan, SimConfig, VirtualTime};
 use robustq_storage::{ColumnId, Database};
@@ -134,15 +136,6 @@ impl RunnerConfig {
         self
     }
 
-    /// Drive run-time placement with `model` (static regressions by
-    /// default; [`CostModelKind::Adaptive`] for online EWMA refinement).
-    /// Applies to warm-up *and* measured runs, so an adaptive model
-    /// enters the measured run already trained.
-    pub fn with_cost_model(mut self, model: CostModelKind) -> Self {
-        self.exec.cost_model = model;
-        self
-    }
-
     /// Stage over-heap operators through the co-processor in chunks
     /// instead of aborting them to the CPU.
     pub fn with_chunked_staging(mut self) -> Self {
@@ -208,7 +201,7 @@ pub struct RunReport {
     /// set (`None` otherwise).
     pub trace: Option<TraceData>,
     /// Every cost-model observation of the measured run, in completion
-    /// order (est-vs-actual audit; see [`ModelUpdate::relative_error`]).
+    /// order (est-vs-actual audit: `predicted` against the `actual` span).
     pub model_samples: Vec<ModelUpdate>,
     /// Chunked-staging counters of the measured run.
     pub staging: StagingStats,

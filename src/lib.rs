@@ -12,26 +12,24 @@ pub mod prelude {
     //!
     //! Re-exports the types almost every harness, example and bench
     //! binary touches: the executor surface (`Executor`, `ExecOptions`,
-    //! `Placement`, the `LearnedModel` cost model and its `CostModelKind`
-    //! selector), the runners (`WorkloadRunner`/`RunnerConfig`,
+    //! `Placement`, the `LearnedModel` cost model), the runners
+    //! (`WorkloadRunner`/`RunnerConfig`,
     //! `ServingRunner`/`ServeConfig`), the placement strategies, and the
     //! simulated-machine configuration (`SimConfig`, `Topology`).
     //!
     //! ```
     //! use robustq::prelude::*;
-    //! let cfg = RunnerConfig::default()
-    //!     .with_users(2)
-    //!     .with_cost_model(CostModelKind::Adaptive { seed: 42 });
-    //! assert!(!cfg.exec.chunked_staging);
+    //! let cfg = RunnerConfig::default().with_users(2).with_chunked_staging();
+    //! assert!(cfg.exec.chunked_staging);
     //! ```
     pub use robustq_core::{
         Chopping, CriticalPath, DataDrivenChopping, DataPlacementManager, Strategy,
     };
     pub use robustq_engine::plan::PlanNode;
     pub use robustq_engine::{
-        CostModelKind, EngineError, ExecOptions, Executor, FeedEvent, FeedSchedule,
-        LearnedModel, ModelUpdate, Placement, PlacementPolicy, RunMetrics, RunOutcome,
-        Schedule, StagingStats, StandingQuery, WindowKind,
+        EngineError, ExecOptions, Executor, FeedEvent, FeedSchedule, LearnedModel,
+        ModelUpdate, Placement, PlacementPolicy, RunMetrics, RunOutcome, Schedule,
+        StagingStats, StandingQuery, WindowKind,
     };
     pub use robustq_serve::{
         ArrivalProcess, QueryMix, ServeConfig, ServingReport, ServingRunner,

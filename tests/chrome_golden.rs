@@ -114,7 +114,6 @@ fn faulted_staged() -> TraceData {
     };
     let cfg = RunnerConfig::default()
         .with_users(2)
-        .with_cost_model(CostModelKind::Adaptive { seed: 42 })
         .with_chunked_staging()
         .with_fault_plan(FaultPlan::new(42, spec))
         .with_trace();

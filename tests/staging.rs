@@ -1,37 +1,32 @@
-//! Adaptive cost model + chunked staging invariants (DESIGN.md §6, §7),
-//! and the executor-owned learning loop behind them.
+//! Chunked staging invariants (DESIGN.md §6), and the executor-owned
+//! learning loop of the one cost model (DESIGN.md §7).
 //!
-//! The small-heap regime these tests run in is the `multigpu --adaptive`
+//! The small-heap regime these tests run in is the `multigpu --staging`
 //! sweep's: a co-processor heap of 128 KiB (memory minus cache), small
 //! enough that the SSB fact-table joins' working footprints exceed it.
 //! Under that pressure the tests pin:
 //!
-//!  1. **Online refinement pays** — under the adaptive model, the
-//!     median est-vs-actual relative error over the *last* quartile of
-//!     a run's model samples never exceeds the first quartile's (the
-//!     EWMA converges onto the contended span durations), across seeds;
-//!  2. **Virtual-time determinism** — the sample stream (and therefore
-//!     everything learned from it) is byte-identical across real-CPU
-//!     worker counts;
-//!  3. **Staging completes oversized operators on-device** — with
+//!  1. **Virtual-time determinism** — the model's sample stream (and
+//!     therefore everything learned from it) and the query results are
+//!     byte-identical across real-CPU worker counts;
+//!  2. **Staging completes oversized operators on-device** — with
 //!     chunked staging on, operators whose footprint exceeds the heap
 //!     execute in chunks instead of aborting to the CPU, without
 //!     changing any query result;
-//!  4. **Staging conserves resources under faults** — seeded fault
+//!  3. **Staging conserves resources under faults** — seeded fault
 //!     plans interrupting partial chunk sequences still drain every
 //!     heap byte, keep the executor's transfer accounting in agreement
 //!     with the interconnect's, and never change answers;
-//!  5. **The executor drives the model** — a strategy only exposes its
+//!  4. **The executor drives the model** — a strategy only exposes its
 //!     `LearnedModel`: model-free strategies report no samples, every
 //!     model-backed one reports exactly one per completed operator, and
-//!     a reused policy keeps what it learned exactly as long as the
-//!     run's `CostModelKind` stays the same.
+//!     a reused policy keeps what it learned from run to run.
 
 use proptest::prelude::*;
 use robustq::core::Strategy;
 use robustq::engine::parallel::ParallelCtx;
 use robustq::prelude::*;
-use robustq::sim::{FaultSpec, OpClass};
+use robustq::sim::FaultSpec;
 use robustq::trace::{OpOutcome, TraceEvent};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::workloads::ssb;
@@ -42,88 +37,44 @@ fn db() -> Database {
     SsbGenerator::new(1).with_rows_per_sf(8_000).generate()
 }
 
-/// The DESIGN.md §7 regime: heap = memory − cache = 128 KiB.
+/// The DESIGN.md §6 staging regime: heap = memory − cache = 128 KiB.
 fn small_heap_sim() -> SimConfig {
     SimConfig::default().with_gpu_memory(384 * 1024).with_gpu_cache(256 * 1024)
 }
 
-/// Median est-vs-actual relative error over a sample slice.
-fn median_err(samples: &[ModelUpdate]) -> f64 {
-    assert!(!samples.is_empty(), "quartile has samples");
-    let mut errs: Vec<f64> =
-        samples.iter().map(ModelUpdate::relative_error).collect();
-    errs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-    errs[errs.len() / 2]
-}
-
-fn adaptive_run(db: &Database, seed: u64, workers: usize) -> RunReport {
-    // Cycle the SSB flight list so the sample stream is stationary: a
-    // single pass front-loads the cheap selections and ends on the
-    // 4-way joins, which would conflate workload phase with model
-    // convergence. Over repeated passes the quartiles see the same
-    // query mix and the quartile comparison isolates learning.
+fn staged_chopping_run(db: &Database, users: usize, passes: usize, workers: usize) -> RunReport {
     let flight = ssb::workload(db).expect("SSB plans");
     let queries: Vec<_> =
-        std::iter::repeat_with(|| flight.clone()).take(4).flatten().collect();
+        std::iter::repeat_with(|| flight.clone()).take(passes).flatten().collect();
     let runner = WorkloadRunner::new(db, small_heap_sim());
-    // Cold start: with warm-up on, the model enters the measured run
-    // already converged and the first quartile has nothing left to
-    // improve on.
     let cfg = RunnerConfig::default()
         .cold_cache()
-        .with_users(2)
+        .with_users(users)
         .with_parallel(ParallelCtx::serial().with_workers(workers))
-        .with_cost_model(CostModelKind::Adaptive { seed })
         .with_chunked_staging();
-    runner.run(&queries, Strategy::Chopping, &cfg).expect("adaptive run")
+    runner.run(&queries, Strategy::Chopping, &cfg).expect("staged run")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Invariants 1 + 2, per adaptive seed: the last quartile's median
-    /// error never exceeds the first's, and the sample stream is
-    /// identical at 1 and 4 workers.
+    /// Invariant 1: the sample stream and the results are identical at
+    /// 1 and 4 workers.
     #[test]
-    fn adaptive_error_shrinks_and_is_worker_invariant(seed in 0u64..1_000) {
+    fn model_samples_and_results_are_worker_invariant(
+        users in 1usize..=4,
+        passes in 1usize..=4,
+    ) {
         let db = db();
-        let report = adaptive_run(&db, seed, 1);
-        let samples = &report.model_samples;
-        prop_assert!(
-            samples.len() >= 8,
-            "run records enough samples to quarter ({})",
-            samples.len()
-        );
-        let q = samples.len() / 4;
-        let first = median_err(&samples[..q]);
-        let last = median_err(&samples[samples.len() - q..]);
-        prop_assert!(
-            last <= first + 1e-12,
-            "median error grew over the run: first quartile {first:.4}, \
-             last quartile {last:.4} (seed {seed})"
-        );
-
-        let wide = adaptive_run(&db, seed, 4);
-        prop_assert_eq!(
-            wide.model_samples.len(),
-            samples.len(),
-            "worker count changed the sample count"
-        );
-        for (a, b) in samples.iter().zip(&wide.model_samples) {
-            prop_assert!(
-                a.class == b.class
-                    && a.device == b.device
-                    && a.predicted == b.predicted
-                    && a.actual == b.actual
-                    && a.refined == b.refined,
-                "sample diverged across worker counts: {a:?} vs {b:?}"
-            );
-        }
-        prop_assert_eq!(report.result_fingerprints(), wide.result_fingerprints());
+        let narrow = staged_chopping_run(&db, users, passes, 1);
+        prop_assert!(!narrow.model_samples.is_empty(), "the run records samples");
+        let wide = staged_chopping_run(&db, users, passes, 4);
+        prop_assert_eq!(&narrow.model_samples, &wide.model_samples);
+        prop_assert_eq!(narrow.result_fingerprints(), wide.result_fingerprints());
     }
 }
 
-/// Invariant 3: on the small heap, GPU-preferred placement without
+/// Invariant 2: on the small heap, GPU-preferred placement without
 /// staging aborts over-heap operators to the CPU; with staging they
 /// complete on-device in chunks — more device residency, same answers.
 #[test]
@@ -168,7 +119,7 @@ fn staging_completes_oversized_operators_on_device() {
     );
 }
 
-/// Invariant 4: chunk sequences interrupted mid-flight by fault
+/// Invariant 3: chunk sequences interrupted mid-flight by fault
 /// injection still conserve heap and link accounting and reproduce the
 /// fault-free results.
 #[test]
@@ -221,41 +172,7 @@ fn staging_conserves_resources_under_faults() {
     }
 }
 
-/// The sweep's headline comparison, pinned as a test: on the same
-/// contended run, the adaptive model's median est-vs-actual error
-/// undercuts the static model's (which only ever learns uncontended
-/// kernel durations and so systematically underestimates spans).
-#[test]
-fn adaptive_median_error_beats_static() {
-    let db = db();
-    let queries = ssb::workload(&db).expect("SSB plans");
-    let runner = WorkloadRunner::new(&db, small_heap_sim());
-
-    let run = |kind: CostModelKind| {
-        let cfg = RunnerConfig::default().with_users(4).with_cost_model(kind);
-        runner.run(&queries, Strategy::Chopping, &cfg).expect("model run")
-    };
-    let st = run(CostModelKind::Static);
-    let ad = run(CostModelKind::Adaptive { seed: 42 });
-    assert!(!st.model_samples.is_empty() && !ad.model_samples.is_empty());
-    // Static samples never refine; adaptive ones do (zero-work
-    // operators aside).
-    assert!(st.model_samples.iter().all(|u| !u.refined));
-    assert!(ad.model_samples.iter().any(|u| u.refined));
-    // Both streams audit real span durations for real operator classes.
-    assert!(st
-        .model_samples
-        .iter()
-        .any(|u| u.class == OpClass::HashJoin && u.actual > VirtualTime::ZERO));
-    let se = median_err(&st.model_samples);
-    let ae = median_err(&ad.model_samples);
-    assert!(
-        ae < se,
-        "adaptive must beat static on median error: adaptive {ae:.4} vs static {se:.4}"
-    );
-}
-
-/// Invariant 5a: the sample stream is the executor's, one sample per
+/// Invariant 4a: the sample stream is the executor's, one sample per
 /// completed operator, for exactly the strategies that carry a model.
 #[test]
 fn one_sample_per_completed_operator_of_model_backed_strategies() {
@@ -296,28 +213,25 @@ fn one_sample_per_completed_operator_of_model_backed_strategies() {
     }
 }
 
-/// Invariant 5b: a policy carries its model from run to run, and the
-/// executor rebuilds it only when the requested kind changes.
+/// Invariant 4b: a policy carries its model from run to run.
 #[test]
-fn reused_policy_keeps_observations_while_the_kind_is_unchanged() {
+fn reused_policy_keeps_what_it_learned() {
     let db = db();
     let queries = ssb::workload(&db).expect("SSB plans");
     let runner = WorkloadRunner::new(&db, small_heap_sim());
-    let cfg = |kind: CostModelKind| {
-        RunnerConfig::default().cold_cache().with_users(2).with_cost_model(kind)
-    };
     let seen = |policy: &mut dyn PlacementPolicy| {
         policy.learned_model().expect("chopping carries a model").total_observations()
     };
-    let mut policy = Strategy::Chopping.build();
     let run = |policy: &mut dyn PlacementPolicy, cfg: &RunnerConfig| {
         runner.run_with_policy(&queries, policy, "Chopping", cfg).expect("run").model_samples
     };
 
-    // Same kind twice: the second run starts from what the first learned.
-    let first = run(policy.as_mut(), &cfg(CostModelKind::Static));
+    // The same run twice: the second starts from what the first learned.
+    let cold = RunnerConfig::default().cold_cache().with_users(2);
+    let mut policy = Strategy::Chopping.build();
+    let first = run(policy.as_mut(), &cold);
     assert_eq!(seen(policy.as_mut()), first.len() as u64);
-    let second = run(policy.as_mut(), &cfg(CostModelKind::Static));
+    let second = run(policy.as_mut(), &cold);
     assert_eq!(seen(policy.as_mut()), (first.len() + second.len()) as u64);
     assert_ne!(first, second, "a trained model predicts differently");
 
@@ -327,13 +241,4 @@ fn reused_policy_keeps_observations_while_the_kind_is_unchanged() {
     let mut fresh = Strategy::Chopping.build();
     let measured = run(fresh.as_mut(), &warmed);
     assert!(seen(fresh.as_mut()) > measured.len() as u64, "warm-up samples are kept");
-
-    // A changed kind — or just a changed adaptive seed — starts over: the
-    // reused policy reproduces a brand-new policy's sample stream.
-    for kind in [CostModelKind::Adaptive { seed: 1 }, CostModelKind::Adaptive { seed: 2 }] {
-        let reused = run(policy.as_mut(), &cfg(kind));
-        assert_eq!(seen(policy.as_mut()), reused.len() as u64, "{kind:?}: fresh model");
-        let brand_new = run(Strategy::Chopping.build().as_mut(), &cfg(kind));
-        assert_eq!(reused, brand_new, "{kind:?}: fresh priors");
-    }
 }
