@@ -24,6 +24,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 use robustq_engine::EngineError;
+use robustq_serve::BYTES_PER_ARRIVAL;
 
 /// A cursor over the process' CLI arguments (program name skipped).
 #[derive(Debug)]
@@ -96,10 +97,16 @@ pub fn or_exit<T>(bin: &str, parsed: Result<T, EngineError>) -> T {
     })
 }
 
-/// The most arrivals one open-loop sweep point may expect. A run builds
-/// its whole arrival list up front, so a huge but finite rate or horizon
-/// would exhaust memory before the first query ran.
-pub const MAX_ARRIVALS: f64 = 1e7;
+/// The memory one open-loop sweep point's arrivals may hold: 4 GiB, a
+/// quarter of a 16 GB host.
+pub const ARRIVAL_MEMORY: u64 = 4 << 30;
+
+/// The most arrivals one open-loop sweep point may expect: as many as
+/// [`ARRIVAL_MEMORY`] holds at [`BYTES_PER_ARRIVAL`] each, about 6.7 M. A
+/// run builds its whole arrival list up front and keeps every arrival's
+/// outcome until it returns, so a huge but finite rate or horizon would
+/// exhaust memory.
+pub const MAX_ARRIVALS: f64 = (ARRIVAL_MEMORY / BYTES_PER_ARRIVAL) as f64;
 
 /// A config error naming `flag` unless a Poisson stream of `rate_qps`
 /// over `horizon_ns` expects at most [`MAX_ARRIVALS`] arrivals.
@@ -107,7 +114,7 @@ pub fn check_arrivals(flag: &str, rate_qps: f64, horizon_ns: u64) -> Result<(), 
     let expected = rate_qps * horizon_ns as f64 / 1e9;
     if expected > MAX_ARRIVALS {
         return Err(EngineError::config(format!(
-            "{flag}: a point expects {expected:.3e} arrivals, more than the {MAX_ARRIVALS:.0e} a run may build"
+            "{flag}: a point expects {expected:.3e} arrivals, more than the {MAX_ARRIVALS:.3e} a run may build"
         )));
     }
     Ok(())
@@ -182,6 +189,12 @@ mod tests {
 
     fn stream(args: &[&str]) -> ArgStream {
         ArgStream::from_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn the_most_arrivals_a_point_may_expect_fit_its_memory() {
+        assert!(MAX_ARRIVALS as u64 * BYTES_PER_ARRIVAL <= ARRIVAL_MEMORY);
+        assert!((MAX_ARRIVALS as u64 + 1) * BYTES_PER_ARRIVAL > ARRIVAL_MEMORY);
     }
 
     /// Parse `args` with no bin flags of its own.

@@ -137,12 +137,12 @@ mod tests {
     #[test]
     fn rates_whose_arrivals_would_exhaust_memory_are_config_errors() {
         // 1e12 qps over the 50 ms horizon is 5e10 arrivals.
-        for bad in ["1e12", "200,2.1e8"] {
+        for bad in ["1e12", "200,1.3422e8"] {
             let err = parse(&["--rates", bad]).err().expect(bad);
             assert!(matches!(err, EngineError::Config(_)), "{bad}: {err}");
             assert!(err.to_string().contains("arrivals"), "{bad}: {err}");
         }
-        // 2e8 qps is exactly the ceiling.
-        assert_eq!(parse(&["--rates", "2e8"]).unwrap().rates, [2e8]);
+        // 1.3421e8 qps is just under the ceiling of 6 710 886 arrivals.
+        assert_eq!(parse(&["--rates", "1.3421e8"]).unwrap().rates, [1.3421e8]);
     }
 }

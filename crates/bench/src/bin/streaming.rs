@@ -164,7 +164,9 @@ mod tests {
             assert!(matches!(err, EngineError::Config(_)), "{bad}: {err}");
             assert!(err.to_string().contains("arrivals"), "{bad}: {err}");
         }
-        // A 20 s period is exactly the ceiling: 200 s of 50 k qps.
-        assert_eq!(parse(&["--windows-us", "20000000"]).unwrap().windows_us, [20_000_000]);
+        // A 13.421 772 s period is just under the ceiling of 6 710 886
+        // arrivals: 134.217 72 s of 50 k qps; a microsecond more is over.
+        assert_eq!(parse(&["--windows-us", "13421772"]).unwrap().windows_us, [13_421_772]);
+        assert!(parse(&["--windows-us", "13421773"]).is_err());
     }
 }

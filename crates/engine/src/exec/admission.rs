@@ -15,7 +15,7 @@
 use crate::error::EngineError;
 use crate::estimate;
 use crate::exec::event_loop::{
-    policy_ctx, Milestones, QueryState, QueryWindow, Sim, Status, Submission, TaskState,
+    policy_ctx, Milestones, QueryState, QueryWindow, Sim, Submission, TaskState,
 };
 use crate::exec::metrics::{FaultCounters, QueryOutcome};
 use crate::exec::policy::{key_bytes, PolicyCtx, TaskInfo};
@@ -312,12 +312,18 @@ impl Sim<'_, '_> {
         }
     }
 
-    /// An open-loop arrival fires: take the scheduled submission and
-    /// offer it for admission.
+    /// An open-loop arrival fires: offer it for admission.
     pub(crate) fn on_arrive(&mut self, arrival: usize) -> Result<(), EngineError> {
-        let sub = self.arrivals[arrival].take().expect("arrival fires once");
-        debug_assert_eq!(sub.submit, self.now);
-        self.submit_query(sub);
+        let a = self.arrivals[arrival].take().expect("arrival fires once");
+        debug_assert_eq!(a.at, self.now);
+        self.submit_query(Submission {
+            session: a.session as usize,
+            seq: a.seq as usize,
+            plan: a.plan,
+            submit: a.at,
+            window: None,
+            standing: None,
+        });
         self.process_admissions()
     }
 
@@ -393,7 +399,6 @@ impl Sim<'_, '_> {
                 annotation: None,
                 forced_cpu: false,
                 epoch: 0,
-                status: Status::Pending,
                 device: None,
                 queued_at: VirtualTime::ZERO,
                 start_time: VirtualTime::ZERO,
@@ -426,8 +431,9 @@ impl Sim<'_, '_> {
             window,
             submit_time,
             admit_time: self.now,
+            faults: FaultCounters::default(),
+            done: false,
         });
-        self.query_faults.push(FaultCounters::default());
         self.active_queries += 1;
         self.emit(TraceEvent::QuerySubmit {
             query: query as u32,
@@ -595,15 +601,16 @@ impl Sim<'_, '_> {
     }
 
     pub(crate) fn on_query_done(&mut self, query: usize) -> Result<(), EngineError> {
-        let q = &self.queries[query];
-        let root = q.root;
-        let session = q.session;
-        let seq = q.seq;
-        let submit_time = q.submit_time;
-        let admit_time = q.admit_time;
+        let q = &mut self.queries[query];
+        q.done = true;
+        let QueryState { root, session, seq, submit_time, admit_time, faults, .. } = *q;
         let latency = self.now - submit_time;
         let output =
             self.tasks[root].output.take().expect("root output present").materialize();
+        // Retire the queries below the oldest live one and their tasks:
+        // what no consumer reads again goes (operator-at-a-time).
+        let oldest_live = self.queries.retire_while(|q| q.done);
+        self.tasks.retire_while(|t| t.query < oldest_live);
         self.emit(TraceEvent::QueryDone {
             query: query as u32,
             session: session as u32,
@@ -620,7 +627,7 @@ impl Sim<'_, '_> {
             admit_wait: admit_time.saturating_sub(submit_time),
             rows: output.num_rows(),
             checksum: output.checksum(),
-            faults: self.query_faults[query],
+            faults,
             result: self.opts.capture_results.then_some(output),
         });
         self.active_queries -= 1;

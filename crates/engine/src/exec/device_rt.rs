@@ -9,7 +9,7 @@
 //! kernel times without simulating schedulers.
 
 use crate::error::EngineError;
-use crate::exec::event_loop::{Ev, Milestones, Sim, Status};
+use crate::exec::event_loop::{Ev, Milestones, Sim};
 use crate::exec::task::Role;
 use crate::plan::Op;
 use robustq_sim::{
@@ -86,7 +86,6 @@ impl Sim<'_, '_> {
         let pos = self.merge_positional_bytes(task);
         let t = &mut self.tasks[task];
         t.device = Some(device);
-        t.status = Status::Queued;
         t.queued_at = now;
         // A compile-time placement has carried its admission estimate
         // since admission; `dispatch` zeroes the field, so only a first
@@ -128,7 +127,6 @@ impl Sim<'_, '_> {
         self.devices.running[device] += 1;
         {
             let t = &mut self.tasks[task];
-            t.status = Status::Running;
             t.start_time = now;
             t.device = Some(device);
         }
@@ -444,7 +442,8 @@ impl Sim<'_, '_> {
     }
 
     pub(crate) fn on_compute_start(&mut self, task: usize, epoch: u32) -> Result<(), EngineError> {
-        if self.tasks[task].epoch != epoch || self.tasks[task].status != Status::Running {
+        // Superseded: the task restarted since, or its query retired.
+        if self.tasks.get(task).is_none_or(|t| t.epoch != epoch) {
             return Ok(());
         }
         let device = self.tasks[task].device.expect("computing task is placed");

@@ -24,7 +24,7 @@
 
 use crate::error::EngineError;
 use crate::exec::device_rt::DeviceSet;
-use crate::exec::event_loop::{Paged, Scratch, Sim, Submission};
+use crate::exec::event_loop::{InFlight, Scratch, Sim};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{QueryOutcome, RunMetrics, StagingStats};
 use crate::exec::model::ModelUpdate;
@@ -348,27 +348,14 @@ impl<'a> Executor<'a> {
             heaps: HeapSet::for_topology(&self.config.topology),
             link: Interconnect::for_topology(&self.config.topology),
             fault: opts.fault.clone(),
-            query_faults: Vec::with_capacity(total_queries),
             events: EventQueue::new(),
-            tasks: Paged::new(),
-            queries: Vec::with_capacity(total_queries),
+            tasks: InFlight::new(),
+            queries: InFlight::new(),
             live: BTreeMap::new(),
             devices: DeviceSet::new(device_count),
             sessions: sessions.into_iter().map(VecDeque::from).collect(),
             session_seq: vec![0; session_count],
-            arrivals: arrivals
-                .into_iter()
-                .map(|a| {
-                    Some(Submission {
-                        session: a.session as usize,
-                        seq: a.seq as usize,
-                        plan: a.plan,
-                        submit: a.at,
-                        window: None,
-                        standing: None,
-                    })
-                })
-                .collect(),
+            arrivals: arrivals.into_iter().map(Some).collect(),
             admission_queue: VecDeque::new(),
             feed: feed_rt,
             active_queries: 0,

@@ -14,7 +14,7 @@
 use crate::batch::LazyChunk;
 use crate::error::EngineError;
 use crate::exec::device_rt::DeviceSet;
-use crate::exec::executor::{ExecOptions, RunOutcome};
+use crate::exec::executor::{Arrival, ExecOptions, RunOutcome};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{FaultCounters, QueryOutcome, RunMetrics, StagingStats};
 use crate::exec::model::ModelUpdate;
@@ -31,14 +31,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Status {
-    Pending,
-    Queued,
-    Running,
-    Done,
-}
-
 pub(crate) struct TaskState {
     /// The operator, shared with the plan the query was admitted from.
     pub(crate) op: Arc<Op>,
@@ -54,8 +46,8 @@ pub(crate) struct TaskState {
     pub(crate) pending_children: usize,
     pub(crate) annotation: Option<DeviceId>,
     pub(crate) forced_cpu: bool,
+    /// Bumped by every restart: a `ComputeStart` names the attempt it starts.
     pub(crate) epoch: u32,
-    pub(crate) status: Status,
     pub(crate) device: Option<DeviceId>,
     /// When the task last entered a ready queue (trace queue-wait).
     pub(crate) queued_at: VirtualTime,
@@ -160,46 +152,57 @@ pub(crate) struct Scratch {
     pub(crate) child_chunks: Vec<LazyChunk>,
 }
 
-/// A push-only table kept in pages of [`Paged::PAGE`] items: growing it
-/// copies nothing and never needs one block the size of the table. (A
-/// doubling `Vec` of a streaming run's 40 k tasks held two copies of
-/// itself whenever the allocator could not grow it in place, and whether
-/// it could was up to the heap's layout — the peak resident set of two
-/// runs of one schedule differed by a fifth.)
-pub(crate) struct Paged<T> {
-    pages: Vec<Vec<T>>,
+/// A table indexed by a global, monotonic id that holds only what is in
+/// flight: items are pushed at the back, and [`InFlight::retire_while`]
+/// drops finished ones from the front, so the table stays the size of the
+/// work in flight whatever the run's length, and its buffer is reused.
+pub(crate) struct InFlight<T> {
+    items: VecDeque<T>,
+    /// The id of `items[0]`: how many were retired.
+    first: usize,
 }
 
-impl<T> Paged<T> {
-    const PAGE: usize = 256;
-
+impl<T> InFlight<T> {
     pub(crate) fn new() -> Self {
-        Paged { pages: Vec::new() }
+        InFlight { items: VecDeque::new(), first: 0 }
     }
 
+    /// One past the last id pushed: the next id, retired ones counted.
     pub(crate) fn len(&self) -> usize {
-        self.pages.last().map_or(0, |last| (self.pages.len() - 1) * Self::PAGE + last.len())
+        self.first + self.items.len()
     }
 
     pub(crate) fn push(&mut self, item: T) {
-        if self.pages.last().is_none_or(|last| last.len() == Self::PAGE) {
-            self.pages.push(Vec::with_capacity(Self::PAGE));
+        self.items.push_back(item);
+    }
+
+    /// The item with id `i`, unless it was retired.
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+        self.items.get(i.checked_sub(self.first)?)
+    }
+
+    /// Drop items from the front while `done` holds of them; the id of
+    /// the first one kept.
+    pub(crate) fn retire_while(&mut self, done: impl Fn(&T) -> bool) -> usize {
+        while self.items.front().is_some_and(&done) {
+            self.items.pop_front();
+            self.first += 1;
         }
-        self.pages.last_mut().expect("a page with room").push(item);
+        self.first
     }
 }
 
-impl<T> Index<usize> for Paged<T> {
+impl<T> Index<usize> for InFlight<T> {
     type Output = T;
 
     fn index(&self, i: usize) -> &T {
-        &self.pages[i / Self::PAGE][i % Self::PAGE]
+        &self.items[i - self.first]
     }
 }
 
-impl<T> IndexMut<usize> for Paged<T> {
+impl<T> IndexMut<usize> for InFlight<T> {
     fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.pages[i / Self::PAGE][i % Self::PAGE]
+        &mut self.items[i - self.first]
     }
 }
 
@@ -231,6 +234,10 @@ pub(crate) struct QueryState {
     /// When admission control let the query start executing
     /// (`admit_time - submit_time` is the admission wait).
     pub(crate) admit_time: VirtualTime,
+    /// The faults injected into, and the recoveries of, its tasks.
+    pub(crate) faults: FaultCounters,
+    /// Whether its `QueryDone` fired.
+    pub(crate) done: bool,
 }
 
 /// One query waiting for admission: who submitted it, its position in
@@ -278,15 +285,15 @@ pub(crate) struct Sim<'a, 'p> {
     /// One host link per co-processor.
     pub(crate) link: Interconnect,
     pub(crate) fault: FaultPlan,
-    /// Per-query fault counters, indexed by query id.
-    pub(crate) query_faults: Vec<FaultCounters>,
     pub(crate) events: EventQueue<Ev>,
-    pub(crate) tasks: Paged<TaskState>,
+    /// Every task by global id, from the oldest live query's first on.
+    pub(crate) tasks: InFlight<TaskState>,
     /// The columns a fan-out's spine task hands on
     /// ([`LazyChunk::keep_live`]; DESIGN.md §6), by task, until it runs:
     /// a side table, so a task that is not pruned carries nothing.
     pub(crate) live: BTreeMap<usize, Arc<[String]>>,
-    pub(crate) queries: Vec<QueryState>,
+    /// Every admitted query by id, from the oldest live one on.
+    pub(crate) queries: InFlight<QueryState>,
     /// Per-device ready queues, worker slots and compute sets.
     pub(crate) devices: DeviceSet,
     pub(crate) sessions: Vec<VecDeque<PlanNode>>,
@@ -295,7 +302,7 @@ pub(crate) struct Sim<'a, 'p> {
     pub(crate) session_seq: Vec<usize>,
     /// Open-loop arrival schedule, indexed by [`Ev::Arrive`]; entries are
     /// taken when their event fires. Empty in closed-loop runs.
-    pub(crate) arrivals: Vec<Option<Submission>>,
+    pub(crate) arrivals: Vec<Option<Arrival>>,
     pub(crate) admission_queue: VecDeque<Submission>,
     /// Feed replay and standing-query state (empty for batch runs).
     pub(crate) feed: crate::exec::feed::FeedRt,
@@ -346,10 +353,9 @@ impl Sim<'_, '_> {
         for i in 0..self.feed.fires.len() {
             self.events.push(self.feed.fires[i].at, Ev::WindowFire { fire: i });
         }
-        for (i, slot) in self.arrivals.iter().enumerate() {
-            if let Some(sub) = slot {
-                self.events.push(sub.submit, Ev::Arrive { arrival: i });
-            }
+        for (i, a) in self.arrivals.iter().enumerate() {
+            let at = a.as_ref().expect("no arrival fired yet").at;
+            self.events.push(at, Ev::Arrive { arrival: i });
         }
         self.process_admissions()?;
 
@@ -499,21 +505,18 @@ pub(crate) use policy_ctx;
 
 #[cfg(test)]
 mod tests {
-    use super::Paged;
+    use super::InFlight;
 
     #[test]
-    fn a_paged_table_indexes_like_the_vector_it_replaces() {
-        const PAGE: usize = Paged::<usize>::PAGE;
-        let mut table = Paged::new();
-        assert_eq!(table.len(), 0);
-        for n in [1, PAGE - 1, PAGE, 3 * PAGE + 7] {
-            while table.len() < n {
-                table.push(table.len());
-            }
-            assert_eq!(table.len(), n);
-            assert!((0..n).all(|i| table[i] == i));
-        }
-        table[PAGE] = 0;
-        assert_eq!((table[PAGE - 1], table[PAGE]), (PAGE - 1, 0));
+    fn a_table_in_flight_retires_its_front_and_keeps_its_ids() {
+        let mut table = InFlight::new();
+        (0..5).for_each(|i| table.push(i));
+        assert_eq!(table.retire_while(|&i| i < 2 || i == 3), 2);
+        assert_eq!((table.get(1), table.get(2), table[3], table.len()), (None, Some(&2), 3, 5));
+        table[4] += 1;
+        // Retired to nothing, the table still hands out the next id.
+        assert_eq!(table.retire_while(|_| true), 5);
+        table.push(6);
+        assert_eq!((table.get(4), table[5], table.len()), (None, 6, 6));
     }
 }

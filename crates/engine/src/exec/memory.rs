@@ -8,7 +8,7 @@
 //! producing device's heap until a consumer (or the host) pulls it.
 
 use crate::error::EngineError;
-use crate::exec::event_loop::{Sim, Status};
+use crate::exec::event_loop::Sim;
 use crate::exec::task::Role;
 use robustq_sim::{DeviceId, Direction, HeapAllocator, PerDevice, Topology};
 use robustq_trace::{
@@ -169,7 +169,7 @@ impl Sim<'_, '_> {
         debug_assert!(device.is_coprocessor(), "only co-processor operators abort");
         let wasted = self.now - self.tasks[task].start_time;
         let query = self.tasks[task].query;
-        self.query_faults[query].fallbacks += 1;
+        self.queries[query].faults.fallbacks += 1;
         if injected {
             self.note_injected_wasted(Some(query), wasted);
         }
@@ -257,7 +257,6 @@ impl Sim<'_, '_> {
             self.model_samples.push(update);
         }
 
-        self.tasks[task].status = Status::Done;
         let mut staged_arrival = self.now;
         if staged_chunks > 0 {
             // Evict phase of the staged pipeline: each chunk's result

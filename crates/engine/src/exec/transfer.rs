@@ -48,7 +48,7 @@ impl Sim<'_, '_> {
         at: VirtualTime,
     ) {
         if let Some(q) = query {
-            self.query_faults[q].injected += 1;
+            self.queries[q].faults.injected += 1;
         }
         self.emit(TraceEvent::Fault { kind, query: Self::qid(query), at });
     }
@@ -61,7 +61,7 @@ impl Sim<'_, '_> {
         at: VirtualTime,
     ) {
         if let Some(q) = query {
-            self.query_faults[q].retries += 1;
+            self.queries[q].faults.retries += 1;
         }
         self.emit(TraceEvent::Retry { query: Self::qid(query), backoff, at });
     }
@@ -70,7 +70,7 @@ impl Sim<'_, '_> {
     /// total is folded from the event that reports the loss).
     pub(crate) fn note_injected_wasted(&mut self, query: Option<usize>, t: VirtualTime) {
         if let Some(q) = query {
-            self.query_faults[q].injected_wasted += t;
+            self.queries[q].faults.injected_wasted += t;
         }
     }
 

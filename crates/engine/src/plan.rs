@@ -248,16 +248,17 @@ impl ScanReads {
 /// plans. The fields are private and every constructor fixes its
 /// operator's arity (a scan has no child, a join has build then probe,
 /// everything else one input), so a malformed plan is unrepresentable;
-/// cloning a plan copies the tree's spine and shares every [`Op`].
+/// cloning a plan bumps two reference counts — its [`Op`] and its child
+/// list — and copies nothing of the tree below.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
     op: Arc<Op>,
-    children: Vec<PlanNode>,
+    children: Arc<[PlanNode]>,
 }
 
 impl PlanNode {
-    fn new(op: Op, children: Vec<PlanNode>) -> PlanNode {
-        PlanNode { op: Arc::new(op), children }
+    fn new<const N: usize>(op: Op, children: [PlanNode; N]) -> PlanNode {
+        PlanNode { op: Arc::new(op), children: Arc::new(children) }
     }
 
     /// Leaf scan builder.
@@ -266,7 +267,7 @@ impl PlanNode {
         columns: impl IntoIterator<Item = S>,
     ) -> PlanNode {
         let columns = columns.into_iter().map(Into::into).collect();
-        PlanNode::new(Op::scan(table, columns, None), Vec::new())
+        PlanNode::new(Op::scan(table, columns, None), [])
     }
 
     /// Push `predicate` into a scan that has none yet; any other node — a
@@ -285,7 +286,7 @@ impl PlanNode {
     /// Filter this node's output in a `Select` of its own (never merged
     /// into a scan).
     pub fn select(self, predicate: Predicate) -> PlanNode {
-        PlanNode::new(Op::Select { predicate }, vec![self])
+        PlanNode::new(Op::Select { predicate }, [self])
     }
 
     /// Inner hash join with `self` as probe side.
@@ -308,13 +309,13 @@ impl PlanNode {
     ) -> PlanNode {
         let op =
             Op::HashJoin { build_key: build_key.into(), probe_key: probe_key.into(), kind };
-        PlanNode::new(op, vec![build, self])
+        PlanNode::new(op, [build, self])
     }
 
     /// Projection builder.
     pub fn project(self, exprs: Vec<(impl Into<String>, Expr)>) -> PlanNode {
         let exprs = exprs.into_iter().map(|(n, e)| (n.into(), e)).collect();
-        PlanNode::new(Op::Project { exprs }, vec![self])
+        PlanNode::new(Op::Project { exprs }, [self])
     }
 
     /// Aggregation builder.
@@ -324,17 +325,17 @@ impl PlanNode {
         aggs: Vec<AggSpec>,
     ) -> PlanNode {
         let group_by = group_by.into_iter().map(Into::into).collect();
-        PlanNode::new(Op::Aggregate { group_by, aggs }, vec![self])
+        PlanNode::new(Op::Aggregate { group_by, aggs }, [self])
     }
 
     /// Sort builder.
     pub fn sort(self, keys: Vec<SortKey>) -> PlanNode {
-        PlanNode::new(Op::Sort { keys, limit: None }, vec![self])
+        PlanNode::new(Op::Sort { keys, limit: None }, [self])
     }
 
     /// Top-k builder.
     pub fn top_k(self, keys: Vec<SortKey>, limit: usize) -> PlanNode {
-        PlanNode::new(Op::Sort { keys, limit: Some(limit) }, vec![self])
+        PlanNode::new(Op::Sort { keys, limit: Some(limit) }, [self])
     }
 
     /// This node's operator, shared with every clone of the plan and every

@@ -40,4 +40,4 @@ pub use rand;
 
 pub use arrival::ArrivalProcess;
 pub use mix::QueryMix;
-pub use runner::{ServeConfig, ServingReport, ServingRunner, StreamingReport};
+pub use runner::{ServeConfig, ServingReport, ServingRunner, StreamingReport, BYTES_PER_ARRIVAL};

@@ -187,6 +187,12 @@ impl StreamingReport {
     }
 }
 
+/// The live bytes an open-loop run of the executor holds per arrival until
+/// it returns, whatever the run's length: its schedule and its report, not
+/// its queries' tasks (DESIGN.md §6). `tests/alloc_budget.rs` itemises it
+/// and fails a run whose high-water mark grows by more.
+pub const BYTES_PER_ARRIVAL: u64 = 640;
+
 /// The serving runner: a database plus a simulated machine, driven by an
 /// arrival process.
 pub struct ServingRunner<'a> {

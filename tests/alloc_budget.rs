@@ -13,9 +13,9 @@
 //! a group id per row and the rest by its groups.
 //!
 //! Operators are shared the same way (DESIGN.md §5): handing a plan on —
-//! `PlanNode::clone`, then `flatten` at admission — allocates the tree's
-//! spine and the task list, a fixed number of bytes per operator, and not
-//! one byte of a name, predicate or expression.
+//! `PlanNode::clone`, then `flatten` at admission — allocates the task
+//! list, a fixed number of bytes per operator, and not one byte of a name,
+//! predicate or expression; the clone itself allocates nothing.
 //!
 //! The executor's per-event work is counted in allocation *calls*
 //! (DESIGN.md §4, §6, §7): a steady-state data-placement pass and a
@@ -30,7 +30,8 @@ use robustq::engine::ops::join::hash_join;
 use robustq::engine::ops::project::keep_columns;
 use robustq::engine::plan::{AggSpec, JoinKind, Op, PlanNode, SortKey};
 use robustq::engine::predicate::Predicate;
-use robustq::engine::{Arrival, Chunk, ExecOptions, Executor, LazyChunk, ParallelCtx};
+use robustq::engine::{Arrival, Chunk, ExecOptions, Executor, LazyChunk, ParallelCtx, RunOutcome};
+use robustq::serve::BYTES_PER_ARRIVAL;
 use robustq::sim::{CacheKey, CachePolicy, CacheSet, DataCache, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::{ColumnData, DataType, Database, Field};
@@ -39,13 +40,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Counts the bytes each thread requests and the calls that request them
-/// (frees and shrinks are not subtracted: the budget is on traffic, not on
-/// the high-water mark; a `realloc` is a call).
+/// (traffic: frees and shrinks are not subtracted, a `realloc` is a call),
+/// and apart from them the bytes it holds live and their high-water mark.
 struct Counting;
 
 thread_local! {
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
@@ -54,21 +57,32 @@ fn count(bytes: usize) {
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
+/// Move this thread's live bytes by `delta`, raising its high-water mark.
+fn hold(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a plain thread-local `Cell` that
 // never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size.saturating_sub(layout.size()));
+        hold(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -88,6 +102,15 @@ fn allocation_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CALLS.with(Cell::get);
     let out = f();
     (out, CALLS.with(Cell::get) - before)
+}
+
+/// The most bytes this thread held live while running `f`, over what it
+/// held when `f` began.
+fn peak_live<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - before) as u64)
 }
 
 const ROWS: usize = 100_000;
@@ -372,11 +395,12 @@ fn cloning_and_projecting_a_chunk_touch_no_row() {
     assert!(bytes < FIXED, "keep_columns over {ROWS} rows allocated {bytes} B");
 }
 
-/// What `PlanNode::clone` + `flatten` may allocate per operator: its slot
-/// in the parent's child list (32 B), its `TaskNode` (64 B) and its index
-/// in the parent task's child list (8 B). The root has no parent, so a
-/// plan of `n` operators allocates exactly `104 n - 40` bytes.
-const PER_OPERATOR: u64 = 104;
+/// What `PlanNode::clone` + `flatten` may allocate per operator: its
+/// `TaskNode` (64 B) and its index in the parent task's child list (8 B).
+/// The clone bumps two reference counts and copies no child list, and the
+/// root has no parent, so a plan of `n` operators allocates exactly
+/// `72 n - 8` bytes.
+const PER_OPERATOR: u64 = 72;
 
 fn clone_and_flatten(plan: &PlanNode) -> u64 {
     let ((clone, tasks), bytes) = allocated(|| {
@@ -396,7 +420,7 @@ fn handing_a_plan_on_allocates_per_operator_not_per_payload_byte() {
         let (n, bytes) = (plan.num_operators() as u64, clone_and_flatten(&plan));
         assert_eq!(
             bytes,
-            PER_OPERATOR * n - 40,
+            PER_OPERATOR * n - 8,
             "{}: clone + flatten of {n} operators allocated {bytes} B",
             q.name()
         );
@@ -473,11 +497,66 @@ fn re_pinning_the_pinned_set_allocates_nothing() {
     }
 }
 
-/// Allocation calls per completed query of an open-loop run of the 13 SSB
-/// templates on a 1 k-row database, K = 1, under Data-Driven Chopping.
-/// Placement consults, event-queue operations and the placement pass after
-/// every query allocate nothing, and the kernels allocate per output, not
-/// per column or per call: what remains is admission (the task list,
+/// The open-loop setting of the last two gates: the 13 SSB templates on a
+/// 1 k-row database, K = 1, admission limit 8 and queue cap 32, under
+/// Data-Driven Chopping, one arrival every 10 µs of virtual time (100 k
+/// queries/s).
+struct OpenLoop {
+    db: Database,
+    templates: Vec<PlanNode>,
+    sim: SimConfig,
+    opts: ExecOptions,
+}
+
+impl OpenLoop {
+    fn new() -> Self {
+        let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
+        let templates = SsbQuery::ALL.iter().map(|q| q.plan(&db).unwrap()).collect();
+        let bytes = db.byte_size() as f64;
+        let sim = SimConfig::default()
+            .with_gpu_memory((3.8 * bytes) as u64)
+            .with_gpu_cache((0.47 * bytes) as u64)
+            .with_coprocessors(1);
+        let opts =
+            ExecOptions { max_concurrent_queries: 8, queue_cap: 32, ..ExecOptions::default() };
+        OpenLoop { db, templates, sim, opts }
+    }
+
+    /// Run `n` arrivals inside `measure`, on a fresh policy and fresh
+    /// caches pinned by a closed-loop warm-up over the templates (outside
+    /// it); return the run and what `measure` counted.
+    fn run(
+        &self,
+        n: usize,
+        measure: impl FnOnce(&mut dyn FnMut() -> RunOutcome) -> (RunOutcome, u64),
+    ) -> (RunOutcome, u64) {
+        let executor = Executor::new(&self.db, self.sim.clone());
+        let mut policy = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
+        let mut caches = CacheSet::for_topology(&self.sim.topology, self.sim.cache_policy);
+        let warm = vec![self.templates.clone()];
+        executor.run_with_cache(warm, &mut policy, &self.opts, &mut caches).unwrap();
+        let templates = &self.templates;
+        let (out, counted) = measure(&mut || {
+            let arrivals: Vec<Arrival> = (0..n)
+                .map(|i| Arrival {
+                    at: VirtualTime::from_micros(10 * i as u64),
+                    session: i as u32,
+                    seq: 0,
+                    plan: templates[(i * 7) % templates.len()].clone(),
+                })
+                .collect();
+            executor.run_with_cache(arrivals, &mut policy, &self.opts, &mut caches).unwrap()
+        });
+        let completed = out.outcomes.len();
+        assert!(completed > n * 9 / 10, "{completed} of {n} completed");
+        (out, counted)
+    }
+}
+
+/// Allocation calls per completed query of an open-loop run. Placement
+/// consults, event-queue operations and the placement pass after every
+/// query allocate nothing, and the kernels allocate per output, not per
+/// column or per call: what remains is admission (the task list,
 /// estimates, scan columns) and one buffer per output, 82 calls a query in
 /// a debug build. Cloning every column's name into each chunk, building a
 /// scan's read list per call, growing outputs by doubling and indexing the
@@ -486,39 +565,39 @@ const OPEN_LOOP_CALLS_PER_QUERY: u64 = 100;
 
 #[test]
 fn an_open_loop_run_stays_under_its_allocation_calls_per_query() {
-    let db = SsbGenerator::new(1).with_rows_per_sf(1_000).generate();
-    let templates: Vec<PlanNode> = SsbQuery::ALL.iter().map(|q| q.plan(&db).unwrap()).collect();
-    let bytes = db.byte_size() as f64;
-    let sim = SimConfig::default()
-        .with_gpu_memory((3.8 * bytes) as u64)
-        .with_gpu_cache((0.47 * bytes) as u64)
-        .with_coprocessors(1);
-    let executor = Executor::new(&db, sim.clone());
-    let opts = ExecOptions { max_concurrent_queries: 8, queue_cap: 32, ..ExecOptions::default() };
-    let mut policy = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
-    let mut caches = CacheSet::for_topology(&sim.topology, sim.cache_policy);
-    // Warm-up: the templates once, closed loop, so the caches are pinned.
-    let warm = vec![templates.clone()];
-    executor.run_with_cache(warm, &mut policy, &opts, &mut caches).unwrap();
-    // One arrival every 10 µs of virtual time: 100 k queries/s.
-    let arrivals: Vec<Arrival> = (0..40 * templates.len())
-        .map(|i| Arrival {
-            at: VirtualTime::from_micros(10 * i as u64),
-            session: i as u32,
-            seq: 0,
-            plan: templates[(i * 7) % templates.len()].clone(),
-        })
-        .collect();
-    let offered = arrivals.len() as u64;
-    let (out, calls) = allocation_calls(|| {
-        executor.run_with_cache(arrivals, &mut policy, &opts, &mut caches).unwrap()
-    });
+    let setting = OpenLoop::new();
+    let (out, calls) = setting.run(40 * setting.templates.len(), |run| allocation_calls(run));
     let completed = out.outcomes.len() as u64;
-    assert!(completed > offered * 9 / 10, "{completed} of {offered} completed");
     let per_query = calls / completed;
     assert!(
         per_query <= OPEN_LOOP_CALLS_PER_QUERY,
         "{per_query} allocation calls per completed query ({calls} over {completed}), \
          budget {OPEN_LOOP_CALLS_PER_QUERY}"
+    );
+}
+
+/// The live bytes an open-loop run keeps per arrival, whatever its length
+/// (the growth of its high-water mark from `N` to `16 N` arrivals, over
+/// `15 N`), stay within [`BYTES_PER_ARRIVAL`], never above 1 KiB: its
+/// schedule and its report, held until it returns. That is the caller's
+/// `Arrival` (40 B), which the executor keeps in place as its slot, its
+/// `Ev::Arrive` in the event queue (40 B), its `QueryOutcome` (128 B) and
+/// about 8.5 `ModelUpdate`s (24 B each), the queue and the samples in
+/// buffers that grow by doubling: 609 B measured, the budget that rounded
+/// up to 64 B. A finished query's task states, child lists and
+/// base-column lists, kept until the run returned, made it 3.4 KB.
+#[test]
+fn an_open_loop_run_keeps_its_report_per_arrival_not_its_tasks() {
+    const { assert!(BYTES_PER_ARRIVAL <= 1024) };
+    let setting = OpenLoop::new();
+    let n = 20 * setting.templates.len();
+    let (_, short) = setting.run(n, |run| peak_live(run));
+    let (_, long) = setting.run(16 * n, |run| peak_live(run));
+    let per_arrival = long.saturating_sub(short) / (15 * n) as u64;
+    assert!(
+        per_arrival <= BYTES_PER_ARRIVAL,
+        "the high-water mark of live bytes grew by {per_arrival} B an arrival from {n} to {} \
+         arrivals ({short} → {long} B), budget {BYTES_PER_ARRIVAL}",
+        16 * n
     );
 }

@@ -19,7 +19,8 @@
 //! across every seed.
 
 use robustq::core::Strategy;
-use robustq::sim::{FaultPlan, FaultSpec, SimConfig, VirtualTime};
+use robustq::engine::{Arrival, ExecOptions, Executor, RunOutcome};
+use robustq::sim::{CacheSet, FaultPlan, FaultSpec, SimConfig, VirtualTime};
 use robustq::storage::gen::ssb::SsbGenerator;
 use robustq::storage::Database;
 use robustq::workloads::chaos::{conservation, fault_shape, violations, FAULT_SHAPES};
@@ -145,4 +146,60 @@ fn empty_fault_plan_is_byte_identical() {
             "a no-op fault plan changed the outcomes"
         );
     }
+}
+
+/// A finished query leaves the executor, tasks and all, while later ones
+/// run (DESIGN.md §6). Kernel aborts restart a task under a new epoch and
+/// stall windows defer its start, so a `ComputeStart` can name an attempt
+/// that is gone: the executor ignores it, whether its task restarted or
+/// its query retired. Under both faults an open-loop run with queries
+/// retiring throughout completes, answers as the fault-free run does,
+/// attributes every injection and fallback to a query, drains its heaps
+/// and balances its link accounting; the debug-build audit checks heap
+/// and cache conservation after every event.
+#[test]
+fn retiring_finished_queries_survives_stalls_and_kernel_aborts() {
+    let db = db();
+    let queries = ssb::workload(&db).expect("SSB plans");
+    let sim = tight_sim();
+    let executor = Executor::new(&db, sim.clone());
+    let run = |fault: FaultPlan| -> RunOutcome {
+        let arrivals = (0..20 * queries.len())
+            .map(|i| Arrival {
+                at: VirtualTime::from_micros(5 * i as u64),
+                session: i as u32,
+                seq: 0,
+                plan: queries[i % queries.len()].clone(),
+            })
+            .collect::<Vec<_>>();
+        let opts = ExecOptions { max_concurrent_queries: 4, fault, ..ExecOptions::default() };
+        let mut policy = Strategy::GpuPreferred.build();
+        let mut caches = CacheSet::for_topology(&sim.topology, sim.cache_policy);
+        executor.run_with_cache(arrivals, policy.as_mut(), &opts, &mut caches).expect("completes")
+    };
+    let clean = run(FaultPlan::disabled());
+    let spec = FaultSpec {
+        kernel_abort_prob: 0.3,
+        random_stalls: 16,
+        stall_horizon: clean.metrics.makespan,
+        stall_len: (VirtualTime::from_micros(20), VirtualTime::from_micros(200)),
+        ..FaultSpec::default()
+    };
+    let faulty = run(FaultPlan::new(7, spec));
+    let stats = faulty.metrics.fault_stats;
+    assert!(stats.kernel_aborts > 0 && stats.stall_time > VirtualTime::ZERO, "{stats:?}");
+
+    let answers = |out: &RunOutcome| {
+        let mut a: Vec<_> = out.outcomes.iter().map(|o| (o.session, o.rows, o.checksum)).collect();
+        a.sort_unstable();
+        a
+    };
+    assert_eq!(answers(&faulty), answers(&clean), "faults changed an answer");
+    let per_query = faulty
+        .outcomes
+        .iter()
+        .fold((0, 0), |(i, f), o| (i + o.faults.injected, f + o.faults.fallbacks));
+    let run_faults = faulty.metrics.faults;
+    assert_eq!(per_query, (run_faults.injected, run_faults.fallbacks));
+    assert_eq!(conservation(&faulty.metrics), Vec::<String>::new());
 }

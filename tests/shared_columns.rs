@@ -12,6 +12,8 @@
 //! An operator is likewise one `Op` with one identity (DESIGN.md §5): a
 //! cloned plan, its flattened tasks and every shard of a sharded scan
 //! hold the template plan's own `Arc<Op>`, and a run hands them all back.
+//! A clone holds its root's `Op` and shares the child list below it, so
+//! the operators under the root gain no reference from it.
 
 use robustq::core::{DataDrivenChopping, DataPlacementManager};
 use robustq::engine::exec::task::flatten;
@@ -167,10 +169,14 @@ fn a_run_hands_every_op_back_to_its_template() {
     };
     let before = counts(&queries);
     assert!(before.iter().all(|&c| c == 1), "a fresh template owns its ops");
+    // Every operator under the roots is referenced by its template alone.
+    let spines_shared =
+        |queries: &[PlanNode]| queries.iter().all(|q| counts(q.children()).iter().all(|&c| c == 1));
 
-    // Closed loop: the sessions share the templates' ops while they wait.
+    // Closed loop: the sessions share the templates while they wait.
     let sessions = WorkloadRunner::sessions(&queries, 2);
-    assert!(counts(&queries).iter().all(|&c| c == 2));
+    assert!(queries.iter().all(|q| Arc::strong_count(q.op()) == 2));
+    assert!(spines_shared(&queries));
     run_sharded(&db, sessions);
     assert_eq!(counts(&queries), before, "closed loop");
 
@@ -183,9 +189,9 @@ fn a_run_hands_every_op_back_to_its_template() {
     let arrivals = ServingRunner::arrivals(&mix, &serve);
     assert!(arrivals.len() > queries.len());
     let held: usize = counts(&queries).iter().sum();
-    let expected: usize =
-        arrivals.iter().map(|a| a.plan.num_operators()).sum::<usize>() + 2 * before.len();
-    assert_eq!(held, expected, "one reference per arrival operator, none copied");
+    let expected = before.len() + queries.len() + arrivals.len();
+    assert_eq!(held, expected, "one reference per arrival, to its root's op: nothing copied");
+    assert!(spines_shared(&queries));
     run_sharded(&db, arrivals);
     drop(mix);
     assert_eq!(counts(&queries), before, "open loop");
