@@ -1,8 +1,9 @@
-//! Regenerate the paper's figures.
+//! Regenerate the paper's figures, then the ablation studies.
 //!
 //! ```text
-//! cargo run -p robustq-bench --release --bin figures            # all figures
+//! cargo run -p robustq-bench --release --bin figures            # all figures and ablations
 //! cargo run -p robustq-bench --release --bin figures -- fig14   # one figure
+//! cargo run -p robustq-bench --release --bin figures -- ablation-multigpu
 //! cargo run -p robustq-bench --release --bin figures -- --json fig14
 //! cargo run -p robustq-bench --release --bin figures -- --trace out.json fig14
 //! cargo run -p robustq-bench --release --bin figures -- --verdicts > docs/verdicts-quick.txt

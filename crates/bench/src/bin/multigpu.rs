@@ -26,11 +26,11 @@
 //! device.
 //!
 //! `--shard` adds intra-operator sharding rows (DESIGN.md §6): each K
-//! is additionally swept with `K`-way sharded leaf scans under
-//! Data-Driven Chopping, the one strategy that shards, its data placement
-//! manager replicating tables of at most [`REPLICATE_MAX_BYTES`] into
-//! every cache instead of partitioning them. Sharded rows must reproduce
-//! the unsharded K = 1 result fingerprints bit for bit.
+//! is additionally swept with every query's probe spine fanned out `K`
+//! ways under Data-Driven Chopping, the one strategy that shards
+//! ([`robustq_bench::machine::run_sharded`], the same contender the §6.3
+//! ablation runs). Sharded rows must reproduce the unsharded K = 1
+//! result fingerprints bit for bit.
 //!
 //! `--staging` adds the DESIGN.md §6 chunked-staging table
 //! (`multigpu-staging`): the SSB workload on a deliberately small
@@ -41,17 +41,12 @@
 
 use robustq::prelude::*;
 use robustq_bench::args::{or_exit, ArgStream, CommonArgs};
-use robustq_bench::machine::{fleet_sim, FLEET_STRATEGIES};
+use robustq_bench::machine::{fleet_sim, run_sharded, FLEET_STRATEGIES};
 use robustq_bench::sweep::{Column, Driver, Sweep};
 use robustq_bench::table::ms;
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::gen::tpch::TpchGenerator;
 use robustq_workloads::{ssb, tpch};
-
-/// The largest table, in accessed bytes, the sharded rows' data
-/// placement manager replicates into every co-processor cache; larger
-/// ones are partitioned.
-const REPLICATE_MAX_BYTES: u64 = 64 * 1024;
 
 struct Args {
     common: CommonArgs,
@@ -72,7 +67,7 @@ fn parse_args() -> Result<Args, EngineError> {
     Ok(Args { common, shard, staging })
 }
 
-/// A fleet contender: a strategy, and whether its leaf scans shard K
+/// A fleet contender: a strategy, and whether its probe spines shard K
 /// ways.
 type Contender = (Strategy, bool);
 
@@ -139,18 +134,10 @@ fn main() {
             let runner = WorkloadRunner::new(db, fleet_sim().with_coprocessors(p.k));
             let mut cfg = RunnerConfig::default().with_users(args.common.users);
             cfg.trace = trace;
-            let (strategy, shard) = p.contender;
-            if !shard {
-                return runner.run(queries, strategy, &cfg).expect("sweep run");
+            match p.contender {
+                (_, true) => run_sharded(&runner, queries, &cfg).expect("sharded sweep run"),
+                (strategy, false) => runner.run(queries, strategy, &cfg).expect("sweep run"),
             }
-            // K-way sharded leaf scans; the data placement manager
-            // partitions large tables the same `ways` so shards find
-            // their slice.
-            let manager = DataPlacementManager::lfu().with_sharding(p.k, REPLICATE_MAX_BYTES);
-            let mut policy = DataDrivenChopping::with_manager(manager);
-            let cfg = cfg.with_sharding(p.k, 0.0);
-            let label = "Data-Driven Chopping + Shard";
-            runner.run_with_policy(queries, &mut policy, label, &cfg).expect("sharded sweep run")
         });
     }
 

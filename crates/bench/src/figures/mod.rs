@@ -7,10 +7,12 @@
 //! then the metric of each series' entry. The sweeps live in [`sweeps`]
 //! and are memoized, so figures that plot different metrics of one
 //! experiment (e.g. Figures 14 and 15) run it once. A figure of another
-//! shape is a module of its own.
+//! shape is a module of its own. The ablation studies follow the
+//! figures, as modules of [`ablations`].
 
 pub mod sweeps;
 
+pub mod ablations;
 pub mod fig01;
 pub mod fig08;
 pub mod fig22;
@@ -154,7 +156,7 @@ const DDC: Series = ("Data-Driven Chopping [ms]", "Data-Driven Chopping");
 /// The six strategies of Figures 14/18 (`Strategy::PAPER_SIX`).
 const PAPER_SIX: &[Series] = &[CPU, GPU, CP, DD, CHOP, DDC];
 
-/// Every figure, in paper order.
+/// Every figure, in paper order, then the ablations.
 #[rustfmt::skip]
 pub const FIGURES: &[Figure] = &[
     Module("fig01", fig01::run),
@@ -189,6 +191,14 @@ pub const FIGURES: &[Figure] = &[
     Module("fig23", fig23::run),
     Module("fig24", fig24::run),
     Module("fig25", fig25::run),
+    Module("ablation-slots", ablations::chopping_slots),
+    Module("ablation-cache-policy", ablations::cache_policy),
+    Module("ablation-admission", ablations::admission_limits),
+    Module("ablation-link", ablations::link_bandwidth),
+    Module("ablation-compression", ablations::compression),
+    Module("ablation-models", ablations::processing_models),
+    // §6.3: two and four co-processors beat the CPU where one GPU collapses.
+    Module("ablation-multigpu", ablations::multigpu),
 ];
 
 impl Projection {
@@ -262,8 +272,18 @@ mod tests {
             Module(..) => None,
         });
         assert_eq!(projected.clone().count(), 16);
+        // The figures sorted, then the ablations in their fixed order.
         let ids: Vec<&str> = FIGURES.iter().map(Figure::id).collect();
-        assert!(ids.len() == 22 && ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        let (figures, ablations) = ids.split_at(22);
+        assert!(figures.iter().all(|id| id.starts_with("fig")), "{ids:?}");
+        assert!(figures.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        let order = ["slots", "cache-policy", "admission", "link", "compression", "models", "multigpu"];
+        let expected: Vec<String> = order.iter().map(|a| format!("ablation-{a}")).collect();
+        assert_eq!(ablations, expected, "{ids:?}");
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), 29, "{ids:?}");
         assert_eq!(crate::figure_by_id("fig9", Effort::Quick).unwrap().id, "fig09");
         for p in projected {
             let t = p.render(Effort::Quick);

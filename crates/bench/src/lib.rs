@@ -3,7 +3,8 @@
 //! Every figure of the paper (see DESIGN.md §12 for the index) is a row
 //! of [`FIGURES`] — a projection of a shared sweep, or a module of its
 //! own — that yields a [`FigTable`]: the same rows/series the paper
-//! plots, which the `figures` binary prints.
+//! plots, which the `figures` binary prints. The ablation studies are
+//! rows of the same table, after the figures.
 //!
 //! ## Scaling
 //!
@@ -44,7 +45,8 @@ pub fn traced_reference_run(effort: Effort) -> robustq_workloads::RunReport {
         .expect("traced reference run")
 }
 
-/// Run every figure at the given effort, in paper order.
+/// Run every figure at the given effort, in paper order, then the
+/// ablations.
 pub fn all_figures(effort: Effort) -> Vec<FigTable> {
     FIGURES.iter().map(|f| f.run(effort)).collect()
 }

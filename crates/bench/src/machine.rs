@@ -11,17 +11,19 @@
 //! * **full workloads** (Figs 14–21, 24, 25): cache sized to the SSB
 //!   working set at scale factor 15, where the paper's cache-thrashing
 //!   crossover sits (Figure 16);
-//! * **partitioned scale-out** (the §6.3 ablation): the full-workload
-//!   machine once per fact-table partition ([`partitioned_makespan`]).
+//! * **scale-out** (the §6.3 ablation, and the `multigpu` sweep's
+//!   sharded rows): the same machine with K co-processors, each query's
+//!   probe spine fanned out over all of them ([`run_sharded`]).
 
-use robustq_core::Strategy;
+use robustq_core::strategies::DataDrivenChopping;
+use robustq_core::{DataPlacementManager, Strategy};
 use robustq_engine::plan::PlanNode;
-use robustq_engine::{EngineError, ParallelCtx, ShardSpec};
-use robustq_sim::{SimConfig, VirtualTime};
+use robustq_engine::{EngineError, ParallelCtx};
+use robustq_sim::SimConfig;
 use robustq_storage::gen::ssb::SsbGenerator;
 use robustq_storage::gen::tpch::TpchGenerator;
-use robustq_storage::{Database, Table};
-use robustq_workloads::{RunnerConfig, WorkloadRunner};
+use robustq_storage::Database;
+use robustq_workloads::{RunReport, RunnerConfig, WorkloadRunner};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -292,43 +294,28 @@ impl WorkloadSetup {
     }
 }
 
-/// Partition `shard` of `db`: its `fact` table cut to the shard's
-/// [`ShardSpec::row_range`], every other table shared whole.
-fn partition(db: &Database, fact: &str, shard: ShardSpec) -> Database {
-    let mut part = Database::new();
-    for t in db.tables() {
-        let table = if t.name() == fact {
-            let rows = shard.row_range(t.num_rows());
-            let columns = t.columns().iter().map(|c| c.slice(rows.start, rows.end)).collect();
-            Table::new(t.name(), t.schema().clone(), columns).expect("a row slice keeps the schema")
-        } else {
-            t.clone()
-        };
-        part.add_table(table).expect("table names stay distinct");
-    }
-    part
-}
+/// The largest table, in accessed bytes, that [`run_sharded`]'s data
+/// placement manager replicates into every co-processor cache; larger
+/// ones are partitioned.
+pub const REPLICATE_MAX_BYTES: u64 = 64 * 1024;
 
-/// The §6.3 ablation's horizontal partitioning: `db`'s `fact` table split
-/// `n` ways, each partition run by `strategy` on its own `sim` machine,
-/// all in parallel, so the makespan is the slowest partition's. Nothing
-/// is merged: the ablation reads makespans only.
-pub fn partitioned_makespan(
-    db: &Database,
-    fact: &str,
-    n: u32,
-    sim: &SimConfig,
+/// The label of [`run_sharded`]'s reports.
+pub const SHARDED: &str = "Data-Driven Chopping + Shard";
+
+/// The sharded contender (DESIGN.md §6): `queries` under Data-Driven
+/// Chopping with each query's probe spine fanned out over the runner's K
+/// co-processors. Its data placement manager partitions tables the same
+/// K ways, so a shard finds its slice, and replicates those of at most
+/// [`REPLICATE_MAX_BYTES`]. At K = 1 nothing shards.
+pub fn run_sharded(
+    runner: &WorkloadRunner,
     queries: &[PlanNode],
-    strategy: Strategy,
     cfg: &RunnerConfig,
-) -> Result<VirtualTime, EngineError> {
-    let mut makespan = VirtualTime::ZERO;
-    for index in 0..n {
-        let part = partition(db, fact, ShardSpec { index, of: n });
-        let report = WorkloadRunner::new(&part, sim.clone()).run(queries, strategy, cfg)?;
-        makespan = makespan.max(report.metrics.makespan);
-    }
-    Ok(makespan)
+) -> Result<RunReport, EngineError> {
+    let k = runner.config().topology.coprocessor_count();
+    let manager = DataPlacementManager::lfu().with_sharding(k, REPLICATE_MAX_BYTES);
+    let mut policy = DataDrivenChopping::with_manager(manager);
+    runner.run_with_policy(queries, &mut policy, SHARDED, &cfg.clone().with_sharding(k, 0.0))
 }
 
 #[cfg(test)]
@@ -384,39 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn partitions_split_the_fact_and_replicate_dims() {
-        let db = ssb_db(2, 2_000);
-        let parts: Vec<Database> =
-            (0..3).map(|index| partition(&db, "lineorder", ShardSpec { index, of: 3 })).collect();
-        let total: usize =
-            parts.iter().map(|p| p.table("lineorder").unwrap().num_rows()).sum();
-        assert_eq!(total, db.table("lineorder").unwrap().num_rows());
-        for p in &parts {
-            assert_eq!(
-                p.table("customer").unwrap().num_rows(),
-                db.table("customer").unwrap().num_rows()
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_partitions_cut_makespan_under_scarcity() {
-        // A machine whose cache holds half the working set: one machine
-        // thrashes under GPU-only, two partitions fit.
-        let db = ssb_db(2, 2_000);
-        let queries = robustq_workloads::micro::serial_selection_workload(4);
-        let ws = workload_footprint(&db, &queries);
-        let sim = SimConfig::default().with_gpu_memory(ws * 4).with_gpu_cache(ws * 6 / 10);
-        let cfg = RunnerConfig::default().with_placement_period(queries.len());
-        let run = |n| {
-            partitioned_makespan(&db, "lineorder", n, &sim, &queries, Strategy::GpuPreferred, &cfg)
-                .unwrap()
-        };
-        let (single, two) = (run(1), run(2));
-        assert!(
-            two.as_nanos() * 2 < single.as_nanos(),
-            "two co-processors must break the thrashing: {two} vs {single}"
-        );
+    fn one_coprocessor_shards_nothing() {
+        // What lets the §6.3 ablation read K = 1 off the Figure 14 sweep.
+        let setup = WorkloadSetup::new(WorkloadKind::Ssb, Effort::Quick);
+        let db = setup.db(20);
+        let queries = setup.queries(&db);
+        let cfg = RunnerConfig::default().with_placement_period(queries.len()).with_preload();
+        let sharded = run_sharded(&WorkloadRunner::new(&db, setup.sim()), &queries, &cfg).unwrap();
+        let sweep = crate::figures::sweeps::workload_sweep(WorkloadKind::Ssb, Effort::Quick);
+        let point = sweep.iter().find(|p| p.axis("SF") == "20").unwrap();
+        let ddc = crate::figures::sweeps::entry(&point.entries, Strategy::DataDrivenChopping.name());
+        assert_eq!(sharded.metrics.makespan, ddc.report.metrics.makespan);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! to the other engines. Section 5.5's point — cache thrashing and heap
 //! contention are inherent to *all* processing models because pipeline
 //! breakers still materialize — is demonstrated by the processing-model
-//! ablation (`cargo bench --bench ablations`).
+//! ablation (`ablation-models`, printed by the `figures` binary).
 
 use crate::plan::PlanNode;
 use crate::vectorized::engine::{NodeSizes, VectorizedEngine, VectorizedReport};

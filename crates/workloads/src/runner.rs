@@ -126,8 +126,8 @@ impl RunnerConfig {
         self
     }
 
-    /// Shard qualifying leaf scans `ways` ways across the co-processor
-    /// fleet; only scans of at least `min_bytes` estimated input qualify.
+    /// Shard each query's probe spine `ways` ways across the co-processor
+    /// fleet (DESIGN.md §6); only scans of at least `min_bytes` estimated input qualify.
     /// At two or more ways a run under a strategy that caches on a miss
     /// fails with [`EngineError::Config`]: sharding is data-driven only.
     pub fn with_sharding(mut self, ways: usize, min_bytes: f64) -> Self {
