@@ -67,9 +67,10 @@ fn parse_args() -> Result<Args, EngineError> {
     Ok(Args { common, shard, staging })
 }
 
-/// A fleet contender: a strategy, and whether its probe spines shard K
-/// ways.
-type Contender = (Strategy, bool);
+/// A fleet contender: a strategy, or `None` for the sharded contender
+/// ([`run_sharded`]: Data-Driven Chopping, its probe spines sharded K
+/// ways), which runs no other strategy.
+type Contender = Option<Strategy>;
 
 const FLEET_COLUMNS: [Column<(), Contender, RunReport>; 7] = [
     ("K", |p, _| p.k.to_string()),
@@ -113,9 +114,9 @@ fn main() {
         ("tpch", &tpch_db, tpch::workload()),
     ];
 
-    let mut contenders: Vec<Contender> = FLEET_STRATEGIES.iter().map(|&s| (s, false)).collect();
+    let mut contenders: Vec<Contender> = FLEET_STRATEGIES.iter().copied().map(Some).collect();
     if args.shard {
-        contenders.push((Strategy::DataDrivenChopping, true));
+        contenders.push(None);
     }
     let mut driver = Driver::new("multigpu", &args.common);
     for (name, db, queries) in &workloads {
@@ -127,7 +128,8 @@ fn main() {
             contenders: &contenders,
             // With --shard the traced run is the sharded one, so the
             // shard lanes reach trace-lint.
-            traced: (*name == "ssb").then_some(((), (Strategy::DataDrivenChopping, args.shard))),
+            traced: (*name == "ssb")
+                .then_some(((), (!args.shard).then_some(Strategy::DataDrivenChopping))),
             same_results: Some(RunReport::result_fingerprints),
         };
         driver.sweep(sweep, |p, trace| {
@@ -135,8 +137,8 @@ fn main() {
             let mut cfg = RunnerConfig::default().with_users(args.common.users);
             cfg.trace = trace;
             match p.contender {
-                (_, true) => run_sharded(&runner, queries, &cfg).expect("sharded sweep run"),
-                (strategy, false) => runner.run(queries, strategy, &cfg).expect("sweep run"),
+                Some(strategy) => runner.run(queries, strategy, &cfg).expect("sweep run"),
+                None => run_sharded(&runner, queries, &cfg).expect("sharded sweep run"),
             }
         });
     }

@@ -465,28 +465,6 @@ impl Chunk {
     ///
     /// Column order follows `columns`; unknown names are an error.
     pub fn from_table(table: &Table, columns: &[impl AsRef<str>]) -> Result<Self, String> {
-        Self::table_columns(table, columns, |idx| Arc::clone(&table.columns()[idx]))
-    }
-
-    /// Materialize selected columns of the row range `[lo, hi)` of a base
-    /// table into a chunk. This is the windowed-scan entry point: string
-    /// columns share the table's dictionary (codes are stable under
-    /// append), so a range chunk is value-identical to the same rows of
-    /// the full table.
-    pub fn from_table_range(
-        table: &Table,
-        columns: &[impl AsRef<str>],
-        lo: usize,
-        hi: usize,
-    ) -> Result<Self, String> {
-        Self::table_columns(table, columns, |idx| Arc::new(table.column_slice(idx, lo, hi)))
-    }
-
-    fn table_columns(
-        table: &Table,
-        columns: &[impl AsRef<str>],
-        column: impl Fn(usize) -> Arc<ColumnData>,
-    ) -> Result<Self, String> {
         let mut fields = Vec::with_capacity(columns.len());
         let mut data = Vec::with_capacity(columns.len());
         for name in columns {
@@ -496,7 +474,7 @@ impl Chunk {
                 .index_of(name)
                 .ok_or_else(|| format!("no column {name} in table {}", table.name()))?;
             fields.push(table.schema().field(idx).clone());
-            data.push(column(idx));
+            data.push(Arc::clone(&table.columns()[idx]));
         }
         Ok(Chunk { fields, columns: data })
     }

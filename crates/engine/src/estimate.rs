@@ -9,11 +9,11 @@
 //! exact, observed cardinalities.
 //!
 //! There is one estimate function, [`node`], local to an operator and the
-//! estimates of its children; admission loops it once over the flattened
-//! plan ([`postorder`]), and the SQL planner's join-order search calls it
-//! on the estimates its entries carry.
+//! estimates of its children; admission loops it once over the final
+//! (possibly sharded) task graph ([`postorder`]), and the SQL planner's
+//! join-order search calls it on the estimates its entries carry.
 
-use crate::exec::task::{flatten, TaskNode};
+use crate::exec::task::{flatten, Role, TaskNode, Window};
 use crate::plan::{JoinKind, Op, PlanNode};
 use crate::predicate::{CmpOp, Predicate};
 use robustq_storage::Database;
@@ -131,22 +131,65 @@ pub fn node(op: &Op, children: &[Estimate], db: &Database) -> Estimate {
     Estimate { rows, bytes, fraction, input_bytes: children.iter().map(|c| c.bytes).sum() }
 }
 
-/// Estimates of a flattened plan, aligned with it: one [`node`] call per
-/// task over the estimates its children already have.
-pub fn postorder(tasks: &[TaskNode], db: &Database) -> Vec<Estimate> {
+/// The share of its table's rows a scan reads under `window`, its whole
+/// [`Op::scan_rows`]: 1 but for a scan of the windowed table.
+pub fn row_share(op: &Op, window: Option<Window<'_>>, db: &Database) -> f64 {
+    match op.scan_access().and_then(|(table, _)| db.table(table)).map_or(0, |t| t.num_rows()) {
+        0 => 1.0,
+        rows => op.scan_rows(Role::Whole, window, rows).len() as f64 / rows as f64,
+    }
+}
+
+/// A scan's estimate under `window`: [`node`]'s at its [`row_share`], as
+/// if its table held only the window's rows (what a tick is equivalent to).
+pub fn scan(op: &Op, db: &Database, window: Option<Window<'_>>) -> Estimate {
+    let (e, share) = (node(op, &[], db), row_share(op, window, db));
+    let input_bytes = e.input_bytes * share;
+    Estimate { rows: e.rows * share, bytes: e.bytes * share, input_bytes, ..e }
+}
+
+/// Estimates of a flattened, possibly sharded, task graph, in one pass.
+/// Each operator is estimated by [`node`] over its children's operator
+/// estimates, a leaf as the [`scan`] of what `window` leaves of its table,
+/// so the window's share flows up through every operator above it. A
+/// task's own estimate is its operator's times its role's row share
+/// (`1/of` for a [`Role::Spine`] task) and `live(i)`, the share of its
+/// output width a pruned spine task hands on; a task with children reads
+/// their outputs summed, and a [`Role::Merge`] reproduces its pipelines'
+/// top's whole live output. Whole tasks with no window: [`node`]'s alone.
+pub fn postorder(
+    tasks: &[TaskNode],
+    db: &Database,
+    window: Option<Window<'_>>,
+    live: impl Fn(usize) -> f64,
+) -> Vec<Estimate> {
+    let mut ops: Vec<Estimate> = Vec::with_capacity(tasks.len());
     let mut out: Vec<Estimate> = Vec::with_capacity(tasks.len());
     let mut children = Vec::new();
-    for task in tasks {
+    for (i, task) in tasks.iter().enumerate() {
         children.clear();
-        children.extend(task.children.iter().map(|&c| out[c]));
-        out.push(node(&task.op, &children, db));
+        children.extend(task.children.iter().map(|&c| ops[c]));
+        let (op, own) = match (task.role, &children[..]) {
+            (Role::Merge, [top, ..]) => (*top, task.children[0]),
+            (_, []) => (scan(&task.op, db, window), i),
+            _ => (node(&task.op, &children, db), i),
+        };
+        let split = if let Role::Spine(shard) = task.role { f64::from(shard.of) } else { 1.0 };
+        let bytes = op.bytes * live(own) / split;
+        let input_bytes = match (task.role, &task.children[..]) {
+            (Role::Merge, _) => bytes,
+            (_, []) => op.input_bytes / split,
+            (_, kids) => kids.iter().map(|&c| out[c].bytes).sum(),
+        };
+        ops.push(op);
+        out.push(Estimate { rows: op.rows / split, bytes, input_bytes, ..op });
     }
     out
 }
 
 /// Estimate the output of the plan's root.
 pub fn estimate(plan: &PlanNode, db: &Database) -> Estimate {
-    *postorder(&flatten(plan), db).last().expect("a plan has a root")
+    *postorder(&flatten(plan), db, None, |_| 1.0).last().expect("a plan has a root")
 }
 
 #[cfg(test)]

@@ -15,25 +15,27 @@
 use crate::error::EngineError;
 use crate::estimate;
 use crate::exec::event_loop::{
-    policy_ctx, Milestones, QueryState, QueryWindow, Sim, Submission, TaskState,
+    policy_ctx, Milestones, QueryState, Sim, Submission, TaskState,
 };
 use crate::exec::metrics::{FaultCounters, QueryOutcome};
 use crate::exec::policy::{key_bytes, PolicyCtx, TaskInfo};
-use crate::exec::task::{flatten, Role, ShardSpec, TaskNode};
+use crate::exec::task::{flatten, Role, ShardSpec, TaskNode, Window};
 use crate::plan::{JoinKind, Op};
 use robustq_sim::{DeviceId, Direction, VirtualTime};
 use robustq_storage::Database;
 use robustq_trace::{EstVec, PlacePhase, ShedReason, TraceEvent, TransferKind};
 use std::sync::Arc;
 
-/// The columns of its output a spine task hands on; `None`: every one.
-type Live = Option<Arc<[String]>>;
+/// The columns of its output a spine task hands on, with the share of its
+/// estimated output width they make; `None`: every one.
+type Live = Option<(Arc<[String]>, f64)>;
 
 /// Rewrite a flattened task graph for intra-operator sharding (DESIGN.md
 /// §6): one fan-out per query, of its **spine**.
 ///
-/// The spine starts at the largest leaf scan whose estimated input is at
-/// least `min_bytes` and climbs through every ancestor it reaches as a
+/// The spine starts at the leaf scan that reads the most bytes of base
+/// columns (under `window`, [`estimate::scan`]), if they are at least
+/// `min_bytes`, and climbs through every ancestor it reaches as a
 /// hash join's probe child (inner, semi or anti) or as a `Select`: the
 /// row-wise operators, whose output over ordered, disjoint probe ranges
 /// concatenates to their whole output. The spine's subtree — the spine
@@ -45,27 +47,25 @@ type Live = Option<Arc<[String]>>;
 /// aggregate, a sort, a join the spine is the build side of); a spine may
 /// be its leaf alone. Every task runs the template's own shared `Op`.
 /// Each spine task hands on only its [`live_columns`], listed by new
-/// index in the third vector (`None`, or past its end: every column).
+/// index in the second vector (`None`, or past its end: every column).
 ///
 /// The rewrite preserves the postorder invariants (children before
-/// parents, root last) and leaves the `(input, output)` byte estimates
-/// aligned: a spine task outputs `1/ways` of its estimate, counting its
-/// live width only, a replica keeps its estimate whole, a pipeline task
-/// with children reads the sum of their outputs (a spine join its whole
-/// replica build side and its split probe side), and the merge consumes
-/// and reproduces the spine top's live output.
+/// parents, root last). It shapes the graph only: admission estimates
+/// the graph it returns in one pass ([`estimate::postorder`]).
 pub(crate) fn expand_shards(
     nodes: Vec<TaskNode>,
-    mut estimates: Vec<(f64, f64)>,
     ways: usize,
     min_bytes: f64,
     db: &Database,
-) -> (Vec<TaskNode>, Vec<(f64, f64)>, Vec<Live>) {
+    window: Option<Window<'_>>,
+) -> (Vec<TaskNode>, Vec<Live>) {
     let leaf = (0..nodes.len())
-        .filter(|&i| matches!(*nodes[i].op, Op::Scan { .. }) && estimates[i].0 >= min_bytes)
-        .max_by(|&a, &b| estimates[a].0.total_cmp(&estimates[b].0).then(b.cmp(&a)));
-    let Some(leaf) = leaf.filter(|_| ways >= 2) else {
-        return (nodes, estimates, Vec::new());
+        .filter(|&i| matches!(*nodes[i].op, Op::Scan { .. }))
+        .map(|i| (i, estimate::scan(&nodes[i].op, db, window).input_bytes))
+        .filter(|&(_, bytes)| bytes >= min_bytes)
+        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+    let Some((leaf, _)) = leaf.filter(|_| ways >= 2) else {
+        return (nodes, Vec::new());
     };
     let mut on_spine = vec![false; nodes.len()];
     let mut top = leaf;
@@ -90,19 +90,7 @@ pub(crate) fn expand_shards(
     }
     let len = top + 1 - first;
     let merge = first + ways * len;
-    // A pruned spine task's estimate counts its live width: what it drops
-    // leaves its output, and what the top drops the merge's parent's input
-    // (a pipeline task's input is summed from its children below).
     let live = live_columns(&nodes, top, db);
-    for (j, live) in live.iter().enumerate() {
-        let Some((_, share)) = live else { continue };
-        let kept = estimates[j].1 * share;
-        let dropped = estimates[j].1 - kept;
-        estimates[j].1 = kept;
-        if let Some(p) = nodes[j].parent.filter(|_| j == top) {
-            estimates[p].0 -= dropped;
-        }
-    }
     // New index of an old node outside the pipelines (the top's is the
     // merge's), and of old node `i` in pipeline `k`.
     let outside = |i: usize| if i < first { i } else { i + merge - top };
@@ -114,13 +102,10 @@ pub(crate) fn expand_shards(
         parent,
     };
 
+    let whole = |node: &TaskNode| moved(node, Role::Whole, &outside, node.parent.map(outside));
     let mut out = Vec::with_capacity(merge + nodes.len() - top);
-    let mut est = Vec::with_capacity(out.capacity());
     let mut pruned = vec![None; first];
-    for i in 0..first {
-        out.push(moved(&nodes[i], Role::Whole, &outside, nodes[i].parent.map(outside)));
-        est.push(estimates[i]);
-    }
+    out.extend(nodes[..first].iter().map(whole));
     for k in 0..ways {
         let spec = ShardSpec { index: k as u32, of: ways as u32 };
         for j in first..=top {
@@ -130,14 +115,7 @@ pub(crate) fn expand_shards(
                 _ => merge,
             };
             out.push(moved(&nodes[j], role, &|c| piped(k, c), Some(parent)));
-            pruned.push(live[j].as_ref().map(|(columns, _)| Arc::clone(columns)));
-            let (input, output) = estimates[j];
-            let split = if on_spine[j] { ways as f64 } else { 1.0 };
-            let input = match nodes[j].children.is_empty() {
-                true => input / split,
-                false => nodes[j].children.iter().map(|&c| est[piped(k, c)].1).sum(),
-            };
-            est.push((input, output / split));
+            pruned.push(live[j].clone());
         }
     }
     out.push(TaskNode {
@@ -146,12 +124,8 @@ pub(crate) fn expand_shards(
         children: (0..ways).map(|k| piped(k, top)).collect(),
         parent: nodes[top].parent.map(outside),
     });
-    est.push((estimates[top].1, estimates[top].1));
-    for i in top + 1..nodes.len() {
-        out.push(moved(&nodes[i], Role::Whole, &outside, nodes[i].parent.map(outside)));
-        est.push(estimates[i]);
-    }
-    (out, est, pruned)
+    out.extend(nodes[top + 1..].iter().map(whole));
+    (out, pruned)
 }
 
 /// The **live columns** of a fan-out's spine (DESIGN.md §6), by index of
@@ -167,11 +141,7 @@ pub(crate) fn expand_shards(
 /// column its probe side already names): dropping one could change the
 /// name a later join gives another. Without a rename a name is the same
 /// column at every level.
-fn live_columns(
-    nodes: &[TaskNode],
-    top: usize,
-    db: &Database,
-) -> Vec<Option<(Arc<[String]>, f64)>> {
+fn live_columns(nodes: &[TaskNode], top: usize, db: &Database) -> Vec<Live> {
     let mut live = vec![None; nodes.len()];
     let mut read: Vec<&str> = Vec::new();
     let (mut below, mut above) = (top, nodes[top].parent);
@@ -342,19 +312,9 @@ impl Sim<'_, '_> {
             sub;
         let query = self.queries.len();
         let base = self.tasks.len();
-        let nodes = flatten(&plan);
-        // One estimate per operator, in one pass. Windowed ticks scan only
-        // the window's slice of the feed table: scale those leaves so
-        // sharding and compile-time placement see the pruned input, not
-        // the whole (ever-growing) table.
-        let estimates = estimate::postorder(&nodes, self.db)
-            .iter()
-            .zip(&nodes)
-            .map(|(e, node)| {
-                let frac = self.windowed_fraction(&node.op, window);
-                (e.input_bytes * frac, e.bytes * frac)
-            })
-            .collect();
+        // A windowed tick's scan of the fed table reads the window's rows
+        // alone, and is shaped and estimated at them.
+        let scanned = window.map(|w| w.rows(self.db));
         // Intra-operator sharding (DESIGN.md §6): qualifying leaf scans
         // fan out across the co-processor fleet. One shard per
         // co-processor at most — with fewer than two there is nothing to
@@ -363,12 +323,15 @@ impl Sim<'_, '_> {
             .opts
             .shard_ways
             .min(self.config.topology.device_count().saturating_sub(1));
-        let (nodes, estimates, live) =
-            expand_shards(nodes, estimates, ways, self.opts.shard_min_bytes, self.db);
+        let (nodes, live) =
+            expand_shards(flatten(&plan), ways, self.opts.shard_min_bytes, self.db, scanned);
+        // One estimate per task, in one pass over the final graph.
+        let share = |i: usize| live.get(i).and_then(|l| l.as_ref()).map_or(1.0, |&(_, s)| s);
+        let estimates = estimate::postorder(&nodes, self.db, scanned, share);
 
         let mut live = live.into_iter();
         for (node, est) in nodes.into_iter().zip(estimates) {
-            if let Some(columns) = live.next().flatten() {
+            if let Some((columns, _)) = live.next().flatten() {
                 self.live.insert(self.tasks.len(), columns);
             }
             let base_columns = match node.scan_access() {
@@ -404,8 +367,8 @@ impl Sim<'_, '_> {
                 start_time: VirtualTime::ZERO,
                 kernel_duration: VirtualTime::ZERO,
                 bytes_in: 0,
-                est_bytes_in: est.0 as u64,
-                est_bytes_out: est.1 as u64,
+                est_bytes_in: est.input_bytes as u64,
+                est_bytes_out: est.bytes as u64,
                 remaining_ns: 0.0,
                 milestones: Milestones::default(),
                 stage_bytes: 0,
@@ -521,47 +484,22 @@ impl Sim<'_, '_> {
         Ok(())
     }
 
-    /// Fraction of the windowed table a tick actually reads: the rows of
-    /// `[lo, hi)` the table holds, over all of its rows.
-    pub(crate) fn window_fraction(&self, w: QueryWindow) -> f64 {
-        let rows = self.db.tables()[w.table as usize].num_rows();
-        if rows == 0 {
-            return 1.0;
-        }
-        rows.min(w.hi as usize).saturating_sub(w.lo as usize) as f64 / rows as f64
-    }
-
-    /// The share of `op`'s input a query windowed by `window` reads: the
-    /// window's slice for a scan of the fed table, everything otherwise.
-    fn windowed_fraction(&self, op: &Op, window: Option<QueryWindow>) -> f64 {
-        match (op, window) {
-            (Op::Scan { table, .. }, Some(w))
-                if self.db.table_position(table) == Some(w.table as usize) =>
-            {
-                self.window_fraction(w)
-            }
-            _ => 1.0,
-        }
-    }
-
-    /// Bytes of `task`'s base columns it reads: each column whole, or its
-    /// partition's [`ShardSpec::slice_bytes`] of each.
-    pub(crate) fn base_bytes(&self, task: usize) -> u64 {
+    /// Bytes of its base columns a task reads (a leaf's; none for others),
+    /// the rows [`Op::scan_rows`] names: its partition's
+    /// [`ShardSpec::slice_bytes`] of each column, at its window's
+    /// [`estimate::row_share`] of the table.
+    pub(crate) fn leaf_bytes(&self, task: usize) -> u64 {
         let t = &self.tasks[task];
         let slice = |full| t.role.partition().map_or(full, |s| s.slice_bytes(full));
-        t.base_columns.iter().map(|&c| slice(self.db.column_size(c))).sum()
+        let bytes: u64 = t.base_columns.iter().map(|&c| slice(self.db.column_size(c))).sum();
+        let window = self.queries[t.query].window.map(|w| w.rows(self.db));
+        (bytes as f64 * estimate::row_share(&t.op, window, self.db)) as u64
     }
 
+    /// What `task` reads: its base columns' rows and its children's outputs.
     pub(crate) fn exact_bytes_in(&self, task: usize) -> u64 {
-        let t = &self.tasks[task];
-        if t.children.is_empty() {
-            // A windowed tick's feed-table scan reads only the window's
-            // slice of each base column.
-            let win_frac = self.windowed_fraction(&t.op, self.queries[t.query].window);
-            (self.base_bytes(task) as f64 * win_frac) as u64
-        } else {
-            t.children.iter().map(|&c| self.tasks[c].output_bytes).sum()
-        }
+        let children = self.tasks[task].children.iter().map(|&c| self.tasks[c].output_bytes);
+        self.leaf_bytes(task) + children.sum::<u64>()
     }
 
     pub(crate) fn make_ready(&mut self, task: usize) -> Result<(), EngineError> {
@@ -676,11 +614,12 @@ impl Sim<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::Estimate;
     use crate::expr::Expr;
     use crate::plan::{AggSpec, PlanNode};
     use crate::predicate::Predicate;
-    use crate::estimate;
     use robustq_sim::OpClass;
+    use robustq_storage::Table;
 
     /// Tasks: 0 date scan (build), 1 lineorder scan (probe), 2 join,
     /// 3 aggregate.
@@ -691,18 +630,43 @@ mod tests {
             .aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")])
     }
 
-    const ESTIMATES: [(f64, f64); 4] = [(80.0, 40.0), (900.0, 300.0), (340.0, 60.0), (60.0, 8.0)];
+    fn ssb_db() -> Database {
+        robustq_storage::gen::ssb::SsbGenerator::new(1).with_rows_per_sf(8_000).generate()
+    }
 
-    /// [`expand_shards`] over a database without tables: no column has a
-    /// width, so a pruned task keeps its (split) estimate.
-    fn expand(
+    /// A sharded graph as admission builds it: [`expand_shards`], then the
+    /// one estimate pass over what it returns, as `(input, output)` pairs;
+    /// the share of its output width each task hands on (1: all of it).
+    struct Expanded {
         nodes: Vec<TaskNode>,
-        estimates: Vec<(f64, f64)>,
+        est: Vec<(f64, f64)>,
+        live: Vec<Live>,
+        share: Vec<f64>,
+    }
+
+    fn expand(
+        plan: &PlanNode,
         ways: usize,
         min_bytes: f64,
-    ) -> (Vec<TaskNode>, Vec<(f64, f64)>) {
-        let (nodes, est, _) = expand_shards(nodes, estimates, ways, min_bytes, &Database::new());
-        (nodes, est)
+        db: &Database,
+        window: Option<Window<'_>>,
+    ) -> Expanded {
+        let (nodes, live) = expand_shards(flatten(plan), ways, min_bytes, db, window);
+        let share: Vec<f64> = (0..nodes.len())
+            .map(|i| live.get(i).and_then(|l| l.as_ref()).map_or(1.0, |&(_, s)| s))
+            .collect();
+        let est = estimate::postorder(&nodes, db, window, |i| share[i]);
+        let est = est.iter().map(pair).collect();
+        Expanded { nodes, est, live, share }
+    }
+
+    /// The unsharded plan's estimates, one per operator.
+    fn whole(plan: &PlanNode, db: &Database) -> Vec<Estimate> {
+        estimate::postorder(&flatten(plan), db, None, |_| 1.0)
+    }
+
+    fn pair(e: &Estimate) -> (f64, f64) {
+        (e.input_bytes, e.bytes)
     }
 
     fn assert_postorder(nodes: &[TaskNode]) {
@@ -717,11 +681,15 @@ mod tests {
     }
 
     #[test]
-    fn fewer_than_two_ways_leaves_the_graph_alone() {
-        for ways in [0, 1] {
-            let (nodes, est) = expand(flatten(&plan()), ESTIMATES.to_vec(), ways, 0.0);
-            assert_eq!(est, ESTIMATES);
-            assert!(nodes.iter().all(|n| n.role == Role::Whole));
+    fn fewer_than_two_ways_or_too_few_bytes_leave_the_graph_alone() {
+        let db = ssb_db();
+        let w: Vec<(f64, f64)> = whole(&plan(), &db).iter().map(pair).collect();
+        let largest = estimate::scan(&flatten(&plan())[1].op, &db, None).input_bytes;
+        for (ways, min_bytes) in [(0, 0.0), (1, 0.0), (2, largest + 1.0)] {
+            let x = expand(&plan(), ways, min_bytes, &db, None);
+            assert_eq!(x.est, w, "ways {ways}, min {min_bytes} B");
+            assert!(x.nodes.iter().all(|n| n.role == Role::Whole));
+            assert!(x.live.is_empty());
         }
     }
 
@@ -741,9 +709,10 @@ mod tests {
 
     #[test]
     fn a_spine_climbs_the_probe_side_and_stops_at_an_aggregate() {
-        let plan = plan();
-        let whole = flatten(&plan);
-        let (nodes, est) = expand(whole.clone(), ESTIMATES.to_vec(), 2, 100.0);
+        let (db, plan) = (ssb_db(), plan());
+        let template = flatten(&plan);
+        let largest = estimate::scan(&template[1].op, &db, None).input_bytes;
+        let Expanded { nodes, est, share, .. } = expand(&plan, 2, largest, &db, None);
         assert_postorder(&nodes);
         // Two pipelines of (date replica, lineorder shard, join), then
         // the merge where the join stood, under the aggregate.
@@ -757,17 +726,20 @@ mod tests {
         // Replicas and spine tasks share the template's `Arc`s: no
         // payload is copied, and the merge runs the spine top's `Op`.
         for (new, old) in [(0, 0), (3, 0), (1, 1), (4, 1), (2, 2), (5, 2), (6, 2), (7, 3)] {
-            assert!(Arc::ptr_eq(&nodes[new].op, &whole[old].op), "task {new}");
+            assert!(Arc::ptr_eq(&nodes[new].op, &template[old].op), "task {new}");
         }
         // Spine tasks split their estimates, replicas keep theirs whole,
-        // and the merge consumes and reproduces the spine top's output.
-        let [date, _, join, agg] = ESTIMATES;
-        assert_eq!(est[0], date);
-        assert_eq!(est[3], date);
-        assert_eq!([est[1], est[4]], [(450.0, 150.0); 2]);
-        assert_eq!([est[2], est[5]], [(190.0, 30.0); 2], "a join reads its whole replica");
-        assert_eq!(est[6], (join.1, join.1));
-        assert_eq!(est[7], agg);
+        // and the merge consumes and reproduces the spine top's live
+        // output, which the aggregate reads.
+        let [date, fact, join, agg] = [0, 1, 2, 3].map(|i| whole(&plan, &db)[i]);
+        assert!(share[2] < 1.0 && share[2] == share[5], "the joins hand on `lo_revenue` alone");
+        assert_eq!([est[0], est[3]], [pair(&date); 2]);
+        assert_eq!([est[1], est[4]], [(fact.input_bytes / 2.0, fact.bytes / 2.0); 2]);
+        let spine_join = (date.bytes + fact.bytes / 2.0, join.bytes * share[2] / 2.0);
+        assert_eq!([est[2], est[5]], [spine_join; 2], "a join reads its whole replica");
+        let merged = join.bytes * share[2];
+        assert_eq!(est[6], (merged, merged));
+        assert_eq!(est[7], (merged, agg.bytes));
     }
 
     /// (lineorder ⋈ supplier) is the build side of a join probed by
@@ -781,22 +753,22 @@ mod tests {
         PlanNode::scan("date", ["d_datekey"]).join(inner, "d_datekey", "lo_orderdate")
     }
 
-    const BUILD_SIDE_ESTIMATES: [(f64, f64); 5] =
-        [(50.0, 50.0), (900.0, 900.0), (950.0, 700.0), (80.0, 80.0), (780.0, 90.0)];
-
     #[test]
     fn a_spine_stops_where_it_is_a_build_side() {
-        let whole = flatten(&build_side_plan());
-        let estimates = BUILD_SIDE_ESTIMATES;
-        let (nodes, est) = expand(whole.clone(), estimates.to_vec(), 2, 0.0);
+        let (db, plan) = (ssb_db(), build_side_plan());
+        let template = flatten(&plan);
+        let Expanded { nodes, est, live, .. } = expand(&plan, 2, 0.0, &db, None);
         assert_postorder(&nodes);
         assert_eq!(roles(&nodes), ["R0", "P0", "P0", "R1", "P1", "P1", "M", "W", "W"]);
         // The merge is the outer join's build side, `date` its probe.
         assert_eq!(nodes[8].children, [6, 7]);
-        assert!(Arc::ptr_eq(&nodes[6].op, &whole[2].op));
-        assert!(Arc::ptr_eq(&nodes[7].op, &whole[3].op));
-        assert_eq!(est[6], (700.0, 700.0));
-        assert_eq!([est[7], est[8]], [estimates[3], estimates[4]]);
+        assert!(Arc::ptr_eq(&nodes[6].op, &template[2].op));
+        assert!(Arc::ptr_eq(&nodes[7].op, &template[3].op));
+        // No aggregate or projection closes the query: nothing is pruned.
+        assert!(live.iter().all(Option::is_none));
+        let w = whole(&plan, &db);
+        assert_eq!(est[6], (w[2].bytes, w[2].bytes));
+        assert_eq!([est[7], est[8]], [pair(&w[3]), pair(&w[4])]);
     }
 
     /// Tasks: 0 supplier, 1 lineorder, 2 semi join, 3 select, 4 aggregate.
@@ -812,23 +784,25 @@ mod tests {
             .aggregate([] as [&str; 0], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")])
     }
 
-    const SEMI_SELECT_ESTIMATES: [(f64, f64); 5] =
-        [(40.0, 40.0), (900.0, 900.0), (940.0, 300.0), (300.0, 30.0), (30.0, 8.0)];
-
     #[test]
     fn a_semi_join_and_a_select_ride_the_spine() {
-        let estimates = SEMI_SELECT_ESTIMATES;
-        let (nodes, est) = expand(flatten(&semi_select_plan()), estimates.to_vec(), 3, 0.0);
+        let (db, plan) = (ssb_db(), semi_select_plan());
+        let Expanded { nodes, est, share, .. } = expand(&plan, 3, 0.0, &db, None);
         assert_postorder(&nodes);
         let pipeline = |k: u32| ["R", "P", "P", "P"].map(|role| format!("{role}{k}"));
         let want: Vec<String> =
             (0..3).flat_map(pipeline).chain(["M".to_string(), "W".to_string()]).collect();
         assert_eq!(roles(&nodes), want);
         assert_eq!(nodes[12].children, [3, 7, 11], "the merge takes each pipeline's select");
-        assert_eq!(est[12], (30.0, 30.0));
-        assert_eq!(est[2], (340.0, 100.0), "a semi join reads its whole replica");
-        assert_eq!(est[3], (100.0, 10.0));
-        assert_eq!(est[8], estimates[0], "a replica keeps its estimate whole");
+        let w = whole(&plan, &db);
+        assert!(share[2] < 1.0 && share[3] < 1.0, "both hand on `lo_revenue` alone");
+        let select = w[3].bytes * share[3];
+        assert_eq!(est[12], (select, select));
+        let semi = w[2].bytes * share[2] / 3.0;
+        let spine_semi = (w[0].bytes + w[1].bytes / 3.0, semi);
+        assert_eq!(est[2], spine_semi, "a semi join reads its whole replica");
+        assert_eq!(est[3], (semi, select / 3.0));
+        assert_eq!(est[8], pair(&w[0]), "a replica keeps its estimate whole");
     }
 
     /// `lineorder`, the largest scan, is the build side of the only join,
@@ -843,27 +817,23 @@ mod tests {
         )
     }
 
-    const LEAF_ALONE_ESTIMATES: [(f64, f64); 3] = [(900.0, 300.0), (200.0, 200.0), (500.0, 60.0)];
-
     #[test]
     fn a_spine_that_is_its_leaf_alone_fans_out_under_the_scan_merge() {
-        let whole = flatten(&leaf_alone_plan());
-        let estimates = LEAF_ALONE_ESTIMATES;
-        let (nodes, est) = expand(whole.clone(), estimates.to_vec(), 3, 100.0);
+        let (db, plan) = (ssb_db(), leaf_alone_plan());
+        let template = flatten(&plan);
+        let date = estimate::scan(&template[1].op, &db, None).input_bytes;
+        let Expanded { nodes, est, .. } = expand(&plan, 3, date, &db, None);
         assert_postorder(&nodes);
         assert_eq!(roles(&nodes), ["P0", "P1", "P2", "M", "W", "W"]);
         for n in &nodes[..4] {
-            assert!(Arc::ptr_eq(&n.op, &whole[0].op));
+            assert!(Arc::ptr_eq(&n.op, &template[0].op));
         }
         assert_eq!(nodes[3].children, [0, 1, 2]);
         assert_eq!(nodes[5].children, [3, 4], "the merge stands where the scan stood");
-        assert_eq!(est[..3], [(300.0, 100.0); 3]);
-        assert_eq!(est[3], (300.0, 300.0));
-        assert_eq!([est[4], est[5]], [estimates[1], estimates[2]]);
-    }
-
-    fn ssb_db() -> Database {
-        robustq_storage::gen::ssb::SsbGenerator::new(1).with_rows_per_sf(8_000).generate()
+        let w = whole(&plan, &db);
+        assert_eq!(est[..3], [(w[0].input_bytes / 3.0, w[0].bytes / 3.0); 3]);
+        assert_eq!(est[3], (w[0].bytes, w[0].bytes));
+        assert_eq!([est[4], est[5]], [pair(&w[1]), pair(&w[2])]);
     }
 
     /// Tasks: 0 date, 1 customer, 2 lineorder, 3 join, 4 join, 5 aggregate.
@@ -874,32 +844,67 @@ mod tests {
             .aggregate(["c_nation", "d_year"], vec![AggSpec::sum(Expr::col("lo_revenue"), "r")])
     }
 
+    /// A copy of `db` whose `lineorder` holds only its rows `[lo, hi)`:
+    /// the static database a tick over that window is equivalent to.
+    fn cut(db: &Database, lo: usize, hi: usize) -> Database {
+        let mut out = Database::new();
+        for t in db.tables() {
+            let columns = match t.name() {
+                "lineorder" => {
+                    (0..t.num_columns()).map(|i| Arc::new(t.column_slice(i, lo, hi))).collect()
+                }
+                _ => t.columns().to_vec(),
+            };
+            let table = Table::from_shared(t.name(), t.schema().clone(), columns).unwrap();
+            out.add_table(table).unwrap();
+        }
+        out
+    }
+
     /// Every task with children reads what they hand on: its input
-    /// estimate is the sum of their output estimates, in every fixture.
-    /// A pipeline join reads its replica build side whole.
+    /// estimate is the sum of their output estimates, in every fixture,
+    /// sharded or not, and in a window tick. A pipeline join reads its
+    /// replica build side whole; above a windowed scan every operator
+    /// reads the window's share, as the same query over a database that
+    /// holds only the window's rows is estimated.
     #[test]
     fn every_task_reads_its_childrens_estimated_output() {
-        let aligned = |nodes: &[TaskNode], est: &[(f64, f64)], fixture: &str| {
-            for (i, node) in nodes.iter().enumerate().filter(|(_, n)| !n.children.is_empty()) {
-                let read: f64 = node.children.iter().map(|&c| est[c].1).sum();
-                let close = (est[i].0 - read).abs() <= 1e-9 * read.abs();
-                assert!(close, "{fixture}, task {i}: reads {} B of {read} B", est[i].0);
-            }
-        };
-        let check = |fixture, plan: PlanNode, estimates: &[(f64, f64)], ways, min_bytes| {
-            let (nodes, est) = expand(flatten(&plan), estimates.to_vec(), ways, min_bytes);
-            aligned(&nodes, &est, fixture);
-        };
-        check("aggregate", plan(), &ESTIMATES, 2, 100.0);
-        check("build side", build_side_plan(), &BUILD_SIDE_ESTIMATES, 2, 0.0);
-        check("semi join", semi_select_plan(), &SEMI_SELECT_ESTIMATES, 3, 0.0);
-        check("leaf alone", leaf_alone_plan(), &LEAF_ALONE_ESTIMATES, 3, 100.0);
         let db = ssb_db();
-        let whole = flatten(&pruned_plan());
-        let estimates = estimate::postorder(&whole, &db);
-        let estimates = estimates.iter().map(|e| (e.input_bytes, e.bytes)).collect();
-        let (nodes, est, _) = expand_shards(whole, estimates, 2, 0.0, &db);
-        aligned(&nodes, &est, "pruned");
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        let fixtures = [
+            ("aggregate", plan()),
+            ("build side", build_side_plan()),
+            ("semi join", semi_select_plan()),
+            ("leaf alone", leaf_alone_plan()),
+            ("pruned", pruned_plan()),
+        ];
+        // The whole table, a window inside it, and one that runs past its end.
+        let windows =
+            [None, Some(("lineorder", 1_000, 5_000)), Some(("lineorder", 6_000, 9_000))];
+        for (fixture, plan) in &fixtures {
+            for window in windows {
+                let equivalent = window.map(|(_, lo, hi)| cut(&db, lo, hi.min(8_000)));
+                for ways in [1, 2, 3] {
+                    let at = format!("{fixture}, {ways} ways, window {window:?}");
+                    let tick = expand(plan, ways, 0.0, &db, window);
+                    for (i, node) in tick.nodes.iter().enumerate() {
+                        if node.children.is_empty() {
+                            continue;
+                        }
+                        let read = tick.est[i].0;
+                        let of: f64 = node.children.iter().map(|&c| tick.est[c].1).sum();
+                        assert!(close(read, of), "{at}, task {i}: reads {read} B of {of} B");
+                    }
+                    let Some(cut) = &equivalent else { continue };
+                    let static_run = expand(plan, ways, 0.0, cut, None);
+                    assert_eq!(roles(&tick.nodes), roles(&static_run.nodes), "{at}");
+                    for (i, (a, b)) in tick.est.iter().zip(&static_run.est).enumerate() {
+                        let same = close(a.0, b.0) && close(a.1, b.1);
+                        assert!(same, "{at}, task {i}: {a:?}, not {b:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// Each pruned spine task is estimated at its estimated rows × its
@@ -907,12 +912,11 @@ mod tests {
     #[test]
     fn a_pruned_spine_task_is_estimated_at_its_live_width() {
         let db = ssb_db();
-        let whole = flatten(&pruned_plan());
-        let estimated = estimate::postorder(&whole, &db);
-        let estimates = estimated.iter().map(|e| (e.input_bytes, e.bytes)).collect();
-        let (nodes, est, live) = expand_shards(whole, estimates, 2, 0.0, &db);
+        let estimated = whole(&pruned_plan(), &db);
+        let Expanded { nodes, est, live, .. } = expand(&pruned_plan(), 2, 0.0, &db, None);
         let pipeline = |k: u32| ["R", "R", "P", "P", "P"].map(|role| format!("{role}{k}"));
-        let want: Vec<String> = (0..2).flat_map(pipeline).chain(["M".into(), "W".into()]).collect();
+        let want: Vec<String> =
+            (0..2).flat_map(pipeline).chain(["M".into(), "W".into()]).collect();
         assert_eq!(roles(&nodes), want);
         let width = |columns: &[String]| -> f64 {
             let column = |c: &str| db.tables().iter().find_map(|t| t.column(c)).unwrap();
@@ -920,7 +924,7 @@ mod tests {
         };
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
         for pipeline in [0, 5] {
-            let listed = |t: usize| live.get(pipeline + t).cloned().flatten();
+            let listed = |t: usize| live.get(pipeline + t).cloned().flatten().map(|(c, _)| c);
             assert_eq!(listed(2), None, "the leaf's columns are all read above it");
             let joins = [
                 (3, ["lo_orderdate", "lo_revenue", "c_nation"]),
@@ -943,10 +947,9 @@ mod tests {
 
     #[test]
     fn a_merge_reads_no_base_column() {
+        let db = ssb_db();
         for (plan, ways) in [(plan(), 2), (plan().select(Predicate::between("r", 1, 2)), 3)] {
-            let whole = flatten(&plan);
-            let estimates = ESTIMATES.iter().copied().cycle().take(whole.len()).collect();
-            let (nodes, _) = expand(whole, estimates, ways, 0.0);
+            let nodes = expand(&plan, ways, 0.0, &db, None).nodes;
             assert_postorder(&nodes);
             for node in &nodes {
                 match node.role {

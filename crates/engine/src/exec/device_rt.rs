@@ -143,13 +143,9 @@ impl Sim<'_, '_> {
                     EngineError::Internal("child output missing".to_string())
                 })?);
             }
-            // A standing-query tick scans only its window's rows of the
-            // fed table; batch queries (window `None`) take the plain
-            // path, byte-identical to earlier releases.
-            let window = self.queries[self.tasks[task].query].window.map(|w| {
-                let name = self.db.tables()[w.table as usize].name();
-                (name, w.lo as usize, w.hi as usize)
-            });
+            // A standing-query tick's scans of the fed table read only its
+            // window's rows (`Op::scan_rows`).
+            let window = self.queries[self.tasks[task].query].window.map(|w| w.rows(self.db));
             let t = &self.tasks[task];
             let out =
                 t.op.execute_windowed(t.role, &children_chunks, self.db, self.opts.parallel, window)
@@ -363,7 +359,7 @@ impl Sim<'_, '_> {
         let query = self.tasks[task].query;
         let class = self.tasks[task].class;
         let bytes_out = self.tasks[task].output_bytes;
-        let total_in = host_input_bytes + self.base_bytes(task);
+        let total_in = host_input_bytes + self.leaf_bytes(task);
         let cap = self.heaps.device(device).capacity();
         let chunks = (2..=Self::MAX_STAGE_CHUNKS).find(|&n| {
             self.staged_chunk_bytes(class, total_in, cost_in, cost_out, bytes_out, n) <= cap

@@ -19,7 +19,7 @@ use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{FaultCounters, QueryOutcome, RunMetrics, StagingStats};
 use crate::exec::model::ModelUpdate;
 use crate::exec::policy::{PlacementPolicy, TaskInfo};
-use crate::exec::task::Role;
+use crate::exec::task::{Role, Window};
 use crate::plan::{Op, PlanNode};
 use robustq_sim::{
     CacheSet, CostModel as SimCostModel, DeviceId, Direction, EventQueue, FaultPlan,
@@ -217,6 +217,13 @@ pub(crate) struct QueryWindow {
     pub(crate) lo: u64,
     /// One past the last feed-table row in the window.
     pub(crate) hi: u64,
+}
+
+impl QueryWindow {
+    /// The window as the scan kernel and the estimates take it.
+    pub(crate) fn rows(self, db: &Database) -> Window<'_> {
+        (db.tables()[self.table as usize].name(), self.lo as usize, self.hi as usize)
+    }
 }
 
 pub(crate) struct QueryState {

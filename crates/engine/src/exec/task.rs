@@ -15,6 +15,10 @@ use robustq_storage::Database;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// A standing query's window: the rows `[lo, hi)` of the named table a
+/// tick reads ([`Op::scan_rows`]).
+pub type Window<'a> = (&'a str, usize, usize);
+
 /// Which shard pipeline of a fan-out a task belongs to: shard `index` of
 /// `of` equal row-range partitions of the spine's leaf scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +115,7 @@ impl Op {
     ) -> Result<Chunk, String> {
         match self {
             Op::Scan { columns, predicate, .. } => {
-                let chunk = self.scan_base(db, None)?;
+                let chunk = self.scan_base(db)?;
                 let out = ops::project::keep_columns(&chunk, columns)?;
                 match predicate {
                     Some(p) => {
@@ -159,11 +163,12 @@ impl Op {
     }
 
     /// The lazy interpreter: this operator run as `role`, optionally
-    /// restricted to a standing-query window. When `window` names a scan's
-    /// table, its base chunk is built from the row range `[lo, hi)`
-    /// instead of the full table (scans of other tables, e.g. static
-    /// dimension tables, read everything), so a window covering the whole
-    /// table is bit-identical to a plain run.
+    /// restricted to a standing-query window. A scan reads the rows
+    /// [`Op::scan_rows`] names — a window's `[lo, hi)` of the table it
+    /// names (scans of other tables, e.g. static dimension tables, read
+    /// everything), then a spine leaf's partition of those — out of the
+    /// table's shared chunk, so a window covering the whole table is
+    /// bit-identical to a plain run.
     ///
     /// No operator copies a column it does not read. A scan hands on the
     /// table's own (shared) columns, filtered ones behind a selection
@@ -183,25 +188,23 @@ impl Op {
         children: &[LazyChunk],
         db: &Database,
         ctx: ParallelCtx,
-        window: Option<(&str, usize, usize)>,
+        window: Option<Window<'_>>,
     ) -> Result<LazyChunk, String> {
         Ok(match self {
             // The spine's pipelines, in shard order: ordered, disjoint probe
             // ranges, so their concatenation is the whole spine's output.
             _ if role == Role::Merge => LazyChunk::concat(children)?,
             Op::Scan { columns, predicate, .. } => {
-                let chunk = self.scan_base(db, window)?;
-                // A spine leaf runs the one selection kernel over exactly
-                // its row range, or without a predicate that range itself,
-                // as a run; the whole scan the predicate over every row.
-                // The predicate reads the chunk of every read column; the
-                // output shares only the output columns with it.
-                let range = role.partition().map(|shard| shard.row_range(chunk.num_rows()));
-                let sel = match (range, predicate) {
-                    (Some(rows), Some(p)) => Some(ops::select::select_range(&chunk, rows, p, ctx)?),
-                    (Some(rows), None) => Some(SelVec::run(rows.start as u32..rows.end as u32)),
-                    (None, Some(p)) => Some(ops::select::select(&chunk, None, p, ctx)?),
-                    (None, None) => None,
+                let chunk = self.scan_base(db)?;
+                // A leaf runs the one selection kernel over exactly the
+                // rows it reads, or without a predicate those rows
+                // themselves, as a run. The predicate reads the chunk of
+                // every read column; the output shares only the output
+                // columns with it.
+                let rows = self.scan_rows(role, window, chunk.num_rows());
+                let sel = match predicate {
+                    Some(p) => ops::select::select_range(&chunk, rows, p, ctx)?,
+                    None => SelVec::run(rows.start as u32..rows.end as u32),
                 };
                 scan_output(chunk, columns, sel)?
             }
@@ -264,21 +267,37 @@ impl Op {
         })
     }
 
-    /// The base chunk of a (sharded) scan: every column it reads — the
-    /// table's own buffers, shared, or a copy of the rows `[lo, hi)` when
-    /// `window` names the table.
-    fn scan_base(
-        &self,
-        db: &Database,
-        window: Option<(&str, usize, usize)>,
-    ) -> Result<Chunk, String> {
+    /// The base chunk of a scan: every column it reads, the table's own
+    /// buffers, shared.
+    fn scan_base(&self, db: &Database) -> Result<Chunk, String> {
         let (table, read_cols) = self.scan_access().expect("scan op");
         let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-        match window {
-            Some((w_table, lo, hi)) if w_table == table => {
-                Chunk::from_table_range(t, read_cols, lo, hi)
+        Chunk::from_table(t, read_cols)
+    }
+
+    /// The rows of its `rows`-row table a scan run as `role` reads: a
+    /// window's `[lo, hi)` when `window` names the scan's table (every
+    /// row otherwise), clamped to the table, then a spine leaf's
+    /// [`ShardSpec::row_range`] of those. The one description of what a
+    /// leaf reads: the kernel selects these rows, and admission estimates
+    /// and charges their share (DESIGN.md §6).
+    pub fn scan_rows(
+        &self,
+        role: Role,
+        window: Option<Window<'_>>,
+        rows: usize,
+    ) -> Range<usize> {
+        let (table, _) = self.scan_access().expect("scan op");
+        let (lo, hi) = match window {
+            Some((name, lo, hi)) if name == table => (lo.min(hi).min(rows), hi.min(rows)),
+            _ => (0, rows),
+        };
+        match role.partition() {
+            Some(shard) => {
+                let part = shard.row_range(hi - lo);
+                lo + part.start..lo + part.end
             }
-            _ => Chunk::from_table(t, read_cols),
+            None => lo..hi,
         }
     }
 }
@@ -299,16 +318,14 @@ fn names_of<'a>(visit: impl Fn(&mut dyn FnMut(&'a str))) -> Vec<&'a str> {
 /// base that reads nothing else (the read list starts with the outputs)
 /// is the output as it is. A selection covering every row is returned
 /// dense.
-fn scan_output(base: Chunk, columns: &[String], sel: Option<SelVec>) -> Result<LazyChunk, String> {
+fn scan_output(base: Chunk, columns: &[String], sel: SelVec) -> Result<LazyChunk, String> {
     let out = match base {
         base if base.num_columns() == columns.len() => base,
         base => ops::project::keep_columns(&base, columns)?,
     };
-    Ok(match sel {
-        Some(sel) if sel.len() < out.num_rows() => {
-            LazyChunk::Groups(vec![Group { base: Arc::new(out), sel }])
-        }
-        _ => LazyChunk::Materialized(out),
+    Ok(match sel.len() < out.num_rows() {
+        true => LazyChunk::Groups(vec![Group { base: Arc::new(out), sel }]),
+        false => LazyChunk::Materialized(out),
     })
 }
 

@@ -163,6 +163,36 @@ fn a_filtered_scan_allocates_positions_only() {
     assert!(bytes <= budget, "a filtered scan of {ROWS} rows allocated {bytes} B > {budget} B");
 }
 
+/// A window's scan bookkeeping beside its positions: the output's one
+/// group, its base chunk and column handles.
+const WINDOW_FIXED: u64 = 512;
+
+/// A window tick's scan reads its rows out of the table's shared columns
+/// through a selection, as a shard does (DESIGN.md §3): a 64-row window
+/// of a 10 k-row `lineorder` allocates at most a `u32` a window row of
+/// positions — none without a predicate, where it is a run — and no
+/// column data, of which a copy of the window's rows alone weighs more.
+#[test]
+fn a_windowed_scan_allocates_its_positions_not_its_rows() {
+    const WINDOW: usize = 64;
+    let db = SsbGenerator::new(1).with_rows_per_sf(10_000).generate();
+    let t = db.table("lineorder").unwrap();
+    let read = COLUMNS.iter().chain(&["lo_discount"]);
+    let width: u64 = read.map(|c| t.column(c).unwrap().data_type().byte_width() as u64).sum();
+    let budget = 4 * WINDOW as u64 + WINDOW_FIXED;
+    assert!(budget < width * WINDOW as u64, "the budget must stay below one copy of the window");
+    let window = Some(("lineorder", 4_000, 4_000 + WINDOW));
+    for predicate in [None, predicate()] {
+        let at = format!("predicate {predicate:?}");
+        let scan = Op::scan("lineorder", columns(), predicate);
+        let (out, bytes) = allocated(|| {
+            scan.execute_windowed(Role::Whole, &[], &db, ParallelCtx::serial(), window).unwrap()
+        });
+        assert!(out.num_rows() > 0 && out.num_rows() <= WINDOW, "{at}");
+        assert!(bytes <= budget, "{at}: a {WINDOW}-row window allocated {bytes} B > {budget} B");
+    }
+}
+
 /// `of` shards of a `lineorder` scan and their merge, and the bytes the
 /// lot allocated.
 fn sharded_scan(db: &Database, predicate: Option<Predicate>, of: u32) -> (LazyChunk, u64) {

@@ -40,6 +40,8 @@ use robustq::engine::reference;
 use robustq::engine::batch::Group;
 use robustq::engine::{execute_plan_fused, Chunk, LazyChunk, ParallelCtx, SelVec};
 use robustq::storage::{ColumnData, DataType, Database, DictColumn, Field, Schema, Table};
+use std::ops::Range;
+use std::sync::Arc;
 
 const WORKER_GRID: [usize; 2] = [1, 8];
 
@@ -571,14 +573,11 @@ fn check_lazy_tasks(
     let lo = window.0 % (n + 1);
     let hi = lo + window.1 % (n - lo + 1);
     // The static database a window tick is equivalent to: exactly the
-    // window's rows, sharing the full table's dictionaries.
-    let windowed = Chunk::from_table_range(
-        db.table("t").expect("fact table"),
-        &["i32", "i64", "f64", "str"],
-        lo,
-        hi,
-    )
-    .expect("window cut");
+    // window's rows, sharing the full table's dictionaries — copied out
+    // with the storage layer's own cut, not the scan kernel's range.
+    let table = db.table("t").expect("fact table");
+    let cut = (0..table.num_columns()).map(|i| Arc::new(table.column_slice(i, lo, hi)));
+    let windowed = Chunk::from_shared(fact.fields().to_vec(), cut.collect());
     let window_db = fact_and_dim(&windowed, &dim);
     let columns: &[&str] =
         if narrow == 0 { &["i32", "i64", "f64", "str"] } else { &["f64", "i32", "str"] };
@@ -595,6 +594,10 @@ fn check_lazy_tasks(
         for (oracle_db, base, window) in
             [(&db, &fact, None), (&window_db, &windowed, Some(("t", lo, hi)))]
         {
+            // A leaf reads its rows out of the whole table: the window's
+            // start offsets every position of the fed table's rows.
+            let first = window.map_or(0, |(_, lo, _)| lo as u32);
+            let read = |rows: Range<usize>| first + rows.start as u32..first + rows.end as u32;
             let mut oracle: Vec<Chunk> = Vec::with_capacity(tasks.len());
             for t in &tasks {
                 let children: Vec<Chunk> =
@@ -636,9 +639,17 @@ fn check_lazy_tasks(
                                     "{}", label
                                 );
                                 prop_assert_eq!(&out.clone().materialize(), &oracle[*i], "{}", label);
-                                // Runs merge into a dense output.
+                                // Runs merge into one run of the rows
+                                // read, dense where they are the table.
                                 if t.role == Role::Merge && which == 0 {
-                                    prop_assert!(out.groups().is_empty(), "{}", label);
+                                    match out.groups() {
+                                        [] => prop_assert_eq!(base.num_rows(), n, "{}", label),
+                                        groups => prop_assert_eq!(
+                                            groups[0].sel.as_run(),
+                                            Some(read(0..base.num_rows())),
+                                            "{}", label
+                                        ),
+                                    }
                                 }
                             }
                             Expect::Shard(shard) => {
@@ -654,10 +665,10 @@ fn check_lazy_tasks(
                                     "{}", label
                                 );
                                 // Without a predicate: the row range itself,
-                                // dense where it covers the base.
-                                let range = (which == 0).then_some(range.start as u32..range.end as u32);
+                                // dense where it covers the table.
+                                let range = (which == 0).then(|| read(range));
                                 match out.groups() {
-                                    [] => prop_assert_eq!(rows, base.num_rows(), "{}", label),
+                                    [] => prop_assert_eq!(rows, n, "{}", label),
                                     groups => prop_assert_eq!(groups[0].sel.as_run(), range, "{}", label),
                                 }
                             }
@@ -845,7 +856,7 @@ fn assert_one_pass_estimates(name: &str, plan: &PlanNode, db: &Database) {
     let mut want = Vec::new();
     subtree_estimates(plan, db, &mut want);
     let tasks = flatten(plan);
-    let got = estimate::postorder(&tasks, db);
+    let got = estimate::postorder(&tasks, db, None, |_| 1.0);
     assert_eq!(got.len(), tasks.len());
     assert_eq!(
         got.iter().map(bits).collect::<Vec<_>>(),
