@@ -107,11 +107,6 @@ impl DataPlacementManager {
         self.kind
     }
 
-    /// The sharding degree this manager partitions for (0 = off).
-    pub fn shard_ways(&self) -> usize {
-        self.shard_ways
-    }
-
     /// Rank all base columns by the configured criterion, best first.
     /// Columns never accessed rank last and are never pinned.
     pub fn ranking(&self, db: &Database) -> Vec<(ColumnId, u64)> {

@@ -9,7 +9,12 @@
 //! children ran on that same device, so the chain breaks at the first
 //! operator with a non-resident input and the rest of the query stays on
 //! the CPU (Section 3.3). With K co-processors, each column has one home
-//! device and the chain follows whichever device holds the data.
+//! device and the chain follows whichever device holds the data. Under
+//! sharding a partition has its home too, so a query's shard pipelines
+//! fan out after their partitions, and their fan-in (the merge, its
+//! children on several co-processors) breaks the chain like any other
+//! operator with inputs on different devices: it and everything above it
+//! run on the CPU, where the query's result is returned.
 
 use crate::placement_mgr::{DataPlacementManager, PlacementPolicyKind};
 use crate::strategies::price::{busiest_coprocessor, price};
@@ -18,43 +23,6 @@ use robustq_engine::{
 };
 use robustq_sim::{CacheKey, CacheSet, DeviceId, PerDevice, VirtualTime};
 use robustq_storage::Database;
-
-/// Per-query home co-processor under shard-aware placement, or `None`
-/// when the classic chaining rule should decide. Never asked for a task
-/// of a shard pipeline: those follow their shard.
-///
-/// A query's shard pipelines fan out after their partitions, but that
-/// leaves its merge with children on *different* co-processors — the
-/// classic chain rule would break there and drag the whole rest of the
-/// query onto the CPU, erasing the fan-out's win. Instead each query gets
-/// a home device, `turn % (K + 1)` over all devices, the CPU included:
-/// the merge (the fan-in) lands on the home, and a leaf scan outside the
-/// pipelines whose columns are resident on a co-processor home (the
-/// manager replicates small tables into every cache) starts the chain
-/// there too, so different queries' post-merge operators spread across
-/// the fleet instead of serialising on one device. The home follows the
-/// query's turn, not its admission order, so which query's post-merge
-/// work lands on the CPU does not hang on which session finished first.
-fn query_home(task: &TaskInfo, ctx: &PolicyCtx) -> Option<DeviceId> {
-    let devices = ctx.topology.device_count();
-    if devices == 0 {
-        return None;
-    }
-    let home = DeviceId::from_index(task.turn % devices);
-    if task.children_tasks.is_empty() {
-        // Leaf scan: the home only attracts it when its data is there
-        // (the CPU reads host memory directly, so it never attracts one).
-        (home.is_coprocessor()
-            && !task.base_columns.is_empty()
-            && ctx.resident_on(home, task))
-        .then_some(home)
-    } else {
-        // Shard fan-in: children spread over several co-processors.
-        let mut coprocs = task.children_devices.iter().filter(|d| d.is_coprocessor());
-        let first = coprocs.next();
-        first.is_some_and(|f| coprocs.any(|d| d != f)).then_some(home)
-    }
-}
 
 /// Shared chaining rule: a co-processor iff every input is resident on
 /// that one device. A leaf scan follows its data
@@ -252,15 +220,7 @@ impl PlacementPolicy for DataDrivenChopping {
     }
 
     fn place_ready(&mut self, task: &TaskInfo, ctx: &PolicyCtx) -> Placement {
-        let placed = if self.manager.shard_ways() >= 2 && task.role.pipeline().is_none() {
-            query_home(task, ctx)
-                .map(|home| Placement::fixed(home).because(PlaceReason::ShardSpread))
-        } else {
-            None
-        };
-        placed.unwrap_or_else(|| {
-            Placement::fixed(data_driven_device(task, ctx)).because(PlaceReason::DataResidency)
-        })
+        Placement::fixed(data_driven_device(task, ctx)).because(PlaceReason::DataResidency)
     }
 
     fn worker_slots(&self, _device: DeviceId, spec_slots: usize) -> usize {
@@ -320,54 +280,27 @@ mod tests {
         let g2 = DeviceId::coprocessor(2);
         fx.cache_mut(g2).set_pinned(&[(CacheKey(1), 10)]);
         let ctx = fx.ctx(&db);
-        let mut p = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
-        let t = scan_task(&[ColumnId(1)]);
-        assert_eq!(p.place_ready(&t, &ctx).device, g2, "data lives on GPU2");
-        // A chain over GPU2 children stays on GPU2; mixed homes break it.
-        let (same, mixed) = ([g2, g2], [DeviceId::Gpu, g2]);
-        let mut join = task(2_000);
-        join.children_tasks = &[0, 1];
-        join.children_devices = &same;
-        join.children_bytes = &[10, 10];
-        assert_eq!(p.place_ready(&join, &ctx).device, g2);
-        join.children_devices = &mixed;
-        assert_eq!(p.place_ready(&join, &ctx).device, DeviceId::Cpu);
-    }
-
-    #[test]
-    fn query_home_spreads_shard_merges_across_the_fleet() {
-        let db = empty_db();
-        let fx = fixture_k(2, 1_000);
-        let g2 = DeviceId::coprocessor(2);
-        let ctx = fx.ctx(&db);
-        let mut p = DataDrivenChopping::with_manager(
-            crate::DataPlacementManager::lfu().with_sharding(2, 0),
-        );
-        // A shard fan-in: children spread over both co-processors. The
-        // classic chain rule would send it to the CPU; with sharding on,
-        // it lands on the query's home device instead, and consecutive
-        // queries get different homes.
-        let spread = [DeviceId::Gpu, g2];
-        let mut merge = task(2_000);
-        merge.children_tasks = &[0, 1];
-        merge.children_devices = &spread;
-        merge.children_bytes = &[10, 10];
-        let homes: Vec<DeviceId> = (0..3)
-            .map(|q| p.place_ready(&TaskInfo { turn: q, ..merge }, &ctx).device)
-            .collect();
-        assert_eq!(homes.len(), 3);
-        assert_eq!(
-            homes.iter().collect::<std::collections::BTreeSet<_>>().len(),
-            3,
-            "three consecutive queries must get three distinct homes, got {homes:?}"
-        );
-        // Pipeline tasks themselves are exempt (they follow their
-        // shard), and so is the whole rule when sharding is off.
-        let spec = robustq_engine::ShardSpec { index: 0, of: 2 };
-        let spine = TaskInfo { role: Role::Spine(spec), ..merge };
-        assert_eq!(p.place_ready(&spine, &ctx).device, DeviceId::Cpu);
-        let mut off = DataDrivenChopping::new(PlacementPolicyKind::Lfu);
-        assert_eq!(off.place_ready(&merge, &ctx).device, DeviceId::Cpu);
+        // Sharding changes no rule: a shard fan-in's children sit on
+        // different co-processors, so it breaks the chain like any join.
+        let sharded = crate::DataPlacementManager::lfu().with_sharding(2, 0);
+        for mut p in [
+            DataDrivenChopping::new(PlacementPolicyKind::Lfu),
+            DataDrivenChopping::with_manager(sharded),
+        ] {
+            let t = scan_task(&[ColumnId(1)]);
+            assert_eq!(p.place_ready(&t, &ctx).device, g2, "data lives on GPU2");
+            // A chain over GPU2 children stays on GPU2; mixed homes break it.
+            let (same, mixed) = ([g2, g2], [DeviceId::Gpu, g2]);
+            let mut join = task(2_000);
+            join.children_tasks = &[0, 1];
+            join.children_devices = &same;
+            join.children_bytes = &[10, 10];
+            assert_eq!(p.place_ready(&join, &ctx).device, g2);
+            join.children_devices = &mixed;
+            let placed = p.place_ready(&join, &ctx);
+            let want = (DeviceId::Cpu, PlaceReason::DataResidency);
+            assert_eq!((placed.device, placed.reason), want);
+        }
     }
 
     #[test]

@@ -197,7 +197,6 @@ pub(crate) mod test_support {
 
     pub fn task(bytes_in: u64) -> TaskInfo<'static> {
         TaskInfo {
-            turn: 0,
             task: 0,
             op_class: OpClass::Selection,
             base_columns: &[],

@@ -382,14 +382,9 @@ impl Sim<'_, '_> {
             });
         }
         let root = self.tasks.len() - 1;
-        // Closed-loop sessions are admitted in the order they happen to
-        // finish; arrivals and ticks in the order of the schedule.
-        let sessions = self.sessions.len();
-        let turn = if session < sessions { seq * sessions + session } else { query };
         self.queries.push(QueryState {
             session,
             seq,
-            turn,
             root,
             window,
             submit_time,
@@ -434,14 +429,13 @@ impl Sim<'_, '_> {
             let children = &self.tasks[t].children;
             child_bytes.extend(children.iter().map(|&c| self.tasks[c].est_bytes_out));
         }
-        let q = &self.queries[query];
         let mut rest = &self.scratch.child_bytes[..];
         let infos: Vec<TaskInfo> = (base..=root)
             .map(|t| {
                 let task = &self.tasks[t];
                 let (bytes, tail) = rest.split_at(task.children.len());
                 rest = tail;
-                task.info(t, q, true, &[], bytes)
+                task.info(t, true, &[], bytes)
             })
             .collect();
         let ctx = policy_ctx!(self);
@@ -518,7 +512,7 @@ impl Sim<'_, '_> {
                 devices.extend(self.tasks[c].output_device);
                 bytes.push(self.tasks[c].output_bytes);
             }
-            let info = t.info(task, &self.queries[t.query], false, devices, bytes);
+            let info = t.info(task, false, devices, bytes);
             let ctx = policy_ctx!(self);
             let placed = self.policy.place_ready(&info, &ctx);
             self.emit(TraceEvent::Placement {

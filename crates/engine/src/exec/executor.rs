@@ -72,12 +72,13 @@ pub struct ExecOptions {
     /// Intra-operator sharding (DESIGN.md §6): run each query's spine —
     /// its largest qualifying leaf scan and the row-wise operators above
     /// it — as this many shard pipelines at admission, concatenated by
-    /// one merge task (Data-Driven Chopping places it on the query's
-    /// home device). `0` disables sharding (the default — task
-    /// graphs are byte-identical to earlier releases). Values are clamped
-    /// to the co-processor count at admission, so `usize::MAX` means
-    /// "one shard per co-processor". Two or more ways need a policy that
-    /// does not cache on a miss ([`Executor::run_with_cache`]).
+    /// one merge task (Data-Driven Chopping places it by the chain rule:
+    /// its inputs sit on several co-processors, so the CPU). `0` disables
+    /// sharding (the default — task graphs are byte-identical to earlier
+    /// releases). Values are clamped to the co-processor count at
+    /// admission, so `usize::MAX` means "one shard per co-processor". Two
+    /// or more ways need a policy that does not cache on a miss
+    /// ([`Executor::run_with_cache`]).
     pub shard_ways: usize,
     /// Minimum estimated input bytes before a scan is worth sharding;
     /// smaller scans stay whole (fan-out overhead would dominate).

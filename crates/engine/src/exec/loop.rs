@@ -78,20 +78,18 @@ pub(crate) struct TaskState {
 }
 
 impl TaskState {
-    /// The policy's view of this task, global id `task` of query `q`:
-    /// its lists borrowed from the task, its children's devices and bytes
-    /// from the caller. Only `bytes_in` differs between the compile-time
-    /// pass (the estimate) and a run-time consult (the exact input).
+    /// The policy's view of this task, global id `task`: its lists
+    /// borrowed from the task, its children's devices and bytes from the
+    /// caller. Only `bytes_in` differs between the compile-time pass (the
+    /// estimate) and a run-time consult (the exact input).
     pub(crate) fn info<'a>(
         &'a self,
         task: usize,
-        q: &QueryState,
         compile_time: bool,
         children_devices: &'a [DeviceId],
         children_bytes: &'a [u64],
     ) -> TaskInfo<'a> {
         TaskInfo {
-            turn: q.turn,
             task,
             op_class: self.class,
             base_columns: &self.base_columns,
@@ -229,8 +227,6 @@ impl QueryWindow {
 pub(crate) struct QueryState {
     pub(crate) session: usize,
     pub(crate) seq: usize,
-    /// The query's turn in its schedule ([`TaskInfo::turn`]).
-    pub(crate) turn: usize,
     pub(crate) root: usize,
     /// The window this execution scans, for standing-query ticks.
     pub(crate) window: Option<QueryWindow>,

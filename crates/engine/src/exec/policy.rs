@@ -74,13 +74,6 @@ impl Placement {
 /// buffers it reuses — so building one allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskInfo<'a> {
-    /// The turn of the task's query in its schedule: for a closed-loop
-    /// session's query, its place were the sessions to submit in strict
-    /// rotation (`seq × sessions + session`); for an arrival or a window
-    /// tick, its admission index. Unlike the executor's query id, which
-    /// counts admissions and so follows how fast concurrent sessions ran,
-    /// the turn is fixed by the schedule alone.
-    pub turn: usize,
     /// Task index within the executor.
     pub task: usize,
     /// Cost-model class of the operator.
@@ -379,7 +372,6 @@ mod tests {
 
     fn info() -> TaskInfo<'static> {
         TaskInfo {
-            turn: 0,
             task: 0,
             op_class: OpClass::Selection,
             base_columns: &[],

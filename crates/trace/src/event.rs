@@ -166,10 +166,6 @@ pub enum PlaceReason {
     DataResidency,
     /// Device heap pressure vetoed the co-processor.
     HeapPressure,
-    /// Under sharding, placed on its query's home device by data-driven
-    /// chopping: a shard fan-in, or an unsharded scan whose columns the
-    /// home holds (intra-operator sharding, §7).
-    ShardSpread,
     /// The executor's abort recovery forced the CPU.
     AbortFallback,
 }

@@ -680,45 +680,43 @@ fn a_spine_joins_on_its_shards_coprocessor_and_moves_only_its_output() {
     assert!(results <= 1);
 }
 
-/// (7), a closed-loop query's home is its turn, not its admission order.
-/// Two sessions run under K = 2, 2-way sharded Data-Driven Chopping,
-/// session 0 a Q4.1 among Q1.1s and session 1 Q1.1s alone, so session 1
-/// runs ahead and admission order leaves strict rotation. Every merge
-/// placed on its query's home still lands on device
-/// `(seq × 2 + session) mod 3`.
+/// (7), a shard fan-in follows the chain rule. A traced SSB closed loop
+/// at K = 2 under 2-way sharded Data-Driven Chopping: every merge's
+/// children sit on different co-processors, so each merge is placed on
+/// the CPU by data residency, as any operator with inputs on two devices
+/// is — there is no per-query home to send it elsewhere.
 #[test]
-fn a_closed_loop_query_is_homed_by_its_turn_not_its_admission_order() {
+fn a_shard_fan_in_runs_on_the_cpu() {
     use robustq::sim::DeviceId;
     use robustq::trace::{PlaceReason, TraceEvent};
-    use std::collections::BTreeMap;
+    use std::collections::BTreeSet;
 
     let db = db();
-    let templates = ssb::workload(&db).expect("SSB plans");
-    let (q1_1, q4_1) = (&templates[0], &templates[10]);
-    let queries: Vec<_> = (0..4).flat_map(|_| [q4_1, q1_1, q1_1, q1_1]).cloned().collect();
+    let queries = ssb::workload(&db).expect("SSB plans");
     let cfg = RunnerConfig::default().with_users(2).with_sharding(2, 0.0).with_trace();
     let report = WorkloadRunner::new(&db, sim_k(2))
         .run_with_policy(&queries, &mut sharded_ddc(2), DDC_SHARD, &cfg)
         .expect("sharded closed loop");
     let events = report.trace.expect("traced run").events;
-    let mut turn = BTreeMap::new();
-    let (mut homed, mut out_of_rotation) = (0, 0);
-    for e in events {
-        match e {
-            TraceEvent::QuerySubmit { query, session, seq, .. } => {
-                let t = (seq * 2 + session) as usize;
-                out_of_rotation += usize::from(t != query as usize);
-                turn.insert(query, t);
+    let merges: BTreeSet<u32> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ShardFanout { task, .. } => Some(*task),
+            _ => None,
+        })
+        .collect();
+    assert!(!merges.is_empty(), "no query fanned out");
+    let mut placed = BTreeSet::new();
+    for e in &events {
+        if let TraceEvent::Placement { task, chosen, reason, .. } = *e {
+            if merges.contains(&task) {
+                let want = (DeviceId::Cpu, PlaceReason::DataResidency);
+                assert_eq!((chosen, reason), want, "merge {task}");
+                placed.insert(task);
             }
-            TraceEvent::Placement { query, chosen, reason: PlaceReason::ShardSpread, .. } => {
-                assert_eq!(chosen, DeviceId::from_index(turn[&query] % 3), "query {query}");
-                homed += 1;
-            }
-            _ => {}
         }
     }
-    assert!(homed > 0, "no merge was homed");
-    assert!(out_of_rotation > 0, "the sessions never left strict rotation");
+    assert_eq!(placed, merges, "every merge is placed");
 }
 
 /// (8), live columns: every SSB and TPC-H template, sharded 2 and 4 ways
